@@ -183,20 +183,33 @@ and 'm host = {
    definitively everywhere is ABORTED: the entry is removed before any
    replay can see it. Catch-up readers see committed entries only, and
    [group_write_pending] lets them wait out in-flight fan-outs before
-   declaring themselves caught up. *)
+   declaring themselves caught up.
+
+   Append, commit and abort cost O(1) amortised plus the length of
+   [sg_stragglers]: entries sit oldest first in a queue, pending ones
+   are also indexed by (origin, seq) so commit and abort find them
+   directly, and an aborted entry is only marked — it leaves the queue
+   when trimming reaches it. A pending entry that ages past the cap
+   moves to [sg_stragglers]; a coordinator serializes its fan-outs, so
+   at most one entry per coordinator is pending and that list stays
+   short (usually empty). *)
+and sg_state = Pending | Committed | Aborted
+
 and 'm sg_entry = {
   le_origin : int;
   le_seq : int;
   le_msg : 'm;
-  mutable le_committed : bool;
+  mutable le_state : sg_state;
 }
 
 and 'm service_group = {
   sg_group : int;  (* the process group implementing the service *)
   sg_policy : Balancer.policy;
   mutable sg_cursor : int;  (* round-robin position, seeded at registration *)
-  mutable sg_log : 'm sg_entry list;  (* newest first *)
-  mutable sg_log_len : int;
+  sg_log : 'm sg_entry Queue.t;  (* oldest first; aborted entries linger *)
+  mutable sg_stragglers : 'm sg_entry list;  (* newest first *)
+  mutable sg_live : int;  (* entries not aborted, stragglers included *)
+  sg_pending : (int * int, 'm sg_entry) Hashtbl.t;  (* by (origin, seq) *)
   (* origin -> highest seq trimmed out of the capped log; a member whose
      durable applied mark is below this cannot catch up by replay. *)
   sg_trim_hw : (int, int) Hashtbl.t;
@@ -1296,8 +1309,10 @@ let register_service_group d ~service ~group policy =
       sg_group = group;
       sg_policy = policy;
       sg_cursor = cursor;
-      sg_log = [];
-      sg_log_len = 0;
+      sg_log = Queue.create ();
+      sg_stragglers = [];
+      sg_live = 0;
+      sg_pending = Hashtbl.create 16;
       sg_trim_hw = Hashtbl.create 4;
     }
 
@@ -1317,24 +1332,36 @@ let registered_service_groups d =
 let local_group_members host ~group =
   match Hashtbl.find_opt host.group_members group with Some l -> l | None -> []
 
-(* The live members of a group visible from [requester]: on an up host,
-   not partitioned away, process alive — sorted by (address, local pid)
-   so every host enumerates them identically. *)
+(* Fold [f pid addr] over the live members of a group visible from
+   [requester]: on an up host, not partitioned away, process alive. Only
+   the hosts subscribed to the group on the wire are visited — the
+   multicast membership that [join_group], [leave_group] and
+   [crash_host] keep in step with [group_members] — so a lookup costs
+   O(members), not O(hosts). *)
+let fold_reachable_members d ~requester ~group f init =
+  Ethernet.fold_group d.net group
+    (fun addr acc ->
+      match Hashtbl.find_opt d.all_hosts addr with
+      | Some h when h.host_up && Ethernet.reachable d.net requester addr ->
+          List.fold_left
+            (fun acc pid ->
+              match Hashtbl.find_opt h.processes (Pid.local_pid pid) with
+              | Some p when p.proc_alive -> f pid addr acc
+              | Some _ | None -> acc)
+            acc
+            (local_group_members h ~group)
+      | Some _ | None -> acc)
+    init
+
+(* The reachable members, sorted by (address, local pid) so every host
+   enumerates them identically. *)
 let reachable_group_members d ~requester ~group =
-  Hashtbl.fold
-    (fun addr h acc ->
-      if h.host_up && Ethernet.reachable d.net requester addr then
-        List.fold_left
-          (fun acc pid ->
-            match Hashtbl.find_opt h.processes (Pid.local_pid pid) with
-            | Some p when p.proc_alive -> (pid, addr) :: acc
-            | Some _ | None -> acc)
-          acc
-          (local_group_members h ~group)
-      else acc)
-    d.all_hosts []
+  fold_reachable_members d ~requester ~group
+    (fun pid addr acc -> (pid, addr) :: acc)
+    []
   |> List.sort (fun (p1, a1) (p2, a2) ->
-         compare (a1, Pid.local_pid p1) (a2, Pid.local_pid p2))
+         if a1 <> a2 then Int.compare a1 a2
+         else Int.compare (Pid.local_pid p1) (Pid.local_pid p2))
 
 let service_group_members d ~requester ~service =
   match Hashtbl.find_opt d.service_groups service with
@@ -1345,85 +1372,120 @@ let service_group_members d ~requester ~service =
 (* Ordered write-all log for a replicated service: appended pending at
    fan-out start, committed or aborted when the fan-out resolves, read
    back (committed entries, oldest first) by a member catching up. The
-   log is capped: once it exceeds [sg_log_cap] committed entries the
-   oldest are trimmed, with the per-origin trim high-water mark kept so
-   a catch-up can detect that replay alone can no longer cover it. *)
+   log is capped at [sg_log_cap] live entries, pending ones included.
+   Each append past the cap trims the oldest entries beyond the newest
+   [sg_log_cap]: committed ones leave the log, with the per-origin trim
+   high-water mark kept so a catch-up can detect that replay alone can
+   no longer cover it; pending ones stay as stragglers (still counted
+   against the cap) until a later trim finds them committed. *)
 let sg_log_cap = 1024
 
+let sg_drop sg e =
+  let prev =
+    match Hashtbl.find_opt sg.sg_trim_hw e.le_origin with
+    | Some s -> s
+    | None -> 0
+  in
+  Hashtbl.replace sg.sg_trim_hw e.le_origin (max prev e.le_seq);
+  sg.sg_live <- sg.sg_live - 1
+
+(* Examine the [sg_live - sg_log_cap] oldest live entries: stragglers
+   first (they are older than everything queued), then the queue's
+   head. *)
 let sg_trim sg =
-  if sg.sg_log_len > sg_log_cap then begin
-    let rec split n = function
-      | [] -> ([], [])
-      | e :: rest ->
-          if n = 0 then ([], e :: rest)
-          else
-            let kept, dropped = split (n - 1) rest in
-            (e :: kept, dropped)
+  let excess = sg.sg_live - sg_log_cap in
+  if excess > 0 then begin
+    let n = List.length sg.sg_stragglers in
+    (* [i] counts from the oldest straggler. *)
+    let rec keep i = function
+      | [] -> []
+      | e :: older ->
+          let older = keep (i - 1) older in
+          if i < excess && e.le_state = Committed then begin
+            sg_drop sg e;
+            older
+          end
+          else e :: older
     in
-    let kept, dropped = split sg_log_cap sg.sg_log in
-    (* A pending entry is always recent (a fan-out resolves within one
-       coordinator request), so only committed entries can age into the
-       dropped tail; keep any pending stragglers regardless. *)
-    let stragglers = List.filter (fun e -> not e.le_committed) dropped in
-    List.iter
-      (fun e ->
-        if e.le_committed then
-          let prev =
-            match Hashtbl.find_opt sg.sg_trim_hw e.le_origin with
-            | Some s -> s
-            | None -> 0
-          in
-          Hashtbl.replace sg.sg_trim_hw e.le_origin (max prev e.le_seq))
-      dropped;
-    sg.sg_log <- kept @ stragglers;
-    sg.sg_log_len <- List.length sg.sg_log
+    sg.sg_stragglers <- keep (n - 1) sg.sg_stragglers;
+    let rec take k =
+      if k > 0 then begin
+        let e = Queue.take sg.sg_log in
+        match e.le_state with
+        | Aborted -> take k
+        | Committed ->
+            sg_drop sg e;
+            take (k - 1)
+        | Pending ->
+            sg.sg_stragglers <- e :: sg.sg_stragglers;
+            take (k - 1)
+      end
+    in
+    take (excess - n)
   end
 
 let log_group_write d ~service ~origin ~seq msg =
   match Hashtbl.find_opt d.service_groups service with
   | None -> ()
   | Some sg ->
-      sg.sg_log <-
-        { le_origin = origin; le_seq = seq; le_msg = msg; le_committed = false }
-        :: sg.sg_log;
-      sg.sg_log_len <- sg.sg_log_len + 1;
+      let e =
+        {
+          le_origin = origin;
+          le_seq = seq;
+          le_msg = msg;
+          le_state = Pending;
+        }
+      in
+      Queue.add e sg.sg_log;
+      Hashtbl.add sg.sg_pending (origin, seq) e;
+      sg.sg_live <- sg.sg_live + 1;
       sg_trim sg
+
+(* Resolve every pending entry logged under (origin, seq) — [Hashtbl.add]
+   stacks duplicates, so take them one at a time. *)
+let sg_resolve sg ~origin ~seq f =
+  let key = (origin, seq) in
+  let rec go () =
+    match Hashtbl.find_opt sg.sg_pending key with
+    | None -> ()
+    | Some e ->
+        Hashtbl.remove sg.sg_pending key;
+        f e;
+        go ()
+  in
+  go ()
 
 let commit_group_write d ~service ~origin ~seq =
   match Hashtbl.find_opt d.service_groups service with
   | None -> ()
   | Some sg ->
-      List.iter
-        (fun e ->
-          if e.le_origin = origin && e.le_seq = seq then e.le_committed <- true)
-        sg.sg_log
+      sg_resolve sg ~origin ~seq (fun e -> e.le_state <- Committed)
 
 let abort_group_write d ~service ~origin ~seq =
   match Hashtbl.find_opt d.service_groups service with
   | None -> ()
   | Some sg ->
-      sg.sg_log <-
-        List.filter
-          (fun e ->
-            not (e.le_origin = origin && e.le_seq = seq && not e.le_committed))
-          sg.sg_log;
-      sg.sg_log_len <- List.length sg.sg_log
+      sg_resolve sg ~origin ~seq (fun e ->
+          e.le_state <- Aborted;
+          sg.sg_live <- sg.sg_live - 1;
+          sg.sg_stragglers <- List.filter (fun s -> s != e) sg.sg_stragglers)
 
 let group_write_log d ~service =
   match Hashtbl.find_opt d.service_groups service with
   | None -> []
   | Some sg ->
-      List.rev
-        (List.filter_map
-           (fun e ->
-             if e.le_committed then Some (e.le_origin, e.le_seq, e.le_msg)
-             else None)
-           sg.sg_log)
+      let add acc e =
+        if e.le_state = Committed then (e.le_origin, e.le_seq, e.le_msg) :: acc
+        else acc
+      in
+      (* Oldest first: the stragglers, then the queue. *)
+      Queue.fold add (List.fold_left add [] (List.rev sg.sg_stragglers)) sg.sg_log
+      |> List.rev
 
 let group_write_pending d ~service =
   match Hashtbl.find_opt d.service_groups service with
   | None -> false
-  | Some sg -> List.exists (fun e -> not e.le_committed) sg.sg_log
+  | Some sg -> Hashtbl.length sg.sg_pending > 0
 
 let group_write_trimmed d ~service =
   match Hashtbl.find_opt d.service_groups service with
@@ -1435,13 +1497,20 @@ let group_write_trimmed d ~service =
 (* GetPid against the service-group registry: the service has a
    registered group with at least one live reachable member. Split into
    an availability check and the choice itself so only the choice
-   advances the round-robin cursor (a guard must not). *)
+   advances the round-robin cursor (a guard must not). The check stops
+   at the first member it finds. *)
 let balanced_lookup_available host ~service =
   let d = host.domain in
   match Hashtbl.find_opt d.service_groups service with
   | None -> false
-  | Some sg ->
-      reachable_group_members d ~requester:host.addr ~group:sg.sg_group <> []
+  | Some sg -> (
+      match
+        fold_reachable_members d ~requester:host.addr ~group:sg.sg_group
+          (fun _ _ () -> raise_notrace Exit)
+          ()
+      with
+      | () -> false
+      | exception Exit -> true)
 
 let balanced_choice host ~service =
   let d = host.domain in

@@ -262,6 +262,10 @@ val create_group : 'm domain -> int
 val join_group : 'm host -> group:int -> Pid.t -> unit
 val leave_group : 'm host -> group:int -> Pid.t -> unit
 
+(** The pids that joined [group] on this host, whether or not they are
+    still alive. A crash clears every group on the host. *)
+val local_group_members : 'm host -> group:int -> Pid.t list
+
 (** Multicast to the group; blocks for the first reply, which is
     returned with the replier's pid. Later replies are discarded. *)
 val send_group : 'm self -> group:int -> 'm -> ('m * Pid.t, error) result
@@ -298,7 +302,9 @@ val registered_service_groups : 'm domain -> (int * int) list
 (** The live members of [service]'s group visible from [requester]: on
     an up host, not partitioned away from it, process alive — sorted by
     (address, local pid) so every host enumerates them identically.
-    Empty when the service has no group. *)
+    Empty when the service has no group. Visits only the hosts that
+    joined the group: O(members), independent of the installation's
+    size. *)
 val service_group_members :
   'm domain -> requester:Vnet.Ethernet.addr -> service:int -> Pid.t list
 
@@ -307,10 +313,14 @@ val service_group_members :
     first send — so a concurrent catch-up can see (and wait out) the
     in-flight write. Resolve it with {!commit_group_write} once some
     member may have applied it, or {!abort_group_write} when the
-    fan-out failed definitively everywhere. The log keeps at most a
-    bounded number of committed entries; the oldest are trimmed with
-    their per-origin high-water mark retained ({!group_write_trimmed}).
-    No-ops when the service has no group. *)
+    fan-out failed definitively everywhere. The log is capped at 1024
+    live entries, pending ones included: an append past the cap trims
+    the committed entries older than the newest 1024, retaining their
+    per-origin high-water mark ({!group_write_trimmed}), while pending
+    entries that old stay as stragglers — still counted against the
+    cap — until a later append finds them committed. Append, commit
+    and abort are O(1) amortised plus the straggler count. No-ops when
+    the service has no group. *)
 val log_group_write :
   'm domain -> service:int -> origin:int -> seq:int -> 'm -> unit
 

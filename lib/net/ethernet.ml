@@ -104,6 +104,7 @@ type 'a t = {
   groups : (int, (addr, unit) Hashtbl.t) Hashtbl.t;
   mutable wire_free_at : float;  (* Shared_medium only *)
   links : (Topology.node * Topology.node, link) Hashtbl.t;  (* Switched only *)
+  mutable links_down : int;  (* links with [l_up = false] *)
   mutable loss_probability : float;
   (* Unordered host pairs that cannot exchange frames. *)
   mutable partitions : (addr * addr) list;
@@ -130,6 +131,7 @@ let create ?(seed = 1) ?(topology = Topology.Shared_medium) ?(queue_cap = 256)
     groups = Hashtbl.create 16;
     wire_free_at = 0.0;
     links = Hashtbl.create 64;
+    links_down = 0;
     loss_probability = 0.0;
     partitions = [];
     counters =
@@ -286,6 +288,11 @@ let group_members t group =
   | Some members ->
       Hashtbl.fold (fun a () acc -> a :: acc) members [] |> List.sort compare
 
+let fold_group t group f init =
+  match Hashtbl.find_opt t.groups group with
+  | None -> init
+  | Some members -> Hashtbl.fold (fun a () acc -> f a acc) members init
+
 let join_group t ~group ~addr =
   let members =
     match Hashtbl.find_opt t.groups group with
@@ -356,21 +363,20 @@ let set_link_up t a b up =
   let l = require_link t "Ethernet.set_link_up" (a, b) in
   if l.l_up <> up then begin
     l.l_up <- up;
+    t.links_down <- (t.links_down + if up then -1 else 1);
     net_event t "net" "link %a %s" Topology.pp_link (a, b)
       (if up then "up" else "down")
   end
+
+(* An untouched link is up; only materialized links can be down. *)
+let path_link_up t key =
+  match Hashtbl.find_opt t.links key with Some l -> l.l_up | None -> true
 
 let link_up t a b =
   match t.topology with
   | Topology.Shared_medium -> true
   | Topology.Switched _ ->
-      if not (Topology.is_link t.topology (a, b)) then false
-      else
-        (* An untouched link is up; only materialized links can be
-           down. *)
-        (match Hashtbl.find_opt t.links (a, b) with
-        | Some l -> l.l_up
-        | None -> true)
+      Topology.is_link t.topology (a, b) && path_link_up t (a, b)
 
 let set_link_extra_latency t a b ms =
   if ms < 0.0 then invalid_arg "Ethernet.set_link_extra_latency";
@@ -526,16 +532,25 @@ let partitioned t a b =
    topologies; the switched fabric additionally requires every directed
    link on the path to be up. The kernel's reachability probes ask this
    instead of [partitioned], so a cut uplink times transactions out the
-   same way a partition does. *)
+   same way a partition does.
+
+   The replica lookups ask this once per group member on every write,
+   so it builds no path: the switched check reads the two to four
+   directed links of host -> edge (-> spine -> edge) -> host in place,
+   and skips even that while no link anywhere is down. *)
 let reachable t a b =
-  (not (partitioned t a b))
+  (match t.partitions with [] -> true | _ -> not (partitioned t a b))
   &&
   match t.topology with
   | Topology.Shared_medium -> true
-  | Topology.Switched _ ->
-      List.for_all
-        (fun (x, y) -> link_up t x y)
-        (Topology.links t.topology ~src:a ~dst:b)
+  | Topology.Switched { fan_in } ->
+      let ea = Topology.edge_of ~fan_in a and eb = Topology.edge_of ~fan_in b in
+      t.links_down = 0
+      || path_link_up t (Topology.Host a, Topology.Edge ea)
+         && (ea = eb
+            || path_link_up t (Topology.Edge ea, Topology.Spine)
+               && path_link_up t (Topology.Spine, Topology.Edge eb))
+         && path_link_up t (Topology.Edge eb, Topology.Host b)
 
 let pp ppf t =
   let slow =

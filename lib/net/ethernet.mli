@@ -99,6 +99,11 @@ val hosts : 'a t -> addr list
 (** Hosts subscribed to a multicast group, ascending. *)
 val group_members : 'a t -> int -> addr list
 
+(** [fold_group t group f init] folds [f] over the hosts subscribed to
+    [group], in unspecified order, without building a list. Costs
+    O(subscribers), not O(hosts). *)
+val fold_group : 'a t -> int -> (addr -> 'acc -> 'acc) -> 'acc -> 'acc
+
 val join_group : 'a t -> group:int -> addr:addr -> unit
 val leave_group : 'a t -> group:int -> addr:addr -> unit
 
@@ -153,7 +158,9 @@ val link_extra_latency : 'a t -> Topology.node -> Topology.node -> float
 (** Can frames currently flow from [a] to [b]? Host-pair partitions
     apply on both topologies; the switched fabric additionally requires
     every directed link on the path to be up. The kernel's reachability
-    probes use this, so a cut uplink looks like a partition to IPC. *)
+    probes use this, so a cut uplink looks like a partition to IPC.
+    Allocation-free while no partition is in force and no link is down;
+    otherwise it reads the (at most four) path links in place. *)
 val reachable : 'a t -> addr -> addr -> bool
 
 (** Snapshot of every materialized link (a link materializes the first

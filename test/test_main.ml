@@ -23,5 +23,6 @@ let () =
          Test_fault.suite;
          Test_admission.suite;
          Test_replication.suite;
+         Test_replica_cost.suite;
          Test_domains.suite;
        ])
