@@ -82,6 +82,10 @@ type hot_ops = {
   ho_shed : Vobs.Metrics.counter;
 }
 
+(* The resumer of a fiber's current blocking call, type-erased so a
+   crash or destroy can abort it whatever the call waits for. *)
+type waiter = No_waiter | Waiter : (('a, exn) result -> unit) -> waiter
+
 type 'm process = {
   pid : Pid.t;
   proc_name : string;
@@ -90,7 +94,10 @@ type 'm process = {
   mutable recv_waiter :
     (('m delivery, exn) result -> unit) option;
   mutable recv_filter : (Pid.t -> bool) option;
-  mutable abort : (exn -> unit) option;
+  mutable waiter : waiter;
+  (* Counts [block] calls, twice each: a resumer fires only while the
+     count still holds the value its call set. *)
+  mutable blocks : int;
   mutable proc_alive : bool;
   (* Overload protection, off ([None]) by default: with no hook
      installed the request path costs exactly one extra word test. *)
@@ -116,6 +123,7 @@ and 'm pending = {
      remote SRR arms both and needs neither). *)
   mutable p_retransmit : Engine.timer option;
   mutable p_timeout : Engine.timer option;
+  mutable p_probes : int;  (* timeout probes fired so far *)
 }
 
 and 'm move_op = {
@@ -132,8 +140,8 @@ and 'm host = {
   mutable host_up : bool;
   processes : (int, 'm process) Hashtbl.t; (* by local pid *)
   services : (int, (Pid.t * Service.scope) list) Hashtbl.t;
-  serving : (Pid.t * Pid.t, int) Hashtbl.t;
-      (* (sender, receiver) -> txn being served by receiver *)
+  serving : (int, int) Hashtbl.t;
+      (* serving_key sender receiver -> txn being served by receiver *)
   pendings : (int, 'm pending) Hashtbl.t; (* txn -> blocked local sender *)
   moves : (int, 'm move_op) Hashtbl.t;
   getpid_waits : (int, Pid.t option -> unit) Hashtbl.t;
@@ -404,14 +412,16 @@ let control_payload_bytes = 16
 (* Exception-style lookups: [Hashtbl.find_opt] allocates an option per
    probe, and pid resolution runs on every Send/Reply/Forward; matching
    on [exception Not_found] keeps the miss path allocation-free. *)
+let live_process d pid =
+  let host = Hashtbl.find d.logical_hosts (Pid.logical_host pid) in
+  if not host.host_up then raise_notrace Not_found;
+  let proc = Hashtbl.find host.processes (Pid.local_pid pid) in
+  if not proc.proc_alive then raise_notrace Not_found;
+  proc
+
 let find_process d pid =
-  match Hashtbl.find d.logical_hosts (Pid.logical_host pid) with
-  | host when host.host_up -> (
-      match Hashtbl.find host.processes (Pid.local_pid pid) with
-      | proc when proc.proc_alive -> Some proc
-      | _ -> None
-      | exception Not_found -> None)
-  | _ -> None
+  match live_process d pid with
+  | proc -> Some proc
   | exception Not_found -> None
 
 let alive d pid = find_process d pid <> None
@@ -519,19 +529,25 @@ let telemetry_tick host =
     end
   end
 
-(* Suspend the current fiber in a crash-abortable, fire-once way. *)
+(* Suspend the current fiber in a crash-abortable, fire-once way. The
+   fire-once state is the process's block count, so a call allocates
+   one resumer and its type-erased handle, no cell. *)
 let block proc register =
   Proc.suspend (fun resume ->
-      let fired = ref false in
+      let token = proc.blocks + 1 in
+      proc.blocks <- token;
       let fire result =
-        if not !fired then begin
-          fired := true;
-          proc.abort <- None;
+        if proc.blocks = token then begin
+          proc.blocks <- token + 1;
+          proc.waiter <- No_waiter;
           resume result
         end
       in
-      proc.abort <- Some (fun e -> fire (Error e));
+      proc.waiter <- Waiter fire;
       register fire)
+
+let abort_blocked proc e =
+  match proc.waiter with Waiter fire -> fire (Error e) | No_waiter -> ()
 
 let charge proc ms =
   check_alive proc;
@@ -566,7 +582,8 @@ let spawn host ?(name = "process") body =
       queue = Queue.create ();
       recv_waiter = None;
       recv_filter = None;
-      abort = None;
+      waiter = No_waiter;
+      blocks = 0;
       proc_alive = true;
       admission = None;
     }
@@ -586,11 +603,9 @@ let destroy_process d pid =
   match find_process d pid with
   | None -> false
   | Some proc ->
-      trace d "Destroy %a" Pid.pp pid;
+      if tracing d then trace d "Destroy %a" Pid.pp pid;
       destroy_process_record proc;
-      (match proc.abort with
-      | Some abort -> abort (Proc.Killed "destroyed")
-      | None -> ());
+      abort_blocked proc (Proc.Killed "destroyed");
       true
 
 (* --- delivery --- *)
@@ -638,8 +653,14 @@ let take_delivery proc =
       | Some ad -> Queue.take_opt ad.ad_bulk
       | None -> None)
 
+(* One int per (sender, receiver) pair: the receiver is always a
+   process of this host, so its 16-bit local pid names it, and the
+   40-bit sender pid shifted past it fits in 56 bits. *)
+let serving_key ~sender ~receiver =
+  (Pid.to_int sender lsl 16) lor Pid.local_pid receiver
+
 let register_serving host ~sender ~receiver ~txn =
-  Hashtbl.replace host.serving (sender, receiver) txn
+  Hashtbl.replace host.serving (serving_key ~sender ~receiver) txn
 
 let cancel_pending_timers host pending =
   let eng = host.domain.engine in
@@ -655,9 +676,9 @@ let cancel_pending_timers host pending =
    the transaction's probe timers, so a satisfied SRR leaves no residue
    in the event queue. *)
 let fill_pending host ~txn result =
-  match Hashtbl.find_opt host.pendings txn with
-  | None -> () (* timed out, crashed, or duplicate reply: drop *)
-  | Some pending ->
+  match Hashtbl.find host.pendings txn with
+  | exception Not_found -> () (* timed out, crashed, or duplicate reply *)
+  | pending ->
       Hashtbl.remove host.pendings txn;
       cancel_pending_timers host pending;
       pending.p_fire result
@@ -666,9 +687,9 @@ let fill_pending host ~txn result =
    exits (the blocked fiber was aborted by destroy/crash) where the
    pending record may still be armed. *)
 let drop_pending host ~txn =
-  match Hashtbl.find_opt host.pendings txn with
-  | None -> ()
-  | Some pending ->
+  match Hashtbl.find host.pendings txn with
+  | exception Not_found -> ()
+  | pending ->
       Hashtbl.remove host.pendings txn;
       cancel_pending_timers host pending
 
@@ -756,26 +777,30 @@ let dispatch_remote_request src_host ~dst_addr ~txn ~sender ~target msg =
    whose forwarded target silently disappeared. *)
 let max_timeout_probes = 60
 
+let target_host_reachable host dst_addr =
+  let d = host.domain in
+  match Hashtbl.find d.all_hosts dst_addr with
+  | h -> h.host_up && Ethernet.reachable d.net host.addr dst_addr
+  | exception Not_found -> false
+
+(* One probe closure per transaction: the attempt count lives in the
+   pending record, so re-arming allocates no new closure. *)
 let arm_timeout host ~txn pending ~dst_addr =
   let d = host.domain in
-  let rec probe attempts () =
+  let rec probe () =
     if Hashtbl.mem host.pendings txn then begin
-      let target_host_reachable =
-        match Hashtbl.find_opt d.all_hosts dst_addr with
-        | Some h ->
-            h.host_up && Ethernet.reachable d.net host.addr dst_addr
-        | None -> false
-      in
-      if target_host_reachable && attempts < max_timeout_probes then
+      pending.p_probes <- pending.p_probes + 1;
+      if
+        target_host_reachable host dst_addr
+        && pending.p_probes < max_timeout_probes
+      then
         pending.p_timeout <-
-          Some
-            (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine
-               (probe (attempts + 1)))
+          Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
       else fill_pending host ~txn (Error (Ipc_error Timeout))
     end
   in
   pending.p_timeout <-
-    Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine (probe 1))
+    Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
 
 (* Recovery for a locally-submitted transaction that a server forwarded
    to a remote host. The local send path arms no retransmission — local
@@ -790,29 +815,24 @@ let arm_timeout host ~txn pending ~dst_addr =
    first probe fires, so loss-free runs see no extra frames. *)
 let arm_forward_recovery host ~txn pending ~dst_addr resend =
   let d = host.domain in
-  let rec probe attempts () =
+  let rec probe () =
     if Hashtbl.mem host.pendings txn && host.host_up then begin
-      let target_host_reachable =
-        match Hashtbl.find_opt d.all_hosts dst_addr with
-        | Some h ->
-            h.host_up && Ethernet.reachable d.net host.addr dst_addr
-        | None -> false
-      in
-      if target_host_reachable && attempts < max_timeout_probes then begin
+      pending.p_probes <- pending.p_probes + 1;
+      let attempts = pending.p_probes in
+      if target_host_reachable host dst_addr && attempts < max_timeout_probes
+      then begin
         if obs_events_on host then
           event_log host ~cat:Vobs.Eventlog.Kernel
             "forward-recovery-probe txn %d (attempt %d)" txn attempts;
         resend ();
         pending.p_timeout <-
-          Some
-            (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine
-               (probe (attempts + 1)))
+          Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
       end
       else fill_pending host ~txn (Error (Ipc_error Timeout))
     end
   in
   pending.p_timeout <-
-    Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine (probe 1))
+    Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
 
 (* Periodically resend a request packet while its transaction is still
    pending; the receiving kernel suppresses duplicates. Rides under the
@@ -841,13 +861,17 @@ let send_remote proc ?buffer ~dst_addr ~target msg =
   let d = host.domain in
   charge proc Calibration.small_packet_send_cpu;
   let txn = fresh_txn d in
-  (* One packet and one payload-size computation serve the initial
-     transmission and every retransmission. *)
-  let packet = Request { txn; sender = proc.pid; target; msg } in
-  let bytes = message_payload_bytes d msg in
-  let send_it () =
-    transmit host ~dst:(Ethernet.Unicast dst_addr) ~payload_bytes:bytes packet
+  (* One frame serves the initial transmission and every
+     retransmission. *)
+  let frame =
+    {
+      Ethernet.src = host.addr;
+      dst = Ethernet.Unicast dst_addr;
+      payload = Request { txn; sender = proc.pid; target; msg };
+      payload_bytes = message_payload_bytes d msg;
+    }
   in
+  let send_it () = Ethernet.transmit d.net frame in
   let result =
     try
       Ok
@@ -858,6 +882,7 @@ let send_remote proc ?buffer ~dst_addr ~target msg =
                  p_buffer = buffer;
                  p_retransmit = None;
                  p_timeout = None;
+                 p_probes = 0;
                }
              in
              Hashtbl.replace host.pendings txn pending;
@@ -886,8 +911,8 @@ let send proc ?buffer target msg =
       event_log host ~cat:Vobs.Eventlog.Kernel ~trace:(d.trace_of msg)
         "send %a -> %a" Pid.pp proc.pid Pid.pp target
   end;
-  match find_process d target with
-  | Some target_proc when target_proc.proc_host == host ->
+  match live_process d target with
+  | target_proc when target_proc.proc_host == host ->
       charge proc Calibration.local_ipc_leg_cpu;
       if not target_proc.proc_alive then Error Nonexistent_process
       else begin
@@ -902,6 +927,7 @@ let send proc ?buffer target msg =
                        p_buffer = buffer;
                        p_retransmit = None;
                        p_timeout = None;
+                       p_probes = 0;
                      };
                    dispatch_local_request host ~txn ~sender:proc.pid ~target_proc msg))
           with Ipc_error e -> Error e
@@ -909,19 +935,19 @@ let send proc ?buffer target msg =
         drop_pending host ~txn;
         result
       end
-  | Some target_proc ->
+  | target_proc ->
       send_remote proc ?buffer ~dst_addr:target_proc.proc_host.addr ~target msg
-  | None -> (
+  | exception Not_found -> (
       (* No live process under this pid. If its logical host was retired
          by a crash, the kernel cannot know that authoritatively (no
          liveness oracle): the request goes on the wire to the pid's
          last-known address and fails by timeout or by a Nack from the
          restarted incarnation. A pid of the local host's own history —
          or of a never-issued logical host — is refused directly. *)
-      match Hashtbl.find_opt d.retired_logical_hosts (Pid.logical_host target) with
-      | Some dst_addr when dst_addr <> host.addr ->
+      match Hashtbl.find d.retired_logical_hosts (Pid.logical_host target) with
+      | dst_addr when dst_addr <> host.addr ->
           send_remote proc ?buffer ~dst_addr ~target msg
-      | Some _ | None -> Error Nonexistent_process)
+      | _ | (exception Not_found) -> Error Nonexistent_process)
 
 (* [receive proc] blocks until a message arrives; returns it with the
    sender's pid. *)
@@ -982,19 +1008,21 @@ let reply proc ~to_ msg =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
-  match Hashtbl.find_opt host.serving (to_, proc.pid) with
-  | None -> Error Not_awaiting_reply
-  | Some txn -> (
-      Hashtbl.remove host.serving (to_, proc.pid);
+  let key = serving_key ~sender:to_ ~receiver:proc.pid in
+  match Hashtbl.find host.serving key with
+  | exception Not_found -> Error Not_awaiting_reply
+  | txn -> (
+      Hashtbl.remove host.serving key;
       count_reply host;
       if tracing d then trace d "Reply %a -> %a" Pid.pp proc.pid Pid.pp to_;
-      match find_process d to_ with
-      | None -> Ok () (* sender died while blocked; nothing to resume *)
-      | Some sender_proc when sender_proc.proc_host == host ->
+      match live_process d to_ with
+      | exception Not_found ->
+          Ok () (* sender died while blocked; nothing to resume *)
+      | sender_proc when sender_proc.proc_host == host ->
           charge proc Calibration.local_ipc_leg_cpu;
           fill_pending host ~txn (Ok (msg, proc.pid));
           Ok ()
-      | Some sender_proc ->
+      | sender_proc ->
           charge proc Calibration.small_packet_send_cpu;
           let packet = Reply_pkt { txn; replier = proc.pid; msg } in
           let bytes = message_payload_bytes d msg in
@@ -1016,30 +1044,31 @@ let forward proc ~from_ ~to_ msg =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
-  match Hashtbl.find_opt host.serving (from_, proc.pid) with
-  | None -> Error Not_awaiting_reply
-  | Some txn -> (
-      Hashtbl.remove host.serving (from_, proc.pid);
+  let key = serving_key ~sender:from_ ~receiver:proc.pid in
+  match Hashtbl.find host.serving key with
+  | exception Not_found -> Error Not_awaiting_reply
+  | txn -> (
+      Hashtbl.remove host.serving key;
       count_op host "forward";
       if tracing d then
         trace d "Forward %a: %a -> %a" Pid.pp proc.pid Pid.pp from_ Pid.pp to_;
       if obs_events_on host then
         event_log host ~cat:Vobs.Eventlog.Kernel ~trace:(d.trace_of msg)
           "forward %a: %a -> %a" Pid.pp proc.pid Pid.pp from_ Pid.pp to_;
-      match find_process d to_ with
-      | None ->
+      match live_process d to_ with
+      | exception Not_found ->
           (* Target gone: fail the original sender's transaction. *)
-          (match find_process d from_ with
-          | Some sender_proc ->
+          (match live_process d from_ with
+          | sender_proc ->
               fill_pending sender_proc.proc_host ~txn
                 (Error (Ipc_error Nonexistent_process))
-          | None -> ());
+          | exception Not_found -> ());
           Error Nonexistent_process
-      | Some target_proc when target_proc.proc_host == host ->
+      | target_proc when target_proc.proc_host == host ->
           charge proc Calibration.local_ipc_leg_cpu;
           dispatch_local_request host ~txn ~sender:from_ ~target_proc msg;
           Ok ()
-      | Some target_proc ->
+      | target_proc ->
           charge proc Calibration.small_packet_send_cpu;
           let dst_addr = target_proc.proc_host.addr in
           let resend () =
@@ -1052,9 +1081,9 @@ let forward proc ~from_ ~to_ msg =
              now that the transaction has left the host, give it the
              slow recovery chain. Remote-origin senders already
              retransmit and time out from their own host. *)
-          (match Hashtbl.find_opt host.pendings txn with
-          | Some pending -> arm_forward_recovery host ~txn pending ~dst_addr resend
-          | None -> ());
+          (match Hashtbl.find host.pendings txn with
+          | pending -> arm_forward_recovery host ~txn pending ~dst_addr resend
+          | exception Not_found -> ());
           Ok ())
 
 (* --- admission control (overload protection) --- *)
@@ -1153,11 +1182,12 @@ let move_from proc ~sender ~len =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
-  match Hashtbl.find_opt host.serving (sender, proc.pid) with
-  | None -> Error Not_awaiting_reply
-  | Some txn -> (
+  match Hashtbl.find host.serving (serving_key ~sender ~receiver:proc.pid) with
+  | exception Not_found -> Error Not_awaiting_reply
+  | txn -> (
       count_op host "move-from";
-      trace d "MoveFrom %a <- %a (%dB)" Pid.pp proc.pid Pid.pp sender len;
+      if tracing d then
+        trace d "MoveFrom %a <- %a (%dB)" Pid.pp proc.pid Pid.pp sender len;
       match find_process d sender with
       | None -> Error Nonexistent_process
       | Some sender_proc when sender_proc.proc_host == host -> (
@@ -1202,12 +1232,13 @@ let move_to proc ~sender data =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
-  match Hashtbl.find_opt host.serving (sender, proc.pid) with
-  | None -> Error Not_awaiting_reply
-  | Some txn -> (
+  match Hashtbl.find host.serving (serving_key ~sender ~receiver:proc.pid) with
+  | exception Not_found -> Error Not_awaiting_reply
+  | txn -> (
       count_op host "move-to";
-      trace d "MoveTo %a -> %a (%dB)" Pid.pp proc.pid Pid.pp sender
-        (Bytes.length data);
+      if tracing d then
+        trace d "MoveTo %a -> %a (%dB)" Pid.pp proc.pid Pid.pp sender
+          (Bytes.length data);
       match find_process d sender with
       | None -> Error Nonexistent_process
       | Some sender_proc when sender_proc.proc_host == host -> (
@@ -1654,6 +1685,7 @@ let send_group proc ~group msg =
                  p_buffer = None;
                  p_retransmit = None;
                  p_timeout = None;
+                 p_probes = 0;
                }
              in
              Hashtbl.replace host.pendings txn pending;
@@ -1691,10 +1723,11 @@ let forward_group proc ~from_ ~group msg =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
-  match Hashtbl.find_opt host.serving (from_, proc.pid) with
-  | None -> Error Not_awaiting_reply
-  | Some txn ->
-      Hashtbl.remove host.serving (from_, proc.pid);
+  let key = serving_key ~sender:from_ ~receiver:proc.pid in
+  match Hashtbl.find host.serving key with
+  | exception Not_found -> Error Not_awaiting_reply
+  | txn ->
+      Hashtbl.remove host.serving key;
       count_op host "forward-group";
       if tracing d then
         trace d "ForwardGroup %a: %a -> group%d" Pid.pp proc.pid Pid.pp from_
@@ -1724,28 +1757,23 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
   | Request { txn; sender; target; msg } ->
       Engine.schedule ~delay:(remote_recv_cost d msg) d.engine (fun () ->
           if host.host_up then
-            match Hashtbl.find_opt host.completed_replies txn with
-            | Some (reply_addr, reply_packet, reply_bytes) ->
+            match Hashtbl.find host.completed_replies txn with
+            | reply_addr, reply_packet, reply_bytes ->
                 (* Duplicate of a completed transaction: the reply frame
                    was lost; replay it. *)
                 transmit host ~dst:(Ethernet.Unicast reply_addr)
                   ~payload_bytes:reply_bytes reply_packet
-            | None -> (
-                let live_target =
-                  match Hashtbl.find_opt host.processes (Pid.local_pid target) with
-                  | Some p
-                    when p.proc_alive
-                         && Pid.logical_host target = host.logical_host ->
-                      Some p
-                  | Some _ | None -> None
-                in
-                match (Hashtbl.mem host.delivered_txns txn, live_target) with
-                | false, Some target_proc ->
-                    Hashtbl.replace host.delivered_txns txn ();
-                    dispatch_local_request host ~txn ~sender ~target_proc msg
-                | true, Some _ ->
-                    () (* duplicate; the server is still working on it *)
-                | _, None ->
+            | exception Not_found -> (
+                match Hashtbl.find host.processes (Pid.local_pid target) with
+                | target_proc
+                  when target_proc.proc_alive
+                       && Pid.logical_host target = host.logical_host ->
+                    if not (Hashtbl.mem host.delivered_txns txn) then begin
+                      Hashtbl.replace host.delivered_txns txn ();
+                      dispatch_local_request host ~txn ~sender ~target_proc msg
+                    end
+                    (* else a duplicate; the server is still working on it *)
+                | _ | (exception Not_found) ->
                     (* Never deliverable — or the serving process died
                        mid-transaction and a retransmission probed it:
                        tell the sender. A request addressed to a previous
@@ -1945,7 +1973,7 @@ let hosts d =
 let crash_host host =
   if host.host_up then begin
     let d = host.domain in
-    trace d "Crash host %s" host.host_name;
+    if tracing d then trace d "Crash host %s" host.host_name;
     host.host_up <- false;
     Ethernet.set_host_up d.net host.addr false;
     Hashtbl.remove d.logical_hosts host.logical_host;
@@ -1954,9 +1982,7 @@ let crash_host host =
     List.iter
       (fun proc ->
         proc.proc_alive <- false;
-        match proc.abort with
-        | Some abort -> abort (Proc.Killed "host crash")
-        | None -> ())
+        abort_blocked proc (Proc.Killed "host crash"))
       procs;
     Hashtbl.reset host.processes;
     Hashtbl.reset host.services;
@@ -1985,7 +2011,7 @@ let crash_host host =
 let restart_host host =
   if host.host_up then invalid_arg "Kernel.restart_host: host is up";
   let d = host.domain in
-  trace d "Restart host %s" host.host_name;
+  if tracing d then trace d "Restart host %s" host.host_name;
   host.logical_host <- fresh_logical_host d;
   host.host_up <- true;
   Hashtbl.replace d.logical_hosts host.logical_host host;

@@ -83,6 +83,15 @@ type link = {
   mutable l_busy_sampled : float;  (* l_busy_ms at the last ts sample *)
 }
 
+(* Materialized links by one endpoint's number, for the hop path: host
+   [a]'s uplink and its edge's port towards it are indexed by [a], an
+   edge's spine uplink and the spine's port towards it by the edge's
+   number. A slot holds [no_link] until [get_link] materializes the
+   link, which also files it in [links] — the table [link_stats] and the
+   telemetry pump read — so indexing changes neither when a link
+   materializes nor what it reports. *)
+type link_index = { mutable by_id : link array }
+
 type link_stat = {
   ls_label : string;
   ls_up : bool;
@@ -104,6 +113,10 @@ type 'a t = {
   groups : (int, (addr, unit) Hashtbl.t) Hashtbl.t;
   mutable wire_free_at : float;  (* Shared_medium only *)
   links : (Topology.node * Topology.node, link) Hashtbl.t;  (* Switched only *)
+  host_uplinks : link_index;  (* host a -> its edge, by a *)
+  host_downlinks : link_index;  (* edge -> host a, by a *)
+  edge_uplinks : link_index;  (* edge e -> spine, by e *)
+  edge_downlinks : link_index;  (* spine -> edge e, by e *)
   mutable links_down : int;  (* links with [l_up = false] *)
   mutable loss_probability : float;
   (* Unordered host pairs that cannot exchange frames. *)
@@ -131,6 +144,10 @@ let create ?(seed = 1) ?(topology = Topology.Shared_medium) ?(queue_cap = 256)
     groups = Hashtbl.create 16;
     wire_free_at = 0.0;
     links = Hashtbl.create 64;
+    host_uplinks = { by_id = [||] };
+    host_downlinks = { by_id = [||] };
+    edge_uplinks = { by_id = [||] };
+    edge_downlinks = { by_id = [||] };
     links_down = 0;
     loss_probability = 0.0;
     partitions = [];
@@ -214,6 +231,17 @@ let flush_metrics t =
             end
           end)
         t.hosts
+
+(* Allocation guards for the per-frame paths, as in the kernel:
+   applying [net_event]/[trace_emit] to a format builds closures (and
+   the host label) even when the sink is off, so per-frame sites test
+   these first. *)
+let events_on t =
+  match t.obs with
+  | Some hub -> Vobs.Eventlog.enabled (Vobs.Hub.events hub)
+  | None -> false
+
+let tracing t = match t.trace with Some _ -> true | None -> false
 
 (* Flight-recorder events for the wire: frames lost or dropped,
    partitions cut and healed, loss-rate and slow-host changes. The
@@ -311,6 +339,32 @@ let leave_group t ~group ~addr =
 
 (* --- the switched fabric's links --- *)
 
+(* Marks an index slot whose link has not materialized; never mutated. *)
+let no_link =
+  {
+    link_id = (Topology.Spine, Topology.Spine);
+    l_up = false;
+    l_free_at = 0.0;
+    l_queued = 0;
+    l_queue_peak = 0;
+    l_frames = 0;
+    l_drops = 0;
+    l_busy_ms = 0.0;
+    l_extra_ms = 0.0;
+    l_busy_sampled = 0.0;
+  }
+
+let indexed idx i = if i < Array.length idx.by_id then idx.by_id.(i) else no_link
+
+let index idx i l =
+  let n = Array.length idx.by_id in
+  if i >= n then begin
+    let grown = Array.make (max (i + 1) (2 * n)) no_link in
+    Array.blit idx.by_id 0 grown 0 n;
+    idx.by_id <- grown
+  end;
+  idx.by_id.(i) <- l
+
 (* Links materialize on first use: the host population is dynamic, so
    the fabric cannot enumerate its ports up front. *)
 let get_link t key =
@@ -332,6 +386,12 @@ let get_link t key =
         }
       in
       Hashtbl.replace t.links key l;
+      (match key with
+      | Topology.Host h, Topology.Edge _ -> index t.host_uplinks h l
+      | Topology.Edge _, Topology.Host h -> index t.host_downlinks h l
+      | Topology.Edge e, Topology.Spine -> index t.edge_uplinks e l
+      | Topology.Spine, Topology.Edge e -> index t.edge_downlinks e l
+      | _ -> ());
       (* Keep the pump's interior-link cache coherent incrementally:
          host links (the overwhelming majority) never touch it, and a
          fresh interior link appends rather than forcing a rebuild. *)
@@ -347,6 +407,24 @@ let get_link t key =
                  l )
               :: cached));
       l
+
+(* The hop path's lookups: one array read once the link exists; the
+   (node, node) key is built only to materialize it. *)
+let host_uplink t a e =
+  let l = indexed t.host_uplinks a in
+  if l != no_link then l else get_link t (Topology.Host a, Topology.Edge e)
+
+let host_downlink t e a =
+  let l = indexed t.host_downlinks a in
+  if l != no_link then l else get_link t (Topology.Edge e, Topology.Host a)
+
+let edge_uplink t e =
+  let l = indexed t.edge_uplinks e in
+  if l != no_link then l else get_link t (Topology.Edge e, Topology.Spine)
+
+let edge_downlink t e =
+  let l = indexed t.edge_downlinks e in
+  if l != no_link then l else get_link t (Topology.Spine, Topology.Edge e)
 
 let require_link t what (a, b) =
   (match t.topology with
@@ -593,14 +671,18 @@ let intended_destinations t frame =
    while the frame was in flight never sees it. Shared by both
    topologies; must be called from an event at the frame's arrival
    instant. *)
+let deliver t port frame =
+  t.counters.frames_delivered <- t.counters.frames_delivered + 1;
+  port.p_delivered <- port.p_delivered + 1;
+  port.handler frame
+
 let deliver_at_arrival t frame addr =
-  match Hashtbl.find_opt t.hosts addr with
-  | Some port when port.up && not (partitioned t frame.src addr) ->
-      let deliver () =
-        t.counters.frames_delivered <- t.counters.frames_delivered + 1;
-        port.p_delivered <- port.p_delivered + 1;
-        port.handler frame
-      in
+  match Hashtbl.find t.hosts addr with
+  | port
+    when port.up
+         && (match t.partitions with
+            | [] -> true
+            | _ -> not (partitioned t frame.src addr)) ->
       if port.extra_latency_ms > 0.0 then
         (* Slow-host injection: the NIC holds the frame. The host may
            crash while it sits there, so re-check liveness at the
@@ -608,17 +690,18 @@ let deliver_at_arrival t frame addr =
         Vsim.Engine.schedule_at t.engine
           (Vsim.Engine.now t.engine +. port.extra_latency_ms)
           (fun () ->
-            if port.up then deliver ()
+            if port.up then deliver t port frame
             else begin
               t.counters.frames_dropped <- t.counters.frames_dropped + 1;
               net_metric t addr "frames-dropped"
             end)
-      else deliver ()
-  | Some _ | None ->
+      else deliver t port frame
+  | _ | (exception Not_found) ->
       t.counters.frames_dropped <- t.counters.frames_dropped + 1;
       net_metric t addr "frames-dropped";
-      net_event t (host_label addr)
-        "frame dropped from host%d (down or partitioned)" frame.src
+      if events_on t then
+        net_event t (host_label addr)
+          "frame dropped from host%d (down or partitioned)" frame.src
 
 (* The frame-wide loss draw, one per transmitted frame in both
    topologies. Returns true when the frame is lost (accounted). *)
@@ -629,8 +712,9 @@ let frame_lost t frame =
   if lost then begin
     t.counters.frames_dropped <- t.counters.frames_dropped + 1;
     net_metric t frame.src "frames-lost";
-    net_event t (host_label frame.src) "frame lost -> %a (%dB)" pp_dest
-      frame.dst frame.payload_bytes
+    if events_on t then
+      net_event t (host_label frame.src) "frame lost -> %a (%dB)" pp_dest
+        frame.dst frame.payload_bytes
   end;
   lost
 
@@ -647,34 +731,42 @@ let transmit_shared t frame =
   let arrival = start +. duration +. t.config.propagation_ms in
   Vsim.Engine.schedule_at t.engine arrival (fun () ->
       if not (frame_lost t frame) then
-        List.iter
-          (fun addr -> deliver_at_arrival t frame addr)
-          (intended_destinations t frame))
+        match frame.dst with
+        | Unicast a -> if a <> frame.src then deliver_at_arrival t frame a
+        | Broadcast | Multicast _ ->
+            List.iter
+              (fun addr -> deliver_at_arrival t frame addr)
+              (intended_destinations t frame))
 
-(* One store-and-forward hop of the switched fabric: admission-check
-   the port's bounded queue, serialize behind [l_free_at], propagate,
-   then run [k] at the instant the frame is available at the far node.
-   [k] must add {!Calibration.switch_forward_ms} itself when the far
-   node is a switch (final host delivery pays no forwarding cost). *)
-let hop t frame key ~at k =
-  let l = get_link t key in
+(* One store-and-forward hop of the switched fabric over link [l]:
+   admission-check the port's bounded queue, serialize behind
+   [l_free_at], propagate, then run [k] at the instant the frame is
+   available at the far node. A hop out of a switch starts
+   {!Calibration.switch_forward_ms} after the frame entered it; the
+   source uplink starts at once. [k] reads the clock itself, so no
+   arrival time is boxed for it. *)
+let hop t frame l ~from_switch k =
   if not l.l_up then begin
     l.l_drops <- l.l_drops + 1;
     t.counters.frames_dropped <- t.counters.frames_dropped + 1;
     net_metric t frame.src "frames-dropped";
-    net_event t (host_label frame.src) "frame dropped on down link %a"
-      Topology.pp_link key
+    if events_on t then
+      net_event t (host_label frame.src) "frame dropped on down link %a"
+        Topology.pp_link l.link_id
   end
   else if l.l_queued >= t.queue_cap then begin
     l.l_drops <- l.l_drops + 1;
     t.counters.frames_dropped <- t.counters.frames_dropped + 1;
     net_metric t frame.src "frames-dropped";
-    net_event t (host_label frame.src) "frame tail-dropped at full port %a"
-      Topology.pp_link key
+    if events_on t then
+      net_event t (host_label frame.src) "frame tail-dropped at full port %a"
+        Topology.pp_link l.link_id
   end
   else begin
     l.l_queued <- l.l_queued + 1;
     if l.l_queued > l.l_queue_peak then l.l_queue_peak <- l.l_queued;
+    let now = Vsim.Engine.now t.engine in
+    let at = if from_switch then now +. Calibration.switch_forward_ms else now in
     let start = Float.max at l.l_free_at in
     let duration =
       Calibration.transmission_ms t.config ~payload_bytes:frame.payload_bytes
@@ -685,73 +777,88 @@ let hop t frame key ~at k =
     let arrival = start +. duration +. t.config.propagation_ms +. l.l_extra_ms in
     Vsim.Engine.schedule_at t.engine arrival (fun () ->
         l.l_queued <- l.l_queued - 1;
-        k arrival)
+        k ())
   end
 
-(* The switched path. The first hop (source uplink) carries one copy
-   regardless of fan-out; switches replicate — one copy per outgoing
-   link, never per destination — so a broadcast costs O(links touched),
-   not O(hosts) transmissions on any single segment. The loss draw
-   happens once per frame as it clears the source uplink, mirroring the
-   shared medium's one-draw-per-frame accounting. *)
-let transmit_switched t fan_in frame =
-  let now = Vsim.Engine.now t.engine in
-  let dests = intended_destinations t frame in
-  let src_edge = Topology.edge_of ~fan_in frame.src in
-  hop t frame (Topology.Host frame.src, Topology.Edge src_edge) ~at:now
-    (fun at ->
-      if not (frame_lost t frame) then begin
-        let at = at +. Calibration.switch_forward_ms in
-        let local, remote =
-          List.partition (fun a -> Topology.edge_of ~fan_in a = src_edge) dests
+(* A unicast frame's hops after its source edge switch [src_edge]: down
+   to [a] on the same edge, else up through the spine and down [a]'s
+   edge. Builds no destination list. *)
+let unicast_from_edge t fan_in frame src_edge a =
+  let eb = Topology.edge_of ~fan_in a in
+  if eb = src_edge then
+    hop t frame (host_downlink t eb a) ~from_switch:true (fun () ->
+        deliver_at_arrival t frame a)
+  else
+    hop t frame (edge_uplink t src_edge) ~from_switch:true (fun () ->
+        hop t frame (edge_downlink t eb) ~from_switch:true (fun () ->
+            hop t frame (host_downlink t eb a) ~from_switch:true (fun () ->
+                deliver_at_arrival t frame a)))
+
+(* Broadcast and multicast fan-out from the source edge switch: one
+   copy per outgoing link — down to each local destination, one up to
+   the spine, one down to each remote edge — never one per destination
+   on a shared segment. *)
+let fan_out_from_edge t fan_in frame src_edge dests =
+  let local, remote =
+    List.partition (fun a -> Topology.edge_of ~fan_in a = src_edge) dests
+  in
+  List.iter
+    (fun a ->
+      hop t frame (host_downlink t src_edge a) ~from_switch:true (fun () ->
+          deliver_at_arrival t frame a))
+    local;
+  if remote <> [] then
+    hop t frame (edge_uplink t src_edge) ~from_switch:true (fun () ->
+        let edges =
+          List.sort_uniq compare (List.map (Topology.edge_of ~fan_in) remote)
         in
         List.iter
-          (fun a ->
-            hop t frame (Topology.Edge src_edge, Topology.Host a) ~at
-              (fun at ->
-                ignore at;
-                deliver_at_arrival t frame a))
-          local;
-        if remote <> [] then
-          hop t frame (Topology.Edge src_edge, Topology.Spine) ~at (fun at ->
-              let at = at +. Calibration.switch_forward_ms in
-              let edges =
-                List.sort_uniq compare
-                  (List.map (Topology.edge_of ~fan_in) remote)
-              in
-              List.iter
-                (fun eb ->
-                  hop t frame (Topology.Spine, Topology.Edge eb) ~at (fun at ->
-                      let at = at +. Calibration.switch_forward_ms in
-                      List.iter
-                        (fun a ->
-                          if Topology.edge_of ~fan_in a = eb then
-                            hop t frame (Topology.Edge eb, Topology.Host a) ~at
-                              (fun at ->
-                                ignore at;
-                                deliver_at_arrival t frame a))
-                        remote))
-                edges)
-      end)
+          (fun eb ->
+            hop t frame (edge_downlink t eb) ~from_switch:true (fun () ->
+                List.iter
+                  (fun a ->
+                    if Topology.edge_of ~fan_in a = eb then
+                      hop t frame (host_downlink t eb a) ~from_switch:true
+                        (fun () -> deliver_at_arrival t frame a))
+                  remote))
+          edges)
+
+(* The switched path. The first hop (source uplink) carries one copy
+   regardless of fan-out; switches replicate, so a broadcast costs
+   O(links touched), not O(hosts) transmissions on any single segment.
+   The loss draw happens once per frame as it clears the source uplink
+   (a unicast to the sender itself still draws), mirroring the shared
+   medium's one-draw-per-frame accounting. Broadcast and multicast
+   destinations are fixed at transmit time. *)
+let transmit_switched t fan_in frame =
+  let src_edge = Topology.edge_of ~fan_in frame.src in
+  match frame.dst with
+  | Unicast a ->
+      hop t frame (host_uplink t frame.src src_edge) ~from_switch:false
+        (fun () ->
+          if (not (frame_lost t frame)) && a <> frame.src then
+            unicast_from_edge t fan_in frame src_edge a)
+  | Broadcast | Multicast _ ->
+      let dests = intended_destinations t frame in
+      hop t frame (host_uplink t frame.src src_edge) ~from_switch:false
+        (fun () ->
+          if not (frame_lost t frame) then
+            fan_out_from_edge t fan_in frame src_edge dests)
 
 (* Queue a frame for transmission. The sending host must exist and be
    up; otherwise the frame vanishes (its kernel is dead anyway). *)
 let transmit t frame =
-  let src_port =
-    match Hashtbl.find_opt t.hosts frame.src with
-    | Some port when port.up -> Some port
-    | Some _ | None -> None
-  in
-  match src_port with
-  | None -> ()
-  | Some port ->
-    t.counters.frames_sent <- t.counters.frames_sent + 1;
-    t.counters.bytes_sent <-
-      t.counters.bytes_sent + t.config.header_bytes + frame.payload_bytes;
-    port.p_sent <- port.p_sent + 1;
-    port.p_bytes <- port.p_bytes + t.config.header_bytes + frame.payload_bytes;
-    trace_emit t "host%d -> %a (%dB payload)" frame.src pp_dest frame.dst
-      frame.payload_bytes;
-    match t.topology with
-    | Topology.Shared_medium -> transmit_shared t frame
-    | Topology.Switched { fan_in } -> transmit_switched t fan_in frame
+  match Hashtbl.find t.hosts frame.src with
+  | port when port.up -> (
+      t.counters.frames_sent <- t.counters.frames_sent + 1;
+      t.counters.bytes_sent <-
+        t.counters.bytes_sent + t.config.header_bytes + frame.payload_bytes;
+      port.p_sent <- port.p_sent + 1;
+      port.p_bytes <- port.p_bytes + t.config.header_bytes + frame.payload_bytes;
+      if tracing t then
+        trace_emit t "host%d -> %a (%dB payload)" frame.src pp_dest frame.dst
+          frame.payload_bytes;
+      match t.topology with
+      | Topology.Shared_medium -> transmit_shared t frame
+      | Topology.Switched { fan_in } -> transmit_switched t fan_in frame)
+  | _ | (exception Not_found) -> ()

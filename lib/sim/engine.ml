@@ -112,41 +112,53 @@ let schedule ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t (t.now +. delay) action
 
-(* Next live event, dead ones (cancelled timers) skipped. The heap
-   drops its dead nodes here, one pop each; the wheel drops them in
-   bulk as its cursor moves. *)
-let rec peek_node t =
+(* Is a live event left? Dead ones (cancelled timers) are skipped. The
+   wheel drops them in bulk as its cursor moves and answers without
+   allocating, so the dispatch loop below costs no words per event. The
+   heap drops its dead nodes here, one pop each, through its option API:
+   it is the oracle and E12's baseline, so it keeps its old cost. *)
+let rec has_next t =
   match t.backend with
-  | Wheel_queue -> Wheel.peek t.wheel
+  | Wheel_queue -> Wheel.settle t.wheel
   | Heap_queue -> (
       match Heap.peek t.heap with
-      | None -> None
-      | Some node when Wheel.live node -> Some node
+      | None -> false
+      | Some node when Wheel.live node -> true
       | Some _ ->
           ignore (Heap.pop t.heap : timer option);
-          peek_node t)
+          has_next t)
+
+(* The next live event; [has_next t] must have returned true. *)
+let next_node t =
+  match t.backend with
+  | Wheel_queue -> Wheel.next t.wheel
+  | Heap_queue -> (
+      match Heap.peek t.heap with
+      | Some node -> node
+      | None -> invalid_arg "Engine: no pending event")
 
 let pop_node t =
   match t.backend with
-  | Wheel_queue -> Wheel.pop t.wheel
-  | Heap_queue -> (
-      match peek_node t with
-      | None -> None
-      | Some node ->
-          ignore (Heap.pop t.heap : timer option);
-          ignore (Wheel.consume node : bool);
-          t.heap_live <- t.heap_live - 1;
-          Some node)
+  | Wheel_queue -> Wheel.take t.wheel
+  | Heap_queue ->
+      let node = next_node t in
+      ignore (Heap.pop t.heap : timer option);
+      ignore (Wheel.consume node : bool);
+      t.heap_live <- t.heap_live - 1;
+      node
+
+let execute t node =
+  t.now <- Wheel.time node;
+  t.executed <- t.executed + 1;
+  incr global_executed_events;
+  (Wheel.value node) ()
 
 let step t =
-  match pop_node t with
-  | None -> false
-  | Some node ->
-      t.now <- Wheel.time node;
-      t.executed <- t.executed + 1;
-      incr global_executed_events;
-      (Wheel.value node) ();
-      true
+  has_next t
+  && begin
+       execute t (pop_node t);
+       true
+     end
 
 let run ?until ?max_events t =
   if t.running then invalid_arg "Engine.run: already running";
@@ -156,13 +168,11 @@ let run ?until ?max_events t =
   let budget = ref (match max_events with None -> max_int | Some n -> n) in
   let continue () =
     !budget > 0
+    && has_next t
     &&
-    match peek_node t with
-    | None -> false
-    | Some node -> (
-        match until with
-        | None -> true
-        | Some limit -> Wheel.time node <= limit)
+    match until with
+    | None -> true
+    | Some limit -> Wheel.time (next_node t) <= limit
   in
   let finally () =
     t.running <- false;
@@ -172,7 +182,7 @@ let run ?until ?max_events t =
   (try
      while continue () do
        decr budget;
-       ignore (step t : bool)
+       execute t (pop_node t)
      done
    with e ->
      finally ();

@@ -73,6 +73,25 @@ let pop t =
     Some top
   end
 
+(* The option-free pair the timer wheel's dispatch loop uses: [top]
+   reads the smallest element and [remove_top] drops it, neither
+   allocating. Unlike [pop], draining keeps the backing array, so a
+   heap that fills and empties on every tick does not regrow from 16
+   slots each time; the element removed last stays referenced by slot 0
+   until the next push overwrites it. *)
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.data.(0)
+
+let remove_top t =
+  if t.size = 0 then invalid_arg "Heap.remove_top: empty heap";
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    t.data.(t.size) <- t.data.(0);
+    sift_down t 0
+  end
+
 let clear t =
   t.data <- [||];
   t.size <- 0

@@ -25,6 +25,16 @@ val peek : 'a t -> 'a option
     kept reachable by the backing array. *)
 val pop : 'a t -> 'a option
 
+(** Smallest element; raises [Invalid_argument] on an empty heap.
+    Allocates nothing. *)
+val top : 'a t -> 'a
+
+(** Remove the smallest element; raises [Invalid_argument] on an empty
+    heap. Allocates nothing and keeps the backing array when the heap
+    drains, so the last element removed stays referenced until the next
+    [push] overwrites it. *)
+val remove_top : 'a t -> unit
+
 (** Drop every element and release the backing array. *)
 val clear : 'a t -> unit
 

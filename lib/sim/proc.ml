@@ -9,7 +9,9 @@
 
 type 'a resumer = ('a, exn) result -> unit
 
-type _ Effect.t += Suspend : ('a resumer -> unit) -> 'a Effect.t
+type _ Effect.t +=
+  | Suspend : ('a resumer -> unit) -> 'a Effect.t
+  | Delay : Engine.t * float -> unit Effect.t
 
 exception Killed of string
 
@@ -41,6 +43,14 @@ let spawn ?(name = "proc") engine body =
                   | Error e -> Effect.Deep.discontinue k e)
             in
             register resume)
+    (* A delay nothing else can resume needs no resumer: its timer
+       event pushes the zero-delay resume event a [Suspend] resumer
+       would, so the two event shapes are the same. *)
+    | Delay (engine, duration) ->
+        Some
+          (fun k ->
+            Engine.schedule_at engine (Engine.now engine +. duration) (fun () ->
+                Engine.schedule engine (fun () -> Effect.Deep.continue k ())))
     | _ -> None
   in
   Engine.schedule engine (fun () ->
@@ -55,7 +65,7 @@ let suspend register = Effect.perform (Suspend register)
 
 let delay engine duration =
   if duration < 0.0 then invalid_arg "Proc.delay: negative duration";
-  suspend (fun resume -> Engine.schedule ~delay:duration engine (fun () -> resume (Ok ())))
+  Effect.perform (Delay (engine, duration))
 
 let yield engine = delay engine 0.0
 

@@ -118,6 +118,15 @@ let place t node =
     if t.ovf_min < 0 || tick < t.ovf_min then t.ovf_min <- tick
   end
 
+(* Re-place moved nodes in list order, dropping the dead ones. A plain
+   loop, not [List.iter]: a slot drains on nearly every occupied tick,
+   and the iterator's closure would cost words each time. *)
+let rec replace t = function
+  | [] -> ()
+  | n :: rest ->
+      if n.n_live then place t n else t.total_count <- t.total_count - 1;
+      replace t rest
+
 let push t ~time ~seq v =
   let node = make ~time ~seq v in
   place t node;
@@ -143,10 +152,7 @@ let drain_slot t level slot =
   | nodes ->
       t.slots.(i) <- [];
       t.occ.(level) <- t.occ.(level) land lnot (1 lsl slot);
-      List.iter
-        (fun n ->
-          if n.n_live then place t n else t.total_count <- t.total_count - 1)
-        nodes
+      replace t nodes
 
 (* Index of the lowest set bit; [x] must be non-zero. Cold path (runs
    once per cursor hop), so a loop beats a de Bruijn table in clarity. *)
@@ -176,10 +182,7 @@ let refill t =
   | nodes ->
       t.ovf <- [];
       t.ovf_min <- -1;
-      List.iter
-        (fun n ->
-          if n.n_live then place t n else t.total_count <- t.total_count - 1)
-        nodes
+      replace t nodes
 
 (* Advance the cursor to [target], performing the level cascades its
    boundary crossings require. Hops never skip an unprocessed boundary
@@ -228,33 +231,35 @@ let hop t =
   else if t.occ.(4) <> 0 then goto t (((t.cur lsr 20) + 1) lsl 20)
   else reseat t
 
-(* Advance until the ready heap's top is a live node; None if no live
-   node exists anywhere. *)
+(* Advance until the ready heap's top is a live node; false if no live
+   node exists anywhere. The dispatch loop runs this once per event, so
+   it allocates nothing: no option crosses it or the calls below. *)
 let rec settle t =
-  match Heap.peek t.ready with
-  | Some n when not n.n_live ->
-      ignore (Heap.pop t.ready : 'a node option);
+  if Heap.length t.ready > 0 then begin
+    let n = Heap.top t.ready in
+    if n.n_live then true
+    else begin
+      Heap.remove_top t.ready;
       t.total_count <- t.total_count - 1;
       settle t
-  | Some n -> Some n
-  | None ->
-      if t.live_count = 0 then begin
-        if t.total_count > 0 then purge t;
-        None
-      end
-      else begin
-        hop t;
-        settle t
-      end
+    end
+  end
+  else if t.live_count = 0 then begin
+    if t.total_count > 0 then purge t;
+    false
+  end
+  else begin
+    hop t;
+    settle t
+  end
 
-let peek t = settle t
+let next t =
+  if settle t then Heap.top t.ready else invalid_arg "Wheel.next: empty wheel"
 
-let pop t =
-  match settle t with
-  | None -> None
-  | Some node ->
-      ignore (Heap.pop t.ready : 'a node option);
-      ignore (consume node : bool);
-      t.live_count <- t.live_count - 1;
-      t.total_count <- t.total_count - 1;
-      Some node
+let take t =
+  let node = next t in
+  Heap.remove_top t.ready;
+  ignore (consume node : bool);
+  t.live_count <- t.live_count - 1;
+  t.total_count <- t.total_count - 1;
+  node

@@ -41,13 +41,19 @@ val push : 'a t -> time:float -> seq:int -> 'a -> 'a node
     cancelled. *)
 val cancel : 'a t -> 'a node -> bool
 
-(** Earliest live node, without consuming it. May advance the internal
-    cursor; ordering of later pushes is unaffected. *)
-val peek : 'a t -> 'a node option
+(** Is a live node left? Drops the dead nodes ahead of the earliest
+    live one and may advance the internal cursor; ordering of later
+    pushes is unaffected. Allocates nothing, like [next] and [take]. *)
+val settle : 'a t -> bool
+
+(** Earliest live node, without consuming it. Raises [Invalid_argument]
+    when none is left. *)
+val next : 'a t -> 'a node
 
 (** Remove and return the earliest live node, marking it fired (a
-    later [cancel] of it is a no-op). *)
-val pop : 'a t -> 'a node option
+    later [cancel] of it is a no-op). Raises [Invalid_argument] when
+    none is left. *)
+val take : 'a t -> 'a node
 
 (** {1 Nodes}
 

@@ -98,8 +98,13 @@ let test_engine_max_events () =
    log. The script is driven entirely by engine callbacks from one PRNG
    stream, so two backends produce the same log iff they execute events
    in the same (time, seq) order — ties, same-timestamp re-scheduling,
-   in-event cancellation and overflow-range delays included. *)
-let exercise backend ~seed ~events =
+   in-event cancellation and overflow-range delays included.
+
+   With [~slices], the run is cut into slices the way the benchmark's
+   engine loop cuts it — random [~max_events] budgets, some bounded by
+   a random [~until] — drawn from their own stream, and the log length
+   and clock after every slice are returned too. *)
+let exercise ?slices backend ~seed ~events =
   let eng = Vsim.Engine.create ~backend () in
   let prng = Vsim.Prng.create ~seed in
   let log = ref [] in
@@ -144,13 +149,33 @@ let exercise backend ~seed ~events =
   for _ = 1 to 10 do
     spawn_event ()
   done;
-  Vsim.Engine.run eng;
-  (List.rev !log, Vsim.Engine.executed eng, Vsim.Engine.cancelled_timers eng)
+  let after_slices =
+    match slices with
+    | None ->
+        Vsim.Engine.run eng;
+        []
+    | Some slice_seed ->
+        let sp = Vsim.Prng.create ~seed:slice_seed in
+        let after = ref [] in
+        while Vsim.Engine.pending eng > 0 do
+          let max_events = 1 + Vsim.Prng.int sp 60 in
+          (if Vsim.Prng.bool sp then
+             let until = Vsim.Engine.now eng +. (Vsim.Prng.float sp *. 3000.0) in
+             Vsim.Engine.run ~until ~max_events eng
+           else Vsim.Engine.run ~max_events eng);
+          after := (List.length !log, Vsim.Engine.now eng) :: !after
+        done;
+        List.rev !after
+  in
+  ( List.rev !log,
+    Vsim.Engine.executed eng,
+    Vsim.Engine.cancelled_timers eng,
+    after_slices )
 
 let test_wheel_matches_heap_fixed () =
   let w = exercise Vsim.Engine.Wheel_queue ~seed:1202 ~events:2000 in
   let h = exercise Vsim.Engine.Heap_queue ~seed:1202 ~events:2000 in
-  let log (l, _, _) = l and counts (_, e, c) = (e, c) in
+  let log (l, _, _, _) = l and counts (_, e, c, _) = (e, c) in
   Alcotest.(check (list int)) "same execution order" (log h) (log w);
   Alcotest.(check (pair int int)) "same executed/cancelled counts" (counts h)
     (counts w)
@@ -162,6 +187,23 @@ let prop_wheel_matches_heap =
     (fun seed ->
       exercise Vsim.Engine.Wheel_queue ~seed ~events:400
       = exercise Vsim.Engine.Heap_queue ~seed ~events:400)
+
+(* Slicing changes no event's order: both backends agree after every
+   slice, and the sliced log is the unsliced one. *)
+let prop_slices_match =
+  QCheck.Test.make
+    ~name:"sliced runs agree across backends and with an unsliced run"
+    ~count:40
+    QCheck.(pair small_int small_int)
+    (fun (seed, slices) ->
+      let ((log, _, _, _) as w) =
+        exercise ~slices Vsim.Engine.Wheel_queue ~seed ~events:400
+      in
+      let unsliced, _, _, _ =
+        exercise Vsim.Engine.Wheel_queue ~seed ~events:400
+      in
+      w = exercise ~slices Vsim.Engine.Heap_queue ~seed ~events:400
+      && log = unsliced)
 
 let test_timer_cancel_before_fire () =
   let eng = Vsim.Engine.create () in
@@ -466,6 +508,7 @@ let suite =
           test_timer_cancel_same_timestamp;
         Alcotest.test_case "overflow ordering" `Quick test_wheel_overflow_order;
         qcheck prop_wheel_matches_heap;
+        qcheck prop_slices_match;
       ] );
     ( "sim.proc",
       [
