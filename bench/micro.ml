@@ -1,8 +1,8 @@
 (* Micro-benchmarks (real execution time, via Bechamel): the hot paths
    of the naming machinery — component parsing, prefix lookup, one
-   mapping step, descriptor marshalling — plus the simulator's event
-   queue. These measure the OCaml implementation itself, not the
-   simulated 68000 costs. *)
+   mapping step, name-cache lookups, a keyed metric, descriptor
+   marshalling — plus the simulator's event queue. These measure the
+   OCaml implementation itself, not the simulated 68000 costs. *)
 
 open Bechamel
 open Toolkit
@@ -30,6 +30,37 @@ let test_walk =
   Test.make ~name:"csnh.walk (3 components)"
     (Staged.stage (fun () ->
          Csnh.walk ~valid_context:(fun _ -> true) ~lookup:walk_lookup req))
+
+(* A client cache holding a prefix binding and one directory binding
+   under it: the deep hit finds the directory below a file name, the
+   miss probes every cut of a name under another prefix. *)
+let cache =
+  let c = Name_cache.create () in
+  let spec =
+    Context.spec
+      ~server:(Vkernel.Pid.make ~logical_host:1 ~local_pid:1)
+      ~context:7
+  in
+  ignore (Name_cache.learn c "[fs0]" spec);
+  ignore (Name_cache.learn c "[fs0]usr/src/lib" spec);
+  c
+
+let test_cache_hit =
+  Test.make ~name:"name_cache.find (deep hit)"
+    (Staged.stage (fun () ->
+         Name_cache.find cache "[fs0]usr/src/lib/naming.ml"))
+
+let test_cache_miss =
+  Test.make ~name:"name_cache.find (miss)"
+    (Staged.stage (fun () ->
+         Name_cache.find cache "[fs1]usr/src/lib/naming/csnh.ml"))
+
+let test_metrics_incr =
+  let m = Vobs.Metrics.create () in
+  Test.make ~name:"metrics.incr (existing key)"
+    (Staged.stage (fun () ->
+         Vobs.Metrics.incr m ~host:"ws0" ~server:"ws0-prefix-server"
+           ~op:"lookup"))
 
 let descriptor =
   Descriptor.make ~obj_type:Descriptor.File ~size:8192 ~owner:"mann"
@@ -67,8 +98,9 @@ let test_pid =
 let tests =
   Test.make_grouped ~name:"micro" ~fmt:"%s %s"
     [
-      test_components; test_parse_prefix; test_walk; test_marshal;
-      test_unmarshal; test_heap; test_pid;
+      test_components; test_parse_prefix; test_walk; test_cache_hit;
+      test_cache_miss; test_metrics_incr; test_marshal; test_unmarshal;
+      test_heap; test_pid;
     ]
 
 let run () =

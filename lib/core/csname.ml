@@ -35,9 +35,28 @@ let remaining r =
   if r.index >= String.length r.name then ""
   else String.sub r.name r.index (String.length r.name - r.index)
 
-(* Split a byte string into non-empty '/'-separated components. *)
-let components s =
-  String.split_on_char separator s |> List.filter (fun c -> c <> "")
+(* Scanning a name in place. [skip_separators name i] is the first index
+   at or after [i] that is not a separator; [component_end name i] the
+   first separator (or the end) at or after [i]. *)
+let rec skip_separators name i =
+  if i < String.length name && name.[i] = separator then
+    skip_separators name (i + 1)
+  else i
+
+let rec component_end name i =
+  if i < String.length name && name.[i] <> separator then
+    component_end name (i + 1)
+  else i
+
+(* The non-empty '/'-separated components of [name] from index [i] on. *)
+let rec components_from name i =
+  let start = skip_separators name i in
+  if start >= String.length name then []
+  else
+    let stop = component_end name start in
+    String.sub name start (stop - start) :: components_from name stop
+
+let components s = components_from s 0
 
 let join = String.concat (String.make 1 separator)
 
@@ -45,28 +64,21 @@ let join = String.concat (String.make 1 separator)
 let starts_with_prefix r =
   r.index < String.length r.name && r.name.[r.index] = prefix_open
 
-(* [parse_prefix r] splits "[prefix]rest" into the prefix and a request
-   advanced past the closing bracket. *)
+(* [parse_prefix r] splits "[prefix]rest" into the prefix and the index
+   just past the closing bracket, where interpretation continues. *)
 let parse_prefix r =
   if not (starts_with_prefix r) then Error Reply.Illegal_name
   else
-    match String.index_from_opt r.name r.index prefix_close with
-    | None -> Error Reply.Illegal_name
-    | Some close ->
-        let prefix = String.sub r.name (r.index + 1) (close - r.index - 1) in
-        if prefix = "" then Error Reply.Illegal_name
-        else Ok (prefix, { r with index = close + 1 })
+    match String.index_from r.name r.index prefix_close with
+    | exception Not_found -> Error Reply.Illegal_name
+    | close when close = r.index + 1 -> Error Reply.Illegal_name
+    | close ->
+        Ok (String.sub r.name (r.index + 1) (close - r.index - 1), close + 1)
 
 (* [advance_past r component] moves the index past one interpreted
    component (and a following separator, if any), for forwarding a
    partially interpreted request (§5.4). *)
 let advance_past r component =
-  let skip_separators name i =
-    let rec loop i =
-      if i < String.length name && name.[i] = separator then loop (i + 1) else i
-    in
-    loop i
-  in
   let start = skip_separators r.name r.index in
   let len = String.length component in
   if

@@ -32,6 +32,19 @@ val pp_req : Format.formatter -> req -> unit
 (** The not-yet-interpreted part of the name. *)
 val remaining : req -> string
 
+(** [skip_separators name i] is the first index at or after [i] that is
+    not a separator (or the length of [name]). *)
+val skip_separators : string -> int -> int
+
+(** [component_end name i] is the first index at or after [i] that holds
+    a separator (or the length of [name]): the end of the component
+    starting at [i]. *)
+val component_end : string -> int -> int
+
+(** The non-empty ['/']-separated components of [name] from index [i]
+    on. *)
+val components_from : string -> int -> string list
+
 (** Non-empty ['/']-separated components of a byte string. *)
 val components : string -> string list
 
@@ -42,10 +55,10 @@ val join : string list -> string
     to the context prefix server by the client run-time. *)
 val starts_with_prefix : req -> bool
 
-(** Split ["\[prefix\]rest"] into the prefix and a request advanced past
-    the closing bracket. [Error Illegal_name] on malformed syntax or a
-    non-prefixed name. *)
-val parse_prefix : req -> (string * req, Reply.code) result
+(** Split ["\[prefix\]rest"] into the prefix and the index just past
+    the closing bracket, where interpretation of the rest continues.
+    [Error Illegal_name] on malformed syntax or a non-prefixed name. *)
+val parse_prefix : req -> (string * int, Reply.code) result
 
 (** Advance the index past one interpreted component (and surrounding
     separators) — the rewrite performed before forwarding (§5.4). Raises

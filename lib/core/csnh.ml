@@ -30,27 +30,37 @@ type outcome =
 (* [walk ~valid_context ~lookup req] runs the §5.4 procedure. Does not
    handle '[prefix]' syntax: the client run-time routes prefixed names
    to the context prefix server, so another server receiving one
-   rejects it. *)
+   rejects it.
+
+   The name is scanned in place from [req.index]: each component is cut
+   out once, for [lookup]; the forwarded request is built only at a
+   [Cross], and the list of unconsumed components only at a [Stop]. *)
+let rec walk_from ~lookup (req : Csname.req) ctx i =
+  let name = req.Csname.name in
+  let start = Csname.skip_separators name i in
+  if start >= String.length name then Local (ctx, [])
+  else
+    let stop = Csname.component_end name start in
+    let component = String.sub name start (stop - start) in
+    match lookup ctx component with
+    | Descend ctx' -> walk_from ~lookup req ctx' stop
+    | Cross spec ->
+        Forward
+          ( spec,
+            {
+              req with
+              Csname.index = Csname.skip_separators name stop;
+              context = spec.Context.context;
+            } )
+    | Stop -> Local (ctx, component :: Csname.components_from name stop)
+
 let walk ~valid_context ~lookup req =
   match Csname.validate req with
   | Error code -> Fail code
   | Ok () ->
       if Csname.starts_with_prefix req then Fail Reply.Illegal_name
       else if not (valid_context req.Csname.context) then Fail Reply.Bad_context
-      else begin
-        let rec loop ctx req comps =
-          match comps with
-          | [] -> Local (ctx, [])
-          | component :: rest -> (
-              match lookup ctx component with
-              | Descend ctx' -> loop ctx' (Csname.advance_past req component) rest
-              | Cross spec ->
-                  let req = Csname.advance_past req component in
-                  Forward (spec, { req with Csname.context = spec.Context.context })
-              | Stop -> Local (ctx, comps))
-        in
-        loop req.Csname.context req (Csname.components (Csname.remaining req))
-      end
+      else walk_from ~lookup req req.Csname.context req.Csname.index
 
 (* --- the generic server loop --- *)
 
@@ -85,129 +95,155 @@ let make_stats name =
   }
 
 (* How far into the name this hop's interpretation reached: everything
-   up to the components it did not consume. *)
+   up to the components it did not consume, counted as if they were
+   joined by single separators. *)
 let consumed_index req remaining =
   let total = String.length req.Csname.name in
   let index_to =
     match remaining with
     | [] -> total
-    | _ -> total - String.length (Csname.join remaining)
+    | first :: rest ->
+        total
+        - List.fold_left
+            (fun n c -> n + 1 + String.length c)
+            (String.length first) rest
   in
   max req.Csname.index (min index_to total)
 
+let charge engine ms = if ms > 0.0 then Vsim.Proc.delay engine ms
+
+(* Count [op] under this server's (host, server) key. *)
+let metric self hub op =
+  match hub with
+  | None -> ()
+  | Some h ->
+      Vobs.Metrics.incr (Vobs.Hub.metrics h)
+        ~host:(Kernel.self_host_name self)
+        ~server:(Kernel.self_name self) ~op
+
+(* This hop's span: only a tracing hub records one, so only then are
+   its arguments computed. *)
+let start_span self engine hub (msg : Vmsg.t) (req : Csname.req) =
+  match hub with
+  | Some h when Vobs.Hub.tracing h ->
+      Vobs.Hub.start_span h ~ctx:req.Csname.trace
+        ~now:(Vsim.Engine.now engine)
+        ~op:(Vmsg.Op.to_string msg.Vmsg.code)
+        ~host:(Kernel.self_host_name self)
+        ~server:(Kernel.self_name self)
+        ~pid:(Pid.to_int (Kernel.self_pid self))
+        ~context:req.Csname.context ~index_from:req.Csname.index
+  | Some _ | None -> None
+
+(* A span opens with [index_to = index_from], so a hop that consumed
+   nothing closes it with its starting index. *)
+let finish_span engine hub span ~index_to outcome =
+  match (hub, span) with
+  | Some h, Some s ->
+      Vobs.Hub.finish h s ~now:(Vsim.Engine.now engine) ~index_to ~outcome ()
+  | _ -> ()
+
+let reply_outcome reply =
+  match Vmsg.reply_code reply with
+  | Some code -> Reply.to_string code
+  | None -> "reply"
+
 (* Handle one request according to the protocol; replies or forwards as
    appropriate. Exposed so servers with custom receive loops (e.g. the
-   prefix server) can reuse it.
+   program manager) can reuse it. Applied to its first three arguments
+   once per server, it builds the lookup [walk] runs just once: that
+   lookup counts and charges [component_lookup_cpu] for every component
+   before the server's own lookup sees it. A request then builds no
+   closures.
 
    Observability (when a hub is attached to the domain): every CSname
    request increments per-operation counters keyed by this server, and
    a traced request gets one span per hop, its parent link following
    the Forward chain. All of it is bookkeeping off the simulation
    clock, so timings are identical with tracing on or off. *)
-let handle_request self handlers stats ~sender (msg : Vmsg.t) =
+let handle_request self handlers stats =
   let domain = Kernel.domain_of_self self in
   let engine = Kernel.engine_of_domain domain in
-  let now () = Vsim.Engine.now engine in
-  let charge ms = if ms > 0.0 then Vsim.Proc.delay engine ms in
-  let hub = Kernel.obs domain in
-  let metric op =
-    match hub with
-    | None -> ()
-    | Some h ->
-        Vobs.Metrics.incr (Vobs.Hub.metrics h)
-          ~host:(Kernel.self_host_name self)
-          ~server:(Kernel.self_name self) ~op
+  let lookup ctx component =
+    metric self (Kernel.obs domain) "lookup";
+    charge engine Calibration.component_lookup_cpu;
+    handlers.lookup ctx component
   in
-  Vsim.Stats.Counter.incr stats.requests;
-  let reply_with m = ignore (Kernel.reply self ~to_:sender m) in
-  match msg.Vmsg.name with
-  | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code ->
-      let t0 = now () in
-      metric (Vmsg.Op.to_string msg.Vmsg.code);
-      let span =
-        match hub with
-        | None -> None
-        | Some h ->
-            Vobs.Hub.start_span h ~ctx:req.Csname.trace ~now:t0
-              ~op:(Vmsg.Op.to_string msg.Vmsg.code)
-              ~host:(Kernel.self_host_name self)
-              ~server:(Kernel.self_name self)
-              ~pid:(Pid.to_int (Kernel.self_pid self))
-              ~context:req.Csname.context ~index_from:req.Csname.index
-      in
-      let finish ?index_to outcome =
-        match (hub, span) with
-        | Some h, Some s -> Vobs.Hub.finish h s ~now:(now ()) ?index_to ~outcome ()
-        | _ -> ()
-      in
-      charge Calibration.csname_common_cpu;
-      let lookup ctx component =
-        metric "lookup";
-        charge Calibration.component_lookup_cpu;
-        handlers.lookup ctx component
-      in
-      (match walk ~valid_context:handlers.valid_context ~lookup req with
-      | Fail code ->
-          finish (Reply.to_string code);
-          reply_with (Vmsg.reply code)
-      | Forward (spec, req') ->
-          Vsim.Stats.Counter.incr stats.forwards;
-          metric "forward";
-          finish ~index_to:req'.Csname.index "forward";
-          (* Re-parent the forwarded request under this hop's span so
-             the next server's span links back here. *)
-          let req' =
-            match span with
-            | None -> req'
-            | Some s ->
-                { req' with Csname.trace = Vobs.Hub.child_ctx s ~now:(now ()) }
-          in
-          let msg' = Vmsg.with_name msg req' in
-          (match
-             Kernel.forward self ~from_:sender ~to_:spec.Context.server msg'
-           with
-          | Ok () -> ()
-          | Error _ ->
-              (* The kernel already failed the sender's transaction if it
-                 could; nothing more to do here. *)
-              ())
-      | Local (ctx, remaining) ->
-          let reply = handlers.handle_csname ~sender msg req ctx remaining in
-          Vsim.Stats.Series.add stats.specific_ms
-            (now () -. t0 -. Calibration.csname_common_cpu);
-          let outcome =
-            match Vmsg.reply_code reply with
-            | Some code -> Reply.to_string code
-            | None -> "reply"
-          in
-          let index_to = consumed_index req remaining in
-          (* Stamp the resolved binding into successful replies so
-             caching clients learn (name-prefix -> server, context)
-             pairs for free. The stamp fits the 32-byte message proper
-             — no wire bytes, no clock, so non-caching clients see
-             byte- and time-identical behaviour. *)
-          let reply =
-            if Vmsg.succeeded reply && index_to > 0 then
-              Vmsg.with_binding reply
-                {
-                  Vmsg.upto = index_to;
-                  spec = Context.spec ~server:(Kernel.self_pid self) ~context:ctx;
-                }
-            else reply
-          in
-          finish ~index_to outcome;
-          reply_with reply)
-  | Some _ | None -> (
-      metric (Vmsg.Op.to_string msg.Vmsg.code);
-      match handlers.handle_other ~sender msg with
-      | Some reply -> reply_with reply
-      | None -> reply_with (Vmsg.reply Reply.Bad_operation))
+  fun ~sender (msg : Vmsg.t) ->
+    let hub = Kernel.obs domain in
+    Vsim.Stats.Counter.incr stats.requests;
+    match msg.Vmsg.name with
+    | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code -> (
+        let t0 = Vsim.Engine.now engine in
+        metric self hub (Vmsg.Op.to_string msg.Vmsg.code);
+        let span = start_span self engine hub msg req in
+        charge engine Calibration.csname_common_cpu;
+        match walk ~valid_context:handlers.valid_context ~lookup req with
+        | Fail code ->
+            finish_span engine hub span ~index_to:req.Csname.index
+              (Reply.to_string code);
+            ignore (Kernel.reply self ~to_:sender (Vmsg.reply code))
+        | Forward (spec, req') ->
+            Vsim.Stats.Counter.incr stats.forwards;
+            metric self hub "forward";
+            finish_span engine hub span ~index_to:req'.Csname.index "forward";
+            (* Re-parent the forwarded request under this hop's span so
+               the next server's span links back here. *)
+            let req' =
+              match span with
+              | None -> req'
+              | Some s ->
+                  {
+                    req' with
+                    Csname.trace =
+                      Vobs.Hub.child_ctx s ~now:(Vsim.Engine.now engine);
+                  }
+            in
+            (* On an error the kernel already failed the sender's
+               transaction if it could; nothing more to do here. *)
+            ignore
+              (Kernel.forward self ~from_:sender ~to_:spec.Context.server
+                 (Vmsg.with_name msg req'))
+        | Local (ctx, remaining) ->
+            let reply = handlers.handle_csname ~sender msg req ctx remaining in
+            Vsim.Stats.Series.add stats.specific_ms
+              (Vsim.Engine.now engine -. t0 -. Calibration.csname_common_cpu);
+            let index_to = consumed_index req remaining in
+            (* Stamp the resolved binding into successful replies so
+               caching clients learn (name-prefix -> server, context)
+               pairs for free. The stamp fits the 32-byte message proper
+               — no wire bytes, no clock, so non-caching clients see
+               byte- and time-identical behaviour. *)
+            let reply =
+              if Vmsg.succeeded reply && index_to > 0 then
+                Vmsg.with_binding reply
+                  {
+                    Vmsg.upto = index_to;
+                    spec =
+                      Context.spec ~server:(Kernel.self_pid self) ~context:ctx;
+                  }
+              else reply
+            in
+            (match span with
+            | None -> ()
+            | Some _ ->
+                finish_span engine hub span ~index_to (reply_outcome reply));
+            ignore (Kernel.reply self ~to_:sender reply))
+    | Some _ | None ->
+        metric self hub (Vmsg.Op.to_string msg.Vmsg.code);
+        let reply =
+          match handlers.handle_other ~sender msg with
+          | Some reply -> reply
+          | None -> Vmsg.reply Reply.Bad_operation
+        in
+        ignore (Kernel.reply self ~to_:sender reply)
 
 (* Run a CSNH server forever. *)
 let serve self ?(stats = make_stats "csnh") handlers =
+  let handle = handle_request self handlers stats in
   let rec loop () =
     let msg, sender = Kernel.receive self in
-    handle_request self handlers stats ~sender msg;
+    handle ~sender msg;
     loop ()
   in
   loop ()

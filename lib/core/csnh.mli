@@ -61,7 +61,10 @@ type server_stats = {
 val make_stats : string -> server_stats
 
 (** Handle one request: reply, or forward it along. Exposed for servers
-    with custom receive loops (the prefix server, the mail server). *)
+    with custom receive loops (the program manager, the domain server).
+    Apply it to its first three arguments once per server: that builds
+    the per-server lookup wrapper, and each request then builds no
+    closures. *)
 val handle_request :
   Vmsg.t Kernel.self -> handlers -> server_stats -> sender:Pid.t -> Vmsg.t -> unit
 

@@ -130,60 +130,73 @@ let unlink t node =
   node.next <- None
 
 let push_front t node =
+  let this = Some node in
   node.prev <- None;
   node.next <- t.mru;
-  (match t.mru with Some m -> m.prev <- Some node | None -> t.lru <- Some node);
-  t.mru <- Some node
+  (match t.mru with Some m -> m.prev <- this | None -> t.lru <- this);
+  t.mru <- this
 
 let touch t node =
-  if t.mru != Some node then begin
-    unlink t node;
-    push_front t node
-  end
+  match t.mru with
+  | Some m when m == node -> ()
+  | Some _ | None ->
+      unlink t node;
+      push_front t node
 
 (* --- keys ---
 
    A key is a name prefix cut at a component boundary, stored without
    trailing separators: "[fs0]", "[fs0]src", "[fs0]src/lib". *)
 
-let normalize_key key =
-  let n = String.length key in
-  let rec last i = if i > 0 && key.[i - 1] = Csname.separator then last (i - 1) else i in
-  let n' = last n in
-  if n' = n then key else String.sub key 0 n'
+(* The end of [name]'s prefix of length [i] without its trailing
+   separators. *)
+let rec key_end name i =
+  if i > 0 && name.[i - 1] = Csname.separator then key_end name (i - 1) else i
 
-(* Every prefix of [name] that ends at a component boundary, deepest
-   first: the whole name, each cut before a '/', and the cut just after
-   a ']' (a bare "[prefix]" binds even when no separator follows). *)
-let candidate_cuts name =
-  let n = String.length name in
-  let cuts = ref [] in
-  let add i = if i > 0 && not (List.mem i !cuts) then cuts := i :: !cuts in
-  add n;
-  for i = 0 to n - 1 do
-    if name.[i] = Csname.separator then add i;
-    if name.[i] = Csname.prefix_close then add (i + 1)
-  done;
-  List.sort_uniq (fun a b -> compare b a) !cuts
+let normalize_key key =
+  let n = key_end key (String.length key) in
+  if n = String.length key then key else String.sub key 0 n
+
+(* A cut is a position of [name] that ends a candidate prefix: the end
+   of the name, a position before a '/', or one just after a ']' (a bare
+   "[prefix]" binds even when no separator follows). Lookups scan back
+   from the end of the name and visit the cuts deepest first.
+
+   [next_key name c] is the end of the key of the deepest cut at or
+   before [c], 0 when there is none. Every cut between a key's end and
+   its cut shares that key, so the next distinct key lies below the
+   key's end; and once a key is empty, so is every shallower one
+   (empty keys are never stored). *)
+let is_cut name c =
+  c = String.length name
+  || name.[c] = Csname.separator
+  || name.[c - 1] = Csname.prefix_close
+
+let rec next_key name c =
+  if c <= 0 then 0
+  else if is_cut name c then key_end name c
+  else next_key name (c - 1)
 
 (* The original TTL-blind lookup: the deepest positive binding, whatever
    its age — the prefix-cache protocol validates entries on use, not on
    a clock. Referrals and negative entries are invisible to it. *)
-let find t name =
-  let rec try_cuts = function
-    | [] ->
-        t.misses <- t.misses + 1;
-        None
-    | cut :: rest -> (
-        let key = normalize_key (String.sub name 0 cut) in
-        match Hashtbl.find_opt t.table key with
-        | Some ({ value = Bound spec; _ } as node) ->
-            touch t node;
-            t.hits <- t.hits + 1;
-            Some (key, spec)
-        | Some _ | None -> try_cuts rest)
-  in
-  try_cuts (candidate_cuts name)
+let rec find_below t name c =
+  let e = next_key name c in
+  if e = 0 then begin
+    t.misses <- t.misses + 1;
+    None
+  end
+  else
+    let key = String.sub name 0 e in
+    match Hashtbl.find t.table key with
+    | { value = Bound spec; _ } as node ->
+        touch t node;
+        t.hits <- t.hits + 1;
+        Some (key, spec)
+    | { value = Delegation _ | Negative _; _ } | (exception Not_found) ->
+        find_below t name (e - 1)
+
+let find t name = find_below t name (String.length name)
 
 let mem t key = Hashtbl.mem t.table (normalize_key key)
 
@@ -216,48 +229,48 @@ let remove_node t node =
    referrals and negative entries carry no salvageable answer, so they
    are dropped on sight and the search falls to the next-shallower
    cut. *)
-let find_at t ~now name =
-  let rec try_cuts = function
-    | [] ->
-        t.misses <- t.misses + 1;
-        None
-    | cut :: rest -> (
-        let key = normalize_key (String.sub name 0 cut) in
-        match Hashtbl.find_opt t.table key with
-        | None -> try_cuts rest
-        | Some node ->
-            let fresh = fresh_at ~now node in
-            if fresh then begin
+let rec find_at_below t ~now name c =
+  let e = next_key name c in
+  if e = 0 then begin
+    t.misses <- t.misses + 1;
+    None
+  end
+  else
+    let key = String.sub name 0 e in
+    match Hashtbl.find t.table key with
+    | exception Not_found -> find_at_below t ~now name (e - 1)
+    | node ->
+        if fresh_at ~now node then begin
+          touch t node;
+          (match node.value with
+          | Negative _ -> t.neg_hits <- t.neg_hits + 1
+          | Bound _ | Delegation _ -> t.hits <- t.hits + 1);
+          Some
+            {
+              hkey = key;
+              hvalue = node.value;
+              hfresh = true;
+              hexpires_at = node.expires_at;
+            }
+        end
+        else begin
+          match node.value with
+          | Bound _ ->
               touch t node;
-              (match node.value with
-              | Negative _ -> t.neg_hits <- t.neg_hits + 1
-              | Bound _ | Delegation _ -> t.hits <- t.hits + 1);
+              t.stale_hits <- t.stale_hits + 1;
               Some
                 {
                   hkey = key;
                   hvalue = node.value;
-                  hfresh = true;
+                  hfresh = false;
                   hexpires_at = node.expires_at;
                 }
-            end
-            else begin
-              match node.value with
-              | Bound _ ->
-                  touch t node;
-                  t.stale_hits <- t.stale_hits + 1;
-                  Some
-                    {
-                      hkey = key;
-                      hvalue = node.value;
-                      hfresh = false;
-                      hexpires_at = node.expires_at;
-                    }
-              | Delegation _ | Negative _ ->
-                  remove_node t node;
-                  try_cuts rest
-            end)
-  in
-  try_cuts (candidate_cuts name)
+          | Delegation _ | Negative _ ->
+              remove_node t node;
+              find_at_below t ~now name (e - 1)
+        end
+
+let find_at t ~now name = find_at_below t ~now name (String.length name)
 
 (* --- insertion --- *)
 

@@ -154,20 +154,24 @@ let forward_failed self target =
       obs_metric self "logical-stale"
   | Logical _ | Static _ | Replicated _ -> ()
 
+(* Only a tracing hub records a span, so only then are its arguments
+   computed. *)
 let obs_start self (msg : Vmsg.t) (req : Csname.req) =
   match Kernel.obs (Kernel.domain_of_self self) with
-  | None -> None
-  | Some hub ->
+  | Some hub when Vobs.Hub.tracing hub -> (
       let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-      Option.map
-        (fun span -> (hub, span))
-        (Vobs.Hub.start_span hub ~ctx:req.Csname.trace
-           ~now:(Vsim.Engine.now engine)
-           ~op:(Vmsg.Op.to_string msg.Vmsg.code)
-           ~host:(Kernel.self_host_name self)
-           ~server:(Kernel.self_name self)
-           ~pid:(Pid.to_int (Kernel.self_pid self))
-           ~context:req.Csname.context ~index_from:req.Csname.index)
+      match
+        Vobs.Hub.start_span hub ~ctx:req.Csname.trace
+          ~now:(Vsim.Engine.now engine)
+          ~op:(Vmsg.Op.to_string msg.Vmsg.code)
+          ~host:(Kernel.self_host_name self)
+          ~server:(Kernel.self_name self)
+          ~pid:(Pid.to_int (Kernel.self_pid self))
+          ~context:req.Csname.context ~index_from:req.Csname.index
+      with
+      | Some span -> Some (hub, span)
+      | None -> None)
+  | Some _ | None -> None
 
 let obs_finish self span ?index_to outcome =
   match span with
@@ -209,14 +213,16 @@ let obs_reparent self span (req : Csname.req) =
    aborted: the entry is removed and the sequence number reused, so the
    origin's committed seq stream stays gap-free for the in-order guard.
    Serializing all writes for the service through this one process is
-   what gives replicas an identical application order. *)
-let replicate_write t self ~sender ~span ~service ~context (msg : Vmsg.t) req =
+   what gives replicas an identical application order. [req] is the
+   request already rewritten for the members: index past the binding,
+   context the bound one. *)
+let replicate_write t self ~sender ~span ~service (msg : Vmsg.t) req =
   let d = Kernel.domain_of_self self in
   obs_metric self "replicate-write";
   let origin = Pid.to_int (pid t) in
   let seq = t.next_wseq in
   t.next_wseq <- seq + 1;
-  let req = obs_reparent self span { req with Csname.context } in
+  let req = obs_reparent self span req in
   let msg' = Vmsg.with_wseq (Vmsg.with_name msg req) { Vmsg.origin; seq } in
   Kernel.log_group_write d ~service ~origin ~seq msg';
   let requester = Kernel.host_addr (Kernel.host_of_self self) in
@@ -282,6 +288,11 @@ let replicated_write_target self (msg : Vmsg.t) = function
       Some (service, context)
   | Logical _ | Static _ | Replicated _ -> None
 
+(* A request the prefix server answers itself, with an error. *)
+let reply_error self ~sender span code =
+  obs_finish self span (Reply.to_string code);
+  ignore (Kernel.reply self ~to_:sender (Vmsg.reply code))
+
 let handle_prefixed t self ~sender (msg : Vmsg.t) req =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   Vsim.Stats.Counter.incr t.stats.Csnh.requests;
@@ -290,41 +301,40 @@ let handle_prefixed t self ~sender (msg : Vmsg.t) req =
   (* The prefix parse and request rewrite: the processing the paper
      measures as the 3.94-3.99 ms additive cost of prefixed Opens. *)
   Vsim.Proc.delay engine Calibration.prefix_parse_cpu;
-  let reply_with code =
-    obs_finish self span (Reply.to_string code);
-    ignore (Kernel.reply self ~to_:sender (Vmsg.reply code))
-  in
   match Csname.parse_prefix req with
-  | Error code -> reply_with code
-  | Ok (prefix, req') -> (
-      match Hashtbl.find_opt t.bindings prefix with
-      | None -> reply_with Reply.Not_found
-      | Some (Replicated { group; context }) ->
+  | Error code -> reply_error self ~sender span code
+  | Ok (prefix, index) -> (
+      match Hashtbl.find t.bindings prefix with
+      | exception Not_found -> reply_error self ~sender span Reply.Not_found
+      | Replicated { group; context } ->
           (* The bound context is implemented by a whole group: multicast
              the rewritten request; the first member to answer serves
              it. *)
           Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
           obs_metric self "forward";
-          obs_finish self span ~index_to:req'.Csname.index "forward";
-          let req' = obs_reparent self span { req' with Csname.context } in
+          obs_finish self span ~index_to:index "forward";
+          let req' =
+            obs_reparent self span { req with Csname.index; context }
+          in
           ignore
             (Kernel.forward_group self ~from_:sender ~group
                (Vmsg.with_name msg req'))
-      | Some target -> (
+      | target -> (
           match replicated_write_target self msg target with
           | Some (service, context) ->
               Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-              replicate_write t self ~sender ~span ~service ~context msg req'
+              replicate_write t self ~sender ~span ~service msg
+                { req with Csname.index; context }
           | None -> (
               match resolve self target with
-              | Error code -> reply_with code
+              | Error code -> reply_error self ~sender span code
               | Ok spec -> (
                   Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
                   obs_metric self "forward";
-                  obs_finish self span ~index_to:req'.Csname.index "forward";
+                  obs_finish self span ~index_to:index "forward";
                   let req' =
                     obs_reparent self span
-                      { req' with Csname.context = spec.Context.context }
+                      { req with Csname.index; context = spec.Context.context }
                   in
                   match
                     Kernel.forward self ~from_:sender ~to_:spec.Context.server
@@ -448,8 +458,8 @@ let handle_unprefixed t self ~now ~sender (msg : Vmsg.t) req =
                 match replicated_write_target self msg target with
                 | Some (service, context) ->
                     Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                    replicate_write t self ~sender ~span ~service ~context msg
-                      (Csname.advance_past req name)
+                    replicate_write t self ~sender ~span ~service msg
+                      { (Csname.advance_past req name) with Csname.context }
                 | None -> (
                     match resolve self target with
                     | Error code -> reply_with (Vmsg.reply code)

@@ -125,9 +125,9 @@ module Op = struct
       ]
 
   let to_string code =
-    match Hashtbl.find_opt names code with
-    | Some n -> n
-    | None -> Fmt.str "op%d" code
+    match Hashtbl.find names code with
+    | n -> n
+    | exception Not_found -> Fmt.str "op%d" code
 end
 
 (* --- standard payloads --- *)

@@ -322,6 +322,7 @@ let spawn_server host t =
   in
   let server_pid =
     Kernel.spawn host ~name:t.ds_name (fun self ->
+        let handle = Csnh.handle_request self handlers t.stats in
         let rec loop () =
           let msg, sender = Kernel.receive self in
           (if is_resolve_step msg then
@@ -329,7 +330,7 @@ let spawn_server host t =
              | Some req -> handle_step t self ~sender req
              | None ->
                  ignore (Kernel.reply self ~to_:sender (Vmsg.reply Reply.Illegal_name))
-           else Csnh.handle_request self handlers t.stats ~sender msg);
+           else handle ~sender msg);
           loop ()
         in
         loop ())

@@ -140,13 +140,6 @@ let invalidate t key = Name_cache.invalidate t.cache key
 let learn t ~now key spec =
   ignore (Name_cache.learn_at t.cache ~now ~ttl_ms:t.ttl_ms key (Name_cache.Bound spec))
 
-let skip_separators name i =
-  let rec loop i =
-    if i < String.length name && name.[i] = Csname.separator then loop (i + 1)
-    else i
-  in
-  loop i
-
 (* --- observability: metrics under (host, "resolver", op); delegation
    records on the flight recorder; all off the simulated clock. --- *)
 
@@ -195,7 +188,7 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
     let outcome_of_hit ~queries ~served_stale (h : Name_cache.hit) spec =
       {
         spec;
-        index = skip_separators name (String.length h.Name_cache.hkey);
+        index = Csname.skip_separators name (String.length h.Name_cache.hkey);
         queries;
         served_stale;
         cache_key = Some h.Name_cache.hkey;
@@ -279,7 +272,7 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
                     Ok
                       {
                         spec;
-                        index = skip_separators name upto;
+                        index = Csname.skip_separators name upto;
                         queries = queries + 1;
                         served_stale = false;
                         cache_key = Some key;
@@ -316,12 +309,16 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
         Error (Vio.Verr.Denied code)
     | Some ({ Name_cache.hvalue = Delegation spec; hfresh = true; hkey; _ }) ->
         metric self "resume";
-        walk spec (skip_separators name (String.length hkey)) [] 0
+        walk spec (Csname.skip_separators name (String.length hkey)) [] 0
     | Some ({ Name_cache.hvalue = Bound spec; hfresh = false; _ } as h) ->
         stale_candidate := Some (h, spec);
         metric self "refresh";
-        walk t.root (skip_separators name (String.length t.prefix + 2)) [] 0
+        walk t.root
+          (Csname.skip_separators name (String.length t.prefix + 2))
+          [] 0
     | Some _ | None ->
         metric self "miss";
-        walk t.root (skip_separators name (String.length t.prefix + 2)) [] 0
+        walk t.root
+          (Csname.skip_separators name (String.length t.prefix + 2))
+          [] 0
   end

@@ -30,12 +30,33 @@ let key_json k =
     ("op", Json.String k.op);
   ]
 
+(* The flat tables' own key. It is mutable so that one reused probe per
+   registry can look up any key without allocating; a stored key is
+   always a fresh copy, made when its instrument is created. *)
+type slot = {
+  mutable s_host : string;
+  mutable s_server : string;
+  mutable s_op : string;
+}
+
+module Slots = Hashtbl.Make (struct
+  type t = slot
+
+  let equal a b =
+    String.equal a.s_op b.s_op
+    && String.equal a.s_server b.s_server
+    && String.equal a.s_host b.s_host
+
+  let hash (k : t) = Hashtbl.hash k
+end)
+
 type t = {
   mutable enabled : bool;
   bounds : float array;
-  counters : (key, int ref) Hashtbl.t;
-  gauges : (key, float ref) Hashtbl.t;
-  histograms : (key, Histogram.t) Hashtbl.t;
+  probe : slot;
+  counters : int ref Slots.t;
+  gauges : float ref Slots.t;
+  histograms : Histogram.t Slots.t;
   mutable rollup : Rollup.t option;
   mutable exemplar_slots : int;
   mutable exemplar_rand : Srand.t option;
@@ -49,9 +70,10 @@ let create ?(bounds = Histogram.default_bounds) () =
   {
     enabled = true;
     bounds;
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-    histograms = Hashtbl.create 32;
+    probe = { s_host = ""; s_server = ""; s_op = "" };
+    counters = Slots.create 64;
+    gauges = Slots.create 16;
+    histograms = Slots.create 32;
     rollup = None;
     exemplar_slots = 0;
     exemplar_rand = None;
@@ -72,44 +94,63 @@ let set_exemplars t ~slots ~seed =
   t.exemplar_rand <- (if slots = 0 then None else Some (Srand.create ~seed));
   t.generation <- t.generation + 1
 
+(* The probe, pointed at one key. Valid until the next call. *)
+let probe t ~host ~server ~op =
+  let p = t.probe in
+  p.s_host <- host;
+  p.s_server <- server;
+  p.s_op <- op;
+  p
+
+let stored p = { s_host = p.s_host; s_server = p.s_server; s_op = p.s_op }
+let key_of_slot s = { host = s.s_host; server = s.s_server; op = s.s_op }
+
+let flat_counter_cell t ~host ~server ~op =
+  let p = probe t ~host ~server ~op in
+  match Slots.find t.counters p with
+  | r -> r
+  | exception Not_found ->
+      let r = ref 0 in
+      Slots.add t.counters (stored p) r;
+      r
+
+let flat_histogram_cell t ~host ~server ~op =
+  let p = probe t ~host ~server ~op in
+  match Slots.find t.histograms p with
+  | h -> h
+  | exception Not_found ->
+      let h =
+        Histogram.create ~bounds:t.bounds ~exemplar_slots:t.exemplar_slots ()
+      in
+      Slots.add t.histograms (stored p) h;
+      h
+
 let incr ?(by = 1) t ~host ~server ~op =
   if t.enabled then
     match t.rollup with
     | Some r -> Rollup.incr ~by r ~leaf:host ~server ~op
-    | None -> (
-        let k = { host; server; op } in
-        match Hashtbl.find_opt t.counters k with
-        | Some r -> r := !r + by
-        | None -> Hashtbl.replace t.counters k (ref by))
+    | None ->
+        let cell = flat_counter_cell t ~host ~server ~op in
+        cell := !cell + by
 
 let set_gauge t ~host ~server ~op v =
   if t.enabled then
     match t.rollup with
     | Some r -> Rollup.set_gauge r ~leaf:host ~server ~op v
     | None -> (
-        let k = { host; server; op } in
-        match Hashtbl.find_opt t.gauges k with
-        | Some r -> r := v
-        | None -> Hashtbl.replace t.gauges k (ref v))
+        let p = probe t ~host ~server ~op in
+        match Slots.find t.gauges p with
+        | r -> r := v
+        | exception Not_found -> Slots.add t.gauges (stored p) (ref v))
 
 let observe ?trace t ~host ~server ~op v =
   if t.enabled then
     match t.rollup with
     | Some r -> Rollup.observe ?trace r ~leaf:host ~server ~op v
     | None ->
-        let k = { host; server; op } in
-        let h =
-          match Hashtbl.find_opt t.histograms k with
-          | Some h -> h
-          | None ->
-              let h =
-                Histogram.create ~bounds:t.bounds
-                  ~exemplar_slots:t.exemplar_slots ()
-              in
-              Hashtbl.replace t.histograms k h;
-              h
-        in
-        Histogram.observe ?trace ?rand:t.exemplar_rand h v
+        Histogram.observe ?trace ?rand:t.exemplar_rand
+          (flat_histogram_cell t ~host ~server ~op)
+          v
 
 (* --- handles: the recording hot path --- *)
 
@@ -162,24 +203,6 @@ let observer t ~host ~server ~op =
     ob_route = None;
   }
 
-let flat_counter_cell t k =
-  match Hashtbl.find_opt t.counters k with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counters k r;
-      r
-
-let flat_histogram_cell t k =
-  match Hashtbl.find_opt t.histograms k with
-  | Some h -> h
-  | None ->
-      let h =
-        Histogram.create ~bounds:t.bounds ~exemplar_slots:t.exemplar_slots ()
-      in
-      Hashtbl.replace t.histograms k h;
-      h
-
 let bind_counter c =
   let t = c.cn_t in
   c.cn_gen <- t.generation;
@@ -194,8 +217,8 @@ let bind_counter c =
       c.cn_route <- None;
       c.cn_flat <-
         Some
-          (flat_counter_cell t
-             { host = c.cn_host; server = c.cn_server; op = c.cn_op })
+          (flat_counter_cell t ~host:c.cn_host ~server:c.cn_server
+             ~op:c.cn_op)
 
 let bind_observer o =
   let t = o.ob_t in
@@ -211,8 +234,8 @@ let bind_observer o =
       o.ob_route <- None;
       o.ob_flat <-
         Some
-          (flat_histogram_cell t
-             { host = o.ob_host; server = o.ob_server; op = o.ob_op })
+          (flat_histogram_cell t ~host:o.ob_host ~server:o.ob_server
+             ~op:o.ob_op)
 
 let add ?(by = 1) c =
   let t = c.cn_t in
@@ -239,15 +262,15 @@ let record ?trace o v =
   end
 
 let counter_value t ~host ~server ~op =
-  match Hashtbl.find_opt t.counters { host; server; op } with
-  | Some r -> !r
-  | None -> 0
+  match Slots.find t.counters (probe t ~host ~server ~op) with
+  | r -> !r
+  | exception Not_found -> 0
 
 let gauge_value t ~host ~server ~op =
-  Option.map ( ! ) (Hashtbl.find_opt t.gauges { host; server; op })
+  Option.map ( ! ) (Slots.find_opt t.gauges (probe t ~host ~server ~op))
 
 let histogram t ~host ~server ~op =
-  Hashtbl.find_opt t.histograms { host; server; op }
+  Slots.find_opt t.histograms (probe t ~host ~server ~op)
 
 let compare_key a b =
   match String.compare a.host b.host with
@@ -258,7 +281,7 @@ let compare_key a b =
   | c -> c
 
 let sorted_bindings tbl value =
-  Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
+  Slots.fold (fun k v acc -> (key_of_slot k, value v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
 let counters t = sorted_bindings t.counters ( ! )
@@ -266,9 +289,9 @@ let gauges t = sorted_bindings t.gauges ( ! )
 let histograms t = sorted_bindings t.histograms Fun.id
 
 let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histograms;
+  Slots.reset t.counters;
+  Slots.reset t.gauges;
+  Slots.reset t.histograms;
   t.generation <- t.generation + 1
 
 let to_json t =

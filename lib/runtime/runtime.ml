@@ -137,19 +137,24 @@ let obs_runtime_metric env op =
         ~host:(Kernel.self_host_name env.self)
         ~server:"runtime" ~op
 
-let obs_root env ~op ~context =
+(* The operation's root span. Only a tracing hub starts traces, so
+   only then is the span op built. *)
+let obs_root env ~op ~cached ~context =
   match obs_hub env with
-  | None -> None
-  | Some hub ->
+  | Some hub when Vobs.Hub.tracing hub -> (
       let t0 = Vsim.Engine.now (engine env) in
       let ctx = Vobs.Hub.start_trace hub ~now:t0 in
-      Option.map
-        (fun span -> (hub, span))
-        (Vobs.Hub.start_span hub ~ctx ~now:t0 ~op:("client:" ^ op)
-           ~host:(Kernel.self_host_name env.self)
-           ~server:"runtime"
-           ~pid:(Pid.to_int (Kernel.self_pid env.self))
-           ~context ~index_from:0)
+      let op = if cached then "client:" ^ op ^ "[cached]" else "client:" ^ op in
+      match
+        Vobs.Hub.start_span hub ~ctx ~now:t0 ~op
+          ~host:(Kernel.self_host_name env.self)
+          ~server:"runtime"
+          ~pid:(Pid.to_int (Kernel.self_pid env.self))
+          ~context ~index_from:0
+      with
+      | Some span -> Some (hub, span)
+      | None -> None)
+  | Some _ | None -> None
 
 (* Attach the request of one attempt to the root span. *)
 let obs_attach env root (req : Csname.req) =
@@ -228,68 +233,56 @@ let obs_event env ?(trace = 0) fmt =
    Re-running [run] routes afresh, so a crashed server's successor is
    picked up by GetPid re-resolution through the prefix server's
    logical bindings. When the policy gives up, the caller sees a
-   bounded [Unavailable] instead of an indefinite hang. Off by default
-   ([env.resilience = None]): behaviour and PRNG draws are then exactly
-   as before. *)
+   bounded [Unavailable] instead of an indefinite hang. *)
 
 (* Forward reference, assigned below [resolve]: re-resolve the pinned
    current context on a transport-level retry. *)
 let rebind_current = ref (fun (_ : env) -> ())
 
-let with_resilience env ~root ~t0 run =
-  match env.resilience with
-  | None -> run ()
-  | Some policy ->
-      let rec loop attempt =
-        match run () with
-        | Ok _ as ok ->
-            if attempt > 1 then begin
-              env.rstats.retried_ok <- env.rstats.retried_ok + 1;
-              obs_runtime_metric env "retry-ok"
-            end;
-            ok
-        | Error e -> (
-            let elapsed = Vsim.Engine.now (engine env) -. t0 in
-            match
-              Vio.Resilience.next_step policy env.retry_prng ~attempt
-                ~elapsed_ms:elapsed e
-            with
-            | Vio.Resilience.Retry_after wait ->
-                env.rstats.retries <- env.rstats.retries + 1;
-                obs_runtime_metric env "retry";
-                if attempt = 1 then obs_tag root "fault";
-                obs_tag root (Printf.sprintf "retry:%d" attempt);
+let with_resilience env policy ~root ~t0 run =
+  let rec loop attempt =
+    match run () with
+    | Ok _ as ok ->
+        if attempt > 1 then begin
+          env.rstats.retried_ok <- env.rstats.retried_ok + 1;
+          obs_runtime_metric env "retry-ok"
+        end;
+        ok
+    | Error e -> (
+        let elapsed = Vsim.Engine.now (engine env) -. t0 in
+        match
+          Vio.Resilience.next_step policy env.retry_prng ~attempt
+            ~elapsed_ms:elapsed e
+        with
+        | Vio.Resilience.Retry_after wait ->
+            env.rstats.retries <- env.rstats.retries + 1;
+            obs_runtime_metric env "retry";
+            if attempt = 1 then obs_tag root "fault";
+            obs_tag root (Printf.sprintf "retry:%d" attempt);
+            obs_event env ~trace:(root_trace root)
+              "retry attempt %d after %a (wait %.1fms)" attempt Vio.Verr.pp
+              e wait;
+            Vsim.Proc.delay (engine env) wait;
+            (* A transport failure may mean the current context's
+               server died: re-resolve it before routing again. *)
+            if Vio.Resilience.rebind_worthy e then !rebind_current env;
+            loop (attempt + 1)
+        | Vio.Resilience.Give_up ->
+            let err = Vio.Resilience.give_up ~attempts:attempt e in
+            (match err with
+            | Vio.Verr.Unavailable _ ->
+                env.rstats.unavailable <- env.rstats.unavailable + 1;
+                obs_runtime_metric env "unavailable";
                 obs_event env ~trace:(root_trace root)
-                  "retry attempt %d after %a (wait %.1fms)" attempt
-                  Vio.Verr.pp e wait;
-                Vsim.Proc.delay (engine env) wait;
-                (* A transport failure may mean the current context's
-                   server died: re-resolve it before routing again. *)
-                if Vio.Resilience.rebind_worthy e then !rebind_current env;
-                loop (attempt + 1)
-            | Vio.Resilience.Give_up ->
-                let err = Vio.Resilience.give_up ~attempts:attempt e in
-                (match err with
-                | Vio.Verr.Unavailable _ ->
-                    env.rstats.unavailable <- env.rstats.unavailable + 1;
-                    obs_runtime_metric env "unavailable";
-                    obs_event env ~trace:(root_trace root)
-                      "unavailable after %d attempt(s)" attempt
-                | _ -> ());
-                Error err)
-      in
-      loop 1
+                  "unavailable after %d attempt(s)" attempt
+            | _ -> ());
+            Error err)
+  in
+  loop 1
 
 (* --- the single common routing routine --- *)
 
 type route = { target : Pid.t; req : Csname.req; cached_prefix : string option }
-
-let skip_separators name i =
-  let rec loop i =
-    if i < String.length name && name.[i] = Csname.separator then loop (i + 1)
-    else i
-  in
-  loop i
 
 (* The prefix-server leg of routing: deepest cached prefix when the
    cache is on, the workstation's prefix server otherwise. *)
@@ -308,7 +301,7 @@ let route_prefixed env name req =
         req =
           {
             req with
-            Csname.index = skip_separators name (String.length key);
+            Csname.index = Csname.skip_separators name (String.length key);
             context = spec.Context.context;
           };
         cached_prefix = Some key;
@@ -391,27 +384,37 @@ let note_failover env ~root ~last_target ~failovers (r : route) =
 (* Learn a binding a server stamped into a successful reply. Only
    '[prefix]'-absolute names are cached: a relative name's meaning moves
    with the current context, so a string-keyed binding for it would be
-   wrong the moment the program changed context. *)
-let learn_from_reply env name (binding : Vmsg.binding option) =
-  if String.length name > 0 && name.[0] = Csname.prefix_open then
-    match binding with
-    | Some { Vmsg.upto; spec } when upto > 0 && upto <= String.length name ->
-        let key = String.sub name 0 upto in
-        (* A resolver learns the stamp too (under its TTL): a forward
-           chain's landing point short-cuts the next walk. *)
-        (match env.resolver with
-        | Some r when Vdomains.Resolver.handles r name ->
-            Vdomains.Resolver.learn r
-              ~now:(Vsim.Engine.now (engine env))
-              key spec
-        | Some _ | None -> ());
-        if env.name_cache_enabled then begin
-          (match Name_cache.learn env.name_cache key spec with
-          | Some _evicted -> obs_runtime_metric env "cache-evict"
-          | None -> ());
-          obs_runtime_metric env "cache-learn"
-        end
-    | _ -> ()
+   wrong the moment the program changed context. The key is cut only
+   when the name cache or a resolver will learn it. *)
+let learn_from_reply env name { Vmsg.upto; spec } =
+  if
+    String.length name > 0
+    && name.[0] = Csname.prefix_open
+    && upto > 0
+    && upto <= String.length name
+  then
+    (* A resolver learns the stamp too (under its TTL): a forward
+       chain's landing point short-cuts the next walk. *)
+    let resolver_learns =
+      match env.resolver with
+      | Some r -> Vdomains.Resolver.handles r name
+      | None -> false
+    in
+    if resolver_learns || env.name_cache_enabled then begin
+      let key = String.sub name 0 upto in
+      (match env.resolver with
+      | Some r when resolver_learns ->
+          Vdomains.Resolver.learn r
+            ~now:(Vsim.Engine.now (engine env))
+            key spec
+      | Some _ | None -> ());
+      if env.name_cache_enabled then begin
+        (match Name_cache.learn env.name_cache key spec with
+        | Some _evicted -> obs_runtime_metric env "cache-evict"
+        | None -> ());
+        obs_runtime_metric env "cache-learn"
+      end
+    end
 
 (* Run [attempt] along routes for [name], generalizing the stale-retry
    loop: a failure that suggests a stale cached binding ([Bad_context],
@@ -474,6 +477,29 @@ let with_stale_retry env name ~first attempt =
   in
   go first ~fresh_retried:false ~resolver_retried:false ~first_err:None
 
+(* One named operation's attempts: the stale-retry cascade from the
+   first route, inside the resilience retry loop when a policy is set.
+   The first resilience attempt reuses the route already taken (whose
+   cache metrics are counted); later ones route afresh so re-resolution
+   can land on a successor server. *)
+let run_routed env name ~root ~t0 ~first attempt =
+  match env.resilience with
+  | None -> with_stale_retry env name ~first attempt
+  | Some policy ->
+      let first_route = ref (Some first) in
+      let last_target = ref None in
+      let failovers = ref 0 in
+      with_resilience env policy ~root ~t0 (fun () ->
+          let r =
+            match !first_route with
+            | Some r ->
+                first_route := None;
+                r
+            | None -> route env name
+          in
+          note_failover env ~root ~last_target ~failovers r;
+          with_stale_retry env name ~first:r attempt)
+
 (* Send a CSname request along the route; on a failure that suggests a
    stale cached binding, invalidate, fall back and retry. *)
 let transact_name env ~code ?payload ?extra_bytes name =
@@ -481,8 +507,10 @@ let transact_name env ~code ?payload ?extra_bytes name =
   let op = Vmsg.Op.to_string code in
   let t0 = Vsim.Engine.now (engine env) in
   let first = route env name in
-  let span_op = if first.cached_prefix <> None then op ^ "[cached]" else op in
-  let root = obs_root env ~op:span_op ~context:env.current.Context.context in
+  let root =
+    obs_root env ~op ~cached:(first.cached_prefix <> None)
+      ~context:env.current.Context.context
+  in
   let attempt r =
     let req = obs_attach env root r.req in
     let msg = Vmsg.request ~name:req ?payload ?extra_bytes code in
@@ -499,28 +527,13 @@ let transact_name env ~code ?payload ?extra_bytes name =
     | Ok (reply, replier) -> (
         match Verr_reply.check reply with
         | Ok m ->
-            learn_from_reply env name m.Vmsg.binding;
+            (match m.Vmsg.binding with
+            | Some b -> learn_from_reply env name b
+            | None -> ());
             Ok (m, replier)
         | Error e -> Error e)
   in
-  let first_route = ref (Some first) in
-  let last_target = ref None in
-  let failovers = ref 0 in
-  let result =
-    with_resilience env ~root ~t0 (fun () ->
-        (* The first resilience attempt reuses the route already taken
-           (whose cache metrics are counted); later ones route afresh so
-           re-resolution can land on a successor server. *)
-        let r =
-          match !first_route with
-          | Some r ->
-              first_route := None;
-              r
-          | None -> route env name
-        in
-        note_failover env ~root ~last_target ~failovers r;
-        with_stale_retry env name ~first:r attempt)
-  in
+  let result = run_routed env name ~root ~t0 ~first attempt in
   obs_done env ~op ~t0 root (outcome_of_result result);
   result
 
@@ -612,34 +625,21 @@ let open_ env ~mode name =
   let op = Vmsg.Op.to_string Vmsg.Op.open_instance in
   let t0 = Vsim.Engine.now (engine env) in
   let first = route env name in
-  let span_op = if first.cached_prefix <> None then op ^ "[cached]" else op in
-  let root = obs_root env ~op:span_op ~context:env.current.Context.context in
+  let root =
+    obs_root env ~op ~cached:(first.cached_prefix <> None)
+      ~context:env.current.Context.context
+  in
   let attempt r =
     let req = obs_attach env root r.req in
     let deadline =
-      Option.map
-        (fun p -> t0 +. p.Vio.Resilience.deadline_ms)
-        env.resilience
+      match env.resilience with
+      | Some p -> Some (t0 +. p.Vio.Resilience.deadline_ms)
+      | None -> None
     in
-    Vio.Client.open_at env.self
-      ~learn:(fun b -> learn_from_reply env name (Some b))
-      ?deadline ~server:r.target ~req ~mode ()
+    Vio.Client.open_at env.self ~learn:(learn_from_reply env name) ?deadline
+      ~server:r.target ~req ~mode ()
   in
-  let first_route = ref (Some first) in
-  let last_target = ref None in
-  let failovers = ref 0 in
-  let result =
-    with_resilience env ~root ~t0 (fun () ->
-        let r =
-          match !first_route with
-          | Some r ->
-              first_route := None;
-              r
-          | None -> route env name
-        in
-        note_failover env ~root ~last_target ~failovers r;
-        with_stale_retry env name ~first:r attempt)
-  in
+  let result = run_routed env name ~root ~t0 ~first attempt in
   obs_done env ~op ~t0 root (outcome_of_result result);
   result
 

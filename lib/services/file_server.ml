@@ -96,12 +96,15 @@ let low_id_of_path t path =
 
 let charge t ms = if ms > 0.0 then Vsim.Proc.delay t.engine ms
 
-let ino_of_ctx t ctx =
-  if ctx = Context.Well_known.default then Some Fs.root_ino
-  else if ctx = Context.Well_known.home then Some t.home_ino
-  else if ctx = Context.Well_known.programs then Some t.programs_ino
-  else if ctx >= ctx_base && Fs.is_dir t.fs (ctx - ctx_base) then Some (ctx - ctx_base)
-  else None
+(* The directory inode a context names; [Not_found] when it names
+   none. *)
+let dir_of_ctx t ctx =
+  if ctx = Context.Well_known.default then Fs.root_ino
+  else if ctx = Context.Well_known.home then t.home_ino
+  else if ctx = Context.Well_known.programs then t.programs_ino
+  else if ctx >= ctx_base && Fs.is_dir t.fs (ctx - ctx_base) then
+    ctx - ctx_base
+  else raise_notrace Not_found
 
 (* --- the accounts context --- *)
 
@@ -323,9 +326,9 @@ let handle_csname t self ~sender (msg : Vmsg.t) _req ctx remaining =
   let open Vmsg in
   if ctx = Context.Well_known.accounts then handle_accounts t msg remaining
   else
-  match ino_of_ctx t ctx with
-  | None -> reply Reply.Bad_context
-  | Some ctx_ino ->
+  match dir_of_ctx t ctx with
+  | exception Not_found -> reply Reply.Bad_context
+  | ctx_ino ->
       if msg.code = Op.open_instance then
         match msg.payload with
         | P_open { mode } -> handle_open t ~ctx_ino ~remaining ~mode
@@ -535,9 +538,9 @@ let handle_other t ~sender:_ (msg : Vmsg.t) =
       else if msg.code = Op.inverse_map_context then
         match msg.payload with
         | P_context_id ctx -> (
-            match ino_of_ctx t ctx with
-            | None -> Some (reply Reply.Bad_context)
-            | Some ino -> (
+            match dir_of_ctx t ctx with
+            | exception Not_found -> Some (reply Reply.Bad_context)
+            | ino -> (
                 match Fs.path_of_ino t.fs ino with
                 | Some path -> Some (ok ~payload:(P_name path) ())
                 | None -> Some (reply Reply.Not_found)))
@@ -558,9 +561,9 @@ let handle_other t ~sender:_ (msg : Vmsg.t) =
 let lookup_for_walk t ctx component =
   if ctx = Context.Well_known.accounts then Csnh.Stop
   else
-  match ino_of_ctx t ctx with
-  | None -> Csnh.Stop
-  | Some dir -> (
+  match dir_of_ctx t ctx with
+  | exception Not_found -> Csnh.Stop
+  | dir -> (
       match Fs.lookup t.fs ~dir component with
       | Some (Fs.Dir_entry ino) -> Csnh.Descend (ctx_of_ino ino)
       | Some (Fs.Remote_link spec) -> Csnh.Cross spec
@@ -575,7 +578,12 @@ let spawn_server host t scope =
   let handlers self =
     {
       Csnh.valid_context =
-        (fun ctx -> ctx = Context.Well_known.accounts || ino_of_ctx t ctx <> None);
+        (fun ctx ->
+          ctx = Context.Well_known.accounts
+          ||
+          match dir_of_ctx t ctx with
+          | _ -> true
+          | exception Not_found -> false);
       lookup = lookup_for_walk t;
       handle_csname =
         (fun ~sender msg req ctx remaining ->

@@ -98,7 +98,10 @@ let get t ino =
   | Some node -> node
   | None -> invalid_arg (Fmt.str "Fs: no inode %d" ino)
 
-let is_dir t ino = match find t ino with Some n -> n.kind = `Dir | None -> false
+let is_dir t ino =
+  match Hashtbl.find t.inodes ino with
+  | n -> n.kind = `Dir
+  | exception Not_found -> false
 
 let cache_hit_count t = Vsim.Stats.Counter.value t.cache_hits
 let cache_miss_count t = Vsim.Stats.Counter.value t.cache_misses
@@ -147,9 +150,9 @@ let charge_dir_update t (dir : inode) =
           ())
 
 let lookup t ~dir name =
-  match find t dir with
-  | Some node when node.kind = `Dir -> Hashtbl.find_opt node.dir_entries name
-  | Some _ | None -> None
+  match Hashtbl.find t.inodes dir with
+  | node when node.kind = `Dir -> Hashtbl.find_opt node.dir_entries name
+  | _ | (exception Not_found) -> None
 
 let entries t ~dir =
   match find t dir with

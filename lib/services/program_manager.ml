@@ -193,6 +193,7 @@ let start host =
   in
   let server_pid =
     Kernel.spawn host ~name:"program-manager" (fun self ->
+        let handle = Csnh.handle_request self handlers (Csnh.make_stats "pm") in
         let rec loop () =
           let msg, sender = Kernel.receive self in
           if msg.Vmsg.code = Svc.Op.run_program then begin
@@ -207,7 +208,7 @@ let start host =
             in
             ignore (Kernel.reply self ~to_:sender reply)
           end
-          else Csnh.handle_request self handlers (Csnh.make_stats "pm") ~sender msg;
+          else handle ~sender msg;
           loop ()
         in
         loop ())

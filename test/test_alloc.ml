@@ -1,12 +1,21 @@
-(* Allocation gates on the IPC data path: minor words per unit of work
-   for one engine event, one [Proc.delay], one cross-edge unicast frame
-   and one remote echo transaction. The counts repeat exactly for a
-   given binary and compiler. Each ceiling sits well below what the data
-   path allocated before its dispatch, fabric, fiber suspension and
-   transaction bookkeeping were made allocation-lean (engine event 43,
-   delay 115, frame 335, echo 1,425 words on OCaml 5.1), and about 40%
-   above today's count there (10, 39, 110, 542), as headroom for the
-   other supported compiler. *)
+(* Allocation gates: minor words per unit of work. The counts repeat
+   exactly for a given binary and compiler.
+
+   On the IPC data path: one engine event, one [Proc.delay], one
+   cross-edge unicast frame and one remote echo transaction. Each
+   ceiling sits well below what the data path allocated before its
+   dispatch, fabric, fiber suspension and transaction bookkeeping were
+   made allocation-lean (engine event 43, delay 115, frame 335, echo
+   1,425 words on OCaml 5.1), and about 40% above today's count there
+   (10, 39, 110, 542), as headroom for the other supported compiler.
+
+   On the naming path: one component of a [Csnh.walk], a
+   [Name_cache.find] deep hit and miss, a keyed [Metrics.incr] on an
+   existing key, and the naming layer's share of one uncached prefixed
+   Query. Before names were scanned in place, cuts scanned without a
+   list and keyed recordings looked up through a reused probe, these
+   cost 22.9, 116, 140, 6 and 456 words on OCaml 5.1; today 2.75, 14,
+   21, 0 and 186. The ceilings leave the same headroom. *)
 
 module K = Vkernel.Kernel
 module E = Vnet.Ethernet
@@ -134,6 +143,184 @@ let test_remote_echo () =
   Engine.run eng;
   gate "one remote echo" ~ceiling:760.0 !words
 
+(* --- the naming layer --- *)
+
+module Csnh = Vnaming.Csnh
+module Csname = Vnaming.Csname
+module Context = Vnaming.Context
+module Name_cache = Vnaming.Name_cache
+module Vmsg = Vnaming.Vmsg
+module Metrics = Vobs.Metrics
+module Scenario = Vworkload.Scenario
+module Fs = Vservices.Fs
+
+(* Walks of an eight-component name that descend through seven contexts
+   and stop at the leaf; the lookup answers from preallocated results. *)
+let test_walk () =
+  let depth = 8 in
+  let req =
+    Csname.make_req ~context:0
+      (String.concat "/" (List.init depth (Fmt.str "dir%d")))
+  in
+  let descend = Array.init depth (fun i -> Csnh.Descend (i + 1)) in
+  let lookup ctx _ = if ctx < depth - 1 then descend.(ctx) else Csnh.Stop in
+  let walk () =
+    match Csnh.walk ~valid_context:(fun _ -> true) ~lookup req with
+    | Csnh.Local (ctx, [ _ ]) when ctx = depth - 1 -> ()
+    | _ -> Alcotest.fail "walk must stop at the leaf"
+  in
+  walk ();
+  let n = 10_000 in
+  gate "Csnh.walk, per component" ~ceiling:4.0
+    (words_per ~units:(n * depth) (fun () ->
+         for _ = 1 to n do
+           walk ()
+         done))
+
+(* A directory binding under a prefix binding, as the cached-zipf
+   clients learn them. The deep hit probes the whole name, then finds
+   its directory; the miss probes all six cuts of a name under another
+   prefix. *)
+let test_cache_find () =
+  let cache = Name_cache.create ~capacity:256 () in
+  let spec =
+    Context.spec
+      ~server:(Vkernel.Pid.make ~logical_host:1 ~local_pid:1)
+      ~context:7
+  in
+  ignore (Name_cache.learn cache "[fs0]" spec);
+  ignore (Name_cache.learn cache "[fs0]usr/src/lib" spec);
+  let find name ~hit =
+    match Name_cache.find cache name with
+    | Some _ when hit -> ()
+    | None when not hit -> ()
+    | _ -> Alcotest.failf "find %s: wrong answer" name
+  in
+  let hit = "[fs0]usr/src/lib/naming.ml" in
+  let miss = "[fs1]usr/src/lib/naming/csnh.ml" in
+  let n = 10_000 in
+  find hit ~hit:true;
+  gate "Name_cache.find, deep hit" ~ceiling:20.0
+    (words_per ~units:n (fun () ->
+         for _ = 1 to n do
+           find hit ~hit:true
+         done));
+  find miss ~hit:false;
+  gate "Name_cache.find, miss" ~ceiling:30.0
+    (words_per ~units:n (fun () ->
+         for _ = 1 to n do
+           find miss ~hit:false
+         done))
+
+let test_metrics_incr () =
+  let m = Metrics.create () in
+  let host = "ws0" and server = "ws0-prefix-server" in
+  Metrics.incr m ~host ~server ~op:"lookup";
+  let n = 10_000 in
+  gate "keyed Metrics.incr on an existing key" ~ceiling:1.0
+    (words_per ~units:n (fun () ->
+         for _ = 1 to n do
+           Metrics.incr m ~host ~server ~op:"lookup"
+         done));
+  Alcotest.(check int) "every increment counted" (n + 1)
+    (Metrics.counter_value m ~host ~server ~op:"lookup")
+
+(* The naming layer's share of one uncached prefixed Query of a
+   five-component name: minor words per Query, less those of the same
+   CPU charges and IPC (a local send to a stand-in prefix server, a
+   forward to a stand-in file server on another host, its reply) made
+   with preallocated messages. Both run on the same installation, one
+   after the other. *)
+let test_query_naming_share () =
+  let t = Scenario.build ~workstations:1 ~file_servers:1 () in
+  let fs = Vservices.File_server.fs (Scenario.file_server t 0) in
+  let dir =
+    List.fold_left
+      (fun dir name ->
+        match Fs.mkdir fs ~dir ~owner:"alloc" name with
+        | Ok ino -> ino
+        | Error _ -> Alcotest.fail "mkdir")
+      Fs.root_ino [ "a"; "b"; "c"; "d" ]
+  in
+  ignore (Fs.create_file fs ~dir ~owner:"alloc" "leaf");
+  let name = "[fs0]a/b/c/d/leaf" in
+  let engine = Scenario.(t.engine) in
+  let warm = 50 and n = 500 in
+  let query = ref nan and control = ref nan in
+  let descriptor = ref None in
+  ignore
+    (Scenario.spawn_client t ~ws:0 (fun _ env ->
+         let query_once () =
+           match Vruntime.Runtime.query env name with
+           | Ok d -> descriptor := Some d
+           | Error e -> Alcotest.failf "query: %a" Vio.Verr.pp e
+         in
+         for _ = 1 to warm do
+           query_once ()
+         done;
+         query :=
+           words_per ~units:n (fun () ->
+               for _ = 1 to n do
+                 query_once ()
+               done)));
+  Scenario.run t;
+  let reply =
+    match !descriptor with
+    | Some d -> Vmsg.ok ~payload:(Vmsg.P_descriptor d) ()
+    | None -> Alcotest.fail "no query answered"
+  in
+  let fs_host =
+    match K.host_of_addr Scenario.(t.domain) (Scenario.fs_addr 0) with
+    | Some h -> h
+    | None -> Alcotest.fail "file server host"
+  in
+  let ws_host = (Scenario.workstation t 0).Scenario.ws_host in
+  let serve host name handle =
+    K.spawn host ~name (fun self ->
+        let rec loop () =
+          let msg, sender = K.receive self in
+          handle self msg sender;
+          loop ()
+        in
+        loop ())
+  in
+  let stand_in_fs =
+    serve fs_host "stand-in-fs" (fun self _ sender ->
+        Vsim.Proc.delay engine C.csname_common_cpu;
+        for _ = 1 to 5 do
+          Vsim.Proc.delay engine C.component_lookup_cpu
+        done;
+        Vsim.Proc.delay engine C.descriptor_fabricate_cpu;
+        ignore (K.reply self ~to_:sender reply))
+  in
+  let stand_in_prefix =
+    serve ws_host "stand-in-prefix" (fun self msg sender ->
+        Vsim.Proc.delay engine C.prefix_parse_cpu;
+        ignore (K.forward self ~from_:sender ~to_:stand_in_fs msg))
+  in
+  let request =
+    Vmsg.request ~name:(Csname.make_req name) Vmsg.Op.query_name
+  in
+  ignore
+    (K.spawn ws_host ~name:"control" (fun self ->
+         let once () =
+           Vsim.Proc.delay engine C.client_stub_cpu;
+           match K.send self stand_in_prefix request with
+           | Ok _ -> ()
+           | Error e -> Alcotest.failf "control: %a" K.pp_error e
+         in
+         for _ = 1 to warm do
+           once ()
+         done;
+         control :=
+           words_per ~units:n (fun () ->
+               for _ = 1 to n do
+                 once ()
+               done)));
+  Scenario.run t;
+  gate "naming share of one uncached prefixed Query" ~ceiling:260.0
+    (!query -. !control)
+
 let suite =
   [
     ( "alloc",
@@ -142,5 +329,9 @@ let suite =
         Alcotest.test_case "Proc.delay" `Quick test_proc_delay;
         Alcotest.test_case "cross-edge frame" `Quick test_cross_edge_frame;
         Alcotest.test_case "remote echo" `Quick test_remote_echo;
+        Alcotest.test_case "Csnh.walk" `Quick test_walk;
+        Alcotest.test_case "Name_cache.find" `Quick test_cache_find;
+        Alcotest.test_case "Metrics.incr" `Quick test_metrics_incr;
+        Alcotest.test_case "Query naming share" `Quick test_query_naming_share;
       ] );
   ]

@@ -301,6 +301,107 @@ let test_disable_clears_entries_keeps_counters () =
          Alcotest.(check int) "no hit counted when off" hits
            (Runtime.cache_hit_count env)))
 
+(* --- the cut scan against its cut-list model --- *)
+
+type op =
+  | Learn of string * int
+  | Learn_at of float * float option * string * Name_cache.value
+  | Find of string
+  | Find_at of float * string
+  | Invalidate of string
+
+let pp_op ppf = function
+  | Learn (k, n) -> Fmt.pf ppf "learn %S %d" k n
+  | Learn_at (now, ttl, k, v) ->
+      Fmt.pf ppf "learn_at %g %a %S %a" now
+        Fmt.(option ~none:(any "-") float)
+        ttl k Name_cache.pp_value v
+  | Find name -> Fmt.pf ppf "find %S" name
+  | Find_at (now, name) -> Fmt.pf ppf "find_at %g %S" now name
+  | Invalidate k -> Fmt.pf ppf "invalidate %S" k
+
+(* Names over a small alphabet so that keys collide: optional
+   '[prefix]'s, components with ']' inside, leading, trailing and
+   doubled separators, and the empty name. *)
+let gen_name =
+  QCheck.Gen.(
+    let* prefix = oneofl [ ""; "[p]"; "[q]"; "/"; "[p]/" ] in
+    let* comps =
+      list_size (int_bound 4)
+        (pair (oneofl [ "a"; "b"; "c]"; "x]y" ]) (oneofl [ "/"; "/"; "//" ]))
+    in
+    let* trailing = bool in
+    let body = String.concat "" (List.map (fun (c, sep) -> c ^ sep) comps) in
+    let body =
+      if trailing || body = "" then body
+      else String.sub body 0 (String.length body - 1)
+    in
+    return (prefix ^ body))
+
+let gen_op =
+  QCheck.Gen.(
+    let now = map float_of_int (int_bound 40) in
+    let value =
+      oneof
+        [
+          map (fun n -> Name_cache.Bound (spec n)) (int_range 1 3);
+          map (fun n -> Name_cache.Delegation (spec n)) (int_range 1 3);
+          oneofl
+            [ Name_cache.Negative Reply.Not_found; Negative Reply.Bad_context ];
+        ]
+    in
+    frequency
+      [
+        (2, map2 (fun k n -> Learn (k, n)) gen_name (int_range 1 3));
+        ( 3,
+          map4
+            (fun now ttl k v -> Learn_at (now, ttl, k, v))
+            now
+            (opt (map float_of_int (int_bound 20)))
+            gen_name value );
+        (3, map (fun name -> Find name) gen_name);
+        (3, map2 (fun now name -> Find_at (now, name)) now gen_name);
+        (1, map (fun k -> Invalidate k) gen_name);
+      ])
+
+(* Random learn, find, find_at and invalidate sequences: every result,
+   every counter, the expired entries dropped and the recency order must
+   match the model after every step. *)
+let prop_cache_matches_model =
+  QCheck.Test.make ~name:"cut scan equals the cut-list model" ~count:500
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Fmt.str "capacity %d: %a" cap Fmt.(list ~sep:semi pp_op) ops)
+       QCheck.Gen.(pair (int_range 1 6) (list_size (int_bound 60) gen_op)))
+    (fun (capacity, ops) ->
+      let c = Name_cache.create ~capacity () in
+      let m = Naming_model.create ~capacity in
+      List.iteri
+        (fun i op ->
+          let same =
+            match op with
+            | Learn (k, n) ->
+                Name_cache.learn c k (spec n) = Naming_model.learn m k (spec n)
+            | Learn_at (now, ttl_ms, k, v) ->
+                Name_cache.learn_at c ~now ?ttl_ms k v
+                = Naming_model.learn_at m ~now ?ttl_ms k v
+            | Find name -> Name_cache.find c name = Naming_model.find m name
+            | Find_at (now, name) ->
+                Name_cache.find_at c ~now name
+                = Naming_model.find_at m ~now name
+            | Invalidate k ->
+                Name_cache.invalidate c k = Naming_model.invalidate m k
+          in
+          if not same then
+            QCheck.Test.fail_reportf "step %d (%a): results differ" i pp_op op;
+          if Name_cache.stats c <> Naming_model.stats m then
+            QCheck.Test.fail_reportf "step %d (%a): counters differ" i pp_op op;
+          if Name_cache.dump c <> Naming_model.dump m then
+            QCheck.Test.fail_reportf "step %d (%a): entries or recency differ" i
+              pp_op op)
+        ops;
+      true)
+
 let suite =
   [
     ( "name-cache",
@@ -322,5 +423,6 @@ let suite =
           test_getpid_cache_hit_and_recovery;
         Alcotest.test_case "disable clears entries, keeps counters" `Quick
           test_disable_clears_entries_keeps_counters;
+        QCheck_alcotest.to_alcotest prop_cache_matches_model;
       ] );
   ]

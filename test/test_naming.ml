@@ -23,9 +23,10 @@ let test_remaining () =
 let test_parse_prefix () =
   let r = Csname.make_req "[home]doc/naming.mss" in
   (match Csname.parse_prefix r with
-  | Ok (prefix, rest) ->
+  | Ok (prefix, index) ->
       Alcotest.(check string) "prefix" "home" prefix;
-      Alcotest.(check string) "rest" "doc/naming.mss" (Csname.remaining rest)
+      Alcotest.(check string) "rest" "doc/naming.mss"
+        (Csname.remaining { r with Csname.index })
   | Error _ -> Alcotest.fail "expected parse");
   (match Csname.parse_prefix (Csname.make_req "[broken") with
   | Error Reply.Illegal_name -> ()
@@ -360,6 +361,69 @@ let test_with_name_preserves_rest () =
       Alcotest.(check int) "context rewritten" 42 r.Csname.context
   | None -> Alcotest.fail "name lost"
 
+(* The in-place walk against the list-based walk it replaced
+   (test/naming_model.ml): random names with empty, leading, trailing
+   and doubled separators, ']' inside components, NUL bytes and
+   '[prefix]' syntax, started at random indexes (mid-name, at the end,
+   out of range) in valid and invalid contexts. The lookup answers from
+   a hash of (seed, context, component); both walks must ask it the
+   same (context, component) questions in the same order — each one is
+   a CPU charge in the server loop — and reach the same outcome. *)
+let prop_walk_matches_model =
+  let token =
+    QCheck.Gen.oneofl
+      [ "a"; "bc"; "dir"; "/"; "/"; "//"; "]"; "x]y"; "\000"; "["; "[p]" ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* tokens = list_size (int_bound 10) token in
+      let name = String.concat "" tokens in
+      let len = String.length name in
+      let* index =
+        oneof
+          [
+            return 0; return (len / 2); return len; int_bound len;
+            return (-1); return (len + 1);
+          ]
+      in
+      let* context = int_bound 5 in
+      let* valid = int_bound 63 in
+      let* seed = int_bound 1_000_000 in
+      let* trace = int_bound 3 in
+      return (name, index, context, valid, seed, trace))
+  in
+  let print (name, index, context, valid, seed, trace) =
+    Fmt.str "name %S index %d context %d valid %d seed %d trace %d" name index
+      context valid seed trace
+  in
+  QCheck.Test.make ~name:"in-place walk equals the list-based model"
+    ~count:2000 (QCheck.make ~print gen)
+    (fun (name, index, context, valid, seed, trace) ->
+      let trace = { Vobs.Span.trace; parent = 1; sent_at = 2.5 } in
+      let req = { (Csname.make_req ~index ~context name) with Csname.trace } in
+      let valid_context ctx = valid land (1 lsl ctx) <> 0 in
+      let lookup log ctx component =
+        log := (ctx, component) :: !log;
+        let h = Hashtbl.hash (seed, ctx, component) in
+        match h mod 6 with
+        | 0 | 1 | 2 | 3 -> Csnh.Descend (h / 6 mod 6)
+        | 4 ->
+            Csnh.Cross
+              (Context.spec
+                 ~server:(Pid.make ~logical_host:1 ~local_pid:(1 + (h mod 3)))
+                 ~context:(h mod 7))
+        | _ -> Csnh.Stop
+      in
+      let log = ref [] and model_log = ref [] in
+      let outcome = Csnh.walk ~valid_context ~lookup:(lookup log) req in
+      let expected =
+        Naming_model.walk ~valid_context ~lookup:(lookup model_log) req
+      in
+      if outcome <> expected then QCheck.Test.fail_report "outcomes differ"
+      else if !log <> !model_log then
+        QCheck.Test.fail_report "lookup sequences differ"
+      else true)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -397,6 +461,7 @@ let suite =
         Alcotest.test_case "bad context" `Quick test_walk_bad_context;
         Alcotest.test_case "rejects prefix" `Quick test_walk_rejects_prefix;
         Alcotest.test_case "rejects NUL" `Quick test_walk_rejects_nul;
+        qcheck prop_walk_matches_model;
       ] );
     ( "naming.instances",
       [

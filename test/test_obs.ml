@@ -229,6 +229,166 @@ let test_metrics_registry () =
   | Some (Vobs.Json.List [ _ ]) -> ()
   | _ -> Alcotest.fail "counters JSON shape"
 
+(* Random keyed recordings against a list model. Keys come from a small
+   alphabet, so many differ in one field only, and "x" can be a host, a
+   server and an op; each field is passed either as the shared literal
+   or as a fresh copy, so lookups cannot lean on physical equality.
+   Counter handles are made once per key and reused. *)
+type mop =
+  | Incr of (int * bool) * int
+  | Gauge of (int * bool) * float
+  | Observe of (int * bool) * float
+  | Add of (int * bool) * int
+
+let hosts = [| "ws0"; "ws1"; "x" |]
+let servers = [| "x"; "prefix" |]
+let ops = [| "lookup"; "forward"; "x" |]
+let key_count = Array.length hosts * Array.length servers * Array.length ops
+
+let key_strings (k, copy) =
+  let pick a i =
+    let s = a.(i mod Array.length a) in
+    if copy then String.sub s 0 (String.length s) else s
+  in
+  ( pick hosts k,
+    pick servers (k / Array.length hosts),
+    pick ops (k / (Array.length hosts * Array.length servers)) )
+
+let prop_metrics_match_model =
+  let key = QCheck.Gen.(pair (int_bound (key_count - 1)) bool) in
+  let gen_op =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun k by -> Incr (k, by)) key (int_range 1 3);
+          map2 (fun k v -> Gauge (k, float_of_int v)) key (int_bound 9);
+          map2
+            (fun k v -> Observe (k, float_of_int v /. 4.0))
+            key (int_bound 400);
+          map2 (fun k by -> Add (k, by)) key (int_range 1 3);
+        ])
+  in
+  let print_op =
+    let key (k, copy) = Fmt.str "%d%s" k (if copy then "'" else "") in
+    function
+    | Incr (k, by) -> Fmt.str "incr %s by %d" (key k) by
+    | Gauge (k, v) -> Fmt.str "gauge %s %g" (key k) v
+    | Observe (k, v) -> Fmt.str "observe %s %g" (key k) v
+    | Add (k, by) -> Fmt.str "add %s by %d" (key k) by
+  in
+  QCheck.Test.make ~name:"keyed metrics equal a list model" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map print_op l))
+       QCheck.Gen.(list_size (int_bound 80) gen_op))
+    (fun mops ->
+      let module M = Vobs.Metrics in
+      let module H = Vobs.Histogram in
+      let module J = Vobs.Json in
+      let m = M.create () in
+      let handles = Hashtbl.create 8 in
+      let counters = ref [] and gauges = ref [] and histograms = ref [] in
+      let bump k by =
+        match List.assoc_opt k !counters with
+        | Some r -> r := !r + by
+        | None -> counters := (k, ref by) :: !counters
+      in
+      let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
+      let public l f =
+        List.map (fun ((host, server, op), v) -> ({ M.host; server; op }, f v))
+          (sorted l)
+      in
+      let model_json () =
+        let instrument (host, server, op) extra =
+          J.Obj
+            ([ ("host", J.String host); ("server", J.String server);
+               ("op", J.String op) ]
+            @ extra)
+        in
+        J.Obj
+          [
+            ( "counters",
+              J.List
+                (List.map
+                   (fun (k, r) -> instrument k [ ("value", J.Int !r) ])
+                   (sorted !counters)) );
+            ( "gauges",
+              J.List
+                (List.map
+                   (fun (k, r) -> instrument k [ ("value", J.Float !r) ])
+                   (sorted !gauges)) );
+            ( "histograms",
+              J.List
+                (List.map
+                   (fun (k, h) -> instrument k [ ("histogram", H.to_json h) ])
+                   (sorted !histograms)) );
+          ]
+      in
+      let hist_json l =
+        List.map (fun (k, h) -> (k, J.to_string (H.to_json h))) l
+      in
+      List.iteri
+        (fun i mop ->
+          (match mop with
+          | Incr (k, by) ->
+              let host, server, op = key_strings k in
+              M.incr ~by m ~host ~server ~op;
+              bump (key_strings (fst k, false)) by
+          | Add (k, by) ->
+              let c =
+                match Hashtbl.find_opt handles (fst k) with
+                | Some c -> c
+                | None ->
+                    let host, server, op = key_strings k in
+                    let c = M.counter m ~host ~server ~op in
+                    Hashtbl.replace handles (fst k) c;
+                    c
+              in
+              M.add ~by c;
+              bump (key_strings (fst k, false)) by
+          | Gauge (k, v) -> (
+              let host, server, op = key_strings k in
+              M.set_gauge m ~host ~server ~op v;
+              let k = key_strings (fst k, false) in
+              match List.assoc_opt k !gauges with
+              | Some r -> r := v
+              | None -> gauges := (k, ref v) :: !gauges)
+          | Observe (k, v) ->
+              let host, server, op = key_strings k in
+              M.observe m ~host ~server ~op v;
+              let k = key_strings (fst k, false) in
+              let h =
+                match List.assoc_opt k !histograms with
+                | Some h -> h
+                | None ->
+                    let h = H.create () in
+                    histograms := (k, h) :: !histograms;
+                    h
+              in
+              H.observe h v);
+          let fail what =
+            QCheck.Test.fail_reportf "after step %d (%s): %s differ" i
+              (print_op mop) what
+          in
+          if M.counters m <> public !counters ( ! ) then fail "counters";
+          if M.gauges m <> public !gauges ( ! ) then fail "gauges";
+          if
+            hist_json (M.histograms m) <> hist_json (public !histograms Fun.id)
+          then fail "histograms";
+          for k = 0 to key_count - 1 do
+            let host, server, op = key_strings (k, k land 1 = 0) in
+            let expected =
+              match List.assoc_opt (key_strings (k, false)) !counters with
+              | Some r -> !r
+              | None -> 0
+            in
+            if M.counter_value m ~host ~server ~op <> expected then
+              fail "counter values"
+          done;
+          if J.to_string (M.to_json m) <> J.to_string (model_json ()) then
+            fail "JSON documents")
+        mops;
+      true)
+
 (* --- tracing off leaves simulated time bit-identical --- *)
 
 (* The same workload under tracing on/off must produce the exact same
@@ -281,6 +441,7 @@ let suite =
         Alcotest.test_case "histogram vs series quantiles" `Quick
           test_histogram_vs_series;
         Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+        QCheck_alcotest.to_alcotest prop_metrics_match_model;
         Alcotest.test_case "tracing off is deterministic" `Quick
           test_tracing_off_determinism;
       ] );
