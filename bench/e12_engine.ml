@@ -115,7 +115,7 @@ let telemetry_on =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let attach_telemetry domain net =
+let attach_telemetry domain =
   let hub = Vobs.Hub.create ~tracing:true () in
   Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1207;
   Vobs.Hub.set_rollup hub
@@ -124,13 +124,10 @@ let attach_telemetry domain net =
           ~group_of:(K.telemetry_group_of domain) ()));
   Vobs.Hub.set_timeseries hub (Some (Vobs.Timeseries.create ()));
   K.set_obs domain hub;
-  E.set_obs net hub;
   K.enable_telemetry domain ~interval_ms:250.0;
   hub
 
-let dump_telemetry file domain hub =
-  (* Scrape the host/port-resident counters into the registry first. *)
-  K.flush_metrics domain;
+let dump_telemetry file hub =
   Out_channel.with_open_bin file (fun oc ->
       output_string oc (Vobs.Json.to_string (Vobs.Export.telemetry_to_json hub));
       output_char oc '\n');
@@ -164,7 +161,7 @@ let soak () =
   let eng = En.create () in
   let net = E.create ~config:gigabit eng in
   let domain = K.create_domain ~hosts_hint:16384 ~cost:Rig.raw_cost eng net in
-  let hub = if telemetry_on then Some (attach_telemetry domain net) else None in
+  let hub = if telemetry_on then Some (attach_telemetry domain) else None in
   let prng = Vsim.Prng.create ~seed:1207 in
   let servers =
     Array.init soak_servers (fun i ->
@@ -194,7 +191,7 @@ let soak () =
   En.run eng;
   let wall_s = Unix.gettimeofday () -. wall0 in
   (match hub with
-  | Some hub -> dump_telemetry "telemetry-e12.json" domain hub
+  | Some hub -> dump_telemetry "telemetry-e12.json" hub
   | None -> ());
   {
     resolved = !resolved;

@@ -175,7 +175,6 @@ let soak () =
               ~group_of:(K.telemetry_group_of domain) ()));
       Vobs.Hub.set_timeseries hub (Some (Vobs.Timeseries.create ()));
       K.set_obs domain hub;
-      E.set_obs net hub;
       K.enable_telemetry domain ~interval_ms:250.0;
       Some hub
     end
@@ -209,7 +208,6 @@ let soak () =
   En.run eng;
   (match hub with
   | Some hub ->
-      K.flush_metrics domain;
       Out_channel.with_open_bin "telemetry-e14.json" (fun oc ->
           output_string oc
             (Vobs.Json.to_string (Vobs.Export.telemetry_to_json hub));

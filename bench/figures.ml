@@ -7,7 +7,6 @@
 
 module K = Vkernel.Kernel
 module Pid = Vkernel.Pid
-module E = Vnet.Ethernet
 module C = Vnet.Calibration
 module Scenario = Vworkload.Scenario
 module Runtime = Vruntime.Runtime
@@ -19,9 +18,9 @@ open Vnaming
 let f1 () =
   Tables.print_title "F1: the Send-Receive-Reply message transaction (Figure 1)";
   let rig = Rig.make_raw () in
-  let trace = Vsim.Trace.create rig.eng in
-  K.set_trace rig.domain trace;
-  E.set_trace rig.net trace;
+  let hub = Vobs.Hub.create () in
+  K.set_obs rig.domain hub;
+  Vobs.Stream.set_timeline (Vobs.Hub.stream hub) true;
   let h1 = K.boot_host rig.domain ~name:"sender-ws" 1 in
   let h2 = K.boot_host rig.domain ~name:"receiver-ws" 2 in
   let server =
@@ -32,7 +31,7 @@ let f1 () =
   ignore
     (K.spawn h1 ~name:"sender" (fun self -> ignore (K.send self server "")));
   Vsim.Engine.run rig.eng;
-  Fmt.pr "%a" Vsim.Trace.pp_relative trace;
+  Fmt.pr "%a" Vobs.Stream.pp_timeline (Vobs.Hub.stream hub);
   Fmt.pr
     "@.the sender blocks from Send until the Reply arrives: one transaction,\n\
      two frames on the wire@."

@@ -797,7 +797,7 @@ let cmd_admission sh args =
 let hist_header = [ "histogram"; "n"; "mean"; "p50"; "p95"; "p99"; "max" ]
 
 let hist_row name h =
-  let module H = Vobs.Metrics.Histogram in
+  let module H = Vobs.Histogram in
   [
     name;
     string_of_int (H.count h);
@@ -825,9 +825,6 @@ let take n l = List.filteri (fun i _ -> i < n) l
    [--top N] (sort by count/value, keep the N hottest). *)
 let cmd_metrics sh args =
   let hub = sh.scenario.Scenario.obs in
-  (* Per-op counters accumulate on host/port records; scrape them into
-     the registry before reading it. *)
-  K.flush_metrics sh.scenario.Scenario.domain;
   let m = Vobs.Hub.metrics hub in
   let key (k : Vobs.Metrics.key) = Fmt.str "%s/%s/%s" k.host k.server k.op in
   let usage = "usage: metrics [FILTER] [--top N] | metrics json | metrics prom" in
@@ -886,7 +883,7 @@ let cmd_metrics sh args =
               print_rows ~header:[ "gauge"; "value" ]
                 (List.map (fun (name, v) -> [ name; Fmt.str "%.3f" v ]) gauges));
           (match
-             select Vobs.Metrics.Histogram.count
+             select Vobs.Histogram.count
                (List.map
                   (fun (k, h) -> (key k, h))
                   (Vobs.Metrics.histograms m))
@@ -916,8 +913,6 @@ let cmd_top sh args =
   match n with
   | None -> Error (Vio.Verr.Protocol "usage: top [N]")
   | Some n ->
-      K.flush_metrics sh.scenario.Scenario.domain;
-      Vobs.Hub.sync_health_metrics hub;
       let counter_rows, hist_rows =
         match Vobs.Hub.rollup hub with
         | Some r ->
@@ -948,7 +943,7 @@ let cmd_top sh args =
       | rows ->
           print_rows ~header:[ "hottest"; "count" ]
             (List.map (fun (name, v) -> [ name; string_of_int v ]) rows));
-      (match hottest Vobs.Metrics.Histogram.count hist_rows with
+      (match hottest Vobs.Histogram.count hist_rows with
       | [] -> ()
       | rows ->
           pr "";
@@ -1023,21 +1018,7 @@ let cmd_telemetry sh args =
       pr "telemetry off";
       Ok ()
   | [] | [ "status" ] ->
-      (match Vobs.Hub.rollup hub with
-      | None -> pr "telemetry off (flat metrics only)"
-      | Some r ->
-          pr
-            "telemetry on: tracing 1-in-%d (%d sampled out), rollup %d \
-             key(s), %d observation(s) dropped by the leaf cap"
-            (Vobs.Hub.sample_every hub)
-            (Vobs.Hub.sampled_out hub) (Vobs.Rollup.key_count r)
-            (Vobs.Rollup.keys_dropped r));
-      (match Vobs.Hub.timeseries hub with
-      | None -> ()
-      | Some ts ->
-          pr "time series: %d series, %d refused by the cap"
-            (Vobs.Timeseries.series_count ts)
-            (Vobs.Timeseries.series_dropped ts));
+      Fmt.pr "%a%!" Vobs.Export.pp_telemetry_status hub;
       Ok ()
   | _ -> Error (Vio.Verr.Protocol "usage: telemetry on [EVERY] | off | status")
 

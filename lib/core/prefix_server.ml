@@ -124,22 +124,15 @@ let obs_metric self op =
         ~host:(Kernel.self_host_name self)
         ~server:(Kernel.self_name self) ~op
 
-(* Flight-recorder events from this server (e.g. replica fan-outs),
-   stamped with the request's trace id. The label is only built when
-   an attached hub's recorder is enabled. *)
-let obs_event self ~cat ?(trace = 0) fmt =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-          Vobs.Hub.event hub
-            ~at:(Vsim.Engine.now engine)
-            ~cat
-            ~host:(Kernel.self_host_name self)
-            ~trace label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+(* Replica fan-outs into the flight recorder, stamped with the
+   request's trace id. Applying [Hub.eventf] to exactly its own
+   arguments here keeps the call sites from building a partial
+   application per argument when the recorder is off. *)
+let obs_event self ~trace fmt =
+  let d = Kernel.domain_of_self self in
+  Vobs.Hub.eventf (Kernel.obs d)
+    ~at:(Vsim.Engine.now (Kernel.engine_of_domain d))
+    ~cat:Vobs.Eventlog.Replica ~host:(Kernel.self_host_name self) ~trace fmt
 
 (* A forward to a resolved binding failed: the kernel has already failed
    the sender's transaction, so the client sees the error and retries.
@@ -227,8 +220,7 @@ let replicate_write t self ~sender ~span ~service (msg : Vmsg.t) req =
   Kernel.log_group_write d ~service ~origin ~seq msg';
   let requester = Kernel.host_addr (Kernel.host_of_self self) in
   let members = Kernel.service_group_members d ~requester ~service in
-  obs_event self ~cat:Vobs.Eventlog.Replica
-    ~trace:req.Csname.trace.Vobs.Span.trace
+  obs_event self ~trace:req.Csname.trace.Vobs.Span.trace
     "fan-out %s (origin %d, seq %d) to %d member(s)"
     (Vmsg.Op.to_string msg.Vmsg.code)
     origin seq (List.length members);

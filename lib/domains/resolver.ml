@@ -152,15 +152,10 @@ let metric self op =
         ~server:"resolver" ~op
 
 let obs_event self ~now ~trace fmt =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          Vobs.Hub.event hub ~at:now ~cat:Vobs.Eventlog.Client
-            ~host:(Kernel.self_host_name self)
-            ~trace label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  Vobs.Hub.eventf
+    (Kernel.obs (Kernel.domain_of_self self))
+    ~at:now ~cat:Vobs.Eventlog.Client ~host:(Kernel.self_host_name self) ~trace
+    fmt
 
 (* --- the iterative walk --- *)
 

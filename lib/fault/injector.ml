@@ -34,9 +34,9 @@ let plan t = t.plan
 let record inj label =
   let now = Vsim.Engine.now (Scenario.(inj.scenario.engine)) in
   inj.applied <- (now, label) :: inj.applied;
-  Vobs.Hub.event
-    Scenario.(inj.scenario.obs)
-    ~at:now ~cat:Vobs.Eventlog.Fault ~host:"injector" label
+  Vobs.Hub.eventf
+    (Some Scenario.(inj.scenario.obs))
+    ~at:now ~cat:Vobs.Eventlog.Fault ~host:"injector" "%s" label
 
 (* An applied (not skipped) action, kept structured for attribution. *)
 let applied inj (e : Plan.event) =

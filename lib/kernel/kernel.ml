@@ -71,15 +71,71 @@ type 'm admission_verdict =
       (** reject now: the kernel replies with this message on the
           server's behalf, without scheduling the server's fiber *)
 
-(* Cached metric handles for the per-transaction kernel ops — bound
-   per host on first use so the IPC hot path records through pointer
-   work, not keyed lookups (see Vobs.Metrics handles). *)
-type hot_ops = {
-  ho_send : Vobs.Metrics.counter;
-  ho_receive : Vobs.Metrics.counter;
-  ho_reply : Vobs.Metrics.counter;
-  ho_admit : Vobs.Metrics.counter;
-  ho_shed : Vobs.Metrics.counter;
+(* --- the kernel's events (see Vobs.Stream) --- *)
+
+(* One kind per reporting site. *)
+type kind =
+  | Send
+  | Receive
+  | Reply
+  | Admit
+  | Shed
+  | Forward
+  | Move_from
+  | Move_to
+  | Get_pid
+  | Get_pid_balanced
+  | Get_pid_cached
+  | Get_pid_stale
+  | Group_send
+  | Forward_group
+  | Destroy
+  | Crash
+  | Restart
+  | Retransmit_probe
+  | Forward_recovery_probe
+  | Balancer_pick
+
+(* The registry op of each counted kind, by [slot]; the first five are
+   the per-transaction family. The uncounted kinds share the last slot,
+   which is not exported. *)
+let ops =
+  [|
+    "send"; "receive"; "reply"; "admit"; "shed"; "forward"; "move-from";
+    "move-to"; "get-pid"; "get-pid-balanced"; "get-pid-cached";
+    "get-pid-stale"; "group-send"; "forward-group"; "";
+  |]
+
+let slot = function
+  | Send -> 0
+  | Receive -> 1
+  | Reply -> 2
+  | Admit -> 3
+  | Shed -> 4
+  | Forward -> 5
+  | Move_from -> 6
+  | Move_to -> 7
+  | Get_pid -> 8
+  | Get_pid_balanced -> 9
+  | Get_pid_cached -> 10
+  | Get_pid_stale -> 11
+  | Group_send -> 12
+  | Forward_group -> 13
+  | Destroy | Crash | Restart | Retransmit_probe | Forward_recovery_probe
+  | Balancer_pick ->
+      14
+
+(* One reused event per host: a site fills it in and emits it, so the
+   stream allocates nothing until a consumer keeps or prints it. The
+   meaning of [a], [b] and [c] is the kind's, as [pp_event] reads them
+   (pids as ints). *)
+type event = {
+  ev_host : string;
+  mutable kind : kind;
+  mutable a : int;
+  mutable b : int;
+  mutable c : int;
+  mutable trace : int;
 }
 
 (* The resumer of a fiber's current blocking call, type-erased so a
@@ -158,22 +214,10 @@ and 'm host = {
   completed_replies : (int, Ethernet.addr * 'm packet * int) Hashtbl.t;
   group_members : (int, Pid.t list) Hashtbl.t;
   host_prng : Vsim.Prng.t;
-  mutable host_hot : hot_ops option;
-  (* The per-transaction IPC counters accumulate right here — the
-     host record is already in cache on every send/receive/reply and
-     on every admission verdict, so counting is one register add with
-     no branch. [flush_metrics] moves the deltas into the registry at
-     scrape time. *)
-  mutable h_sends : int;
-  mutable h_receives : int;
-  mutable h_replies : int;
-  mutable h_admits : int;
-  mutable h_sheds : int;
-  mutable h_sends_flushed : int;
-  mutable h_receives_flushed : int;
-  mutable h_replies_flushed : int;
-  mutable h_admits_flushed : int;
-  mutable h_sheds_flushed : int;
+  (* One int per kind, moved into an attached hub's registry by its
+     scrape (see [scrape]); counting needs no guard and no branch. *)
+  counts : int array;
+  ev : event;
 }
 
 (* A logical service implemented by a whole process group (§7): GetPid
@@ -242,7 +286,6 @@ and 'm domain = {
   all_hosts : (Ethernet.addr, 'm host) Hashtbl.t;
   service_groups : (int, 'm service_group) Hashtbl.t;  (* by service id *)
   domain_prng : Vsim.Prng.t;
-  mutable trace : Vsim.Trace.t option;
   mutable domain_obs : Vobs.Hub.t option;
   (* Extract the obs trace id riding inside a message, for stamping
      flight-recorder events. The kernel is parametric in ['m] and never
@@ -251,14 +294,6 @@ and 'm domain = {
   mutable trace_of : 'm -> int;
   mutable getpid_cache_on : bool;
   ipc_transactions : Vsim.Stats.Counter.t;
-  (* The telemetry pump: every [tel_interval] simulated ms (0 = off)
-     the send path's next kernel operation snapshots fleet counters,
-     fabric links and watched server queues into the hub's time-series
-     store. Piggybacked on the hot path rather than self-scheduled so
-     the pump adds zero engine events — obs-on and obs-off runs execute
-     identical event sequences. *)
-  mutable tel_interval : float;
-  mutable tel_next : float;
   (* host name -> rollup group scope, fed to Rollup.group_of. *)
   tel_groups : (string, string) Hashtbl.t;
   (* (series label, pid) of servers whose queue depth is traced:
@@ -273,128 +308,121 @@ type 'm self = 'm process
 let engine_of_domain d = d.engine
 let net_of_domain d = d.net
 
-let trace d fmt =
-  match d.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some tr -> Vsim.Trace.emit tr ~category:"ipc" fmt
+(* --- reporting: one event per site, into the hub's stream --- *)
 
-(* Allocation guards for the IPC hot path: applying [trace]/[event_log]
-   to a format string builds continuation closures even when the sink is
-   off, so the hottest call sites test these one-word predicates first
-   and skip the application (and any eager arguments like
-   [d.trace_of msg]) entirely. *)
-let tracing d = d.trace <> None
-let obs_on host = host.domain.domain_obs <> None
+(* The kernel's printer, the only place its events' text is written.
+   The timeline capitalises the names the recorder writes in lower
+   case. *)
+let pp_event ~timeline ppf e =
+  let pid ppf i = Pid.pp ppf (Pid.of_int i) in
+  let name s = if timeline then String.capitalize_ascii s else s in
+  match e.kind with
+  | Send -> Fmt.pf ppf "%s %a -> %a" (name "send") pid e.a pid e.b
+  | Receive -> Fmt.pf ppf "Receive %a <- %a" pid e.a pid e.b
+  | Reply -> Fmt.pf ppf "Reply %a -> %a" pid e.a pid e.b
+  | Forward ->
+      Fmt.pf ppf "%s %a: %a -> %a" (name "forward") pid e.a pid e.b pid e.c
+  | Move_from -> Fmt.pf ppf "MoveFrom %a <- %a (%dB)" pid e.a pid e.b e.c
+  | Move_to -> Fmt.pf ppf "MoveTo %a -> %a (%dB)" pid e.a pid e.b e.c
+  | Group_send -> Fmt.pf ppf "GroupSend %a -> group%d" pid e.a e.b
+  | Forward_group ->
+      Fmt.pf ppf "ForwardGroup %a: %a -> group%d" pid e.a pid e.b e.c
+  | Destroy -> Fmt.pf ppf "Destroy %a" pid e.a
+  | Crash -> Fmt.pf ppf "Crash host %s" e.ev_host
+  | Restart -> Fmt.pf ppf "Restart host %s" e.ev_host
+  | Shed -> Fmt.pf ppf "shed %a -> %a (depth %d)" pid e.a pid e.b e.c
+  | Retransmit_probe -> Fmt.pf ppf "retransmit-probe txn %d" e.a
+  | Forward_recovery_probe ->
+      Fmt.pf ppf "forward-recovery-probe txn %d (attempt %d)" e.a e.b
+  | Balancer_pick ->
+      Fmt.pf ppf "pick service %d -> %a (%d reachable)" e.a pid e.b e.c
+  | Admit | Get_pid | Get_pid_balanced | Get_pid_cached | Get_pid_stale ->
+      Fmt.string ppf ops.(slot e.kind)
 
-(* The flight-recorder guard: [event_log] itself is a no-op when the
-   recorder is off, but applying it to a format string still builds the
-   continuation closures — this predicate lets call sites skip that. *)
-let obs_events_on host =
-  match host.domain.domain_obs with
-  | Some hub -> Vobs.Eventlog.enabled (Vobs.Hub.events hub)
+(* The consumers each kind goes to. *)
+let consumers kind =
+  let open Vobs.Stream in
+  match kind with
+  | Send -> timeline lor recorder lor pump
+  | Forward -> timeline lor recorder
+  | Receive | Reply | Move_from | Move_to | Group_send | Forward_group
+  | Destroy | Crash | Restart ->
+      timeline
+  | Shed | Retransmit_probe | Forward_recovery_probe | Balancer_pick ->
+      recorder
+  | Admit | Get_pid | Get_pid_balanced | Get_pid_cached | Get_pid_stale -> 0
+
+let layer =
+  {
+    Vobs.Stream.column = "ipc";
+    cat =
+      (fun e ->
+        match e.kind with
+        | Shed -> Vobs.Eventlog.Admission
+        | Balancer_pick -> Vobs.Eventlog.Balancer
+        | _ -> Vobs.Eventlog.Kernel);
+    host = (fun e -> e.ev_host);
+    trace = (fun e -> e.trace);
+    pp = pp_event;
+  }
+
+(* The one guard, true only while a consumer of [kind] listens on the
+   attached hub's stream; tested inside [report], never at a site. *)
+let listening d kind =
+  match d.domain_obs with
+  | Some hub -> Vobs.Stream.listening (Vobs.Hub.stream hub) (consumers kind)
   | None -> false
 
-let set_trace d tr = d.trace <- Some tr
+let count host kind =
+  let i = slot kind in
+  host.counts.(i) <- host.counts.(i) + 1
 
+let emit host kind a b c trace =
+  match host.domain.domain_obs with
+  | None -> ()
+  | Some hub ->
+      let e = host.ev in
+      e.kind <- kind;
+      e.a <- a;
+      e.b <- b;
+      e.c <- c;
+      e.trace <- trace;
+      Vobs.Stream.emit (Vobs.Hub.stream hub) layer ~consumers:(consumers kind)
+        ~at:(Engine.now host.domain.engine)
+        e
+
+(* Report one event at [host]: counted always, emitted only while the
+   hub listens. Reading the clock for the time stamp never advances
+   it. *)
+let report host kind a b c =
+  count host kind;
+  if listening host.domain kind then emit host kind a b c 0
+
+(* [report] for an event about [msg], stamped with its trace id. *)
+let report_msg host kind a b c msg =
+  count host kind;
+  let d = host.domain in
+  if listening d kind then emit host kind a b c (d.trace_of msg)
+
+(* The hub's scrape source: every host's counts into the registry. *)
+let scrape d m =
+  Hashtbl.iter
+    (fun _ host ->
+      Vobs.Stream.scrape_counts m ~host:host.host_name ~server:"kernel" ~ops
+        ~family:5 host.counts)
+    d.all_hosts
+
+(* The one attach call: the domain and its wire report into [hub], and
+   every read of the hub's registry scrapes the kernel's counts, then
+   the wire's. *)
 let set_obs d hub =
   d.domain_obs <- Some hub;
-  (* Cached metric handles belong to the previous hub's registry. *)
-  Hashtbl.iter (fun _ host -> host.host_hot <- None) d.all_hosts
+  Vobs.Metrics.add_source (Vobs.Hub.metrics hub) (fun m ->
+      match d.domain_obs with Some h when h == hub -> scrape d m | _ -> ());
+  Ethernet.attach_hub d.net hub
 
 let obs d = d.domain_obs
 let set_trace_of d f = d.trace_of <- f
-
-(* Flight-recorder events, mirroring [trace]: the label is only built
-   when an attached hub's recorder is enabled, so a disabled recorder
-   costs one test per site. Reading the clock for the time stamp never
-   advances it. *)
-let event_log host ~cat ?(trace = 0) fmt =
-  match host.domain.domain_obs with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          Vobs.Hub.event hub
-            ~at:(Engine.now host.domain.engine)
-            ~cat ~host:host.host_name ~trace label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
-(* Count one kernel operation against (host, "kernel", op) if a hub is
-   attached. Pure bookkeeping: never touches the simulation clock. *)
-let count_op host op =
-  match host.domain.domain_obs with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~host:host.host_name
-        ~server:"kernel" ~op
-
-(* The three per-transaction ops go through cached handles instead:
-   send/receive/reply fire on every IPC transaction, and the keyed
-   path's hashing is what the E15 overhead gate would choke on. *)
-let host_hot_ops host hub =
-  match host.host_hot with
-  | Some h -> h
-  | None ->
-      let m = Vobs.Hub.metrics hub in
-      let mk op =
-        Vobs.Metrics.counter m ~host:host.host_name ~server:"kernel" ~op
-      in
-      let h =
-        {
-          ho_send = mk "send";
-          ho_receive = mk "receive";
-          ho_reply = mk "reply";
-          ho_admit = mk "admit";
-          ho_shed = mk "shed";
-        }
-      in
-      host.host_hot <- Some h;
-      h
-
-let count_send host = host.h_sends <- host.h_sends + 1
-let count_receive host = host.h_receives <- host.h_receives + 1
-let count_reply host = host.h_replies <- host.h_replies + 1
-let count_admit host = host.h_admits <- host.h_admits + 1
-let count_shed host = host.h_sheds <- host.h_sheds + 1
-
-(* Move every host's IPC-counter deltas since the previous flush into
-   the registry (through the cached handles), then flush the wire
-   layer. Called at scrape points — exports, dumps, vsh — never per
-   transaction; pure bookkeeping, so a flush at any instant leaves
-   simulated behaviour untouched. *)
-let flush_metrics d =
-  (match d.domain_obs with
-  | None -> ()
-  | Some hub ->
-      Hashtbl.iter
-        (fun _ host ->
-          if
-            host.h_sends > host.h_sends_flushed
-            || host.h_receives > host.h_receives_flushed
-            || host.h_replies > host.h_replies_flushed
-            || host.h_admits > host.h_admits_flushed
-            || host.h_sheds > host.h_sheds_flushed
-          then begin
-            let h = host_hot_ops host hub in
-            Vobs.Metrics.add ~by:(host.h_sends - host.h_sends_flushed) h.ho_send;
-            Vobs.Metrics.add
-              ~by:(host.h_receives - host.h_receives_flushed)
-              h.ho_receive;
-            Vobs.Metrics.add
-              ~by:(host.h_replies - host.h_replies_flushed)
-              h.ho_reply;
-            Vobs.Metrics.add
-              ~by:(host.h_admits - host.h_admits_flushed)
-              h.ho_admit;
-            Vobs.Metrics.add ~by:(host.h_sheds - host.h_sheds_flushed) h.ho_shed;
-            host.h_sends_flushed <- host.h_sends;
-            host.h_receives_flushed <- host.h_receives;
-            host.h_replies_flushed <- host.h_replies;
-            host.h_admits_flushed <- host.h_admits;
-            host.h_sheds_flushed <- host.h_sheds
-          end)
-        d.all_hosts);
-  Ethernet.flush_metrics d.net
 
 let fresh_txn d =
   let t = d.next_txn in
@@ -466,20 +494,10 @@ let telemetry_group_of d name =
   | Some g -> Some g
   | None -> Topology.rollup_scope (Ethernet.topology d.net) name
 
-let telemetry_enabled d = d.tel_interval > 0.0
-
-(* [enable_telemetry d ~interval_ms] arms the pump and maps every
-   booted host to its rollup group (hosts booted later register as they
-   boot). The pump itself runs from the send path — see
-   [telemetry_tick]. *)
-let enable_telemetry d ~interval_ms =
-  if interval_ms <= 0.0 then
-    invalid_arg "Kernel.enable_telemetry: interval must be positive";
-  d.tel_interval <- interval_ms;
-  d.tel_next <- Engine.now d.engine;
-  Hashtbl.iter (fun _ host -> register_telemetry_host d host) d.all_hosts
-
-let disable_telemetry d = d.tel_interval <- 0.0
+let telemetry_enabled d =
+  match d.domain_obs with
+  | Some hub -> Vobs.Stream.pump_armed (Vobs.Hub.stream hub)
+  | None -> false
 
 (* One pump firing: fleet-wide counters, the fabric's interior links,
    and every watched server queue, stamped at the current simulated
@@ -515,19 +533,24 @@ let telemetry_sample d hub ~now =
             (float_of_int depth))
         d.tel_watched
 
-(* The hot-path hook: two float compares when armed but not yet due,
-   nothing at all when disabled (callers guard on [obs_on]). *)
-let telemetry_tick host =
-  let d = host.domain in
-  if d.tel_interval > 0.0 then begin
-    let now = Engine.now d.engine in
-    if now >= d.tel_next then begin
-      d.tel_next <- now +. d.tel_interval;
-      match d.domain_obs with
-      | Some hub -> telemetry_sample d hub ~now
-      | None -> ()
-    end
-  end
+(* [enable_telemetry d ~interval_ms] arms the attached hub's pump with
+   [telemetry_sample] and maps every booted host to its rollup group
+   (hosts booted later register as they boot). Send events drive the
+   pump, so it adds no engine event: obs-on and obs-off runs execute
+   identical event sequences. Without a hub there is nothing to feed. *)
+let enable_telemetry d ~interval_ms =
+  if interval_ms <= 0.0 then
+    invalid_arg "Kernel.enable_telemetry: interval must be positive";
+  match d.domain_obs with
+  | None -> ()
+  | Some hub ->
+      Vobs.Stream.arm_pump (Vobs.Hub.stream hub) ~interval_ms
+        ~now:(Engine.now d.engine) (telemetry_sample d hub);
+      Hashtbl.iter (fun _ host -> register_telemetry_host d host) d.all_hosts
+
+let disable_telemetry d =
+  Option.iter (fun hub -> Vobs.Stream.disarm_pump (Vobs.Hub.stream hub))
+    d.domain_obs
 
 (* Suspend the current fiber in a crash-abortable, fire-once way. The
    fire-once state is the process's block count, so a call allocates
@@ -603,7 +626,7 @@ let destroy_process d pid =
   match find_process d pid with
   | None -> false
   | Some proc ->
-      if tracing d then trace d "Destroy %a" Pid.pp pid;
+      report proc.proc_host Destroy (Pid.to_int pid) 0 0;
       destroy_process_record proc;
       abort_blocked proc (Proc.Killed "destroyed");
       true
@@ -746,22 +769,19 @@ let dispatch_local_request host ~txn ~sender ~target_proc msg =
       match ad.ad_decide ~now:(Engine.now host.domain.engine) ~depth msg with
       | Admit ->
           ad.ad_admitted <- ad.ad_admitted + 1;
-          count_admit host;
+          count host Admit;
           register_serving host ~sender ~receiver:target_proc.pid ~txn;
           deliver target_proc { d_sender = sender; d_msg = msg }
       | Admit_bulk ->
           ad.ad_admitted <- ad.ad_admitted + 1;
-          count_admit host;
+          count host Admit;
           register_serving host ~sender ~receiver:target_proc.pid ~txn;
           deliver_bulk target_proc ad { d_sender = sender; d_msg = msg }
       | Shed reply_msg ->
           ad.ad_shed <- ad.ad_shed + 1;
-          count_shed host;
-          if obs_events_on host then
-            event_log host ~cat:Vobs.Eventlog.Admission
-              ~trace:(host.domain.trace_of msg)
-              "shed %a -> %a (depth %d)" Pid.pp sender Pid.pp target_proc.pid
-              depth;
+          report_msg host Shed (Pid.to_int sender)
+            (Pid.to_int target_proc.pid)
+            depth msg;
           shed_reply host ~txn ~sender ~replier:target_proc.pid reply_msg)
 
 let dispatch_remote_request src_host ~dst_addr ~txn ~sender ~target msg =
@@ -821,9 +841,7 @@ let arm_forward_recovery host ~txn pending ~dst_addr resend =
       let attempts = pending.p_probes in
       if target_host_reachable host dst_addr && attempts < max_timeout_probes
       then begin
-        if obs_events_on host then
-          event_log host ~cat:Vobs.Eventlog.Kernel
-            "forward-recovery-probe txn %d (attempt %d)" txn attempts;
+        report host Forward_recovery_probe txn attempts 0;
         resend ();
         pending.p_timeout <-
           Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
@@ -841,8 +859,7 @@ let arm_retransmit host ~txn pending resend =
   let d = host.domain in
   let rec tick () =
     if Hashtbl.mem host.pendings txn && host.host_up then begin
-      if obs_events_on host then
-        event_log host ~cat:Vobs.Eventlog.Kernel "retransmit-probe txn %d" txn;
+      report host Retransmit_probe txn 0 0;
       resend ();
       pending.p_retransmit <-
         Some
@@ -903,14 +920,7 @@ let send proc ?buffer target msg =
   let host = proc.proc_host in
   let d = host.domain in
   Vsim.Stats.Counter.incr d.ipc_transactions;
-  count_send host;
-  if tracing d then trace d "Send %a -> %a" Pid.pp proc.pid Pid.pp target;
-  if obs_on host then begin
-    telemetry_tick host;
-    if obs_events_on host then
-      event_log host ~cat:Vobs.Eventlog.Kernel ~trace:(d.trace_of msg)
-        "send %a -> %a" Pid.pp proc.pid Pid.pp target
-  end;
+  report_msg host Send (Pid.to_int proc.pid) (Pid.to_int target) 0 msg;
   match live_process d target with
   | target_proc when target_proc.proc_host == host ->
       charge proc Calibration.local_ipc_leg_cpu;
@@ -961,10 +971,7 @@ let receive proc =
             proc.recv_filter <- None;
             proc.recv_waiter <- Some fire)
   in
-  count_receive proc.proc_host;
-  if tracing proc.proc_host.domain then
-    trace proc.proc_host.domain "Receive %a <- %a" Pid.pp proc.pid Pid.pp
-      d.d_sender;
+  report proc.proc_host Receive (Pid.to_int proc.pid) (Pid.to_int d.d_sender) 0;
   (d.d_msg, d.d_sender)
 
 (* Blocks until a message from a sender satisfying [from] arrives.
@@ -1013,8 +1020,7 @@ let reply proc ~to_ msg =
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
       Hashtbl.remove host.serving key;
-      count_reply host;
-      if tracing d then trace d "Reply %a -> %a" Pid.pp proc.pid Pid.pp to_;
+      report host Reply (Pid.to_int proc.pid) (Pid.to_int to_) 0;
       match live_process d to_ with
       | exception Not_found ->
           Ok () (* sender died while blocked; nothing to resume *)
@@ -1049,12 +1055,8 @@ let forward proc ~from_ ~to_ msg =
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
       Hashtbl.remove host.serving key;
-      count_op host "forward";
-      if tracing d then
-        trace d "Forward %a: %a -> %a" Pid.pp proc.pid Pid.pp from_ Pid.pp to_;
-      if obs_events_on host then
-        event_log host ~cat:Vobs.Eventlog.Kernel ~trace:(d.trace_of msg)
-          "forward %a: %a -> %a" Pid.pp proc.pid Pid.pp from_ Pid.pp to_;
+      report_msg host Forward (Pid.to_int proc.pid) (Pid.to_int from_)
+        (Pid.to_int to_) msg;
       match live_process d to_ with
       | exception Not_found ->
           (* Target gone: fail the original sender's transaction. *)
@@ -1185,9 +1187,7 @@ let move_from proc ~sender ~len =
   match Hashtbl.find host.serving (serving_key ~sender ~receiver:proc.pid) with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
-      count_op host "move-from";
-      if tracing d then
-        trace d "MoveFrom %a <- %a (%dB)" Pid.pp proc.pid Pid.pp sender len;
+      report host Move_from (Pid.to_int proc.pid) (Pid.to_int sender) len;
       match find_process d sender with
       | None -> Error Nonexistent_process
       | Some sender_proc when sender_proc.proc_host == host -> (
@@ -1235,10 +1235,8 @@ let move_to proc ~sender data =
   match Hashtbl.find host.serving (serving_key ~sender ~receiver:proc.pid) with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
-      count_op host "move-to";
-      if tracing d then
-        trace d "MoveTo %a -> %a (%dB)" Pid.pp proc.pid Pid.pp sender
-          (Bytes.length data);
+      report host Move_to (Pid.to_int proc.pid) (Pid.to_int sender)
+        (Bytes.length data);
       match find_process d sender with
       | None -> Error Nonexistent_process
       | Some sender_proc when sender_proc.proc_host == host -> (
@@ -1560,10 +1558,8 @@ let balanced_choice host ~service =
           | Balancer.Nearest_host -> ());
           (match choice with
           | Some pid ->
-              if obs_events_on host then
-                event_log host ~cat:Vobs.Eventlog.Balancer
-                  "pick service %d -> %a (%d reachable)" service Pid.pp pid
-                  (List.length members)
+              report host Balancer_pick service (Pid.to_int pid)
+                (List.length members)
           | None -> ());
           choice)
 
@@ -1571,19 +1567,19 @@ let get_pid proc ~service scope =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
-  count_op host "get-pid";
+  count host Get_pid;
   charge proc Calibration.getpid_check_cpu;
   match local_service_lookup host ~service ~origin:`Local_query with
   | Some pid when alive d pid -> Some pid
   | _ when scope = Service.Local -> None
   | _ when balanced_lookup_available host ~service ->
-      count_op host "get-pid-balanced";
+      count host Get_pid_balanced;
       balanced_choice host ~service
   | _ when d.getpid_cache_on && Hashtbl.mem host.getpid_cache service ->
       (* Cached broadcast result. Deliberately no liveness check: the
          cache is validated on use — the failure of the send or forward
          that follows is what invalidates it (drop_cached_pid). *)
-      count_op host "get-pid-cached";
+      count host Get_pid_cached;
       Some (Hashtbl.find host.getpid_cache service)
   | _ ->
       (* Broadcast query; first responder wins (§4.2). *)
@@ -1632,7 +1628,7 @@ let drop_cached_pid proc ~service =
   let host = proc.proc_host in
   if Hashtbl.mem host.getpid_cache service then begin
     Hashtbl.remove host.getpid_cache service;
-    count_op host "get-pid-stale"
+    count host Get_pid_stale
   end
 
 (* --- process groups and multicast Send (§2.3, §7) --- *)
@@ -1671,8 +1667,7 @@ let send_group proc ~group msg =
   let host = proc.proc_host in
   let d = host.domain in
   Vsim.Stats.Counter.incr d.ipc_transactions;
-  count_op host "group-send";
-  if tracing d then trace d "GroupSend %a -> group%d" Pid.pp proc.pid group;
+  report host Group_send (Pid.to_int proc.pid) group 0;
   charge proc Calibration.small_packet_send_cpu;
   let txn = fresh_txn d in
   let result =
@@ -1728,10 +1723,7 @@ let forward_group proc ~from_ ~group msg =
   | exception Not_found -> Error Not_awaiting_reply
   | txn ->
       Hashtbl.remove host.serving key;
-      count_op host "forward-group";
-      if tracing d then
-        trace d "ForwardGroup %a: %a -> group%d" Pid.pp proc.pid Pid.pp from_
-          group;
+      report host Forward_group (Pid.to_int proc.pid) (Pid.to_int from_) group;
       charge proc Calibration.small_packet_send_cpu;
       (* Members on this host are delivered directly (no wire loopback). *)
       List.iter
@@ -1899,13 +1891,10 @@ let create_domain ?(seed = 42) ?(hosts_hint = 16) ~cost engine net =
       all_hosts = Hashtbl.create hosts_hint;
       service_groups = Hashtbl.create 8;
       domain_prng = Vsim.Prng.create ~seed;
-      trace = None;
       domain_obs = None;
       trace_of = (fun _ -> 0);
       getpid_cache_on = false;
       ipc_transactions = Vsim.Stats.Counter.create "ipc-transactions";
-      tel_interval = 0.0;
-      tel_next = 0.0;
       tel_groups = Hashtbl.create 64;
       tel_watched = [];
     }
@@ -1941,17 +1930,8 @@ let boot_host d ~name addr =
       completed_replies = Hashtbl.create 64;
       group_members = Hashtbl.create 8;
       host_prng = Vsim.Prng.split d.domain_prng;
-      host_hot = None;
-      h_sends = 0;
-      h_receives = 0;
-      h_replies = 0;
-      h_admits = 0;
-      h_sheds = 0;
-      h_sends_flushed = 0;
-      h_receives_flushed = 0;
-      h_replies_flushed = 0;
-      h_admits_flushed = 0;
-      h_sheds_flushed = 0;
+      counts = Array.make (Array.length ops) 0;
+      ev = { ev_host = name; kind = Send; a = 0; b = 0; c = 0; trace = 0 };
     }
   in
   Hashtbl.replace d.all_hosts addr host;
@@ -1973,7 +1953,7 @@ let hosts d =
 let crash_host host =
   if host.host_up then begin
     let d = host.domain in
-    if tracing d then trace d "Crash host %s" host.host_name;
+    report host Crash 0 0 0;
     host.host_up <- false;
     Ethernet.set_host_up d.net host.addr false;
     Hashtbl.remove d.logical_hosts host.logical_host;
@@ -2011,7 +1991,7 @@ let crash_host host =
 let restart_host host =
   if host.host_up then invalid_arg "Kernel.restart_host: host is up";
   let d = host.domain in
-  if tracing d then trace d "Restart host %s" host.host_name;
+  report host Restart 0 0 0;
   host.logical_host <- fresh_logical_host d;
   host.host_up <- true;
   Hashtbl.replace d.logical_hosts host.logical_host host;

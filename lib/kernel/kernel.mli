@@ -66,22 +66,17 @@ val host_is_up : 'm host -> bool
 val domain_of_host : 'm host -> 'm domain
 val engine_of_domain : 'm domain -> Vsim.Engine.t
 val net_of_domain : 'm domain -> 'm packet Vnet.Ethernet.t
-val set_trace : 'm domain -> Vsim.Trace.t -> unit
 
-(** Attach an observability hub to the domain: kernel primitives count
-    per-host operations against it, and the naming layers above use it
+(** Attach an observability hub to the domain and its wire, the one
+    attach call. Every kernel and wire site reports one event into the
+    hub's {!Vobs.Hub.stream} (Figure 1 timeline, flight recorder,
+    telemetry pump) and counts it per host or port; each read of the
+    hub's registry scrapes those counts in (see
+    {!Vobs.Metrics.add_source}). The naming layers above use the hub
     for spans. Bookkeeping only — never advances simulated time. *)
 val set_obs : 'm domain -> Vobs.Hub.t -> unit
 
 val obs : 'm domain -> Vobs.Hub.t option
-
-(** Per-transaction IPC counters (send/receive/reply) and per-frame
-    wire counters accumulate on the host and port records; this moves
-    their deltas since the previous flush into the attached hub's
-    registry (host rollup groups apply as usual). Call at scrape
-    points — before exporting, dumping or rendering metrics — never
-    per operation. No-op without a hub; never perturbs simulation. *)
-val flush_metrics : 'm domain -> unit
 
 (** Install the accessor extracting the obs trace id riding inside a
     message (0 = untraced), used to stamp flight-recorder events. The
@@ -96,7 +91,7 @@ val ipc_transaction_count : 'm domain -> int
 
 (** {1 The telemetry pump}
 
-    Scale telemetry rides the IPC hot path: with a hub attached and the
+    Scale telemetry rides the IPC hot path: with a hub attached and its
     pump armed, the first kernel send at or after each [interval_ms] of
     simulated time snapshots fleet counters, the fabric's interior
     links and every admission-protected server queue into the hub's
@@ -104,8 +99,9 @@ val ipc_transaction_count : 'm domain -> int
     it schedules nothing and advances nothing, so the engine executes
     an identical event sequence with telemetry on or off. *)
 
-(** [enable_telemetry d ~interval_ms] arms the pump and registers every
-    booted host's rollup group (later boots register themselves).
+(** [enable_telemetry d ~interval_ms] arms the attached hub's pump
+    ({!Vobs.Stream.arm_pump}) and registers every booted host's rollup
+    group (later boots register themselves); a no-op without a hub.
     @raise Invalid_argument on a non-positive interval. *)
 val enable_telemetry : 'm domain -> interval_ms:float -> unit
 

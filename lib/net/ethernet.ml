@@ -50,20 +50,10 @@ type 'a host_port = {
   mutable handler : 'a frame -> unit;
   mutable extra_latency_ms : float;
       (* slow-host fault injection: added to every frame's arrival *)
-  (* Per-frame wire counters accumulate in place — the port record is
-     already in cache on every transmit/delivery, so counting costs one
-     register add and no branch. [flush_metrics] moves the deltas into
-     the registry at scrape time (the Prometheus model: instrument
-     locally, aggregate on scrape). *)
-  mutable p_sent : int;
-  mutable p_bytes : int;
-  mutable p_delivered : int;
-  mutable p_sent_flushed : int;
-  mutable p_bytes_flushed : int;
-  mutable p_delivered_flushed : int;
-  mutable hot : Vobs.Metrics.counter array;
-      (* cached flush handles: [|sent; bytes; delivered|], bound on
-         first flush with a hub attached, cleared by set_obs *)
+  (* One int per counted slot (see [ops]), in the port record that is
+     already in cache on every transmit and delivery; an attached hub's
+     scrape moves them into its registry. *)
+  counts : int array;
 }
 
 (* One directed link of the switched fabric. [l_queued] counts frames
@@ -82,6 +72,126 @@ type link = {
   mutable l_extra_ms : float;  (* slow-link fault injection, per hop *)
   mutable l_busy_sampled : float;  (* l_busy_ms at the last ts sample *)
 }
+
+(* Marks an index slot whose link has not materialized, and a link-less
+   event; never mutated. *)
+let no_link =
+  {
+    link_id = (Topology.Spine, Topology.Spine);
+    l_up = false;
+    l_free_at = 0.0;
+    l_queued = 0;
+    l_queue_peak = 0;
+    l_frames = 0;
+    l_drops = 0;
+    l_busy_ms = 0.0;
+    l_extra_ms = 0.0;
+    l_busy_sampled = 0.0;
+  }
+
+(* --- the wire's events (see Vobs.Stream) --- *)
+
+type kind =
+  | Transmit
+  | Deliver
+  | Drop_at_host  (* destination down or partitioned away *)
+  | Drop_held  (* a slow host's NIC held the frame while the host died *)
+  | Drop_down_link
+  | Drop_tail
+  | Lost
+  | Link_state
+  | Link_latency
+  | Loss
+  | Slow_host
+  | Partition
+  | Heal
+
+(* The registry op of each counted slot ("" = not exported); the first
+   three are the per-frame family. Slot 1 counts the bytes of every
+   transmitted frame, header included. *)
+let ops =
+  [|
+    "frames-sent"; "bytes-sent"; "frames-delivered"; "frames-dropped";
+    "frames-lost"; "";
+  |]
+
+let bytes_sent = 1
+
+let slot = function
+  | Transmit -> 0
+  | Deliver -> 2
+  | Drop_at_host | Drop_held | Drop_down_link | Drop_tail -> 3
+  | Lost -> 4
+  | Link_state | Link_latency | Loss | Slow_host | Partition | Heal -> 5
+
+(* The one reused event of a wire: [site] is the reporting host's
+   address, -1 for the wire as a whole; [a], [b], [link] and [x] mean
+   what [pp_event] reads for the kind. *)
+type event = {
+  mutable kind : kind;
+  mutable site : addr;
+  mutable a : int;
+  mutable b : int;
+  mutable link : link;
+  mutable x : float;
+}
+
+(* A destination as one int, for the event record: an address, -1 for
+   broadcast, -2 - g for group g. *)
+let dest_code = function
+  | Unicast a -> a
+  | Broadcast -> -1
+  | Multicast g -> -2 - g
+
+let pp_dest_code ppf c =
+  pp_dest ppf
+    (if c >= 0 then Unicast c
+     else if c = -1 then Broadcast
+     else Multicast (-2 - c))
+
+let host_label addr = Printf.sprintf "host%d" addr
+
+(* The wire's printer, the only place its events' text is written. The
+   recorder files an event under its host; the timeline prefixes the
+   host instead. *)
+let pp_event ~timeline ppf e =
+  if timeline && e.site >= 0 then Fmt.pf ppf "host%d " e.site;
+  let link ppf e = Topology.pp_link ppf e.link.link_id in
+  match e.kind with
+  | Transmit -> Fmt.pf ppf "-> %a (%dB payload)" pp_dest_code e.a e.b
+  | Lost -> Fmt.pf ppf "frame lost -> %a (%dB)" pp_dest_code e.a e.b
+  | Drop_at_host ->
+      Fmt.pf ppf "frame dropped from host%d (down or partitioned)" e.a
+  | Drop_down_link -> Fmt.pf ppf "frame dropped on down link %a" link e
+  | Drop_tail -> Fmt.pf ppf "frame tail-dropped at full port %a" link e
+  | Link_state ->
+      Fmt.pf ppf "link %a %s" link e (if e.a = 1 then "up" else "down")
+  | Link_latency -> Fmt.pf ppf "link %a extra latency := %.3fms" link e e.x
+  | Loss -> Fmt.pf ppf "loss probability := %.3f" e.x
+  | Slow_host -> Fmt.pf ppf "extra receive latency := %.3fms" e.x
+  | Partition -> Fmt.pf ppf "partition host%d <-> host%d" e.a e.b
+  | Heal -> Fmt.pf ppf "heal host%d <-> host%d" e.a e.b
+  | Deliver | Drop_held -> Fmt.string ppf ops.(slot e.kind)
+
+(* The consumers each kind goes to. *)
+let consumers kind =
+  let open Vobs.Stream in
+  match kind with
+  | Transmit -> timeline
+  | Loss | Slow_host -> timeline lor recorder
+  | Lost | Drop_at_host | Drop_down_link | Drop_tail | Link_state
+  | Link_latency | Partition | Heal ->
+      recorder
+  | Deliver | Drop_held -> 0
+
+let layer =
+  {
+    Vobs.Stream.column = "net";
+    cat = (fun _ -> Vobs.Eventlog.Net);
+    host = (fun e -> if e.site < 0 then "net" else host_label e.site);
+    trace = (fun _ -> 0);
+    pp = pp_event;
+  }
 
 (* Materialized links by one endpoint's number, for the hop path: host
    [a]'s uplink and its edge's port towards it are indexed by [a], an
@@ -122,8 +232,11 @@ type 'a t = {
   (* Unordered host pairs that cannot exchange frames. *)
   mutable partitions : (addr * addr) list;
   counters : counters;
-  mutable trace : Vsim.Trace.t option;
   mutable obs : Vobs.Hub.t option;
+  ev : event;
+  (* Counts of drops at an address no host is attached to; never
+     scraped. *)
+  stray : int array;
   mutable last_ts_sample : float;  (* when sample_timeseries last ran *)
   (* Interior (switch-to-switch) links with their three prebuilt series
      names, so a pump firing walks ~O(edges) records and allocates no
@@ -153,113 +266,61 @@ let create ?(seed = 1) ?(topology = Topology.Shared_medium) ?(queue_cap = 256)
     partitions = [];
     counters =
       { frames_sent = 0; frames_delivered = 0; frames_dropped = 0; bytes_sent = 0 };
-    trace = None;
     obs = None;
+    ev = { kind = Transmit; site = -1; a = 0; b = 0; link = no_link; x = 0.0 };
+    stray = Array.make (Array.length ops) 0;
     last_ts_sample = 0.0;
     ts_interior = None;
   }
 
-let set_trace t trace = t.trace <- Some trace
-let set_obs t hub =
+let count counts kind =
+  let i = slot kind in
+  counts.(i) <- counts.(i) + 1
+
+(* Emit one event while a consumer of its kind listens on the attached
+   hub's stream (the one guard). *)
+let emit t kind ~site ~a ~b ~link ~x =
+  match t.obs with
+  | Some hub when Vobs.Stream.listening (Vobs.Hub.stream hub) (consumers kind)
+    ->
+      let e = t.ev in
+      e.kind <- kind;
+      e.site <- site;
+      e.a <- a;
+      e.b <- b;
+      if e.link != link then e.link <- link;
+      if e.x <> x then e.x <- x;
+      Vobs.Stream.emit (Vobs.Hub.stream hub) layer ~consumers:(consumers kind)
+        ~at:(Vsim.Engine.now t.engine) e
+  | Some _ | None -> ()
+
+(* A frame event: counted on [counts], emitted while the hub listens. *)
+let report t counts kind ~site ~a ~b ~link =
+  count counts kind;
+  emit t kind ~site ~a ~b ~link ~x:0.0
+
+let counts_of t addr =
+  match Hashtbl.find t.hosts addr with
+  | port -> port.counts
+  | exception Not_found -> t.stray
+
+(* The hub's scrape source: every port's counts into the registry,
+   keyed "host<addr>" under server "net" (this layer sits below the
+   kernel and has no better label). *)
+let scrape t m =
+  Hashtbl.iter
+    (fun addr port ->
+      if Array.exists (fun n -> n <> 0) port.counts then
+        Vobs.Stream.scrape_counts m ~host:(host_label addr) ~server:"net" ~ops
+          ~family:3 port.counts)
+    t.hosts
+
+(* The wire's half of [Kernel.set_obs]: report into [hub], and let every
+   read of its registry scrape the ports. *)
+let attach_hub t hub =
   t.obs <- Some hub;
-  (* Cached per-frame handles belong to the previous hub's registry. *)
-  Hashtbl.iter (fun _ port -> port.hot <- [||]) t.hosts
-
-(* Per-host wire metrics, keyed under server "net". The address stands
-   in for the host name — this layer sits below the kernel and has no
-   better label. *)
-let net_metric ?(by = 1) t addr op =
-  match t.obs with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~by
-        ~host:(Printf.sprintf "host%d" addr)
-        ~server:"net" ~op
-
-(* The per-frame counters (sent, bytes, delivered — every frame pays
-   them) accumulate on the port record itself; [flush_metrics] moves
-   the deltas into the registry through handles cached on the port.
-   Rarer paths (drops, losses) stay on the keyed [net_metric]. *)
-let hot_sent = 0
-
-let hot_bytes = 1
-let hot_delivered = 2
-
-let port_handles t port =
-  if Array.length port.hot > 0 then port.hot
-  else begin
-    match t.obs with
-    | None -> [||]
-    | Some hub ->
-        let m = Vobs.Hub.metrics hub in
-        let host = Printf.sprintf "host%d" port.host_addr in
-        let mk op = Vobs.Metrics.counter m ~host ~server:"net" ~op in
-        let hot =
-          [| mk "frames-sent"; mk "bytes-sent"; mk "frames-delivered" |]
-        in
-        port.hot <- hot;
-        hot
-  end
-
-(* Move each port's wire-counter deltas since the previous flush into
-   the registry. Called at scrape points (exports, the kernel pump's
-   owner), never per frame; pure bookkeeping, so a flush at any instant
-   leaves simulated behaviour untouched. *)
-let flush_metrics t =
-  match t.obs with
-  | None -> ()
-  | Some _ ->
-      Hashtbl.iter
-        (fun _ port ->
-          if
-            port.p_sent > port.p_sent_flushed
-            || port.p_bytes > port.p_bytes_flushed
-            || port.p_delivered > port.p_delivered_flushed
-          then begin
-            let hot = port_handles t port in
-            if Array.length hot > 0 then begin
-              Vobs.Metrics.add ~by:(port.p_sent - port.p_sent_flushed)
-                hot.(hot_sent);
-              Vobs.Metrics.add ~by:(port.p_bytes - port.p_bytes_flushed)
-                hot.(hot_bytes);
-              Vobs.Metrics.add
-                ~by:(port.p_delivered - port.p_delivered_flushed)
-                hot.(hot_delivered);
-              port.p_sent_flushed <- port.p_sent;
-              port.p_bytes_flushed <- port.p_bytes;
-              port.p_delivered_flushed <- port.p_delivered
-            end
-          end)
-        t.hosts
-
-(* Allocation guards for the per-frame paths, as in the kernel:
-   applying [net_event]/[trace_emit] to a format builds closures (and
-   the host label) even when the sink is off, so per-frame sites test
-   these first. *)
-let events_on t =
-  match t.obs with
-  | Some hub -> Vobs.Eventlog.enabled (Vobs.Hub.events hub)
-  | None -> false
-
-let tracing t = match t.trace with Some _ -> true | None -> false
-
-(* Flight-recorder events for the wire: frames lost or dropped,
-   partitions cut and healed, loss-rate and slow-host changes. The
-   label is only built when an attached hub's recorder is enabled;
-   [host] is "host<addr>" for per-host events, "net" for wire-wide
-   ones. *)
-let net_event t host fmt =
-  match t.obs with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          Vobs.Hub.event hub
-            ~at:(Vsim.Engine.now t.engine)
-            ~cat:Vobs.Eventlog.Net ~host label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
-let host_label addr = Printf.sprintf "host%d" addr
+  Vobs.Metrics.add_source (Vobs.Hub.metrics hub) (fun m ->
+      match t.obs with Some h when h == hub -> scrape t m | _ -> ())
 
 let config t = t.config
 
@@ -284,13 +345,7 @@ let attach t addr handler =
       up = true;
       handler;
       extra_latency_ms = 0.0;
-      p_sent = 0;
-      p_bytes = 0;
-      p_delivered = 0;
-      p_sent_flushed = 0;
-      p_bytes_flushed = 0;
-      p_delivered_flushed = 0;
-      hot = [||];
+      counts = Array.make (Array.length ops) 0;
     }
 
 let set_handler t addr handler =
@@ -338,21 +393,6 @@ let leave_group t ~group ~addr =
   | Some members -> Hashtbl.remove members addr
 
 (* --- the switched fabric's links --- *)
-
-(* Marks an index slot whose link has not materialized; never mutated. *)
-let no_link =
-  {
-    link_id = (Topology.Spine, Topology.Spine);
-    l_up = false;
-    l_free_at = 0.0;
-    l_queued = 0;
-    l_queue_peak = 0;
-    l_frames = 0;
-    l_drops = 0;
-    l_busy_ms = 0.0;
-    l_extra_ms = 0.0;
-    l_busy_sampled = 0.0;
-  }
 
 let indexed idx i = if i < Array.length idx.by_id then idx.by_id.(i) else no_link
 
@@ -442,8 +482,7 @@ let set_link_up t a b up =
   if l.l_up <> up then begin
     l.l_up <- up;
     t.links_down <- (t.links_down + if up then -1 else 1);
-    net_event t "net" "link %a %s" Topology.pp_link (a, b)
-      (if up then "up" else "down")
+    emit t Link_state ~site:(-1) ~a:(if up then 1 else 0) ~b:0 ~link:l ~x:0.0
   end
 
 (* An untouched link is up; only materialized links can be down. *)
@@ -460,7 +499,7 @@ let set_link_extra_latency t a b ms =
   if ms < 0.0 then invalid_arg "Ethernet.set_link_extra_latency";
   let l = require_link t "Ethernet.set_link_extra_latency" (a, b) in
   l.l_extra_ms <- ms;
-  net_event t "net" "link %a extra latency := %.3fms" Topology.pp_link (a, b) ms
+  emit t Link_latency ~site:(-1) ~a:0 ~b:0 ~link:l ~x:ms
 
 let link_extra_latency t a b =
   match Hashtbl.find_opt t.links (a, b) with
@@ -552,18 +591,12 @@ let sample_timeseries t ts ~now =
 
 (* --- fault injection --- *)
 
-let trace_emit t fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some tr -> Vsim.Trace.emit tr ~category:"net" fmt
-
 let set_loss_probability t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Ethernet.set_loss_probability";
   t.loss_probability <- p;
   (* Audit trail: fault plans that flip the loss rate leave a record in
-     the trace stream, the flight recorder and the metrics gauge. *)
-  trace_emit t "loss probability := %.3f" p;
-  net_event t "net" "loss probability := %.3f" p;
+     the timeline, the flight recorder and the metrics gauge. *)
+  emit t Loss ~site:(-1) ~a:0 ~b:0 ~link:no_link ~x:p;
   match t.obs with
   | None -> ()
   | Some hub ->
@@ -578,8 +611,7 @@ let set_extra_latency t addr ms =
   | None -> invalid_arg "Ethernet.set_extra_latency: unknown host"
   | Some port ->
       port.extra_latency_ms <- ms;
-      trace_emit t "host%d extra receive latency := %.3fms" addr ms;
-      net_event t (host_label addr) "extra receive latency := %.3fms" ms
+      emit t Slow_host ~site:addr ~a:0 ~b:0 ~link:no_link ~x:ms
 
 let extra_latency t addr =
   match Hashtbl.find_opt t.hosts addr with
@@ -590,17 +622,16 @@ let partition t a b =
   let pair = if a < b then (a, b) else (b, a) in
   if not (List.mem pair t.partitions) then begin
     t.partitions <- pair :: t.partitions;
-    net_event t "net" "partition host%d <-> host%d" (fst pair) (snd pair)
+    emit t Partition ~site:(-1) ~a:(fst pair) ~b:(snd pair) ~link:no_link
+      ~x:0.0
   end
 
 let heal t a b =
   let pair = if a < b then (a, b) else (b, a) in
   if List.mem pair t.partitions then begin
     t.partitions <- List.filter (fun p -> p <> pair) t.partitions;
-    net_event t "net" "heal host%d <-> host%d" (fst pair) (snd pair)
+    emit t Heal ~site:(-1) ~a:(fst pair) ~b:(snd pair) ~link:no_link ~x:0.0
   end
-
-let heal_all t = t.partitions <- []
 
 let partitioned t a b =
   let pair = if a < b then (a, b) else (b, a) in
@@ -673,7 +704,7 @@ let intended_destinations t frame =
    instant. *)
 let deliver t port frame =
   t.counters.frames_delivered <- t.counters.frames_delivered + 1;
-  port.p_delivered <- port.p_delivered + 1;
+  count port.counts Deliver;
   port.handler frame
 
 let deliver_at_arrival t frame addr =
@@ -693,15 +724,13 @@ let deliver_at_arrival t frame addr =
             if port.up then deliver t port frame
             else begin
               t.counters.frames_dropped <- t.counters.frames_dropped + 1;
-              net_metric t addr "frames-dropped"
+              count port.counts Drop_held
             end)
       else deliver t port frame
   | _ | (exception Not_found) ->
       t.counters.frames_dropped <- t.counters.frames_dropped + 1;
-      net_metric t addr "frames-dropped";
-      if events_on t then
-        net_event t (host_label addr)
-          "frame dropped from host%d (down or partitioned)" frame.src
+      report t (counts_of t addr) Drop_at_host ~site:addr ~a:frame.src ~b:0
+        ~link:no_link
 
 (* The frame-wide loss draw, one per transmitted frame in both
    topologies. Returns true when the frame is lost (accounted). *)
@@ -711,10 +740,8 @@ let frame_lost t frame =
   in
   if lost then begin
     t.counters.frames_dropped <- t.counters.frames_dropped + 1;
-    net_metric t frame.src "frames-lost";
-    if events_on t then
-      net_event t (host_label frame.src) "frame lost -> %a (%dB)" pp_dest
-        frame.dst frame.payload_bytes
+    report t (counts_of t frame.src) Lost ~site:frame.src
+      ~a:(dest_code frame.dst) ~b:frame.payload_bytes ~link:no_link
   end;
   lost
 
@@ -749,18 +776,14 @@ let hop t frame l ~from_switch k =
   if not l.l_up then begin
     l.l_drops <- l.l_drops + 1;
     t.counters.frames_dropped <- t.counters.frames_dropped + 1;
-    net_metric t frame.src "frames-dropped";
-    if events_on t then
-      net_event t (host_label frame.src) "frame dropped on down link %a"
-        Topology.pp_link l.link_id
+    report t (counts_of t frame.src) Drop_down_link ~site:frame.src ~a:0 ~b:0
+      ~link:l
   end
   else if l.l_queued >= t.queue_cap then begin
     l.l_drops <- l.l_drops + 1;
     t.counters.frames_dropped <- t.counters.frames_dropped + 1;
-    net_metric t frame.src "frames-dropped";
-    if events_on t then
-      net_event t (host_label frame.src) "frame tail-dropped at full port %a"
-        Topology.pp_link l.link_id
+    report t (counts_of t frame.src) Drop_tail ~site:frame.src ~a:0 ~b:0
+      ~link:l
   end
   else begin
     l.l_queued <- l.l_queued + 1;
@@ -853,11 +876,10 @@ let transmit t frame =
       t.counters.frames_sent <- t.counters.frames_sent + 1;
       t.counters.bytes_sent <-
         t.counters.bytes_sent + t.config.header_bytes + frame.payload_bytes;
-      port.p_sent <- port.p_sent + 1;
-      port.p_bytes <- port.p_bytes + t.config.header_bytes + frame.payload_bytes;
-      if tracing t then
-        trace_emit t "host%d -> %a (%dB payload)" frame.src pp_dest frame.dst
-          frame.payload_bytes;
+      port.counts.(bytes_sent) <-
+        port.counts.(bytes_sent) + t.config.header_bytes + frame.payload_bytes;
+      report t port.counts Transmit ~site:frame.src ~a:(dest_code frame.dst)
+        ~b:frame.payload_bytes ~link:no_link;
       match t.topology with
       | Topology.Shared_medium -> transmit_shared t frame
       | Topology.Switched { fan_in } -> transmit_switched t fan_in frame)

@@ -57,21 +57,13 @@ val create :
   Vsim.Engine.t ->
   'a t
 
-(** Record frame transmissions into a trace. *)
-val set_trace : 'a t -> Vsim.Trace.t -> unit
-
-(** Count per-host frame and byte metrics (server "net", hosts keyed
-    ["host<addr>"]) against an observability hub. Per-frame counters
-    accumulate on the port and reach the registry at the next
-    {!flush_metrics}. *)
-val set_obs : 'a t -> Vobs.Hub.t -> unit
-
-(** Move every port's wire-counter deltas (frames-sent, bytes-sent,
-    frames-delivered) since the previous flush into the attached hub's
-    registry. Call at scrape points — exports, dumps, the telemetry
-    pump's owner — never per frame. No-op without a hub; pure
-    bookkeeping, so flushing never perturbs simulated behaviour. *)
-val flush_metrics : 'a t -> unit
+(** [attach_hub t hub] makes the wire report into [hub]: each site
+    (frame transmitted, lost or dropped; link, loss, slow-host and
+    partition changes) emits one event into the hub's
+    {!Vobs.Hub.stream}, and each read of the hub's registry scrapes the
+    per-port counts in (server "net", hosts keyed ["host<addr>"]).
+    {!Vkernel.Kernel.set_obs} calls this for its domain's wire. *)
+val attach_hub : 'a t -> Vobs.Hub.t -> unit
 
 val config : 'a t -> Calibration.network
 val topology : 'a t -> Topology.t
@@ -129,7 +121,6 @@ val extra_latency : 'a t -> addr -> float
 val partition : 'a t -> addr -> addr -> unit
 
 val heal : 'a t -> addr -> addr -> unit
-val heal_all : 'a t -> unit
 val partitioned : 'a t -> addr -> addr -> bool
 
 (** {1 Link faults (switched fabric only)}

@@ -1,4 +1,5 @@
-(* Exporters: the human-readable timeline view of a trace, and JSON.
+(* Exporters: the human-readable timeline view of a trace, JSON,
+   Prometheus text and the telemetry status line.
 
    The timeline renders the span tree by parent links, children indented
    under their parent in span-id (creation) order, each line showing
@@ -45,18 +46,31 @@ let pp_timeline ppf spans =
 let trace_to_json spans =
   Json.List (List.map Span.to_json spans)
 
-let hub_to_json hub =
-  let last =
-    match Hub.last_trace hub with
-    | None -> Json.Null
-    | Some id -> Json.Int id
-  in
-  Json.Obj
-    [
-      ("last_trace", last);
-      ("spans", trace_to_json (Hub.all_spans hub));
-      ("metrics", Metrics.to_json (Hub.metrics hub));
-    ]
+(* The obs-health gauges: the hub's own losses (eventlog drops, span
+   evictions, sampled-out traces, rollup key pressure, time-series
+   refusals), mirrored from its internals. Every exporter refreshes
+   them before reading; the hot path never pays for them. *)
+let refresh_health hub =
+  let m = Hub.metrics hub in
+  Metrics.set_gauge m ~host:"obs" ~server:"hub" ~op:"sampled-out"
+    (float_of_int (Hub.sampled_out hub));
+  Metrics.set_gauge m ~host:"obs" ~server:"eventlog" ~op:"dropped-total"
+    (float_of_int (Eventlog.dropped (Hub.events hub)));
+  Metrics.set_gauge m ~host:"obs" ~server:"hub" ~op:"spans-dropped-total"
+    (float_of_int (Hub.spans_dropped hub));
+  (match Hub.rollup hub with
+  | Some r ->
+      Metrics.set_gauge m ~host:"obs" ~server:"rollup" ~op:"keys-dropped"
+        (float_of_int (Rollup.keys_dropped r));
+      Metrics.set_gauge m ~host:"obs" ~server:"rollup" ~op:"key-count"
+        (float_of_int (Rollup.key_count r))
+  | None -> ());
+  match Hub.timeseries hub with
+  | Some ts ->
+      Metrics.set_gauge m ~host:"obs" ~server:"timeseries"
+        ~op:"series-dropped"
+        (float_of_int (Timeseries.series_dropped ts))
+  | None -> ()
 
 (* The flight-recorder dump: everything an incident review needs in one
    artifact — the event log, every surviving span, the metrics
@@ -65,7 +79,7 @@ let hub_to_json hub =
    the dump was cut (e.g. "invariant-violation", "slo-breach",
    "manual"). *)
 let flight_to_json ?(reason = "manual") hub =
-  Hub.sync_health_metrics hub;
+  refresh_health hub;
   let slo =
     match Hub.slo hub with
     | None -> Json.Null
@@ -95,7 +109,7 @@ let flight_to_json ?(reason = "manual") hub =
    series and obs-health metrics — no spans or events, which at 100k
    hosts would dwarf the aggregates the artifact exists to carry. *)
 let telemetry_to_json hub =
-  Hub.sync_health_metrics hub;
+  refresh_health hub;
   Json.Obj
     [
       ( "rollup",
@@ -144,8 +158,8 @@ let prom_float f =
    overflow bucket to the observed max (see {!Histogram}); here the
    wire format mandates the open-ended row. *)
 let prom_histogram buf name base_labels h =
-  let bounds = Metrics.Histogram.bounds h in
-  let counts = Metrics.Histogram.raw_counts h in
+  let bounds = Histogram.bounds h in
+  let counts = Histogram.raw_counts h in
   let cum = ref 0 in
   Array.iteri
     (fun i b ->
@@ -162,10 +176,10 @@ let prom_histogram buf name base_labels h =
        !cum);
   Buffer.add_string buf
     (Printf.sprintf "%s_sum{%s} %s\n" name (labels base_labels)
-       (prom_float (Metrics.Histogram.sum h)));
+       (prom_float (Histogram.sum h)));
   Buffer.add_string buf
     (Printf.sprintf "%s_count{%s} %d\n" name (labels base_labels)
-       (Metrics.Histogram.count h))
+       (Histogram.count h))
 
 let prom_family buf name typ help =
   Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
@@ -175,7 +189,7 @@ let prom_family buf name typ help =
    instruments carry (host, server, op) labels; rollup rows add
    (level, scope) instead of host, so one scrape covers both modes. *)
 let prometheus hub =
-  Hub.sync_health_metrics hub;
+  refresh_health hub;
   let m = Hub.metrics hub in
   let buf = Buffer.create 4096 in
   let flat_key (k : Metrics.key) =
@@ -248,3 +262,23 @@ let prometheus hub =
         levels
   | None -> ());
   Buffer.contents buf
+
+(* The scale-telemetry status: sampling, rollup key pressure and
+   time-series refusals, health gauges refreshed first like every
+   export. *)
+let pp_telemetry_status ppf hub =
+  match Hub.rollup hub with
+  | None -> Fmt.pf ppf "telemetry off (flat metrics only)@."
+  | Some r ->
+      refresh_health hub;
+      Fmt.pf ppf
+        "telemetry on: tracing 1-in-%d (%d sampled out), rollup %d key(s), \
+         %d observation(s) dropped by the leaf cap@."
+        (Hub.sample_every hub) (Hub.sampled_out hub) (Rollup.key_count r)
+        (Rollup.keys_dropped r);
+      Option.iter
+        (fun ts ->
+          Fmt.pf ppf "time series: %d series, %d refused by the cap@."
+            (Timeseries.series_count ts)
+            (Timeseries.series_dropped ts))
+        (Hub.timeseries hub)

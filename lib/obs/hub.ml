@@ -1,9 +1,10 @@
 (* The hub is the per-deployment observability handle: it owns trace and
    span numbering, the bounded span store, the metrics registry, the
-   flight recorder, and (when attached) the SLO engine. One hub is
-   shared by every host in a simulated internetwork — the point of
-   distributed tracing is precisely that spans from different hosts land
-   in the same store, keyed by trace id.
+   flight recorder, the kernel and wire event stream ({!Stream}), and
+   (when attached) the SLO engine. One hub is shared by every host in a
+   simulated internetwork — the point of distributed tracing is
+   precisely that spans from different hosts land in the same store,
+   keyed by trace id.
 
    Tracing and metrics are independently switchable. With tracing off,
    [start_trace] hands out [Span.no_ctx] and [start_span] returns [None],
@@ -29,6 +30,7 @@ type t = {
   mutable last_trace : int;  (* 0 = no trace started yet *)
   metrics : Metrics.t;
   events : Eventlog.t;
+  stream : Stream.t;
   mutable slo : Slo.t option;
   (* Head sampling: keep 1-in-[sample_every] traces, decided at
      start_trace by a private Srand stream (zero draws from any
@@ -40,6 +42,7 @@ type t = {
 }
 
 let create ?(tracing = false) ?(span_limit = 10_000) ?event_capacity () =
+  let events = Eventlog.create ?capacity:event_capacity () in
   let t =
     {
       tracing;
@@ -51,7 +54,8 @@ let create ?(tracing = false) ?(span_limit = 10_000) ?event_capacity () =
       spans_dropped = 0;
       last_trace = 0;
       metrics = Metrics.create ();
-      events = Eventlog.create ?capacity:event_capacity ();
+      events;
+      stream = Stream.create events;
       slo = None;
       sample_every = 1;
       sample_rand = Srand.create ~seed:0;
@@ -67,9 +71,9 @@ let create ?(tracing = false) ?(span_limit = 10_000) ?event_capacity () =
   t
 
 let tracing t = t.tracing
-let set_tracing t flag = t.tracing <- flag
 let metrics t = t.metrics
 let events t = t.events
+let stream t = t.stream
 let slo t = t.slo
 let set_slo t engine = t.slo <- engine
 let spans_dropped t = t.spans_dropped
@@ -86,36 +90,13 @@ let set_rollup t r = Metrics.set_rollup t.metrics r
 let timeseries t = t.timeseries
 let set_timeseries t ts = t.timeseries <- ts
 
-(* Refresh the obs-health metrics from the hub's own internals. Called
-   at export time rather than on every recording so the hot path stays
-   cheap; counters below are gauges-in-spirit (monotone totals). *)
-let sync_health_metrics t =
-  Metrics.set_gauge t.metrics ~host:"obs" ~server:"hub" ~op:"sampled-out"
-    (float_of_int t.sampled_out);
-  Metrics.set_gauge t.metrics ~host:"obs" ~server:"eventlog"
-    ~op:"dropped-total"
-    (float_of_int (Eventlog.dropped t.events));
-  Metrics.set_gauge t.metrics ~host:"obs" ~server:"hub" ~op:"spans-dropped-total"
-    (float_of_int t.spans_dropped);
-  (match Metrics.rollup t.metrics with
-  | Some r ->
-      Metrics.set_gauge t.metrics ~host:"obs" ~server:"rollup"
-        ~op:"keys-dropped"
-        (float_of_int (Rollup.keys_dropped r));
-      Metrics.set_gauge t.metrics ~host:"obs" ~server:"rollup" ~op:"key-count"
-        (float_of_int (Rollup.key_count r))
-  | None -> ());
-  match t.timeseries with
-  | Some ts ->
-      Metrics.set_gauge t.metrics ~host:"obs" ~server:"timeseries"
-        ~op:"series-dropped"
-        (float_of_int (Timeseries.series_dropped ts))
-  | None -> ()
-
-(* One-call convenience for instrumentation sites: a boolean test when
-   the recorder is off. *)
-let event t ~at ~cat ~host ?trace label =
-  Eventlog.record t.events ~at ~cat ~host ?trace label
+(* Flight-recorder events from the layers above the kernel: the label
+   is formatted only while an attached hub's recorder is on. *)
+let eventf hub ~at ~cat ~host ?(trace = 0) fmt =
+  match hub with
+  | Some t when Eventlog.enabled t.events ->
+      Format.kasprintf (Eventlog.record t.events ~at ~cat ~host ~trace) fmt
+  | Some _ | None -> Format.ikfprintf ignore Format.str_formatter fmt
 
 (* Head sampling composes with the tail-based eviction below: heads
    decide *which traces exist at all* (1-in-N, cheap, at the root),

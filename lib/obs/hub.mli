@@ -1,8 +1,8 @@
 (** The per-deployment observability handle: trace/span numbering, the
-    bounded span store, the metrics registry, the flight recorder, and
-    (when attached) the SLO engine. One hub is shared by every host in
-    a simulated internetwork, so spans from different hosts land in one
-    store keyed by trace id.
+    bounded span store, the metrics registry, the flight recorder, the
+    kernel and wire event stream, and (when attached) the SLO engine.
+    One hub is shared by every host in a simulated internetwork, so
+    spans from different hosts land in one store keyed by trace id.
 
     Nothing here reads or advances the simulation clock — callers pass
     [~now] — so simulated timings are bit-identical with observability
@@ -16,12 +16,14 @@ type t
 val create : ?tracing:bool -> ?span_limit:int -> ?event_capacity:int -> unit -> t
 
 val tracing : t -> bool
-val set_tracing : t -> bool -> unit
 val metrics : t -> Metrics.t
 
 (** The hub's flight recorder (disabled until
     [Eventlog.set_enabled]). *)
 val events : t -> Eventlog.t
+
+(** The kernel and wire event stream, feeding this hub's recorder. *)
+val stream : t -> Stream.t
 
 (** The attached SLO engine, if any; the runtime feeds every finished
     client op to it. *)
@@ -29,16 +31,17 @@ val slo : t -> Slo.t option
 
 val set_slo : t -> Slo.t option -> unit
 
-(** [event t ~at ~cat ~host ?trace label] records into the flight
-    recorder — one boolean test when it is disabled. *)
-val event :
-  t ->
+(** [eventf hub ~at ~cat ~host ?trace fmt ...] records a formatted
+    label into [hub]'s flight recorder; the label is built only when a
+    hub is given and its recorder is enabled. *)
+val eventf :
+  t option ->
   at:float ->
   cat:Eventlog.cat ->
   host:string ->
   ?trace:int ->
-  string ->
-  unit
+  ('a, Format.formatter, unit, unit) format4 ->
+  'a
 
 (** Spans evicted from the bounded store so far. Eviction is
     tail-based: traces that errored, retried, failed over, hit a fault
@@ -72,11 +75,6 @@ val set_rollup : t -> Rollup.t option -> unit
 val timeseries : t -> Timeseries.t option
 
 val set_timeseries : t -> Timeseries.t option -> unit
-
-(** Refresh the obs-health metrics (eventlog drops, span evictions,
-    sampled-out traces, rollup key pressure, time-series refusals)
-    from the hub's internals. Exporters call this before reading. *)
-val sync_health_metrics : t -> unit
 
 (** [start_trace t ~now] allocates a fresh trace and returns the context
     to attach to the outgoing request. Returns {!Span.no_ctx} when

@@ -15,9 +15,11 @@
    as the leaf scope) and the flat tables stay empty, so key count is
    governed by the rollup's cap instead of the host count. The flat
    readers deliberately keep their flat-mode meaning — in rollup mode
-   they report zero/absent, and callers read the rollup instead. *)
+   they report zero/absent, and callers read the rollup instead.
 
-module Histogram = Histogram
+   Producers that count in place (the kernel, the wire) register a
+   source: every read runs the sources first, so what a reader sees
+   includes their counts without anyone flushing. *)
 
 type key = { host : string; server : string; op : string }
 
@@ -58,12 +60,11 @@ type t = {
   gauges : float ref Slots.t;
   histograms : Histogram.t Slots.t;
   mutable rollup : Rollup.t option;
-  mutable exemplar_slots : int;
-  mutable exemplar_rand : Srand.t option;
-  (* Bumped whenever the storage mode changes (rollup attach/detach,
-     reset, exemplar reconfiguration): handles compare their stamp
-     against this and rebind lazily. *)
+  (* Bumped whenever the storage mode changes (rollup attach or
+     detach): handles compare their stamp against this and rebind
+     lazily. *)
   mutable generation : int;
+  mutable sources : (t -> unit) list;  (* in registration order *)
 }
 
 let create ?(bounds = Histogram.default_bounds) () =
@@ -75,23 +76,23 @@ let create ?(bounds = Histogram.default_bounds) () =
     gauges = Slots.create 16;
     histograms = Slots.create 32;
     rollup = None;
-    exemplar_slots = 0;
-    exemplar_rand = None;
     generation = 0;
+    sources = [];
   }
 
 let enabled t = t.enabled
 let set_enabled t flag = t.enabled <- flag
-let rollup t = t.rollup
+let add_source t f = t.sources <- t.sources @ [ f ]
+
+(* The scrape: every reader runs it before reading. *)
+let scrape t = List.iter (fun f -> f t) t.sources
+
+let rollup t =
+  scrape t;
+  t.rollup
 
 let set_rollup t r =
   t.rollup <- r;
-  t.generation <- t.generation + 1
-
-let set_exemplars t ~slots ~seed =
-  if slots < 0 then invalid_arg "Metrics.set_exemplars: negative slots";
-  t.exemplar_slots <- slots;
-  t.exemplar_rand <- (if slots = 0 then None else Some (Srand.create ~seed));
   t.generation <- t.generation + 1
 
 (* The probe, pointed at one key. Valid until the next call. *)
@@ -119,9 +120,7 @@ let flat_histogram_cell t ~host ~server ~op =
   match Slots.find t.histograms p with
   | h -> h
   | exception Not_found ->
-      let h =
-        Histogram.create ~bounds:t.bounds ~exemplar_slots:t.exemplar_slots ()
-      in
+      let h = Histogram.create ~bounds:t.bounds () in
       Slots.add t.histograms (stored p) h;
       h
 
@@ -148,28 +147,15 @@ let observe ?trace t ~host ~server ~op v =
     match t.rollup with
     | Some r -> Rollup.observe ?trace r ~leaf:host ~server ~op v
     | None ->
-        Histogram.observe ?trace ?rand:t.exemplar_rand
-          (flat_histogram_cell t ~host ~server ~op)
-          v
+        Histogram.observe ?trace (flat_histogram_cell t ~host ~server ~op) v
 
-(* --- handles: the recording hot path --- *)
+(* --- observer handles: the recording hot path --- *)
 
-(* A handle caches where its instrument's data lives — a flat cell, or
-   a rollup route — so per-frame call sites pay pointer work instead of
-   key hashing. The binding is lazy and generation-stamped: attaching
-   or detaching a rollup, resetting, or reconfiguring exemplars bumps
-   [generation], and every handle transparently rebinds on its next
-   recording. *)
-
-type counter = {
-  cn_t : t;
-  cn_host : string;
-  cn_server : string;
-  cn_op : string;
-  mutable cn_gen : int;
-  mutable cn_flat : int ref option;
-  mutable cn_route : Rollup.counter_route option;
-}
+(* A handle caches where its histogram lives — a flat cell, or a
+   rollup route — so per-operation call sites pay pointer work instead
+   of key hashing. The binding is lazy and generation-stamped:
+   attaching or detaching a rollup bumps [generation], and every
+   handle transparently rebinds on its next recording. *)
 
 type observer = {
   ob_t : t;
@@ -181,17 +167,6 @@ type observer = {
   mutable ob_route : Rollup.observe_route option;
 }
 
-let counter t ~host ~server ~op =
-  {
-    cn_t = t;
-    cn_host = host;
-    cn_server = server;
-    cn_op = op;
-    cn_gen = t.generation - 1;
-    cn_flat = None;
-    cn_route = None;
-  }
-
 let observer t ~host ~server ~op =
   {
     ob_t = t;
@@ -202,23 +177,6 @@ let observer t ~host ~server ~op =
     ob_flat = None;
     ob_route = None;
   }
-
-let bind_counter c =
-  let t = c.cn_t in
-  c.cn_gen <- t.generation;
-  match t.rollup with
-  | Some r ->
-      c.cn_flat <- None;
-      c.cn_route <-
-        Some
-          (Rollup.counter_route r ~leaf:c.cn_host ~server:c.cn_server
-             ~op:c.cn_op)
-  | None ->
-      c.cn_route <- None;
-      c.cn_flat <-
-        Some
-          (flat_counter_cell t ~host:c.cn_host ~server:c.cn_server
-             ~op:c.cn_op)
 
 let bind_observer o =
   let t = o.ob_t in
@@ -237,18 +195,6 @@ let bind_observer o =
           (flat_histogram_cell t ~host:o.ob_host ~server:o.ob_server
              ~op:o.ob_op)
 
-let add ?(by = 1) c =
-  let t = c.cn_t in
-  if t.enabled then begin
-    if c.cn_gen <> t.generation then bind_counter c;
-    match c.cn_route with
-    | Some r -> Rollup.route_add ~by r
-    | None -> (
-        match c.cn_flat with
-        | Some cell -> cell := !cell + by
-        | None -> ())
-  end
-
 let record ?trace o v =
   let t = o.ob_t in
   if t.enabled then begin
@@ -257,19 +203,18 @@ let record ?trace o v =
     | Some r -> Rollup.route_observe ?trace r v
     | None -> (
         match o.ob_flat with
-        | Some h -> Histogram.observe ?trace ?rand:t.exemplar_rand h v
+        | Some h -> Histogram.observe ?trace h v
         | None -> ())
   end
 
 let counter_value t ~host ~server ~op =
+  scrape t;
   match Slots.find t.counters (probe t ~host ~server ~op) with
   | r -> !r
   | exception Not_found -> 0
 
-let gauge_value t ~host ~server ~op =
-  Option.map ( ! ) (Slots.find_opt t.gauges (probe t ~host ~server ~op))
-
 let histogram t ~host ~server ~op =
+  scrape t;
   Slots.find_opt t.histograms (probe t ~host ~server ~op)
 
 let compare_key a b =
@@ -280,19 +225,14 @@ let compare_key a b =
       | c -> c)
   | c -> c
 
-let sorted_bindings tbl value =
+let sorted_bindings t tbl value =
+  scrape t;
   Slots.fold (fun k v acc -> (key_of_slot k, value v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
-let counters t = sorted_bindings t.counters ( ! )
-let gauges t = sorted_bindings t.gauges ( ! )
-let histograms t = sorted_bindings t.histograms Fun.id
-
-let reset t =
-  Slots.reset t.counters;
-  Slots.reset t.gauges;
-  Slots.reset t.histograms;
-  t.generation <- t.generation + 1
+let counters t = sorted_bindings t t.counters ( ! )
+let gauges t = sorted_bindings t t.gauges ( ! )
+let histograms t = sorted_bindings t t.histograms Fun.id
 
 let to_json t =
   let instrument extra k = Json.Obj (key_json k @ extra) in
@@ -315,14 +255,3 @@ let to_json t =
                instrument [ ("histogram", Histogram.to_json h) ] k)
              (histograms t)) );
     ]
-
-let pp ppf t =
-  List.iter
-    (fun (k, v) -> Fmt.pf ppf "%a = %d@." pp_key k v)
-    (counters t);
-  List.iter
-    (fun (k, v) -> Fmt.pf ppf "%a = %.3f@." pp_key k v)
-    (gauges t);
-  List.iter
-    (fun (k, h) -> Fmt.pf ppf "%a: %a@." pp_key k Histogram.pp h)
-    (histograms t)

@@ -11,11 +11,11 @@
     below fleet scale. Attaching a {!Rollup} via {!set_rollup} forwards
     every recording into the rollup's leaf/group/fleet tree (host as
     leaf scope) instead; the flat tables then stay empty and the flat
-    readers report zero/absent — at scale, read the rollup. *)
+    readers report zero/absent — at scale, read the rollup.
 
-(** The histogram implementation, re-exported so existing
-    [Metrics.Histogram] call sites keep working; see {!Histogram}. *)
-module Histogram = Histogram
+    Every reader ({!counter_value} to {!to_json}, and {!rollup}) first runs
+    the registered sources, so counts a producer keeps in place are in
+    the registry whenever anyone looks. *)
 
 type key = { host : string; server : string; op : string }
 
@@ -27,7 +27,13 @@ val create : ?bounds:float array -> unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
-(** The attached rollup, if the registry is in scale mode. *)
+(** [add_source t f] registers a producer that keeps counts outside the
+    registry: every read runs [f t] first (sources in registration
+    order), and [f] moves the producer's counts in. *)
+val add_source : t -> (t -> unit) -> unit
+
+(** The attached rollup, if the registry is in scale mode — a reader:
+    the sources run first. *)
 val rollup : t -> Rollup.t option
 
 (** [set_rollup t (Some r)] switches the registry to scale mode: all
@@ -35,41 +41,27 @@ val rollup : t -> Rollup.t option
     [set_rollup t None] returns to flat mode. *)
 val set_rollup : t -> Rollup.t option -> unit
 
-(** [set_exemplars t ~slots ~seed] enables per-bucket trace exemplars
-    on histograms created after this call (flat mode; a rollup carries
-    its own exemplar configuration). [slots = 0] disables.
-    @raise Invalid_argument on negative [slots]. *)
-val set_exemplars : t -> slots:int -> seed:int -> unit
-
 (** Recording. All are no-ops when the registry is disabled. *)
 
 val incr : ?by:int -> t -> host:string -> server:string -> op:string -> unit
 val set_gauge : t -> host:string -> server:string -> op:string -> float -> unit
 
 (** [observe ?trace t ~host ~server ~op v] records a histogram sample;
-    a positive [trace] id is offered to the bucket's exemplar reservoir
-    when exemplars are enabled. *)
+    in rollup mode a positive [trace] id is offered to the bucket's
+    exemplar reservoir when the rollup keeps exemplars. *)
 val observe :
   ?trace:int -> t -> host:string -> server:string -> op:string -> float -> unit
 
-(** {1 Handles — the recording hot path}
+(** {1 Observer handles — the recording hot path}
 
-    A handle caches where its instrument's data lives (a flat cell or
-    a rollup route), so recording through it is pointer work — no key
-    construction, no hashing, no group lookup. This is what per-frame
-    and per-send call sites use. Handles survive mode changes:
-    attaching or detaching a rollup, {!reset} and {!set_exemplars} all
-    invalidate cached bindings, and a handle transparently rebinds on
-    its next recording. *)
+    An observer caches where its histogram lives (a flat cell or a
+    rollup route), so recording through it is pointer work — no key
+    construction, no hashing, no group lookup. Observers survive mode
+    changes: attaching or detaching a rollup invalidates cached
+    bindings, and an observer transparently rebinds on its next
+    recording. *)
 
-type counter
 type observer
-
-val counter : t -> host:string -> server:string -> op:string -> counter
-
-(** [add c] bumps the counter (all rollup levels at once in rollup
-    mode). No-op when the registry is disabled. *)
-val add : ?by:int -> counter -> unit
 
 val observer : t -> host:string -> server:string -> op:string -> observer
 
@@ -82,7 +74,6 @@ val record : ?trace:int -> observer -> float -> unit
 (** [counter_value] is 0 for a counter never incremented. *)
 val counter_value : t -> host:string -> server:string -> op:string -> int
 
-val gauge_value : t -> host:string -> server:string -> op:string -> float option
 val histogram : t -> host:string -> server:string -> op:string -> Histogram.t option
 
 (** All instruments, sorted by (host, server, op). *)
@@ -91,6 +82,4 @@ val counters : t -> (key * int) list
 val gauges : t -> (key * float) list
 val histograms : t -> (key * Histogram.t) list
 
-val reset : t -> unit
 val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

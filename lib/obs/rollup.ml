@@ -138,22 +138,19 @@ let set_gauge t ~leaf ~server ~op v =
         | None -> Hashtbl.replace t.gauges (level, key) (ref v))
     (targets t ~leaf ~server ~op)
 
+let hist_cell t level key =
+  match Hashtbl.find_opt t.histograms (level, key) with
+  | Some h -> h
+  | None ->
+      let h = Histogram.create ~bounds:t.bounds ~exemplar_slots:t.slots () in
+      Hashtbl.replace t.histograms (level, key) h;
+      h
+
 let observe ?trace t ~leaf ~server ~op v =
   List.iter
     (fun (level, key) ->
-      if admit t level key then begin
-        let h =
-          match Hashtbl.find_opt t.histograms (level, key) with
-          | Some h -> h
-          | None ->
-              let h =
-                Histogram.create ~bounds:t.bounds ~exemplar_slots:t.slots ()
-              in
-              Hashtbl.replace t.histograms (level, key) h;
-              h
-        in
-        Histogram.observe ?trace ~rand:t.rand h v
-      end)
+      if admit t level key then
+        Histogram.observe ?trace ~rand:t.rand (hist_cell t level key) v)
     (targets t ~leaf ~server ~op)
 
 (* --- pre-resolved routes: the recording hot path --- *)
@@ -164,64 +161,25 @@ let observe ?trace t ~leaf ~server ~op v =
    the aggregate cells, and each recording through it counts one
    dropped observation, matching the keyed path's accounting. *)
 
-type counter_route = {
-  cr_cells : int ref array;
-  cr_owner : t;
-  cr_leaf_ok : bool;
-}
-
 type observe_route = {
   or_hists : Histogram.t array;
   or_owner : t;
   or_leaf_ok : bool;
 }
 
-let counter_cell t level key =
-  match Hashtbl.find_opt t.counters (level, key) with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counters (level, key) r;
-      r
-
-let hist_cell t level key =
-  match Hashtbl.find_opt t.histograms (level, key) with
-  | Some h -> h
-  | None ->
-      let h = Histogram.create ~bounds:t.bounds ~exemplar_slots:t.slots () in
-      Hashtbl.replace t.histograms (level, key) h;
-      h
-
-let bind_route t ~leaf ~server ~op cell =
+let observe_route t ~leaf ~server ~op =
   let leaf_ok = ref true in
-  let cells =
+  let hists =
     List.filter_map
       (fun (level, key) ->
-        if admit_quiet t level key then Some (cell t level key)
+        if admit_quiet t level key then Some (hist_cell t level key)
         else begin
           leaf_ok := false;
           None
         end)
       (targets t ~leaf ~server ~op)
   in
-  (Array.of_list cells, !leaf_ok)
-
-let counter_route t ~leaf ~server ~op =
-  let cells, leaf_ok = bind_route t ~leaf ~server ~op counter_cell in
-  { cr_cells = cells; cr_owner = t; cr_leaf_ok = leaf_ok }
-
-let route_add ?(by = 1) r =
-  if not r.cr_leaf_ok then
-    r.cr_owner.keys_dropped <- r.cr_owner.keys_dropped + 1;
-  let cells = r.cr_cells in
-  for i = 0 to Array.length cells - 1 do
-    let c = cells.(i) in
-    c := !c + by
-  done
-
-let observe_route t ~leaf ~server ~op =
-  let hists, leaf_ok = bind_route t ~leaf ~server ~op hist_cell in
-  { or_hists = hists; or_owner = t; or_leaf_ok = leaf_ok }
+  { or_hists = Array.of_list hists; or_owner = t; or_leaf_ok = !leaf_ok }
 
 let route_observe ?trace r v =
   if not r.or_leaf_ok then

@@ -60,13 +60,7 @@ val observe :
     and every recording through it counts in {!keys_dropped} —
     identical accounting to the keyed API. *)
 
-type counter_route
 type observe_route
-
-val counter_route :
-  t -> leaf:string -> server:string -> op:string -> counter_route
-
-val route_add : ?by:int -> counter_route -> unit
 
 val observe_route :
   t -> leaf:string -> server:string -> op:string -> observe_route

@@ -210,20 +210,11 @@ let root_trace = function
   | Some ((_ : Vobs.Hub.t), span) -> span.Vobs.Span.trace_id
 
 (* Flight-recorder events from the client runtime (retries, failovers,
-   exhausted budgets), stamped with the operation's root trace. The
-   label is only built when an attached hub's recorder is enabled. *)
-let obs_event env ?(trace = 0) fmt =
-  match obs_hub env with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          Vobs.Hub.event hub
-            ~at:(Vsim.Engine.now (engine env))
-            ~cat:Vobs.Eventlog.Client
-            ~host:(Kernel.self_host_name env.self)
-            ~trace label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+   exhausted budgets), stamped with the operation's root trace. *)
+let obs_event env ~trace fmt =
+  Vobs.Hub.eventf (obs_hub env)
+    ~at:(Vsim.Engine.now (engine env))
+    ~cat:Vobs.Eventlog.Client ~host:(Kernel.self_host_name env.self) ~trace fmt
 
 (* The resilience retry loop around one named operation. [run] is a
    whole routed attempt (including the stale-retry cascade); on a

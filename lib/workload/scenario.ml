@@ -91,12 +91,11 @@ let build ?(config = Calibration.ethernet_3mbit)
   let engine = Vsim.Engine.create () in
   let net = Ethernet.create ~seed ~topology ~config engine in
   let domain = Kernel.create_domain ~seed ~cost:Vmsg.cost_model engine net in
-  (* Attach observability before any host boots so every layer sees it.
-     Pure bookkeeping: simulated timings are identical with [tracing]
-     on or off. *)
+  (* Attach observability (kernel and wire) before any host boots so
+     every layer sees it. Pure bookkeeping: simulated timings are
+     identical with [tracing] on or off. *)
   let obs = Vobs.Hub.create ~tracing () in
   Kernel.set_obs domain obs;
-  Ethernet.set_obs net obs;
   (* The kernel is parametric in the message type and cannot read the
      trace context a request carries; teach it where Vmsg keeps it so
      flight-recorder events are stamped with the active trace id. *)

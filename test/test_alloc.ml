@@ -100,7 +100,9 @@ let test_cross_edge_frame () =
 
 (* Sequential echo transactions across edge switches on the gigabit
    fabric the benchmark's IPC workload uses. *)
-let test_remote_echo () =
+(* Words per remote echo transaction; [attach] may hook the domain up
+   to a hub first. *)
+let echo_words ?(attach = ignore) () =
   let eng = Engine.create () in
   let net =
     E.create
@@ -115,6 +117,7 @@ let test_remote_echo () =
   in
   let cost = { K.payload_bytes = String.length; K.segment_bytes = (fun _ -> 0) } in
   let d = K.create_domain ~cost eng net in
+  attach d;
   let server =
     K.spawn (K.boot_host d ~name:"server" 1) ~name:"echo" (fun self ->
         let rec loop () =
@@ -141,7 +144,24 @@ let test_remote_echo () =
                  echo ()
                done)));
   Engine.run eng;
-  gate "one remote echo" ~ceiling:760.0 !words
+  !words
+
+let test_remote_echo () = gate "one remote echo" ~ceiling:760.0 (echo_words ())
+
+(* With the stream listening — the pump armed, as on E15's soak lane,
+   recorder and timeline off — every kernel and wire site emits its
+   event, and no consumer keeps or prints one: an echo allocates
+   exactly what it does with no hub at all. *)
+let test_listening_stream () =
+  let bare = echo_words () in
+  let listening =
+    echo_words
+      ~attach:(fun d ->
+        K.set_obs d (Vobs.Hub.create ());
+        K.enable_telemetry d ~interval_ms:1e9)
+      ()
+  in
+  Alcotest.(check (float 0.0)) "words per echo, pump armed" bare listening
 
 (* --- the naming layer --- *)
 
@@ -329,6 +349,7 @@ let suite =
         Alcotest.test_case "Proc.delay" `Quick test_proc_delay;
         Alcotest.test_case "cross-edge frame" `Quick test_cross_edge_frame;
         Alcotest.test_case "remote echo" `Quick test_remote_echo;
+        Alcotest.test_case "listening stream" `Quick test_listening_stream;
         Alcotest.test_case "Csnh.walk" `Quick test_walk;
         Alcotest.test_case "Name_cache.find" `Quick test_cache_find;
         Alcotest.test_case "Metrics.incr" `Quick test_metrics_incr;

@@ -794,11 +794,13 @@ let test_destroy_unblocks_client () =
     (match !result with Error _ -> true | Ok _ -> false)
 
 let test_trace_timeline () =
-  (* The Figure-1 timeline: trace records appear in transaction order at
-     the calibrated instants. *)
+  (* The Figure-1 timeline, exactly as F1 renders it: the transaction's
+     five events in order at the calibrated instants, the two frames
+     included. *)
   let rig = make_rig () in
-  let trace = Vsim.Trace.create rig.eng in
-  K.set_trace rig.domain trace;
+  let hub = Vobs.Hub.create () in
+  K.set_obs rig.domain hub;
+  Vobs.Stream.set_timeline (Vobs.Hub.stream hub) true;
   let h1 = K.boot_host rig.domain ~name:"a" 1 in
   let h2 = K.boot_host rig.domain ~name:"b" 2 in
   let server =
@@ -808,21 +810,18 @@ let test_trace_timeline () =
   in
   ignore (K.spawn h1 (fun self -> ignore (K.send self server "")));
   Vsim.Engine.run rig.eng;
-  let events =
-    List.map
-      (fun r ->
-        ( (match String.index_opt r.Vsim.Trace.message ' ' with
-          | Some i -> String.sub r.Vsim.Trace.message 0 i
-          | None -> r.Vsim.Trace.message),
-          r.Vsim.Trace.time ))
-      (Vsim.Trace.records trace)
-  in
-  let kind k = List.assoc_opt k events in
-  Alcotest.(check (option (float 1e-6))) "Send at t=0" (Some 0.0) (kind "Send");
-  Alcotest.(check (option (float 1e-6))) "Receive at 1.28" (Some 1.28)
-    (kind "Receive");
-  Alcotest.(check (option (float 1e-6))) "Reply right after" (Some 1.28)
-    (kind "Reply")
+  Alcotest.(check (list string))
+    "F1's five lines"
+    [
+      "  +0.000 ms  ipc        Send 1.6203 -> 2.32271";
+      "  +0.510 ms  net        host1 -> host2 (32B payload)";
+      "  +1.280 ms  ipc        Receive 2.32271 <- 1.6203";
+      "  +1.280 ms  ipc        Reply 2.32271 -> 1.6203";
+      "  +1.790 ms  net        host2 -> host1 (32B payload)";
+    ]
+    (String.split_on_char '\n'
+       (Fmt.str "%a" Vobs.Stream.pp_timeline (Vobs.Hub.stream hub))
+    |> List.filter (fun l -> l <> ""))
 
 let test_determinism () =
   (* The same scenario run twice produces identical event counts and

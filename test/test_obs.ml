@@ -154,7 +154,7 @@ let test_timeline_render () =
 (* --- histogram quantiles vs exact Series quantiles --- *)
 
 let test_histogram_vs_series () =
-  let h = Vobs.Metrics.Histogram.create () in
+  let h = Vobs.Histogram.create () in
   let series = Vsim.Stats.Series.create "samples" in
   let prng = Vsim.Prng.create ~seed:7 in
   let samples =
@@ -162,23 +162,23 @@ let test_histogram_vs_series () =
   in
   List.iter
     (fun x ->
-      Vobs.Metrics.Histogram.observe h x;
+      Vobs.Histogram.observe h x;
       Vsim.Stats.Series.add series x)
     samples;
   Alcotest.(check int)
     "count" (Vsim.Stats.Series.count series)
-    (Vobs.Metrics.Histogram.count h);
+    (Vobs.Histogram.count h);
   let smin = List.fold_left min infinity samples in
   let smax = List.fold_left max neg_infinity samples in
-  Alcotest.(check (float 1e-9)) "min" smin (Vobs.Metrics.Histogram.min_ h);
-  Alcotest.(check (float 1e-9)) "max" smax (Vobs.Metrics.Histogram.max_ h);
-  let bounds = Vobs.Metrics.Histogram.default_bounds in
+  Alcotest.(check (float 1e-9)) "min" smin (Vobs.Histogram.min_ h);
+  Alcotest.(check (float 1e-9)) "max" smax (Vobs.Histogram.max_ h);
+  let bounds = Vobs.Histogram.default_bounds in
   (* The histogram estimate must land inside the bucket that holds the
      exact quantile — that is the resolution the bucketing promises. *)
   List.iter
     (fun q ->
       let exact = Vsim.Stats.Series.quantile series q in
-      let estimate = Vobs.Metrics.Histogram.quantile h q in
+      let estimate = Vobs.Histogram.quantile h q in
       let b =
         let rec find i =
           if i >= Array.length bounds then i
@@ -195,7 +195,7 @@ let test_histogram_vs_series () =
     [ 0.1; 0.25; 0.5; 0.9; 0.95; 0.99; 1.0 ];
   (* Quantiles are monotone in q. *)
   let qs = [ 0.0; 0.25; 0.5; 0.75; 0.95; 1.0 ] in
-  let vs = List.map (Vobs.Metrics.Histogram.quantile h) qs in
+  let vs = List.map (Vobs.Histogram.quantile h) qs in
   ignore
     (List.fold_left
        (fun prev v ->
@@ -223,8 +223,8 @@ let test_metrics_registry () =
   (match Vobs.Metrics.histogram m ~host:"h" ~server:"s" ~op:"lat" with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
-      Alcotest.(check int) "hist count" 2 (Vobs.Metrics.Histogram.count h);
-      Alcotest.(check (float 1e-9)) "hist sum" 4.0 (Vobs.Metrics.Histogram.sum h));
+      Alcotest.(check int) "hist count" 2 (Vobs.Histogram.count h);
+      Alcotest.(check (float 1e-9)) "hist sum" 4.0 (Vobs.Histogram.sum h));
   match Vobs.Json.member "counters" (Vobs.Metrics.to_json m) with
   | Some (Vobs.Json.List [ _ ]) -> ()
   | _ -> Alcotest.fail "counters JSON shape"
@@ -233,7 +233,8 @@ let test_metrics_registry () =
    alphabet, so many differ in one field only, and "x" can be a host, a
    server and an op; each field is passed either as the shared literal
    or as a fresh copy, so lookups cannot lean on physical equality.
-   Counter handles are made once per key and reused. *)
+   [Add] counts in place behind a registered source, which every read
+   must scrape in before it reports. *)
 type mop =
   | Incr of (int * bool) * int
   | Gauge of (int * bool) * float
@@ -285,7 +286,12 @@ let prop_metrics_match_model =
       let module H = Vobs.Histogram in
       let module J = Vobs.Json in
       let m = M.create () in
-      let handles = Hashtbl.create 8 in
+      let pending = ref [] in
+      M.add_source m (fun m ->
+          List.iter
+            (fun ((host, server, op), by) -> M.incr ~by m ~host ~server ~op)
+            (List.rev !pending);
+          pending := []);
       let counters = ref [] and gauges = ref [] and histograms = ref [] in
       let bump k by =
         match List.assoc_opt k !counters with
@@ -334,16 +340,9 @@ let prop_metrics_match_model =
               M.incr ~by m ~host ~server ~op;
               bump (key_strings (fst k, false)) by
           | Add (k, by) ->
-              let c =
-                match Hashtbl.find_opt handles (fst k) with
-                | Some c -> c
-                | None ->
-                    let host, server, op = key_strings k in
-                    let c = M.counter m ~host ~server ~op in
-                    Hashtbl.replace handles (fst k) c;
-                    c
-              in
-              M.add ~by c;
+              (* Counted in place, as the kernel and the wire count: the
+                 next read scrapes it in. *)
+              pending := (key_strings k, by) :: !pending;
               bump (key_strings (fst k, false)) by
           | Gauge (k, v) -> (
               let host, server, op = key_strings k in

@@ -454,28 +454,6 @@ let test_counter () =
   Vsim.Stats.Counter.reset c;
   Alcotest.(check int) "reset" 0 (Vsim.Stats.Counter.value c)
 
-(* --- Trace --- *)
-
-let test_trace_records () =
-  let eng = Vsim.Engine.create () in
-  let tr = Vsim.Trace.create eng in
-  Vsim.Engine.schedule ~delay:1.5 eng (fun () ->
-      Vsim.Trace.emit tr ~category:"x" "hello %d" 1);
-  Vsim.Engine.run eng;
-  match Vsim.Trace.records tr with
-  | [ r ] ->
-      check_float "timestamp" 1.5 r.Vsim.Trace.time;
-      Alcotest.(check string) "message" "hello 1" r.Vsim.Trace.message
-  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
-
-let test_trace_filter () =
-  let eng = Vsim.Engine.create () in
-  let tr = Vsim.Trace.create eng in
-  Vsim.Trace.set_categories tr [ "keep" ];
-  Vsim.Trace.emit tr ~category:"keep" "a";
-  Vsim.Trace.emit tr ~category:"drop" "b";
-  Alcotest.(check int) "filtered" 1 (List.length (Vsim.Trace.records tr))
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -535,10 +513,5 @@ let suite =
         Alcotest.test_case "histogram" `Quick test_histogram;
         Alcotest.test_case "histogram degenerate" `Quick test_histogram_single_value;
         qcheck prop_quantile_monotone;
-      ] );
-    ( "sim.trace",
-      [
-        Alcotest.test_case "records" `Quick test_trace_records;
-        Alcotest.test_case "filter" `Quick test_trace_filter;
       ] );
   ]

@@ -220,15 +220,14 @@ let test_eventlog_drop_hook () =
     "stored + dropped = recorded" 10
     (Vobs.Eventlog.count log + Vobs.Eventlog.dropped log)
 
-(* --- deferred-scrape counters: flush moves deltas exactly once --- *)
+(* --- counts kept in place: every read scrapes them in exactly once --- *)
 
-let test_flush_metrics_deferred_and_idempotent () =
+let test_scrape_lands_counts_once () =
   let eng = Vsim.Engine.create () in
   let net = E.create ~config:C.ethernet_3mbit eng in
   let domain = K.create_domain ~cost eng net in
   let hub = Vobs.Hub.create () in
   K.set_obs domain hub;
-  E.set_obs net hub;
   let server_host = K.boot_host domain ~name:"srv" 1 in
   let client_host = K.boot_host domain ~name:"cli" 2 in
   let server =
@@ -252,35 +251,39 @@ let test_flush_metrics_deferred_and_idempotent () =
   let sends () =
     Vobs.Metrics.counter_value m ~host:"cli" ~server:"kernel" ~op:"send"
   in
-  (* The IPC counters accumulate on the host record; the registry sees
-     nothing until a scrape point flushes the deltas. *)
-  Alcotest.(check int) "registry empty before the flush" 0 (sends ());
-  K.flush_metrics domain;
-  Alcotest.(check int) "flush lands the send count" 3 (sends ());
-  Alcotest.(check int) "server receives flushed too" 3
+  (* The IPC counters accumulate on the host record; reading the
+     registry scrapes them in. *)
+  Alcotest.(check int) "a read lands the send count" 3 (sends ());
+  Alcotest.(check int) "server receives land too" 3
     (Vobs.Metrics.counter_value m ~host:"srv" ~server:"kernel" ~op:"receive");
-  K.flush_metrics domain;
-  Alcotest.(check int) "second flush adds nothing" 3 (sends ())
+  Alcotest.(check int) "a second read adds nothing" 3 (sends ())
 
 (* --- metric handles survive a registry mode switch --- *)
 
 let test_handle_rebinds_across_set_rollup () =
   let m = Vobs.Metrics.create () in
-  let c = Vobs.Metrics.counter m ~host:"h1" ~server:"kernel" ~op:"send" in
-  Vobs.Metrics.add c;
-  Alcotest.(check int) "flat mode counts flat" 1
-    (Vobs.Metrics.counter_value m ~host:"h1" ~server:"kernel" ~op:"send");
+  let o = Vobs.Metrics.observer m ~host:"h1" ~server:"kernel" ~op:"rtt" in
+  let flat_count () =
+    match Vobs.Metrics.histogram m ~host:"h1" ~server:"kernel" ~op:"rtt" with
+    | Some h -> Vobs.Histogram.count h
+    | None -> 0
+  in
+  Vobs.Metrics.record o 1.0;
+  Alcotest.(check int) "flat mode records flat" 1 (flat_count ());
   let r = R.create ~group_of:(fun _ -> Some "edge0") () in
   Vobs.Metrics.set_rollup m (Some r);
   (* The stale handle must notice the generation change and rebind to
      the rollup rather than keep feeding the abandoned flat cell. *)
-  Vobs.Metrics.add ~by:2 c;
+  Vobs.Metrics.record o 2.0;
+  Vobs.Metrics.record o 3.0;
   let fleet_total =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 (R.counters r Fleet)
+    List.fold_left
+      (fun acc (_, h) -> acc + Vobs.Histogram.count h)
+      0 (R.histograms r Fleet)
   in
-  Alcotest.(check int) "post-switch adds land in the rollup" 2 fleet_total;
-  Alcotest.(check int) "flat cell keeps only the pre-switch count" 1
-    (Vobs.Metrics.counter_value m ~host:"h1" ~server:"kernel" ~op:"send")
+  Alcotest.(check int) "post-switch records land in the rollup" 2 fleet_total;
+  Alcotest.(check int) "flat cell keeps only the pre-switch sample" 1
+    (flat_count ())
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -302,8 +305,8 @@ let suite =
       Alcotest.test_case "timeseries series cap" `Quick
         test_timeseries_series_cap;
       Alcotest.test_case "eventlog drop hook" `Quick test_eventlog_drop_hook;
-      Alcotest.test_case "flush_metrics deferred + idempotent" `Quick
-        test_flush_metrics_deferred_and_idempotent;
+      Alcotest.test_case "scrape lands counts once" `Quick
+        test_scrape_lands_counts_once;
       Alcotest.test_case "handle rebind across set_rollup" `Quick
         test_handle_rebinds_across_set_rollup;
         qcheck prop_sampling_deterministic;
