@@ -21,7 +21,7 @@ let run () =
     (Prefix_server.binding_count prefix)
     (Prefix_server.data_bytes prefix);
   Fmt.pr "paper: 2.6 KB of data (mostly reserved directory space); code size N/A here@.@.";
-  (* Growth with the binding count. *)
+  (* Growth with the binding count, from the installation's own. *)
   let target = Context.spec ~server:(Pid.make ~logical_host:1 ~local_pid:1) ~context:0 in
   let rows = ref [] in
   List.iter
@@ -43,7 +43,7 @@ let run () =
             (float_of_int (Prefix_server.data_bytes prefix) /. float_of_int n);
         ]
         :: !rows)
-    [ 8; 16; 32; 64; 128 ];
+    [ Prefix_server.binding_count prefix; 16; 32; 64; 128 ];
   Tables.print_table ~header:[ "bindings"; "data bytes"; "bytes/binding" ]
     (List.rev !rows);
   Fmt.pr

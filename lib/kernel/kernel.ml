@@ -59,6 +59,18 @@ type 'm packet =
 
 type 'm delivery = { d_sender : Pid.t; d_msg : 'm }
 
+(* What a host remembers of one remote sender, after the V kernel's
+   alien descriptors (Cheriton & Zwaenepoel, SOSP 1983): the sender's
+   latest request delivered here and, once that request is answered,
+   the reply frame to replay if a retransmission shows the frame was
+   lost. A sender has one transaction outstanding at a time and its
+   transaction ids only grow, so one record per sender is all that
+   at-most-once delivery needs (see [handle_packet]). *)
+type 'm alien = {
+  mutable al_txn : int;  (* 0 until a request is delivered *)
+  mutable al_reply : 'm packet Ethernet.frame option;  (* answers [al_txn] *)
+}
+
 (* What a per-process admission hook decided about an incoming request.
    The kernel supplies the mechanism (bounded queues, priority lanes, a
    kernel-level rejection reply); the policy — caps, deadline-aware
@@ -207,11 +219,9 @@ and 'm host = {
      validated on use — a failed send/forward to a cached pid is the
      invalidation signal (see [drop_cached_pid]). *)
   getpid_cache : (int, Pid.t) Hashtbl.t;
-  (* At-most-once machinery for retransmitted requests: transactions
-     already delivered to a process here, and cached replies to replay
-     when the reply frame itself was lost. *)
-  delivered_txns : (int, unit) Hashtbl.t;
-  completed_replies : (int, Ethernet.addr * 'm packet * int) Hashtbl.t;
+  (* At-most-once delivery of retransmitted requests: one record per
+     remote sender, by pid. Never folded, so its size shapes nothing. *)
+  aliens : (int, 'm alien) Hashtbl.t;
   group_members : (int, Pid.t list) Hashtbl.t;
   host_prng : Vsim.Prng.t;
   (* One int per kind, moved into an attached hub's registry by its
@@ -737,26 +747,49 @@ let remote_recv_cost d msg =
   Calibration.small_packet_recv_cpu
   +. (if d.cost.segment_bytes msg > 0 then Calibration.segment_copy_remote_cpu else 0.0)
 
+(* The record of remote [sender] at [host], made on its first
+   request. *)
+let alien host sender =
+  let key = Pid.to_int sender in
+  match Hashtbl.find host.aliens key with
+  | al -> al
+  | exception Not_found ->
+      let al = { al_txn = 0; al_reply = None } in
+      Hashtbl.replace host.aliens key al;
+      al
+
+(* Put [replier]'s answer to [sender]'s transaction [txn] on the wire
+   towards [dst]. The frame is kept for replay when [sender]'s record
+   here holds [txn]; a reply with no record answers a group request,
+   which is never retransmitted. *)
+let reply_remote host ~txn ~sender ~replier ~dst msg =
+  let frame =
+    {
+      Ethernet.src = host.addr;
+      dst = Ethernet.Unicast dst;
+      payload = Reply_pkt { txn; replier; msg };
+      payload_bytes = message_payload_bytes host.domain msg;
+    }
+  in
+  (match Hashtbl.find host.aliens (Pid.to_int sender) with
+  | al when al.al_txn = txn -> al.al_reply <- Some frame
+  | _ | (exception Not_found) -> ());
+  Ethernet.transmit host.domain.net frame
+
 (* --- request dispatch (Send and Forward share this) --- *)
 
 (* Complete a shed transaction on the server's behalf: resume a local
    sender directly, or put the rejection on the wire towards a remote
-   one (cached for replay exactly like an ordinary reply). No server
+   one (kept for replay exactly like an ordinary reply). No server
    fiber runs and no service time is charged — rejection is the cheap
    path, which is the entire point of shedding early. *)
 let shed_reply host ~txn ~sender ~replier msg =
-  let d = host.domain in
-  match find_process d sender with
+  match find_process host.domain sender with
   | Some sender_proc when sender_proc.proc_host == host ->
       fill_pending host ~txn (Ok (msg, replier))
   | Some sender_proc ->
-      let packet = Reply_pkt { txn; replier; msg } in
-      let bytes = message_payload_bytes d msg in
-      let dst = sender_proc.proc_host.addr in
-      if Hashtbl.length host.completed_replies > 4096 then
-        Hashtbl.reset host.completed_replies;
-      Hashtbl.replace host.completed_replies txn (dst, packet, bytes);
-      transmit host ~dst:(Ethernet.Unicast dst) ~payload_bytes:bytes packet
+      reply_remote host ~txn ~sender ~replier ~dst:sender_proc.proc_host.addr
+        msg
   | None -> () (* sender died while blocked; nothing to resume *)
 
 let dispatch_local_request host ~txn ~sender ~target_proc msg =
@@ -827,12 +860,15 @@ let arm_timeout host ~txn pending ~dst_addr =
    delivery cannot lose frames — but the forward makes the reply leg
    lossy: if the remote reply frame is dropped, nothing would ever
    resend and the sender blocks forever. Probe at the timeout pace (not
-   the retransmission pace): each probe resends the forwarded request —
-   the target's completed-reply cache replays a lost reply, its
-   duplicate suppression absorbs the rest — and the transaction fails
-   with Timeout once the target host is unreachable or the probe budget
-   is spent. Fault-free forwarded transactions complete well before the
-   first probe fires, so loss-free runs see no extra frames. *)
+   the retransmission pace): each probe resends the forwarded request,
+   and the target host's record of the sender replays the reply if it
+   was lost or drops the copy while the request is still being served.
+   The transaction fails with Timeout once the target host is
+   unreachable or the probe budget is spent. The record keeps the reply
+   until the sender's next request reaches that host, so a probe finds
+   it however late it fires. Fault-free forwarded transactions complete
+   well before the first probe fires, so loss-free runs see no extra
+   frames. *)
 let arm_forward_recovery host ~txn pending ~dst_addr resend =
   let d = host.domain in
   let rec probe () =
@@ -1030,16 +1066,8 @@ let reply proc ~to_ msg =
           Ok ()
       | sender_proc ->
           charge proc Calibration.small_packet_send_cpu;
-          let packet = Reply_pkt { txn; replier = proc.pid; msg } in
-          let bytes = message_payload_bytes d msg in
-          let dst = sender_proc.proc_host.addr in
-          (* Keep the reply for replay if the frame is lost and the
-             sender retransmits (bounded cache: duplicate suppression is
-             only needed within the retransmission window). *)
-          if Hashtbl.length host.completed_replies > 4096 then
-            Hashtbl.reset host.completed_replies;
-          Hashtbl.replace host.completed_replies txn (dst, packet, bytes);
-          transmit host ~dst:(Ethernet.Unicast dst) ~payload_bytes:bytes packet;
+          reply_remote host ~txn ~sender:to_ ~replier:proc.pid
+            ~dst:sender_proc.proc_host.addr msg;
           Ok ())
 
 (* [forward proc ~from_ ~to_ msg] passes the transaction on: [to_] sees
@@ -1749,22 +1777,25 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
   | Request { txn; sender; target; msg } ->
       Engine.schedule ~delay:(remote_recv_cost d msg) d.engine (fun () ->
           if host.host_up then
-            match Hashtbl.find host.completed_replies txn with
-            | reply_addr, reply_packet, reply_bytes ->
-                (* Duplicate of a completed transaction: the reply frame
-                   was lost; replay it. *)
-                transmit host ~dst:(Ethernet.Unicast reply_addr)
-                  ~payload_bytes:reply_bytes reply_packet
-            | exception Not_found -> (
+            let al = alien host sender in
+            match al.al_reply with
+            | Some reply when al.al_txn = txn ->
+                (* A retransmission of an answered request: the reply
+                   frame was lost; replay it. *)
+                Ethernet.transmit d.net reply
+            | Some _ | None -> (
                 match Hashtbl.find host.processes (Pid.local_pid target) with
                 | target_proc
                   when target_proc.proc_alive
                        && Pid.logical_host target = host.logical_host ->
-                    if not (Hashtbl.mem host.delivered_txns txn) then begin
-                      Hashtbl.replace host.delivered_txns txn ();
+                    if txn > al.al_txn then begin
+                      al.al_txn <- txn;
+                      al.al_reply <- None;
                       dispatch_local_request host ~txn ~sender ~target_proc msg
                     end
-                    (* else a duplicate; the server is still working on it *)
+                    (* else a duplicate the server is still working on,
+                       or a copy older than the sender's latest request
+                       here: V's rule drops both *)
                 | _ | (exception Not_found) ->
                     (* Never deliverable — or the serving process died
                        mid-transaction and a retransmission probed it:
@@ -1926,8 +1957,7 @@ let boot_host d ~name addr =
       moves = Hashtbl.create 8;
       getpid_waits = Hashtbl.create 8;
       getpid_cache = Hashtbl.create 8;
-      delivered_txns = Hashtbl.create 64;
-      completed_replies = Hashtbl.create 64;
+      aliens = Hashtbl.create 16;
       group_members = Hashtbl.create 8;
       host_prng = Vsim.Prng.split d.domain_prng;
       counts = Array.make (Array.length ops) 0;
@@ -1980,8 +2010,7 @@ let crash_host host =
     Hashtbl.reset host.moves;
     Hashtbl.reset host.getpid_waits;
     Hashtbl.reset host.getpid_cache;
-    Hashtbl.reset host.delivered_txns;
-    Hashtbl.reset host.completed_replies;
+    Hashtbl.reset host.aliens;
     Hashtbl.iter
       (fun group _ -> Ethernet.leave_group d.net ~group ~addr:host.addr)
       host.group_members;

@@ -97,11 +97,17 @@ let timer ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
   timer_at t (t.now +. delay) action
 
+(* The action every cancelled node keeps: one shared no-op, so the
+   cancelled closure and whatever it captures are garbage at cancel
+   time. The dead node itself still waits for the queue to drop it. *)
+let cancelled_action () = ()
+
 let cancel t handle =
   match t.backend with
-  | Wheel_queue -> ignore (Wheel.cancel t.wheel handle : bool)
+  | Wheel_queue ->
+      ignore (Wheel.cancel t.wheel handle ~blank:cancelled_action : bool)
   | Heap_queue ->
-      if Wheel.consume handle then begin
+      if Wheel.kill handle ~blank:cancelled_action then begin
         t.heap_live <- t.heap_live - 1;
         t.heap_cancelled <- t.heap_cancelled + 1
       end

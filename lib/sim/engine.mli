@@ -45,9 +45,12 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
 (** {1 Cancellable timers}
 
     [timer]/[timer_at] are [schedule]/[schedule_at] returning a handle;
-    [cancel] is O(1) and the cancelled action never runs. Cancelling a
-    timer that already fired (or was already cancelled) is a no-op —
-    including from an event executing at the timer's own timestamp. *)
+    [cancel] is O(1) and the cancelled action never runs. The engine
+    lets go of the action at once, so whatever it captured can be
+    collected even while the dead entry still waits in the queue.
+    Cancelling a timer that already fired (or was already cancelled) is
+    a no-op — including from an event executing at the timer's own
+    timestamp. *)
 
 type timer
 

@@ -22,9 +22,11 @@
    of simulated now after a peek) go straight to the ready heap, which
    keeps the global order exact in that case too.
 
-   Cancellation is O(1): a node is marked dead and merely skipped (and
-   dropped) when the cursor would otherwise move it, so a satisfied
-   retransmit timer costs one store instead of a heap percolation now
+   Cancellation is O(1): a node is marked dead, its value is swapped
+   for a caller-supplied blank (so what the value captured is garbage
+   now, not when the cursor arrives), and the node is merely skipped
+   (and dropped) when the cursor would otherwise move it. A satisfied
+   retransmit timer costs two stores instead of a heap percolation now
    and a dead pop later.
 
    Slot-collision argument (why one list per slot suffices): a level-l
@@ -39,7 +41,7 @@
 type 'a node = {
   n_time : float;
   n_seq : int;
-  n_value : 'a;
+  mutable n_value : 'a;
   mutable n_live : bool;
 }
 
@@ -58,6 +60,14 @@ let consume n =
     true
   end
   else false
+
+(* Cancellation: [consume], then release the value. *)
+let kill n ~blank =
+  consume n
+  && begin
+       n.n_value <- blank;
+       true
+     end
 
 let compare_node a b =
   let c = Float.compare a.n_time b.n_time in
@@ -134,8 +144,8 @@ let push t ~time ~seq v =
   t.total_count <- t.total_count + 1;
   node
 
-let cancel t node =
-  if consume node then begin
+let cancel t node ~blank =
+  if kill node ~blank then begin
     t.live_count <- t.live_count - 1;
     t.cancelled_count <- t.cancelled_count + 1;
     true

@@ -10,12 +10,13 @@
 
     Cancelled nodes are dropped lazily (when the cursor would otherwise
     move them), so a timer armed 500 ms out and cancelled 2 ms later
-    never pays a heap percolation. *)
+    never pays a heap percolation. Their values are not kept that long:
+    a cancel swaps a blank in at once. *)
 
 type 'a t
 
-(** A scheduled entry: an immutable (time, seq, value) plus a liveness
-    mark. The node is the cancellation handle. *)
+(** A scheduled entry: an immutable (time, seq) key, a value and a
+    liveness mark. The node is the cancellation handle. *)
 type 'a node
 
 (** [create ~tick_ms ()] is an empty wheel whose buckets are
@@ -37,9 +38,11 @@ val cancelled : 'a t -> int
 val push : 'a t -> time:float -> seq:int -> 'a -> 'a node
 
 (** O(1) cancel: [true] if the node was live (it will never be
-    returned by [pop]); [false] if it already fired or was already
-    cancelled. *)
-val cancel : 'a t -> 'a node -> bool
+    returned by [take]); [false] if it already fired or was already
+    cancelled. A live node's value is replaced by [blank] at once, so
+    whatever the old value captured can be collected before the cursor
+    reaches the dead node. *)
+val cancel : 'a t -> 'a node -> blank:'a -> bool
 
 (** Is a live node left? Drops the dead nodes ahead of the earliest
     live one and may advance the internal cursor; ordering of later
@@ -72,3 +75,7 @@ val make : time:float -> seq:int -> 'a -> 'a node
 
 (** Mark a node dead; [true] if it was live. *)
 val consume : 'a node -> bool
+
+(** [consume], and if the node was live, replace its value by [blank]:
+    [cancel] without the wheel's counters. *)
+val kill : 'a node -> blank:'a -> bool

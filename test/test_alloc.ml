@@ -6,8 +6,11 @@
    ceiling sits well below what the data path allocated before its
    dispatch, fabric, fiber suspension and transaction bookkeeping were
    made allocation-lean (engine event 43, delay 115, frame 335, echo
-   1,425 words on OCaml 5.1), and about 40% above today's count there
-   (10, 39, 110, 542), as headroom for the other supported compiler.
+   1,425 words on OCaml 5.1), and about 40% above the counts there
+   when they were set (10, 39, 110, 542), as headroom for the other
+   supported compiler. The echo is 532 words today: duplicate
+   suppression keeps one record per sender, not a table entry per
+   transaction.
 
    On the naming path: one component of a [Csnh.walk], a
    [Name_cache.find] deep hit and miss, a keyed [Metrics.incr] on an

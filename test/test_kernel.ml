@@ -655,6 +655,138 @@ let test_lossless_sends_no_retransmit_executions () =
   Vsim.Engine.run rig.eng;
   Alcotest.(check int) "one execution per send" 10 !executions
 
+(* A reply whose frame is lost is replayed from the server host's record
+   of its sender, however many other transactions that host has served
+   since. 4,096 replies come first: a reply cache emptied wholesale at
+   that size would lose the victim's reply, take every retransmission
+   for a request still in progress, and time the victim out after 30 s
+   although the server executed its request. *)
+let test_lost_reply_replayed_after_many_replies () =
+  let rig = make_rig () in
+  let h1 = K.boot_host rig.domain ~name:"ws" 1 in
+  let h2 = K.boot_host rig.domain ~name:"fs" 2 in
+  let server =
+    K.spawn h2 ~name:"echo" (fun self ->
+        let rec loop () =
+          let msg, sender = K.receive self in
+          if msg = "victim" then begin
+            (* Lose exactly this reply's frame. *)
+            E.set_loss_probability rig.net 1.0;
+            Vsim.Engine.schedule ~delay:2.0 rig.eng (fun () ->
+                E.set_loss_probability rig.net 0.0)
+          end;
+          ignore (K.reply self ~to_:sender msg);
+          loop ()
+        in
+        loop ())
+  in
+  let echo self =
+    match K.send self server "echo" with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "echo: %a" K.pp_error e
+  in
+  let outcome = ref None in
+  ignore
+    (K.spawn h1 ~name:"client" (fun self ->
+         for _ = 1 to 4096 do
+           echo self
+         done;
+         ignore
+           (K.spawn h1 ~name:"victim" (fun victim ->
+                let t0 = Vsim.Engine.now rig.eng in
+                let r = K.send victim server "victim" in
+                outcome := Some (r, Vsim.Engine.now rig.eng -. t0)));
+         (* One more echo while the victim waits to retransmit. *)
+         Vsim.Proc.delay rig.eng 5.0;
+         echo self));
+  Vsim.Engine.run rig.eng;
+  match !outcome with
+  | Some (Ok (reply, _), elapsed) ->
+      Alcotest.(check string) "the victim's own reply" "victim" reply;
+      Alcotest.(check bool)
+        (Fmt.str "replayed within 100 ms (took %.1f ms)" elapsed)
+        true (elapsed <= 100.0)
+  | Some (Error e, elapsed) ->
+      Alcotest.failf "victim failed after %.1f ms: %a" elapsed K.pp_error e
+  | None -> Alcotest.fail "victim never completed"
+
+(* A copy older than its sender's latest request at a host is dropped,
+   V's rule. Every copy of the first request is held past its sender's
+   Timeout, and the sender's next request overtakes them: the late
+   copies must not run a request whose sender was told it failed. *)
+let test_stale_copy_dropped () =
+  let rig = make_rig () in
+  let h1 = K.boot_host rig.domain ~name:"ws" 1 in
+  let h2 = K.boot_host rig.domain ~name:"fs" 2 in
+  let executed = ref [] in
+  let server =
+    K.spawn h2 (fun self ->
+        let rec loop () =
+          let msg, sender = K.receive self in
+          executed := msg :: !executed;
+          ignore (K.reply self ~to_:sender msg);
+          loop ()
+        in
+        loop ())
+  in
+  E.set_extra_latency rig.net 2 31_000.0;
+  let first = ref None and second = ref None in
+  ignore
+    (K.spawn h1 (fun self ->
+         first := Some (K.send self server "abandoned");
+         E.set_extra_latency rig.net 2 0.0;
+         second := Some (K.send self server "next")));
+  Vsim.Engine.run rig.eng;
+  Alcotest.(check bool) "first send timed out" true
+    (match !first with Some (Error K.Timeout) -> true | _ -> false);
+  Alcotest.(check bool) "second send answered" true
+    (match !second with Some (Ok ("next", _)) -> true | _ -> false);
+  Alcotest.(check (list string)) "only the live request ran" [ "next" ]
+    (List.rev !executed)
+
+(* What the kernel keeps for at-most-once delivery is bounded by the
+   senders, not by the transactions: four client processes run 10,000
+   echoes after a warm-up of 1,000, and the domain's reachable heap
+   barely grows (one table entry per delivered transaction would keep
+   about 6 words per echo). *)
+let test_retention_bounded_by_senders () =
+  let rig = make_rig () in
+  let h1 = K.boot_host rig.domain ~name:"ws" 1 in
+  let h2 = K.boot_host rig.domain ~name:"fs" 2 in
+  let server = echo_server h2 in
+  let warm = 1_000 and extra = 10_000 and clients = 4 in
+  (* Each client runs its warm-up share, sleeps past the measurement
+     point, then runs its share of the rest. *)
+  let pause_at = 100_000.0 in
+  for _ = 1 to clients do
+    ignore
+      (K.spawn h1 (fun self ->
+           let echoes n =
+             for _ = 1 to n do
+               match K.send self server "ping" with
+               | Ok _ -> ()
+               | Error e -> Alcotest.failf "echo: %a" K.pp_error e
+             done
+           in
+           echoes (warm / clients);
+           Vsim.Proc.delay rig.eng (pause_at -. Vsim.Engine.now rig.eng);
+           echoes (extra / clients)))
+  done;
+  let words () =
+    Gc.full_major ();
+    Obj.reachable_words (Obj.repr rig.domain)
+  in
+  Vsim.Engine.run ~until:(pause_at -. 1.0) rig.eng;
+  Alcotest.(check int) "warm-up done" warm (K.ipc_transaction_count rig.domain);
+  let before = words () in
+  Vsim.Engine.run rig.eng;
+  Alcotest.(check int) "all echoes done" (warm + extra)
+    (K.ipc_transaction_count rig.domain);
+  let per_txn = float_of_int (words () - before) /. float_of_int extra in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f words kept per extra transaction < 1" per_txn)
+    true (per_txn < 1.0)
+
 let test_partition_times_out () =
   (* A partition (not a crash) makes the destination unreachable: the
      probe machinery gives up instead of retransmitting forever. *)
@@ -710,7 +842,12 @@ let test_forward_group () =
 
 (* Liveness/safety property: under random topologies, delays and loss,
    every Send completes exactly once — with a reply or an error, never
-   both, never neither. *)
+   both, never neither — and the kernel delivers at most once. Each
+   client sends several unique payloads in a row, so a server host's
+   record of it rolls over from one request to the next; some services
+   outlast the retransmission interval, so copies of a request still in
+   progress arrive. A server executes each payload at most once, and
+   every reply echoes its own request. *)
 let prop_every_send_completes =
   QCheck.Test.make ~name:"every send completes exactly once" ~count:25
     QCheck.(triple (int_range 1 1000000) (int_range 2 5) (int_range 0 25))
@@ -722,32 +859,50 @@ let prop_every_send_completes =
         List.init n_hosts (fun i ->
             K.boot_host rig.domain ~name:(Fmt.str "h%d" i) (i + 1))
       in
+      let executed = ref [] in
+      let long_service = 2.0 *. C.retransmit_interval_ms in
       let servers =
         List.map
           (fun h ->
             K.spawn h (fun self ->
                 let rec loop () =
                   let msg, sender = K.receive self in
-                  if Vsim.Prng.bool prng then Vsim.Proc.delay rig.eng 3.0;
+                  executed := msg :: !executed;
+                  (match Vsim.Prng.int prng 4 with
+                  | 0 -> Vsim.Proc.delay rig.eng 3.0
+                  | 1 -> Vsim.Proc.delay rig.eng long_service
+                  | _ -> ());
                   ignore (K.reply self ~to_:sender msg);
                   loop ()
                 in
                 loop ()))
           hosts
       in
-      let n_sends = 20 in
-      let completions = ref 0 in
-      for i = 1 to n_sends do
+      let n_clients = 8 and per_client = 3 in
+      let completions = ref 0 and wrong_replies = ref 0 in
+      for i = 1 to n_clients do
         let client_host = Vsim.Prng.pick prng hosts in
-        let target = Vsim.Prng.pick prng servers in
+        let targets =
+          List.init per_client (fun _ -> Vsim.Prng.pick prng servers)
+        in
         ignore
           (K.spawn client_host (fun self ->
                Vsim.Proc.delay rig.eng (float_of_int (i * 3));
-               match K.send self target "m" with
-               | Ok _ | Error _ -> incr completions))
+               List.iteri
+                 (fun j target ->
+                   let payload = Fmt.str "c%d-%d" i j in
+                   (match K.send self target payload with
+                   | Ok (reply, _) ->
+                       if reply <> payload then incr wrong_replies
+                   | Error _ -> ());
+                   incr completions)
+                 targets))
       done;
       Vsim.Engine.run rig.eng;
-      !completions = n_sends)
+      !completions = n_clients * per_client
+      && !wrong_replies = 0
+      && List.length (List.sort_uniq compare !executed)
+         = List.length !executed)
 
 let test_destroy_process () =
   let rig = make_rig () in
@@ -917,6 +1072,11 @@ let suite =
         Alcotest.test_case "loss + retransmission" `Quick test_loss_retransmission;
         Alcotest.test_case "no spurious duplicates" `Quick
           test_lossless_sends_no_retransmit_executions;
+        Alcotest.test_case "lost reply replayed after 4,096 replies" `Quick
+          test_lost_reply_replayed_after_many_replies;
+        Alcotest.test_case "stale copy dropped" `Quick test_stale_copy_dropped;
+        Alcotest.test_case "retention bounded by senders" `Quick
+          test_retention_bounded_by_senders;
         Alcotest.test_case "partition times out" `Quick test_partition_times_out;
         Alcotest.test_case "figure-1 timeline" `Quick test_trace_timeline;
         Alcotest.test_case "determinism" `Quick test_determinism;

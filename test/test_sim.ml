@@ -256,6 +256,31 @@ let test_timer_cancel_same_timestamp () =
   Alcotest.(check int) "no-op cancel not counted" 0
     (Vsim.Engine.cancelled_timers eng)
 
+(* A cancel lets go of the action at once: what it captured is garbage
+   while the dead nodes still wait in the queue, on either backend, even
+   with the handles kept, as a pending transaction keeps its timers. *)
+let test_timer_cancel_frees_action () =
+  List.iter
+    (fun backend ->
+      let eng = Vsim.Engine.create ~backend () in
+      let collected = ref 0 in
+      let arm () =
+        let block = Bytes.make 4096 'x' in
+        Gc.finalise (fun _ -> incr collected) block;
+        Vsim.Engine.timer ~delay:500.0 eng (fun () -> Bytes.set block 0 'y')
+      in
+      let timers = List.init 10 (fun _ -> arm ()) in
+      List.iter (Vsim.Engine.cancel eng) timers;
+      Gc.full_major ();
+      Alcotest.(check int) "every captured block collected" 10 !collected;
+      Alcotest.(check int) "ten cancelled, the queue not yet run" 10
+        (Vsim.Engine.cancelled_timers eng);
+      ignore (Sys.opaque_identity timers);
+      Vsim.Engine.run eng;
+      Alcotest.(check int) "no cancelled action ran" 0
+        (Vsim.Engine.executed eng))
+    [ Vsim.Engine.Wheel_queue; Vsim.Engine.Heap_queue ]
+
 let test_wheel_overflow_order () =
   (* Spans every wheel level and the overflow list (ticks are 0.25 ms:
      level 4's span ends at 2^25 ticks = 8 388 608 ms). *)
@@ -484,6 +509,8 @@ let suite =
           test_timer_cancel_after_fire;
         Alcotest.test_case "cancel at same timestamp" `Quick
           test_timer_cancel_same_timestamp;
+        Alcotest.test_case "cancel frees the action" `Quick
+          test_timer_cancel_frees_action;
         Alcotest.test_case "overflow ordering" `Quick test_wheel_overflow_order;
         qcheck prop_wheel_matches_heap;
         qcheck prop_slices_match;
