@@ -112,37 +112,6 @@ let consumed_index req remaining =
 
 let charge engine ms = if ms > 0.0 then Vsim.Proc.delay engine ms
 
-(* Count [op] under this server's (host, server) key. *)
-let metric self hub op =
-  match hub with
-  | None -> ()
-  | Some h ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics h)
-        ~host:(Kernel.self_host_name self)
-        ~server:(Kernel.self_name self) ~op
-
-(* This hop's span: only a tracing hub records one, so only then are
-   its arguments computed. *)
-let start_span self engine hub (msg : Vmsg.t) (req : Csname.req) =
-  match hub with
-  | Some h when Vobs.Hub.tracing h ->
-      Vobs.Hub.start_span h ~ctx:req.Csname.trace
-        ~now:(Vsim.Engine.now engine)
-        ~op:(Vmsg.Op.to_string msg.Vmsg.code)
-        ~host:(Kernel.self_host_name self)
-        ~server:(Kernel.self_name self)
-        ~pid:(Pid.to_int (Kernel.self_pid self))
-        ~context:req.Csname.context ~index_from:req.Csname.index
-  | Some _ | None -> None
-
-(* A span opens with [index_to = index_from], so a hop that consumed
-   nothing closes it with its starting index. *)
-let finish_span engine hub span ~index_to outcome =
-  match (hub, span) with
-  | Some h, Some s ->
-      Vobs.Hub.finish h s ~now:(Vsim.Engine.now engine) ~index_to ~outcome ()
-  | _ -> ()
-
 let reply_outcome reply =
   match Vmsg.reply_code reply with
   | Some code -> Reply.to_string code
@@ -156,54 +125,41 @@ let reply_outcome reply =
    before the server's own lookup sees it. A request then builds no
    closures.
 
-   Observability (when a hub is attached to the domain): every CSname
-   request increments per-operation counters keyed by this server, and
-   a traced request gets one span per hop, its parent link following
-   the Forward chain. All of it is bookkeeping off the simulation
-   clock, so timings are identical with tracing on or off. *)
+   Observability (when a hub is attached to the domain): every request
+   is counted by op code under this server, and a traced CSname request
+   gets one span per hop, its parent link following the Forward chain
+   ({!Events}). All of it is bookkeeping off the simulation clock, so
+   timings are identical with tracing on or off. *)
 let handle_request self handlers stats =
-  let domain = Kernel.domain_of_self self in
-  let engine = Kernel.engine_of_domain domain in
+  let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
+  let r = Events.of_process self in
   let lookup ctx component =
-    metric self (Kernel.obs domain) "lookup";
+    Events.count r "lookup";
     charge engine Calibration.component_lookup_cpu;
     handlers.lookup ctx component
   in
   fun ~sender (msg : Vmsg.t) ->
-    let hub = Kernel.obs domain in
     Vsim.Stats.Counter.incr stats.requests;
     match msg.Vmsg.name with
     | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code -> (
         let t0 = Vsim.Engine.now engine in
-        metric self hub (Vmsg.Op.to_string msg.Vmsg.code);
-        let span = start_span self engine hub msg req in
+        let op = Vmsg.Op.to_string msg.Vmsg.code in
+        let span = Events.request r ~counted:op ~op req in
         charge engine Calibration.csname_common_cpu;
         match walk ~valid_context:handlers.valid_context ~lookup req with
         | Fail code ->
-            finish_span engine hub span ~index_to:req.Csname.index
+            Events.finish r ~counted:false ~span ~index_to:req.Csname.index
               (Reply.to_string code);
             ignore (Kernel.reply self ~to_:sender (Vmsg.reply code))
         | Forward (spec, req') ->
             Vsim.Stats.Counter.incr stats.forwards;
-            metric self hub "forward";
-            finish_span engine hub span ~index_to:req'.Csname.index "forward";
-            (* Re-parent the forwarded request under this hop's span so
-               the next server's span links back here. *)
-            let req' =
-              match span with
-              | None -> req'
-              | Some s ->
-                  {
-                    req' with
-                    Csname.trace =
-                      Vobs.Hub.child_ctx s ~now:(Vsim.Engine.now engine);
-                  }
-            in
-            (* On an error the kernel already failed the sender's
-               transaction if it could; nothing more to do here. *)
+            (* The forwarded request hangs under this hop's span, so the
+               next server's span links back here. On an error the
+               kernel already failed the sender's transaction if it
+               could; nothing more to do here. *)
             ignore
               (Kernel.forward self ~from_:sender ~to_:spec.Context.server
-                 (Vmsg.with_name msg req'))
+                 (Vmsg.with_name msg (Events.forward r ~span req')))
         | Local (ctx, remaining) ->
             let reply = handlers.handle_csname ~sender msg req ctx remaining in
             Vsim.Stats.Series.add stats.specific_ms
@@ -224,13 +180,12 @@ let handle_request self handlers stats =
                   }
               else reply
             in
-            (match span with
-            | None -> ()
-            | Some _ ->
-                finish_span engine hub span ~index_to (reply_outcome reply));
+            if span <> 0 then
+              Events.finish r ~counted:false ~span ~index_to
+                (reply_outcome reply);
             ignore (Kernel.reply self ~to_:sender reply))
     | Some _ | None ->
-        metric self hub (Vmsg.Op.to_string msg.Vmsg.code);
+        Events.count r (Vmsg.Op.to_string msg.Vmsg.code);
         let reply =
           match handlers.handle_other ~sender msg with
           | Some reply -> reply

@@ -111,79 +111,31 @@ let directory_image t ~now =
 
 (* --- request handling --- *)
 
-(* Observability helpers: a per-hop span for the prefix server's part of
-   a traced request, metrics keyed by this server's name, and the trace
-   re-parenting applied to every forwarded request. Bookkeeping only —
-   none of it touches simulated time. *)
-
-let obs_metric self op =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub)
-        ~host:(Kernel.self_host_name self)
-        ~server:(Kernel.self_name self) ~op
-
-(* Replica fan-outs into the flight recorder, stamped with the
-   request's trace id. Applying [Hub.eventf] to exactly its own
-   arguments here keeps the call sites from building a partial
-   application per argument when the recorder is off. *)
-let obs_event self ~trace fmt =
-  let d = Kernel.domain_of_self self in
-  Vobs.Hub.eventf (Kernel.obs d)
-    ~at:(Vsim.Engine.now (Kernel.engine_of_domain d))
-    ~cat:Vobs.Eventlog.Replica ~host:(Kernel.self_host_name self) ~trace fmt
-
 (* A forward to a resolved binding failed: the kernel has already failed
    the sender's transaction, so the client sees the error and retries.
    What must happen here is that the retry resolves afresh — for a
    logical binding whose pid came from the GetPid cache, drop the stale
    entry (on-use invalidation). Bookkeeping only; no simulated time. *)
-let forward_failed self target =
+let forward_failed self r target =
   match target with
   | Logical { service; _ }
     when Kernel.getpid_cache_enabled (Kernel.domain_of_self self) ->
       Kernel.drop_cached_pid self ~service;
-      obs_metric self "logical-stale"
+      Events.count r "logical-stale"
   | Logical _ | Static _ | Replicated _ -> ()
 
-(* Only a tracing hub records a span, so only then are its arguments
-   computed. *)
-let obs_start self (msg : Vmsg.t) (req : Csname.req) =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | Some hub when Vobs.Hub.tracing hub -> (
-      let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-      match
-        Vobs.Hub.start_span hub ~ctx:req.Csname.trace
-          ~now:(Vsim.Engine.now engine)
-          ~op:(Vmsg.Op.to_string msg.Vmsg.code)
-          ~host:(Kernel.self_host_name self)
-          ~server:(Kernel.self_name self)
-          ~pid:(Pid.to_int (Kernel.self_pid self))
-          ~context:req.Csname.context ~index_from:req.Csname.index
-      with
-      | Some span -> Some (hub, span)
-      | None -> None)
-  | Some _ | None -> None
+(* Answer the request here, closing this hop's span with the reply's
+   code. *)
+let reply_with self r ~sender ~span m =
+  if span <> 0 then
+    Events.finish r ~counted:false ~span ~index_to:(-1)
+      (match Vmsg.reply_code m with
+      | Some code -> Reply.to_string code
+      | None -> "reply");
+  ignore (Kernel.reply self ~to_:sender m)
 
-let obs_finish self span ?index_to outcome =
-  match span with
-  | None -> ()
-  | Some (hub, s) ->
-      let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-      Vobs.Hub.finish hub s ~now:(Vsim.Engine.now engine) ?index_to ~outcome ()
-
-(* Attach the forwarded request to this hop's span (if traced), so the
-   next server's span links back here. *)
-let obs_reparent self span (req : Csname.req) =
-  match span with
-  | None -> req
-  | Some (_, s) ->
-      let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-      {
-        req with
-        Csname.trace = Vobs.Hub.child_ctx s ~now:(Vsim.Engine.now engine);
-      }
+let reply_error self r ~sender ~span code =
+  reply_with self r ~sender ~span (Vmsg.reply code)
 
 (* Write-all fan-out for a logical binding whose service is bound to a
    replica group (read-one/write-all). The prefix server acts as the
@@ -209,38 +161,36 @@ let obs_reparent self span (req : Csname.req) =
    what gives replicas an identical application order. [req] is the
    request already rewritten for the members: index past the binding,
    context the bound one. *)
-let replicate_write t self ~sender ~span ~service (msg : Vmsg.t) req =
+let replicate_write t self r ~sender ~span ~service (msg : Vmsg.t) req =
   let d = Kernel.domain_of_self self in
-  obs_metric self "replicate-write";
   let origin = Pid.to_int (pid t) in
   let seq = t.next_wseq in
   t.next_wseq <- seq + 1;
-  let req = obs_reparent self span req in
+  let trace = req.Csname.trace.Vobs.Span.trace in
+  let req = Events.child r ~trace ~span req in
   let msg' = Vmsg.with_wseq (Vmsg.with_name msg req) { Vmsg.origin; seq } in
   Kernel.log_group_write d ~service ~origin ~seq msg';
   let requester = Kernel.host_addr (Kernel.host_of_self self) in
   let members = Kernel.service_group_members d ~requester ~service in
-  obs_event self ~trace:req.Csname.trace.Vobs.Span.trace
-    "fan-out %s (origin %d, seq %d) to %d member(s)"
-    (Vmsg.Op.to_string msg.Vmsg.code)
-    origin seq (List.length members);
+  Events.fan_out r ~trace ~code:msg.Vmsg.code ~origin ~seq
+    ~members:(List.length members);
   let send_once member = Kernel.send self member msg' in
   let is_gap r = Vmsg.reply_code r = Some Reply.Retry in
   let outcome member =
     match send_once member with
-    | Ok (r, _) when is_gap r ->
-        obs_metric self "replicate-out-of-sync";
+    | Ok (m, _) when is_gap m ->
+        Events.count r "replicate-out-of-sync";
         `Rejected
-    | Ok (r, _) -> `Answered r
+    | Ok (m, _) -> `Answered m
     | Error e1 -> (
-        obs_metric self "replicate-retry";
+        Events.count r "replicate-retry";
         match send_once member with
-        | Ok (r, _) when is_gap r ->
-            obs_metric self "replicate-out-of-sync";
+        | Ok (m, _) when is_gap m ->
+            Events.count r "replicate-out-of-sync";
             `Rejected
-        | Ok (r, _) -> `Answered r
+        | Ok (m, _) -> `Answered m
         | Error e2 ->
-            obs_metric self "replicate-member-lost";
+            Events.count r "replicate-member-lost";
             (* Nonexistent_process is authoritative (a kernel nack: no
                live process, nothing applied); anything else may have
                delivered the request and lost the reply. *)
@@ -251,15 +201,12 @@ let replicate_write t self ~sender ~span ~service (msg : Vmsg.t) req =
   in
   let outcomes = List.map outcome members in
   let answer =
-    List.find_map (function `Answered r -> Some r | _ -> None) outcomes
+    List.find_map (function `Answered m -> Some m | _ -> None) outcomes
   in
   match answer with
-  | Some r ->
+  | Some m ->
       Kernel.commit_group_write d ~service ~origin ~seq;
-      (match Vmsg.reply_code r with
-      | Some code -> obs_finish self span (Reply.to_string code)
-      | None -> obs_finish self span "reply");
-      ignore (Kernel.reply self ~to_:sender r)
+      reply_with self r ~sender ~span m
   | None ->
       if List.exists (function `Lost_ambiguous -> true | _ -> false) outcomes
       then Kernel.commit_group_write d ~service ~origin ~seq
@@ -267,8 +214,7 @@ let replicate_write t self ~sender ~span ~service (msg : Vmsg.t) req =
         Kernel.abort_group_write d ~service ~origin ~seq;
         if t.next_wseq = seq + 1 then t.next_wseq <- seq
       end;
-      obs_finish self span (Reply.to_string Reply.No_server);
-      ignore (Kernel.reply self ~to_:sender (Vmsg.reply Reply.No_server))
+      reply_with self r ~sender ~span (Vmsg.reply Reply.No_server)
 
 (* Is this CSname request a write against a logical binding whose
    service is currently replica-bound? *)
@@ -280,60 +226,60 @@ let replicated_write_target self (msg : Vmsg.t) = function
       Some (service, context)
   | Logical _ | Static _ | Replicated _ -> None
 
-(* A request the prefix server answers itself, with an error. *)
-let reply_error self ~sender span code =
-  obs_finish self span (Reply.to_string code);
-  ignore (Kernel.reply self ~to_:sender (Vmsg.reply code))
+(* Send a request on through the binding it named, interpretation
+   continuing at [index], just past the binding, in the bound context. A
+   context implemented by a whole group gets the request multicast (the
+   first member to answer serves it); a write against a replica-bound
+   service is fanned out write-all; anything else is resolved (GetPid
+   for a logical binding) and forwarded. *)
+let dispatch t self r ~sender ~span (msg : Vmsg.t) target (req : Csname.req)
+    ~index =
+  match target with
+  | Replicated { group; context } ->
+      Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
+      ignore
+        (Kernel.forward_group self ~from_:sender ~group
+           (Vmsg.with_name msg
+              (Events.forward r ~span { req with Csname.index; context })))
+  | Static _ | Logical _ -> (
+      match replicated_write_target self msg target with
+      | Some (service, context) ->
+          Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
+          replicate_write t self r ~sender ~span ~service msg
+            { req with Csname.index; context }
+      | None -> (
+          match resolve self target with
+          | Error code -> reply_error self r ~sender ~span code
+          | Ok spec -> (
+              Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
+              let req' =
+                Events.forward r ~span
+                  { req with Csname.index; context = spec.Context.context }
+              in
+              match
+                Kernel.forward self ~from_:sender ~to_:spec.Context.server
+                  (Vmsg.with_name msg req')
+              with
+              | Ok () -> ()
+              | Error _ -> forward_failed self r target)))
 
-let handle_prefixed t self ~sender (msg : Vmsg.t) req =
+let handle_prefixed t self r ~sender (msg : Vmsg.t) req =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   Vsim.Stats.Counter.incr t.stats.Csnh.requests;
-  obs_metric self "prefix-lookup";
-  let span = obs_start self msg req in
+  let span =
+    Events.request r ~counted:"prefix-lookup"
+      ~op:(Vmsg.Op.to_string msg.Vmsg.code)
+      req
+  in
   (* The prefix parse and request rewrite: the processing the paper
      measures as the 3.94-3.99 ms additive cost of prefixed Opens. *)
   Vsim.Proc.delay engine Calibration.prefix_parse_cpu;
   match Csname.parse_prefix req with
-  | Error code -> reply_error self ~sender span code
+  | Error code -> reply_error self r ~sender ~span code
   | Ok (prefix, index) -> (
       match Hashtbl.find t.bindings prefix with
-      | exception Not_found -> reply_error self ~sender span Reply.Not_found
-      | Replicated { group; context } ->
-          (* The bound context is implemented by a whole group: multicast
-             the rewritten request; the first member to answer serves
-             it. *)
-          Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-          obs_metric self "forward";
-          obs_finish self span ~index_to:index "forward";
-          let req' =
-            obs_reparent self span { req with Csname.index; context }
-          in
-          ignore
-            (Kernel.forward_group self ~from_:sender ~group
-               (Vmsg.with_name msg req'))
-      | target -> (
-          match replicated_write_target self msg target with
-          | Some (service, context) ->
-              Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-              replicate_write t self ~sender ~span ~service msg
-                { req with Csname.index; context }
-          | None -> (
-              match resolve self target with
-              | Error code -> reply_error self ~sender span code
-              | Ok spec -> (
-                  Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                  obs_metric self "forward";
-                  obs_finish self span ~index_to:index "forward";
-                  let req' =
-                    obs_reparent self span
-                      { req with Csname.index; context = spec.Context.context }
-                  in
-                  match
-                    Kernel.forward self ~from_:sender ~to_:spec.Context.server
-                      (Vmsg.with_name msg req')
-                  with
-                  | Ok () -> ()
-                  | Error _ -> forward_failed self target))))
+      | exception Not_found -> reply_error self r ~sender ~span Reply.Not_found
+      | target -> dispatch t self r ~sender ~span msg target req ~index)
 
 (* Add/delete name operations (§5.7, optional, "ordinarily implemented
    only in context prefix servers"). The subject is the binding itself,
@@ -409,25 +355,20 @@ let handle_binding_name t self ~now (msg : Vmsg.t) name =
 (* An unprefixed CSname request interpreted in this server's (flat)
    context. Multi-component names descend through a binding into its
    target server, like any other context pointer. *)
-let handle_unprefixed t self ~now ~sender (msg : Vmsg.t) req =
+let handle_unprefixed t self r ~now ~sender (msg : Vmsg.t) req =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   Vsim.Stats.Counter.incr t.stats.Csnh.requests;
-  obs_metric self (Vmsg.Op.to_string msg.Vmsg.code);
-  let span = obs_start self msg req in
+  let op = Vmsg.Op.to_string msg.Vmsg.code in
+  let span = Events.request r ~counted:op ~op req in
   Vsim.Proc.delay engine Calibration.csname_common_cpu;
-  let reply_with m =
-    (match Vmsg.reply_code m with
-    | Some code -> obs_finish self span (Reply.to_string code)
-    | None -> obs_finish self span "reply");
-    ignore (Kernel.reply self ~to_:sender m)
-  in
+  let reply_with m = reply_with self r ~sender ~span m in
   match Csname.validate req with
   | Error code -> reply_with (Vmsg.reply code)
   | Ok () ->
       if req.Csname.context <> Context.Well_known.default then
         reply_with (Vmsg.reply Reply.Bad_context)
       else begin
-        obs_metric self "lookup";
+        Events.count r "lookup";
         Vsim.Proc.delay engine Calibration.component_lookup_cpu;
         match Csname.components (Csname.remaining req) with
         | [] -> reply_with (handle_own_context t self ~now msg)
@@ -435,44 +376,9 @@ let handle_unprefixed t self ~now ~sender (msg : Vmsg.t) req =
         | name :: _rest -> (
             match Hashtbl.find_opt t.bindings name with
             | None -> reply_with (Vmsg.reply Reply.Not_found)
-            | Some (Replicated { group; context }) ->
-                Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                obs_metric self "forward";
-                let req' =
-                  { (Csname.advance_past req name) with Csname.context }
-                in
-                obs_finish self span ~index_to:req'.Csname.index "forward";
-                let req' = obs_reparent self span req' in
-                ignore
-                  (Kernel.forward_group self ~from_:sender ~group
-                     (Vmsg.with_name msg req'))
-            | Some target -> (
-                match replicated_write_target self msg target with
-                | Some (service, context) ->
-                    Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                    replicate_write t self ~sender ~span ~service msg
-                      { (Csname.advance_past req name) with Csname.context }
-                | None -> (
-                    match resolve self target with
-                    | Error code -> reply_with (Vmsg.reply code)
-                    | Ok spec -> (
-                        Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                        obs_metric self "forward";
-                        let req' =
-                          {
-                            (Csname.advance_past req name) with
-                            Csname.context = spec.Context.context;
-                          }
-                        in
-                        obs_finish self span ~index_to:req'.Csname.index
-                          "forward";
-                        let req' = obs_reparent self span req' in
-                        match
-                          Kernel.forward self ~from_:sender
-                            ~to_:spec.Context.server (Vmsg.with_name msg req')
-                        with
-                        | Ok () -> ()
-                        | Error _ -> forward_failed self target))))
+            | Some target ->
+                dispatch t self r ~sender ~span msg target req
+                  ~index:(Csname.advance_past req name).Csname.index)
       end
 
 let handle_other t self (msg : Vmsg.t) =
@@ -530,6 +436,7 @@ let start host ~owner ?(initial = []) () =
   let now () = Vsim.Engine.now engine in
   let server_pid =
     Kernel.spawn host ~name:(owner ^ "-prefix-server") (fun self ->
+        let r = Events.of_process self in
         let rec loop () =
           let msg, sender = Kernel.receive self in
           (match msg.Vmsg.name with
@@ -539,7 +446,7 @@ let start host ~owner ?(initial = []) () =
               (* Prefixed names are forwarded wherever they lead, even
                  for add/delete: "[fs0]x" adds a name in fs0's context,
                  not a binding here. *)
-              handle_prefixed t self ~sender msg req
+              handle_prefixed t self r ~sender msg req
           | Some req
             when msg.Vmsg.code = Vmsg.Op.add_context_name
                  || msg.Vmsg.code = Vmsg.Op.delete_context_name ->
@@ -548,7 +455,7 @@ let start host ~owner ?(initial = []) () =
               Vsim.Stats.Counter.incr t.stats.Csnh.requests;
               ignore (Kernel.reply self ~to_:sender (handle_binding_op t msg req))
           | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code ->
-              handle_unprefixed t self ~now ~sender msg req
+              handle_unprefixed t self r ~now ~sender msg req
           | Some _ | None ->
               Vsim.Stats.Counter.incr t.stats.Csnh.requests;
               let reply_msg =

@@ -218,90 +218,63 @@ let handle_csname t (msg : Vmsg.t) ctx remaining =
    failure code. Costs are charged exactly like the generic loop's, so
    an iterative walk of the tree prices each level identically to a
    recursive hop. *)
-let handle_step t self ~sender (req : Csname.req) =
-  let domain = Kernel.domain_of_self self in
-  let engine = Kernel.engine_of_domain domain in
-  let now () = Vsim.Engine.now engine in
+let handle_step t self r ~sender (req : Csname.req) =
+  let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   let charge ms = if ms > 0.0 then Vsim.Proc.delay engine ms in
-  let hub = Kernel.obs domain in
-  let metric op =
-    match hub with
-    | None -> ()
-    | Some h ->
-        Vobs.Metrics.incr (Vobs.Hub.metrics h)
-          ~host:(Kernel.self_host_name self)
-          ~server:(Kernel.self_name self) ~op
-  in
   Vsim.Stats.Counter.incr t.stats.requests;
-  metric "ResolveStep";
-  let t0 = now () in
   let span =
-    match hub with
-    | None -> None
-    | Some h ->
-        Vobs.Hub.start_span h ~ctx:req.Csname.trace ~now:t0 ~op:"ResolveStep"
-          ~host:(Kernel.self_host_name self)
-          ~server:(Kernel.self_name self)
-          ~pid:(Pid.to_int (Kernel.self_pid self))
-          ~context:req.Csname.context ~index_from:req.Csname.index
-  in
-  let finish ?index_to outcome =
-    match (hub, span) with
-    | Some h, Some s -> Vobs.Hub.finish h s ~now:(now ()) ?index_to ~outcome ()
-    | _ -> ()
+    Events.request r ~counted:"ResolveStep" ~op:"ResolveStep" req
   in
   charge Calibration.csname_common_cpu;
   (* Record which entry kind caused a Cross, to tell a referral from a
      terminal leaf binding. *)
   let crossed_child = ref false in
   let lookup ctx component =
-    metric "lookup";
+    Events.count r "lookup";
     charge Calibration.component_lookup_cpu;
-    let r = lookup t ctx component in
-    (match (r, table t ctx) with
+    let res = lookup t ctx component in
+    (match (res, table t ctx) with
     | Csnh.Cross _, Some tbl -> (
         match Hashtbl.find_opt tbl component with
         | Some (Child _) -> crossed_child := true
         | Some _ | None -> crossed_child := false)
     | _ -> ());
-    r
+    res
   in
-  let reply_with m = ignore (Kernel.reply self ~to_:sender m) in
+  (* Answer with [m], closing this step's span with [outcome], counted
+     when the step succeeded. *)
+  let answer ~counted ~index_to outcome m =
+    Events.finish r ~counted ~span ~index_to outcome;
+    ignore (Kernel.reply self ~to_:sender m)
+  in
+  let failed code =
+    answer ~counted:false ~index_to:(-1) (Reply.to_string code)
+      (Vmsg.reply code)
+  in
   match Csnh.walk ~valid_context:(valid_context t) ~lookup req with
-  | Csnh.Fail code ->
-      finish (Reply.to_string code);
-      reply_with (Vmsg.reply code)
+  | Csnh.Fail code -> failed code
   | Csnh.Forward (spec, req') ->
       let upto = req'.Csname.index in
-      if !crossed_child then begin
-        metric "referral";
-        finish ~index_to:upto "referral";
-        reply_with
+      if !crossed_child then
+        answer ~counted:true ~index_to:upto "referral"
           (Vmsg.with_binding
              (Vmsg.ok ~payload:P_referral ())
              { Vmsg.upto; spec })
-      end
-      else begin
-        metric "terminal";
-        finish ~index_to:upto "terminal";
-        reply_with
+      else
+        answer ~counted:true ~index_to:upto "terminal"
           (Vmsg.with_binding
              (Vmsg.ok ~payload:(Vmsg.P_context_spec spec) ())
              { Vmsg.upto; spec })
-      end
   | Csnh.Local (ctx, []) ->
       let s = Context.spec ~server:(Kernel.self_pid self) ~context:ctx in
       let upto = String.length req.Csname.name in
-      metric "terminal";
-      finish ~index_to:upto "terminal";
-      reply_with
+      answer ~counted:true ~index_to:upto "terminal"
         (Vmsg.with_binding
            (Vmsg.ok ~payload:(Vmsg.P_context_spec s) ())
            { Vmsg.upto; spec = s })
   | Csnh.Local (_, _ :: _) ->
       (* Components remain but none of them names a domain entry. *)
-      finish (Reply.to_string Reply.Not_found);
-      reply_with (Vmsg.reply Reply.Not_found)
+      failed Reply.Not_found
 
 let is_resolve_step (msg : Vmsg.t) =
   (not msg.Vmsg.is_reply)
@@ -323,11 +296,12 @@ let spawn_server host t =
   let server_pid =
     Kernel.spawn host ~name:t.ds_name (fun self ->
         let handle = Csnh.handle_request self handlers t.stats in
+        let r = Events.of_process self in
         let rec loop () =
           let msg, sender = Kernel.receive self in
           (if is_resolve_step msg then
              match msg.Vmsg.name with
-             | Some req -> handle_step t self ~sender req
+             | Some req -> handle_step t self r ~sender req
              | None ->
                  ignore (Kernel.reply self ~to_:sender (Vmsg.reply Reply.Illegal_name))
            else handle ~sender msg);

@@ -73,6 +73,9 @@ type t = {
   mutable s_referrals : int;
   mutable s_loops : int;
   mutable s_failures : int;
+  (* Where walks report, and the host it reports for. *)
+  mutable events : Events.t option;
+  mutable events_host : string;
 }
 
 let default_ttl_ms = 5_000.0
@@ -101,6 +104,8 @@ let create ?(capacity = Name_cache.default_capacity) ?(ttl_ms = default_ttl_ms)
     s_referrals = 0;
     s_loops = 0;
     s_failures = 0;
+    events = None;
+    events_host = "";
   }
 
 let prefix t = t.prefix
@@ -140,37 +145,35 @@ let invalidate t key = Name_cache.invalidate t.cache key
 let learn t ~now key spec =
   ignore (Name_cache.learn_at t.cache ~now ~ttl_ms:t.ttl_ms key (Name_cache.Bound spec))
 
-(* --- observability: metrics under (host, "resolver", op); delegation
-   records on the flight recorder; all off the simulated clock. --- *)
-
-let metric self op =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub)
-        ~host:(Kernel.self_host_name self)
-        ~server:"resolver" ~op
-
-let obs_event self ~now ~trace fmt =
-  Vobs.Hub.eventf
-    (Kernel.obs (Kernel.domain_of_self self))
-    ~at:now ~cat:Vobs.Eventlog.Client ~host:(Kernel.self_host_name self) ~trace
-    fmt
-
 (* --- the iterative walk --- *)
 
 let negative_code = function
   | Reply.Not_found | Reply.Bad_context -> true
   | _ -> false
 
+(* The reporter for walks run by [self]: counts land under (its host,
+   "resolver"). *)
+let reporter t self =
+  match t.events with
+  | Some r when String.equal (Kernel.self_host_name self) t.events_host -> r
+  | Some _ | None ->
+      let r = Events.of_self self ~server:"resolver" in
+      t.events <- Some r;
+      t.events_host <- Kernel.self_host_name self;
+      r
+
 (* [resolve t self name] maps [name]'s domain part to the (server,
-   context) that interprets what follows it. [trace] parents each
-   per-level ResolveStep span under the client operation's root. *)
+   context) that interprets what follows it. [trace], the client
+   operation's root context, parents each per-level ResolveStep span
+   under the root: it is reissued at every step's send, so each step's
+   wait is its own hop. *)
 let resolve t self ?(trace = Vobs.Span.no_ctx) name =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   let now () = Vsim.Engine.now engine in
+  let r = reporter t self in
+  let trace_id = trace.Vobs.Span.trace in
   t.s_walks <- t.s_walks + 1;
-  metric self "walk";
+  Events.count r "walk";
   if not (handles t name) then begin
     t.s_failures <- t.s_failures + 1;
     Error (Vio.Verr.Denied Reply.Illegal_name)
@@ -197,10 +200,8 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
                 | Some at -> now () <= at +. t.stale_window_ms
                 | None -> false) ->
           t.s_stale_serves <- t.s_stale_serves + 1;
-          metric self "stale-serve";
-          obs_event self ~now:(now ()) ~trace:trace.Vobs.Span.trace
-            "resolver: serving stale %S (refresh failed: %a)"
-            h.Name_cache.hkey Vio.Verr.pp e;
+          Events.stale_serve r ~trace:trace_id ~key:h.Name_cache.hkey
+            Vio.Verr.pp e;
           Ok (outcome_of_hit ~queries ~served_stale:true h spec)
       | _ ->
           t.s_failures <- t.s_failures + 1;
@@ -210,7 +211,7 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
     let rec walk cur index visited queries =
       if queries >= t.max_steps then begin
         t.s_loops <- t.s_loops + 1;
-        metric self "loop";
+        Events.count r "loop";
         serve_stale ~queries
           (Vio.Verr.Protocol
              (Fmt.str "resolver: %d steps without an answer (delegation loop?)"
@@ -218,17 +219,19 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
       end
       else if List.mem (cur.Context.server, index) visited then begin
         t.s_loops <- t.s_loops + 1;
-        metric self "loop";
-        obs_event self ~now:(now ()) ~trace:trace.Vobs.Span.trace
-          "resolver: delegation cycle at pid %d index %d"
-          (Pid.to_int cur.Context.server)
-          index;
+        Events.cycle r ~trace:trace_id
+          ~pid:(Pid.to_int cur.Context.server)
+          ~index;
         serve_stale ~queries (Vio.Verr.Protocol "resolver: delegation cycle")
       end
       else begin
         let visited = (cur.Context.server, index) :: visited in
         t.s_queries <- t.s_queries + 1;
-        metric self "query";
+        Events.count r "query";
+        let trace =
+          if Vobs.Span.is_traced trace then { trace with sent_at = now () }
+          else trace
+        in
         let req =
           Csname.make_req ~index ~context:cur.Context.context ~trace name
         in
@@ -244,15 +247,12 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
                 match (reply.Vmsg.payload, reply.Vmsg.binding) with
                 | Domain_server.P_referral, Some { Vmsg.upto; spec = child } ->
                     t.s_referrals <- t.s_referrals + 1;
-                    metric self "referral";
-                    obs_event self ~now:(now ()) ~trace:trace.Vobs.Span.trace
-                      "resolver: delegation %S -> pid %d"
-                      (String.sub name 0 upto)
-                      (Pid.to_int child.Context.server);
+                    let key = String.sub name 0 upto in
+                    Events.delegation r ~trace:trace_id ~key
+                      ~pid:(Pid.to_int child.Context.server);
                     ignore
                       (Name_cache.learn_at t.cache ~now:(now ()) ~ttl_ms:t.ttl_ms
-                         (String.sub name 0 upto)
-                         (Name_cache.Delegation child));
+                         key (Name_cache.Delegation child));
                     walk child upto visited (queries + 1)
                 | Vmsg.P_context_spec spec, binding ->
                     let upto =
@@ -277,7 +277,7 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
                     Error (Vio.Verr.Protocol "resolver: malformed step reply"))
             | Some code ->
                 if negative_code code then begin
-                  metric self "neg-learn";
+                  Events.count r "neg-learn";
                   ignore
                     (Name_cache.learn_at t.cache ~now:(now ())
                        ~ttl_ms:t.neg_ttl_ms name (Name_cache.Negative code))
@@ -296,23 +296,23 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
     match Name_cache.find_at t.cache ~now:(now ()) name with
     | Some ({ Name_cache.hvalue = Bound spec; hfresh = true; _ } as h) ->
         t.s_cache_answers <- t.s_cache_answers + 1;
-        metric self "hit";
+        Events.count r "hit";
         Ok (outcome_of_hit ~queries:0 ~served_stale:false h spec)
     | Some { Name_cache.hvalue = Negative code; hfresh = true; _ } ->
         t.s_neg_answers <- t.s_neg_answers + 1;
-        metric self "neg-hit";
+        Events.count r "neg-hit";
         Error (Vio.Verr.Denied code)
     | Some ({ Name_cache.hvalue = Delegation spec; hfresh = true; hkey; _ }) ->
-        metric self "resume";
+        Events.count r "resume";
         walk spec (Csname.skip_separators name (String.length hkey)) [] 0
     | Some ({ Name_cache.hvalue = Bound spec; hfresh = false; _ } as h) ->
         stale_candidate := Some (h, spec);
-        metric self "refresh";
+        Events.count r "refresh";
         walk t.root
           (Csname.skip_separators name (String.length t.prefix + 2))
           [] 0
     | Some _ | None ->
-        metric self "miss";
+        Events.count r "miss";
         walk t.root
           (Csname.skip_separators name (String.length t.prefix + 2))
           [] 0

@@ -73,9 +73,11 @@ val handles : t -> string -> bool
 (** [resolve t self name] maps [name]'s domain part to the (server,
     context) that interprets what follows. Zero queries on a fresh
     cache answer; otherwise an iterative walk from the deepest cached
-    referral (or the root), one marked MapContext per level. [trace]
-    parents each per-level ResolveStep span under the client
-    operation's root span. *)
+    referral (or the root), one marked MapContext per level. [trace],
+    the client operation's root context (the run-time passes it on
+    every route), parents each per-level ResolveStep span under the
+    root: it is reissued at each step's send, so a step's queue wait is
+    its own hop, and the resolver's recorder events carry its trace. *)
 val resolve :
   t ->
   Vmsg.t Kernel.self ->

@@ -21,37 +21,34 @@ type t = {
   mutable applied : (float * string) list;  (* newest first *)
   mutable applied_actions : (float * Plan.action) list;  (* newest first *)
   mutable skipped : int;
+  (* Counts under ("fault", "injector", kind); recorder host
+     "injector". *)
+  events : Vnaming.Events.t;
 }
 
 let timeline t = List.rev t.applied
 let skipped t = t.skipped
 let plan t = t.plan
 
-(* Every timeline entry — applied or skipped — also lands in the
-   scenario hub's flight recorder (one boolean test when the recorder
-   is off), so a dump shows the injected faults inline with the kernel
-   and network events they caused. *)
-let record inj label =
+(* Every timeline entry — applied or skipped — is also one injector
+   event: counted by kind when applied, and in the scenario hub's
+   flight recorder, so a dump shows the injected faults inline with the
+   kernel and network events they caused. *)
+let record inj ~op label =
   let now = Vsim.Engine.now (Scenario.(inj.scenario.engine)) in
   inj.applied <- (now, label) :: inj.applied;
-  Vobs.Hub.eventf
-    (Some Scenario.(inj.scenario.obs))
-    ~at:now ~cat:Vobs.Eventlog.Fault ~host:"injector" "%s" label
+  Vnaming.Events.fault inj.events ~op label
 
 (* An applied (not skipped) action, kept structured for attribution. *)
-let applied inj (e : Plan.event) =
+let applied inj op (e : Plan.event) =
   let now = Vsim.Engine.now (Scenario.(inj.scenario.engine)) in
   inj.applied_actions <- (now, e.Plan.action) :: inj.applied_actions;
-  record inj (Fmt.str "%a" Plan.pp_action e.Plan.action)
-
-let metric inj kind =
-  Vobs.Metrics.incr
-    (Vobs.Hub.metrics Scenario.(inj.scenario.obs))
-    ~host:"fault" ~server:"injector" ~op:kind
+  record inj ~op (Fmt.str "%a" Plan.pp_action e.Plan.action)
 
 let skip inj (e : Plan.event) reason =
   inj.skipped <- inj.skipped + 1;
-  record inj (Fmt.str "skip (%s): %a" reason Plan.pp_action e.Plan.action)
+  record inj ~op:""
+    (Fmt.str "skip (%s): %a" reason Plan.pp_action e.Plan.action)
 
 let apply inj (e : Plan.event) =
   let s = inj.scenario in
@@ -61,16 +58,14 @@ let apply inj (e : Plan.event) =
       match host addr with
       | Some h when Kernel.host_is_up h ->
           Kernel.crash_host h;
-          metric inj "crash";
-          applied inj e
+          applied inj "crash" e
       | Some _ -> skip inj e "already down"
       | None -> skip inj e "unknown host")
   | Plan.Restart addr -> (
       match host addr with
       | Some h when not (Kernel.host_is_up h) ->
           Kernel.restart_host h;
-          metric inj "restart";
-          applied inj e;
+          applied inj "restart" e;
           (* Revive services: the host is up but empty; the hook reboots
              whatever should live there (e.g. File_server.restart_from),
              which re-registers services for logical re-resolution. *)
@@ -79,24 +74,20 @@ let apply inj (e : Plan.event) =
       | None -> skip inj e "unknown host")
   | Plan.Partition (a, b) ->
       Ethernet.partition Scenario.(s.net) a b;
-      metric inj "partition";
-      applied inj e
+      applied inj "partition" e
   | Plan.Heal (a, b) ->
       Ethernet.heal Scenario.(s.net) a b;
-      metric inj "heal";
-      applied inj e;
+      applied inj "heal" e;
       (* Reconverge replicated state: a member partitioned from its
          write coordinator missed fan-outs; the hook replays the group
          write log (e.g. Replica.sync) now that frames flow again. *)
       inj.on_heal a b
   | Plan.Loss p ->
       Ethernet.set_loss_probability Scenario.(s.net) p;
-      metric inj "loss";
-      applied inj e
+      applied inj "loss" e
   | Plan.Slow (addr, ms) ->
       Ethernet.set_extra_latency Scenario.(s.net) addr ms;
-      metric inj "slow";
-      applied inj e
+      applied inj "slow" e
   (* Link actions only make sense on a switched fabric; a plan carrying
      them against a shared medium records skips instead of raising. *)
   | Plan.Link_cut (a, b) -> (
@@ -111,8 +102,7 @@ let apply inj (e : Plan.event) =
           skip inj e "already cut"
       | Vnet.Topology.Switched _ ->
           Ethernet.set_link_up net a b false;
-          metric inj "link-cut";
-          applied inj e)
+          applied inj "link-cut" e)
   | Plan.Link_heal (a, b) -> (
       let net = Scenario.(s.net) in
       let topo = Ethernet.topology net in
@@ -125,8 +115,7 @@ let apply inj (e : Plan.event) =
           skip inj e "already up"
       | Vnet.Topology.Switched _ ->
           Ethernet.set_link_up net a b true;
-          metric inj "link-heal";
-          applied inj e)
+          applied inj "link-heal" e)
   | Plan.Link_slow ((a, b), ms) -> (
       let net = Scenario.(s.net) in
       let topo = Ethernet.topology net in
@@ -137,8 +126,7 @@ let apply inj (e : Plan.event) =
           skip inj e "not a link"
       | Vnet.Topology.Switched _ ->
           Ethernet.set_link_extra_latency net a b ms;
-          metric inj "link-slow";
-          applied inj e)
+          applied inj "link-slow" e)
 
 let install ?(on_restart = fun (_ : Ethernet.addr) -> ())
     ?(on_heal = fun (_ : Ethernet.addr) (_ : Ethernet.addr) -> ()) scenario plan
@@ -152,6 +140,10 @@ let install ?(on_restart = fun (_ : Ethernet.addr) -> ())
       applied = [];
       applied_actions = [];
       skipped = 0;
+      events =
+        Vnaming.Events.make
+          Scenario.(scenario.domain)
+          ~host:"fault" ~server:"injector" ~label:"injector" ();
     }
   in
   List.iter

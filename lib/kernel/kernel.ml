@@ -374,6 +374,7 @@ let layer =
     host = (fun e -> e.ev_host);
     trace = (fun e -> e.trace);
     pp = pp_event;
+    span = None;
   }
 
 (* The one guard, true only while a consumer of [kind] listens on the

@@ -191,6 +191,7 @@ let layer =
     host = (fun e -> if e.site < 0 then "net" else host_label e.site);
     trace = (fun _ -> 0);
     pp = pp_event;
+    span = None;
   }
 
 (* Materialized links by one endpoint's number, for the hop path: host

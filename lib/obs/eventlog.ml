@@ -47,6 +47,7 @@ type t = {
   mutable next_seq : int;
   mutable dropped : int;
   mutable on_drop : int -> unit;  (* called with each trim's drop count *)
+  mutable on_toggle : bool -> unit;  (* called when [enabled] is set *)
 }
 
 let create ?(capacity = 20_000) () =
@@ -59,13 +60,18 @@ let create ?(capacity = 20_000) () =
     next_seq = 1;
     dropped = 0;
     on_drop = ignore;
+    on_toggle = ignore;
   }
 
 let enabled t = t.enabled
-let set_enabled t flag = t.enabled <- flag
+let set_enabled t flag =
+  t.enabled <- flag;
+  t.on_toggle flag
+
 let count t = t.count
 let dropped t = t.dropped
 let set_on_drop t f = t.on_drop <- f
+let set_on_toggle t f = t.on_toggle <- f
 
 let clear t =
   t.events <- [];

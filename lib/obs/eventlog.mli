@@ -50,6 +50,11 @@ val dropped : t -> int
     trimmed dump is detectable from the metrics artifact alone. *)
 val set_on_drop : t -> (int -> unit) -> unit
 
+(** [set_on_toggle t f] installs a hook called with the new flag at each
+    {!set_enabled} — how the event stream keeps its mask of listening
+    consumers current. *)
+val set_on_toggle : t -> (bool -> unit) -> unit
+
 val clear : t -> unit
 val event_to_json : event -> Json.t
 

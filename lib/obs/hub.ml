@@ -1,16 +1,20 @@
 (* The hub is the per-deployment observability handle: it owns trace and
    span numbering, the bounded span store, the metrics registry, the
-   flight recorder, the kernel and wire event stream ({!Stream}), and
-   (when attached) the SLO engine. One hub is shared by every host in a
-   simulated internetwork — the point of distributed tracing is
-   precisely that spans from different hosts land in the same store,
-   keyed by trace id.
+   flight recorder, the event stream every layer reports into
+   ({!Stream}), and (when attached) the SLO engine. One hub is shared by
+   every host in a simulated internetwork — the point of distributed
+   tracing is precisely that spans from different hosts land in the
+   same store, keyed by trace id.
 
-   Tracing and metrics are independently switchable. With tracing off,
-   [start_trace] hands out [Span.no_ctx] and [start_span] returns [None],
-   so instrumented code pays one test per hop. Nothing here ever touches
-   the simulation clock: callers pass [~now] in, which keeps simulated
-   timings bit-identical whether observability is on or off.
+   The span store is a consumer of the stream: it builds spans from
+   span events alone ([consume]), and the finished-operation event
+   feeds the latency histograms and the SLO engine. Tracing and
+   metrics are independently switchable. With tracing off,
+   [start_trace] hands out [Span.no_ctx] and the stream's span consumer
+   does not listen, so instrumented code pays one test per hop. Nothing
+   here ever touches the simulation clock: events carry their time,
+   which keeps simulated timings bit-identical whether observability is
+   on or off.
 
    Span eviction is tail-based: when the store overflows, spans
    belonging to interesting traces — one that errored, retried, failed
@@ -20,12 +24,15 @@
    so a trimmed store is visible instead of silent. *)
 
 type t = {
-  mutable tracing : bool;
+  tracing : bool;
   mutable next_trace : int;
   mutable next_span : int;
   span_limit : int;
   mutable spans : Span.t list;  (* newest first, trimmed at span_limit *)
   mutable span_count : int;
+  (* Spans not yet closed, by id: where a close or a tag finds its
+     span. A span trimmed from the store leaves it too. *)
+  open_spans : (int, Span.t) Hashtbl.t;
   mutable spans_dropped : int;
   mutable last_trace : int;  (* 0 = no trace started yet *)
   metrics : Metrics.t;
@@ -41,36 +48,6 @@ type t = {
   mutable timeseries : Timeseries.t option;
 }
 
-let create ?(tracing = false) ?(span_limit = 10_000) ?event_capacity () =
-  let events = Eventlog.create ?capacity:event_capacity () in
-  let t =
-    {
-      tracing;
-      next_trace = 1;
-      next_span = 1;
-      span_limit;
-      spans = [];
-      span_count = 0;
-      spans_dropped = 0;
-      last_trace = 0;
-      metrics = Metrics.create ();
-      events;
-      stream = Stream.create events;
-      slo = None;
-      sample_every = 1;
-      sample_rand = Srand.create ~seed:0;
-      sampled_out = 0;
-      timeseries = None;
-    }
-  in
-  (* Mirror flight-recorder loss into a metric: a soak that silently
-     trims its recorder is visible from the metrics artifact alone. *)
-  Eventlog.set_on_drop t.events (fun lost ->
-      Metrics.incr ~by:lost t.metrics ~host:"obs" ~server:"eventlog"
-        ~op:"events-dropped");
-  t
-
-let tracing t = t.tracing
 let metrics t = t.metrics
 let events t = t.events
 let stream t = t.stream
@@ -90,19 +67,11 @@ let set_rollup t r = Metrics.set_rollup t.metrics r
 let timeseries t = t.timeseries
 let set_timeseries t ts = t.timeseries <- ts
 
-(* Flight-recorder events from the layers above the kernel: the label
-   is formatted only while an attached hub's recorder is on. *)
-let eventf hub ~at ~cat ~host ?(trace = 0) fmt =
-  match hub with
-  | Some t when Eventlog.enabled t.events ->
-      Format.kasprintf (Eventlog.record t.events ~at ~cat ~host ~trace) fmt
-  | Some _ | None -> Format.ikfprintf ignore Format.str_formatter fmt
-
 (* Head sampling composes with the tail-based eviction below: heads
    decide *which traces exist at all* (1-in-N, cheap, at the root),
    tails decide *which recorded spans survive memory pressure*
    (interesting traces last). A sampled-out request gets [Span.no_ctx]
-   and pays nothing downstream — every hop's [start_span] is one test. *)
+   and pays nothing downstream — every hop's span event is one test. *)
 let start_trace t ~now =
   if not t.tracing then Span.no_ctx
   else if t.sample_every > 1 && Srand.int t.sample_rand t.sample_every <> 0
@@ -119,15 +88,19 @@ let start_trace t ~now =
 
 (* A span worth keeping under eviction pressure: its op failed or is
    still in flight, or the client annotated it with retry/failover/fault
-   trouble. Trace-level interest is any interesting span in the trace —
-   a clean hop of a retried trace still explains the retry. *)
+   trouble. A hop that forwarded the request, or a resolution step that
+   answered with a referral or a terminal binding, ended clean.
+   Trace-level interest is any interesting span in the trace — a clean
+   hop of a retried trace still explains the retry. *)
 let interesting_tag tag =
   tag = "fault"
   || (String.length tag >= 6 && String.sub tag 0 6 = "retry:")
   || (String.length tag >= 9 && String.sub tag 0 9 = "failover:")
 
 let interesting_span s =
-  (match s.Span.outcome with "OK" | "forward" -> false | _ -> true)
+  (match s.Span.outcome with
+  | "OK" | "forward" | "referral" | "terminal" -> false
+  | _ -> true)
   || List.exists interesting_tag s.Span.tags
 
 (* Tail-based trim: drop down to span_limit/2 (amortising the O(n)
@@ -155,7 +128,15 @@ let trim t =
     end
     else false
   in
-  t.spans <- List.filter keep t.spans;
+  t.spans <-
+    List.filter
+      (fun s ->
+        keep s
+        || begin
+             Hashtbl.remove t.open_spans s.Span.span_id;
+             false
+           end)
+      t.spans;
   let dropped = t.span_count - !kept in
   t.span_count <- !kept;
   t.spans_dropped <- t.spans_dropped + dropped;
@@ -167,45 +148,103 @@ let record t span =
   t.span_count <- t.span_count + 1;
   if t.span_count > t.span_limit then trim t
 
-let start_span t ~ctx ~now ~op ~host ~server ~pid ~context ~index_from =
-  if not (t.tracing && Span.is_traced ctx) then None
-  else begin
-    let id = t.next_span in
-    t.next_span <- id + 1;
-    let span =
-      {
-        Span.trace_id = ctx.Span.trace;
-        span_id = id;
-        parent_id = ctx.Span.parent;
-        op;
-        host;
-        server;
-        pid;
-        context;
-        index_from;
-        index_to = index_from;
-        queue_wait = now -. ctx.Span.sent_at;
-        started = now;
-        finished = now;
-        outcome = "open";
-        tags = [];
-      }
-    in
-    record t span;
-    Some span
-  end
-
-let finish _t span ~now ?index_to ~outcome () =
-  span.Span.finished <- now;
-  span.Span.outcome <- outcome;
-  match index_to with
-  | Some i -> span.Span.index_to <- i
+let close t id ~at ~index ~outcome =
+  match Hashtbl.find_opt t.open_spans id with
+  | Some s ->
+      Hashtbl.remove t.open_spans id;
+      s.Span.finished <- at;
+      s.Span.outcome <- outcome;
+      if index >= 0 then s.Span.index_to <- index
   | None -> ()
 
-(* Context a traced hop hands to the request it forwards (or to a fresh
-   transaction it issues): same trace, this span as parent, reissued now. *)
-let child_ctx span ~now =
-  { Span.trace = span.Span.trace_id; parent = span.Span.span_id; sent_at = now }
+(* The span store's consumer: spans are built from span events alone.
+   An Open starts a hop's span (tracing on and the request traced) and
+   hands its id back in the event; a Close or a Tag finds its span by
+   id; a Done closes the operation's root and feeds its latency — the
+   whole operation, retries included — to the (host, server, op)
+   histogram, with the root's trace as an exemplar candidate, and to
+   the SLO engine when one is attached. *)
+let consume t ~at (e : Span.event) =
+  match e.verb with
+  | Open ->
+      if t.tracing && Span.is_traced e.ctx then begin
+        let id = t.next_span in
+        t.next_span <- id + 1;
+        let span =
+          {
+            Span.trace_id = e.ctx.Span.trace;
+            span_id = id;
+            parent_id = e.ctx.Span.parent;
+            op = e.op;
+            host = e.host;
+            server = e.server;
+            pid = e.pid;
+            context = e.context;
+            index_from = e.index;
+            index_to = e.index;
+            queue_wait = at -. e.ctx.Span.sent_at;
+            started = at;
+            finished = at;
+            outcome = "open";
+            tags = [];
+          }
+        in
+        Hashtbl.replace t.open_spans id span;
+        record t span;
+        e.id <- id
+      end
+      else e.id <- 0
+  | Close -> close t e.id ~at ~index:e.index ~outcome:e.note
+  | Tag -> (
+      match Hashtbl.find_opt t.open_spans e.id with
+      | Some s -> s.Span.tags <- e.note :: s.Span.tags
+      | None -> ())
+  | Done -> (
+      let root = e.ctx in
+      if e.label <> "" then
+        Option.iter
+          (fun s -> s.Span.op <- e.label)
+          (Hashtbl.find_opt t.open_spans root.Span.parent);
+      close t root.Span.parent ~at ~index:(-1) ~outcome:e.note;
+      let latency_ms = at -. e.started in
+      let trace = if Span.is_traced root then Some root.Span.trace else None in
+      Metrics.observe ?trace t.metrics ~host:e.host ~server:e.server ~op:e.op
+        latency_ms;
+      match t.slo with
+      | Some slo -> Slo.observe slo ~now:at ~ok:(e.note = "OK") ~latency_ms
+      | None -> ())
+
+let create ?(tracing = false) ?(span_limit = 10_000) ?event_capacity () =
+  let events = Eventlog.create ?capacity:event_capacity () in
+  let t =
+    {
+      tracing;
+      next_trace = 1;
+      next_span = 1;
+      span_limit;
+      spans = [];
+      span_count = 0;
+      open_spans = Hashtbl.create 64;
+      spans_dropped = 0;
+      last_trace = 0;
+      metrics = Metrics.create ();
+      events;
+      stream = Stream.create events;
+      slo = None;
+      sample_every = 1;
+      sample_rand = Srand.create ~seed:0;
+      sampled_out = 0;
+      timeseries = None;
+    }
+  in
+  (* Mirror flight-recorder loss into a metric: a soak that silently
+     trims its recorder is visible from the metrics artifact alone. *)
+  Eventlog.set_on_drop t.events (fun lost ->
+      Metrics.incr ~by:lost t.metrics ~host:"obs" ~server:"eventlog"
+        ~op:"events-dropped");
+  Metrics.add_source t.metrics (Stream.scrape t.stream);
+  Stream.consume_spans t.stream ~tracing (consume t);
+  t
 
 let last_trace t = if t.last_trace = 0 then None else Some t.last_trace
 

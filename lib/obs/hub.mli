@@ -1,8 +1,11 @@
 (** The per-deployment observability handle: trace/span numbering, the
     bounded span store, the metrics registry, the flight recorder, the
-    kernel and wire event stream, and (when attached) the SLO engine.
-    One hub is shared by every host in a simulated internetwork, so
-    spans from different hosts land in one store keyed by trace id.
+    event stream every layer reports into, and (when attached) the SLO
+    engine. One hub is shared by every host in a simulated
+    internetwork, so spans from different hosts land in one store keyed
+    by trace id. The span store and the latency feed are consumers of
+    the stream: they build spans from span events ({!Span.event}) and
+    take each finished client operation from its [Done] event.
 
     Nothing here reads or advances the simulation clock — callers pass
     [~now] — so simulated timings are bit-identical with observability
@@ -15,33 +18,21 @@ type t
     [span_limit] spans; eviction is tail-based — see {!spans_dropped}. *)
 val create : ?tracing:bool -> ?span_limit:int -> ?event_capacity:int -> unit -> t
 
-val tracing : t -> bool
 val metrics : t -> Metrics.t
 
 (** The hub's flight recorder (disabled until
     [Eventlog.set_enabled]). *)
 val events : t -> Eventlog.t
 
-(** The kernel and wire event stream, feeding this hub's recorder. *)
+(** The event stream, feeding this hub's recorder, span store, latency
+    histograms and SLO engine. *)
 val stream : t -> Stream.t
 
-(** The attached SLO engine, if any; the runtime feeds every finished
-    client op to it. *)
+(** The attached SLO engine, if any; every finished client operation's
+    [Done] event feeds it. *)
 val slo : t -> Slo.t option
 
 val set_slo : t -> Slo.t option -> unit
-
-(** [eventf hub ~at ~cat ~host ?trace fmt ...] records a formatted
-    label into [hub]'s flight recorder; the label is built only when a
-    hub is given and its recorder is enabled. *)
-val eventf :
-  t option ->
-  at:float ->
-  cat:Eventlog.cat ->
-  host:string ->
-  ?trace:int ->
-  ('a, Format.formatter, unit, unit) format4 ->
-  'a
 
 (** Spans evicted from the bounded store so far. Eviction is
     tail-based: traces that errored, retried, failed over, hit a fault
@@ -80,32 +71,6 @@ val set_timeseries : t -> Timeseries.t option -> unit
     to attach to the outgoing request. Returns {!Span.no_ctx} when
     tracing is off or head sampling rejects the trace. *)
 val start_trace : t -> now:float -> Span.ctx
-
-(** [start_span t ~ctx ...] opens a span for one hop of a traced
-    request; [None] when tracing is off or [ctx] is untraced. The span
-    is already recorded in the store — mutate it via {!finish}. *)
-val start_span :
-  t ->
-  ctx:Span.ctx ->
-  now:float ->
-  op:string ->
-  host:string ->
-  server:string ->
-  pid:int ->
-  context:int ->
-  index_from:int ->
-  Span.t option
-
-(** [finish t span ~now ?index_to ~outcome ()] closes a span, recording
-    completion time, consumed name index, and outcome (a reply code
-    string, or ["forward"]). *)
-val finish :
-  t -> Span.t -> now:float -> ?index_to:int -> outcome:string -> unit -> unit
-
-(** [child_ctx span ~now] is the context a traced hop attaches to the
-    request it forwards: same trace, [span] as parent, reissued at
-    [now]. *)
-val child_ctx : Span.t -> now:float -> Span.ctx
 
 (** Most recently started trace id, if any trace has been started. *)
 val last_trace : t -> int option

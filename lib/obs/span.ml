@@ -8,7 +8,8 @@
    (re)issued at, from which the receiving hop derives its queue wait.
 
    Spans carry no behaviour: creation, numbering and storage belong to
-   [Hub]; this module is the pure data model plus rendering. *)
+   [Hub], which builds them from span events; this module is the pure
+   data model plus rendering. *)
 
 type ctx = { trace : int; parent : int; sent_at : float }
 
@@ -19,11 +20,47 @@ let no_ctx = { trace = 0; parent = 0; sent_at = 0.0 }
 
 let is_traced c = c.trace <> 0
 
+(* A span event: what one event of a producing layer does to the span
+   store and the finished-operation feed. Each producer fills in its
+   own reused record; only the store, when it keeps a span, allocates. *)
+type verb = Open | Close | Tag | Done
+
+type event = {
+  mutable verb : verb;
+  mutable ctx : ctx;
+  mutable id : int;
+  mutable op : string;
+  mutable label : string;
+  mutable host : string;
+  mutable server : string;
+  mutable pid : int;
+  mutable context : int;
+  mutable index : int;
+  mutable note : string;
+  mutable started : float;
+}
+
+let event () =
+  {
+    verb = Open;
+    ctx = no_ctx;
+    id = 0;
+    op = "";
+    label = "";
+    host = "";
+    server = "";
+    pid = 0;
+    context = 0;
+    index = 0;
+    note = "";
+    started = 0.0;
+  }
+
 type t = {
   trace_id : int;
   span_id : int;
   parent_id : int;  (** 0 for a root span *)
-  op : string;  (** operation name, e.g. "Open" *)
+  mutable op : string;  (** operation name, e.g. "Open" *)
   host : string;  (** host the handling process runs on *)
   server : string;  (** name of the handling process *)
   pid : int;  (** its pid, as an integer *)
@@ -42,7 +79,6 @@ type t = {
 
 (* Annotations accumulate newest-first; [tags] presents them in the
    order they were added. *)
-let add_tag s tag = s.tags <- tag :: s.tags
 let tags s = List.rev s.tags
 
 (* Time this hop itself spent on the request. *)

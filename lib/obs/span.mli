@@ -11,11 +11,49 @@ val no_ctx : ctx
 
 val is_traced : ctx -> bool
 
+(** {1 Span events}
+
+    What a producing layer's event does to the span store and to the
+    finished-operation feed (see {!Stream.spans}, {!Stream.ops}): one
+    reused, mutable record per producer, so reporting allocates
+    nothing until the store keeps a span. *)
+
+type verb =
+  | Open  (** start a hop's span under [ctx] *)
+  | Close  (** finish span [id] *)
+  | Tag  (** annotate span [id] with [note] *)
+  | Done
+      (** a client operation finished: close its root span [ctx.parent],
+          and feed its latency to the histograms and the SLO engine *)
+
+type event = {
+  mutable verb : verb;
+  mutable ctx : ctx;  (** Open: the request's; Done: the root's *)
+  mutable id : int;
+      (** Close, Tag: the span; Open: the new span's, set by the store
+          (0 when none opened) *)
+  mutable op : string;
+      (** Open: the span's op; Done: the operation, as histograms key it *)
+  mutable label : string;  (** Done: the root's final op; [""] keeps it *)
+  mutable host : string;
+  mutable server : string;
+  mutable pid : int;
+  mutable context : int;
+  mutable index : int;
+      (** Open: the name index on arrival; Close: the index consumed,
+          or [-1] to keep the opening one *)
+  mutable note : string;  (** Close, Done: the outcome; Tag: the tag *)
+  mutable started : float;  (** Done: when the operation began *)
+}
+
+(** A fresh event record for one producer. *)
+val event : unit -> event
+
 type t = {
   trace_id : int;
   span_id : int;
   parent_id : int;  (** 0 for a root span *)
-  op : string;
+  mutable op : string;
   host : string;
   server : string;
   pid : int;
@@ -30,10 +68,6 @@ type t = {
   mutable tags : string list;
       (** free-form annotations, newest first (e.g. "retry:2", "fault") *)
 }
-
-(** Annotate a span (e.g. ["retry:2"], ["fault"]); cheap, unordered
-    metadata that rides along into [pp]/[to_json]. *)
-val add_tag : t -> string -> unit
 
 (** Tags in the order they were added. *)
 val tags : t -> string list

@@ -1,22 +1,30 @@
-(* The event stream: every kernel and wire site reports once, as one
-   typed event, and each consumer takes the kinds it needs from it — the
-   Figure 1 timeline, the flight recorder ({!Eventlog}) and the
-   telemetry pump, a sampler driven by the events themselves so it
-   schedules nothing.
+(* The event stream: every site of every layer — kernel, wire, and the
+   naming, run-time and fault layers above them — reports once, as one
+   typed event, and each consumer takes the kinds it needs from it: the
+   Figure 1 timeline, the flight recorder ({!Eventlog}), the telemetry
+   pump (a sampler driven by the events themselves, so it schedules
+   nothing), and the hub's span store and finished-operation feed.
 
    A producing layer describes its events with a [layer] — the
-   recorder's category and host label, the trace id, and the layer's
-   one printer — and names the consumers of each kind, a fixed
-   property of the kind. An event is the layer's own reused, mutable
-   record, so emitting
-   allocates nothing until a consumer stores or prints it. Counting by
-   kind needs no event: a producer keeps one int per (host or port,
-   kind), and a source registered with the registry
-   ({!Metrics.add_source}) moves them in at every read. *)
+   recorder's category and host label, the trace id, the layer's one
+   printer, and for the layers above the kernel the span event an event
+   carries — and names the consumers of each kind, a fixed property of
+   the kind. An event is the layer's own reused, mutable record, so
+   emitting allocates nothing until a consumer stores or prints it.
+   Which consumers listen is one mask, kept up to date as each one
+   toggles, so the guard every site pays is one test.
+
+   Counting by kind needs no event: a producer keeps its counts where
+   it reports — the kernel one int per (host, kind), the layers above
+   it a table per (host, server) by registry op, held here — and a
+   source registered with the registry ({!Metrics.add_source}) moves
+   them in at every read. *)
 
 let timeline = 1
 let recorder = 2
 let pump = 4
+let spans = 8
+let ops = 16
 
 type 'e layer = {
   column : string;
@@ -24,36 +32,47 @@ type 'e layer = {
   host : 'e -> string;
   trace : 'e -> int;
   pp : timeline:bool -> Format.formatter -> 'e -> unit;
+  span : ('e -> Span.event) option;
 }
 
 type line = { at : float; column : string; text : string }
 
 type t = {
   events : Eventlog.t;
-  mutable timeline_on : bool;
+  mutable active : int;  (* the consumers listening *)
   mutable lines : line list;  (* newest first *)
   mutable pump_interval : float;  (* 0 = disarmed *)
   mutable pump_next : float;
   mutable pump_sample : now:float -> unit;
+  mutable on_span : at:float -> Span.event -> unit;
+  (* The producers' counts by (host, server), then by registry op. *)
+  counts : (string * string, (string, int ref) Hashtbl.t) Hashtbl.t;
 }
 
+let set_bit t bit on =
+  t.active <- (if on then t.active lor bit else t.active land lnot bit)
+
 let create events =
-  {
-    events;
-    timeline_on = false;
-    lines = [];
-    pump_interval = 0.0;
-    pump_next = 0.0;
-    pump_sample = (fun ~now:_ -> ());
-  }
+  let t =
+    {
+      events;
+      active = (if Eventlog.enabled events then recorder else 0);
+      lines = [];
+      pump_interval = 0.0;
+      pump_next = 0.0;
+      pump_sample = (fun ~now:_ -> ());
+      on_span = (fun ~at:_ _ -> ());
+      counts = Hashtbl.create 16;
+    }
+  in
+  Eventlog.set_on_toggle events (set_bit t recorder);
+  t
 
-let listening t c =
-  (c land timeline <> 0 && t.timeline_on)
-  || (c land recorder <> 0 && Eventlog.enabled t.events)
-  || (c land pump <> 0 && t.pump_interval > 0.0)
+let listening t c = t.active land c <> 0
 
-let emit t (layer : _ layer) ~consumers:c ~at e =
-  if c land timeline <> 0 && t.timeline_on then
+let emit t (layer : _ layer) ~consumers ~at e =
+  let c = consumers land t.active in
+  if c land timeline <> 0 then
     t.lines <-
       {
         at;
@@ -61,16 +80,18 @@ let emit t (layer : _ layer) ~consumers:c ~at e =
         text = Fmt.str "%a" (layer.pp ~timeline:true) e;
       }
       :: t.lines;
-  if c land recorder <> 0 && Eventlog.enabled t.events then
+  if c land recorder <> 0 then
     Eventlog.record t.events ~at ~cat:(layer.cat e) ~host:(layer.host e)
       ~trace:(layer.trace e)
       (Fmt.str "%a" (layer.pp ~timeline:false) e);
-  if c land pump <> 0 && t.pump_interval > 0.0 && at >= t.pump_next then begin
+  if c land pump <> 0 && at >= t.pump_next then begin
     t.pump_next <- at +. t.pump_interval;
     t.pump_sample ~now:at
-  end
+  end;
+  if c land (spans lor ops) <> 0 then
+    match layer.span with Some span -> t.on_span ~at (span e) | None -> ()
 
-let set_timeline t on = t.timeline_on <- on
+let set_timeline t on = set_bit t timeline on
 let lines t = List.rev t.lines
 
 (* Times relative to the first line: a transaction's timeline, where
@@ -87,10 +108,19 @@ let pp_timeline ppf t =
 let arm_pump t ~interval_ms ~now sample =
   t.pump_interval <- interval_ms;
   t.pump_next <- now;
-  t.pump_sample <- sample
+  t.pump_sample <- sample;
+  set_bit t pump (interval_ms > 0.0)
 
-let disarm_pump t = t.pump_interval <- 0.0
-let pump_armed t = t.pump_interval > 0.0
+let disarm_pump t =
+  t.pump_interval <- 0.0;
+  set_bit t pump false
+
+let pump_armed t = listening t pump
+
+let consume_spans t ~tracing f =
+  t.on_span <- f;
+  set_bit t spans tracing;
+  set_bit t ops true
 
 (* Move one producer's counts into the registry and zero them.
    [ops.(i)] names counter [i] ("" = kept, never exported). The first
@@ -107,3 +137,20 @@ let scrape_counts m ~host ~server ~ops ~family counts =
         Metrics.incr ~by:n m ~host ~server ~op
       end)
     ops
+
+let counts t ~host ~server =
+  match Hashtbl.find_opt t.counts (host, server) with
+  | Some table -> table
+  | None ->
+      let table = Hashtbl.create 8 in
+      Hashtbl.add t.counts (host, server) table;
+      table
+
+(* Every table into the registry; the tables empty, so a key lands once
+   hit since the last read, even when it added nothing. *)
+let scrape t m =
+  Hashtbl.iter
+    (fun (host, server) table ->
+      Hashtbl.iter (fun op n -> Metrics.incr ~by:!n m ~host ~server ~op) table;
+      Hashtbl.clear table)
+    t.counts

@@ -1,7 +1,9 @@
-(** The event stream: every kernel and wire site reports once, as one
-    typed event; the timeline, the flight recorder and the telemetry
-    pump each take the kinds they need from it. Counting by kind needs
-    no event — see {!scrape_counts}.
+(** The event stream: every site of every layer — kernel, wire, and the
+    naming, run-time and fault layers above them — reports once, as one
+    typed event; the timeline, the flight recorder, the telemetry pump,
+    the span store and the finished-operation feed each take the kinds
+    they need from it. Counting by kind needs no event — see
+    {!scrape_counts} and {!counts}.
 
     Nothing here reads the simulation clock: emitters pass [~at]. *)
 
@@ -13,6 +15,13 @@ val timeline : int
 val recorder : int
 val pump : int
 
+(** The hub's span store: listens while the hub traces. *)
+val spans : int
+
+(** The latency histograms and the SLO engine: listen once a hub
+    consumes spans. *)
+val ops : int
+
 (** How a producing layer describes its event record ['e]. *)
 type 'e layer = {
   column : string;  (** the timeline's column: ["ipc"], ["net"] *)
@@ -22,24 +31,32 @@ type 'e layer = {
   pp : timeline:bool -> Format.formatter -> 'e -> unit;
       (** the layer's one printer: the timeline's text, or the
           recorder's label *)
+  span : ('e -> Span.event) option;
+      (** the span event an event carries, for {!spans} and {!ops};
+          [None] for a layer none of whose kinds go there *)
 }
 
 type t
 
 (** [create events] makes a stream feeding the recorder [events], with
-    the timeline off and the pump disarmed. *)
+    the timeline off, the pump disarmed and no span consumer. *)
 val create : Eventlog.t -> t
 
-(** [listening t consumers] is the one guard: true only while one of
-    [consumers] listens — the timeline is on, the recorder is enabled,
-    the pump is armed. Sites build and emit an event only when it holds
-    for the consumers of its kind. *)
+(** [listening t consumers] is the one guard, one test: true only while
+    one of [consumers] listens — the timeline is on, the recorder is
+    enabled, the pump is armed, the hub traces. Sites build and emit an
+    event only when it holds for the consumers of its kind. *)
 val listening : t -> int -> bool
 
 (** [emit t layer ~consumers ~at e] hands event [e], stamped [at], to
     each of [consumers] that listens. Allocates only in a consumer that
     stores or prints the event. *)
 val emit : t -> 'e layer -> consumers:int -> at:float -> 'e -> unit
+
+(** [consume_spans t ~tracing f] makes [f] the consumer of span events:
+    {!ops} listens from now on, {!spans} while [tracing]. *)
+val consume_spans :
+  t -> tracing:bool -> (at:float -> Span.event -> unit) -> unit
 
 (** {1 The timeline} *)
 
@@ -79,3 +96,13 @@ val scrape_counts :
   family:int ->
   int array ->
   unit
+
+(** [counts t ~host ~server] is the count table of (host, server) by
+    registry op, made on first use and shared by every producer
+    reporting there. *)
+val counts : t -> host:string -> server:string -> (string, int ref) Hashtbl.t
+
+(** [scrape t m] moves every count table into [m] and empties it: a key
+    lands once counted, even when it added 0. The hub registers it as a
+    source of its registry. *)
+val scrape : t -> Metrics.t -> unit

@@ -55,6 +55,13 @@ type env = {
   mutable resilience : Vio.Resilience.policy option;
   mutable retry_prng : Vsim.Prng.t;
   rstats : resilience_stats;
+  (* Where the environment's operations report: (workstation,
+     "runtime"). *)
+  events : Events.t;
+  (* The root context of the operation in progress ([Span.no_ctx]
+     between operations): its attempts and a resolver's walks hang
+     under it. *)
+  mutable root : Vobs.Span.ctx;
 }
 
 let engine env = Kernel.engine_of_domain (Kernel.domain_of_self env.self)
@@ -113,108 +120,27 @@ let make self ~current =
           resilience = None;
           retry_prng = Vsim.Prng.create ~seed:1;
           rstats = { retries = 0; retried_ok = 0; unavailable = 0 };
+          events = Events.of_self self ~server:"runtime";
+          root = Vobs.Span.no_ctx;
         }
 
 (* --- observability ---
 
-   Every named operation gets (when a hub is attached to the domain) a
-   latency histogram sample keyed (workstation, "runtime", op), and —
-   when tracing is on — one root span per operation; the request sent
+   Every named operation reports (when a hub is attached to the domain)
+   through the environment's {!Events} reporter: its latency lands in
+   a histogram keyed (workstation, "runtime", op), and — when tracing
+   is on — it gets one root span, started before the name is routed,
+   so a resolver's walk hangs under it too; every request it sends
    carries the root's child context, so server-side hops hang under it.
    One root span covers all retry attempts of an operation; when the
-   first attempt used a cached binding, the root's op carries a
-   "[cached]" tag. Cache counters land under (workstation, "runtime")
-   with cache-prefixed op names. All bookkeeping: nothing here touches
-   simulated time. *)
-
-let obs_hub env = Kernel.obs (Kernel.domain_of_self env.self)
-
-let obs_runtime_metric env op =
-  match obs_hub env with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub)
-        ~host:(Kernel.self_host_name env.self)
-        ~server:"runtime" ~op
-
-(* The operation's root span. Only a tracing hub starts traces, so
-   only then is the span op built. *)
-let obs_root env ~op ~cached ~context =
-  match obs_hub env with
-  | Some hub when Vobs.Hub.tracing hub -> (
-      let t0 = Vsim.Engine.now (engine env) in
-      let ctx = Vobs.Hub.start_trace hub ~now:t0 in
-      let op = if cached then "client:" ^ op ^ "[cached]" else "client:" ^ op in
-      match
-        Vobs.Hub.start_span hub ~ctx ~now:t0 ~op
-          ~host:(Kernel.self_host_name env.self)
-          ~server:"runtime"
-          ~pid:(Pid.to_int (Kernel.self_pid env.self))
-          ~context ~index_from:0
-      with
-      | Some span -> Some (hub, span)
-      | None -> None)
-  | Some _ | None -> None
-
-(* Attach the request of one attempt to the root span. *)
-let obs_attach env root (req : Csname.req) =
-  match root with
-  | None -> req
-  | Some (_, span) ->
-      let now = Vsim.Engine.now (engine env) in
-      { req with Csname.trace = Vobs.Hub.child_ctx span ~now }
-
-let obs_done env ~op ~t0 root outcome =
-  (match root with
-  | None -> ()
-  | Some (hub, span) ->
-      Vobs.Hub.finish hub span
-        ~now:(Vsim.Engine.now (engine env))
-        ~outcome ());
-  match obs_hub env with
-  | None -> ()
-  | Some hub ->
-      let now = Vsim.Engine.now (engine env) in
-      (* The root trace id rides into the latency histogram as an
-         exemplar candidate (when exemplars are on), linking an
-         aggregate's outlier bucket back to its span tree. *)
-      let trace =
-        match root with
-        | Some (_, span) -> Some span.Vobs.Span.trace_id
-        | None -> None
-      in
-      Vobs.Metrics.observe ?trace (Vobs.Hub.metrics hub)
-        ~host:(Kernel.self_host_name env.self)
-        ~server:"runtime" ~op (now -. t0);
-      (* Every finished client operation feeds the SLO engine when one
-         is attached: availability from the outcome, latency from the
-         whole-operation wall time (retries included). *)
-      (match Vobs.Hub.slo hub with
-      | None -> ()
-      | Some slo ->
-          Vobs.Slo.observe slo ~now
-            ~ok:(outcome = Reply.to_string Reply.Ok)
-            ~latency_ms:(now -. t0))
+   first route answered from a cache without a query, the root's op
+   carries a "[cached]" tag. Cache counters land under (workstation,
+   "runtime") with cache-prefixed op names. All bookkeeping: nothing
+   here touches simulated time. *)
 
 let outcome_of_result = function
   | Ok _ -> Reply.to_string Reply.Ok
   | Error e -> Vio.Verr.to_string e
-
-let obs_tag root tag =
-  match root with
-  | None -> ()
-  | Some ((_ : Vobs.Hub.t), span) -> Vobs.Span.add_tag span tag
-
-let root_trace = function
-  | None -> 0
-  | Some ((_ : Vobs.Hub.t), span) -> span.Vobs.Span.trace_id
-
-(* Flight-recorder events from the client runtime (retries, failovers,
-   exhausted budgets), stamped with the operation's root trace. *)
-let obs_event env ~trace fmt =
-  Vobs.Hub.eventf (obs_hub env)
-    ~at:(Vsim.Engine.now (engine env))
-    ~cat:Vobs.Eventlog.Client ~host:(Kernel.self_host_name env.self) ~trace fmt
 
 (* The resilience retry loop around one named operation. [run] is a
    whole routed attempt (including the stale-retry cascade); on a
@@ -230,13 +156,13 @@ let obs_event env ~trace fmt =
    current context on a transport-level retry. *)
 let rebind_current = ref (fun (_ : env) -> ())
 
-let with_resilience env policy ~root ~t0 run =
+let with_resilience env policy ~t0 run =
   let rec loop attempt =
     match run () with
     | Ok _ as ok ->
         if attempt > 1 then begin
           env.rstats.retried_ok <- env.rstats.retried_ok + 1;
-          obs_runtime_metric env "retry-ok"
+          Events.count env.events "retry-ok"
         end;
         ok
     | Error e -> (
@@ -247,12 +173,7 @@ let with_resilience env policy ~root ~t0 run =
         with
         | Vio.Resilience.Retry_after wait ->
             env.rstats.retries <- env.rstats.retries + 1;
-            obs_runtime_metric env "retry";
-            if attempt = 1 then obs_tag root "fault";
-            obs_tag root (Printf.sprintf "retry:%d" attempt);
-            obs_event env ~trace:(root_trace root)
-              "retry attempt %d after %a (wait %.1fms)" attempt Vio.Verr.pp
-              e wait;
+            Events.retry env.events ~root:env.root ~attempt ~wait Vio.Verr.pp e;
             Vsim.Proc.delay (engine env) wait;
             (* A transport failure may mean the current context's
                server died: re-resolve it before routing again. *)
@@ -263,9 +184,8 @@ let with_resilience env policy ~root ~t0 run =
             (match err with
             | Vio.Verr.Unavailable _ ->
                 env.rstats.unavailable <- env.rstats.unavailable + 1;
-                obs_runtime_metric env "unavailable";
-                obs_event env ~trace:(root_trace root)
-                  "unavailable after %d attempt(s)" attempt
+                Events.unavailable env.events
+                  ~trace:env.root.Vobs.Span.trace ~attempts:attempt
             | _ -> ());
             Error err)
   in
@@ -273,7 +193,24 @@ let with_resilience env policy ~root ~t0 run =
 
 (* --- the single common routing routine --- *)
 
-type route = { target : Pid.t; req : Csname.req; cached_prefix : string option }
+(* How a route was found: directly, answered from a cache (the client
+   name cache, or the resolver's with no query), or by a resolver walk.
+   The last two name the cached prefix on-use invalidation evicts. *)
+type via = Direct | Cached of string | Walked of string
+
+type route = { target : Pid.t; req : Csname.req; via : via }
+
+(* The uncached routes: a '[prefix]' name to the workstation's prefix
+   server, any other to the current context's server. *)
+let prefix_route env req =
+  { target = env.prefix_server; req; via = Direct }
+
+let current_route env req =
+  {
+    target = env.current.Context.server;
+    req = { req with Csname.context = env.current.Context.context };
+    via = Direct;
+  }
 
 (* The prefix-server leg of routing: deepest cached prefix when the
    cache is on, the workstation's prefix server otherwise. *)
@@ -286,7 +223,7 @@ let route_prefixed env name req =
   | Some (key, spec) ->
       (* Deepest cached prefix: start interpretation just past it, in
          the cached context, directly at the implementing server. *)
-      obs_runtime_metric env "cache-hit";
+      Events.count env.events "cache-hit";
       {
         target = spec.Context.server;
         req =
@@ -295,11 +232,11 @@ let route_prefixed env name req =
             Csname.index = Csname.skip_separators name (String.length key);
             context = spec.Context.context;
           };
-        cached_prefix = Some key;
+        via = Cached key;
       }
   | None ->
-      if env.name_cache_enabled then obs_runtime_metric env "cache-miss";
-      { target = env.prefix_server; req; cached_prefix = None }
+      if env.name_cache_enabled then Events.count env.events "cache-miss";
+      prefix_route env req
 
 let route env name =
   let req = Csname.make_req name in
@@ -311,12 +248,13 @@ let route env name =
            interpretation continues. On any resolver failure, fall back
            to the prefix-server route so the operation still gets its
            authoritative answer. *)
-        match Vdomains.Resolver.resolve r env.self name with
+        match Vdomains.Resolver.resolve r env.self ~trace:env.root name with
         | Ok o ->
             let open Vdomains.Resolver in
-            obs_runtime_metric env
+            Events.count env.events
               (if o.queries = 0 then "resolver-hit" else "resolver-walk");
-            if o.served_stale then obs_runtime_metric env "resolver-stale";
+            if o.served_stale then
+              Events.count env.events "resolver-stale";
             {
               target = o.spec.Context.server;
               req =
@@ -325,34 +263,31 @@ let route env name =
                   Csname.index = o.index;
                   context = o.spec.Context.context;
                 };
-              cached_prefix = o.cache_key;
+              via =
+                (match o.cache_key with
+                | Some key -> if o.queries = 0 then Cached key else Walked key
+                | None -> Direct);
             }
         | Error _ ->
-            obs_runtime_metric env "resolver-fallback";
+            Events.count env.events "resolver-fallback";
             route_prefixed env name req)
     | Some _ | None -> route_prefixed env name req
   end
-  else
-    {
-      target = env.current.Context.server;
-      req = { req with Csname.context = env.current.Context.context };
-      cached_prefix = None;
-    }
+  else current_route env req
 
 (* Routing with the cache bypassed: the fallback of last resort after a
    failure that no cached binding explains. *)
 let route_uncached env name =
   let req = Csname.make_req name in
-  if Csname.starts_with_prefix req then
-    { target = env.prefix_server; req; cached_prefix = None }
-  else
-    {
-      target = env.current.Context.server;
-      req = { req with Csname.context = env.current.Context.context };
-      cached_prefix = None;
-    }
+  if Csname.starts_with_prefix req then prefix_route env req
+  else current_route env req
 
 let charge_stub env = Vsim.Proc.delay (engine env) Calibration.client_stub_cpu
+
+(* One attempt's request, hung under the operation's root span. *)
+let attach env req =
+  Events.child env.events ~trace:env.root.Vobs.Span.trace
+    ~span:env.root.Vobs.Span.parent req
 
 (* Failover accounting: when a later resilience attempt routes to a
    different server pid than the one before it — the re-resolution found
@@ -361,14 +296,12 @@ let charge_stub env = Vsim.Proc.delay (engine env) Calibration.client_stub_cpu
    (workstation, "runtime", "failover") counter. Route changes inside
    the stale-cache cascade are not failovers; only cross-attempt changes
    count. *)
-let note_failover env ~root ~last_target ~failovers (r : route) =
+let note_failover env ~last_target ~failovers (r : route) =
   (match !last_target with
   | Some p when not (Pid.equal p r.target) ->
       incr failovers;
-      obs_runtime_metric env "failover";
-      obs_tag root (Printf.sprintf "failover:%d" !failovers);
-      obs_event env ~trace:(root_trace root) "failover %d -> pid %d" !failovers
-        (Pid.to_int r.target)
+      Events.failover env.events ~root:env.root ~n:!failovers
+        ~pid:(Pid.to_int r.target)
   | Some _ | None -> ());
   last_target := Some r.target
 
@@ -401,9 +334,9 @@ let learn_from_reply env name { Vmsg.upto; spec } =
       | Some _ | None -> ());
       if env.name_cache_enabled then begin
         (match Name_cache.learn env.name_cache key spec with
-        | Some _evicted -> obs_runtime_metric env "cache-evict"
+        | Some _evicted -> Events.count env.events "cache-evict"
         | None -> ());
-        obs_runtime_metric env "cache-learn"
+        Events.count env.events "cache-learn"
       end
     end
 
@@ -436,8 +369,8 @@ let with_stale_retry env name ~first attempt =
               true
           | _ -> false
         in
-        match r.cached_prefix with
-        | Some key when stale_signal ->
+        match r.via with
+        | (Cached key | Walked key) when stale_signal ->
             (* On-use invalidation reaches whichever cache supplied the
                binding: the key lives in the resolver's cache for
                resolver-routed names, in the client name cache
@@ -447,7 +380,7 @@ let with_stale_retry env name ~first attempt =
             | Some res when resolver_handled ->
                 ignore (Vdomains.Resolver.invalidate res key)
             | Some _ | None -> ());
-            obs_runtime_metric env "cache-stale";
+            Events.count env.events "cache-stale";
             if resolver_handled && resolver_retried then
               (* A fresh walk already re-derived this binding and it
                  still failed: the tree's answer is wrong (a dead leaf
@@ -473,14 +406,14 @@ let with_stale_retry env name ~first attempt =
    The first resilience attempt reuses the route already taken (whose
    cache metrics are counted); later ones route afresh so re-resolution
    can land on a successor server. *)
-let run_routed env name ~root ~t0 ~first attempt =
+let run_routed env name ~t0 ~first attempt =
   match env.resilience with
   | None -> with_stale_retry env name ~first attempt
   | Some policy ->
       let first_route = ref (Some first) in
       let last_target = ref None in
       let failovers = ref 0 in
-      with_resilience env policy ~root ~t0 (fun () ->
+      with_resilience env policy ~t0 (fun () ->
           let r =
             match !first_route with
             | Some r ->
@@ -488,8 +421,26 @@ let run_routed env name ~root ~t0 ~first attempt =
                 r
             | None -> route env name
           in
-          note_failover env ~root ~last_target ~failovers r;
+          note_failover env ~last_target ~failovers r;
           with_stale_retry env name ~first:r attempt)
+
+(* A named operation starts its root span before it routes the name, so
+   a resolver's walk hangs under it, and returns its first route.
+   [finish_op] reports the operation done — the root reads "[cached]"
+   when the first route made no query — and restores [outer], the
+   enclosing operation's root (a rebind runs an operation inside
+   another's retry loop). *)
+let start_op env ~op name =
+  env.root <-
+    Events.op_start env.events ~op ~context:env.current.Context.context;
+  route env name
+
+let finish_op env ~op ~t0 ~first ~outer result =
+  Events.op_done env.events ~op ~root:env.root ~started:t0
+    ~cached:(match first.via with Cached _ -> true | _ -> false)
+    (outcome_of_result result);
+  env.root <- outer;
+  result
 
 (* Send a CSname request along the route; on a failure that suggests a
    stale cached binding, invalidate, fall back and retry. *)
@@ -497,14 +448,12 @@ let transact_name env ~code ?payload ?extra_bytes name =
   charge_stub env;
   let op = Vmsg.Op.to_string code in
   let t0 = Vsim.Engine.now (engine env) in
-  let first = route env name in
-  let root =
-    obs_root env ~op ~cached:(first.cached_prefix <> None)
-      ~context:env.current.Context.context
-  in
+  let outer = env.root in
+  let first = start_op env ~op name in
   let attempt r =
-    let req = obs_attach env root r.req in
-    let msg = Vmsg.request ~name:req ?payload ?extra_bytes code in
+    let msg =
+      Vmsg.request ~name:(attach env r.req) ?payload ?extra_bytes code
+    in
     (* A resilience-enabled client stamps its absolute operation
        deadline so a loaded server's admission control can drop the
        request rather than queue it past the point of usefulness. *)
@@ -524,9 +473,8 @@ let transact_name env ~code ?payload ?extra_bytes name =
             Ok (m, replier)
         | Error e -> Error e)
   in
-  let result = run_routed env name ~root ~t0 ~first attempt in
-  obs_done env ~op ~t0 root (outcome_of_result result);
-  result
+  let result = run_routed env name ~t0 ~first attempt in
+  finish_op env ~op ~t0 ~first ~outer result
 
 (* --- naming operations --- *)
 
@@ -569,7 +517,7 @@ let () =
             (match resolve env name with
             | Ok spec when spec <> env.current ->
                 env.current <- spec;
-                obs_runtime_metric env "rebind"
+                Events.count env.events "rebind"
             | Ok _ | Error _ -> ());
             env.resilience <- saved;
             env.rebinding <- false
@@ -615,13 +563,10 @@ let open_ env ~mode name =
   (* The stub charge happens inside [Vio.Client.open_at]. *)
   let op = Vmsg.Op.to_string Vmsg.Op.open_instance in
   let t0 = Vsim.Engine.now (engine env) in
-  let first = route env name in
-  let root =
-    obs_root env ~op ~cached:(first.cached_prefix <> None)
-      ~context:env.current.Context.context
-  in
+  let outer = env.root in
+  let first = start_op env ~op name in
   let attempt r =
-    let req = obs_attach env root r.req in
+    let req = attach env r.req in
     let deadline =
       match env.resilience with
       | Some p -> Some (t0 +. p.Vio.Resilience.deadline_ms)
@@ -630,9 +575,8 @@ let open_ env ~mode name =
     Vio.Client.open_at env.self ~learn:(learn_from_reply env name) ?deadline
       ~server:r.target ~req ~mode ()
   in
-  let result = run_routed env name ~root ~t0 ~first attempt in
-  obs_done env ~op ~t0 root (outcome_of_result result);
-  result
+  let result = run_routed env name ~t0 ~first attempt in
+  finish_op env ~op ~t0 ~first ~outer result
 
 let with_instance env ~mode name f =
   match open_ env ~mode name with

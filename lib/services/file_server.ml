@@ -52,8 +52,8 @@ type t = {
       (* dedupe of replicated writes on (origin, seq); the applied marks
          are durable like the disk, the reply cache is not *)
   mutable pid : Pid.t option;
-  (* Hub and host name for byte-count metrics, set at spawn. *)
-  mutable obs : (Vobs.Hub.t * string) option;
+  (* Where byte counts report, set at spawn. *)
+  mutable events : Events.t option;
   (* Overload-protection policy; [None] = admission off. Survives
      [restart_from] (the record is copied), so a protected server
      rebooted over its disk comes back protected. *)
@@ -436,11 +436,7 @@ let handle_csname t self ~sender (msg : Vmsg.t) _req ctx remaining =
 
 (* Count bytes served/stored against (host, server-name, op). *)
 let io_bytes t op n =
-  match t.obs with
-  | None -> ()
-  | Some (hub, host) ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~by:n ~host
-        ~server:t.server_name ~op
+  match t.events with Some r -> Events.add r op n | None -> ()
 
 let handle_io t (msg : Vmsg.t) =
   let open Vmsg in
@@ -572,9 +568,10 @@ let lookup_for_walk t ctx component =
 (* Register the serving process and handlers for an existing state
    record; shared by cold start and restart-from-disk. *)
 let spawn_server host t scope =
-  (match Kernel.obs (Kernel.domain_of_host host) with
-  | Some hub -> t.obs <- Some (hub, Kernel.host_name host)
-  | None -> t.obs <- None);
+  t.events <-
+    Some
+      (Events.make (Kernel.domain_of_host host) ~host:(Kernel.host_name host)
+         ~server:t.server_name ());
   let handlers self =
     {
       Csnh.valid_context =
@@ -664,7 +661,7 @@ let start host ~name ?(owner = "system") ?(scope = Service.Both) () =
       stats = Csnh.make_stats name;
       guard = Seq_guard.create ();
       pid = None;
-      obs = None;
+      events = None;
       admission_cfg = None;
     }
   in

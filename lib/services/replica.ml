@@ -94,13 +94,6 @@ let unprotect t ps =
   List.iter (fun (_, fs) -> File_server.disable_admission fs t.domain) t.members;
   Admission.uninstall t.domain (Prefix_server.pid ps)
 
-let metric t host op =
-  match Kernel.obs t.domain with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~host:(Kernel.host_name host)
-        ~server:"replica" ~op
-
 (* Retries per logged entry before a catch-up gives up: the sends are
    host-local, so a failure means the host is going down again and the
    rejoin should be abandoned, not papered over. *)
@@ -128,12 +121,14 @@ let catch_up t host p ~label ~on_caught_up =
   let engine = Kernel.engine_of_domain d in
   ignore
     (Kernel.spawn host ~name:label (fun self ->
+         (* Outcomes count under (the member's host, "replica"). *)
+         let r = Events.of_self self ~server:"replica" in
          let replay (_origin, _seq, msg) =
            let rec go attempt =
              match Kernel.send self p msg with
              | Ok (_ : Vmsg.t * Pid.t) -> true
              | Error _ when attempt < replay_attempts ->
-                 metric t host "replay-retry";
+                 Events.count r "replay-retry";
                  Vsim.Proc.delay engine 1.0;
                  go (attempt + 1)
              | Error _ -> false
@@ -152,7 +147,7 @@ let catch_up t host p ~label ~on_caught_up =
            else
              let tail = List.filteri (fun i _ -> i >= replayed) log in
              if List.for_all replay tail then drain n
-             else metric t host "catchup-abort"
+             else Events.count r "catchup-abort"
          in
          drain 0))
 
@@ -181,7 +176,11 @@ let revive t addr =
       if covered then
         catch_up t host (File_server.pid fresh) ~label:"replica-catchup"
           ~on_caught_up:(fun () -> enroll t host fresh)
-      else metric t host "catchup-uncovered";
+      else
+        Events.count
+          (Events.make t.domain ~host:(Kernel.host_name host) ~server:"replica"
+             ())
+          "catchup-uncovered";
       Some fresh
 
 (* Replay the committed write log to every live member: the convergence

@@ -202,6 +202,75 @@ let test_iterative_walk_and_cache () =
          Alcotest.(check string) "same bytes" "via the tree"
            (Bytes.to_string b)))
 
+(* --- a resolver-routed operation's trace covers its walk --- *)
+
+(* A cold traced Open through the three-level tree: its root span
+   starts before the walk, so the root lasts exactly what the run-time's
+   latency histogram records, and each step's span hangs under it,
+   waiting one hop. A warm Open answers from the resolver's cache: a
+   "[cached]" root and no steps. *)
+let test_traced_walk_under_root () =
+  ignore
+    (run_client
+       ~build:(fun () -> Scenario.build ~tracing:true ())
+       (fun t _self env ->
+         ok_exn "write"
+           (Runtime.write_file env "[fs0]tmp/fed.txt" (Bytes.of_string "hello"));
+         let chain = build_chain t ~depth:3 ~leaf_target:(fs_root t) in
+         Runtime.set_resolver env
+           (Resolver.create ~prefix:"dom"
+              ~root:(Domain_server.spec chain.(0) ())
+              ());
+         let hub = Scenario.(t.obs) in
+         let latency_sum () =
+           match
+             Vobs.Metrics.histogram (Vobs.Hub.metrics hub) ~host:"ws0"
+               ~server:"runtime" ~op:"Open"
+           with
+           | Some h -> Vobs.Histogram.sum h
+           | None -> 0.0
+         in
+         (* The Open's spans, its root first. *)
+         let traced_open () =
+           let before = latency_sum () in
+           ignore
+             (ok_exn "read" (Runtime.read_file env "[dom]d1/d2/leaf/tmp/fed.txt"));
+           let spans =
+             match Vobs.Hub.last_trace hub with
+             | Some id -> Vobs.Hub.trace_spans hub id
+             | None -> Alcotest.fail "no trace"
+           in
+           (latency_sum () -. before, spans)
+         in
+         let root_of = function
+           | (root : Vobs.Span.t) :: _ -> root
+           | [] -> Alcotest.fail "no spans"
+         in
+         let steps spans =
+           List.filter (fun (s : Vobs.Span.t) -> s.op = "ResolveStep") spans
+         in
+         let sample, spans = traced_open () in
+         let root = root_of spans in
+         Alcotest.(check string) "cold root" "client:Open" root.op;
+         Alcotest.(check (float 1e-9)) "root lasts the histogram's sample" sample
+           (root.finished -. root.started);
+         let cold = steps spans in
+         Alcotest.(check (list string)) "steps under the root"
+           [ "referral"; "referral"; "terminal" ]
+           (List.map (fun (s : Vobs.Span.t) -> s.outcome) cold);
+         List.iter
+           (fun (s : Vobs.Span.t) ->
+             Alcotest.(check int) "parent" root.span_id s.parent_id;
+             Alcotest.(check bool)
+               (Fmt.str "step waits one hop (%.3f ms)" s.queue_wait)
+               true
+               (s.queue_wait > 1.5 && s.queue_wait < 2.5))
+           cold;
+         let _, spans = traced_open () in
+         Alcotest.(check string) "warm root" "client:Open[cached]"
+           (root_of spans).op;
+         Alcotest.(check int) "no steps warm" 0 (List.length (steps spans))))
+
 (* --- negative caching: misses collapse to one query per TTL --- *)
 
 let test_negative_caching_collapses_misses () =
@@ -339,6 +408,8 @@ let suite =
         Alcotest.test_case "creation validation" `Quick test_creation_validation;
         Alcotest.test_case "iterative walk and cache" `Quick
           test_iterative_walk_and_cache;
+        Alcotest.test_case "traced walk under the root" `Quick
+          test_traced_walk_under_root;
         Alcotest.test_case "negative caching collapses misses" `Quick
           test_negative_caching_collapses_misses;
         Alcotest.test_case "stale-serving window" `Quick

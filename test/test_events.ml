@@ -352,6 +352,623 @@ let test_every_site_renders_as_before () =
     "timeline, recorder and registry" golden
     (timeline @ recorder @ registry)
 
+(* --- the layers above the kernel ---
+
+   Four small installations drive every upper-layer kind at least once:
+   requests, lookups, forwards and replies at the CSNH, prefix and
+   domain servers; prefixed and unprefixed prefix-server requests
+   through static, logical, replica-bound and group bindings; the
+   client name cache's miss, learn, hit, eviction and stale binding;
+   the resolver's walks, referrals, terminal answers, negative and
+   stale answers, a step limit and a delegation cycle; the run-time's
+   retries, give-up, failover and rebind; the file server's byte
+   counts;
+   a replicated write's fan-out, retry, lost member and out-of-sync
+   rejection; replica catch-up's replay retry, abort and uncovered
+   rejoin; and every fault the injector applies or skips. [upper_golden]
+   is what the flight recorder ("R", upper-layer categories), the
+   registry ("M", upper-layer keys) and the span store ("S", rendered
+   by [Export.pp_timeline]) held for this run before these layers
+   reported through one event layer. *)
+
+module Scenario = Vworkload.Scenario
+module Runtime = Vruntime.Runtime
+module Resolver = Vdomains.Resolver
+module Domain_server = Vdomains.Domain_server
+module Replica = Vservices.Replica
+module File_server = Vservices.File_server
+module Ctx = Vnaming.Context
+
+let ok what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %a" what Vio.Verr.pp e
+
+let installation ?topology ?(file_servers = 2) ?(tracing = true) () =
+  let t =
+    Scenario.build ?topology ~workstations:1 ~file_servers ~tracing ~seed:18 ()
+  in
+  Vobs.Eventlog.set_enabled (Vobs.Hub.events Scenario.(t.obs)) true;
+  t
+
+let host_at t addr = Option.get (K.host_of_addr Scenario.(t.domain) addr)
+
+let as_client t body =
+  let completed = ref false in
+  ignore
+    (Scenario.spawn_client t ~ws:0 (fun self env ->
+         body self env;
+         completed := true));
+  Scenario.run t;
+  Alcotest.(check bool) "client completed" true !completed
+
+(* What the layers above the kernel reported in [t]. *)
+let upper_lines name t =
+  let hub = Scenario.(t.obs) in
+  let recorder =
+    List.filter_map
+      (fun (e : Vobs.Eventlog.event) ->
+        match e.cat with
+        | Vobs.Eventlog.Client | Replica | Fault ->
+            Some (Fmt.str "%s R %a" name Vobs.Eventlog.pp_event e)
+        | Kernel | Net | Balancer | Slo | Admission -> None)
+      (Vobs.Eventlog.events (Vobs.Hub.events hub))
+  and registry =
+    List.filter_map
+      (fun ((k : Vobs.Metrics.key), v) ->
+        if k.server = "kernel" || k.server = "net" || k.host = "obs" then None
+        else Some (Fmt.str "%s M %a %d" name Vobs.Metrics.pp_key k v))
+      (Vobs.Metrics.counters (Vobs.Hub.metrics hub))
+  and spans =
+    Fmt.str "%a" Vobs.Export.pp_timeline (Vobs.Hub.all_spans hub)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> name ^ " S " ^ l)
+  in
+  recorder @ registry @ spans
+
+(* Files, links, a context implemented by a server group, unprefixed
+   names at the prefix server, and the client name cache. *)
+let drive_naming () =
+  let t = installation () in
+  as_client t (fun _self env ->
+      let write name s =
+        ok name (Runtime.write_file env name (Bytes.of_string s))
+      in
+      let read name = ignore (Runtime.read_file env name) in
+      write "[fs0]a.txt" "hello";
+      write "[fs0]empty" "";
+      read "[fs0]empty";
+      let root = ok "resolve" (Runtime.resolve env "[fs0]") in
+      ok "link" (Runtime.link env "[fs1]borrowed" ~target:root);
+      read "[fs1]borrowed/a.txt";
+      let prefix = (Scenario.workstation t 0).Scenario.ws_prefix in
+      let group = K.create_group Scenario.(t.domain) in
+      Array.iteri
+        (fun i fs ->
+          K.join_group (host_at t (Scenario.fs_addr i)) ~group
+            (File_server.pid fs))
+        Scenario.(t.file_servers);
+      ignore
+        (Vnaming.Prefix_server.add_binding prefix "grp"
+           (Vnaming.Prefix_server.Replicated
+              { group; context = Ctx.Well_known.default }));
+      ignore (Runtime.query env "[grp]a.txt");
+      let here = Runtime.current_context env in
+      Runtime.set_current_context env
+        (Ctx.spec
+           ~server:(Vnaming.Prefix_server.pid prefix)
+           ~context:Ctx.Well_known.default);
+      ignore (Runtime.query env "fs0");
+      ignore (Runtime.query env "fs0/a.txt");
+      ignore (Runtime.query env "grp/a.txt");
+      Runtime.set_current_context env here;
+      Runtime.enable_name_cache env ~capacity:1 true;
+      read "[fs0]a.txt";
+      read "[fs0]a.txt";
+      read "[fs1]borrowed/a.txt";
+      Runtime.enable_name_cache env true;
+      ok "alias" (Runtime.add_prefix env "alias" (`Static root));
+      ok "mkdir" (Runtime.create env ~directory:true "[fs0]d");
+      write "[fs0]d/x" "1";
+      read "[fs0]d/x";
+      ok "rm" (Runtime.remove env "[alias]d/x");
+      ok "rmdir" (Runtime.remove env "[alias]d");
+      ok "mkdir" (Runtime.create env ~directory:true "[alias]d");
+      write "[alias]d/x" "2";
+      read "[fs0]d/x";
+      Runtime.enable_name_cache env false);
+  upper_lines "naming" t
+
+let dom_addr i = 50 + i
+
+(* The domain tree through the resolver: a cold walk, a warm answer,
+   negative answers, a resumed walk, a stale answer while the root is
+   down, a step limit and a delegation cycle. *)
+let drive_domains () =
+  let t = installation ~file_servers:1 () in
+  as_client t (fun self env ->
+      ok "write"
+        (Runtime.write_file env "[fs0]tmp/fed.txt" (Bytes.of_string "hi"));
+      let chain =
+        Array.init 3 (fun i ->
+            let name = Fmt.str "dom%d" i in
+            Domain_server.start
+              (K.boot_host Scenario.(t.domain) ~name (dom_addr i))
+              ~name ())
+      in
+      for i = 0 to 1 do
+        ignore
+          (Domain_server.delegate chain.(i)
+             (Fmt.str "d%d" (i + 1))
+             (Domain_server.spec chain.(i + 1) ()))
+      done;
+      ignore
+        (Domain_server.bind chain.(2) "leaf"
+           (File_server.spec (Scenario.file_server t 0)
+              ~context:Ctx.Well_known.default));
+      let root = Domain_server.spec chain.(0) () in
+      Runtime.set_resolver env
+        (Resolver.create ~prefix:"dom" ~ttl_ms:1_000.0
+           ~stale_window_ms:60_000.0 ~root ());
+      let read name = ignore (Runtime.read_file env name) in
+      let name = "[dom]d1/d2/leaf/tmp/fed.txt" in
+      read name;
+      read name;
+      read "[dom]d1/d2/nope";
+      read "[dom]d1/d2/nope";
+      read "[dom]d1/nope";
+      ignore (Runtime.query env "[dom]d1/d2");
+      Vsim.Proc.delay (Runtime.engine env) 2_000.0;
+      K.crash_host (host_at t (dom_addr 0));
+      read name;
+      ignore
+        (Resolver.resolve
+           (Resolver.create ~prefix:"dom" ~max_steps:1
+              ~root:(Domain_server.spec chain.(1) ())
+              ())
+           self "[dom]d2/leaf/tmp/fed.txt");
+      let evil =
+        K.spawn
+          (K.boot_host Scenario.(t.domain) ~name:"evil" 60)
+          ~name:"evil-domain"
+          (fun srv ->
+            let rec loop () =
+              let msg, sender = K.receive srv in
+              let upto =
+                match msg.Vnaming.Vmsg.name with
+                | Some req -> req.Vnaming.Csname.index
+                | None -> 0
+              in
+              let spec =
+                Ctx.spec ~server:(K.self_pid srv)
+                  ~context:Ctx.Well_known.default
+              in
+              ignore
+                (K.reply srv ~to_:sender
+                   (Vnaming.Vmsg.with_binding
+                      (Vnaming.Vmsg.ok ~payload:Domain_server.P_referral ())
+                      { Vnaming.Vmsg.upto; spec }));
+              loop ()
+            in
+            loop ())
+      in
+      ignore
+        (Resolver.resolve
+           (Resolver.create ~prefix:"dom"
+              ~root:(Ctx.spec ~server:evil ~context:Ctx.Well_known.default)
+              ())
+           self "[dom]a/b"));
+  upper_lines "domains" t
+
+(* The resilience loop: retries that succeed, a give-up, a failover to
+   a restarted server, a pinned context rebound by name, and a forward
+   through a logical binding's stale cached pid. *)
+let drive_resilience () =
+  let t = installation ~file_servers:2 () in
+  K.set_getpid_cache Scenario.(t.domain) true;
+  as_client t (fun _self env ->
+      Runtime.set_resilience env ~seed:5 ();
+      ignore (ok "chdir" (Runtime.change_context env "[storage]"));
+      ok "write" (Runtime.write_file env "f.txt" (Bytes.of_string "v1"));
+      ok "write" (Runtime.write_file env "[fs1]g.txt" (Bytes.of_string "v1"));
+      let fs0 = host_at t (Scenario.fs_addr 0) in
+      K.crash_host fs0;
+      K.restart_host fs0;
+      ignore (File_server.restart_from (Scenario.file_server t 0) fs0 ());
+      ok "write" (Runtime.write_file env "f.txt" (Bytes.of_string "v2"));
+      ok "write" (Runtime.write_file env "[storage]h.txt" (Bytes.of_string "v2"));
+      K.crash_host (host_at t (Scenario.fs_addr 1));
+      ignore (Runtime.read_file env "[fs1]g.txt"));
+  upper_lines "resilience" t
+
+(* A replicated store under partition and heal, a member lost to a
+   fan-out, catch-up replays that fail, a rejoin the capped log cannot
+   cover, and every fault the injector applies or skips, on a switched
+   fabric. *)
+let drive_replicas () =
+  let t = installation ~topology:(Vnet.Topology.switched ~fan_in:4)
+      ~file_servers:3 () in
+  let domain = Scenario.(t.domain) in
+  let members =
+    List.init 2 (fun i ->
+        (host_at t (Scenario.fs_addr i), Scenario.(t.file_servers).(i)))
+  in
+  let rset = Replica.install domain ~members () in
+  ignore
+    (Vnaming.Prefix_server.add_binding
+       (Scenario.workstation t 0).Scenario.ws_prefix "rstore"
+       (Replica.target rset));
+  let ws0 = Scenario.ws_addr 0 and fs1 = Scenario.fs_addr 1 in
+  as_client t (fun _self env ->
+      ok "mkdir" (Runtime.create env ~directory:true "[rstore]top");
+      Vnet.Ethernet.partition Scenario.(t.net) ws0 fs1;
+      ok "create" (Runtime.create env "[rstore]top/p1");
+      Vnet.Ethernet.heal Scenario.(t.net) ws0 fs1;
+      ok "create" (Runtime.create env "[rstore]top/p2");
+      ignore (Runtime.read_file env "[rstore]top/p2");
+      Vnet.Ethernet.set_loss_probability Scenario.(t.net) 1.0;
+      ignore (Runtime.create env "[rstore]top/p3");
+      Vnet.Ethernet.set_loss_probability Scenario.(t.net) 0.0);
+  Replica.sync rset;
+  Scenario.run t;
+  (* A revived member whose server dies before the replay reaches it. *)
+  K.crash_host (host_at t fs1);
+  K.restart_host (host_at t fs1);
+  (match Replica.revive rset fs1 with
+  | Some fresh -> ignore (K.destroy_process domain (File_server.pid fresh))
+  | None -> Alcotest.fail "revive");
+  Scenario.run t;
+  (* A rejoin the capped log no longer covers. *)
+  let fs0 = Scenario.fs_addr 0 in
+  K.crash_host (host_at t fs0);
+  K.restart_host (host_at t fs0);
+  let service = Replica.service rset in
+  for seq = 1 to 1_100 do
+    K.log_group_write domain ~service ~origin:999 ~seq
+      (Vnaming.Vmsg.request Vnaming.Vmsg.Op.query_name);
+    K.commit_group_write domain ~service ~origin:999 ~seq
+  done;
+  ignore (Replica.revive rset fs0);
+  Scenario.run t;
+  let link = (Vnet.Topology.Edge 0, Vnet.Topology.Spine) in
+  let plan =
+    Vfault.Plan.of_events ~seed:3
+      (Vfault.Plan.crash_restart ~addr:(Scenario.fs_addr 2) ~at:1.0
+         ~downtime_ms:5.0
+      @ Vfault.Plan.crash_restart ~addr:(Scenario.fs_addr 2) ~at:2.0
+          ~downtime_ms:1.0
+      @ Vfault.Plan.partition_heal ~a:ws0 ~b:fs1 ~at:10.0 ~duration_ms:5.0
+      @ Vfault.Plan.loss_burst ~at:20.0 ~duration_ms:5.0 ~p:0.1
+      @ Vfault.Plan.slow_host ~addr:ws0 ~at:30.0 ~duration_ms:5.0 ~ms:2.0
+      @ [
+          { Vfault.Plan.at = 40.0; action = Vfault.Plan.Link_cut link };
+          { Vfault.Plan.at = 41.0; action = Vfault.Plan.Link_cut link };
+          { Vfault.Plan.at = 42.0; action = Vfault.Plan.Link_heal link };
+          { Vfault.Plan.at = 43.0; action = Vfault.Plan.Link_slow (link, 1.0) };
+        ])
+  in
+  let now = Vsim.Engine.now Scenario.(t.engine) in
+  ignore
+    (Vfault.Injector.install t
+       {
+         plan with
+         Vfault.Plan.events =
+           List.map
+             (fun (e : Vfault.Plan.event) ->
+               { e with Vfault.Plan.at = now +. e.Vfault.Plan.at })
+             plan.Vfault.Plan.events;
+       });
+  Scenario.run t;
+  upper_lines "replicas" t
+
+let upper_golden =
+  [
+    "naming M fs0/fs0/Create 3";
+    "naming M fs0/fs0/MapContext 1";
+    "naming M fs0/fs0/Open 11";
+    "naming M fs0/fs0/QueryName 3";
+    "naming M fs0/fs0/ReadInstance 7";
+    "naming M fs0/fs0/ReleaseInstance 11";
+    "naming M fs0/fs0/Remove 2";
+    "naming M fs0/fs0/WriteInstance 4";
+    "naming M fs0/fs0/lookup 21";
+    "naming M fs0/fs0/read-bytes 22";
+    "naming M fs0/fs0/write-bytes 7";
+    "naming M fs1/fs1/AddContextName 1";
+    "naming M fs1/fs1/Open 2";
+    "naming M fs1/fs1/QueryName 2";
+    "naming M fs1/fs1/forward 2";
+    "naming M fs1/fs1/lookup 5";
+    "naming M ws0/runtime/cache-evict 6";
+    "naming M ws0/runtime/cache-hit 6";
+    "naming M ws0/runtime/cache-learn 11";
+    "naming M ws0/runtime/cache-miss 6";
+    "naming M ws0/runtime/cache-stale 1";
+    "naming M ws0/ws0-prefix-server/QueryName 3";
+    "naming M ws0/ws0-prefix-server/forward 15";
+    "naming M ws0/ws0-prefix-server/lookup 3";
+    "naming M ws0/ws0-prefix-server/prefix-lookup 13";
+    "naming S client:Open                  ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.742ms -> OK";
+    "naming S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "naming S     Open                         fs0/fs0 pid 105911 ctx 0 name[5..]  wait 1.967ms svc 0.360ms -> OK";
+    "naming S client:Open                  ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.742ms -> OK";
+    "naming S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "naming S     Open                         fs0/fs0 pid 105911 ctx 0 name[5..]  wait 1.967ms svc 0.360ms -> OK";
+    "naming S client:Open                  ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.742ms -> OK";
+    "naming S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "naming S     Open                         fs0/fs0 pid 105911 ctx 0 name[5..]  wait 1.967ms svc 0.360ms -> OK";
+    "naming S client:MapContext            ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.408ms -> OK";
+    "naming S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.385ms svc 3.550ms -> forward";
+    "naming S     MapContext                   fs0/fs0 pid 105911 ctx 0 name[5..]  wait 1.953ms svc 0.240ms -> OK";
+    "naming S client:AddContextName        ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.550ms -> OK";
+    "naming S   AddContextName               ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.385ms svc 3.550ms -> forward";
+    "naming S     AddContextName               fs1/fs1 pid 145253 ctx 0 name[5..]  wait 1.975ms svc 0.360ms -> OK";
+    "naming S client:Open                  ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 10.116ms -> OK";
+    "naming S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "naming S     Open                         fs1/fs1 pid 145253 ctx 0 name[5..14]  wait 1.991ms svc 0.360ms -> forward";
+    "naming S       Open                         fs0/fs0 pid 105911 ctx 17 name[14..]  wait 1.991ms svc 0.360ms -> OK";
+    "naming S client:QueryName             ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.542ms -> not found";
+    "naming S   QueryName                    ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.385ms svc 3.550ms -> forward";
+    "naming S     QueryName                    fs0/fs0 pid 105911 ctx 0 name[5..]  wait 1.967ms svc 0.380ms -> OK";
+    "naming S     QueryName                    fs1/fs1 pid 145253 ctx 0 name[5..]  wait 1.967ms svc 0.360ms -> not found";
+    "naming S client:QueryName             ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 1.130ms -> OK";
+    "naming S   QueryName                    ws0/ws0-prefix-server pid 396084 ctx 0  wait 0.385ms svc 0.360ms -> OK";
+    "naming S client:QueryName             ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 4.369ms -> OK";
+    "naming S   QueryName                    ws0/ws0-prefix-server pid 396084 ctx 0 name[0..4]  wait 0.385ms svc 0.360ms -> forward";
+    "naming S     QueryName                    fs0/fs0 pid 105911 ctx 0 name[4..]  wait 1.964ms svc 0.380ms -> OK";
+    "naming S client:QueryName             ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 4.349ms -> not found";
+    "naming S   QueryName                    ws0/ws0-prefix-server pid 396084 ctx 0 name[0..4]  wait 0.385ms svc 0.360ms -> forward";
+    "naming S     QueryName                    fs0/fs0 pid 105911 ctx 0 name[4..]  wait 1.964ms svc 0.380ms -> OK";
+    "naming S     QueryName                    fs1/fs1 pid 145253 ctx 0 name[4..]  wait 1.964ms svc 0.360ms -> not found";
+    "naming S client:Open                  ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.742ms -> OK";
+    "naming S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "naming S     Open                         fs0/fs0 pid 105911 ctx 0 name[5..]  wait 1.967ms svc 0.360ms -> OK";
+    "naming S client:Open[cached]          ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 3.807ms -> OK";
+    "naming S   Open                         fs0/fs0 pid 105911 ctx 0 name[5..]  wait 2.167ms svc 0.360ms -> OK";
+    "naming S client:Open                  ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 10.116ms -> OK";
+    "naming S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "naming S     Open                         fs1/fs1 pid 145253 ctx 0 name[5..14]  wait 1.991ms svc 0.360ms -> forward";
+    "naming S       Open                         fs0/fs0 pid 105911 ctx 17 name[14..]  wait 1.991ms svc 0.360ms -> OK";
+    "naming S client:Create                ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.531ms -> OK";
+    "naming S   Create                       ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.385ms svc 3.550ms -> forward";
+    "naming S     Create                       fs0/fs0 pid 105911 ctx 0 name[5..]  wait 1.956ms svc 0.360ms -> OK";
+    "naming S client:Open[cached]          ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 3.921ms -> OK";
+    "naming S   Open                         fs0/fs0 pid 105911 ctx 0 name[5..7]  wait 2.161ms svc 0.480ms -> OK";
+    "naming S client:Open[cached]          ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 3.801ms -> OK";
+    "naming S   Open                         fs0/fs0 pid 105911 ctx 24 name[7..]  wait 2.161ms svc 0.360ms -> OK";
+    "naming S client:Remove                ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.662ms -> OK";
+    "naming S   Remove                       ws0/ws0-prefix-server pid 396084 ctx 0 name[0..7]  wait 0.385ms svc 3.550ms -> forward";
+    "naming S     Remove                       fs0/fs0 pid 105911 ctx 17 name[7..9]  wait 1.967ms svc 0.480ms -> OK";
+    "naming S client:Remove[cached]        ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 3.481ms -> OK";
+    "naming S   Remove                       fs0/fs0 pid 105911 ctx 24 name[8..]  wait 1.961ms svc 0.240ms -> OK";
+    "naming S client:Create[cached]        ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 11.018ms -> OK";
+    "naming S   Create                       fs0/fs0 pid 105911 ctx 24 name[8..]  wait 1.961ms svc 0.240ms -> bad context";
+    "naming S   Create                       ws0/ws0-prefix-server pid 396084 ctx 0 name[0..7]  wait 0.385ms svc 3.550ms -> forward";
+    "naming S     Create                       fs0/fs0 pid 105911 ctx 17 name[7..]  wait 1.961ms svc 0.360ms -> OK";
+    "naming S client:Open[cached]          ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 3.927ms -> OK";
+    "naming S   Open                         fs0/fs0 pid 105911 ctx 17 name[7..9]  wait 2.167ms svc 0.480ms -> OK";
+    "naming S client:Open                  ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 7.856ms -> OK";
+    "naming S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "naming S     Open                         fs0/fs0 pid 105911 ctx 0 name[5..7]  wait 1.961ms svc 0.480ms -> OK";
+    (* The walk hangs under the operation's root. Before, these read:
+       "domains R t=     97.7 client   ws0        resolver: delegation \"[dom]d1/\" -> pid 468087"
+       "domains R t=    101.3 client   ws0        resolver: delegation \"[dom]d1/d2/\" -> pid 552199"
+       "domains R t=   2653.7 client   ws0        resolver: serving stale \"[dom]d1/d2/leaf/tmp\" (refresh failed: ipc: timeout)"
+    *)
+    "domains R t=     97.7 client   ws0        resolver: delegation \"[dom]d1/\" -> pid 468087 trace 2";
+    "domains R t=    101.3 client   ws0        resolver: delegation \"[dom]d1/d2/\" -> pid 552199 trace 2";
+    "domains R t=   2653.7 client   ws0        resolver: serving stale \"[dom]d1/d2/leaf/tmp\" (refresh failed: ipc: timeout) trace 8";
+    "domains R t=   2667.3 client   ws0        resolver: delegation \"[dom]d2/\" -> pid 552199";
+    "domains R t=   2670.6 client   ws0        resolver: delegation \"[dom]\" -> pid 632239";
+    "domains R t=   2670.6 client   ws0        resolver: delegation cycle at pid 632239 index 5";
+    "domains M dom0/dom0/ResolveStep 1";
+    "domains M dom0/dom0/lookup 1";
+    "domains M dom0/dom0/referral 1";
+    "domains M dom1/dom1/ResolveStep 3";
+    "domains M dom1/dom1/lookup 3";
+    "domains M dom1/dom1/referral 2";
+    "domains M dom2/dom2/QueryName 1";
+    "domains M dom2/dom2/ResolveStep 3";
+    "domains M dom2/dom2/lookup 2";
+    "domains M dom2/dom2/terminal 2";
+    "domains M fs0/fs0/Open 4";
+    "domains M fs0/fs0/ReadInstance 3";
+    "domains M fs0/fs0/ReleaseInstance 4";
+    "domains M fs0/fs0/WriteInstance 1";
+    "domains M fs0/fs0/lookup 6";
+    "domains M fs0/fs0/read-bytes 6";
+    "domains M fs0/fs0/write-bytes 2";
+    "domains M ws0/resolver/hit 1";
+    "domains M ws0/resolver/loop 2";
+    "domains M ws0/resolver/miss 3";
+    "domains M ws0/resolver/neg-hit 1";
+    "domains M ws0/resolver/neg-learn 2";
+    "domains M ws0/resolver/query 9";
+    "domains M ws0/resolver/referral 4";
+    "domains M ws0/resolver/refresh 1";
+    "domains M ws0/resolver/resume 3";
+    "domains M ws0/resolver/stale-serve 1";
+    "domains M ws0/resolver/walk 9";
+    "domains M ws0/runtime/resolver-fallback 3";
+    "domains M ws0/runtime/resolver-hit 1";
+    "domains M ws0/runtime/resolver-stale 1";
+    "domains M ws0/runtime/resolver-walk 3";
+    "domains M ws0/ws0-prefix-server/forward 1";
+    "domains M ws0/ws0-prefix-server/prefix-lookup 4";
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 7.878ms -> OK";
+    "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "domains S     Open                         fs0/fs0 pid 105911 ctx 0 name[5..9]  wait 1.983ms svc 0.480ms -> OK";
+    (* The walk hangs under the operation's root. Before, these read:
+       "domains S client:Open[cached]          ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.972ms -> OK"
+    *)
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 14.928ms -> OK";
+    "domains S   ResolveStep                  dom0/dom0 pid 413043 ctx 0 name[5..8]  wait 2.012ms svc 0.360ms -> referral";
+    "domains S   ResolveStep                  dom1/dom1 pid 468087 ctx 0 name[8..11]  wait 2.012ms svc 0.360ms -> referral";
+    "domains S   ResolveStep                  dom2/dom2 pid 552199 ctx 0 name[11..16]  wait 2.012ms svc 0.360ms -> terminal";
+    "domains S   Open                         fs0/fs0 pid 105911 ctx 0 name[16..20]  wait 2.212ms svc 0.480ms -> OK";
+    "domains S client:Open[cached]          ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.852ms -> OK";
+    "domains S   Open                         fs0/fs0 pid 105911 ctx 21 name[20..]  wait 2.212ms svc 0.360ms -> OK";
+    (* The walk hangs under the operation's root. Before, these read:
+       "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 4.520ms -> not found"
+    *)
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 8.140ms -> not found";
+    "domains S   ResolveStep                  dom2/dom2 pid 552199 ctx 0 name[11..]  wait 1.980ms svc 0.360ms -> not found";
+    "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found";
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 4.520ms -> not found";
+    "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found";
+    (* The walk hangs under the operation's root. Before, these read:
+       "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 4.520ms -> not found"
+    *)
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 8.132ms -> not found";
+    "domains S   ResolveStep                  dom1/dom1 pid 468087 ctx 0 name[8..]  wait 1.972ms svc 0.360ms -> not found";
+    "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found";
+    (* The walk hangs under the operation's root. Before, these read:
+       "domains S client:QueryName[cached]     ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.487ms -> OK"
+    *)
+    "domains S client:QueryName             ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 6.973ms -> OK";
+    "domains S   ResolveStep                  dom2/dom2 pid 552199 ctx 0 name[10..]  wait 1.967ms svc 0.240ms -> terminal";
+    "domains S   QueryName                    dom2/dom2 pid 552199 ctx 0 name[10..]  wait 1.967ms svc 0.240ms -> OK";
+    (* The walk hangs under the operation's root. Before, these read:
+       "domains S client:Open[cached]          ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.852ms -> OK"
+    *)
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 504.362ms -> OK";
+    "domains S   Open                         fs0/fs0 pid 105911 ctx 21 name[20..]  wait 2.212ms svc 0.360ms -> OK";
+    "resilience R t=    137.4 client   ws0        retry attempt 1 after ipc: timeout (wait 17.3ms) trace 4";
+    "resilience R t=    161.8 client   ws0        retry attempt 2 after ipc: timeout (wait 43.8ms) trace 4";
+    "resilience R t=    215.3 client   ws0        failover 1 -> pid 470593 trace 4";
+    "resilience R t=    285.0 client   ws0        retry attempt 1 after ipc: nonexistent process (wait 15.4ms) trace 8";
+    "resilience R t=    312.2 client   ws0        retry attempt 2 after ipc: nonexistent process (wait 27.5ms) trace 8";
+    "resilience R t=    351.5 client   ws0        retry attempt 3 after ipc: nonexistent process (wait 59.4ms) trace 8";
+    "resilience R t=    422.7 client   ws0        retry attempt 4 after ipc: nonexistent process (wait 138.1ms) trace 8";
+    "resilience R t=    572.6 client   ws0        unavailable after 5 attempt(s) trace 8";
+    "resilience M fs0/fs0/MapContext 6";
+    "resilience M fs0/fs0/Open 3";
+    "resilience M fs0/fs0/ReleaseInstance 3";
+    "resilience M fs0/fs0/WriteInstance 3";
+    "resilience M fs0/fs0/lookup 3";
+    "resilience M fs0/fs0/write-bytes 6";
+    "resilience M fs1/fs1/Open 1";
+    "resilience M fs1/fs1/ReleaseInstance 1";
+    "resilience M fs1/fs1/WriteInstance 1";
+    "resilience M fs1/fs1/lookup 1";
+    "resilience M fs1/fs1/write-bytes 2";
+    "resilience M ws0/runtime/failover 1";
+    "resilience M ws0/runtime/rebind 1";
+    "resilience M ws0/runtime/retry 6";
+    "resilience M ws0/runtime/retry-ok 1";
+    "resilience M ws0/runtime/unavailable 1";
+    "resilience M ws0/ws0-prefix-server/forward 14";
+    "resilience M ws0/ws0-prefix-server/logical-stale 1";
+    "resilience M ws0/ws0-prefix-server/prefix-lookup 14";
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 9.484ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 5.615ms -> forward";
+    "resilience S     MapContext                   fs0/fs0 pid 105911 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
+    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 3.793ms -> OK";
+    "resilience S   Open                         fs0/fs0 pid 105911 ctx 17  wait 2.153ms svc 0.360ms -> OK";
+    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.742ms -> OK";
+    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "resilience S     Open                         fs1/fs1 pid 145253 ctx 0 name[5..]  wait 1.967ms svc 0.360ms -> OK";
+    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 84.566ms -> OK";
+    "resilience S   Open                         fs0/fs0 pid 470593 ctx 17  wait 2.153ms svc 0.360ms -> OK";
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 3.985ms -> ipc: nonexistent process";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 9.484ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 5.615ms -> forward";
+    "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
+    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.802ms -> OK";
+    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.585ms svc 3.600ms -> forward";
+    "resilience S     Open                         fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.977ms svc 0.360ms -> OK";
+    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 291.702ms -> unavailable after 5 attempts (last: ipc: nonexistent process)";
+    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
+    "replicas R t=      4.2 replica  ws0        fan-out Create (origin 503545, seq 1) to 2 member(s) trace 1";
+    "replicas R t=     19.5 replica  ws0        fan-out Create (origin 503545, seq 2) to 1 member(s) trace 2";
+    "replicas R t=     29.6 replica  ws0        fan-out Create (origin 503545, seq 3) to 2 member(s) trace 3";
+    "replicas R t=     55.0 replica  ws0        fan-out Create (origin 503545, seq 4) to 2 member(s) trace 5";
+    "replicas R t= 120067.3 fault    injector   crash host102";
+    "replicas R t= 120068.3 fault    injector   skip (already down): crash host102";
+    "replicas R t= 120069.3 fault    injector   restart host102";
+    "replicas R t= 120072.3 fault    injector   skip (already up): restart host102";
+    "replicas R t= 120076.3 fault    injector   partition host1/host101";
+    "replicas R t= 120081.3 fault    injector   heal host1/host101";
+    "replicas R t= 120086.3 fault    injector   loss 0.100";
+    "replicas R t= 120091.3 fault    injector   loss 0.000";
+    "replicas R t= 120096.3 fault    injector   slow host1 +2.0ms";
+    "replicas R t= 120101.3 fault    injector   slow host1 +0.0ms";
+    "replicas R t= 120106.3 fault    injector   cut link edge0->spine";
+    "replicas R t= 120107.3 fault    injector   skip (already cut): cut link edge0->spine";
+    "replicas R t= 120108.3 fault    injector   heal link edge0->spine";
+    "replicas R t= 120109.3 fault    injector   slow link edge0->spine +1.0ms";
+    "replicas M fault/injector/crash 1";
+    "replicas M fault/injector/heal 1";
+    "replicas M fault/injector/link-cut 1";
+    "replicas M fault/injector/link-heal 1";
+    "replicas M fault/injector/link-slow 1";
+    "replicas M fault/injector/loss 2";
+    "replicas M fault/injector/partition 1";
+    "replicas M fault/injector/restart 1";
+    "replicas M fault/injector/slow 2";
+    "replicas M fs0/fs0/Create 7";
+    "replicas M fs0/fs0/lookup 12";
+    "replicas M fs0/replica/catchup-uncovered 1";
+    "replicas M fs1/fs1/Create 6";
+    "replicas M fs1/fs1/Open 1";
+    "replicas M fs1/fs1/lookup 12";
+    "replicas M fs1/replica/catchup-abort 1";
+    "replicas M fs1/replica/replay-retry 4";
+    "replicas M ws0/ws0-prefix-server/forward 1";
+    "replicas M ws0/ws0-prefix-server/prefix-lookup 5";
+    "replicas M ws0/ws0-prefix-server/replicate-member-lost 2";
+    "replicas M ws0/ws0-prefix-server/replicate-out-of-sync 1";
+    "replicas M ws0/ws0-prefix-server/replicate-retry 2";
+    "replicas M ws0/ws0-prefix-server/replicate-write 4";
+    "replicas S client:Create                ws0/runtime pid 515434 ctx 0  wait 0.000ms svc 15.147ms -> OK";
+    "replicas S   Create                       ws0/ws0-prefix-server pid 503545 ctx 0  wait 0.385ms svc 14.377ms -> OK";
+    "replicas S     Create                       fs0/fs0 pid 105911 ctx 0 name[8..]  wait 2.915ms svc 0.360ms -> OK";
+    "replicas S     Create                       fs1/fs1 pid 145253 ctx 0 name[8..]  wait 8.329ms svc 0.360ms -> OK";
+    "replicas S     Create                       fs0/fs0 pid 105911 ctx 0 name[8..11]  wait 120053.643ms svc 0.360ms -> OK";
+    "replicas S     Create                       fs1/fs1 pid 145253 ctx 0 name[8..11]  wait 120053.643ms svc 0.360ms -> OK";
+    "replicas S client:Create                ws0/runtime pid 515434 ctx 0  wait 0.000ms svc 9.885ms -> OK";
+    "replicas S   Create                       ws0/ws0-prefix-server pid 503545 ctx 0  wait 0.385ms svc 9.115ms -> OK";
+    "replicas S     Create                       fs0/fs0 pid 105911 ctx 0 name[8..12]  wait 2.947ms svc 0.480ms -> OK";
+    "replicas S     Create                       fs0/fs0 pid 105911 ctx 0 name[8..12]  wait 120039.426ms svc 0.480ms -> OK";
+    "replicas S     Create                       fs1/fs1 pid 145253 ctx 0 name[8..12]  wait 120039.426ms svc 0.480ms -> OK";
+    "replicas S client:Create                ws0/runtime pid 515434 ctx 0  wait 0.000ms svc 15.451ms -> OK";
+    "replicas S   Create                       ws0/ws0-prefix-server pid 503545 ctx 0  wait 0.385ms svc 14.681ms -> OK";
+    "replicas S     Create                       fs0/fs0 pid 105911 ctx 0 name[8..12]  wait 2.947ms svc 0.480ms -> OK";
+    "replicas S     Create                       fs1/fs1 pid 145253 ctx 0 name[8..12]  wait 8.513ms svc 0.480ms -> retry";
+    "replicas S     Create                       fs0/fs0 pid 105911 ctx 0 name[8..12]  wait 120030.591ms svc 0.480ms -> OK";
+    "replicas S     Create                       fs1/fs1 pid 145253 ctx 0 name[8..12]  wait 120030.591ms svc 0.480ms -> OK";
+    "replicas S client:Open                  ws0/runtime pid 515434 ctx 0  wait 0.000ms svc 9.750ms -> not found";
+    "replicas S   Open                         ws0/ws0-prefix-server pid 503545 ctx 0 name[0..8]  wait 0.585ms svc 3.600ms -> forward";
+    "replicas S     Open                         fs1/fs1 pid 145253 ctx 0 name[8..12]  wait 2.947ms svc 0.480ms -> not found";
+    "replicas S client:Create                ws0/runtime pid 515434 ctx 0  wait 0.000ms svc 120006.360ms -> no server";
+    "replicas S   Create                       ws0/ws0-prefix-server pid 503545 ctx 0  wait 0.385ms svc 120005.590ms -> no server";
+    "replicas S     Create                       fs0/fs0 pid 105911 ctx 0 name[8..12]  wait 120006.440ms svc 0.480ms -> OK";
+    "replicas S     Create                       fs1/fs1 pid 145253 ctx 0 name[8..12]  wait 120006.440ms svc 0.480ms -> OK";
+  ]
+
+let test_every_upper_site_renders_as_before () =
+  Alcotest.(check (list string))
+    "recorder, registry and span trees" upper_golden
+    (drive_naming () @ drive_domains () @ drive_resilience ()
+   @ drive_replicas ())
+
 (* A flight dump is an export, so it carries the counts the kernel and
    the wire keep in place without anyone flushing them first. *)
 let test_flight_dump_carries_kernel_and_wire_counts () =
@@ -427,6 +1044,8 @@ let suite =
       [
         Alcotest.test_case "every site renders as before" `Quick
           test_every_site_renders_as_before;
+        Alcotest.test_case "every upper-layer site renders as before" `Quick
+          test_every_upper_site_renders_as_before;
         Alcotest.test_case "sends drive the pump" `Quick
           test_sends_drive_the_pump;
         Alcotest.test_case "flight dump carries kernel and wire counts" `Quick

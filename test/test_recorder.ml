@@ -217,47 +217,81 @@ let test_attribution_join () =
 
 (* --- tail-based span retention --- *)
 
+(* Span events through the hub's stream, as a producing layer emits
+   them: the span store builds spans from these alone. *)
+let span_layer =
+  {
+    Vobs.Stream.column = "test";
+    cat = (fun _ -> Eventlog.Client);
+    host = (fun _ -> "");
+    trace = (fun _ -> 0);
+    pp = (fun ~timeline:_ _ _ -> ());
+    span = Some Fun.id;
+  }
+
+let emit_span hub ~at (e : Span.event) =
+  Vobs.Stream.emit (Hub.stream hub) span_layer ~consumers:Vobs.Stream.spans ~at
+    e
+
+(* One finished one-span trace, its hop's op [op]: the span's id, or
+   the still-open span's when [outcome] is [None]. *)
+let one_span_trace hub ~now ?tag ~op outcome =
+  let e = Span.event () in
+  e.Span.verb <- Span.Open;
+  e.ctx <- Hub.start_trace hub ~now;
+  e.op <- op;
+  e.host <- "ws0";
+  e.server <- "fs";
+  e.pid <- 7;
+  e.context <- 1;
+  e.index <- 0;
+  emit_span hub ~at:now e;
+  let id = e.id in
+  if id = 0 then Alcotest.fail "tracing on but no span";
+  Option.iter
+    (fun tag ->
+      e.verb <- Span.Tag;
+      e.note <- tag;
+      emit_span hub ~at:now e)
+    tag;
+  Option.iter
+    (fun outcome ->
+      e.verb <- Span.Close;
+      e.id <- id;
+      e.index <- -1;
+      e.note <- outcome;
+      emit_span hub ~at:(now +. 1.0) e)
+    outcome;
+  (e.ctx.Span.trace, op)
+
+let survivors hub =
+  List.map (fun (s : Span.t) -> (s.Span.trace_id, s.Span.op)) (Hub.all_spans hub)
+  |> List.sort compare
+
 (* Fill a hub past its span limit with boring finished traces plus a
    few interesting ones (an error outcome, a fault tag, a still-open
    span) and return the surviving (trace, op) set. *)
 let fill_hub () =
   let hub = Hub.create ~tracing:true ~span_limit:40 () in
-  let span_exn = function
-    | Some s -> s
-    | None -> Alcotest.fail "tracing on but no span"
-  in
   let interesting = ref [] in
   for i = 1 to 120 do
     let now = float_of_int i *. 10.0 in
-    let ctx = Hub.start_trace hub ~now in
-    let span =
-      span_exn
-        (Hub.start_span hub ~ctx ~now ~op:(Fmt.str "op%d" i) ~host:"ws0"
-           ~server:"fs" ~pid:7 ~context:1 ~index_from:0)
-    in
+    let op = Fmt.str "op%d" i in
     (* Every 17th trace errors, every 23rd hits a fault, and one stays
        open: all three kinds must survive eviction. *)
-    if i mod 17 = 0 then begin
-      Hub.finish hub span ~now:(now +. 1.0) ~outcome:"timeout" ();
-      interesting := (ctx.Span.trace, span.Span.op) :: !interesting
-    end
-    else if i mod 23 = 0 then begin
-      Span.add_tag span "fault";
-      Hub.finish hub span ~now:(now +. 1.0) ~outcome:"OK" ();
-      interesting := (ctx.Span.trace, span.Span.op) :: !interesting
-    end
+    if i mod 17 = 0 then
+      interesting := one_span_trace hub ~now ~op (Some "timeout") :: !interesting
+    else if i mod 23 = 0 then
+      interesting :=
+        one_span_trace hub ~now ~tag:"fault" ~op (Some "OK") :: !interesting
     else if i = 60 then
-      (* left open *)
-      interesting := (ctx.Span.trace, span.Span.op) :: !interesting
-    else Hub.finish hub span ~now:(now +. 1.0) ~outcome:"OK" ()
+      interesting := one_span_trace hub ~now ~op None :: !interesting
+    else ignore (one_span_trace hub ~now ~op (Some "OK"))
   done;
-  let survivors =
-    List.map (fun (s : Span.t) -> (s.Span.trace_id, s.Span.op)) (Hub.all_spans hub)
-  in
-  (hub, List.sort compare survivors, List.sort compare !interesting)
+  (hub, survivors hub, List.sort compare !interesting)
 
 let test_tail_retention () =
-  let hub, survivors, interesting = fill_hub () in
+  let hub, survivors_, interesting = fill_hub () in
   Alcotest.(check bool) "spans were dropped" true (Hub.spans_dropped hub > 0);
   Alcotest.(check int) "drops counted in the metrics registry"
     (Hub.spans_dropped hub)
@@ -266,14 +300,28 @@ let test_tail_retention () =
   (* Every interesting trace survived the trim. *)
   List.iter
     (fun entry ->
-      if not (List.mem entry survivors) then
+      if not (List.mem entry survivors_) then
         Alcotest.failf "interesting span %d/%s was evicted" (fst entry)
           (snd entry))
     interesting;
   (* Same fill, same survivors: eviction is deterministic. *)
   let _, survivors2, _ = fill_hub () in
   Alcotest.(check (list (pair int string))) "deterministic survivor set"
-    survivors survivors2
+    survivors_ survivors2;
+  (* A resolution step that answered with a referral or a terminal
+     binding ended clean: two old such traces drop before four newer
+     OK ones. *)
+  let hub = Hub.create ~tracing:true ~span_limit:8 () in
+  ignore (one_span_trace hub ~now:10.0 ~op:"ResolveStep" (Some "referral"));
+  ignore (one_span_trace hub ~now:20.0 ~op:"ResolveStep" (Some "terminal"));
+  let ok =
+    List.init 7 (fun i ->
+        one_span_trace hub ~now:(float_of_int (30 + (10 * i))) ~op:"Open"
+          (Some "OK"))
+  in
+  Alcotest.(check (list (pair int string)))
+    "referral and terminal steps are clean" (List.filteri (fun i _ -> i >= 3) ok)
+    (survivors hub)
 
 (* --- injector fault windows --- *)
 
