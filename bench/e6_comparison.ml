@@ -168,7 +168,7 @@ let run () =
            File_server.spec (Scenario.file_server t2 1)
              ~context:Context.Well_known.default
          in
-         Runtime.enable_prefix_cache env true;
+         Runtime.enable_name_cache env true;
          Rig.ok "bind" (Runtime.add_prefix env "data" (`Static fs0_root));
          ignore (Rig.ok "resolve" (Runtime.resolve env "[data]"));
          (* The binding changes behind the cache's back. *)
@@ -179,7 +179,7 @@ let run () =
            let data = Rig.ok "read" (Runtime.read_file env "[data]tmp/cache.txt") in
            if Bytes.to_string data <> "fs1" then incr wrong
          done;
-         hits := Runtime.cache_hit_count env));
+         hits := (Runtime.name_cache_stats env).Name_cache.hits));
   Scenario.run t2;
   Tables.print_table
     ~header:[ "metric"; "value" ]

@@ -136,14 +136,15 @@ let run_latency () =
          Runtime.enable_name_cache env ~capacity:64 true;
          remember "miss" (open_ms env deep_name ~server:remote_fs ~repeats:1);
          remember "hit" (open_ms env deep_name ~server:remote_fs ~repeats:8);
-         let stale0 = Runtime.cache_stale_count env in
+         let stale0 = (Runtime.name_cache_stats env).Name_cache.stale in
          (* Re-home the bound context: recreate the same path with fresh
             inodes, so the cached (server, context) binding is
             detectably invalid on next use. *)
          uninstall_deep remote_fs;
          install_deep remote_fs;
          remember "stale" (open_ms env deep_name ~server:remote_fs ~repeats:1);
-         stale_increments := Runtime.cache_stale_count env - stale0;
+         stale_increments :=
+           (Runtime.name_cache_stats env).Name_cache.stale - stale0;
 
          (* Part 2: the four E4 configurations, uncached vs warm. *)
          let configs =

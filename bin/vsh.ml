@@ -338,10 +338,7 @@ let cmd_cache sh args =
   let stats () =
     let s = Runtime.name_cache_stats sh.env in
     pr "name cache: %s, %d/%d entries"
-      (if Runtime.cache_hit_count sh.env + s.Name_cache.misses > 0
-          || s.Name_cache.size > 0
-       then "in use"
-       else "idle")
+      (if Runtime.name_cache_enabled sh.env then "on" else "off")
       s.Name_cache.size
       (Name_cache.capacity (Runtime.name_cache sh.env));
     pr "  hits %d  misses %d  stale %d  evictions %d  insertions %d"

@@ -3,15 +3,21 @@
     a resolved binding, a domain-server referral, or an authoritative
     failure (negative entry).
 
-    Entries learned through the original interface ({!learn}) are
-    positive bindings without a TTL, validated {e on use}: the run-time
-    evicts an entry when a reply proves it stale ([Bad_context] /
-    [Not_found] / IPC failure) and falls back one prefix level. The
-    TTL-aware interface ({!learn_at} / {!find_at}) additionally supports
-    per-entry expiry, negative caching, and stale-serving (an expired
-    binding is still reported, marked stale, so a resolver can serve it
-    while the authoritative server is unreachable). The cache itself
-    never performs network activity and never touches simulated time. *)
+    Two users hold instances, and the run-time lets at most one of them
+    answer for a given name: a program's name cache (one per client,
+    through {!learn}/{!find}) for the '[prefix]' names no resolver
+    handles, and a host's resolver (through {!learn_at}/{!find_at}) for
+    the names it does.
+
+    Entries learned through {!learn} are positive bindings without a
+    TTL, validated {e on use}: the run-time evicts an entry when a reply
+    proves it stale ([Bad_context] / [Not_found] / IPC failure) and
+    falls back one prefix level. The TTL-aware interface additionally
+    supports per-entry expiry, negative caching, and stale-serving (an
+    expired binding is still reported, marked stale, so a resolver can
+    serve it while the authoritative server is unreachable). The cache
+    itself never performs network activity and never touches simulated
+    time. *)
 
 type t
 
@@ -59,10 +65,6 @@ val clear : t -> unit
 val find : t -> string -> (string * Context.spec) option
 
 val mem : t -> string -> bool
-
-(** Exact-key lookup of a positive binding, without touching recency or
-    counters. *)
-val find_exact : t -> string -> Context.spec option
 
 (** What a TTL-aware lookup saw. *)
 type hit = {

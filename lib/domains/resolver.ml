@@ -43,7 +43,7 @@ type outcome = {
   index : int;  (** ...at this index into the name *)
   queries : int;  (** authoritative queries this resolution made *)
   served_stale : bool;  (** answered from an expired entry *)
-  cache_key : string option;  (** the prefix the answer is cached under *)
+  cache_key : string;  (** the prefix the answer is cached under *)
 }
 
 type stats = {
@@ -189,7 +189,7 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
         index = Csname.skip_separators name (String.length h.Name_cache.hkey);
         queries;
         served_stale;
-        cache_key = Some h.Name_cache.hkey;
+        cache_key = h.Name_cache.hkey;
       }
     in
     let serve_stale ~queries e =
@@ -270,7 +270,7 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
                         index = Csname.skip_separators name upto;
                         queries = queries + 1;
                         served_stale = false;
-                        cache_key = Some key;
+                        cache_key = key;
                       }
                 | _ ->
                     t.s_failures <- t.s_failures + 1;

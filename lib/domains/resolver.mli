@@ -24,7 +24,7 @@ type outcome = {
   index : int;  (** ...at this index into the name *)
   queries : int;  (** authoritative queries this resolution made *)
   served_stale : bool;  (** answered from an expired entry *)
-  cache_key : string option;  (** the prefix the answer is cached under *)
+  cache_key : string;  (** the prefix the answer is cached under *)
 }
 
 type stats = {

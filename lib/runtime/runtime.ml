@@ -9,15 +9,15 @@
    "The code that checks for the '[' character is localized in a single
    common routine."
 
-   The routing routine optionally consults a client-side
-   name-resolution cache ({!Vnaming.Name_cache}): a bounded LRU of
-   name-prefix -> (server, context) bindings, learned from the bindings
-   servers stamp into successful replies, and validated on use — a
-   reply proving a cached binding stale evicts it, falls back one
-   prefix level (the next-deepest cached prefix, or the prefix server)
-   and retries. Off by default: the paper argues against client-side
-   name caching (§2.2) precisely because of the consistency problem the
-   on-use protocol addresses. *)
+   At most one client-side cache answers for a '[prefix]' name
+   ([cache_for]): the host's caching resolver ({!Vdomains.Resolver})
+   for the names it handles, else the program's name cache
+   ({!Vnaming.Name_cache}) while it is on. Routing consults that cache,
+   a successful reply's binding stamp is learned into it, and a reply
+   proving its binding stale invalidates it there before the name is
+   routed again. Both are off by default: the paper argues against
+   client-side name caching (§2.2) precisely because of the consistency
+   problem this on-use protocol addresses. *)
 
 module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
@@ -31,6 +31,14 @@ type resilience_stats = {
   mutable unavailable : int;  (* operations surfaced as [Unavailable] *)
 }
 
+(* A client-side cache that can answer for a name. *)
+type cache =
+  | Uncached
+  | Names of Name_cache.t  (* the program's TTL-less name cache *)
+  | Resolver of Vdomains.Resolver.t
+      (* the host's resolver: an iterative walk of the federated domain
+         tree, with TTL/negative/stale caching *)
+
 type env = {
   self : Vmsg.t Kernel.self;
   prefix_server : Pid.t;
@@ -40,15 +48,14 @@ type env = {
      crashed, so relative names fail over too. *)
   mutable current_name : string option;
   mutable rebinding : bool;
-  (* The client-side name-resolution cache; consulted (and fed) only
-     when [name_cache_enabled]. *)
-  mutable name_cache_enabled : bool;
+  (* The name cache, and what [cache_for] answers with for the names
+     no resolver handles: [Names name_cache] while it is on, [Uncached]
+     while it is off. Both caches are held prebuilt, so picking one
+     allocates nothing. *)
   mutable name_cache : Name_cache.t;
-  (* The per-host caching resolver role ({!Vdomains.Resolver}); when
-     set, '[prefix]'-absolute names it [handles] are resolved by an
-     iterative walk of the federated domain tree instead of the prefix
-     server, with TTL/negative/stale caching. Off ([None]) by default. *)
-  mutable resolver : Vdomains.Resolver.t option;
+  mutable names : cache;
+  (* [Resolver r] once a resolver is set, [Uncached] otherwise. *)
+  mutable resolver : cache;
   (* The resilience policy ([Vio.Resilience]); off ([None]) by default.
      The PRNG drives backoff jitter only, so a seeded run replays the
      exact retry schedule. *)
@@ -75,21 +82,20 @@ let enable_name_cache env ?capacity flag =
   (match capacity with
   | Some c -> env.name_cache <- Name_cache.create ~capacity:c ()
   | None -> ());
-  env.name_cache_enabled <- flag;
-  if not flag then Name_cache.clear env.name_cache
+  if flag then env.names <- Names env.name_cache
+  else begin
+    env.names <- Uncached;
+    Name_cache.clear env.name_cache
+  end
 
-(* Backwards-compatible alias from when the cache held only whole
-   '[prefix]' bindings. *)
-let enable_prefix_cache env flag = enable_name_cache env flag
+let name_cache_enabled env =
+  match env.names with Names _ -> true | Uncached | Resolver _ -> false
 
 let name_cache env = env.name_cache
 let name_cache_stats env = Name_cache.stats env.name_cache
 
-let set_resolver env r = env.resolver <- Some r
-let clear_resolver env = env.resolver <- None
-let resolver env = env.resolver
-let cache_hit_count env = (name_cache_stats env).Name_cache.hits
-let cache_stale_count env = (name_cache_stats env).Name_cache.stale
+let set_resolver env r = env.resolver <- Resolver r
+let clear_resolver env = env.resolver <- Uncached
 
 let set_resilience env ?(policy = Vio.Resilience.default) ~seed () =
   env.resilience <- Some policy;
@@ -114,9 +120,9 @@ let make self ~current =
           current;
           current_name = None;
           rebinding = false;
-          name_cache_enabled = false;
           name_cache = Name_cache.create ();
-          resolver = None;
+          names = Uncached;
+          resolver = Uncached;
           resilience = None;
           retry_prng = Vsim.Prng.create ~seed:1;
           rstats = { retries = 0; retried_ok = 0; unavailable = 0 };
@@ -193,94 +199,90 @@ let with_resilience env policy ~t0 run =
 
 (* --- the single common routing routine --- *)
 
-(* How a route was found: directly, answered from a cache (the client
-   name cache, or the resolver's with no query), or by a resolver walk.
-   The last two name the cached prefix on-use invalidation evicts. *)
+(* Which cache answers for [name]: the resolver for the '[prefix]' names
+   it handles, else the name cache while it is on, else none. A relative
+   name is never cached: its meaning moves with the current context, so
+   a string-keyed binding for it would be wrong the moment the program
+   changed context. *)
+let cache_for env name =
+  if String.length name = 0 || name.[0] <> Csname.prefix_open then Uncached
+  else
+    match env.resolver with
+    | Resolver r when Vdomains.Resolver.handles r name -> env.resolver
+    | Resolver _ | Names _ | Uncached -> env.names
+
+(* How a route was found: directly, answered from a cache with no
+   query, or by a resolver walk. The last two name the cached prefix
+   on-use invalidation evicts. *)
 type via = Direct | Cached of string | Walked of string
 
-type route = { target : Pid.t; req : Csname.req; via : via }
+(* Where an attempt goes, or the operation's answer when the resolver
+   answered authoritatively that the name does not exist: nothing is
+   sent then, since the prefix server would be asked the same tree. *)
+type route =
+  | Send of { target : Pid.t; req : Csname.req; via : via }
+  | Final of Vio.Verr.t
 
 (* The uncached routes: a '[prefix]' name to the workstation's prefix
    server, any other to the current context's server. *)
 let prefix_route env req =
-  { target = env.prefix_server; req; via = Direct }
+  Send { target = env.prefix_server; req; via = Direct }
 
-let current_route env req =
-  {
-    target = env.current.Context.server;
-    req = { req with Csname.context = env.current.Context.context };
-    via = Direct;
-  }
-
-(* The prefix-server leg of routing: deepest cached prefix when the
-   cache is on, the workstation's prefix server otherwise. *)
-let route_prefixed env name req =
-  let cached =
-    if env.name_cache_enabled then Name_cache.find env.name_cache name
-    else None
-  in
-  match cached with
-  | Some (key, spec) ->
-      (* Deepest cached prefix: start interpretation just past it, in
-         the cached context, directly at the implementing server. *)
-      Events.count env.events "cache-hit";
-      {
-        target = spec.Context.server;
-        req =
-          {
-            req with
-            Csname.index = Csname.skip_separators name (String.length key);
-            context = spec.Context.context;
-          };
-        via = Cached key;
-      }
-  | None ->
-      if env.name_cache_enabled then Events.count env.events "cache-miss";
-      prefix_route env req
-
-let route env name =
-  let req = Csname.make_req name in
-  if Csname.starts_with_prefix req then begin
-    match env.resolver with
-    | Some r when Vdomains.Resolver.handles r name -> (
-        (* The resolver role: an iterative walk of the domain tree
-           (cached, TTL'd), landing the request directly where
-           interpretation continues. On any resolver failure, fall back
-           to the prefix-server route so the operation still gets its
-           authoritative answer. *)
-        match Vdomains.Resolver.resolve r env.self ~trace:env.root name with
-        | Ok o ->
-            let open Vdomains.Resolver in
-            Events.count env.events
-              (if o.queries = 0 then "resolver-hit" else "resolver-walk");
-            if o.served_stale then
-              Events.count env.events "resolver-stale";
-            {
-              target = o.spec.Context.server;
-              req =
-                {
-                  req with
-                  Csname.index = o.index;
-                  context = o.spec.Context.context;
-                };
-              via =
-                (match o.cache_key with
-                | Some key -> if o.queries = 0 then Cached key else Walked key
-                | None -> Direct);
-            }
-        | Error _ ->
-            Events.count env.events "resolver-fallback";
-            route_prefixed env name req)
-    | Some _ | None -> route_prefixed env name req
-  end
-  else current_route env req
-
-(* Routing with the cache bypassed: the fallback of last resort after a
-   failure that no cached binding explains. *)
-let route_uncached env name =
-  let req = Csname.make_req name in
+let uncached_route env req =
   if Csname.starts_with_prefix req then prefix_route env req
-  else current_route env req
+  else
+    Send
+      {
+        target = env.current.Context.server;
+        req = { req with Csname.context = env.current.Context.context };
+        via = Direct;
+      }
+
+(* A cached route: straight to the server implementing [spec], which
+   resumes interpretation at [index] in [spec]'s context. *)
+let resume_at spec req index via =
+  Send
+    {
+      target = spec.Context.server;
+      req = { req with Csname.index; context = spec.Context.context };
+      via;
+    }
+
+(* Route [name] through [cache]: the name cache's deepest cached prefix
+   or the resolver's answer when it has one, the uncached route
+   otherwise. *)
+let route env cache name =
+  let req = Csname.make_req name in
+  match cache with
+  | Uncached -> uncached_route env req
+  | Names c -> (
+      match Name_cache.find c name with
+      | Some (key, spec) ->
+          Events.count env.events "cache-hit";
+          resume_at spec req
+            (Csname.skip_separators name (String.length key))
+            (Cached key)
+      | None ->
+          Events.count env.events "cache-miss";
+          prefix_route env req)
+  | Resolver r -> (
+      match Vdomains.Resolver.resolve r env.self ~trace:env.root name with
+      | Ok o ->
+          let open Vdomains.Resolver in
+          Events.count env.events
+            (if o.queries = 0 then "resolver-hit" else "resolver-walk");
+          if o.served_stale then Events.count env.events "resolver-stale";
+          resume_at o.spec req o.index
+            (if o.queries = 0 then Cached o.cache_key else Walked o.cache_key)
+      | Error (Vio.Verr.Denied (Reply.Not_found | Reply.Bad_context) as e) ->
+          (* The codes the resolver caches as negatives. *)
+          Final e
+      | Error _ ->
+          (* The tree is unreachable, cyclic or too deep: the prefix
+             server still gives the operation its authoritative
+             answer. *)
+          Events.count env.events "resolver-fallback";
+          prefix_route env req)
 
 let charge_stub env = Vsim.Proc.delay (engine env) Calibration.client_stub_cpu
 
@@ -296,119 +298,92 @@ let attach env req =
    (workstation, "runtime", "failover") counter. Route changes inside
    the stale-cache cascade are not failovers; only cross-attempt changes
    count. *)
-let note_failover env ~last_target ~failovers (r : route) =
-  (match !last_target with
-  | Some p when not (Pid.equal p r.target) ->
-      incr failovers;
-      Events.failover env.events ~root:env.root ~n:!failovers
-        ~pid:(Pid.to_int r.target)
-  | Some _ | None -> ());
-  last_target := Some r.target
-
-(* Learn a binding a server stamped into a successful reply. Only
-   '[prefix]'-absolute names are cached: a relative name's meaning moves
-   with the current context, so a string-keyed binding for it would be
-   wrong the moment the program changed context. The key is cut only
-   when the name cache or a resolver will learn it. *)
-let learn_from_reply env name { Vmsg.upto; spec } =
-  if
-    String.length name > 0
-    && name.[0] = Csname.prefix_open
-    && upto > 0
-    && upto <= String.length name
-  then
-    (* A resolver learns the stamp too (under its TTL): a forward
-       chain's landing point short-cuts the next walk. *)
-    let resolver_learns =
-      match env.resolver with
-      | Some r -> Vdomains.Resolver.handles r name
-      | None -> false
-    in
-    if resolver_learns || env.name_cache_enabled then begin
-      let key = String.sub name 0 upto in
-      (match env.resolver with
-      | Some r when resolver_learns ->
-          Vdomains.Resolver.learn r
-            ~now:(Vsim.Engine.now (engine env))
-            key spec
+let note_failover env ~last_target ~failovers = function
+  | Send { target; _ } ->
+      (match !last_target with
+      | Some p when not (Pid.equal p target) ->
+          incr failovers;
+          Events.failover env.events ~root:env.root ~n:!failovers
+            ~pid:(Pid.to_int target)
       | Some _ | None -> ());
-      if env.name_cache_enabled then begin
-        (match Name_cache.learn env.name_cache key spec with
+      last_target := Some target
+  | Final _ -> ()
+
+(* Learn a binding a server stamped into a successful reply, into the
+   cache that answers for [name]. *)
+let learn_from_reply env name { Vmsg.upto; spec } =
+  if upto > 0 && upto <= String.length name then
+    match cache_for env name with
+    | Uncached -> ()
+    | Names c ->
+        (match Name_cache.learn c (String.sub name 0 upto) spec with
         | Some _evicted -> Events.count env.events "cache-evict"
         | None -> ());
         Events.count env.events "cache-learn"
-      end
-    end
+    | Resolver r ->
+        Vdomains.Resolver.learn r
+          ~now:(Vsim.Engine.now (engine env))
+          (String.sub name 0 upto) spec
 
-(* Run [attempt] along routes for [name], generalizing the stale-retry
-   loop: a failure that suggests a stale cached binding ([Bad_context],
-   [Not_found], or an IPC failure) evicts the binding used and re-routes
-   — landing on the next-deepest cached prefix, or ultimately on the
-   prefix server. A final IPC failure with no cached binding in play
-   gets one fresh pass: a server-side cached resolution (the prefix
-   server's GetPid cache) invalidates itself on the failed forward, so
-   retrying through it can succeed. If every attempt fails, the first
-   error is returned, as before. *)
-let with_stale_retry env name ~first attempt =
-  let resolver_handled =
-    match env.resolver with
-    | Some r -> Vdomains.Resolver.handles r name
-    | None -> false
-  in
-  let rec go r ~fresh_retried ~resolver_retried ~first_err =
-    match attempt r with
-    | Ok _ as ok -> ok
-    | Error e -> (
-        let first_err =
-          match first_err with None -> Some e | Some _ -> first_err
-        in
-        let stale_signal =
-          match e with
-          | Vio.Verr.Ipc _
-          | Vio.Verr.Denied (Reply.Bad_context | Reply.Not_found) ->
-              true
-          | _ -> false
-        in
-        match r.via with
-        | (Cached key | Walked key) when stale_signal ->
-            (* On-use invalidation reaches whichever cache supplied the
-               binding: the key lives in the resolver's cache for
-               resolver-routed names, in the client name cache
-               otherwise. *)
-            ignore (Name_cache.invalidate env.name_cache key);
-            (match env.resolver with
-            | Some res when resolver_handled ->
-                ignore (Vdomains.Resolver.invalidate res key)
-            | Some _ | None -> ());
-            Events.count env.events "cache-stale";
-            if resolver_handled && resolver_retried then
-              (* A fresh walk already re-derived this binding and it
-                 still failed: the tree's answer is wrong (a dead leaf
-                 server), not stale. Unlike the name cache there is no
-                 shallower level to fall back to, so drop to the
-                 uncached prefix-server route of last resort. *)
-              go (route_uncached env name) ~fresh_retried:true
-                ~resolver_retried ~first_err
-            else
-              go (route env name) ~fresh_retried ~resolver_retried:true
-                ~first_err
-        | _ ->
-            let ipc = match e with Vio.Verr.Ipc _ -> true | _ -> false in
-            if ipc && env.name_cache_enabled && not fresh_retried then
-              go (route_uncached env name) ~fresh_retried:true
-                ~resolver_retried ~first_err
-            else Error (Option.value first_err ~default:e))
-  in
-  go first ~fresh_retried:false ~resolver_retried:false ~first_err:None
+(* A failure that suggests a stale cached binding. *)
+let stale_signal = function
+  | Vio.Verr.Ipc _ | Vio.Verr.Denied (Reply.Bad_context | Reply.Not_found) ->
+      true
+  | _ -> false
+
+let is_ipc = function Vio.Verr.Ipc _ -> true | _ -> false
+
+(* Run [attempt] along routes for [name] through [cache]. A stale signal
+   on a binding [cache] supplied invalidates it there, and the name is
+   routed through [cache] again: the name cache then lands on the
+   next-deepest cached prefix or on the prefix server, and the resolver
+   walks afresh. [retried] bounds the one extra pass each cache allows;
+   the two never apply to one name, since one cache answers for it.
+   - The resolver re-walks once. A re-derived binding that fails too
+     means the tree's answer is wrong (a dead leaf server), not stale,
+     so the operation drops to the uncached route of last resort.
+   - The name cache allows one uncached pass after an IPC failure with
+     no cached binding in play: a server-side cached resolution (the
+     prefix server's GetPid cache) invalidates itself on the failed
+     forward, so going through it again can succeed.
+   If every attempt fails, the first error is returned. *)
+let rec with_stale_retry env cache name attempt r ~retried ~first_err =
+  match r with
+  | Final e -> Error (Option.value first_err ~default:e)
+  | Send { target; req; via } -> (
+      match attempt target req with
+      | Ok _ as ok -> ok
+      | Error e -> (
+          let first_err =
+            match first_err with None -> Some e | Some _ -> first_err
+          in
+          match (via, cache) with
+          | (Cached key | Walked key), Resolver res when stale_signal e ->
+              ignore (Vdomains.Resolver.invalidate res key);
+              Events.count env.events "cache-stale";
+              let next = if retried then Uncached else cache in
+              with_stale_retry env cache name attempt (route env next name)
+                ~retried:true ~first_err
+          | (Cached key | Walked key), Names c when stale_signal e ->
+              ignore (Name_cache.invalidate c key);
+              Events.count env.events "cache-stale";
+              with_stale_retry env cache name attempt (route env cache name)
+                ~retried ~first_err
+          | _, Names _ when is_ipc e && not retried ->
+              with_stale_retry env cache name attempt (route env Uncached name)
+                ~retried:true ~first_err
+          | _ -> Error (Option.value first_err ~default:e)))
 
 (* One named operation's attempts: the stale-retry cascade from the
    first route, inside the resilience retry loop when a policy is set.
    The first resilience attempt reuses the route already taken (whose
    cache metrics are counted); later ones route afresh so re-resolution
    can land on a successor server. *)
-let run_routed env name ~t0 ~first attempt =
+let run_routed env cache name ~t0 ~first attempt =
   match env.resilience with
-  | None -> with_stale_retry env name ~first attempt
+  | None ->
+      with_stale_retry env cache name attempt first ~retried:false
+        ~first_err:None
   | Some policy ->
       let first_route = ref (Some first) in
       let last_target = ref None in
@@ -419,10 +394,11 @@ let run_routed env name ~t0 ~first attempt =
             | Some r ->
                 first_route := None;
                 r
-            | None -> route env name
+            | None -> route env cache name
           in
           note_failover env ~last_target ~failovers r;
-          with_stale_retry env name ~first:r attempt)
+          with_stale_retry env cache name attempt r ~retried:false
+            ~first_err:None)
 
 (* A named operation starts its root span before it routes the name, so
    a resolver's walk hangs under it, and returns its first route.
@@ -430,14 +406,14 @@ let run_routed env name ~t0 ~first attempt =
    when the first route made no query — and restores [outer], the
    enclosing operation's root (a rebind runs an operation inside
    another's retry loop). *)
-let start_op env ~op name =
+let start_op env ~op cache name =
   env.root <-
     Events.op_start env.events ~op ~context:env.current.Context.context;
-  route env name
+  route env cache name
 
 let finish_op env ~op ~t0 ~first ~outer result =
   Events.op_done env.events ~op ~root:env.root ~started:t0
-    ~cached:(match first.via with Cached _ -> true | _ -> false)
+    ~cached:(match first with Send { via = Cached _; _ } -> true | _ -> false)
     (outcome_of_result result);
   env.root <- outer;
   result
@@ -449,10 +425,11 @@ let transact_name env ~code ?payload ?extra_bytes name =
   let op = Vmsg.Op.to_string code in
   let t0 = Vsim.Engine.now (engine env) in
   let outer = env.root in
-  let first = start_op env ~op name in
-  let attempt r =
+  let cache = cache_for env name in
+  let first = start_op env ~op cache name in
+  let attempt target req =
     let msg =
-      Vmsg.request ~name:(attach env r.req) ?payload ?extra_bytes code
+      Vmsg.request ~name:(attach env req) ?payload ?extra_bytes code
     in
     (* A resilience-enabled client stamps its absolute operation
        deadline so a loaded server's admission control can drop the
@@ -462,7 +439,7 @@ let transact_name env ~code ?payload ?extra_bytes name =
       | Some p -> Vmsg.with_deadline msg (t0 +. p.Vio.Resilience.deadline_ms)
       | None -> msg
     in
-    match Kernel.send env.self r.target msg with
+    match Kernel.send env.self target msg with
     | Error e -> Error (Vio.Verr.Ipc e)
     | Ok (reply, replier) -> (
         match Verr_reply.check reply with
@@ -473,7 +450,7 @@ let transact_name env ~code ?payload ?extra_bytes name =
             Ok (m, replier)
         | Error e -> Error e)
   in
-  let result = run_routed env name ~t0 ~first attempt in
+  let result = run_routed env cache name ~t0 ~first attempt in
   finish_op env ~op ~t0 ~first ~outer result
 
 (* --- naming operations --- *)
@@ -564,18 +541,19 @@ let open_ env ~mode name =
   let op = Vmsg.Op.to_string Vmsg.Op.open_instance in
   let t0 = Vsim.Engine.now (engine env) in
   let outer = env.root in
-  let first = start_op env ~op name in
-  let attempt r =
-    let req = attach env r.req in
+  let cache = cache_for env name in
+  let first = start_op env ~op cache name in
+  let attempt target req =
+    let req = attach env req in
     let deadline =
       match env.resilience with
       | Some p -> Some (t0 +. p.Vio.Resilience.deadline_ms)
       | None -> None
     in
     Vio.Client.open_at env.self ~learn:(learn_from_reply env name) ?deadline
-      ~server:r.target ~req ~mode ()
+      ~server:target ~req ~mode ()
   in
-  let result = run_routed env name ~t0 ~first attempt in
+  let result = run_routed env cache name ~t0 ~first attempt in
   finish_op env ~op ~t0 ~first ~outer result
 
 let with_instance env ~mode name f =

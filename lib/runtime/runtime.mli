@@ -123,16 +123,27 @@ val delete_prefix : env -> string -> (unit, Vio.Verr.t) result
     context pointing at a context on another server (Figure 4). *)
 val link : env -> string -> target:Context.spec -> (unit, Vio.Verr.t) result
 
-(** {1 The client-side name-resolution cache}
+(** {1 The client-side caches}
+
+    At most one cache answers for a '[prefix]'-absolute name: the
+    caching resolver (below) for the names it
+    {!Vdomains.Resolver.handles}, else the name cache while it is on,
+    else none. Relative names are never cached. Routing consults only
+    that cache, the binding a server stamps into a successful reply is
+    learned only into it, and on-use invalidation reaches only it: a
+    [Bad_context]/[Not_found]/IPC failure on a binding it supplied
+    evicts the binding there and routes the name again through it.
+
+    {2 The name cache}
 
     A bounded LRU of name-prefix -> (server-pid, context-id) bindings,
     keyed on the deepest prefix of a name that ends at a component
-    boundary. Bindings are learned from the stamps servers put into
-    successful CSname replies, so forward chains teach the client where
-    interpretation landed, for free. Consistency is {e on use}: a
-    [Bad_context]/[Not_found]/IPC failure on a cached binding evicts it
-    and the operation falls back one prefix level (the next-deepest
-    cached prefix, or the prefix server) and retries.
+    boundary, without a TTL. Bindings are learned from reply stamps, so
+    forward chains teach the client where interpretation landed, for
+    free. After an eviction the operation falls back one prefix level
+    (the next-deepest cached prefix, or the prefix server) and retries;
+    a final IPC failure once the cached binding is gone gets one
+    uncached pass through the prefix server.
 
     Off by default — with it off, routing behaviour is exactly the
     paper's (§2.2 argues against client-side name caching; the on-use
@@ -148,28 +159,31 @@ val link : env -> string -> target:Context.spec -> (unit, Vio.Verr.t) result
     Disabling clears the entries but keeps the counters. *)
 val enable_name_cache : env -> ?capacity:int -> bool -> unit
 
+val name_cache_enabled : env -> bool
 val name_cache_stats : env -> Vnaming.Name_cache.stats
 
 (** The cache itself (inspection: tests, vsh). *)
 val name_cache : env -> Vnaming.Name_cache.t
 
-(** Backwards-compatible alias of {!enable_name_cache} (no capacity
-    change), from when the cache held only whole '[prefix]' bindings. *)
-val enable_prefix_cache : env -> bool -> unit
-
-(** {1 The caching resolver role (federated name domains)}
+(** {2 The caching resolver role (federated name domains)}
 
     With a {!Vdomains.Resolver} installed, '[prefix]'-absolute names
-    the resolver {!Vdomains.Resolver.handles} are routed by an
-    iterative walk of the federated domain tree — root to leaf,
-    following delegation referrals, with TTL / negative / stale-serving
-    caching — instead of through the prefix server. All other names
-    route exactly as before; with no resolver set, behaviour and PRNG
-    draws are bit-identical to the seed. On-use consistency extends to
-    the resolver: a binding it supplied that demonstrably failed is
-    invalidated and re-derived by a fresh walk (once; then the uncached
-    prefix-server route of last resort). Bindings servers stamp into
-    successful replies feed the resolver's cache under its TTL.
+    the resolver handles are routed by an iterative walk of the
+    federated domain tree — root to leaf, following delegation
+    referrals, with TTL / negative / stale-serving caching — instead of
+    through the prefix server. All other names route exactly as before;
+    with no resolver set, behaviour and PRNG draws are bit-identical to
+    the seed. Bindings servers stamp into successful replies feed the
+    resolver's cache under its TTL.
+
+    An authoritative negative — a [Not_found]/[Bad_context] answer from
+    the tree, or from the resolver's fresh negative entry — is the
+    operation's answer, and nothing more is sent. Any other resolver
+    failure (an unreachable tree, a delegation cycle, the step limit)
+    falls back to the prefix server. A binding the resolver supplied
+    that demonstrably failed is invalidated and re-derived by a fresh
+    walk, once; if that fails too, the operation takes the uncached
+    prefix-server route of last resort.
 
     Routing counters land under (workstation, "runtime",
     "resolver-hit" | "resolver-walk" | "resolver-stale" |
@@ -177,12 +191,3 @@ val enable_prefix_cache : env -> bool -> unit
 
 val set_resolver : env -> Vdomains.Resolver.t -> unit
 val clear_resolver : env -> unit
-val resolver : env -> Vdomains.Resolver.t option
-
-(** Convenience accessors over {!name_cache_stats}; prefer the
-    [Vobs.Metrics] counters for new code. *)
-val cache_hit_count : env -> int
-
-(** On-use invalidations: retries after a cached binding demonstrably
-    failed. *)
-val cache_stale_count : env -> int

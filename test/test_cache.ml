@@ -139,14 +139,14 @@ let test_deep_prefix_learned_skips_prefix_server () =
          (* The reply's stamp taught the deepest directory binding. *)
          Alcotest.(check bool) "deep prefix cached" true
            (Name_cache.mem (Runtime.name_cache env) "[fs0]proj/src");
-         let hits0 = Runtime.cache_hit_count env in
+         let hits0 = (Runtime.name_cache_stats env).Name_cache.hits in
          let b =
            ok_exn "read 2" (Runtime.read_file env "[fs0]proj/src/deep.txt")
          in
          Alcotest.(check int) "second open skips the prefix server" f1
            (forwards ());
          Alcotest.(check int) "and was a cache hit" (hits0 + 1)
-           (Runtime.cache_hit_count env);
+           (Runtime.name_cache_stats env).Name_cache.hits;
          Alcotest.(check string) "same bytes" (Bytes.to_string a)
            (Bytes.to_string b)))
 
@@ -182,7 +182,7 @@ let test_stale_binding_evict_retry_and_span_tree () =
         ok_exn "unbind" (Runtime.delete_prefix env "data");
         ok_exn "rebind data->fs1"
           (Runtime.add_prefix env "data" (`Static (fs_spec 1)));
-        let stale0 = Runtime.cache_stale_count env in
+        let stale0 = (Runtime.name_cache_stats env).Name_cache.stale in
         let inst =
           ok_exn "open through stale binding"
             (Runtime.open_ env ~mode:Vmsg.Read "[data]tmp/moved.txt")
@@ -194,7 +194,7 @@ let test_stale_binding_evict_retry_and_span_tree () =
         (* Exactly one on-use invalidation, and the retry succeeded. *)
         Alcotest.(check int) "exactly one cache_stale increment"
           (stale0 + 1)
-          (Runtime.cache_stale_count env);
+          (Runtime.name_cache_stats env).Name_cache.stale;
         Alcotest.(check bool) "stale binding evicted" false
           (Name_cache.mem (Runtime.name_cache env) "[data]");
         let back = ok_exn "re-read" (Runtime.read_file env "[data]tmp/moved.txt") in
@@ -292,14 +292,16 @@ let test_disable_clears_entries_keeps_counters () =
          let s = Runtime.name_cache_stats env in
          Alcotest.(check bool) "learned something" true (s.Name_cache.size > 0);
          Runtime.enable_name_cache env false;
+         Alcotest.(check bool) "reported off" false
+           (Runtime.name_cache_enabled env);
          let s' = Runtime.name_cache_stats env in
          Alcotest.(check int) "entries cleared" 0 s'.Name_cache.size;
          Alcotest.(check int) "counters kept" s.Name_cache.hits s'.Name_cache.hits;
          (* Routing still works, uncached. *)
-         let hits = Runtime.cache_hit_count env in
+         let hits = s'.Name_cache.hits in
          ignore (ok_exn "read uncached" (Runtime.read_file env "[home]nc.txt"));
          Alcotest.(check int) "no hit counted when off" hits
-           (Runtime.cache_hit_count env)))
+           (Runtime.name_cache_stats env).Name_cache.hits))
 
 (* --- the cut scan against its cut-list model --- *)
 

@@ -308,6 +308,114 @@ let test_negative_caching_collapses_misses () =
          Alcotest.(check int) "exactly one fresh query" (q1 + 1)
            (Resolver.stats r).Resolver.queries))
 
+(* --- through the run-time, the resolver's negative is final --- *)
+
+(* A miss the tree answers Not_found is the operation's answer: the
+   run-time does not go on to ask the prefix server, and a repeat miss
+   inside the negative TTL, answered from the resolver's negative
+   entry, sends no message at all. An unreachable tree still falls back
+   to the prefix server. *)
+let test_negative_ends_operation () =
+  ignore
+    (run_client (fun t _self env ->
+         let chain = build_chain t ~depth:2 ~leaf_target:(fs_root t) in
+         Runtime.set_resolver env
+           (Resolver.create ~prefix:"dom"
+              ~root:(Domain_server.spec chain.(0) ())
+              ());
+         let prefix_requests () =
+           Vsim.Stats.Counter.value
+             (Prefix_server.stats (Scenario.workstation t 0).Scenario.ws_prefix)
+               .Csnh.requests
+         in
+         let read_error what name =
+           match Runtime.read_file env name with
+           | Error e -> e
+           | Ok _ -> Alcotest.failf "%s: an absent name read" what
+         in
+         let not_found what name =
+           match read_error what name with
+           | Vio.Verr.Denied Reply.Not_found -> ()
+           | e ->
+               Alcotest.failf "%s: expected Not_found, got %a" what Vio.Verr.pp
+                 e
+         in
+         let missing = "[dom]d1/nope/f.txt" in
+         let p0 = prefix_requests () in
+         not_found "first miss" missing;
+         Alcotest.(check int) "the walk's answer is final" p0
+           (prefix_requests ());
+         let txns0 = K.ipc_transaction_count Scenario.(t.domain) in
+         not_found "repeat miss" missing;
+         Alcotest.(check int) "a repeat miss sends nothing" txns0
+           (K.ipc_transaction_count Scenario.(t.domain));
+         K.crash_host
+           (Option.get (K.host_of_addr t.Scenario.domain (dom_addr 1)));
+         ignore (read_error "unreachable tree" "[dom]d1/other/f.txt");
+         Alcotest.(check int) "an unreachable tree falls back" (p0 + 1)
+           (prefix_requests ())))
+
+(* --- with both caches on, each name has one --- *)
+
+(* A client with its name cache on and a [dom] resolver set: a [dom]
+   name is learned, served and invalidated by the resolver alone, and a
+   [fs0] name goes through the name cache alone. *)
+let test_one_cache_per_name () =
+  ignore
+    (run_client (fun t _self env ->
+         let ok what r = ignore (ok_exn what r) in
+         let write name =
+           ok name (Runtime.write_file env name (Bytes.of_string "one"))
+         in
+         let read name = ok name (Runtime.read_file env name) in
+         ok "mkdir" (Runtime.create env ~directory:true "[fs0]one");
+         write "[fs0]one/f.txt";
+         let chain = build_chain t ~depth:2 ~leaf_target:(fs_root t) in
+         let r =
+           Resolver.create ~prefix:"dom"
+             ~root:(Domain_server.spec chain.(0) ())
+             ()
+         in
+         Runtime.set_resolver env r;
+         Runtime.enable_name_cache env true;
+         let names () = Runtime.name_cache_stats env in
+         let lookups () =
+           (names ()).Name_cache.hits + (names ()).Name_cache.misses
+         in
+         (* [fs0]: the name cache learns, then serves. *)
+         read "[fs0]one/f.txt";
+         read "[fs0]one/f.txt";
+         Alcotest.(check int) "[fs0] served by the name cache" 1
+           (names ()).Name_cache.hits;
+         Alcotest.(check int) "[fs0] never walks" 0
+           (Resolver.stats r).Resolver.walks;
+         (* [dom]: the resolver walks, learns the stamp, then serves. *)
+         let dom = "[dom]d1/leaf/one/f.txt" in
+         let lookups0 = lookups () in
+         read dom;
+         read dom;
+         Alcotest.(check bool) "the resolver learned the stamp" true
+           (Name_cache.mem (Resolver.cache r) "[dom]d1/leaf/one");
+         Alcotest.(check (list string)) "the name cache learned nothing" []
+           (List.filter
+              (fun key -> String.starts_with ~prefix:"[dom]" key)
+              (List.map fst (Name_cache.to_list (Runtime.name_cache env))));
+         Alcotest.(check int) "[dom] served by the resolver" 1
+           (Resolver.stats r).Resolver.cache_answers;
+         Alcotest.(check int) "[dom] never looked up in the name cache" lookups0
+           (lookups ());
+         (* Re-home [fs0]one: the resolver's binding for it goes stale. *)
+         ok "rm" (Runtime.remove env "[fs0]one/f.txt");
+         ok "rmdir" (Runtime.remove env "[fs0]one");
+         ok "mkdir again" (Runtime.create env ~directory:true "[fs0]one");
+         write "[fs0]one/f.txt";
+         let stale0 = (names ()).Name_cache.stale in
+         read dom;
+         Alcotest.(check int) "invalidated in the resolver" 1
+           (Resolver.cache_stats r).Name_cache.stale;
+         Alcotest.(check int) "not in the name cache" stale0
+           (names ()).Name_cache.stale))
+
 (* --- the stale-serving window --- *)
 
 let test_stale_serving_window () =
@@ -412,6 +520,9 @@ let suite =
           test_traced_walk_under_root;
         Alcotest.test_case "negative caching collapses misses" `Quick
           test_negative_caching_collapses_misses;
+        Alcotest.test_case "negative ends the operation" `Quick
+          test_negative_ends_operation;
+        Alcotest.test_case "one cache per name" `Quick test_one_cache_per_name;
         Alcotest.test_case "stale-serving window" `Quick
           test_stale_serving_window;
         Alcotest.test_case "delegation cycle guard" `Quick

@@ -753,14 +753,22 @@ let upper_golden =
     (* The walk hangs under the operation's root. Before, these read:
        "domains R t=     97.7 client   ws0        resolver: delegation \"[dom]d1/\" -> pid 468087"
        "domains R t=    101.3 client   ws0        resolver: delegation \"[dom]d1/d2/\" -> pid 552199"
-       "domains R t=   2653.7 client   ws0        resolver: serving stale \"[dom]d1/d2/leaf/tmp\" (refresh failed: ipc: timeout)"
     *)
     "domains R t=     97.7 client   ws0        resolver: delegation \"[dom]d1/\" -> pid 468087 trace 2";
     "domains R t=    101.3 client   ws0        resolver: delegation \"[dom]d1/d2/\" -> pid 552199 trace 2";
-    "domains R t=   2653.7 client   ws0        resolver: serving stale \"[dom]d1/d2/leaf/tmp\" (refresh failed: ipc: timeout) trace 8";
-    "domains R t=   2667.3 client   ws0        resolver: delegation \"[dom]d2/\" -> pid 552199";
-    "domains R t=   2670.6 client   ws0        resolver: delegation \"[dom]\" -> pid 632239";
-    "domains R t=   2670.6 client   ws0        resolver: delegation cycle at pid 632239 index 5";
+    (* The resolver's authoritative negatives end their operations: the
+       three misses no longer go on to ask the prefix server (4.520 ms
+       each), so everything after them happens 13.560 ms sooner. Before,
+       these read:
+       "domains R t=   2653.7 client   ws0        resolver: serving stale \"[dom]d1/d2/leaf/tmp\" (refresh failed: ipc: timeout) trace 8"
+       "domains R t=   2667.3 client   ws0        resolver: delegation \"[dom]d2/\" -> pid 552199"
+       "domains R t=   2670.6 client   ws0        resolver: delegation \"[dom]\" -> pid 632239"
+       "domains R t=   2670.6 client   ws0        resolver: delegation cycle at pid 632239 index 5"
+    *)
+    "domains R t=   2640.1 client   ws0        resolver: serving stale \"[dom]d1/d2/leaf/tmp\" (refresh failed: ipc: timeout) trace 8";
+    "domains R t=   2653.8 client   ws0        resolver: delegation \"[dom]d2/\" -> pid 552199";
+    "domains R t=   2657.0 client   ws0        resolver: delegation \"[dom]\" -> pid 632239";
+    "domains R t=   2657.0 client   ws0        resolver: delegation cycle at pid 632239 index 5";
     "domains M dom0/dom0/ResolveStep 1";
     "domains M dom0/dom0/lookup 1";
     "domains M dom0/dom0/referral 1";
@@ -789,12 +797,19 @@ let upper_golden =
     "domains M ws0/resolver/resume 3";
     "domains M ws0/resolver/stale-serve 1";
     "domains M ws0/resolver/walk 9";
-    "domains M ws0/runtime/resolver-fallback 3";
+    (* No miss falls back to the prefix server any more. Before, the
+       three did:
+       "domains M ws0/runtime/resolver-fallback 3"
+    *)
     "domains M ws0/runtime/resolver-hit 1";
     "domains M ws0/runtime/resolver-stale 1";
     "domains M ws0/runtime/resolver-walk 3";
     "domains M ws0/ws0-prefix-server/forward 1";
-    "domains M ws0/ws0-prefix-server/prefix-lookup 4";
+    (* Only the first write's Open asks the prefix server. Before, the
+       three misses did too:
+       "domains M ws0/ws0-prefix-server/prefix-lookup 4"
+    *)
+    "domains M ws0/ws0-prefix-server/prefix-lookup 1";
     "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 7.878ms -> OK";
     "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
     "domains S     Open                         fs0/fs0 pid 105911 ctx 0 name[5..9]  wait 1.983ms svc 0.480ms -> OK";
@@ -808,20 +823,23 @@ let upper_golden =
     "domains S   Open                         fs0/fs0 pid 105911 ctx 0 name[16..20]  wait 2.212ms svc 0.480ms -> OK";
     "domains S client:Open[cached]          ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.852ms -> OK";
     "domains S   Open                         fs0/fs0 pid 105911 ctx 21 name[20..]  wait 2.212ms svc 0.360ms -> OK";
-    (* The walk hangs under the operation's root. Before, these read:
+    (* Each miss ends at the resolver's answer: the walk's not-found
+       step, or (the repeat miss) the fresh negative entry, which sends
+       nothing. Before, each went on to ask the prefix server:
+       "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 8.140ms -> not found"
+       "domains S   ResolveStep                  dom2/dom2 pid 552199 ctx 0 name[11..]  wait 1.980ms svc 0.360ms -> not found"
+       "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found"
        "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 4.520ms -> not found"
+       "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found"
+       "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 8.132ms -> not found"
+       "domains S   ResolveStep                  dom1/dom1 pid 468087 ctx 0 name[8..]  wait 1.972ms svc 0.360ms -> not found"
+       "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found"
     *)
-    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 8.140ms -> not found";
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.620ms -> not found";
     "domains S   ResolveStep                  dom2/dom2 pid 552199 ctx 0 name[11..]  wait 1.980ms svc 0.360ms -> not found";
-    "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found";
-    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 4.520ms -> not found";
-    "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found";
-    (* The walk hangs under the operation's root. Before, these read:
-       "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 4.520ms -> not found"
-    *)
-    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 8.132ms -> not found";
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 0.000ms -> not found";
+    "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.612ms -> not found";
     "domains S   ResolveStep                  dom1/dom1 pid 468087 ctx 0 name[8..]  wait 1.972ms svc 0.360ms -> not found";
-    "domains S   Open                         ws0/ws0-prefix-server pid 346245 ctx 0  wait 0.585ms svc 3.550ms -> not found";
     (* The walk hangs under the operation's root. Before, these read:
        "domains S client:QueryName[cached]     ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.487ms -> OK"
     *)

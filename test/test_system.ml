@@ -553,7 +553,7 @@ let test_prefix_cache_hit_and_staleness () =
            (Runtime.write_file env "[fs0]tmp/cache.txt" (Bytes.of_string "fs0 copy"));
          ok_exn "seed fs1"
            (Runtime.write_file env "[fs1]tmp/cache.txt" (Bytes.of_string "fs1 copy"));
-         Runtime.enable_prefix_cache env true;
+         Runtime.enable_name_cache env true;
          (* Bind [data] to fs0 and cache the binding. *)
          let fs0_root =
            File_server.spec (Scenario.file_server t 0)
@@ -565,10 +565,10 @@ let test_prefix_cache_hit_and_staleness () =
          in
          ok_exn "bind" (Runtime.add_prefix env "data" (`Static fs0_root));
          ignore (ok_exn "resolve (fills cache)" (Runtime.resolve env "[data]"));
-         let before = Runtime.cache_hit_count env in
+         let hits () = (Runtime.name_cache_stats env).Name_cache.hits in
+         let before = hits () in
          let a = ok_exn "cached read" (Runtime.read_file env "[data]tmp/cache.txt") in
-         Alcotest.(check bool) "cache was used" true
-           (Runtime.cache_hit_count env > before);
+         Alcotest.(check bool) "cache was used" true (hits () > before);
          Alcotest.(check string) "fs0 content" "fs0 copy" (Bytes.to_string a);
          (* Rebind [data] to fs1 behind the cache's back. *)
          ok_exn "unbind" (Runtime.delete_prefix env "data");
@@ -579,7 +579,7 @@ let test_prefix_cache_hit_and_staleness () =
          Alcotest.(check string) "stale result served" "fs0 copy" (Bytes.to_string b);
          (* Once the stale target stops answering, the runtime falls
             back through the prefix server. *)
-         Runtime.enable_prefix_cache env false;
+         Runtime.enable_name_cache env false;
          let c = ok_exn "uncached read" (Runtime.read_file env "[data]tmp/cache.txt") in
          Alcotest.(check string) "truth after disabling cache" "fs1 copy"
            (Bytes.to_string c)))
