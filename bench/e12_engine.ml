@@ -15,9 +15,10 @@
    cancelled after 2.6 ms sits dead in the queue ~200x longer than it
    was live), so every push and pop pays O(log n) on a queue that is
    >99% corpses. The hierarchical wheel cancels in O(1) and drops dead
-   nodes in O(1) when their slot drains. Both backends execute the
-   identical event sequence (test/test_sim.ml proves order equality),
-   so the events/s ratio is a pure scheduler comparison.
+   nodes in O(1) when their slot drains. The heap is the reference
+   queue the wheel is tested against (test/heap_engine); both execute
+   the identical event sequence (test/test_sim.ml proves order
+   equality), so the events/s ratio is a pure scheduler comparison.
 
    Phase B is the end-to-end soak: 5,000 echo-server hosts and 5,000
    client hosts, each client host running one 200-virtual-client cohort
@@ -43,7 +44,7 @@ let storm_workers = 2000
 let storm_ops_per_worker = 100
 let storm_reply_ms = 2.6
 
-(* Repeat each backend's storm and keep its best (minimum) CPU time:
+(* Repeat each queue's storm and keep its best (minimum) CPU time:
    the storm is deterministic, so the spread between repeats is pure
    scheduler noise on the host, and min-of-N is the standard way to
    shave it off a rate before two rates are compared (the CI gate
@@ -52,31 +53,31 @@ let storm_repeats = 3
 
 (* One storm of [storm_workers * storm_ops_per_worker] reply events,
    each arming-then-cancelling a retransmit and a timeout timer, on the
-   given backend. Returns (events, cpu_s, cancelled). *)
-let timer_storm_once backend =
-  let eng = En.create ~backend () in
+   given queue. Returns (events, cpu_s, cancelled). *)
+let timer_storm_once (module Q : Heap_engine.S) =
+  let eng = Q.create () in
   for w = 0 to storm_workers - 1 do
     let ops = ref 0 in
     let rec issue () =
       incr ops;
       let retransmit =
-        En.timer ~delay:C.retransmit_interval_ms eng (fun () -> ())
+        Q.timer ~delay:C.retransmit_interval_ms eng (fun () -> ())
       in
-      let timeout = En.timer ~delay:C.ipc_timeout_ms eng (fun () -> ()) in
-      En.schedule ~delay:storm_reply_ms eng (fun () ->
-          En.cancel eng retransmit;
-          En.cancel eng timeout;
+      let timeout = Q.timer ~delay:C.ipc_timeout_ms eng (fun () -> ()) in
+      Q.schedule ~delay:storm_reply_ms eng (fun () ->
+          Q.cancel eng retransmit;
+          Q.cancel eng timeout;
           if !ops < storm_ops_per_worker then issue ())
     in
     (* Stagger starts so transactions interleave instead of running in
        lockstep phases. *)
-    En.schedule ~delay:(float_of_int w *. 0.013) eng issue
+    Q.schedule ~delay:(float_of_int w *. 0.013) eng issue
   done;
-  En.run eng;
-  (En.last_run_events eng, En.last_run_cpu_s eng, En.cancelled_timers eng)
+  Q.run eng;
+  (Q.last_run_events eng, Q.last_run_cpu_s eng, Q.cancelled_timers eng)
 
-let timer_storm backend =
-  let runs = List.init storm_repeats (fun _ -> timer_storm_once backend) in
+let timer_storm queue =
+  let runs = List.init storm_repeats (fun _ -> timer_storm_once queue) in
   let events, _, cancelled = List.hd runs in
   List.iter
     (fun (e, _, c) ->
@@ -106,8 +107,8 @@ let soak_cohort_size = 200 (* virtual clients per client host *)
 let soak_ops = 100_000
 
 (* The nightly soak lane sets VSYSTEM_TELEMETRY=1 to run the soak with
-   the full scale-telemetry stack attached (rollup, time series,
-   sampled tracing, kernel pump) and dump the artifact. Telemetry
+   the full scale-telemetry stack attached (grouped metrics, time
+   series, sampled tracing, kernel pump) and dump the artifact. Telemetry
    schedules nothing, so every simulated number is unchanged — E15
    gates that claim, this flag exercises it at soak scale. *)
 let telemetry_on =
@@ -118,10 +119,6 @@ let telemetry_on =
 let attach_telemetry domain =
   let hub = Vobs.Hub.create ~tracing:true () in
   Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1207;
-  Vobs.Hub.set_rollup hub
-    (Some
-       (Vobs.Rollup.create ~exemplar_slots:2
-          ~group_of:(K.telemetry_group_of domain) ()));
   Vobs.Hub.set_timeseries hub (Some (Vobs.Timeseries.create ()));
   K.set_obs domain hub;
   K.enable_telemetry domain ~interval_ms:250.0;
@@ -209,8 +206,12 @@ let run () =
   Tables.note_meta ~seed:1207 ();
 
   Tables.print_section "Phase A: IPC-shaped timer storm (arm 2, cancel 2)";
-  let heap_events, heap_cpu, heap_cancelled = timer_storm En.Heap_queue in
-  let wheel_events, wheel_cpu, wheel_cancelled = timer_storm En.Wheel_queue in
+  let heap_events, heap_cpu, heap_cancelled =
+    timer_storm (module Heap_engine : Heap_engine.S)
+  in
+  let wheel_events, wheel_cpu, wheel_cancelled =
+    timer_storm (module En : Heap_engine.S)
+  in
   if heap_events <> wheel_events || heap_cancelled <> wheel_cancelled then
     failwith
       (Fmt.str "E12: backends diverged (%d/%d events, %d/%d cancelled)"

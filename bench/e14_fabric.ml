@@ -169,10 +169,6 @@ let soak () =
     else begin
       let hub = Vobs.Hub.create ~tracing:true () in
       Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1406;
-      Vobs.Hub.set_rollup hub
-        (Some
-           (Vobs.Rollup.create ~exemplar_slots:2
-              ~group_of:(K.telemetry_group_of domain) ()));
       Vobs.Hub.set_timeseries hub (Some (Vobs.Timeseries.create ()));
       K.set_obs domain hub;
       K.enable_telemetry domain ~interval_ms:250.0;

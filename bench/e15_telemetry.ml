@@ -1,6 +1,6 @@
 (* E15 — telemetry overhead and cardinality: what does observability
-   cost at soak scale, and does the rollup tree actually bound key
-   growth?
+   cost at soak scale, and does the grouped metrics store actually
+   bound key growth?
 
    The nightly soak lane only runs with telemetry on if telemetry is
    cheap enough to leave on. This experiment gates that premise from
@@ -10,9 +10,10 @@
    gigabit fabric, echo servers, Poisson cohorts) runs in three arms.
    "bare" has no observability at all. "soak-lane" attaches exactly
    what the nightly soak lane attaches (traced hub with 1-in-64 head
-   sampling, hierarchical rollup with exemplar reservoirs, time-series
-   store, the kernel telemetry pump) — this is the always-on
-   configuration, and its overhead is gated under the 5% ceiling.
+   sampling, time-series store, the kernel telemetry pump, which groups
+   the metrics store by edge switch with exemplar reservoirs) — this is
+   the always-on configuration, and its overhead is gated under the 5%
+   ceiling.
    "traced" adds the heaviest realistic client instrumentation on top:
    a root trace and a latency observation on every operation. That arm
    proves the sampling and exemplar machinery under load and its cost
@@ -27,12 +28,12 @@
    pessimization moves the gated value.
 
    Phase B proves the cardinality bound: 100,000 synthetic hosts
-   record through a rollup-attached registry, and the admitted key
+   record through a metrics store grouped by edge switch, and the key
    count must stay O(edges + instruments) — the leaf cap plus one key
    per (edge, server, op) plus the fleet keys — while the refused
    leaf observations are counted, not lost (fleet totals stay exact).
-   A flat registry at this scale would hold ~400k keys; the rollup
-   holds ~4% of that with the detail that matters intact. *)
+   An ungrouped store at this scale would hold ~400k keys; the grouped
+   one holds ~4% of that with the detail that matters intact. *)
 
 module K = Vkernel.Kernel
 module E = Vnet.Ethernet
@@ -121,10 +122,6 @@ let soak ~mode () =
     else begin
       let hub = Vobs.Hub.create ~tracing:true () in
       Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1515;
-      Vobs.Hub.set_rollup hub
-        (Some
-           (Vobs.Rollup.create ~exemplar_slots:2
-              ~group_of:(K.telemetry_group_of domain) ()));
       Vobs.Hub.set_timeseries hub (Some (Vobs.Timeseries.create ()));
       K.set_obs domain hub;
       K.enable_telemetry domain ~interval_ms:100.0;
@@ -148,16 +145,10 @@ let soak ~mode () =
         (Vsim.Prng.split prng)
     in
     let server = servers.((i + soak_fan_in) mod servers_n) in
-    (* The traced arm observes per-op latency through a handle bound
-       once per client — the realistic shape for a hot path. *)
+    (* The traced arm observes per-op latency keyed, as the hub's
+       finished-operation consumer does. *)
     let latency =
-      match (hub, mode) with
-      | Some h, Traced ->
-          Some
-            ( h,
-              Vobs.Metrics.observer (Vobs.Hub.metrics h) ~host:host_name
-                ~server:"echo" ~op:"rpc" )
-      | _ -> None
+      match (hub, mode) with Some h, Traced -> Some h | _ -> None
     in
     ignore
       (K.spawn host ~name:"cohort" (fun self ->
@@ -168,7 +159,7 @@ let soak ~mode () =
                  match K.send self server "ping" with
                  | Ok _ -> incr resolved
                  | Error _ -> incr failed)
-             | Some (h, o) ->
+             | Some h ->
                  (* A root trace per op: head sampling decides its
                     fate with a private PRNG — zero workload draws —
                     and the kept trace ids become exemplar
@@ -182,7 +173,9 @@ let soak ~mode () =
                    if ctx.Vobs.Span.trace > 0 then Some ctx.Vobs.Span.trace
                    else None
                  in
-                 Vobs.Metrics.record ?trace o (En.now eng -. t0)
+                 Vobs.Metrics.observe ?trace (Vobs.Hub.metrics h)
+                   ~host:host_name ~server:"echo" ~op:"rpc"
+                   (En.now eng -. t0)
            done))
   done;
   En.run eng;
@@ -192,16 +185,13 @@ let soak ~mode () =
     sim_ms = En.now eng;
     events = En.last_run_events eng;
     cpu_s = En.last_run_cpu_s eng;
-    (* Reading the rollup scrapes the host- and port-resident counts in
-       first, so the key count reflects the full leaf pressure. The
-       scrape runs after [En.run], outside the per-event tax measured by
+    (* Reading the key count scrapes the host- and port-resident counts
+       in first, so it reflects the full leaf pressure. The scrape runs
+       after [En.run], outside the per-event tax measured by
        [En.last_run_cpu_s]. *)
     key_count =
       (match hub with
-      | Some h -> (
-          match Vobs.Hub.rollup h with
-          | Some r -> Vobs.Rollup.key_count r
-          | None -> 0)
+      | Some h -> Vobs.Metrics.key_count (Vobs.Hub.metrics h)
       | None -> 0);
     sampled_out =
       (match hub with Some h -> Vobs.Hub.sampled_out h | None -> 0);
@@ -316,8 +306,7 @@ let cardinality () =
         | None -> None)
     | false -> None
   in
-  let rollup = Vobs.Rollup.create ~group_of () in
-  Vobs.Metrics.set_rollup metrics (Some rollup);
+  Vobs.Metrics.set_groups metrics (Some group_of);
   for h = 0 to card_hosts - 1 do
     let host = Fmt.str "host%d" h in
     for i = 0 to Array.length card_servers - 1 do
@@ -328,7 +317,7 @@ let cardinality () =
         (float_of_int ((h + i) mod 17))
     done
   done;
-  (metrics, rollup)
+  metrics
 
 let run () =
   Tables.print_title "E15: telemetry overhead and rollup cardinality";
@@ -435,19 +424,20 @@ let run () =
   Tables.print_section
     (Fmt.str "Phase B: rollup cardinality at %dk synthetic hosts"
        (card_hosts / 1000));
-  let metrics, rollup = cardinality () in
+  let metrics = cardinality () in
   let edges = (card_hosts + card_fan_in - 1) / card_fan_in in
   let instruments = 2 * Array.length card_servers (* counter + histogram *) in
-  let keys = Vobs.Rollup.key_count rollup in
-  let dropped = Vobs.Rollup.keys_dropped rollup in
-  let flat_keys =
+  let keys = Vobs.Metrics.key_count metrics in
+  let dropped = Vobs.Metrics.keys_dropped metrics in
+  (* No leaf key holds both a counter and a histogram here. *)
+  let leaf_keys =
     List.length (Vobs.Metrics.counters metrics)
     + List.length (Vobs.Metrics.histograms metrics)
   in
   (* The bound under test: leaves saturate at the cap, groups carry
      one key per (edge, instrument), the fleet a handful — never
      O(hosts * instruments). *)
-  let bound = 4096 + (edges * instruments) + instruments + 1 in
+  let bound = Vobs.Metrics.leaf_cap + (edges * instruments) + instruments + 1 in
   Tables.print_table
     ~header:[ "quantity"; "value" ]
     [
@@ -464,8 +454,10 @@ let run () =
          keys bound);
   if dropped = 0 then
     failwith "E15: 100k leaves never hit the leaf cap — the cap is not real";
-  if flat_keys <> 0 then
-    failwith "E15: rollup mode leaked keys into the flat registry";
+  if leaf_keys <> Vobs.Metrics.leaf_cap then
+    failwith
+      (Fmt.str "E15: the leaf level holds %d keys, not the %d cap" leaf_keys
+         Vobs.Metrics.leaf_cap);
   Tables.record
     (Vobs.Json.Obj
        [

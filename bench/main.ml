@@ -47,6 +47,11 @@ let default =
     "e12"; "e13"; "e14"; "e15"; "figs"; "ablations"; "day"; "micro";
   ]
 
+(* Engine events executed so far in the process, E12's reference heap
+   included. *)
+let executed () =
+  Vsim.Engine.global_executed () + Heap_engine.global_executed ()
+
 (* Strip "--json FILE" from the argument list, returning the file.
    Giving --json twice is ambiguous (which file wins?), so it is an
    error rather than a silent overwrite. *)
@@ -106,7 +111,7 @@ let () =
         | None -> (
             Vworkload.Tables.begin_experiment name;
             let wall0 = Unix.gettimeofday () in
-            let events0 = Vsim.Engine.global_executed () in
+            let events0 = executed () in
             match (List.assoc name registry) () with
             | () ->
                 (* The experiment's meta entry is still current, so the
@@ -115,7 +120,7 @@ let () =
                    to this experiment (every engine in the process
                    counts into the global tally). *)
                 let wall_s = Unix.gettimeofday () -. wall0 in
-                let events_executed = Vsim.Engine.global_executed () - events0 in
+                let events_executed = executed () - events0 in
                 Vworkload.Tables.note_meta ~events_executed ~wall_s ();
                 Fmt.pr "[%s: %d events, %.2fs wall, %.0f events/s]@." name
                   events_executed wall_s

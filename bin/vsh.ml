@@ -372,10 +372,7 @@ let cmd_engine sh args =
   let eng = sh.scenario.Scenario.engine in
   match args with
   | [] | [ "stats" ] ->
-      pr "engine: %s backend"
-        (match Vsim.Engine.backend eng with
-        | Vsim.Engine.Wheel_queue -> "timer-wheel"
-        | Vsim.Engine.Heap_queue -> "binary-heap");
+      pr "engine: timer-wheel backend";
       pr "  events executed %d  pending %d  timers cancelled %d"
         (Vsim.Engine.executed eng)
         (Vsim.Engine.pending eng)
@@ -892,8 +889,7 @@ let cmd_metrics sh args =
                 (List.map (fun (name, h) -> hist_row name h) histograms));
           Ok ())
 
-(* The live view at scale: the N hottest instruments (rollup leaves
-   when a rollup is attached, the flat registry otherwise) plus the
+(* The live view at scale: the N hottest leaf instruments plus the
    time-series sparklines — one screen that says where the load and the
    latency are right now. *)
 let cmd_top sh args =
@@ -910,26 +906,12 @@ let cmd_top sh args =
   match n with
   | None -> Error (Vio.Verr.Protocol "usage: top [N]")
   | Some n ->
-      let counter_rows, hist_rows =
-        match Vobs.Hub.rollup hub with
-        | Some r ->
-            let key (k : Vobs.Rollup.key) =
-              Fmt.str "%s/%s/%s" k.scope k.server k.op
-            in
-            ( List.map
-                (fun (k, v) -> (key k, v))
-                (Vobs.Rollup.counters r Vobs.Rollup.Leaf),
-              List.map
-                (fun (k, h) -> (key k, h))
-                (Vobs.Rollup.histograms r Vobs.Rollup.Leaf) )
-        | None ->
-            let m = Vobs.Hub.metrics hub in
-            let key (k : Vobs.Metrics.key) =
-              Fmt.str "%s/%s/%s" k.host k.server k.op
-            in
-            ( List.map (fun (k, v) -> (key k, v)) (Vobs.Metrics.counters m),
-              List.map (fun (k, h) -> (key k, h)) (Vobs.Metrics.histograms m)
-            )
+      let m = Vobs.Hub.metrics hub in
+      let key (k : Vobs.Metrics.key) = Fmt.str "%s/%s/%s" k.host k.server k.op in
+      let counter_rows =
+        List.map (fun (k, v) -> (key k, v)) (Vobs.Metrics.counters m)
+      and hist_rows =
+        List.map (fun (k, h) -> (key k, h)) (Vobs.Metrics.histograms m)
       in
       let hottest weight rows =
         List.stable_sort (fun (_, a) (_, b) -> compare (weight b) (weight a)) rows
@@ -979,21 +961,15 @@ let cmd_top sh args =
                    series)));
       Ok ()
 
-(* Scale telemetry from the shell: attach a rollup tree (grouped by the
-   kernel's topology mapping), a time-series store and 1-in-N head
-   sampling, and arm the kernel pump. Everything detaches cleanly with
+(* Scale telemetry from the shell: attach a time-series store, sample
+   1-in-N heads, arm the kernel pump and group the metrics store by the
+   kernel's topology mapping. Everything detaches cleanly with
    `telemetry off`. *)
 let cmd_telemetry sh args =
   let t = sh.scenario in
   let hub = t.Scenario.obs in
   let d = t.Scenario.domain in
   let enable every =
-    let rollup =
-      Vobs.Rollup.create ~exemplar_slots:2
-        ~group_of:(fun name -> K.telemetry_group_of d name)
-        ()
-    in
-    Vobs.Hub.set_rollup hub (Some rollup);
     Vobs.Hub.set_timeseries hub
       (Some (Vobs.Timeseries.create ~bucket_ms:100.0 ()));
     Vobs.Hub.set_head_sampling hub ~every ~seed:47;
@@ -1008,7 +984,6 @@ let cmd_telemetry sh args =
       | Some every when every >= 1 -> enable every
       | _ -> Error (Vio.Verr.Protocol "usage: telemetry on [EVERY]"))
   | [ "off" ] ->
-      Vobs.Hub.set_rollup hub None;
       Vobs.Hub.set_timeseries hub None;
       Vobs.Hub.set_head_sampling hub ~every:1 ~seed:47;
       K.disable_telemetry d;

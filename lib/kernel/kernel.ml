@@ -304,7 +304,7 @@ and 'm domain = {
   mutable trace_of : 'm -> int;
   mutable getpid_cache_on : bool;
   ipc_transactions : Vsim.Stats.Counter.t;
-  (* host name -> rollup group scope, fed to Rollup.group_of. *)
+  (* host name -> metrics group scope, for [telemetry_group_of]. *)
   tel_groups : (string, string) Hashtbl.t;
   (* (series label, pid) of servers whose queue depth is traced:
      every pid with an admission hook installed. *)
@@ -481,7 +481,7 @@ let check_alive proc =
 
 (* --- the telemetry pump --- *)
 
-(* The rollup group of one host: its edge switch on a switched fabric,
+(* The metrics group of one host: its edge switch on a switched fabric,
    a 1024-host address shard on the shared medium (which has no
    segments, but fleet-minus-one granularity is still wanted). *)
 let telemetry_scope_of_host d host =
@@ -494,12 +494,13 @@ let register_telemetry_host d host =
   let scope = telemetry_scope_of_host d host in
   Hashtbl.replace d.tel_groups host.host_name scope;
   (* The net layer labels the same host "host<addr>"; registering that
-     alias keeps its handle binds off the topology-parsing fallback. *)
+     alias keeps its lookups off the topology-parsing fallback. *)
   Hashtbl.replace d.tel_groups (Printf.sprintf "host%d" host.addr) scope
 
-(* The [Rollup.group_of] function for this domain: kernel host names
-   map through the registration table, net-layer labels ("host3",
-   "edge0->spine") through the topology; anything else is fleet-only. *)
+(* The group mapping telemetry installs in the hub's metrics store:
+   kernel host names map through the registration table, net-layer
+   labels ("host3", "edge0->spine") through the topology; anything else
+   is fleet-only. *)
 let telemetry_group_of d name =
   match Hashtbl.find_opt d.tel_groups name with
   | Some g -> Some g
@@ -545,10 +546,11 @@ let telemetry_sample d hub ~now =
         d.tel_watched
 
 (* [enable_telemetry d ~interval_ms] arms the attached hub's pump with
-   [telemetry_sample] and maps every booted host to its rollup group
-   (hosts booted later register as they boot). Send events drive the
-   pump, so it adds no engine event: obs-on and obs-off runs execute
-   identical event sequences. Without a hub there is nothing to feed. *)
+   [telemetry_sample], maps every booted host to its metrics group
+   (hosts booted later register as they boot) and groups the hub's
+   metrics store by that mapping. Send events drive the pump, so it adds
+   no engine event: obs-on and obs-off runs execute identical event
+   sequences. Without a hub there is nothing to feed. *)
 let enable_telemetry d ~interval_ms =
   if interval_ms <= 0.0 then
     invalid_arg "Kernel.enable_telemetry: interval must be positive";
@@ -557,10 +559,15 @@ let enable_telemetry d ~interval_ms =
   | Some hub ->
       Vobs.Stream.arm_pump (Vobs.Hub.stream hub) ~interval_ms
         ~now:(Engine.now d.engine) (telemetry_sample d hub);
-      Hashtbl.iter (fun _ host -> register_telemetry_host d host) d.all_hosts
+      Hashtbl.iter (fun _ host -> register_telemetry_host d host) d.all_hosts;
+      Vobs.Metrics.set_groups (Vobs.Hub.metrics hub)
+        (Some (telemetry_group_of d))
 
 let disable_telemetry d =
-  Option.iter (fun hub -> Vobs.Stream.disarm_pump (Vobs.Hub.stream hub))
+  Option.iter
+    (fun hub ->
+      Vobs.Stream.disarm_pump (Vobs.Hub.stream hub);
+      Vobs.Metrics.set_groups (Vobs.Hub.metrics hub) None)
     d.domain_obs
 
 (* Suspend the current fiber in a crash-abortable, fire-once way. The

@@ -100,20 +100,19 @@ val ipc_transaction_count : 'm domain -> int
     an identical event sequence with telemetry on or off. *)
 
 (** [enable_telemetry d ~interval_ms] arms the attached hub's pump
-    ({!Vobs.Stream.arm_pump}) and registers every booted host's rollup
-    group (later boots register themselves); a no-op without a hub.
+    ({!Vobs.Stream.arm_pump}) and groups the hub's metrics store by the
+    domain's topology ({!Vobs.Metrics.set_groups}): kernel host names
+    group by edge switch (switched fabric) or 1024-host address shard
+    (shared medium); net-layer labels ("host3", "edge0->spine") resolve
+    through {!Vnet.Topology.rollup_scope}; anything else reaches the
+    fleet level only. A no-op without a hub.
     @raise Invalid_argument on a non-positive interval. *)
 val enable_telemetry : 'm domain -> interval_ms:float -> unit
 
+(** Disarm the pump and ungroup the hub's metrics store. *)
 val disable_telemetry : 'm domain -> unit
-val telemetry_enabled : 'm domain -> bool
 
-(** The {!Vobs.Rollup.group_of} function for this domain: kernel host
-    names group by edge switch (switched fabric) or 1024-host address
-    shard (shared medium); net-layer labels ("host3", "edge0->spine")
-    resolve through {!Vnet.Topology.rollup_scope}; anything else is
-    fleet-only ([None]). *)
-val telemetry_group_of : 'm domain -> string -> string option
+val telemetry_enabled : 'm domain -> bool
 
 (** Kill a host: processes die, tables clear, the wire stops delivering.
     Pids minted there become permanently invalid. *)

@@ -47,9 +47,9 @@ let trace_to_json spans =
   Json.List (List.map Span.to_json spans)
 
 (* The obs-health gauges: the hub's own losses (eventlog drops, span
-   evictions, sampled-out traces, rollup key pressure, time-series
-   refusals), mirrored from its internals. Every exporter refreshes
-   them before reading; the hot path never pays for them. *)
+   evictions, sampled-out traces, key pressure while grouped,
+   time-series refusals), mirrored from its internals. Every exporter
+   refreshes them before reading; the hot path never pays for them. *)
 let refresh_health hub =
   let m = Hub.metrics hub in
   Metrics.set_gauge m ~host:"obs" ~server:"hub" ~op:"sampled-out"
@@ -58,13 +58,12 @@ let refresh_health hub =
     (float_of_int (Eventlog.dropped (Hub.events hub)));
   Metrics.set_gauge m ~host:"obs" ~server:"hub" ~op:"spans-dropped-total"
     (float_of_int (Hub.spans_dropped hub));
-  (match Hub.rollup hub with
-  | Some r ->
-      Metrics.set_gauge m ~host:"obs" ~server:"rollup" ~op:"keys-dropped"
-        (float_of_int (Rollup.keys_dropped r));
-      Metrics.set_gauge m ~host:"obs" ~server:"rollup" ~op:"key-count"
-        (float_of_int (Rollup.key_count r))
-  | None -> ());
+  if Metrics.grouped m then begin
+    Metrics.set_gauge m ~host:"obs" ~server:"rollup" ~op:"keys-dropped"
+      (float_of_int (Metrics.keys_dropped m));
+    Metrics.set_gauge m ~host:"obs" ~server:"rollup" ~op:"key-count"
+      (float_of_int (Metrics.key_count m))
+  end;
   match Hub.timeseries hub with
   | Some ts ->
       Metrics.set_gauge m ~host:"obs" ~server:"timeseries"
@@ -74,7 +73,7 @@ let refresh_health hub =
 
 (* The flight-recorder dump: everything an incident review needs in one
    artifact — the event log, every surviving span, the metrics
-   registry, the SLO summary when an engine is attached, and the drop
+   store, the SLO summary when an engine is attached, and the drop
    counters that say how complete the recording is. [reason] states why
    the dump was cut (e.g. "invariant-violation", "slo-breach",
    "manual"). *)
@@ -86,9 +85,9 @@ let flight_to_json ?(reason = "manual") hub =
     | Some engine -> Slo.summary_to_json (Slo.summary engine)
   in
   let scale_fields =
-    (match Hub.rollup hub with
-    | Some r -> [ ("rollup", Rollup.to_json r) ]
-    | None -> [])
+    (if Metrics.grouped (Hub.metrics hub) then
+       [ ("rollup", Metrics.levels_to_json (Hub.metrics hub)) ]
+     else [])
     @
     match Hub.timeseries hub with
     | Some ts -> [ ("timeseries", Timeseries.to_json ts) ]
@@ -105,17 +104,18 @@ let flight_to_json ?(reason = "manual") hub =
      ]
     @ scale_fields)
 
-(* The telemetry artifact the nightly soak uploads: rollup tree, time
-   series and obs-health metrics — no spans or events, which at 100k
-   hosts would dwarf the aggregates the artifact exists to carry. *)
+(* The telemetry artifact the nightly soak uploads: group and fleet
+   levels, time series and the leaf metrics — no spans or events, which
+   at 100k hosts would dwarf the aggregates the artifact exists to
+   carry. *)
 let telemetry_to_json hub =
   refresh_health hub;
   Json.Obj
     [
       ( "rollup",
-        match Hub.rollup hub with
-        | Some r -> Rollup.to_json r
-        | None -> Json.Null );
+        if Metrics.grouped (Hub.metrics hub) then
+          Metrics.levels_to_json (Hub.metrics hub)
+        else Json.Null );
       ( "timeseries",
         match Hub.timeseries hub with
         | Some ts -> Timeseries.to_json ts
@@ -185,100 +185,63 @@ let prom_family buf name typ help =
   Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
   Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ)
 
-(* The whole hub in Prometheus text exposition format. Flat-mode
-   instruments carry (host, server, op) labels; rollup rows add
-   (level, scope) instead of host, so one scrape covers both modes. *)
+(* The whole hub in Prometheus text exposition format, level by level:
+   leaf instruments carry (host, server, op) labels, group and fleet
+   rows (level, scope, server, op). *)
 let prometheus hub =
   refresh_health hub;
   let m = Hub.metrics hub in
   let buf = Buffer.create 4096 in
-  let flat_key (k : Metrics.key) =
-    [
-      ("host", k.Metrics.host);
-      ("server", k.Metrics.server);
-      ("op", k.Metrics.op);
-    ]
+  let key_labels level (k : Metrics.key) =
+    match level with
+    | Metrics.Leaf ->
+        [ ("host", k.Metrics.host); ("server", k.server); ("op", k.op) ]
+    | Metrics.Group | Metrics.Fleet ->
+        [
+          ("level", Metrics.level_to_string level);
+          ("scope", k.Metrics.host);
+          ("server", k.server);
+          ("op", k.op);
+        ]
   in
-  let rollup_key level (k : Rollup.key) =
-    [
-      ("level", Rollup.level_to_string level);
-      ("scope", k.Rollup.scope);
-      ("server", k.Rollup.server);
-      ("op", k.Rollup.op);
-    ]
+  let each rows f =
+    List.iter
+      (fun level ->
+        List.iter (fun (k, v) -> f (key_labels level k) v) (rows level))
+      [ Metrics.Leaf; Metrics.Group; Metrics.Fleet ]
   in
-  let levels = [ Rollup.Leaf; Rollup.Group; Rollup.Fleet ] in
-  let rollup = Hub.rollup hub in
   prom_family buf "v_ops_total" "counter" "Operation counts";
-  List.iter
-    (fun (k, v) ->
+  each (fun level -> Metrics.counters ~level m) (fun l v ->
       Buffer.add_string buf
-        (Printf.sprintf "v_ops_total{%s} %d\n" (labels (flat_key k)) v))
-    (Metrics.counters m);
-  (match rollup with
-  | Some r ->
-      List.iter
-        (fun level ->
-          List.iter
-            (fun (k, v) ->
-              Buffer.add_string buf
-                (Printf.sprintf "v_ops_total{%s} %d\n"
-                   (labels (rollup_key level k))
-                   v))
-            (Rollup.counters r level))
-        levels
-  | None -> ());
+        (Printf.sprintf "v_ops_total{%s} %d\n" (labels l) v));
   prom_family buf "v_gauge" "gauge" "Instantaneous readings";
-  List.iter
-    (fun (k, v) ->
+  each (fun level -> Metrics.gauges ~level m) (fun l v ->
       Buffer.add_string buf
-        (Printf.sprintf "v_gauge{%s} %s\n" (labels (flat_key k)) (prom_float v)))
-    (Metrics.gauges m);
-  (match rollup with
-  | Some r ->
-      List.iter
-        (fun level ->
-          List.iter
-            (fun (k, v) ->
-              Buffer.add_string buf
-                (Printf.sprintf "v_gauge{%s} %s\n"
-                   (labels (rollup_key level k))
-                   (prom_float v)))
-            (Rollup.gauges r level))
-        levels
-  | None -> ());
+        (Printf.sprintf "v_gauge{%s} %s\n" (labels l) (prom_float v)));
   prom_family buf "v_latency_ms" "histogram" "Operation latency (simulated ms)";
-  List.iter
-    (fun (k, h) -> prom_histogram buf "v_latency_ms" (flat_key k) h)
-    (Metrics.histograms m);
-  (match rollup with
-  | Some r ->
-      List.iter
-        (fun level ->
-          List.iter
-            (fun (k, h) ->
-              prom_histogram buf "v_latency_ms" (rollup_key level k) h)
-            (Rollup.histograms r level))
-        levels
-  | None -> ());
+  each
+    (fun level -> Metrics.histograms ~level m)
+    (fun l h -> prom_histogram buf "v_latency_ms" l h);
   Buffer.contents buf
 
-(* The scale-telemetry status: sampling, rollup key pressure and
+(* The scale-telemetry status: sampling, key pressure and
    time-series refusals, health gauges refreshed first like every
    export. *)
 let pp_telemetry_status ppf hub =
-  match Hub.rollup hub with
-  | None -> Fmt.pf ppf "telemetry off (flat metrics only)@."
-  | Some r ->
-      refresh_health hub;
-      Fmt.pf ppf
-        "telemetry on: tracing 1-in-%d (%d sampled out), rollup %d key(s), \
-         %d observation(s) dropped by the leaf cap@."
-        (Hub.sample_every hub) (Hub.sampled_out hub) (Rollup.key_count r)
-        (Rollup.keys_dropped r);
-      Option.iter
-        (fun ts ->
-          Fmt.pf ppf "time series: %d series, %d refused by the cap@."
-            (Timeseries.series_count ts)
-            (Timeseries.series_dropped ts))
-        (Hub.timeseries hub)
+  let m = Hub.metrics hub in
+  if not (Metrics.grouped m) then
+    Fmt.pf ppf "telemetry off (flat metrics only)@."
+  else begin
+    refresh_health hub;
+    Fmt.pf ppf
+      "telemetry on: tracing 1-in-%d (%d sampled out), rollup %d key(s), %d \
+       observation(s) dropped by the leaf cap@."
+      (Hub.sample_every hub) (Hub.sampled_out hub) (Metrics.key_count m)
+      (Metrics.keys_dropped m);
+    Option.iter
+      (fun ts ->
+        Fmt.pf ppf "time series: %d series, %d refused by the cap@."
+          (Timeseries.series_count ts)
+          (Timeseries.series_dropped ts))
+      (Hub.timeseries hub)
+  end

@@ -1,5 +1,4 @@
-(* Fixed-bucket histograms with mergeable state and optional exemplar
-   reservoirs.
+(* Fixed-bucket histograms with optional exemplar reservoirs.
 
    [bounds] are strictly increasing bucket upper bounds; [counts] has
    one extra slot for the overflow bucket. Observed extrema are kept so
@@ -10,10 +9,6 @@
    the spec-mandated "+Inf" — that is a wire-format obligation, not a
    different answer.
 
-   Two histograms built with the same bounds can be merged ([merge]),
-   which is what lets per-host observations roll up into per-edge and
-   fleet aggregates without keeping raw samples.
-
    Exemplars: when created with [exemplar_slots > 0], each bucket keeps
    a reservoir of up to that many (trace id, value) pairs, maintained
    with Vitter's algorithm R over a caller-supplied {!Srand} stream so
@@ -21,13 +16,15 @@
 
 type exemplar = { trace : int; value : float }
 
+(* A record of floats only stores them unboxed, so a sample allocates
+   nothing. *)
+type stats = { mutable sum : float; mutable lo : float; mutable hi : float }
+
 type t = {
   bounds : float array;
   counts : int array;
   mutable n : int;
-  mutable sum : float;
-  mutable lo : float;
-  mutable hi : float;
+  stats : stats;
   slots : int;  (* exemplar reservoir capacity per bucket; 0 = off *)
   ex : exemplar array array;  (* one row per bucket when slots > 0 *)
   ex_fill : int array;  (* valid prefix length of each reservoir row *)
@@ -56,9 +53,7 @@ let create ?(bounds = default_bounds) ?(exemplar_slots = 0) () =
     bounds;
     counts = Array.make nbuckets 0;
     n = 0;
-    sum = 0.0;
-    lo = infinity;
-    hi = neg_infinity;
+    stats = { sum = 0.0; lo = infinity; hi = neg_infinity };
     slots = exemplar_slots;
     ex =
       (if exemplar_slots = 0 then [||]
@@ -70,14 +65,11 @@ let create ?(bounds = default_bounds) ?(exemplar_slots = 0) () =
 let bounds t = Array.copy t.bounds
 let raw_counts t = Array.copy t.counts
 
-let bucket_of t x =
-  (* Linear scan: bucket counts are small and fixed. *)
-  let rec find i =
-    if i >= Array.length t.bounds then i
-    else if x <= t.bounds.(i) then i
-    else find (i + 1)
-  in
-  find 0
+(* Linear scan: bucket counts are small and fixed. *)
+let rec bucket_of (bounds : float array) (x : float) i =
+  if i >= Array.length bounds then i
+  else if x <= bounds.(i) then i
+  else bucket_of bounds x (i + 1)
 
 (* Reservoir sampling (algorithm R): the b-th bucket keeps each of its
    candidates with probability slots/seen, so the reservoir is a uniform
@@ -94,30 +86,30 @@ let offer_exemplar t b ~trace ~rand x =
     if j < t.slots then row.(j) <- { trace; value = x }
 
 let observe ?trace ?rand t x =
-  let b = bucket_of t x in
+  let b = bucket_of t.bounds x 0 in
   t.counts.(b) <- t.counts.(b) + 1;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x;
+  t.stats.sum <- t.stats.sum +. x;
+  if x < t.stats.lo then t.stats.lo <- x;
+  if x > t.stats.hi then t.stats.hi <- x;
   if t.slots > 0 then
     match (trace, rand) with
     | Some trace, Some rand when trace > 0 -> offer_exemplar t b ~trace ~rand x
     | _ -> ()
 
 let count t = t.n
-let sum t = t.sum
-let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
-let min_ t = if t.n = 0 then nan else t.lo
-let max_ t = if t.n = 0 then nan else t.hi
+let sum t = t.stats.sum
+let mean t = if t.n = 0 then nan else t.stats.sum /. float_of_int t.n
+let min_ t = if t.n = 0 then nan else t.stats.lo
+let max_ t = if t.n = 0 then nan else t.stats.hi
 
 (* Lower edge of bucket [b], clamped to the observed minimum for the
    first occupied bucket; upper edge clamped to the observed maximum
    for the overflow bucket. *)
 let bucket_edges t b =
-  let lower = if b = 0 then t.lo else t.bounds.(b - 1) in
-  let upper = if b >= Array.length t.bounds then t.hi else t.bounds.(b) in
-  (Float.max lower t.lo |> Float.min t.hi, Float.min upper t.hi)
+  let lower = if b = 0 then t.stats.lo else t.bounds.(b - 1) in
+  let upper = if b >= Array.length t.bounds then t.stats.hi else t.bounds.(b) in
+  (Float.max lower t.stats.lo |> Float.min t.stats.hi, Float.min upper t.stats.hi)
 
 (* Quantile by linear interpolation inside the bucket holding the
    target rank — the standard estimate for pre-aggregated samples.
@@ -128,7 +120,7 @@ let quantile t q =
   else begin
     let target = q *. float_of_int t.n in
     let rec walk b cum =
-      if b >= Array.length t.counts then t.hi
+      if b >= Array.length t.counts then t.stats.hi
       else begin
         let c = t.counts.(b) in
         let cum' = cum +. float_of_int c in
@@ -143,7 +135,7 @@ let quantile t q =
         else walk (b + 1) cum'
       end
     in
-    walk 0 0.0 |> Float.max t.lo |> Float.min t.hi
+    walk 0 0.0 |> Float.max t.stats.lo |> Float.min t.stats.hi
   end
 
 (* (lower, upper, count) rows for the occupied range. The overflow
@@ -165,37 +157,6 @@ let all_exemplars t =
   if t.slots = 0 then []
   else
     List.concat (List.init (Array.length t.counts) (fun b -> exemplars t b))
-
-(* [merge a b] is a fresh histogram holding both inputs' observations:
-   counts, n and sum add; extrema widen; exemplar reservoirs
-   concatenate and keep the prefix (prefix-truncation of concatenation
-   is associative, so merge order cannot change the result). Both
-   inputs must share bucket bounds — aggregation across differently
-   shaped histograms has no meaningful bucket-wise sum. *)
-let merge a b =
-  if a.bounds <> b.bounds then invalid_arg "Histogram.merge: bounds differ";
-  let slots = Int.max a.slots b.slots in
-  let m = create ~bounds:a.bounds ~exemplar_slots:slots () in
-  Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
-  m.n <- a.n + b.n;
-  m.sum <- a.sum +. b.sum;
-  m.lo <- Float.min a.lo b.lo;
-  m.hi <- Float.max a.hi b.hi;
-  if slots > 0 then
-    Array.iteri
-      (fun bkt _ ->
-        List.iter
-          (fun e ->
-            if m.ex_fill.(bkt) < slots then begin
-              m.ex.(bkt).(m.ex_fill.(bkt)) <- e;
-              m.ex_fill.(bkt) <- m.ex_fill.(bkt) + 1
-            end)
-          (exemplars a bkt @ exemplars b bkt);
-        m.ex_seen.(bkt) <-
-          (if a.slots > 0 then a.ex_seen.(bkt) else 0)
-          + (if b.slots > 0 then b.ex_seen.(bkt) else 0))
-      m.counts;
-  m
 
 let to_json t =
   let nbounds = Array.length t.bounds in
@@ -241,7 +202,7 @@ let to_json t =
   Json.Obj
     [
       ("count", Json.Int t.n);
-      ("sum", Json.Float t.sum);
+      ("sum", Json.Float t.stats.sum);
       ("mean", Json.Float (mean t));
       ("min", Json.Float (min_ t));
       ("max", Json.Float (max_ t));

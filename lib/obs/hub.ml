@@ -1,5 +1,5 @@
 (* The hub is the per-deployment observability handle: it owns trace and
-   span numbering, the bounded span store, the metrics registry, the
+   span numbering, the bounded span store, the metrics store, the
    flight recorder, the event stream every layer reports into
    ({!Stream}), and (when attached) the SLO engine. One hub is shared by
    every host in a simulated internetwork — the point of distributed
@@ -62,8 +62,6 @@ let set_head_sampling t ~every ~seed =
 
 let sample_every t = t.sample_every
 let sampled_out t = t.sampled_out
-let rollup t = Metrics.rollup t.metrics
-let set_rollup t r = Metrics.set_rollup t.metrics r
 let timeseries t = t.timeseries
 let set_timeseries t ts = t.timeseries <- ts
 

@@ -1,5 +1,5 @@
 (** The per-deployment observability handle: trace/span numbering, the
-    bounded span store, the metrics registry, the flight recorder, the
+    bounded span store, the metrics store, the flight recorder, the
     event stream every layer reports into, and (when attached) the SLO
     engine. One hub is shared by every host in a simulated
     internetwork, so spans from different hosts land in one store keyed
@@ -18,6 +18,9 @@ type t
     [span_limit] spans; eviction is tail-based — see {!spans_dropped}. *)
 val create : ?tracing:bool -> ?span_limit:int -> ?event_capacity:int -> unit -> t
 
+(** The metrics store. [Kernel.enable_telemetry] groups it by the
+    kernel's topology and [Kernel.disable_telemetry] ungroups it (see
+    {!Metrics.set_groups}). *)
 val metrics : t -> Metrics.t
 
 (** The hub's flight recorder (disabled until
@@ -54,12 +57,6 @@ val sample_every : t -> int
 
 (** Traces refused by head sampling so far. *)
 val sampled_out : t -> int
-
-(** The rollup attached to this hub's metrics registry, if any
-    (see {!Metrics.set_rollup}). *)
-val rollup : t -> Rollup.t option
-
-val set_rollup : t -> Rollup.t option -> unit
 
 (** The attached time-series store, if any; samplers (the kernel
     telemetry pump) feed it, exporters and [vsh top] read it. *)

@@ -1,42 +1,55 @@
-(* The metrics registry: named counters, gauges and fixed-bucket latency
-   histograms, keyed by (host, server, operation).
+(* The metrics store: counters, gauges and fixed-bucket latency
+   histograms in one table keyed by (level, scope, server, operation).
 
-   The registry is designed for the simulation's hot paths: recording
+   The store is designed for the simulation's hot paths: recording
    never touches simulated time (so instrumented and uninstrumented runs
-   are bit-identical), and a disabled registry reduces every operation
-   to one boolean test. Instruments are created lazily on first use, so
+   are bit-identical), and a disabled store reduces every operation to
+   one boolean test. Instruments are created lazily on first use, so
    call sites need no setup.
 
-   Two storage modes share this one recording API. The default is the
-   original flat mode: one instrument per concrete (host, server, op)
-   triple — unbounded cardinality, fine at demo scale. Attaching a
-   {!Rollup} ([set_rollup]) switches the registry to scale mode: every
-   recording is forwarded to the rollup's leaf/group/fleet tree (host
-   as the leaf scope) and the flat tables stay empty, so key count is
-   governed by the rollup's cap instead of the host count. The flat
-   readers deliberately keep their flat-mode meaning — in rollup mode
-   they report zero/absent, and callers read the rollup instead.
+   Every recording lands at its leaf key (the host is the scope). While
+   a group mapping is installed, it also lands at its group key and at
+   its fleet key. Each leaf entry holds the two entries it fans out to,
+   bound on its first grouped recording, so a keyed recording costs one
+   probe lookup, grouped or not. Aggregation per instrument kind:
+   counters sum; gauges keep the latest reading at the leaf and the
+   running peak at the group and fleet keys (a group's "queue depth" is
+   the worst queue it has seen — summing instantaneous depths across
+   members is meaningless); histograms take the sample at every level.
+   Group and fleet cardinality is O(groups + servers), independent of
+   the host count; while grouped, a new leaf key past [leaf_cap] is
+   refused and counted, and its recordings still reach the aggregates,
+   so fleet totals stay exact while per-leaf detail saturates.
 
    Producers that count in place (the kernel, the wire) register a
    source: every read runs the sources first, so what a reader sees
    includes their counts without anyone flushing. *)
 
+type level = Leaf | Group | Fleet
+
+let level_to_string = function
+  | Leaf -> "leaf"
+  | Group -> "group"
+  | Fleet -> "fleet"
+
 type key = { host : string; server : string; op : string }
 
 let pp_key ppf k = Fmt.pf ppf "%s/%s/%s" k.host k.server k.op
 
-let key_json k =
-  [
-    ("host", Json.String k.host);
-    ("server", Json.String k.server);
-    ("op", Json.String k.op);
-  ]
+let compare_key a b =
+  match String.compare a.host b.host with
+  | 0 -> (
+      match String.compare a.server b.server with
+      | 0 -> String.compare a.op b.op
+      | c -> c)
+  | c -> c
 
-(* The flat tables' own key. It is mutable so that one reused probe per
-   registry can look up any key without allocating; a stored key is
-   always a fresh copy, made when its instrument is created. *)
+(* The table's own key. It is mutable so that one reused probe per
+   store can look up any key without allocating; a stored key is always
+   a fresh copy, made when its entry is created. *)
 type slot = {
-  mutable s_host : string;
+  mutable s_level : level;
+  mutable s_scope : string;
   mutable s_server : string;
   mutable s_op : string;
 }
@@ -45,25 +58,60 @@ module Slots = Hashtbl.Make (struct
   type t = slot
 
   let equal a b =
-    String.equal a.s_op b.s_op
+    a.s_level == b.s_level
+    && String.equal a.s_op b.s_op
     && String.equal a.s_server b.s_server
-    && String.equal a.s_host b.s_host
+    && String.equal a.s_scope b.s_scope
 
   let hash (k : t) = Hashtbl.hash k
 end)
+
+type entry = {
+  key : key;
+  mutable counter : int ref option;
+  mutable gauge : float ref option;
+  mutable hist : Histogram.t option;
+  (* A leaf's fan-out: [unbound] until its first grouped recording,
+     then its group entry ([no_group] when the mapping names none) and
+     its fleet entry. *)
+  mutable group : entry;
+  mutable fleet : entry;
+}
+
+let sentinel () =
+  let rec e =
+    {
+      key = { host = ""; server = ""; op = "" };
+      counter = None;
+      gauge = None;
+      hist = None;
+      group = e;
+      fleet = e;
+    }
+  in
+  e
+
+let unbound = sentinel ()
+let no_group = sentinel ()
+let fleet_scope = "fleet"
+let leaf_cap = 4096
+let exemplar_slots = 2
 
 type t = {
   mutable enabled : bool;
   bounds : float array;
   probe : slot;
-  counters : int ref Slots.t;
-  gauges : float ref Slots.t;
-  histograms : Histogram.t Slots.t;
-  mutable rollup : Rollup.t option;
-  (* Bumped whenever the storage mode changes (rollup attach or
-     detach): handles compare their stamp against this and rebind
-     lazily. *)
-  mutable generation : int;
+  entries : entry Slots.t;
+  mutable leaves : int;
+  mutable keys_dropped : int;
+  mutable group_of : (string -> string option) option;
+  (* Stands in for a leaf key the cap refused: never stored, and its
+     fan-out is bound afresh at each recording. *)
+  refused : entry;
+  (* The exemplar reservoirs' private stream: no workload draws. Held
+     as an option so each sample passes it to [Histogram.observe ?rand]
+     without allocating one. *)
+  rand : Srand.t option;
   mutable sources : (t -> unit) list;  (* in registration order *)
 }
 
@@ -71,12 +119,13 @@ let create ?(bounds = Histogram.default_bounds) () =
   {
     enabled = true;
     bounds;
-    probe = { s_host = ""; s_server = ""; s_op = "" };
-    counters = Slots.create 64;
-    gauges = Slots.create 16;
-    histograms = Slots.create 32;
-    rollup = None;
-    generation = 0;
+    probe = { s_level = Leaf; s_scope = ""; s_server = ""; s_op = "" };
+    entries = Slots.create 128;
+    leaves = 0;
+    keys_dropped = 0;
+    group_of = None;
+    refused = sentinel ();
+    rand = Some (Srand.create ~seed:0x0b5);
     sources = [];
   }
 
@@ -87,171 +136,208 @@ let add_source t f = t.sources <- t.sources @ [ f ]
 (* The scrape: every reader runs it before reading. *)
 let scrape t = List.iter (fun f -> f t) t.sources
 
-let rollup t =
-  scrape t;
-  t.rollup
+(* A new mapping may group a leaf differently: every leaf rebinds on
+   its next grouped recording. *)
+let set_groups t group_of =
+  t.group_of <- group_of;
+  Slots.iter
+    (fun _ e ->
+      e.group <- unbound;
+      e.fleet <- unbound)
+    t.entries
 
-let set_rollup t r =
-  t.rollup <- r;
-  t.generation <- t.generation + 1
+let grouped t = Option.is_some t.group_of
 
 (* The probe, pointed at one key. Valid until the next call. *)
-let probe t ~host ~server ~op =
+let probe t level ~scope ~server ~op =
   let p = t.probe in
-  p.s_host <- host;
+  p.s_level <- level;
+  p.s_scope <- scope;
   p.s_server <- server;
   p.s_op <- op;
   p
 
-let stored p = { s_host = p.s_host; s_server = p.s_server; s_op = p.s_op }
-let key_of_slot s = { host = s.s_host; server = s.s_server; op = s.s_op }
+let add t p =
+  let e =
+    {
+      key = { host = p.s_scope; server = p.s_server; op = p.s_op };
+      counter = None;
+      gauge = None;
+      hist = None;
+      group = unbound;
+      fleet = unbound;
+    }
+  in
+  Slots.add t.entries
+    {
+      s_level = p.s_level;
+      s_scope = p.s_scope;
+      s_server = p.s_server;
+      s_op = p.s_op;
+    }
+    e;
+  e
 
-let flat_counter_cell t ~host ~server ~op =
-  let p = probe t ~host ~server ~op in
-  match Slots.find t.counters p with
-  | r -> r
-  | exception Not_found ->
-      let r = ref 0 in
-      Slots.add t.counters (stored p) r;
-      r
+(* The leaf entry of a key, made on first use; while grouped, a new
+   key past the cap is refused and gets the stand-in. *)
+let leaf t ~host ~server ~op =
+  let p = probe t Leaf ~scope:host ~server ~op in
+  match Slots.find t.entries p with
+  | e -> e
+  | exception Not_found -> (
+      match t.group_of with
+      | Some _ when t.leaves >= leaf_cap ->
+          t.keys_dropped <- t.keys_dropped + 1;
+          t.refused
+      | _ ->
+          t.leaves <- t.leaves + 1;
+          add t p)
 
-let flat_histogram_cell t ~host ~server ~op =
-  let p = probe t ~host ~server ~op in
-  match Slots.find t.histograms p with
-  | h -> h
-  | exception Not_found ->
-      let h = Histogram.create ~bounds:t.bounds () in
-      Slots.add t.histograms (stored p) h;
-      h
+(* Group and fleet keys are always admitted: their cardinality is
+   bounded by the mapping, not by the host count. *)
+let aggregate t level ~scope ~server ~op =
+  let p = probe t level ~scope ~server ~op in
+  match Slots.find t.entries p with e -> e | exception Not_found -> add t p
+
+(* Bind a leaf's fan-out, group before fleet. *)
+let fan_out t group_of e ~host ~server ~op =
+  if e.fleet == unbound || e == t.refused then begin
+    e.group <-
+      (match group_of host with
+      | Some g -> aggregate t Group ~scope:g ~server ~op
+      | None -> no_group);
+    e.fleet <- aggregate t Fleet ~scope:fleet_scope ~server ~op
+  end
+
+let count e by =
+  match e.counter with
+  | Some r -> r := !r + by
+  | None -> e.counter <- Some (ref by)
 
 let incr ?(by = 1) t ~host ~server ~op =
-  if t.enabled then
-    match t.rollup with
-    | Some r -> Rollup.incr ~by r ~leaf:host ~server ~op
-    | None ->
-        let cell = flat_counter_cell t ~host ~server ~op in
-        cell := !cell + by
+  if t.enabled then begin
+    let e = leaf t ~host ~server ~op in
+    if e != t.refused then count e by;
+    match t.group_of with
+    | None -> ()
+    | Some group_of ->
+        fan_out t group_of e ~host ~server ~op;
+        if e.group != no_group then count e.group by;
+        count e.fleet by
+  end
+
+let gauge e ~peak v =
+  match e.gauge with
+  | Some r -> if (not peak) || v > !r then r := v
+  | None -> e.gauge <- Some (ref v)
 
 let set_gauge t ~host ~server ~op v =
-  if t.enabled then
-    match t.rollup with
-    | Some r -> Rollup.set_gauge r ~leaf:host ~server ~op v
-    | None -> (
-        let p = probe t ~host ~server ~op in
-        match Slots.find t.gauges p with
-        | r -> r := v
-        | exception Not_found -> Slots.add t.gauges (stored p) (ref v))
+  if t.enabled then begin
+    let e = leaf t ~host ~server ~op in
+    if e != t.refused then gauge e ~peak:false v;
+    match t.group_of with
+    | None -> ()
+    | Some group_of ->
+        fan_out t group_of e ~host ~server ~op;
+        if e.group != no_group then gauge e.group ~peak:true v;
+        gauge e.fleet ~peak:true v
+  end
+
+let sample ?trace t e v =
+  let h =
+    match e.hist with
+    | Some h -> h
+    | None ->
+        let exemplar_slots =
+          match t.group_of with None -> 0 | Some _ -> exemplar_slots
+        in
+        let h = Histogram.create ~bounds:t.bounds ~exemplar_slots () in
+        e.hist <- Some h;
+        h
+  in
+  Histogram.observe ?trace ?rand:t.rand h v
 
 let observe ?trace t ~host ~server ~op v =
-  if t.enabled then
-    match t.rollup with
-    | Some r -> Rollup.observe ?trace r ~leaf:host ~server ~op v
-    | None ->
-        Histogram.observe ?trace (flat_histogram_cell t ~host ~server ~op) v
-
-(* --- observer handles: the recording hot path --- *)
-
-(* A handle caches where its histogram lives — a flat cell, or a
-   rollup route — so per-operation call sites pay pointer work instead
-   of key hashing. The binding is lazy and generation-stamped:
-   attaching or detaching a rollup bumps [generation], and every
-   handle transparently rebinds on its next recording. *)
-
-type observer = {
-  ob_t : t;
-  ob_host : string;
-  ob_server : string;
-  ob_op : string;
-  mutable ob_gen : int;
-  mutable ob_flat : Histogram.t option;
-  mutable ob_route : Rollup.observe_route option;
-}
-
-let observer t ~host ~server ~op =
-  {
-    ob_t = t;
-    ob_host = host;
-    ob_server = server;
-    ob_op = op;
-    ob_gen = t.generation - 1;
-    ob_flat = None;
-    ob_route = None;
-  }
-
-let bind_observer o =
-  let t = o.ob_t in
-  o.ob_gen <- t.generation;
-  match t.rollup with
-  | Some r ->
-      o.ob_flat <- None;
-      o.ob_route <-
-        Some
-          (Rollup.observe_route r ~leaf:o.ob_host ~server:o.ob_server
-             ~op:o.ob_op)
-  | None ->
-      o.ob_route <- None;
-      o.ob_flat <-
-        Some
-          (flat_histogram_cell t ~host:o.ob_host ~server:o.ob_server
-             ~op:o.ob_op)
-
-let record ?trace o v =
-  let t = o.ob_t in
   if t.enabled then begin
-    if o.ob_gen <> t.generation then bind_observer o;
-    match o.ob_route with
-    | Some r -> Rollup.route_observe ?trace r v
-    | None -> (
-        match o.ob_flat with
-        | Some h -> Histogram.observe ?trace h v
-        | None -> ())
+    let e = leaf t ~host ~server ~op in
+    if e != t.refused then sample ?trace t e v;
+    match t.group_of with
+    | None -> ()
+    | Some group_of ->
+        fan_out t group_of e ~host ~server ~op;
+        if e.group != no_group then sample ?trace t e.group v;
+        sample ?trace t e.fleet v
   end
 
 let counter_value t ~host ~server ~op =
   scrape t;
-  match Slots.find t.counters (probe t ~host ~server ~op) with
-  | r -> !r
-  | exception Not_found -> 0
+  match Slots.find t.entries (probe t Leaf ~scope:host ~server ~op) with
+  | { counter = Some r; _ } -> !r
+  | _ | (exception Not_found) -> 0
 
 let histogram t ~host ~server ~op =
   scrape t;
-  Slots.find_opt t.histograms (probe t ~host ~server ~op)
+  match Slots.find t.entries (probe t Leaf ~scope:host ~server ~op) with
+  | e -> e.hist
+  | exception Not_found -> None
 
-let compare_key a b =
-  match String.compare a.host b.host with
-  | 0 -> (
-      match String.compare a.server b.server with
-      | 0 -> String.compare a.op b.op
-      | c -> c)
-  | c -> c
-
-let sorted_bindings t tbl value =
+let rows ?(level = Leaf) t cell =
   scrape t;
-  Slots.fold (fun k v acc -> (key_of_slot k, value v) :: acc) tbl []
+  Slots.fold
+    (fun s e acc ->
+      if s.s_level != level then acc
+      else match cell e with Some v -> (e.key, v) :: acc | None -> acc)
+    t.entries []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
-let counters t = sorted_bindings t t.counters ( ! )
-let gauges t = sorted_bindings t t.gauges ( ! )
-let histograms t = sorted_bindings t t.histograms Fun.id
+let counters ?level t = rows ?level t (fun e -> Option.map ( ! ) e.counter)
+let gauges ?level t = rows ?level t (fun e -> Option.map ( ! ) e.gauge)
+let histograms ?level t = rows ?level t (fun e -> e.hist)
 
-let to_json t =
-  let instrument extra k = Json.Obj (key_json k @ extra) in
+let key_count t =
+  scrape t;
+  Slots.length t.entries
+
+let keys_dropped t =
+  scrape t;
+  t.keys_dropped
+
+let level_json t level ~scope =
+  let instrument extra (k : key) =
+    Json.Obj
+      ([
+         (scope, Json.String k.host);
+         ("server", Json.String k.server);
+         ("op", Json.String k.op);
+       ]
+      @ extra)
+  in
   Json.Obj
     [
       ( "counters",
         Json.List
           (List.map
              (fun (k, v) -> instrument [ ("value", Json.Int v) ] k)
-             (counters t)) );
+             (counters ~level t)) );
       ( "gauges",
         Json.List
           (List.map
              (fun (k, v) -> instrument [ ("value", Json.Float v) ] k)
-             (gauges t)) );
+             (gauges ~level t)) );
       ( "histograms",
         Json.List
           (List.map
-             (fun (k, h) ->
-               instrument [ ("histogram", Histogram.to_json h) ] k)
-             (histograms t)) );
+             (fun (k, h) -> instrument [ ("histogram", Histogram.to_json h) ] k)
+             (histograms ~level t)) );
+    ]
+
+let to_json t = level_json t Leaf ~scope:"host"
+
+let levels_to_json t =
+  Json.Obj
+    [
+      ("key_count", Json.Int (key_count t));
+      ("keys_dropped", Json.Int (keys_dropped t));
+      ("group", level_json t Group ~scope:"scope");
+      ("fleet", level_json t Fleet ~scope:"scope");
     ]

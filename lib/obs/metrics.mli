@@ -1,22 +1,36 @@
-(** The metrics registry: counters, gauges and fixed-bucket latency
-    histograms keyed by (host, server, operation).
+(** The metrics store: counters, gauges and fixed-bucket latency
+    histograms keyed by (level, scope, server, operation).
+
+    Every recording lands at its leaf key, whose scope is the
+    recording's host. While a group mapping is installed (see
+    {!set_groups}; [Kernel.enable_telemetry] installs the kernel's
+    topology mapping and [Kernel.disable_telemetry] removes it), the
+    recording also lands at its group key (the leaf's group, when the
+    mapping names one) and at its fleet key (scope ["fleet"]), so fleet
+    totals are exact and group cardinality is O(groups + servers):
+    - counters sum at every level;
+    - a gauge keeps the latest reading at the leaf and the peak at the
+      group and fleet keys;
+    - a histogram made while grouped keeps two exemplar slots per
+      bucket, filled from a private {!Srand} stream;
+    - a new leaf key past {!leaf_cap} is refused, counted in
+      {!keys_dropped}, and still aggregated.
 
     Recording never touches simulated time, so instrumented and
-    uninstrumented runs produce bit-identical results; a disabled
-    registry reduces every recording call to one boolean test.
-    Instruments are created lazily on first use.
+    uninstrumented runs produce bit-identical results; a disabled store
+    reduces every recording call to one boolean test. Instruments are
+    created lazily on first use.
 
-    Two storage modes share the recording API. Flat mode (the default)
-    keeps one instrument per concrete key — unbounded cardinality, fine
-    below fleet scale. Attaching a {!Rollup} via {!set_rollup} forwards
-    every recording into the rollup's leaf/group/fleet tree (host as
-    leaf scope) instead; the flat tables then stay empty and the flat
-    readers report zero/absent — at scale, read the rollup.
+    Every reader ({!counter_value} to {!levels_to_json}) first runs the
+    registered sources, so counts a producer keeps in place are in the
+    store whenever anyone looks. *)
 
-    Every reader ({!counter_value} to {!to_json}, and {!rollup}) first runs
-    the registered sources, so counts a producer keeps in place are in
-    the registry whenever anyone looks. *)
+type level = Leaf | Group | Fleet
 
+val level_to_string : level -> string
+
+(** A key within one level: [host] is the scope — the host at the leaf
+    level, the group at the group level, ["fleet"] at the fleet level. *)
 type key = { host : string; server : string; op : string }
 
 val pp_key : Format.formatter -> key -> unit
@@ -28,58 +42,57 @@ val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 (** [add_source t f] registers a producer that keeps counts outside the
-    registry: every read runs [f t] first (sources in registration
-    order), and [f] moves the producer's counts in. *)
+    store: every read runs [f t] first (sources in registration order),
+    and [f] moves the producer's counts in. *)
 val add_source : t -> (t -> unit) -> unit
 
-(** The attached rollup, if the registry is in scale mode — a reader:
-    the sources run first. *)
-val rollup : t -> Rollup.t option
+(** [set_groups t (Some group_of)] installs a group mapping: from now on
+    every recording also lands at the group [group_of host] names
+    ([None]: the fleet only) and at the fleet. [set_groups t None]
+    removes it; the group and fleet keys keep what they hold. *)
+val set_groups : t -> (string -> string option) option -> unit
 
-(** [set_rollup t (Some r)] switches the registry to scale mode: all
-    subsequent recordings land in [r] rather than the flat tables.
-    [set_rollup t None] returns to flat mode. *)
-val set_rollup : t -> Rollup.t option -> unit
+(** Whether a group mapping is installed. *)
+val grouped : t -> bool
 
-(** Recording. All are no-ops when the registry is disabled. *)
+(** The most leaf keys a grouped store admits: 4,096. *)
+val leaf_cap : int
+
+(** Recording. All are no-ops when the store is disabled. *)
 
 val incr : ?by:int -> t -> host:string -> server:string -> op:string -> unit
 val set_gauge : t -> host:string -> server:string -> op:string -> float -> unit
 
-(** [observe ?trace t ~host ~server ~op v] records a histogram sample;
-    in rollup mode a positive [trace] id is offered to the bucket's
-    exemplar reservoir when the rollup keeps exemplars. *)
+(** [observe ?trace t ~host ~server ~op v] records a histogram sample; a
+    positive [trace] id is offered to the bucket's exemplar reservoir of
+    every histogram that keeps exemplars. *)
 val observe :
   ?trace:int -> t -> host:string -> server:string -> op:string -> float -> unit
 
-(** {1 Observer handles — the recording hot path}
+(** Reading. *)
 
-    An observer caches where its histogram lives (a flat cell or a
-    rollup route), so recording through it is pointer work — no key
-    construction, no hashing, no group lookup. Observers survive mode
-    changes: attaching or detaching a rollup invalidates cached
-    bindings, and an observer transparently rebinds on its next
-    recording. *)
-
-type observer
-
-val observer : t -> host:string -> server:string -> op:string -> observer
-
-(** [record ?trace o v] records a histogram sample through the handle;
-    semantics match {!observe}. *)
-val record : ?trace:int -> observer -> float -> unit
-
-(** Reading (flat mode; in rollup mode these report zero/absent). *)
-
-(** [counter_value] is 0 for a counter never incremented. *)
+(** [counter_value] is 0 for a leaf counter never incremented. *)
 val counter_value : t -> host:string -> server:string -> op:string -> int
 
-val histogram : t -> host:string -> server:string -> op:string -> Histogram.t option
+(** The leaf histogram of a key, if any sample landed there. *)
+val histogram :
+  t -> host:string -> server:string -> op:string -> Histogram.t option
 
-(** All instruments, sorted by (host, server, op). *)
+(** All instruments of one level (default [Leaf]), sorted by key. *)
 
-val counters : t -> (key * int) list
-val gauges : t -> (key * float) list
-val histograms : t -> (key * Histogram.t) list
+val counters : ?level:level -> t -> (key * int) list
+val gauges : ?level:level -> t -> (key * float) list
+val histograms : ?level:level -> t -> (key * Histogram.t) list
 
+(** Keys held across all levels. *)
+val key_count : t -> int
+
+(** Recordings refused a new leaf key by {!leaf_cap}. *)
+val keys_dropped : t -> int
+
+(** The leaf level: instruments labelled (host, server, op). *)
 val to_json : t -> Json.t
+
+(** The key count, the drops and the group and fleet levels, their
+    instruments labelled (scope, server, op). *)
+val levels_to_json : t -> Json.t

@@ -9,14 +9,8 @@
    read the process clock around [run], but only to report events/sec;
    no simulated behaviour depends on it.)
 
-   Two interchangeable queue backends implement the same (time, seq)
-   total order: the hierarchical timer wheel (default — O(1) push and
-   cancel, tuned for the kernel's cancel-heavy retransmission timers)
-   and the original binary heap, kept as the oracle the wheel is
-   property-tested against and as the baseline the engine-throughput
-   bench (e12) measures speedup over. *)
-
-type backend = Wheel_queue | Heap_queue
+   The queue is a hierarchical timer wheel ({!Wheel}): O(1) push and
+   cancel, tuned for the kernel's cancel-heavy retransmission timers. *)
 
 (* A cancellable handle on a scheduled event. *)
 type timer = (unit -> unit) Wheel.node
@@ -26,12 +20,7 @@ type t = {
   mutable next_seq : int;
   mutable executed : int;
   mutable running : bool;
-  backend : backend;
   wheel : (unit -> unit) Wheel.t;
-  heap : (unit -> unit) Wheel.node Heap.t;
-  (* The heap backend tracks liveness itself; the wheel keeps its own. *)
-  mutable heap_live : int;
-  mutable heap_cancelled : int;
   (* Last-run throughput, for `vsh engine stats` and the bench harness:
      events executed by the most recent [run] and the CPU seconds it
      took. *)
@@ -49,49 +38,29 @@ let global_executed () = !global_executed_events
 
 exception Time_went_backwards of { now : float; requested : float }
 
-let create ?(backend = Wheel_queue) () =
+let create () =
   {
     now = 0.0;
     next_seq = 0;
     executed = 0;
     running = false;
-    backend;
     wheel = Wheel.create ();
-    heap = Heap.create ~compare:Wheel.compare_node;
-    heap_live = 0;
-    heap_cancelled = 0;
     run_start_events = 0;
     run_start_cpu = 0.0;
     last_run_events = 0;
     last_run_cpu_s = 0.0;
   }
 
-let backend t = t.backend
 let now t = t.now
-
-let pending t =
-  match t.backend with
-  | Wheel_queue -> Wheel.length t.wheel
-  | Heap_queue -> t.heap_live
-
+let pending t = Wheel.length t.wheel
 let executed t = t.executed
-
-let cancelled_timers t =
-  match t.backend with
-  | Wheel_queue -> Wheel.cancelled t.wheel
-  | Heap_queue -> t.heap_cancelled
+let cancelled_timers t = Wheel.cancelled t.wheel
 
 let timer_at t time action =
   if time < t.now then raise (Time_went_backwards { now = t.now; requested = time });
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  match t.backend with
-  | Wheel_queue -> Wheel.push t.wheel ~time ~seq action
-  | Heap_queue ->
-      let node = Wheel.make ~time ~seq action in
-      Heap.push t.heap node;
-      t.heap_live <- t.heap_live + 1;
-      node
+  Wheel.push t.wheel ~time ~seq action
 
 let timer ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
@@ -103,14 +72,7 @@ let timer ?(delay = 0.0) t action =
 let cancelled_action () = ()
 
 let cancel t handle =
-  match t.backend with
-  | Wheel_queue ->
-      ignore (Wheel.cancel t.wheel handle ~blank:cancelled_action : bool)
-  | Heap_queue ->
-      if Wheel.kill handle ~blank:cancelled_action then begin
-        t.heap_live <- t.heap_live - 1;
-        t.heap_cancelled <- t.heap_cancelled + 1
-      end
+  ignore (Wheel.cancel t.wheel handle ~blank:cancelled_action : bool)
 
 let schedule_at t time action = ignore (timer_at t time action : timer)
 
@@ -118,51 +80,18 @@ let schedule ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t (t.now +. delay) action
 
-(* Is a live event left? Dead ones (cancelled timers) are skipped. The
-   wheel drops them in bulk as its cursor moves and answers without
-   allocating, so the dispatch loop below costs no words per event. The
-   heap drops its dead nodes here, one pop each, through its option API:
-   it is the oracle and E12's baseline, so it keeps its old cost. *)
-let rec has_next t =
-  match t.backend with
-  | Wheel_queue -> Wheel.settle t.wheel
-  | Heap_queue -> (
-      match Heap.peek t.heap with
-      | None -> false
-      | Some node when Wheel.live node -> true
-      | Some _ ->
-          ignore (Heap.pop t.heap : timer option);
-          has_next t)
-
-(* The next live event; [has_next t] must have returned true. *)
-let next_node t =
-  match t.backend with
-  | Wheel_queue -> Wheel.next t.wheel
-  | Heap_queue -> (
-      match Heap.peek t.heap with
-      | Some node -> node
-      | None -> invalid_arg "Engine: no pending event")
-
-let pop_node t =
-  match t.backend with
-  | Wheel_queue -> Wheel.take t.wheel
-  | Heap_queue ->
-      let node = next_node t in
-      ignore (Heap.pop t.heap : timer option);
-      ignore (Wheel.consume node : bool);
-      t.heap_live <- t.heap_live - 1;
-      node
-
 let execute t node =
   t.now <- Wheel.time node;
   t.executed <- t.executed + 1;
   incr global_executed_events;
   (Wheel.value node) ()
 
+(* The wheel skips dead nodes (cancelled timers) and answers without
+   allocating, so the dispatch loop below costs no words per event. *)
 let step t =
-  has_next t
+  Wheel.settle t.wheel
   && begin
-       execute t (pop_node t);
+       execute t (Wheel.take t.wheel);
        true
      end
 
@@ -174,11 +103,11 @@ let run ?until ?max_events t =
   let budget = ref (match max_events with None -> max_int | Some n -> n) in
   let continue () =
     !budget > 0
-    && has_next t
+    && Wheel.settle t.wheel
     &&
     match until with
     | None -> true
-    | Some limit -> Wheel.time (next_node t) <= limit
+    | Some limit -> Wheel.time (Wheel.next t.wheel) <= limit
   in
   let finally () =
     t.running <- false;
@@ -188,7 +117,7 @@ let run ?until ?max_events t =
   (try
      while continue () do
        decr budget;
-       execute t (pop_node t)
+       execute t (Wheel.take t.wheel)
      done
    with e ->
      finally ();

@@ -4,25 +4,16 @@
     reproduction, matching the units the paper reports. Events scheduled
     for the same instant execute in scheduling order.
 
-    The queue behind the engine is one of two backends implementing the
-    same (time, seq) total order: the hierarchical timer wheel
-    ({!Wheel}, the default — O(1) scheduling and cancellation) or the
-    original binary heap, kept as the property-test oracle and the
-    throughput-bench baseline. A run's event order is identical on
-    either. *)
+    The queue behind the engine is a hierarchical timer wheel
+    ({!Wheel}): O(1) scheduling and cancellation, in the (time, seq)
+    order a binary heap over the same keys gives. *)
 
 type t
-
-type backend =
-  | Wheel_queue  (** hierarchical timer wheel (default) *)
-  | Heap_queue  (** binary heap: the oracle/baseline backend *)
 
 (** Raised by [schedule_at] when asked to schedule in the past. *)
 exception Time_went_backwards of { now : float; requested : float }
 
-val create : ?backend:backend -> unit -> t
-
-val backend : t -> backend
+val create : unit -> t
 
 (** Current simulated time (ms). *)
 val now : t -> float

@@ -15,9 +15,9 @@
 
    Ordering and determinism: ticks only bucket. When the cursor reaches
    a slot, its events move into a small binary [ready] heap ordered by
-   the exact (time, seq) key — the same total order the engine's binary
-   heap used — so events executing out of one tick preserve scheduling
-   order, and E1-E11 replay bit-identically on either queue. Events
+   the exact (time, seq) key — the same total order a binary heap over
+   the same keys gives — so events executing out of one tick preserve
+   scheduling order. Events
    scheduled at or before the cursor's tick (the cursor may sit ahead
    of simulated now after a peek) go straight to the ready heap, which
    keeps the global order exact in that case too.
@@ -47,9 +47,7 @@ type 'a node = {
 
 let make ~time ~seq v = { n_time = time; n_seq = seq; n_value = v; n_live = true }
 let time n = n.n_time
-let seq n = n.n_seq
 let value n = n.n_value
-let live n = n.n_live
 
 (* Mark a node dead; true if it was live. Used both for cancellation
    and for consuming a popped node (so cancelling an already-fired

@@ -1,6 +1,6 @@
 (** Hierarchical timer wheel with O(1) cancellation.
 
-    The engine's default event queue: five levels of 32 slots bucket
+    The engine's event queue: five levels of 32 slots bucket
     events by tick distance from a cursor, an overflow list catches
     events beyond the top level's span, and a small binary heap orders
     the currently-due bucket by the exact (time, seq) key — so the
@@ -58,24 +58,7 @@ val next : 'a t -> 'a node
     none is left. *)
 val take : 'a t -> 'a node
 
-(** {1 Nodes}
-
-    [make]/[consume] exist so an alternative queue (the binary-heap
-    test oracle) can store the same nodes and share cancellation
-    semantics. *)
+(** {1 Nodes} *)
 
 val time : 'a node -> float
-val seq : 'a node -> int
 val value : 'a node -> 'a
-val live : 'a node -> bool
-val compare_node : 'a node -> 'a node -> int
-
-(** A live node not yet in any wheel. *)
-val make : time:float -> seq:int -> 'a -> 'a node
-
-(** Mark a node dead; [true] if it was live. *)
-val consume : 'a node -> bool
-
-(** [consume], and if the node was live, replace its value by [blank]:
-    [cancel] without the wheel's counters. *)
-val kill : 'a node -> blank:'a -> bool

@@ -254,6 +254,43 @@ let test_metrics_incr () =
   Alcotest.(check int) "every increment counted" (n + 1)
     (Metrics.counter_value m ~host ~server ~op:"lookup")
 
+(* With a group mapping installed, a keyed recording lands at the leaf,
+   its group and the fleet through the cells its leaf entry holds: an
+   increment allocates no more than the flat one, and an untraced sample
+   no more than the flat sample (a boxed option per call would show). *)
+let test_grouped_metrics () =
+  let host = "ws0" and server = "ws0-prefix-server" in
+  let grouped () =
+    let m = Metrics.create () in
+    Metrics.set_groups m (Some (fun _ -> Some "edge0"));
+    m
+  in
+  let m = grouped () in
+  Metrics.incr m ~host ~server ~op:"lookup";
+  let n = 10_000 in
+  gate "grouped keyed Metrics.incr on an existing key" ~ceiling:1.0
+    (words_per ~units:n (fun () ->
+         for _ = 1 to n do
+           Metrics.incr m ~host ~server ~op:"lookup"
+         done));
+  Alcotest.(check (list int))
+    "every increment counted at every level" [ n + 1; n + 1; n + 1 ]
+    (List.map
+       (fun level ->
+         List.fold_left (fun acc (_, v) -> acc + v) 0 (Metrics.counters ~level m))
+       [ Metrics.Leaf; Metrics.Group; Metrics.Fleet ]);
+  let observe_words m =
+    Metrics.observe m ~host ~server ~op:"lookup" 1.5;
+    words_per ~units:n (fun () ->
+        for _ = 1 to n do
+          Metrics.observe m ~host ~server ~op:"lookup" 1.5
+        done)
+  in
+  let flat = observe_words (Metrics.create ()) in
+  gate
+    (Fmt.str "grouped untraced Metrics.observe (flat %.1f)" flat)
+    ~ceiling:flat (observe_words (grouped ()))
+
 (* The naming layer's share of one uncached prefixed Query of a
    five-component name: minor words per Query, less those of the same
    CPU charges and IPC (a local send to a stand-in prefix server, a
@@ -390,6 +427,7 @@ let suite =
         Alcotest.test_case "Csnh.walk" `Quick test_walk;
         Alcotest.test_case "Name_cache.find" `Quick test_cache_find;
         Alcotest.test_case "Metrics.incr" `Quick test_metrics_incr;
+        Alcotest.test_case "grouped Metrics" `Quick test_grouped_metrics;
         Alcotest.test_case "Query naming share" `Quick test_query_naming_share;
         Alcotest.test_case "upper-layer report" `Quick test_upper_report;
       ] );

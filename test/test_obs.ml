@@ -234,7 +234,14 @@ let test_metrics_registry () =
    server and an op; each field is passed either as the shared literal
    or as a fresh copy, so lookups cannot lean on physical equality.
    [Add] counts in place behind a registered source, which every read
-   must scrape in before it reports. *)
+   must scrape in before it reports. A group mapping goes in part-way
+   (ws0 and ws1 group as "ws", x has no group): from then on every
+   recording also lands at its group and the fleet, where counters sum
+   and gauges keep their peak. A second mapping may replace it later
+   (ws0 alone, x alone, ws1 in no group), which every leaf must follow.
+   With [fill], leaf keys made before the first mapping leave room for
+   nine more under the cap, so later new leaf keys are refused, counted
+   and still aggregated. *)
 type mop =
   | Incr of (int * bool) * int
   | Gauge of (int * bool) * float
@@ -254,6 +261,9 @@ let key_strings (k, copy) =
   ( pick hosts k,
     pick servers (k / Array.length hosts),
     pick ops (k / (Array.length hosts * Array.length servers)) )
+
+let group_of = function "ws0" | "ws1" -> Some "ws" | _ -> None
+let regroup_of = function "ws1" -> None | h -> Some h
 
 let prop_metrics_match_model =
   let key = QCheck.Gen.(pair (int_bound (key_count - 1)) bool) in
@@ -279,9 +289,16 @@ let prop_metrics_match_model =
   in
   QCheck.Test.make ~name:"keyed metrics equal a list model" ~count:300
     (QCheck.make
-       ~print:(fun l -> String.concat "; " (List.map print_op l))
-       QCheck.Gen.(list_size (int_bound 80) gen_op))
-    (fun mops ->
+       ~print:(fun (fill, group_at, regroup_at, l) ->
+         Fmt.str "fill %b, grouped from step %d, regrouped from step %d: %s"
+           fill group_at regroup_at
+           (String.concat "; " (List.map print_op l)))
+       QCheck.Gen.(
+         quad
+           (frequency [ (3, return false); (1, return true) ])
+           (int_bound 80) (int_bound 80)
+           (list_size (int_bound 80) gen_op)))
+    (fun (fill, group_at, regroup_at, mops) ->
       let module M = Vobs.Metrics in
       let module H = Vobs.Histogram in
       let module J = Vobs.Json in
@@ -292,22 +309,77 @@ let prop_metrics_match_model =
             (fun ((host, server, op), by) -> M.incr ~by m ~host ~server ~op)
             (List.rev !pending);
           pending := []);
+      let fillers = if fill then M.leaf_cap - 9 else 0 in
+      for i = 1 to fillers do
+        M.incr m ~host:(Fmt.str "fill%d" i) ~server:"x" ~op:"x"
+      done;
+      (* The model: instruments by (level, key), the leaf keys made, the
+         group and fleet keys made, and the refused recordings. *)
       let counters = ref [] and gauges = ref [] and histograms = ref [] in
+      let leaves = ref [] and aggregates = ref [] and dropped = ref 0 in
+      let mapping = ref None in
+      let targets ((host, server, op) as k) =
+        let leaf =
+          if List.mem k !leaves then [ (M.Leaf, k) ]
+          else if
+            Option.is_some !mapping
+            && fillers + List.length !leaves >= M.leaf_cap
+          then begin
+            incr dropped;
+            []
+          end
+          else begin
+            leaves := k :: !leaves;
+            [ (M.Leaf, k) ]
+          end
+        in
+        match !mapping with
+        | None -> leaf
+        | Some group_of ->
+            let up =
+              (match group_of host with
+              | Some g -> [ (M.Group, (g, server, op)) ]
+              | None -> [])
+              @ [ (M.Fleet, ("fleet", server, op)) ]
+            in
+            List.iter
+              (fun t ->
+                if not (List.mem t !aggregates) then
+                  aggregates := t :: !aggregates)
+              up;
+            leaf @ up
+      in
+      let cell table init t =
+        match List.assoc_opt t !table with
+        | Some c -> c
+        | None ->
+            let c = init () in
+            table := (t, c) :: !table;
+            c
+      in
       let bump k by =
-        match List.assoc_opt k !counters with
-        | Some r -> r := !r + by
-        | None -> counters := (k, ref by) :: !counters
+        List.iter
+          (fun t ->
+            let r = cell counters (fun () -> ref 0) t in
+            r := !r + by)
+          (targets k)
       in
-      let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-      let public l f =
-        List.map (fun ((host, server, op), v) -> ({ M.host; server; op }, f v))
-          (sorted l)
+      let level_rows table level f =
+        List.filter_map
+          (fun ((l, (host, server, op)), v) ->
+            if l = level then Some ({ M.host; server; op }, f v) else None)
+          !table
+        |> List.sort compare
       in
-      let model_json () =
-        let instrument (host, server, op) extra =
+      let is_filler ((k : M.key), _) =
+        String.length k.host > 4 && String.sub k.host 0 4 = "fill"
+      in
+      let store rows = List.filter (fun r -> not (is_filler r)) rows in
+      let level_json level scope =
+        let instrument (k : M.key) extra =
           J.Obj
-            ([ ("host", J.String host); ("server", J.String server);
-               ("op", J.String op) ]
+            ([ (scope, J.String k.host); ("server", J.String k.server);
+               ("op", J.String k.op) ]
             @ extra)
         in
         J.Obj
@@ -315,18 +387,28 @@ let prop_metrics_match_model =
             ( "counters",
               J.List
                 (List.map
-                   (fun (k, r) -> instrument k [ ("value", J.Int !r) ])
-                   (sorted !counters)) );
+                   (fun (k, v) -> instrument k [ ("value", J.Int v) ])
+                   (level_rows counters level ( ! ))) );
             ( "gauges",
               J.List
                 (List.map
-                   (fun (k, r) -> instrument k [ ("value", J.Float !r) ])
-                   (sorted !gauges)) );
+                   (fun (k, v) -> instrument k [ ("value", J.Float v) ])
+                   (level_rows gauges level ( ! ))) );
             ( "histograms",
               J.List
                 (List.map
                    (fun (k, h) -> instrument k [ ("histogram", H.to_json h) ])
-                   (sorted !histograms)) );
+                   (level_rows histograms level Fun.id)) );
+          ]
+      in
+      let model_levels_json () =
+        J.Obj
+          [
+            ( "key_count",
+              J.Int (fillers + List.length !leaves + List.length !aggregates) );
+            ("keys_dropped", J.Int !dropped);
+            ("group", level_json M.Group "scope");
+            ("fleet", level_json M.Fleet "scope");
           ]
       in
       let hist_json l =
@@ -334,6 +416,11 @@ let prop_metrics_match_model =
       in
       List.iteri
         (fun i mop ->
+          if i = group_at then mapping := Some group_of
+          else if i = regroup_at && i > group_at then
+            mapping := Some regroup_of;
+          if i = group_at || (i = regroup_at && i > group_at) then
+            M.set_groups m !mapping;
           (match mop with
           | Incr (k, by) ->
               let host, server, op = key_strings k in
@@ -344,47 +431,67 @@ let prop_metrics_match_model =
                  next read scrapes it in. *)
               pending := (key_strings k, by) :: !pending;
               bump (key_strings (fst k, false)) by
-          | Gauge (k, v) -> (
+          | Gauge (k, v) ->
               let host, server, op = key_strings k in
               M.set_gauge m ~host ~server ~op v;
-              let k = key_strings (fst k, false) in
-              match List.assoc_opt k !gauges with
-              | Some r -> r := v
-              | None -> gauges := (k, ref v) :: !gauges)
+              List.iter
+                (fun ((level, _) as t) ->
+                  match List.assoc_opt t !gauges with
+                  | Some r -> if level = M.Leaf || v > !r then r := v
+                  | None -> gauges := (t, ref v) :: !gauges)
+                (targets (key_strings (fst k, false)))
           | Observe (k, v) ->
               let host, server, op = key_strings k in
               M.observe m ~host ~server ~op v;
-              let k = key_strings (fst k, false) in
-              let h =
-                match List.assoc_opt k !histograms with
-                | Some h -> h
-                | None ->
-                    let h = H.create () in
-                    histograms := (k, h) :: !histograms;
-                    h
-              in
-              H.observe h v);
+              List.iter
+                (fun t -> H.observe (cell histograms (fun () -> H.create ()) t) v)
+                (targets (key_strings (fst k, false))));
           let fail what =
             QCheck.Test.fail_reportf "after step %d (%s): %s differ" i
               (print_op mop) what
           in
-          if M.counters m <> public !counters ( ! ) then fail "counters";
-          if M.gauges m <> public !gauges ( ! ) then fail "gauges";
-          if
-            hist_json (M.histograms m) <> hist_json (public !histograms Fun.id)
-          then fail "histograms";
+          (* With fillers each reader walks four thousand keys, so
+             those runs compare whole levels after the last step only. *)
+          if (not fill) || i = List.length mops - 1 then
+          List.iter
+            (fun level ->
+              let name = M.level_to_string level in
+              if store (M.counters ~level m) <> level_rows counters level ( ! )
+              then fail (name ^ " counters");
+              if store (M.gauges ~level m) <> level_rows gauges level ( ! ) then
+                fail (name ^ " gauges");
+              if
+                hist_json (store (M.histograms ~level m))
+                <> hist_json (level_rows histograms level Fun.id)
+              then fail (name ^ " histograms"))
+            [ M.Leaf; M.Group; M.Fleet ];
           for k = 0 to key_count - 1 do
             let host, server, op = key_strings (k, k land 1 = 0) in
             let expected =
-              match List.assoc_opt (key_strings (k, false)) !counters with
+              match
+                List.assoc_opt (M.Leaf, key_strings (k, false)) !counters
+              with
               | Some r -> !r
               | None -> 0
             in
             if M.counter_value m ~host ~server ~op <> expected then
               fail "counter values"
           done;
-          if J.to_string (M.to_json m) <> J.to_string (model_json ()) then
-            fail "JSON documents")
+          if
+            (not fill)
+            && J.to_string (M.to_json m)
+               <> J.to_string (level_json M.Leaf "host")
+          then fail "leaf JSON documents";
+          if
+            M.key_count m
+            <> fillers + List.length !leaves + List.length !aggregates
+          then fail "key counts";
+          if M.keys_dropped m <> !dropped then fail "refused recordings";
+          if
+            ((not fill) || i = List.length mops - 1)
+            && J.to_string (M.levels_to_json m)
+               <> J.to_string (model_levels_json ())
+          then fail "group and fleet JSON documents")
         mops;
       true)
 

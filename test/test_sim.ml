@@ -94,9 +94,13 @@ let test_engine_max_events () =
 
 (* --- Timer wheel vs binary heap --- *)
 
-(* Run one randomized schedule on a backend and return the execution
+(* The engine's wheel and the reference binary heap. *)
+let wheel = (module Vsim.Engine : Heap_engine.S)
+let heap = (module Heap_engine : Heap_engine.S)
+
+(* Run one randomized schedule on a queue and return the execution
    log. The script is driven entirely by engine callbacks from one PRNG
-   stream, so two backends produce the same log iff they execute events
+   stream, so two queues produce the same log iff they execute events
    in the same (time, seq) order — ties, same-timestamp re-scheduling,
    in-event cancellation and overflow-range delays included.
 
@@ -104,8 +108,8 @@ let test_engine_max_events () =
    engine loop cuts it — random [~max_events] budgets, some bounded by
    a random [~until] — drawn from their own stream, and the log length
    and clock after every slice are returned too. *)
-let exercise ?slices backend ~seed ~events =
-  let eng = Vsim.Engine.create ~backend () in
+let exercise ?slices (module Q : Heap_engine.S) ~seed ~events =
+  let eng = Q.create () in
   let prng = Vsim.Prng.create ~seed in
   let log = ref [] in
   let next_id = ref 0 in
@@ -126,7 +130,7 @@ let exercise ?slices backend ~seed ~events =
         | _ -> 6.0e6 +. (Vsim.Prng.float prng *. 8.0e6) (* top level + overflow *)
       in
       let h =
-        Vsim.Engine.timer ~delay eng (fun () ->
+        Q.timer ~delay eng (fun () ->
             log := id :: !log;
             (match !timers with
             | [] -> ()
@@ -135,7 +139,7 @@ let exercise ?slices backend ~seed ~events =
                    already fired, which must be a no-op. *)
                 if Vsim.Prng.int prng 3 = 0 then begin
                   let _, t = List.nth ts (Vsim.Prng.int prng (List.length ts)) in
-                  Vsim.Engine.cancel eng t
+                  Q.cancel eng t
                 end);
             for _ = 1 to Vsim.Prng.int prng 3 do
               spawn_event ()
@@ -152,29 +156,26 @@ let exercise ?slices backend ~seed ~events =
   let after_slices =
     match slices with
     | None ->
-        Vsim.Engine.run eng;
+        Q.run eng;
         []
     | Some slice_seed ->
         let sp = Vsim.Prng.create ~seed:slice_seed in
         let after = ref [] in
-        while Vsim.Engine.pending eng > 0 do
+        while Q.pending eng > 0 do
           let max_events = 1 + Vsim.Prng.int sp 60 in
           (if Vsim.Prng.bool sp then
-             let until = Vsim.Engine.now eng +. (Vsim.Prng.float sp *. 3000.0) in
-             Vsim.Engine.run ~until ~max_events eng
-           else Vsim.Engine.run ~max_events eng);
-          after := (List.length !log, Vsim.Engine.now eng) :: !after
+             let until = Q.now eng +. (Vsim.Prng.float sp *. 3000.0) in
+             Q.run ~until ~max_events eng
+           else Q.run ~max_events eng);
+          after := (List.length !log, Q.now eng) :: !after
         done;
         List.rev !after
   in
-  ( List.rev !log,
-    Vsim.Engine.executed eng,
-    Vsim.Engine.cancelled_timers eng,
-    after_slices )
+  (List.rev !log, Q.executed eng, Q.cancelled_timers eng, after_slices)
 
 let test_wheel_matches_heap_fixed () =
-  let w = exercise Vsim.Engine.Wheel_queue ~seed:1202 ~events:2000 in
-  let h = exercise Vsim.Engine.Heap_queue ~seed:1202 ~events:2000 in
+  let w = exercise wheel ~seed:1202 ~events:2000 in
+  let h = exercise heap ~seed:1202 ~events:2000 in
   let log (l, _, _, _) = l and counts (_, e, c, _) = (e, c) in
   Alcotest.(check (list int)) "same execution order" (log h) (log w);
   Alcotest.(check (pair int int)) "same executed/cancelled counts" (counts h)
@@ -185,10 +186,9 @@ let prop_wheel_matches_heap =
     ~name:"wheel and heap backends execute identical orders" ~count:40
     QCheck.small_int
     (fun seed ->
-      exercise Vsim.Engine.Wheel_queue ~seed ~events:400
-      = exercise Vsim.Engine.Heap_queue ~seed ~events:400)
+      exercise wheel ~seed ~events:400 = exercise heap ~seed ~events:400)
 
-(* Slicing changes no event's order: both backends agree after every
+(* Slicing changes no event's order: both queues agree after every
    slice, and the sliced log is the unsliced one. *)
 let prop_slices_match =
   QCheck.Test.make
@@ -196,14 +196,9 @@ let prop_slices_match =
     ~count:40
     QCheck.(pair small_int small_int)
     (fun (seed, slices) ->
-      let ((log, _, _, _) as w) =
-        exercise ~slices Vsim.Engine.Wheel_queue ~seed ~events:400
-      in
-      let unsliced, _, _, _ =
-        exercise Vsim.Engine.Wheel_queue ~seed ~events:400
-      in
-      w = exercise ~slices Vsim.Engine.Heap_queue ~seed ~events:400
-      && log = unsliced)
+      let ((log, _, _, _) as w) = exercise ~slices wheel ~seed ~events:400 in
+      let unsliced, _, _, _ = exercise wheel ~seed ~events:400 in
+      w = exercise ~slices heap ~seed ~events:400 && log = unsliced)
 
 let test_timer_cancel_before_fire () =
   let eng = Vsim.Engine.create () in
@@ -257,29 +252,28 @@ let test_timer_cancel_same_timestamp () =
     (Vsim.Engine.cancelled_timers eng)
 
 (* A cancel lets go of the action at once: what it captured is garbage
-   while the dead nodes still wait in the queue, on either backend, even
+   while the dead nodes still wait in the queue, on either queue, even
    with the handles kept, as a pending transaction keeps its timers. *)
 let test_timer_cancel_frees_action () =
   List.iter
-    (fun backend ->
-      let eng = Vsim.Engine.create ~backend () in
+    (fun (module Q : Heap_engine.S) ->
+      let eng = Q.create () in
       let collected = ref 0 in
       let arm () =
         let block = Bytes.make 4096 'x' in
         Gc.finalise (fun _ -> incr collected) block;
-        Vsim.Engine.timer ~delay:500.0 eng (fun () -> Bytes.set block 0 'y')
+        Q.timer ~delay:500.0 eng (fun () -> Bytes.set block 0 'y')
       in
       let timers = List.init 10 (fun _ -> arm ()) in
-      List.iter (Vsim.Engine.cancel eng) timers;
+      List.iter (Q.cancel eng) timers;
       Gc.full_major ();
       Alcotest.(check int) "every captured block collected" 10 !collected;
       Alcotest.(check int) "ten cancelled, the queue not yet run" 10
-        (Vsim.Engine.cancelled_timers eng);
+        (Q.cancelled_timers eng);
       ignore (Sys.opaque_identity timers);
-      Vsim.Engine.run eng;
-      Alcotest.(check int) "no cancelled action ran" 0
-        (Vsim.Engine.executed eng))
-    [ Vsim.Engine.Wheel_queue; Vsim.Engine.Heap_queue ]
+      Q.run eng;
+      Alcotest.(check int) "no cancelled action ran" 0 (Q.executed eng))
+    [ wheel; heap ]
 
 let test_wheel_overflow_order () =
   (* Spans every wheel level and the overflow list (ticks are 0.25 ms:

@@ -1,13 +1,14 @@
 (* Tests for the scale-telemetry layer: deterministic head sampling,
-   rollup merge algebra and cardinality bounds, histogram overflow and
-   exemplar reservoirs, time-series downsampling and caps, eventlog
-   drop accounting, and the deferred-scrape counter flush. *)
+   the grouped metrics store's cardinality bound and its one series
+   across a telemetry cycle, histogram overflow and exemplar
+   reservoirs, time-series downsampling and caps, eventlog drop
+   accounting, and the deferred-scrape counter flush. *)
 
 module K = Vkernel.Kernel
 module E = Vnet.Ethernet
 module C = Vnet.Calibration
 module H = Vobs.Histogram
-module R = Vobs.Rollup
+module M = Vobs.Metrics
 module Ts = Vobs.Timeseries
 
 let cost = { K.payload_bytes = String.length; K.segment_bytes = (fun _ -> 0) }
@@ -63,7 +64,7 @@ let test_sampling_rate () =
   done;
   Alcotest.(check int) "every:1 refuses nothing" 0 (Vobs.Hub.sampled_out all)
 
-(* --- rollup: merge algebra --- *)
+(* --- the grouped store: cardinality bound --- *)
 
 (* Group leaves in fours, like hosts under an edge switch. *)
 let group_of leaf =
@@ -71,46 +72,26 @@ let group_of leaf =
   | Some n -> Some (Printf.sprintf "edge%d" (n / 4))
   | None -> None
 
-let rollup_of_ops ops =
-  let r = R.create ~group_of () in
-  List.iter
-    (fun (leaf, op, v) ->
-      let leaf = string_of_int leaf in
-      let op = Printf.sprintf "op%d" op in
-      R.incr r ~leaf ~server:"kernel" ~op;
-      R.observe r ~leaf ~server:"kernel" ~op (float_of_int v))
-    ops;
-  r
-
-let prop_rollup_merge_associative =
-  QCheck.Test.make ~name:"rollup merge is associative" ~count:60
-    QCheck.(
-      triple
-        (small_list (triple (int_range 0 15) (int_range 0 2) (int_range 0 40)))
-        (small_list (triple (int_range 0 15) (int_range 0 2) (int_range 0 40)))
-        (small_list (triple (int_range 0 15) (int_range 0 2) (int_range 0 40))))
-    (fun (xs, ys, zs) ->
-      let a () = rollup_of_ops xs
-      and b () = rollup_of_ops ys
-      and c () = rollup_of_ops zs in
-      let left = R.merge (R.merge (a ()) (b ())) (c ()) in
-      let right = R.merge (a ()) (R.merge (b ()) (c ())) in
-      Vobs.Json.to_string (R.to_json left)
-      = Vobs.Json.to_string (R.to_json right))
-
 let test_rollup_cap_and_drop_accounting () =
-  let r = R.create ~leaf_cap:8 ~group_of () in
-  for leaf = 0 to 49 do
-    R.incr r ~leaf:(string_of_int leaf) ~server:"kernel" ~op:"send"
+  let m = M.create () in
+  M.set_groups m (Some group_of);
+  let leaves = M.leaf_cap + 42 in
+  for leaf = 0 to leaves - 1 do
+    M.incr m ~host:(string_of_int leaf) ~server:"kernel" ~op:"send"
   done;
-  Alcotest.(check int) "leaf keys saturate at the cap" 8 (R.key_count_at r Leaf);
-  Alcotest.(check int) "refused leaf observations counted" 42 (R.keys_dropped r);
-  let fleet_total =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 (R.counters r Fleet)
+  Alcotest.(check int) "leaf keys saturate at the cap" M.leaf_cap
+    (List.length (M.counters m));
+  Alcotest.(check int) "refused leaf observations counted" 42
+    (M.keys_dropped m);
+  let total level =
+    List.fold_left (fun acc (_, n) -> acc + n) 0 (M.counters ~level m)
   in
-  Alcotest.(check int) "fleet total stays exact past the cap" 50 fleet_total
+  Alcotest.(check int) "fleet total stays exact past the cap" leaves
+    (total M.Fleet);
+  Alcotest.(check int) "group totals stay exact past the cap" leaves
+    (total M.Group)
 
-(* --- histogram: overflow bucket and merge --- *)
+(* --- histogram: overflow bucket --- *)
 
 let test_histogram_overflow () =
   let h = H.create ~bounds:[| 1.0; 2.0 |] () in
@@ -125,23 +106,6 @@ let test_histogram_overflow () =
       Alcotest.(check (float 1e-9)) "overflow upper edge = max" 20.0 upper
   | [] -> Alcotest.fail "no buckets");
   Alcotest.(check (float 1e-9)) "q1.0 = max" 20.0 (H.quantile h 1.0)
-
-let test_histogram_merge () =
-  let mk vals =
-    let h = H.create ~bounds:[| 1.0; 2.0 |] () in
-    List.iter (H.observe h) vals;
-    h
-  in
-  let m = H.merge (mk [ 0.5; 3.0 ]) (mk [ 1.5; 9.0 ]) in
-  Alcotest.(check int) "merged count" 4 (H.count m);
-  Alcotest.(check (float 1e-9)) "merged sum" 14.0 (H.sum m);
-  Alcotest.(check (array int))
-    "bucket-wise sum"
-    [| 1; 1; 2 |]
-    (H.raw_counts m);
-  Alcotest.check_raises "mismatched bounds refuse to merge"
-    (Invalid_argument "Histogram.merge: bounds differ") (fun () ->
-      ignore (H.merge (mk []) (H.create ~bounds:[| 5.0 |] ())))
 
 let test_exemplars_deterministic_and_bucketed () =
   let run () =
@@ -258,32 +222,67 @@ let test_scrape_lands_counts_once () =
     (Vobs.Metrics.counter_value m ~host:"srv" ~server:"kernel" ~op:"receive");
   Alcotest.(check int) "a second read adds nothing" 3 (sends ())
 
-(* --- metric handles survive a registry mode switch --- *)
+(* --- one store across a telemetry cycle --- *)
 
-let test_handle_rebinds_across_set_rollup () =
-  let m = Vobs.Metrics.create () in
-  let o = Vobs.Metrics.observer m ~host:"h1" ~server:"kernel" ~op:"rtt" in
-  let flat_count () =
-    match Vobs.Metrics.histogram m ~host:"h1" ~server:"kernel" ~op:"rtt" with
-    | Some h -> Vobs.Histogram.count h
-    | None -> 0
+(* Operations finished before, during and after telemetry land in one
+   series: the leaf histograms count every operation, as the SLO does,
+   and a counter bumped in each phase reads the sum. While telemetry
+   is on, the fleet level takes the same recordings too, its
+   histograms keeping trace exemplars. *)
+let test_telemetry_cycle_keeps_one_series () =
+  let module Scenario = Vworkload.Scenario in
+  let module Runtime = Vruntime.Runtime in
+  let t = Scenario.build ~workstations:1 ~file_servers:1 ~tracing:true () in
+  let hub = t.Scenario.obs and d = t.Scenario.domain in
+  let slo = Vobs.Slo.create () in
+  Vobs.Hub.set_slo hub (Some slo);
+  let m = Vobs.Hub.metrics hub in
+  let phase () = M.incr m ~host:"ws0" ~server:"test" ~op:"phase" in
+  ignore
+    (Scenario.spawn_client t ~ws:0 (fun _ env ->
+         let read () =
+           match Runtime.read_file env "[home]cycle.txt" with
+           | Ok _ -> ()
+           | Error e -> Alcotest.failf "read: %a" Vio.Verr.pp e
+         in
+         (match
+            Runtime.write_file env "[home]cycle.txt" (Bytes.of_string "x")
+          with
+         | Ok () -> ()
+         | Error e -> Alcotest.failf "write: %a" Vio.Verr.pp e);
+         read ();
+         phase ();
+         K.enable_telemetry d ~interval_ms:50.0;
+         for _ = 1 to 3 do
+           read ()
+         done;
+         phase ();
+         K.disable_telemetry d;
+         read ();
+         phase ()));
+  Scenario.run t;
+  let ops level =
+    List.fold_left (fun acc (_, h) -> acc + H.count h) 0 (M.histograms ~level m)
   in
-  Vobs.Metrics.record o 1.0;
-  Alcotest.(check int) "flat mode records flat" 1 (flat_count ());
-  let r = R.create ~group_of:(fun _ -> Some "edge0") () in
-  Vobs.Metrics.set_rollup m (Some r);
-  (* The stale handle must notice the generation change and rebind to
-     the rollup rather than keep feeding the abandoned flat cell. *)
-  Vobs.Metrics.record o 2.0;
-  Vobs.Metrics.record o 3.0;
-  let fleet_total =
-    List.fold_left
-      (fun acc (_, h) -> acc + Vobs.Histogram.count h)
-      0 (R.histograms r Fleet)
-  in
-  Alcotest.(check int) "post-switch records land in the rollup" 2 fleet_total;
-  Alcotest.(check int) "flat cell keeps only the pre-switch sample" 1
-    (flat_count ())
+  let slo_ops = (Vobs.Slo.summary slo).Vobs.Slo.ops in
+  if slo_ops < 6 then Alcotest.failf "the SLO saw %d operations" slo_ops;
+  Alcotest.(check int) "leaf histograms count every operation" slo_ops
+    (ops M.Leaf);
+  Alcotest.(check int) "a counter bumped in each phase reads the sum" 3
+    (M.counter_value m ~host:"ws0" ~server:"test" ~op:"phase");
+  Alcotest.(check (list int)) "the fleet took the grouped phase's bump"
+    [ 1 ]
+    (List.filter_map
+       (fun ((k : M.key), n) -> if k.op = "phase" then Some n else None)
+       (M.counters ~level:M.Fleet m));
+  if ops M.Fleet < 3 then
+    Alcotest.failf "the fleet saw %d of the grouped phase's operations"
+      (ops M.Fleet);
+  Alcotest.(check bool)
+    "fleet histograms keep trace exemplars" true
+    (List.exists
+       (fun (_, h) -> H.all_exemplars h <> [])
+       (M.histograms ~level:M.Fleet m))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -297,7 +296,6 @@ let suite =
         test_rollup_cap_and_drop_accounting;
       Alcotest.test_case "histogram overflow bucket" `Quick
         test_histogram_overflow;
-      Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
       Alcotest.test_case "exemplar reservoirs" `Quick
         test_exemplars_deterministic_and_bucketed;
       Alcotest.test_case "timeseries downsampling" `Quick
@@ -307,9 +305,8 @@ let suite =
       Alcotest.test_case "eventlog drop hook" `Quick test_eventlog_drop_hook;
       Alcotest.test_case "scrape lands counts once" `Quick
         test_scrape_lands_counts_once;
-      Alcotest.test_case "handle rebind across set_rollup" `Quick
-        test_handle_rebinds_across_set_rollup;
+      Alcotest.test_case "telemetry cycle keeps one series" `Quick
+        test_telemetry_cycle_keeps_one_series;
         qcheck prop_sampling_deterministic;
-        qcheck prop_rollup_merge_associative;
       ] );
   ]
