@@ -1,23 +1,23 @@
 (* The bench-regression gate: compare a fresh `bench --json` dump
-   against a committed baseline and fail loudly when the run got
-   meaningfully worse.
+   against a committed baseline and fail on any difference.
 
      dune exec bench/compare.exe -- BASELINE.json FRESH.json
-                                    [--tolerance PCT]
      dune exec bench/compare.exe -- --check FRESH.json
 
-   The --check form gates a run with no baseline at all: it fails only
-   on incompleteness, invariant violations and SLO breaches. The
-   nightly soak lane uses it — a 100k-host run has no pinned baseline
-   to diff against, but a correctness violation at scale must still
-   fail the job.
+   The simulator reproduces every value it records bit-for-bit from a
+   seed, so the rule is exact: outside each experiment's
+   "_meta"."experiments".NAME."host" object, FRESH must equal BASELINE
+   in every number (as the dump prints it, "%.12g"), every string,
+   every key and every list length. Each difference is printed with its
+   path and both values. The "host" objects hold what the host
+   measured (wall clock, CPU time, rates over either): they are
+   reported by the dump and never compared. Regenerating the baseline
+   is the one way to bless an intended change.
 
-   Both forms append a per-metric markdown gate table to the file named
-   by $GITHUB_STEP_SUMMARY when that variable is set (the GitHub
-   Actions job-summary protocol), and print the same markdown to
-   stdout when it is not.
-
-   The gate fails (exit 1) when any of these holds:
+   The --check form gates a run with no baseline at all. The nightly
+   soak lane uses it: a 100k-host run has no pinned baseline to diff
+   against, but a correctness violation at scale must still fail the
+   job. Both forms fail when:
 
    - the fresh run is marked "_incomplete" (an experiment raised and
      bench/main exited non-zero — the JSON on disk is partial);
@@ -26,52 +26,21 @@
      divergence);
    - any "breaches" list anywhere in the fresh run is non-empty (the
      SLO engine's multi-window burn-rate verdict: an experiment's
-     availability or latency objective was burned through);
-   - a latency metric present in both runs regressed by more than the
-     tolerance (default 10%);
-   - an availability metric (a numeric field named "availability" or
-     "*_availability") dropped by more than one percentage point, or a
-     shed-ratio metric ("shed_ratio" / "*_shed_ratio" — E13's
-     no-overload calm_shed_ratio gates a protected-but-idle service
-     shedding anything) rose by more than one point: both gate on
-     absolute points, since a relative tolerance on a number close to
-     1.0 (or exactly 0.0) gates nothing;
-   - an overhead metric (a comparison row whose unit is "%" — E15's
-     telemetry tax on the soak, saturated at its acceptance ceiling the
-     same way E12 saturates its speedup floor) rose by more than half a
-     point: also absolute, since a relative tolerance on a saturated
-     constant gates nothing;
-   - a metric present in the baseline is missing from the fresh run —
-     a removed metric must not silently stop gating. Listing the
-     experiment's short name in the fresh dump's "_meta"."removed"
-     array (Tables.note_removed) downgrades this to a warning;
-     regenerating the baseline is the permanent fix.
+     availability or latency objective was burned through).
 
-   Before gating, the runs' "_meta" headers are cross-checked: an
-   experiment whose seed differs between baseline and fresh gets a
-   loud warning (the numbers are from different draws and a regression
-   verdict on them is noise), but does not fail the gate — regenerating
-   the baseline is the fix either way.
+   Both forms append a markdown summary (the differences, then a
+   verdict line) to the file named by $GITHUB_STEP_SUMMARY when that
+   variable is set (the GitHub Actions job-summary protocol), and print
+   the same markdown to stdout when it is not.
 
-   Two metric shapes gate, with opposite directions: latency-shaped
-   metrics (comparison rows whose unit is a time unit, and recorded
-   fields whose name says latency — latency_*, p50/p99, mean_op_ms)
-   fail when they grow past the tolerance, and rate-shaped metrics
-   (comparison rows whose unit is a throughput — "events/s", "ops/s" —
-   or a speedup ratio "x") fail when they *shrink* past it. Counters
-   (operations, retries, frame counts) legitimately move when
-   behaviour changes and are reported, not gated — regenerating the
-   committed baseline is the way to bless an intended change. The
-   "_meta" header's wall_s/events_executed accounting never gates
-   (wall_s is non-deterministic by nature). Exit 2 means the gate
-   itself could not run (bad usage, unreadable or unparseable
-   input). *)
+   Exit 1 means the gate failed; exit 2 means it could not run (bad
+   usage, unreadable or unparseable input). *)
 
 module Json = Vobs.Json
 
 let fail_usage () =
   Fmt.epr
-    "usage: compare BASELINE.json FRESH.json [--tolerance PCT]@.       \
+    "usage: compare BASELINE.json FRESH.json@.       \
      compare --check FRESH.json@.";
   exit 2
 
@@ -89,67 +58,11 @@ let load path =
       Fmt.epr "compare: %s: %s@." path msg;
       exit 2
 
-(* --- metric extraction --- *)
+(* --- paths --- *)
 
-(* A latency metric is addressed by a path through the tree: object
-   keys, plus "label"/"factor" discriminators inside lists so entries
-   pair up even if an experiment gains or loses rows. *)
-
-let contains ~sub s =
-  let n = String.length sub and len = String.length s in
-  let rec go i = i + n <= len && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let ends_with ~suffix s =
-  let n = String.length suffix and len = String.length s in
-  len >= n && String.sub s (len - n) n = suffix
-
-let is_latency_key k =
-  contains ~sub:"latency" k
-  || contains ~sub:"resolution_ms" k
-  || k = "p50" || k = "p99" || k = "mean_op_ms"
-
-(* Robustness metrics gate on absolute percentage points (see header):
-   availability must not drop, a shed ratio must not rise. *)
-let is_availability_key k = k = "availability" || ends_with ~suffix:"_availability" k
-let is_shed_ratio_key k = k = "shed_ratio" || ends_with ~suffix:"_shed_ratio" k
-let points_tolerance = 0.01
-
-(* Overhead rows (unit "%") gate on absolute points too, but with a
-   half-point band: they are saturated at an acceptance ceiling, so a
-   healthy run records a constant and any real rise past the ceiling
-   is meaningful. *)
-let overhead_points_tolerance = 0.5
-
-let number = function
-  | Json.Int i -> Some (float_of_int i)
-  | Json.Float f -> Some f
-  | _ -> None
-
-let time_unit u = contains ~sub:"ms" u || contains ~sub:"us" u
-
-(* Throughputs and speedup ratios: for these, *down* is the regression.
-   Matching on the unit (not the label) keeps the contract with
-   experiments the same as for latencies: the unit declares the
-   direction. *)
-let rate_unit u = contains ~sub:"/s" u || u = "x"
-
-(* Overhead percentages: lower is better, and the number is already in
-   points, so the gate holds them to an absolute half-point band. *)
-let percent_unit u = u = "%"
-
-(* Which way a gated metric is allowed to move, and whether the
-   tolerance is relative (latencies, throughputs) or absolute points
-   (availability, shed ratios, overheads). *)
-type kind =
-  | Latency (* relative; growing is the regression *)
-  | Rate (* relative; shrinking is the regression *)
-  | Availability (* absolute points; dropping is the regression *)
-  | Shed_ratio (* absolute points; rising is the regression *)
-  | Overhead (* absolute points; rising is the regression *)
-
-(* List elements are identified by a "label" or "factor" field when
-   they have one, else by position. *)
+(* A path is a list of segments, innermost first: object keys, and for
+   list elements a "label" or "factor" field when the element has one,
+   else its position, so a printed path names the row it is in. *)
 let element_key i = function
   | Json.Obj _ as o -> (
       match (Json.member "label" o, Json.member "factor" o) with
@@ -158,51 +71,7 @@ let element_key i = function
       | _ -> string_of_int i)
   | _ -> string_of_int i
 
-let rec collect path acc json =
-  match json with
-  | Json.Obj fields ->
-      (* A comparison row gates on its "measured" field: time units are
-         lower-is-better, rate units higher-is-better. *)
-      let acc =
-        match
-          ( Json.member "label" json,
-            Json.member "measured" json,
-            Json.member "unit" json )
-        with
-        | Some (Json.String _), Some m, Some (Json.String u)
-          when time_unit u || rate_unit u || percent_unit u -> (
-            let kind =
-              if time_unit u then Latency
-              else if percent_unit u then Overhead
-              else Rate
-            in
-            match number m with
-            | Some v ->
-                (String.concat "/" (List.rev path) ^ "/measured", (v, kind))
-                :: acc
-            | None -> acc)
-        | _ -> acc
-      in
-      List.fold_left
-        (fun acc (k, v) ->
-          let keyed kind f =
-            (String.concat "/" (List.rev (k :: path)), (f, kind)) :: acc
-          in
-          match number v with
-          | Some f when is_latency_key k -> keyed Latency f
-          | Some f when is_availability_key k -> keyed Availability f
-          | Some f when is_shed_ratio_key k -> keyed Shed_ratio f
-          | _ -> collect (k :: path) acc v)
-        acc fields
-  | Json.List items ->
-      List.fold_left
-        (fun (i, acc) item ->
-          (i + 1, collect (element_key i item :: path) acc item))
-        (0, acc) items
-      |> snd
-  | _ -> acc
-
-let gated_metrics json = List.rev (collect [] [] json)
+let show_path path = String.concat "/" (List.rev path)
 
 (* Every non-empty list stored under [key] anywhere in the tree —
    "invariant_violations" and the SLO engine's "breaches" both gate
@@ -214,7 +83,7 @@ let rec nonempty_lists ~key path acc json =
         (fun acc (k, v) ->
           match v with
           | Json.List (_ :: _ as vs) when k = key ->
-              (String.concat "/" (List.rev path), vs) :: acc
+              (show_path path, vs) :: acc
           | _ -> nonempty_lists ~key (k :: path) acc v)
         acc fields
   | Json.List items ->
@@ -225,92 +94,104 @@ let rec nonempty_lists ~key path acc json =
       |> snd
   | _ -> acc
 
-(* --- run metadata --- *)
+(* --- the exact comparison --- *)
 
-(* Per-experiment seeds from a dump's "_meta" header (absent in dumps
-   written before the header existed, or by direct Tables users). *)
-let meta_seeds json =
-  match Json.member "_meta" json with
-  | Some meta -> (
-      match Json.member "experiments" meta with
-      | Some (Json.Obj experiments) ->
-          List.filter_map
-            (fun (name, entry) ->
-              match Json.member "seed" entry with
-              | Some (Json.Int seed) -> Some (name, seed)
-              | _ -> None)
-            experiments
-      | _ -> [])
-  | None -> []
-
-(* An experiment is marked removed when its short name appears in the
-   fresh dump's "_meta"."removed" array. Baseline metric paths start
-   with the experiment's full title ("E13: overload — ..."), so the
-   mark matches as a case-insensitive prefix of that first segment. *)
-let experiment_removed fresh title_segment =
-  let removed =
-    match Json.member "_meta" fresh with
-    | Some meta -> (
-        match Json.member "removed" meta with
-        | Some (Json.List names) ->
-            List.filter_map
-              (function Json.String n -> Some n | _ -> None)
-              names
-        | _ -> [])
-    | None -> []
-  in
-  let segment = String.lowercase_ascii title_segment in
-  List.exists
-    (fun name ->
-      let name = String.lowercase_ascii name in
-      let n = String.length name in
-      String.length segment >= n && String.sub segment 0 n = name)
-    removed
-
-let warn_seed_mismatches baseline fresh =
-  let base_seeds = meta_seeds baseline and fresh_seeds = meta_seeds fresh in
-  List.iter
-    (fun (name, fresh_seed) ->
-      match List.assoc_opt name base_seeds with
-      | Some base_seed when base_seed <> fresh_seed ->
-          Fmt.pr
-            "warn: experiment %s ran with seed %d but the baseline used seed \
-             %d — latency comparisons for it are between different draws@."
-            name fresh_seed base_seed
-      | _ -> ())
-    fresh_seeds
-
-(* --- the job-summary gate table --- *)
-
-(* One table row per gated metric: path, baseline, fresh, delta,
-   verdict. Appended to $GITHUB_STEP_SUMMARY (the GitHub Actions
-   job-summary protocol) when set, printed to stdout otherwise, so the
-   per-metric verdicts land in the PR's checks UI without digging
-   through the job log. *)
-type row = {
-  metric : string;
-  base_v : string;
-  fresh_v : string;
-  delta : string;
-  verdict : string;
+(* One difference: its path and the baseline's and the fresh run's
+   side, [None] where the path is absent. *)
+type difference = {
+  path : string;
+  base_v : string option;
+  fresh_v : string option;
 }
+
+(* A missing or new subtree can be a whole experiment; print its
+   start. *)
+let show json =
+  let s = Json.to_string json in
+  if String.length s <= 120 then s else String.sub s 0 117 ^ "..."
+
+(* The fields the rule compares: all but an experiment's host-measured
+   values. A table may repeat a column name (A2 has two "frames"
+   columns), so the n-th field named k is keyed "k#n" and pairs with
+   the n-th one on the other side. *)
+let compared_fields path fields =
+  let fields =
+    match path with
+    | [ _name; "experiments"; "_meta" ] -> List.remove_assoc "host" fields
+    | _ -> fields
+  in
+  let seen = Hashtbl.create 8 in
+  List.map
+    (fun (k, v) ->
+      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen k) in
+      Hashtbl.replace seen k n;
+      ((if n = 1 then k else Fmt.str "%s#%d" k n), v))
+    fields
+
+(* Walk both trees together: the number of scalar values compared,
+   and the differences in document order. *)
+let compare_trees baseline fresh =
+  let compared = ref 0 and diffs = ref [] in
+  let differ path base_v fresh_v =
+    diffs := { path = show_path path; base_v; fresh_v } :: !diffs
+  in
+  let rec walk path base fresh =
+    match (base, fresh) with
+    | Json.Obj b, Json.Obj f ->
+        let b = compared_fields path b and f = compared_fields path f in
+        List.iter
+          (fun (k, bv) ->
+            match List.assoc_opt k f with
+            | Some fv -> walk (k :: path) bv fv
+            | None -> differ (k :: path) (Some (show bv)) None)
+          b;
+        List.iter
+          (fun (k, fv) ->
+            if not (List.mem_assoc k b) then
+              differ (k :: path) None (Some (show fv)))
+          f
+    | Json.List b, Json.List f ->
+        let nb = List.length b and nf = List.length f in
+        if nb <> nf then
+          differ path
+            (Some (Fmt.str "%d element(s)" nb))
+            (Some (Fmt.str "%d element(s)" nf));
+        (* The common prefix still compares, so a diff shows the first
+           element that moved. *)
+        let rec pairs i b f =
+          match (b, f) with
+          | bv :: b, fv :: f ->
+              walk (element_key i bv :: path) bv fv;
+              pairs (i + 1) b f
+          | _ -> ()
+        in
+        pairs 0 b f
+    | _ ->
+        incr compared;
+        if Json.to_string base <> Json.to_string fresh then
+          differ path (Some (show base)) (Some (show fresh))
+  in
+  walk [] baseline fresh;
+  (!compared, List.rev !diffs)
+
+(* --- the job summary --- *)
 
 (* '|' would break the markdown table cell. *)
 let md_cell s = String.map (fun c -> if c = '|' then '/' else c) s
+let side = function Some v -> v | None -> "(absent)"
 
-let emit_summary ~title rows footer =
+let emit_summary ~title diffs footer =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Fmt.str "### %s\n\n" title);
-  if rows <> [] then begin
-    Buffer.add_string buf
-      "| metric | baseline | fresh | delta | verdict |\n\
-       |---|---:|---:|---:|---|\n";
+  if diffs <> [] then begin
+    Buffer.add_string buf "| path | baseline | fresh |\n|---|---:|---:|\n";
     List.iter
-      (fun r ->
+      (fun d ->
         Buffer.add_string buf
-          (Fmt.str "| %s | %s | %s | %s | %s |\n" (md_cell r.metric) r.base_v
-             r.fresh_v r.delta r.verdict))
-      rows
+          (Fmt.str "| %s | %s | %s |\n" (md_cell d.path)
+             (md_cell (side d.base_v))
+             (md_cell (side d.fresh_v))))
+      diffs
   end;
   Buffer.add_string buf ("\n" ^ footer ^ "\n");
   match Sys.getenv_opt "GITHUB_STEP_SUMMARY" with
@@ -367,131 +248,29 @@ let run_check fresh_file =
   Fmt.pr "%s: %d structural failure(s)@." fresh_file failures;
   if failures > 0 then exit 1
 
-let run_compare baseline_file fresh_file tolerance =
+let run_compare baseline_file fresh_file =
   let baseline = load baseline_file and fresh = load fresh_file in
-  let failures = ref (structural_failures fresh) in
-  warn_seed_mismatches baseline fresh;
-  let base_metrics = gated_metrics baseline
-  and fresh_metrics = gated_metrics fresh in
-  let compared = ref 0 and improved = ref 0 in
-  let rows = ref [] in
-  let add_row metric base_v fresh_v delta verdict =
-    rows := { metric; base_v; fresh_v; delta; verdict } :: !rows
-  in
+  let structural = structural_failures fresh in
+  let compared, diffs = compare_trees baseline fresh in
   List.iter
-    (fun (path, (base, kind)) ->
-      match List.assoc_opt path fresh_metrics with
-      | None ->
-          let experiment =
-            match String.index_opt path '/' with
-            | Some i -> String.sub path 0 i
-            | None -> path
-          in
-          if experiment_removed fresh experiment then begin
-            add_row path (Fmt.str "%.3f" base) "—" "—" "removed (warn)";
-            Fmt.pr
-              "warn: %s missing from fresh run (experiment marked removed in \
-               _meta)@."
-              path
-          end
-          else begin
-            incr failures;
-            add_row path (Fmt.str "%.3f" base) "—" "—" "❌ missing";
-            Fmt.pr
-              "FAIL: %s is in the baseline but missing from the fresh run — \
-               the metric silently stopped gating; mark the experiment in \
-               _meta.removed or regenerate the baseline@."
-              path
-          end
-      | Some (now, _) -> (
-          match kind with
-          | Availability | Shed_ratio | Overhead ->
-              (* Absolute points: a relative tolerance on a value near
-                 1.0 (or exactly 0.0), or on a saturated constant,
-                 would gate nothing. *)
-              incr compared;
-              let worse =
-                match kind with
-                | Availability -> base -. now
-                | _ -> now -. base
-              in
-              let tol =
-                match kind with
-                | Overhead -> overhead_points_tolerance
-                | _ -> points_tolerance
-              in
-              let delta = Fmt.str "%+.3f pts" (now -. base) in
-              if worse > tol then begin
-                incr failures;
-                add_row path (Fmt.str "%.3f" base) (Fmt.str "%.3f" now) delta
-                  "❌ regressed";
-                Fmt.pr "FAIL: %s regressed %.3f points (%.3f -> %.3f)@." path
-                  worse base now
-              end
-              else if worse < -.tol then begin
-                incr improved;
-                add_row path (Fmt.str "%.3f" base) (Fmt.str "%.3f" now) delta
-                  "improved";
-                Fmt.pr "note: %s improved %.3f points (%.3f -> %.3f)@." path
-                  (-.worse) base now
-              end
-              else
-                add_row path (Fmt.str "%.3f" base) (Fmt.str "%.3f" now) delta
-                  "ok"
-          | (Latency | Rate) when base > 0.0 ->
-              incr compared;
-              let delta = (now -. base) /. base *. 100.0 in
-              let delta_s = Fmt.str "%+.1f%%" delta in
-              (* A latency regresses by growing, a throughput by
-                 shrinking; express both as "how far in the bad
-                 direction". *)
-              let worse = match kind with Latency -> delta | _ -> -.delta in
-              if worse > tolerance then begin
-                incr failures;
-                add_row path (Fmt.str "%.3f" base) (Fmt.str "%.3f" now) delta_s
-                  "❌ regressed";
-                Fmt.pr "FAIL: %s regressed %+.1f%% (%.3f -> %.3f)@." path delta
-                  base now
-              end
-              else if worse < -.tolerance then begin
-                incr improved;
-                add_row path (Fmt.str "%.3f" base) (Fmt.str "%.3f" now) delta_s
-                  "improved";
-                Fmt.pr "note: %s improved %+.1f%% (%.3f -> %.3f)@." path delta
-                  base now
-              end
-              else
-                add_row path (Fmt.str "%.3f" base) (Fmt.str "%.3f" now) delta_s
-                  "ok"
-          | Latency | Rate ->
-              incr compared;
-              add_row path (Fmt.str "%.3f" base) (Fmt.str "%.3f" now) "—" "ok"))
-    base_metrics;
-  List.iter
-    (fun (path, (now, _)) ->
-      if not (List.mem_assoc path base_metrics) then begin
-        add_row path "—" (Fmt.str "%.3f" now) "—" "new";
-        Fmt.pr "note: new metric %s (not in baseline)@." path
-      end)
-    fresh_metrics;
+    (fun d ->
+      Fmt.pr "FAIL: %s: %s -> %s@." d.path (side d.base_v) (side d.fresh_v))
+    diffs;
+  let failures = structural + List.length diffs in
   let footer =
     Fmt.str
-      "%d metric(s) compared against `%s` (tolerance %.0f%%): **%d \
-       failure(s)**, %d improved."
-      !compared baseline_file tolerance !failures !improved
+      "%d value(s) compared exactly against `%s`: **%d difference(s)**, %d \
+       structural failure(s)."
+      compared baseline_file (List.length diffs) structural
   in
-  emit_summary ~title:"Bench regression gate" (List.rev !rows) footer;
-  Fmt.pr "%d latency/throughput metric(s) compared against %s (tolerance \
-          %.0f%%): %d regression-or-violation failure(s), %d improved@."
-    !compared baseline_file tolerance !failures !improved;
-  if !failures > 0 then exit 1
+  emit_summary ~title:"Bench regression gate" diffs footer;
+  Fmt.pr "%d value(s) compared exactly against %s: %d difference(s), %d \
+          structural failure(s)@."
+    compared baseline_file (List.length diffs) structural;
+  if failures > 0 then exit 1
 
 let () =
   match Array.to_list Sys.argv with
   | [ _; "--check"; f ] -> run_check f
-  | [ _; b; f ] -> run_compare b f 10.0
-  | [ _; b; f; "--tolerance"; t ] -> (
-      match float_of_string_opt t with
-      | Some t when t >= 0.0 -> run_compare b f t
-      | _ -> fail_usage ())
+  | [ _; b; f ] -> run_compare b f
   | _ -> fail_usage ()

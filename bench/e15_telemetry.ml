@@ -23,9 +23,9 @@
    are pure instrumentation cost. The arms run as back-to-back rounds
    and the gate reads the median per-round ratio — see [run_arms] for
    why that survives a noisy host when comparing each arm's best time
-   does not. The gated row saturates at the ceiling (mirroring E12's
-   speedup floor) so a healthy run records a flat 5.00 and only a real
-   pessimization moves the gated value.
+   does not. A lane overhead above the ceiling raises, as E12's
+   speedup does below its floor; the CPU times and overheads are
+   host-measured, so the dump reports them and never compares them.
 
    Phase B proves the cardinality bound: 100,000 synthetic hosts
    record through a metrics store grouped by edge switch, and the key
@@ -322,6 +322,10 @@ let cardinality () =
 let run () =
   Tables.print_title "E15: telemetry overhead and rollup cardinality";
   Tables.note_meta ~seed:1505 ();
+  (* [run_arms] buys more timed pairs while host noise leaves the lane's
+     overhead ambiguous, so the run's engine event total is
+     host-measured; each arm's own event count stays deterministic. *)
+  Tables.host_paced ();
 
   Tables.print_section
     (Fmt.str
@@ -368,7 +372,7 @@ let run () =
       (if a.series = 0 then "-" else Tables.count a.series);
     ]
   in
-  Tables.print_table
+  Tables.print_table ~host:[ "cpu_s"; "events/s" ]
     ~header:[ "arm"; "events"; "cpu_s"; "events/s"; "rollup keys"; "series" ]
     [ row "bare" bare; row "soak-lane" lane; row "traced" traced ];
   let pct_list = String.concat "; " in
@@ -391,35 +395,26 @@ let run () =
       (Fmt.str
          "E15: soak-lane telemetry overhead %.2f%% exceeds the %.0f%% ceiling"
          lane_overhead overhead_ceiling_pct);
-  (* Raw CPU times are host noise; record them ungated and gate the
-     saturated ceiling (a healthy run writes a flat 5.00, the same
-     idiom as E12's speedup floor — compare.ml holds "%" rows to half
-     a point). The traced arm's cost is recorded for trend-watching
-     but not gated: per-op root tracing is opt-in instrumentation, not
-     the always-on soak lane. *)
+  (* CPU times and the overheads derived from them are host noise:
+     reported, never compared. The traced arm's cost is recorded for
+     trend-watching but not held to the ceiling: per-op root tracing is
+     opt-in instrumentation, not the always-on soak lane. *)
+  List.iter
+    (fun (key, v) -> Tables.note_host key (Vobs.Json.Float v))
+    [
+      ("soak_bare_cpu_s", bare.cpu_s);
+      ("soak_lane_cpu_s", lane.cpu_s);
+      ("soak_traced_cpu_s", traced.cpu_s);
+      ("soak_lane_overhead_median_pct", lane_median);
+      ("soak_lane_overhead_gated_pct", lane_overhead);
+      ("soak_traced_overhead_median_pct", traced_overhead);
+    ];
   Tables.record
     (Vobs.Json.Obj
        [
-         ("soak_bare_cpu_s", Vobs.Json.Float bare.cpu_s);
-         ("soak_lane_cpu_s", Vobs.Json.Float lane.cpu_s);
-         ("soak_traced_cpu_s", Vobs.Json.Float traced.cpu_s);
-         ("soak_lane_overhead_median_pct", Vobs.Json.Float lane_median);
-         ("soak_lane_overhead_gated_pct", Vobs.Json.Float lane_overhead);
-         ("soak_traced_overhead_median_pct", Vobs.Json.Float traced_overhead);
          ("soak_sampled_out", Vobs.Json.Int traced.sampled_out);
          ("soak_timeseries", Vobs.Json.Int lane.series);
        ]);
-  Tables.print_comparison
-    [
-      {
-        Tables.label =
-          "always-on telemetry overhead on the soak lane (gated at the 5% \
-           ceiling)";
-        paper = None;
-        measured = Float.max lane_overhead overhead_ceiling_pct;
-        unit_ = "%";
-      };
-    ];
 
   Tables.print_section
     (Fmt.str "Phase B: rollup cardinality at %dk synthetic hosts"

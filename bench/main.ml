@@ -121,7 +121,8 @@ let () =
                    counts into the global tally). *)
                 let wall_s = Unix.gettimeofday () -. wall0 in
                 let events_executed = executed () - events0 in
-                Vworkload.Tables.note_meta ~events_executed ~wall_s ();
+                Vworkload.Tables.note_meta ~events_executed ();
+                Vworkload.Tables.note_host "wall_s" (Vobs.Json.Float wall_s);
                 Fmt.pr "[%s: %d events, %.2fs wall, %.0f events/s]@." name
                   events_executed wall_s
                   (if wall_s > 0.0 then float_of_int events_executed /. wall_s

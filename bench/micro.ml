@@ -130,5 +130,6 @@ let run () =
           rows := [ name; ns ] :: !rows)
         per_test)
     results;
-  Vworkload.Tables.print_table ~header:[ "operation"; "ns/run" ]
+  Vworkload.Tables.print_table ~host:[ "ns/run" ]
+    ~header:[ "operation"; "ns/run" ]
     (List.sort compare !rows)

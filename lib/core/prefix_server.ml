@@ -83,8 +83,6 @@ let delete_binding t name =
   end
   else Error Reply.Not_found
 
-let find_binding t name = Hashtbl.find_opt t.bindings (strip_brackets name)
-
 (* Resolve a binding to a concrete context; logical bindings perform
    GetPid at each use. Replicated bindings have no single concrete
    context — the forwarding path multicasts instead. *)

@@ -49,4 +49,3 @@ val data_bytes : t -> int
 val add_binding : t -> string -> target -> (unit, Reply.code) result
 
 val delete_binding : t -> string -> (unit, Reply.code) result
-val find_binding : t -> string -> target option

@@ -85,9 +85,6 @@ module Op = struct
   let release_instance = 133
   let set_instance_size = 134
 
-  (* Service-specific codes start here. *)
-  let first_service_specific = 200
-
   let is_csname_request code = code >= 100 && code < 120
 
   (* The CSname requests that mutate the object or name space — the set
@@ -139,14 +136,6 @@ type instance_info = {
 }
 
 type open_mode = Read | Write | Append | Directory_listing
-
-let pp_open_mode ppf m =
-  Fmt.string ppf
-    (match m with
-    | Read -> "read"
-    | Write -> "write"
-    | Append -> "append"
-    | Directory_listing -> "directory")
 
 type payload +=
   | P_open of { mode : open_mode }

@@ -73,9 +73,6 @@ module Op : sig
   val release_instance : int
   val set_instance_size : int
 
-  (** Service-specific codes start at this value. *)
-  val first_service_specific : int
-
   val is_csname_request : int -> bool
 
   (** The CSname requests that mutate the object or name space — the
@@ -92,8 +89,6 @@ end
 type instance_info = { instance : int; file_size : int; block_size : int }
 
 type open_mode = Read | Write | Append | Directory_listing
-
-val pp_open_mode : Format.formatter -> open_mode -> unit
 
 type payload +=
   | P_open of { mode : open_mode }

@@ -44,7 +44,6 @@ type entry =
 type t = {
   ds_name : string;
   contexts : (Context.id, (string, entry) Hashtbl.t) Hashtbl.t;
-  mutable next_ctx : Context.id;
   stats : Csnh.server_stats;
   mutable pid : Pid.t option;
   (* Overload-protection policy; [None] = admission off. Like the
@@ -85,19 +84,6 @@ let table t ctx = Hashtbl.find_opt t.contexts ctx
 
 (* --- building the tree (configuration, not protocol) --- *)
 
-let add_subcontext t ?(ctx = apex) component =
-  match table t ctx with
-  | None -> Error Reply.Bad_context
-  | Some tbl ->
-      if Hashtbl.mem tbl component then Error Reply.Duplicate_name
-      else begin
-        let id = t.next_ctx in
-        t.next_ctx <- id + 1;
-        Hashtbl.replace t.contexts id (Hashtbl.create 8);
-        Hashtbl.replace tbl component (Subcontext id);
-        Ok id
-      end
-
 (* Add or replace — replacement is how a parent re-stitches a
    delegation to a revived child's new pid. *)
 let set_entry t ?(ctx = apex) component entry =
@@ -109,16 +95,6 @@ let set_entry t ?(ctx = apex) component entry =
 
 let delegate t ?ctx component child = set_entry t ?ctx component (Child child)
 let bind t ?ctx component target = set_entry t ?ctx component (Bound target)
-
-let remove_entry t ?(ctx = apex) component =
-  match table t ctx with
-  | None -> Error Reply.Bad_context
-  | Some tbl ->
-      if Hashtbl.mem tbl component then begin
-        Hashtbl.remove tbl component;
-        Ok ()
-      end
-      else Error Reply.Not_found
 
 let entries t ?(ctx = apex) () =
   match table t ctx with
@@ -320,7 +296,6 @@ let start host ~name () =
     {
       ds_name = name;
       contexts = Hashtbl.create 8;
-      next_ctx = Context.Well_known.first_ordinary;
       stats = Csnh.make_stats name;
       pid = None;
       admission_cfg = None;

@@ -68,11 +68,6 @@ val admission_config : t -> Vservices.Admission.config option
 
 (** {1 Building the tree (configuration, not protocol)} *)
 
-(** Create a local sub-context named [component] under [ctx]
-    (default: the apex). *)
-val add_subcontext :
-  t -> ?ctx:Context.id -> string -> (Context.id, Reply.code) result
-
 (** Add or replace an entry — replacement is how a parent re-stitches a
     delegation to a revived child's new pid. *)
 val set_entry :
@@ -87,8 +82,6 @@ val delegate :
     object server's context. *)
 val bind :
   t -> ?ctx:Context.id -> string -> Context.spec -> (unit, Reply.code) result
-
-val remove_entry : t -> ?ctx:Context.id -> string -> (unit, Reply.code) result
 
 (** The entries of a context, sorted by component name. *)
 val entries : t -> ?ctx:Context.id -> unit -> (string * entry) list

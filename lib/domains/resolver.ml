@@ -59,7 +59,7 @@ type stats = {
 
 type t = {
   prefix : string;  (** the '[prefix]' this resolver is authoritative for *)
-  mutable root : Context.spec;  (** the root domain server of the tree *)
+  root : Context.spec;  (** the root domain server of the tree *)
   cache : Name_cache.t;
   ttl_ms : float;
   neg_ttl_ms : float;
@@ -110,9 +110,6 @@ let create ?(capacity = Name_cache.default_capacity) ?(ttl_ms = default_ttl_ms)
 
 let prefix t = t.prefix
 let root t = t.root
-
-(* Point the resolver at a new root incarnation (after a root restart). *)
-let rebind_root t spec = t.root <- spec
 
 let cache t = t.cache
 let cache_stats t = Name_cache.stats t.cache

@@ -62,10 +62,6 @@ val create :
 val prefix : t -> string
 val root : t -> Context.spec
 
-(** Point the resolver at a new root incarnation (after a root
-    restart). *)
-val rebind_root : t -> Context.spec -> unit
-
 (** Does this resolver answer for [name]? Exactly the names opening
     with its '[prefix]'. *)
 val handles : t -> string -> bool

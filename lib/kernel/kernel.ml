@@ -316,7 +316,6 @@ type 'm self = 'm process
 (* --- small helpers --- *)
 
 let engine_of_domain d = d.engine
-let net_of_domain d = d.net
 
 (* --- reporting: one event per site, into the hub's stream --- *)
 
@@ -1348,13 +1347,6 @@ let set_pid host ~service pid scope =
   let entries = List.filter (fun (_, sc) -> sc <> scope) entries in
   Hashtbl.replace host.services service ((pid, scope) :: entries)
 
-let clear_pid host ~service pid =
-  match Hashtbl.find_opt host.services service with
-  | None -> ()
-  | Some entries ->
-      Hashtbl.replace host.services service
-        (List.filter (fun (p, _) -> not (Pid.equal p pid)) entries)
-
 let local_service_lookup host ~service ~origin =
   match Hashtbl.find_opt host.services service with
   | None -> None
@@ -1385,14 +1377,6 @@ let clear_service_group d ~service = Hashtbl.remove d.service_groups service
 
 let service_group d ~service =
   Option.map (fun sg -> sg.sg_group) (Hashtbl.find_opt d.service_groups service)
-
-let service_group_policy d ~service =
-  Option.map (fun sg -> sg.sg_policy) (Hashtbl.find_opt d.service_groups service)
-
-let registered_service_groups d =
-  Hashtbl.fold (fun service sg acc -> (service, sg.sg_group) :: acc)
-    d.service_groups []
-  |> List.sort compare
 
 let local_group_members host ~group =
   match Hashtbl.find_opt host.group_members group with Some l -> l | None -> []

@@ -65,7 +65,6 @@ val host_name : 'm host -> string
 val host_is_up : 'm host -> bool
 val domain_of_host : 'm host -> 'm domain
 val engine_of_domain : 'm domain -> Vsim.Engine.t
-val net_of_domain : 'm domain -> 'm packet Vnet.Ethernet.t
 
 (** Attach an observability hub to the domain and its wire, the one
     attach call. Every kernel and wire site reports one event into the
@@ -227,9 +226,6 @@ val move_to : 'm self -> sender:Pid.t -> bytes -> (unit, error) result
     Local and Remote registrations coexist. *)
 val set_pid : 'm host -> service:int -> Pid.t -> Service.scope -> unit
 
-(** Remove [pid]'s registrations for [service] on this host. *)
-val clear_pid : 'm host -> service:int -> Pid.t -> unit
-
 (** Look up a service: the local table first, then (unless scope is
     [Local]) a broadcast query answered by the first kernel with a
     Remote/Both registration. With the GetPid cache enabled, a prior
@@ -289,10 +285,6 @@ val register_service_group :
 val clear_service_group : 'm domain -> service:int -> unit
 
 val service_group : 'm domain -> service:int -> int option
-val service_group_policy : 'm domain -> service:int -> Balancer.policy option
-
-(** All (service, group) bindings, sorted. *)
-val registered_service_groups : 'm domain -> (int * int) list
 
 (** The live members of [service]'s group visible from [requester]: on
     an up host, not partitioned away from it, process alive — sorted by

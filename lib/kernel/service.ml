@@ -4,11 +4,6 @@
 
 type scope = Local | Remote | Both
 
-let pp_scope ppf = function
-  | Local -> Fmt.string ppf "local"
-  | Remote -> Fmt.string ppf "remote"
-  | Both -> Fmt.string ppf "both"
-
 (* Does a registration with scope [registered] answer a lookup with
    scope [wanted] arriving from the given origin? *)
 let visible ~registered ~origin =

@@ -7,8 +7,6 @@
     and advertise a different public one for the same service. *)
 type scope = Local | Remote | Both
 
-val pp_scope : Format.formatter -> scope -> unit
-
 (** Does a registration answer a lookup arriving from the given
     origin? *)
 val visible :

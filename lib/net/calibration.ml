@@ -56,12 +56,10 @@ let small_packet_recv_cpu = 0.504
 let local_ipc_leg_cpu = 0.385
 
 (* Copying an appended segment (e.g. a CSname) into the receiving
-   server: across the network / between local address spaces. *)
+   server: across the network / between local address spaces. Local
+   delivery has no such charge: it passes segments within one machine,
+   a cost already inside the 0.77 ms local transaction figure. *)
 let segment_copy_remote_cpu = 0.66
-
-(* Local delivery passes segments within one machine; the cost is
-   already inside the 0.77 ms local transaction figure. *)
-let segment_copy_local_cpu = 0.0
 
 (* Local MoveTo/MoveFrom memcpy per 512-byte page. *)
 let local_move_page_cpu = 0.05

@@ -40,10 +40,6 @@ val local_ipc_leg_cpu : float
     server, across the network / between local address spaces. *)
 val segment_copy_remote_cpu : float
 
-(** Local delivery passes segments within one machine; the cost is
-    already inside the local transaction figure. *)
-val segment_copy_local_cpu : float
-
 (** Local MoveTo/MoveFrom memcpy per 512-byte page. *)
 val local_move_page_cpu : float
 

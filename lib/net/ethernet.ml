@@ -502,11 +502,6 @@ let set_link_extra_latency t a b ms =
   l.l_extra_ms <- ms;
   emit t Link_latency ~site:(-1) ~a:0 ~b:0 ~link:l ~x:ms
 
-let link_extra_latency t a b =
-  match Hashtbl.find_opt t.links (a, b) with
-  | Some l -> l.l_extra_ms
-  | None -> 0.0
-
 let link_stats t =
   Hashtbl.fold
     (fun key l acc ->
@@ -613,11 +608,6 @@ let set_extra_latency t addr ms =
   | Some port ->
       port.extra_latency_ms <- ms;
       emit t Slow_host ~site:addr ~a:0 ~b:0 ~link:no_link ~x:ms
-
-let extra_latency t addr =
-  match Hashtbl.find_opt t.hosts addr with
-  | Some port -> port.extra_latency_ms
-  | None -> 0.0
 
 let partition t a b =
   let pair = if a < b then (a, b) else (b, a) in

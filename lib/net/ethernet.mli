@@ -114,9 +114,6 @@ val loss_probability : 'a t -> float
     value or an unknown host. *)
 val set_extra_latency : 'a t -> addr -> float -> unit
 
-(** Current extra receive latency of a host (0.0 if unknown). *)
-val extra_latency : 'a t -> addr -> float
-
 (** Block frames between two hosts (both directions). *)
 val partition : 'a t -> addr -> addr -> unit
 
@@ -143,8 +140,6 @@ val link_up : 'a t -> Topology.node -> Topology.node -> bool
     [Invalid_argument] on a negative value. *)
 val set_link_extra_latency :
   'a t -> Topology.node -> Topology.node -> float -> unit
-
-val link_extra_latency : 'a t -> Topology.node -> Topology.node -> float
 
 (** Can frames currently flow from [a] to [b]? Host-pair partitions
     apply on both topologies; the switched fabric additionally requires

@@ -101,7 +101,6 @@ let set_resilience env ?(policy = Vio.Resilience.default) ~seed () =
   env.resilience <- Some policy;
   env.retry_prng <- Vsim.Prng.create ~seed
 
-let clear_resilience env = env.resilience <- None
 let resilience env = env.resilience
 
 let resilience_stats env = env.rstats

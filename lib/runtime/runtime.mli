@@ -49,7 +49,6 @@ val set_current_context : env -> Context.spec -> unit
 val set_resilience :
   env -> ?policy:Vio.Resilience.policy -> seed:int -> unit -> unit
 
-val clear_resilience : env -> unit
 val resilience : env -> Vio.Resilience.policy option
 
 type resilience_stats = {

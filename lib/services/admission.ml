@@ -45,10 +45,6 @@ type config = {
   retry_floor_ms : float;  (* no retry-after hint below this *)
 }
 
-let pp_config ppf c =
-  Fmt.pf ppf "caps %d/%d (bulk/all), service %.2fms, floor %.0fms" c.bulk_cap
-    c.queue_cap c.service_ms c.retry_floor_ms
-
 (* --- profiles, budgeted from the calibrated cost model --- *)
 
 let make ?(queue_cap = 16) ?(bulk_cap = 8) ?(retry_floor_ms = 5.0) ~service_ms

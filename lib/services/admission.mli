@@ -32,8 +32,6 @@ type config = {
   retry_floor_ms : float;  (** no retry-after hint below this *)
 }
 
-val pp_config : Format.formatter -> config -> unit
-
 (** [make ~service_ms ()] — defaults: caps 8 (bulk) / 16 (all),
     5ms hint floor.
     @raise Invalid_argument if [bulk_cap > queue_cap]. *)

@@ -15,7 +15,6 @@ type t = {
   page_bytes : int;
   capacity_pages : int option;
   mutable busy_until : float;
-  reads : Vsim.Stats.Counter.t;
   writes : Vsim.Stats.Counter.t;
 }
 
@@ -28,7 +27,6 @@ let create ?(page_ms = Calibration.disk_page_ms)
     page_bytes;
     capacity_pages;
     busy_until = 0.0;
-    reads = Vsim.Stats.Counter.create "disk.reads";
     writes = Vsim.Stats.Counter.create "disk.writes";
   }
 
@@ -39,7 +37,6 @@ let page_bytes t = t.page_bytes
 (* Forget queued setup traffic: the arm is idle from now on. Benchmarks
    call this after populating the disk outside measured time. *)
 let reset_arm t = t.busy_until <- Vsim.Engine.now t.engine
-let read_count t = Vsim.Stats.Counter.value t.reads
 let write_count t = Vsim.Stats.Counter.value t.writes
 
 (* Claim the arm for one page transfer; returns its completion time. *)
@@ -61,14 +58,12 @@ let peek t page =
 
 (* Blocking read of one page (missing pages read as zeroes). *)
 let read_page t page =
-  Vsim.Stats.Counter.incr t.reads;
   wait_until t (enqueue_transfer t);
   peek t page
 
 (* Start reading a page without blocking; the result is the time at
    which the page will be in memory. *)
 let read_page_async t page =
-  Vsim.Stats.Counter.incr t.reads;
   ignore page;
   enqueue_transfer t
 

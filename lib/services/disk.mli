@@ -10,7 +10,6 @@ val create :
 
 val page_bytes : t -> int
 val capacity_pages : t -> int option
-val read_count : t -> int
 val write_count : t -> int
 
 (** Forget queued setup traffic: the arm is idle from now on. Used by

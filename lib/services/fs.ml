@@ -44,8 +44,6 @@ type t = {
   (* Buffer cache: pages present in server memory, and when they are
      (or will be) available — the basis of read-ahead. *)
   cache : (int * int, float) Hashtbl.t;
-  cache_hits : Vsim.Stats.Counter.t;
-  cache_misses : Vsim.Stats.Counter.t;
 }
 
 let root_ino = 1
@@ -83,8 +81,6 @@ let create ?(owner = "system") disk engine =
       next_page = 0;
       free_pages = [];
       cache = Hashtbl.create 256;
-      cache_hits = Vsim.Stats.Counter.create "fs.cache-hits";
-      cache_misses = Vsim.Stats.Counter.create "fs.cache-misses";
     }
   in
   let root = mkino t ~kind:`Dir ~owner ~parent:root_ino ~name:"/" in
@@ -103,8 +99,6 @@ let is_dir t ino =
   | n -> n.kind = `Dir
   | exception Not_found -> false
 
-let cache_hit_count t = Vsim.Stats.Counter.value t.cache_hits
-let cache_miss_count t = Vsim.Stats.Counter.value t.cache_misses
 
 (* Forget every buffered page (benchmarks use this to measure cold
    reads; directory entries stay in core). *)
@@ -340,10 +334,8 @@ let read_block t ~ino ~block =
         (match Hashtbl.find_opt t.cache (ino, block) with
         | Some ready_at ->
             (* In memory (possibly still arriving from a read-ahead). *)
-            Vsim.Stats.Counter.incr t.cache_hits;
             Disk.wait_until t.disk ready_at
         | None ->
-            Vsim.Stats.Counter.incr t.cache_misses;
             if page >= 0 then ignore (Disk.read_page t.disk page : bytes)
             else Disk.wait_until t.disk (Disk.read_page_async t.disk 0);
             Hashtbl.replace t.cache (ino, block) (now t));

@@ -45,8 +45,6 @@ val find : t -> int -> inode option
 val get : t -> int -> inode
 
 val is_dir : t -> int -> bool
-val cache_hit_count : t -> int
-val cache_miss_count : t -> int
 
 (** Forget every buffered page (for cold-read benchmarks). *)
 val drop_caches : t -> unit

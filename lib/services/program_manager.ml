@@ -28,12 +28,10 @@ type t = {
   executions : (int, execution) Hashtbl.t;
   mutable next_execution : int;
   instances : Instance_server.t;
-  loads : Vsim.Stats.Series.t;  (* per-load elapsed ms *)
   mutable pid : Pid.t option;
 }
 
 let pid t = Option.get t.pid
-let load_times t = t.loads
 
 let executions t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.executions []
@@ -107,7 +105,6 @@ let run_program t self ~program ~argument =
       | Ok (reply, _) -> (
           match (Vmsg.reply_code reply, reply.Vmsg.payload) with
           | Some Reply.Ok, Vmsg.P_descriptor d ->
-              let t0 = Vsim.Engine.now engine in
               let size = max 1 d.Descriptor.size in
               (match
                  load self ~storage ~context:Context.Well_known.programs
@@ -115,7 +112,6 @@ let run_program t self ~program ~argument =
                with
               | Error e -> Error e
               | Ok (_image : bytes) ->
-                  Vsim.Stats.Series.add t.loads (Vsim.Engine.now engine -. t0);
                   let execution =
                     record_execution t ~now:(Vsim.Engine.now engine) ~program
                       ~argument
@@ -144,7 +140,6 @@ let start host =
       executions = Hashtbl.create 8;
       next_execution = 1;
       instances = Instance_server.create ~name:"execution-dirs" ();
-      loads = Vsim.Stats.Series.create "program-load-ms";
       pid = None;
     }
   in

@@ -31,9 +31,6 @@ val pid : t -> Pid.t
 (** Past and present executions, oldest first. *)
 val executions : t -> execution list
 
-(** Per-load elapsed times (ms), for the E2 measurements. *)
-val load_times : t -> Vsim.Stats.Series.t
-
 (** Make a program body runnable under a name. Its image must also be
     installed in a storage server's program directory. *)
 val register : t -> string -> program_body -> unit

@@ -90,10 +90,6 @@ let protect t ?config ps =
     t.members;
   Admission.install t.domain (Prefix_server.pid ps) cfg
 
-let unprotect t ps =
-  List.iter (fun (_, fs) -> File_server.disable_admission fs t.domain) t.members;
-  Admission.uninstall t.domain (Prefix_server.pid ps)
-
 (* Retries per logged entry before a catch-up gives up: the sends are
    host-local, so a failure means the host is going down again and the
    rejoin should be abandoned, not papered over. *)

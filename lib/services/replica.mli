@@ -40,9 +40,6 @@ val uninstall : t -> unit
     {!revive}. [?config] overrides the coordinator policy. *)
 val protect : t -> ?config:Admission.config -> Prefix_server.t -> unit
 
-(** Undo {!protect} on members and coordinator. *)
-val unprotect : t -> Prefix_server.t -> unit
-
 val service : t -> int
 val group : t -> int
 val policy : t -> Balancer.policy

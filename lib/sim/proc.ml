@@ -89,8 +89,6 @@ module Ivar = struct
         resume result
     | Full _ -> invalid_arg "Ivar.fill: already filled"
 
-  let is_full t = match t.state with Full _ -> true | _ -> false
-
   (* Block the current fiber until the ivar is filled. *)
   let read t =
     match t.state with

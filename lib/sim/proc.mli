@@ -40,8 +40,6 @@ module Ivar : sig
       [Invalid_argument] if already filled. *)
   val fill : 'a t -> ('a, exn) result -> unit
 
-  val is_full : 'a t -> bool
-
   (** Block until filled; re-raises if filled with an error. At most one
       reader is allowed. *)
   val read : 'a t -> 'a

@@ -91,21 +91,18 @@ type cohort = {
   c_prng : Vsim.Prng.t;
   c_size : int;
   c_mean_gap_ms : float;
-  mutable c_issued : int;
 }
 
 let cohort ~size ~mean_gap_ms prng =
   if size < 1 then invalid_arg "Generator.cohort: size < 1";
   if mean_gap_ms <= 0.0 then invalid_arg "Generator.cohort: mean_gap_ms <= 0";
-  { c_prng = prng; c_size = size; c_mean_gap_ms = mean_gap_ms; c_issued = 0 }
+  { c_prng = prng; c_size = size; c_mean_gap_ms = mean_gap_ms }
 
 let cohort_size c = c.c_size
-let cohort_issued c = c.c_issued
 
 (* Next inter-arrival gap of the aggregated stream: exponential with
    the per-client mean divided by the cohort size. *)
 let cohort_next_gap c =
-  c.c_issued <- c.c_issued + 1;
   Vsim.Prng.exponential c.c_prng
     ~mean:(c.c_mean_gap_ms /. float_of_int c.c_size)
 

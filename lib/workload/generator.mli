@@ -42,9 +42,6 @@ type cohort
 val cohort : size:int -> mean_gap_ms:float -> Vsim.Prng.t -> cohort
 val cohort_size : cohort -> int
 
-(** Operations issued so far (one per {!cohort_next_gap} draw). *)
-val cohort_issued : cohort -> int
-
 (** Draw the next inter-arrival gap (ms) of the aggregated stream. *)
 val cohort_next_gap : cohort -> float
 

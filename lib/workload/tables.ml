@@ -26,51 +26,57 @@ let record json =
    per experiment (begin_experiment); the experiment fills in what it
    knows (note_meta) — an experiment that runs to quiescence has no
    horizon, one that never draws randomness reports its scenario
-   seed. *)
+   seed. Host-measured values (note_host) go into the entry's "host"
+   object, the one part of a dump two runs of the same seed may
+   disagree on; bench/compare.ml gates everything else exactly. *)
 let tool = "vsystem-bench"
 let tool_version = "0.5"
 
 type meta_cell = {
   mutable m_seed : int option;
   mutable m_horizon : float option;
-  (* Engine throughput accounting, filled by the harness after the
-     experiment returns: simulator events executed and host wall-clock
-     seconds. [m_wall_s] is the one non-deterministic field of a dump;
-     regression gating must ignore it (bench/compare.ml does). *)
   mutable m_events : int option;
-  mutable m_wall_s : float option;
+  mutable m_host : (string * Json.t) list;
+  mutable m_host_paced : bool;
 }
 
 let run_meta : (string * meta_cell) list ref = ref []
 let current_meta : meta_cell option ref = ref None
 
-(* Short names of experiments deliberately retired from the suite. The
-   bench-regression gate fails when a baseline metric disappears from a
-   fresh run unless its experiment is listed here ("_meta"."removed") —
-   a retirement must be declared, not inferred from absence. *)
-let removed_experiments : string list ref = ref []
-
-let note_removed name =
-  if not (List.mem name !removed_experiments) then
-    removed_experiments := !removed_experiments @ [ name ]
-
 let begin_experiment name =
   let cell =
-    { m_seed = None; m_horizon = None; m_events = None; m_wall_s = None }
+    {
+      m_seed = None;
+      m_horizon = None;
+      m_events = None;
+      m_host = [];
+      m_host_paced = false;
+    }
   in
   run_meta := !run_meta @ [ (name, cell) ];
   current_meta := Some cell
 
-let note_meta ?seed ?horizon_ms ?events_executed ?wall_s () =
+let note_host key value =
   match !current_meta with
   | None -> ()
-  | Some cell ->
+  | Some cell -> cell.m_host <- cell.m_host @ [ (key, value) ]
+
+let host_paced () =
+  match !current_meta with
+  | None -> ()
+  | Some cell -> cell.m_host_paced <- true
+
+let note_meta ?seed ?horizon_ms ?events_executed () =
+  match !current_meta with
+  | None -> ()
+  | Some cell -> (
       (match seed with Some v -> cell.m_seed <- Some v | None -> ());
       (match horizon_ms with Some v -> cell.m_horizon <- Some v | None -> ());
-      (match events_executed with
+      match events_executed with
+      | Some v when cell.m_host_paced ->
+          note_host "events_executed" (Json.Int v)
       | Some v -> cell.m_events <- Some v
-      | None -> ());
-      (match wall_s with Some v -> cell.m_wall_s <- Some v | None -> ())
+      | None -> ())
 
 let meta_json () =
   let experiments =
@@ -90,24 +96,16 @@ let meta_json () =
                 match cell.m_events with
                 | Some v -> Json.Int v
                 | None -> Json.Null );
-              ( "wall_s",
-                match cell.m_wall_s with
-                | Some v -> Json.Float v
-                | None -> Json.Null );
+              ("host", Json.Obj cell.m_host);
             ] ))
       !run_meta
   in
   Json.Obj
-    ([
-       ("tool", Json.String tool);
-       ("version", Json.String tool_version);
-       ("experiments", Json.Obj experiments);
-     ]
-    @
-    match !removed_experiments with
-    | [] -> []
-    | names ->
-        [ ("removed", Json.List (List.map (fun n -> Json.String n) names)) ])
+    [
+      ("tool", Json.String tool);
+      ("version", Json.String tool_version);
+      ("experiments", Json.Obj experiments);
+    ]
 
 let results_json () =
   let fields =
@@ -118,13 +116,6 @@ let results_json () =
   match !run_meta with
   | [] -> Json.Obj fields
   | _ -> Json.Obj (("_meta", meta_json ()) :: fields)
-
-let reset_results () =
-  json_store := [];
-  current_title := "(untitled)";
-  run_meta := [];
-  current_meta := None;
-  removed_experiments := []
 
 let print_title title =
   current_title := title;
@@ -155,11 +146,16 @@ let print_table_text ~header rows =
     (String.concat "  " (List.map (fun w -> String.make w '-') widths));
   List.iter (fun row -> Fmt.pr "%s@." (render_row row)) rows
 
-let print_table ~header rows =
+let print_table ?(host = []) ~header rows =
   print_table_text ~header rows;
   List.iter
     (fun row ->
-      record (Json.Obj (List.map2 (fun k v -> (k, Json.String v)) header row)))
+      let host_cells, cells =
+        List.map2 (fun k v -> (k, Json.String v)) header row
+        |> List.partition (fun (k, _) -> List.mem k host)
+      in
+      if host_cells <> [] then note_host (List.hd row) (Json.Obj host_cells);
+      record (Json.Obj cells))
     rows
 
 type comparison = {

@@ -3,8 +3,12 @@
 val print_title : string -> unit
 val print_section : string -> unit
 
-(** Aligned columns; the first column is left-aligned. *)
-val print_table : header:string list -> string list list -> unit
+(** Aligned columns; the first column is left-aligned. The cells of the
+    columns named in [host] are host-measured: each row's are recorded
+    through {!note_host}, keyed by the row's first cell, instead of in
+    the row. *)
+val print_table :
+  ?host:string list -> header:string list -> string list list -> unit
 
 type comparison = {
   label : string;
@@ -33,36 +37,34 @@ val record : Vobs.Json.t -> unit
     The harness opens a ["_meta"] entry per experiment it runs; the
     experiment fills in what it knows. The dump then starts with a
     self-describing ["_meta"] object (tool, version, per-experiment
-    seed and sim horizon) that {!results_json} prepends. *)
+    seed, sim horizon, events and host-measured values) that
+    {!results_json} prepends. *)
 
 (** [begin_experiment name] opens the metadata entry subsequent
-    {!note_meta} calls fill. Called by the harness before each
-    experiment. *)
+    {!note_meta} and {!note_host} calls fill. Called by the harness
+    before each experiment. *)
 val begin_experiment : string -> unit
 
-(** [note_meta ?seed ?horizon_ms ?events_executed ?wall_s ()] records
-    the current experiment's seed, simulated horizon, simulator events
-    executed, and/or host wall-clock seconds. [wall_s] is the one
-    non-deterministic field of a dump — regression gating ignores it.
-    A no-op outside a harness run. *)
+(** [note_meta ?seed ?horizon_ms ?events_executed ()] records the
+    current experiment's seed, simulated horizon and/or simulator
+    events executed. A no-op outside a harness run. *)
 val note_meta :
-  ?seed:int ->
-  ?horizon_ms:float ->
-  ?events_executed:int ->
-  ?wall_s:float ->
-  unit ->
-  unit
+  ?seed:int -> ?horizon_ms:float -> ?events_executed:int -> unit -> unit
 
-(** [note_removed name] declares experiment [name] (short name, e.g.
-    ["e5"]) deliberately retired: it is listed under
-    ["_meta"."removed"], which downgrades the bench-regression gate's
-    missing-baseline-metric failure to a warning for that experiment.
-    Regenerating the baseline is the permanent fix. *)
-val note_removed : string -> unit
+(** [note_host key value] records a host-measured value (wall clock,
+    CPU time, a rate over either) under the current experiment's
+    ["_meta"."experiments".name."host"] object. It is reported, never
+    compared: the bench-regression gate holds every other value of a
+    dump to exact equality. A no-op outside a harness run. *)
+val note_host : string -> Vobs.Json.t -> unit
+
+(** [host_paced ()] marks the current experiment's amount of work as
+    set by host measurements (E15 runs more timed rounds on a noisy
+    host): its engine event total, which {!note_meta} receives, is then
+    recorded through {!note_host} instead of compared. *)
+val host_paced : unit -> unit
 
 (** Everything recorded so far: an object mapping each title to its
     entries, in print order, preceded by ["_meta"] when the harness
     opened experiment entries. *)
 val results_json : unit -> Vobs.Json.t
-
-val reset_results : unit -> unit

@@ -1,0 +1,28 @@
+# Runs the bench-regression gate on the fixtures beside this script and
+# prints each case's stdout and exit status.
+#
+#   sh run.sh PATH/TO/compare.exe
+#
+# base.json is a small baseline; every other fixture is base.json with
+# one change, named by its file.
+
+compare=$1
+# The gate appends its markdown summary to $GITHUB_STEP_SUMMARY when
+# set; the summary must land on stdout here, inside a CI job too.
+unset GITHUB_STEP_SUMMARY
+
+gate() {
+  echo "== compare $*"
+  "$compare" "$@"
+  echo "exit $?"
+  echo
+}
+
+gate base.json base.json
+for fresh in deep_number string_cell missing_key new_key list_length repeated_key \
+  host_only e10_miss e4_miss incomplete violations breaches; do
+  gate base.json "$fresh.json"
+done
+for fresh in base incomplete violations breaches; do
+  gate --check "$fresh.json"
+done

@@ -300,6 +300,43 @@ let test_partition_heal_sync () =
     (List.map (Fmt.str "%a" Invariant.pp_violation)
        (Invariant.replica_divergence t ~members ~names))
 
+(* --- crossed partitions: each member misses the other coordinator's
+   write --- *)
+
+(* ws0 cannot reach fs1 and ws1 cannot reach fs0, so each coordinator's
+   write lands on a different member, and each member holds an
+   acknowledged write the other lacks. A snapshot from either peer
+   would lose one of them: the heal-time sync must bring each member
+   the origin it missed. *)
+let test_crossed_partition_sync () =
+  let t, rset = build_replicated ~workstations:2 ~seed:19 ~factor:2 () in
+  let net = Scenario.(t.net) in
+  let ws0 = Scenario.ws_addr 0 and ws1 = Scenario.ws_addr 1 in
+  let fs0 = Scenario.fs_addr 0 and fs1 = Scenario.fs_addr 1 in
+  let create ~ws ?directory name =
+    ignore
+      (Scenario.spawn_client t ~ws ~name:"writer" (fun _self env ->
+           ok_exn name (Runtime.create env ?directory ("[rstore]" ^ name))));
+    Scenario.run t
+  in
+  create ~ws:0 ~directory:true "top";
+  Vnet.Ethernet.partition net ws0 fs1;
+  Vnet.Ethernet.partition net ws1 fs0;
+  create ~ws:0 "top/a";
+  create ~ws:1 "top/b";
+  Vnet.Ethernet.heal net ws0 fs1;
+  Vnet.Ethernet.heal net ws1 fs0;
+  let members = List.map snd (Replica.members rset) in
+  let names = [ "top"; "top/a"; "top/b" ] in
+  Alcotest.(check bool) "members diverge before the sync" true
+    (Invariant.replica_divergence t ~members ~names <> []);
+  Replica.sync rset;
+  Scenario.run t;
+  Alcotest.(check (list string))
+    "the sync replays each member's missing origin" []
+    (List.map (Fmt.str "%a" Invariant.pp_violation)
+       (Invariant.replica_divergence t ~members ~names))
+
 (* --- a definitively failed write is aborted, not resurrected --- *)
 
 let test_no_resurrection () =
@@ -382,6 +419,8 @@ let suite =
           test_revive_catchup_converges;
         Alcotest.test_case "partitioned member refuses gaps; heal sync"
           `Quick test_partition_heal_sync;
+        Alcotest.test_case "crossed partitions reconverge on sync" `Quick
+          test_crossed_partition_sync;
         Alcotest.test_case "definite fan-out failure aborts, no resurrection"
           `Quick test_no_resurrection;
         Alcotest.test_case "failover to survivor, tagged exactly once" `Quick
