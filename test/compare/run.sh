@@ -4,7 +4,8 @@
 #   sh run.sh PATH/TO/compare.exe
 #
 # base.json is a small baseline; every other fixture is base.json with
-# one change, named by its file.
+# one change, named by its file. e4_paper.json moves E4's remote
+# prefixed Open off the paper, so it fails as its own baseline too.
 
 compare=$1
 # The gate appends its markdown summary to $GITHUB_STEP_SUMMARY when
@@ -23,6 +24,7 @@ for fresh in deep_number string_cell missing_key new_key list_length repeated_ke
   host_only e10_miss e4_miss incomplete violations breaches; do
   gate base.json "$fresh.json"
 done
-for fresh in base incomplete violations breaches; do
+gate e4_paper.json e4_paper.json
+for fresh in base incomplete violations breaches e4_paper; do
   gate --check "$fresh.json"
 done
