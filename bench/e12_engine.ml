@@ -7,10 +7,12 @@
    a scale (10,000 hosts, 1,000,000 simulated clients) the paper's
    testbed could only extrapolate to.
 
-   Phase A isolates the scheduler with a timer storm shaped like the
-   kernel IPC path: every transaction arms a 40 ms retransmission timer
-   and a 500 ms transport timeout, then cancels both ~2.6 ms later when
-   the reply lands. Under this load a binary heap accumulates hundreds
+   Phase A isolates the scheduler with a cancel-heavy timer storm:
+   every transaction arms a 40 ms retransmission timer and a 500 ms
+   transport timeout, then cancels both ~2.6 ms later when the reply
+   lands. (The kernel serves both with one timer per transaction; the
+   storm keeps two on purpose, as the wheel's cancellation stress
+   test.) Under this load a binary heap accumulates hundreds
    of thousands of cancelled-but-not-yet-popped timers (a 500 ms timer
    cancelled after 2.6 ms sits dead in the queue ~200x longer than it
    was live), so every push and pop pays O(log n) on a queue that is

@@ -185,13 +185,12 @@ and 'm admission = {
 and 'm pending = {
   p_fire : ('m * Pid.t, exn) result -> unit;
   p_buffer : bytes option;
-  (* Handles on the transaction's retransmission and timeout timers, so
-     completion cancels them in O(1) instead of leaving no-op events to
-     percolate through the queue (the common case: every successful
-     remote SRR arms both and needs neither). *)
-  mutable p_retransmit : Engine.timer option;
-  mutable p_timeout : Engine.timer option;
-  mutable p_probes : int;  (* timeout probes fired so far *)
+  (* The transaction's one timer ([arm_recovery], or GroupSend's
+     deadline), so completion cancels it in O(1) instead of leaving a
+     no-op event in the queue (the common case: every successful remote
+     SRR arms it and never needs it). *)
+  mutable p_timer : Engine.timer option;
+  mutable p_probes : int;  (* probes fired so far, across re-arms *)
 }
 
 and 'm move_op = {
@@ -702,36 +701,33 @@ let serving_key ~sender ~receiver =
 let register_serving host ~sender ~receiver ~txn =
   Hashtbl.replace host.serving (serving_key ~sender ~receiver) txn
 
-let cancel_pending_timers host pending =
-  let eng = host.domain.engine in
-  (match pending.p_retransmit with
-  | Some tm -> Engine.cancel eng tm
-  | None -> ());
-  (match pending.p_timeout with Some tm -> Engine.cancel eng tm | None -> ());
-  pending.p_retransmit <- None;
-  pending.p_timeout <- None
+(* Every path that takes a record out of [pendings] cancels its timer,
+   so a timer that fires always finds its record there. *)
+let cancel_timer host pending =
+  match pending.p_timer with
+  | Some tm -> Engine.cancel host.domain.engine tm
+  | None -> ()
 
 (* Resume a blocked sender with its reply (or error). Safe to call from
    event context; no-op if the transaction already completed. Cancels
-   the transaction's probe timers, so a satisfied SRR leaves no residue
-   in the event queue. *)
+   the transaction's timer, so a satisfied SRR leaves no residue in the
+   event queue. *)
 let fill_pending host ~txn result =
   match Hashtbl.find host.pendings txn with
   | exception Not_found -> () (* timed out, crashed, or duplicate reply *)
   | pending ->
       Hashtbl.remove host.pendings txn;
-      cancel_pending_timers host pending;
+      cancel_timer host pending;
       pending.p_fire result
 
-(* Retire a transaction without firing it: the cleanup for abnormal
-   exits (the blocked fiber was aborted by destroy/crash) where the
-   pending record may still be armed. *)
+(* Retire a transaction without firing it, once its blocked call has
+   returned. *)
 let drop_pending host ~txn =
   match Hashtbl.find host.pendings txn with
   | exception Not_found -> ()
   | pending ->
       Hashtbl.remove host.pendings txn;
-      cancel_pending_timers host pending
+      cancel_timer host pending
 
 (* Take a move operation out of flight, cancelling its timeout. *)
 let take_move host ~mv =
@@ -824,17 +820,16 @@ let dispatch_local_request host ~txn ~sender ~target_proc msg =
             depth msg;
           shed_reply host ~txn ~sender ~replier:target_proc.pid reply_msg)
 
-let dispatch_remote_request src_host ~dst_addr ~txn ~sender ~target msg =
-  transmit src_host ~dst:(Ethernet.Unicast dst_addr)
-    ~payload_bytes:(message_payload_bytes src_host.domain msg)
-    (Request { txn; sender; target; msg })
+(* The request frame of transaction [txn] towards [dst_addr]: one frame
+   serves the first transmission and every resend. *)
+let request_frame host ~dst_addr ~txn ~sender ~target msg =
+  {
+    Ethernet.src = host.addr;
+    dst = Ethernet.Unicast dst_addr;
+    payload = Request { txn; sender; target; msg };
+    payload_bytes = message_payload_bytes host.domain msg;
+  }
 
-(* Arm the unreachable-destination timeout for a remote transaction.
-   Like the real kernel's retransmission/probe machinery, the timeout
-   renews while the destination host remains reachable — a server
-   legitimately busy serving the transaction (e.g. a long MoveTo) does
-   not abort the sender. A bounded number of probes caps transactions
-   whose forwarded target silently disappeared. *)
 let max_timeout_probes = 60
 
 let target_host_reachable host dst_addr =
@@ -843,95 +838,74 @@ let target_host_reachable host dst_addr =
   | h -> h.host_up && Ethernet.reachable d.net host.addr dst_addr
   | exception Not_found -> false
 
-(* One probe closure per transaction: the attempt count lives in the
-   pending record, so re-arming allocates no new closure. *)
-let arm_timeout host ~txn pending ~dst_addr =
-  let d = host.domain in
-  let rec probe () =
-    if Hashtbl.mem host.pendings txn then begin
-      pending.p_probes <- pending.p_probes + 1;
-      if
-        target_host_reachable host dst_addr
-        && pending.p_probes < max_timeout_probes
-      then
-        pending.p_timeout <-
-          Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
-      else fill_pending host ~txn (Error (Ipc_error Timeout))
-    end
+(* Arm the one timer of a transaction that has left this host for
+   [dst_addr]. Any timer it had is cancelled, so a re-forward replaces
+   the chain; the probe count stays with the transaction. The timer is
+   due at the earlier of two instants, each computed from the firing
+   that set it, and when both fall due the probe runs first:
+   - the next resend of [frame], every 40 ms, for a remote Send
+     ([retransmit]); the receiving kernel suppresses duplicates;
+   - the next probe, every 500 ms. It fails the transaction with
+     Timeout once [dst_addr] is unreachable or the probe budget is
+     spent, and otherwise renews the timeout, so a server legitimately
+     busy with the transaction (a long MoveTo) does not abort its
+     sender. A locally submitted transaction that a server forwarded
+     off this host has no retransmission — local delivery loses no
+     frames, but the forward made the reply leg lossy — so its probes
+     resend [frame]; the target host's record of the sender replays a
+     lost reply, however late, or drops the copy while the request is
+     still served. *)
+let arm_recovery host ~txn pending ~dst_addr ~retransmit frame =
+  cancel_timer host pending;
+  let now = Engine.now host.domain.engine in
+  (* [| next resend; next probe |]: a float array stores both unboxed. *)
+  let due =
+    [|
+      (if retransmit then now +. Calibration.retransmit_interval_ms
+       else infinity);
+      now +. Calibration.ipc_timeout_ms;
+    |]
   in
-  pending.p_timeout <-
-    Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
-
-(* Recovery for a locally-submitted transaction that a server forwarded
-   to a remote host. The local send path arms no retransmission — local
-   delivery cannot lose frames — but the forward makes the reply leg
-   lossy: if the remote reply frame is dropped, nothing would ever
-   resend and the sender blocks forever. Probe at the timeout pace (not
-   the retransmission pace): each probe resends the forwarded request,
-   and the target host's record of the sender replays the reply if it
-   was lost or drops the copy while the request is still being served.
-   The transaction fails with Timeout once the target host is
-   unreachable or the probe budget is spent. The record keeps the reply
-   until the sender's next request reaches that host, so a probe finds
-   it however late it fires. Fault-free forwarded transactions complete
-   well before the first probe fires, so loss-free runs see no extra
-   frames. *)
-let arm_forward_recovery host ~txn pending ~dst_addr resend =
-  let d = host.domain in
-  let rec probe () =
-    if Hashtbl.mem host.pendings txn && host.host_up then begin
-      pending.p_probes <- pending.p_probes + 1;
-      let attempts = pending.p_probes in
-      if target_host_reachable host dst_addr && attempts < max_timeout_probes
-      then begin
-        report host Forward_recovery_probe txn attempts 0;
-        resend ();
-        pending.p_timeout <-
-          Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
-      end
-      else fill_pending host ~txn (Error (Ipc_error Timeout))
-    end
-  in
-  pending.p_timeout <-
-    Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine probe)
-
-(* Periodically resend a request packet while its transaction is still
-   pending; the receiving kernel suppresses duplicates. Rides under the
-   timeout above, which bounds the total wait. *)
-let arm_retransmit host ~txn pending resend =
-  let d = host.domain in
-  let rec tick () =
-    if Hashtbl.mem host.pendings txn && host.host_up then begin
-      report host Retransmit_probe txn 0 0;
-      resend ();
-      pending.p_retransmit <-
+  let rec fire () =
+    let now = Engine.now host.domain.engine in
+    let probe = due.(1) = now in
+    if probe then pending.p_probes <- pending.p_probes + 1;
+    if
+      probe
+      && not
+           (target_host_reachable host dst_addr
+           && pending.p_probes < max_timeout_probes)
+    then fill_pending host ~txn (Error (Ipc_error Timeout))
+    else begin
+      if probe then begin
+        due.(1) <- now +. Calibration.ipc_timeout_ms;
+        if not retransmit then begin
+          report host Forward_recovery_probe txn pending.p_probes 0;
+          Ethernet.transmit host.domain.net frame
+        end
+      end;
+      if due.(0) = now then begin
+        report host Retransmit_probe txn 0 0;
+        Ethernet.transmit host.domain.net frame;
+        due.(0) <- now +. Calibration.retransmit_interval_ms
+      end;
+      pending.p_timer <-
         Some
-          (Engine.timer ~delay:Calibration.retransmit_interval_ms d.engine tick)
+          (Engine.timer_at host.domain.engine (Float.min due.(0) due.(1)) fire)
     end
   in
-  pending.p_retransmit <-
-    Some (Engine.timer ~delay:Calibration.retransmit_interval_ms d.engine tick)
+  pending.p_timer <-
+    Some (Engine.timer_at host.domain.engine (Float.min due.(0) due.(1)) fire)
 
 (* --- the IPC primitives --- *)
 
-(* The remote leg of Send: put the request on the wire towards
-   [dst_addr] and block with retransmission and timeout armed. *)
-let send_remote proc ?buffer ~dst_addr ~target msg =
+(* Block [proc] on a fresh transaction: [start txn pending] sends the
+   request once its record is registered, and the record is retired
+   when the call returns. [buffer] is what the sender exposes to
+   MoveTo/MoveFrom meanwhile. *)
+let transact proc ?buffer start =
   let host = proc.proc_host in
-  let d = host.domain in
-  charge proc Calibration.small_packet_send_cpu;
-  let txn = fresh_txn d in
-  (* One frame serves the initial transmission and every
-     retransmission. *)
-  let frame =
-    {
-      Ethernet.src = host.addr;
-      dst = Ethernet.Unicast dst_addr;
-      payload = Request { txn; sender = proc.pid; target; msg };
-      payload_bytes = message_payload_bytes d msg;
-    }
-  in
-  let send_it () = Ethernet.transmit d.net frame in
+  let txn = fresh_txn host.domain in
   let result =
     try
       Ok
@@ -940,19 +914,28 @@ let send_remote proc ?buffer ~dst_addr ~target msg =
                {
                  p_fire = fire;
                  p_buffer = buffer;
-                 p_retransmit = None;
-                 p_timeout = None;
+                 p_timer = None;
                  p_probes = 0;
                }
              in
              Hashtbl.replace host.pendings txn pending;
-             send_it ();
-             arm_retransmit host ~txn pending send_it;
-             arm_timeout host ~txn pending ~dst_addr))
+             start txn pending))
     with Ipc_error e -> Error e
   in
   drop_pending host ~txn;
   result
+
+(* The remote leg of Send: put the request on the wire towards
+   [dst_addr] and block with its timer armed. *)
+let send_remote proc ?buffer ~dst_addr ~target msg =
+  charge proc Calibration.small_packet_send_cpu;
+  transact proc ?buffer (fun txn pending ->
+      let host = proc.proc_host in
+      let frame =
+        request_frame host ~dst_addr ~txn ~sender:proc.pid ~target msg
+      in
+      Ethernet.transmit host.domain.net frame;
+      arm_recovery host ~txn pending ~dst_addr ~retransmit:true frame)
 
 (* [send proc target msg] implements the Send primitive: blocks the
    calling fiber until the target (or whoever the message is forwarded
@@ -968,26 +951,10 @@ let send proc ?buffer target msg =
   | target_proc when target_proc.proc_host == host ->
       charge proc Calibration.local_ipc_leg_cpu;
       if not target_proc.proc_alive then Error Nonexistent_process
-      else begin
-        let txn = fresh_txn d in
-        let result =
-          try
-            Ok
-              (block proc (fun fire ->
-                   Hashtbl.replace host.pendings txn
-                     {
-                       p_fire = fire;
-                       p_buffer = buffer;
-                       p_retransmit = None;
-                       p_timeout = None;
-                       p_probes = 0;
-                     };
-                   dispatch_local_request host ~txn ~sender:proc.pid ~target_proc msg))
-          with Ipc_error e -> Error e
-        in
-        drop_pending host ~txn;
-        result
-      end
+      else
+        transact proc ?buffer (fun txn _ ->
+            dispatch_local_request target_proc.proc_host ~txn ~sender:proc.pid
+              ~target_proc msg)
   | target_proc ->
       send_remote proc ?buffer ~dst_addr:target_proc.proc_host.addr ~target msg
   | exception Not_found -> (
@@ -1108,18 +1075,19 @@ let forward proc ~from_ ~to_ msg =
       | target_proc ->
           charge proc Calibration.small_packet_send_cpu;
           let dst_addr = target_proc.proc_host.addr in
-          let resend () =
-            dispatch_remote_request host ~dst_addr ~txn ~sender:from_
-              ~target:to_ msg
+          let frame =
+            request_frame host ~dst_addr ~txn ~sender:from_ ~target:to_ msg
           in
-          resend ();
+          Ethernet.transmit d.net frame;
           (* A sender on this very host submitted the transaction via
-             the local path, which arms no retransmission or timeout;
-             now that the transaction has left the host, give it the
-             slow recovery chain. Remote-origin senders already
-             retransmit and time out from their own host. *)
+             the local path, which arms no timer; now that the
+             transaction has left the host, give it the slow recovery
+             chain, replacing any chain an earlier forward gave it.
+             Remote-origin senders already retransmit and time out from
+             their own host. *)
           (match Hashtbl.find host.pendings txn with
-          | pending -> arm_forward_recovery host ~txn pending ~dst_addr resend
+          | pending ->
+              arm_recovery host ~txn pending ~dst_addr ~retransmit:false frame
           | exception Not_found -> ());
           Ok ())
 
@@ -1212,6 +1180,38 @@ let stream_chunks src_host ~dst_addr data mk_packet =
         end)
   done
 
+(* The buffer a sender on this host exposed for transaction [txn], if
+   it holds [len] bytes. *)
+let exposed_buffer host ~txn ~len =
+  match Hashtbl.find host.pendings txn with
+  | exception Not_found -> Error Not_awaiting_reply
+  | { p_buffer = Some buf; _ } when len <= Bytes.length buf -> Ok buf
+  | _ -> Error Bad_buffer
+
+(* Block [proc] on move [mv] until its data or ack arrives, failing it
+   with Timeout after [ipc_timeout_ms]; [start] puts the move's request
+   on the wire once the move is registered. *)
+let await_move proc ~mv ~len start =
+  let host = proc.proc_host in
+  try
+    Ok
+      (block proc (fun fire ->
+           let op =
+             { mv_fire = fire; mv_buf = Buffer.create len; mv_timer = None }
+           in
+           Hashtbl.replace host.moves mv op;
+           start ();
+           op.mv_timer <-
+             Some
+               (Engine.timer ~delay:Calibration.ipc_timeout_ms
+                  host.domain.engine (fun () ->
+                    match take_move host ~mv with
+                    | None -> ()
+                    | Some op -> op.mv_fire (Error (Ipc_error Timeout))))))
+  with Ipc_error e ->
+    ignore (take_move host ~mv : 'm move_op option);
+    Error e
+
 (* [move_from proc ~sender ~len] reads [len] bytes from the buffer the
    blocked sender exposed. The caller must currently be serving
    [sender]. *)
@@ -1226,40 +1226,21 @@ let move_from proc ~sender ~len =
       match find_process d sender with
       | None -> Error Nonexistent_process
       | Some sender_proc when sender_proc.proc_host == host -> (
-          match Hashtbl.find_opt host.pendings txn with
-          | None -> Error Not_awaiting_reply
-          | Some { p_buffer = None; _ } -> Error Bad_buffer
-          | Some { p_buffer = Some buf; _ } ->
-              if len > Bytes.length buf then Error Bad_buffer
-              else begin
-                charge proc
-                  (float_of_int (pages_of_bytes len) *. Calibration.local_move_page_cpu);
-                Ok (Bytes.sub buf 0 len)
-              end)
-      | Some sender_proc -> (
+          match exposed_buffer host ~txn ~len with
+          | Error _ as e -> e
+          | Ok buf ->
+              charge proc
+                (float_of_int (pages_of_bytes len)
+                *. Calibration.local_move_page_cpu);
+              Ok (Bytes.sub buf 0 len))
+      | Some sender_proc ->
           let remote = sender_proc.proc_host in
           let mv = fresh_mv d in
           charge proc Calibration.small_packet_send_cpu;
-          try
-            Ok
-              (block proc (fun fire ->
-                   let op =
-                     { mv_fire = fire; mv_buf = Buffer.create len; mv_timer = None }
-                   in
-                   Hashtbl.replace host.moves mv op;
-                   transmit host ~dst:(Ethernet.Unicast remote.addr)
-                     ~payload_bytes:control_payload_bytes
-                     (Move_request { txn; mv; mover_addr = host.addr; len });
-                   op.mv_timer <-
-                     Some
-                       (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine
-                          (fun () ->
-                            match take_move host ~mv with
-                            | None -> ()
-                            | Some op -> op.mv_fire (Error (Ipc_error Timeout))))))
-          with Ipc_error e ->
-            ignore (take_move host ~mv : 'm move_op option);
-            Error e))
+          await_move proc ~mv ~len (fun () ->
+              transmit host ~dst:(Ethernet.Unicast remote.addr)
+                ~payload_bytes:control_payload_bytes
+                (Move_request { txn; mv; mover_addr = host.addr; len })))
 
 (* [move_to proc ~sender data] writes [data] into the blocked sender's
    exposed buffer. *)
@@ -1267,74 +1248,47 @@ let move_to proc ~sender data =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
+  let len = Bytes.length data in
   match Hashtbl.find host.serving (serving_key ~sender ~receiver:proc.pid) with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
-      report host Move_to (Pid.to_int proc.pid) (Pid.to_int sender)
-        (Bytes.length data);
+      report host Move_to (Pid.to_int proc.pid) (Pid.to_int sender) len;
       match find_process d sender with
       | None -> Error Nonexistent_process
       | Some sender_proc when sender_proc.proc_host == host -> (
-          match Hashtbl.find_opt host.pendings txn with
-          | None -> Error Not_awaiting_reply
-          | Some { p_buffer = None; _ } -> Error Bad_buffer
-          | Some { p_buffer = Some buf; _ } ->
-              if Bytes.length data > Bytes.length buf then Error Bad_buffer
-              else begin
-                charge proc
-                  (float_of_int (pages_of_bytes (Bytes.length data))
-                  *. Calibration.local_move_page_cpu);
-                Bytes.blit data 0 buf 0 (Bytes.length data);
-                Ok ()
-              end)
+          match exposed_buffer host ~txn ~len with
+          | Error _ as e -> e
+          | Ok buf ->
+              charge proc
+                (float_of_int (pages_of_bytes len)
+                *. Calibration.local_move_page_cpu);
+              Bytes.blit data 0 buf 0 len;
+              Ok ())
       | Some sender_proc ->
           let remote = sender_proc.proc_host in
           let mv = fresh_mv d in
           let page = Calibration.bulk_packet_bytes in
-          let len = Bytes.length data in
           let n = pages_of_bytes len in
           (* The mover's own fiber paces the outgoing packets (it is the
              mover's CPU that limits throughput), then blocks for the
              completion ack. *)
-          let rec push i =
-            if i < n then begin
-              charge proc Calibration.bulk_packet_send_cpu;
-              let off = i * page in
-              let chunk_len = min page (len - off) in
-              transmit host ~dst:(Ethernet.Unicast remote.addr)
-                ~payload_bytes:(control_payload_bytes + chunk_len)
-                (Move_to_data
-                   {
-                     txn;
-                     mv;
-                     mover_addr = host.addr;
-                     seq = i;
-                     last = i = n - 1;
-                     data = Bytes.sub data off chunk_len;
-                   });
-              push (i + 1)
-            end
-          in
-          (try
-             push 0;
-             let (_ : bytes) =
-               block proc (fun fire ->
-                   let op =
-                     { mv_fire = fire; mv_buf = Buffer.create 0; mv_timer = None }
-                   in
-                   Hashtbl.replace host.moves mv op;
-                   op.mv_timer <-
-                     Some
-                       (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine
-                          (fun () ->
-                            match take_move host ~mv with
-                            | None -> ()
-                            | Some op -> op.mv_fire (Error (Ipc_error Timeout)))))
-             in
-             Ok ()
-           with Ipc_error e ->
-             ignore (take_move host ~mv : 'm move_op option);
-             Error e))
+          for i = 0 to n - 1 do
+            charge proc Calibration.bulk_packet_send_cpu;
+            let off = i * page in
+            let chunk_len = min page (len - off) in
+            transmit host ~dst:(Ethernet.Unicast remote.addr)
+              ~payload_bytes:(control_payload_bytes + chunk_len)
+              (Move_to_data
+                 {
+                   txn;
+                   mv;
+                   mover_addr = host.addr;
+                   seq = i;
+                   last = i = n - 1;
+                   data = Bytes.sub data off chunk_len;
+                 })
+          done;
+          Result.map ignore (await_move proc ~mv ~len:0 ignore))
 
 (* --- service naming: SetPid / GetPid (§4.2) --- *)
 
@@ -1678,10 +1632,27 @@ let leave_group host ~group pid =
       end
       else Hashtbl.replace host.group_members group members
 
+(* Put [sender]'s transaction [txn] to every member of [group]: members
+   on [host] are delivered one local IPC leg later (the wire does not
+   loop frames back), the rest by one multicast frame. *)
+let multicast_request host ~group ~sender ~txn msg =
+  let d = host.domain in
+  List.iter
+    (fun member_pid ->
+      match find_process d member_pid with
+      | Some member when member.proc_host == host ->
+          Engine.schedule ~delay:Calibration.local_ipc_leg_cpu d.engine
+            (fun () ->
+              register_serving host ~sender ~receiver:member.pid ~txn;
+              deliver member { d_sender = sender; d_msg = msg })
+      | Some _ | None -> ())
+    (local_group_members host ~group);
+  transmit host ~dst:(Ethernet.Multicast group)
+    ~payload_bytes:(message_payload_bytes d msg)
+    (Group_request { txn; sender; group; msg })
+
 (* [send_group proc ~group msg] multicasts to every member of the group
-   and blocks for the first reply, V's group-send semantics. Members on
-   the sender's own host are delivered directly (the wire does not loop
-   frames back). *)
+   and blocks for the first reply, V's group-send semantics. *)
 let send_group proc ~group msg =
   check_alive proc;
   let host = proc.proc_host in
@@ -1689,45 +1660,12 @@ let send_group proc ~group msg =
   Vsim.Stats.Counter.incr d.ipc_transactions;
   report host Group_send (Pid.to_int proc.pid) group 0;
   charge proc Calibration.small_packet_send_cpu;
-  let txn = fresh_txn d in
-  let result =
-    try
-      Ok
-        (block proc (fun fire ->
-             let pending =
-               {
-                 p_fire = fire;
-                 p_buffer = None;
-                 p_retransmit = None;
-                 p_timeout = None;
-                 p_probes = 0;
-               }
-             in
-             Hashtbl.replace host.pendings txn pending;
-             (* local members *)
-             List.iter
-               (fun member_pid ->
-                 match find_process d member_pid with
-                 | Some member when member.proc_host == host ->
-                     Engine.schedule ~delay:Calibration.local_ipc_leg_cpu d.engine
-                       (fun () ->
-                         register_serving host ~sender:proc.pid
-                           ~receiver:member.pid ~txn;
-                         deliver member { d_sender = proc.pid; d_msg = msg })
-                 | Some _ | None -> ())
-               (local_group_members host ~group);
-             transmit host ~dst:(Ethernet.Multicast group)
-               ~payload_bytes:(message_payload_bytes d msg)
-               (Group_request { txn; sender = proc.pid; group; msg });
-             pending.p_timeout <-
-               Some
-                 (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
-                    (fun () ->
-                      fill_pending host ~txn (Error (Ipc_error No_reply))))))
-    with Ipc_error e -> Error e
-  in
-  drop_pending host ~txn;
-  result
+  transact proc (fun txn pending ->
+      multicast_request host ~group ~sender:proc.pid ~txn msg;
+      pending.p_timer <-
+        Some
+          (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine (fun () ->
+               fill_pending host ~txn (Error (Ipc_error No_reply)))))
 
 (* [forward_group proc ~from_ ~group msg] forwards the transaction of
    blocked sender [from_] to every member of a process group; whichever
@@ -1737,7 +1675,6 @@ let send_group proc ~group msg =
 let forward_group proc ~from_ ~group msg =
   check_alive proc;
   let host = proc.proc_host in
-  let d = host.domain in
   let key = serving_key ~sender:from_ ~receiver:proc.pid in
   match Hashtbl.find host.serving key with
   | exception Not_found -> Error Not_awaiting_reply
@@ -1745,20 +1682,7 @@ let forward_group proc ~from_ ~group msg =
       Hashtbl.remove host.serving key;
       report host Forward_group (Pid.to_int proc.pid) (Pid.to_int from_) group;
       charge proc Calibration.small_packet_send_cpu;
-      (* Members on this host are delivered directly (no wire loopback). *)
-      List.iter
-        (fun member_pid ->
-          match find_process d member_pid with
-          | Some member when member.proc_host == host ->
-              Engine.schedule ~delay:Calibration.local_ipc_leg_cpu d.engine
-                (fun () ->
-                  register_serving host ~sender:from_ ~receiver:member.pid ~txn;
-                  deliver member { d_sender = from_; d_msg = msg })
-          | Some _ | None -> ())
-        (local_group_members host ~group);
-      transmit host ~dst:(Ethernet.Multicast group)
-        ~payload_bytes:(message_payload_bytes d msg)
-        (Group_request { txn; sender = from_; group; msg });
+      multicast_request host ~group ~sender:from_ ~txn msg;
       Ok ()
 
 (* --- packet handling --- *)
@@ -1832,11 +1756,11 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
   | Move_request { txn; mv; mover_addr; len } ->
       Engine.schedule ~delay:Calibration.small_packet_recv_cpu d.engine (fun () ->
           if host.host_up then
-            match Hashtbl.find_opt host.pendings txn with
-            | Some { p_buffer = Some buf; _ } when len <= Bytes.length buf ->
+            match exposed_buffer host ~txn ~len with
+            | Ok buf ->
                 stream_chunks host ~dst_addr:mover_addr (Bytes.sub buf 0 len)
                   (fun ~seq:_ ~last ~chunk -> Move_data { mv; last; data = chunk })
-            | Some _ | None ->
+            | Error _ ->
                 transmit host ~dst:(Ethernet.Unicast mover_addr)
                   ~payload_bytes:control_payload_bytes
                   (Move_ack { mv; outcome = Error Bad_buffer }))
@@ -1989,9 +1913,9 @@ let crash_host host =
     Hashtbl.reset host.processes;
     Hashtbl.reset host.services;
     Hashtbl.reset host.serving;
-    (* Disarm the dead transactions' probe timers so the crash leaves no
+    (* Disarm the dead transactions' timers so the crash leaves no
        machinery ticking for a table that no longer exists. *)
-    Hashtbl.iter (fun _ p -> cancel_pending_timers host p) host.pendings;
+    Hashtbl.iter (fun _ p -> cancel_timer host p) host.pendings;
     Hashtbl.reset host.pendings;
     Hashtbl.iter
       (fun _ op ->

@@ -95,7 +95,11 @@ let test_remote_srr_32b () =
          elapsed := Vsim.Engine.now rig.eng -. t0));
   Vsim.Engine.run rig.eng;
   (* Paper §3.1: 2.56 ms for 32-byte messages on 3 Mbit Ethernet. *)
-  check_float "remote SRR = 2.56 ms" 2.56 !elapsed
+  check_float "remote SRR = 2.56 ms" 2.56 !elapsed;
+  (* One timer serves the transaction's retransmissions and probes, and
+     the reply cancels it. *)
+  Alcotest.(check int) "timers cancelled" 1
+    (Vsim.Engine.cancelled_timers rig.eng)
 
 let test_remote_payload_integrity () =
   let rig = make_rig () in
@@ -789,17 +793,127 @@ let test_retention_bounded_by_senders () =
 
 let test_partition_times_out () =
   (* A partition (not a crash) makes the destination unreachable: the
-     probe machinery gives up instead of retransmitting forever. *)
+     probe machinery gives up instead of retransmitting forever, at the
+     first probe, 500 ms after the request went out. *)
   let rig = make_rig () in
   let h1 = K.boot_host rig.domain ~name:"ws" 1 in
   let h2 = K.boot_host rig.domain ~name:"fs" 2 in
   let server = echo_server h2 in
   E.partition rig.net 1 2;
   let result = ref (Ok ("", Pid.make ~logical_host:1 ~local_pid:1)) in
-  ignore (K.spawn h1 (fun self -> result := K.send self server "hi"));
+  let elapsed = ref nan in
+  ignore
+    (K.spawn h1 (fun self ->
+         let t0 = Vsim.Engine.now rig.eng in
+         result := K.send self server "hi";
+         elapsed := Vsim.Engine.now rig.eng -. t0));
   Vsim.Engine.run rig.eng;
   Alcotest.(check bool) "partitioned send times out" true
-    (Error K.Timeout = !result)
+    (Error K.Timeout = !result);
+  check_float "Timeout 500 ms after the request went out"
+    (C.small_packet_send_cpu +. C.ipc_timeout_ms)
+    !elapsed
+
+(* A server that holds a remote request for 1.2 s sees it resent every
+   40 ms, each resend counted from the one before and stamped in the
+   recorder, while the 500 ms probes renew the timeout without a
+   stamp. The reply lands when it did under separate retransmission
+   and probe timers. *)
+let test_retransmit_schedule () =
+  let rig = make_rig () in
+  let hub = Vobs.Hub.create () in
+  K.set_obs rig.domain hub;
+  Vobs.Eventlog.set_enabled (Vobs.Hub.events hub) true;
+  let h1 = K.boot_host rig.domain ~name:"ws" 1 in
+  let h2 = K.boot_host rig.domain ~name:"fs" 2 in
+  let server =
+    K.spawn h2 (fun self ->
+        let msg, sender = K.receive self in
+        Vsim.Proc.delay rig.eng 1_200.0;
+        ignore (K.reply self ~to_:sender msg))
+  in
+  let answered = ref nan in
+  ignore
+    (K.spawn h1 (fun self ->
+         (match K.send self server "slow" with
+         | Ok _ -> ()
+         | Error e -> Alcotest.failf "send: %a" K.pp_error e);
+         answered := Vsim.Engine.now rig.eng));
+  Vsim.Engine.run rig.eng;
+  let stamps =
+    List.filter_map
+      (fun (e : Vobs.Eventlog.event) ->
+        if String.starts_with ~prefix:"retransmit-probe" e.label then Some e.at
+        else None)
+      (Vobs.Eventlog.events (Vobs.Hub.events hub))
+  in
+  let rec every_40_ms at =
+    if at < !answered then at :: every_40_ms (at +. C.retransmit_interval_ms)
+    else []
+  in
+  Alcotest.(check (list (float 0.0)))
+    "a stamp every 40 ms from the request"
+    (every_40_ms (C.small_packet_send_cpu +. C.retransmit_interval_ms))
+    stamps;
+  Alcotest.(check int) "30 resends" 30 (List.length stamps);
+  check_float "answered" 1_202.581333 !answered
+
+(* A transaction submitted on one host, forwarded off it, back to it and
+   off it again (servers a and c on the sender's host, b and d on two
+   others) runs one recovery chain: the re-forward replaces the first
+   and keeps the probe count. Two chains would spend the one 60-probe
+   budget twice as fast and time the sender out at 15 s, while d still
+   serves it. *)
+let test_reforward_one_recovery_chain () =
+  let rig = make_rig () in
+  let hub = Vobs.Hub.create () in
+  K.set_obs rig.domain hub;
+  Vobs.Eventlog.set_enabled (Vobs.Hub.events hub) true;
+  let h = K.boot_host rig.domain ~name:"h" 1 in
+  let h2 = K.boot_host rig.domain ~name:"h2" 2 in
+  let h3 = K.boot_host rig.domain ~name:"h3" 3 in
+  let d =
+    K.spawn h3 ~name:"d" (fun self ->
+        let msg, sender = K.receive self in
+        Vsim.Proc.delay rig.eng 20_000.0;
+        ignore (K.reply self ~to_:sender ("d-" ^ msg)))
+  in
+  let relay host name ~to_ =
+    K.spawn host ~name (fun self ->
+        let rec loop () =
+          let msg, sender = K.receive self in
+          (match K.forward self ~from_:sender ~to_ msg with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s forward: %a" name K.pp_error e);
+          loop ()
+        in
+        loop ())
+  in
+  let c = relay h "c" ~to_:d in
+  let b = relay h2 "b" ~to_:c in
+  let a = relay h "a" ~to_:b in
+  let outcome = ref None in
+  ignore
+    (K.spawn h ~name:"sender" (fun self ->
+         let r = K.send self a "x" in
+         outcome := Some (r, Vsim.Engine.now rig.eng)));
+  Vsim.Engine.run rig.eng;
+  let probes =
+    List.length
+      (List.filter
+         (fun (e : Vobs.Eventlog.event) ->
+           String.starts_with ~prefix:"forward-recovery-probe" e.label)
+         (Vobs.Eventlog.events (Vobs.Hub.events hub)))
+  in
+  match !outcome with
+  | Some (Ok (reply, _), at) ->
+      Alcotest.(check string) "d's reply" "d-x" reply;
+      check_float "answered" 20_005.521 at;
+      Alcotest.(check int) "one probe every 500 ms" 40 probes
+  | Some (Error e, at) ->
+      Alcotest.failf "failed at %.1f ms after %d probes: %a" at probes
+        K.pp_error e
+  | None -> Alcotest.fail "the sender never completed"
 
 let test_forward_group () =
   (* B forwards A's transaction to a whole group; the first member to
@@ -1078,6 +1192,9 @@ let suite =
         Alcotest.test_case "retention bounded by senders" `Quick
           test_retention_bounded_by_senders;
         Alcotest.test_case "partition times out" `Quick test_partition_times_out;
+        Alcotest.test_case "retransmit schedule" `Quick test_retransmit_schedule;
+        Alcotest.test_case "re-forward runs one recovery chain" `Quick
+          test_reforward_one_recovery_chain;
         Alcotest.test_case "figure-1 timeline" `Quick test_trace_timeline;
         Alcotest.test_case "determinism" `Quick test_determinism;
         qcheck prop_every_send_completes;
