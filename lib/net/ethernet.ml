@@ -758,12 +758,12 @@ let transmit_shared t frame =
 
 (* One store-and-forward hop of the switched fabric over link [l]:
    admission-check the port's bounded queue, serialize behind
-   [l_free_at], propagate, then run [k] at the instant the frame is
-   available at the far node. A hop out of a switch starts
-   {!Calibration.switch_forward_ms} after the frame entered it; the
-   source uplink starts at once. [k] reads the clock itself, so no
-   arrival time is boxed for it. *)
-let hop t frame l ~from_switch k =
+   [l_free_at], propagate, then run [arrive] at the instant the frame
+   is available at the far node; [arrive] must first [leave] [l]. A
+   hop out of a switch starts {!Calibration.switch_forward_ms} after
+   the frame entered it; the source uplink starts at once. [arrive]
+   reads the clock itself, so no arrival time is boxed for it. *)
+let hop t frame l ~from_switch arrive =
   if not l.l_up then begin
     l.l_drops <- l.l_drops + 1;
     t.counters.frames_dropped <- t.counters.frames_dropped + 1;
@@ -789,24 +789,63 @@ let hop t frame l ~from_switch k =
     l.l_busy_ms <- l.l_busy_ms +. duration;
     l.l_frames <- l.l_frames + 1;
     let arrival = start +. duration +. t.config.propagation_ms +. l.l_extra_ms in
-    Vsim.Engine.schedule_at t.engine arrival (fun () ->
-        l.l_queued <- l.l_queued - 1;
-        k ())
+    Vsim.Engine.schedule_at t.engine arrival arrive
   end
 
-(* A unicast frame's hops after its source edge switch [src_edge]: down
-   to [a] on the same edge, else up through the spine and down [a]'s
-   edge. Builds no destination list. *)
-let unicast_from_edge t fan_in frame src_edge a =
-  let eb = Topology.edge_of ~fan_in a in
-  if eb = src_edge then
-    hop t frame (host_downlink t eb a) ~from_switch:true (fun () ->
-        deliver_at_arrival t frame a)
-  else
-    hop t frame (edge_uplink t src_edge) ~from_switch:true (fun () ->
-        hop t frame (edge_downlink t eb) ~from_switch:true (fun () ->
-            hop t frame (host_downlink t eb a) ~from_switch:true (fun () ->
-                deliver_at_arrival t frame a)))
+(* The frame no longer occupies [l]'s port. *)
+let leave l = l.l_queued <- l.l_queued - 1
+
+(* A unicast frame crossing the switched fabric: one record and one
+   action for all of its hops. [f_stage] names the link the frame
+   occupies: its source uplink, its edge's spine uplink, the spine's
+   link down to the destination's edge, or that edge's port to the
+   destination. A stage is an immediate, so advancing it stores no
+   pointer; the link is looked up again on arrival (an array read,
+   since its hop materialized it). *)
+type stage = Source_uplink | Spine_uplink | Spine_downlink | Host_downlink
+
+type 'a flight = {
+  f_net : 'a t;
+  f_frame : 'a frame;
+  f_src_edge : int;
+  f_dst : addr;
+  f_dst_edge : int;
+  mutable f_stage : stage;
+}
+
+let next_hop f stage l arrive =
+  f.f_stage <- stage;
+  hop f.f_net f.f_frame l ~from_switch:true arrive
+
+(* The flight's action at the end of each hop: release the link, then
+   take the next hop — down to the destination on the same edge, else
+   up through the spine and down its edge — or deliver. The loss draw
+   happens as the frame clears the source uplink. *)
+let advance f arrive =
+  let t = f.f_net and frame = f.f_frame and a = f.f_dst in
+  match f.f_stage with
+  | Source_uplink ->
+      leave (host_uplink t frame.src f.f_src_edge);
+      if (not (frame_lost t frame)) && a <> frame.src then
+        if f.f_dst_edge = f.f_src_edge then
+          next_hop f Host_downlink (host_downlink t f.f_dst_edge a) arrive
+        else next_hop f Spine_uplink (edge_uplink t f.f_src_edge) arrive
+  | Spine_uplink ->
+      leave (edge_uplink t f.f_src_edge);
+      next_hop f Spine_downlink (edge_downlink t f.f_dst_edge) arrive
+  | Spine_downlink ->
+      leave (edge_downlink t f.f_dst_edge);
+      next_hop f Host_downlink (host_downlink t f.f_dst_edge a) arrive
+  | Host_downlink ->
+      leave (host_downlink t f.f_dst_edge a);
+      deliver_at_arrival t frame a
+
+(* A broadcast or multicast copy's hop over [l]: its own action
+   releases the link, then runs [k]. *)
+let copy_hop t frame l k =
+  hop t frame l ~from_switch:true (fun () ->
+      leave l;
+      k ())
 
 (* Broadcast and multicast fan-out from the source edge switch: one
    copy per outgoing link — down to each local destination, one up to
@@ -818,22 +857,22 @@ let fan_out_from_edge t fan_in frame src_edge dests =
   in
   List.iter
     (fun a ->
-      hop t frame (host_downlink t src_edge a) ~from_switch:true (fun () ->
+      copy_hop t frame (host_downlink t src_edge a) (fun () ->
           deliver_at_arrival t frame a))
     local;
   if remote <> [] then
-    hop t frame (edge_uplink t src_edge) ~from_switch:true (fun () ->
+    copy_hop t frame (edge_uplink t src_edge) (fun () ->
         let edges =
           List.sort_uniq compare (List.map (Topology.edge_of ~fan_in) remote)
         in
         List.iter
           (fun eb ->
-            hop t frame (edge_downlink t eb) ~from_switch:true (fun () ->
+            copy_hop t frame (edge_downlink t eb) (fun () ->
                 List.iter
                   (fun a ->
                     if Topology.edge_of ~fan_in a = eb then
-                      hop t frame (host_downlink t eb a) ~from_switch:true
-                        (fun () -> deliver_at_arrival t frame a))
+                      copy_hop t frame (host_downlink t eb a) (fun () ->
+                          deliver_at_arrival t frame a))
                   remote))
           edges)
 
@@ -846,16 +885,25 @@ let fan_out_from_edge t fan_in frame src_edge dests =
    destinations are fixed at transmit time. *)
 let transmit_switched t fan_in frame =
   let src_edge = Topology.edge_of ~fan_in frame.src in
+  let uplink = host_uplink t frame.src src_edge in
   match frame.dst with
   | Unicast a ->
-      hop t frame (host_uplink t frame.src src_edge) ~from_switch:false
-        (fun () ->
-          if (not (frame_lost t frame)) && a <> frame.src then
-            unicast_from_edge t fan_in frame src_edge a)
+      let f =
+        {
+          f_net = t;
+          f_frame = frame;
+          f_src_edge = src_edge;
+          f_dst = a;
+          f_dst_edge = Topology.edge_of ~fan_in a;
+          f_stage = Source_uplink;
+        }
+      in
+      let rec arrive () = advance f arrive in
+      hop t frame uplink ~from_switch:false arrive
   | Broadcast | Multicast _ ->
       let dests = intended_destinations t frame in
-      hop t frame (host_uplink t frame.src src_edge) ~from_switch:false
-        (fun () ->
+      hop t frame uplink ~from_switch:false (fun () ->
+          leave uplink;
           if not (frame_lost t frame) then
             fan_out_from_edge t fan_in frame src_edge dests)
 

@@ -16,6 +16,7 @@
 type timer = (unit -> unit) Wheel.node
 
 type t = {
+  id : int;
   mutable now : float;
   mutable next_seq : int;
   mutable executed : int;
@@ -38,8 +39,12 @@ let global_executed () = !global_executed_events
 
 exception Time_went_backwards of { now : float; requested : float }
 
+let created = ref 0
+
 let create () =
+  incr created;
   {
+    id = !created;
     now = 0.0;
     next_seq = 0;
     executed = 0;
@@ -51,16 +56,23 @@ let create () =
     last_run_cpu_s = 0.0;
   }
 
+let id t = t.id
 let now t = t.now
 let pending t = Wheel.length t.wheel
 let executed t = t.executed
 let cancelled_timers t = Wheel.cancelled t.wheel
 
-let timer_at t time action =
+(* The one push path. NaN compares false with every time and infinity
+   has no tick, so either would run out of order and move the clock
+   backwards. *)
+let push t time ~turns action =
+  if not (Float.is_finite time) then invalid_arg "Engine: non-finite time";
   if time < t.now then raise (Time_went_backwards { now = t.now; requested = time });
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  Wheel.push t.wheel ~time ~seq action
+  Wheel.push t.wheel ~time ~seq ~turns action
+
+let timer_at t time action = push t time ~turns:1 action
 
 let timer ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
@@ -80,11 +92,20 @@ let schedule ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t (t.now +. delay) action
 
+(* Two turns on one node: the first only re-queues it (see [execute]),
+   under the seq a zero-delay push from an action would draw. *)
+let defer_at t time action = ignore (push t time ~turns:2 action : timer)
+
 let execute t node =
   t.now <- Wheel.time node;
   t.executed <- t.executed + 1;
   incr global_executed_events;
-  (Wheel.value node) ()
+  if Wheel.live node then begin
+    (* A deferred node's first turn. *)
+    Wheel.requeue t.wheel node ~seq:t.next_seq;
+    t.next_seq <- t.next_seq + 1
+  end
+  else (Wheel.value node) ()
 
 (* The wheel skips dead nodes (cancelled timers) and answers without
    allocating, so the dispatch loop below costs no words per event. *)

@@ -10,10 +10,15 @@
 
 type t
 
-(** Raised by [schedule_at] when asked to schedule in the past. *)
+(** Raised by [schedule_at] when asked to schedule in the past. Every
+    call below that schedules raises [Invalid_argument] instead for a
+    time that is NaN or infinite. *)
 exception Time_went_backwards of { now : float; requested : float }
 
 val create : unit -> t
+
+(** A number no other engine in the process has. *)
+val id : t -> int
 
 (** Current simulated time (ms). *)
 val now : t -> float
@@ -32,6 +37,14 @@ val schedule : ?delay:float -> t -> (unit -> unit) -> unit
 
 (** [schedule_at t time f] runs [f] at absolute [time]. *)
 val schedule_at : t -> float -> (unit -> unit) -> unit
+
+(** [defer_at t time f] behaves as [schedule_at t time (fun () ->
+    schedule t f)] on one queue node: an event falls due at [time] and
+    re-queues itself at the same instant under the next sequence
+    number, and only the second turn runs [f]. Both turns count as
+    executed events, and [pending] counts the node until [f] runs. It
+    is how a fiber's {!Proc.delay} wakes, and cannot be cancelled. *)
+val defer_at : t -> float -> (unit -> unit) -> unit
 
 (** {1 Cancellable timers}
 

@@ -11,7 +11,19 @@ type 'a resumer = ('a, exn) result -> unit
 
 type _ Effect.t +=
   | Suspend : ('a resumer -> unit) -> 'a Effect.t
-  | Delay : Engine.t * float -> unit Effect.t
+  | Delay : unit Effect.t
+
+(* What [delay] asks of its fiber's handler: the wake time and the id
+   of the engine it was read from. The handler reads both before
+   anything else runs, so one cell serves every fiber. Passing them
+   here rather than in the effect value saves the effect's block:
+   [Delay] is a constant, a lone float field is stored flat, and the
+   engine goes by its id, so no store writes a pointer or keeps an
+   engine alive. *)
+type wake = { mutable at : float }
+
+let wake = { at = 0.0 }
+let wake_engine = ref (-1)
 
 exception Killed of string
 
@@ -27,6 +39,16 @@ let on_uncaught : (name:string -> exn -> unit) ref =
           raise e)
 
 let spawn ?(name = "proc") engine body =
+  (* A delay nothing else can resume needs no resumer: one deferred
+     event wakes the fiber, in the two turns (timer, then zero-delay
+     resume) a [Suspend] resumer's schedule would take. Built once per
+     fiber. *)
+  let id = Engine.id engine in
+  let delayed =
+    Some
+      (fun k ->
+        Engine.defer_at engine wake.at (fun () -> Effect.Deep.continue k ()))
+  in
   let handler (type a) (eff : a Effect.t) :
       ((a, unit) Effect.Deep.continuation -> unit) option =
     match eff with
@@ -43,14 +65,12 @@ let spawn ?(name = "proc") engine body =
                   | Error e -> Effect.Deep.discontinue k e)
             in
             register resume)
-    (* A delay nothing else can resume needs no resumer: its timer
-       event pushes the zero-delay resume event a [Suspend] resumer
-       would, so the two event shapes are the same. *)
-    | Delay (engine, duration) ->
+    | Delay when !wake_engine = id -> delayed
+    | Delay ->
         Some
           (fun k ->
-            Engine.schedule_at engine (Engine.now engine +. duration) (fun () ->
-                Engine.schedule engine (fun () -> Effect.Deep.continue k ())))
+            Effect.Deep.discontinue k
+              (Invalid_argument "Proc.delay: not the fiber's engine"))
     | _ -> None
   in
   Engine.schedule engine (fun () ->
@@ -64,8 +84,11 @@ let spawn ?(name = "proc") engine body =
 let suspend register = Effect.perform (Suspend register)
 
 let delay engine duration =
-  if duration < 0.0 then invalid_arg "Proc.delay: negative duration";
-  Effect.perform (Delay (engine, duration))
+  if not (Float.is_finite duration && duration >= 0.0) then
+    invalid_arg "Proc.delay: negative or non-finite duration";
+  wake.at <- Engine.now engine +. duration;
+  wake_engine := Engine.id engine;
+  Effect.perform Delay
 
 let yield engine = delay engine 0.0
 

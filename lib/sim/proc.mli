@@ -24,7 +24,11 @@ val spawn : ?name:string -> Engine.t -> (unit -> unit) -> unit
     arrange for it to be called exactly once (possibly immediately). *)
 val suspend : ('a resumer -> unit) -> 'a
 
-(** Block the current fiber for [duration] simulated ms. *)
+(** Block the current fiber for [duration] simulated ms. It wakes in
+    two turns of one event ({!Engine.defer_at}), as a [suspend] whose
+    resumer is called at the wake time would. Raises [Invalid_argument]
+    for a negative or non-finite [duration], or an engine other than
+    the one the fiber was spawned on. *)
 val delay : Engine.t -> float -> unit
 
 (** Let other events at the current instant run first. *)

@@ -38,31 +38,31 @@
    cascading a slot re-places events whose remaining delta is now
    strictly smaller. *)
 
+(* [n_turns] is the liveness mark: how many more times [take] returns
+   the node, 0 once it has fired or been cancelled. A node pushed with
+   two turns comes back from its first [take] still live, and
+   [requeue] gives it a fresh seq at the same time. *)
 type 'a node = {
   n_time : float;
-  n_seq : int;
+  mutable n_seq : int;
   mutable n_value : 'a;
-  mutable n_live : bool;
+  mutable n_turns : int;
 }
 
-let make ~time ~seq v = { n_time = time; n_seq = seq; n_value = v; n_live = true }
+let make ~time ~seq ~turns v =
+  { n_time = time; n_seq = seq; n_value = v; n_turns = turns }
+
 let time n = n.n_time
 let value n = n.n_value
+let live n = n.n_turns > 0
 
-(* Mark a node dead; true if it was live. Used both for cancellation
-   and for consuming a popped node (so cancelling an already-fired
-   timer is naturally a no-op). *)
-let consume n =
-  if n.n_live then begin
-    n.n_live <- false;
-    true
-  end
-  else false
-
-(* Cancellation: [consume], then release the value. *)
+(* Cancellation: mark the node dead, then release the value; true if
+   it was live (so cancelling an already-fired timer is naturally a
+   no-op). *)
 let kill n ~blank =
-  consume n
+  live n
   && begin
+       n.n_turns <- 0;
        n.n_value <- blank;
        true
      end
@@ -132,15 +132,24 @@ let place t node =
 let rec replace t = function
   | [] -> ()
   | n :: rest ->
-      if n.n_live then place t n else t.total_count <- t.total_count - 1;
+      if live n then place t n else t.total_count <- t.total_count - 1;
       replace t rest
 
-let push t ~time ~seq v =
-  let node = make ~time ~seq v in
+let push t ~time ~seq ~turns v =
+  if turns < 1 then invalid_arg "Wheel.push: turns must be positive";
+  let node = make ~time ~seq ~turns v in
   place t node;
   t.live_count <- t.live_count + 1;
   t.total_count <- t.total_count + 1;
   node
+
+(* The node's own tick is at or behind the cursor ([take] just returned
+   it), so it goes straight to the ready heap. *)
+let requeue t node ~seq =
+  if not (live node) then invalid_arg "Wheel.requeue: node is not live";
+  node.n_seq <- seq;
+  Heap.push t.ready node;
+  t.total_count <- t.total_count + 1
 
 let cancel t node ~blank =
   if kill node ~blank then begin
@@ -245,7 +254,7 @@ let hop t =
 let rec settle t =
   if Heap.length t.ready > 0 then begin
     let n = Heap.top t.ready in
-    if n.n_live then true
+    if live n then true
     else begin
       Heap.remove_top t.ready;
       t.total_count <- t.total_count - 1;
@@ -264,10 +273,15 @@ let rec settle t =
 let next t =
   if settle t then Heap.top t.ready else invalid_arg "Wheel.next: empty wheel"
 
+(* A node with a turn left stays live and counted: its taker hands it
+   back through [requeue]. *)
 let take t =
   let node = next t in
   Heap.remove_top t.ready;
-  ignore (consume node : bool);
-  t.live_count <- t.live_count - 1;
+  if node.n_turns > 1 then node.n_turns <- node.n_turns - 1
+  else begin
+    node.n_turns <- 0;
+    t.live_count <- t.live_count - 1
+  end;
   t.total_count <- t.total_count - 1;
   node

@@ -15,8 +15,10 @@
 
 type 'a t
 
-(** A scheduled entry: an immutable (time, seq) key, a value and a
-    liveness mark. The node is the cancellation handle. *)
+(** A scheduled entry: a (time, seq) key, a value and a liveness mark
+    that also counts the node's turns. The node is the cancellation
+    handle. Its time never changes; its seq changes at its turn, when
+    [requeue] puts a node with a turn left back in the queue. *)
 type 'a node
 
 (** [create ~tick_ms ()] is an empty wheel whose buckets are
@@ -32,10 +34,18 @@ val is_empty : 'a t -> bool
 (** Total nodes cancelled over the wheel's lifetime. *)
 val cancelled : 'a t -> int
 
-(** [push t ~time ~seq v] schedules [v] and returns its handle. [seq]
-    must make (time, seq) unique; ties in [time] execute in [seq]
-    order. *)
-val push : 'a t -> time:float -> seq:int -> 'a -> 'a node
+(** [push t ~time ~seq ~turns v] schedules [v] and returns its handle.
+    [seq] must make (time, seq) unique; ties in [time] execute in [seq]
+    order. [turns] is how many times [take] returns the node: 1 for an
+    ordinary event; with 2, the first [take] leaves it live and its
+    taker must hand it back through [requeue]. Raises
+    [Invalid_argument] unless [turns] is positive. *)
+val push : 'a t -> time:float -> seq:int -> turns:int -> 'a -> 'a node
+
+(** [requeue t n ~seq] puts back a live node that [take] just returned,
+    at its own time under the fresh [seq] (which must keep (time, seq)
+    unique). Raises [Invalid_argument] if [n] is dead. *)
+val requeue : 'a t -> 'a node -> seq:int -> unit
 
 (** O(1) cancel: [true] if the node was live (it will never be
     returned by [take]); [false] if it already fired or was already
@@ -53,12 +63,18 @@ val settle : 'a t -> bool
     when none is left. *)
 val next : 'a t -> 'a node
 
-(** Remove and return the earliest live node, marking it fired (a
-    later [cancel] of it is a no-op). Raises [Invalid_argument] when
-    none is left. *)
+(** Remove and return the earliest live node, using up one of its
+    turns. On its last turn it is marked fired (a later [cancel] of it
+    is a no-op); with a turn left it stays live, counted by [length],
+    until it is requeued. Raises [Invalid_argument] when none is
+    left. *)
 val take : 'a t -> 'a node
 
 (** {1 Nodes} *)
 
 val time : 'a node -> float
 val value : 'a node -> 'a
+
+(** Not yet fired or cancelled: a node [take] returned with a turn left
+    is live. *)
+val live : 'a node -> bool

@@ -12,6 +12,7 @@ module type S = sig
   val executed : t -> int
   val cancelled_timers : t -> int
   val schedule : ?delay:float -> t -> (unit -> unit) -> unit
+  val defer_at : t -> float -> (unit -> unit) -> unit
   val timer : ?delay:float -> t -> (unit -> unit) -> timer
   val cancel : t -> timer -> unit
   val run : ?until:float -> ?max_events:int -> t -> unit
@@ -60,14 +61,19 @@ let pending t = t.pending
 let executed t = t.executed
 let cancelled_timers t = t.cancelled
 
-let timer ?(delay = 0.0) t action =
-  let node = { time = t.now +. delay; seq = t.next_seq; action; live = true } in
+let timer_at t time action =
+  let node = { time; seq = t.next_seq; action; live = true } in
   t.next_seq <- t.next_seq + 1;
   Vsim.Heap.push t.heap node;
   t.pending <- t.pending + 1;
   node
 
+let timer ?(delay = 0.0) t action = timer_at t (t.now +. delay) action
 let schedule ?delay t action = ignore (timer ?delay t action : timer)
+
+(* The pair the engine's one-node [defer_at] stands for. *)
+let defer_at t time action =
+  ignore (timer_at t time (fun () -> schedule t action) : timer)
 
 let cancel t node =
   if node.live then begin

@@ -24,6 +24,12 @@ module type S = sig
   val executed : t -> int
   val cancelled_timers : t -> int
   val schedule : ?delay:float -> t -> (unit -> unit) -> unit
+
+  (** [defer_at t time f] runs [f] one turn after an event at [time]:
+      here a timer whose action schedules [f] with no delay, the two
+      events the engine runs on one queue node. *)
+  val defer_at : t -> float -> (unit -> unit) -> unit
+
   val timer : ?delay:float -> t -> (unit -> unit) -> timer
   val cancel : t -> timer -> unit
 

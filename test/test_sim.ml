@@ -83,6 +83,33 @@ let test_engine_rejects_past () =
         (fun () -> Vsim.Engine.schedule_at eng 1.0 (fun () -> ())));
   Vsim.Engine.run eng
 
+(* A NaN or infinite time is refused on every push path. Accepted, an
+   infinite time ran before the 5 and 10 ms events with the clock at
+   infinity, and the clock then went back to 5 ms; NaN did the same. *)
+let test_engine_rejects_non_finite () =
+  let eng = Vsim.Engine.create () in
+  let ran = ref [] in
+  let at ms = Vsim.Engine.schedule_at eng ms (fun () -> ran := ms :: !ran) in
+  at 5.0;
+  at 10.0;
+  let refused = Invalid_argument "Engine: non-finite time" in
+  List.iter
+    (fun (what, push) -> Alcotest.check_raises what refused push)
+    [
+      ("schedule_at infinity", fun () -> at infinity);
+      ("schedule_at nan", fun () -> at nan);
+      ("schedule_at neg_infinity", fun () -> at neg_infinity);
+      ( "schedule ~delay:nan",
+        fun () -> Vsim.Engine.schedule ~delay:nan eng ignore );
+      ( "timer ~delay:infinity",
+        fun () -> ignore (Vsim.Engine.timer ~delay:infinity eng ignore) );
+      ("defer_at infinity", fun () -> Vsim.Engine.defer_at eng infinity ignore);
+    ];
+  Vsim.Engine.run eng;
+  Alcotest.(check (list (float 0.0))) "only the finite events ran, in order"
+    [ 5.0; 10.0 ] (List.rev !ran);
+  check_float "the clock stopped at the last of them" 10.0 (Vsim.Engine.now eng)
+
 let test_engine_max_events () =
   let eng = Vsim.Engine.create () in
   let hits = ref 0 in
@@ -98,11 +125,37 @@ let test_engine_max_events () =
 let wheel = (module Vsim.Engine : Heap_engine.S)
 let heap = (module Heap_engine : Heap_engine.S)
 
+(* [defer_at] runs its action one turn late, exactly where a timer whose
+   action scheduled it with no delay would: [a] and the deferred event
+   fall due at 5 ms, and the second turn queues behind [b] (pushed
+   before the first turn) and [c] ([a]'s zero-delay push). *)
+let test_engine_defer_at () =
+  List.iter
+    (fun (module Q : Heap_engine.S) ->
+      let eng = Q.create () in
+      let log = ref [] in
+      let note tag () = log := tag :: !log in
+      Q.schedule ~delay:5.0 eng (fun () ->
+          note "a" ();
+          Q.schedule eng (note "c"));
+      Q.defer_at eng 5.0 (note "deferred");
+      Q.schedule ~delay:5.0 eng (note "b");
+      Q.run ~max_events:3 eng;
+      Alcotest.(check int) "after a, the first turn and b: c and the second"
+        2 (Q.pending eng);
+      Q.run eng;
+      Alcotest.(check (list string)) "second turn after every earlier push"
+        [ "a"; "b"; "c"; "deferred" ] (List.rev !log);
+      Alcotest.(check int) "both turns count as events" 5 (Q.executed eng))
+    [ wheel; heap ]
+
 (* Run one randomized schedule on a queue and return the execution
    log. The script is driven entirely by engine callbacks from one PRNG
    stream, so two queues produce the same log iff they execute events
    in the same (time, seq) order — ties, same-timestamp re-scheduling,
-   in-event cancellation and overflow-range delays included.
+   in-event cancellation, deferred events (the engine's one node
+   against the reference's timer-then-zero-delay pair) and
+   overflow-range delays included.
 
    With [~slices], the run is cut into slices the way the benchmark's
    engine loop cuts it — random [~max_events] budgets, some bounded by
@@ -129,25 +182,30 @@ let exercise ?slices (module Q : Heap_engine.S) ~seed ~events =
         | 4 -> Vsim.Prng.float prng *. 200_000.0
         | _ -> 6.0e6 +. (Vsim.Prng.float prng *. 8.0e6) (* top level + overflow *)
       in
-      let h =
-        Q.timer ~delay eng (fun () ->
-            log := id :: !log;
-            (match !timers with
-            | [] -> ()
-            | ts ->
-                (* Cancel a random armed timer — possibly one that
-                   already fired, which must be a no-op. *)
-                if Vsim.Prng.int prng 3 = 0 then begin
-                  let _, t = List.nth ts (Vsim.Prng.int prng (List.length ts)) in
-                  Q.cancel eng t
-                end);
-            for _ = 1 to Vsim.Prng.int prng 3 do
-              spawn_event ()
-            done)
+      let action () =
+        log := id :: !log;
+        (match !timers with
+        | [] -> ()
+        | ts ->
+            (* Cancel a random armed timer — possibly one that
+               already fired, which must be a no-op. *)
+            if Vsim.Prng.int prng 3 = 0 then begin
+              let _, t = List.nth ts (Vsim.Prng.int prng (List.length ts)) in
+              Q.cancel eng t
+            end);
+        for _ = 1 to Vsim.Prng.int prng 3 do
+          spawn_event ()
+        done
       in
-      timers := (id, h) :: !timers;
-      if List.length !timers > 40 then
-        timers := List.filteri (fun i _ -> i < 40) !timers
+      (* One event in four is deferred (a delay's wake-up): it has no
+         handle, so it is never cancelled. *)
+      if Vsim.Prng.int prng 4 = 0 then
+        Q.defer_at eng (Q.now eng +. delay) action
+      else begin
+        timers := (id, Q.timer ~delay eng action) :: !timers;
+        if List.length !timers > 40 then
+          timers := List.filteri (fun i _ -> i < 40) !timers
+      end
     end
   in
   for _ = 1 to 10 do
@@ -305,6 +363,32 @@ let test_proc_delay () =
       finished_at := Vsim.Engine.now eng);
   Vsim.Engine.run eng;
   check_float "delays accumulate" 7.0 !finished_at
+
+(* A delay refuses a negative or non-finite duration and an engine
+   other than its fiber's, raising in the fiber; the fiber goes on. *)
+let test_proc_delay_rejects () =
+  let eng = Vsim.Engine.create () and other = Vsim.Engine.create () in
+  let refused = ref [] in
+  Vsim.Proc.spawn eng (fun () ->
+      List.iter
+        (fun (what, engine, ms) ->
+          match Vsim.Proc.delay engine ms with
+          | () -> ()
+          | exception Invalid_argument _ -> refused := what :: !refused)
+        [
+          ("negative", eng, -1.0);
+          ("nan", eng, nan);
+          ("infinite", eng, infinity);
+          ("another engine", other, 1.0);
+        ];
+      Vsim.Proc.delay eng 2.0);
+  Vsim.Engine.run eng;
+  Alcotest.(check (list string)) "every bad delay refused"
+    [ "negative"; "nan"; "infinite"; "another engine" ]
+    (List.rev !refused);
+  check_float "the fiber's own delay still wakes it" 2.0 (Vsim.Engine.now eng);
+  Alcotest.(check int) "nothing queued on the other engine" 0
+    (Vsim.Engine.pending other)
 
 let test_proc_interleaving () =
   let eng = Vsim.Engine.create () in
@@ -491,10 +575,14 @@ let suite =
         Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
         Alcotest.test_case "until horizon" `Quick test_engine_until_horizon;
         Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
+        Alcotest.test_case "rejects non-finite times" `Quick
+          test_engine_rejects_non_finite;
         Alcotest.test_case "max events" `Quick test_engine_max_events;
       ] );
     ( "sim.wheel",
       [
+        Alcotest.test_case "defer_at takes two turns" `Quick
+          test_engine_defer_at;
         Alcotest.test_case "matches heap (fixed seed)" `Quick
           test_wheel_matches_heap_fixed;
         Alcotest.test_case "cancel before fire" `Quick
@@ -512,6 +600,7 @@ let suite =
     ( "sim.proc",
       [
         Alcotest.test_case "delay" `Quick test_proc_delay;
+        Alcotest.test_case "delay refusals" `Quick test_proc_delay_rejects;
         Alcotest.test_case "interleaving" `Quick test_proc_interleaving;
         Alcotest.test_case "ivar rendezvous" `Quick test_ivar_rendezvous;
         Alcotest.test_case "ivar prefilled" `Quick test_ivar_prefilled;
