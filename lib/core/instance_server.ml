@@ -1,79 +1,107 @@
-(* Server-side object instances over read-only byte images.
+(* The one instance table: a server's open object instances and the I/O
+   protocol over them. Context directories are "logically files" (§5.6),
+   so every server's directory listings go through here beside its own
+   objects (files, terminals, windows, printer jobs, mailboxes, TCP
+   connections). The server says once, in its kind, how its instances
+   are read, written, described and released; the table owns the ids,
+   the block slicing and the replies. *)
 
-   Context directories are "logically files" (§5.6): a client opens and
-   reads them through the I/O protocol. This module gives any CSNH
-   server a small instance table for serving such dynamically fabricated
-   images (directory listings, status reports). Servers with real
-   mutable storage (the file server) keep their own richer table. *)
+type block = Image of bytes | Data of bytes | Refused of Reply.code
 
-type instance = {
-  id : int;
-  image : bytes;
+type ('s, 'a) kind = {
   block_size : int;
-  created : float;
-  describe : unit -> Descriptor.t;
+  read : 's -> 'a -> block:int -> block;
+  write : ('s -> 'a -> block:int -> bytes -> (int, Reply.code) result) option;
+  describe : 's -> int -> 'a -> (Descriptor.t, Reply.code) result;
+  release : 's -> 'a -> unit;
 }
 
-type t = {
-  name : string;
+let images ~describe =
+  {
+    block_size = 512;
+    read = (fun _ image ~block:_ -> Image image);
+    write = None;
+    describe = (fun s _ _ -> Ok (describe s));
+    release = (fun _ _ -> ());
+  }
+
+type ('s, 'a) t = {
+  kind : ('s, 'a) kind;
   mutable next_id : int;
-  table : (int, instance) Hashtbl.t;
+  table : (int, 'a) Hashtbl.t;
 }
 
-let default_block_size = 512
-
-let create ?(name = "instances") () = { name; next_id = 1; table = Hashtbl.create 8 }
-
+let create kind = { kind; next_id = 1; table = Hashtbl.create 8 }
 let count t = Hashtbl.length t.table
-
-(* Allocate an instance serving [image]; ids maximize time before
-   reuse (§4.3) by monotonically increasing. *)
-let open_image t ~now ?(block_size = default_block_size) ~describe image =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let inst = { id; image; block_size; created = now; describe } in
-  Hashtbl.replace t.table id inst;
-  { Vmsg.instance = id; file_size = Bytes.length image; block_size }
-
-let release t id =
-  if Hashtbl.mem t.table id then begin
-    Hashtbl.remove t.table id;
-    true
-  end
-  else false
-
 let find t id = Hashtbl.find_opt t.table id
 
-let read t ~instance ~block =
-  match Hashtbl.find_opt t.table instance with
-  | None -> Error Reply.Invalid_instance
-  | Some inst ->
-      let off = block * inst.block_size in
-      if block < 0 then Error Reply.Invalid_instance
-      else if off >= Bytes.length inst.image then Error Reply.End_of_file
-      else begin
-        let len = min inst.block_size (Bytes.length inst.image - off) in
-        Ok (Bytes.sub inst.image off len)
-      end
+(* Ids maximize time before reuse (§4.3) by increasing monotonically. *)
+let reserve t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
 
-(* Handle the I/O-protocol operations this table can serve. Returns
-   [None] for requests that are not instance operations. *)
-let handle_io t (msg : Vmsg.t) =
-  match msg.Vmsg.payload with
-  | Vmsg.P_read { instance; block } when msg.Vmsg.code = Vmsg.Op.read_instance -> (
-      match read t ~instance ~block with
-      | Ok data ->
-          Some
-            (Vmsg.ok ~extra_bytes:(Bytes.length data) ~payload:(Vmsg.P_data data) ())
-      | Error code -> Some (Vmsg.reply code))
-  | Vmsg.P_instance_arg instance when msg.Vmsg.code = Vmsg.Op.query_instance -> (
-      match find t instance with
-      | None -> Some (Vmsg.reply Reply.Invalid_instance)
-      | Some inst ->
-          Some (Vmsg.ok ~payload:(Vmsg.P_descriptor (inst.describe ())) ()))
-  | Vmsg.P_instance_arg instance when msg.Vmsg.code = Vmsg.Op.release_instance ->
-      if release t instance then Some (Vmsg.ok ())
-      else Some (Vmsg.reply Reply.Invalid_instance)
-  | Vmsg.P_write _ when msg.Vmsg.code = Vmsg.Op.write_instance ->
-      Some (Vmsg.reply Reply.No_permission)
+let add t inst ~file_size =
+  let instance = reserve t in
+  Hashtbl.replace t.table instance inst;
+  Vmsg.ok
+    ~payload:
+      (Vmsg.P_instance { instance; file_size; block_size = t.kind.block_size })
+    ()
+
+let data bytes =
+  Vmsg.ok ~extra_bytes:(Bytes.length bytes) ~payload:(Vmsg.P_data bytes) ()
+
+let read t s ~instance ~block =
+  match Hashtbl.find t.table instance with
+  | exception Not_found -> Vmsg.reply Reply.Invalid_instance
+  | inst -> (
+      match t.kind.read s inst ~block with
+      | Image image ->
+          let bs = t.kind.block_size in
+          let off = block * bs in
+          if block < 0 then Vmsg.reply Reply.Invalid_instance
+          else if off >= Bytes.length image then Vmsg.reply Reply.End_of_file
+          else data (Bytes.sub image off (min bs (Bytes.length image - off)))
+      | Data bytes -> data bytes
+      | Refused code -> Vmsg.reply code)
+
+let write t s ~instance ~block bytes =
+  match t.kind.write with
+  | None -> Vmsg.reply Reply.No_permission
+  | Some write -> (
+      match Hashtbl.find t.table instance with
+      | exception Not_found -> Vmsg.reply Reply.Invalid_instance
+      | inst -> (
+          match write s inst ~block bytes with
+          | Ok n -> Vmsg.ok ~payload:(Vmsg.P_count n) ()
+          | Error code -> Vmsg.reply code))
+
+let query t s instance =
+  match Hashtbl.find t.table instance with
+  | exception Not_found -> Vmsg.reply Reply.Invalid_instance
+  | inst -> (
+      match t.kind.describe s instance inst with
+      | Ok d -> Vmsg.ok ~payload:(Vmsg.P_descriptor d) ()
+      | Error code -> Vmsg.reply code)
+
+let release t s instance =
+  match Hashtbl.find t.table instance with
+  | exception Not_found -> Vmsg.reply Reply.Invalid_instance
+  | inst ->
+      Hashtbl.remove t.table instance;
+      t.kind.release s inst;
+      Vmsg.ok ()
+
+let handle_io t s (msg : Vmsg.t) =
+  let open Vmsg in
+  match msg.payload with
+  | P_read { instance; block } when msg.code = Op.read_instance ->
+      Some (read t s ~instance ~block)
+  | P_write { instance; block; data } when msg.code = Op.write_instance ->
+      Some (write t s ~instance ~block data)
+  | P_instance_arg instance when msg.code = Op.query_instance ->
+      Some (query t s instance)
+  | P_instance_arg instance when msg.code = Op.release_instance ->
+      Some (release t s instance)
   | _ -> None

@@ -34,7 +34,7 @@ let pp_target ppf = function
 type t = {
   owner : string;
   bindings : (string, target) Hashtbl.t;
-  instances : Instance_server.t;
+  instances : (t, bytes) Instance_server.t;
   stats : Csnh.server_stats;
   mutable pid : Pid.t option;
   mutable next_wseq : int;
@@ -108,19 +108,6 @@ let directory_image t ~now =
   |> Descriptor.directory_to_bytes
 
 (* --- request handling --- *)
-
-(* A forward to a resolved binding failed: the kernel has already failed
-   the sender's transaction, so the client sees the error and retries.
-   What must happen here is that the retry resolves afresh — for a
-   logical binding whose pid came from the GetPid cache, drop the stale
-   entry (on-use invalidation). Bookkeeping only; no simulated time. *)
-let forward_failed self r target =
-  match target with
-  | Logical { service; _ }
-    when Kernel.getpid_cache_enabled (Kernel.domain_of_self self) ->
-      Kernel.drop_cached_pid self ~service;
-      Events.count r "logical-stale"
-  | Logical _ | Static _ | Replicated _ -> ()
 
 (* Answer the request here, closing this hop's span with the reply's
    code. *)
@@ -254,12 +241,12 @@ let dispatch t self r ~sender ~span (msg : Vmsg.t) target (req : Csname.req)
                 Events.forward r ~span
                   { req with Csname.index; context = spec.Context.context }
               in
-              match
-                Kernel.forward self ~from_:sender ~to_:spec.Context.server
-                  (Vmsg.with_name msg req')
-              with
-              | Ok () -> ()
-              | Error _ -> forward_failed self r target)))
+              (* A failed forward has already failed the sender's
+                 transaction; the client's retry resolves the binding
+                 afresh. *)
+              ignore
+                (Kernel.forward self ~from_:sender ~to_:spec.Context.server
+                   (Vmsg.with_name msg req')))))
 
 let handle_prefixed t self r ~sender (msg : Vmsg.t) req =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
@@ -300,6 +287,10 @@ let handle_binding_op t (msg : Vmsg.t) req =
     | Ok () -> Vmsg.ok ()
     | Error code -> Vmsg.reply code
 
+let describe_own t =
+  Descriptor.make ~obj_type:Descriptor.Directory ~size:(binding_count t)
+    ~owner:t.owner "[prefixes]"
+
 (* Operations on the prefix server's own context and its bindings,
    for unprefixed names. Uniformity rule (§5.6): a final-component name
    denotes the BINDING — Query describes it exactly as the context
@@ -317,22 +308,10 @@ let handle_own_context t self ~now (msg : Vmsg.t) =
     match msg.payload with
     | P_open { mode = Directory_listing } ->
         let image = directory_image t ~now:(now ()) in
-        let info =
-          Instance_server.open_image t.instances ~now:(now ())
-            ~describe:(fun () ->
-              Descriptor.make ~obj_type:Descriptor.Directory
-                ~size:(binding_count t) ~owner:t.owner "[prefixes]")
-            image
-        in
-        ok ~payload:(P_instance info) ()
+        Instance_server.add t.instances image ~file_size:(Bytes.length image)
     | _ -> reply Reply.No_permission
   else if msg.code = Op.query_name then
-    ok
-      ~payload:
-        (P_descriptor
-           (Descriptor.make ~obj_type:Descriptor.Directory
-              ~size:(binding_count t) ~owner:t.owner "[prefixes]"))
-      ()
+    ok ~payload:(P_descriptor (describe_own t)) ()
   else (ignore self; reply Reply.Bad_operation)
 
 let handle_binding_name t self ~now (msg : Vmsg.t) name =
@@ -380,7 +359,7 @@ let handle_unprefixed t self r ~now ~sender (msg : Vmsg.t) req =
       end
 
 let handle_other t self (msg : Vmsg.t) =
-  match Instance_server.handle_io t.instances msg with
+  match Instance_server.handle_io t.instances t msg with
   | Some reply -> Some reply
   | None ->
       if msg.Vmsg.code = Vmsg.Op.inverse_map_context then
@@ -415,7 +394,8 @@ let start host ~owner ?(initial = []) () =
     {
       owner;
       bindings = Hashtbl.create 16;
-      instances = Instance_server.create ~name:"prefix-dirs" ();
+      instances =
+        Instance_server.create (Instance_server.images ~describe:describe_own);
       stats = Csnh.make_stats "prefix";
       pid = None;
       next_wseq = 1;

@@ -97,8 +97,6 @@ type kind =
   | Move_to
   | Get_pid
   | Get_pid_balanced
-  | Get_pid_cached
-  | Get_pid_stale
   | Group_send
   | Forward_group
   | Destroy
@@ -114,8 +112,8 @@ type kind =
 let ops =
   [|
     "send"; "receive"; "reply"; "admit"; "shed"; "forward"; "move-from";
-    "move-to"; "get-pid"; "get-pid-balanced"; "get-pid-cached";
-    "get-pid-stale"; "group-send"; "forward-group"; "";
+    "move-to"; "get-pid"; "get-pid-balanced"; "group-send"; "forward-group";
+    "";
   |]
 
 let slot = function
@@ -129,13 +127,11 @@ let slot = function
   | Move_to -> 7
   | Get_pid -> 8
   | Get_pid_balanced -> 9
-  | Get_pid_cached -> 10
-  | Get_pid_stale -> 11
-  | Group_send -> 12
-  | Forward_group -> 13
+  | Group_send -> 10
+  | Forward_group -> 11
   | Destroy | Crash | Restart | Retransmit_probe | Forward_recovery_probe
   | Balancer_pick ->
-      14
+      12
 
 (* One reused event per host: a site fills it in and emits it, so the
    stream allocates nothing until a consumer keeps or prints it. The
@@ -212,12 +208,6 @@ and 'm host = {
   pendings : (int, 'm pending) Hashtbl.t; (* txn -> blocked local sender *)
   moves : (int, 'm move_op) Hashtbl.t;
   getpid_waits : (int, Pid.t option -> unit) Hashtbl.t;
-  (* Optional service -> pid cache for broadcast GetPid results, shared
-     by the host's processes (the prefix server's logical bindings are
-     the intended user). Gated by [getpid_cache_on]; entries are
-     validated on use — a failed send/forward to a cached pid is the
-     invalidation signal (see [drop_cached_pid]). *)
-  getpid_cache : (int, Pid.t) Hashtbl.t;
   (* At-most-once delivery of retransmitted requests: one record per
      remote sender, by pid. Never folded, so its size shapes nothing. *)
   aliens : (int, 'm alien) Hashtbl.t;
@@ -301,7 +291,6 @@ and 'm domain = {
      inspects messages itself; the deployment (which knows the message
      type) installs the accessor. Default: everything untraced. *)
   mutable trace_of : 'm -> int;
-  mutable getpid_cache_on : bool;
   ipc_transactions : Vsim.Stats.Counter.t;
   (* host name -> metrics group scope, for [telemetry_group_of]. *)
   tel_groups : (string, string) Hashtbl.t;
@@ -344,8 +333,7 @@ let pp_event ~timeline ppf e =
       Fmt.pf ppf "forward-recovery-probe txn %d (attempt %d)" e.a e.b
   | Balancer_pick ->
       Fmt.pf ppf "pick service %d -> %a (%d reachable)" e.a pid e.b e.c
-  | Admit | Get_pid | Get_pid_balanced | Get_pid_cached | Get_pid_stale ->
-      Fmt.string ppf ops.(slot e.kind)
+  | Admit | Get_pid | Get_pid_balanced -> Fmt.string ppf ops.(slot e.kind)
 
 (* The consumers each kind goes to. *)
 let consumers kind =
@@ -358,7 +346,7 @@ let consumers kind =
       timeline
   | Shed | Retransmit_probe | Forward_recovery_probe | Balancer_pick ->
       recorder
-  | Admit | Get_pid | Get_pid_balanced | Get_pid_cached | Get_pid_stale -> 0
+  | Admit | Get_pid | Get_pid_balanced -> 0
 
 let layer =
   {
@@ -1549,61 +1537,29 @@ let get_pid proc ~service scope =
   | _ when balanced_lookup_available host ~service ->
       count host Get_pid_balanced;
       balanced_choice host ~service
-  | _ when d.getpid_cache_on && Hashtbl.mem host.getpid_cache service ->
-      (* Cached broadcast result. Deliberately no liveness check: the
-         cache is validated on use — the failure of the send or forward
-         that follows is what invalidates it (drop_cached_pid). *)
-      count host Get_pid_cached;
-      Some (Hashtbl.find host.getpid_cache service)
   | _ ->
       (* Broadcast query; first responder wins (§4.2). *)
       charge proc Calibration.small_packet_send_cpu;
       let txn = fresh_txn d in
-      let answer =
-        block proc (fun fire ->
-            let deadline = ref None in
-            let settle pid_opt =
-              if Hashtbl.mem host.getpid_waits txn then begin
-                Hashtbl.remove host.getpid_waits txn;
-                (match !deadline with
-                | Some tm -> Engine.cancel d.engine tm
-                | None -> ());
-                fire (Ok pid_opt)
-              end
-            in
-            Hashtbl.replace host.getpid_waits txn settle;
-            transmit host ~dst:Ethernet.Broadcast
-              ~payload_bytes:control_payload_bytes
-              (Getpid_query { txn; requester_addr = host.addr; service });
-            deadline :=
-              Some
-                (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
-                   (fun () -> settle None)))
-      in
-      (if d.getpid_cache_on then
-         match answer with
-         | Some pid -> Hashtbl.replace host.getpid_cache service pid
-         | None -> ());
-      answer
-
-(* Enable or disable the GetPid result cache; disabling flushes every
-   host's cache so behaviour reverts exactly to the uncached kernel. *)
-let set_getpid_cache d flag =
-  d.getpid_cache_on <- flag;
-  if not flag then
-    Hashtbl.iter (fun _ host -> Hashtbl.reset host.getpid_cache) d.all_hosts
-
-let getpid_cache_enabled d = d.getpid_cache_on
-
-(* On-use invalidation: a send or forward to the cached pid failed, so
-   the binding is stale. The caller's client sees that failure and
-   retries; the retry's GetPid broadcasts afresh. *)
-let drop_cached_pid proc ~service =
-  let host = proc.proc_host in
-  if Hashtbl.mem host.getpid_cache service then begin
-    Hashtbl.remove host.getpid_cache service;
-    count host Get_pid_stale
-  end
+      block proc (fun fire ->
+          let deadline = ref None in
+          let settle pid_opt =
+            if Hashtbl.mem host.getpid_waits txn then begin
+              Hashtbl.remove host.getpid_waits txn;
+              (match !deadline with
+              | Some tm -> Engine.cancel d.engine tm
+              | None -> ());
+              fire (Ok pid_opt)
+            end
+          in
+          Hashtbl.replace host.getpid_waits txn settle;
+          transmit host ~dst:Ethernet.Broadcast
+            ~payload_bytes:control_payload_bytes
+            (Getpid_query { txn; requester_addr = host.addr; service });
+          deadline :=
+            Some
+              (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
+                 (fun () -> settle None)))
 
 (* --- process groups and multicast Send (§2.3, §7) --- *)
 
@@ -1840,7 +1796,6 @@ let create_domain ?(seed = 42) ?(hosts_hint = 16) ~cost engine net =
       domain_prng = Vsim.Prng.create ~seed;
       domain_obs = None;
       trace_of = (fun _ -> 0);
-      getpid_cache_on = false;
       ipc_transactions = Vsim.Stats.Counter.create "ipc-transactions";
       tel_groups = Hashtbl.create 64;
       tel_watched = [];
@@ -1872,7 +1827,6 @@ let boot_host d ~name addr =
       pendings = Hashtbl.create 16;
       moves = Hashtbl.create 8;
       getpid_waits = Hashtbl.create 8;
-      getpid_cache = Hashtbl.create 8;
       aliens = Hashtbl.create 16;
       group_members = Hashtbl.create 8;
       host_prng = Vsim.Prng.split d.domain_prng;
@@ -1925,7 +1879,6 @@ let crash_host host =
       host.moves;
     Hashtbl.reset host.moves;
     Hashtbl.reset host.getpid_waits;
-    Hashtbl.reset host.getpid_cache;
     Hashtbl.reset host.aliens;
     Hashtbl.iter
       (fun group _ -> Ethernet.leave_group d.net ~group ~addr:host.addr)

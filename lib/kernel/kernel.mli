@@ -228,24 +228,9 @@ val set_pid : 'm host -> service:int -> Pid.t -> Service.scope -> unit
 
 (** Look up a service: the local table first, then (unless scope is
     [Local]) a broadcast query answered by the first kernel with a
-    Remote/Both registration. With the GetPid cache enabled, a prior
-    broadcast result for the service is returned instead of
-    re-broadcasting — deliberately without a liveness check, since the
-    cache is validated on use (see {!drop_cached_pid}). *)
+    Remote/Both registration. No result is cached: each call looks the
+    service up afresh. *)
 val get_pid : 'm self -> service:int -> Service.scope -> Pid.t option
-
-(** Enable or disable the per-host cache of broadcast GetPid results
-    (default off). Disabling flushes every host's cache, reverting
-    behaviour exactly to the uncached kernel. *)
-val set_getpid_cache : 'm domain -> bool -> unit
-
-val getpid_cache_enabled : 'm domain -> bool
-
-(** On-use invalidation of the GetPid cache: call when a send or
-    forward to a cached pid failed. The next [get_pid] for the service
-    broadcasts afresh. Counts (host, "kernel", "get-pid-stale") when an
-    entry was dropped. *)
-val drop_cached_pid : 'm self -> service:int -> unit
 
 (** {1 Process groups and multicast Send (§7)} *)
 
@@ -272,8 +257,8 @@ val forward_group :
     A logical service id may be bound, domain-wide, to a process group.
     While the binding is in place, [get_pid] for that service returns
     one live reachable member, chosen by a deterministic balancer
-    ({!Balancer.policy}) — ahead of the GetPid cache and the broadcast
-    path, but after the local service table. The round-robin cursor is
+    ({!Balancer.policy}) — ahead of the broadcast path, but after the
+    local service table. The round-robin cursor is
     seeded from the domain PRNG once at registration, so a run that
     never registers a group draws nothing and replays bit-identically. *)
 

@@ -342,9 +342,9 @@ let is_ipc = function Vio.Verr.Ipc _ -> true | _ -> false
      means the tree's answer is wrong (a dead leaf server), not stale,
      so the operation drops to the uncached route of last resort.
    - The name cache allows one uncached pass after an IPC failure with
-     no cached binding in play: a server-side cached resolution (the
-     prefix server's GetPid cache) invalidates itself on the failed
-     forward, so going through it again can succeed.
+     no cached binding in play: the prefix server resolves a logical
+     binding afresh at each use, so going through it again can reach a
+     service that re-registered under a new pid.
    If every attempt fails, the first error is returned. *)
 let rec with_stale_retry env cache name attempt r ~retried ~first_err =
   match r with

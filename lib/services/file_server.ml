@@ -24,7 +24,6 @@ type open_file = {
   of_name : string;
   of_mode : Vmsg.open_mode;
   of_base_block : int;  (* nonzero for append mode *)
-  mutable of_last_block : int;
 }
 
 type instance_kind = Open_file of open_file | Dir_image of bytes * string
@@ -40,8 +39,7 @@ type t = {
   fs : Fs.t;
   disk : Disk.t;
   engine : Vsim.Engine.t;
-  instances : (int, instance_kind) Hashtbl.t;
-  mutable next_instance : int;
+  instances : (t, instance_kind) Instance_server.t;
   mutable read_ahead : int; (* blocks prefetched past a sequential read *)
   mutable home_ino : int;
   mutable programs_ino : int;
@@ -143,30 +141,60 @@ let remove_account t name =
 
 (* --- instances --- *)
 
-let open_instance_count t = Hashtbl.length t.instances
+let open_instance_count t = Instance_server.count t.instances
 
-let fresh_instance t kind =
-  let id = t.next_instance in
-  t.next_instance <- id + 1;
-  Hashtbl.replace t.instances id kind;
-  id
+(* Open files read from the disk, prefetching [read_ahead] blocks past
+   each read; directory images are cut by the table. *)
+let kind block_size =
+  {
+    Instance_server.block_size;
+    read =
+      (fun t inst ~block ->
+        match inst with
+        | Dir_image (image, _) -> Instance_server.Image image
+        | Open_file f -> (
+            match Fs.read_block t.fs ~ino:f.of_ino ~block with
+            | Error code -> Instance_server.Refused code
+            | Ok data ->
+                for ahead = 1 to t.read_ahead do
+                  Fs.prefetch_block t.fs ~ino:f.of_ino ~block:(block + ahead)
+                done;
+                Instance_server.Data data));
+    write =
+      Some
+        (fun t inst ~block data ->
+          match inst with
+          | Dir_image _ | Open_file { of_mode = Vmsg.Read; _ } ->
+              Error Reply.No_permission
+          | Open_file f ->
+              Fs.write_block t.fs ~ino:f.of_ino
+                ~block:(f.of_base_block + block)
+                data);
+    describe =
+      (fun t instance -> function
+        | Dir_image (image, path) ->
+            Ok
+              (Descriptor.make ~obj_type:Descriptor.Directory
+                 ~size:(Bytes.length image) ~owner:t.owner ~instance path)
+        | Open_file f -> (
+            match Fs.describe_ino t.fs f.of_ino with
+            | Some d -> Ok { d with Descriptor.instance = Some instance }
+            | None -> Error Reply.Not_found));
+    release = (fun _ _ -> ());
+  }
 
-let instance_info t id =
-  match Hashtbl.find_opt t.instances id with
-  | None -> None
-  | Some (Dir_image (image, _)) ->
-      Some
-        {
-          Vmsg.instance = id;
-          file_size = Bytes.length image;
-          block_size = Fs.block_size t.fs;
-        }
-  | Some (Open_file f) ->
-      let size =
-        match Fs.find t.fs f.of_ino with Some node -> node.Fs.size | None -> 0
-      in
-      Some
-        { Vmsg.instance = id; file_size = size; block_size = Fs.block_size t.fs }
+let open_file t ~name ~mode ~base ino =
+  let size =
+    match Fs.find t.fs ino with Some node -> node.Fs.size | None -> 0
+  in
+  Instance_server.add t.instances
+    (Open_file
+       { of_ino = ino; of_name = name; of_mode = mode; of_base_block = base })
+    ~file_size:size
+
+let open_image t image path =
+  Instance_server.add t.instances (Dir_image (image, path))
+    ~file_size:(Bytes.length image)
 
 (* --- context directories --- *)
 
@@ -185,35 +213,20 @@ let describe_dir t dir_ino =
     ~size:(List.length (Fs.entries t.fs ~dir:dir_ino))
     ~owner:t.owner path
 
-let open_existing t ~dir_ino ~name ~mode ino =
+let open_existing t ~name ~mode ino =
   match mode with
-  | Vmsg.Read ->
-      let f =
-        { of_ino = ino; of_name = name; of_mode = mode; of_base_block = 0; of_last_block = -1 }
-      in
-      let id = fresh_instance t (Open_file f) in
-      ignore dir_ino;
-      Vmsg.ok ~payload:(Vmsg.P_instance (Option.get (instance_info t id))) ()
+  | Vmsg.Read -> open_file t ~name ~mode ~base:0 ino
   | Vmsg.Write -> (
       match Fs.truncate t.fs ~ino with
       | Error code -> Vmsg.reply code
-      | Ok () ->
-          let f =
-            { of_ino = ino; of_name = name; of_mode = mode; of_base_block = 0; of_last_block = -1 }
-          in
-          let id = fresh_instance t (Open_file f) in
-          Vmsg.ok ~payload:(Vmsg.P_instance (Option.get (instance_info t id))) ())
+      | Ok () -> open_file t ~name ~mode ~base:0 ino)
   | Vmsg.Append ->
       let base =
         match Fs.find t.fs ino with
         | Some node -> Fs.file_blocks t.fs node
         | None -> 0
       in
-      let f =
-        { of_ino = ino; of_name = name; of_mode = mode; of_base_block = base; of_last_block = -1 }
-      in
-      let id = fresh_instance t (Open_file f) in
-      Vmsg.ok ~payload:(Vmsg.P_instance (Option.get (instance_info t id))) ()
+      open_file t ~name ~mode ~base ino
   | Vmsg.Directory_listing -> Vmsg.reply Reply.Not_a_context
 
 let handle_open t ~ctx_ino ~remaining ~mode =
@@ -222,11 +235,10 @@ let handle_open t ~ctx_ino ~remaining ~mode =
       (* The context itself: its directory read as a file (§5.6). *)
       let image = directory_image t ~dir_ino:ctx_ino in
       let path = Option.value ~default:"?" (Fs.path_of_ino t.fs ctx_ino) in
-      let id = fresh_instance t (Dir_image (image, path)) in
-      Vmsg.ok ~payload:(Vmsg.P_instance (Option.get (instance_info t id))) ()
+      open_image t image path
   | [ name ] -> (
       match Fs.lookup t.fs ~dir:ctx_ino name with
-      | Some (Fs.File_entry ino) -> open_existing t ~dir_ino:ctx_ino ~name ~mode ino
+      | Some (Fs.File_entry ino) -> open_existing t ~name ~mode ino
       | Some (Fs.Dir_entry _) | Some (Fs.Remote_link _) ->
           (* Directories are consumed by the walk; reaching here means a
              stale entry type. *)
@@ -236,7 +248,7 @@ let handle_open t ~ctx_ino ~remaining ~mode =
           | Vmsg.Write | Vmsg.Append -> (
               match Fs.create_file t.fs ~dir:ctx_ino ~owner:t.owner name with
               | Error code -> Vmsg.reply code
-              | Ok ino -> open_existing t ~dir_ino:ctx_ino ~name ~mode ino)
+              | Ok ino -> open_existing t ~name ~mode ino)
           | Vmsg.Read | Vmsg.Directory_listing -> Vmsg.reply Reply.Not_found))
   | _ :: _ -> Vmsg.reply Reply.Not_found
 
@@ -285,8 +297,7 @@ let handle_accounts t (msg : Vmsg.t) remaining =
                (fun n -> describe_account t (Hashtbl.find t.accounts n))
                (account_names t))
         in
-        let id = fresh_instance t (Dir_image (image, "[accounts]")) in
-        ok ~payload:(P_instance (Option.get (instance_info t id))) ()
+        open_image t image "[accounts]"
       end
       else if msg.code = Op.map_context then
         ok
@@ -438,89 +449,30 @@ let handle_csname t self ~sender (msg : Vmsg.t) _req ctx remaining =
 let io_bytes t op n =
   match t.events with Some r -> Events.add r op n | None -> ()
 
-let handle_io t (msg : Vmsg.t) =
-  let open Vmsg in
-  match msg.payload with
-  | P_read { instance; block } when msg.code = Op.read_instance -> (
-      match Hashtbl.find_opt t.instances instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some (Dir_image (image, _)) ->
-          let bs = Fs.block_size t.fs in
-          let off = block * bs in
-          if block < 0 then Some (reply Reply.Invalid_instance)
-          else if off >= Bytes.length image then Some (reply Reply.End_of_file)
-          else begin
-            let len = min bs (Bytes.length image - off) in
-            let data = Bytes.sub image off len in
-            io_bytes t "read-bytes" len;
-            Some (ok ~extra_bytes:len ~payload:(P_data data) ())
-          end
-      | Some (Open_file f) -> (
-          match Fs.read_block t.fs ~ino:f.of_ino ~block with
-          | Error code -> Some (reply code)
-          | Ok data ->
-              f.of_last_block <- block;
-              for ahead = 1 to t.read_ahead do
-                Fs.prefetch_block t.fs ~ino:f.of_ino ~block:(block + ahead)
-              done;
-              io_bytes t "read-bytes" (Bytes.length data);
-              Some (ok ~extra_bytes:(Bytes.length data) ~payload:(P_data data) ())))
-  | P_write { instance; block; data } when msg.code = Op.write_instance -> (
-      match Hashtbl.find_opt t.instances instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some (Dir_image _) -> Some (reply Reply.No_permission)
-      | Some (Open_file f) ->
-          if f.of_mode = Vmsg.Read then Some (reply Reply.No_permission)
-          else begin
-            match
-              Fs.write_block t.fs ~ino:f.of_ino ~block:(f.of_base_block + block) data
-            with
-            | Error code -> Some (reply code)
-            | Ok n ->
-                io_bytes t "write-bytes" n;
-                Some (ok ~payload:(P_count n) ())
-          end)
-  | P_instance_arg instance when msg.code = Op.query_instance -> (
-      match Hashtbl.find_opt t.instances instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some (Dir_image (image, path)) ->
-          Some
-            (ok
-               ~payload:
-                 (P_descriptor
-                    (Descriptor.make ~obj_type:Descriptor.Directory
-                       ~size:(Bytes.length image) ~owner:t.owner ~instance path))
-               ())
-      | Some (Open_file f) -> (
-          match Fs.describe_ino t.fs f.of_ino with
-          | Some d ->
-              Some (ok ~payload:(P_descriptor { d with Descriptor.instance = Some instance }) ())
-          | None -> Some (reply Reply.Not_found)))
-  | P_instance_arg instance when msg.code = Op.release_instance ->
-      if Hashtbl.mem t.instances instance then begin
-        Hashtbl.remove t.instances instance;
-        Some (ok ())
-      end
-      else Some (reply Reply.Invalid_instance)
-  | P_set_size { instance; size } when msg.code = Op.set_instance_size -> (
-      match Hashtbl.find_opt t.instances instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some (Dir_image _) -> Some (reply Reply.No_permission)
-      | Some (Open_file f) ->
-          if f.of_mode = Vmsg.Read then Some (reply Reply.No_permission)
-          else begin
-            match Fs.set_size t.fs ~ino:f.of_ino size with
-            | Ok () -> Some (ok ())
-            | Error code -> Some (reply code)
-          end)
-  | _ -> None
-
 let handle_other t ~sender:_ (msg : Vmsg.t) =
   let open Vmsg in
-  match handle_io t msg with
-  | Some reply_msg -> Some reply_msg
+  match Instance_server.handle_io t.instances t msg with
+  | Some reply_msg ->
+      (* Count the bytes each read served and each write stored. *)
+      (match reply_msg.payload with
+      | P_data data -> io_bytes t "read-bytes" (Bytes.length data)
+      | P_count n -> io_bytes t "write-bytes" n
+      | _ -> ());
+      Some reply_msg
   | None ->
-      if msg.code = Svc.Op.open_by_low_id then
+      if msg.code = Op.set_instance_size then
+        match msg.payload with
+        | P_set_size { instance; size } -> (
+            match Instance_server.find t.instances instance with
+            | None -> Some (reply Reply.Invalid_instance)
+            | Some (Dir_image _ | Open_file { of_mode = Read; _ }) ->
+                Some (reply Reply.No_permission)
+            | Some (Open_file f) -> (
+                match Fs.set_size t.fs ~ino:f.of_ino size with
+                | Ok () -> Some (ok ())
+                | Error code -> Some (reply code)))
+        | _ -> None
+      else if msg.code = Svc.Op.open_by_low_id then
         match msg.payload with
         | Svc.P_low_id { low_id; mode } -> (
             match Fs.find t.fs low_id with
@@ -528,7 +480,7 @@ let handle_other t ~sender:_ (msg : Vmsg.t) =
                 let name =
                   Option.value ~default:"?" (Fs.path_of_ino t.fs low_id)
                 in
-                Some (open_existing t ~dir_ino:node.Fs.parent ~name ~mode low_id)
+                Some (open_existing t ~name ~mode low_id)
             | Some _ | None -> Some (reply Reply.Not_found))
         | _ -> Some (reply Reply.Bad_operation)
       else if msg.code = Op.inverse_map_context then
@@ -544,7 +496,7 @@ let handle_other t ~sender:_ (msg : Vmsg.t) =
       else if msg.code = Op.inverse_map_instance then
         match msg.payload with
         | P_instance_arg instance -> (
-            match Hashtbl.find_opt t.instances instance with
+            match Instance_server.find t.instances instance with
             | Some (Open_file f) -> (
                 match Fs.path_of_ino t.fs f.of_ino with
                 | Some path -> Some (ok ~payload:(P_name path) ())
@@ -624,8 +576,7 @@ let restart_from old host ?(scope = Service.Both) () =
   let t =
     {
       old with
-      instances = Hashtbl.create 16;
-      next_instance = 1;
+      instances = Instance_server.create (kind (Fs.block_size old.fs));
       pid = None;
     }
   in
@@ -651,8 +602,7 @@ let start host ~name ?(owner = "system") ?(scope = Service.Both) () =
       fs = filesystem;
       disk;
       engine;
-      instances = Hashtbl.create 16;
-      next_instance = 1;
+      instances = Instance_server.create (kind (Fs.block_size filesystem));
       read_ahead = 1;
       home_ino = Fs.root_ino;
       programs_ino = Fs.root_ino;

@@ -33,14 +33,11 @@ type conn = {
 
 type t = {
   conns : (string, conn) Hashtbl.t;
-  sessions : (int, [ `Conn of conn | `Dir of bytes ]) Hashtbl.t;
-  mutable next_instance : int;
+  sessions : (t, [ `Conn of conn | `Dir of bytes ]) Instance_server.t;
   engine : Vsim.Engine.t;
   stats : Csnh.server_stats;
   mutable pid : Vkernel.Pid.t option;
 }
-
-let block_size = 512
 
 let pid t = Option.get t.pid
 let stats t = t.stats
@@ -72,11 +69,6 @@ let describe c =
     ~attrs:[ ("state", state_to_string c.state) ]
     c.conn_name
 
-let fresh_instance t =
-  let id = t.next_instance in
-  t.next_instance <- id + 1;
-  id
-
 let open_connection t ~now name =
   if Hashtbl.mem t.conns name then Error Reply.Duplicate_name
   else begin
@@ -87,7 +79,7 @@ let open_connection t ~now name =
         sent_bytes = 0;
         inbound = Buffer.create 64;
         opened = now;
-        conn_instance = fresh_instance t;
+        conn_instance = Instance_server.reserve t.sessions;
       }
     in
     Hashtbl.replace t.conns name c;
@@ -106,13 +98,8 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
         let image =
           Descriptor.directory_to_bytes (List.map describe (connections t))
         in
-        let id = fresh_instance t in
-        Hashtbl.replace t.sessions id (`Dir image);
-        ok
-          ~payload:
-            (P_instance
-               { instance = id; file_size = Bytes.length image; block_size })
-          ()
+        Instance_server.add t.sessions (`Dir image)
+          ~file_size:(Bytes.length image)
       end
       else if msg.code = Op.map_context then
         ok
@@ -133,28 +120,13 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
               | None -> open_connection t ~now name
             with
             | Error code -> reply code
-            | Ok c ->
-                let id = fresh_instance t in
-                Hashtbl.replace t.sessions id (`Conn c);
-                ok
-                  ~payload:
-                    (P_instance { instance = id; file_size = 0; block_size })
-                  ())
+            | Ok c -> Instance_server.add t.sessions (`Conn c) ~file_size:0)
         | P_open { mode = Read } -> (
             match Hashtbl.find_opt t.conns name with
             | None -> reply Reply.Not_found
             | Some c ->
-                let id = fresh_instance t in
-                Hashtbl.replace t.sessions id (`Conn c);
-                ok
-                  ~payload:
-                    (P_instance
-                       {
-                         instance = id;
-                         file_size = Buffer.length c.inbound;
-                         block_size;
-                       })
-                  ())
+                Instance_server.add t.sessions (`Conn c)
+                  ~file_size:(Buffer.length c.inbound))
         | _ -> reply Reply.Bad_operation
       else if msg.code = Op.query_name then
         match Hashtbl.find_opt t.conns name with
@@ -170,71 +142,42 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
       else reply Reply.Bad_operation
   | _ :: _ -> Vmsg.reply Reply.Not_found
 
-let handle_other t ~sender:_ (msg : Vmsg.t) =
-  let open Vmsg in
-  match msg.payload with
-  | P_write { instance; data; _ } when msg.code = Op.write_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some (`Conn c) when c.state <> Closed ->
-          c.sent_bytes <- c.sent_bytes + Bytes.length data;
-          (* The far end echoes after a WAN round trip. *)
-          Vsim.Engine.schedule ~delay:wan_rtt_ms t.engine (fun () ->
-              if c.state <> Closed then Buffer.add_bytes c.inbound data);
-          Some (ok ~payload:(P_count (Bytes.length data)) ())
-      | Some (`Conn _) -> Some (reply Reply.No_permission)
-      | Some (`Dir _) -> Some (reply Reply.No_permission)
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_read { instance; block } when msg.code = Op.read_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some (`Dir image) ->
-          let off = block * block_size in
-          if block < 0 then Some (reply Reply.Invalid_instance)
-          else if off >= Bytes.length image then Some (reply Reply.End_of_file)
-          else begin
-            let data =
-              Bytes.sub image off (min block_size (Bytes.length image - off))
-            in
-            Some (ok ~extra_bytes:(Bytes.length data) ~payload:(P_data data) ())
-          end
-      | Some (`Conn c) ->
-          let image = Buffer.to_bytes c.inbound in
-          let off = block * block_size in
-          if block < 0 then Some (reply Reply.Invalid_instance)
-          else if off >= Bytes.length image then Some (reply Reply.End_of_file)
-          else begin
-            let data =
-              Bytes.sub image off (min block_size (Bytes.length image - off))
-            in
-            Some (ok ~extra_bytes:(Bytes.length data) ~payload:(P_data data) ())
-          end)
-  | P_instance_arg instance when msg.code = Op.query_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some (`Conn c) -> Some (ok ~payload:(P_descriptor (describe c)) ())
-      | Some (`Dir image) ->
-          Some
-            (ok
-               ~payload:
-                 (P_descriptor
-                    (Descriptor.make ~obj_type:Descriptor.Directory
-                       ~size:(Bytes.length image) "[internet]"))
-               ())
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_instance_arg instance when msg.code = Op.release_instance ->
-      if Hashtbl.mem t.sessions instance then begin
-        Hashtbl.remove t.sessions instance;
-        Some (ok ())
-      end
-      else Some (reply Reply.Invalid_instance)
-  | _ -> None
+(* A connection session reads what the far end has echoed so far; a
+   write goes out and comes back one WAN round trip later. *)
+let kind =
+  {
+    Instance_server.block_size = 512;
+    read =
+      (fun _ session ~block:_ ->
+        match session with
+        | `Dir image -> Instance_server.Image image
+        | `Conn c -> Instance_server.Image (Buffer.to_bytes c.inbound));
+    write =
+      Some
+        (fun t session ~block:_ data ->
+          match session with
+          | `Conn c when c.state <> Closed ->
+              c.sent_bytes <- c.sent_bytes + Bytes.length data;
+              Vsim.Engine.schedule ~delay:wan_rtt_ms t.engine (fun () ->
+                  if c.state <> Closed then Buffer.add_bytes c.inbound data);
+              Ok (Bytes.length data)
+          | `Conn _ | `Dir _ -> Error Reply.No_permission);
+    describe =
+      (fun _ _ -> function
+        | `Conn c -> Ok (describe c)
+        | `Dir image ->
+            Ok
+              (Descriptor.make ~obj_type:Descriptor.Directory
+                 ~size:(Bytes.length image) "[internet]"));
+    release = (fun _ _ -> ());
+  }
 
 let start host =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_host host) in
   let t =
     {
       conns = Hashtbl.create 8;
-      sessions = Hashtbl.create 8;
-      next_instance = 1;
+      sessions = Instance_server.create kind;
       engine;
       stats = Csnh.make_stats "internet";
       pid = None;
@@ -246,7 +189,8 @@ let start host =
       lookup = (fun _ _ -> Csnh.Stop);
       handle_csname = (fun ~sender msg req ctx remaining ->
           handle_csname t ~sender msg req ctx remaining);
-      handle_other = (fun ~sender msg -> handle_other t ~sender msg);
+      handle_other =
+        (fun ~sender:_ msg -> Instance_server.handle_io t.sessions t msg);
     }
   in
   let server_pid =

@@ -22,18 +22,15 @@ type mailbox = {
   created : float;
 }
 
-type session = Deliver of mailbox * string (* sender user *) | Fetch of bytes
+type session = Deliver of mailbox | Fetch of bytes
 
 type t = {
   boxes : (string, mailbox) Hashtbl.t;
-  sessions : (int, session) Hashtbl.t;
-  mutable next_instance : int;
+  sessions : (t, session) Instance_server.t;
   engine : Vsim.Engine.t;
   stats : Csnh.server_stats;
   mutable pid : Vkernel.Pid.t option;
 }
-
-let block_size = 2048
 
 let pid t = Option.get t.pid
 let stats t = t.stats
@@ -68,11 +65,6 @@ let find_or_create t ~now name =
       Hashtbl.replace t.boxes name box;
       box
 
-let fresh_instance t =
-  let id = t.next_instance in
-  t.next_instance <- id + 1;
-  id
-
 (* Handle a CSname request: the whole remainder is the mailbox name. *)
 let handle_csname t ~sender:_ (msg : Vmsg.t) req =
   let open Vmsg in
@@ -87,12 +79,8 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) req =
         Descriptor.directory_to_bytes
           (List.map (fun n -> describe (Hashtbl.find t.boxes n)) (mailboxes t))
       in
-      let id = fresh_instance t in
-      Hashtbl.replace t.sessions id (Fetch image);
-      ok
-        ~payload:
-          (P_instance { instance = id; file_size = Bytes.length image; block_size })
-        ()
+      Instance_server.add t.sessions (Fetch image)
+        ~file_size:(Bytes.length image)
     end
     else if msg.code = Op.map_context then
       ok
@@ -106,21 +94,14 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) req =
     match msg.payload with
     | P_open { mode = Append | Write } ->
         let box = find_or_create t ~now name in
-        let id = fresh_instance t in
-        Hashtbl.replace t.sessions id (Deliver (box, "unknown"));
-        ok ~payload:(P_instance { instance = id; file_size = 0; block_size }) ()
+        Instance_server.add t.sessions (Deliver box) ~file_size:0
     | P_open { mode = Read } -> (
         match Hashtbl.find_opt t.boxes name with
         | None -> reply Reply.Not_found
         | Some box ->
             let image = render_mailbox box in
-            let id = fresh_instance t in
-            Hashtbl.replace t.sessions id (Fetch image);
-            ok
-              ~payload:
-                (P_instance
-                   { instance = id; file_size = Bytes.length image; block_size })
-              ())
+            Instance_server.add t.sessions (Fetch image)
+              ~file_size:(Bytes.length image))
     | P_open { mode = Directory_listing } -> reply Reply.Not_a_context
     | _ -> reply Reply.Bad_operation
   else if msg.code = Op.query_name then
@@ -135,69 +116,52 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) req =
     else reply Reply.Not_found
   else reply Reply.Bad_operation
 
-(* Each Write to a delivery session is one message: "From: user\n" head
-   optional, rest is the body. *)
-let handle_other t ~sender:_ (msg : Vmsg.t) =
-  let open Vmsg in
-  let now = Vsim.Engine.now t.engine in
-  match msg.payload with
-  | P_write { instance; data; _ } when msg.code = Op.write_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some (Deliver (box, _)) ->
-          let text = Bytes.to_string data in
-          let m_from, m_body =
-            match String.index_opt text '\n' with
-            | Some i when String.length text > 5 && String.sub text 0 5 = "From:"
-              ->
-                ( String.trim (String.sub text 5 (i - 5)),
-                  String.sub text (i + 1) (String.length text - i - 1) )
-            | _ -> ("unknown", text)
-          in
-          box.messages <- { m_from; m_body; m_at = now } :: box.messages;
-          Some (ok ~payload:(P_count (Bytes.length data)) ())
-      | Some (Fetch _) -> Some (reply Reply.No_permission)
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_read { instance; block } when msg.code = Op.read_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some (Fetch image) ->
-          let off = block * block_size in
-          if block < 0 then Some (reply Reply.Invalid_instance)
-          else if off >= Bytes.length image then Some (reply Reply.End_of_file)
-          else begin
-            let data =
-              Bytes.sub image off (min block_size (Bytes.length image - off))
-            in
-            Some (ok ~extra_bytes:(Bytes.length data) ~payload:(P_data data) ())
-          end
-      | Some (Deliver _) -> Some (reply Reply.No_permission)
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_instance_arg instance when msg.code = Op.release_instance ->
-      if Hashtbl.mem t.sessions instance then begin
-        Hashtbl.remove t.sessions instance;
-        Some (ok ())
-      end
-      else Some (reply Reply.Invalid_instance)
-  | P_instance_arg instance when msg.code = Op.query_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some (Deliver (box, _)) -> Some (ok ~payload:(P_descriptor (describe box)) ())
-      | Some (Fetch image) ->
-          Some
-            (ok
-               ~payload:
-                 (P_descriptor
-                    (Descriptor.make ~obj_type:Descriptor.Mailbox
-                       ~size:(Bytes.length image) ~instance "[mail]"))
-               ())
-      | None -> Some (reply Reply.Invalid_instance))
-  | _ -> None
+(* A delivery session is write-only: each Write is one message, its
+   "From: user\n" head optional, the rest the body. A fetch session reads
+   the mailbox as rendered at its Open. *)
+let kind =
+  {
+    Instance_server.block_size = 2048;
+    read =
+      (fun _ session ~block:_ ->
+        match session with
+        | Fetch image -> Instance_server.Image image
+        | Deliver _ -> Instance_server.Refused Reply.No_permission);
+    write =
+      Some
+        (fun t session ~block:_ data ->
+          match session with
+          | Deliver box ->
+              let text = Bytes.to_string data in
+              let m_from, m_body =
+                match String.index_opt text '\n' with
+                | Some i
+                  when String.length text > 5 && String.sub text 0 5 = "From:"
+                  ->
+                    ( String.trim (String.sub text 5 (i - 5)),
+                      String.sub text (i + 1) (String.length text - i - 1) )
+                | _ -> ("unknown", text)
+              in
+              let m_at = Vsim.Engine.now t.engine in
+              box.messages <- { m_from; m_body; m_at } :: box.messages;
+              Ok (Bytes.length data)
+          | Fetch _ -> Error Reply.No_permission);
+    describe =
+      (fun _ instance -> function
+        | Deliver box -> Ok (describe box)
+        | Fetch image ->
+            Ok
+              (Descriptor.make ~obj_type:Descriptor.Mailbox
+                 ~size:(Bytes.length image) ~instance "[mail]"));
+    release = (fun _ _ -> ());
+  }
 
 let start host =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_host host) in
   let t =
     {
       boxes = Hashtbl.create 8;
-      sessions = Hashtbl.create 8;
-      next_instance = 1;
+      sessions = Instance_server.create kind;
       engine;
       stats = Csnh.make_stats "mail";
       pid = None;
@@ -216,7 +180,7 @@ let start host =
                 Vsim.Proc.delay engine Vnet.Calibration.csname_common_cpu;
                 handle_csname t ~sender msg req
             | Some _ | None -> (
-                match handle_other t ~sender msg with
+                match Instance_server.handle_io t.sessions t msg with
                 | Some r -> r
                 | None -> Vmsg.reply Reply.Bad_operation)
           in

@@ -28,8 +28,7 @@ type job = {
 
 type t = {
   jobs : (string, job) Hashtbl.t;
-  sessions : (int, job) Hashtbl.t;
-  mutable next_instance : int;
+  sessions : (t, job) Instance_server.t;
   mutable queue : job list; (* oldest first *)
   mutable printing : bool;
   engine : Vsim.Engine.t;
@@ -84,10 +83,8 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
   | [] ->
       if msg.code = Op.open_instance then begin
         let image = Descriptor.directory_to_bytes (List.map describe (jobs t)) in
-        let id = t.next_instance in
-        t.next_instance <- id + 1;
         (* Directory images ride a spooling-free pseudo job. *)
-        Hashtbl.replace t.sessions id
+        Instance_server.add t.sessions
           {
             job_name = "[queue]";
             content =
@@ -97,12 +94,8 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
             state = Done;
             submitted = now;
             completed = None;
-          };
-        ok
-          ~payload:
-            (P_instance
-               { instance = id; file_size = Bytes.length image; block_size = 512 })
-          ()
+          }
+          ~file_size:(Bytes.length image)
       end
       else if msg.code = Op.map_context then
         ok
@@ -127,13 +120,7 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
                 }
               in
               Hashtbl.replace t.jobs name job;
-              let id = t.next_instance in
-              t.next_instance <- id + 1;
-              Hashtbl.replace t.sessions id job;
-              ok
-                ~payload:
-                  (P_instance { instance = id; file_size = 0; block_size = 512 })
-                ()
+              Instance_server.add t.sessions job ~file_size:0
             end
         | P_open _ -> reply Reply.No_permission
         | _ -> reply Reply.Bad_operation
@@ -152,49 +139,32 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
       else reply Reply.Bad_operation
   | _ :: _ -> Vmsg.reply Reply.Not_found
 
-let handle_other t ~sender:_ (msg : Vmsg.t) =
-  let open Vmsg in
-  match msg.payload with
-  | P_write { instance; data; _ } when msg.code = Op.write_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some job when job.state = Spooling ->
-          Buffer.add_bytes job.content data;
-          Some (ok ~payload:(P_count (Bytes.length data)) ())
-      | Some _ -> Some (reply Reply.No_permission)
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_read { instance; block } when msg.code = Op.read_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some job ->
-          let image = Buffer.to_bytes job.content in
-          let off = block * 512 in
-          if block < 0 then Some (reply Reply.Invalid_instance)
-          else if off >= Bytes.length image then Some (reply Reply.End_of_file)
-          else begin
-            let data = Bytes.sub image off (min 512 (Bytes.length image - off)) in
-            Some (ok ~extra_bytes:(Bytes.length data) ~payload:(P_data data) ())
-          end)
-  | P_instance_arg instance when msg.code = Op.query_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some job -> Some (ok ~payload:(P_descriptor (describe job)) ())
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_instance_arg instance when msg.code = Op.release_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some job ->
-          Hashtbl.remove t.sessions instance;
-          (* Closing the spool submits the job. *)
-          submit t job;
-          Some (ok ())
-      | None -> Some (reply Reply.Invalid_instance))
-  | _ -> None
+(* A job spools while its instance is open; closing the spool submits
+   it. *)
+let kind =
+  {
+    Instance_server.block_size = 512;
+    read =
+      (fun _ job ~block:_ ->
+        Instance_server.Image (Buffer.to_bytes job.content));
+    write =
+      Some
+        (fun _ job ~block:_ data ->
+          if job.state = Spooling then begin
+            Buffer.add_bytes job.content data;
+            Ok (Bytes.length data)
+          end
+          else Error Reply.No_permission);
+    describe = (fun _ _ job -> Ok (describe job));
+    release = submit;
+  }
 
 let start host =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_host host) in
   let t =
     {
       jobs = Hashtbl.create 8;
-      sessions = Hashtbl.create 8;
-      next_instance = 1;
+      sessions = Instance_server.create kind;
       queue = [];
       printing = false;
       engine;
@@ -208,7 +178,8 @@ let start host =
       lookup = (fun _ _ -> Csnh.Stop);
       handle_csname = (fun ~sender msg req ctx remaining ->
           handle_csname t ~sender msg req ctx remaining);
-      handle_other = (fun ~sender msg -> handle_other t ~sender msg);
+      handle_other =
+        (fun ~sender:_ msg -> Instance_server.handle_io t.sessions t msg);
     }
   in
   let server_pid =

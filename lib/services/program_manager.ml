@@ -25,17 +25,14 @@ type execution = {
 type t = {
   host : Vmsg.t Kernel.host;
   programs : (string, program_body) Hashtbl.t;
-  executions : (int, execution) Hashtbl.t;
-  mutable next_execution : int;
-  instances : Instance_server.t;
+  mutable executions : execution list; (* newest first; ids 1, 2, ... *)
+  instances : (t, bytes) Instance_server.t;
   mutable pid : Pid.t option;
 }
 
 let pid t = Option.get t.pid
 
-let executions t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.executions []
-  |> List.sort (fun a b -> compare a.exec_id b.exec_id)
+let executions t = List.rev t.executions
 
 let describe_execution e =
   Descriptor.make ~obj_type:Descriptor.Process ~created:e.started
@@ -73,7 +70,7 @@ let load self ~storage ~context ~name ~size =
 let record_execution t ~now ~program ~argument =
   let e =
     {
-      exec_id = t.next_execution;
+      exec_id = List.length t.executions + 1;
       exec_program = program;
       exec_argument = argument;
       started = now;
@@ -81,8 +78,7 @@ let record_execution t ~now ~program ~argument =
       status = None;
     }
   in
-  t.next_execution <- t.next_execution + 1;
-  Hashtbl.replace t.executions e.exec_id e;
+  t.executions <- e :: t.executions;
   e
 
 (* Run a named program: load its image from the program directory of the
@@ -131,20 +127,21 @@ let run_program t self ~program ~argument =
 (* Boot the per-workstation program manager: serves RunProgram and a
    CSNH context listing programs in execution. *)
 let start host =
-  let engine = Kernel.engine_of_domain (Kernel.domain_of_host host) in
-  let now () = Vsim.Engine.now engine in
   let t =
     {
       host;
       programs = Hashtbl.create 8;
-      executions = Hashtbl.create 8;
-      next_execution = 1;
-      instances = Instance_server.create ~name:"execution-dirs" ();
+      executions = [];
+      instances =
+        Instance_server.create
+          (Instance_server.images ~describe:(fun t ->
+               Descriptor.make ~obj_type:Descriptor.Directory
+                 ~size:(List.length t.executions) "[programs]"));
       pid = None;
     }
   in
   let find_by_name name =
-    List.find_opt (fun e -> e.exec_program = name) (List.rev (executions t))
+    List.find_opt (fun e -> e.exec_program = name) t.executions
   in
   let handlers =
     {
@@ -159,14 +156,8 @@ let start host =
                 Descriptor.directory_to_bytes
                   (List.map describe_execution (executions t))
               in
-              let info =
-                Instance_server.open_image t.instances ~now:(now ())
-                  ~describe:(fun () ->
-                    Descriptor.make ~obj_type:Descriptor.Directory
-                      ~size:(Hashtbl.length t.executions) "[programs]")
-                  image
-              in
-              ok ~payload:(P_instance info) ()
+              Instance_server.add t.instances image
+                ~file_size:(Bytes.length image)
           | [] when msg.code = Op.map_context ->
               ok
                 ~payload:
@@ -180,10 +171,7 @@ let start host =
               | None -> reply Reply.Not_found)
           | _ -> reply Reply.Bad_operation);
       handle_other =
-        (fun ~sender:_ msg ->
-          match Instance_server.handle_io t.instances msg with
-          | Some r -> Some r
-          | None -> None);
+        (fun ~sender:_ msg -> Instance_server.handle_io t.instances t msg);
     }
   in
   let server_pid =

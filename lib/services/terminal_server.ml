@@ -22,13 +22,11 @@ type session =
 
 type t = {
   terminals : (string, terminal) Hashtbl.t;
-  sessions : (int, session) Hashtbl.t;
-  mutable next_instance : int;
+  sessions : (t, session) Instance_server.t;
+  engine : Vsim.Engine.t;
   stats : Csnh.server_stats;
   mutable pid : Vkernel.Pid.t option;
 }
-
-let block_size = 512
 
 let pid t = Option.get t.pid
 let stats t = t.stats
@@ -41,11 +39,6 @@ let lines t name =
   | Some term -> List.rev term.lines
   | None -> []
 
-let fresh_instance t =
-  let id = t.next_instance in
-  t.next_instance <- id + 1;
-  id
-
 let describe ~now (term : terminal) =
   Descriptor.make ~obj_type:Descriptor.Terminal
     ~size:(List.length term.lines) ~created:term.created ~modified:now
@@ -56,7 +49,12 @@ let create_terminal t ~now name =
   else if Hashtbl.mem t.terminals name then Error Reply.Duplicate_name
   else begin
     let term =
-      { term_name = name; lines = []; created = now; instance_id = fresh_instance t }
+      {
+        term_name = name;
+        lines = [];
+        created = now;
+        instance_id = Instance_server.reserve t.sessions;
+      }
     in
     Hashtbl.replace t.terminals name term;
     Ok term
@@ -66,13 +64,6 @@ let image_of_lines term =
   match term.lines with
   | [] -> Bytes.empty
   | lines -> Bytes.of_string (String.concat "\n" (List.rev lines) ^ "\n")
-
-let open_session t session ~size =
-  let id = fresh_instance t in
-  Hashtbl.replace t.sessions id session;
-  Vmsg.ok
-    ~payload:(Vmsg.P_instance { instance = id; file_size = size; block_size })
-    ()
 
 let handle_csname t ~now ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
   let open Vmsg in
@@ -84,7 +75,8 @@ let handle_csname t ~now ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
           |> List.map (fun n -> describe ~now (Hashtbl.find t.terminals n))
         in
         let image = Descriptor.directory_to_bytes records in
-        open_session t (Directory_session image) ~size:(Bytes.length image)
+        Instance_server.add t.sessions (Directory_session image)
+          ~file_size:(Bytes.length image)
       end
       else if msg.code = Op.map_context then
         ok
@@ -116,9 +108,9 @@ let handle_csname t ~now ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
             | Error code -> reply code
             | Ok term ->
                 let snapshot = image_of_lines term in
-                open_session t
+                Instance_server.add t.sessions
                   (Terminal_session { term; readonly = (mode = Read); snapshot })
-                  ~size:(Bytes.length snapshot))
+                  ~file_size:(Bytes.length snapshot))
         | _ -> reply Reply.Bad_operation
       else if msg.code = Op.query_name then
         match Hashtbl.find_opt t.terminals name with
@@ -137,52 +129,35 @@ let handle_csname t ~now ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
       else reply Reply.Bad_operation
   | _ :: _ -> Vmsg.reply Reply.Not_found
 
-let read_image image ~block =
-  let off = block * block_size in
-  if block < 0 then Error Reply.Invalid_instance
-  else if off >= Bytes.length image then Error Reply.End_of_file
-  else Ok (Bytes.sub image off (min block_size (Bytes.length image - off)))
-
-let handle_other t ~now ~sender:_ (msg : Vmsg.t) =
-  let open Vmsg in
-  match msg.payload with
-  | P_read { instance; block } when msg.code = Op.read_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some (Directory_session image) | Some (Terminal_session { snapshot = image; _ })
-        -> (
-          match read_image image ~block with
-          | Ok data -> Some (ok ~extra_bytes:(Bytes.length data) ~payload:(P_data data) ())
-          | Error code -> Some (reply code)))
-  | P_write { instance; data; _ } when msg.code = Op.write_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some (Directory_session _) -> Some (reply Reply.No_permission)
-      | Some (Terminal_session { readonly = true; _ }) ->
-          Some (reply Reply.No_permission)
-      | Some (Terminal_session { term; _ }) ->
-          term.lines <- Bytes.to_string data :: term.lines;
-          Some (ok ~payload:(P_count (Bytes.length data)) ()))
-  | P_instance_arg instance when msg.code = Op.query_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some (Terminal_session { term; _ }) ->
-          Some (ok ~payload:(P_descriptor (describe ~now term)) ())
-      | Some (Directory_session image) ->
-          Some
-            (ok
-               ~payload:
-                 (P_descriptor
-                    (Descriptor.make ~obj_type:Descriptor.Directory
-                       ~size:(Bytes.length image) ~instance "[terminals]"))
-               ())
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_instance_arg instance when msg.code = Op.release_instance ->
-      if Hashtbl.mem t.sessions instance then begin
-        Hashtbl.remove t.sessions instance;
-        Some (ok ())
-      end
-      else Some (reply Reply.Invalid_instance)
-  | _ -> None
+(* A session reads the snapshot taken at its Open; a writable one
+   appends each write as a line. *)
+let kind =
+  {
+    Instance_server.block_size = 512;
+    read =
+      (fun _ session ~block:_ ->
+        match session with
+        | Directory_session image | Terminal_session { snapshot = image; _ } ->
+            Instance_server.Image image);
+    write =
+      Some
+        (fun _ session ~block:_ data ->
+          match session with
+          | Directory_session _ | Terminal_session { readonly = true; _ } ->
+              Error Reply.No_permission
+          | Terminal_session { term; _ } ->
+              term.lines <- Bytes.to_string data :: term.lines;
+              Ok (Bytes.length data));
+    describe =
+      (fun t instance -> function
+        | Terminal_session { term; _ } ->
+            Ok (describe ~now:(Vsim.Engine.now t.engine) term)
+        | Directory_session image ->
+            Ok
+              (Descriptor.make ~obj_type:Descriptor.Directory
+                 ~size:(Bytes.length image) ~instance "[terminals]"));
+    release = (fun _ _ -> ());
+  }
 
 (* Boot the per-workstation virtual terminal server. *)
 let start host =
@@ -191,8 +166,8 @@ let start host =
   let t =
     {
       terminals = Hashtbl.create 8;
-      sessions = Hashtbl.create 8;
-      next_instance = 1;
+      sessions = Instance_server.create kind;
+      engine;
       stats = Csnh.make_stats "terminal";
       pid = None;
     }
@@ -203,7 +178,8 @@ let start host =
       lookup = (fun _ _ -> Csnh.Stop); (* flat name space *)
       handle_csname = (fun ~sender msg req ctx remaining ->
           handle_csname t ~now:(now ()) ~sender msg req ctx remaining);
-      handle_other = (fun ~sender msg -> handle_other t ~now:(now ()) ~sender msg);
+      handle_other =
+        (fun ~sender:_ msg -> Instance_server.handle_io t.sessions t msg);
     }
   in
   let server_pid =

@@ -27,15 +27,12 @@ type window = {
 
 type t = {
   windows : (string, window) Hashtbl.t;
-  sessions : (int, [ `Window of window | `Dir of bytes ]) Hashtbl.t;
-  mutable next_instance : int;
+  sessions : (t, [ `Window of window | `Dir of bytes ]) Instance_server.t;
   mutable next_z : int;
   engine : Vsim.Engine.t;
   stats : Csnh.server_stats;
   mutable pid : Vkernel.Pid.t option;
 }
-
-let block_size = 512
 
 let pid t = Option.get t.pid
 let stats t = t.stats
@@ -76,11 +73,6 @@ let describe w =
     ~created:w.created ~instance:w.win_instance ~attrs:(geometry_attrs w.geo)
     w.win_name
 
-let fresh_instance t =
-  let id = t.next_instance in
-  t.next_instance <- id + 1;
-  id
-
 let raise_window t w =
   t.next_z <- t.next_z + 1;
   w.z <- t.next_z
@@ -98,7 +90,7 @@ let create_window t ~now name =
         z = 0;
         lines = [];
         created = now;
-        win_instance = fresh_instance t;
+        win_instance = Instance_server.reserve t.sessions;
       }
     in
     raise_window t win;
@@ -163,12 +155,8 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
           Descriptor.directory_to_bytes
             (List.map (fun n -> describe (Hashtbl.find t.windows n)) (window_names t))
         in
-        let id = fresh_instance t in
-        Hashtbl.replace t.sessions id (`Dir image);
-        ok
-          ~payload:
-            (P_instance { instance = id; file_size = Bytes.length image; block_size })
-          ()
+        Instance_server.add t.sessions (`Dir image)
+          ~file_size:(Bytes.length image)
       end
       else if msg.code = Op.map_context then
         ok
@@ -205,17 +193,8 @@ let handle_csname t ~sender:_ (msg : Vmsg.t) _req _ctx remaining =
             | Ok w ->
                 (* Opening a window raises it, like selecting it. *)
                 raise_window t w;
-                let id = fresh_instance t in
-                Hashtbl.replace t.sessions id (`Window w);
-                ok
-                  ~payload:
-                    (P_instance
-                       {
-                         instance = id;
-                         file_size = List.length w.lines;
-                         block_size;
-                       })
-                  ())
+                Instance_server.add t.sessions (`Window w)
+                  ~file_size:(List.length w.lines))
         | _ -> reply Reply.Bad_operation
       else if msg.code = Op.query_name then
         match Hashtbl.find_opt t.windows name with
@@ -246,61 +225,40 @@ let image_of_window w =
   | [] -> Bytes.empty
   | lines -> Bytes.of_string (String.concat "\n" (List.rev lines) ^ "\n")
 
-let handle_other t ~sender:_ (msg : Vmsg.t) =
-  let open Vmsg in
-  match msg.payload with
-  | P_write { instance; data; _ } when msg.code = Op.write_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some (`Window w) ->
-          w.lines <- Bytes.to_string data :: w.lines;
-          Some (ok ~payload:(P_count (Bytes.length data)) ())
-      | Some (`Dir _) -> Some (reply Reply.No_permission)
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_read { instance; block } when msg.code = Op.read_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | None -> Some (reply Reply.Invalid_instance)
-      | Some session ->
-          let image =
-            match session with
-            | `Dir image -> image
-            | `Window w -> image_of_window w
-          in
-          let off = block * block_size in
-          if block < 0 then Some (reply Reply.Invalid_instance)
-          else if off >= Bytes.length image then Some (reply Reply.End_of_file)
-          else begin
-            let data =
-              Bytes.sub image off (min block_size (Bytes.length image - off))
-            in
-            Some (ok ~extra_bytes:(Bytes.length data) ~payload:(P_data data) ())
-          end)
-  | P_instance_arg instance when msg.code = Op.query_instance -> (
-      match Hashtbl.find_opt t.sessions instance with
-      | Some (`Window w) -> Some (ok ~payload:(P_descriptor (describe w)) ())
-      | Some (`Dir image) ->
-          Some
-            (ok
-               ~payload:
-                 (P_descriptor
-                    (Descriptor.make ~obj_type:Descriptor.Directory
-                       ~size:(Bytes.length image) ~instance "[windows]"))
-               ())
-      | None -> Some (reply Reply.Invalid_instance))
-  | P_instance_arg instance when msg.code = Op.release_instance ->
-      if Hashtbl.mem t.sessions instance then begin
-        Hashtbl.remove t.sessions instance;
-        Some (ok ())
-      end
-      else Some (reply Reply.Invalid_instance)
-  | _ -> None
+(* A window session reads the window's current lines and appends each
+   write as one more. *)
+let kind =
+  {
+    Instance_server.block_size = 512;
+    read =
+      (fun _ session ~block:_ ->
+        match session with
+        | `Dir image -> Instance_server.Image image
+        | `Window w -> Instance_server.Image (image_of_window w));
+    write =
+      Some
+        (fun _ session ~block:_ data ->
+          match session with
+          | `Window w ->
+              w.lines <- Bytes.to_string data :: w.lines;
+              Ok (Bytes.length data)
+          | `Dir _ -> Error Reply.No_permission);
+    describe =
+      (fun _ instance -> function
+        | `Window w -> Ok (describe w)
+        | `Dir image ->
+            Ok
+              (Descriptor.make ~obj_type:Descriptor.Directory
+                 ~size:(Bytes.length image) ~instance "[windows]"));
+    release = (fun _ _ -> ());
+  }
 
 let start host =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_host host) in
   let t =
     {
       windows = Hashtbl.create 8;
-      sessions = Hashtbl.create 8;
-      next_instance = 1;
+      sessions = Instance_server.create kind;
       next_z = 0;
       engine;
       stats = Csnh.make_stats "vgts";
@@ -313,7 +271,8 @@ let start host =
       lookup = (fun _ _ -> Csnh.Stop);
       handle_csname = (fun ~sender msg req ctx remaining ->
           handle_csname t ~sender msg req ctx remaining);
-      handle_other = (fun ~sender msg -> handle_other t ~sender msg);
+      handle_other =
+        (fun ~sender:_ msg -> Instance_server.handle_io t.sessions t msg);
     }
   in
   let server_pid =

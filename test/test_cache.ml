@@ -1,8 +1,7 @@
 (* Tests for the multi-component name-resolution cache: the Name_cache
    LRU itself, binding learning from server stamps, the on-use
    consistency protocol (stale cached binding -> evict, fall back,
-   retry), and the kernel's GetPid cache with its invalidate-on-failed-
-   forward recovery. *)
+   retry). *)
 
 module K = Vkernel.Kernel
 module Pid = Vkernel.Pid
@@ -231,55 +230,6 @@ let test_stale_binding_evict_retry_and_span_tree () =
         "expected 4 spans (root, stale fs0 hop, prefix, fs1), got %d:@.%a"
         (List.length spans) Vobs.Export.pp_timeline spans
 
-(* --- the kernel GetPid cache: hits, then invalidate-on-failed-forward
-   recovery after the service re-registers under a new pid --- *)
-
-let test_getpid_cache_hit_and_recovery () =
-  let t = Scenario.build ~workstations:1 ~file_servers:1 () in
-  K.set_getpid_cache t.Scenario.domain true;
-  let completed = ref false in
-  ignore
-    (Scenario.spawn_client t ~ws:0 (fun _self env ->
-         let counter op =
-           Vobs.Metrics.counter_value
-             (Vobs.Hub.metrics t.Scenario.obs)
-             ~host:"ws0" ~server:"kernel" ~op
-         in
-         (* Two logical-prefix operations: the first GetPid broadcast
-            fills the cache, the second is answered from it. *)
-         ok_exn "write 1"
-           (Runtime.write_file env "[storage]tmp/gp.txt" (Bytes.of_string "a"));
-         ok_exn "write 2"
-           (Runtime.write_file env "[storage]tmp/gp.txt" (Bytes.of_string "b"));
-         Alcotest.(check bool) "GetPid answered from cache" true
-           (counter "get-pid-cached" > 0);
-         Alcotest.(check int) "no stale yet" 0 (counter "get-pid-stale");
-         (* The client-side retry after the failed forward is part of
-            the same on-use protocol: it needs the name cache armed
-            (the cache itself is empty — nothing was learned above). *)
-         Runtime.enable_name_cache env true;
-         (* Re-home the storage service: crash the host, restart it, and
-            start a fresh server process — same service, new pid. The
-            kernel's cached pid is now a dangling resolution. *)
-         let fs_host =
-           Option.get (K.host_of_addr t.Scenario.domain (Scenario.fs_addr 0))
-         in
-         K.crash_host fs_host;
-         K.restart_host fs_host;
-         ignore (File_server.start fs_host ~name:"fs0'" ~owner:"system" ());
-         (* The next use forwards to the dead pid, which drops the cached
-            entry (on-use invalidation); the client's retry re-resolves
-            via a fresh broadcast and succeeds. *)
-         ok_exn "write after re-home"
-           (Runtime.write_file env "[storage]tmp/gp.txt" (Bytes.of_string "c"));
-         Alcotest.(check int) "exactly one stale invalidation" 1
-           (counter "get-pid-stale");
-         let back = ok_exn "read back" (Runtime.read_file env "[storage]tmp/gp.txt") in
-         Alcotest.(check string) "recovered" "c" (Bytes.to_string back);
-         completed := true));
-  Scenario.run t;
-  Alcotest.(check bool) "client completed" true !completed
-
 (* --- disabling the cache restores uncached routing (and empties the
    table but keeps the counters) --- *)
 
@@ -421,8 +371,6 @@ let suite =
           test_deep_prefix_learned_skips_prefix_server;
         Alcotest.test_case "stale binding: evict, retry, span tree" `Quick
           test_stale_binding_evict_retry_and_span_tree;
-        Alcotest.test_case "getpid cache hit and recovery" `Quick
-          test_getpid_cache_hit_and_recovery;
         Alcotest.test_case "disable clears entries, keeps counters" `Quick
           test_disable_clears_entries_keeps_counters;
         QCheck_alcotest.to_alcotest prop_cache_matches_model;

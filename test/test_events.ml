@@ -561,11 +561,9 @@ let drive_domains () =
   upper_lines "domains" t
 
 (* The resilience loop: retries that succeed, a give-up, a failover to
-   a restarted server, a pinned context rebound by name, and a forward
-   through a logical binding's stale cached pid. *)
+   a restarted server, and a pinned context rebound by name. *)
 let drive_resilience () =
   let t = installation ~file_servers:2 () in
-  K.set_getpid_cache Scenario.(t.domain) true;
   as_client t (fun _self env ->
       Runtime.set_resilience env ~seed:5 ();
       ignore (ok "chdir" (Runtime.change_context env "[storage]"));
@@ -852,13 +850,25 @@ let upper_golden =
     "domains S client:Open                  ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 504.362ms -> OK";
     "domains S   Open                         fs0/fs0 pid 105911 ctx 21 name[20..]  wait 2.212ms svc 0.360ms -> OK";
     "resilience R t=    137.4 client   ws0        retry attempt 1 after ipc: timeout (wait 17.3ms) trace 4";
-    "resilience R t=    161.8 client   ws0        retry attempt 2 after ipc: timeout (wait 43.8ms) trace 4";
-    "resilience R t=    215.3 client   ws0        failover 1 -> pid 470593 trace 4";
-    "resilience R t=    285.0 client   ws0        retry attempt 1 after ipc: nonexistent process (wait 15.4ms) trace 8";
-    "resilience R t=    312.2 client   ws0        retry attempt 2 after ipc: nonexistent process (wait 27.5ms) trace 8";
-    "resilience R t=    351.5 client   ws0        retry attempt 3 after ipc: nonexistent process (wait 59.4ms) trace 8";
-    "resilience R t=    422.7 client   ws0        retry attempt 4 after ipc: nonexistent process (wait 138.1ms) trace 8";
-    "resilience R t=    572.6 client   ws0        unavailable after 5 attempt(s) trace 8";
+    (* Logical bindings re-resolve through GetPid at every use, so the
+       failover's rebind through [storage] finds fs0's new pid at once.
+       With the GetPid cache the rebind was first forwarded to the
+       crashed server's cached pid and failed, which cost one retry and
+       one operation (its trace id). Before, these read:
+       "resilience R t=    161.8 client   ws0        retry attempt 2 after ipc: timeout (wait 43.8ms) trace 4"
+       "resilience R t=    215.3 client   ws0        failover 1 -> pid 470593 trace 4"
+       "resilience R t=    285.0 client   ws0        retry attempt 1 after ipc: nonexistent process (wait 15.4ms) trace 8"
+       "resilience R t=    312.2 client   ws0        retry attempt 2 after ipc: nonexistent process (wait 27.5ms) trace 8"
+       "resilience R t=    351.5 client   ws0        retry attempt 3 after ipc: nonexistent process (wait 59.4ms) trace 8"
+       "resilience R t=    422.7 client   ws0        retry attempt 4 after ipc: nonexistent process (wait 138.1ms) trace 8"
+       "resilience R t=    572.6 client   ws0        unavailable after 5 attempt(s) trace 8"
+    *)
+    "resilience R t=    164.4 client   ws0        failover 1 -> pid 470593 trace 4";
+    "resilience R t=    236.1 client   ws0        retry attempt 1 after ipc: nonexistent process (wait 21.9ms) trace 7";
+    "resilience R t=    271.9 client   ws0        retry attempt 2 after ipc: nonexistent process (wait 30.8ms) trace 7";
+    "resilience R t=    316.5 client   ws0        retry attempt 3 after ipc: nonexistent process (wait 55.0ms) trace 7";
+    "resilience R t=    385.3 client   ws0        retry attempt 4 after ipc: nonexistent process (wait 118.8ms) trace 7";
+    "resilience R t=    517.9 client   ws0        unavailable after 5 attempt(s) trace 7";
     "resilience M fs0/fs0/MapContext 6";
     "resilience M fs0/fs0/Open 3";
     "resilience M fs0/fs0/ReleaseInstance 3";
@@ -872,12 +882,20 @@ let upper_golden =
     "resilience M fs1/fs1/write-bytes 2";
     "resilience M ws0/runtime/failover 1";
     "resilience M ws0/runtime/rebind 1";
-    "resilience M ws0/runtime/retry 6";
+    (* One retry fewer. Before, this read:
+       "resilience M ws0/runtime/retry 6"
+    *)
+    "resilience M ws0/runtime/retry 5";
     "resilience M ws0/runtime/retry-ok 1";
     "resilience M ws0/runtime/unavailable 1";
-    "resilience M ws0/ws0-prefix-server/forward 14";
-    "resilience M ws0/ws0-prefix-server/logical-stale 1";
-    "resilience M ws0/ws0-prefix-server/prefix-lookup 14";
+    (* No forward to the stale pid, so no logical-stale count. Before,
+       these read:
+       "resilience M ws0/ws0-prefix-server/forward 14"
+       "resilience M ws0/ws0-prefix-server/logical-stale 1"
+       "resilience M ws0/ws0-prefix-server/prefix-lookup 14"
+    *)
+    "resilience M ws0/ws0-prefix-server/forward 13";
+    "resilience M ws0/ws0-prefix-server/prefix-lookup 13";
     "resilience S client:MapContext            ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 9.484ms -> OK";
     "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 5.615ms -> forward";
     "resilience S     MapContext                   fs0/fs0 pid 105911 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
@@ -886,33 +904,62 @@ let upper_golden =
     "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.742ms -> OK";
     "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
     "resilience S     Open                         fs1/fs1 pid 145253 ctx 0 name[5..]  wait 1.967ms svc 0.360ms -> OK";
-    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 84.566ms -> OK";
+    (* The failover comes one retry sooner. Before, this read:
+       "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 84.566ms -> OK"
+    *)
+    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 33.692ms -> OK";
     "resilience S   Open                         fs0/fs0 pid 470593 ctx 17  wait 2.153ms svc 0.360ms -> OK";
-    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 3.985ms -> ipc: nonexistent process";
-    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    (* The rebind forwarded to the stale pid is gone. Before, it read:
+       "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 3.985ms -> ipc: nonexistent process"
+       "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward"
+    *)
     "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 9.484ms -> OK";
     "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 5.615ms -> forward";
     "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
-    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.802ms -> OK";
-    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.585ms svc 3.600ms -> forward";
+    (* Each use of [storage] broadcasts GetPid (2.015 ms more at the
+       prefix server) instead of reading the cache. Before, these read:
+       "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.802ms -> OK"
+       "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.585ms svc 3.600ms -> forward"
+    *)
+    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 9.817ms -> OK";
+    "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.585ms svc 5.615ms -> forward";
     "resilience S     Open                         fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.977ms svc 0.360ms -> OK";
-    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 291.702ms -> unavailable after 5 attempts (last: ipc: nonexistent process)";
+    (* Before, this read:
+       "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 291.702ms -> unavailable after 5 attempts (last: ipc: nonexistent process)"
+    *)
+    "resilience S client:Open                  ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 285.894ms -> unavailable after 5 attempts (last: ipc: nonexistent process)";
     "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
     "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
     "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
     "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
     "resilience S   Open                         ws0/ws0-prefix-server pid 396084 ctx 0 name[0..5]  wait 0.585ms svc 3.550ms -> forward";
-    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK";
-    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    (* Before, these read:
+       "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK"
+       "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward"
+    *)
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 9.484ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 5.615ms -> forward";
     "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
-    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK";
-    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    (* Before, these read:
+       "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK"
+       "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward"
+    *)
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 9.484ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 5.615ms -> forward";
     "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
-    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK";
-    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    (* Before, these read:
+       "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK"
+       "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward"
+    *)
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 9.484ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 5.615ms -> forward";
     "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
-    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK";
-    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward";
+    (* Before, these read:
+       "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 7.469ms -> OK"
+       "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 3.600ms -> forward"
+    *)
+    "resilience S client:MapContext            ws0/runtime pid 439796 ctx 17  wait 0.000ms svc 9.484ms -> OK";
+    "resilience S   MapContext                   ws0/ws0-prefix-server pid 396084 ctx 0 name[0..9]  wait 0.385ms svc 5.615ms -> forward";
     "resilience S     MapContext                   fs0/fs0 pid 470593 ctx 0 name[9..]  wait 1.964ms svc 0.240ms -> OK";
     "replicas R t=      4.2 replica  ws0        fan-out Create (origin 503545, seq 1) to 2 member(s) trace 1";
     "replicas R t=     19.5 replica  ws0        fan-out Create (origin 503545, seq 2) to 1 member(s) trace 2";
