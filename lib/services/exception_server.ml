@@ -13,7 +13,6 @@ type t = {
   mutable reports : report list; (* newest first *)
   mutable kept : int;
   instances : (t, bytes) Instance_server.t;
-  stats : Csnh.server_stats;
   mutable pid : Pid.t option;
 }
 
@@ -35,9 +34,26 @@ let record t ~now ~culprit what =
     t.kept <- keep_max
   end
 
+(* Reports are named by their culprit's pid; a name finds the newest
+   report about that process. *)
+let context t =
+  {
+    Csnh.directory = "[exceptions]";
+    owner = "system";
+    objects = (fun () -> reports t);
+    describe;
+    find =
+      (fun name ->
+        Ok
+          (List.find_opt (fun r -> Pid.to_string r.culprit = name) t.reports));
+    open_listing =
+      (fun image ->
+        Instance_server.add t.instances image ~file_size:(Bytes.length image));
+    handle_name = (fun _ _ _ -> Vmsg.reply Reply.Bad_operation);
+  }
+
 let start host =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_host host) in
-  let now () = Vsim.Engine.now engine in
   let t =
     {
       reports = [];
@@ -47,52 +63,26 @@ let start host =
           (Instance_server.images ~describe:(fun t ->
                Descriptor.make ~obj_type:Descriptor.Directory
                  ~size:(List.length t.reports) "[exceptions]"));
-      stats = Csnh.make_stats "exception";
       pid = None;
     }
   in
-  let handlers =
-    {
-      Csnh.valid_context = (fun ctx -> ctx = Context.Well_known.default);
-      lookup = (fun _ _ -> Csnh.Stop);
-      handle_csname =
-        (fun ~sender:_ msg _req _ctx remaining ->
-          let open Vmsg in
-          match remaining with
-          | [] when msg.code = Op.open_instance ->
-              let image =
-                Descriptor.directory_to_bytes (List.map describe (reports t))
-              in
-              Instance_server.add t.instances image
-                ~file_size:(Bytes.length image)
-          | [] when msg.code = Op.map_context ->
-              ok
-                ~payload:
-                  (P_context_spec
-                     (Context.spec ~server:(pid t)
-                        ~context:Context.Well_known.default))
-                ()
-          | _ -> reply Reply.Bad_operation);
-      handle_other =
-        (fun ~sender:_ msg ->
-          match Instance_server.handle_io t.instances t msg with
-          | Some r -> Some r
-          | None ->
-              if msg.Vmsg.code = Svc.Op.report_exception then
-                match msg.Vmsg.payload with
-                | Svc.P_exception_report { culprit; what } ->
-                    record t ~now:(now ()) ~culprit what;
-                    Some (Vmsg.ok ())
-                | _ -> Some (Vmsg.reply Reply.Bad_operation)
-              else None);
-    }
+  let other (msg : Vmsg.t) =
+    match Instance_server.handle_io t.instances t msg with
+    | Some r -> Some r
+    | None ->
+        if msg.code = Svc.Op.report_exception then
+          match msg.payload with
+          | Svc.P_exception_report { culprit; what } ->
+              record t ~now:(Vsim.Engine.now engine) ~culprit what;
+              Some (Vmsg.ok ())
+          | _ -> Some (Vmsg.reply Reply.Bad_operation)
+        else None
   in
-  let server_pid =
-    Kernel.spawn host ~name:"exception-server" (fun self ->
-        Csnh.serve self ~stats:t.stats handlers)
-  in
-  t.pid <- Some server_pid;
-  Kernel.set_pid host ~service:Service.Id.exception_handler server_pid Service.Local;
+  t.pid <-
+    Some
+      (Csnh.serve_flat host ~name:"exception-server"
+         ~service:Service.Id.exception_handler Service.Local ~other
+         (context t));
   t
 
 (* Client stub used by run-time error paths. *)

@@ -20,6 +20,5 @@ type t
 
 val start : Vnaming.Vmsg.t Kernel.host -> t
 val pid : t -> Vkernel.Pid.t
-val stats : t -> Vnaming.Csnh.server_stats
 val valid_conn_name : string -> bool
 val connection_state : t -> string -> conn_state option

@@ -22,7 +22,6 @@ type t
 val start : Vnaming.Vmsg.t Kernel.host -> t
 
 val pid : t -> Vkernel.Pid.t
-val stats : t -> Vnaming.Csnh.server_stats
 
 (** All jobs, oldest first. *)
 val jobs : t -> job list

@@ -12,7 +12,6 @@ type t
 val start : Vnaming.Vmsg.t Kernel.host -> t
 
 val pid : t -> Vkernel.Pid.t
-val stats : t -> Vnaming.Csnh.server_stats
 
 (** Names of live terminals, sorted. *)
 val terminal_names : t -> string list

@@ -17,7 +17,6 @@ type t
 val start : Vnaming.Vmsg.t Kernel.host -> t
 
 val pid : t -> Vkernel.Pid.t
-val stats : t -> Vnaming.Csnh.server_stats
 
 (** Window names, sorted. *)
 val window_names : t -> string list
