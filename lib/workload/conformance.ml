@@ -71,6 +71,25 @@ let check_map_context self server =
       | Some code, _ -> Fail (Fmt.str "MapContext refused: %s" (Reply.to_string code))
       | None, _ -> Fail "not a reply")
 
+(* QueryName on the empty name must describe the context itself, as a
+   directory (§5.5): a context is an object a client can ask about like
+   any other. *)
+let check_query_context self server =
+  match transact self server (named_request Vmsg.Op.query_name "") with
+  | Error why -> Fail why
+  | Ok (reply, _) -> (
+      match (Vmsg.reply_code reply, reply.Vmsg.payload) with
+      | Some Reply.Ok, Vmsg.P_descriptor d ->
+          if d.Descriptor.obj_type = Descriptor.Directory then Pass
+          else
+            Fail
+              (Fmt.str "described the context as %s"
+                 (Descriptor.obj_type_to_string d.Descriptor.obj_type))
+      | Some Reply.Ok, _ -> Fail "QueryName reply carried no description"
+      | Some code, _ ->
+          Fail (Fmt.str "QueryName refused: %s" (Reply.to_string code))
+      | None, _ -> Fail "not a reply")
+
 (* An unknown operation code must be answered Bad_operation, not break
    the server (the skeleton requirement of §5.3: servers can process
    requests they do not understand). *)
@@ -211,6 +230,7 @@ let all_checks =
   [
     ("reply codes well-formed", check_reply_code_well_formed);
     ("MapContext on default context", check_map_context);
+    ("QueryName on default context", check_query_context);
     ("unknown operation rejected", check_unknown_operation);
     ("alive after unknown operation", check_alive_after_unknown);
     ("illegal names rejected", check_illegal_name);

@@ -2,11 +2,11 @@
 
     The paper's uniformity claim: any server implementing name spaces
     presents the same client interface. This kit runs a protocol-level
-    battery — standard reply codes, MapContext, graceful rejection of
-    unknown operations, illegal names and bad contexts, context
-    directories readable through the I/O protocol and agreeing with
-    per-object queries, instance lifecycles — against an arbitrary
-    server. *)
+    battery — standard reply codes, MapContext and QueryName on the
+    context, graceful rejection of unknown operations, illegal names and
+    bad contexts, context directories readable through the I/O protocol
+    and agreeing with per-object queries, instance lifecycles — against
+    an arbitrary server. *)
 
 module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
