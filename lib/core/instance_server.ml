@@ -11,7 +11,7 @@ type block = Image of bytes | Data of bytes | Refused of Reply.code
 type ('s, 'a) kind = {
   block_size : int;
   read : 's -> 'a -> block:int -> block;
-  write : ('s -> 'a -> block:int -> bytes -> (int, Reply.code) result) option;
+  write : 's -> 'a -> block:int -> bytes -> (int, Reply.code) result;
   describe : 's -> int -> 'a -> (Descriptor.t, Reply.code) result;
   release : 's -> 'a -> unit;
 }
@@ -20,7 +20,7 @@ let images ~describe =
   {
     block_size = 512;
     read = (fun _ image ~block:_ -> Image image);
-    write = None;
+    write = (fun _ _ ~block:_ _ -> Error Reply.No_permission);
     describe = (fun s _ _ -> Ok (describe s));
     release = (fun _ _ -> ());
   }
@@ -67,15 +67,12 @@ let read t s ~instance ~block =
       | Refused code -> Vmsg.reply code)
 
 let write t s ~instance ~block bytes =
-  match t.kind.write with
-  | None -> Vmsg.reply Reply.No_permission
-  | Some write -> (
-      match Hashtbl.find t.table instance with
-      | exception Not_found -> Vmsg.reply Reply.Invalid_instance
-      | inst -> (
-          match write s inst ~block bytes with
-          | Ok n -> Vmsg.ok ~payload:(Vmsg.P_count n) ()
-          | Error code -> Vmsg.reply code))
+  match Hashtbl.find t.table instance with
+  | exception Not_found -> Vmsg.reply Reply.Invalid_instance
+  | inst -> (
+      match t.kind.write s inst ~block bytes with
+      | Ok n -> Vmsg.ok ~payload:(Vmsg.P_count n) ()
+      | Error code -> Vmsg.reply code)
 
 let query t s instance =
   match Hashtbl.find t.table instance with

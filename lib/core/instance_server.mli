@@ -20,16 +20,17 @@ type block =
 type ('s, 'a) kind = {
   block_size : int;
   read : 's -> 'a -> block:int -> block;
-  write : ('s -> 'a -> block:int -> bytes -> (int, Reply.code) result) option;
-      (** the byte count stored; [None]: no instance is writable, and
-          every write is refused with [No_permission], open or not *)
+  write : 's -> 'a -> block:int -> bytes -> (int, Reply.code) result;
+      (** the byte count stored; called only for an open instance, since
+          the table answers [Invalid_instance] for any other id *)
   describe : 's -> int -> 'a -> (Descriptor.t, Reply.code) result;
       (** QueryInstance, given the instance id *)
   release : 's -> 'a -> unit;  (** after the instance leaves the table *)
 }
 
 (** Read-only byte images of [block_size] 512: context directories,
-    described by [describe] from the server's state. *)
+    described by [describe] from the server's state. Every write to an
+    open image is refused with [No_permission]. *)
 val images : describe:('s -> Descriptor.t) -> ('s, bytes) kind
 
 type ('s, 'a) t

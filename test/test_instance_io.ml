@@ -460,7 +460,7 @@ let golden =
     "prefix | release #1: invalid instance xb=0 @1023.630";
     "prefix | read #1 block 0: invalid instance xb=0 @1024.400";
     "prefix | query #1: invalid instance xb=0 @1025.170";
-    "prefix | write #1: no permission xb=0 @1025.940";
+    "prefix | write #1: invalid instance xb=0 @1025.940";
     "prefix | query #999: invalid instance xb=0 @1026.710";
     "prefix | release #999: invalid instance xb=0 @1027.480";
     "prefix | ids opened: 1";
@@ -531,7 +531,7 @@ let golden =
     "vgts | write #2: OK count=58 xb=0 @1079.160";
     "vgts | write #2: OK count=58 xb=0 @1079.930";
     "vgts | write #2: OK count=58 xb=0 @1080.700";
-    "vgts | open \"editor\" read: OK instance=3 size=12 block=512 xb=0 @1081.830";
+    "vgts | open \"editor\" read: OK instance=3 size=708 block=512 xb=0 @1081.830";
     "vgts | open \"mail-window\" append: OK instance=5 size=0 block=512 xb=0 @1082.960";
     "vgts | open \"\" dir: OK instance=6 size=127 block=512 xb=0 @1083.970";
     "vgts | read #2 block 0: OK data=512:dc680ddc xb=512 @1084.740";
@@ -594,7 +594,7 @@ let golden =
     "programs | release #1: invalid instance xb=0 @1248.383";
     "programs | read #1 block 0: invalid instance xb=0 @1249.153";
     "programs | query #1: invalid instance xb=0 @1249.923";
-    "programs | write #1: no permission xb=0 @1250.693";
+    "programs | write #1: invalid instance xb=0 @1250.693";
     "programs | query #999: invalid instance xb=0 @1251.463";
     "programs | release #999: invalid instance xb=0 @1252.233";
     "programs | ids opened: 1";
@@ -611,7 +611,7 @@ let golden =
     "exceptions | release #1: invalid instance xb=0 @1272.423";
     "exceptions | read #1 block 0: invalid instance xb=0 @1273.193";
     "exceptions | query #1: invalid instance xb=0 @1273.963";
-    "exceptions | write #1: no permission xb=0 @1274.733";
+    "exceptions | write #1: invalid instance xb=0 @1274.733";
     "exceptions | query #999: invalid instance xb=0 @1275.503";
     "exceptions | release #999: invalid instance xb=0 @1276.273";
     "exceptions | ids opened: 1";
@@ -708,7 +708,7 @@ let golden =
     "mail | read #2 block -1: invalid instance xb=0 @1528.861";
     "mail | write #2: no permission xb=0 @1531.421";
     "mail | read #2 block 0: OK data=2048:56701315 xb=2048 @1540.102";
-    "mail | query #2: OK mailbox \"[mail]\" size=2771 owner=\"system\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] xb=0 @1542.662";
+    "mail | query #2: OK mailbox \"cheriton@su-score\" size=2771 owner=\"system\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] xb=0 @1542.662";
     "mail | read #3 block 0: OK data=47:886663bc xb=47 @1546.007";
     "mail | read #3 block 1: end of file xb=0 @1548.567";
     "mail | read #3 block -1: invalid instance xb=0 @1551.127";
