@@ -225,7 +225,7 @@ let run_arm ~label ~admission () =
         | Ok ino -> (
             match
               Fs.write_file (File_server.fs fs) ~ino
-                (Bytes.create (blob_blocks * Disk.page_bytes disk))
+                (Bytes.create (blob_blocks * Disk.page_bytes))
             with
             | Ok () -> ()
             | Error code -> failwith (Fmt.str "E13 setup: %a" Reply.pp code))

@@ -11,7 +11,7 @@
 
    Exemplars: when created with [exemplar_slots > 0], each bucket keeps
    a reservoir of up to that many (trace id, value) pairs, maintained
-   with Vitter's algorithm R over a caller-supplied {!Srand} stream so
+   with Vitter's algorithm R over a caller-supplied {!Vsim.Prng} stream so
    a p99 outlier in an aggregate links back to a concrete trace. *)
 
 type exemplar = { trace : int; value : float }
@@ -82,7 +82,7 @@ let offer_exemplar t b ~trace ~rand x =
     t.ex_fill.(b) <- t.ex_fill.(b) + 1
   end
   else
-    let j = Srand.int rand t.ex_seen.(b) in
+    let j = Vsim.Prng.int rand t.ex_seen.(b) in
     if j < t.slots then row.(j) <- { trace; value = x }
 
 let observe ?trace ?rand t x =

@@ -26,7 +26,7 @@ val create : ?bounds:float array -> ?exemplar_slots:int -> unit -> t
     are supplied, [x] is offered to the target bucket's reservoir
     (algorithm R — a uniform sample of that bucket's traced
     observations). Plain [observe t x] never touches the reservoirs. *)
-val observe : ?trace:int -> ?rand:Srand.t -> t -> float -> unit
+val observe : ?trace:int -> ?rand:Vsim.Prng.t -> t -> float -> unit
 
 val count : t -> int
 val sum : t -> float

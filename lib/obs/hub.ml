@@ -40,10 +40,10 @@ type t = {
   stream : Stream.t;
   mutable slo : Slo.t option;
   (* Head sampling: keep 1-in-[sample_every] traces, decided at
-     start_trace by a private Srand stream (zero draws from any
+     start_trace by a private Vsim.Prng stream (zero draws from any
      workload PRNG). 1 = keep everything (the default). *)
   mutable sample_every : int;
-  mutable sample_rand : Srand.t;
+  mutable sample_rand : Vsim.Prng.t;
   mutable sampled_out : int;
   mutable timeseries : Timeseries.t option;
 }
@@ -58,7 +58,7 @@ let spans_dropped t = t.spans_dropped
 let set_head_sampling t ~every ~seed =
   if every < 1 then invalid_arg "Hub.set_head_sampling: every must be >= 1";
   t.sample_every <- every;
-  t.sample_rand <- Srand.create ~seed
+  t.sample_rand <- Vsim.Prng.create ~seed
 
 let sample_every t = t.sample_every
 let sampled_out t = t.sampled_out
@@ -72,7 +72,7 @@ let set_timeseries t ts = t.timeseries <- ts
    and pays nothing downstream — every hop's span event is one test. *)
 let start_trace t ~now =
   if not t.tracing then Span.no_ctx
-  else if t.sample_every > 1 && Srand.int t.sample_rand t.sample_every <> 0
+  else if t.sample_every > 1 && Vsim.Prng.int t.sample_rand t.sample_every <> 0
   then begin
     t.sampled_out <- t.sampled_out + 1;
     Span.no_ctx
@@ -212,8 +212,8 @@ let consume t ~at (e : Span.event) =
       | Some slo -> Slo.observe slo ~now:at ~ok:(e.note = "OK") ~latency_ms
       | None -> ())
 
-let create ?(tracing = false) ?(span_limit = 10_000) ?event_capacity () =
-  let events = Eventlog.create ?capacity:event_capacity () in
+let create ?(tracing = false) ?(span_limit = 10_000) () =
+  let events = Eventlog.create () in
   let t =
     {
       tracing;
@@ -230,7 +230,7 @@ let create ?(tracing = false) ?(span_limit = 10_000) ?event_capacity () =
       stream = Stream.create events;
       slo = None;
       sample_every = 1;
-      sample_rand = Srand.create ~seed:0;
+      sample_rand = Vsim.Prng.create ~seed:0;
       sampled_out = 0;
       timeseries = None;
     }

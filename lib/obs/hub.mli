@@ -14,9 +14,10 @@
 type t
 
 (** [create ()] makes a hub with tracing off (metrics enabled) and the
-    flight recorder present but disabled. The span store keeps at most
-    [span_limit] spans; eviction is tail-based — see {!spans_dropped}. *)
-val create : ?tracing:bool -> ?span_limit:int -> ?event_capacity:int -> unit -> t
+    flight recorder present but disabled, at its default capacity. The
+    span store keeps at most [span_limit] spans; eviction is tail-based
+    — see {!spans_dropped}. *)
+val create : ?tracing:bool -> ?span_limit:int -> unit -> t
 
 (** The metrics store. [Kernel.enable_telemetry] groups it by the
     kernel's topology and [Kernel.disable_telemetry] ungroups it (see

@@ -111,7 +111,7 @@ type t = {
   (* The exemplar reservoirs' private stream: no workload draws. Held
      as an option so each sample passes it to [Histogram.observe ?rand]
      without allocating one. *)
-  rand : Srand.t option;
+  rand : Vsim.Prng.t option;
   mutable sources : (t -> unit) list;  (* in registration order *)
 }
 
@@ -125,7 +125,7 @@ let create ?(bounds = Histogram.default_bounds) () =
     keys_dropped = 0;
     group_of = None;
     refused = sentinel ();
-    rand = Some (Srand.create ~seed:0x0b5);
+    rand = Some (Vsim.Prng.create ~seed:0x0b5);
     sources = [];
   }
 

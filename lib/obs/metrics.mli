@@ -12,7 +12,7 @@
     - a gauge keeps the latest reading at the leaf and the peak at the
       group and fleet keys;
     - a histogram made while grouped keeps two exemplar slots per
-      bucket, filled from a private {!Srand} stream;
+      bucket, filled from a private {!Vsim.Prng} stream;
     - a new leaf key past {!leaf_cap} is refused, counted in
       {!keys_dropped}, and still aggregated.
 

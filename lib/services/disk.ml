@@ -11,28 +11,23 @@ module Calibration = Vnet.Calibration
 type t = {
   engine : Vsim.Engine.t;
   pages : (int, bytes) Hashtbl.t;
-  page_ms : float;
-  page_bytes : int;
   capacity_pages : int option;
   mutable busy_until : float;
   writes : Vsim.Stats.Counter.t;
 }
 
-let create ?(page_ms = Calibration.disk_page_ms)
-    ?(page_bytes = Calibration.disk_page_bytes) ?capacity_pages engine =
+let page_bytes = Calibration.disk_page_bytes
+
+let create ?capacity_pages engine =
   {
     engine;
     pages = Hashtbl.create 256;
-    page_ms;
-    page_bytes;
     capacity_pages;
     busy_until = 0.0;
     writes = Vsim.Stats.Counter.create "disk.writes";
   }
 
 let capacity_pages t = t.capacity_pages
-
-let page_bytes t = t.page_bytes
 
 (* Forget queued setup traffic: the arm is idle from now on. Benchmarks
    call this after populating the disk outside measured time. *)
@@ -43,7 +38,7 @@ let write_count t = Vsim.Stats.Counter.value t.writes
 let enqueue_transfer t =
   let now = Vsim.Engine.now t.engine in
   let start = Float.max now t.busy_until in
-  t.busy_until <- start +. t.page_ms;
+  t.busy_until <- start +. Calibration.disk_page_ms;
   t.busy_until
 
 (* Wait until [time] (no-op if past). *)
@@ -54,7 +49,7 @@ let wait_until t time =
 let peek t page =
   match Hashtbl.find_opt t.pages page with
   | Some data -> Bytes.copy data
-  | None -> Bytes.make t.page_bytes '\000'
+  | None -> Bytes.make page_bytes '\000'
 
 (* Blocking read of one page (missing pages read as zeroes). *)
 let read_page t page =
@@ -68,10 +63,10 @@ let read_page_async t page =
   enqueue_transfer t
 
 let write_page t page data =
-  if Bytes.length data > t.page_bytes then invalid_arg "Disk.write_page: too large";
+  if Bytes.length data > page_bytes then invalid_arg "Disk.write_page: too large";
   Vsim.Stats.Counter.incr t.writes;
   wait_until t (enqueue_transfer t);
-  let stored = Bytes.make t.page_bytes '\000' in
+  let stored = Bytes.make page_bytes '\000' in
   Bytes.blit data 0 stored 0 (Bytes.length data);
   Hashtbl.replace t.pages page stored
 
@@ -79,10 +74,10 @@ let write_page t page data =
    directory updates whose latency the paper's figures do not charge to
    the client path). *)
 let write_page_behind t page data =
-  if Bytes.length data > t.page_bytes then
+  if Bytes.length data > page_bytes then
     invalid_arg "Disk.write_page_behind: too large";
   Vsim.Stats.Counter.incr t.writes;
   ignore (enqueue_transfer t);
-  let stored = Bytes.make t.page_bytes '\000' in
+  let stored = Bytes.make page_bytes '\000' in
   Bytes.blit data 0 stored 0 (Bytes.length data);
   Hashtbl.replace t.pages page stored

@@ -5,10 +5,10 @@
 type t
 
 (** [capacity_pages] bounds the medium; unbounded by default. *)
-val create :
-  ?page_ms:float -> ?page_bytes:int -> ?capacity_pages:int -> Vsim.Engine.t -> t
+val create : ?capacity_pages:int -> Vsim.Engine.t -> t
 
-val page_bytes : t -> int
+(** Bytes per page. *)
+val page_bytes : int
 val capacity_pages : t -> int option
 val write_count : t -> int
 

@@ -310,7 +310,7 @@ let page_of_block t (node : inode) block ~allocate =
         | None -> None
       else None
 
-let block_size t = Disk.page_bytes t.disk
+let block_size _ = Disk.page_bytes
 
 let file_blocks t (node : inode) =
   if node.size = 0 then 0 else ((node.size - 1) / block_size t) + 1

@@ -71,10 +71,11 @@ let compare_node a b =
   let c = Float.compare a.n_time b.n_time in
   if c <> 0 then c else Int.compare a.n_seq b.n_seq
 
-let default_tick_ms = 0.25
+(* Bucket width. Ordering is exact regardless of it; it only tunes
+   bucketing efficiency. *)
+let tick_ms = 0.25
 
 type 'a t = {
-  tick_ms : float;
   mutable cur : int;  (* cursor tick: slots at or before it are drained *)
   slots : 'a node list array;  (* 5 levels x 32 slots, flattened *)
   occ : int array;  (* per-level occupancy bitmap over its 32 slots *)
@@ -86,10 +87,8 @@ type 'a t = {
   mutable cancelled_count : int;
 }
 
-let create ?(tick_ms = default_tick_ms) () =
-  if tick_ms <= 0.0 then invalid_arg "Wheel.create: tick_ms must be positive";
+let create () =
   {
-    tick_ms;
     cur = 0;
     slots = Array.make 160 [];
     occ = Array.make 5 0;
@@ -105,7 +104,7 @@ let length t = t.live_count
 let is_empty t = t.live_count = 0
 let cancelled t = t.cancelled_count
 
-let tick_of t time = int_of_float (time /. t.tick_ms)
+let tick_of time = int_of_float (time /. tick_ms)
 
 let add t level slot node =
   let i = (level lsl 5) + slot in
@@ -113,7 +112,7 @@ let add t level slot node =
   t.occ.(level) <- t.occ.(level) lor (1 lsl slot)
 
 let place t node =
-  let tick = tick_of t node.n_time in
+  let tick = tick_of node.n_time in
   let delta = tick - t.cur in
   if delta <= 0 then Heap.push t.ready node
   else if delta < 32 then add t 0 (tick land 31) node

@@ -21,10 +21,10 @@ type 'a t
     [requeue] puts a node with a turn left back in the queue. *)
 type 'a node
 
-(** [create ~tick_ms ()] is an empty wheel whose buckets are
-    [tick_ms] wide (default 0.25 ms). Ordering is exact regardless of
-    the tick width; the width only tunes bucketing efficiency. *)
-val create : ?tick_ms:float -> unit -> 'a t
+(** An empty wheel whose buckets are 0.25 ms wide. Ordering is exact
+    regardless of the tick width; the width only tunes bucketing
+    efficiency. *)
+val create : unit -> 'a t
 
 (** Live (scheduled, not cancelled, not fired) nodes. *)
 val length : 'a t -> int

@@ -106,31 +106,23 @@ let cohort_next_gap c =
   Vsim.Prng.exponential c.c_prng
     ~mean:(c.c_mean_gap_ms /. float_of_int c.c_size)
 
-(* [locality] is the probability an operation targets the small hot set
-   (the first [hot_set] paths) instead of drawing uniformly. [zipf], when
-   positive, is the exponent of a Zipf popularity distribution over the
-   paths (rank = position in [paths]) replacing the uniform draw. At the
-   defaults (0.0) no extra PRNG draw is made and the uniform path is
-   taken, so streams generated before either knob existed are reproduced
+(* The hot set: the first paths of the list. *)
+let hot_set = 8
+
+(* [locality] is the probability an operation targets the hot set
+   instead of drawing uniformly. At the default (0.0) no extra PRNG draw
+   is made, so streams generated before the knob existed are reproduced
    bit-for-bit. *)
-let operation_stream ?(locality = 0.0) ?(hot_set = 8) ?(zipf = 0.0) prng paths
-    ~n ~delete_fraction =
+let operation_stream ?(locality = 0.0) prng paths ~n ~delete_fraction =
   let paths = Array.of_list paths in
   if Array.length paths = 0 then []
   else
     let hot = min hot_set (Array.length paths) in
-    let zipf_cum =
-      if zipf > 0.0 then Some (zipf_cumulative ~s:zipf (Array.length paths))
-      else None
-    in
     List.init n (fun _ ->
         let path =
-          if locality > 0.0 && hot > 0 && Vsim.Prng.float prng < locality then
+          if locality > 0.0 && Vsim.Prng.float prng < locality then
             paths.(Vsim.Prng.int prng hot)
-          else
-            match zipf_cum with
-            | Some cum -> paths.(zipf_pick prng cum)
-            | None -> paths.(Vsim.Prng.int prng (Array.length paths))
+          else paths.(Vsim.Prng.int prng (Array.length paths))
         in
         let roll = Vsim.Prng.float prng in
         if roll < delete_fraction then Delete path

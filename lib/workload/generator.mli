@@ -47,16 +47,12 @@ val cohort_next_gap : cohort -> float
 
 (** [n] operations drawn over the given paths with the given fraction of
     deletes (the rest split between queries and opens). [locality] is
-    the probability an operation targets the hot set (the first
-    [hot_set] paths, default 8) instead of drawing uniformly. [zipf],
-    when positive, is the exponent of a Zipf popularity distribution
-    over the paths (rank = list position) replacing the uniform draw.
-    At the defaults (0.0) neither knob makes an extra PRNG draw, so
-    pre-existing streams are reproduced bit-for-bit. *)
+    the probability an operation targets the hot set (the first 8
+    paths) instead of drawing uniformly. At the default (0.0) it makes
+    no extra PRNG draw, so pre-existing streams are reproduced
+    bit-for-bit. *)
 val operation_stream :
   ?locality:float ->
-  ?hot_set:int ->
-  ?zipf:float ->
   Vsim.Prng.t ->
   string list ->
   n:int ->

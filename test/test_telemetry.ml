@@ -110,7 +110,7 @@ let test_histogram_overflow () =
 let test_exemplars_deterministic_and_bucketed () =
   let run () =
     let h = H.create ~bounds:[| 1.0; 2.0 |] ~exemplar_slots:2 () in
-    let rand = Vobs.Srand.create ~seed:77 in
+    let rand = Vsim.Prng.create ~seed:77 in
     for trace = 1 to 10 do
       H.observe ~trace ~rand h 0.5
     done;
