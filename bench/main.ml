@@ -4,8 +4,8 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe e1 e4 f1   -- run a subset
 
-   Experiments: e1 e2 e3 e4 e5 e6 e7, figures: f1 f2 f3 f4 (or "figs"),
-   micro-benchmarks: micro.
+   Experiments: e1 .. e15, figures: f1 f2 f3 f4 (or "figs"), the
+   multi-user soak: day, ablations, micro-benchmarks: micro.
 
    --json FILE additionally dumps every table and comparison printed,
    grouped by experiment title, as a JSON object to FILE. *)
