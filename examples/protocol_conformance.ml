@@ -1,9 +1,9 @@
 (* Protocol conformance: run the CSNH battery against every server in
    the installation — files, prefixes, terminals, windows, programs in
-   execution, exception reports, printer jobs, mailboxes and TCP
-   connections all present the same client interface, which is the
-   paper's uniformity claim made mechanical. The time server implements
-   no name space, so it is left out.
+   execution, exception reports, printer jobs, mailboxes, TCP
+   connections and a name domain all present the same client interface,
+   which is the paper's uniformity claim made mechanical. The time
+   server implements no name space, so it is left out.
 
    Run with: dune exec examples/protocol_conformance.exe *)
 
@@ -15,6 +15,17 @@ module Prefix_server = Vnaming.Prefix_server
 let () =
   let t = Scenario.build ~workstations:1 ~file_servers:1 () in
   let ws = Scenario.workstation t 0 in
+  (* A domain server on a host of its own, its root binding one name to
+     the file server's root context. *)
+  let domain =
+    Vdomains.Domain_server.start
+      (Vkernel.Kernel.boot_host t.Scenario.domain ~name:"dom0" 50)
+      ~name:"dom0" ()
+  in
+  ignore
+    (Vdomains.Domain_server.bind domain "files"
+       (File_server.spec (Scenario.file_server t 0)
+          ~context:Vnaming.Context.Well_known.default));
   let servers =
     [
       ("file server", File_server.pid (Scenario.file_server t 0));
@@ -28,6 +39,7 @@ let () =
       ("printer server", Vservices.Printer_server.pid t.Scenario.printer);
       ("mail server", Vservices.Mail_server.pid t.Scenario.mail);
       ("internet server", Vservices.Internet_server.pid t.Scenario.internet);
+      ("domain server", Vdomains.Domain_server.pid domain);
     ]
   in
   let all_passed = ref true in

@@ -1,5 +1,6 @@
-(** The one instance table: a server's open object instances and the
-    I/O protocol that reads, writes, describes and releases them.
+(** The one instance table: a server's open object instances, its open
+    context listings, and the I/O protocol that reads, writes, describes
+    and releases them.
 
     Every object a server implements, and every context directory
     ("logically files", §5.6), is read through the same protocol. A
@@ -9,7 +10,13 @@
     counter, cuts blocks out of byte images, and answers ReadInstance,
     WriteInstance, QueryInstance and ReleaseInstance. The kind's
     functions get the server's state (['s]) at each request, so a kind
-    is one value per server, not a closure per instance. *)
+    is one value per server, not a closure per instance.
+
+    A context listing is the table's one built-in kind of instance, the
+    same at every server: a read-only image of the context's description
+    records, cut in the table's block size, whose QueryInstance record
+    is the context's own (a directory with the context's name and owner,
+    the image's byte size and the instance id). *)
 
 (** One block of an instance, as its kind finds it. *)
 type block =
@@ -28,19 +35,26 @@ type ('s, 'a) kind = {
   release : 's -> 'a -> unit;  (** after the instance leaves the table *)
 }
 
-(** Read-only byte images of [block_size] 512: context directories,
-    described by [describe] from the server's state. Every write to an
-    open image is refused with [No_permission]. *)
-val images : describe:('s -> Descriptor.t) -> ('s, bytes) kind
+type nothing = |
+
+(** The kind of a server whose only instances are its context listings;
+    block size 512. *)
+val listings_only : ('s, nothing) kind
 
 type ('s, 'a) t
 
 val create : ('s, 'a) kind -> ('s, 'a) t
 
-(** Instances currently open. *)
+(** Instances currently open, listings included. *)
 val count : ('s, 'a) t -> int
 
-val find : ('s, 'a) t -> int -> 'a option
+(** An open context listing: the directory it lists, that context's
+    owner, and its image. *)
+type listing = { directory : string; owner : string; image : bytes }
+
+type 'a instance = Listing of listing | Object of 'a
+
+val find : ('s, 'a) t -> int -> 'a instance option
 
 (** The next id, for a temporary object that carries an instance id
     (§4.3) without being an open instance. Ids increase monotonically,
@@ -50,6 +64,18 @@ val reserve : ('s, 'a) t -> int
 (** Open an instance under the next id; the Open reply, carrying
     [file_size] and the kind's block size. *)
 val add : ('s, 'a) t -> 'a -> file_size:int -> Vmsg.t
+
+(** Where a table's context listings open, whatever the table's kind:
+    what a context needs to open its own listing. *)
+type listings
+
+val listings : ('s, 'a) t -> listings
+
+(** [add_listing l ~directory ~owner image] opens a listing of the
+    context named [directory], owned by [owner], whose description
+    records encode to [image]; the Open reply, carrying the image's
+    size and the table's block size. *)
+val add_listing : listings -> directory:string -> owner:string -> bytes -> Vmsg.t
 
 (** Serve the I/O-protocol operations; [None] for requests that are not
     instance operations. *)

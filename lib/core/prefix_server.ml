@@ -34,7 +34,7 @@ let pp_target ppf = function
 type t = {
   owner : string;
   bindings : (string, target) Hashtbl.t;
-  instances : (t, bytes) Instance_server.t;
+  instances : (unit, Instance_server.nothing) Instance_server.t;
   stats : Csnh.server_stats;
   mutable pid : Pid.t option;
   mutable next_wseq : int;
@@ -102,22 +102,12 @@ let describe_binding t ~now name target =
     ~attrs:[ ("target", target_string) ]
     name
 
-let directory_image t ~now =
-  bindings t
-  |> List.map (fun (name, target) -> describe_binding t ~now name target)
-  |> Descriptor.directory_to_bytes
-
 (* --- request handling --- *)
 
 (* Answer the request here, closing this hop's span with the reply's
    code. *)
 let reply_with self r ~sender ~span m =
-  if span <> 0 then
-    Events.finish r ~counted:false ~span ~index_to:(-1)
-      (match Vmsg.reply_code m with
-      | Some code -> Reply.to_string code
-      | None -> "reply");
-  ignore (Kernel.reply self ~to_:sender m)
+  Csnh.reply_closing self r ~sender ~span ~index_to:(-1) m
 
 let reply_error self r ~sender ~span code =
   reply_with self r ~sender ~span (Vmsg.reply code)
@@ -287,52 +277,40 @@ let handle_binding_op t (msg : Vmsg.t) req =
     | Ok () -> Vmsg.ok ()
     | Error code -> Vmsg.reply code
 
-let describe_own t =
-  Descriptor.make ~obj_type:Descriptor.Directory ~size:(binding_count t)
-    ~owner:t.owner "[prefixes]"
-
-(* Operations on the prefix server's own context and its bindings,
-   for unprefixed names. Uniformity rule (§5.6): a final-component name
-   denotes the BINDING — Query describes it exactly as the context
-   directory lists it; MapContext resolves it. Deeper names and all
-   '[bracketed]' names act on the bound TARGET context instead. *)
-let handle_own_context t self ~now (msg : Vmsg.t) =
-  let open Vmsg in
-  if msg.code = Op.map_context then
-    ok
-      ~payload:
-        (P_context_spec
-           (Context.spec ~server:(pid t) ~context:Context.Well_known.default))
-      ()
-  else if msg.code = Op.open_instance then
-    match msg.payload with
-    | P_open { mode = Directory_listing } ->
-        let image = directory_image t ~now:(now ()) in
-        Instance_server.add t.instances image ~file_size:(Bytes.length image)
-    | _ -> reply Reply.No_permission
-  else if msg.code = Op.query_name then
-    ok ~payload:(P_descriptor (describe_own t)) ()
-  else (ignore self; reply Reply.Bad_operation)
-
-let handle_binding_name t self ~now (msg : Vmsg.t) name =
-  let open Vmsg in
-  match Hashtbl.find_opt t.bindings name with
-  | None -> reply Reply.Not_found
-  | Some target ->
-      if msg.code = Op.query_name then
-        ok ~payload:(P_descriptor (describe_binding t ~now:(now ()) name target)) ()
-      else if msg.code = Op.map_context then
-        match resolve self target with
-        | Ok spec -> ok ~payload:(P_context_spec spec) ()
-        | Error code -> reply code
-      else
-        (* Operating INTO the target requires the bracketed syntax. *)
-        reply Reply.Not_a_context
+(* The server's own context: its bindings, one flat context (§5.6: a
+   binding is described exactly as the context directory lists it).
+   MapContext on a binding resolves it; any other operation on one is
+   refused, since operating INTO the target takes the bracketed syntax
+   or a deeper name. *)
+let context t self ~now =
+  {
+    Csnh.directory = "[prefixes]";
+    owner = t.owner;
+    objects = (fun () -> bindings t);
+    describe =
+      (fun (name, target) -> describe_binding t ~now:(now ()) name target);
+    find =
+      (fun name ->
+        Ok
+          (Option.map
+             (fun target -> (name, target))
+             (Hashtbl.find_opt t.bindings name)));
+    listings = Instance_server.listings t.instances;
+    handle_name =
+      (fun (msg : Vmsg.t) _ found ->
+        match found with
+        | None -> Vmsg.reply Reply.Not_found
+        | Some (_, target) when msg.Vmsg.code = Vmsg.Op.map_context -> (
+            match resolve self target with
+            | Ok spec -> Vmsg.ok ~payload:(Vmsg.P_context_spec spec) ()
+            | Error code -> Vmsg.reply code)
+        | Some _ -> Vmsg.reply Reply.Not_a_context);
+  }
 
 (* An unprefixed CSname request interpreted in this server's (flat)
    context. Multi-component names descend through a binding into its
    target server, like any other context pointer. *)
-let handle_unprefixed t self r ~now ~sender (msg : Vmsg.t) req =
+let handle_unprefixed t self r ~context ~sender (msg : Vmsg.t) req =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   Vsim.Stats.Counter.incr t.stats.Csnh.requests;
   let op = Vmsg.Op.to_string msg.Vmsg.code in
@@ -348,18 +326,20 @@ let handle_unprefixed t self r ~now ~sender (msg : Vmsg.t) req =
         Events.count r "lookup";
         Vsim.Proc.delay engine Calibration.component_lookup_cpu;
         match Csname.components (Csname.remaining req) with
-        | [] -> reply_with (handle_own_context t self ~now msg)
-        | [ name ] -> reply_with (handle_binding_name t self ~now msg name)
-        | name :: _rest -> (
+        | name :: _ :: _ -> (
             match Hashtbl.find_opt t.bindings name with
             | None -> reply_with (Vmsg.reply Reply.Not_found)
             | Some target ->
                 dispatch t self r ~sender ~span msg target req
                   ~index:(Csname.advance_past req name).Csname.index)
+        | remaining ->
+            reply_with
+              (Csnh.flat_reply context ~server:(pid t) msg
+                 Context.Well_known.default remaining)
       end
 
 let handle_other t self (msg : Vmsg.t) =
-  match Instance_server.handle_io t.instances t msg with
+  match Instance_server.handle_io t.instances () msg with
   | Some reply -> Some reply
   | None ->
       if msg.Vmsg.code = Vmsg.Op.inverse_map_context then
@@ -387,34 +367,25 @@ let handle_other t self (msg : Vmsg.t) =
         | _ -> Some (Vmsg.reply Reply.Bad_operation)
       else None
 
-(* [start host ~owner ~initial] spawns the prefix server and registers
-   it as this workstation's (local-scope) context-prefix service. *)
-let start host ~owner ?(initial = []) () =
+(* [start host ~owner] spawns the prefix server and registers it as
+   this workstation's (local-scope) context-prefix service. *)
+let start host ~owner =
   let t =
     {
       owner;
       bindings = Hashtbl.create 16;
-      instances =
-        Instance_server.create (Instance_server.images ~describe:describe_own);
+      instances = Instance_server.create Instance_server.listings_only;
       stats = Csnh.make_stats "prefix";
       pid = None;
       next_wseq = 1;
     }
   in
-  List.iter
-    (fun (name, target) ->
-      match add_binding t name target with
-      | Ok () -> ()
-      | Error code ->
-          invalid_arg
-            (Fmt.str "Prefix_server.start: bad initial binding %S: %a" name
-               Reply.pp code))
-    initial;
   let engine = Kernel.engine_of_domain (Kernel.domain_of_host host) in
   let now () = Vsim.Engine.now engine in
   let server_pid =
     Kernel.spawn host ~name:(owner ^ "-prefix-server") (fun self ->
         let r = Events.of_process self in
+        let context = context t self ~now in
         let rec loop () =
           let msg, sender = Kernel.receive self in
           (match msg.Vmsg.name with
@@ -433,7 +404,7 @@ let start host ~owner ?(initial = []) () =
               Vsim.Stats.Counter.incr t.stats.Csnh.requests;
               ignore (Kernel.reply self ~to_:sender (handle_binding_op t msg req))
           | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code ->
-              handle_unprefixed t self r ~now ~sender msg req
+              handle_unprefixed t self r ~context ~sender msg req
           | Some _ | None ->
               Vsim.Stats.Counter.incr t.stats.Csnh.requests;
               let reply_msg =

@@ -27,9 +27,8 @@ val pp_target : Format.formatter -> target -> unit
 type t
 
 (** Spawn the server on a workstation host and register it as the
-    (local-scope) context-prefix service. [initial] seeds bindings. *)
-val start :
-  Vmsg.t Kernel.host -> owner:string -> ?initial:(string * target) list -> unit -> t
+    (local-scope) context-prefix service. *)
+val start : Vmsg.t Kernel.host -> owner:string -> t
 
 val owner : t -> string
 val pid : t -> Pid.t

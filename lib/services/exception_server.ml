@@ -12,7 +12,7 @@ type report = { culprit : Pid.t; what : string; at : float }
 type t = {
   mutable reports : report list; (* newest first *)
   mutable kept : int;
-  instances : (t, bytes) Instance_server.t;
+  instances : (unit, Instance_server.nothing) Instance_server.t;
   mutable pid : Pid.t option;
 }
 
@@ -46,9 +46,7 @@ let context t =
       (fun name ->
         Ok
           (List.find_opt (fun r -> Pid.to_string r.culprit = name) t.reports));
-    open_listing =
-      (fun image ->
-        Instance_server.add t.instances image ~file_size:(Bytes.length image));
+    listings = Instance_server.listings t.instances;
     handle_name = (fun _ _ _ -> Vmsg.reply Reply.Bad_operation);
   }
 
@@ -58,16 +56,12 @@ let start host =
     {
       reports = [];
       kept = 0;
-      instances =
-        Instance_server.create
-          (Instance_server.images ~describe:(fun t ->
-               Descriptor.make ~obj_type:Descriptor.Directory
-                 ~size:(List.length t.reports) "[exceptions]"));
+      instances = Instance_server.create Instance_server.listings_only;
       pid = None;
     }
   in
   let other (msg : Vmsg.t) =
-    match Instance_server.handle_io t.instances t msg with
+    match Instance_server.handle_io t.instances () msg with
     | Some r -> Some r
     | None ->
         if msg.code = Svc.Op.report_exception then

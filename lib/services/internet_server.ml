@@ -33,7 +33,7 @@ type conn = {
 
 type t = {
   conns : (string, conn) Hashtbl.t;
-  sessions : (t, [ `Conn of conn | `Dir of bytes ]) Instance_server.t;
+  sessions : (t, conn) Instance_server.t;
   engine : Vsim.Engine.t;
   mutable pid : Vkernel.Pid.t option;
 }
@@ -94,16 +94,16 @@ let handle_name t (msg : Vmsg.t) name found =
   if msg.code = Op.open_instance then
     match (msg.payload, found) with
     | P_open { mode = Write | Append }, Some c when c.state <> Closed ->
-        Instance_server.add t.sessions (`Conn c) ~file_size:0
+        Instance_server.add t.sessions c ~file_size:0
     | P_open { mode = Write | Append }, Some _ ->
         reply Reply.Retry (* closing; name not yet reusable *)
     | P_open { mode = Write | Append }, None -> (
         match open_connection t ~now:(Vsim.Engine.now t.engine) name with
         | Error code -> reply code
-        | Ok c -> Instance_server.add t.sessions (`Conn c) ~file_size:0)
+        | Ok c -> Instance_server.add t.sessions c ~file_size:0)
     | P_open { mode = Read }, None -> reply Reply.Not_found
     | P_open { mode = Read }, Some c ->
-        Instance_server.add t.sessions (`Conn c)
+        Instance_server.add t.sessions c
           ~file_size:(Buffer.length c.inbound)
     | _ -> reply Reply.Bad_operation
   else if msg.code = Op.remove_object then
@@ -125,10 +125,7 @@ let context t =
       (fun name ->
         if valid_conn_name name then Ok (Hashtbl.find_opt t.conns name)
         else Error Reply.Illegal_name);
-    open_listing =
-      (fun image ->
-        Instance_server.add t.sessions (`Dir image)
-          ~file_size:(Bytes.length image));
+    listings = Instance_server.listings t.sessions;
     handle_name = handle_name t;
   }
 
@@ -138,26 +135,17 @@ let kind =
   {
     Instance_server.block_size = 512;
     read =
-      (fun _ session ~block:_ ->
-        match session with
-        | `Dir image -> Instance_server.Image image
-        | `Conn c -> Instance_server.Image (Buffer.to_bytes c.inbound));
+      (fun _ c ~block:_ -> Instance_server.Image (Buffer.to_bytes c.inbound));
     write =
-      (fun t session ~block:_ data ->
-        match session with
-        | `Conn c when c.state <> Closed ->
-            c.sent_bytes <- c.sent_bytes + Bytes.length data;
-            Vsim.Engine.schedule ~delay:wan_rtt_ms t.engine (fun () ->
-                if c.state <> Closed then Buffer.add_bytes c.inbound data);
-            Ok (Bytes.length data)
-        | `Conn _ | `Dir _ -> Error Reply.No_permission);
-    describe =
-      (fun _ _ -> function
-        | `Conn c -> Ok (describe c)
-        | `Dir image ->
-            Ok
-              (Descriptor.make ~obj_type:Descriptor.Directory
-                 ~size:(Bytes.length image) "[internet]"));
+      (fun t c ~block:_ data ->
+        if c.state = Closed then Error Reply.No_permission
+        else begin
+          c.sent_bytes <- c.sent_bytes + Bytes.length data;
+          Vsim.Engine.schedule ~delay:wan_rtt_ms t.engine (fun () ->
+              if c.state <> Closed then Buffer.add_bytes c.inbound data);
+          Ok (Bytes.length data)
+        end);
+    describe = (fun _ _ c -> Ok (describe c));
     release = (fun _ _ -> ());
   }
 

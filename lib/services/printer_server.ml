@@ -114,20 +114,7 @@ let context t =
     objects = (fun () -> jobs t);
     describe;
     find = (fun name -> Ok (Hashtbl.find_opt t.jobs name));
-    open_listing =
-      (fun image ->
-        (* Directory images ride a spooling-free pseudo job. *)
-        let content = Buffer.create (Bytes.length image) in
-        Buffer.add_bytes content image;
-        Instance_server.add t.sessions
-          {
-            job_name = "[queue]";
-            content;
-            state = Done;
-            submitted = Vsim.Engine.now t.engine;
-            completed = None;
-          }
-          ~file_size:(Bytes.length image));
+    listings = Instance_server.listings t.sessions;
     handle_name = handle_name t;
   }
 

@@ -26,7 +26,7 @@ type t = {
   host : Vmsg.t Kernel.host;
   programs : (string, program_body) Hashtbl.t;
   mutable executions : execution list; (* newest first; ids 1, 2, ... *)
-  instances : (t, bytes) Instance_server.t;
+  instances : (unit, Instance_server.nothing) Instance_server.t;
   mutable pid : Pid.t option;
 }
 
@@ -132,11 +132,7 @@ let start host =
       host;
       programs = Hashtbl.create 8;
       executions = [];
-      instances =
-        Instance_server.create
-          (Instance_server.images ~describe:(fun t ->
-               Descriptor.make ~obj_type:Descriptor.Directory
-                 ~size:(List.length t.executions) "[programs]"));
+      instances = Instance_server.create Instance_server.listings_only;
       pid = None;
     }
   in
@@ -149,9 +145,7 @@ let start host =
       find =
         (fun name ->
           Ok (List.find_opt (fun e -> e.exec_program = name) t.executions));
-      open_listing =
-        (fun image ->
-          Instance_server.add t.instances image ~file_size:(Bytes.length image));
+      listings = Instance_server.listings t.instances;
       handle_name = (fun _ _ _ -> Vmsg.reply Reply.Bad_operation);
     }
   in
@@ -160,7 +154,7 @@ let start host =
         let handle =
           Csnh.handle_request self
             (Csnh.flat_handlers context
-               ~other:(fun msg -> Instance_server.handle_io t.instances t msg)
+               ~other:(fun msg -> Instance_server.handle_io t.instances () msg)
                ~server:(Kernel.self_pid self))
             (Csnh.make_stats "pm")
         in

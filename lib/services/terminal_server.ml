@@ -16,9 +16,7 @@ type terminal = {
   instance_id : int;  (* the temporary object's instance identifier (§4.3) *)
 }
 
-type session =
-  | Terminal_session of { term : terminal; readonly : bool; snapshot : bytes }
-  | Directory_session of bytes
+type session = { term : terminal; readonly : bool; snapshot : bytes }
 
 type t = {
   terminals : (string, terminal) Hashtbl.t;
@@ -82,7 +80,7 @@ let handle_name t (msg : Vmsg.t) name found =
         | Ok term ->
             let snapshot = image_of_lines term in
             Instance_server.add t.sessions
-              (Terminal_session { term; readonly = (mode = Read); snapshot })
+              { term; readonly = (mode = Read); snapshot }
               ~file_size:(Bytes.length snapshot))
     | _ -> reply Reply.Bad_operation
   else if msg.code = Op.create_object then (
@@ -105,10 +103,7 @@ let context t =
       (fun () -> List.map (Hashtbl.find t.terminals) (terminal_names t));
     describe = (fun term -> describe ~now:(Vsim.Engine.now t.engine) term);
     find = (fun name -> Ok (Hashtbl.find_opt t.terminals name));
-    open_listing =
-      (fun image ->
-        Instance_server.add t.sessions (Directory_session image)
-          ~file_size:(Bytes.length image));
+    listings = Instance_server.listings t.sessions;
     handle_name = handle_name t;
   }
 
@@ -117,27 +112,17 @@ let context t =
 let kind =
   {
     Instance_server.block_size = 512;
-    read =
-      (fun _ session ~block:_ ->
-        match session with
-        | Directory_session image | Terminal_session { snapshot = image; _ } ->
-            Instance_server.Image image);
+    read = (fun _ session ~block:_ -> Instance_server.Image session.snapshot);
     write =
       (fun _ session ~block:_ data ->
-        match session with
-        | Directory_session _ | Terminal_session { readonly = true; _ } ->
-            Error Reply.No_permission
-        | Terminal_session { term; _ } ->
-            term.lines <- Bytes.to_string data :: term.lines;
-            Ok (Bytes.length data));
+        if session.readonly then Error Reply.No_permission
+        else begin
+          session.term.lines <- Bytes.to_string data :: session.term.lines;
+          Ok (Bytes.length data)
+        end);
     describe =
-      (fun t instance -> function
-        | Terminal_session { term; _ } ->
-            Ok (describe ~now:(Vsim.Engine.now t.engine) term)
-        | Directory_session image ->
-            Ok
-              (Descriptor.make ~obj_type:Descriptor.Directory
-                 ~size:(Bytes.length image) ~instance "[terminals]"));
+      (fun t _ session ->
+        Ok (describe ~now:(Vsim.Engine.now t.engine) session.term));
     release = (fun _ _ -> ());
   }
 

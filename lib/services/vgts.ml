@@ -27,7 +27,7 @@ type window = {
 
 type t = {
   windows : (string, window) Hashtbl.t;
-  sessions : (t, [ `Window of window | `Dir of bytes ]) Instance_server.t;
+  sessions : (t, window) Instance_server.t;
   mutable next_z : int;
   engine : Vsim.Engine.t;
   mutable pid : Vkernel.Pid.t option;
@@ -172,7 +172,7 @@ let handle_name t (msg : Vmsg.t) name found =
         | Ok w ->
             (* Opening a window raises it, like selecting it. *)
             raise_window t w;
-            Instance_server.add t.sessions (`Window w)
+            Instance_server.add t.sessions w
               ~file_size:(Bytes.length (image_of_window w)))
     | _ -> reply Reply.Bad_operation
   else if msg.code = Op.modify_name then
@@ -200,10 +200,7 @@ let context t =
     objects = (fun () -> List.map (Hashtbl.find t.windows) (window_names t));
     describe;
     find = (fun name -> Ok (Hashtbl.find_opt t.windows name));
-    open_listing =
-      (fun image ->
-        Instance_server.add t.sessions (`Dir image)
-          ~file_size:(Bytes.length image));
+    listings = Instance_server.listings t.sessions;
     handle_name = handle_name t;
   }
 
@@ -212,25 +209,12 @@ let context t =
 let kind =
   {
     Instance_server.block_size = 512;
-    read =
-      (fun _ session ~block:_ ->
-        match session with
-        | `Dir image -> Instance_server.Image image
-        | `Window w -> Instance_server.Image (image_of_window w));
+    read = (fun _ w ~block:_ -> Instance_server.Image (image_of_window w));
     write =
-      (fun _ session ~block:_ data ->
-        match session with
-        | `Window w ->
-            w.lines <- Bytes.to_string data :: w.lines;
-            Ok (Bytes.length data)
-        | `Dir _ -> Error Reply.No_permission);
-    describe =
-      (fun _ instance -> function
-        | `Window w -> Ok (describe w)
-        | `Dir image ->
-            Ok
-              (Descriptor.make ~obj_type:Descriptor.Directory
-                 ~size:(Bytes.length image) ~instance "[windows]"));
+      (fun _ w ~block:_ data ->
+        w.lines <- Bytes.to_string data :: w.lines;
+        Ok (Bytes.length data));
+    describe = (fun _ _ w -> Ok (describe w));
     release = (fun _ _ -> ());
   }
 

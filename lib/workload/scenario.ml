@@ -123,7 +123,7 @@ let build ?(config = Calibration.ethernet_3mbit)
         let ws_vgts = Vgts.start host in
         let ws_programs = Program_manager.start host in
         let ws_exceptions = Exception_server.start host in
-        let ws_prefix = Prefix_server.start host ~owner:name () in
+        let ws_prefix = Prefix_server.start host ~owner:name in
         {
           ws_index = i;
           ws_name = name;

@@ -1,7 +1,9 @@
 (* Run the CSNH conformance battery against every server in the
-   standard installation: the uniformity claim, checked mechanically.
-   The time server is the one server left out: it implements no name
-   space, so every naming check would fail against it by design.
+   standard installation, and a domain server whose root binds one name
+   to the file server's root: the uniformity claim, checked
+   mechanically. The time server is the one server left out: it
+   implements no name space, so every naming check would fail against
+   it by design.
 
    The battery runs twice: on the standard installation, where every
    flat context but the file server's is empty, and after one object
@@ -16,7 +18,24 @@ module Reply = Vnaming.Reply
 module Vmsg = Vnaming.Vmsg
 open Vservices
 
-let servers_of (t : Scenario.t) =
+(* A domain server on a host of its own, its root binding "files" to
+   the file server's root context. *)
+let domain_server (t : Scenario.t) =
+  let ds =
+    Vdomains.Domain_server.start
+      (K.boot_host t.Scenario.domain ~name:"dom0" 50)
+      ~name:"dom0" ()
+  in
+  (match
+     Vdomains.Domain_server.bind ds "files"
+       (File_server.spec (Scenario.file_server t 0)
+          ~context:Vnaming.Context.Well_known.default)
+   with
+  | Ok () -> ()
+  | Error code -> Alcotest.failf "bind files: %s" (Reply.to_string code));
+  Vdomains.Domain_server.pid ds
+
+let servers_of (t : Scenario.t) ~domain =
   let ws = Scenario.workstation t 0 in
   [
     ("file server", File_server.pid (Scenario.file_server t 0));
@@ -28,6 +47,7 @@ let servers_of (t : Scenario.t) =
     ("printer server", Printer_server.pid t.Scenario.printer);
     ("mail server", Mail_server.pid t.Scenario.mail);
     ("internet server", Internet_server.pid t.Scenario.internet);
+    ("domain server", domain);
   ]
 
 (* One object in every flat context: a printer job, a terminal, a
@@ -99,6 +119,7 @@ let run_battery ~populated () =
    with
   | Ok () -> ()
   | Error code -> Alcotest.failf "install hello: %s" (Reply.to_string code));
+  let domain = domain_server t in
   let reports = ref [] in
   let completed = ref false in
   ignore
@@ -107,7 +128,7 @@ let run_battery ~populated () =
          List.iter
            (fun (label, server) ->
              reports := Conformance.check self ~label server :: !reports)
-           (servers_of t);
+           (servers_of t ~domain);
          completed := true));
   Scenario.run t;
   Alcotest.(check bool) "battery completed" true !completed;
@@ -149,6 +170,7 @@ let labels =
     "printer server";
     "mail server";
     "internet server";
+    "domain server";
   ]
 
 (* The mail server interprets names with its own syntax, so two checks

@@ -14,7 +14,14 @@
    a write to a closed connection, a printer write after the job is
    submitted, SetInstanceSize and InverseMapInstance on the file
    server. [golden] is what these replies were before the servers
-   shared one instance table. *)
+   shared one instance table, but for what the table's own context
+   listing changed later: QueryInstance on a listing answers one record
+   at every server (a directory named for the context, with its owner,
+   the image's byte size and the instance id), where the prefix,
+   program-manager, exception, printer, mail and internet servers each
+   answered their own; and a read-mode Open on the prefix server's
+   context opens its listing (it was refused), so the directory-mode
+   listing after it has the next id. *)
 
 module K = Vkernel.Kernel
 module Scenario = Vworkload.Scenario
@@ -246,7 +253,13 @@ let drive () =
          let label = "prefix"
          and pid = Vnaming.Prefix_server.pid ws.Scenario.ws_prefix in
          let open_, _, _, _, _, exercise, finish = server label pid in
-         ignore (open_ ~mode:Vmsg.Read "");
+         (* A read-mode Open opens the same listing as the directory-mode
+            one: its reply is pinned, and the directory-mode listing is
+            the one exercised and released. *)
+         ignore
+           (send label "open \"\" read" pid
+              (named ~payload:(Vmsg.P_open { mode = Vmsg.Read })
+                 Vmsg.Op.open_instance ""));
          each exercise (open_ ~mode:Vmsg.Directory_listing "");
          finish ();
          (* --- the terminal server --- *)
@@ -447,23 +460,23 @@ let golden =
     "file | query #999: invalid instance xb=0 @1011.880";
     "file | release #999: invalid instance xb=0 @1014.440";
     "file | ids opened: 1 2 3 4 5 6";
-    "prefix | open \"\" read: no permission xb=0 @1015.570";
-    "prefix | open \"\" dir: OK instance=1 size=645 block=512 xb=0 @1016.700";
-    "prefix | read #1 block 0: OK data=512:ad9f1a6d xb=512 @1017.470";
-    "prefix | read #1 block 1: OK data=133:f38baa0e xb=133 @1018.240";
-    "prefix | read #1 block 2: end of file xb=0 @1019.010";
-    "prefix | read #1 block -1: invalid instance xb=0 @1019.780";
-    "prefix | write #1: no permission xb=0 @1020.550";
-    "prefix | read #1 block 0: OK data=512:ad9f1a6d xb=512 @1021.320";
-    "prefix | query #1: OK directory \"[prefixes]\" size=10 owner=\"ws0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] xb=0 @1022.090";
-    "prefix | release #1: OK xb=0 @1022.860";
-    "prefix | release #1: invalid instance xb=0 @1023.630";
-    "prefix | read #1 block 0: invalid instance xb=0 @1024.400";
-    "prefix | query #1: invalid instance xb=0 @1025.170";
-    "prefix | write #1: invalid instance xb=0 @1025.940";
+    "prefix | open \"\" read: OK instance=1 size=645 block=512 xb=0 @1015.570";
+    "prefix | open \"\" dir: OK instance=2 size=645 block=512 xb=0 @1016.700";
+    "prefix | read #2 block 0: OK data=512:ad9f1a6d xb=512 @1017.470";
+    "prefix | read #2 block 1: OK data=133:f38baa0e xb=133 @1018.240";
+    "prefix | read #2 block 2: end of file xb=0 @1019.010";
+    "prefix | read #2 block -1: invalid instance xb=0 @1019.780";
+    "prefix | write #2: no permission xb=0 @1020.550";
+    "prefix | read #2 block 0: OK data=512:ad9f1a6d xb=512 @1021.320";
+    "prefix | query #2: OK directory \"[prefixes]\" size=645 owner=\"ws0\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] xb=0 @1022.090";
+    "prefix | release #2: OK xb=0 @1022.860";
+    "prefix | release #2: invalid instance xb=0 @1023.630";
+    "prefix | read #2 block 0: invalid instance xb=0 @1024.400";
+    "prefix | query #2: invalid instance xb=0 @1025.170";
+    "prefix | write #2: invalid instance xb=0 @1025.940";
     "prefix | query #999: invalid instance xb=0 @1026.710";
     "prefix | release #999: invalid instance xb=0 @1027.480";
-    "prefix | ids opened: 1";
+    "prefix | ids opened: 2";
     "terminal | create console: OK xb=0 @1028.610";
     "terminal | open \"console\" write: OK instance=2 size=0 block=512 xb=0 @1029.740";
     "terminal | write #2: OK count=63 xb=0 @1030.510";
@@ -589,7 +602,7 @@ let golden =
     "programs | read #1 block -1: invalid instance xb=0 @1244.533";
     "programs | write #1: no permission xb=0 @1245.303";
     "programs | read #1 block 0: OK data=512:3742ff0d xb=512 @1246.073";
-    "programs | query #1: OK directory \"[programs]\" size=8 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] xb=0 @1246.843";
+    "programs | query #1: OK directory \"[programs]\" size=564 owner=\"system\" created=0.000 modified=0.000 writable=true instance=1 attrs=[] xb=0 @1246.843";
     "programs | release #1: OK xb=0 @1247.613";
     "programs | release #1: invalid instance xb=0 @1248.383";
     "programs | read #1 block 0: invalid instance xb=0 @1249.153";
@@ -606,7 +619,7 @@ let golden =
     "exceptions | read #1 block -1: invalid instance xb=0 @1268.573";
     "exceptions | write #1: no permission xb=0 @1269.343";
     "exceptions | read #1 block 0: OK data=512:a227446e xb=512 @1270.113";
-    "exceptions | query #1: OK directory \"[exceptions]\" size=14 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] xb=0 @1270.883";
+    "exceptions | query #1: OK directory \"[exceptions]\" size=1044 owner=\"system\" created=0.000 modified=0.000 writable=true instance=1 attrs=[] xb=0 @1270.883";
     "exceptions | release #1: OK xb=0 @1271.653";
     "exceptions | release #1: invalid instance xb=0 @1272.423";
     "exceptions | read #1 block 0: invalid instance xb=0 @1273.193";
@@ -650,7 +663,7 @@ let golden =
     "printer | read #3 block -1: invalid instance xb=0 @1371.142";
     "printer | write #3: no permission xb=0 @1373.702";
     "printer | read #3 block 0: OK data=112:4103530d xb=112 @1377.221";
-    "printer | query #3: OK printer-job \"[queue]\" size=112 owner=\"system\" created=1324.447 modified=0.000 writable=true instance=- attrs=[state=done] xb=0 @1379.781";
+    "printer | query #3: OK directory \"[queue]\" size=112 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] xb=0 @1379.781";
     "printer | release #2: OK xb=0 @1382.341";
     "printer | write #2: invalid instance xb=0 @1384.901";
     "printer | release #1: OK xb=0 @1387.461";
@@ -714,7 +727,7 @@ let golden =
     "mail | read #3 block -1: invalid instance xb=0 @1551.127";
     "mail | write #3: no permission xb=0 @1553.687";
     "mail | read #3 block 0: OK data=47:886663bc xb=47 @1557.033";
-    "mail | query #3: OK mailbox \"[mail]\" size=47 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] xb=0 @1559.593";
+    "mail | query #3: OK directory \"[mail]\" size=47 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] xb=0 @1559.593";
     "mail | release #1: OK xb=0 @1562.153";
     "mail | release #1: invalid instance xb=0 @1564.713";
     "mail | read #1 block 0: invalid instance xb=0 @1567.273";
@@ -765,7 +778,7 @@ let golden =
     "internet | read #6 block -1: invalid instance xb=0 @1894.433";
     "internet | write #6: no permission xb=0 @1896.993";
     "internet | read #6 block 0: OK data=113:1291944d xb=113 @1900.514";
-    "internet | query #6: OK directory \"[internet]\" size=113 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] xb=0 @1903.074";
+    "internet | query #6: OK directory \"[internet]\" size=113 owner=\"system\" created=0.000 modified=0.000 writable=true instance=6 attrs=[] xb=0 @1903.074";
     "internet | remove sumex:25: OK xb=0 @1906.675";
     "internet | read #5 block 0: end of file xb=0 @1909.235";
     "internet | read #5 block -1: invalid instance xb=0 @1911.795";

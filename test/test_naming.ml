@@ -236,12 +236,13 @@ let test_walk_rejects_nul () =
   | Csnh.Fail Reply.Illegal_name -> ()
   | _ -> Alcotest.fail "NUL bytes are illegal"
 
-(* --- Instance_server (read-only image instances) --- *)
+(* --- Instance_server (context listings, read-only images) --- *)
 
-let image_table () =
-  Instance_server.create
-    (Instance_server.images ~describe:(fun () ->
-         Descriptor.make ~obj_type:Descriptor.Directory "d"))
+let image_table () = Instance_server.create Instance_server.listings_only
+
+let add_image t image =
+  Instance_server.add_listing (Instance_server.listings t) ~directory:"d"
+    ~owner:"system" image
 
 let opened reply =
   match reply.Vmsg.payload with
@@ -265,9 +266,7 @@ let release_reply t instance =
 let test_instance_server_lifecycle () =
   let t = image_table () in
   let image = Bytes.init 1200 (fun i -> Char.chr (i mod 256)) in
-  let info =
-    opened (Instance_server.add t image ~file_size:(Bytes.length image))
-  in
+  let info = opened (add_image t image) in
   Alcotest.(check int) "size" 1200 info.Vmsg.file_size;
   Alcotest.(check int) "live instances" 1 (Instance_server.count t);
   (* Block reads. *)
@@ -299,7 +298,7 @@ let test_instance_server_ids_not_reused () =
   (* §4.3: servers maximize time before reusing instance identifiers. *)
   let t = image_table () in
   let open_one () =
-    (opened (Instance_server.add t Bytes.empty ~file_size:0)).Vmsg.instance
+    (opened (add_image t Bytes.empty)).Vmsg.instance
   in
   let a = open_one () in
   ignore (release_reply t a);
@@ -308,9 +307,7 @@ let test_instance_server_ids_not_reused () =
 
 let test_instance_server_handle_io () =
   let t = image_table () in
-  let info =
-    opened (Instance_server.add t (Bytes.of_string "image-bytes") ~file_size:11)
-  in
+  let info = opened (add_image t (Bytes.of_string "image-bytes")) in
   (* Reads and queries through the protocol dispatcher. *)
   (match
      Instance_server.handle_io t ()
