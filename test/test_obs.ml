@@ -131,6 +131,48 @@ let test_span_tree_forwarded_open () =
       Alcotest.failf "expected 5 spans (root, prefix, 3 servers), got %d:@.%a"
         (List.length spans) Vobs.Export.pp_timeline spans
 
+(* The mail server, which interprets the whole remainder itself, still
+   opens its hop's span and counts its requests like every CSNH
+   server. *)
+let test_mail_server_spans () =
+  let t = Scenario.build ~workstations:1 ~file_servers:1 ~tracing:true () in
+  let trace_id = ref 0 in
+  ignore
+    (Scenario.spawn_client t ~ws:0 (fun self env ->
+         let deliver =
+           ok_exn "deliver"
+             (Runtime.open_ env ~mode:Vmsg.Append "[mail]cheriton@su-score")
+         in
+         ok_exn "release delivery" (Vio.Client.release self deliver);
+         let fetch =
+           ok_exn "open" (Runtime.open_ env ~mode:Vmsg.Read "[mail]cheriton@su-score")
+         in
+         (match Vobs.Hub.last_trace t.Scenario.obs with
+         | Some id -> trace_id := id
+         | None -> Alcotest.fail "no trace started");
+         ok_exn "release" (Vio.Client.release self fetch)));
+  Scenario.run t;
+  (match Vobs.Hub.trace_spans t.Scenario.obs !trace_id with
+  | [ root; prefix; mail ] ->
+      let open Vobs.Span in
+      Alcotest.(check string) "root op" "client:Open" root.op;
+      Alcotest.(check int) "prefix parent" root.span_id prefix.parent_id;
+      Alcotest.(check string) "prefix forwards" "forward" prefix.outcome;
+      Alcotest.(check string) "mail host" "mailhost" mail.host;
+      Alcotest.(check int) "mail parent" prefix.span_id mail.parent_id;
+      Alcotest.(check string) "mail answers" (Reply.to_string Reply.Ok)
+        mail.outcome
+  | spans ->
+      Alcotest.failf "expected 3 spans (root, prefix, mail), got %d:@.%a"
+        (List.length spans) Vobs.Export.pp_timeline spans);
+  let count op =
+    Vobs.Metrics.counter_value
+      (Vobs.Hub.metrics t.Scenario.obs)
+      ~host:"mailhost" ~server:"mail-server" ~op
+  in
+  Alcotest.(check int) "Opens counted" 2 (count "Open");
+  Alcotest.(check int) "releases counted" 2 (count "ReleaseInstance")
+
 (* The timeline renderer shows one line per span, children indented. *)
 let test_timeline_render () =
   let t = Scenario.build ~workstations:1 ~file_servers:2 ~tracing:true () in
@@ -550,5 +592,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_metrics_match_model;
         Alcotest.test_case "tracing off is deterministic" `Quick
           test_tracing_off_determinism;
+        Alcotest.test_case "mail server spans" `Quick test_mail_server_spans;
       ] );
   ]
