@@ -27,7 +27,6 @@ module File_server = Vservices.File_server
 module Replica = Vservices.Replica
 module Fs = Vservices.Fs
 module Kernel = Vkernel.Kernel
-module Balancer = Vkernel.Balancer
 module Prefix_server = Vnaming.Prefix_server
 module Ethernet = Vnet.Ethernet
 module Plan = Vfault.Plan
@@ -162,7 +161,7 @@ let run_factor factor =
               Array.iteri
                 (fun i old ->
                   if Scenario.fs_addr i = addr && !found = None then
-                    found := Some (File_server.restart_from old host ()))
+                    found := Some (File_server.restart_from old host))
                 Scenario.(t.file_servers);
               !found
           | None -> None)

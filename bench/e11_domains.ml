@@ -323,7 +323,7 @@ let run_crash () =
     if addr = dom_addr 1 then
       match Kernel.host_of_addr Scenario.(t.domain) addr with
       | Some host ->
-          chain.(1) <- Domain_server.restart_from chain.(1) host ();
+          chain.(1) <- Domain_server.restart_from chain.(1) host;
           fail_fs "re-stitch"
             (Domain_server.delegate chain.(0) "d1"
                (Domain_server.spec chain.(1) ()))

@@ -244,9 +244,9 @@ let run_arm ~label ~admission () =
        other workstations' routing prefix servers. *)
     Replica.protect rset Scenario.(t.workstations).(0).Scenario.ws_prefix;
     Admission.protect_prefix_server domain
-      Scenario.(t.workstations).(1).Scenario.ws_prefix ();
+      Scenario.(t.workstations).(1).Scenario.ws_prefix;
     Admission.protect_prefix_server domain
-      Scenario.(t.workstations).(2).Scenario.ws_prefix ()
+      Scenario.(t.workstations).(2).Scenario.ws_prefix
   end;
   let counts = fresh_counts () in
   spawn_storm t counts;

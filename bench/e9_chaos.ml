@@ -108,7 +108,7 @@ let revive_file_server t addr =
       if Scenario.fs_addr i = addr then
         match Kernel.host_of_addr Scenario.(t.domain) addr with
         | Some host ->
-            Scenario.(t.file_servers).(i) <- File_server.restart_from old host ()
+            Scenario.(t.file_servers).(i) <- File_server.restart_from old host
         | None -> ())
     Scenario.(t.file_servers)
 

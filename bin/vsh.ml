@@ -408,7 +408,7 @@ let cmd_fault sh args =
         if Scenario.fs_addr i = addr then
           match K.host_of_addr t.Scenario.domain addr with
           | Some host ->
-              t.Scenario.file_servers.(i) <- File_server.restart_from fs host ()
+              t.Scenario.file_servers.(i) <- File_server.restart_from fs host
           | None -> ())
       t.Scenario.file_servers
   in
@@ -466,16 +466,8 @@ let cmd_replicas sh args =
   match args with
   | "on" :: rest -> (
       let parse = function
-        | [] -> Some (fs_count, Vkernel.Balancer.Round_robin)
-        | [ n ] ->
-            Option.map
-              (fun n -> (n, Vkernel.Balancer.Round_robin))
-              (int_of_string_opt n)
-        | [ n; pol ] -> (
-            match (int_of_string_opt n, Vkernel.Balancer.policy_of_string pol)
-            with
-            | Some n, Some p -> Some (n, p)
-            | _ -> None)
+        | [] -> Some fs_count
+        | [ n ] -> int_of_string_opt n
         | _ -> None
       in
       match (sh.replicas, parse rest) with
@@ -483,17 +475,17 @@ let cmd_replicas sh args =
           Error
             (Vio.Verr.Protocol
                "a replica set is already installed (replicas off first)")
-      | None, None -> Error (Vio.Verr.Protocol "usage: replicas on [N] [rr|nearest]")
-      | None, Some (n, _) when n < 1 || n > fs_count ->
+      | None, None -> Error (Vio.Verr.Protocol "usage: replicas on [N]")
+      | None, Some n when n < 1 || n > fs_count ->
           Error (Vio.Verr.Protocol (Fmt.str "N must be 1..%d" fs_count))
-      | None, Some (n, policy) ->
+      | None, Some n ->
           let members =
             List.init n (fun i ->
                 match K.host_of_addr t.Scenario.domain (Scenario.fs_addr i) with
                 | Some host -> (host, t.Scenario.file_servers.(i))
                 | None -> assert false)
           in
-          let r = Replica.install t.Scenario.domain ~policy ~members () in
+          let r = Replica.install t.Scenario.domain ~members () in
           Array.iter
             (fun ws ->
               ignore
@@ -520,10 +512,9 @@ let cmd_replicas sh args =
       (match sh.replicas with
       | None -> pr "no replica set installed"
       | Some r ->
-          pr "replica set: service %s (group %d), factor %d, policy %a"
+          pr "replica set: service %s (group %d), factor %d"
             (Vkernel.Service.Id.to_string (Replica.service r))
-            (Replica.group r) (Replica.factor r) Vkernel.Balancer.pp_policy
-            (Replica.policy r);
+            (Replica.group r) (Replica.factor r);
           List.iter
             (fun (addr, fs) ->
               pr "  host %d: %s (pid %d)" addr (File_server.name fs)
@@ -533,8 +524,7 @@ let cmd_replicas sh args =
   | _ ->
       Error
         (Vio.Verr.Protocol
-           "usage: replicas on [N] [rr|nearest] | replicas off | replicas \
-            status")
+           "usage: replicas on [N] | replicas off | replicas status")
 
 (* Federated name domains from the shell: boot a chain of domain
    servers under "[dom]" — each delegating one named sub-context to the
@@ -744,7 +734,7 @@ let cmd_admission sh args =
         (fun (_, tgt) ->
           match tgt with
           | `Fs f -> File_server.enable_admission f d ()
-          | `Prefix p -> Admission.protect_prefix_server d p ()
+          | `Prefix p -> Admission.protect_prefix_server d p
           | `Domain ds -> Domain_server.enable_admission ds d ())
         (admission_targets sh);
       sh.admission_on <- true;
@@ -1086,7 +1076,7 @@ let commands :
     ("net", "[topo|stats] — fabric topology and per-segment counters", cmd_net);
     ("engine", "[stats] — event-queue scheduler statistics", cmd_engine);
     ("fault", "plan|inject SEED [MS] | status — seeded fault injection", cmd_fault);
-    ("replicas", "on [N] [rr|nearest] | off | status — replicated [rstore]", cmd_replicas);
+    ("replicas", "on [N] | off | status — replicated [rstore]", cmd_replicas);
     ("domains", "on [DEPTH] | off | tree | resolve NAME | ttl — federated name domains", cmd_domains);
     ("trace", "[ID] — span tree of the last (or given) traced request", cmd_trace);
     ("cache", "[on|off|stats] — the name-resolution cache", cmd_cache);

@@ -60,7 +60,7 @@ let () =
            Option.get (K.host_of_addr t.Scenario.domain (Scenario.fs_addr 0))
          in
          K.restart_host fs0_host;
-         let fs0' = File_server.restart_from (Scenario.file_server t 0) fs0_host () in
+         let fs0' = File_server.restart_from (Scenario.file_server t 0) fs0_host in
          ok (Runtime.delete_prefix env "fs0");
          ok
            (Runtime.add_prefix env "fs0"

@@ -30,14 +30,9 @@ type binding = { object_server : Pid.t; low_id : int }
 type Vmsg.payload +=
   | P_ns_binding of binding  (** Register request / Lookup reply *)
 
-type t = {
-  table : (string, binding) Hashtbl.t;
-  stats : Csnh.server_stats;
-  mutable pid : Pid.t option;
-}
+type t = { table : (string, binding) Hashtbl.t; mutable pid : Pid.t option }
 
 let pid t = Option.get t.pid
-let stats t = t.stats
 let binding_count t = Hashtbl.length t.table
 
 (* Direct registration for scenario setup (bypasses the wire). *)
@@ -45,12 +40,11 @@ let preload t name binding = Hashtbl.replace t.table name binding
 
 let start host =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_host host) in
-  let t = { table = Hashtbl.create 64; stats = Csnh.make_stats "name-server"; pid = None } in
+  let t = { table = Hashtbl.create 64; pid = None } in
   let server_pid =
     Kernel.spawn host ~name:"name-server" (fun self ->
         let rec loop () =
           let msg, sender = Kernel.receive self in
-          Vsim.Stats.Counter.incr t.stats.Csnh.requests;
           let name =
             match msg.Vmsg.name with Some r -> Csname.remaining r | None -> ""
           in

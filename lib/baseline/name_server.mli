@@ -28,7 +28,6 @@ type t
 val start : Vmsg.t Kernel.host -> t
 
 val pid : t -> Pid.t
-val stats : t -> Csnh.server_stats
 val binding_count : t -> int
 
 (** Direct registration for scenario setup (bypasses the wire). *)

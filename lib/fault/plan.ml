@@ -140,86 +140,60 @@ let slow_host ~addr ~at ~duration_ms ~ms =
     { at = at +. duration_ms; action = Slow (addr, 0.0) };
   ]
 
-let link_cut_heal ~link ~at ~duration_ms =
-  [
-    { at; action = Link_cut link };
-    { at = at +. duration_ms; action = Link_heal link };
-  ]
-
-let slow_link ~link ~at ~duration_ms ~ms =
-  [
-    { at; action = Link_slow (link, ms) };
-    { at = at +. duration_ms; action = Link_slow (link, 0.0) };
-  ]
-
 (* --- seeded generation --- *)
 
+(* The loss probabilities a generated loss burst draws from. *)
+let loss_levels = [ 0.05; 0.2 ]
+
 (* Draw a randomized day of trouble: episodes spaced by exponential
-   gaps, each picking one fault kind among those the host lists allow.
-   Every fault is paired with its recovery, and every episode completes
-   before [duration_ms] (recoveries are clamped), so a generated plan
-   always converges: by the horizon all hosts are up, partitions
-   healed, loss zero and no host slowed. *)
+   gaps, each picking one fault kind among those the host lists allow
+   (loss bursts are always allowed). Every fault is paired with its
+   recovery, and every episode completes before [duration_ms]
+   (recoveries are clamped), so a generated plan always converges: by
+   the horizon all hosts are up, partitions healed, loss zero and no
+   host slowed. *)
 let generate ~seed ~duration_ms ?(warmup_ms = 5_000.0)
     ?(mean_gap_ms = 8_000.0) ?(crashable = []) ?(partitionable = [])
-    ?(slowable = []) ?(loss_levels = [ 0.05; 0.2 ]) ?(cuttable_links = [])
-    ?(slowable_links = []) () =
+    ?(slowable = []) () =
   let prng = Vsim.Prng.create ~seed in
   let pick xs = List.nth xs (Vsim.Prng.int prng (List.length xs)) in
-  (* The link kinds append after the host kinds: with the default empty
-     link lists the kind list — and therefore every PRNG draw — is
-     unchanged, so pre-fabric plans replay byte-identically. *)
   let kinds =
     List.concat
       [
         (if crashable <> [] then [ `Crash ] else []);
         (if List.length partitionable >= 2 then [ `Partition ] else []);
-        (if loss_levels <> [] then [ `Loss ] else []);
+        [ `Loss ];
         (if slowable <> [] then [ `Slow ] else []);
-        (if cuttable_links <> [] then [ `Link_cut ] else []);
-        (if slowable_links <> [] then [ `Link_slow ] else []);
       ]
   in
-  if kinds = [] then { seed; events = [] }
-  else begin
-    let events = ref [] in
-    let horizon = duration_ms *. 0.9 in
-    let clamp at d = Float.min (at +. d) horizon in
-    let t = ref (warmup_ms +. Vsim.Prng.exponential prng ~mean:mean_gap_ms) in
-    while !t < horizon -. 1_000.0 do
-      let at = !t in
-      let ep =
-        match pick kinds with
-        | `Crash ->
-            let addr = pick crashable in
-            let downtime = 1_000.0 +. Vsim.Prng.exponential prng ~mean:2_000.0 in
-            crash_restart ~addr ~at ~downtime_ms:(clamp at downtime -. at)
-        | `Partition ->
-            let a = pick partitionable in
-            let b = pick (List.filter (fun x -> x <> a) partitionable) in
-            let d = 500.0 +. Vsim.Prng.exponential prng ~mean:1_500.0 in
-            partition_heal ~a ~b ~at ~duration_ms:(clamp at d -. at)
-        | `Loss ->
-            let p = pick loss_levels in
-            let d = 500.0 +. Vsim.Prng.exponential prng ~mean:2_000.0 in
-            loss_burst ~at ~duration_ms:(clamp at d -. at) ~p
-        | `Slow ->
-            let addr = pick slowable in
-            let ms = 1.0 +. Vsim.Prng.float prng *. 4.0 in
-            let d = 1_000.0 +. Vsim.Prng.exponential prng ~mean:3_000.0 in
-            slow_host ~addr ~at ~duration_ms:(clamp at d -. at) ~ms
-        | `Link_cut ->
-            let link = pick cuttable_links in
-            let d = 500.0 +. Vsim.Prng.exponential prng ~mean:1_500.0 in
-            link_cut_heal ~link ~at ~duration_ms:(clamp at d -. at)
-        | `Link_slow ->
-            let link = pick slowable_links in
-            let ms = 0.5 +. Vsim.Prng.float prng *. 2.0 in
-            let d = 1_000.0 +. Vsim.Prng.exponential prng ~mean:3_000.0 in
-            slow_link ~link ~at ~duration_ms:(clamp at d -. at) ~ms
-      in
-      events := ep @ !events;
-      t := !t +. Vsim.Prng.exponential prng ~mean:mean_gap_ms
-    done;
-    { seed; events = sorted !events }
-  end
+  let events = ref [] in
+  let horizon = duration_ms *. 0.9 in
+  let clamp at d = Float.min (at +. d) horizon in
+  let t = ref (warmup_ms +. Vsim.Prng.exponential prng ~mean:mean_gap_ms) in
+  while !t < horizon -. 1_000.0 do
+    let at = !t in
+    let ep =
+      match pick kinds with
+      | `Crash ->
+          let addr = pick crashable in
+          let downtime = 1_000.0 +. Vsim.Prng.exponential prng ~mean:2_000.0 in
+          crash_restart ~addr ~at ~downtime_ms:(clamp at downtime -. at)
+      | `Partition ->
+          let a = pick partitionable in
+          let b = pick (List.filter (fun x -> x <> a) partitionable) in
+          let d = 500.0 +. Vsim.Prng.exponential prng ~mean:1_500.0 in
+          partition_heal ~a ~b ~at ~duration_ms:(clamp at d -. at)
+      | `Loss ->
+          let p = pick loss_levels in
+          let d = 500.0 +. Vsim.Prng.exponential prng ~mean:2_000.0 in
+          loss_burst ~at ~duration_ms:(clamp at d -. at) ~p
+      | `Slow ->
+          let addr = pick slowable in
+          let ms = 1.0 +. Vsim.Prng.float prng *. 4.0 in
+          let d = 1_000.0 +. Vsim.Prng.exponential prng ~mean:3_000.0 in
+          slow_host ~addr ~at ~duration_ms:(clamp at d -. at) ~ms
+    in
+    events := ep @ !events;
+    t := !t +. Vsim.Prng.exponential prng ~mean:mean_gap_ms
+  done;
+  { seed; events = sorted !events }

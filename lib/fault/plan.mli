@@ -53,22 +53,16 @@ val loss_burst : at:float -> duration_ms:float -> p:float -> event list
 val slow_host :
   addr:Ethernet.addr -> at:float -> duration_ms:float -> ms:float -> event list
 
-val link_cut_heal : link:link -> at:float -> duration_ms:float -> event list
-
-val slow_link :
-  link:link -> at:float -> duration_ms:float -> ms:float -> event list
-
 (** {1 Seeded generation}
 
     A randomized sequence of episodes between [warmup_ms] and 90% of
-    [duration_ms], with exponential gaps of mean [mean_gap_ms]. Only
-    fault kinds whose host lists are non-empty are drawn. Every fault
-    is paired with its recovery and every episode completes before the
-    horizon, so a generated plan always converges: by [duration_ms]
-    all hosts are up, partitions healed, loss zero, no host slowed, all
-    links up and clean. With the default empty [cuttable_links] and
-    [slowable_links] the PRNG draw sequence is unchanged, so pre-fabric
-    seeds replay byte-identical plans. *)
+    [duration_ms], with exponential gaps of mean [mean_gap_ms]. Loss
+    bursts (at 5% or 20%) are always drawn; the other fault kinds only
+    when their host lists are non-empty. Every fault is paired with its
+    recovery and every episode completes before the horizon, so a
+    generated plan always converges: by [duration_ms] all hosts are up,
+    partitions healed, loss zero and no host slowed. Link faults are
+    never drawn; a switched-fabric plan adds them with {!of_events}. *)
 val generate :
   seed:int ->
   duration_ms:float ->
@@ -77,8 +71,5 @@ val generate :
   ?crashable:Ethernet.addr list ->
   ?partitionable:Ethernet.addr list ->
   ?slowable:Ethernet.addr list ->
-  ?loss_levels:float list ->
-  ?cuttable_links:link list ->
-  ?slowable_links:link list ->
   unit ->
   t

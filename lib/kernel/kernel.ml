@@ -255,7 +255,6 @@ and 'm sg_entry = {
 
 and 'm service_group = {
   sg_group : int;  (* the process group implementing the service *)
-  sg_policy : Balancer.policy;
   mutable sg_cursor : int;  (* round-robin position, seeded at registration *)
   sg_log : 'm sg_entry Queue.t;  (* oldest first; aborted entries linger *)
   mutable sg_stragglers : 'm sg_entry list;  (* newest first *)
@@ -1298,7 +1297,7 @@ let local_service_lookup host ~service ~origin =
 
 (* --- replicated services: a logical service id bound to a group --- *)
 
-let register_service_group d ~service ~group policy =
+let register_service_group d ~service ~group =
   (* The only randomness replica selection consumes: the round-robin
      cursor's starting point. Drawn here, once, so a domain that never
      registers a group draws nothing and replays bit-identically. *)
@@ -1306,7 +1305,6 @@ let register_service_group d ~service ~group policy =
   Hashtbl.replace d.service_groups service
     {
       sg_group = group;
-      sg_policy = policy;
       sg_cursor = cursor;
       sg_log = Queue.create ();
       sg_stragglers = [];
@@ -1503,6 +1501,9 @@ let balanced_lookup_available host ~service =
       | () -> false
       | exception Exit -> true)
 
+(* GetPid on a replicated service picks round-robin among the live
+   reachable members, in address order: a pure function of the cursor,
+   so a seeded run replays the identical choices. *)
 let balanced_choice host ~service =
   let d = host.domain in
   match Hashtbl.find_opt d.service_groups service with
@@ -1511,19 +1512,11 @@ let balanced_choice host ~service =
       match reachable_group_members d ~requester:host.addr ~group:sg.sg_group with
       | [] -> None
       | members ->
-          let choice =
-            Balancer.pick sg.sg_policy ~cursor:sg.sg_cursor ~origin:host.addr
-              members
-          in
-          (match sg.sg_policy with
-          | Balancer.Round_robin -> sg.sg_cursor <- sg.sg_cursor + 1
-          | Balancer.Nearest_host -> ());
-          (match choice with
-          | Some pid ->
-              report host Balancer_pick service (Pid.to_int pid)
-                (List.length members)
-          | None -> ());
-          choice)
+          let n = List.length members in
+          let pid = fst (List.nth members (((sg.sg_cursor mod n) + n) mod n)) in
+          sg.sg_cursor <- sg.sg_cursor + 1;
+          report host Balancer_pick service (Pid.to_int pid) n;
+          Some pid)
 
 let get_pid proc ~service scope =
   check_alive proc;

@@ -256,14 +256,13 @@ val forward_group :
 
     A logical service id may be bound, domain-wide, to a process group.
     While the binding is in place, [get_pid] for that service returns
-    one live reachable member, chosen by a deterministic balancer
-    ({!Balancer.policy}) — ahead of the broadcast path, but after the
-    local service table. The round-robin cursor is
-    seeded from the domain PRNG once at registration, so a run that
-    never registers a group draws nothing and replays bit-identically. *)
+    one live reachable member, chosen round-robin in address order —
+    ahead of the broadcast path, but after the local service table. The
+    round-robin cursor is seeded from the domain PRNG once at
+    registration, so a run that never registers a group draws nothing
+    and replays bit-identically. *)
 
-val register_service_group :
-  'm domain -> service:int -> group:int -> Balancer.policy -> unit
+val register_service_group : 'm domain -> service:int -> group:int -> unit
 
 (** Remove the service→group binding; [get_pid] reverts to the ordinary
     cache/broadcast path. *)

@@ -136,17 +136,20 @@ let names t =
 let series_count t = Hashtbl.length t.series
 let series_dropped t = t.series_dropped
 
-(* Eight-level block sparkline over the last [width] points, scaled to
-   the window's own min..max (a flat series renders as a low bar). *)
+(* Eight-level block sparkline over the last [spark_width] points,
+   scaled to the window's own min..max (a flat series renders as a low
+   bar). *)
+let spark_width = 24
+
 let spark_chars = [| "\u{2581}"; "\u{2582}"; "\u{2583}"; "\u{2584}";
                     "\u{2585}"; "\u{2586}"; "\u{2587}"; "\u{2588}" |]
 
-let sparkline ?(width = 24) t name =
+let sparkline t name =
   match Hashtbl.find_opt t.series name with
   | None -> ""
   | Some s when s.len = 0 -> ""
   | Some s ->
-      let start = Int.max 0 (s.len - width) in
+      let start = Int.max 0 (s.len - spark_width) in
       let window = Array.sub s.values start (s.len - start) in
       let lo = Array.fold_left Float.min window.(0) window in
       let hi = Array.fold_left Float.max window.(0) window in

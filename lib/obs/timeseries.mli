@@ -44,9 +44,9 @@ val series_count : t -> int
 (** Series creations refused by the [max_series] cap. *)
 val series_dropped : t -> int
 
-(** Unicode block sparkline of the last [width] (default 24) points,
-    scaled to the window's own range; "" for unknown or empty series. *)
-val sparkline : ?width:int -> t -> string -> string
+(** Unicode block sparkline of the last 24 points, scaled to the
+    window's own range; "" for unknown or empty series. *)
+val sparkline : t -> string -> string
 
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

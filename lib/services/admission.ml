@@ -142,8 +142,8 @@ let uninstall domain pid = Kernel.clear_admission domain pid
 
 (* A context prefix server is a pure name server; protect it as one.
    (It lives below this library, so the adoption helper is here.) *)
-let protect_prefix_server domain ps ?(config = name_server ()) () =
-  install domain (Prefix_server.pid ps) config
+let protect_prefix_server domain ps =
+  install domain (Prefix_server.pid ps) (name_server ())
 
 (* [(admitted, shed)] since installation. *)
 let counters domain pid = Kernel.admission_counters domain pid

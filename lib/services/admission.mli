@@ -81,13 +81,9 @@ val install : Vnaming.Vmsg.t Kernel.domain -> Pid.t -> config -> unit
 (** Remove the policy; queued bulk work drains back unharmed. *)
 val uninstall : Vnaming.Vmsg.t Kernel.domain -> Pid.t -> unit
 
-(** Protect a context prefix server (default config {!name_server}). *)
+(** Protect a context prefix server with the {!name_server} config. *)
 val protect_prefix_server :
-  Vnaming.Vmsg.t Kernel.domain ->
-  Vnaming.Prefix_server.t ->
-  ?config:config ->
-  unit ->
-  unit
+  Vnaming.Vmsg.t Kernel.domain -> Vnaming.Prefix_server.t -> unit
 
 (** [(admitted, shed)] since installation; [(0, 0)] when none. *)
 val counters : Vnaming.Vmsg.t Kernel.domain -> Pid.t -> int * int

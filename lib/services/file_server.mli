@@ -46,8 +46,9 @@ val admission_config : t -> Admission.config option
 (** Boot a fresh server process over the state of a crashed one: the
     disk and directory structure survive, buffered pages and open
     instances do not. The new process has a new pid and re-registers the
-    storage service (what logical prefix bindings re-resolve to). *)
-val restart_from : t -> Vmsg.t Kernel.host -> ?scope:Service.scope -> unit -> t
+    storage service, in the scope {!start} was given (what logical
+    prefix bindings re-resolve to). *)
+val restart_from : t -> Vmsg.t Kernel.host -> t
 
 (** Direct access to the underlying filesystem and disk, for scenario
     setup and benchmarks. Live traffic uses the protocols. *)

@@ -15,7 +15,6 @@
 module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
 module Service = Vkernel.Service
-module Balancer = Vkernel.Balancer
 module Ethernet = Vnet.Ethernet
 open Vnaming
 
@@ -23,13 +22,11 @@ type t = {
   domain : Vmsg.t Kernel.domain;
   service : int;
   group : int;
-  policy : Balancer.policy;
   mutable members : (Ethernet.addr * File_server.t) list;
 }
 
 let service t = t.service
 let group t = t.group
-let policy t = t.policy
 let factor t = List.length t.members
 
 let members t =
@@ -52,21 +49,19 @@ let enroll t host fs =
   Kernel.set_pid host ~service:t.service p Service.Remote;
   Kernel.join_group host ~group:t.group p
 
-let install domain ?(service = Service.Id.replica_storage)
-    ?(policy = Balancer.Round_robin) ~members () =
+let install domain ?(service = Service.Id.replica_storage) ~members () =
   let group = Kernel.create_group domain in
   let t =
     {
       domain;
       service;
       group;
-      policy;
       members =
         List.map (fun (host, fs) -> (Kernel.host_addr host, fs)) members;
     }
   in
   List.iter (fun (host, fs) -> enroll t host fs) members;
-  Kernel.register_service_group domain ~service ~group policy;
+  Kernel.register_service_group domain ~service ~group;
   t
 
 let uninstall t = Kernel.clear_service_group t.domain ~service:t.service
@@ -79,16 +74,12 @@ let uninstall t = Kernel.clear_service_group t.domain ~service:t.service
    replicated-write backpressure is applied. Members protect their
    replacements automatically across [revive] (the config rides the
    file-server record through [restart_from]). *)
-let protect t ?config ps =
-  let cfg =
-    match config with
-    | Some c -> c
-    | None -> Admission.coordinator ~replicas:(factor t) ()
-  in
+let protect t ps =
   List.iter
     (fun (_, fs) -> File_server.enable_admission fs t.domain ())
     t.members;
-  Admission.install t.domain (Prefix_server.pid ps) cfg
+  Admission.install t.domain (Prefix_server.pid ps)
+    (Admission.coordinator ~replicas:(factor t) ())
 
 (* Retries per logged entry before a catch-up gives up: the sends are
    host-local, so a failure means the host is going down again and the
@@ -160,7 +151,7 @@ let revive t addr =
   match (find_member t addr, Kernel.host_of_addr t.domain addr) with
   | None, _ | _, None -> None
   | Some fs, Some host ->
-      let fresh = File_server.restart_from fs host () in
+      let fresh = File_server.restart_from fs host in
       t.members <-
         (addr, fresh) :: List.remove_assoc addr t.members;
       let covered =

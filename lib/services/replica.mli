@@ -11,20 +11,18 @@
 module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
 module Service = Vkernel.Service
-module Balancer = Vkernel.Balancer
 module Ethernet = Vnet.Ethernet
 open Vnaming
 
 type t
 
 (** Join [members] into a fresh process group and bind it to [service]
-    (default {!Service.Id.replica_storage}) with the given balancer
-    policy. Members register the service with [Remote] scope so lookups
-    on their own hosts still balance. *)
+    (default {!Service.Id.replica_storage}); GetPid picks among them
+    round-robin. Members register the service with [Remote] scope so
+    lookups on their own hosts still balance. *)
 val install :
   Vmsg.t Kernel.domain ->
   ?service:int ->
-  ?policy:Balancer.policy ->
   members:(Vmsg.t Kernel.host * File_server.t) list ->
   unit ->
   t
@@ -37,12 +35,11 @@ val uninstall : t -> unit
     admitted) and the coordinating prefix server [ps] gets
     {!Admission.coordinator} sized to the replication factor — the one
     place replicated-write backpressure is applied. Survives
-    {!revive}. [?config] overrides the coordinator policy. *)
-val protect : t -> ?config:Admission.config -> Prefix_server.t -> unit
+    {!revive}. *)
+val protect : t -> Prefix_server.t -> unit
 
 val service : t -> int
 val group : t -> int
-val policy : t -> Balancer.policy
 val factor : t -> int
 
 (** Members sorted by host address. *)

@@ -70,8 +70,7 @@ let drive attach =
   in
   let shedder = serve b "shedder" reply in
   K.set_admission domain shedder (fun ~now:_ ~depth:_ _ -> K.Shed "busy");
-  K.register_service_group domain ~service:7 ~group
-    Vkernel.Balancer.Round_robin;
+  K.register_service_group domain ~service:7 ~group;
   let sleeper = serve c "sleeper" reply in
   let victim = serve d "victim" reply in
   let at host t body =
@@ -572,7 +571,7 @@ let drive_resilience () =
       let fs0 = host_at t (Scenario.fs_addr 0) in
       K.crash_host fs0;
       K.restart_host fs0;
-      ignore (File_server.restart_from (Scenario.file_server t 0) fs0 ());
+      ignore (File_server.restart_from (Scenario.file_server t 0) fs0);
       ok "write" (Runtime.write_file env "f.txt" (Bytes.of_string "v2"));
       ok "write" (Runtime.write_file env "[storage]h.txt" (Bytes.of_string "v2"));
       K.crash_host (host_at t (Scenario.fs_addr 1));

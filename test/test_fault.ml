@@ -199,7 +199,7 @@ let test_logical_binding_failover () =
          in
          K.crash_host fs_host;
          K.restart_host fs_host;
-         let fs' = File_server.restart_from (Scenario.file_server t 0) fs_host () in
+         let fs' = File_server.restart_from (Scenario.file_server t 0) fs_host in
          ok_exn "write after restart"
            (Runtime.write_file env "[storage]tmp/fo.txt" (Bytes.of_string "v2"));
          let spec = ok_exn "resolve" (Runtime.resolve env "[storage]") in
@@ -230,7 +230,7 @@ let test_pinned_context_rebind () =
          in
          K.crash_host fs_host;
          K.restart_host fs_host;
-         ignore (File_server.restart_from (Scenario.file_server t 0) fs_host ());
+         ignore (File_server.restart_from (Scenario.file_server t 0) fs_host);
          (* The pinned context still holds the dead incarnation's pid;
             only re-resolution by name can heal it. *)
          ok_exn "write after restart"

@@ -5,7 +5,6 @@
 
 module K = Vkernel.Kernel
 module Pid = Vkernel.Pid
-module Balancer = Vkernel.Balancer
 module E = Vnet.Ethernet
 module Topology = Vnet.Topology
 module C = Vnet.Calibration
@@ -24,8 +23,7 @@ let log_domain () =
   let net = E.create ~config:C.ethernet_3mbit eng in
   let d = K.create_domain ~cost:int_cost eng net in
   let service = 77 in
-  K.register_service_group d ~service ~group:(K.create_group d)
-    Balancer.Round_robin;
+  K.register_service_group d ~service ~group:(K.create_group d);
   (d, service)
 
 (* --- the write log against its model --- *)
@@ -274,7 +272,7 @@ let lookup_words ~hosts =
       let h = hs.(a) in
       K.join_group h ~group (K.spawn h (fun self -> ignore (K.receive self))))
     [ 3; 40; 77 ];
-  K.register_service_group d ~service ~group Balancer.Round_robin;
+  K.register_service_group d ~service ~group;
   let lookup () = K.service_group_members d ~requester:5 ~service in
   Alcotest.(check int) "three members" 3 (List.length (lookup ()));
   let reps = 100 in
