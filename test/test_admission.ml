@@ -362,6 +362,78 @@ let test_busy_end_to_end () =
   Scenario.run t;
   Alcotest.(check bool) "client completed" true !checked
 
+(* --- shed replies through the service stubs --- *)
+
+let shed_everything () =
+  Admission.make ~queue_cap:0 ~bulk_cap:0 ~retry_floor_ms:5.0 ~service_ms:15.0
+    ()
+
+(* Run [body] as a client on workstation 0 and check it finished. *)
+let run_client (t : Scenario.t) body =
+  let checked = ref false in
+  ignore
+    (Scenario.spawn_client t ~ws:0 (fun self _env ->
+         body self;
+         checked := true));
+  Scenario.run t;
+  Alcotest.(check bool) "client completed" true !checked
+
+(* A shed at the time server reaches the client as Verr.Busy with the
+   server's hint, which the resilience policy retries. *)
+let test_time_server_busy () =
+  let t = Scenario.build ~workstations:1 ~file_servers:1 () in
+  Admission.install t.Scenario.domain t.Scenario.time_pid (shed_everything ());
+  run_client t (fun self ->
+      match Vservices.Time_server.get_time self with
+      | Error (Verr.Busy { retry_after_ms } as e) ->
+          Alcotest.(check (float 1e-9)) "floor hint" 5.0 retry_after_ms;
+          Alcotest.(check bool) "retryable" true (Resilience.retryable e)
+      | Ok _ -> Alcotest.fail "zero-capacity time server must shed"
+      | Error e -> Alcotest.failf "expected Verr.Busy, got %a" Verr.pp e)
+
+(* The baseline name server's stubs surface a shed the same way. *)
+let test_name_server_busy () =
+  let t = Scenario.build ~workstations:1 ~file_servers:1 () in
+  let ns_host = K.boot_host t.Scenario.domain ~name:"ns" 210 in
+  let ns = Vbaseline.Name_server.start ns_host in
+  let ns_pid = Vbaseline.Name_server.pid ns in
+  Admission.install t.Scenario.domain ns_pid (shed_everything ());
+  run_client t (fun self ->
+      match Vbaseline.Name_server.lookup self ~ns:ns_pid ~name:"tmp/x" with
+      | Error (Verr.Busy _) -> ()
+      | Ok _ -> Alcotest.fail "zero-capacity name server must shed"
+      | Error e -> Alcotest.failf "expected Verr.Busy, got %a" Verr.pp e)
+
+(* The program manager answers RunProgram with Busy when the storage
+   server it loads from sheds the program's QueryName. *)
+let test_run_program_busy () =
+  let t = Scenario.build ~workstations:1 ~file_servers:1 () in
+  let fs = Scenario.file_server t 0 in
+  (match
+     Vservices.Program_manager.install_image fs ~name:"hello"
+       ~image:(Bytes.make 64 'h')
+   with
+  | Ok () -> ()
+  | Error code -> Alcotest.failf "install: %s" (Reply.to_string code));
+  let pm =
+    Vservices.Program_manager.pid
+      (Scenario.workstation t 0).Scenario.ws_programs
+  in
+  File_server.enable_admission fs t.Scenario.domain
+    ~config:(shed_everything ()) ();
+  run_client t (fun self ->
+      let msg =
+        Vmsg.request
+          ~payload:(Vservices.Svc.P_run { program = "hello"; argument = "" })
+          Vservices.Svc.Op.run_program
+      in
+      match K.send self pm msg with
+      | Ok (reply, _) ->
+          Alcotest.(check (option string))
+            "RunProgram reply" (Some "busy")
+            (Option.map Reply.to_string (Vmsg.reply_code reply))
+      | Error e -> Alcotest.failf "RunProgram send failed: %a" K.pp_error e)
+
 let suite =
   [
     ( "admission",
@@ -379,5 +451,11 @@ let suite =
           test_next_step_honors_hint;
         Alcotest.test_case "busy propagates end to end" `Quick
           test_busy_end_to_end;
+        Alcotest.test_case "time server shed is Busy" `Quick
+          test_time_server_busy;
+        Alcotest.test_case "name server shed is Busy" `Quick
+          test_name_server_busy;
+        Alcotest.test_case "RunProgram answers Busy" `Quick
+          test_run_program_busy;
       ] );
   ]
