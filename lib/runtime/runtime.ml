@@ -438,16 +438,13 @@ let transact_name env ~code ?payload ?extra_bytes name =
       | Some p -> Vmsg.with_deadline msg (t0 +. p.Vio.Resilience.deadline_ms)
       | None -> msg
     in
-    match Kernel.send env.self target msg with
-    | Error e -> Error (Vio.Verr.Ipc e)
-    | Ok (reply, replier) -> (
-        match Verr_reply.check reply with
-        | Ok m ->
-            (match m.Vmsg.binding with
-            | Some b -> learn_from_reply env name b
-            | None -> ());
-            Ok (m, replier)
-        | Error e -> Error e)
+    match Vio.Client.transact env.self ~server:target msg with
+    | Ok (m, _) as ok ->
+        (match m.Vmsg.binding with
+        | Some b -> learn_from_reply env name b
+        | None -> ());
+        ok
+    | Error _ as e -> e
   in
   let result = run_routed env cache name ~t0 ~first attempt in
   finish_op env ~op ~t0 ~first ~outer result
@@ -504,15 +501,11 @@ let () =
    for its local path. *)
 let current_context_name env =
   charge_stub env;
-  let ask target payload =
-    match Kernel.send env.self target payload with
-    | Error e -> Error (Vio.Verr.Ipc e)
-    | Ok (reply, _) -> (
-        match (Vmsg.reply_code reply, reply.Vmsg.payload) with
-        | Some Reply.Ok, Vmsg.P_name n -> Ok n
-        | Some Reply.Ok, _ -> Error (Vio.Verr.Protocol "inverse map reply")
-        | Some code, _ -> Error (Vio.Verr.Denied code)
-        | None, _ -> Error (Vio.Verr.Protocol "expected reply"))
+  let ask target msg =
+    match Vio.Client.transact env.self ~server:target msg with
+    | Error e -> Error e
+    | Ok ({ Vmsg.payload = Vmsg.P_name n; _ }, _) -> Ok n
+    | Ok _ -> Error (Vio.Verr.Protocol "inverse map reply")
   in
   let via_prefix =
     ask env.prefix_server
@@ -634,17 +627,13 @@ let add_prefix env prefix target =
   charge_stub env;
   let req = Csname.make_req prefix in
   let msg = Vmsg.request ~name:req ~payload Vmsg.Op.add_context_name in
-  match Kernel.send env.self env.prefix_server msg with
-  | Error e -> Error (Vio.Verr.Ipc e)
-  | Ok (reply, _) -> Result.map (fun _ -> ()) (Verr_reply.check reply)
+  expect_ok (Vio.Client.transact env.self ~server:env.prefix_server msg)
 
 let delete_prefix env prefix =
   charge_stub env;
   let req = Csname.make_req prefix in
   let msg = Vmsg.request ~name:req Vmsg.Op.delete_context_name in
-  match Kernel.send env.self env.prefix_server msg with
-  | Error e -> Error (Vio.Verr.Ipc e)
-  | Ok (reply, _) -> Result.map (fun _ -> ()) (Verr_reply.check reply)
+  expect_ok (Vio.Client.transact env.self ~server:env.prefix_server msg)
 
 (* Define a cross-server pointer: a name in one (storage) context that
    points at a context on another server (the curved arrow of

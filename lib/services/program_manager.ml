@@ -61,11 +61,10 @@ let load self ~storage ~context ~name ~size =
   match Kernel.send self ~buffer storage msg with
   | Error e -> Error (Vio.Verr.Ipc e)
   | Ok (reply, _) -> (
-      match (Vmsg.reply_code reply, reply.Vmsg.payload) with
-      | Some Reply.Ok, Vmsg.P_count n -> Ok (Bytes.sub buffer 0 n)
-      | Some Reply.Ok, _ -> Error (Vio.Verr.Protocol "LoadFile reply")
-      | Some code, _ -> Error (Vio.Verr.Denied code)
-      | None, _ -> Error (Vio.Verr.Protocol "expected reply"))
+      match Vio.Verr.of_reply reply with
+      | Error e -> Error e
+      | Ok { Vmsg.payload = Vmsg.P_count n; _ } -> Ok (Bytes.sub buffer 0 n)
+      | Ok _ -> Error (Vio.Verr.Protocol "LoadFile reply"))
 
 let record_execution t ~now ~program ~argument =
   let e =
@@ -96,33 +95,29 @@ let run_program t self ~program ~argument =
           ~name:(Csname.make_req ~context:Context.Well_known.programs program)
           Vmsg.Op.query_name
       in
-      match Kernel.send self storage query with
-      | Error e -> Error (Vio.Verr.Ipc e)
-      | Ok (reply, _) -> (
-          match (Vmsg.reply_code reply, reply.Vmsg.payload) with
-          | Some Reply.Ok, Vmsg.P_descriptor d ->
-              let size = max 1 d.Descriptor.size in
-              (match
-                 load self ~storage ~context:Context.Well_known.programs
-                   ~name:program ~size
-               with
-              | Error e -> Error e
-              | Ok (_image : bytes) ->
-                  let execution =
-                    record_execution t ~now:(Vsim.Engine.now engine) ~program
-                      ~argument
-                  in
-                  let status =
-                    match Hashtbl.find_opt t.programs program with
-                    | Some body -> body self ~argument
-                    | None -> 0
-                  in
-                  execution.finished <- Some (Vsim.Engine.now engine);
-                  execution.status <- Some status;
-                  Ok status)
-          | Some Reply.Ok, _ -> Error (Vio.Verr.Protocol "QueryName reply")
-          | Some code, _ -> Error (Vio.Verr.Denied code)
-          | None, _ -> Error (Vio.Verr.Protocol "expected reply")))
+      match Vio.Client.transact self ~server:storage query with
+      | Error e -> Error e
+      | Ok ({ Vmsg.payload = Vmsg.P_descriptor d; _ }, _) -> (
+          let size = max 1 d.Descriptor.size in
+          match
+            load self ~storage ~context:Context.Well_known.programs
+              ~name:program ~size
+          with
+          | Error e -> Error e
+          | Ok (_image : bytes) ->
+              let execution =
+                record_execution t ~now:(Vsim.Engine.now engine) ~program
+                  ~argument
+              in
+              let status =
+                match Hashtbl.find_opt t.programs program with
+                | Some body -> body self ~argument
+                | None -> 0
+              in
+              execution.finished <- Some (Vsim.Engine.now engine);
+              execution.status <- Some status;
+              Ok status)
+      | Ok _ -> Error (Vio.Verr.Protocol "QueryName reply"))
 
 (* Boot the per-workstation program manager: serves RunProgram and a
    CSNH context listing programs in execution. *)
@@ -167,6 +162,7 @@ let start host =
                   match run_program t self ~program ~argument with
                   | Ok status -> Vmsg.ok ~payload:(Svc.P_exit_status status) ()
                   | Error (Vio.Verr.Denied code) -> Vmsg.reply code
+                  | Error (Vio.Verr.Busy _) -> Vmsg.reply Reply.Busy
                   | Error _ -> Vmsg.reply Reply.Server_error)
               | _ -> Vmsg.reply Reply.Bad_operation
             in

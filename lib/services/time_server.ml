@@ -29,11 +29,7 @@ let get_time self =
   match Kernel.get_pid self ~service:Service.Id.time Vkernel.Service.Both with
   | None -> Error (Vio.Verr.Denied Reply.No_server)
   | Some server -> (
-      match Kernel.send self server (Vmsg.request Svc.Op.get_time) with
-      | Error e -> Error (Vio.Verr.Ipc e)
-      | Ok (reply, _) -> (
-          match (Vmsg.reply_code reply, reply.Vmsg.payload) with
-          | Some Reply.Ok, Svc.P_time t -> Ok t
-          | Some Reply.Ok, _ -> Error (Vio.Verr.Protocol "GetTime reply")
-          | Some code, _ -> Error (Vio.Verr.Denied code)
-          | None, _ -> Error (Vio.Verr.Protocol "expected reply")))
+      match Vio.Client.transact self ~server (Vmsg.request Svc.Op.get_time) with
+      | Error e -> Error e
+      | Ok ({ Vmsg.payload = Svc.P_time t; _ }, _) -> Ok t
+      | Ok _ -> Error (Vio.Verr.Protocol "GetTime reply"))

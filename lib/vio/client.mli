@@ -17,6 +17,16 @@ val instance_id : remote_instance -> int
 val size : remote_instance -> int
 val block_size : remote_instance -> int
 
+(** Send [msg] to [server] and check the reply with {!Verr.of_reply}:
+    the successful reply and the pid that answered, or the failure it
+    encodes (a shed as [Verr.Busy]). Every client stub checks its
+    replies this way. *)
+val transact :
+  Vnaming.Vmsg.t Kernel.self ->
+  server:Pid.t ->
+  Vnaming.Vmsg.t ->
+  (Vnaming.Vmsg.t * Pid.t, Verr.t) result
+
 (** Send CreateInstance directly to [server] (no prefix routing).
     [?learn] receives the resolution binding a successful reply was
     stamped with, letting the naming layer feed its cache. [?deadline]
