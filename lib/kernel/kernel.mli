@@ -154,10 +154,6 @@ val send : 'm self -> ?buffer:bytes -> Pid.t -> 'm -> ('m * Pid.t, error) result
 (** Block until any message arrives; returns (message, sender). *)
 val receive : 'm self -> 'm * Pid.t
 
-(** Block until a message whose sender satisfies [from] arrives; other
-    messages stay queued. *)
-val receive_where : 'm self -> from:(Pid.t -> bool) -> 'm * Pid.t
-
 (** Complete the transaction of blocked sender [to_]. *)
 val reply : 'm self -> to_:Pid.t -> 'm -> (unit, error) result
 

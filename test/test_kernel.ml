@@ -156,32 +156,6 @@ let test_reply_without_receive () =
   Alcotest.(check bool) "not awaiting reply" (Error K.Not_awaiting_reply = !result)
     true
 
-let test_receive_where () =
-  let rig = make_rig () in
-  let h = K.boot_host rig.domain ~name:"ws" 1 in
-  let log = ref [] in
-  let server =
-    K.spawn h ~name:"selective" (fun self ->
-        (* Wait specifically for the second client's message first. *)
-        let msg1, s1 = K.receive_where self ~from:(fun _ -> true) in
-        ignore (K.reply self ~to_:s1 msg1);
-        let msg2, s2 = K.receive self in
-        ignore (K.reply self ~to_:s2 msg2))
-  in
-  ignore
-    (K.spawn h ~name:"c1" (fun self ->
-         match K.send self server "first" with
-         | Ok (r, _) -> log := r :: !log
-         | Error _ -> ()));
-  ignore
-    (K.spawn h ~name:"c2" (fun self ->
-         Vsim.Proc.delay rig.eng 1.0;
-         match K.send self server "second" with
-         | Ok (r, _) -> log := r :: !log
-         | Error _ -> ()));
-  Vsim.Engine.run rig.eng;
-  Alcotest.(check (list string)) "both served" [ "second"; "first" ] !log
-
 (* --- Forward --- *)
 
 let test_forward_local_chain () =
@@ -1132,7 +1106,6 @@ let suite =
         Alcotest.test_case "nack for dying target" `Quick
           test_send_to_dying_process_nacks;
         Alcotest.test_case "reply without receive" `Quick test_reply_without_receive;
-        Alcotest.test_case "receive_where" `Quick test_receive_where;
       ] );
     ( "kernel.forward",
       [
