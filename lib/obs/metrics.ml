@@ -3,9 +3,8 @@
 
    The store is designed for the simulation's hot paths: recording
    never touches simulated time (so instrumented and uninstrumented runs
-   are bit-identical), and a disabled store reduces every operation to
-   one boolean test. Instruments are created lazily on first use, so
-   call sites need no setup.
+   are bit-identical), and it is always on. Instruments are created
+   lazily on first use, so call sites need no setup.
 
    Every recording lands at its leaf key (the host is the scope). While
    a group mapping is installed, it also lands at its group key and at
@@ -98,7 +97,6 @@ let leaf_cap = 4096
 let exemplar_slots = 2
 
 type t = {
-  mutable enabled : bool;
   bounds : float array;
   probe : slot;
   entries : entry Slots.t;
@@ -117,7 +115,6 @@ type t = {
 
 let create ?(bounds = Histogram.default_bounds) () =
   {
-    enabled = true;
     bounds;
     probe = { s_level = Leaf; s_scope = ""; s_server = ""; s_op = "" };
     entries = Slots.create 128;
@@ -129,8 +126,6 @@ let create ?(bounds = Histogram.default_bounds) () =
     sources = [];
   }
 
-let enabled t = t.enabled
-let set_enabled t flag = t.enabled <- flag
 let add_source t f = t.sources <- t.sources @ [ f ]
 
 (* The scrape: every reader runs it before reading. *)
@@ -215,16 +210,14 @@ let count e by =
   | None -> e.counter <- Some (ref by)
 
 let incr ?(by = 1) t ~host ~server ~op =
-  if t.enabled then begin
-    let e = leaf t ~host ~server ~op in
-    if e != t.refused then count e by;
-    match t.group_of with
-    | None -> ()
-    | Some group_of ->
-        fan_out t group_of e ~host ~server ~op;
-        if e.group != no_group then count e.group by;
-        count e.fleet by
-  end
+  let e = leaf t ~host ~server ~op in
+  if e != t.refused then count e by;
+  match t.group_of with
+  | None -> ()
+  | Some group_of ->
+      fan_out t group_of e ~host ~server ~op;
+      if e.group != no_group then count e.group by;
+      count e.fleet by
 
 let gauge e ~peak v =
   match e.gauge with
@@ -232,16 +225,14 @@ let gauge e ~peak v =
   | None -> e.gauge <- Some (ref v)
 
 let set_gauge t ~host ~server ~op v =
-  if t.enabled then begin
-    let e = leaf t ~host ~server ~op in
-    if e != t.refused then gauge e ~peak:false v;
-    match t.group_of with
-    | None -> ()
-    | Some group_of ->
-        fan_out t group_of e ~host ~server ~op;
-        if e.group != no_group then gauge e.group ~peak:true v;
-        gauge e.fleet ~peak:true v
-  end
+  let e = leaf t ~host ~server ~op in
+  if e != t.refused then gauge e ~peak:false v;
+  match t.group_of with
+  | None -> ()
+  | Some group_of ->
+      fan_out t group_of e ~host ~server ~op;
+      if e.group != no_group then gauge e.group ~peak:true v;
+      gauge e.fleet ~peak:true v
 
 let sample ?trace t e v =
   let h =
@@ -258,16 +249,14 @@ let sample ?trace t e v =
   Histogram.observe ?trace ?rand:t.rand h v
 
 let observe ?trace t ~host ~server ~op v =
-  if t.enabled then begin
-    let e = leaf t ~host ~server ~op in
-    if e != t.refused then sample ?trace t e v;
-    match t.group_of with
-    | None -> ()
-    | Some group_of ->
-        fan_out t group_of e ~host ~server ~op;
-        if e.group != no_group then sample ?trace t e.group v;
-        sample ?trace t e.fleet v
-  end
+  let e = leaf t ~host ~server ~op in
+  if e != t.refused then sample ?trace t e v;
+  match t.group_of with
+  | None -> ()
+  | Some group_of ->
+      fan_out t group_of e ~host ~server ~op;
+      if e.group != no_group then sample ?trace t e.group v;
+      sample ?trace t e.fleet v
 
 let counter_value t ~host ~server ~op =
   scrape t;

@@ -17,9 +17,8 @@
       {!keys_dropped}, and still aggregated.
 
     Recording never touches simulated time, so instrumented and
-    uninstrumented runs produce bit-identical results; a disabled store
-    reduces every recording call to one boolean test. Instruments are
-    created lazily on first use.
+    uninstrumented runs produce bit-identical results. The store is
+    always on; instruments are created lazily on first use.
 
     Every reader ({!counter_value} to {!levels_to_json}) first runs the
     registered sources, so counts a producer keeps in place are in the
@@ -38,8 +37,6 @@ val pp_key : Format.formatter -> key -> unit
 type t
 
 val create : ?bounds:float array -> unit -> t
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 (** [add_source t f] registers a producer that keeps counts outside the
     store: every read runs [f t] first (sources in registration order),
@@ -58,7 +55,7 @@ val grouped : t -> bool
 (** The most leaf keys a grouped store admits: 4,096. *)
 val leaf_cap : int
 
-(** Recording. All are no-ops when the store is disabled. *)
+(** Recording. *)
 
 val incr : ?by:int -> t -> host:string -> server:string -> op:string -> unit
 val set_gauge : t -> host:string -> server:string -> op:string -> float -> unit

@@ -27,16 +27,14 @@ let wake_engine = ref (-1)
 
 exception Killed of string
 
-(* Diagnostics for a fiber that dies with an uncaught exception. By
-   default we re-raise out of the engine loop so tests fail loudly; a
-   scenario can install a softer handler. *)
-let on_uncaught : (name:string -> exn -> unit) ref =
-  ref (fun ~name e ->
-      match e with
-      | Killed _ -> () (* normal termination of a killed process *)
-      | e ->
-          Fmt.epr "vsim: process %S died: %s@." name (Printexc.to_string e);
-          raise e)
+(* A fiber that dies with an uncaught exception: print it and re-raise
+   out of the engine loop, so the run fails loudly. [Killed] is the
+   normal end of a torn-down process. *)
+let on_uncaught ~name = function
+  | Killed _ -> ()
+  | e ->
+      Fmt.epr "vsim: process %S died: %s@." name (Printexc.to_string e);
+      raise e
 
 let spawn ?(name = "proc") engine body =
   (* A delay nothing else can resume needs no resumer: one deferred
@@ -77,7 +75,7 @@ let spawn ?(name = "proc") engine body =
       Effect.Deep.match_with body ()
         {
           retc = (fun () -> ());
-          exnc = (fun e -> !on_uncaught ~name e);
+          exnc = (fun e -> on_uncaught ~name e);
           effc = handler;
         })
 

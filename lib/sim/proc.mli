@@ -12,12 +12,10 @@ type 'a resumer = ('a, exn) result -> unit
 (** Raised inside a fiber that is being torn down (host crash). *)
 exception Killed of string
 
-(** Hook invoked when a fiber dies with an uncaught exception. The
-    default prints and re-raises (failing the run) except for [Killed],
-    which is normal termination. *)
-val on_uncaught : (name:string -> exn -> unit) ref
-
-(** [spawn ?name engine body] schedules a new fiber to start now. *)
+(** [spawn ?name engine body] schedules a new fiber to start now. A
+    fiber that dies with an uncaught exception other than [Killed] (its
+    normal end when torn down) prints it and re-raises it out of the
+    engine loop, failing the run. *)
 val spawn : ?name:string -> Engine.t -> (unit -> unit) -> unit
 
 (** Suspend the current fiber; [register] receives the resumer and must

@@ -1,6 +1,6 @@
-(* Tests for the I/O-protocol client layer: block operations, whole-file
-   helpers, and the buffered stream adapters, run against a real file
-   server in the standard installation. *)
+(* Tests for the I/O-protocol client layer: block operations and
+   whole-file helpers, run against a real file server in the standard
+   installation. *)
 
 module Scenario = Vworkload.Scenario
 module Runtime = Vruntime.Runtime
@@ -107,77 +107,6 @@ let test_set_size () =
       | _ -> Alcotest.fail "read instance must not resize");
       ok_exn "release" (Vio.Client.release self r))
 
-(* --- streams --- *)
-
-let test_stream_reader_chunks () =
-  run_client (fun self env ->
-      let payload = Bytes.init 1500 (fun i -> Char.chr ((i * 3) mod 256)) in
-      ok_exn "write" (Runtime.write_file env "[fs0]tmp/s.dat" payload);
-      let inst = ok_exn "open" (Runtime.open_ env ~mode:Vmsg.Read "[fs0]tmp/s.dat") in
-      let r = Vio.Stream.reader inst in
-      (* Odd-sized reads crossing block boundaries. *)
-      let got = Buffer.create 1500 in
-      let rec loop () =
-        let chunk = ok_exn "read" (Vio.Stream.read self r 333) in
-        if Bytes.length chunk > 0 then begin
-          Buffer.add_bytes got chunk;
-          loop ()
-        end
-      in
-      loop ();
-      Alcotest.(check bool) "reassembled" true
-        (Bytes.equal payload (Buffer.to_bytes got));
-      ok_exn "release" (Vio.Client.release self inst))
-
-let test_stream_read_line () =
-  run_client (fun self env ->
-      ok_exn "write"
-        (Runtime.write_file env "[fs0]tmp/lines.txt"
-           (Bytes.of_string "first\nsecond line\n\nfourth"));
-      let inst =
-        ok_exn "open" (Runtime.open_ env ~mode:Vmsg.Read "[fs0]tmp/lines.txt")
-      in
-      let r = Vio.Stream.reader inst in
-      let next () = ok_exn "read_line" (Vio.Stream.read_line self r) in
-      Alcotest.(check (option string)) "line 1" (Some "first") (next ());
-      Alcotest.(check (option string)) "line 2" (Some "second line") (next ());
-      Alcotest.(check (option string)) "line 3 empty" (Some "") (next ());
-      Alcotest.(check (option string)) "line 4 unterminated" (Some "fourth") (next ());
-      Alcotest.(check (option string)) "eof" None (next ());
-      ok_exn "release" (Vio.Client.release self inst))
-
-let test_stream_writer () =
-  run_client (fun self env ->
-      let inst =
-        ok_exn "open" (Runtime.open_ env ~mode:Vmsg.Write "[fs0]tmp/w.dat")
-      in
-      let w = Vio.Stream.writer inst in
-      (* Many small writes spanning several blocks. *)
-      for i = 1 to 100 do
-        ok_exn "write" (Vio.Stream.write_string self w (Fmt.str "record %03d\n" i))
-      done;
-      ok_exn "close" (Vio.Stream.close self w);
-      let all = ok_exn "read" (Runtime.read_file env "[fs0]tmp/w.dat") in
-      Alcotest.(check int) "total size" 1100 (Bytes.length all);
-      Alcotest.(check string) "first record" "record 001"
-        (Bytes.sub_string all 0 10);
-      Alcotest.(check string) "last record" "record 100\n"
-        (Bytes.sub_string all 1089 11))
-
-let test_stream_empty_file () =
-  run_client (fun self env ->
-      let inst =
-        ok_exn "open w" (Runtime.open_ env ~mode:Vmsg.Write "[fs0]tmp/e.dat")
-      in
-      ok_exn "release" (Vio.Client.release self inst);
-      let inst = ok_exn "open r" (Runtime.open_ env ~mode:Vmsg.Read "[fs0]tmp/e.dat") in
-      let r = Vio.Stream.reader inst in
-      Alcotest.(check int) "empty read" 0
-        (Bytes.length (ok_exn "read" (Vio.Stream.read self r 100)));
-      Alcotest.(check (option string)) "no lines" None
-        (ok_exn "read_line" (Vio.Stream.read_line self r));
-      ok_exn "release" (Vio.Client.release self inst))
-
 let suite =
   [
     ( "vio.client",
@@ -188,12 +117,5 @@ let suite =
         Alcotest.test_case "read-only instance" `Quick test_write_to_read_instance;
         Alcotest.test_case "append mode" `Quick test_append_mode;
         Alcotest.test_case "set size" `Quick test_set_size;
-      ] );
-    ( "vio.stream",
-      [
-        Alcotest.test_case "reader chunks" `Quick test_stream_reader_chunks;
-        Alcotest.test_case "read_line" `Quick test_stream_read_line;
-        Alcotest.test_case "writer" `Quick test_stream_writer;
-        Alcotest.test_case "empty file" `Quick test_stream_empty_file;
       ] );
   ]
