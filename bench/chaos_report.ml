@@ -1,8 +1,9 @@
-(* Shared chaos-observability reporting for E9 and E10: arm the flight
-   recorder (and optionally the SLO engine) on a scenario before it
-   runs, then join the injector's applied-fault windows against the
-   operation timeline into the attribution table both experiments print
-   and record.
+(* Shared chaos-observability reporting for E9, E10 and E13: arm the
+   flight recorder (and optionally the SLO engine) on a scenario before
+   it runs, sum counters and find unavailability windows in its
+   results, and join the injector's applied-fault windows against the
+   operation timeline into the attribution table E9 and E10 print and
+   record.
 
    Everything here is bookkeeping over data the run already produced —
    arming the recorder or attaching the SLO engine never changes a
@@ -24,6 +25,33 @@ let arm ?slo t =
   | None -> ()
   | Some target ->
       Vobs.Hub.set_slo obs (Some (Vobs.Slo.create ~target ()))
+
+(* Sum one counter over every host (each workstation's runtime exports
+   under its own host key). *)
+let sum_metric t op =
+  let metrics = Vobs.Hub.metrics Scenario.(t.obs) in
+  List.fold_left
+    (fun acc ((k : Vobs.Metrics.key), v) ->
+      if k.Vobs.Metrics.op = op then acc + v else acc)
+    0
+    (Vobs.Metrics.counters metrics)
+
+(* Maximal runs of consecutive failed operations in the timeline:
+   (first failure's start, last failure's end). *)
+let unavailability_windows ops =
+  let rec go acc cur = function
+    | [] -> List.rev (match cur with None -> acc | Some w -> w :: acc)
+    | (t0, t1, ok) :: rest ->
+        if ok then
+          match cur with
+          | None -> go acc None rest
+          | Some w -> go (w :: acc) None rest
+        else
+          match cur with
+          | None -> go acc (Some (t0, t1)) rest
+          | Some (s, _) -> go acc (Some (s, t1)) rest
+  in
+  go [] None ops
 
 let prefixed ~prefix s =
   let n = String.length prefix in

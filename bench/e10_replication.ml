@@ -52,30 +52,6 @@ let policy =
     deadline_ms = 1_500.0;
   }
 
-let sum_metric t op =
-  let metrics = Vobs.Hub.metrics Scenario.(t.obs) in
-  List.fold_left
-    (fun acc ((k : Vobs.Metrics.key), v) ->
-      if k.Vobs.Metrics.op = op then acc + v else acc)
-    0
-    (Vobs.Metrics.counters metrics)
-
-(* Maximal runs of consecutive failed operations (as E9). *)
-let unavailability_windows ops =
-  let rec go acc cur = function
-    | [] -> List.rev (match cur with None -> acc | Some w -> w :: acc)
-    | (t0, t1, ok) :: rest ->
-        if ok then
-          match cur with
-          | None -> go acc None rest
-          | Some w -> go (w :: acc) None rest
-        else
-          match cur with
-          | None -> go acc (Some (t0, t1)) rest
-          | Some (s, _) -> go acc (Some (s, t1)) rest
-  in
-  go [] None ops
-
 (* The E9 fault plan, identical across factors so the comparison is
    fair: seeded episodes over the two replicable file-server hosts plus
    the guaranteed 2.5 s crash of fs0 at t=20 s. *)
@@ -251,7 +227,7 @@ let run_factor factor =
   let failed_ops =
     List.length (List.filter (fun (_, _, ok) -> not ok) ops)
   in
-  let windows = unavailability_windows ops in
+  let windows = Chaos_report.unavailability_windows ops in
   let impacts =
     Chaos_report.attribution t inj ~horizon_ms:duration_ms ~ops ~windows
   in
@@ -267,9 +243,9 @@ let run_factor factor =
       List.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0.0 windows;
     p50 = s.Series.p50;
     p99 = s.Series.p99;
-    failovers = sum_metric t "failover";
-    retries = sum_metric t "retry";
-    unavailable = sum_metric t "unavailable";
+    failovers = Chaos_report.sum_metric t "failover";
+    retries = Chaos_report.sum_metric t "retry";
+    unavailable = Chaos_report.sum_metric t "unavailable";
     write_amp;
     violations;
     impacts;

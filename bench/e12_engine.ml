@@ -97,31 +97,15 @@ let timer_storm queue =
 
 (* --- Phase B: 10k-host cohort soak --- *)
 
-(* Switched gigabit wire: keeps the shared medium under ~15% utilized
-   so the soak saturates on kernel CPU charges, not wire queueing. *)
-let gigabit =
-  {
-    C.name = "1Gb switched";
-    bandwidth_bps = 1.0e9;
-    header_bytes = 64;
-    propagation_ms = 0.005;
-  }
-
 let soak_servers = 5000
 let soak_client_hosts = 5000
 let soak_cohort_size = 200 (* virtual clients per client host *)
 let soak_ops = 100_000
 
-(* The nightly soak lane sets VSYSTEM_TELEMETRY=1 to run the soak with
-   the full scale-telemetry stack attached (grouped metrics, time
-   series, sampled tracing, kernel pump) and dump the artifact. Telemetry
-   schedules nothing, so every simulated number is unchanged — E15
-   gates that claim, this flag exercises it at soak scale. *)
-let telemetry_on =
-  match Sys.getenv_opt "VSYSTEM_TELEMETRY" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
+(* The full scale-telemetry stack (grouped metrics, time series, sampled
+   tracing, kernel pump), attached when [Rig.telemetry_on]. E15 gates
+   the claim that it changes no simulated number; this exercises it at
+   soak scale. *)
 let attach_telemetry domain =
   let hub = Vobs.Hub.create ~tracing:true () in
   Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1207;
@@ -141,15 +125,6 @@ let dump_telemetry file hub =
    50 ms per host -> ~100k ops/s offered across 5,000 hosts. *)
 let soak_mean_gap_ms = 10_000.0
 
-let echo_server host =
-  K.spawn host ~name:"echo" (fun self ->
-      let rec loop () =
-        let msg, sender = K.receive self in
-        ignore (K.reply self ~to_:sender msg);
-        loop ()
-      in
-      loop ())
-
 type soak_result = {
   resolved : int;
   failed : int;
@@ -162,13 +137,17 @@ type soak_result = {
 
 let soak () =
   let eng = En.create () in
-  let net = E.create ~config:gigabit eng in
+  (* Gigabit wire: keeps the shared medium under ~15% utilized so the
+     soak saturates on kernel CPU charges, not wire queueing. *)
+  let net = E.create ~config:Rig.gigabit eng in
   let domain = K.create_domain ~hosts_hint:16384 ~cost:Rig.raw_cost eng net in
-  let hub = if telemetry_on then Some (attach_telemetry domain) else None in
+  let hub =
+    if Rig.telemetry_on then Some (attach_telemetry domain) else None
+  in
   let prng = Vsim.Prng.create ~seed:1207 in
   let servers =
     Array.init soak_servers (fun i ->
-        echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
+        Rig.echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
   in
   let resolved = ref 0 and failed = ref 0 in
   let ops_per_host = soak_ops / soak_client_hosts in

@@ -147,30 +147,6 @@ let spawn_storm t counts =
              done)))
     storm_hosts
 
-(* Maximal runs of consecutive failed operations (as E9/E10). *)
-let unavailability_windows ops =
-  let rec go acc cur = function
-    | [] -> List.rev (match cur with None -> acc | Some w -> w :: acc)
-    | (t0, t1, ok) :: rest -> (
-        if ok then
-          match cur with
-          | None -> go acc None rest
-          | Some w -> go (w :: acc) None rest
-        else
-          match cur with
-          | None -> go acc (Some (t0, t1)) rest
-          | Some (s, _) -> go acc (Some (s, t1)) rest)
-  in
-  go [] None ops
-
-let sum_metric t op =
-  let metrics = Vobs.Hub.metrics Scenario.(t.obs) in
-  List.fold_left
-    (fun acc ((k : Vobs.Metrics.key), v) ->
-      if k.Vobs.Metrics.op = op then acc + v else acc)
-    0
-    (Vobs.Metrics.counters metrics)
-
 type arm_result = {
   label : string;
   admission : bool;
@@ -335,7 +311,7 @@ let run_arm ~label ~admission () =
     List.sort (fun (a, _, _) (b, _, _) -> compare a b) (List.rev !ops)
   in
   let failed_ops = List.length (List.filter (fun (_, _, ok) -> not ok) ops) in
-  let windows = unavailability_windows ops in
+  let windows = Chaos_report.unavailability_windows ops in
   (* Attribution: the storm is the applied fault — its window joined
      against the interactive timeline the same way E9/E10 join injected
      crashes. Failures land after the window (the probe budget takes
@@ -377,7 +353,7 @@ let run_arm ~label ~admission () =
     admitted;
     shed_total;
     max_member_queue = !max_queue;
-    retries = sum_metric t "retry";
+    retries = Chaos_report.sum_metric t "retry";
     windows = List.length windows;
     storm = counts;
     impacts;

@@ -45,15 +45,6 @@ let env_int name default =
 let soak_hosts = env_int "VSYSTEM_SOAK_HOSTS" 10_000
 let soak_ops = env_int "VSYSTEM_SOAK_OPS" 50_000
 
-(* VSYSTEM_TELEMETRY=1 (the nightly lane) attaches the scale-telemetry
-   stack to the Phase B soak and dumps the artifact; the switched
-   fan-in-64 fabric is what puts per-edge rollup rows in it. The sim
-   numbers are unchanged — telemetry schedules nothing. *)
-let telemetry_on =
-  match Sys.getenv_opt "VSYSTEM_TELEMETRY" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
 (* --- Phase A: cross-edge drain --- *)
 
 let drain_fan_in = 100
@@ -125,28 +116,9 @@ let drain topology hosts =
 
 (* --- Phase B: kernel cohort soak on the switched fabric --- *)
 
-(* Same gigabit links as E12's soak, but explicitly switched: each host
-   uplink, edge and spine port serializes independently. *)
-let gigabit =
-  {
-    C.name = "1Gb switched";
-    bandwidth_bps = 1.0e9;
-    header_bytes = 64;
-    propagation_ms = 0.005;
-  }
-
 let soak_fan_in = 64
 let soak_cohort_size = 100 (* virtual clients per client host *)
 let soak_mean_gap_ms = 10_000.0
-
-let echo_server host =
-  K.spawn host ~name:"echo" (fun self ->
-      let rec loop () =
-        let msg, sender = K.receive self in
-        ignore (K.reply self ~to_:sender msg);
-        loop ()
-      in
-      loop ())
 
 type soak_result = {
   resolved : int;
@@ -160,12 +132,16 @@ let soak () =
   let servers_n = soak_hosts / 2 in
   let clients_n = soak_hosts - servers_n in
   let eng = En.create () in
+  (* E12's gigabit links, but explicitly switched: each host uplink,
+     edge and spine port serializes independently. *)
   let net =
-    E.create ~config:gigabit ~topology:(T.switched ~fan_in:soak_fan_in) eng
+    E.create ~config:Rig.gigabit ~topology:(T.switched ~fan_in:soak_fan_in) eng
   in
   let domain = K.create_domain ~hosts_hint:(2 * soak_hosts) ~cost:Rig.raw_cost eng net in
+  (* With [Rig.telemetry_on], the switched fan-in-64 fabric is what puts
+     per-edge rollup rows in the telemetry artifact. *)
   let hub =
-    if not telemetry_on then None
+    if not Rig.telemetry_on then None
     else begin
       let hub = Vobs.Hub.create ~tracing:true () in
       Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1406;
@@ -178,7 +154,7 @@ let soak () =
   let prng = Vsim.Prng.create ~seed:1406 in
   let servers =
     Array.init servers_n (fun i ->
-        echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
+        Rig.echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
   in
   let resolved = ref 0 and failed = ref 0 in
   let ops_per_host = max 1 (soak_ops / clients_n) in

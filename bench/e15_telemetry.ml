@@ -45,14 +45,6 @@ module Tables = Vworkload.Tables
 
 (* --- Phase A: the telemetry tax on the cohort soak --- *)
 
-let gigabit =
-  {
-    C.name = "1Gb switched";
-    bandwidth_bps = 1.0e9;
-    header_bytes = 64;
-    propagation_ms = 0.005;
-  }
-
 let soak_fan_in = 64
 let soak_hosts = 4_000
 
@@ -76,15 +68,6 @@ let overhead_ceiling_pct = 5.0
 (* A batch whose estimate clears the ceiling by a full point is
    decisive; anything closer buys another batch of pairs. *)
 let decisive_pct = 4.0
-
-let echo_server host =
-  K.spawn host ~name:"echo" (fun self ->
-      let rec loop () =
-        let msg, sender = K.receive self in
-        ignore (K.reply self ~to_:sender msg);
-        loop ()
-      in
-      loop ())
 
 type arm = {
   resolved : int;
@@ -112,7 +95,7 @@ let soak ~mode () =
   let clients_n = soak_hosts - servers_n in
   let eng = En.create () in
   let net =
-    E.create ~config:gigabit ~topology:(T.switched ~fan_in:soak_fan_in) eng
+    E.create ~config:Rig.gigabit ~topology:(T.switched ~fan_in:soak_fan_in) eng
   in
   let domain =
     K.create_domain ~hosts_hint:(2 * soak_hosts) ~cost:Rig.raw_cost eng net
@@ -131,7 +114,7 @@ let soak ~mode () =
   let prng = Vsim.Prng.create ~seed:1505 in
   let servers =
     Array.init servers_n (fun i ->
-        echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
+        Rig.echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
   in
   let resolved = ref 0 and failed = ref 0 in
   let ops_per_host = max 1 (soak_ops / clients_n) in

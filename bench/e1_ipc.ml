@@ -9,20 +9,11 @@ module K = Vkernel.Kernel
 module C = Vnet.Calibration
 module Tables = Vworkload.Tables
 
-let echo_server host =
-  K.spawn host ~name:"echo" (fun self ->
-      let rec loop () =
-        let msg, sender = K.receive self in
-        ignore (K.reply self ~to_:sender msg);
-        loop ()
-      in
-      loop ())
-
 let srr_ms ~config ~remote ~payload =
   let rig = Rig.make_raw ~config () in
   let h1 = K.boot_host rig.domain ~name:"client-host" 1 in
   let h2 = if remote then K.boot_host rig.domain ~name:"server-host" 2 else h1 in
-  let server = echo_server h2 in
+  let server = Rig.echo_server h2 in
   Rig.measure rig.eng (fun () ->
       (* One warm-up, then the measured transaction. *)
       let self_holder = ref None in

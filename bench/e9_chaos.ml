@@ -58,16 +58,6 @@ let logical_names = [ "[storage]"; "[home]"; "[bin]"; "[printer]"; "[mail]" ]
 
 let marker_file = "chaoslog"
 
-(* Sum one runtime counter over every host (each workstation's runtime
-   exports under its own host key). *)
-let sum_metric t op =
-  let metrics = Vobs.Hub.metrics Scenario.(t.obs) in
-  List.fold_left
-    (fun acc ((k : Vobs.Metrics.key), v) ->
-      if k.Vobs.Metrics.op = op then acc + v else acc)
-    0
-    (Vobs.Metrics.counters metrics)
-
 (* --- Part 1: the chaos soak --- *)
 
 (* The marker client: appends a unique token per iteration to a file
@@ -111,23 +101,6 @@ let revive_file_server t addr =
             Scenario.(t.file_servers).(i) <- File_server.restart_from old host
         | None -> ())
     Scenario.(t.file_servers)
-
-(* Maximal runs of consecutive failed operations in the timeline:
-   (first failure's start, last failure's end). *)
-let unavailability_windows ops =
-  let rec go acc cur = function
-    | [] -> List.rev (match cur with None -> acc | Some w -> w :: acc)
-    | (t0, t1, ok) :: rest ->
-        if ok then
-          match cur with
-          | None -> go acc None rest
-          | Some w -> go (w :: acc) None rest
-        else
-          match cur with
-          | None -> go acc (Some (t0, t1)) rest
-          | Some (s, _) -> go acc (Some (s, t1)) rest
-  in
-  go [] None ops
 
 (* Time from each applied restart to the completion of the first
    operation that started after it. *)
@@ -305,16 +278,16 @@ let run () =
 
   Tables.print_section "Day totals under faults";
   Fmt.pr "@[%a@]@." Day.pp_totals totals;
-  let retries = sum_metric t "retry" in
-  let rebinds = sum_metric t "rebind" in
-  let unavailable = sum_metric t "unavailable" in
+  let retries = Chaos_report.sum_metric t "retry" in
+  let rebinds = Chaos_report.sum_metric t "rebind" in
+  let unavailable = Chaos_report.sum_metric t "unavailable" in
   Fmt.pr
     "resilience: %d retries, %d context rebinds, %d give-ups (Unavailable),@ \
      %d marker appends@."
     retries rebinds unavailable token_count;
 
   Tables.print_section "Availability";
-  let windows = unavailability_windows ops in
+  let windows = Chaos_report.unavailability_windows ops in
   let win_total =
     List.fold_left (fun acc (s, e) -> acc +. (e -. s)) 0.0 windows
   in

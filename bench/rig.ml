@@ -29,6 +29,34 @@ let measure eng body =
   | Some v -> v
   | None -> failwith "bench: measurement fiber did not complete"
 
+(* A server that replies to every request with the request itself: the
+   far end of the raw IPC rigs (E1, E12, E14, E15). *)
+let echo_server host =
+  K.spawn host ~name:"echo" (fun self ->
+      let rec loop () =
+        let msg, sender = K.receive self in
+        ignore (K.reply self ~to_:sender msg);
+        loop ()
+      in
+      loop ())
+
+(* Gigabit links (E12, E14, E15). *)
+let gigabit =
+  {
+    C.name = "1Gb switched";
+    bandwidth_bps = 1.0e9;
+    header_bytes = 64;
+    propagation_ms = 0.005;
+  }
+
+(* VSYSTEM_TELEMETRY=1 (the nightly lane) attaches the scale-telemetry
+   stack to E12's and E14's soaks and dumps the artifact. Telemetry
+   schedules nothing, so every simulated number is unchanged. *)
+let telemetry_on =
+  match Sys.getenv_opt "VSYSTEM_TELEMETRY" with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
+
 let fail_verr what e = failwith (Fmt.str "%s: %a" what Vio.Verr.pp e)
 
 let ok what = function Ok v -> v | Error e -> fail_verr what e
