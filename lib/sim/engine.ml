@@ -12,13 +12,12 @@
    The queue is a hierarchical timer wheel ({!Wheel}): O(1) push and
    cancel, tuned for the kernel's cancel-heavy retransmission timers. *)
 
-(* A cancellable handle on a scheduled event. *)
-type timer = (unit -> unit) Wheel.node
+(* A cancellable handle on a scheduled event: an immediate int. *)
+type timer = Wheel.node
 
 type t = {
   id : int;
   mutable now : float;
-  mutable next_seq : int;
   mutable executed : int;
   mutable running : bool;
   wheel : (unit -> unit) Wheel.t;
@@ -39,6 +38,11 @@ let global_executed () = !global_executed_events
 
 exception Time_went_backwards of { now : float; requested : float }
 
+(* What every cancelled or fired node's entry keeps, and what a
+   deferred node's first turn runs: one shared no-op, so a cancelled
+   closure and whatever it captures are garbage at cancel time. *)
+let blank () = ()
+
 let created = ref 0
 
 let create () =
@@ -46,10 +50,9 @@ let create () =
   {
     id = !created;
     now = 0.0;
-    next_seq = 0;
     executed = 0;
     running = false;
-    wheel = Wheel.create ();
+    wheel = Wheel.create ~blank;
     run_start_events = 0;
     run_start_cpu = 0.0;
     last_run_events = 0;
@@ -68,9 +71,7 @@ let cancelled_timers t = Wheel.cancelled t.wheel
 let push t time ~turns action =
   if not (Float.is_finite time) then invalid_arg "Engine: non-finite time";
   if time < t.now then raise (Time_went_backwards { now = t.now; requested = time });
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Wheel.push t.wheel ~time ~seq ~turns action
+  Wheel.push t.wheel ~time ~turns action
 
 let timer_at t time action = push t time ~turns:1 action
 
@@ -78,13 +79,7 @@ let timer ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
   timer_at t (t.now +. delay) action
 
-(* The action every cancelled node keeps: one shared no-op, so the
-   cancelled closure and whatever it captures are garbage at cancel
-   time. The dead node itself still waits for the queue to drop it. *)
-let cancelled_action () = ()
-
-let cancel t handle =
-  ignore (Wheel.cancel t.wheel handle ~blank:cancelled_action : bool)
+let cancel t handle = ignore (Wheel.cancel t.wheel handle : bool)
 
 let schedule_at t time action = ignore (timer_at t time action : timer)
 
@@ -92,27 +87,26 @@ let schedule ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t (t.now +. delay) action
 
-(* Two turns on one node: the first only re-queues it (see [execute]),
-   under the seq a zero-delay push from an action would draw. *)
+(* Two turns on one node: the first only re-queues it, under the seq a
+   zero-delay push from an action would draw, and runs the blank. *)
 let defer_at t time action = ignore (push t time ~turns:2 action : timer)
 
-let execute t node =
-  t.now <- Wheel.time node;
+(* The wheel keeps times unboxed, so the clock is boxed afresh only
+   when it moves: events at the current instant allocate nothing
+   here. *)
+let execute t =
+  if not (Wheel.due_by t.wheel t.now) then t.now <- Wheel.next_time t.wheel;
   t.executed <- t.executed + 1;
   incr global_executed_events;
-  if Wheel.live node then begin
-    (* A deferred node's first turn. *)
-    Wheel.requeue t.wheel node ~seq:t.next_seq;
-    t.next_seq <- t.next_seq + 1
-  end
-  else (Wheel.value node) ()
+  (Wheel.take t.wheel) ()
 
 (* The wheel skips dead nodes (cancelled timers) and answers without
-   allocating, so the dispatch loop below costs no words per event. *)
+   allocating, so the dispatch loop below costs no words per event
+   beyond the clock. *)
 let step t =
   Wheel.settle t.wheel
   && begin
-       execute t (Wheel.take t.wheel);
+       execute t;
        true
      end
 
@@ -124,11 +118,10 @@ let run ?until ?max_events t =
   let budget = ref (match max_events with None -> max_int | Some n -> n) in
   let continue () =
     !budget > 0
-    && Wheel.settle t.wheel
     &&
     match until with
-    | None -> true
-    | Some limit -> Wheel.time (Wheel.next t.wheel) <= limit
+    | None -> Wheel.settle t.wheel
+    | Some limit -> Wheel.due_by t.wheel limit
   in
   let finally () =
     t.running <- false;
@@ -138,7 +131,7 @@ let run ?until ?max_events t =
   (try
      while continue () do
        decr budget;
-       execute t (Wheel.take t.wheel)
+       execute t
      done
    with e ->
      finally ();

@@ -6,7 +6,9 @@
 
     The queue behind the engine is a hierarchical timer wheel
     ({!Wheel}): O(1) scheduling and cancellation, in the (time, seq)
-    order a binary heap over the same keys gives. *)
+    order a binary heap over the same keys gives. Scheduling allocates
+    nothing but the caller's action, and the clock is boxed afresh only
+    when an event advances it. *)
 
 type t
 
@@ -51,12 +53,16 @@ val defer_at : t -> float -> (unit -> unit) -> unit
     [timer]/[timer_at] are [schedule]/[schedule_at] returning a handle;
     [cancel] is O(1) and the cancelled action never runs. The engine
     lets go of the action at once, so whatever it captured can be
-    collected even while the dead entry still waits in the queue.
-    Cancelling a timer that already fired (or was already cancelled) is
-    a no-op — including from an event executing at the timer's own
-    timestamp. *)
+    collected even while the dead entry still waits in the queue; it
+    lets go of a fired timer's action before running it.
 
-type timer
+    A handle is an immediate value, and it outlives its timer safely:
+    cancelling a timer that already fired (or was already cancelled) is
+    a no-op — including from an event executing at the timer's own
+    timestamp, or from the timer's own action — and so is cancelling it
+    after its queue entry has been reused by a later timer. *)
+
+type timer [@@immediate]
 
 val timer : ?delay:float -> t -> (unit -> unit) -> timer
 val timer_at : t -> float -> (unit -> unit) -> timer

@@ -1,7 +1,8 @@
-(* Array-based binary min-heap, used as the simulator's event queue.
-   Elements are ordered by a user-supplied comparison on the element type;
-   ties must be broken by the caller (the engine uses sequence numbers) so
-   that the heap never has to guarantee stability itself. *)
+(* Array-based binary min-heap, the queue of the reference engine the
+   timer wheel is tested against (test/heap_engine). Elements are
+   ordered by a user-supplied comparison on the element type; ties must
+   be broken by the caller (the reference uses sequence numbers) so that
+   the heap never has to guarantee stability itself. *)
 
 type 'a t = {
   compare : 'a -> 'a -> int;
@@ -72,29 +73,6 @@ let pop t =
     else t.data <- [||];
     Some top
   end
-
-(* The option-free pair the timer wheel's dispatch loop uses: [top]
-   reads the smallest element and [remove_top] drops it, neither
-   allocating. Unlike [pop], draining keeps the backing array, so a
-   heap that fills and empties on every tick does not regrow from 16
-   slots each time; the element removed last stays referenced by slot 0
-   until the next push overwrites it. *)
-let top t =
-  if t.size = 0 then invalid_arg "Heap.top: empty heap";
-  t.data.(0)
-
-let remove_top t =
-  if t.size = 0 then invalid_arg "Heap.remove_top: empty heap";
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- t.data.(0);
-    sift_down t 0
-  end
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0
 
 (* Drain the heap into an ordered list; used by tests. *)
 let pop_all t =

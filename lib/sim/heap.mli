@@ -1,9 +1,10 @@
 (** Array-based binary min-heap.
 
-    The simulator's event queue: [O(log n)] push/pop ordered by a
-    user-supplied comparison. The heap is not stable; callers that need
-    FIFO ordering among equal keys must fold a tie-breaker (e.g. a
-    sequence number) into [compare]. *)
+    The queue of the reference engine the timer wheel is tested against
+    ([test/heap_engine], also E12's baseline): [O(log n)] push/pop
+    ordered by a user-supplied comparison. The heap is not stable;
+    callers that need FIFO ordering among equal keys must fold a
+    tie-breaker (e.g. a sequence number) into [compare]. *)
 
 type 'a t
 
@@ -24,19 +25,6 @@ val peek : 'a t -> 'a option
 (** Remove and return the smallest element. Popped elements are not
     kept reachable by the backing array. *)
 val pop : 'a t -> 'a option
-
-(** Smallest element; raises [Invalid_argument] on an empty heap.
-    Allocates nothing. *)
-val top : 'a t -> 'a
-
-(** Remove the smallest element; raises [Invalid_argument] on an empty
-    heap. Allocates nothing and keeps the backing array when the heap
-    drains, so the last element removed stays referenced until the next
-    [push] overwrites it. *)
-val remove_top : 'a t -> unit
-
-(** Drop every element and release the backing array. *)
-val clear : 'a t -> unit
 
 (** Drain the heap in ascending order. *)
 val pop_all : 'a t -> 'a list

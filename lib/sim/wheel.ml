@@ -22,12 +22,27 @@
    of simulated now after a peek) go straight to the ready heap, which
    keeps the global order exact in that case too.
 
-   Cancellation is O(1): a node is marked dead, its value is swapped
-   for a caller-supplied blank (so what the value captured is garbage
-   now, not when the cursor arrives), and the node is merely skipped
-   (and dropped) when the cursor would otherwise move it. A satisfied
-   retransmit timer costs two stores instead of a heap percolation now
-   and a dead pop later.
+   Storage: the nodes live in flat arrays (a slab), one entry per node
+   and one array per field: the time in a float array (unboxed), the
+   seq, the turns left, the value, the generation, and an int [next]
+   link. A bucket list, the overflow list and the free list all thread
+   through [next], and the ready heap holds entry indices, so placing,
+   cascading and re-seating a node move ints and allocate nothing;
+   scheduling an event stores its value once. The arrays double when
+   the free list runs dry and never shrink.
+
+   Cancellation is O(1): a node is marked dead and its value swapped
+   for the wheel's blank (so what the value captured is garbage now,
+   not when the cursor arrives), and the node is merely skipped (and
+   freed) when the cursor would otherwise move it. A satisfied
+   retransmit timer costs a few int stores instead of a heap
+   percolation now and a dead pop later.
+
+   Handles: a node handle is an immediate int packing the entry's index
+   with the entry's generation, which goes up each time the entry is
+   freed — when its node fires, or when a cancelled node is dropped. A
+   handle whose node has gone names an older generation, so it cancels
+   nothing even after the entry has been reused.
 
    Slot-collision argument (why one list per slot suffices): a level-l
    node is placed with delta in [32^l, 32^(l+1)), so its level-l digit
@@ -38,62 +53,64 @@
    cascading a slot re-places events whose remaining delta is now
    strictly smaller. *)
 
-(* [n_turns] is the liveness mark: how many more times [take] returns
-   the node, 0 once it has fired or been cancelled. A node pushed with
-   two turns comes back from its first [take] still live, and
-   [requeue] gives it a fresh seq at the same time. *)
-type 'a node = {
-  n_time : float;
-  mutable n_seq : int;
-  mutable n_value : 'a;
-  mutable n_turns : int;
-}
-
-let make ~time ~seq ~turns v =
-  { n_time = time; n_seq = seq; n_value = v; n_turns = turns }
-
-let time n = n.n_time
-let value n = n.n_value
-let live n = n.n_turns > 0
-
-(* Cancellation: mark the node dead, then release the value; true if
-   it was live (so cancelling an already-fired timer is naturally a
-   no-op). *)
-let kill n ~blank =
-  live n
-  && begin
-       n.n_turns <- 0;
-       n.n_value <- blank;
-       true
-     end
-
-let compare_node a b =
-  let c = Float.compare a.n_time b.n_time in
-  if c <> 0 then c else Int.compare a.n_seq b.n_seq
-
 (* Bucket width. Ordering is exact regardless of it; it only tunes
    bucketing efficiency. *)
 let tick_ms = 0.25
 
+(* The end of every list, and an empty bucket. *)
+let nil = -1
+
+(* A handle is [(generation lsl index_bits) lor index]. Generations
+   wrap at 2^30, so a handle kept across 2^30 reuses of its entry
+   could name a later node; nothing holds one that long. *)
+type node = int
+
+let index_bits = 32
+let index_mask = (1 lsl index_bits) - 1
+let gen_mask = (1 lsl 30) - 1
+
 type 'a t = {
+  blank : 'a;  (* what a dead or free entry holds *)
+  (* The slab, one array per field. [turns] counts how many more times
+     [take] returns the node: 0 once it has fired or been cancelled,
+     and on a free entry. *)
+  mutable time : float array;
+  mutable seq : int array;
+  mutable turns : int array;
+  mutable value : 'a array;
+  mutable gen : int array;
+  mutable next : int array;
+  mutable free : int;  (* head of the free list *)
+  mutable next_seq : int;
   mutable cur : int;  (* cursor tick: slots at or before it are drained *)
-  slots : 'a node list array;  (* 5 levels x 32 slots, flattened *)
+  slots : int array;  (* list heads, 5 levels x 32 slots, flattened *)
   occ : int array;  (* per-level occupancy bitmap over its 32 slots *)
-  ready : 'a node Heap.t;  (* due nodes, exact (time, seq) order *)
-  mutable ovf : 'a node list;  (* beyond level 4's span *)
+  mutable ready : int array;  (* due entries: a binary heap on (time, seq) *)
+  mutable ready_len : int;
+  mutable ovf : int;  (* beyond level 4's span *)
   mutable ovf_min : int;  (* smallest tick in [ovf]; -1 when empty *)
   mutable live_count : int;
   mutable total_count : int;  (* live + dead still inside the structure *)
   mutable cancelled_count : int;
 }
 
-let create () =
+let create ~blank =
   {
+    blank;
+    time = [||];
+    seq = [||];
+    turns = [||];
+    value = [||];
+    gen = [||];
+    next = [||];
+    free = nil;
+    next_seq = 0;
     cur = 0;
-    slots = Array.make 160 [];
+    slots = Array.make 160 nil;
     occ = Array.make 5 0;
-    ready = Heap.create ~compare:compare_node;
-    ovf = [];
+    ready = Array.make 16 0;
+    ready_len = 0;
+    ovf = nil;
     ovf_min = -1;
     live_count = 0;
     total_count = 0;
@@ -104,71 +121,159 @@ let length t = t.live_count
 let is_empty t = t.live_count = 0
 let cancelled t = t.cancelled_count
 
-let tick_of time = int_of_float (time /. tick_ms)
+(* --- the slab --- *)
 
-let add t level slot node =
-  let i = (level lsl 5) + slot in
-  t.slots.(i) <- node :: t.slots.(i);
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Double the slab and thread the new entries onto the free list,
+   lowest index first. *)
+let grow t =
+  let n = Array.length t.time in
+  let m = max 64 (2 * n) in
+  t.time <- extend t.time m 0.0;
+  t.seq <- extend t.seq m 0;
+  t.turns <- extend t.turns m 0;
+  t.value <- extend t.value m t.blank;
+  t.gen <- extend t.gen m 0;
+  t.next <- extend t.next m nil;
+  for i = m - 1 downto n do
+    t.next.(i) <- t.free;
+    t.free <- i
+  done
+
+(* Free an entry: blank its value, so it keeps nothing alive, and bump
+   its generation, so every handle on it goes stale. *)
+let release t i =
+  t.turns.(i) <- 0;
+  t.value.(i) <- t.blank;
+  t.gen.(i) <- (t.gen.(i) + 1) land gen_mask;
+  t.next.(i) <- t.free;
+  t.free <- i
+
+let rec release_list t i =
+  if i <> nil then begin
+    let rest = t.next.(i) in
+    release t i;
+    release_list t rest
+  end
+
+(* --- the ready heap: entry indices by exact (time, seq) --- *)
+
+let before t a b =
+  let ta = t.time.(a) and tb = t.time.(b) in
+  ta < tb || (ta = tb && t.seq.(a) < t.seq.(b))
+
+(* Fill the hole at [h] with entry [i], moving earlier parents down. *)
+let rec sift_up t h i =
+  let p = (h - 1) / 2 in
+  if h > 0 && before t i t.ready.(p) then begin
+    t.ready.(h) <- t.ready.(p);
+    sift_up t p i
+  end
+  else t.ready.(h) <- i
+
+(* Fill the hole at [h] with entry [i], moving earlier children up. *)
+let rec sift_down t h i =
+  let l = (2 * h) + 1 in
+  if l >= t.ready_len then t.ready.(h) <- i
+  else begin
+    let c =
+      if l + 1 < t.ready_len && before t t.ready.(l + 1) t.ready.(l) then l + 1
+      else l
+    in
+    if before t t.ready.(c) i then begin
+      t.ready.(h) <- t.ready.(c);
+      sift_down t c i
+    end
+    else t.ready.(h) <- i
+  end
+
+let ready_push t i =
+  if t.ready_len = Array.length t.ready then
+    t.ready <- extend t.ready (2 * t.ready_len) 0;
+  t.ready_len <- t.ready_len + 1;
+  sift_up t (t.ready_len - 1) i
+
+let ready_remove_top t =
+  t.ready_len <- t.ready_len - 1;
+  if t.ready_len > 0 then sift_down t 0 t.ready.(t.ready_len)
+
+(* --- placement --- *)
+
+let add t level slot i =
+  let h = (level lsl 5) + slot in
+  t.next.(i) <- t.slots.(h);
+  t.slots.(h) <- i;
   t.occ.(level) <- t.occ.(level) lor (1 lsl slot)
 
-let place t node =
-  let tick = tick_of node.n_time in
+let place t i =
+  let tick = int_of_float (t.time.(i) /. tick_ms) in
   let delta = tick - t.cur in
-  if delta <= 0 then Heap.push t.ready node
-  else if delta < 32 then add t 0 (tick land 31) node
-  else if delta < 1024 then add t 1 ((tick lsr 5) land 31) node
-  else if delta < 32768 then add t 2 ((tick lsr 10) land 31) node
-  else if delta < 1048576 then add t 3 ((tick lsr 15) land 31) node
-  else if delta < 33554432 then add t 4 ((tick lsr 20) land 31) node
+  if delta <= 0 then ready_push t i
+  else if delta < 32 then add t 0 (tick land 31) i
+  else if delta < 1024 then add t 1 ((tick lsr 5) land 31) i
+  else if delta < 32768 then add t 2 ((tick lsr 10) land 31) i
+  else if delta < 1048576 then add t 3 ((tick lsr 15) land 31) i
+  else if delta < 33554432 then add t 4 ((tick lsr 20) land 31) i
   else begin
-    t.ovf <- node :: t.ovf;
+    t.next.(i) <- t.ovf;
+    t.ovf <- i;
     if t.ovf_min < 0 || tick < t.ovf_min then t.ovf_min <- tick
   end
 
-(* Re-place moved nodes in list order, dropping the dead ones. A plain
-   loop, not [List.iter]: a slot drains on nearly every occupied tick,
-   and the iterator's closure would cost words each time. *)
-let rec replace t = function
-  | [] -> ()
-  | n :: rest ->
-      if live n then place t n else t.total_count <- t.total_count - 1;
-      replace t rest
+(* Re-place a detached list's entries, freeing the dead ones. *)
+let rec replace t i =
+  if i <> nil then begin
+    let rest = t.next.(i) in
+    if t.turns.(i) > 0 then place t i
+    else begin
+      t.total_count <- t.total_count - 1;
+      release t i
+    end;
+    replace t rest
+  end
 
-let push t ~time ~seq ~turns v =
+let push t ~time ~turns v =
   if turns < 1 then invalid_arg "Wheel.push: turns must be positive";
-  let node = make ~time ~seq ~turns v in
-  place t node;
+  if t.free = nil then grow t;
+  let i = t.free in
+  t.free <- t.next.(i);
+  t.time.(i) <- time;
+  t.seq.(i) <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  t.turns.(i) <- turns;
+  t.value.(i) <- v;
+  place t i;
   t.live_count <- t.live_count + 1;
   t.total_count <- t.total_count + 1;
-  node
+  (t.gen.(i) lsl index_bits) lor i
 
-(* The node's own tick is at or behind the cursor ([take] just returned
-   it), so it goes straight to the ready heap. *)
-let requeue t node ~seq =
-  if not (live node) then invalid_arg "Wheel.requeue: node is not live";
-  node.n_seq <- seq;
-  Heap.push t.ready node;
-  t.total_count <- t.total_count + 1
-
-let cancel t node ~blank =
-  if kill node ~blank then begin
-    t.live_count <- t.live_count - 1;
-    t.cancelled_count <- t.cancelled_count + 1;
-    true
-  end
-  else false
+let cancel t node =
+  let i = node land index_mask in
+  t.gen.(i) = node lsr index_bits
+  && t.turns.(i) > 0
+  && begin
+       t.turns.(i) <- 0;
+       t.value.(i) <- t.blank;
+       t.live_count <- t.live_count - 1;
+       t.cancelled_count <- t.cancelled_count + 1;
+       true
+     end
 
 (* Move a slot's events down: live ones re-place (into the ready heap
-   once due), dead ones are dropped here — cancellation's deferred
+   once due), dead ones are freed here — cancellation's deferred
    cleanup. *)
 let drain_slot t level slot =
-  let i = (level lsl 5) + slot in
-  match t.slots.(i) with
-  | [] -> t.occ.(level) <- t.occ.(level) land lnot (1 lsl slot)
-  | nodes ->
-      t.slots.(i) <- [];
-      t.occ.(level) <- t.occ.(level) land lnot (1 lsl slot);
-      replace t nodes
+  let h = (level lsl 5) + slot in
+  let head = t.slots.(h) in
+  t.occ.(level) <- t.occ.(level) land lnot (1 lsl slot);
+  if head <> nil then begin
+    t.slots.(h) <- nil;
+    replace t head
+  end
 
 (* Index of the lowest set bit; [x] must be non-zero. Cold path (runs
    once per cursor hop), so a loop beats a de Bruijn table in clarity. *)
@@ -193,12 +298,12 @@ let next_l0_tick t =
    node (whose span boundary is strictly ahead at placement) can never
    be sailed past while it still sits in [ovf]. *)
 let refill t =
-  match t.ovf with
-  | [] -> ()
-  | nodes ->
-      t.ovf <- [];
-      t.ovf_min <- -1;
-      replace t nodes
+  let head = t.ovf in
+  if head <> nil then begin
+    t.ovf <- nil;
+    t.ovf_min <- -1;
+    replace t head
+  end
 
 (* Advance the cursor to [target], performing the level cascades its
    boundary crossings require. Hops never skip an unprocessed boundary
@@ -219,13 +324,20 @@ let goto t target =
   end;
   drain_slot t 0 (target land 31)
 
-(* Everything left is dead: drop it all so cancelled actions (and their
-   captures) become collectable without walking the cursor over them. *)
+(* Everything left is dead: free it all without walking the cursor over
+   it. *)
 let purge t =
-  Array.fill t.slots 0 160 [];
+  for h = 0 to 159 do
+    release_list t t.slots.(h);
+    t.slots.(h) <- nil
+  done;
   Array.fill t.occ 0 5 0;
-  Heap.clear t.ready;
-  t.ovf <- [];
+  for k = 0 to t.ready_len - 1 do
+    release t t.ready.(k)
+  done;
+  t.ready_len <- 0;
+  release_list t t.ovf;
+  t.ovf <- nil;
   t.ovf_min <- -1;
   t.total_count <- 0
 
@@ -249,14 +361,15 @@ let hop t =
 
 (* Advance until the ready heap's top is a live node; false if no live
    node exists anywhere. The dispatch loop runs this once per event, so
-   it allocates nothing: no option crosses it or the calls below. *)
+   it allocates nothing. *)
 let rec settle t =
-  if Heap.length t.ready > 0 then begin
-    let n = Heap.top t.ready in
-    if live n then true
+  if t.ready_len > 0 then begin
+    let i = t.ready.(0) in
+    if t.turns.(i) > 0 then true
     else begin
-      Heap.remove_top t.ready;
+      ready_remove_top t;
       t.total_count <- t.total_count - 1;
+      release t i;
       settle t
     end
   end
@@ -269,18 +382,30 @@ let rec settle t =
     settle t
   end
 
-let next t =
-  if settle t then Heap.top t.ready else invalid_arg "Wheel.next: empty wheel"
+let next_time t =
+  if settle t then t.time.(t.ready.(0))
+  else invalid_arg "Wheel.next_time: empty wheel"
 
-(* A node with a turn left stays live and counted: its taker hands it
-   back through [requeue]. *)
+let due_by t limit = settle t && t.time.(t.ready.(0)) <= limit
+
+(* A node with a turn left goes back under the next seq at its own
+   time. Its key only grows, so it sinks from the top of the ready
+   heap, where it already is. *)
 let take t =
-  let node = next t in
-  Heap.remove_top t.ready;
-  if node.n_turns > 1 then node.n_turns <- node.n_turns - 1
+  if not (settle t) then invalid_arg "Wheel.take: empty wheel";
+  let i = t.ready.(0) in
+  if t.turns.(i) > 1 then begin
+    t.turns.(i) <- t.turns.(i) - 1;
+    t.seq.(i) <- t.next_seq;
+    t.next_seq <- t.next_seq + 1;
+    sift_down t 0 i;
+    t.blank
+  end
   else begin
-    node.n_turns <- 0;
-    t.live_count <- t.live_count - 1
-  end;
-  t.total_count <- t.total_count - 1;
-  node
+    let v = t.value.(i) in
+    ready_remove_top t;
+    t.live_count <- t.live_count - 1;
+    t.total_count <- t.total_count - 1;
+    release t i;
+    v
+  end

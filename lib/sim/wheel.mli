@@ -8,23 +8,32 @@
     keys, while push and cancel are O(1) and an idle stretch costs one
     hop per occupied boundary rather than one pop per event.
 
+    Nodes live in flat arrays, one per field, with the times unboxed;
+    the buckets, the overflow list and the ready heap hold indices into
+    them. Pushing a node stores its value and allocates nothing else
+    once the arrays have grown to the queue's peak.
+
     Cancelled nodes are dropped lazily (when the cursor would otherwise
     move them), so a timer armed 500 ms out and cancelled 2 ms later
     never pays a heap percolation. Their values are not kept that long:
-    a cancel swaps a blank in at once. *)
+    a cancel swaps the wheel's blank in at once, and so does a node's
+    last turn. *)
 
 type 'a t
 
-(** A scheduled entry: a (time, seq) key, a value and a liveness mark
-    that also counts the node's turns. The node is the cancellation
-    handle. Its time never changes; its seq changes at its turn, when
-    [requeue] puts a node with a turn left back in the queue. *)
-type 'a node
+(** A scheduled node's handle: an immediate int naming the node's entry
+    in the wheel and the entry's generation. The generation goes up
+    when the node fires or, once cancelled, is dropped, so a handle
+    outliving its node names nothing, even after its entry has been
+    reused. *)
+type node [@@immediate]
 
-(** An empty wheel whose buckets are 0.25 ms wide. Ordering is exact
-    regardless of the tick width; the width only tunes bucketing
-    efficiency. *)
-val create : unit -> 'a t
+(** An empty wheel whose buckets are 0.25 ms wide. [blank] is what a
+    cancelled or fired node's entry holds in place of its value, and
+    what [take] returns for a turn that is not a node's last. Ordering
+    is exact regardless of the tick width; the width only tunes
+    bucketing efficiency. *)
+val create : blank:'a -> 'a t
 
 (** Live (scheduled, not cancelled, not fired) nodes. *)
 val length : 'a t -> int
@@ -34,47 +43,38 @@ val is_empty : 'a t -> bool
 (** Total nodes cancelled over the wheel's lifetime. *)
 val cancelled : 'a t -> int
 
-(** [push t ~time ~seq ~turns v] schedules [v] and returns its handle.
-    [seq] must make (time, seq) unique; ties in [time] execute in [seq]
-    order. [turns] is how many times [take] returns the node: 1 for an
-    ordinary event; with 2, the first [take] leaves it live and its
-    taker must hand it back through [requeue]. Raises
+(** [push t ~time ~turns v] schedules [v] under the wheel's next
+    sequence number and returns its handle; ties in [time] execute in
+    sequence order, so in push order. [turns] is how many times [take]
+    reaches the node: 1 for an ordinary event; with 2, the first
+    [take] puts it back at its own time under the next sequence number
+    and returns the blank, and the second returns [v]. Raises
     [Invalid_argument] unless [turns] is positive. *)
-val push : 'a t -> time:float -> seq:int -> turns:int -> 'a -> 'a node
-
-(** [requeue t n ~seq] puts back a live node that [take] just returned,
-    at its own time under the fresh [seq] (which must keep (time, seq)
-    unique). Raises [Invalid_argument] if [n] is dead. *)
-val requeue : 'a t -> 'a node -> seq:int -> unit
+val push : 'a t -> time:float -> turns:int -> 'a -> node
 
 (** O(1) cancel: [true] if the node was live (it will never be
-    returned by [take]); [false] if it already fired or was already
-    cancelled. A live node's value is replaced by [blank] at once, so
-    whatever the old value captured can be collected before the cursor
-    reaches the dead node. *)
-val cancel : 'a t -> 'a node -> blank:'a -> bool
+    returned by [take]); [false] if it already fired, was already
+    cancelled, or its handle is stale. A live node's value is replaced
+    by the blank at once, so whatever the old value captured can be
+    collected before the cursor reaches the dead node. *)
+val cancel : 'a t -> node -> bool
 
 (** Is a live node left? Drops the dead nodes ahead of the earliest
     live one and may advance the internal cursor; ordering of later
-    pushes is unaffected. Allocates nothing, like [next] and [take]. *)
+    pushes is unaffected. Allocates nothing, like [due_by] and
+    [take]. *)
 val settle : 'a t -> bool
 
-(** Earliest live node, without consuming it. Raises [Invalid_argument]
-    when none is left. *)
-val next : 'a t -> 'a node
+(** The earliest live node's time, boxed afresh on every call. Raises
+    [Invalid_argument] when none is left. *)
+val next_time : 'a t -> float
 
-(** Remove and return the earliest live node, using up one of its
-    turns. On its last turn it is marked fired (a later [cancel] of it
-    is a no-op); with a turn left it stays live, counted by [length],
-    until it is requeued. Raises [Invalid_argument] when none is
+(** Is a live node due at or before [limit]? [false] when none is
     left. *)
-val take : 'a t -> 'a node
+val due_by : 'a t -> float -> bool
 
-(** {1 Nodes} *)
-
-val time : 'a node -> float
-val value : 'a node -> 'a
-
-(** Not yet fired or cancelled: a node [take] returned with a turn left
-    is live. *)
-val live : 'a node -> bool
+(** Use up one turn of the earliest live node. On its last turn the
+    node is removed, its entry freed and blanked, and its value
+    returned; with a turn left it goes back as [push] describes and the
+    blank is returned. Raises [Invalid_argument] when none is left. *)
+val take : 'a t -> 'a

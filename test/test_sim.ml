@@ -331,7 +331,62 @@ let test_timer_cancel_frees_action () =
       ignore (Sys.opaque_identity timers);
       Q.run eng;
       Alcotest.(check int) "no cancelled action ran" 0 (Q.executed eng))
-    [ wheel; heap ]
+    [ wheel; heap ];
+  (* The engine lets go of a timer's action when it fires, too, though
+     its handle is kept. The reference keeps a fired action for as long
+     as its node is reachable, which the oracle may. *)
+  let eng = Vsim.Engine.create () in
+  let collected = ref 0 in
+  let timers =
+    List.init 10 (fun _ ->
+        let block = Bytes.make 4096 'x' in
+        Gc.finalise (fun _ -> incr collected) block;
+        Vsim.Engine.timer ~delay:1.0 eng (fun () -> Bytes.set block 0 'y'))
+  in
+  Vsim.Engine.run eng;
+  Gc.full_major ();
+  Alcotest.(check int) "every fired action's block collected" 10 !collected;
+  Alcotest.(check int) "with the engine still live" 10
+    (Vsim.Engine.executed eng);
+  ignore (Sys.opaque_identity timers)
+
+(* A handle outlives its timer. Once the timer has fired, or been
+   cancelled and dropped, its queue entry serves later timers, and the
+   old handle must not reach them. The kernel cancels a transaction's
+   timer whenever its reply lands, which can be from inside that very
+   timer's action ([fill_pending] through [cancel_timer]). *)
+let test_stale_handle_own_action () =
+  let eng = Vsim.Engine.create () in
+  let fired = ref 0 in
+  let self = ref None in
+  let firing =
+    Vsim.Engine.timer ~delay:1.0 eng (fun () ->
+        for _ = 1 to 4 do
+          ignore (Vsim.Engine.timer ~delay:1.0 eng (fun () -> incr fired))
+        done;
+        Option.iter (Vsim.Engine.cancel eng) !self)
+  in
+  self := Some firing;
+  Vsim.Engine.run eng;
+  Alcotest.(check int) "every timer the action armed fired" 4 !fired;
+  Alcotest.(check int) "cancelling the firing timer counts nothing" 0
+    (Vsim.Engine.cancelled_timers eng)
+
+let test_stale_handle_after_drop () =
+  let eng = Vsim.Engine.create () in
+  let fired = ref 0 in
+  let dead = Vsim.Engine.timer ~delay:1.0 eng (fun () -> incr fired) in
+  Vsim.Engine.cancel eng dead;
+  (* The cursor drops [dead] on its way to this event. *)
+  Vsim.Engine.schedule ~delay:2.0 eng (fun () ->
+      for _ = 1 to 4 do
+        ignore (Vsim.Engine.timer ~delay:1.0 eng (fun () -> incr fired))
+      done;
+      Vsim.Engine.cancel eng dead);
+  Vsim.Engine.run eng;
+  Alcotest.(check int) "every later timer fired" 4 !fired;
+  Alcotest.(check int) "only the first cancel counted" 1
+    (Vsim.Engine.cancelled_timers eng)
 
 let test_wheel_overflow_order () =
   (* Spans every wheel level and the overflow list (ticks are 0.25 ms:
@@ -593,6 +648,10 @@ let suite =
           test_timer_cancel_same_timestamp;
         Alcotest.test_case "cancel frees the action" `Quick
           test_timer_cancel_frees_action;
+        Alcotest.test_case "stale handle from its own action" `Quick
+          test_stale_handle_own_action;
+        Alcotest.test_case "stale handle after its drop" `Quick
+          test_stale_handle_after_drop;
         Alcotest.test_case "overflow ordering" `Quick test_wheel_overflow_order;
         qcheck prop_wheel_matches_heap;
         qcheck prop_slices_match;
