@@ -711,10 +711,17 @@ let transmit host ~dst ~payload_bytes packet =
   Ethernet.transmit host.domain.net
     { Ethernet.src = host.addr; dst; payload = packet; payload_bytes }
 
-(* Receive-side CPU for a message-bearing packet arriving off the wire. *)
-let remote_recv_cost d msg =
-  Calibration.small_packet_recv_cpu
-  +. (if d.cost.segment_bytes msg > 0 then Calibration.segment_copy_remote_cpu else 0.0)
+(* Run [k] once the receive-side CPU for a message-bearing packet
+   arriving off the wire is spent. The arrival time is the sum
+   [Engine.schedule ~delay] would form, without its option and the
+   delay's box. *)
+let after_remote_recv d msg k =
+  let cost =
+    Calibration.small_packet_recv_cpu
+    +. if d.cost.segment_bytes msg > 0 then Calibration.segment_copy_remote_cpu
+       else 0.0
+  in
+  Engine.schedule_at d.engine (Engine.now d.engine +. cost) k
 
 (* The record of remote [sender] at [host], made on its first
    request. *)
@@ -1566,7 +1573,7 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
   let d = host.domain in
   match frame.Ethernet.payload with
   | Request { txn; sender; target; msg } ->
-      Engine.schedule ~delay:(remote_recv_cost d msg) d.engine (fun () ->
+      after_remote_recv d msg (fun () ->
           if host.host_up then
             let al = alien host sender in
             match al.al_reply with
@@ -1605,7 +1612,7 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
                       ~payload_bytes:control_payload_bytes
                       (Nack { txn; reason })))
   | Reply_pkt { txn; replier; msg } ->
-      Engine.schedule ~delay:(remote_recv_cost d msg) d.engine (fun () ->
+      after_remote_recv d msg (fun () ->
           if host.host_up then fill_pending host ~txn (Ok (msg, replier)))
   | Nack { txn; reason } ->
       Engine.schedule ~delay:Calibration.small_packet_recv_cpu d.engine (fun () ->
@@ -1678,7 +1685,7 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
               | Ok () -> op.mv_fire (Ok Bytes.empty)
               | Error e -> op.mv_fire (Error (Ipc_error e))))
   | Group_request { txn; sender; group; msg } ->
-      Engine.schedule ~delay:(remote_recv_cost d msg) d.engine (fun () ->
+      after_remote_recv d msg (fun () ->
           if host.host_up then begin
             List.iter
               (fun member_pid ->

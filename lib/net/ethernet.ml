@@ -5,12 +5,14 @@
    - [Shared_medium] (the default): the paper's single wire. A
      transmission waits until the medium is free, then propagates to
      the destination host(s). This path is kept bit-for-bit identical
-     to the pre-fabric model: one [wire_free_at], one PRNG draw per
-     frame, the same event schedule.
+     to the pre-fabric model: one serialization cursor
+     ([wire.free_at]), one PRNG draw per frame, the same event
+     schedule.
 
    - [Switched { fan_in }]: hosts hang off edge switches, edges uplink
-     to one spine, and every directed link owns its own [l_free_at] —
-     independent segments carry traffic concurrently. Each hop is
+     to one spine, and every directed link owns its own serialization
+     cursor ([free_at] in the link's [timing]) — independent segments
+     carry traffic concurrently. Each hop is
      store-and-forward: the frame serializes onto the link, propagates,
      pays {!Calibration.switch_forward_ms} on entering a switch, and is
      replicated at switches for broadcast/multicast fan-out (one copy
@@ -56,21 +58,32 @@ type 'a host_port = {
   counts : int array;
 }
 
+(* A segment's clocks, in an all-float record so OCaml stores them
+   unboxed: a hop updates them without allocating and without a write
+   barrier. [free_at] is the serialization cursor; [busy_ms]
+   accumulates serialization time for utilization accounting. The
+   shared medium's wire keeps only its [free_at]. *)
+type timing = {
+  mutable free_at : float;
+  mutable busy_ms : float;
+  mutable extra_ms : float;  (* slow-link fault injection, per hop *)
+  mutable busy_sampled : float;  (* busy_ms at the last ts sample *)
+}
+
+let new_timing () =
+  { free_at = 0.0; busy_ms = 0.0; extra_ms = 0.0; busy_sampled = 0.0 }
+
 (* One directed link of the switched fabric. [l_queued] counts frames
    occupying the port — queued, serializing or in flight — and is what
-   the bounded-queue admission check reads; [l_busy_ms] accumulates
-   serialization time for utilization accounting. *)
+   the bounded-queue admission check reads. *)
 type link = {
   link_id : Topology.node * Topology.node;
   mutable l_up : bool;
-  mutable l_free_at : float;
+  l_timing : timing;
   mutable l_queued : int;
   mutable l_queue_peak : int;
   mutable l_frames : int;
   mutable l_drops : int;  (* tail drops + frames dying on a down link *)
-  mutable l_busy_ms : float;
-  mutable l_extra_ms : float;  (* slow-link fault injection, per hop *)
-  mutable l_busy_sampled : float;  (* l_busy_ms at the last ts sample *)
 }
 
 (* Marks an index slot whose link has not materialized, and a link-less
@@ -79,14 +92,11 @@ let no_link =
   {
     link_id = (Topology.Spine, Topology.Spine);
     l_up = false;
-    l_free_at = 0.0;
+    l_timing = new_timing ();
     l_queued = 0;
     l_queue_peak = 0;
     l_frames = 0;
     l_drops = 0;
-    l_busy_ms = 0.0;
-    l_extra_ms = 0.0;
-    l_busy_sampled = 0.0;
   }
 
 (* --- the wire's events (see Vobs.Stream) --- *)
@@ -222,7 +232,7 @@ type 'a t = {
   prng : Vsim.Prng.t;
   hosts : (addr, 'a host_port) Hashtbl.t;
   groups : (int, (addr, unit) Hashtbl.t) Hashtbl.t;
-  mutable wire_free_at : float;  (* Shared_medium only *)
+  wire : timing;  (* Shared_medium only *)
   links : (Topology.node * Topology.node, link) Hashtbl.t;  (* Switched only *)
   host_uplinks : link_index;  (* host a -> its edge, by a *)
   host_downlinks : link_index;  (* edge -> host a, by a *)
@@ -256,7 +266,7 @@ let create ?(seed = 1) ?(topology = Topology.Shared_medium) ?(queue_cap = 256)
     prng = Vsim.Prng.create ~seed;
     hosts = Hashtbl.create 16;
     groups = Hashtbl.create 16;
-    wire_free_at = 0.0;
+    wire = new_timing ();
     links = Hashtbl.create 64;
     host_uplinks = { by_id = [||] };
     host_downlinks = { by_id = [||] };
@@ -416,14 +426,11 @@ let get_link t key =
         {
           link_id = key;
           l_up = true;
-          l_free_at = 0.0;
+          l_timing = new_timing ();
           l_queued = 0;
           l_queue_peak = 0;
           l_frames = 0;
           l_drops = 0;
-          l_busy_ms = 0.0;
-          l_extra_ms = 0.0;
-          l_busy_sampled = 0.0;
         }
       in
       Hashtbl.replace t.links key l;
@@ -499,7 +506,7 @@ let link_up t a b =
 let set_link_extra_latency t a b ms =
   if ms < 0.0 then invalid_arg "Ethernet.set_link_extra_latency";
   let l = require_link t "Ethernet.set_link_extra_latency" (a, b) in
-  l.l_extra_ms <- ms;
+  l.l_timing.extra_ms <- ms;
   emit t Link_latency ~site:(-1) ~a:0 ~b:0 ~link:l ~x:ms
 
 let link_stats t =
@@ -512,8 +519,8 @@ let link_stats t =
         ls_drops = l.l_drops;
         ls_queued = l.l_queued;
         ls_queue_peak = l.l_queue_peak;
-        ls_busy_ms = l.l_busy_ms;
-        ls_extra_ms = l.l_extra_ms;
+        ls_busy_ms = l.l_timing.busy_ms;
+        ls_extra_ms = l.l_timing.extra_ms;
       }
       :: acc)
     t.links []
@@ -574,8 +581,9 @@ let sample_timeseries t ts ~now =
   let interval = now -. t.last_ts_sample in
   List.iter
     (fun (s_util, s_queue, s_drops, l) ->
-      let busy = l.l_busy_ms -. l.l_busy_sampled in
-      l.l_busy_sampled <- l.l_busy_ms;
+      let lt = l.l_timing in
+      let busy = lt.busy_ms -. lt.busy_sampled in
+      lt.busy_sampled <- lt.busy_ms;
       let pct = if interval > 0.0 then busy /. interval *. 100.0 else 0.0 in
       Vobs.Timeseries.sample ts s_util Vobs.Timeseries.Gauge ~now pct;
       Vobs.Timeseries.sample ts s_queue Vobs.Timeseries.Gauge ~now
@@ -737,15 +745,15 @@ let frame_lost t frame =
   lost
 
 (* The single-wire path, bit-for-bit the pre-fabric model: one
-   [wire_free_at], transmission then propagation, one loss draw per
-   frame at arrival time. *)
+   serialization cursor, transmission then propagation, one loss draw
+   per frame at arrival time. *)
 let transmit_shared t frame =
   let now = Vsim.Engine.now t.engine in
-  let start = Float.max now t.wire_free_at in
+  let start = Float.max now t.wire.free_at in
   let duration =
     Calibration.transmission_ms t.config ~payload_bytes:frame.payload_bytes
   in
-  t.wire_free_at <- start +. duration;
+  t.wire.free_at <- start +. duration;
   let arrival = start +. duration +. t.config.propagation_ms in
   Vsim.Engine.schedule_at t.engine arrival (fun () ->
       if not (frame_lost t frame) then
@@ -757,8 +765,8 @@ let transmit_shared t frame =
               (intended_destinations t frame))
 
 (* One store-and-forward hop of the switched fabric over link [l]:
-   admission-check the port's bounded queue, serialize behind
-   [l_free_at], propagate, then run [arrive] at the instant the frame
+   admission-check the port's bounded queue, serialize behind its
+   [free_at], propagate, then run [arrive] at the instant the frame
    is available at the far node; [arrive] must first [leave] [l]. A
    hop out of a switch starts {!Calibration.switch_forward_ms} after
    the frame entered it; the source uplink starts at once. [arrive]
@@ -781,14 +789,15 @@ let hop t frame l ~from_switch arrive =
     if l.l_queued > l.l_queue_peak then l.l_queue_peak <- l.l_queued;
     let now = Vsim.Engine.now t.engine in
     let at = if from_switch then now +. Calibration.switch_forward_ms else now in
-    let start = Float.max at l.l_free_at in
+    let lt = l.l_timing in
+    let start = Float.max at lt.free_at in
     let duration =
       Calibration.transmission_ms t.config ~payload_bytes:frame.payload_bytes
     in
-    l.l_free_at <- start +. duration;
-    l.l_busy_ms <- l.l_busy_ms +. duration;
+    lt.free_at <- start +. duration;
+    lt.busy_ms <- lt.busy_ms +. duration;
     l.l_frames <- l.l_frames + 1;
-    let arrival = start +. duration +. t.config.propagation_ms +. l.l_extra_ms in
+    let arrival = start +. duration +. t.config.propagation_ms +. lt.extra_ms in
     Vsim.Engine.schedule_at t.engine arrival arrive
   end
 
