@@ -1,15 +1,23 @@
 (* Allocation gates: minor words per unit of work. The counts repeat
    exactly for a given binary and compiler.
 
-   On the IPC data path: one engine event, one [Proc.delay], one
-   cross-edge unicast frame and one remote echo transaction. Each
-   ceiling sits well below what the data path allocated before its
-   dispatch, fabric, fiber suspension and transaction bookkeeping were
-   made allocation-lean (engine event 43, delay 115, frame 335, echo
-   1,425 words on OCaml 5.1), and about 40% above the counts there
-   today (10, 16, 72.5, 394), as headroom for the other supported
-   compiler. A delay wakes through one queue node that takes both of
-   its turns, where it took a timer closure, a resume closure and two
+   On the IPC data path: one engine event, one [Proc.delay], one event
+   of the E12 timer storm, one cross-edge unicast frame, one frame on
+   the shared wire and one remote echo transaction. Each ceiling sits
+   well below what the data path allocated before its dispatch,
+   fabric, fiber suspension, transaction bookkeeping and event queue
+   were made allocation-lean (engine event 43, delay 115, frame 335,
+   echo 1,425 words on OCaml 5.1), and about 40% above the counts
+   there today (4, 10, 33.5, 286; the shared wire's frame 11.5), as
+   headroom for the other supported compiler. The timer storm's
+   ceiling is half its count before the queue kept its nodes in flat
+   arrays (14.1; 6.3 today). Scheduling an event now allocates its
+   action, its boxed time and, when it advances the clock, the clock's
+   new box; a push used to add a 5-word node and a 3-word cons for each
+   slot it landed in, and a hop boxed its link's two clocks. Before
+   that, the counts were 10, 16, 72.5 and 394 (the shared wire's
+   19.3). A delay wakes through one queue node that takes both of its
+   turns, where it took a timer closure, a resume closure and two
    nodes (39 words), and a unicast frame is one in-flight record with
    one action for all of its hops, where each hop took two closures
    (109.5 words). The echo, two delays and two frames, fell with them
@@ -22,7 +30,7 @@
    Query. Before names were scanned in place, cuts scanned without a
    list and keyed recordings looked up through a reused probe, these
    cost 22.9, 116, 140, 6 and 456 words on OCaml 5.1; today 2.75, 14,
-   21, 0 and 186. The ceilings leave the same headroom.
+   21, 0 and 165.8. The ceilings leave the same headroom.
 
    Above the kernel, a report with a hub attached and nothing listening
    — a count, a request, a hop's finish, a replica fan-out — allocates
@@ -67,7 +75,7 @@ let test_engine_event () =
   in
   chain 100;
   let n = 20_000 in
-  gate "one engine event" ~ceiling:14.0
+  gate "one engine event" ~ceiling:6.0
     (words_per ~units:n (fun () -> chain n))
 
 let test_proc_delay () =
@@ -83,20 +91,58 @@ let test_proc_delay () =
               Vsim.Proc.delay eng 1.0
             done));
   Engine.run eng;
-  gate "one Proc.delay" ~ceiling:23.0 !words
+  gate "one Proc.delay" ~ceiling:14.0 !words
 
-(* Rounds of 64 frames, host i to host 64 + i on the next edge switch:
-   four hops each. One warm round materializes the links first. *)
-let test_cross_edge_frame () =
+(* The E12 timer storm, shaped as the benchmark's probe runs it: each
+   transaction arms a retransmission and a timeout timer and cancels
+   both when its reply lands 2.6 ms later. The unit is one engine
+   event, executed or cancelled. One warm storm grows the queue
+   first. *)
+let test_timer_storm () =
   let eng = Engine.create () in
-  let fan_in = 64 in
-  let net = E.create ~config:C.ethernet_10mbit ~topology:(T.switched ~fan_in) eng in
-  for a = 0 to (2 * fan_in) - 1 do
+  let storm () =
+    for w = 0 to 1_999 do
+      let n = ref 0 in
+      let rec issue () =
+        incr n;
+        let retransmit =
+          Engine.timer ~delay:C.retransmit_interval_ms eng ignore
+        in
+        let timeout = Engine.timer ~delay:C.ipc_timeout_ms eng ignore in
+        Engine.schedule ~delay:2.6 eng (fun () ->
+            Engine.cancel eng retransmit;
+            Engine.cancel eng timeout;
+            if !n < 25 then issue ())
+      in
+      Engine.schedule ~delay:(float_of_int w *. 0.013) eng issue
+    done;
+    Engine.run eng
+  in
+  storm ();
+  let events () = Engine.executed eng + Engine.cancelled_timers eng in
+  let before = events () in
+  let words = words_per ~units:1 storm in
+  gate "one timer-storm event" ~ceiling:7.0
+    (words /. float_of_int (events () - before))
+
+(* Rounds of 64 frames, host i to host 64 + i: on the switched fabric,
+   to the next edge switch, four hops each. One warm round
+   materializes the links first. *)
+let frame_words ?topology () =
+  let eng = Engine.create () in
+  let hosts = 64 in
+  let net = E.create ~config:C.ethernet_10mbit ?topology eng in
+  for a = 0 to (2 * hosts) - 1 do
     E.attach net a ignore
   done;
   let frames =
-    Array.init fan_in (fun i ->
-        { E.src = i; dst = E.Unicast (fan_in + i); payload = (); payload_bytes = 64 })
+    Array.init hosts (fun i ->
+        {
+          E.src = i;
+          dst = E.Unicast (hosts + i);
+          payload = ();
+          payload_bytes = 64;
+        })
   in
   let rounds n =
     for r = 0 to n - 1 do
@@ -108,10 +154,17 @@ let test_cross_edge_frame () =
   in
   rounds 1;
   let n = 50 in
-  let words = words_per ~units:(n * fan_in) (fun () -> rounds n) in
-  Alcotest.(check int) "every frame delivered" ((n + 1) * fan_in)
+  let words = words_per ~units:(n * hosts) (fun () -> rounds n) in
+  Alcotest.(check int) "every frame delivered" ((n + 1) * hosts)
     (E.counters net).E.frames_delivered;
-  gate "one cross-edge frame at fan-in 64" ~ceiling:103.0 words
+  words
+
+let test_cross_edge_frame () =
+  gate "one cross-edge frame at fan-in 64" ~ceiling:47.0
+    (frame_words ~topology:(T.switched ~fan_in:64) ())
+
+let test_shared_wire_frame () =
+  gate "one shared-wire frame" ~ceiling:16.0 (frame_words ())
 
 (* Sequential echo transactions across edge switches on the gigabit
    fabric the benchmark's IPC workload uses. *)
@@ -161,7 +214,7 @@ let echo_words ?(attach = ignore) () =
   Engine.run eng;
   !words
 
-let test_remote_echo () = gate "one remote echo" ~ceiling:555.0 (echo_words ())
+let test_remote_echo () = gate "one remote echo" ~ceiling:400.0 (echo_words ())
 
 (* With the stream listening — the pump armed, as on E15's soak lane,
    recorder and timeline off — every kernel and wire site emits its
@@ -427,7 +480,9 @@ let suite =
       [
         Alcotest.test_case "engine event" `Quick test_engine_event;
         Alcotest.test_case "Proc.delay" `Quick test_proc_delay;
+        Alcotest.test_case "timer storm" `Quick test_timer_storm;
         Alcotest.test_case "cross-edge frame" `Quick test_cross_edge_frame;
+        Alcotest.test_case "shared-wire frame" `Quick test_shared_wire_frame;
         Alcotest.test_case "remote echo" `Quick test_remote_echo;
         Alcotest.test_case "listening stream" `Quick test_listening_stream;
         Alcotest.test_case "Csnh.walk" `Quick test_walk;
