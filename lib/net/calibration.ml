@@ -30,10 +30,6 @@ let ethernet_3mbit =
 let ethernet_10mbit =
   { name = "10Mb Ethernet"; bandwidth_bps = 1.0e7; header_bytes = 64; propagation_ms = 0.01 }
 
-(* Time on the wire for a frame carrying [payload_bytes]. *)
-let transmission_ms net ~payload_bytes =
-  float_of_int ((net.header_bytes + payload_bytes) * 8) /. net.bandwidth_bps *. 1000.0
-
 (* Store-and-forward latency charged each time a switch takes a frame
    off one link and queues it on the next: header inspection plus the
    output-port table walk. Only the switched fabric (Topology.Switched)

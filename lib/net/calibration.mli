@@ -16,9 +16,6 @@ type network = {
 val ethernet_3mbit : network
 val ethernet_10mbit : network
 
-(** Time on the wire for a frame carrying [payload_bytes]. *)
-val transmission_ms : network -> payload_bytes:int -> float
-
 (** Store-and-forward latency charged per switch hop in a
     {!Topology.Switched} fabric (header inspection + output-port
     lookup). The shared medium has no switches and never pays it. *)

@@ -284,6 +284,13 @@ let create ?(seed = 1) ?(topology = Topology.Shared_medium) ?(queue_cap = 256)
     ts_interior = None;
   }
 
+(* Time on the wire for a frame carrying [payload_bytes]. It sits beside
+   its two callers and is inlined into them: a float a function returns
+   is boxed, and the hop path should box only the arrival time. *)
+let[@inline] transmission_ms (net : Calibration.network) ~payload_bytes =
+  float_of_int ((net.header_bytes + payload_bytes) * 8)
+  /. net.bandwidth_bps *. 1000.0
+
 let count counts kind =
   let i = slot kind in
   counts.(i) <- counts.(i) + 1
@@ -750,9 +757,7 @@ let frame_lost t frame =
 let transmit_shared t frame =
   let now = Vsim.Engine.now t.engine in
   let start = Float.max now t.wire.free_at in
-  let duration =
-    Calibration.transmission_ms t.config ~payload_bytes:frame.payload_bytes
-  in
+  let duration = transmission_ms t.config ~payload_bytes:frame.payload_bytes in
   t.wire.free_at <- start +. duration;
   let arrival = start +. duration +. t.config.propagation_ms in
   Vsim.Engine.schedule_at t.engine arrival (fun () ->
@@ -792,7 +797,7 @@ let hop t frame l ~from_switch arrive =
     let lt = l.l_timing in
     let start = Float.max at lt.free_at in
     let duration =
-      Calibration.transmission_ms t.config ~payload_bytes:frame.payload_bytes
+      transmission_ms t.config ~payload_bytes:frame.payload_bytes
     in
     lt.free_at <- start +. duration;
     lt.busy_ms <- lt.busy_ms +. duration;

@@ -66,6 +66,10 @@ val create :
 val attach_hub : 'a t -> Vobs.Hub.t -> unit
 
 val config : 'a t -> Calibration.network
+
+(** Time on the wire for a frame carrying [payload_bytes]. *)
+val transmission_ms : Calibration.network -> payload_bytes:int -> float
+
 val topology : 'a t -> Topology.t
 
 (** Per-link output-queue bound; [None] on the shared medium. *)

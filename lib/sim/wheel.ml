@@ -118,7 +118,6 @@ let create ~blank =
   }
 
 let length t = t.live_count
-let is_empty t = t.live_count = 0
 let cancelled t = t.cancelled_count
 
 (* --- the slab --- *)

@@ -38,8 +38,6 @@ val create : blank:'a -> 'a t
 (** Live (scheduled, not cancelled, not fired) nodes. *)
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 (** Total nodes cancelled over the wheel's lifetime. *)
 val cancelled : 'a t -> int
 

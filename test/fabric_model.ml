@@ -186,7 +186,7 @@ let hop t (frame : 'a E.frame) key ~at k =
     if l.l_queued > l.l_queue_peak then l.l_queue_peak <- l.l_queued;
     let start = Float.max at l.l_free_at in
     let duration =
-      C.transmission_ms t.config ~payload_bytes:frame.payload_bytes
+      E.transmission_ms t.config ~payload_bytes:frame.payload_bytes
     in
     l.l_free_at <- start +. duration;
     l.l_busy_ms <- l.l_busy_ms +. duration;

@@ -4,25 +4,25 @@
    On the IPC data path: one engine event, one [Proc.delay], one event
    of the E12 timer storm, one cross-edge unicast frame, one frame on
    the shared wire and one remote echo transaction. Each ceiling sits
-   well below what the data path allocated before its dispatch,
-   fabric, fiber suspension, transaction bookkeeping and event queue
-   were made allocation-lean (engine event 43, delay 115, frame 335,
-   echo 1,425 words on OCaml 5.1), and about 40% above the counts
-   there today (4, 10, 33.5, 286; the shared wire's frame 11.5), as
-   headroom for the other supported compiler. The timer storm's
-   ceiling is half its count before the queue kept its nodes in flat
-   arrays (14.1; 6.3 today). Scheduling an event now allocates its
-   action, its boxed time and, when it advances the clock, the clock's
-   new box; a push used to add a 5-word node and a 3-word cons for each
-   slot it landed in, and a hop boxed its link's two clocks. Before
-   that, the counts were 10, 16, 72.5 and 394 (the shared wire's
-   19.3). A delay wakes through one queue node that takes both of its
-   turns, where it took a timer closure, a resume closure and two
-   nodes (39 words), and a unicast frame is one in-flight record with
-   one action for all of its hops, where each hop took two closures
-   (109.5 words). The echo, two delays and two frames, fell with them
-   from 514; it was 532 when it armed a retransmission timer and a
-   probe timer, before one timer served both.
+   well below what the data path allocated before its dispatch, fabric,
+   fiber suspension, transaction bookkeeping and event queue were made
+   allocation-lean (engine event 43, delay 115, frame 335, echo 1,425
+   words on OCaml 5.1), and about 40% above the counts there today (4,
+   10, 25.5, 270; the shared wire's frame 9.5), as headroom for the
+   other supported compiler. The timer storm's ceiling is half its count
+   before the queue kept its nodes in flat arrays (14.1; 6.3 today).
+   Scheduling an event now allocates its action, its boxed time and,
+   when it advances the clock, the clock's new box; a push used to add a
+   5-word node and a 3-word cons for each slot it landed in, and a hop
+   boxed its link's two clocks and its serialization time. Before that,
+   the counts were 10, 16, 72.5 and 394 (the shared wire's 19.3). A
+   delay wakes through one queue node that takes both of its turns,
+   where it took a timer closure, a resume closure and two nodes (39
+   words), and a unicast frame is one in-flight record with one action
+   for all of its hops, where each hop took two closures (109.5 words).
+   The echo, two delays and two frames, fell with them from 514; it was
+   532 when it armed a retransmission timer and a probe timer, before
+   one timer served both.
 
    On the naming path: one component of a [Csnh.walk], a
    [Name_cache.find] deep hit and miss, a keyed [Metrics.incr] on an
@@ -160,11 +160,11 @@ let frame_words ?topology () =
   words
 
 let test_cross_edge_frame () =
-  gate "one cross-edge frame at fan-in 64" ~ceiling:47.0
+  gate "one cross-edge frame at fan-in 64" ~ceiling:36.0
     (frame_words ~topology:(T.switched ~fan_in:64) ())
 
 let test_shared_wire_frame () =
-  gate "one shared-wire frame" ~ceiling:16.0 (frame_words ())
+  gate "one shared-wire frame" ~ceiling:13.0 (frame_words ())
 
 (* Sequential echo transactions across edge switches on the gigabit
    fabric the benchmark's IPC workload uses. *)
@@ -214,7 +214,7 @@ let echo_words ?(attach = ignore) () =
   Engine.run eng;
   !words
 
-let test_remote_echo () = gate "one remote echo" ~ceiling:400.0 (echo_words ())
+let test_remote_echo () = gate "one remote echo" ~ceiling:380.0 (echo_words ())
 
 (* With the stream listening — the pump armed, as on E15's soak lane,
    recorder and timeline off — every kernel and wire site emits its

@@ -9,7 +9,7 @@ module C = Vnet.Calibration
 
 let check_float = Alcotest.(check (float 1e-9))
 
-let tx = C.transmission_ms C.ethernet_3mbit ~payload_bytes:32
+let tx = E.transmission_ms C.ethernet_3mbit ~payload_bytes:32
 let prop = C.ethernet_3mbit.C.propagation_ms
 
 (* --- topology arithmetic --- *)
@@ -55,7 +55,7 @@ let single_wire_reference sends =
   List.map
     (fun (at, src, dst, bytes) ->
       let start = Float.max at !wire_free in
-      let duration = C.transmission_ms C.ethernet_3mbit ~payload_bytes:bytes in
+      let duration = E.transmission_ms C.ethernet_3mbit ~payload_bytes:bytes in
       wire_free := start +. duration;
       (start +. duration +. prop, src, dst))
     sends

@@ -14,9 +14,9 @@ let make_net ?(config = C.ethernet_3mbit) () =
 let test_transmission_time () =
   (* 32-byte payload + 64-byte header at 3 Mbit: 96*8/3e6 s = 0.256 ms *)
   check_float "3Mbit small frame" 0.256
-    (C.transmission_ms C.ethernet_3mbit ~payload_bytes:32);
+    (E.transmission_ms C.ethernet_3mbit ~payload_bytes:32);
   check_float "10Mbit small frame" 0.0768
-    (C.transmission_ms C.ethernet_10mbit ~payload_bytes:32)
+    (E.transmission_ms C.ethernet_10mbit ~payload_bytes:32)
 
 let test_unicast_delivery () =
   let eng, net = make_net () in
@@ -140,8 +140,8 @@ let prop_transmission_monotone =
     QCheck.(pair (int_range 0 10000) (int_range 0 10000))
     (fun (a, b) ->
       let smaller = min a b and larger = max a b in
-      C.transmission_ms C.ethernet_3mbit ~payload_bytes:smaller
-      <= C.transmission_ms C.ethernet_3mbit ~payload_bytes:larger)
+      E.transmission_ms C.ethernet_3mbit ~payload_bytes:smaller
+      <= E.transmission_ms C.ethernet_3mbit ~payload_bytes:larger)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
