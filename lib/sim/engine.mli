@@ -6,9 +6,9 @@
 
     The queue behind the engine is a hierarchical timer wheel
     ({!Wheel}): O(1) scheduling and cancellation, in the (time, seq)
-    order a binary heap over the same keys gives. Scheduling allocates
-    nothing but the caller's action, and the clock is boxed afresh only
-    when an event advances it. *)
+    order a binary heap over the same keys gives. The queue allocates
+    nothing per event once its arrays have grown, and the clock is
+    boxed afresh only when an event advances it. *)
 
 type t
 

@@ -346,6 +346,8 @@ let test_timer_cancel_frees_action () =
   Vsim.Engine.run eng;
   Gc.full_major ();
   Alcotest.(check int) "every fired action's block collected" 10 !collected;
+  (* Read the engine after the collection: were it garbage, its queue
+     would be too, and the check above would prove nothing. *)
   Alcotest.(check int) "with the engine still live" 10
     (Vsim.Engine.executed eng);
   ignore (Sys.opaque_identity timers)
