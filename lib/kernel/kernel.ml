@@ -57,7 +57,9 @@ type 'm packet =
   | Move_ack of { mv : int; outcome : (unit, error) result }
   | Group_request of { txn : int; sender : Pid.t; group : int; msg : 'm }
 
-type 'm delivery = { d_sender : Pid.t; d_msg : 'm }
+(* A message delivered to a local process, with its sender: what a
+   receive returns, built once whether it is queued or handed over. *)
+type 'm delivery = 'm * Pid.t
 
 (* What a host remembers of one remote sender, after the V kernel's
    alien descriptors (Cheriton & Zwaenepoel, SOSP 1983): the sender's
@@ -146,21 +148,27 @@ type event = {
   mutable trace : int;
 }
 
-(* The resumer of a fiber's current blocking call, type-erased so a
-   crash or destroy can abort it whatever the call waits for. *)
-type waiter = No_waiter | Waiter : (('a, exn) result -> unit) -> waiter
-
+(* A blocked kernel call keeps its fiber's continuation in the record
+   it waits in: a transaction's [pending] record, a move, a GetPid
+   wait, or its process's receive slot. Whoever wakes the fiber takes
+   that record out first, so every other wake finds nothing: a late
+   reply, a timeout, a destroy or a crash each wake it at most once.
+   A process remembers which record it waits in, so a destroy or crash
+   can find it. *)
 type 'm process = {
   pid : Pid.t;
   proc_name : string;
   proc_host : 'm host;
   queue : 'm delivery Queue.t;
-  mutable recv_waiter :
-    (('m delivery, exn) result -> unit) option;
-  mutable waiter : waiter;
-  (* Counts [block] calls, twice each: a resumer fires only while the
-     count still holds the value its call set. *)
-  mutable blocks : int;
+  (* The receive slot: a receive that found no message waits here
+     until a delivery or an abort takes it. *)
+  mutable receiver : 'm delivery Proc.waiting option;
+  (* The key of the record any other blocking call waits in: the txn
+     of a transaction or GetPid wait, or the negated id of a move. An
+     int, so setting it writes no pointer. Left stale when the call
+     returns; a txn or move id is never reused, so a stale key finds
+     nothing. 0 before the first such call. *)
+  mutable blocked_on : int;
   mutable proc_alive : bool;
   (* Overload protection, off ([None]) by default: with no hook
      installed the request path costs exactly one extra word test. *)
@@ -178,20 +186,26 @@ and 'm admission = {
 }
 
 and 'm pending = {
-  p_fire : ('m * Pid.t, exn) result -> unit;
+  p_sender : ('m * Pid.t) Proc.waiting;  (* resumed with (reply, replier) *)
   p_buffer : bytes option;
   (* The transaction's one timer ([arm_recovery], or GroupSend's
      deadline), so completion cancels it in O(1) instead of leaving a
      no-op event in the queue (the common case: every successful remote
-     SRR arms it and never needs it). *)
-  mutable p_timer : Engine.timer option;
+     SRR arms it and never needs it). [Engine.no_timer] until armed. *)
+  mutable p_timer : Engine.timer;
   mutable p_probes : int;  (* probes fired so far, across re-arms *)
 }
 
-and 'm move_op = {
-  mv_fire : (bytes, exn) result -> unit;
+and move_op = {
+  mv_mover : bytes Proc.waiting;
   mv_buf : Buffer.t;
-  mutable mv_timer : Engine.timer option;
+  mutable mv_timer : Engine.timer;
+}
+
+(* A broadcast GetPid waiting for its first answer or its deadline. *)
+and getpid_wait = {
+  gw_asker : Pid.t option Proc.waiting;
+  gw_deadline : Engine.timer;
 }
 
 and 'm host = {
@@ -203,10 +217,11 @@ and 'm host = {
   processes : (int, 'm process) Hashtbl.t; (* by local pid *)
   services : (int, (Pid.t * Service.scope) list) Hashtbl.t;
   serving : (int, int) Hashtbl.t;
-      (* serving_key sender receiver -> txn being served by receiver *)
+      (* serving_key sender receiver -> txn being served by receiver,
+         as [lnot txn] for a group delivery (see [retire_served]) *)
   pendings : (int, 'm pending) Hashtbl.t; (* txn -> blocked local sender *)
-  moves : (int, 'm move_op) Hashtbl.t;
-  getpid_waits : (int, Pid.t option -> unit) Hashtbl.t;
+  moves : (int, move_op) Hashtbl.t;
+  getpid_waits : (int, getpid_wait) Hashtbl.t;
   (* At-most-once delivery of retransmitted requests: one record per
      remote sender, by pid. Never folded, so its size shapes nothing. *)
   aliens : (int, 'm alien) Hashtbl.t;
@@ -555,30 +570,76 @@ let disable_telemetry d =
       Vobs.Metrics.set_groups (Vobs.Hub.metrics hub) None)
     d.domain_obs
 
-(* Suspend the current fiber in a crash-abortable, fire-once way. The
-   fire-once state is the process's block count, so a call allocates
-   one resumer and its type-erased handle, no cell. *)
-let block proc register =
-  Proc.suspend (fun resume ->
-      let token = proc.blocks + 1 in
-      proc.blocks <- token;
-      let fire result =
-        if proc.blocks = token then begin
-          proc.blocks <- token + 1;
-          proc.waiter <- No_waiter;
-          resume result
-        end
-      in
-      proc.waiter <- Waiter fire;
-      register fire)
-
-let abort_blocked proc e =
-  match proc.waiter with Waiter fire -> fire (Error e) | No_waiter -> ()
-
 let charge proc ms =
   check_alive proc;
   if ms > 0.0 then Proc.delay proc.proc_host.domain.engine ms;
   check_alive proc
+
+(* --- waking a blocked call --- *)
+
+(* Each wake below takes its record out of its table before it wakes
+   the fiber, and cancels the record's timer, so no second wake finds
+   the record and a timer that fires always finds it. Each is a no-op
+   when the record has gone: the call was answered, timed out, aborted
+   or crashed. All are safe from event context. *)
+
+let retire_pending host ~txn pending =
+  Hashtbl.remove host.pendings txn;
+  Engine.cancel host.domain.engine pending.p_timer
+
+(* Resume transaction [txn]'s blocked sender with [(reply, replier)].
+   Cancelling the timer leaves a satisfied SRR no residue in the event
+   queue. *)
+let resume_pending host ~txn reply =
+  match Hashtbl.find host.pendings txn with
+  | exception Not_found -> ()
+  | pending ->
+      retire_pending host ~txn pending;
+      Proc.wake host.domain.engine pending.p_sender reply
+
+let fail_pending host ~txn e =
+  match Hashtbl.find host.pendings txn with
+  | exception Not_found -> ()
+  | pending ->
+      retire_pending host ~txn pending;
+      Proc.wake_exn host.domain.engine pending.p_sender e
+
+let finish_move host ~mv result =
+  match Hashtbl.find host.moves mv with
+  | exception Not_found -> ()
+  | op -> (
+      Hashtbl.remove host.moves mv;
+      let engine = host.domain.engine in
+      Engine.cancel engine op.mv_timer;
+      match result with
+      | Ok data -> Proc.wake engine op.mv_mover data
+      | Error e -> Proc.wake_exn engine op.mv_mover e)
+
+let settle_getpid host ~txn result =
+  match Hashtbl.find host.getpid_waits txn with
+  | exception Not_found -> ()
+  | w -> (
+      Hashtbl.remove host.getpid_waits txn;
+      let engine = host.domain.engine in
+      Engine.cancel engine w.gw_deadline;
+      match result with
+      | Ok answer -> Proc.wake engine w.gw_asker answer
+      | Error e -> Proc.wake_exn engine w.gw_asker e)
+
+(* Wake [proc]'s blocked kernel call, if it has one, with [e]. *)
+let abort_blocked proc e =
+  let host = proc.proc_host in
+  (match proc.receiver with
+  | Some k ->
+      proc.receiver <- None;
+      Proc.wake_exn host.domain.engine k e
+  | None -> ());
+  let key = proc.blocked_on in
+  if key > 0 then begin
+    fail_pending host ~txn:key e;
+    settle_getpid host ~txn:key (Error e)
+  end
+  else if key < 0 then finish_move host ~mv:(-key) (Error e)
 
 (* --- process lifecycle --- *)
 
@@ -592,9 +653,49 @@ let alloc_local_pid host =
   in
   loop 0
 
+(* One int per (sender, receiver) pair: the receiver is always a
+   process of this host, so its 16-bit local pid names it, and the
+   40-bit sender pid shifted past it fits in 56 bits. *)
+let serving_key ~sender ~receiver =
+  (Pid.to_int sender lsl 16) lor Pid.local_pid receiver
+
+(* The transaction the key's receiver serves for its sender. Raises
+   [Not_found] if there is none. *)
+let served host key =
+  let v = Hashtbl.find host.serving key in
+  if v < 0 then lnot v else v
+
+(* The process's [serving] entries go with it, and each transaction it
+   was serving or had queued fails with Nonexistent_process, in txn
+   order, if its sender waits on this host. A sender on another host
+   learns of it from its retransmission's nack: the kernel reads only
+   its own host's tables. A group delivery fails nothing, since another
+   member may still answer. *)
+let retire_served proc =
+  let host = proc.proc_host in
+  let lp = Pid.local_pid proc.pid in
+  let mine =
+    Hashtbl.fold
+      (fun key v acc ->
+        if key land Pid.max_local_pid = lp then (key, v) :: acc else acc)
+      host.serving []
+  in
+  List.iter (fun (key, _) -> Hashtbl.remove host.serving key) mine;
+  List.filter_map (fun (_, v) -> if v >= 0 then Some v else None) mine
+  |> List.sort Int.compare
+  |> List.iter (fun txn ->
+         fail_pending host ~txn (Ipc_error Nonexistent_process))
+
+(* The process's record goes, once: on a destroy, or when its body
+   returns or raises. A crash drops every record of its host at once
+   and marks each process dead, so the body's end finds nothing left
+   here to do. *)
 let destroy_process_record proc =
-  proc.proc_alive <- false;
-  Hashtbl.remove proc.proc_host.processes (Pid.local_pid proc.pid)
+  if proc.proc_alive then begin
+    proc.proc_alive <- false;
+    Hashtbl.remove proc.proc_host.processes (Pid.local_pid proc.pid);
+    retire_served proc
+  end
 
 let spawn host ?(name = "process") body =
   if not host.host_up then raise (Host_is_down host.host_name);
@@ -606,9 +707,8 @@ let spawn host ?(name = "process") body =
       proc_name = name;
       proc_host = host;
       queue = Queue.create ();
-      recv_waiter = None;
-      waiter = No_waiter;
-      blocks = 0;
+      receiver = None;
+      blocked_on = 0;
       proc_alive = true;
       admission = None;
     }
@@ -635,77 +735,22 @@ let destroy_process d pid =
 
 (* --- delivery --- *)
 
-(* One int per (sender, receiver) pair: the receiver is always a
-   process of this host, so its 16-bit local pid names it, and the
-   40-bit sender pid shifted past it fits in 56 bits. *)
-let serving_key ~sender ~receiver =
-  (Pid.to_int sender lsl 16) lor Pid.local_pid receiver
-
-(* Deliver [sender]'s transaction [txn] to [proc], which now serves it
-   (its Reply or Forward finds [txn]): an idle receiver is fired
-   directly, otherwise the message waits on [lane]. The lane is the
-   process's own queue, or an admission hook's bulk lane, which is
-   dequeued only once the queue is empty. *)
-let deliver ~txn ~sender proc lane msg =
+(* Deliver [sender]'s transaction to [proc], which now serves it (its
+   Reply or Forward finds [served], the txn or, for a group delivery,
+   [lnot txn]): a receiver blocked in Receive is woken with the
+   delivery, otherwise it waits on [lane]. The lane is the process's
+   own queue, or an admission hook's bulk lane, which is dequeued only
+   once the queue is empty. *)
+let deliver ~served ~sender proc lane msg =
   Hashtbl.replace proc.proc_host.serving
     (serving_key ~sender ~receiver:proc.pid)
-    txn;
+    served;
   if proc.proc_alive then
-    match proc.recv_waiter with
-    | Some fire ->
-        proc.recv_waiter <- None;
-        fire (Ok { d_sender = sender; d_msg = msg })
-    | None -> Queue.add { d_sender = sender; d_msg = msg } lane
-
-(* Dequeue order: all interactive traffic first, then bulk. With no
-   admission hook this is exactly the single-queue take it always was. *)
-let take_delivery proc =
-  match Queue.take_opt proc.queue with
-  | Some _ as d -> d
-  | None -> (
-      match proc.admission with
-      | Some ad -> Queue.take_opt ad.ad_bulk
-      | None -> None)
-
-(* Every path that takes a record out of [pendings] cancels its timer,
-   so a timer that fires always finds its record there. *)
-let cancel_timer host pending =
-  match pending.p_timer with
-  | Some tm -> Engine.cancel host.domain.engine tm
-  | None -> ()
-
-(* Resume a blocked sender with its reply (or error). Safe to call from
-   event context; no-op if the transaction already completed. Cancels
-   the transaction's timer, so a satisfied SRR leaves no residue in the
-   event queue. *)
-let fill_pending host ~txn result =
-  match Hashtbl.find host.pendings txn with
-  | exception Not_found -> () (* timed out, crashed, or duplicate reply *)
-  | pending ->
-      Hashtbl.remove host.pendings txn;
-      cancel_timer host pending;
-      pending.p_fire result
-
-(* Retire a transaction without firing it, once its blocked call has
-   returned. *)
-let drop_pending host ~txn =
-  match Hashtbl.find host.pendings txn with
-  | exception Not_found -> ()
-  | pending ->
-      Hashtbl.remove host.pendings txn;
-      cancel_timer host pending
-
-(* Take a move operation out of flight, cancelling its timeout. *)
-let take_move host ~mv =
-  match Hashtbl.find_opt host.moves mv with
-  | None -> None
-  | Some op ->
-      Hashtbl.remove host.moves mv;
-      (match op.mv_timer with
-      | Some tm -> Engine.cancel host.domain.engine tm
-      | None -> ());
-      op.mv_timer <- None;
-      Some op
+    match proc.receiver with
+    | Some k ->
+        proc.receiver <- None;
+        Proc.wake proc.proc_host.domain.engine k (msg, sender)
+    | None -> Queue.add (msg, sender) lane
 
 let transmit host ~dst ~payload_bytes packet =
   Ethernet.transmit host.domain.net
@@ -762,7 +807,7 @@ let reply_remote host ~txn ~sender ~replier ~dst msg =
 let shed_reply host ~txn ~sender ~replier msg =
   match find_process host.domain sender with
   | Some sender_proc when sender_proc.proc_host == host ->
-      fill_pending host ~txn (Ok (msg, replier))
+      resume_pending host ~txn (msg, replier)
   | Some sender_proc ->
       reply_remote host ~txn ~sender ~replier ~dst:sender_proc.proc_host.addr
         msg
@@ -770,14 +815,14 @@ let shed_reply host ~txn ~sender ~replier msg =
 
 let dispatch_local_request host ~txn ~sender ~target_proc msg =
   match target_proc.admission with
-  | None -> deliver ~txn ~sender target_proc target_proc.queue msg
+  | None -> deliver ~served:txn ~sender target_proc target_proc.queue msg
   | Some ad -> (
       let depth = Queue.length target_proc.queue + Queue.length ad.ad_bulk in
       match ad.ad_decide ~now:(Engine.now host.domain.engine) ~depth msg with
       | (Admit | Admit_bulk) as verdict ->
           ad.ad_admitted <- ad.ad_admitted + 1;
           count host Admit;
-          deliver ~txn ~sender target_proc
+          deliver ~served:txn ~sender target_proc
             (match verdict with
             | Admit_bulk -> ad.ad_bulk
             | Admit | Shed _ -> target_proc.queue)
@@ -825,7 +870,7 @@ let target_host_reachable host dst_addr =
      lost reply, however late, or drops the copy while the request is
      still served. *)
 let arm_recovery host ~txn pending ~dst_addr ~retransmit frame =
-  cancel_timer host pending;
+  Engine.cancel host.domain.engine pending.p_timer;
   let now = Engine.now host.domain.engine in
   (* [| next resend; next probe |]: a float array stores both unboxed. *)
   let due =
@@ -844,7 +889,7 @@ let arm_recovery host ~txn pending ~dst_addr ~retransmit frame =
       && not
            (target_host_reachable host dst_addr
            && pending.p_probes < max_timeout_probes)
-    then fill_pending host ~txn (Error (Ipc_error Timeout))
+    then fail_pending host ~txn (Ipc_error Timeout)
     else begin
       if probe then begin
         due.(1) <- now +. Calibration.ipc_timeout_ms;
@@ -859,47 +904,40 @@ let arm_recovery host ~txn pending ~dst_addr ~retransmit frame =
         due.(0) <- now +. Calibration.retransmit_interval_ms
       end;
       pending.p_timer <-
-        Some
-          (Engine.timer_at host.domain.engine (Float.min due.(0) due.(1)) fire)
+        Engine.timer_at host.domain.engine (Float.min due.(0) due.(1)) fire
     end
   in
   pending.p_timer <-
-    Some (Engine.timer_at host.domain.engine (Float.min due.(0) due.(1)) fire)
+    Engine.timer_at host.domain.engine (Float.min due.(0) due.(1)) fire
 
 (* --- the IPC primitives --- *)
 
-(* Block [proc] on a fresh transaction: [start txn pending] sends the
-   request once its record is registered, and the record is retired
-   when the call returns. [buffer] is what the sender exposes to
-   MoveTo/MoveFrom meanwhile. *)
-let transact proc ?buffer start =
-  let host = proc.proc_host in
-  let txn = fresh_txn host.domain in
-  let result =
-    try
-      Ok
-        (block proc (fun fire ->
-             let pending =
-               {
-                 p_fire = fire;
-                 p_buffer = buffer;
-                 p_timer = None;
-                 p_probes = 0;
-               }
-             in
-             Hashtbl.replace host.pendings txn pending;
-             start txn pending))
-    with Ipc_error e -> Error e
+(* Block in a kernel call that fails by raising [Ipc_error]. *)
+let block_ipc register =
+  match Proc.block register with
+  | v -> Ok v
+  | exception Ipc_error e -> Error e
+
+(* Register [proc]'s transaction [txn], blocked on [k], from inside
+   the register function of its [Proc.block]. [buffer] is what the
+   sender exposes to MoveTo/MoveFrom meanwhile. Whatever wakes the
+   sender retires the record. *)
+let await_reply proc ~txn buffer k =
+  proc.blocked_on <- txn;
+  let pending =
+    { p_sender = k; p_buffer = buffer; p_timer = Engine.no_timer; p_probes = 0 }
   in
-  drop_pending host ~txn;
-  result
+  Hashtbl.replace proc.proc_host.pendings txn pending;
+  pending
 
 (* The remote leg of Send: put the request on the wire towards
    [dst_addr] and block with its timer armed. *)
 let send_remote proc ?buffer ~dst_addr ~target msg =
   charge proc Calibration.small_packet_send_cpu;
-  transact proc ?buffer (fun txn pending ->
-      let host = proc.proc_host in
+  let host = proc.proc_host in
+  let txn = fresh_txn host.domain in
+  block_ipc (fun k ->
+      let pending = await_reply proc ~txn buffer k in
       let frame =
         request_frame host ~dst_addr ~txn ~sender:proc.pid ~target msg
       in
@@ -921,9 +959,10 @@ let send proc ?buffer target msg =
       charge proc Calibration.local_ipc_leg_cpu;
       if not target_proc.proc_alive then Error Nonexistent_process
       else
-        transact proc ?buffer (fun txn _ ->
-            dispatch_local_request target_proc.proc_host ~txn ~sender:proc.pid
-              ~target_proc msg)
+        let txn = fresh_txn d in
+        block_ipc (fun k ->
+            ignore (await_reply proc ~txn buffer k : 'm pending);
+            dispatch_local_request host ~txn ~sender:proc.pid ~target_proc msg)
   | target_proc ->
       send_remote proc ?buffer ~dst_addr:target_proc.proc_host.addr ~target msg
   | exception Not_found -> (
@@ -939,17 +978,19 @@ let send proc ?buffer target msg =
       | _ | (exception Not_found) -> Error Nonexistent_process)
 
 (* [receive proc] blocks until a message arrives; returns it with the
-   sender's pid. *)
+   sender's pid. All interactive traffic is taken before bulk; with no
+   admission hook there is only the one queue. *)
 let receive proc =
   check_alive proc;
-  let d =
-    match take_delivery proc with
-    | Some delivery -> delivery
-    | None ->
-        block proc (fun fire -> proc.recv_waiter <- Some fire)
+  let ((_, sender) as delivery) =
+    if not (Queue.is_empty proc.queue) then Queue.take proc.queue
+    else
+      match proc.admission with
+      | Some ad when not (Queue.is_empty ad.ad_bulk) -> Queue.take ad.ad_bulk
+      | Some _ | None -> Proc.block (fun k -> proc.receiver <- Some k)
   in
-  report proc.proc_host Receive (Pid.to_int proc.pid) (Pid.to_int d.d_sender) 0;
-  (d.d_msg, d.d_sender)
+  report proc.proc_host Receive (Pid.to_int proc.pid) (Pid.to_int sender) 0;
+  delivery
 
 (* [reply proc ~to_ msg] completes the transaction with blocked sender
    [to_]. *)
@@ -958,7 +999,7 @@ let reply proc ~to_ msg =
   let host = proc.proc_host in
   let d = host.domain in
   let key = serving_key ~sender:to_ ~receiver:proc.pid in
-  match Hashtbl.find host.serving key with
+  match served host key with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
       Hashtbl.remove host.serving key;
@@ -968,7 +1009,7 @@ let reply proc ~to_ msg =
           Ok () (* sender died while blocked; nothing to resume *)
       | sender_proc when sender_proc.proc_host == host ->
           charge proc Calibration.local_ipc_leg_cpu;
-          fill_pending host ~txn (Ok (msg, proc.pid));
+          resume_pending host ~txn (msg, proc.pid);
           Ok ()
       | sender_proc ->
           charge proc Calibration.small_packet_send_cpu;
@@ -985,7 +1026,7 @@ let forward proc ~from_ ~to_ msg =
   let host = proc.proc_host in
   let d = host.domain in
   let key = serving_key ~sender:from_ ~receiver:proc.pid in
-  match Hashtbl.find host.serving key with
+  match served host key with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
       Hashtbl.remove host.serving key;
@@ -996,8 +1037,8 @@ let forward proc ~from_ ~to_ msg =
           (* Target gone: fail the original sender's transaction. *)
           (match live_process d from_ with
           | sender_proc ->
-              fill_pending sender_proc.proc_host ~txn
-                (Error (Ipc_error Nonexistent_process))
+              fail_pending sender_proc.proc_host ~txn
+                (Ipc_error Nonexistent_process)
           | exception Not_found -> ());
           Error Nonexistent_process
       | target_proc when target_proc.proc_host == host ->
@@ -1115,24 +1156,16 @@ let exposed_buffer host ~txn ~len =
    on the wire once the move is registered. *)
 let await_move proc ~mv ~len start =
   let host = proc.proc_host in
-  try
-    Ok
-      (block proc (fun fire ->
-           let op =
-             { mv_fire = fire; mv_buf = Buffer.create len; mv_timer = None }
-           in
-           Hashtbl.replace host.moves mv op;
-           start ();
-           op.mv_timer <-
-             Some
-               (Engine.timer ~delay:Calibration.ipc_timeout_ms
-                  host.domain.engine (fun () ->
-                    match take_move host ~mv with
-                    | None -> ()
-                    | Some op -> op.mv_fire (Error (Ipc_error Timeout))))))
-  with Ipc_error e ->
-    ignore (take_move host ~mv : 'm move_op option);
-    Error e
+  block_ipc (fun k ->
+      proc.blocked_on <- -mv;
+      let op =
+        { mv_mover = k; mv_buf = Buffer.create len; mv_timer = Engine.no_timer }
+      in
+      Hashtbl.replace host.moves mv op;
+      start ();
+      op.mv_timer <-
+        Engine.timer ~delay:Calibration.ipc_timeout_ms host.domain.engine
+          (fun () -> finish_move host ~mv (Error (Ipc_error Timeout))))
 
 (* [move_from proc ~sender ~len] reads [len] bytes from the buffer the
    blocked sender exposed. The caller must currently be serving
@@ -1141,7 +1174,7 @@ let move_from proc ~sender ~len =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
-  match Hashtbl.find host.serving (serving_key ~sender ~receiver:proc.pid) with
+  match served host (serving_key ~sender ~receiver:proc.pid) with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
       report host Move_from (Pid.to_int proc.pid) (Pid.to_int sender) len;
@@ -1171,7 +1204,7 @@ let move_to proc ~sender data =
   let host = proc.proc_host in
   let d = host.domain in
   let len = Bytes.length data in
-  match Hashtbl.find host.serving (serving_key ~sender ~receiver:proc.pid) with
+  match served host (serving_key ~sender ~receiver:proc.pid) with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
       report host Move_to (Pid.to_int proc.pid) (Pid.to_int sender) len;
@@ -1469,25 +1502,17 @@ let get_pid proc ~service scope =
       (* Broadcast query; first responder wins (§4.2). *)
       charge proc Calibration.small_packet_send_cpu;
       let txn = fresh_txn d in
-      block proc (fun fire ->
-          let deadline = ref None in
-          let settle pid_opt =
-            if Hashtbl.mem host.getpid_waits txn then begin
-              Hashtbl.remove host.getpid_waits txn;
-              (match !deadline with
-              | Some tm -> Engine.cancel d.engine tm
-              | None -> ());
-              fire (Ok pid_opt)
-            end
-          in
-          Hashtbl.replace host.getpid_waits txn settle;
+      Proc.block (fun k ->
+          proc.blocked_on <- txn;
           transmit host ~dst:Ethernet.Broadcast
             ~payload_bytes:control_payload_bytes
             (Getpid_query { txn; requester_addr = host.addr; service });
-          deadline :=
-            Some
-              (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
-                 (fun () -> settle None)))
+          let deadline =
+            Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
+              (fun () -> settle_getpid host ~txn (Ok None))
+          in
+          Hashtbl.replace host.getpid_waits txn
+            { gw_asker = k; gw_deadline = deadline })
 
 (* --- process groups and multicast Send (§2.3, §7) --- *)
 
@@ -1526,7 +1551,8 @@ let multicast_request host ~group ~sender ~txn msg =
       match find_process d member_pid with
       | Some member when member.proc_host == host ->
           Engine.schedule ~delay:Calibration.local_ipc_leg_cpu d.engine
-            (fun () -> deliver ~txn ~sender member member.queue msg)
+            (fun () ->
+              deliver ~served:(lnot txn) ~sender member member.queue msg)
       | Some _ | None -> ())
     (local_group_members host ~group);
   transmit host ~dst:(Ethernet.Multicast group)
@@ -1542,12 +1568,13 @@ let send_group proc ~group msg =
   Vsim.Stats.Counter.incr d.ipc_transactions;
   report host Group_send (Pid.to_int proc.pid) group 0;
   charge proc Calibration.small_packet_send_cpu;
-  transact proc (fun txn pending ->
+  let txn = fresh_txn d in
+  block_ipc (fun k ->
+      let pending = await_reply proc ~txn None k in
       multicast_request host ~group ~sender:proc.pid ~txn msg;
       pending.p_timer <-
-        Some
-          (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine (fun () ->
-               fill_pending host ~txn (Error (Ipc_error No_reply)))))
+        Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine (fun () ->
+            fail_pending host ~txn (Ipc_error No_reply)))
 
 (* [forward_group proc ~from_ ~group msg] forwards the transaction of
    blocked sender [from_] to every member of a process group; whichever
@@ -1558,7 +1585,7 @@ let forward_group proc ~from_ ~group msg =
   check_alive proc;
   let host = proc.proc_host in
   let key = serving_key ~sender:from_ ~receiver:proc.pid in
-  match Hashtbl.find host.serving key with
+  match served host key with
   | exception Not_found -> Error Not_awaiting_reply
   | txn ->
       Hashtbl.remove host.serving key;
@@ -1569,54 +1596,67 @@ let forward_group proc ~from_ ~group msg =
 
 (* --- packet handling --- *)
 
+(* A request frame at [host], once its receive CPU is spent. *)
+let request_arrived host (frame : 'm packet Ethernet.frame) =
+  match frame.Ethernet.payload with
+  | Request { txn; sender; target; msg } when host.host_up -> (
+      let al = alien host sender in
+      match al.al_reply with
+      | Some reply when al.al_txn = txn ->
+          (* A retransmission of an answered request: the reply frame
+             was lost; replay it. *)
+          Ethernet.transmit host.domain.net reply
+      | Some _ | None -> (
+          match Hashtbl.find host.processes (Pid.local_pid target) with
+          | target_proc
+            when target_proc.proc_alive
+                 && Pid.logical_host target = host.logical_host ->
+              if txn > al.al_txn then begin
+                al.al_txn <- txn;
+                al.al_reply <- None;
+                dispatch_local_request host ~txn ~sender ~target_proc msg
+              end
+              (* else a duplicate the server is still working on, or a
+                 copy older than the sender's latest request here: V's
+                 rule drops both *)
+          | _ | (exception Not_found) ->
+              (* Never deliverable — or the serving process died
+                 mid-transaction and a retransmission probed it: tell
+                 the sender. A request addressed to a previous
+                 incarnation of this host nacks Timeout, not
+                 Nonexistent_process: this incarnation knows nothing
+                 about the old one's pids, only that the transaction can
+                 never complete (satellites of the crash were lost with
+                 it). *)
+              let reason =
+                if Pid.logical_host target <> host.logical_host then Timeout
+                else Nonexistent_process
+              in
+              transmit host ~dst:(Ethernet.Unicast frame.Ethernet.src)
+                ~payload_bytes:control_payload_bytes
+                (Nack { txn; reason })))
+  | _ -> ()
+
+(* A reply frame at [host], once its receive CPU is spent. *)
+let reply_arrived host (frame : 'm packet Ethernet.frame) =
+  match frame.Ethernet.payload with
+  | Reply_pkt { txn; replier; msg } when host.host_up ->
+      resume_pending host ~txn (msg, replier)
+  | _ -> ()
+
+(* The two message-bearing arrivals a transaction always takes capture
+   the host and the frame, and read the packet's fields when they
+   run. *)
 let handle_packet host (frame : 'm packet Ethernet.frame) =
   let d = host.domain in
   match frame.Ethernet.payload with
-  | Request { txn; sender; target; msg } ->
-      after_remote_recv d msg (fun () ->
-          if host.host_up then
-            let al = alien host sender in
-            match al.al_reply with
-            | Some reply when al.al_txn = txn ->
-                (* A retransmission of an answered request: the reply
-                   frame was lost; replay it. *)
-                Ethernet.transmit d.net reply
-            | Some _ | None -> (
-                match Hashtbl.find host.processes (Pid.local_pid target) with
-                | target_proc
-                  when target_proc.proc_alive
-                       && Pid.logical_host target = host.logical_host ->
-                    if txn > al.al_txn then begin
-                      al.al_txn <- txn;
-                      al.al_reply <- None;
-                      dispatch_local_request host ~txn ~sender ~target_proc msg
-                    end
-                    (* else a duplicate the server is still working on,
-                       or a copy older than the sender's latest request
-                       here: V's rule drops both *)
-                | _ | (exception Not_found) ->
-                    (* Never deliverable — or the serving process died
-                       mid-transaction and a retransmission probed it:
-                       tell the sender. A request addressed to a previous
-                       incarnation of this host nacks Timeout, not
-                       Nonexistent_process: this incarnation knows
-                       nothing about the old one's pids, only that the
-                       transaction can never complete (satellites of the
-                       crash were lost with it). *)
-                    let reason =
-                      if Pid.logical_host target <> host.logical_host then
-                        Timeout
-                      else Nonexistent_process
-                    in
-                    transmit host ~dst:(Ethernet.Unicast frame.Ethernet.src)
-                      ~payload_bytes:control_payload_bytes
-                      (Nack { txn; reason })))
-  | Reply_pkt { txn; replier; msg } ->
-      after_remote_recv d msg (fun () ->
-          if host.host_up then fill_pending host ~txn (Ok (msg, replier)))
+  | Request { msg; _ } ->
+      after_remote_recv d msg (fun () -> request_arrived host frame)
+  | Reply_pkt { msg; _ } ->
+      after_remote_recv d msg (fun () -> reply_arrived host frame)
   | Nack { txn; reason } ->
       Engine.schedule ~delay:Calibration.small_packet_recv_cpu d.engine (fun () ->
-          if host.host_up then fill_pending host ~txn (Error (Ipc_error reason)))
+          if host.host_up then fail_pending host ~txn (Ipc_error reason))
   | Getpid_query { txn; requester_addr; service } ->
       Engine.schedule
         ~delay:(Calibration.small_packet_recv_cpu +. Calibration.getpid_check_cpu)
@@ -1631,10 +1671,7 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
             | Some _ | None -> ())
   | Getpid_reply { txn; pid } ->
       Engine.schedule ~delay:Calibration.small_packet_recv_cpu d.engine (fun () ->
-          if host.host_up then
-            match Hashtbl.find_opt host.getpid_waits txn with
-            | None -> () (* already answered or timed out *)
-            | Some settle -> settle (Some pid))
+          if host.host_up then settle_getpid host ~txn (Ok (Some pid)))
   | Move_request { txn; mv; mover_addr; len } ->
       Engine.schedule ~delay:Calibration.small_packet_recv_cpu d.engine (fun () ->
           if host.host_up then
@@ -1652,10 +1689,13 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
       | Some op ->
           Buffer.add_bytes op.mv_buf data;
           if last then begin
-            ignore (take_move host ~mv : 'm move_op option);
+            (* The data is all in, so the timeout stops now; the move
+               stays in [moves] until its mover wakes. *)
+            Engine.cancel d.engine op.mv_timer;
             Engine.schedule ~delay:Calibration.bulk_packet_recv_cpu d.engine
               (fun () ->
-                if host.host_up then op.mv_fire (Ok (Buffer.to_bytes op.mv_buf)))
+                if host.host_up then
+                  finish_move host ~mv (Ok (Buffer.to_bytes op.mv_buf)))
           end)
   | Move_to_data { txn; mv; mover_addr; seq; last; data } -> (
       match Hashtbl.find_opt host.pendings txn with
@@ -1678,12 +1718,10 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
               (Move_ack { mv; outcome = Error Bad_buffer }))
   | Move_ack { mv; outcome } ->
       Engine.schedule ~delay:Calibration.small_packet_recv_cpu d.engine (fun () ->
-          match take_move host ~mv with
-          | None -> ()
-          | Some op -> (
-              match outcome with
-              | Ok () -> op.mv_fire (Ok Bytes.empty)
-              | Error e -> op.mv_fire (Error (Ipc_error e))))
+          finish_move host ~mv
+            (match outcome with
+            | Ok () -> Ok Bytes.empty
+            | Error e -> Error (Ipc_error e)))
   | Group_request { txn; sender; group; msg } ->
       after_remote_recv d msg (fun () ->
           if host.host_up then begin
@@ -1691,7 +1729,7 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
               (fun member_pid ->
                 match Hashtbl.find_opt host.processes (Pid.local_pid member_pid) with
                 | Some member when member.proc_alive ->
-                    deliver ~txn ~sender member member.queue msg
+                    deliver ~served:(lnot txn) ~sender member member.queue msg
                 | Some _ | None -> ())
               (local_group_members host ~group)
           end)
@@ -1784,6 +1822,9 @@ let crash_host host =
     Hashtbl.remove d.logical_hosts host.logical_host;
     Hashtbl.replace d.retired_logical_hosts host.logical_host host.addr;
     let procs = Hashtbl.fold (fun _ p acc -> p :: acc) host.processes [] in
+    (* Each abort retires the record its process waits in and cancels
+       its timer, so the crash leaves no machinery ticking for a table
+       that no longer exists. *)
     List.iter
       (fun proc ->
         proc.proc_alive <- false;
@@ -1792,16 +1833,7 @@ let crash_host host =
     Hashtbl.reset host.processes;
     Hashtbl.reset host.services;
     Hashtbl.reset host.serving;
-    (* Disarm the dead transactions' timers so the crash leaves no
-       machinery ticking for a table that no longer exists. *)
-    Hashtbl.iter (fun _ p -> cancel_timer host p) host.pendings;
     Hashtbl.reset host.pendings;
-    Hashtbl.iter
-      (fun _ op ->
-        match op.mv_timer with
-        | Some tm -> Engine.cancel d.engine tm
-        | None -> ())
-      host.moves;
     Hashtbl.reset host.moves;
     Hashtbl.reset host.getpid_waits;
     Hashtbl.reset host.aliens;

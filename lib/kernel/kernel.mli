@@ -124,7 +124,8 @@ val restart_host : 'm host -> unit
 (** {1 Processes} *)
 
 (** [spawn host ~name body] creates a process and runs [body] as a
-    fiber. The process ends when [body] returns or raises. *)
+    fiber. The process ends when [body] returns or raises, and its
+    record goes as {!destroy_process} describes. *)
 val spawn : 'm host -> ?name:string -> ('m self -> unit) -> Pid.t
 
 val self_pid : 'm self -> Pid.t
@@ -138,8 +139,17 @@ val domain_of_self : 'm self -> 'm domain
 val alive : 'm domain -> Pid.t -> bool
 val find_process : 'm domain -> Pid.t -> 'm self option
 
-(** Kill one process (its fiber unwinds with [Vsim.Proc.Killed] at its
-    next suspension point). [false] if the pid names no live process. *)
+(** Kill one process. Its blocked kernel call, if it has one, ends now:
+    the fiber unwinds with [Vsim.Proc.Killed] in one event at this
+    instant, and the call's transaction record and its timer go, so a
+    killed sender stops retransmitting. Otherwise the fiber unwinds at
+    its next kernel call. Each transaction the process was serving or
+    had queued fails with [Nonexistent_process], in txn order, if its
+    sender is on the same host; a sender on another host learns of it
+    from its retransmission's nack. A group delivery fails nothing,
+    since another member may answer. The same happens to a process
+    whose body returns or raises. [false] if the pid names no live
+    process. *)
 val destroy_process : 'm domain -> Pid.t -> bool
 
 (** {1 Message transactions (Figure 1)} *)

@@ -15,6 +15,8 @@
 (* A cancellable handle on a scheduled event: an immediate int. *)
 type timer = Wheel.node
 
+let no_timer = Wheel.none
+
 type t = {
   id : int;
   mutable now : float;

@@ -64,6 +64,10 @@ val defer_at : t -> float -> (unit -> unit) -> unit
 
 type timer [@@immediate]
 
+(** A handle that names no timer, for a record whose timer is not
+    armed: cancelling it is a no-op. *)
+val no_timer : timer
+
 val timer : ?delay:float -> t -> (unit -> unit) -> timer
 val timer_at : t -> float -> (unit -> unit) -> timer
 val cancel : t -> timer -> unit

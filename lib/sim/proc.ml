@@ -1,16 +1,18 @@
 (* Cooperative simulated processes built on OCaml effects.
 
-   Each process is a fiber whose blocking operations ([delay], [suspend])
-   perform an effect; the handler installed by [spawn] captures the
-   continuation and arranges for it to be resumed through the event
-   queue. Resuming through the queue (rather than calling the
-   continuation directly) keeps simulated time consistent and event
-   ordering deterministic, and bounds stack depth. *)
+   Each process is a fiber whose blocking operations perform an effect.
+   [block] performs [Block], whose handler returns the caller's register
+   function itself: the runtime calls it with the fiber's continuation,
+   which the caller keeps wherever its wake will look. [delay] performs
+   [Delay], which the handler wakes on its own. A wake resumes the
+   continuation through the event queue (rather than directly), which
+   keeps simulated time consistent and event ordering deterministic,
+   and bounds stack depth. *)
 
-type 'a resumer = ('a, exn) result -> unit
+type 'a waiting = ('a, unit) Effect.Deep.continuation
 
 type _ Effect.t +=
-  | Suspend : ('a resumer -> unit) -> 'a Effect.t
+  | Block : ('a waiting -> unit) -> 'a Effect.t
   | Delay : unit Effect.t
 
 (* What [delay] asks of its fiber's handler: the wake time and the id
@@ -20,10 +22,15 @@ type _ Effect.t +=
    [Delay] is a constant, a lone float field is stored flat, and the
    engine goes by its id, so no store writes a pointer or keeps an
    engine alive. *)
-type wake = { mutable at : float }
+type due = { mutable at : float }
 
-let wake = { at = 0.0 }
-let wake_engine = ref (-1)
+let due = { at = 0.0 }
+let due_engine = ref (-1)
+
+(* The engine of the fiber whose [Block] is being handled, set by its
+   handler just before the register function runs. Only [suspend]
+   reads it: Ivar and Mailbox are made without an engine. *)
+let blocking : Engine.t option ref = ref None
 
 exception Killed of string
 
@@ -39,31 +46,22 @@ let on_uncaught ~name = function
 let spawn ?(name = "proc") engine body =
   (* A delay nothing else can resume needs no resumer: one deferred
      event wakes the fiber, in the two turns (timer, then zero-delay
-     resume) a [Suspend] resumer's schedule would take. Built once per
-     fiber. *)
+     resume) a [wake] at the wake time would take. Built once per
+     fiber, as is [self]. *)
   let id = Engine.id engine in
+  let self = Some engine in
   let delayed =
     Some
       (fun k ->
-        Engine.defer_at engine wake.at (fun () -> Effect.Deep.continue k ()))
+        Engine.defer_at engine due.at (fun () -> Effect.Deep.continue k ()))
   in
   let handler (type a) (eff : a Effect.t) :
       ((a, unit) Effect.Deep.continuation -> unit) option =
     match eff with
-    | Suspend register ->
-        Some
-          (fun k ->
-            let resumed = ref false in
-            let resume result =
-              if !resumed then invalid_arg "Proc: continuation resumed twice";
-              resumed := true;
-              Engine.schedule engine (fun () ->
-                  match result with
-                  | Ok v -> Effect.Deep.continue k v
-                  | Error e -> Effect.Deep.discontinue k e)
-            in
-            register resume)
-    | Delay when !wake_engine = id -> delayed
+    | Block register ->
+        blocking := self;
+        Some register
+    | Delay when !due_engine = id -> delayed
     | Delay ->
         Some
           (fun k ->
@@ -79,19 +77,39 @@ let spawn ?(name = "proc") engine body =
           effc = handler;
         })
 
-let suspend register = Effect.perform (Suspend register)
+let block register = Effect.perform (Block register)
+
+(* One event at the current instant, as [Engine.schedule] would push
+   it. The clock's own box is the time, so none is made. *)
+let wake engine k v =
+  Engine.schedule_at engine (Engine.now engine) (fun () ->
+      Effect.Deep.continue k v)
+
+let wake_exn engine k e =
+  Engine.schedule_at engine (Engine.now engine) (fun () ->
+      Effect.Deep.discontinue k e)
 
 let delay engine duration =
   if not (Float.is_finite duration && duration >= 0.0) then
     invalid_arg "Proc.delay: negative or non-finite duration";
-  wake.at <- Engine.now engine +. duration;
-  wake_engine := Engine.id engine;
+  due.at <- Engine.now engine +. duration;
+  due_engine := Engine.id engine;
   Effect.perform Delay
 
 let yield engine = delay engine 0.0
 
-(* A single-use synchronization cell: one waiter, one fulfiller. Used for
-   request/reply rendezvous in the kernel. *)
+(* A blocked fiber's wake as a value, on the engine its handler named:
+   what Ivar and Mailbox keep for a blocked reader. *)
+type 'a resumer = ('a, exn) result -> unit
+
+let suspend register =
+  block (fun k ->
+      let engine = Option.get !blocking in
+      register (function
+        | Ok v -> wake engine k v
+        | Error e -> wake_exn engine k e))
+
+(* A single-use synchronization cell: one waiter, one fulfiller. *)
 module Ivar = struct
   type 'a state =
     | Empty
@@ -116,16 +134,10 @@ module Ivar = struct
     | Full (Ok v) -> v
     | Full (Error e) -> raise e
     | Waiting _ -> invalid_arg "Ivar.read: already has a waiter"
-    | Empty ->
-        suspend (fun resume ->
-            match t.state with
-            | Empty -> t.state <- Waiting resume
-            | Full result -> resume result
-            | Waiting _ -> assert false)
+    | Empty -> suspend (fun resume -> t.state <- Waiting resume)
 end
 
-(* An unbounded FIFO mailbox with blocking receive; the building block
-   for per-process kernel message queues. *)
+(* An unbounded FIFO mailbox with blocking receive. *)
 module Mailbox = struct
   type 'a t = {
     items : 'a Queue.t;
@@ -135,14 +147,13 @@ module Mailbox = struct
   let create () = { items = Queue.create (); waiters = Queue.create () }
 
   let send t x =
-    match Queue.take_opt t.waiters with
-    | Some resume -> resume (Ok x)
-    | None -> Queue.add x t.items
+    if Queue.is_empty t.waiters then Queue.add x t.items
+    else Queue.take t.waiters (Ok x)
 
   let receive t =
-    match Queue.take_opt t.items with
-    | Some x -> x
-    | None -> suspend (fun resume -> Queue.add resume t.waiters)
+    if Queue.is_empty t.items then
+      suspend (fun resume -> Queue.add resume t.waiters)
+    else Queue.take t.items
 
   let length t = Queue.length t.items
 

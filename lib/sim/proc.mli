@@ -5,10 +5,6 @@
     so all interleaving is deterministic. Every blocking operation below
     must be called from within a fiber started by [spawn]. *)
 
-(** A one-shot callback that resumes a suspended fiber with a value or
-    an exception. Calling it twice raises [Invalid_argument]. *)
-type 'a resumer = ('a, exn) result -> unit
-
 (** Raised inside a fiber that is being torn down (host crash). *)
 exception Killed of string
 
@@ -18,15 +14,29 @@ exception Killed of string
     engine loop, failing the run. *)
 val spawn : ?name:string -> Engine.t -> (unit -> unit) -> unit
 
-(** Suspend the current fiber; [register] receives the resumer and must
-    arrange for it to be called exactly once (possibly immediately). *)
-val suspend : ('a resumer -> unit) -> 'a
+(** A blocked fiber's continuation, waiting for its value. *)
+type 'a waiting
+
+(** [block register] blocks the current fiber and calls [register]
+    with its continuation at once, outside the fiber. The caller keeps
+    the continuation where its wake will find it, and must see that it
+    is woken exactly once, by [wake] or [wake_exn]. *)
+val block : ('a waiting -> unit) -> 'a
+
+(** [wake engine k v] resumes [k] with [v] in one event at the current
+    instant, behind every event already queued for it. Waking one
+    continuation twice fails the run: the second resume raises
+    [Effect.Continuation_already_resumed] out of the engine loop. *)
+val wake : Engine.t -> 'a waiting -> 'a -> unit
+
+(** [wake] that raises [e] in the fiber instead. *)
+val wake_exn : Engine.t -> 'a waiting -> exn -> unit
 
 (** Block the current fiber for [duration] simulated ms. It wakes in
-    two turns of one event ({!Engine.defer_at}), as a [suspend] whose
-    resumer is called at the wake time would. Raises [Invalid_argument]
-    for a negative or non-finite [duration], or an engine other than
-    the one the fiber was spawned on. *)
+    two turns of one event ({!Engine.defer_at}), as a [block] whose
+    [wake] came at the wake time would. Raises [Invalid_argument] for a
+    negative or non-finite [duration], or an engine other than the one
+    the fiber was spawned on. *)
 val delay : Engine.t -> float -> unit
 
 (** Let other events at the current instant run first. *)

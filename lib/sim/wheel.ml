@@ -69,6 +69,10 @@ let index_bits = 32
 let index_mask = (1 lsl index_bits) - 1
 let gen_mask = (1 lsl 30) - 1
 
+(* Negative, so it is no [push]'s handle, and [cancel] tests for it
+   before it indexes anything. *)
+let none = -1
+
 type 'a t = {
   blank : 'a;  (* what a dead or free entry holds *)
   (* The slab, one array per field. [turns] counts how many more times
@@ -252,7 +256,8 @@ let push t ~time ~turns v =
 
 let cancel t node =
   let i = node land index_mask in
-  t.gen.(i) = node lsr index_bits
+  node <> none
+  && t.gen.(i) = node lsr index_bits
   && t.turns.(i) > 0
   && begin
        t.turns.(i) <- 0;

@@ -28,6 +28,9 @@ type 'a t
     reused. *)
 type node [@@immediate]
 
+(** A handle that names no node: [cancel] of it returns [false]. *)
+val none : node
+
 (** An empty wheel whose buckets are 0.25 ms wide. [blank] is what a
     cancelled or fired node's entry holds in place of its value, and
     what [take] returns for a turn that is not a node's last. Ordering

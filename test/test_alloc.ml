@@ -3,26 +3,32 @@
 
    On the IPC data path: one engine event, one [Proc.delay], one event
    of the E12 timer storm, one cross-edge unicast frame, one frame on
-   the shared wire and one remote echo transaction. Each ceiling sits
-   well below what the data path allocated before its dispatch, fabric,
-   fiber suspension, transaction bookkeeping and event queue were made
-   allocation-lean (engine event 43, delay 115, frame 335, echo 1,425
-   words on OCaml 5.1), and about 40% above the counts there today (4,
-   10, 25.5, 270; the shared wire's frame 9.5), as headroom for the
-   other supported compiler. The timer storm's ceiling is half its count
-   before the queue kept its nodes in flat arrays (14.1; 6.3 today).
-   Scheduling an event now allocates its action, its boxed time and,
-   when it advances the clock, the clock's new box; a push used to add a
-   5-word node and a 3-word cons for each slot it landed in, and a hop
-   boxed its link's two clocks and its serialization time. Before that,
-   the counts were 10, 16, 72.5 and 394 (the shared wire's 19.3). A
-   delay wakes through one queue node that takes both of its turns,
+   the shared wire, and one echo transaction, remote and local. Each
+   ceiling sits well below what the data path allocated before its
+   dispatch, fabric, fiber suspension, transaction bookkeeping and
+   event queue were made allocation-lean (engine event 43, delay 115,
+   frame 335, remote echo 1,425 words on OCaml 5.1), and about 40%
+   above the counts there today (4, 10, 25.5; the shared wire's frame
+   9.5), as headroom for the other supported compiler; the echoes' sit
+   about 35% above theirs (193 remote, 80 local), below their counts
+   before a blocked call kept its continuation in its own record (270
+   and 148). That took a handler closure, a once-only cell, a resumer
+   closure, the kernel's token-checking closure and its type-erased box
+   out of every blocked call, and the [Ok] and the second tuple out of
+   every reply and delivery. The timer storm's ceiling is half its
+   count before the queue kept its nodes in flat arrays (14.1; 6.3
+   today). Scheduling an event now allocates its action, its boxed time
+   and, when it advances the clock, the clock's new box; a push used to
+   add a 5-word node and a 3-word cons for each slot it landed in, and a
+   hop boxed its link's two clocks and its serialization time. Before
+   that, the counts were 10, 16, 72.5 and 394 (the shared wire's 19.3).
+   A delay wakes through one queue node that takes both of its turns,
    where it took a timer closure, a resume closure and two nodes (39
    words), and a unicast frame is one in-flight record with one action
    for all of its hops, where each hop took two closures (109.5 words).
-   The echo, two delays and two frames, fell with them from 514; it was
-   532 when it armed a retransmission timer and a probe timer, before
-   one timer served both.
+   The remote echo, two delays and two frames, fell with them from 514;
+   it was 532 when it armed a retransmission timer and a probe timer,
+   before one timer served both.
 
    On the naming path: one component of a [Csnh.walk], a
    [Name_cache.find] deep hit and miss, a keyed [Metrics.incr] on an
@@ -166,11 +172,11 @@ let test_cross_edge_frame () =
 let test_shared_wire_frame () =
   gate "one shared-wire frame" ~ceiling:13.0 (frame_words ())
 
-(* Sequential echo transactions across edge switches on the gigabit
-   fabric the benchmark's IPC workload uses. *)
-(* Words per remote echo transaction; [attach] may hook the domain up
-   to a hub first. *)
-let echo_words ?(attach = ignore) () =
+(* Words per echo transaction: sequential echoes across edge switches
+   on the gigabit fabric the benchmark's IPC workload uses, or, with
+   [~local:true], between two processes of one host. [attach] may hook
+   the domain up to a hub first. *)
+let echo_words ?(attach = ignore) ?(local = false) () =
   let eng = Engine.create () in
   let net =
     E.create
@@ -186,8 +192,9 @@ let echo_words ?(attach = ignore) () =
   let cost = { K.payload_bytes = String.length; K.segment_bytes = (fun _ -> 0) } in
   let d = K.create_domain ~cost eng net in
   attach d;
+  let server_host = K.boot_host d ~name:"server" 1 in
   let server =
-    K.spawn (K.boot_host d ~name:"server" 1) ~name:"echo" (fun self ->
+    K.spawn server_host ~name:"echo" (fun self ->
         let rec loop () =
           let msg, sender = K.receive self in
           ignore (K.reply self ~to_:sender msg);
@@ -196,8 +203,11 @@ let echo_words ?(attach = ignore) () =
         loop ())
   in
   let n = 2_000 and words = ref nan in
+  let client_host =
+    if local then server_host else K.boot_host d ~name:"client" 100
+  in
   ignore
-    (K.spawn (K.boot_host d ~name:"client" 100) ~name:"client" (fun self ->
+    (K.spawn client_host ~name:"client" (fun self ->
          let echo () =
            match K.send self server "ping" with
            | Ok _ -> ()
@@ -214,7 +224,10 @@ let echo_words ?(attach = ignore) () =
   Engine.run eng;
   !words
 
-let test_remote_echo () = gate "one remote echo" ~ceiling:380.0 (echo_words ())
+let test_remote_echo () = gate "one remote echo" ~ceiling:260.0 (echo_words ())
+
+let test_local_echo () =
+  gate "one local echo" ~ceiling:110.0 (echo_words ~local:true ())
 
 (* With the stream listening — the pump armed, as on E15's soak lane,
    recorder and timeline off — every kernel and wire site emits its
@@ -443,6 +456,8 @@ let test_query_naming_share () =
                  once ()
                done)));
   Scenario.run t;
+  Fmt.pr "IPC and charges of one uncached prefixed Query: %.1f minor words@."
+    !control;
   gate "naming share of one uncached prefixed Query" ~ceiling:260.0
     (!query -. !control)
 
@@ -484,6 +499,7 @@ let suite =
         Alcotest.test_case "cross-edge frame" `Quick test_cross_edge_frame;
         Alcotest.test_case "shared-wire frame" `Quick test_shared_wire_frame;
         Alcotest.test_case "remote echo" `Quick test_remote_echo;
+        Alcotest.test_case "local echo" `Quick test_local_echo;
         Alcotest.test_case "listening stream" `Quick test_listening_stream;
         Alcotest.test_case "Csnh.walk" `Quick test_walk;
         Alcotest.test_case "Name_cache.find" `Quick test_cache_find;

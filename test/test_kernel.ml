@@ -1036,6 +1036,168 @@ let test_destroy_unblocks_client () =
   Alcotest.(check bool) "client unblocked with an error" true
     (match !result with Error _ -> true | Ok _ -> false)
 
+(* A sender destroyed while blocked in a remote Send stops
+   retransmitting: its transaction's record and timer go with it, so
+   no frame leaves its host after the destroy. The server takes the
+   request and never replies; the retransmissions it would see are
+   duplicates, which it drops without a frame. *)
+let test_destroyed_sender_goes_quiet () =
+  let rig = make_rig () in
+  let h1 = K.boot_host rig.domain ~name:"ws" 1 in
+  let h2 = K.boot_host rig.domain ~name:"fs" 2 in
+  let server =
+    K.spawn h2 ~name:"sink" (fun self ->
+        let rec loop () =
+          ignore (K.receive self);
+          loop ()
+        in
+        loop ())
+  in
+  let killed = ref false in
+  let client =
+    K.spawn h1 ~name:"client" (fun self ->
+        match K.send self server "hi" with
+        | _ -> ()
+        | exception Vsim.Proc.Killed _ -> killed := true)
+  in
+  let frames_at_destroy = ref (-1) in
+  Vsim.Engine.schedule ~delay:10.0 rig.eng (fun () ->
+      frames_at_destroy := (E.counters rig.net).E.frames_sent;
+      ignore (K.destroy_process rig.domain client));
+  Vsim.Engine.run rig.eng;
+  Alcotest.(check bool) "client unwound" true !killed;
+  Alcotest.(check int) "no frame after the destroy" !frames_at_destroy
+    (E.counters rig.net).E.frames_sent;
+  check_float "nothing left to run after the destroy" 10.0
+    (Vsim.Engine.now rig.eng)
+
+(* Two senders on the server's own host, one being served and one
+   queued: when the server's record goes, both fail with
+   Nonexistent_process at that instant, in the order they sent. Nothing
+   else would tell them: a local Send has no retransmission. [serve]
+   is the server's body after its first receive. *)
+let local_senders_outcome serve ~destroy_at =
+  let rig = make_rig () in
+  let h = K.boot_host rig.domain ~name:"ws" 1 in
+  let server =
+    K.spawn h ~name:"server" (fun self ->
+        ignore (K.receive self);
+        serve rig self)
+  in
+  let outcomes = ref [] in
+  List.iter
+    (fun name ->
+      ignore
+        (K.spawn h ~name (fun self ->
+             let r = K.send self server name in
+             outcomes := (name, r, Vsim.Engine.now rig.eng) :: !outcomes)))
+    [ "first"; "second" ];
+  Option.iter
+    (fun at ->
+      Vsim.Engine.schedule ~delay:at rig.eng (fun () ->
+          ignore (K.destroy_process rig.domain server)))
+    destroy_at;
+  Vsim.Engine.run rig.eng;
+  List.rev_map
+    (fun (name, r, at) ->
+      let r =
+        match r with
+        | Ok (reply, _) -> "reply " ^ reply
+        | Error e -> Fmt.str "%a" K.pp_error e
+      in
+      Fmt.str "%s: %s at %.3f" name r at)
+    !outcomes
+
+let test_destroy_fails_local_senders () =
+  Alcotest.(check (list string))
+    "both senders fail at the destroy"
+    [
+      "first: nonexistent process at 10.000";
+      "second: nonexistent process at 10.000";
+    ]
+    (local_senders_outcome ~destroy_at:(Some 10.0) (fun rig self ->
+         Vsim.Proc.delay rig.eng 50.0;
+         ignore (K.receive self)))
+
+let test_body_end_fails_local_senders () =
+  let at = Fmt.str "%.3f" C.local_ipc_leg_cpu in
+  Alcotest.(check (list string))
+    "both senders fail when the body returns"
+    [
+      "first: nonexistent process at " ^ at;
+      "second: nonexistent process at " ^ at;
+    ]
+    (local_senders_outcome ~destroy_at:None (fun _ _ -> ()))
+
+(* A group member that ends without replying fails nothing: another
+   member may still answer the group Send. *)
+let test_group_member_end_fails_nothing () =
+  let rig = make_rig () in
+  let h1 = K.boot_host rig.domain ~name:"h1" 1 in
+  let h2 = K.boot_host rig.domain ~name:"h2" 2 in
+  let group = K.create_group rig.domain in
+  let quitter = K.spawn h1 ~name:"quitter" (fun self -> ignore (K.receive self)) in
+  let answerer =
+    K.spawn h2 ~name:"answerer" (fun self ->
+        let msg, sender = K.receive self in
+        ignore (K.reply self ~to_:sender ("remote:" ^ msg)))
+  in
+  K.join_group h1 ~group quitter;
+  K.join_group h2 ~group answerer;
+  let got = ref "" in
+  ignore
+    (K.spawn h1 (fun self ->
+         match K.send_group self ~group "q" with
+         | Ok (msg, _) -> got := msg
+         | Error e -> got := Fmt.str "%a" K.pp_error e));
+  Vsim.Engine.run rig.eng;
+  Alcotest.(check string) "the other member's reply" "remote:q" !got
+
+(* A late wake is a no-op: a remote sender destroyed at the very
+   instant its reply lands is resumed exactly once, whichever of the
+   two runs first at that instant. A second resume of its continuation
+   would fail the run. *)
+let test_late_wake_is_noop () =
+  let rig_with destroy =
+    let rig = make_rig () in
+    let h1 = K.boot_host rig.domain ~name:"ws" 1 in
+    let server = echo_server (K.boot_host rig.domain ~name:"fs" 2) in
+    let outcomes = ref [] in
+    let client =
+      K.spawn h1 ~name:"client" (fun self ->
+          match K.send self server "hi" with
+          | Ok (reply, _) ->
+              outcomes := ("reply " ^ reply, Vsim.Engine.now rig.eng) :: !outcomes
+          | Error e ->
+              outcomes := (Fmt.str "%a" K.pp_error e, Vsim.Engine.now rig.eng)
+                          :: !outcomes
+          | exception Vsim.Proc.Killed _ ->
+              outcomes := ("killed", Vsim.Engine.now rig.eng) :: !outcomes)
+    in
+    destroy rig client;
+    Vsim.Engine.run rig.eng;
+    List.rev !outcomes
+  in
+  let landed =
+    match rig_with (fun _ _ -> ()) with
+    | [ ("reply hi", at) ] -> at
+    | _ -> Alcotest.fail "undisturbed echo"
+  in
+  let destroy_at ~after_reply rig client =
+    let destroy () = ignore (K.destroy_process rig.domain client) in
+    if after_reply then
+      (* Pushed once the reply's arrival is queued for [landed]. *)
+      Vsim.Engine.schedule_at rig.eng (landed -. 1e-3) (fun () ->
+          Vsim.Engine.schedule_at rig.eng landed destroy)
+    else Vsim.Engine.schedule_at rig.eng landed destroy
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "destroy first: killed once" [ ("killed", landed) ]
+    (rig_with (destroy_at ~after_reply:false));
+  Alcotest.(check (list (pair string (float 0.0))))
+    "reply first: the reply, once" [ ("reply hi", landed) ]
+    (rig_with (destroy_at ~after_reply:true))
+
 let test_trace_timeline () =
   (* The Figure-1 timeline, exactly as F1 renders it: the transaction's
      five events in order at the calibrated instants, the two frames
@@ -1156,6 +1318,15 @@ let suite =
         Alcotest.test_case "destroy process" `Quick test_destroy_process;
         Alcotest.test_case "destroy unblocks client" `Quick
           test_destroy_unblocks_client;
+        Alcotest.test_case "destroyed sender goes quiet" `Quick
+          test_destroyed_sender_goes_quiet;
+        Alcotest.test_case "destroy fails local senders" `Quick
+          test_destroy_fails_local_senders;
+        Alcotest.test_case "body end fails local senders" `Quick
+          test_body_end_fails_local_senders;
+        Alcotest.test_case "group member end fails nothing" `Quick
+          test_group_member_end_fails_nothing;
+        Alcotest.test_case "late wake is a no-op" `Quick test_late_wake_is_noop;
         Alcotest.test_case "loss + retransmission" `Quick test_loss_retransmission;
         Alcotest.test_case "no spurious duplicates" `Quick
           test_lossless_sends_no_retransmit_executions;

@@ -390,6 +390,18 @@ let test_stale_handle_after_drop () =
   Alcotest.(check int) "only the first cancel counted" 1
     (Vsim.Engine.cancelled_timers eng)
 
+(* [Engine.no_timer] names no timer: cancelling it, on an engine that
+   has never queued anything or on a busy one, does nothing. *)
+let test_no_timer () =
+  let eng = Vsim.Engine.create () in
+  Vsim.Engine.cancel eng Vsim.Engine.no_timer;
+  let fired = ref 0 in
+  ignore (Vsim.Engine.timer ~delay:1.0 eng (fun () -> incr fired));
+  Vsim.Engine.cancel eng Vsim.Engine.no_timer;
+  Vsim.Engine.run eng;
+  Alcotest.(check int) "the live timer fired" 1 !fired;
+  Alcotest.(check int) "nothing cancelled" 0 (Vsim.Engine.cancelled_timers eng)
+
 let test_wheel_overflow_order () =
   (* Spans every wheel level and the overflow list (ticks are 0.25 ms:
      level 4's span ends at 2^25 ticks = 8 388 608 ms). *)
@@ -462,6 +474,47 @@ let test_proc_interleaving () =
   Vsim.Engine.run eng;
   Alcotest.(check (list string)) "interleaved by time" [ "a1"; "b1"; "b2"; "a2" ]
     (List.rev !log)
+
+(* A blocked fiber's continuation wakes in one event at the waker's
+   instant, with a value or an exception. *)
+let test_proc_block_wake () =
+  let eng = Vsim.Engine.create () in
+  let parked = ref None and log = ref [] in
+  Vsim.Proc.spawn eng (fun () ->
+      let v = Vsim.Proc.block (fun k -> parked := Some k) in
+      log := Fmt.str "%d at %.1f" v (Vsim.Engine.now eng) :: !log;
+      match Vsim.Proc.block (fun k -> parked := Some k) with
+      | (_ : int) -> log := "value" :: !log
+      | exception Failure e ->
+          log := Fmt.str "%s at %.1f" e (Vsim.Engine.now eng) :: !log);
+  let wake f =
+    match !parked with
+    | Some k ->
+        parked := None;
+        f k
+    | None -> Alcotest.fail "no fiber parked"
+  in
+  Vsim.Engine.schedule ~delay:2.0 eng (fun () ->
+      wake (fun k -> Vsim.Proc.wake eng k 7));
+  Vsim.Engine.schedule ~delay:3.0 eng (fun () ->
+      wake (fun k -> Vsim.Proc.wake_exn eng k (Failure "boom")));
+  let before = Vsim.Engine.executed eng in
+  Vsim.Engine.run eng;
+  Alcotest.(check (list string)) "woken with a value, then an exception"
+    [ "7 at 2.0"; "boom at 3.0" ] (List.rev !log);
+  (* The start, two wakers and one event per wake. *)
+  Alcotest.(check int) "one event per wake" 5 (Vsim.Engine.executed eng - before)
+
+(* Waking one continuation twice fails the run with OCaml's own
+   error, raised out of the engine loop by the second wake's event. *)
+let test_proc_double_wake () =
+  let eng = Vsim.Engine.create () in
+  Vsim.Proc.spawn eng (fun () ->
+      Vsim.Proc.block (fun k ->
+          Vsim.Proc.wake eng k ();
+          Vsim.Proc.wake eng k ()));
+  Alcotest.check_raises "the second wake fails the run"
+    Effect.Continuation_already_resumed (fun () -> Vsim.Engine.run eng)
 
 let test_ivar_rendezvous () =
   let eng = Vsim.Engine.create () in
@@ -655,6 +708,7 @@ let suite =
         Alcotest.test_case "stale handle after its drop" `Quick
           test_stale_handle_after_drop;
         Alcotest.test_case "overflow ordering" `Quick test_wheel_overflow_order;
+        Alcotest.test_case "no_timer names nothing" `Quick test_no_timer;
         qcheck prop_wheel_matches_heap;
         qcheck prop_slices_match;
       ] );
@@ -663,6 +717,9 @@ let suite =
         Alcotest.test_case "delay" `Quick test_proc_delay;
         Alcotest.test_case "delay refusals" `Quick test_proc_delay_rejects;
         Alcotest.test_case "interleaving" `Quick test_proc_interleaving;
+        Alcotest.test_case "block and wake" `Quick test_proc_block_wake;
+        Alcotest.test_case "double wake fails the run" `Quick
+          test_proc_double_wake;
         Alcotest.test_case "ivar rendezvous" `Quick test_ivar_rendezvous;
         Alcotest.test_case "ivar prefilled" `Quick test_ivar_prefilled;
         Alcotest.test_case "ivar error" `Quick test_ivar_error;
