@@ -133,6 +133,7 @@ type soak_result = {
   events : int;
   cancelled : int;
   wall_s : float;
+  minor_words : float;  (* allocated over the run *)
 }
 
 let soak () =
@@ -170,7 +171,9 @@ let soak () =
            done))
   done;
   let wall0 = Unix.gettimeofday () in
+  let words0 = Gc.minor_words () in
   En.run eng;
+  let minor_words = Gc.minor_words () -. words0 in
   let wall_s = Unix.gettimeofday () -. wall0 in
   (match hub with
   | Some hub -> dump_telemetry "telemetry-e12.json" hub
@@ -183,6 +186,7 @@ let soak () =
     events = En.last_run_events eng;
     cancelled = En.cancelled_timers eng;
     wall_s;
+    minor_words;
   }
 
 let run () =
@@ -258,6 +262,14 @@ let run () =
   Fmt.pr "wall clock: %.2f s (%.0f events/s)@." s.wall_s wall_eps;
   Tables.note_host "soak_wall_s" (Vobs.Json.Float s.wall_s);
   Tables.note_host "soak_wall_events_per_s" (Vobs.Json.Float wall_eps);
+  (* Host cost, so never compared: a count for one binary and compiler,
+     and with telemetry on it counts the telemetry too. *)
+  let per n = if n > 0 then s.minor_words /. float_of_int n else 0.0 in
+  let per_event = per s.events and per_txn = per s.resolved in
+  Fmt.pr "minor words: %.2f per event, %.1f per transaction@." per_event
+    per_txn;
+  Tables.note_host "soak_minor_words_per_event" (Vobs.Json.Float per_event);
+  Tables.note_host "soak_minor_words_per_txn" (Vobs.Json.Float per_txn);
   Tables.print_comparison
     [
       {
