@@ -1136,7 +1136,9 @@ let test_group_member_end_fails_nothing () =
   let h1 = K.boot_host rig.domain ~name:"h1" 1 in
   let h2 = K.boot_host rig.domain ~name:"h2" 2 in
   let group = K.create_group rig.domain in
-  let quitter = K.spawn h1 ~name:"quitter" (fun self -> ignore (K.receive self)) in
+  let quitter =
+    K.spawn h1 ~name:"quitter" (fun self -> ignore (K.receive self))
+  in
   let answerer =
     K.spawn h2 ~name:"answerer" (fun self ->
         let msg, sender = K.receive self in
@@ -1163,16 +1165,15 @@ let test_late_wake_is_noop () =
     let h1 = K.boot_host rig.domain ~name:"ws" 1 in
     let server = echo_server (K.boot_host rig.domain ~name:"fs" 2) in
     let outcomes = ref [] in
+    let record what =
+      outcomes := (what, Vsim.Engine.now rig.eng) :: !outcomes
+    in
     let client =
       K.spawn h1 ~name:"client" (fun self ->
           match K.send self server "hi" with
-          | Ok (reply, _) ->
-              outcomes := ("reply " ^ reply, Vsim.Engine.now rig.eng) :: !outcomes
-          | Error e ->
-              outcomes := (Fmt.str "%a" K.pp_error e, Vsim.Engine.now rig.eng)
-                          :: !outcomes
-          | exception Vsim.Proc.Killed _ ->
-              outcomes := ("killed", Vsim.Engine.now rig.eng) :: !outcomes)
+          | Ok (reply, _) -> record ("reply " ^ reply)
+          | Error e -> record (Fmt.str "%a" K.pp_error e)
+          | exception Vsim.Proc.Killed _ -> record "killed")
     in
     destroy rig client;
     Vsim.Engine.run rig.eng;

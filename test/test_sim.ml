@@ -503,7 +503,8 @@ let test_proc_block_wake () =
   Alcotest.(check (list string)) "woken with a value, then an exception"
     [ "7 at 2.0"; "boom at 3.0" ] (List.rev !log);
   (* The start, two wakers and one event per wake. *)
-  Alcotest.(check int) "one event per wake" 5 (Vsim.Engine.executed eng - before)
+  Alcotest.(check int) "one event per wake" 5
+    (Vsim.Engine.executed eng - before)
 
 (* Waking one continuation twice fails the run with OCaml's own
    error, raised out of the engine loop by the second wake's event. *)
