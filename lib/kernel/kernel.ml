@@ -1451,27 +1451,11 @@ let group_write_trimmed d ~service =
       Hashtbl.fold (fun origin seq acc -> (origin, seq) :: acc) sg.sg_trim_hw []
       |> List.sort compare
 
-(* GetPid against the service-group registry: the service has a
-   registered group with at least one live reachable member. Split into
-   an availability check and the choice itself so only the choice
-   advances the round-robin cursor (a guard must not). The check stops
-   at the first member it finds. *)
-let balanced_lookup_available host ~service =
-  let d = host.domain in
-  match Hashtbl.find_opt d.service_groups service with
-  | None -> false
-  | Some sg -> (
-      match
-        fold_reachable_members d ~requester:host.addr ~group:sg.sg_group
-          (fun _ _ () -> raise_notrace Exit)
-          ()
-      with
-      | () -> false
-      | exception Exit -> true)
-
 (* GetPid on a replicated service picks round-robin among the live
    reachable members, in address order: a pure function of the cursor,
-   so a seeded run replays the identical choices. *)
+   so a seeded run replays the identical choices. [None] when the
+   service has no registered group or no live reachable member; the
+   cursor advances only on a pick. *)
 let balanced_choice host ~service =
   let d = host.domain in
   match Hashtbl.find_opt d.service_groups service with
@@ -1495,24 +1479,26 @@ let get_pid proc ~service scope =
   match local_service_lookup host ~service ~origin:`Local_query with
   | Some pid when alive d pid -> Some pid
   | _ when scope = Service.Local -> None
-  | _ when balanced_lookup_available host ~service ->
-      count host Get_pid_balanced;
-      balanced_choice host ~service
-  | _ ->
-      (* Broadcast query; first responder wins (§4.2). *)
-      charge proc Calibration.small_packet_send_cpu;
-      let txn = fresh_txn d in
-      Proc.block (fun k ->
-          proc.blocked_on <- txn;
-          transmit host ~dst:Ethernet.Broadcast
-            ~payload_bytes:control_payload_bytes
-            (Getpid_query { txn; requester_addr = host.addr; service });
-          let deadline =
-            Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
-              (fun () -> settle_getpid host ~txn (Ok None))
-          in
-          Hashtbl.replace host.getpid_waits txn
-            { gw_asker = k; gw_deadline = deadline })
+  | _ -> (
+      match balanced_choice host ~service with
+      | Some _ as pick ->
+          count host Get_pid_balanced;
+          pick
+      | None ->
+          (* Broadcast query; first responder wins (§4.2). *)
+          charge proc Calibration.small_packet_send_cpu;
+          let txn = fresh_txn d in
+          Proc.block (fun k ->
+              proc.blocked_on <- txn;
+              transmit host ~dst:Ethernet.Broadcast
+                ~payload_bytes:control_payload_bytes
+                (Getpid_query { txn; requester_addr = host.addr; service });
+              let deadline =
+                Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
+                  (fun () -> settle_getpid host ~txn (Ok None))
+              in
+              Hashtbl.replace host.getpid_waits txn
+                { gw_asker = k; gw_deadline = deadline }))
 
 (* --- process groups and multicast Send (§2.3, §7) --- *)
 
@@ -1592,6 +1578,18 @@ let forward_group proc ~from_ ~group msg =
       report host Forward_group (Pid.to_int proc.pid) (Pid.to_int from_) group;
       charge proc Calibration.small_packet_send_cpu;
       multicast_request host ~group ~sender:from_ ~txn msg;
+      (* A sender on this host came by the local path, which arms no
+         timer: its one timer gets the deadline a remote sender's probes
+         reach, so a reply cancels it. *)
+      (match Hashtbl.find host.pendings txn with
+      | pending ->
+          let engine = host.domain.engine in
+          Engine.cancel engine pending.p_timer;
+          pending.p_timer <-
+            Engine.timer engine
+              ~delay:(float max_timeout_probes *. Calibration.ipc_timeout_ms)
+              (fun () -> fail_pending host ~txn (Ipc_error Timeout))
+      | exception Not_found -> ());
       Ok ()
 
 (* --- packet handling --- *)

@@ -254,7 +254,9 @@ val send_group : 'm self -> group:int -> 'm -> ('m * Pid.t, error) result
 
 (** Forward the transaction of blocked sender [from_] to every member of
     a group; the first member to reply completes it (§7: a context
-    implemented transparently by a group of servers). *)
+    implemented transparently by a group of servers). A sender on this
+    host fails with [Timeout] if no member replies within a remote
+    sender's probe budget (30 s). *)
 val forward_group :
   'm self -> from_:Pid.t -> group:int -> 'm -> (unit, error) result
 

@@ -928,6 +928,46 @@ let test_forward_group () =
   Alcotest.(check bool) "replier is the member, not the forwarder" true
     (Pid.equal (snd !got) fast)
 
+let test_forward_group_local_deadline () =
+  (* A local client's Send reaches a local server, which forward_groups
+     it to a one-member group on another host; the member never
+     replies. The client gets the deadline a remote sender's probes
+     reach, Timeout after max_timeout_probes x ipc_timeout_ms, and is
+     not left blocked forever. *)
+  let rig = make_rig () in
+  let h1 = K.boot_host rig.domain ~name:"h1" 1 in
+  let h2 = K.boot_host rig.domain ~name:"h2" 2 in
+  let group = K.create_group rig.domain in
+  let mute =
+    K.spawn h2 ~name:"mute" (fun self ->
+        let rec loop () =
+          ignore (K.receive self);
+          loop ()
+        in
+        loop ())
+  in
+  K.join_group h2 ~group mute;
+  let forwarder =
+    K.spawn h1 ~name:"forwarder" (fun self ->
+        let msg, sender = K.receive self in
+        match K.forward_group self ~from_:sender ~group msg with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "forward_group: %a" K.pp_error e)
+  in
+  let outcome = ref None in
+  ignore
+    (K.spawn h1 ~name:"client" (fun self ->
+         let r = K.send self forwarder "q" in
+         outcome := Some (r, Vsim.Engine.now rig.eng)));
+  Vsim.Engine.run ~until:100_000.0 rig.eng;
+  match !outcome with
+  | Some (Error K.Timeout, at) ->
+      check_float "failed at the deadline" 30_000.895 at
+  | Some (Ok (reply, _), _) -> Alcotest.failf "a reply from nowhere: %S" reply
+  | Some (Error e, at) ->
+      Alcotest.failf "failed at %.1f ms: %a" at K.pp_error e
+  | None -> Alcotest.fail "the sender is still blocked at 100,000 ms"
+
 (* Liveness/safety property: under random topologies, delays and loss,
    every Send completes exactly once — with a reply or an error, never
    both, never neither — and the kernel delivers at most once. Each
@@ -1305,6 +1345,8 @@ let suite =
         Alcotest.test_case "no members" `Quick test_group_send_no_members;
         Alcotest.test_case "local member" `Quick test_group_local_member;
         Alcotest.test_case "forward_group" `Quick test_forward_group;
+        Alcotest.test_case "forward_group local deadline" `Quick
+          test_forward_group_local_deadline;
       ] );
     ( "kernel.failure",
       [
