@@ -26,6 +26,14 @@ let () =
     (Vdomains.Domain_server.bind domain "files"
        (File_server.spec (Scenario.file_server t 0)
           ~context:Vnaming.Context.Well_known.default));
+  (* The file server's root holds "shared", a cross-server pointer to
+     the domain server's root (the curved arrow of Figure 4), so the
+     file server's listing and queries include a pointer's record. *)
+  ignore
+    (Vservices.Fs.add_remote_link
+       (File_server.fs (Scenario.file_server t 0))
+       ~dir:Vservices.Fs.root_ino "shared"
+       (Vdomains.Domain_server.spec domain ()));
   let servers =
     [
       ("file server", File_server.pid (Scenario.file_server t 0));

@@ -64,6 +64,19 @@ let join = String.concat (String.make 1 separator)
 let starts_with_prefix r =
   r.index < String.length r.name && r.name.[r.index] = prefix_open
 
+(* [last_component name] is where the last component of [name] begins,
+   never inside a leading '[prefix]'. *)
+let last_component name =
+  let floor =
+    if String.length name > 0 && name.[0] = prefix_open then
+      try String.index name prefix_close + 1 with Not_found -> 0
+    else 0
+  in
+  let i = ref (String.length name) in
+  while !i > floor && name.[!i - 1] = separator do decr i done;
+  while !i > floor && name.[!i - 1] <> separator do decr i done;
+  !i
+
 (* [parse_prefix r] splits "[prefix]rest" into the prefix and the index
    just past the closing bracket, where interpretation continues. *)
 let parse_prefix r =

@@ -55,6 +55,11 @@ val join : string list -> string
     to the context prefix server by the client run-time. *)
 val starts_with_prefix : req -> bool
 
+(** Where the last component of a name begins: past the separator
+    before it or a leading ["\[prefix\]"] (so at the prefix's end when
+    no component follows it). *)
+val last_component : string -> int
+
 (** Split ["\[prefix\]rest"] into the prefix and the index just past
     the closing bracket, where interpretation of the rest continues.
     [Error Illegal_name] on malformed syntax or a non-prefixed name. *)

@@ -34,33 +34,35 @@ type outcome =
 
    The name is scanned in place from [req.index]: each component is cut
    out once, for [lookup]; the forwarded request is built only at a
-   [Cross], and the list of unconsumed components only at a [Stop]. *)
-let rec walk_from ~lookup (req : Csname.req) ctx i =
+   [Cross], and the list of unconsumed components only at a [Stop].
+   With [on_name], the last component stops the walk whatever it names:
+   the context that binds a name answers an operation on the name. *)
+let rec walk_from ~lookup ~on_name (req : Csname.req) ctx i =
   let name = req.Csname.name in
   let start = Csname.skip_separators name i in
   if start >= String.length name then Local (ctx, [])
   else
     let stop = Csname.component_end name start in
+    let next = Csname.skip_separators name stop in
+    let follow = not (on_name && next >= String.length name) in
     let component = String.sub name start (stop - start) in
     match lookup ctx component with
-    | Descend ctx' -> walk_from ~lookup req ctx' stop
-    | Cross spec ->
-        Forward
-          ( spec,
-            {
-              req with
-              Csname.index = Csname.skip_separators name stop;
-              context = spec.Context.context;
-            } )
-    | Stop -> Local (ctx, component :: Csname.components_from name stop)
+    | Descend ctx' when follow -> walk_from ~lookup ~on_name req ctx' next
+    | Cross spec when follow ->
+        let context = spec.Context.context in
+        Forward (spec, { req with Csname.index = next; context })
+    | Descend _ | Cross _ | Stop ->
+        Local (ctx, component :: Csname.components_from name stop)
 
-let walk ~valid_context ~lookup req =
+let walk_name ~on_name ~valid_context ~lookup req =
   match Csname.validate req with
   | Error code -> Fail code
   | Ok () ->
       if Csname.starts_with_prefix req then Fail Reply.Illegal_name
       else if not (valid_context req.Csname.context) then Fail Reply.Bad_context
-      else walk_from ~lookup req req.Csname.context req.Csname.index
+      else walk_from ~lookup ~on_name req req.Csname.context req.Csname.index
+
+let walk = walk_name ~on_name:false
 
 (* --- the generic server loop --- *)
 
@@ -128,7 +130,8 @@ let reply_closing self r ~sender ~span ~index_to reply =
    once per server, it builds the lookup [walk] runs just once: that
    lookup counts and charges [component_lookup_cpu] for every component
    before the server's own lookup sees it. A request then builds no
-   closures.
+   closures. An operation on a name itself ({!Vmsg.Op.acts_on_name})
+   is answered by the context that binds the name's last component.
 
    Observability (when a hub is attached to the domain): every request
    is counted by op code under this server, and a traced CSname request
@@ -151,7 +154,11 @@ let handle_request self handlers stats =
         let op = Vmsg.Op.to_string msg.Vmsg.code in
         let span = Events.request r ~counted:op ~op req in
         charge engine Calibration.csname_common_cpu;
-        match walk ~valid_context:handlers.valid_context ~lookup req with
+        match
+          walk_name
+            ~on_name:(Vmsg.Op.acts_on_name msg.Vmsg.code)
+            ~valid_context:handlers.valid_context ~lookup req
+        with
         | Fail code ->
             reply_closing self r ~sender ~span ~index_to:req.Csname.index
               (Vmsg.reply code)

@@ -26,9 +26,10 @@ type outcome =
           rewritten with the new index and context id *)
   | Fail of Reply.code
 
-(** Run the §5.4 procedure over a request. Rejects '[prefix]' names
-    (only prefix servers parse those — the client run-time routes them)
-    and invalid starting contexts. *)
+(** Run the §5.4 procedure over a request, following the name to its
+    end: a [Cross] at the last component forwards too. Rejects
+    '[prefix]' names (only prefix servers parse those — the client
+    run-time routes them) and invalid starting contexts. *)
 val walk :
   valid_context:(Context.id -> bool) ->
   lookup:(Context.id -> string -> lookup_result) ->
@@ -60,8 +61,11 @@ type server_stats = {
 
 val make_stats : string -> server_stats
 
-(** Handle one request: reply, or forward it along. Exposed for servers
-    with custom receive loops (the program manager, the domain server).
+(** Handle one request: reply, or forward it along. Its walk ends an
+    operation on a name itself ({!Vmsg.Op.acts_on_name}) at the last
+    component, whatever it names, so the context binding the name
+    answers it. Exposed for servers with custom receive loops (the
+    program manager, the domain server).
     Apply it to its first three arguments once per server: that builds
     the per-server lookup wrapper, and each request then builds no
     closures. *)

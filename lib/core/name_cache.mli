@@ -64,6 +64,11 @@ val clear : t -> unit
     protocol. Counts a hit or miss. *)
 val find : t -> string -> (string * Context.spec) option
 
+(** [find_below t name c] is {!find} over the prefixes of [name] that
+    end at or before [c]: at {!Csname.last_component}, the route of an
+    operation on the name itself, by its parent. *)
+val find_below : t -> string -> int -> (string * Context.spec) option
+
 val mem : t -> string -> bool
 
 (** What a TTL-aware lookup saw. *)

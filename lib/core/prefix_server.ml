@@ -256,32 +256,13 @@ let handle_prefixed t self r ~sender (msg : Vmsg.t) req =
       | exception Not_found -> reply_error self r ~sender ~span Reply.Not_found
       | target -> dispatch t self r ~sender ~span msg target req ~index)
 
-(* Add/delete name operations (§5.7, optional, "ordinarily implemented
-   only in context prefix servers"). The subject is the binding itself,
-   so these do not walk through it. *)
-let handle_binding_op t (msg : Vmsg.t) req =
-  let name = Csname.remaining req in
-  if msg.Vmsg.code = Vmsg.Op.add_context_name then
-    match msg.Vmsg.payload with
-    | Vmsg.P_context_spec spec -> (
-        match add_binding t name (Static spec) with
-        | Ok () -> Vmsg.ok ()
-        | Error code -> Vmsg.reply code)
-    | Vmsg.P_logical_spec { service; context } -> (
-        match add_binding t name (Logical { service; context }) with
-        | Ok () -> Vmsg.ok ()
-        | Error code -> Vmsg.reply code)
-    | _ -> Vmsg.reply Reply.Bad_operation
-  else
-    match delete_binding t name with
-    | Ok () -> Vmsg.ok ()
-    | Error code -> Vmsg.reply code
-
 (* The server's own context: its bindings, one flat context (§5.6: a
    binding is described exactly as the context directory lists it).
-   MapContext on a binding resolves it; any other operation on one is
-   refused, since operating INTO the target takes the bracketed syntax
-   or a deeper name. *)
+   AddContextName and DeleteContextName add and delete a binding (§5.7's
+   optional operations, "ordinarily implemented only in context prefix
+   servers"), and MapContext on one resolves it; any other operation on
+   one is refused, since operating INTO the target takes the bracketed
+   syntax or a deeper name. *)
 let context t self ~now =
   {
     Csnh.directory = "[prefixes]";
@@ -297,19 +278,31 @@ let context t self ~now =
              (Hashtbl.find_opt t.bindings name)));
     listings = Instance_server.listings t.instances;
     handle_name =
-      (fun (msg : Vmsg.t) _ found ->
-        match found with
-        | None -> Vmsg.reply Reply.Not_found
-        | Some (_, target) when msg.Vmsg.code = Vmsg.Op.map_context -> (
+      (fun (msg : Vmsg.t) name found ->
+        let code = msg.Vmsg.code in
+        match (found, msg.Vmsg.payload) with
+        | _, Vmsg.P_context_spec spec when code = Vmsg.Op.add_context_name ->
+            Vmsg.answer (add_binding t name (Static spec))
+        | _, Vmsg.P_logical_spec { service; context }
+          when code = Vmsg.Op.add_context_name ->
+            Vmsg.answer (add_binding t name (Logical { service; context }))
+        | _ when code = Vmsg.Op.add_context_name ->
+            Vmsg.reply Reply.Bad_operation
+        | _ when code = Vmsg.Op.delete_context_name ->
+            Vmsg.answer (delete_binding t name)
+        | None, _ -> Vmsg.reply Reply.Not_found
+        | Some (_, target), _ when code = Vmsg.Op.map_context -> (
             match resolve self target with
             | Ok spec -> Vmsg.ok ~payload:(Vmsg.P_context_spec spec) ()
             | Error code -> Vmsg.reply code)
-        | Some _ -> Vmsg.reply Reply.Not_a_context);
+        | Some _, _ -> Vmsg.reply Reply.Not_a_context);
   }
 
 (* An unprefixed CSname request interpreted in this server's (flat)
    context. Multi-component names descend through a binding into its
-   target server, like any other context pointer. *)
+   target server, like any other context pointer; a name of one
+   component, a binding's own AddContextName and DeleteContextName
+   included, is answered by the flat context. *)
 let handle_unprefixed t self r ~context ~sender (msg : Vmsg.t) req =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   Vsim.Stats.Counter.incr t.stats.Csnh.requests;
@@ -396,13 +389,6 @@ let start host ~owner =
                  for add/delete: "[fs0]x" adds a name in fs0's context,
                  not a binding here. *)
               handle_prefixed t self r ~sender msg req
-          | Some req
-            when msg.Vmsg.code = Vmsg.Op.add_context_name
-                 || msg.Vmsg.code = Vmsg.Op.delete_context_name ->
-              (* Unprefixed: the binding itself is the subject (§5.7's
-                 optional operations). *)
-              Vsim.Stats.Counter.incr t.stats.Csnh.requests;
-              ignore (Kernel.reply self ~to_:sender (handle_binding_op t msg req))
           | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code ->
               handle_unprefixed t self r ~context ~sender msg req
           | Some _ | None ->

@@ -87,12 +87,17 @@ module Op = struct
 
   let is_csname_request code = code >= 100 && code < 120
 
+  (* The CSname requests that act on a name itself: the context that
+     binds the name's last component answers them, whatever it names. *)
+  let acts_on_name code =
+    code = remove_object || code = rename_object || code = add_context_name
+    || code = delete_context_name || code = query_name || code = modify_name
+
   (* The CSname requests that mutate the object or name space — the set
-     a replicated service must apply at every member (write-all). *)
+     a replicated service must apply at every member (write-all): Create
+     and every operation on a name but QueryName. *)
   let is_csname_write code =
-    code = modify_name || code = add_context_name
-    || code = delete_context_name || code = create_object
-    || code = remove_object || code = rename_object
+    code = create_object || (acts_on_name code && code <> query_name)
 
   let names : (int, string) Hashtbl.t = Hashtbl.create 32
 
@@ -176,6 +181,7 @@ let reply ?(extra_bytes = 0) ?(payload = No_payload) code =
   }
 
 let ok ?extra_bytes ?payload () = reply ?extra_bytes ?payload Reply.Ok
+let answer = function Ok _ -> ok () | Error code -> reply code
 
 let reply_code m =
   if not m.is_reply then None

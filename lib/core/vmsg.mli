@@ -79,6 +79,12 @@ module Op : sig
       set a replicated service applies at every member (write-all). *)
   val is_csname_write : int -> bool
 
+  (** The CSname requests that act on a name itself (Remove, Rename,
+      AddContextName, DeleteContextName, QueryName, ModifyName), which
+      the context binding the name's last component answers; the others
+      follow the name to its end. *)
+  val acts_on_name : int -> bool
+
   (** Register a printable name for a service-specific code. *)
   val register : int -> string -> unit
 
@@ -114,6 +120,9 @@ val reply : ?extra_bytes:int -> ?payload:payload -> Reply.code -> t
 
 (** [reply Ok] with an optional payload. *)
 val ok : ?extra_bytes:int -> ?payload:payload -> unit -> t
+
+(** [ok ()] for [Ok _], [reply code] for [Error code]. *)
+val answer : (_, Reply.code) result -> t
 
 (** The reply code, if this is a reply message. *)
 val reply_code : t -> Reply.code option

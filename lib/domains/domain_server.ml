@@ -134,9 +134,11 @@ let describe_entry t component = function
 (* A domain context answers as a flat context (§5.6: its directory
    lists its entries, each described as a directory); its own
    operations on one name are AddContextName, which binds a leaf here,
-   and DeleteContextName. The walk forwards a name that holds a
-   delegation or a leaf binding and descends into a sub-context, so a
-   one-name request reaches here only for a name with no entry. *)
+   and DeleteContextName, which deletes a delegation or a leaf binding.
+   An operation on a name itself reaches here whatever the name holds;
+   Open and MapContext follow a delegation or a leaf binding and descend
+   into a sub-context, so they reach here only for a name with no
+   entry. *)
 let context t tbl =
   let handle_name (msg : Vmsg.t) component found =
     let open Vmsg in

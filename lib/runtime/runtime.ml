@@ -249,13 +249,15 @@ let resume_at spec req index via =
 
 (* Route [name] through [cache]: the name cache's deepest cached prefix
    or the resolver's answer when it has one, the uncached route
-   otherwise. *)
-let route env cache name =
+   otherwise. The cache routes only the name before [upto]: the whole
+   name, or its parent for an operation on the name itself, which the
+   context binding the last component answers. *)
+let route env cache name ~upto =
   let req = Csname.make_req name in
   match cache with
   | Uncached -> uncached_route env req
   | Names c -> (
-      match Name_cache.find c name with
+      match Name_cache.find_below c name upto with
       | Some (key, spec) ->
           Events.count env.events "cache-hit";
           resume_at spec req
@@ -265,7 +267,8 @@ let route env cache name =
           Events.count env.events "cache-miss";
           prefix_route env req)
   | Resolver r -> (
-      match Vdomains.Resolver.resolve r env.self ~trace:env.root name with
+      let parent = String.sub name 0 upto in
+      match Vdomains.Resolver.resolve r env.self ~trace:env.root parent with
       | Ok o ->
           let open Vdomains.Resolver in
           Events.count env.events
@@ -346,7 +349,7 @@ let is_ipc = function Vio.Verr.Ipc _ -> true | _ -> false
      binding afresh at each use, so going through it again can reach a
      service that re-registered under a new pid.
    If every attempt fails, the first error is returned. *)
-let rec with_stale_retry env cache name attempt r ~retried ~first_err =
+let rec with_stale_retry env cache name ~upto attempt r ~retried ~first_err =
   match r with
   | Final e -> Error (Option.value first_err ~default:e)
   | Send { target; req; via } -> (
@@ -361,16 +364,16 @@ let rec with_stale_retry env cache name attempt r ~retried ~first_err =
               ignore (Vdomains.Resolver.invalidate res key);
               Events.count env.events "cache-stale";
               let next = if retried then Uncached else cache in
-              with_stale_retry env cache name attempt (route env next name)
-                ~retried:true ~first_err
+              with_stale_retry env cache name ~upto attempt
+                (route env next name ~upto) ~retried:true ~first_err
           | (Cached key | Walked key), Names c when stale_signal e ->
               ignore (Name_cache.invalidate c key);
               Events.count env.events "cache-stale";
-              with_stale_retry env cache name attempt (route env cache name)
-                ~retried ~first_err
+              with_stale_retry env cache name ~upto attempt
+                (route env cache name ~upto) ~retried ~first_err
           | _, Names _ when is_ipc e && not retried ->
-              with_stale_retry env cache name attempt (route env Uncached name)
-                ~retried:true ~first_err
+              with_stale_retry env cache name ~upto attempt
+                (route env Uncached name ~upto) ~retried:true ~first_err
           | _ -> Error (Option.value first_err ~default:e)))
 
 (* One named operation's attempts: the stale-retry cascade from the
@@ -378,10 +381,10 @@ let rec with_stale_retry env cache name attempt r ~retried ~first_err =
    The first resilience attempt reuses the route already taken (whose
    cache metrics are counted); later ones route afresh so re-resolution
    can land on a successor server. *)
-let run_routed env cache name ~t0 ~first attempt =
+let run_routed env cache name ~upto ~t0 ~first attempt =
   match env.resilience with
   | None ->
-      with_stale_retry env cache name attempt first ~retried:false
+      with_stale_retry env cache name ~upto attempt first ~retried:false
         ~first_err:None
   | Some policy ->
       let first_route = ref (Some first) in
@@ -393,10 +396,10 @@ let run_routed env cache name ~t0 ~first attempt =
             | Some r ->
                 first_route := None;
                 r
-            | None -> route env cache name
+            | None -> route env cache name ~upto
           in
           note_failover env ~last_target ~failovers r;
-          with_stale_retry env cache name attempt r ~retried:false
+          with_stale_retry env cache name ~upto attempt r ~retried:false
             ~first_err:None)
 
 (* A named operation starts its root span before it routes the name, so
@@ -405,10 +408,10 @@ let run_routed env cache name ~t0 ~first attempt =
    when the first route made no query — and restores [outer], the
    enclosing operation's root (a rebind runs an operation inside
    another's retry loop). *)
-let start_op env ~op cache name =
+let start_op env ~op cache name ~upto =
   env.root <-
     Events.op_start env.events ~op ~context:env.current.Context.context;
-  route env cache name
+  route env cache name ~upto
 
 let finish_op env ~op ~t0 ~first ~outer result =
   Events.op_done env.events ~op ~root:env.root ~started:t0
@@ -425,7 +428,11 @@ let transact_name env ~code ?payload ?extra_bytes name =
   let t0 = Vsim.Engine.now (engine env) in
   let outer = env.root in
   let cache = cache_for env name in
-  let first = start_op env ~op cache name in
+  let upto =
+    if Vmsg.Op.acts_on_name code then Csname.last_component name
+    else String.length name
+  in
+  let first = start_op env ~op cache name ~upto in
   let attempt target req =
     let msg =
       Vmsg.request ~name:(attach env req) ?payload ?extra_bytes code
@@ -446,7 +453,7 @@ let transact_name env ~code ?payload ?extra_bytes name =
         ok
     | Error _ as e -> e
   in
-  let result = run_routed env cache name ~t0 ~first attempt in
+  let result = run_routed env cache name ~upto ~t0 ~first attempt in
   finish_op env ~op ~t0 ~first ~outer result
 
 (* --- naming operations --- *)
@@ -534,7 +541,8 @@ let open_ env ~mode name =
   let t0 = Vsim.Engine.now (engine env) in
   let outer = env.root in
   let cache = cache_for env name in
-  let first = start_op env ~op cache name in
+  let upto = String.length name in
+  let first = start_op env ~op cache name ~upto in
   let attempt target req =
     let req = attach env req in
     let deadline =
@@ -545,7 +553,7 @@ let open_ env ~mode name =
     Vio.Client.open_at env.self ~learn:(learn_from_reply env name) ?deadline
       ~server:target ~req ~mode ()
   in
-  let result = run_routed env cache name ~t0 ~first attempt in
+  let result = run_routed env cache name ~upto ~t0 ~first attempt in
   finish_op env ~op ~t0 ~first ~outer result
 
 let with_instance env ~mode name f =

@@ -103,6 +103,20 @@ let dir_of_ctx t ctx =
     ctx - ctx_base
   else raise_notrace Not_found
 
+(* Does [name] in directory [dir] name directory [ino] or one of its
+   ancestors? Reads parent links only, so it allocates nothing. *)
+let rec names_ancestor t ~dir name ino =
+  let node = Fs.get t.fs ino in
+  (node.Fs.parent = dir && String.equal node.Fs.name_in_parent name)
+  || (ino <> Fs.root_ino && names_ancestor t ~dir name node.Fs.parent)
+
+(* The well-known contexts, the home and programs directories and the
+   users directory and root enclosing them, are neither removed nor
+   renamed. *)
+let names_well_known t ~dir name =
+  names_ancestor t ~dir name t.home_ino
+  || names_ancestor t ~dir name t.programs_ino
+
 (* --- the accounts context --- *)
 
 let account_names t =
@@ -278,13 +292,8 @@ let accounts_context t =
   let handle_name (msg : Vmsg.t) name found =
     let open Vmsg in
     if msg.code = Op.create_object then
-      match create_account t ~now:(Vsim.Engine.now t.engine) name with
-      | Ok _ -> ok ()
-      | Error code -> reply code
-    else if msg.code = Op.remove_object then
-      match remove_account t name with
-      | Ok () -> ok ()
-      | Error code -> reply code
+      answer (create_account t ~now:(Vsim.Engine.now t.engine) name)
+    else if msg.code = Op.remove_object then answer (remove_account t name)
     else if msg.code = Op.map_context then
       match found with
       | Some a ->
@@ -332,10 +341,7 @@ let handle_csname t self ~accounts ~sender (msg : Vmsg.t) _req ctx remaining =
         match (remaining, msg.payload) with
         | [ name ], P_descriptor requested -> (
             match Fs.lookup t.fs ~dir:ctx_ino name with
-            | Some entry -> (
-                match Fs.modify_entry t.fs entry requested with
-                | Ok () -> ok ()
-                | Error code -> reply code)
+            | Some entry -> answer (Fs.modify_entry t.fs entry requested)
             | None -> reply Reply.Not_found)
         | _ -> reply Reply.Bad_operation
       else if msg.code = Op.map_context then
@@ -347,15 +353,9 @@ let handle_csname t self ~accounts ~sender (msg : Vmsg.t) _req ctx remaining =
         | _ -> reply Reply.Not_found
       else if msg.code = Op.create_object then
         match (remaining, msg.payload) with
-        | [ name ], P_create { directory } -> (
-            let result =
-              if directory then
-                Result.map (fun (_ : int) -> ()) (Fs.mkdir t.fs ~dir:ctx_ino ~owner:t.owner name)
-              else
-                Result.map (fun (_ : int) -> ())
-                  (Fs.create_file t.fs ~dir:ctx_ino ~owner:t.owner name)
-            in
-            match result with Ok () -> ok () | Error code -> reply code)
+        | [ name ], P_create { directory } ->
+            let make = if directory then Fs.mkdir else Fs.create_file in
+            answer (make t.fs ~dir:ctx_ino ~owner:t.owner name)
         | [], P_create _ ->
             (* The name resolved to an existing context: the walk
                consumed it, so this create names something that already
@@ -364,14 +364,13 @@ let handle_csname t self ~accounts ~sender (msg : Vmsg.t) _req ctx remaining =
         | _ -> reply Reply.Bad_operation
       else if msg.code = Op.remove_object then
         match remaining with
-        | [ name ] -> (
-            match Fs.unlink t.fs ~dir:ctx_ino name with
-            | Ok () -> ok ()
-            | Error code -> reply code)
+        | [ name ] when names_well_known t ~dir:ctx_ino name ->
+            reply Reply.No_permission
+        | [ name ] -> answer (Fs.unlink t.fs ~dir:ctx_ino name)
         | [] -> (
-            (* Removing a directory by name: the walk descended into it;
-               unlink it from its parent (well-known contexts are not
-               removable). *)
+            (* The context itself, named with nothing after it (a
+               '[prefix]' bound to it): unlink it from its parent
+               (well-known contexts are not removable). *)
             if
               ctx_ino = Fs.root_ino || ctx_ino = t.home_ino
               || ctx_ino = t.programs_ino || ctx_ino = t.users_ino
@@ -379,39 +378,35 @@ let handle_csname t self ~accounts ~sender (msg : Vmsg.t) _req ctx remaining =
             else
               match Fs.find t.fs ctx_ino with
               | None -> reply Reply.Not_found
-              | Some node -> (
-                  match
-                    Fs.unlink t.fs ~dir:node.Fs.parent node.Fs.name_in_parent
-                  with
-                  | Ok () -> ok ()
-                  | Error code -> reply code))
+              | Some node ->
+                  answer
+                    (Fs.unlink t.fs ~dir:node.Fs.parent node.Fs.name_in_parent))
         | _ -> reply Reply.Not_found
       else if msg.code = Op.rename_object then
         match (remaining, msg.payload) with
+        | [ name ], P_name _ when names_well_known t ~dir:ctx_ino name ->
+            reply Reply.No_permission
         | [ name ], P_name new_path -> (
             match resolve_local_dir t ~ctx_ino (Csname.components new_path) with
             | Error code -> reply code
-            | Ok (new_dir, new_name) -> (
-                match Fs.rename t.fs ~dir:ctx_ino name ~new_dir new_name with
-                | Ok () -> ok ()
-                | Error code -> reply code))
+            | Ok (new_dir, _) when names_ancestor t ~dir:ctx_ino name new_dir ->
+                (* A directory is not moved into its own subtree. *)
+                reply Reply.No_permission
+            | Ok (new_dir, new_name) ->
+                answer (Fs.rename t.fs ~dir:ctx_ino name ~new_dir new_name))
         | _ -> reply Reply.Bad_operation
       else if msg.code = Op.add_context_name then
         match (remaining, msg.payload) with
-        | [ name ], P_context_spec target -> (
+        | [ name ], P_context_spec target ->
             (* A cross-server pointer: the curved arrow of Figure 4. *)
-            match Fs.add_remote_link t.fs ~dir:ctx_ino name target with
-            | Ok () -> ok ()
-            | Error code -> reply code)
+            answer (Fs.add_remote_link t.fs ~dir:ctx_ino name target)
         | _ -> reply Reply.Bad_operation
       else if msg.code = Op.delete_context_name then
         match remaining with
         | [ name ] -> (
             match Fs.lookup t.fs ~dir:ctx_ino name with
-            | Some (Fs.Remote_link _) -> (
-                match Fs.unlink t.fs ~dir:ctx_ino name with
-                | Ok () -> ok ()
-                | Error code -> reply code)
+            | Some (Fs.Remote_link _) ->
+                answer (Fs.unlink t.fs ~dir:ctx_ino name)
             | Some _ -> reply Reply.No_permission
             | None -> reply Reply.Not_found)
         | _ -> reply Reply.Not_found

@@ -90,9 +90,9 @@ let create ?(owner = "system") disk engine =
 let find t ino = Hashtbl.find_opt t.inodes ino
 
 let get t ino =
-  match find t ino with
-  | Some node -> node
-  | None -> invalid_arg (Fmt.str "Fs: no inode %d" ino)
+  match Hashtbl.find t.inodes ino with
+  | node -> node
+  | exception Not_found -> invalid_arg (Fmt.str "Fs: no inode %d" ino)
 
 let is_dir t ino =
   match Hashtbl.find t.inodes ino with

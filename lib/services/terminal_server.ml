@@ -83,10 +83,7 @@ let handle_name t (msg : Vmsg.t) name found =
               { term; readonly = (mode = Read); snapshot }
               ~file_size:(Bytes.length snapshot))
     | _ -> reply Reply.Bad_operation
-  else if msg.code = Op.create_object then (
-    match create_terminal t ~now name with
-    | Ok _ -> ok ()
-    | Error code -> reply code)
+  else if msg.code = Op.create_object then answer (create_terminal t ~now name)
   else if msg.code = Op.remove_object then
     if Option.is_some found then begin
       Hashtbl.remove t.terminals name;

@@ -154,10 +154,7 @@ let image_of_window w =
 let handle_name t (msg : Vmsg.t) name found =
   let open Vmsg in
   let now = Vsim.Engine.now t.engine in
-  if msg.code = Op.create_object then (
-    match create_window t ~now name with
-    | Ok _ -> ok ()
-    | Error code -> reply code)
+  if msg.code = Op.create_object then answer (create_window t ~now name)
   else if msg.code = Op.open_instance then
     match msg.payload with
     | P_open { mode } -> (

@@ -155,6 +155,25 @@ let find c name =
   in
   try_cuts (candidate_cuts name)
 
+(* The lookup the run-time makes for an operation on a name itself:
+   [find] of the name's parent, the name less its last component and
+   the separators after it; a leading '[prefix]' is never cut into. *)
+let find_parent c name =
+  let floor =
+    if String.starts_with ~prefix:"[" name then
+      match String.index_opt name Csname.prefix_close with
+      | Some i -> i + 1
+      | None -> 0
+    else 0
+  in
+  let body = normalize_key name in
+  let stop =
+    match String.rindex_opt body Csname.separator with
+    | Some i when i >= floor -> i + 1
+    | Some _ | None -> floor
+  in
+  find c (String.sub name 0 stop)
+
 let find_at c ~now name =
   let hit e hfresh =
     Some

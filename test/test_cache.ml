@@ -259,6 +259,7 @@ type op =
   | Learn of string * int
   | Learn_at of float * float option * string * Name_cache.value
   | Find of string
+  | Find_parent of string
   | Find_at of float * string
   | Invalidate of string
 
@@ -269,6 +270,7 @@ let pp_op ppf = function
         Fmt.(option ~none:(any "-") float)
         ttl k Name_cache.pp_value v
   | Find name -> Fmt.pf ppf "find %S" name
+  | Find_parent name -> Fmt.pf ppf "find_parent %S" name
   | Find_at (now, name) -> Fmt.pf ppf "find_at %g %S" now name
   | Invalidate k -> Fmt.pf ppf "invalidate %S" k
 
@@ -312,11 +314,13 @@ let gen_op =
             (opt (map float_of_int (int_bound 20)))
             gen_name value );
         (3, map (fun name -> Find name) gen_name);
+        (2, map (fun name -> Find_parent name) gen_name);
         (3, map2 (fun now name -> Find_at (now, name)) now gen_name);
         (1, map (fun k -> Invalidate k) gen_name);
       ])
 
-(* Random learn, find, find_at and invalidate sequences: every result,
+(* Random learn, find, parent find (the route of an operation on a name
+   itself), find_at and invalidate sequences: every result,
    every counter, the expired entries dropped and the recency order must
    match the model after every step. *)
 let prop_cache_matches_model =
@@ -338,6 +342,9 @@ let prop_cache_matches_model =
                 Name_cache.learn_at c ~now ?ttl_ms k v
                 = Naming_model.learn_at m ~now ?ttl_ms k v
             | Find name -> Name_cache.find c name = Naming_model.find m name
+            | Find_parent name ->
+                Name_cache.find_below c name (Csname.last_component name)
+                = Naming_model.find_parent m name
             | Find_at (now, name) ->
                 Name_cache.find_at c ~now name
                 = Naming_model.find_at m ~now name

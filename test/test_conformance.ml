@@ -8,7 +8,10 @@
    The battery runs twice: on the standard installation, where every
    flat context but the file server's is empty, and after one object
    has been put in each of them, so "directory = queries (§5.6)" queries
-   a record at every server instead of skipping an empty context. *)
+   a record at every server instead of skipping an empty context. In
+   both, the file server's root holds a cross-server pointer to the
+   domain server's root, so the file server's listing and queries
+   include a pointer's own record. *)
 
 module K = Vkernel.Kernel
 module Scenario = Vworkload.Scenario
@@ -19,7 +22,8 @@ module Vmsg = Vnaming.Vmsg
 open Vservices
 
 (* A domain server on a host of its own, its root binding "files" to
-   the file server's root context. *)
+   the file server's root context; the file server's root holds
+   "shared", a pointer to the domain server's root. *)
 let domain_server (t : Scenario.t) =
   let ds =
     Vdomains.Domain_server.start
@@ -33,6 +37,14 @@ let domain_server (t : Scenario.t) =
    with
   | Ok () -> ()
   | Error code -> Alcotest.failf "bind files: %s" (Reply.to_string code));
+  (match
+     Fs.add_remote_link
+       (File_server.fs (Scenario.file_server t 0))
+       ~dir:Fs.root_ino "shared"
+       (Vdomains.Domain_server.spec ds ())
+   with
+  | Ok () -> ()
+  | Error code -> Alcotest.failf "pointer shared: %s" (Reply.to_string code));
   Vdomains.Domain_server.pid ds
 
 let servers_of (t : Scenario.t) ~domain =

@@ -506,6 +506,45 @@ let test_delegation_cycle_guard () =
          Alcotest.(check int) "after one query" 1 s.Resolver.queries;
          Alcotest.(check int) "and one referral" 1 s.Resolver.referrals))
 
+(* A domain server answers AddContextName and DeleteContextName on its
+   own entries: a delegation or a leaf binding is a duplicate to add and
+   is deleted here, not at the context it leads to. *)
+let test_domain_entries_bound_here () =
+  ignore
+    (run_client (fun t self _env ->
+         let fs_root =
+           File_server.spec (Scenario.file_server t 0)
+             ~context:Context.Well_known.default
+         in
+         let servers = build_chain t ~depth:2 ~leaf_target:fs_root in
+         let root = servers.(0) in
+         let request ?payload code name =
+           match
+             K.send self (Domain_server.pid root)
+               (Vmsg.request ~name:(Csname.make_req name) ?payload code)
+           with
+           | Ok (reply, replier) ->
+               Alcotest.(check bool) "the domain server answers" true
+                 (Pid.equal replier (Domain_server.pid root));
+               Option.get (Vmsg.reply_code reply)
+           | Error e -> Alcotest.failf "send: %a" K.pp_error e
+         in
+         let add name =
+           request ~payload:(Vmsg.P_context_spec fs_root)
+             Vmsg.Op.add_context_name name
+         in
+         let delete name = request Vmsg.Op.delete_context_name name in
+         fail_ds "bind" (Domain_server.bind root "files" fs_root);
+         let code = Alcotest.testable Reply.pp ( = ) in
+         Alcotest.check code "add over a delegation" Reply.Duplicate_name
+           (add "d1");
+         Alcotest.check code "add over a leaf binding" Reply.Duplicate_name
+           (add "files");
+         Alcotest.check code "delete a delegation" Reply.Ok (delete "d1");
+         Alcotest.check code "delete a leaf binding" Reply.Ok (delete "files");
+         Alcotest.(check (list string)) "both entries gone" []
+           (List.map fst (Domain_server.entries root ()))))
+
 let suite =
   [
     ( "domains",
@@ -525,6 +564,8 @@ let suite =
         Alcotest.test_case "one cache per name" `Quick test_one_cache_per_name;
         Alcotest.test_case "stale-serving window" `Quick
           test_stale_serving_window;
+        Alcotest.test_case "entries bound here" `Quick
+          test_domain_entries_bound_here;
         Alcotest.test_case "delegation cycle guard" `Quick
           test_delegation_cycle_guard;
       ] );

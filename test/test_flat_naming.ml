@@ -35,7 +35,21 @@
    DeleteContextName on the context itself is a bad operation, and its
    AddContextName on a two-component name is not found, as at every flat
    context; and the file server refuses to remove the owner's own
-   account, whose home is the well-known home context. *)
+   account, whose home is the well-known home context. Later still, an
+   operation on a name itself (Remove, Rename, AddContextName,
+   DeleteContextName, QueryName, ModifyName) came to be answered by the
+   context that binds the name, and these replies changed on purpose:
+   the domain server's QueryName on an entry answers the record its
+   listing holds (the target context answered with its own record), its
+   Remove of a leaf binding is a bad operation (the file server refused
+   to remove its root), and its second AddContextName and its
+   DeleteContextName of a leaf binding are its own duplicate name and OK
+   (the target answered); the prefix server's AddContextName and
+   DeleteContextName pay the common charge like its other requests, so
+   they and every later prefix reply arrive 0.36 ms later each, on the
+   context itself they are a bad operation (an illegal name and not
+   found before), and a two-component add is not found (an illegal
+   name). *)
 
 module K = Vkernel.Kernel
 module Scenario = Vworkload.Scenario
@@ -612,85 +626,85 @@ let golden =
     "prefix | create \"\": bad operation @641.975";
     "prefix | remove \"\": bad operation @643.105";
     "prefix | modify \"\": bad operation @644.235";
-    "prefix | add \"\": illegal name @645.005";
-    "prefix | delete \"\": not found @645.775";
-    "prefix | query \"fs0\": OK prefix \"fs0\" size=12 owner=\"ws0\" created=646.520 modified=646.520 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @646.905";
-    "prefix | map \"fs0\": OK spec=(1.6203, ctx 0) @648.035";
-    "prefix | open \"fs0\" read: not a context @649.165";
-    "prefix | open \"fs0\" dir: not a context @650.295";
-    "prefix | open \"fs0\" write: not a context @651.425";
-    "prefix | open \"fs0\" append: not a context @652.555";
-    "prefix | modify \"fs0\": not a context @653.685";
-    "prefix | create \"fs0\": not a context @654.815";
-    "prefix | remove \"fs0\": not a context @655.945";
-    "prefix | query \"fs0\": OK prefix \"fs0\" size=12 owner=\"ws0\" created=656.690 modified=656.690 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @657.075";
-    "prefix | query \"nothing\": not found @658.205";
-    "prefix | map \"nothing\": not found @659.335";
-    "prefix | open \"nothing\" read: not found @660.465";
-    "prefix | open \"nothing\" dir: not found @661.595";
-    "prefix | create \"nothing\": not found @662.725";
-    "prefix | query \"nothing\": not found @663.855";
-    "prefix | remove \"nothing\": not found @664.985";
-    "prefix | open \"nothing\" write: not found @666.115";
-    "prefix | query \"nothing\": not found @667.245";
-    "prefix | remove \"nothing\": not found @668.375";
-    "prefix | query \"fs0/inner\": not found @672.724";
-    "prefix | open \"fs0/inner\" read: not found @677.073";
-    "prefix | add \"nothing/inner\": illegal name @677.843";
-    "prefix | delete \"nothing/inner\": not found @678.613";
-    "prefix | add \"nothing\": OK @679.383";
-    "prefix | query \"nothing\": OK prefix \"nothing\" size=16 owner=\"ws0\" created=680.128 modified=680.128 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @680.513";
-    "prefix | add \"nothing\": duplicate name @681.283";
-    "prefix | delete \"nothing\": OK @682.053";
-    "prefix | delete \"nothing\": not found @682.823";
-    "domain | open \"\" read: OK instance=1 size=97 block=512 @685.623";
-    "domain | open \"\" write: OK instance=2 size=97 block=512 @688.423";
-    "domain | open \"\" append: OK instance=3 size=97 block=512 @691.223";
-    "domain | open \"\" dir: OK instance=4 size=97 block=512 @694.023";
-    "domain | map \"\": OK spec=(6.63095, ctx 0) @696.823";
-    "domain | query \"\": OK directory \"domain:dom0\" size=3 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @699.623";
-    "domain | create \"\": bad operation @702.423";
-    "domain | remove \"\": bad operation @705.223";
-    "domain | modify \"\": bad operation @708.023";
-    "domain | add \"\": bad operation @710.823";
-    "domain | delete \"\": bad operation @713.623";
-    "domain | query \"files\": OK directory \"/\" size=3 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] bound=5:(1.6203, ctx 0) @719.410";
-    "domain | map \"files\": OK spec=(1.6203, ctx 17) bound=5:(1.6203, ctx 0) @725.197";
-    "domain | open \"files\" read: OK instance=5 size=101 block=512 bound=5:(1.6203, ctx 0) @731.043";
-    "domain | open \"files\" dir: OK instance=6 size=101 block=512 bound=5:(1.6203, ctx 0) @736.890";
-    "domain | query \"sub\": OK directory \"domain:dom0\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] bound=3:(6.63095, ctx 7) @740.478";
-    "domain | map \"sub\": OK spec=(6.63095, ctx 7) bound=3:(6.63095, ctx 7) @744.066";
-    "domain | open \"sub\" read: OK instance=5 size=0 block=512 bound=3:(6.63095, ctx 7) @747.654";
-    "domain | open \"sub\" dir: OK instance=6 size=0 block=512 bound=3:(6.63095, ctx 7) @751.242";
-    "domain | query \"child\": OK directory \"domain:dom1\" size=0 owner=\"dom1\" created=0.000 modified=0.000 writable=true instance=- attrs=[] bound=5:(7.12362, ctx 0) @757.029";
-    "domain | map \"child\": OK spec=(7.12362, ctx 0) bound=5:(7.12362, ctx 0) @762.815";
-    "domain | open \"child\" read: OK instance=1 size=0 block=512 bound=5:(7.12362, ctx 0) @768.602";
-    "domain | open \"child\" dir: OK instance=2 size=0 block=512 bound=5:(7.12362, ctx 0) @774.389";
-    "domain | open \"files\" write: OK instance=7 size=101 block=512 bound=5:(1.6203, ctx 0) @780.235";
-    "domain | open \"files\" append: OK instance=8 size=101 block=512 bound=5:(1.6203, ctx 0) @786.082";
-    "domain | modify \"files\": bad operation @791.869";
-    "domain | create \"files\": duplicate name @797.655";
-    "domain | remove \"files\": no permission @803.442";
-    "domain | query \"files\": OK directory \"/\" size=3 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] bound=5:(1.6203, ctx 0) @809.229";
-    "domain | query \"nothing\": not found @812.827";
-    "domain | map \"nothing\": not found @816.426";
-    "domain | open \"nothing\" read: bad operation @820.025";
-    "domain | open \"nothing\" dir: bad operation @823.623";
-    "domain | create \"nothing\": bad operation @827.222";
-    "domain | query \"nothing\": not found @830.821";
-    "domain | remove \"nothing\": bad operation @834.419";
-    "domain | open \"nothing\" write: bad operation @838.018";
-    "domain | query \"nothing\": not found @841.617";
-    "domain | remove \"nothing\": bad operation @845.215";
-    "domain | query \"files/inner\": not found @851.154";
-    "domain | open \"files/inner\" read: not found @857.093";
-    "domain | add \"nothing/inner\": not found @860.707";
-    "domain | delete \"nothing/inner\": not found @864.322";
-    "domain | add \"nothing\": OK @867.921";
-    "domain | query \"nothing\": OK directory \"/\" size=3 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] bound=7:(1.6203, ctx 0) @873.718";
-    "domain | add \"nothing\": bad operation @879.515";
-    "domain | delete \"nothing\": not found @885.313";
-    "domain | delete \"nothing\": not found @891.110";
+    "prefix | add \"\": bad operation @645.365";
+    "prefix | delete \"\": bad operation @646.495";
+    "prefix | query \"fs0\": OK prefix \"fs0\" size=12 owner=\"ws0\" created=647.240 modified=647.240 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @647.625";
+    "prefix | map \"fs0\": OK spec=(1.6203, ctx 0) @648.755";
+    "prefix | open \"fs0\" read: not a context @649.885";
+    "prefix | open \"fs0\" dir: not a context @651.015";
+    "prefix | open \"fs0\" write: not a context @652.145";
+    "prefix | open \"fs0\" append: not a context @653.275";
+    "prefix | modify \"fs0\": not a context @654.405";
+    "prefix | create \"fs0\": not a context @655.535";
+    "prefix | remove \"fs0\": not a context @656.665";
+    "prefix | query \"fs0\": OK prefix \"fs0\" size=12 owner=\"ws0\" created=657.410 modified=657.410 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @657.795";
+    "prefix | query \"nothing\": not found @658.925";
+    "prefix | map \"nothing\": not found @660.055";
+    "prefix | open \"nothing\" read: not found @661.185";
+    "prefix | open \"nothing\" dir: not found @662.315";
+    "prefix | create \"nothing\": not found @663.445";
+    "prefix | query \"nothing\": not found @664.575";
+    "prefix | remove \"nothing\": not found @665.705";
+    "prefix | open \"nothing\" write: not found @666.835";
+    "prefix | query \"nothing\": not found @667.965";
+    "prefix | remove \"nothing\": not found @669.095";
+    "prefix | query \"fs0/inner\": not found @673.444";
+    "prefix | open \"fs0/inner\" read: not found @677.793";
+    "prefix | add \"nothing/inner\": not found @678.923";
+    "prefix | delete \"nothing/inner\": not found @680.053";
+    "prefix | add \"nothing\": OK @681.183";
+    "prefix | query \"nothing\": OK prefix \"nothing\" size=16 owner=\"ws0\" created=681.928 modified=681.928 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @682.313";
+    "prefix | add \"nothing\": duplicate name @683.443";
+    "prefix | delete \"nothing\": OK @684.573";
+    "prefix | delete \"nothing\": not found @685.703";
+    "domain | open \"\" read: OK instance=1 size=97 block=512 @688.503";
+    "domain | open \"\" write: OK instance=2 size=97 block=512 @691.303";
+    "domain | open \"\" append: OK instance=3 size=97 block=512 @694.103";
+    "domain | open \"\" dir: OK instance=4 size=97 block=512 @696.903";
+    "domain | map \"\": OK spec=(6.63095, ctx 0) @699.703";
+    "domain | query \"\": OK directory \"domain:dom0\" size=3 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @702.503";
+    "domain | create \"\": bad operation @705.303";
+    "domain | remove \"\": bad operation @708.103";
+    "domain | modify \"\": bad operation @710.903";
+    "domain | add \"\": bad operation @713.703";
+    "domain | delete \"\": bad operation @716.503";
+    "domain | query \"files\": OK directory \"files\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @720.097";
+    "domain | map \"files\": OK spec=(1.6203, ctx 17) bound=5:(1.6203, ctx 0) @725.883";
+    "domain | open \"files\" read: OK instance=5 size=101 block=512 bound=5:(1.6203, ctx 0) @731.730";
+    "domain | open \"files\" dir: OK instance=6 size=101 block=512 bound=5:(1.6203, ctx 0) @737.577";
+    "domain | query \"sub\": OK directory \"sub\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @741.165";
+    "domain | map \"sub\": OK spec=(6.63095, ctx 7) bound=3:(6.63095, ctx 7) @744.753";
+    "domain | open \"sub\" read: OK instance=5 size=0 block=512 bound=3:(6.63095, ctx 7) @748.341";
+    "domain | open \"sub\" dir: OK instance=6 size=0 block=512 bound=3:(6.63095, ctx 7) @751.929";
+    "domain | query \"child\": OK directory \"child\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @755.522";
+    "domain | map \"child\": OK spec=(7.12362, ctx 0) bound=5:(7.12362, ctx 0) @761.309";
+    "domain | open \"child\" read: OK instance=1 size=0 block=512 bound=5:(7.12362, ctx 0) @767.095";
+    "domain | open \"child\" dir: OK instance=2 size=0 block=512 bound=5:(7.12362, ctx 0) @772.882";
+    "domain | open \"files\" write: OK instance=7 size=101 block=512 bound=5:(1.6203, ctx 0) @778.729";
+    "domain | open \"files\" append: OK instance=8 size=101 block=512 bound=5:(1.6203, ctx 0) @784.575";
+    "domain | modify \"files\": bad operation @788.169";
+    "domain | create \"files\": duplicate name @793.955";
+    "domain | remove \"files\": bad operation @797.549";
+    "domain | query \"files\": OK directory \"files\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @801.142";
+    "domain | query \"nothing\": not found @804.741";
+    "domain | map \"nothing\": not found @808.339";
+    "domain | open \"nothing\" read: bad operation @811.938";
+    "domain | open \"nothing\" dir: bad operation @815.537";
+    "domain | create \"nothing\": bad operation @819.135";
+    "domain | query \"nothing\": not found @822.734";
+    "domain | remove \"nothing\": bad operation @826.333";
+    "domain | open \"nothing\" write: bad operation @829.931";
+    "domain | query \"nothing\": not found @833.530";
+    "domain | remove \"nothing\": bad operation @837.129";
+    "domain | query \"files/inner\": not found @843.067";
+    "domain | open \"files/inner\" read: not found @849.006";
+    "domain | add \"nothing/inner\": not found @852.621";
+    "domain | delete \"nothing/inner\": not found @856.235";
+    "domain | add \"nothing\": OK @859.834";
+    "domain | query \"nothing\": OK directory \"nothing\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @863.433";
+    "domain | add \"nothing\": duplicate name @867.031";
+    "domain | delete \"nothing\": OK @870.630";
+    "domain | delete \"nothing\": not found @874.229";
   ]
 
 let servers =

@@ -228,6 +228,141 @@ let test_link_reply_comes_from_target_server () =
               (File_server.pid (Scenario.file_server t 1)));
          ok_exn "release" (Vio.Client.release (Runtime.self env) instance)))
 
+(* --- an operation on a name acts where the name is bound (§5.4) ---
+
+   Remove, Rename, AddContextName, DeleteContextName, QueryName and
+   ModifyName are answered by the context that holds the name's last
+   component, whatever it names; Open and MapContext follow it. *)
+
+(* F4's pointer: fs1 holds the directory /projects, and fs0's root holds
+   "shared", a cross-server pointer to it. *)
+let with_pointer ?(cache = false) body =
+  ignore
+    (run_client (fun t self env ->
+         ok_exn "mkdir" (Runtime.create env ~directory:true "[fs1]projects");
+         let target = ok_exn "resolve" (Runtime.resolve env "[fs1]projects") in
+         ok_exn "link" (Runtime.link env "[fs0]shared" ~target);
+         if cache then begin
+           Runtime.enable_name_cache env true;
+           (* An Open through the pointer caches the full name. *)
+           ignore (ok_exn "list" (Runtime.list_directory env "[fs0]shared"));
+           Alcotest.(check bool) "the full name is cached" true
+             (Name_cache.mem (Runtime.name_cache env) "[fs0]shared")
+         end;
+         body t self env))
+
+let expect_denied what code = function
+  | Error (Vio.Verr.Denied c) when c = code -> ()
+  | Ok _ -> Alcotest.failf "%s: expected %s, got OK" what (Reply.to_string code)
+  | Error e ->
+      Alcotest.failf "%s: expected %s, got %a" what (Reply.to_string code)
+        Vio.Verr.pp e
+
+(* The pointer is gone and fs1's directory is intact. *)
+let pointer_gone env =
+  expect_denied "pointer gone" Reply.Not_found
+    (Runtime.query env "[fs0]shared");
+  let d = ok_exn "target kept" (Runtime.query env "[fs1]projects") in
+  Alcotest.(check bool) "still a directory" true
+    (d.Descriptor.obj_type = Descriptor.Directory)
+
+let test_remove_pointer () =
+  with_pointer (fun _t _self env ->
+      ok_exn "remove" (Runtime.remove env "[fs0]shared");
+      pointer_gone env)
+
+let test_remove_pointer_cached () =
+  with_pointer ~cache:true (fun _t _self env ->
+      ok_exn "remove" (Runtime.remove env "[fs0]shared");
+      pointer_gone env)
+
+let test_delete_pointer () =
+  with_pointer (fun t self env ->
+      let msg =
+        Vmsg.request ~name:(Csname.make_req "[fs0]shared")
+          Vmsg.Op.delete_context_name
+      in
+      let prefix = (Scenario.workstation t 0).Scenario.ws_prefix in
+      ignore
+        (ok_exn "delete"
+           (Vio.Client.transact self ~server:(Prefix_server.pid prefix) msg));
+      pointer_gone env)
+
+let test_add_pointer_twice () =
+  with_pointer (fun t _self env ->
+      let target =
+        File_server.spec (Scenario.file_server t 1)
+          ~context:Context.Well_known.default
+      in
+      expect_denied "second add" Reply.Duplicate_name
+        (Runtime.link env "[fs0]shared" ~target))
+
+let test_rename_pointer () =
+  with_pointer (fun _t _self env ->
+      ok_exn "rename" (Runtime.rename env "[fs0]shared" ~new_name:"common");
+      expect_denied "old name" Reply.Not_found
+        (Runtime.query env "[fs0]shared");
+      ignore
+        (ok_exn "new name leads on" (Runtime.list_directory env "[fs0]common")))
+
+let test_query_pointer () =
+  with_pointer (fun _t _self env ->
+      let q = ok_exn "query" (Runtime.query env "[fs0]shared") in
+      let listed =
+        List.find
+          (fun d -> d.Descriptor.name = "shared")
+          (ok_exn "list" (Runtime.list_directory env "[fs0]"))
+      in
+      Alcotest.(check bool) "a pointer" true
+        (q.Descriptor.obj_type = Descriptor.Context_pointer);
+      Alcotest.(check bool) "the listing's record" true (q = listed))
+
+let test_rename_modify_directory () =
+  ignore
+    (run_client (fun _t _self env ->
+         ok_exn "mkdir" (Runtime.create env ~directory:true "[fs0]tmp/d");
+         ok_exn "rename" (Runtime.rename env "[fs0]tmp/d" ~new_name:"e");
+         expect_denied "old name" Reply.Not_found
+           (Runtime.query env "[fs0]tmp/d");
+         let d = ok_exn "query" (Runtime.query env "[fs0]tmp/e") in
+         ok_exn "modify"
+           (Runtime.modify env "[fs0]tmp/e"
+              { d with Descriptor.writable = false });
+         let d' = ok_exn "re-query" (Runtime.query env "[fs0]tmp/e") in
+         Alcotest.(check bool) "a directory" true
+           (d'.Descriptor.obj_type = Descriptor.Directory);
+         Alcotest.(check bool) "now read-only" false d'.Descriptor.writable))
+
+(* The well-known contexts stay where they are, and no directory moves
+   into its own subtree. *)
+let test_well_known_kept () =
+  ignore
+    (run_client (fun _t _self env ->
+         List.iter
+           (fun name ->
+             expect_denied ("remove " ^ name) Reply.No_permission
+               (Runtime.remove env name);
+             expect_denied ("rename " ^ name) Reply.No_permission
+               (Runtime.rename env name ~new_name:"moved"))
+           [ "[fs0]users/system"; "[fs0]users"; "[fs0]bin" ];
+         ignore (ok_exn "home kept" (Runtime.query env "[fs0]users/system"))))
+
+let test_no_rename_into_subtree () =
+  ignore
+    (run_client (fun _t _self env ->
+         List.iter
+           (fun name ->
+             ok_exn ("mkdir " ^ name)
+               (Runtime.create env ~directory:true ("[fs0]tmp/" ^ name)))
+           [ "a"; "a/b"; "c" ];
+         expect_denied "into itself" Reply.No_permission
+           (Runtime.rename env "[fs0]tmp/a" ~new_name:"a/x");
+         expect_denied "into its child" Reply.No_permission
+           (Runtime.rename env "[fs0]tmp/a" ~new_name:"a/b/x");
+         ok_exn "under a sibling"
+           (Runtime.rename env "[fs0]tmp/a" ~new_name:"c/a");
+         ignore (ok_exn "moved" (Runtime.query env "[fs0]tmp/c/a/b"))))
+
 (* --- prefix management --- *)
 
 let test_add_delete_prefix () =
@@ -869,6 +1004,22 @@ let suite =
         Alcotest.test_case "walker depth limit" `Quick test_walker_depth_limit;
         Alcotest.test_case "copy_tree across servers" `Quick
           test_copy_tree_across_servers;
+      ] );
+    ( "system.on-name",
+      [
+        Alcotest.test_case "remove a pointer" `Quick test_remove_pointer;
+        Alcotest.test_case "remove a cached pointer" `Quick
+          test_remove_pointer_cached;
+        Alcotest.test_case "delete a pointer" `Quick test_delete_pointer;
+        Alcotest.test_case "add a pointer twice" `Quick test_add_pointer_twice;
+        Alcotest.test_case "rename a pointer" `Quick test_rename_pointer;
+        Alcotest.test_case "query a pointer" `Quick test_query_pointer;
+        Alcotest.test_case "rename, modify a directory" `Quick
+          test_rename_modify_directory;
+        Alcotest.test_case "well-known contexts kept" `Quick
+          test_well_known_kept;
+        Alcotest.test_case "no rename into subtree" `Quick
+          test_no_rename_into_subtree;
       ] );
     ( "system.prefixes",
       [
