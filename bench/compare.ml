@@ -185,12 +185,14 @@ type rule =
   | Within of float  (* |measured - paper| <= tolerance x paper *)
   | Bracket  (* the rule's rows, together, bracket the paper's figure *)
   | Agree of float  (* the rule's rows agree with each other *)
+  | At_most  (* measured <= paper *)
 
 (* Every row is held within 1 % of the paper except those EXPERIMENTS.md
    lists under "Known deviations": E2's load pays the final MoveTo ack,
    E3 implements the two ends of the paper's overlap and brackets it,
-   and E4's claim is that prefix overhead is an additive constant. Rows
-   are named by experiment and label. *)
+   E4's claim is that prefix overhead is an additive constant, and E5's
+   2.6 KB of data is mostly reserved directory space, a bound live data
+   stays under. Rows are named by experiment and label. *)
 let deviations =
   [
     (("E2", "64 KB program load, 3 Mbit"), Within 0.02);
@@ -198,12 +200,14 @@ let deviations =
     (("E3", "per page, server read-ahead"), Bracket);
     (("E4", "added cost, server local"), Agree 0.01);
     (("E4", "added cost, server remote"), Agree 0.01);
+    (("E5", "standard installation, live data"), At_most);
   ]
 
 let describe = function
   | Within t -> Fmt.str "within %g %% of the paper" (100.0 *. t)
   | Bracket -> "the rule's rows bracket the paper"
   | Agree t -> Fmt.str "the rule's rows within %g %% of each other" (100.0 *. t)
+  | At_most -> "at most the paper's figure"
 
 (* A group of rows checked together: each [Within] row alone, the rows
    of one experiment sharing another rule together. [measured] is nan
@@ -243,7 +247,7 @@ let paper_rows fresh =
         in
         let group =
           match rule with
-          | Within _ -> row_path
+          | Within _ | At_most -> row_path
           | Bracket | Agree _ -> title ^ "/" ^ describe rule
         in
         Some { group; rule; row_path; paper; measured }
@@ -269,6 +273,7 @@ let holds rule rows =
         rows
   | Bracket -> List.for_all (fun r -> lo <= r.paper && r.paper <= hi) rows
   | Agree t -> hi -. lo <= t *. Float.abs lo
+  | At_most -> List.for_all (fun r -> r.measured <= r.paper) rows
 
 (* Each row of a group that breaks its rule prints its path, both
    figures and the rule, and counts as one failure. *)

@@ -14,21 +14,7 @@ module Service = Vkernel.Service
 module Calibration = Vnet.Calibration
 open Vnaming
 
-module Op = struct
-  let register = 250
-  let unregister = 251
-  let lookup = 252
-
-  let () =
-    List.iter
-      (fun (c, n) -> Vmsg.Op.register c n)
-      [ (register, "NsRegister"); (unregister, "NsUnregister"); (lookup, "NsLookup") ]
-end
-
-type binding = { object_server : Pid.t; low_id : int }
-
-type Vmsg.payload +=
-  | P_ns_binding of binding  (** Register request / Lookup reply *)
+type binding = Vmsg.ns_binding = { object_server : Pid.t; low_id : int }
 
 type t = { table : (string, binding) Hashtbl.t; mutable pid : Pid.t option }
 
@@ -57,24 +43,24 @@ let start host =
             +. (float_of_int (List.length (Csname.components name))
                *. Calibration.component_lookup_cpu));
           let reply_msg =
-            if msg.Vmsg.code = Op.register then
+            if msg.Vmsg.code = Vmsg.Op.ns_register then
               match msg.Vmsg.payload with
-              | P_ns_binding b ->
+              | Vmsg.P_ns_binding b ->
                   if Hashtbl.mem t.table name then Vmsg.reply Reply.Duplicate_name
                   else begin
                     Hashtbl.replace t.table name b;
                     Vmsg.ok ()
                   end
               | _ -> Vmsg.reply Reply.Bad_operation
-            else if msg.Vmsg.code = Op.unregister then
+            else if msg.Vmsg.code = Vmsg.Op.ns_unregister then
               if Hashtbl.mem t.table name then begin
                 Hashtbl.remove t.table name;
                 Vmsg.ok ()
               end
               else Vmsg.reply Reply.Not_found
-            else if msg.Vmsg.code = Op.lookup then
+            else if msg.Vmsg.code = Vmsg.Op.ns_lookup then
               match Hashtbl.find_opt t.table name with
-              | Some b -> Vmsg.ok ~payload:(P_ns_binding b) ()
+              | Some b -> Vmsg.ok ~payload:(Vmsg.P_ns_binding b) ()
               | None -> Vmsg.reply Reply.Not_found
             else Vmsg.reply Reply.Bad_operation
           in
@@ -96,19 +82,22 @@ let register self ~ns ~name binding =
   Result.map
     (fun ((_ : Vmsg.t), (_ : Pid.t)) -> ())
     (Vio.Client.transact self ~server:ns
-       (named_request Op.register name ~payload:(P_ns_binding binding) ()))
+       (named_request Vmsg.Op.ns_register name
+          ~payload:(Vmsg.P_ns_binding binding) ()))
 
 let unregister self ~ns ~name =
   Result.map
     (fun ((_ : Vmsg.t), (_ : Pid.t)) -> ())
-    (Vio.Client.transact self ~server:ns (named_request Op.unregister name ()))
+    (Vio.Client.transact self ~server:ns
+       (named_request Vmsg.Op.ns_unregister name ()))
 
 let lookup self ~ns ~name =
   match
-    Vio.Client.transact self ~server:ns (named_request Op.lookup name ())
+    Vio.Client.transact self ~server:ns
+      (named_request Vmsg.Op.ns_lookup name ())
   with
   | Error e -> Error e
-  | Ok ({ Vmsg.payload = P_ns_binding b; _ }, _) -> Ok b
+  | Ok ({ Vmsg.payload = Vmsg.P_ns_binding b; _ }, _) -> Ok b
   | Ok _ -> Error (Vio.Verr.Protocol "NsLookup reply carried no binding")
 
 (* Open a named file the centralized way: look up at the name server,
@@ -120,8 +109,8 @@ let open_via_ns self ~ns ~name ~mode =
   | Ok { object_server; low_id } -> (
       let msg =
         Vmsg.request
-          ~payload:(Vservices.Svc.P_low_id { low_id; mode })
-          Vservices.Svc.Op.open_by_low_id
+          ~payload:(Vmsg.P_low_id { low_id; mode })
+          Vmsg.Op.open_by_low_id
       in
       match Vio.Client.transact self ~server:object_server msg with
       | Error e -> Error e

@@ -12,15 +12,7 @@ module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
 open Vnaming
 
-module Op : sig
-  val register : int
-  val unregister : int
-  val lookup : int
-end
-
-type binding = { object_server : Pid.t; low_id : int }
-
-type Vmsg.payload += P_ns_binding of binding
+type binding = Vmsg.ns_binding = { object_server : Pid.t; low_id : int }
 
 type t
 

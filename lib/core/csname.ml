@@ -65,7 +65,8 @@ let starts_with_prefix r =
   r.index < String.length r.name && r.name.[r.index] = prefix_open
 
 (* [last_component name] is where the last component of [name] begins,
-   never inside a leading '[prefix]'. *)
+   never inside a leading '[prefix]'; a bare "[prefix]" is its own last
+   component, so it begins at 0. *)
 let last_component name =
   let floor =
     if String.length name > 0 && name.[0] = prefix_open then
@@ -74,8 +75,11 @@ let last_component name =
   in
   let i = ref (String.length name) in
   while !i > floor && name.[!i - 1] = separator do decr i done;
-  while !i > floor && name.[!i - 1] <> separator do decr i done;
-  !i
+  if !i = floor then 0
+  else begin
+    while !i > floor && name.[!i - 1] <> separator do decr i done;
+    !i
+  end
 
 (* [parse_prefix r] splits "[prefix]rest" into the prefix and the index
    just past the closing bracket, where interpretation continues. *)

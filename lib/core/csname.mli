@@ -56,8 +56,8 @@ val join : string list -> string
 val starts_with_prefix : req -> bool
 
 (** Where the last component of a name begins: past the separator
-    before it or a leading ["\[prefix\]"] (so at the prefix's end when
-    no component follows it). *)
+    before it or a leading ["\[prefix\]"]. A bare ["\[prefix\]"], with
+    no component after it, names the prefix itself: 0. *)
 val last_component : string -> int
 
 (** Split ["\[prefix\]rest"] into the prefix and the index just past

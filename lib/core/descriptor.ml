@@ -128,6 +128,16 @@ let to_bytes t =
   Buffer.add_buffer out body;
   Buffer.to_bytes out
 
+(* [Bytes.length (to_bytes t)], without encoding: the length word, the
+   tag, the two strings with their lengths, four 32-bit words (size,
+   times), the writable byte, the instance and attribute-count words,
+   and each attribute's two strings. *)
+let encoded_length t =
+  List.fold_left
+    (fun n (k, v) -> n + 4 + String.length k + String.length v)
+    (24 + String.length t.name + String.length t.owner)
+    t.attrs
+
 exception Malformed of string
 
 let get_u16 data pos =

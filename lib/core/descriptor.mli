@@ -59,6 +59,9 @@ exception Malformed of string
 (** Marshal one record (length-prefixed binary). *)
 val to_bytes : t -> bytes
 
+(** [Bytes.length (to_bytes t)], computed without encoding. *)
+val encoded_length : t -> int
+
 (** [of_bytes data offset] decodes one record and returns the offset of
     the next. Raises {!Malformed}. *)
 val of_bytes : bytes -> int -> t * int

@@ -90,8 +90,7 @@ let add_listing l ~directory ~owner image =
   opened ~instance ~file_size:(Bytes.length image)
     ~block_size:l.listing_block_size
 
-let data bytes =
-  Vmsg.ok ~extra_bytes:(Bytes.length bytes) ~payload:(Vmsg.P_data bytes) ()
+let data bytes = Vmsg.ok ~payload:(Vmsg.P_data bytes) ()
 
 let cut t image ~block =
   let bs = t.kind.block_size in

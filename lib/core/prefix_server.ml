@@ -302,7 +302,8 @@ let context t self ~now =
    context. Multi-component names descend through a binding into its
    target server, like any other context pointer; a name of one
    component, a binding's own AddContextName and DeleteContextName
-   included, is answered by the flat context. *)
+   included, is answered by the flat context. So is an operation on a
+   bare "[p]", which names binding p itself. *)
 let handle_unprefixed t self r ~context ~sender (msg : Vmsg.t) req =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   Vsim.Stats.Counter.incr t.stats.Csnh.requests;
@@ -318,7 +319,12 @@ let handle_unprefixed t self r ~context ~sender (msg : Vmsg.t) req =
       else begin
         Events.count r "lookup";
         Vsim.Proc.delay engine Calibration.component_lookup_cpu;
-        match Csname.components (Csname.remaining req) with
+        let names =
+          match Csname.parse_prefix req with
+          | Ok (p, _) -> [ p ]
+          | Error _ -> Csname.components (Csname.remaining req)
+        in
+        match names with
         | name :: _ :: _ -> (
             match Hashtbl.find_opt t.bindings name with
             | None -> reply_with (Vmsg.reply Reply.Not_found)
@@ -330,6 +336,13 @@ let handle_unprefixed t self r ~context ~sender (msg : Vmsg.t) req =
               (Csnh.flat_reply context ~server:(pid t) msg
                  Context.Well_known.default remaining)
       end
+
+(* An operation on a name itself whose name is a bare "[p]" acts on
+   binding p, in this server's context (PROTOCOL.md §4, step 4). *)
+let names_binding (msg : Vmsg.t) req =
+  Vmsg.Op.acts_on_name msg.Vmsg.code
+  && Csname.last_component req.Csname.name = 0
+  && String.contains req.Csname.name Csname.prefix_close
 
 let handle_other t self (msg : Vmsg.t) =
   match Instance_server.handle_io t.instances () msg with
@@ -384,7 +397,8 @@ let start host ~owner =
           (match msg.Vmsg.name with
           | Some req
             when Vmsg.Op.is_csname_request msg.Vmsg.code
-                 && Csname.starts_with_prefix req ->
+                 && Csname.starts_with_prefix req
+                 && not (names_binding msg req) ->
               (* Prefixed names are forwarded wherever they lead, even
                  for add/delete: "[fs0]x" adds a name in fs0's context,
                  not a binding here. *)

@@ -1,89 +1,62 @@
-(* The V message standards (§3.2, §5.3).
-
-   A request message carries its operation code in the first field; the
-   code determines the format of the variant part. Requests that carry a
-   CSname additionally contain the standard fields of {!Csname.req},
-   always in the same place, so any CSNH server can interpret and
-   forward such a request without understanding its operation code.
-
-   The [payload] is an extensible variant: each subsystem (I/O
-   protocol, file server, services) adds its own constructors, mirroring
-   how V servers define request formats for their own operations on top
-   of the common standards. *)
+(* The V message standards (§3.2, §5.3): every operation code and every
+   payload, with what each occupies in the 32-byte message proper and
+   what it appends (vmsg.mli documents the types). *)
 
 module Kernel = Vkernel.Kernel
+module Pid = Vkernel.Pid
 
-type payload = ..
-type payload += No_payload
-
-(* The resolution binding a CSNH server stamps into a successful reply:
-   how far into the name interpretation reached, and the (server-pid,
-   context-id) implementing the context at that point. Clients that keep
-   a name-resolution cache learn bindings for free from it; everyone
-   else ignores it. Like [Csname.req.trace], it fits the fixed 32-byte
-   message proper and contributes nothing to [payload_bytes], so wire
-   timings are identical whether any client caches or not. *)
 type binding = { upto : int; spec : Context.spec }
-
-(* Write sequencing for replicated services: the coordinating prefix
-   server stamps each fanned-out CSNH write with its own pid ([origin])
-   and a per-coordinator counter ([seq]). Replicas deduplicate retries
-   and replays on (origin, seq). Like [binding], the pair fits the
-   32-byte message proper and contributes nothing to [payload_bytes]. *)
 type wseq = { origin : int; seq : int }
-
-type t = {
-  code : int;  (** request code, or reply code for replies *)
-  is_reply : bool;
-  name : Csname.req option;  (** the standard CSname fields, if any *)
-  payload : payload;
-  extra_bytes : int;
-      (** wire bytes beyond the 32-byte message and the name segment:
-          bulk data, directory records, etc. *)
-  binding : binding option;
-      (** resolution binding stamped into successful CSname replies *)
-  wseq : wseq option;
-      (** replicated-write sequence number stamped by the coordinator *)
-  deadline : float option;
-      (** absolute sim-time (ms) by which the client's operation budget
-          expires; stamped by a resilience-enabled runtime so admission
-          control can drop requests whose queue wait already exceeds it.
-          Rides the 32-byte message proper — no wire bytes. *)
-  retry_after : float option;
-      (** server-supplied retry-after hint (ms) riding a [Busy] reply:
-          the shedding server's own estimate of when capacity frees.
-          Rides the 32-byte message proper — no wire bytes. *)
-}
 
 (* --- operation codes --- *)
 
 module Op = struct
-  (* Standard name-handling operations (§5.7). Codes below 200 are
-     CSname requests; the name fields must be present. *)
-  let open_instance = 101 (* create an instance of a named object (I/O §3.2) *)
-  let query_name = 102 (* object description for a name *)
-  let modify_name = 103 (* overwrite modifiable description fields *)
-  let map_context = 104 (* name of a context -> (server-pid, context-id) *)
-  let add_context_name = 105 (* optional: define a name for a context *)
-  let delete_context_name = 106 (* optional: remove such a name *)
-  let create_object = 107
-  let remove_object = 108
-  let rename_object = 109 (* second name travels in the payload *)
+  let names : (int, string) Hashtbl.t = Hashtbl.create 32
 
-  let load_file = 110
-  (* read a whole named file, delivered by MoveTo into the buffer the
-     sender exposed: the program-loading path (§3.1) *)
+  (* Each code declares the name it prints as. *)
+  let code c name =
+    Hashtbl.replace names c name;
+    c
+
+  (* Standard name-handling operations (§5.7). Codes in [100, 120) are
+     CSname requests; the name fields must be present. *)
+  let open_instance = code 101 "Open" (* an instance of a named object *)
+  let query_name = code 102 "QueryName" (* object description for a name *)
+  let modify_name = code 103 "ModifyName" (* overwrite modifiable fields *)
+  let map_context = code 104 "MapContext" (* name -> (server, context) *)
+  let add_context_name = code 105 "AddContextName" (* optional: a name *)
+  let delete_context_name = code 106 "DeleteContextName" (* and its removal *)
+  let create_object = code 107 "Create"
+  let remove_object = code 108 "Remove"
+  let rename_object = code 109 "Rename" (* second name in the payload *)
+
+  (* Read a whole named file, delivered by MoveTo into the buffer the
+     sender exposed: the program-loading path (§3.1). *)
+  let load_file = code 110 "LoadFile"
 
   (* Non-CSname standard operations. *)
-  let inverse_map_context = 120 (* context-id -> CSname *)
-  let inverse_map_instance = 121 (* instance-id -> CSname *)
+  let inverse_map_context = code 120 "InverseMapContext" (* id -> CSname *)
+  let inverse_map_instance = code 121 "InverseMapInstance"
 
   (* The V I/O protocol. *)
-  let read_instance = 130
-  let write_instance = 131
-  let query_instance = 132
-  let release_instance = 133
-  let set_instance_size = 134
+  let read_instance = code 130 "ReadInstance"
+  let write_instance = code 131 "WriteInstance"
+  let query_instance = code 132 "QueryInstance"
+  let release_instance = code 133 "ReleaseInstance"
+  let set_instance_size = code 134 "SetInstanceSize"
+
+  (* Service-specific operations. OpenByLowId opens a file by its
+     low-level identifier, bypassing name interpretation: what a §2.1
+     centralized name server needs every object server to expose. *)
+  let get_time = code 200 "GetTime"
+  let run_program = code 210 "RunProgram"
+  let report_exception = code 230 "ReportException"
+  let open_by_low_id = code 240 "OpenByLowId"
+
+  (* The §2.1 centralized name server's operations. *)
+  let ns_register = code 250 "NsRegister"
+  let ns_unregister = code 251 "NsUnregister"
+  let ns_lookup = code 252 "NsLookup"
 
   let is_csname_request code = code >= 100 && code < 120
 
@@ -99,88 +72,65 @@ module Op = struct
   let is_csname_write code =
     code = create_object || (acts_on_name code && code <> query_name)
 
-  let names : (int, string) Hashtbl.t = Hashtbl.create 32
-
-  let register code name = Hashtbl.replace names code name
-
-  let () =
-    List.iter
-      (fun (c, n) -> register c n)
-      [
-        (open_instance, "Open");
-        (query_name, "QueryName");
-        (modify_name, "ModifyName");
-        (map_context, "MapContext");
-        (add_context_name, "AddContextName");
-        (delete_context_name, "DeleteContextName");
-        (create_object, "Create");
-        (remove_object, "Remove");
-        (rename_object, "Rename");
-        (load_file, "LoadFile");
-        (inverse_map_context, "InverseMapContext");
-        (inverse_map_instance, "InverseMapInstance");
-        (read_instance, "ReadInstance");
-        (write_instance, "WriteInstance");
-        (query_instance, "QueryInstance");
-        (release_instance, "ReleaseInstance");
-        (set_instance_size, "SetInstanceSize");
-      ]
-
   let to_string code =
     match Hashtbl.find names code with
     | n -> n
     | exception Not_found -> Fmt.str "op%d" code
 end
 
-(* --- standard payloads --- *)
+(* --- payloads --- *)
 
-type instance_info = {
-  instance : int;  (** object instance identifier (§4.3) *)
-  file_size : int;  (** current size in bytes *)
-  block_size : int;  (** preferred transfer unit *)
-}
-
+type instance_info = { instance : int; file_size : int; block_size : int }
 type open_mode = Read | Write | Append | Directory_listing
+type ns_binding = { object_server : Pid.t; low_id : int }
 
-type payload +=
+type payload =
+  | No_payload
   | P_open of { mode : open_mode }
-  | P_instance of instance_info  (** reply to Open *)
-  | P_descriptor of Descriptor.t  (** QueryName reply / ModifyName request *)
+  | P_instance of instance_info
+  | P_descriptor of Descriptor.t
   | P_context_spec of Context.spec
-      (** MapContext reply; AddContextName static target *)
   | P_logical_spec of { service : int; context : Context.id }
-      (** AddContextName target resolved via GetPid at each use (§6) *)
-  | P_name of string  (** inverse-map replies; Rename's second name *)
-  | P_context_id of Context.id  (** InverseMapContext request *)
-  | P_instance_arg of int  (** InverseMapInstance request *)
+  | P_name of string
+  | P_context_id of Context.id
+  | P_instance_arg of int
   | P_read of { instance : int; block : int }
-  | P_data of bytes  (** ReadInstance reply *)
+  | P_data of bytes
   | P_write of { instance : int; block : int; data : bytes }
-  | P_count of int  (** WriteInstance reply: bytes accepted; LoadFile
-                        reply: bytes moved *)
-  | P_create of { directory : bool }  (** Create request *)
-  | P_set_size of { instance : int; size : int }  (** SetInstanceSize *)
+  | P_count of int
+  | P_create of { directory : bool }
+  | P_set_size of { instance : int; size : int }
+  | P_time of float
+  | P_run of { program : string; argument : string }
+  | P_exit_status of int
+  | P_exception_report of { culprit : Pid.t; what : string }
+  | P_low_id of { low_id : int; mode : open_mode }
+  | P_ns_binding of ns_binding
+  | P_resolve_step
+  | P_referral
+
+type t = {
+  code : int;
+  is_reply : bool;
+  name : Csname.req option;
+  payload : payload;
+  binding : binding option;
+  wseq : wseq option;
+  deadline : float option;
+  retry_after : float option;
+}
 
 (* --- constructors --- *)
 
-let request ?name ?(extra_bytes = 0) ?(payload = No_payload) code =
-  { code; is_reply = false; name; payload; extra_bytes; binding = None;
-    wseq = None; deadline = None; retry_after = None }
+let request ?name ?(payload = No_payload) code =
+  { code; is_reply = false; name; payload; binding = None; wseq = None;
+    deadline = None; retry_after = None }
 
-let reply ?(extra_bytes = 0) ?(payload = No_payload) code =
-  {
-    code = Reply.to_int code;
-    is_reply = true;
-    name = None;
-    payload;
-    extra_bytes;
-    binding = None;
-    wseq = None;
-    deadline = None;
-    retry_after = None;
-  }
+let reply ?(payload = No_payload) code =
+  { code = Reply.to_int code; is_reply = true; name = None; payload;
+    binding = None; wseq = None; deadline = None; retry_after = None }
 
-let ok ?extra_bytes ?payload () = reply ?extra_bytes ?payload Reply.Ok
+let ok ?payload () = reply ?payload Reply.Ok
 let answer = function Ok _ -> ok () | Error code -> reply code
 
 let reply_code m =
@@ -196,30 +146,64 @@ let reply_code m =
 let ok_code = Reply.to_int Reply.Ok
 let succeeded m = m.is_reply && m.code = ok_code
 
-(* [with_name m req] rewrites the standard CSname fields, leaving the
-   rest of the (possibly not understood) message intact — the rewrite a
-   CSNH server performs before forwarding (§5.4). *)
+(* The §5.4 forwarding rewrite leaves the rest of the message intact. *)
 let with_name m name = { m with name = Some name }
-
-(* Stamp (or overwrite) the resolution binding of a reply. *)
 let with_binding m binding = { m with binding = Some binding }
-
-(* Stamp the coordinator's (origin, seq) onto a fanned-out write. *)
 let with_wseq m wseq = { m with wseq = Some wseq }
-
-(* Stamp the client's absolute operation deadline onto a request. *)
 let with_deadline m deadline = { m with deadline = Some deadline }
 
-(* The overload rejection: a Busy reply carrying the shedding server's
-   retry-after estimate. Like [binding] and [wseq], the hint rides the
-   32-byte message proper and contributes nothing to [payload_bytes]. *)
 let busy ~retry_after_ms () =
   { (reply Reply.Busy) with retry_after = Some retry_after_ms }
 
-(* --- kernel cost model --- *)
+(* --- the message on the wire --- *)
+
+(* The 32-byte message proper (§3.2), in bytes. Every message holds its
+   16-bit code. A CSname request holds the standard fields: the index 2,
+   the name's length 2 and the context id 4; the name itself is
+   appended. A stamped binding holds how far interpretation reached 2,
+   the server pid 4 and the context id 4; a replicated write's [wseq]
+   the origin pid 4 and the sequence number 4; the client's deadline and
+   a Busy reply's retry-after hint 4 each. A payload holds its fixed
+   fields: a pid, a context id, a block number, a size or a count is 4
+   bytes; an instance id, a mode, a flag word, a service id and the
+   length of what the payload appends are 2; a time is 8. The trace
+   context a request carries is free by design: observing a run must not
+   change its timings. *)
+let fields = function
+  | No_payload -> 0
+  | P_open _ | P_create _ | P_instance_arg _ | P_exit_status _
+  | P_descriptor _ | P_name _ | P_data _ | P_resolve_step | P_referral ->
+      2
+  | P_context_id _ | P_count _ | P_run _ -> 4
+  | P_logical_spec _ | P_read _ | P_set_size _ | P_low_id _
+  | P_exception_report _ ->
+      6
+  | P_instance _ | P_context_spec _ | P_write _ | P_time _ | P_ns_binding _
+    ->
+      8
+
+let proper_bytes m =
+  let opt bytes = function Some _ -> bytes | None -> 0 in
+  2 + opt 8 m.name + opt 10 m.binding + opt 8 m.wseq + opt 4 m.deadline
+  + opt 4 m.retry_after + fields m.payload
+
+(* What a payload appends beyond the message proper: its data, its
+   strings or its encoded description record. *)
+let appended = function
+  | P_descriptor d -> Descriptor.encoded_length d
+  | P_name s | P_exception_report { what = s; _ } -> String.length s
+  | P_data b | P_write { data = b; _ } -> Bytes.length b
+  | P_run { program; argument } ->
+      String.length program + String.length argument
+  | No_payload | P_open _ | P_instance _ | P_context_spec _ | P_logical_spec _
+  | P_context_id _ | P_instance_arg _ | P_read _ | P_count _ | P_create _
+  | P_set_size _ | P_time _ | P_exit_status _ | P_low_id _ | P_ns_binding _
+  | P_resolve_step | P_referral ->
+      0
 
 let payload_bytes m =
-  (match m.name with Some r -> Csname.segment_bytes r | None -> 0) + m.extra_bytes
+  (match m.name with Some r -> Csname.segment_bytes r | None -> 0)
+  + appended m.payload
 
 (* Names and bulk data are appended segments copied into the receiver. *)
 let segment_bytes = payload_bytes

@@ -7,50 +7,27 @@
     and forward such a request {e without understanding its operation
     code} — the property multi-server name interpretation rests on.
 
-    [payload] is an extensible variant: each subsystem adds its own
-    constructors for its operations, exactly as V servers defined
-    message formats on top of the common standards. *)
+    This module is the one definition of the standard: every operation
+    code and every payload, each with what it occupies in the 32-byte
+    message proper ({!proper_bytes}) and what it appends
+    ({!payload_bytes}). *)
 
 module Kernel = Vkernel.Kernel
-
-type payload = ..
-type payload += No_payload
+module Pid = Vkernel.Pid
 
 (** The resolution binding a CSNH server stamps into a successful
     reply: how far into the name interpretation reached ([upto], an
     index into the request's name) and the (server-pid, context-id)
-    implementing the context there. Fits the fixed 32-byte message
-    proper, so it adds no wire bytes; clients with a name-resolution
-    cache learn from it, everyone else ignores it. *)
+    implementing the context there. Rides the message proper; clients
+    with a name-resolution cache learn from it, everyone else ignores
+    it. *)
 type binding = { upto : int; spec : Context.spec }
 
 (** Write sequencing for replicated services: the coordinating prefix
     server stamps each fanned-out CSNH write with its own pid
     ([origin]) and a per-coordinator counter ([seq]); replicas
-    deduplicate retries and replays on the pair. Fits the 32-byte
-    message proper — no wire bytes. *)
+    deduplicate retries and replays on the pair. *)
 type wseq = { origin : int; seq : int }
-
-type t = {
-  code : int;  (** request code, or reply code for replies *)
-  is_reply : bool;
-  name : Csname.req option;  (** the standard CSname fields, if any *)
-  payload : payload;
-  extra_bytes : int;
-      (** wire bytes beyond the 32-byte message and the name segment:
-          bulk data, directory records, etc. *)
-  binding : binding option;
-      (** resolution binding stamped into successful CSname replies *)
-  wseq : wseq option;
-      (** replicated-write sequence number stamped by the coordinator *)
-  deadline : float option;
-      (** absolute sim-time (ms) by which the client's operation budget
-          expires; stamped by a resilience-enabled runtime, read by
-          admission control for deadline-aware drop. No wire bytes. *)
-  retry_after : float option;
-      (** retry-after hint (ms) riding a [Busy] reply: the shedding
-          server's estimate of when capacity frees. No wire bytes. *)
-}
 
 (** Operation codes. Codes in [\[100, 120)] are CSname requests and must
     carry the standard name fields. *)
@@ -72,6 +49,13 @@ module Op : sig
   val query_instance : int
   val release_instance : int
   val set_instance_size : int
+  val get_time : int
+  val run_program : int
+  val report_exception : int
+  val open_by_low_id : int
+  val ns_register : int
+  val ns_unregister : int
+  val ns_lookup : int
 
   val is_csname_request : int -> bool
 
@@ -85,9 +69,6 @@ module Op : sig
       follow the name to its end. *)
   val acts_on_name : int -> bool
 
-  (** Register a printable name for a service-specific code. *)
-  val register : int -> string -> unit
-
   val to_string : int -> string
 end
 
@@ -96,30 +77,63 @@ type instance_info = { instance : int; file_size : int; block_size : int }
 
 type open_mode = Read | Write | Append | Directory_listing
 
-type payload +=
+(** A §2.1 name server's binding: the object server and the object's
+    low-level identifier there. *)
+type ns_binding = { object_server : Pid.t; low_id : int }
+
+type payload =
+  | No_payload
   | P_open of { mode : open_mode }
-  | P_instance of instance_info
-  | P_descriptor of Descriptor.t
+  | P_instance of instance_info  (** reply to Open *)
+  | P_descriptor of Descriptor.t  (** QueryName reply, ModifyName request *)
   | P_context_spec of Context.spec
+      (** MapContext reply; AddContextName static target *)
   | P_logical_spec of { service : int; context : Context.id }
-  | P_name of string
-  | P_context_id of Context.id
-  | P_instance_arg of int
+      (** AddContextName target resolved via GetPid at each use (§6) *)
+  | P_name of string  (** inverse-map replies; Rename's second name *)
+  | P_context_id of Context.id  (** InverseMapContext request *)
+  | P_instance_arg of int  (** InverseMapInstance request *)
   | P_read of { instance : int; block : int }
-  | P_data of bytes
+  | P_data of bytes  (** ReadInstance reply *)
   | P_write of { instance : int; block : int; data : bytes }
-  | P_count of int
+  | P_count of int  (** WriteInstance reply; LoadFile reply: bytes moved *)
   | P_create of { directory : bool }
   | P_set_size of { instance : int; size : int }
+  | P_time of float  (** GetTime reply: simulated ms since boot *)
+  | P_run of { program : string; argument : string }
+  | P_exit_status of int  (** RunProgram reply *)
+  | P_exception_report of { culprit : Pid.t; what : string }
+  | P_low_id of { low_id : int; mode : open_mode }  (** OpenByLowId *)
+  | P_ns_binding of ns_binding  (** NsRegister request, NsLookup reply *)
+  | P_resolve_step  (** MapContext marker: a domain server answers *)
+  | P_referral  (** a domain server's delegation, on the binding stamp *)
+
+type t = {
+  code : int;  (** request code, or reply code for replies *)
+  is_reply : bool;
+  name : Csname.req option;  (** the standard CSname fields, if any *)
+  payload : payload;
+  binding : binding option;
+      (** resolution binding stamped into successful CSname replies *)
+  wseq : wseq option;
+      (** replicated-write sequence number stamped by the coordinator *)
+  deadline : float option;
+      (** absolute sim-time (ms) by which the client's operation budget
+          expires; stamped by a resilience-enabled runtime, read by
+          admission control for deadline-aware drop *)
+  retry_after : float option;
+      (** retry-after hint (ms) riding a [Busy] reply: the shedding
+          server's estimate of when capacity frees *)
+}
 
 (** Build a request message. *)
-val request : ?name:Csname.req -> ?extra_bytes:int -> ?payload:payload -> int -> t
+val request : ?name:Csname.req -> ?payload:payload -> int -> t
 
 (** Build a reply message carrying the given code. *)
-val reply : ?extra_bytes:int -> ?payload:payload -> Reply.code -> t
+val reply : ?payload:payload -> Reply.code -> t
 
 (** [reply Ok] with an optional payload. *)
-val ok : ?extra_bytes:int -> ?payload:payload -> unit -> t
+val ok : ?payload:payload -> unit -> t
 
 (** [ok ()] for [Ok _], [reply code] for [Error code]. *)
 val answer : (_, Reply.code) result -> t
@@ -146,11 +160,18 @@ val with_wseq : t -> wseq -> t
 val with_deadline : t -> float -> t
 
 (** [busy ~retry_after_ms ()] is the overload rejection: a
-    [reply Busy] carrying the shedding server's retry-after estimate.
-    The hint adds no wire bytes (32-byte message proper). *)
+    [reply Busy] carrying the shedding server's retry-after estimate. *)
 val busy : retry_after_ms:float -> unit -> t
 
-(** Wire bytes beyond the 32-byte message proper. *)
+(** Bytes of the 32-byte message proper this message occupies: its code,
+    its CSname fields, binding, [wseq], deadline and retry-after hint if
+    present, and its payload's fixed fields. The trace context is free
+    by design. The layout is declared once, in vmsg.ml. *)
+val proper_bytes : t -> int
+
+(** Wire bytes beyond the 32-byte message proper: the name segment plus
+    what the payload appends (its data, its strings or its encoded
+    description record). *)
 val payload_bytes : t -> int
 
 (** Bytes copied into the receiver (names, bulk data). *)

@@ -11,9 +11,9 @@
    one Forward per level.
 
    The iterative mode is what a caching {!Resolver} speaks: a
-   MapContext request carrying the [P_resolve_step] marker asks the
+   MapContext request carrying the [Vmsg.P_resolve_step] marker asks the
    server to interpret as far as it can and then *answer* instead of
-   forwarding. Crossing into a child domain yields a [P_referral] reply
+   forwarding. Crossing into a child domain yields a [Vmsg.P_referral] reply
    whose delegation record rides the standard {!Vmsg.binding} stamp —
    (how far interpretation reached, which (server, context) continues
    it) — the same zero-wire-byte path caching clients already learn
@@ -33,8 +33,6 @@ module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
 module Calibration = Vnet.Calibration
 open Vnaming
-
-type Vmsg.payload += P_resolve_step | P_referral
 
 type entry =
   | Subcontext of Context.id  (** a context on this same server *)
@@ -221,7 +219,7 @@ let handle_step t self r ~sender (req : Csname.req) =
       if !crossed_child then
         answer ~counted:true ~index_to:upto "referral"
           (Vmsg.with_binding
-             (Vmsg.ok ~payload:P_referral ())
+             (Vmsg.ok ~payload:Vmsg.P_referral ())
              { Vmsg.upto; spec })
       else
         answer ~counted:true ~index_to:upto "terminal"
@@ -242,7 +240,7 @@ let handle_step t self r ~sender (req : Csname.req) =
 let is_resolve_step (msg : Vmsg.t) =
   (not msg.Vmsg.is_reply)
   && msg.Vmsg.code = Vmsg.Op.map_context
-  && (match msg.Vmsg.payload with P_resolve_step -> true | _ -> false)
+  && (match msg.Vmsg.payload with Vmsg.P_resolve_step -> true | _ -> false)
 
 (* --- the serving process --- *)
 

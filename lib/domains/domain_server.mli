@@ -5,8 +5,9 @@
     delegations to child domain servers, and leaf bindings into object
     servers. Ordinary CSname requests walk and forward per §5.4, so the
     tree is transparent to resolver-less clients; a MapContext request
-    carrying the {!P_resolve_step} marker is answered instead of
-    forwarded — a {!P_referral} (delegation record on the standard
+    carrying the {!Vnaming.Vmsg.P_resolve_step} marker is answered
+    instead of forwarded — a {!Vnaming.Vmsg.P_referral} (delegation
+    record on the standard
     {!Vnaming.Vmsg.binding} stamp) when the walk crossed into a child
     domain, a terminal [P_context_spec] when it crossed the
     domain/object boundary or ended here. The caching {!Resolver}
@@ -19,11 +20,6 @@
 module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
 open Vnaming
-
-(** The iterative-resolution wire extensions: the request marker asking
-    a domain server to answer rather than forward, and the referral
-    reply payload whose delegation record rides the binding stamp. *)
-type Vmsg.payload += P_resolve_step | P_referral
 
 (** What a component names inside a domain context. *)
 type entry =

@@ -4,7 +4,7 @@
    to the workstation's context prefix server (one level of delegation,
    resolved recursively by request forwarding), a resolver walks the
    federated domain tree *iteratively*: it queries the root domain
-   server with a marked MapContext ({!Domain_server.P_resolve_step}),
+   server with a marked MapContext ({!Vmsg.P_resolve_step}),
    follows each referral it gets back — delegation records riding the
    standard {!Vmsg.binding} stamp — and stops at the terminal binding
    that crosses the domain/object boundary. Every referral and every
@@ -233,7 +233,7 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
           Csname.make_req ~index ~context:cur.Context.context ~trace name
         in
         let msg =
-          Vmsg.request ~name:req ~payload:Domain_server.P_resolve_step
+          Vmsg.request ~name:req ~payload:Vmsg.P_resolve_step
             Vmsg.Op.map_context
         in
         match Vio.Client.transact self ~server:cur.Context.server msg with
@@ -250,7 +250,7 @@ let resolve t self ?(trace = Vobs.Span.no_ctx) name =
             Error e
         | Ok (reply, _) -> (
             match (reply.Vmsg.payload, reply.Vmsg.binding) with
-            | Domain_server.P_referral, Some { Vmsg.upto; spec = child } ->
+            | Vmsg.P_referral, Some { Vmsg.upto; spec = child } ->
                 t.s_referrals <- t.s_referrals + 1;
                 let key = String.sub name 0 upto in
                 Events.delegation r ~trace:trace_id ~key

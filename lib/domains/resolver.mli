@@ -2,7 +2,7 @@
 
     Walks the federated domain tree iteratively — root to leaf,
     following the delegation records domain servers stamp into
-    {!Domain_server.P_referral} replies — with a TTL cache of referrals
+    {!Vnaming.Vmsg.P_referral} replies — with a TTL cache of referrals
     and terminal bindings, negative caching of authoritative
     [Not_found]/[Bad_context] answers, stale-serving of expired
     bindings while the tree is unreachable (bounded by the stale

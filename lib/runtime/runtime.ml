@@ -266,6 +266,9 @@ let route env cache name ~upto =
       | None ->
           Events.count env.events "cache-miss";
           prefix_route env req)
+  | Resolver _ when upto = 0 ->
+      (* A bare "[p]": the prefix server's binding itself. *)
+      prefix_route env req
   | Resolver r -> (
       let parent = String.sub name 0 upto in
       match Vdomains.Resolver.resolve r env.self ~trace:env.root parent with
@@ -422,7 +425,7 @@ let finish_op env ~op ~t0 ~first ~outer result =
 
 (* Send a CSname request along the route; on a failure that suggests a
    stale cached binding, invalidate, fall back and retry. *)
-let transact_name env ~code ?payload ?extra_bytes name =
+let transact_name env ~code ?payload name =
   charge_stub env;
   let op = Vmsg.Op.to_string code in
   let t0 = Vsim.Engine.now (engine env) in
@@ -434,9 +437,7 @@ let transact_name env ~code ?payload ?extra_bytes name =
   in
   let first = start_op env ~op cache name ~upto in
   let attempt target req =
-    let msg =
-      Vmsg.request ~name:(attach env req) ?payload ?extra_bytes code
-    in
+    let msg = Vmsg.request ~name:(attach env req) ?payload code in
     (* A resilience-enabled client stamps its absolute operation
        deadline so a loaded server's admission control can drop the
        request rather than queue it past the point of usefulness. *)
@@ -614,8 +615,8 @@ let remove env name = expect_ok (transact_name env ~code:Vmsg.Op.remove_object n
 
 let rename env name ~new_name =
   expect_ok
-    (transact_name env ~code:Vmsg.Op.rename_object ~payload:(Vmsg.P_name new_name)
-       ~extra_bytes:(String.length new_name) name)
+    (transact_name env ~code:Vmsg.Op.rename_object
+       ~payload:(Vmsg.P_name new_name) name)
 
 (* Copy a file by name, possibly across servers: read through one
    context, write through another. *)

@@ -64,9 +64,9 @@ let start host =
     match Instance_server.handle_io t.instances () msg with
     | Some r -> Some r
     | None ->
-        if msg.code = Svc.Op.report_exception then
+        if msg.code = Vmsg.Op.report_exception then
           match msg.payload with
-          | Svc.P_exception_report { culprit; what } ->
+          | Vmsg.P_exception_report { culprit; what } ->
               record t ~now:(Vsim.Engine.now engine) ~culprit what;
               Some (Vmsg.ok ())
           | _ -> Some (Vmsg.reply Reply.Bad_operation)
@@ -89,5 +89,5 @@ let report self ~culprit what =
       ignore
         (Kernel.send self server
            (Vmsg.request
-              ~payload:(Svc.P_exception_report { culprit; what })
-              Svc.Op.report_exception))
+              ~payload:(Vmsg.P_exception_report { culprit; what })
+              Vmsg.Op.report_exception))

@@ -439,9 +439,9 @@ let handle_other t ~sender:_ (msg : Vmsg.t) =
                 | Ok () -> Some (ok ())
                 | Error code -> Some (reply code)))
         | _ -> None
-      else if msg.code = Svc.Op.open_by_low_id then
+      else if msg.code = Op.open_by_low_id then
         match msg.payload with
-        | Svc.P_low_id { low_id; mode } -> (
+        | P_low_id { low_id; mode } -> (
             match Fs.find t.fs low_id with
             | Some node when node.Fs.kind = `File ->
                 let name =

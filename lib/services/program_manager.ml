@@ -155,12 +155,12 @@ let start host =
         in
         let rec loop () =
           let msg, sender = Kernel.receive self in
-          if msg.Vmsg.code = Svc.Op.run_program then begin
+          if msg.Vmsg.code = Vmsg.Op.run_program then begin
             let reply =
               match msg.Vmsg.payload with
-              | Svc.P_run { program; argument } -> (
+              | Vmsg.P_run { program; argument } -> (
                   match run_program t self ~program ~argument with
-                  | Ok status -> Vmsg.ok ~payload:(Svc.P_exit_status status) ()
+                  | Ok status -> Vmsg.ok ~payload:(Vmsg.P_exit_status status) ()
                   | Error (Vio.Verr.Denied code) -> Vmsg.reply code
                   | Error (Vio.Verr.Busy _) -> Vmsg.reply Reply.Busy
                   | Error _ -> Vmsg.reply Reply.Server_error)

@@ -12,8 +12,8 @@ let start host =
         let rec loop () =
           let msg, sender = Kernel.receive self in
           let reply =
-            if msg.Vmsg.code = Svc.Op.get_time then
-              Vmsg.ok ~payload:(Svc.P_time (Vsim.Engine.now engine)) ()
+            if msg.Vmsg.code = Vmsg.Op.get_time then
+              Vmsg.ok ~payload:(Vmsg.P_time (Vsim.Engine.now engine)) ()
             else Vmsg.reply Reply.Bad_operation
           in
           ignore (Kernel.reply self ~to_:sender reply);
@@ -29,7 +29,9 @@ let get_time self =
   match Kernel.get_pid self ~service:Service.Id.time Vkernel.Service.Both with
   | None -> Error (Vio.Verr.Denied Reply.No_server)
   | Some server -> (
-      match Vio.Client.transact self ~server (Vmsg.request Svc.Op.get_time) with
+      match
+        Vio.Client.transact self ~server (Vmsg.request Vmsg.Op.get_time)
+      with
       | Error e -> Error e
-      | Ok ({ Vmsg.payload = Svc.P_time t; _ }, _) -> Ok t
+      | Ok ({ Vmsg.payload = Vmsg.P_time t; _ }, _) -> Ok t
       | Ok _ -> Error (Vio.Verr.Protocol "GetTime reply"))

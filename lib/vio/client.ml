@@ -77,7 +77,6 @@ let write_block self ri ~block data =
   charge_stub self;
   let msg =
     Vmsg.request
-      ~extra_bytes:(Bytes.length data)
       ~payload:(Vmsg.P_write { instance = instance_id ri; block; data })
       Vmsg.Op.write_instance
   in

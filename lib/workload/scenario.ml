@@ -84,13 +84,13 @@ let to_prefix_target = function
 (* Build the installation; nothing runs until the engine does.
    [local_file_server_on] additionally runs a file server process on
    that workstation (Local scope), bound to the "[localfs]" prefix. *)
-let build ?(config = Calibration.ethernet_3mbit)
+let build ?(config = Calibration.ethernet_3mbit) ?(cost = Vmsg.cost_model)
     ?(topology = Vnet.Topology.Shared_medium) ?(workstations = 3)
     ?(file_servers = 2) ?local_file_server_on ?(seed = 42) ?(tracing = false)
     () =
   let engine = Vsim.Engine.create () in
   let net = Ethernet.create ~seed ~topology ~config engine in
-  let domain = Kernel.create_domain ~seed ~cost:Vmsg.cost_model engine net in
+  let domain = Kernel.create_domain ~seed ~cost engine net in
   (* Attach observability (kernel and wire) before any host boots so
      every layer sees it. Pure bookkeeping: simulated timings are
      identical with [tracing] on or off. *)

@@ -56,9 +56,12 @@ val internet_addr : Ethernet.addr
     process on that workstation, bound to the "[localfs]" prefix.
     [tracing] turns on distributed tracing in the installation's
     observability hub (simulated timings are unaffected). [topology]
-    selects the network fabric (default the paper's shared wire). *)
+    selects the network fabric (default the paper's shared wire). [cost]
+    is the kernel's cost model (default {!Vnaming.Vmsg.cost_model}); a
+    test wraps it to see every message that crosses the wire. *)
 val build :
   ?config:Vnet.Calibration.network ->
+  ?cost:Vmsg.t Kernel.cost_model ->
   ?topology:Vnet.Topology.t ->
   ?workstations:int ->
   ?file_servers:int ->

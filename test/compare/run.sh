@@ -5,7 +5,9 @@
 #
 # base.json is a small baseline; every other fixture is base.json with
 # one change, named by its file. e4_paper.json moves E4's remote
-# prefixed Open off the paper, so it fails as its own baseline too.
+# prefixed Open off the paper, and e5_paper.json adds E5's live data at
+# 2,700 B, above the paper's 2.6 KB, so each fails as its own baseline
+# too.
 
 compare=$1
 # The gate appends its markdown summary to $GITHUB_STEP_SUMMARY when
@@ -25,6 +27,7 @@ for fresh in deep_number string_cell missing_key new_key list_length repeated_ke
   gate base.json "$fresh.json"
 done
 gate e4_paper.json e4_paper.json
-for fresh in base incomplete violations breaches e4_paper; do
+gate e5_paper.json e5_paper.json
+for fresh in base incomplete violations breaches e4_paper e5_paper; do
   gate --check "$fresh.json"
 done

@@ -157,7 +157,8 @@ let find c name =
 
 (* The lookup the run-time makes for an operation on a name itself:
    [find] of the name's parent, the name less its last component and
-   the separators after it; a leading '[prefix]' is never cut into. *)
+   the separators after it; a leading '[prefix]' is never cut into, and
+   a bare one is the last component itself, so its parent is empty. *)
 let find_parent c name =
   let floor =
     if String.starts_with ~prefix:"[" name then
@@ -170,7 +171,7 @@ let find_parent c name =
   let stop =
     match String.rindex_opt body Csname.separator with
     | Some i when i >= floor -> i + 1
-    | Some _ | None -> floor
+    | Some _ | None -> if String.length body > floor then floor else 0
   in
   find c (String.sub name 0 stop)
 

@@ -424,8 +424,8 @@ let test_run_program_busy () =
   run_client t (fun self ->
       let msg =
         Vmsg.request
-          ~payload:(Vservices.Svc.P_run { program = "hello"; argument = "" })
-          Vservices.Svc.Op.run_program
+          ~payload:(Vmsg.P_run { program = "hello"; argument = "" })
+          Vmsg.Op.run_program
       in
       match K.send self pm msg with
       | Ok (reply, _) ->

@@ -36,7 +36,10 @@
    Query. Before names were scanned in place, cuts scanned without a
    list and keyed recordings looked up through a reused probe, these
    cost 22.9, 116, 140, 6 and 456 words on OCaml 5.1; today 2.75, 14,
-   21, 0 and 165.8. The ceilings leave the same headroom.
+   21, 0 and 159.8 (the Query's share was 165.8 while a message record
+   had one more field, which every copy of it paid). The ceilings leave
+   the same headroom. Sizing a message, a QueryName reply with its
+   description record, allocates nothing (ceiling 0).
 
    Above the kernel, a report with a hub attached and nothing listening
    — a count, a request, a hop's finish, a replica fan-out — allocates
@@ -251,6 +254,7 @@ module Csname = Vnaming.Csname
 module Context = Vnaming.Context
 module Name_cache = Vnaming.Name_cache
 module Vmsg = Vnaming.Vmsg
+module Descriptor = Vnaming.Descriptor
 module Metrics = Vobs.Metrics
 module Scenario = Vworkload.Scenario
 module Fs = Vservices.Fs
@@ -461,6 +465,24 @@ let test_query_naming_share () =
   gate "naming share of one uncached prefixed Query" ~ceiling:260.0
     (!query -. !control)
 
+(* Sizing a message allocates nothing: a QueryName reply's wire bytes
+   are its record's encoded length, measured without encoding it. *)
+let test_sizing () =
+  let d =
+    Descriptor.make ~obj_type:Descriptor.File ~size:1300 ~owner:"system"
+      ~attrs:[ ("state", "queued") ] "big.txt"
+  in
+  let reply = Vmsg.ok ~payload:(Vmsg.P_descriptor d) () in
+  let n = 10_000 and total = ref 0 in
+  gate "sizing a QueryName reply" ~ceiling:0.0
+    (words_per ~units:n (fun () ->
+         for _ = 1 to n do
+           total := !total + Vmsg.payload_bytes reply
+         done));
+  Alcotest.(check int) "every sizing counted"
+    (n * Bytes.length (Descriptor.to_bytes d))
+    !total
+
 (* Reports of the layers above the kernel through one reporter, the
    hub attached, tracing and the recorder off. *)
 let test_upper_report () =
@@ -506,6 +528,7 @@ let suite =
         Alcotest.test_case "Metrics.incr" `Quick test_metrics_incr;
         Alcotest.test_case "grouped Metrics" `Quick test_grouped_metrics;
         Alcotest.test_case "Query naming share" `Quick test_query_naming_share;
+        Alcotest.test_case "message sizing" `Quick test_sizing;
         Alcotest.test_case "upper-layer report" `Quick test_upper_report;
       ] );
   ]

@@ -123,8 +123,10 @@ let populate (t : Scenario.t) self =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "populate hello: %a" Vio.Verr.pp e
 
-let run_battery ~populated () =
-  let t = Scenario.build ~workstations:1 ~file_servers:1 () in
+let run_battery ?cost ?(client_ws = 0) ~populated () =
+  let t =
+    Scenario.build ?cost ~workstations:(client_ws + 1) ~file_servers:1 ()
+  in
   (match
      Program_manager.install_image (Scenario.file_server t 0) ~name:"hello"
        ~image:(Bytes.make 64 'p')
@@ -135,7 +137,8 @@ let run_battery ~populated () =
   let reports = ref [] in
   let completed = ref false in
   ignore
-    (Scenario.spawn_client t ~ws:0 ~name:"conformance" (fun self _env ->
+    (Scenario.spawn_client t ~ws:client_ws ~name:"conformance"
+       (fun self _env ->
          if populated then populate t self;
          List.iter
            (fun (label, server) ->
@@ -185,6 +188,32 @@ let labels =
     "domain server";
   ]
 
+(* Every message the battery and the instance-I/O scenario put on the
+   wire fits the 32-byte message proper, as {!Vmsg.proper_bytes} lays it
+   out. The cost model sees the message of every frame; the client runs
+   on a second workstation, so its requests to the first workstation's
+   own servers, and their replies, cross the wire too. *)
+let test_messages_fit () =
+  let seen = ref 0 and largest = ref 0 and over = ref [] in
+  let cost =
+    {
+      Vmsg.cost_model with
+      K.payload_bytes =
+        (fun m ->
+          let b = Vmsg.proper_bytes m in
+          incr seen;
+          largest := max !largest b;
+          if b > 32 then over := Fmt.str "%a: %d bytes" Vmsg.pp m b :: !over;
+          Vmsg.payload_bytes m);
+    }
+  in
+  ignore (run_battery ~cost ~client_ws:1 ~populated:true ());
+  ignore (Test_instance_io.drive ~cost ~client_ws:1 ());
+  Fmt.pr "%d messages on the wire, the fullest proper %d bytes@." !seen
+    !largest;
+  Alcotest.(check bool) "messages seen" true (!seen > 1000);
+  Alcotest.(check (list string)) "messages over 32 bytes" [] !over
+
 (* The mail server interprets names with its own syntax, so two checks
    legitimately behave differently; it must still pass the battery
    (NUL names rejected via its own Illegal_name, etc.). *)
@@ -201,5 +230,6 @@ let suite =
     ( "conformance.filled",
       List.map
         (fun label -> Alcotest.test_case label `Quick (test_populated label))
-        labels );
+        labels
+      @ [ Alcotest.test_case "messages fit" `Quick test_messages_fit ] );
   ]

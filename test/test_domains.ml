@@ -486,7 +486,7 @@ let test_delegation_cycle_guard () =
                  ignore
                    (K.reply srv ~to_:sender
                       (Vmsg.with_binding
-                         (Vmsg.ok ~payload:Domain_server.P_referral ())
+                         (Vmsg.ok ~payload:Vmsg.P_referral ())
                          { Vmsg.upto; spec = sspec }));
                  loop ()
                in

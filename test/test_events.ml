@@ -374,7 +374,11 @@ let test_every_site_renders_as_before () =
    a prefix binding like its other requests; the Remove of "[alias]d"
    routes by the binding cached for "[alias]", not the stale one for
    "[alias]d"; and the Query of "[dom]d1/d2" resolves "[dom]d1", so
-   dom1 answers it with the delegation's record, 0.1 ms later. *)
+   dom1 answers it with the delegation's record, 0.1 ms later. Later
+   still, every payload came to pay its wire bytes: the two QueryName
+   replies carry a description record, so those operations take 0.74
+   and 0.75 ms longer, and the resolver's four later recorder lines
+   come 0.7-0.8 ms later. *)
 
 module Scenario = Vworkload.Scenario
 module Runtime = Vruntime.Runtime
@@ -551,7 +555,7 @@ let drive_domains () =
               ignore
                 (K.reply srv ~to_:sender
                    (Vnaming.Vmsg.with_binding
-                      (Vnaming.Vmsg.ok ~payload:Domain_server.P_referral ())
+                      (Vnaming.Vmsg.ok ~payload:Vnaming.Vmsg.P_referral ())
                       { Vnaming.Vmsg.upto; spec }));
               loop ()
             in
@@ -716,7 +720,7 @@ let upper_golden =
     "naming S     QueryName                    fs1/fs1 pid 145253 ctx 0 name[5..]  wait 1.967ms svc 0.360ms -> not found";
     "naming S client:QueryName             ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 1.130ms -> OK";
     "naming S   QueryName                    ws0/ws0-prefix-server pid 396084 ctx 0  wait 0.385ms svc 0.360ms -> OK";
-    "naming S client:QueryName             ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 4.369ms -> OK";
+    "naming S client:QueryName             ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 5.122ms -> OK";
     "naming S   QueryName                    ws0/ws0-prefix-server pid 396084 ctx 0 name[0..4]  wait 0.385ms svc 0.360ms -> forward";
     "naming S     QueryName                    fs0/fs0 pid 105911 ctx 0 name[4..]  wait 1.964ms svc 0.380ms -> OK";
     "naming S client:QueryName             ws0/runtime pid 439796 ctx 0  wait 0.000ms svc 4.349ms -> not found";
@@ -767,10 +771,10 @@ let upper_golden =
        "domains R t=   2670.6 client   ws0        resolver: delegation \"[dom]\" -> pid 632239"
        "domains R t=   2670.6 client   ws0        resolver: delegation cycle at pid 632239 index 5"
     *)
-    "domains R t=   2640.2 client   ws0        resolver: serving stale \"[dom]d1/d2/leaf/tmp\" (refresh failed: ipc: timeout) trace 8";
-    "domains R t=   2653.9 client   ws0        resolver: delegation \"[dom]d2/\" -> pid 552199";
-    "domains R t=   2657.1 client   ws0        resolver: delegation \"[dom]\" -> pid 632239";
-    "domains R t=   2657.1 client   ws0        resolver: delegation cycle at pid 632239 index 5";
+    "domains R t=   2641.0 client   ws0        resolver: serving stale \"[dom]d1/d2/leaf/tmp\" (refresh failed: ipc: timeout) trace 8";
+    "domains R t=   2654.6 client   ws0        resolver: delegation \"[dom]d2/\" -> pid 552199";
+    "domains R t=   2657.9 client   ws0        resolver: delegation \"[dom]\" -> pid 632239";
+    "domains R t=   2657.9 client   ws0        resolver: delegation cycle at pid 632239 index 5";
     "domains M dom0/dom0/ResolveStep 1";
     "domains M dom0/dom0/lookup 1";
     "domains M dom0/dom0/referral 1";
@@ -846,7 +850,7 @@ let upper_golden =
     (* The walk hangs under the operation's root. Before, these read:
        "domains S client:QueryName[cached]     ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 3.487ms -> OK"
     *)
-    "domains S client:QueryName             ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 7.088ms -> OK";
+    "domains S client:QueryName             ws0/runtime pid 334643 ctx 0  wait 0.000ms svc 7.828ms -> OK";
     "domains S   ResolveStep                  dom1/dom1 pid 468087 ctx 0 name[8..]  wait 1.961ms svc 0.240ms -> terminal";
     "domains S   QueryName                    dom1/dom1 pid 468087 ctx 0 name[8..]  wait 1.967ms svc 0.360ms -> OK";
     (* The walk hangs under the operation's root. Before, these read:

@@ -49,7 +49,10 @@
    they and every later prefix reply arrive 0.36 ms later each, on the
    context itself they are a bad operation (an illegal name and not
    found before), and a two-component add is not found (an illegal
-   name). *)
+   name). Since every payload pays its wire bytes, a message carrying
+   data (the setup writes), a name or a description record (QueryName,
+   ModifyName) pays for it, so every later reply arrives later, and
+   with it the timestamps inside the records; no reply changed. *)
 
 module K = Vkernel.Kernel
 module Scenario = Vworkload.Scenario
@@ -346,365 +349,365 @@ let lines = lazy (drive ())
 let golden =
   [
     "printer | setup open \"first.txt\" write: OK instance=1 size=0 block=512 @3.654";
-    "printer | setup write: OK count=9 @6.214";
-    "printer | setup release: OK @8.774";
-    "printer | setup open \"report.txt\" write: OK instance=2 size=0 block=512 @12.381";
-    "printer | setup write: OK count=11 @14.941";
-    "printer | setup release: OK @17.501";
-    "printer | open \"\" read: OK instance=3 size=111 block=512 @20.301";
-    "printer | open \"\" write: OK instance=4 size=111 block=512 @23.101";
-    "printer | open \"\" append: OK instance=5 size=111 block=512 @25.901";
-    "printer | open \"\" dir: OK instance=6 size=111 block=512 @28.701";
-    "printer | map \"\": OK spec=(2.32271, ctx 0) @31.501";
-    "printer | query \"\": OK directory \"[queue]\" size=2 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @34.301";
-    "printer | create \"\": bad operation @37.101";
-    "printer | remove \"\": bad operation @39.901";
-    "printer | modify \"\": bad operation @42.701";
-    "printer | query \"report.txt\": OK printer-job \"report.txt\" size=11 owner=\"system\" created=11.101 modified=0.000 writable=true instance=- attrs=[state=queued] @46.307";
-    "printer | map \"report.txt\": bad operation @49.914";
-    "printer | open \"report.txt\" read: no permission @53.521";
-    "printer | open \"report.txt\" dir: no permission @57.127";
-    "printer | open \"report.txt\" write: duplicate name @60.734";
-    "printer | open \"report.txt\" append: duplicate name @64.341";
-    "printer | modify \"report.txt\": bad operation @67.947";
-    "printer | create \"report.txt\": bad operation @71.554";
-    "printer | remove \"report.txt\": OK @75.161";
-    "printer | query \"report.txt\": not found @78.767";
-    "printer | query \"memo.txt\": not found @82.369";
-    "printer | map \"memo.txt\": bad operation @85.970";
-    "printer | open \"memo.txt\" read: no permission @89.571";
-    "printer | open \"memo.txt\" dir: no permission @93.173";
-    "printer | create \"memo.txt\": bad operation @96.774";
-    "printer | query \"memo.txt\": not found @100.375";
-    "printer | remove \"memo.txt\": not found @103.977";
-    "printer | open \"memo.txt\" write: OK instance=7 size=0 block=512 @107.578";
-    "printer | query \"memo.txt\": OK printer-job \"memo.txt\" size=0 owner=\"system\" created=106.298 modified=0.000 writable=true instance=- attrs=[state=spooling] @111.179";
-    "printer | remove \"memo.txt\": no permission @114.781";
-    "printer | query \"report.txt/inner\": not found @118.403";
-    "printer | open \"report.txt/inner\" read: not found @122.026";
-    "terminal | setup open \"console\" write: OK instance=2 size=0 block=512 @123.156";
-    "terminal | setup write: OK count=11 @123.926";
-    "terminal | setup release: OK @124.696";
-    "terminal | open \"\" read: OK instance=3 size=37 block=512 @125.706";
-    "terminal | open \"\" write: OK instance=4 size=37 block=512 @126.716";
-    "terminal | open \"\" append: OK instance=5 size=37 block=512 @127.726";
-    "terminal | open \"\" dir: OK instance=6 size=37 block=512 @128.736";
-    "terminal | map \"\": OK spec=(5.15448, ctx 0) @129.746";
-    "terminal | query \"\": OK directory \"[terminals]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @130.756";
-    "terminal | create \"\": bad operation @131.766";
-    "terminal | remove \"\": bad operation @132.776";
-    "terminal | modify \"\": bad operation @133.786";
-    "terminal | query \"console\": OK terminal \"console\" size=1 owner=\"system\" created=122.771 modified=134.531 writable=true instance=1 attrs=[] @134.916";
-    "terminal | map \"console\": bad operation @136.046";
-    "terminal | open \"console\" read: OK instance=7 size=12 block=512 @137.176";
-    "terminal | open \"console\" dir: OK instance=8 size=12 block=512 @138.306";
-    "terminal | open \"console\" write: OK instance=9 size=12 block=512 @139.436";
-    "terminal | open \"console\" append: OK instance=10 size=12 block=512 @140.566";
-    "terminal | modify \"console\": bad operation @141.696";
-    "terminal | create \"console\": duplicate name @142.826";
-    "terminal | remove \"console\": OK @143.956";
-    "terminal | query \"console\": not found @145.086";
-    "terminal | query \"tty9\": not found @146.216";
-    "terminal | map \"tty9\": bad operation @147.346";
-    "terminal | open \"tty9\" read: not found @148.476";
-    "terminal | open \"tty9\" dir: not found @149.606";
-    "terminal | create \"tty9\": OK @150.736";
-    "terminal | query \"tty9\": OK terminal \"tty9\" size=0 owner=\"system\" created=150.351 modified=151.481 writable=true instance=11 attrs=[] @151.866";
-    "terminal | remove \"tty9\": OK @152.996";
-    "terminal | open \"tty9\" write: OK instance=13 size=0 block=512 @154.126";
-    "terminal | query \"tty9\": OK terminal \"tty9\" size=0 owner=\"system\" created=153.741 modified=154.871 writable=true instance=12 attrs=[] @155.256";
-    "terminal | remove \"tty9\": OK @156.386";
-    "terminal | query \"console/inner\": not found @157.516";
-    "terminal | open \"console/inner\" read: not found @158.646";
-    "vgts | setup create \"editor\": OK @159.776";
-    "vgts | open \"\" read: OK instance=2 size=61 block=512 @160.786";
-    "vgts | open \"\" write: OK instance=3 size=61 block=512 @161.796";
-    "vgts | open \"\" append: OK instance=4 size=61 block=512 @162.806";
-    "vgts | open \"\" dir: OK instance=5 size=61 block=512 @163.816";
-    "vgts | map \"\": OK spec=(5.32533, ctx 0) @164.826";
-    "vgts | query \"\": OK directory \"[windows]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @165.836";
-    "vgts | create \"\": bad operation @166.846";
-    "vgts | remove \"\": bad operation @167.856";
-    "vgts | modify \"\": bad operation @168.866";
-    "vgts | query \"editor\": OK device \"editor\" size=0 owner=\"system\" created=159.391 modified=0.000 writable=true instance=1 attrs=[x=2;y=1;w=28;h=7] @169.996";
-    "vgts | map \"editor\": bad operation @171.126";
-    "vgts | open \"editor\" read: OK instance=6 size=0 block=512 @172.256";
-    "vgts | open \"editor\" dir: OK instance=7 size=0 block=512 @173.386";
-    "vgts | open \"editor\" write: OK instance=8 size=0 block=512 @174.516";
-    "vgts | open \"editor\" append: OK instance=9 size=0 block=512 @175.646";
-    "vgts | modify \"editor\": OK @176.776";
-    "vgts | create \"editor\": duplicate name @177.906";
-    "vgts | remove \"editor\": OK @179.036";
-    "vgts | query \"editor\": not found @180.166";
-    "vgts | query \"clock\": not found @181.296";
-    "vgts | map \"clock\": bad operation @182.426";
-    "vgts | open \"clock\" read: not found @183.556";
-    "vgts | open \"clock\" dir: not found @184.686";
-    "vgts | create \"clock\": OK @185.816";
-    "vgts | query \"clock\": OK device \"clock\" size=0 owner=\"system\" created=185.431 modified=0.000 writable=true instance=10 attrs=[x=2;y=1;w=28;h=7] @186.946";
-    "vgts | remove \"clock\": OK @188.076";
-    "vgts | open \"clock\" write: OK instance=12 size=0 block=512 @189.206";
-    "vgts | query \"clock\": OK device \"clock\" size=0 owner=\"system\" created=188.821 modified=0.000 writable=true instance=11 attrs=[x=2;y=1;w=28;h=7] @190.336";
-    "vgts | remove \"clock\": OK @191.466";
-    "vgts | query \"editor/inner\": not found @192.596";
-    "vgts | open \"editor/inner\" read: not found @193.726";
-    "internet | setup open \"score:23\" write: OK instance=2 size=0 block=512 @197.327";
-    "internet | setup write: OK count=5 @199.887";
-    "internet | setup release: OK @202.447";
-    "internet | open \"\" read: OK instance=3 size=55 block=512 @205.247";
-    "internet | open \"\" write: OK instance=4 size=55 block=512 @208.047";
-    "internet | open \"\" append: OK instance=5 size=55 block=512 @210.847";
-    "internet | open \"\" dir: OK instance=6 size=55 block=512 @213.647";
-    "internet | map \"\": OK spec=(4.42473, ctx 0) @216.447";
-    "internet | query \"\": OK directory \"[internet]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @219.247";
-    "internet | create \"\": bad operation @222.047";
-    "internet | remove \"\": bad operation @224.847";
-    "internet | modify \"\": bad operation @227.647";
-    "internet | query \"score:23\": OK tcp-connection \"score:23\" size=5 owner=\"system\" created=196.047 modified=0.000 writable=true instance=1 attrs=[state=syn-sent] @231.249";
-    "internet | map \"score:23\": bad operation @234.850";
-    "internet | open \"score:23\" read: OK instance=7 size=0 block=512 @238.451";
-    "internet | open \"score:23\" dir: bad operation @242.053";
-    "internet | open \"score:23\" write: OK instance=8 size=0 block=512 @245.654";
-    "internet | open \"score:23\" append: OK instance=9 size=0 block=512 @249.255";
-    "internet | modify \"score:23\": bad operation @252.857";
-    "internet | create \"score:23\": bad operation @256.458";
-    "internet | remove \"score:23\": OK @260.059";
-    "internet | query \"score:23\": not found @263.661";
-    "internet | query \"sumex:25\": not found @267.262";
-    "internet | map \"sumex:25\": bad operation @270.863";
-    "internet | open \"sumex:25\" read: not found @274.465";
-    "internet | open \"sumex:25\" dir: bad operation @278.066";
-    "internet | create \"sumex:25\": bad operation @281.667";
-    "internet | query \"sumex:25\": not found @285.269";
-    "internet | remove \"sumex:25\": not found @288.870";
-    "internet | open \"sumex:25\" write: OK instance=11 size=0 block=512 @292.471";
-    "internet | query \"sumex:25\": OK tcp-connection \"sumex:25\" size=0 owner=\"system\" created=291.191 modified=0.000 writable=true instance=10 attrs=[state=syn-sent] @296.073";
-    "internet | remove \"sumex:25\": OK @299.674";
-    "internet | query \"score:23/inner\": not found @303.291";
-    "internet | open \"score:23/inner\" read: not found @306.909";
-    "internet | query \"score\": illegal name @310.502";
-    "internet | open \"score\" read: illegal name @314.095";
-    "internet | open \"score\" write: illegal name @317.689";
-    "internet | remove \"score\": illegal name @321.282";
-    "exceptions | open \"\" read: OK instance=1 size=63 block=512 @323.112";
-    "exceptions | open \"\" write: OK instance=2 size=63 block=512 @324.122";
-    "exceptions | open \"\" append: OK instance=3 size=63 block=512 @325.132";
-    "exceptions | open \"\" dir: OK instance=4 size=63 block=512 @326.142";
-    "exceptions | map \"\": OK spec=(5.23466, ctx 0) @327.152";
-    "exceptions | query \"\": OK directory \"[exceptions]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @328.162";
-    "exceptions | create \"\": bad operation @329.172";
-    "exceptions | remove \"\": bad operation @330.182";
-    "exceptions | modify \"\": bad operation @331.192";
-    "exceptions | query \"5.57378\": OK process \"5.57378\" size=0 owner=\"system\" created=321.717 modified=0.000 writable=true instance=- attrs=[exception=fault at 4096] @332.322";
-    "exceptions | map \"5.57378\": bad operation @333.452";
-    "exceptions | open \"5.57378\" read: bad operation @334.582";
-    "exceptions | open \"5.57378\" dir: bad operation @335.712";
-    "exceptions | open \"5.57378\" write: bad operation @336.842";
-    "exceptions | open \"5.57378\" append: bad operation @337.972";
-    "exceptions | modify \"5.57378\": bad operation @339.102";
-    "exceptions | create \"5.57378\": bad operation @340.232";
-    "exceptions | remove \"5.57378\": bad operation @341.362";
-    "exceptions | query \"5.57378\": OK process \"5.57378\" size=0 owner=\"system\" created=321.717 modified=0.000 writable=true instance=- attrs=[exception=fault at 4096] @342.492";
-    "exceptions | query \"nobody\": not found @343.622";
-    "exceptions | map \"nobody\": bad operation @344.752";
-    "exceptions | open \"nobody\" read: bad operation @345.882";
-    "exceptions | open \"nobody\" dir: bad operation @347.012";
-    "exceptions | create \"nobody\": bad operation @348.142";
-    "exceptions | query \"nobody\": not found @349.272";
-    "exceptions | remove \"nobody\": bad operation @350.402";
-    "exceptions | open \"nobody\" write: bad operation @351.532";
-    "exceptions | query \"nobody\": not found @352.662";
-    "exceptions | remove \"nobody\": bad operation @353.792";
-    "exceptions | query \"5.57378/inner\": not found @354.922";
-    "exceptions | open \"5.57378/inner\" read: not found @356.052";
-    "programs | open \"\" read: OK instance=1 size=66 block=512 @372.095";
-    "programs | open \"\" write: OK instance=2 size=66 block=512 @373.105";
-    "programs | open \"\" append: OK instance=3 size=66 block=512 @374.115";
-    "programs | open \"\" dir: OK instance=4 size=66 block=512 @375.125";
-    "programs | map \"\": OK spec=(5.42829, ctx 0) @376.135";
-    "programs | query \"\": OK directory \"[programs]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @377.145";
-    "programs | create \"\": bad operation @378.155";
-    "programs | remove \"\": bad operation @379.165";
-    "programs | modify \"\": bad operation @380.175";
-    "programs | query \"hello\": OK process \"hello\" size=0 owner=\"system\" created=371.085 modified=371.085 writable=true instance=1 attrs=[argument=x;status=exited 0] @381.305";
-    "programs | map \"hello\": bad operation @382.435";
-    "programs | open \"hello\" read: bad operation @383.565";
-    "programs | open \"hello\" dir: bad operation @384.695";
-    "programs | open \"hello\" write: bad operation @385.825";
-    "programs | open \"hello\" append: bad operation @386.955";
-    "programs | modify \"hello\": bad operation @388.085";
-    "programs | create \"hello\": bad operation @389.215";
-    "programs | remove \"hello\": bad operation @390.345";
-    "programs | query \"hello\": OK process \"hello\" size=0 owner=\"system\" created=371.085 modified=371.085 writable=true instance=1 attrs=[argument=x;status=exited 0] @391.475";
-    "programs | query \"format\": not found @392.605";
-    "programs | map \"format\": bad operation @393.735";
-    "programs | open \"format\" read: bad operation @394.865";
-    "programs | open \"format\" dir: bad operation @395.995";
-    "programs | create \"format\": bad operation @397.125";
-    "programs | query \"format\": not found @398.255";
-    "programs | remove \"format\": bad operation @399.385";
-    "programs | open \"format\" write: bad operation @400.515";
-    "programs | query \"format\": not found @401.645";
-    "programs | remove \"format\": bad operation @402.775";
-    "programs | query \"hello/inner\": not found @403.905";
-    "programs | open \"hello/inner\" read: not found @405.035";
-    "mail | setup open \"cheriton@su-score\" append: OK instance=1 size=0 block=2048 @408.540";
-    "mail | setup write: OK count=16 @411.100";
-    "mail | setup release: OK @413.660";
-    "mail | open \"\" read: OK instance=2 size=47 block=2048 @416.460";
-    "mail | open \"\" write: OK instance=3 size=47 block=2048 @419.260";
-    "mail | open \"\" append: OK instance=4 size=47 block=2048 @422.060";
-    "mail | open \"\" dir: OK instance=5 size=47 block=2048 @424.860";
-    "mail | map \"\": OK spec=(3.42542, ctx 0) @427.660";
-    "mail | query \"\": OK directory \"[mail]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @430.460";
-    "mail | create \"\": bad operation @433.260";
-    "mail | remove \"\": bad operation @436.060";
-    "mail | modify \"\": bad operation @438.860";
-    "mail | query \"cheriton@su-score\": OK mailbox \"cheriton@su-score\" size=1 owner=\"system\" created=407.260 modified=0.000 writable=true instance=- attrs=[] @442.365";
-    "mail | map \"cheriton@su-score\": bad operation @445.871";
-    "mail | open \"cheriton@su-score\" read: OK instance=6 size=28 block=2048 @449.376";
-    "mail | open \"cheriton@su-score\" dir: not a context @452.881";
-    "mail | open \"cheriton@su-score\" write: OK instance=7 size=0 block=2048 @456.387";
-    "mail | open \"cheriton@su-score\" append: OK instance=8 size=0 block=2048 @459.892";
-    "mail | modify \"cheriton@su-score\": bad operation @463.397";
-    "mail | create \"cheriton@su-score\": bad operation @466.903";
-    "mail | remove \"cheriton@su-score\": OK @470.408";
-    "mail | query \"cheriton@su-score\": not found @473.913";
-    "mail | query \"mann@diablo\": not found @477.403";
-    "mail | map \"mann@diablo\": bad operation @480.892";
-    "mail | open \"mann@diablo\" read: not found @484.381";
-    "mail | open \"mann@diablo\" dir: not a context @487.871";
-    "mail | create \"mann@diablo\": bad operation @491.360";
-    "mail | query \"mann@diablo\": not found @494.849";
-    "mail | remove \"mann@diablo\": not found @498.339";
-    "mail | open \"mann@diablo\" write: OK instance=9 size=0 block=2048 @501.828";
-    "mail | query \"mann@diablo\": OK mailbox \"mann@diablo\" size=0 owner=\"system\" created=500.548 modified=0.000 writable=true instance=- attrs=[] @505.317";
-    "mail | remove \"mann@diablo\": OK @508.807";
-    "mail | query \"cheriton@su-score/inner\": illegal name @512.328";
-    "mail | open \"cheriton@su-score/inner\" read: illegal name @515.849";
-    "mail | query \"cheriton\": illegal name @519.331";
-    "mail | open \"cheriton\" read: illegal name @522.812";
-    "mail | open \"cheriton\" write: illegal name @526.293";
-    "mail | remove \"cheriton\": illegal name @529.775";
-    "accounts | open \"\" read: OK instance=1 size=57 block=512 @532.575";
-    "accounts | open \"\" write: OK instance=2 size=57 block=512 @535.375";
-    "accounts | open \"\" append: OK instance=3 size=57 block=512 @538.175";
-    "accounts | open \"\" dir: OK instance=4 size=57 block=512 @540.975";
-    "accounts | map \"\": OK spec=(1.6203, ctx 4) @543.775";
-    "accounts | query \"\": OK directory \"[accounts]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @546.575";
-    "accounts | create \"\": bad operation @549.375";
-    "accounts | remove \"\": bad operation @552.175";
-    "accounts | modify \"\": bad operation @554.975";
-    "accounts | query \"system\": OK account \"system\" size=0 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[home=/users/system] @558.571";
-    "accounts | map \"system\": OK spec=(1.6203, ctx 20) @562.167";
-    "accounts | open \"system\" read: bad operation @565.763";
-    "accounts | open \"system\" dir: bad operation @569.359";
-    "accounts | open \"system\" write: bad operation @572.955";
-    "accounts | open \"system\" append: bad operation @576.551";
-    "accounts | modify \"system\": bad operation @580.147";
-    "accounts | create \"system\": duplicate name @583.743";
-    "accounts | remove \"system\": no permission @587.339";
-    "accounts | query \"system\": OK account \"system\" size=0 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[home=/users/system] @590.935";
-    "accounts | query \"mann\": not found @594.525";
-    "accounts | map \"mann\": not found @598.116";
-    "accounts | open \"mann\" read: bad operation @601.707";
-    "accounts | open \"mann\" dir: bad operation @605.297";
-    "accounts | create \"mann\": OK @608.888";
-    "accounts | query \"mann\": OK account \"mann\" size=0 owner=\"mann\" created=607.608 modified=0.000 writable=true instance=- attrs=[home=/users/mann] @612.479";
-    "accounts | remove \"mann\": OK @616.069";
-    "accounts | open \"mann\" write: bad operation @619.660";
-    "accounts | query \"mann\": not found @623.251";
-    "accounts | remove \"mann\": not found @626.841";
-    "accounts | query \"system/inner\": not found @630.453";
-    "accounts | open \"system/inner\" read: not found @634.065";
-    "prefix | open \"\" read: OK instance=1 size=645 block=512 @635.195";
-    "prefix | open \"\" write: OK instance=2 size=645 block=512 @636.325";
-    "prefix | open \"\" append: OK instance=3 size=645 block=512 @637.455";
-    "prefix | open \"\" dir: OK instance=4 size=645 block=512 @638.585";
-    "prefix | map \"\": OK spec=(5.13436, ctx 0) @639.715";
-    "prefix | query \"\": OK directory \"[prefixes]\" size=10 owner=\"ws0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @640.845";
-    "prefix | create \"\": bad operation @641.975";
-    "prefix | remove \"\": bad operation @643.105";
-    "prefix | modify \"\": bad operation @644.235";
-    "prefix | add \"\": bad operation @645.365";
-    "prefix | delete \"\": bad operation @646.495";
-    "prefix | query \"fs0\": OK prefix \"fs0\" size=12 owner=\"ws0\" created=647.240 modified=647.240 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @647.625";
-    "prefix | map \"fs0\": OK spec=(1.6203, ctx 0) @648.755";
-    "prefix | open \"fs0\" read: not a context @649.885";
-    "prefix | open \"fs0\" dir: not a context @651.015";
-    "prefix | open \"fs0\" write: not a context @652.145";
-    "prefix | open \"fs0\" append: not a context @653.275";
-    "prefix | modify \"fs0\": not a context @654.405";
-    "prefix | create \"fs0\": not a context @655.535";
-    "prefix | remove \"fs0\": not a context @656.665";
-    "prefix | query \"fs0\": OK prefix \"fs0\" size=12 owner=\"ws0\" created=657.410 modified=657.410 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @657.795";
-    "prefix | query \"nothing\": not found @658.925";
-    "prefix | map \"nothing\": not found @660.055";
-    "prefix | open \"nothing\" read: not found @661.185";
-    "prefix | open \"nothing\" dir: not found @662.315";
-    "prefix | create \"nothing\": not found @663.445";
-    "prefix | query \"nothing\": not found @664.575";
-    "prefix | remove \"nothing\": not found @665.705";
-    "prefix | open \"nothing\" write: not found @666.835";
-    "prefix | query \"nothing\": not found @667.965";
-    "prefix | remove \"nothing\": not found @669.095";
-    "prefix | query \"fs0/inner\": not found @673.444";
-    "prefix | open \"fs0/inner\" read: not found @677.793";
-    "prefix | add \"nothing/inner\": not found @678.923";
-    "prefix | delete \"nothing/inner\": not found @680.053";
-    "prefix | add \"nothing\": OK @681.183";
-    "prefix | query \"nothing\": OK prefix \"nothing\" size=16 owner=\"ws0\" created=681.928 modified=681.928 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @682.313";
-    "prefix | add \"nothing\": duplicate name @683.443";
-    "prefix | delete \"nothing\": OK @684.573";
-    "prefix | delete \"nothing\": not found @685.703";
-    "domain | open \"\" read: OK instance=1 size=97 block=512 @688.503";
-    "domain | open \"\" write: OK instance=2 size=97 block=512 @691.303";
-    "domain | open \"\" append: OK instance=3 size=97 block=512 @694.103";
-    "domain | open \"\" dir: OK instance=4 size=97 block=512 @696.903";
-    "domain | map \"\": OK spec=(6.63095, ctx 0) @699.703";
-    "domain | query \"\": OK directory \"domain:dom0\" size=3 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @702.503";
-    "domain | create \"\": bad operation @705.303";
-    "domain | remove \"\": bad operation @708.103";
-    "domain | modify \"\": bad operation @710.903";
-    "domain | add \"\": bad operation @713.703";
-    "domain | delete \"\": bad operation @716.503";
-    "domain | query \"files\": OK directory \"files\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @720.097";
-    "domain | map \"files\": OK spec=(1.6203, ctx 17) bound=5:(1.6203, ctx 0) @725.883";
-    "domain | open \"files\" read: OK instance=5 size=101 block=512 bound=5:(1.6203, ctx 0) @731.730";
-    "domain | open \"files\" dir: OK instance=6 size=101 block=512 bound=5:(1.6203, ctx 0) @737.577";
-    "domain | query \"sub\": OK directory \"sub\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @741.165";
-    "domain | map \"sub\": OK spec=(6.63095, ctx 7) bound=3:(6.63095, ctx 7) @744.753";
-    "domain | open \"sub\" read: OK instance=5 size=0 block=512 bound=3:(6.63095, ctx 7) @748.341";
-    "domain | open \"sub\" dir: OK instance=6 size=0 block=512 bound=3:(6.63095, ctx 7) @751.929";
-    "domain | query \"child\": OK directory \"child\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @755.522";
-    "domain | map \"child\": OK spec=(7.12362, ctx 0) bound=5:(7.12362, ctx 0) @761.309";
-    "domain | open \"child\" read: OK instance=1 size=0 block=512 bound=5:(7.12362, ctx 0) @767.095";
-    "domain | open \"child\" dir: OK instance=2 size=0 block=512 bound=5:(7.12362, ctx 0) @772.882";
-    "domain | open \"files\" write: OK instance=7 size=101 block=512 bound=5:(1.6203, ctx 0) @778.729";
-    "domain | open \"files\" append: OK instance=8 size=101 block=512 bound=5:(1.6203, ctx 0) @784.575";
-    "domain | modify \"files\": bad operation @788.169";
-    "domain | create \"files\": duplicate name @793.955";
-    "domain | remove \"files\": bad operation @797.549";
-    "domain | query \"files\": OK directory \"files\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @801.142";
-    "domain | query \"nothing\": not found @804.741";
-    "domain | map \"nothing\": not found @808.339";
-    "domain | open \"nothing\" read: bad operation @811.938";
-    "domain | open \"nothing\" dir: bad operation @815.537";
-    "domain | create \"nothing\": bad operation @819.135";
-    "domain | query \"nothing\": not found @822.734";
-    "domain | remove \"nothing\": bad operation @826.333";
-    "domain | open \"nothing\" write: bad operation @829.931";
-    "domain | query \"nothing\": not found @833.530";
-    "domain | remove \"nothing\": bad operation @837.129";
-    "domain | query \"files/inner\": not found @843.067";
-    "domain | open \"files/inner\" read: not found @849.006";
-    "domain | add \"nothing/inner\": not found @852.621";
-    "domain | delete \"nothing/inner\": not found @856.235";
-    "domain | add \"nothing\": OK @859.834";
-    "domain | query \"nothing\": OK directory \"nothing\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @863.433";
-    "domain | add \"nothing\": duplicate name @867.031";
-    "domain | delete \"nothing\": OK @870.630";
-    "domain | delete \"nothing\": not found @874.229";
+    "printer | setup write: OK count=9 @6.898";
+    "printer | setup release: OK @9.458";
+    "printer | setup open \"report.txt\" write: OK instance=2 size=0 block=512 @13.065";
+    "printer | setup write: OK count=11 @16.314";
+    "printer | setup release: OK @18.874";
+    "printer | open \"\" read: OK instance=3 size=111 block=512 @21.674";
+    "printer | open \"\" write: OK instance=4 size=111 block=512 @24.474";
+    "printer | open \"\" append: OK instance=5 size=111 block=512 @27.274";
+    "printer | open \"\" dir: OK instance=6 size=111 block=512 @30.074";
+    "printer | map \"\": OK spec=(2.32271, ctx 0) @32.874";
+    "printer | query \"\": OK directory \"[queue]\" size=2 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @36.433";
+    "printer | create \"\": bad operation @39.233";
+    "printer | remove \"\": bad operation @42.033";
+    "printer | modify \"\": bad operation @45.607";
+    "printer | query \"report.txt\": OK printer-job \"report.txt\" size=11 owner=\"system\" created=11.785 modified=0.000 writable=true instance=- attrs=[state=queued] @50.021";
+    "printer | map \"report.txt\": bad operation @53.627";
+    "printer | open \"report.txt\" read: no permission @57.234";
+    "printer | open \"report.txt\" dir: no permission @60.841";
+    "printer | open \"report.txt\" write: duplicate name @64.447";
+    "printer | open \"report.txt\" append: duplicate name @68.054";
+    "printer | modify \"report.txt\": bad operation @71.802";
+    "printer | create \"report.txt\": bad operation @75.409";
+    "printer | remove \"report.txt\": OK @79.015";
+    "printer | query \"report.txt\": not found @82.622";
+    "printer | query \"memo.txt\": not found @86.223";
+    "printer | map \"memo.txt\": bad operation @89.825";
+    "printer | open \"memo.txt\" read: no permission @93.426";
+    "printer | open \"memo.txt\" dir: no permission @97.027";
+    "printer | create \"memo.txt\": bad operation @100.629";
+    "printer | query \"memo.txt\": not found @104.230";
+    "printer | remove \"memo.txt\": not found @107.831";
+    "printer | open \"memo.txt\" write: OK instance=7 size=0 block=512 @111.433";
+    "printer | query \"memo.txt\": OK printer-job \"memo.txt\" size=0 owner=\"system\" created=110.153 modified=0.000 writable=true instance=- attrs=[state=spooling] @115.841";
+    "printer | remove \"memo.txt\": no permission @119.442";
+    "printer | query \"report.txt/inner\": not found @123.065";
+    "printer | open \"report.txt/inner\" read: not found @126.687";
+    "terminal | setup open \"console\" write: OK instance=2 size=0 block=512 @127.817";
+    "terminal | setup write: OK count=11 @128.587";
+    "terminal | setup release: OK @129.357";
+    "terminal | open \"\" read: OK instance=3 size=37 block=512 @130.367";
+    "terminal | open \"\" write: OK instance=4 size=37 block=512 @131.377";
+    "terminal | open \"\" append: OK instance=5 size=37 block=512 @132.387";
+    "terminal | open \"\" dir: OK instance=6 size=37 block=512 @133.397";
+    "terminal | map \"\": OK spec=(5.15448, ctx 0) @134.407";
+    "terminal | query \"\": OK directory \"[terminals]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @135.417";
+    "terminal | create \"\": bad operation @136.427";
+    "terminal | remove \"\": bad operation @137.437";
+    "terminal | modify \"\": bad operation @138.447";
+    "terminal | query \"console\": OK terminal \"console\" size=1 owner=\"system\" created=127.432 modified=139.192 writable=true instance=1 attrs=[] @139.577";
+    "terminal | map \"console\": bad operation @140.707";
+    "terminal | open \"console\" read: OK instance=7 size=12 block=512 @141.837";
+    "terminal | open \"console\" dir: OK instance=8 size=12 block=512 @142.967";
+    "terminal | open \"console\" write: OK instance=9 size=12 block=512 @144.097";
+    "terminal | open \"console\" append: OK instance=10 size=12 block=512 @145.227";
+    "terminal | modify \"console\": bad operation @146.357";
+    "terminal | create \"console\": duplicate name @147.487";
+    "terminal | remove \"console\": OK @148.617";
+    "terminal | query \"console\": not found @149.747";
+    "terminal | query \"tty9\": not found @150.877";
+    "terminal | map \"tty9\": bad operation @152.007";
+    "terminal | open \"tty9\" read: not found @153.137";
+    "terminal | open \"tty9\" dir: not found @154.267";
+    "terminal | create \"tty9\": OK @155.397";
+    "terminal | query \"tty9\": OK terminal \"tty9\" size=0 owner=\"system\" created=155.012 modified=156.142 writable=true instance=11 attrs=[] @156.527";
+    "terminal | remove \"tty9\": OK @157.657";
+    "terminal | open \"tty9\" write: OK instance=13 size=0 block=512 @158.787";
+    "terminal | query \"tty9\": OK terminal \"tty9\" size=0 owner=\"system\" created=158.402 modified=159.532 writable=true instance=12 attrs=[] @159.917";
+    "terminal | remove \"tty9\": OK @161.047";
+    "terminal | query \"console/inner\": not found @162.177";
+    "terminal | open \"console/inner\" read: not found @163.307";
+    "vgts | setup create \"editor\": OK @164.437";
+    "vgts | open \"\" read: OK instance=2 size=61 block=512 @165.447";
+    "vgts | open \"\" write: OK instance=3 size=61 block=512 @166.457";
+    "vgts | open \"\" append: OK instance=4 size=61 block=512 @167.467";
+    "vgts | open \"\" dir: OK instance=5 size=61 block=512 @168.477";
+    "vgts | map \"\": OK spec=(5.32533, ctx 0) @169.487";
+    "vgts | query \"\": OK directory \"[windows]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @170.497";
+    "vgts | create \"\": bad operation @171.507";
+    "vgts | remove \"\": bad operation @172.517";
+    "vgts | modify \"\": bad operation @173.527";
+    "vgts | query \"editor\": OK device \"editor\" size=0 owner=\"system\" created=164.052 modified=0.000 writable=true instance=1 attrs=[x=2;y=1;w=28;h=7] @174.657";
+    "vgts | map \"editor\": bad operation @175.787";
+    "vgts | open \"editor\" read: OK instance=6 size=0 block=512 @176.917";
+    "vgts | open \"editor\" dir: OK instance=7 size=0 block=512 @178.047";
+    "vgts | open \"editor\" write: OK instance=8 size=0 block=512 @179.177";
+    "vgts | open \"editor\" append: OK instance=9 size=0 block=512 @180.307";
+    "vgts | modify \"editor\": OK @181.437";
+    "vgts | create \"editor\": duplicate name @182.567";
+    "vgts | remove \"editor\": OK @183.697";
+    "vgts | query \"editor\": not found @184.827";
+    "vgts | query \"clock\": not found @185.957";
+    "vgts | map \"clock\": bad operation @187.087";
+    "vgts | open \"clock\" read: not found @188.217";
+    "vgts | open \"clock\" dir: not found @189.347";
+    "vgts | create \"clock\": OK @190.477";
+    "vgts | query \"clock\": OK device \"clock\" size=0 owner=\"system\" created=190.092 modified=0.000 writable=true instance=10 attrs=[x=2;y=1;w=28;h=7] @191.607";
+    "vgts | remove \"clock\": OK @192.737";
+    "vgts | open \"clock\" write: OK instance=12 size=0 block=512 @193.867";
+    "vgts | query \"clock\": OK device \"clock\" size=0 owner=\"system\" created=193.482 modified=0.000 writable=true instance=11 attrs=[x=2;y=1;w=28;h=7] @194.997";
+    "vgts | remove \"clock\": OK @196.127";
+    "vgts | query \"editor/inner\": not found @197.257";
+    "vgts | open \"editor/inner\" read: not found @198.387";
+    "internet | setup open \"score:23\" write: OK instance=2 size=0 block=512 @201.989";
+    "internet | setup write: OK count=5 @205.222";
+    "internet | setup release: OK @207.782";
+    "internet | open \"\" read: OK instance=3 size=55 block=512 @210.582";
+    "internet | open \"\" write: OK instance=4 size=55 block=512 @213.382";
+    "internet | open \"\" append: OK instance=5 size=55 block=512 @216.182";
+    "internet | open \"\" dir: OK instance=6 size=55 block=512 @218.982";
+    "internet | map \"\": OK spec=(4.42473, ctx 0) @221.782";
+    "internet | query \"\": OK directory \"[internet]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @225.349";
+    "internet | create \"\": bad operation @228.149";
+    "internet | remove \"\": bad operation @230.949";
+    "internet | modify \"\": bad operation @234.523";
+    "internet | query \"score:23\": OK tcp-connection \"score:23\" size=5 owner=\"system\" created=200.709 modified=0.000 writable=true instance=1 attrs=[state=syn-sent] @238.931";
+    "internet | map \"score:23\": bad operation @242.533";
+    "internet | open \"score:23\" read: OK instance=7 size=0 block=512 @246.134";
+    "internet | open \"score:23\" dir: bad operation @249.735";
+    "internet | open \"score:23\" write: OK instance=8 size=0 block=512 @253.337";
+    "internet | open \"score:23\" append: OK instance=9 size=0 block=512 @256.938";
+    "internet | modify \"score:23\": bad operation @260.675";
+    "internet | create \"score:23\": bad operation @264.277";
+    "internet | remove \"score:23\": OK @267.878";
+    "internet | query \"score:23\": not found @271.479";
+    "internet | query \"sumex:25\": not found @275.081";
+    "internet | map \"sumex:25\": bad operation @278.682";
+    "internet | open \"sumex:25\" read: not found @282.283";
+    "internet | open \"sumex:25\" dir: bad operation @285.885";
+    "internet | create \"sumex:25\": bad operation @289.486";
+    "internet | query \"sumex:25\": not found @293.087";
+    "internet | remove \"sumex:25\": not found @296.689";
+    "internet | open \"sumex:25\" write: OK instance=11 size=0 block=512 @300.290";
+    "internet | query \"sumex:25\": OK tcp-connection \"sumex:25\" size=0 owner=\"system\" created=299.010 modified=0.000 writable=true instance=10 attrs=[state=syn-sent] @304.698";
+    "internet | remove \"sumex:25\": OK @308.299";
+    "internet | query \"score:23/inner\": not found @311.917";
+    "internet | open \"score:23/inner\" read: not found @315.534";
+    "internet | query \"score\": illegal name @319.127";
+    "internet | open \"score\" read: illegal name @322.721";
+    "internet | open \"score\" write: illegal name @326.314";
+    "internet | remove \"score\": illegal name @329.907";
+    "exceptions | open \"\" read: OK instance=1 size=63 block=512 @331.737";
+    "exceptions | open \"\" write: OK instance=2 size=63 block=512 @332.747";
+    "exceptions | open \"\" append: OK instance=3 size=63 block=512 @333.757";
+    "exceptions | open \"\" dir: OK instance=4 size=63 block=512 @334.767";
+    "exceptions | map \"\": OK spec=(5.23466, ctx 0) @335.777";
+    "exceptions | query \"\": OK directory \"[exceptions]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @336.787";
+    "exceptions | create \"\": bad operation @337.797";
+    "exceptions | remove \"\": bad operation @338.807";
+    "exceptions | modify \"\": bad operation @339.817";
+    "exceptions | query \"5.57378\": OK process \"5.57378\" size=0 owner=\"system\" created=330.342 modified=0.000 writable=true instance=- attrs=[exception=fault at 4096] @340.947";
+    "exceptions | map \"5.57378\": bad operation @342.077";
+    "exceptions | open \"5.57378\" read: bad operation @343.207";
+    "exceptions | open \"5.57378\" dir: bad operation @344.337";
+    "exceptions | open \"5.57378\" write: bad operation @345.467";
+    "exceptions | open \"5.57378\" append: bad operation @346.597";
+    "exceptions | modify \"5.57378\": bad operation @347.727";
+    "exceptions | create \"5.57378\": bad operation @348.857";
+    "exceptions | remove \"5.57378\": bad operation @349.987";
+    "exceptions | query \"5.57378\": OK process \"5.57378\" size=0 owner=\"system\" created=330.342 modified=0.000 writable=true instance=- attrs=[exception=fault at 4096] @351.117";
+    "exceptions | query \"nobody\": not found @352.247";
+    "exceptions | map \"nobody\": bad operation @353.377";
+    "exceptions | open \"nobody\" read: bad operation @354.507";
+    "exceptions | open \"nobody\" dir: bad operation @355.637";
+    "exceptions | create \"nobody\": bad operation @356.767";
+    "exceptions | query \"nobody\": not found @357.897";
+    "exceptions | remove \"nobody\": bad operation @359.027";
+    "exceptions | open \"nobody\" write: bad operation @360.157";
+    "exceptions | query \"nobody\": not found @361.287";
+    "exceptions | remove \"nobody\": bad operation @362.417";
+    "exceptions | query \"5.57378/inner\": not found @363.547";
+    "exceptions | open \"5.57378/inner\" read: not found @364.677";
+    "programs | open \"\" read: OK instance=1 size=66 block=512 @381.473";
+    "programs | open \"\" write: OK instance=2 size=66 block=512 @382.483";
+    "programs | open \"\" append: OK instance=3 size=66 block=512 @383.493";
+    "programs | open \"\" dir: OK instance=4 size=66 block=512 @384.503";
+    "programs | map \"\": OK spec=(5.42829, ctx 0) @385.513";
+    "programs | query \"\": OK directory \"[programs]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @386.523";
+    "programs | create \"\": bad operation @387.533";
+    "programs | remove \"\": bad operation @388.543";
+    "programs | modify \"\": bad operation @389.553";
+    "programs | query \"hello\": OK process \"hello\" size=0 owner=\"system\" created=380.463 modified=380.463 writable=true instance=1 attrs=[argument=x;status=exited 0] @390.683";
+    "programs | map \"hello\": bad operation @391.813";
+    "programs | open \"hello\" read: bad operation @392.943";
+    "programs | open \"hello\" dir: bad operation @394.073";
+    "programs | open \"hello\" write: bad operation @395.203";
+    "programs | open \"hello\" append: bad operation @396.333";
+    "programs | modify \"hello\": bad operation @397.463";
+    "programs | create \"hello\": bad operation @398.593";
+    "programs | remove \"hello\": bad operation @399.723";
+    "programs | query \"hello\": OK process \"hello\" size=0 owner=\"system\" created=380.463 modified=380.463 writable=true instance=1 attrs=[argument=x;status=exited 0] @400.853";
+    "programs | query \"format\": not found @401.983";
+    "programs | map \"format\": bad operation @403.113";
+    "programs | open \"format\" read: bad operation @404.243";
+    "programs | open \"format\" dir: bad operation @405.373";
+    "programs | create \"format\": bad operation @406.503";
+    "programs | query \"format\": not found @407.633";
+    "programs | remove \"format\": bad operation @408.763";
+    "programs | open \"format\" write: bad operation @409.893";
+    "programs | query \"format\": not found @411.023";
+    "programs | remove \"format\": bad operation @412.153";
+    "programs | query \"hello/inner\": not found @413.283";
+    "programs | open \"hello/inner\" read: not found @414.413";
+    "mail | setup open \"cheriton@su-score\" append: OK instance=1 size=0 block=2048 @417.919";
+    "mail | setup write: OK count=16 @421.181";
+    "mail | setup release: OK @423.741";
+    "mail | open \"\" read: OK instance=2 size=47 block=2048 @426.541";
+    "mail | open \"\" write: OK instance=3 size=47 block=2048 @429.341";
+    "mail | open \"\" append: OK instance=4 size=47 block=2048 @432.141";
+    "mail | open \"\" dir: OK instance=5 size=47 block=2048 @434.941";
+    "mail | map \"\": OK spec=(3.42542, ctx 0) @437.741";
+    "mail | query \"\": OK directory \"[mail]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @441.297";
+    "mail | create \"\": bad operation @444.097";
+    "mail | remove \"\": bad operation @446.897";
+    "mail | modify \"\": bad operation @450.472";
+    "mail | query \"cheriton@su-score\": OK mailbox \"cheriton@su-score\" size=1 owner=\"system\" created=416.639 modified=0.000 writable=true instance=- attrs=[] @454.763";
+    "mail | map \"cheriton@su-score\": bad operation @458.268";
+    "mail | open \"cheriton@su-score\" read: OK instance=6 size=28 block=2048 @461.773";
+    "mail | open \"cheriton@su-score\" dir: not a context @465.279";
+    "mail | open \"cheriton@su-score\" write: OK instance=7 size=0 block=2048 @468.784";
+    "mail | open \"cheriton@su-score\" append: OK instance=8 size=0 block=2048 @472.289";
+    "mail | modify \"cheriton@su-score\": bad operation @475.955";
+    "mail | create \"cheriton@su-score\": bad operation @479.460";
+    "mail | remove \"cheriton@su-score\": OK @482.965";
+    "mail | query \"cheriton@su-score\": not found @486.471";
+    "mail | query \"mann@diablo\": not found @489.960";
+    "mail | map \"mann@diablo\": bad operation @493.449";
+    "mail | open \"mann@diablo\" read: not found @496.939";
+    "mail | open \"mann@diablo\" dir: not a context @500.428";
+    "mail | create \"mann@diablo\": bad operation @503.917";
+    "mail | query \"mann@diablo\": not found @507.407";
+    "mail | remove \"mann@diablo\": not found @510.896";
+    "mail | open \"mann@diablo\" write: OK instance=9 size=0 block=2048 @514.385";
+    "mail | query \"mann@diablo\": OK mailbox \"mann@diablo\" size=0 owner=\"system\" created=513.105 modified=0.000 writable=true instance=- attrs=[] @518.644";
+    "mail | remove \"mann@diablo\": OK @522.133";
+    "mail | query \"cheriton@su-score/inner\": illegal name @525.655";
+    "mail | open \"cheriton@su-score/inner\" read: illegal name @529.176";
+    "mail | query \"cheriton\": illegal name @532.657";
+    "mail | open \"cheriton\" read: illegal name @536.139";
+    "mail | open \"cheriton\" write: illegal name @539.620";
+    "mail | remove \"cheriton\": illegal name @543.101";
+    "accounts | open \"\" read: OK instance=1 size=57 block=512 @545.901";
+    "accounts | open \"\" write: OK instance=2 size=57 block=512 @548.701";
+    "accounts | open \"\" append: OK instance=3 size=57 block=512 @551.501";
+    "accounts | open \"\" dir: OK instance=4 size=57 block=512 @554.301";
+    "accounts | map \"\": OK spec=(1.6203, ctx 4) @557.101";
+    "accounts | query \"\": OK directory \"[accounts]\" size=1 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @560.668";
+    "accounts | create \"\": bad operation @563.468";
+    "accounts | remove \"\": bad operation @566.268";
+    "accounts | modify \"\": bad operation @569.843";
+    "accounts | query \"system\": OK account \"system\" size=0 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[home=/users/system] @574.251";
+    "accounts | map \"system\": OK spec=(1.6203, ctx 20) @577.847";
+    "accounts | open \"system\" read: bad operation @581.443";
+    "accounts | open \"system\" dir: bad operation @585.039";
+    "accounts | open \"system\" write: bad operation @588.635";
+    "accounts | open \"system\" append: bad operation @592.231";
+    "accounts | modify \"system\": bad operation @595.957";
+    "accounts | create \"system\": duplicate name @599.553";
+    "accounts | remove \"system\": no permission @603.149";
+    "accounts | query \"system\": OK account \"system\" size=0 owner=\"system\" created=0.000 modified=0.000 writable=true instance=- attrs=[home=/users/system] @607.557";
+    "accounts | query \"mann\": not found @611.148";
+    "accounts | map \"mann\": not found @614.739";
+    "accounts | open \"mann\" read: bad operation @618.329";
+    "accounts | open \"mann\" dir: bad operation @621.920";
+    "accounts | create \"mann\": OK @625.511";
+    "accounts | query \"mann\": OK account \"mann\" size=0 owner=\"mann\" created=624.231 modified=0.000 writable=true instance=- attrs=[home=/users/mann] @629.897";
+    "accounts | remove \"mann\": OK @633.488";
+    "accounts | open \"mann\" write: bad operation @637.079";
+    "accounts | query \"mann\": not found @640.669";
+    "accounts | remove \"mann\": not found @644.260";
+    "accounts | query \"system/inner\": not found @647.872";
+    "accounts | open \"system/inner\" read: not found @651.484";
+    "prefix | open \"\" read: OK instance=1 size=645 block=512 @652.614";
+    "prefix | open \"\" write: OK instance=2 size=645 block=512 @653.744";
+    "prefix | open \"\" append: OK instance=3 size=645 block=512 @654.874";
+    "prefix | open \"\" dir: OK instance=4 size=645 block=512 @656.004";
+    "prefix | map \"\": OK spec=(5.13436, ctx 0) @657.134";
+    "prefix | query \"\": OK directory \"[prefixes]\" size=10 owner=\"ws0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @658.264";
+    "prefix | create \"\": bad operation @659.394";
+    "prefix | remove \"\": bad operation @660.524";
+    "prefix | modify \"\": bad operation @661.654";
+    "prefix | add \"\": bad operation @662.784";
+    "prefix | delete \"\": bad operation @663.914";
+    "prefix | query \"fs0\": OK prefix \"fs0\" size=12 owner=\"ws0\" created=664.659 modified=664.659 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @665.044";
+    "prefix | map \"fs0\": OK spec=(1.6203, ctx 0) @666.174";
+    "prefix | open \"fs0\" read: not a context @667.304";
+    "prefix | open \"fs0\" dir: not a context @668.434";
+    "prefix | open \"fs0\" write: not a context @669.564";
+    "prefix | open \"fs0\" append: not a context @670.694";
+    "prefix | modify \"fs0\": not a context @671.824";
+    "prefix | create \"fs0\": not a context @672.954";
+    "prefix | remove \"fs0\": not a context @674.084";
+    "prefix | query \"fs0\": OK prefix \"fs0\" size=12 owner=\"ws0\" created=674.829 modified=674.829 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @675.214";
+    "prefix | query \"nothing\": not found @676.344";
+    "prefix | map \"nothing\": not found @677.474";
+    "prefix | open \"nothing\" read: not found @678.604";
+    "prefix | open \"nothing\" dir: not found @679.734";
+    "prefix | create \"nothing\": not found @680.864";
+    "prefix | query \"nothing\": not found @681.994";
+    "prefix | remove \"nothing\": not found @683.124";
+    "prefix | open \"nothing\" write: not found @684.254";
+    "prefix | query \"nothing\": not found @685.384";
+    "prefix | remove \"nothing\": not found @686.514";
+    "prefix | query \"fs0/inner\": not found @690.863";
+    "prefix | open \"fs0/inner\" read: not found @695.212";
+    "prefix | add \"nothing/inner\": not found @696.342";
+    "prefix | delete \"nothing/inner\": not found @697.472";
+    "prefix | add \"nothing\": OK @698.602";
+    "prefix | query \"nothing\": OK prefix \"nothing\" size=16 owner=\"ws0\" created=699.347 modified=699.347 writable=true instance=- attrs=[target=(1.6203, ctx 0)] @699.732";
+    "prefix | add \"nothing\": duplicate name @700.862";
+    "prefix | delete \"nothing\": OK @701.992";
+    "prefix | delete \"nothing\": not found @703.122";
+    "domain | open \"\" read: OK instance=1 size=97 block=512 @705.922";
+    "domain | open \"\" write: OK instance=2 size=97 block=512 @708.722";
+    "domain | open \"\" append: OK instance=3 size=97 block=512 @711.522";
+    "domain | open \"\" dir: OK instance=4 size=97 block=512 @714.322";
+    "domain | map \"\": OK spec=(6.63095, ctx 0) @717.122";
+    "domain | query \"\": OK directory \"domain:dom0\" size=3 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @720.686";
+    "domain | create \"\": bad operation @723.486";
+    "domain | remove \"\": bad operation @726.286";
+    "domain | modify \"\": bad operation @729.861";
+    "domain | add \"\": bad operation @732.661";
+    "domain | delete \"\": bad operation @735.461";
+    "domain | query \"files\": OK directory \"files\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @739.802";
+    "domain | map \"files\": OK spec=(1.6203, ctx 17) bound=5:(1.6203, ctx 0) @745.589";
+    "domain | open \"files\" read: OK instance=5 size=101 block=512 bound=5:(1.6203, ctx 0) @751.435";
+    "domain | open \"files\" dir: OK instance=6 size=101 block=512 bound=5:(1.6203, ctx 0) @757.282";
+    "domain | query \"sub\": OK directory \"sub\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @761.613";
+    "domain | map \"sub\": OK spec=(6.63095, ctx 7) bound=3:(6.63095, ctx 7) @765.201";
+    "domain | open \"sub\" read: OK instance=5 size=0 block=512 bound=3:(6.63095, ctx 7) @768.789";
+    "domain | open \"sub\" dir: OK instance=6 size=0 block=512 bound=3:(6.63095, ctx 7) @772.377";
+    "domain | query \"child\": OK directory \"child\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @776.718";
+    "domain | map \"child\": OK spec=(7.12362, ctx 0) bound=5:(7.12362, ctx 0) @782.505";
+    "domain | open \"child\" read: OK instance=1 size=0 block=512 bound=5:(7.12362, ctx 0) @788.291";
+    "domain | open \"child\" dir: OK instance=2 size=0 block=512 bound=5:(7.12362, ctx 0) @794.078";
+    "domain | open \"files\" write: OK instance=7 size=101 block=512 bound=5:(1.6203, ctx 0) @799.925";
+    "domain | open \"files\" append: OK instance=8 size=101 block=512 bound=5:(1.6203, ctx 0) @805.771";
+    "domain | modify \"files\": bad operation @809.493";
+    "domain | create \"files\": duplicate name @815.279";
+    "domain | remove \"files\": bad operation @818.873";
+    "domain | query \"files\": OK directory \"files\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @823.214";
+    "domain | query \"nothing\": not found @826.813";
+    "domain | map \"nothing\": not found @830.411";
+    "domain | open \"nothing\" read: bad operation @834.010";
+    "domain | open \"nothing\" dir: bad operation @837.609";
+    "domain | create \"nothing\": bad operation @841.207";
+    "domain | query \"nothing\": not found @844.806";
+    "domain | remove \"nothing\": bad operation @848.405";
+    "domain | open \"nothing\" write: bad operation @852.003";
+    "domain | query \"nothing\": not found @855.602";
+    "domain | remove \"nothing\": bad operation @859.201";
+    "domain | query \"files/inner\": not found @865.139";
+    "domain | open \"files/inner\" read: not found @871.078";
+    "domain | add \"nothing/inner\": not found @874.693";
+    "domain | delete \"nothing/inner\": not found @878.307";
+    "domain | add \"nothing\": OK @881.906";
+    "domain | query \"nothing\": OK directory \"nothing\" size=0 owner=\"dom0\" created=0.000 modified=0.000 writable=true instance=- attrs=[] @886.258";
+    "domain | add \"nothing\": duplicate name @889.857";
+    "domain | delete \"nothing\": OK @893.455";
+    "domain | delete \"nothing\": not found @897.054";
   ]
 
 let servers =

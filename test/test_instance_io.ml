@@ -4,7 +4,8 @@
    prefix, terminal, VGTS, program-manager, exception, printer, mail
    and internet servers directly, one raw request at a time, so each
    line is exactly one reply: its code, its payload (the full
-   descriptor for a query), its wire bytes and the simulated time it
+   descriptor for a query), its wire bytes beyond the 32-byte message
+   proper ({!Vnaming.Vmsg.payload_bytes}) and the simulated time it
    arrived. Each instance is read at block 0, at every further block
    and one block past the end, and at -1; written; read again; queried;
    then released twice and read, queried and written after the release.
@@ -21,7 +22,11 @@
    program-manager, exception, printer, mail and internet servers each
    answered their own; and a read-mode Open on the prefix server's
    context opens its listing (it was refused), so the directory-mode
-   listing after it has the next id. *)
+   listing after it has the next id. Since every payload pays its wire
+   bytes, the QueryInstance and InverseMap replies and this test's own
+   WriteInstance requests pay for their records, names and data, so
+   later replies arrive later, and so do the timestamps and delivery
+   times inside the listings and mail bodies read back. *)
 
 module K = Vkernel.Kernel
 module Scenario = Vworkload.Scenario
@@ -64,7 +69,7 @@ let render (m : Vmsg.t) =
     | Vmsg.No_payload -> ""
     | _ -> " (other payload)"
   in
-  Fmt.str "%s%s xb=%d" code payload m.Vmsg.extra_bytes
+  Fmt.str "%s%s bytes=%d" code payload (Vmsg.payload_bytes m)
 
 let mode_name = function
   | Vmsg.Read -> "read"
@@ -77,8 +82,12 @@ let never_opened = 999
 (* [n] lines of [f i], for i = 0 .. n-1. *)
 let lines_of n f = List.init n f
 
-let drive () =
-  let t = Scenario.build ~workstations:1 ~file_servers:1 () in
+(* [cost] and [client_ws] let test_conformance.ml run the same scenario
+   through its checking cost model, from a second workstation. *)
+let drive ?cost ?(client_ws = 0) () =
+  let t =
+    Scenario.build ?cost ~workstations:(client_ws + 1) ~file_servers:1 ()
+  in
   let fs0 = Scenario.file_server t 0 in
   let fs = File_server.fs fs0 in
   let file ~dir name size =
@@ -111,7 +120,7 @@ let drive () =
   let lines = ref [] in
   let completed = ref false in
   ignore
-    (Scenario.spawn_client t ~ws:0 ~name:"io" (fun self env ->
+    (Scenario.spawn_client t ~ws:client_ws ~name:"io" (fun self env ->
          let eng = Runtime.engine env in
          let send label what pid msg =
            match K.send self pid msg with
@@ -371,442 +380,442 @@ let lines = lazy (drive ())
 
 let golden =
   [
-    "file | open \"\" dir: OK instance=1 size=250 block=512 xb=0 @2.990";
-    "file | open \"many\" dir: OK instance=2 size=760 block=512 xb=0 @6.981";
-    "file | open \"\" dir: OK instance=3 size=57 block=512 xb=0 @9.781";
-    "file | open \"big.txt\" read: OK instance=4 size=1300 block=512 xb=0 @13.379";
-    "file | open \"log.txt\" append: OK instance=5 size=700 block=512 xb=0 @16.978";
-    "file | open \"scratch.txt\" write: OK instance=6 size=0 block=512 xb=0 @20.587";
-    "file | write #6: invalid instance xb=0 @23.147";
-    "file | read #1 block 0: OK data=250:6775ca33 xb=250 @27.034";
-    "file | read #1 block 1: end of file xb=0 @29.594";
-    "file | read #1 block -1: invalid instance xb=0 @32.154";
-    "file | write #1: no permission xb=0 @34.714";
-    "file | read #1 block 0: OK data=250:6775ca33 xb=250 @38.601";
-    "file | query #1: OK directory \"/\" size=250 owner=\"system\" created=0.000 modified=0.000 writable=true instance=1 attrs=[] xb=0 @41.161";
-    "file | read #2 block 0: OK data=512:a255cd98 xb=512 @45.746";
-    "file | read #2 block 1: OK data=248:392855a7 xb=248 @49.627";
-    "file | read #2 block 2: end of file xb=0 @52.187";
-    "file | read #2 block -1: invalid instance xb=0 @54.747";
-    "file | write #2: no permission xb=0 @57.307";
-    "file | read #2 block 0: OK data=512:a255cd98 xb=512 @61.893";
-    "file | query #2: OK directory \"/many\" size=760 owner=\"system\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] xb=0 @64.453";
-    "file | read #3 block 0: OK data=57:6fa198b3 xb=57 @67.825";
-    "file | read #3 block 1: end of file xb=0 @70.385";
-    "file | read #3 block -1: invalid instance xb=0 @72.945";
-    "file | write #3: no permission xb=0 @75.505";
-    "file | read #3 block 0: OK data=57:6fa198b3 xb=57 @78.877";
-    "file | query #3: OK directory \"[accounts]\" size=57 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] xb=0 @81.437";
-    "file | read #4 block 0: OK data=512:956b5935 xb=512 @86.022";
-    "file | read #4 block 1: OK data=512:3c4f7f41 xb=512 @90.607";
-    "file | read #4 block 2: OK data=276:ebfb32b1 xb=276 @94.563";
-    "file | read #4 block 3: end of file xb=0 @97.123";
-    "file | read #4 block -1: invalid instance xb=0 @99.683";
-    "file | write #4: no permission xb=0 @102.243";
-    "file | read #4 block 0: OK data=512:956b5935 xb=512 @106.829";
-    "file | query #4: OK file \"big.txt\" size=1300 owner=\"system\" created=0.000 modified=0.000 writable=true instance=4 attrs=[] xb=0 @109.389";
-    "file | read #5 block 0: OK data=512:956b5935 xb=512 @113.974";
-    "file | read #5 block 1: OK data=188:b8c54fef xb=188 @117.695";
-    "file | read #5 block 2: end of file xb=0 @120.255";
-    "file | read #5 block -1: invalid instance xb=0 @122.815";
-    "file | write #5: OK count=13 xb=0 @871.280";
-    "file | read #5 block 0: OK data=512:956b5935 xb=512 @875.865";
-    "file | query #5: OK file \"log.txt\" size=1037 owner=\"system\" created=0.000 modified=870.000 writable=true instance=5 attrs=[] xb=0 @878.425";
-    "file | read #6 block 0: end of file xb=0 @880.985";
-    "file | read #6 block -1: invalid instance xb=0 @883.545";
-    "file | write #6: OK count=13 xb=0 @901.105";
-    "file | read #6 block 0: OK data=13:3d3e1507 xb=13 @904.360";
-    "file | query #6: OK file \"scratch.txt\" size=13 owner=\"system\" created=0.000 modified=899.825 writable=true instance=6 attrs=[] xb=0 @906.920";
-    "file | set-size #1 10: no permission xb=0 @909.480";
-    "file | set-size #4 10: no permission xb=0 @912.040";
-    "file | set-size #5 10: OK xb=0 @914.600";
-    "file | inverse-map #1: OK name=\"/\" xb=0 @917.160";
-    "file | inverse-map #3: OK name=\"[accounts]\" xb=0 @919.720";
-    "file | inverse-map #4: OK name=\"/big.txt\" xb=0 @922.280";
-    "file | inverse-map #5: OK name=\"/log.txt\" xb=0 @924.840";
-    "file | inverse-map #999: invalid instance xb=0 @927.400";
-    "file | release #4: OK xb=0 @929.960";
-    "file | inverse-map #4: invalid instance xb=0 @932.520";
-    "file | release #1: OK xb=0 @935.080";
-    "file | release #1: invalid instance xb=0 @937.640";
-    "file | read #1 block 0: invalid instance xb=0 @940.200";
-    "file | query #1: invalid instance xb=0 @942.760";
-    "file | write #1: invalid instance xb=0 @945.320";
-    "file | release #2: OK xb=0 @947.880";
-    "file | release #2: invalid instance xb=0 @950.440";
-    "file | read #2 block 0: invalid instance xb=0 @953.000";
-    "file | query #2: invalid instance xb=0 @955.560";
-    "file | write #2: invalid instance xb=0 @958.120";
-    "file | release #3: OK xb=0 @960.680";
-    "file | release #3: invalid instance xb=0 @963.240";
-    "file | read #3 block 0: invalid instance xb=0 @965.800";
-    "file | query #3: invalid instance xb=0 @968.360";
-    "file | write #3: invalid instance xb=0 @970.920";
-    "file | release #4: invalid instance xb=0 @973.480";
-    "file | release #4: invalid instance xb=0 @976.040";
-    "file | read #4 block 0: invalid instance xb=0 @978.600";
-    "file | query #4: invalid instance xb=0 @981.160";
-    "file | write #4: invalid instance xb=0 @983.720";
-    "file | release #5: OK xb=0 @986.280";
-    "file | release #5: invalid instance xb=0 @988.840";
-    "file | read #5 block 0: invalid instance xb=0 @991.400";
-    "file | query #5: invalid instance xb=0 @993.960";
-    "file | write #5: invalid instance xb=0 @996.520";
-    "file | release #6: OK xb=0 @999.080";
-    "file | release #6: invalid instance xb=0 @1001.640";
-    "file | read #6 block 0: invalid instance xb=0 @1004.200";
-    "file | query #6: invalid instance xb=0 @1006.760";
-    "file | write #6: invalid instance xb=0 @1009.320";
-    "file | query #999: invalid instance xb=0 @1011.880";
-    "file | release #999: invalid instance xb=0 @1014.440";
+    "file | open \"\" dir: OK instance=1 size=250 block=512 bytes=0 @2.990";
+    "file | open \"many\" dir: OK instance=2 size=760 block=512 bytes=0 @6.981";
+    "file | open \"\" dir: OK instance=3 size=57 block=512 bytes=0 @9.781";
+    "file | open \"big.txt\" read: OK instance=4 size=1300 block=512 bytes=0 @13.379";
+    "file | open \"log.txt\" append: OK instance=5 size=700 block=512 bytes=0 @16.978";
+    "file | open \"scratch.txt\" write: OK instance=6 size=0 block=512 bytes=0 @20.587";
+    "file | write #6: invalid instance bytes=0 @25.407";
+    "file | read #1 block 0: OK data=250:6775ca33 bytes=250 @29.294";
+    "file | read #1 block 1: end of file bytes=0 @31.854";
+    "file | read #1 block -1: invalid instance bytes=0 @34.414";
+    "file | write #1: no permission bytes=0 @37.669";
+    "file | read #1 block 0: OK data=250:6775ca33 bytes=250 @41.555";
+    "file | query #1: OK directory \"/\" size=250 owner=\"system\" created=0.000 modified=0.000 writable=true instance=1 attrs=[] bytes=31 @44.858";
+    "file | read #2 block 0: OK data=512:a255cd98 bytes=512 @49.443";
+    "file | read #2 block 1: OK data=248:392855a7 bytes=248 @53.325";
+    "file | read #2 block 2: end of file bytes=0 @55.885";
+    "file | read #2 block -1: invalid instance bytes=0 @58.445";
+    "file | write #2: no permission bytes=0 @61.699";
+    "file | read #2 block 0: OK data=512:a255cd98 bytes=512 @66.285";
+    "file | query #2: OK directory \"/many\" size=760 owner=\"system\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] bytes=35 @69.598";
+    "file | read #3 block 0: OK data=57:6fa198b3 bytes=57 @72.970";
+    "file | read #3 block 1: end of file bytes=0 @75.530";
+    "file | read #3 block -1: invalid instance bytes=0 @78.090";
+    "file | write #3: no permission bytes=0 @81.345";
+    "file | read #3 block 0: OK data=57:6fa198b3 bytes=57 @84.717";
+    "file | query #3: OK directory \"[accounts]\" size=57 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] bytes=40 @88.043";
+    "file | read #4 block 0: OK data=512:956b5935 bytes=512 @92.629";
+    "file | read #4 block 1: OK data=512:3c4f7f41 bytes=512 @97.214";
+    "file | read #4 block 2: OK data=276:ebfb32b1 bytes=276 @101.170";
+    "file | read #4 block 3: end of file bytes=0 @103.730";
+    "file | read #4 block -1: invalid instance bytes=0 @106.290";
+    "file | write #4: no permission bytes=0 @109.545";
+    "file | read #4 block 0: OK data=512:956b5935 bytes=512 @114.130";
+    "file | query #4: OK file \"big.txt\" size=1300 owner=\"system\" created=0.000 modified=0.000 writable=true instance=4 attrs=[] bytes=37 @117.449";
+    "file | read #5 block 0: OK data=512:956b5935 bytes=512 @122.034";
+    "file | read #5 block 1: OK data=188:b8c54fef bytes=188 @125.755";
+    "file | read #5 block 2: end of file bytes=0 @128.315";
+    "file | read #5 block -1: invalid instance bytes=0 @130.875";
+    "file | write #5: OK count=13 bytes=0 @871.280";
+    "file | read #5 block 0: OK data=512:956b5935 bytes=512 @875.865";
+    "file | query #5: OK file \"log.txt\" size=1037 owner=\"system\" created=0.000 modified=870.000 writable=true instance=5 attrs=[] bytes=37 @879.184";
+    "file | read #6 block 0: end of file bytes=0 @881.744";
+    "file | read #6 block -1: invalid instance bytes=0 @884.304";
+    "file | write #6: OK count=13 bytes=0 @902.559";
+    "file | read #6 block 0: OK data=13:3d3e1507 bytes=13 @905.813";
+    "file | query #6: OK file \"scratch.txt\" size=13 owner=\"system\" created=0.000 modified=901.279 writable=true instance=6 attrs=[] bytes=41 @909.143";
+    "file | set-size #1 10: no permission bytes=0 @911.703";
+    "file | set-size #4 10: no permission bytes=0 @914.263";
+    "file | set-size #5 10: OK bytes=0 @916.823";
+    "file | inverse-map #1: OK name=\"/\" bytes=1 @920.045";
+    "file | inverse-map #3: OK name=\"[accounts]\" bytes=10 @923.292";
+    "file | inverse-map #4: OK name=\"/big.txt\" bytes=8 @926.533";
+    "file | inverse-map #5: OK name=\"/log.txt\" bytes=8 @929.775";
+    "file | inverse-map #999: invalid instance bytes=0 @932.335";
+    "file | release #4: OK bytes=0 @934.895";
+    "file | inverse-map #4: invalid instance bytes=0 @937.455";
+    "file | release #1: OK bytes=0 @940.015";
+    "file | release #1: invalid instance bytes=0 @942.575";
+    "file | read #1 block 0: invalid instance bytes=0 @945.135";
+    "file | query #1: invalid instance bytes=0 @947.695";
+    "file | write #1: invalid instance bytes=0 @950.949";
+    "file | release #2: OK bytes=0 @953.509";
+    "file | release #2: invalid instance bytes=0 @956.069";
+    "file | read #2 block 0: invalid instance bytes=0 @958.629";
+    "file | query #2: invalid instance bytes=0 @961.189";
+    "file | write #2: invalid instance bytes=0 @964.444";
+    "file | release #3: OK bytes=0 @967.004";
+    "file | release #3: invalid instance bytes=0 @969.564";
+    "file | read #3 block 0: invalid instance bytes=0 @972.124";
+    "file | query #3: invalid instance bytes=0 @974.684";
+    "file | write #3: invalid instance bytes=0 @977.939";
+    "file | release #4: invalid instance bytes=0 @980.499";
+    "file | release #4: invalid instance bytes=0 @983.059";
+    "file | read #4 block 0: invalid instance bytes=0 @985.619";
+    "file | query #4: invalid instance bytes=0 @988.179";
+    "file | write #4: invalid instance bytes=0 @991.433";
+    "file | release #5: OK bytes=0 @993.993";
+    "file | release #5: invalid instance bytes=0 @996.553";
+    "file | read #5 block 0: invalid instance bytes=0 @999.113";
+    "file | query #5: invalid instance bytes=0 @1001.673";
+    "file | write #5: invalid instance bytes=0 @1004.928";
+    "file | release #6: OK bytes=0 @1007.488";
+    "file | release #6: invalid instance bytes=0 @1010.048";
+    "file | read #6 block 0: invalid instance bytes=0 @1012.608";
+    "file | query #6: invalid instance bytes=0 @1015.168";
+    "file | write #6: invalid instance bytes=0 @1018.423";
+    "file | query #999: invalid instance bytes=0 @1020.983";
+    "file | release #999: invalid instance bytes=0 @1023.543";
     "file | ids opened: 1 2 3 4 5 6";
-    "prefix | open \"\" read: OK instance=1 size=645 block=512 xb=0 @1015.570";
-    "prefix | open \"\" dir: OK instance=2 size=645 block=512 xb=0 @1016.700";
-    "prefix | read #2 block 0: OK data=512:ad9f1a6d xb=512 @1017.470";
-    "prefix | read #2 block 1: OK data=133:f38baa0e xb=133 @1018.240";
-    "prefix | read #2 block 2: end of file xb=0 @1019.010";
-    "prefix | read #2 block -1: invalid instance xb=0 @1019.780";
-    "prefix | write #2: no permission xb=0 @1020.550";
-    "prefix | read #2 block 0: OK data=512:ad9f1a6d xb=512 @1021.320";
-    "prefix | query #2: OK directory \"[prefixes]\" size=645 owner=\"ws0\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] xb=0 @1022.090";
-    "prefix | release #2: OK xb=0 @1022.860";
-    "prefix | release #2: invalid instance xb=0 @1023.630";
-    "prefix | read #2 block 0: invalid instance xb=0 @1024.400";
-    "prefix | query #2: invalid instance xb=0 @1025.170";
-    "prefix | write #2: invalid instance xb=0 @1025.940";
-    "prefix | query #999: invalid instance xb=0 @1026.710";
-    "prefix | release #999: invalid instance xb=0 @1027.480";
+    "prefix | open \"\" read: OK instance=1 size=645 block=512 bytes=0 @1024.673";
+    "prefix | open \"\" dir: OK instance=2 size=645 block=512 bytes=0 @1025.803";
+    "prefix | read #2 block 0: OK data=512:b267696a bytes=512 @1026.573";
+    "prefix | read #2 block 1: OK data=133:3a2c5dc1 bytes=133 @1027.343";
+    "prefix | read #2 block 2: end of file bytes=0 @1028.113";
+    "prefix | read #2 block -1: invalid instance bytes=0 @1028.883";
+    "prefix | write #2: no permission bytes=0 @1029.653";
+    "prefix | read #2 block 0: OK data=512:b267696a bytes=512 @1030.423";
+    "prefix | query #2: OK directory \"[prefixes]\" size=645 owner=\"ws0\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] bytes=37 @1031.193";
+    "prefix | release #2: OK bytes=0 @1031.963";
+    "prefix | release #2: invalid instance bytes=0 @1032.733";
+    "prefix | read #2 block 0: invalid instance bytes=0 @1033.503";
+    "prefix | query #2: invalid instance bytes=0 @1034.273";
+    "prefix | write #2: invalid instance bytes=0 @1035.043";
+    "prefix | query #999: invalid instance bytes=0 @1035.813";
+    "prefix | release #999: invalid instance bytes=0 @1036.583";
     "prefix | ids opened: 2";
-    "terminal | create console: OK xb=0 @1028.610";
-    "terminal | open \"console\" write: OK instance=2 size=0 block=512 xb=0 @1029.740";
-    "terminal | write #2: OK count=63 xb=0 @1030.510";
-    "terminal | write #2: OK count=63 xb=0 @1031.280";
-    "terminal | write #2: OK count=63 xb=0 @1032.050";
-    "terminal | write #2: OK count=63 xb=0 @1032.820";
-    "terminal | write #2: OK count=63 xb=0 @1033.590";
-    "terminal | write #2: OK count=63 xb=0 @1034.360";
-    "terminal | write #2: OK count=63 xb=0 @1035.130";
-    "terminal | write #2: OK count=63 xb=0 @1035.900";
-    "terminal | write #2: OK count=63 xb=0 @1036.670";
-    "terminal | write #2: OK count=63 xb=0 @1037.440";
-    "terminal | write #2: OK count=63 xb=0 @1038.210";
-    "terminal | write #2: OK count=63 xb=0 @1038.980";
-    "terminal | open \"console\" read: OK instance=3 size=768 block=512 xb=0 @1040.110";
-    "terminal | open \"\" dir: OK instance=4 size=37 block=512 xb=0 @1041.120";
-    "terminal | create tty2: OK xb=0 @1042.250";
-    "terminal | read #2 block 0: end of file xb=0 @1043.020";
-    "terminal | read #2 block -1: invalid instance xb=0 @1043.790";
-    "terminal | write #2: OK count=13 xb=0 @1044.560";
-    "terminal | read #2 block 0: end of file xb=0 @1045.330";
-    "terminal | query #2: OK terminal \"console\" size=13 owner=\"system\" created=1028.225 modified=1045.715 writable=true instance=1 attrs=[] xb=0 @1046.100";
-    "terminal | read #3 block 0: OK data=512:ddfe5c92 xb=512 @1046.870";
-    "terminal | read #3 block 1: OK data=256:d26fa55f xb=256 @1047.640";
-    "terminal | read #3 block 2: end of file xb=0 @1048.410";
-    "terminal | read #3 block -1: invalid instance xb=0 @1049.180";
-    "terminal | write #3: no permission xb=0 @1049.950";
-    "terminal | read #3 block 0: OK data=512:ddfe5c92 xb=512 @1050.720";
-    "terminal | query #3: OK terminal \"console\" size=13 owner=\"system\" created=1028.225 modified=1051.105 writable=true instance=1 attrs=[] xb=0 @1051.490";
-    "terminal | read #4 block 0: OK data=37:990ad798 xb=37 @1052.260";
-    "terminal | read #4 block 1: end of file xb=0 @1053.030";
-    "terminal | read #4 block -1: invalid instance xb=0 @1053.800";
-    "terminal | write #4: no permission xb=0 @1054.570";
-    "terminal | read #4 block 0: OK data=37:990ad798 xb=37 @1055.340";
-    "terminal | query #4: OK directory \"[terminals]\" size=37 owner=\"system\" created=0.000 modified=0.000 writable=true instance=4 attrs=[] xb=0 @1056.110";
-    "terminal | release #2: OK xb=0 @1056.880";
-    "terminal | release #2: invalid instance xb=0 @1057.650";
-    "terminal | read #2 block 0: invalid instance xb=0 @1058.420";
-    "terminal | query #2: invalid instance xb=0 @1059.190";
-    "terminal | write #2: invalid instance xb=0 @1059.960";
-    "terminal | release #3: OK xb=0 @1060.730";
-    "terminal | release #3: invalid instance xb=0 @1061.500";
-    "terminal | read #3 block 0: invalid instance xb=0 @1062.270";
-    "terminal | query #3: invalid instance xb=0 @1063.040";
-    "terminal | write #3: invalid instance xb=0 @1063.810";
-    "terminal | release #4: OK xb=0 @1064.580";
-    "terminal | release #4: invalid instance xb=0 @1065.350";
-    "terminal | read #4 block 0: invalid instance xb=0 @1066.120";
-    "terminal | query #4: invalid instance xb=0 @1066.890";
-    "terminal | write #4: invalid instance xb=0 @1067.660";
-    "terminal | query #999: invalid instance xb=0 @1068.430";
-    "terminal | release #999: invalid instance xb=0 @1069.200";
+    "terminal | create console: OK bytes=0 @1037.713";
+    "terminal | open \"console\" write: OK instance=2 size=0 block=512 bytes=0 @1038.843";
+    "terminal | write #2: OK count=63 bytes=0 @1039.613";
+    "terminal | write #2: OK count=63 bytes=0 @1040.383";
+    "terminal | write #2: OK count=63 bytes=0 @1041.153";
+    "terminal | write #2: OK count=63 bytes=0 @1041.923";
+    "terminal | write #2: OK count=63 bytes=0 @1042.693";
+    "terminal | write #2: OK count=63 bytes=0 @1043.463";
+    "terminal | write #2: OK count=63 bytes=0 @1044.233";
+    "terminal | write #2: OK count=63 bytes=0 @1045.003";
+    "terminal | write #2: OK count=63 bytes=0 @1045.773";
+    "terminal | write #2: OK count=63 bytes=0 @1046.543";
+    "terminal | write #2: OK count=63 bytes=0 @1047.313";
+    "terminal | write #2: OK count=63 bytes=0 @1048.083";
+    "terminal | open \"console\" read: OK instance=3 size=768 block=512 bytes=0 @1049.213";
+    "terminal | open \"\" dir: OK instance=4 size=37 block=512 bytes=0 @1050.223";
+    "terminal | create tty2: OK bytes=0 @1051.353";
+    "terminal | read #2 block 0: end of file bytes=0 @1052.123";
+    "terminal | read #2 block -1: invalid instance bytes=0 @1052.893";
+    "terminal | write #2: OK count=13 bytes=0 @1053.663";
+    "terminal | read #2 block 0: end of file bytes=0 @1054.433";
+    "terminal | query #2: OK terminal \"console\" size=13 owner=\"system\" created=1037.328 modified=1054.818 writable=true instance=1 attrs=[] bytes=37 @1055.203";
+    "terminal | read #3 block 0: OK data=512:ddfe5c92 bytes=512 @1055.973";
+    "terminal | read #3 block 1: OK data=256:d26fa55f bytes=256 @1056.743";
+    "terminal | read #3 block 2: end of file bytes=0 @1057.513";
+    "terminal | read #3 block -1: invalid instance bytes=0 @1058.283";
+    "terminal | write #3: no permission bytes=0 @1059.053";
+    "terminal | read #3 block 0: OK data=512:ddfe5c92 bytes=512 @1059.823";
+    "terminal | query #3: OK terminal \"console\" size=13 owner=\"system\" created=1037.328 modified=1060.208 writable=true instance=1 attrs=[] bytes=37 @1060.593";
+    "terminal | read #4 block 0: OK data=37:ab46d9b4 bytes=37 @1061.363";
+    "terminal | read #4 block 1: end of file bytes=0 @1062.133";
+    "terminal | read #4 block -1: invalid instance bytes=0 @1062.903";
+    "terminal | write #4: no permission bytes=0 @1063.673";
+    "terminal | read #4 block 0: OK data=37:ab46d9b4 bytes=37 @1064.443";
+    "terminal | query #4: OK directory \"[terminals]\" size=37 owner=\"system\" created=0.000 modified=0.000 writable=true instance=4 attrs=[] bytes=41 @1065.213";
+    "terminal | release #2: OK bytes=0 @1065.983";
+    "terminal | release #2: invalid instance bytes=0 @1066.753";
+    "terminal | read #2 block 0: invalid instance bytes=0 @1067.523";
+    "terminal | query #2: invalid instance bytes=0 @1068.293";
+    "terminal | write #2: invalid instance bytes=0 @1069.063";
+    "terminal | release #3: OK bytes=0 @1069.833";
+    "terminal | release #3: invalid instance bytes=0 @1070.603";
+    "terminal | read #3 block 0: invalid instance bytes=0 @1071.373";
+    "terminal | query #3: invalid instance bytes=0 @1072.143";
+    "terminal | write #3: invalid instance bytes=0 @1072.913";
+    "terminal | release #4: OK bytes=0 @1073.683";
+    "terminal | release #4: invalid instance bytes=0 @1074.453";
+    "terminal | read #4 block 0: invalid instance bytes=0 @1075.223";
+    "terminal | query #4: invalid instance bytes=0 @1075.993";
+    "terminal | write #4: invalid instance bytes=0 @1076.763";
+    "terminal | query #999: invalid instance bytes=0 @1077.533";
+    "terminal | release #999: invalid instance bytes=0 @1078.303";
     "terminal | ids opened: 2 3 4";
-    "vgts | create editor: OK xb=0 @1070.330";
-    "vgts | open \"editor\" write: OK instance=2 size=0 block=512 xb=0 @1071.460";
-    "vgts | write #2: OK count=58 xb=0 @1072.230";
-    "vgts | write #2: OK count=58 xb=0 @1073.000";
-    "vgts | write #2: OK count=58 xb=0 @1073.770";
-    "vgts | write #2: OK count=58 xb=0 @1074.540";
-    "vgts | write #2: OK count=58 xb=0 @1075.310";
-    "vgts | write #2: OK count=58 xb=0 @1076.080";
-    "vgts | write #2: OK count=58 xb=0 @1076.850";
-    "vgts | write #2: OK count=58 xb=0 @1077.620";
-    "vgts | write #2: OK count=58 xb=0 @1078.390";
-    "vgts | write #2: OK count=58 xb=0 @1079.160";
-    "vgts | write #2: OK count=58 xb=0 @1079.930";
-    "vgts | write #2: OK count=58 xb=0 @1080.700";
-    "vgts | open \"editor\" read: OK instance=3 size=708 block=512 xb=0 @1081.830";
-    "vgts | open \"mail-window\" append: OK instance=5 size=0 block=512 xb=0 @1082.960";
-    "vgts | open \"\" dir: OK instance=6 size=127 block=512 xb=0 @1083.970";
-    "vgts | read #2 block 0: OK data=512:dc680ddc xb=512 @1084.740";
-    "vgts | read #2 block 1: OK data=196:a0121014 xb=196 @1085.510";
-    "vgts | read #2 block 2: end of file xb=0 @1086.280";
-    "vgts | read #2 block -1: invalid instance xb=0 @1087.050";
-    "vgts | write #2: OK count=13 xb=0 @1087.820";
-    "vgts | read #2 block 0: OK data=512:dc680ddc xb=512 @1088.590";
-    "vgts | query #2: OK device \"editor\" size=13 owner=\"system\" created=1069.945 modified=0.000 writable=true instance=1 attrs=[x=2;y=1;w=28;h=7] xb=0 @1089.360";
-    "vgts | read #3 block 0: OK data=512:dc680ddc xb=512 @1090.130";
-    "vgts | read #3 block 1: OK data=210:a75741de xb=210 @1090.900";
-    "vgts | read #3 block 2: end of file xb=0 @1091.670";
-    "vgts | read #3 block -1: invalid instance xb=0 @1092.440";
-    "vgts | write #3: OK count=13 xb=0 @1093.210";
-    "vgts | read #3 block 0: OK data=512:dc680ddc xb=512 @1093.980";
-    "vgts | query #3: OK device \"editor\" size=14 owner=\"system\" created=1069.945 modified=0.000 writable=true instance=1 attrs=[x=2;y=1;w=28;h=7] xb=0 @1094.750";
-    "vgts | read #5 block 0: end of file xb=0 @1095.520";
-    "vgts | read #5 block -1: invalid instance xb=0 @1096.290";
-    "vgts | write #5: OK count=13 xb=0 @1097.060";
-    "vgts | read #5 block 0: OK data=14:f9506232 xb=14 @1097.830";
-    "vgts | query #5: OK device \"mail-window\" size=1 owner=\"system\" created=1082.575 modified=0.000 writable=true instance=4 attrs=[x=5;y=3;w=28;h=7] xb=0 @1098.600";
-    "vgts | read #6 block 0: OK data=127:db9a3368 xb=127 @1099.370";
-    "vgts | read #6 block 1: end of file xb=0 @1100.140";
-    "vgts | read #6 block -1: invalid instance xb=0 @1100.910";
-    "vgts | write #6: no permission xb=0 @1101.680";
-    "vgts | read #6 block 0: OK data=127:db9a3368 xb=127 @1102.450";
-    "vgts | query #6: OK directory \"[windows]\" size=127 owner=\"system\" created=0.000 modified=0.000 writable=true instance=6 attrs=[] xb=0 @1103.220";
-    "vgts | release #2: OK xb=0 @1103.990";
-    "vgts | release #2: invalid instance xb=0 @1104.760";
-    "vgts | read #2 block 0: invalid instance xb=0 @1105.530";
-    "vgts | query #2: invalid instance xb=0 @1106.300";
-    "vgts | write #2: invalid instance xb=0 @1107.070";
-    "vgts | release #3: OK xb=0 @1107.840";
-    "vgts | release #3: invalid instance xb=0 @1108.610";
-    "vgts | read #3 block 0: invalid instance xb=0 @1109.380";
-    "vgts | query #3: invalid instance xb=0 @1110.150";
-    "vgts | write #3: invalid instance xb=0 @1110.920";
-    "vgts | release #5: OK xb=0 @1111.690";
-    "vgts | release #5: invalid instance xb=0 @1112.460";
-    "vgts | read #5 block 0: invalid instance xb=0 @1113.230";
-    "vgts | query #5: invalid instance xb=0 @1114.000";
-    "vgts | write #5: invalid instance xb=0 @1114.770";
-    "vgts | release #6: OK xb=0 @1115.540";
-    "vgts | release #6: invalid instance xb=0 @1116.310";
-    "vgts | read #6 block 0: invalid instance xb=0 @1117.080";
-    "vgts | query #6: invalid instance xb=0 @1117.850";
-    "vgts | write #6: invalid instance xb=0 @1118.620";
-    "vgts | query #999: invalid instance xb=0 @1119.390";
-    "vgts | release #999: invalid instance xb=0 @1120.160";
+    "vgts | create editor: OK bytes=0 @1079.433";
+    "vgts | open \"editor\" write: OK instance=2 size=0 block=512 bytes=0 @1080.563";
+    "vgts | write #2: OK count=58 bytes=0 @1081.333";
+    "vgts | write #2: OK count=58 bytes=0 @1082.103";
+    "vgts | write #2: OK count=58 bytes=0 @1082.873";
+    "vgts | write #2: OK count=58 bytes=0 @1083.643";
+    "vgts | write #2: OK count=58 bytes=0 @1084.413";
+    "vgts | write #2: OK count=58 bytes=0 @1085.183";
+    "vgts | write #2: OK count=58 bytes=0 @1085.953";
+    "vgts | write #2: OK count=58 bytes=0 @1086.723";
+    "vgts | write #2: OK count=58 bytes=0 @1087.493";
+    "vgts | write #2: OK count=58 bytes=0 @1088.263";
+    "vgts | write #2: OK count=58 bytes=0 @1089.033";
+    "vgts | write #2: OK count=58 bytes=0 @1089.803";
+    "vgts | open \"editor\" read: OK instance=3 size=708 block=512 bytes=0 @1090.933";
+    "vgts | open \"mail-window\" append: OK instance=5 size=0 block=512 bytes=0 @1092.063";
+    "vgts | open \"\" dir: OK instance=6 size=127 block=512 bytes=0 @1093.073";
+    "vgts | read #2 block 0: OK data=512:dc680ddc bytes=512 @1093.843";
+    "vgts | read #2 block 1: OK data=196:a0121014 bytes=196 @1094.613";
+    "vgts | read #2 block 2: end of file bytes=0 @1095.383";
+    "vgts | read #2 block -1: invalid instance bytes=0 @1096.153";
+    "vgts | write #2: OK count=13 bytes=0 @1096.923";
+    "vgts | read #2 block 0: OK data=512:dc680ddc bytes=512 @1097.693";
+    "vgts | query #2: OK device \"editor\" size=13 owner=\"system\" created=1079.048 modified=0.000 writable=true instance=1 attrs=[x=2;y=1;w=28;h=7] bytes=61 @1098.463";
+    "vgts | read #3 block 0: OK data=512:dc680ddc bytes=512 @1099.233";
+    "vgts | read #3 block 1: OK data=210:a75741de bytes=210 @1100.003";
+    "vgts | read #3 block 2: end of file bytes=0 @1100.773";
+    "vgts | read #3 block -1: invalid instance bytes=0 @1101.543";
+    "vgts | write #3: OK count=13 bytes=0 @1102.313";
+    "vgts | read #3 block 0: OK data=512:dc680ddc bytes=512 @1103.083";
+    "vgts | query #3: OK device \"editor\" size=14 owner=\"system\" created=1079.048 modified=0.000 writable=true instance=1 attrs=[x=2;y=1;w=28;h=7] bytes=61 @1103.853";
+    "vgts | read #5 block 0: end of file bytes=0 @1104.623";
+    "vgts | read #5 block -1: invalid instance bytes=0 @1105.393";
+    "vgts | write #5: OK count=13 bytes=0 @1106.163";
+    "vgts | read #5 block 0: OK data=14:f9506232 bytes=14 @1106.933";
+    "vgts | query #5: OK device \"mail-window\" size=1 owner=\"system\" created=1091.678 modified=0.000 writable=true instance=4 attrs=[x=5;y=3;w=28;h=7] bytes=66 @1107.703";
+    "vgts | read #6 block 0: OK data=127:3f4b0d1d bytes=127 @1108.473";
+    "vgts | read #6 block 1: end of file bytes=0 @1109.243";
+    "vgts | read #6 block -1: invalid instance bytes=0 @1110.013";
+    "vgts | write #6: no permission bytes=0 @1110.783";
+    "vgts | read #6 block 0: OK data=127:3f4b0d1d bytes=127 @1111.553";
+    "vgts | query #6: OK directory \"[windows]\" size=127 owner=\"system\" created=0.000 modified=0.000 writable=true instance=6 attrs=[] bytes=39 @1112.323";
+    "vgts | release #2: OK bytes=0 @1113.093";
+    "vgts | release #2: invalid instance bytes=0 @1113.863";
+    "vgts | read #2 block 0: invalid instance bytes=0 @1114.633";
+    "vgts | query #2: invalid instance bytes=0 @1115.403";
+    "vgts | write #2: invalid instance bytes=0 @1116.173";
+    "vgts | release #3: OK bytes=0 @1116.943";
+    "vgts | release #3: invalid instance bytes=0 @1117.713";
+    "vgts | read #3 block 0: invalid instance bytes=0 @1118.483";
+    "vgts | query #3: invalid instance bytes=0 @1119.253";
+    "vgts | write #3: invalid instance bytes=0 @1120.023";
+    "vgts | release #5: OK bytes=0 @1120.793";
+    "vgts | release #5: invalid instance bytes=0 @1121.563";
+    "vgts | read #5 block 0: invalid instance bytes=0 @1122.333";
+    "vgts | query #5: invalid instance bytes=0 @1123.103";
+    "vgts | write #5: invalid instance bytes=0 @1123.873";
+    "vgts | release #6: OK bytes=0 @1124.643";
+    "vgts | release #6: invalid instance bytes=0 @1125.413";
+    "vgts | read #6 block 0: invalid instance bytes=0 @1126.183";
+    "vgts | query #6: invalid instance bytes=0 @1126.953";
+    "vgts | write #6: invalid instance bytes=0 @1127.723";
+    "vgts | query #999: invalid instance bytes=0 @1128.493";
+    "vgts | release #999: invalid instance bytes=0 @1129.263";
     "vgts | ids opened: 2 3 5 6";
-    "programs | open \"\" dir: OK instance=1 size=564 block=512 xb=0 @1241.453";
-    "programs | read #1 block 0: OK data=512:3742ff0d xb=512 @1242.223";
-    "programs | read #1 block 1: OK data=52:b4dc6bae xb=52 @1242.993";
-    "programs | read #1 block 2: end of file xb=0 @1243.763";
-    "programs | read #1 block -1: invalid instance xb=0 @1244.533";
-    "programs | write #1: no permission xb=0 @1245.303";
-    "programs | read #1 block 0: OK data=512:3742ff0d xb=512 @1246.073";
-    "programs | query #1: OK directory \"[programs]\" size=564 owner=\"system\" created=0.000 modified=0.000 writable=true instance=1 attrs=[] xb=0 @1246.843";
-    "programs | release #1: OK xb=0 @1247.613";
-    "programs | release #1: invalid instance xb=0 @1248.383";
-    "programs | read #1 block 0: invalid instance xb=0 @1249.153";
-    "programs | query #1: invalid instance xb=0 @1249.923";
-    "programs | write #1: invalid instance xb=0 @1250.693";
-    "programs | query #999: invalid instance xb=0 @1251.463";
-    "programs | release #999: invalid instance xb=0 @1252.233";
+    "programs | open \"\" dir: OK instance=1 size=564 block=512 bytes=0 @1256.593";
+    "programs | read #1 block 0: OK data=512:24ad4367 bytes=512 @1257.363";
+    "programs | read #1 block 1: OK data=52:241d76b5 bytes=52 @1258.133";
+    "programs | read #1 block 2: end of file bytes=0 @1258.903";
+    "programs | read #1 block -1: invalid instance bytes=0 @1259.673";
+    "programs | write #1: no permission bytes=0 @1260.443";
+    "programs | read #1 block 0: OK data=512:24ad4367 bytes=512 @1261.213";
+    "programs | query #1: OK directory \"[programs]\" size=564 owner=\"system\" created=0.000 modified=0.000 writable=true instance=1 attrs=[] bytes=40 @1261.983";
+    "programs | release #1: OK bytes=0 @1262.753";
+    "programs | release #1: invalid instance bytes=0 @1263.523";
+    "programs | read #1 block 0: invalid instance bytes=0 @1264.293";
+    "programs | query #1: invalid instance bytes=0 @1265.063";
+    "programs | write #1: invalid instance bytes=0 @1265.833";
+    "programs | query #999: invalid instance bytes=0 @1266.603";
+    "programs | release #999: invalid instance bytes=0 @1267.373";
     "programs | ids opened: 1";
-    "exceptions | open \"\" dir: OK instance=1 size=1044 block=512 xb=0 @1264.723";
-    "exceptions | read #1 block 0: OK data=512:a227446e xb=512 @1265.493";
-    "exceptions | read #1 block 1: OK data=512:e8557f37 xb=512 @1266.263";
-    "exceptions | read #1 block 2: OK data=20:b298f2f9 xb=20 @1267.033";
-    "exceptions | read #1 block 3: end of file xb=0 @1267.803";
-    "exceptions | read #1 block -1: invalid instance xb=0 @1268.573";
-    "exceptions | write #1: no permission xb=0 @1269.343";
-    "exceptions | read #1 block 0: OK data=512:a227446e xb=512 @1270.113";
-    "exceptions | query #1: OK directory \"[exceptions]\" size=1044 owner=\"system\" created=0.000 modified=0.000 writable=true instance=1 attrs=[] xb=0 @1270.883";
-    "exceptions | release #1: OK xb=0 @1271.653";
-    "exceptions | release #1: invalid instance xb=0 @1272.423";
-    "exceptions | read #1 block 0: invalid instance xb=0 @1273.193";
-    "exceptions | query #1: invalid instance xb=0 @1273.963";
-    "exceptions | write #1: invalid instance xb=0 @1274.733";
-    "exceptions | query #999: invalid instance xb=0 @1275.503";
-    "exceptions | release #999: invalid instance xb=0 @1276.273";
+    "exceptions | open \"\" dir: OK instance=1 size=1044 block=512 bytes=0 @1279.863";
+    "exceptions | read #1 block 0: OK data=512:0a9ca041 bytes=512 @1280.633";
+    "exceptions | read #1 block 1: OK data=512:8081db2c bytes=512 @1281.403";
+    "exceptions | read #1 block 2: OK data=20:b298f2f9 bytes=20 @1282.173";
+    "exceptions | read #1 block 3: end of file bytes=0 @1282.943";
+    "exceptions | read #1 block -1: invalid instance bytes=0 @1283.713";
+    "exceptions | write #1: no permission bytes=0 @1284.483";
+    "exceptions | read #1 block 0: OK data=512:0a9ca041 bytes=512 @1285.253";
+    "exceptions | query #1: OK directory \"[exceptions]\" size=1044 owner=\"system\" created=0.000 modified=0.000 writable=true instance=1 attrs=[] bytes=42 @1286.023";
+    "exceptions | release #1: OK bytes=0 @1286.793";
+    "exceptions | release #1: invalid instance bytes=0 @1287.563";
+    "exceptions | read #1 block 0: invalid instance bytes=0 @1288.333";
+    "exceptions | query #1: invalid instance bytes=0 @1289.103";
+    "exceptions | write #1: invalid instance bytes=0 @1289.873";
+    "exceptions | query #999: invalid instance bytes=0 @1290.643";
+    "exceptions | release #999: invalid instance bytes=0 @1291.413";
     "exceptions | ids opened: 1";
-    "printer | open \"report.txt\" read: no permission xb=0 @1279.879";
-    "printer | open \"report.txt\" write: OK instance=1 size=0 block=512 xb=0 @1283.486";
-    "printer | write #1: OK count=54 xb=0 @1286.046";
-    "printer | write #1: OK count=54 xb=0 @1288.606";
-    "printer | write #1: OK count=54 xb=0 @1291.166";
-    "printer | write #1: OK count=54 xb=0 @1293.726";
-    "printer | write #1: OK count=54 xb=0 @1296.286";
-    "printer | write #1: OK count=54 xb=0 @1298.846";
-    "printer | write #1: OK count=54 xb=0 @1301.406";
-    "printer | write #1: OK count=54 xb=0 @1303.966";
-    "printer | write #1: OK count=54 xb=0 @1306.526";
-    "printer | write #1: OK count=54 xb=0 @1309.086";
-    "printer | write #1: OK count=54 xb=0 @1311.646";
-    "printer | write #1: OK count=54 xb=0 @1314.206";
-    "printer | write #1: OK count=54 xb=0 @1316.766";
-    "printer | write #1: OK count=54 xb=0 @1319.326";
-    "printer | open \"memo.txt\" write: OK instance=2 size=0 block=512 xb=0 @1322.927";
-    "printer | open \"\" dir: OK instance=3 size=112 block=512 xb=0 @1325.727";
-    "printer | read #1 block 0: OK data=512:6ec1670a xb=512 @1330.313";
-    "printer | read #1 block 1: OK data=244:54be3890 xb=244 @1334.183";
-    "printer | read #1 block 2: end of file xb=0 @1336.743";
-    "printer | read #1 block -1: invalid instance xb=0 @1339.303";
-    "printer | write #1: OK count=13 xb=0 @1341.863";
-    "printer | read #1 block 0: OK data=512:6ec1670a xb=512 @1346.449";
-    "printer | query #1: OK printer-job \"report.txt\" size=769 owner=\"system\" created=1282.206 modified=0.000 writable=true instance=- attrs=[state=spooling] xb=0 @1349.009";
-    "printer | read #2 block 0: end of file xb=0 @1351.569";
-    "printer | read #2 block -1: invalid instance xb=0 @1354.129";
-    "printer | write #2: OK count=13 xb=0 @1356.689";
-    "printer | read #2 block 0: OK data=13:3d3e1507 xb=13 @1359.943";
-    "printer | query #2: OK printer-job \"memo.txt\" size=13 owner=\"system\" created=1321.647 modified=0.000 writable=true instance=- attrs=[state=spooling] xb=0 @1362.503";
-    "printer | read #3 block 0: OK data=112:4103530d xb=112 @1366.022";
-    "printer | read #3 block 1: end of file xb=0 @1368.582";
-    "printer | read #3 block -1: invalid instance xb=0 @1371.142";
-    "printer | write #3: no permission xb=0 @1373.702";
-    "printer | read #3 block 0: OK data=112:4103530d xb=112 @1377.221";
-    "printer | query #3: OK directory \"[queue]\" size=112 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] xb=0 @1379.781";
-    "printer | release #2: OK xb=0 @1382.341";
-    "printer | write #2: invalid instance xb=0 @1384.901";
-    "printer | release #1: OK xb=0 @1387.461";
-    "printer | release #1: invalid instance xb=0 @1390.021";
-    "printer | read #1 block 0: invalid instance xb=0 @1392.581";
-    "printer | query #1: invalid instance xb=0 @1395.141";
-    "printer | write #1: invalid instance xb=0 @1397.701";
-    "printer | release #2: invalid instance xb=0 @1400.261";
-    "printer | release #2: invalid instance xb=0 @1402.821";
-    "printer | read #2 block 0: invalid instance xb=0 @1405.381";
-    "printer | query #2: invalid instance xb=0 @1407.941";
-    "printer | write #2: invalid instance xb=0 @1410.501";
-    "printer | release #3: OK xb=0 @1413.061";
-    "printer | release #3: invalid instance xb=0 @1415.621";
-    "printer | read #3 block 0: invalid instance xb=0 @1418.181";
-    "printer | query #3: invalid instance xb=0 @1420.741";
-    "printer | write #3: invalid instance xb=0 @1423.301";
-    "printer | query #999: invalid instance xb=0 @1425.861";
-    "printer | release #999: invalid instance xb=0 @1428.421";
+    "printer | open \"report.txt\" read: no permission bytes=0 @1295.019";
+    "printer | open \"report.txt\" write: OK instance=1 size=0 block=512 bytes=0 @1298.626";
+    "printer | write #1: OK count=54 bytes=0 @1301.990";
+    "printer | write #1: OK count=54 bytes=0 @1305.354";
+    "printer | write #1: OK count=54 bytes=0 @1308.718";
+    "printer | write #1: OK count=54 bytes=0 @1312.082";
+    "printer | write #1: OK count=54 bytes=0 @1315.446";
+    "printer | write #1: OK count=54 bytes=0 @1318.810";
+    "printer | write #1: OK count=54 bytes=0 @1322.174";
+    "printer | write #1: OK count=54 bytes=0 @1325.538";
+    "printer | write #1: OK count=54 bytes=0 @1328.902";
+    "printer | write #1: OK count=54 bytes=0 @1332.266";
+    "printer | write #1: OK count=54 bytes=0 @1335.630";
+    "printer | write #1: OK count=54 bytes=0 @1338.994";
+    "printer | write #1: OK count=54 bytes=0 @1342.358";
+    "printer | write #1: OK count=54 bytes=0 @1345.722";
+    "printer | open \"memo.txt\" write: OK instance=2 size=0 block=512 bytes=0 @1349.323";
+    "printer | open \"\" dir: OK instance=3 size=112 block=512 bytes=0 @1352.123";
+    "printer | read #1 block 0: OK data=512:6ec1670a bytes=512 @1356.709";
+    "printer | read #1 block 1: OK data=244:54be3890 bytes=244 @1360.579";
+    "printer | read #1 block 2: end of file bytes=0 @1363.139";
+    "printer | read #1 block -1: invalid instance bytes=0 @1365.699";
+    "printer | write #1: OK count=13 bytes=0 @1368.954";
+    "printer | read #1 block 0: OK data=512:6ec1670a bytes=512 @1373.539";
+    "printer | query #1: OK printer-job \"report.txt\" size=769 owner=\"system\" created=1297.346 modified=0.000 writable=true instance=- attrs=[state=spooling] bytes=57 @1376.911";
+    "printer | read #2 block 0: end of file bytes=0 @1379.471";
+    "printer | read #2 block -1: invalid instance bytes=0 @1382.031";
+    "printer | write #2: OK count=13 bytes=0 @1385.286";
+    "printer | read #2 block 0: OK data=13:3d3e1507 bytes=13 @1388.541";
+    "printer | query #2: OK printer-job \"memo.txt\" size=13 owner=\"system\" created=1348.043 modified=0.000 writable=true instance=- attrs=[state=spooling] bytes=55 @1391.907";
+    "printer | read #3 block 0: OK data=112:1f834372 bytes=112 @1395.426";
+    "printer | read #3 block 1: end of file bytes=0 @1397.986";
+    "printer | read #3 block -1: invalid instance bytes=0 @1400.546";
+    "printer | write #3: no permission bytes=0 @1403.801";
+    "printer | read #3 block 0: OK data=112:1f834372 bytes=112 @1407.319";
+    "printer | query #3: OK directory \"[queue]\" size=112 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] bytes=37 @1410.638";
+    "printer | release #2: OK bytes=0 @1413.198";
+    "printer | write #2: invalid instance bytes=0 @1416.439";
+    "printer | release #1: OK bytes=0 @1418.999";
+    "printer | release #1: invalid instance bytes=0 @1421.559";
+    "printer | read #1 block 0: invalid instance bytes=0 @1424.119";
+    "printer | query #1: invalid instance bytes=0 @1426.679";
+    "printer | write #1: invalid instance bytes=0 @1429.934";
+    "printer | release #2: invalid instance bytes=0 @1432.494";
+    "printer | release #2: invalid instance bytes=0 @1435.054";
+    "printer | read #2 block 0: invalid instance bytes=0 @1437.614";
+    "printer | query #2: invalid instance bytes=0 @1440.174";
+    "printer | write #2: invalid instance bytes=0 @1443.429";
+    "printer | release #3: OK bytes=0 @1445.989";
+    "printer | release #3: invalid instance bytes=0 @1448.549";
+    "printer | read #3 block 0: invalid instance bytes=0 @1451.109";
+    "printer | query #3: invalid instance bytes=0 @1453.669";
+    "printer | write #3: invalid instance bytes=0 @1456.923";
+    "printer | query #999: invalid instance bytes=0 @1459.483";
+    "printer | release #999: invalid instance bytes=0 @1462.043";
     "printer | ids opened: 1 2 3";
-    "mail | open \"cheriton@su-score\" append: OK instance=1 size=0 block=2048 xb=0 @1431.926";
-    "mail | write #1: OK count=112 xb=0 @1434.486";
-    "mail | write #1: OK count=112 xb=0 @1437.046";
-    "mail | write #1: OK count=112 xb=0 @1439.606";
-    "mail | write #1: OK count=112 xb=0 @1442.166";
-    "mail | write #1: OK count=112 xb=0 @1444.726";
-    "mail | write #1: OK count=112 xb=0 @1447.286";
-    "mail | write #1: OK count=112 xb=0 @1449.846";
-    "mail | write #1: OK count=112 xb=0 @1452.406";
-    "mail | write #1: OK count=112 xb=0 @1454.966";
-    "mail | write #1: OK count=112 xb=0 @1457.526";
-    "mail | write #1: OK count=112 xb=0 @1460.086";
-    "mail | write #1: OK count=112 xb=0 @1462.646";
-    "mail | write #1: OK count=112 xb=0 @1465.206";
-    "mail | write #1: OK count=112 xb=0 @1467.766";
-    "mail | write #1: OK count=112 xb=0 @1470.326";
-    "mail | write #1: OK count=112 xb=0 @1472.886";
-    "mail | write #1: OK count=112 xb=0 @1475.446";
-    "mail | write #1: OK count=112 xb=0 @1478.006";
-    "mail | write #1: OK count=112 xb=0 @1480.566";
-    "mail | write #1: OK count=112 xb=0 @1483.126";
-    "mail | write #1: OK count=112 xb=0 @1485.686";
-    "mail | write #1: OK count=112 xb=0 @1488.246";
-    "mail | read #1 block 0: no permission xb=0 @1490.806";
-    "mail | open \"cheriton@su-score\" read: OK instance=2 size=2771 block=2048 xb=0 @1494.311";
-    "mail | open \"\" dir: OK instance=3 size=47 block=2048 xb=0 @1497.111";
-    "mail | read #1 block 0: no permission xb=0 @1499.671";
-    "mail | read #1 block -1: no permission xb=0 @1502.231";
-    "mail | write #1: OK count=13 xb=0 @1504.791";
-    "mail | read #1 block 0: no permission xb=0 @1507.351";
-    "mail | query #1: OK mailbox \"cheriton@su-score\" size=23 owner=\"system\" created=1430.646 modified=0.000 writable=true instance=- attrs=[] xb=0 @1509.911";
-    "mail | read #2 block 0: OK data=2048:56701315 xb=2048 @1518.593";
-    "mail | read #2 block 1: OK data=723:69e6ac63 xb=723 @1523.741";
-    "mail | read #2 block 2: end of file xb=0 @1526.301";
-    "mail | read #2 block -1: invalid instance xb=0 @1528.861";
-    "mail | write #2: no permission xb=0 @1531.421";
-    "mail | read #2 block 0: OK data=2048:56701315 xb=2048 @1540.102";
-    "mail | query #2: OK mailbox \"cheriton@su-score\" size=2771 owner=\"system\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] xb=0 @1542.662";
-    "mail | read #3 block 0: OK data=47:886663bc xb=47 @1546.007";
-    "mail | read #3 block 1: end of file xb=0 @1548.567";
-    "mail | read #3 block -1: invalid instance xb=0 @1551.127";
-    "mail | write #3: no permission xb=0 @1553.687";
-    "mail | read #3 block 0: OK data=47:886663bc xb=47 @1557.033";
-    "mail | query #3: OK directory \"[mail]\" size=47 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] xb=0 @1559.593";
-    "mail | release #1: OK xb=0 @1562.153";
-    "mail | release #1: invalid instance xb=0 @1564.713";
-    "mail | read #1 block 0: invalid instance xb=0 @1567.273";
-    "mail | query #1: invalid instance xb=0 @1569.833";
-    "mail | write #1: invalid instance xb=0 @1572.393";
-    "mail | release #2: OK xb=0 @1574.953";
-    "mail | release #2: invalid instance xb=0 @1577.513";
-    "mail | read #2 block 0: invalid instance xb=0 @1580.073";
-    "mail | query #2: invalid instance xb=0 @1582.633";
-    "mail | write #2: invalid instance xb=0 @1585.193";
-    "mail | release #3: OK xb=0 @1587.753";
-    "mail | release #3: invalid instance xb=0 @1590.313";
-    "mail | read #3 block 0: invalid instance xb=0 @1592.873";
-    "mail | query #3: invalid instance xb=0 @1595.433";
-    "mail | write #3: invalid instance xb=0 @1597.993";
-    "mail | query #999: invalid instance xb=0 @1600.553";
-    "mail | release #999: invalid instance xb=0 @1603.113";
+    "mail | open \"cheriton@su-score\" append: OK instance=1 size=0 block=2048 bytes=0 @1465.549";
+    "mail | write #1: OK count=112 bytes=0 @1469.067";
+    "mail | write #1: OK count=112 bytes=0 @1472.586";
+    "mail | write #1: OK count=112 bytes=0 @1476.105";
+    "mail | write #1: OK count=112 bytes=0 @1479.623";
+    "mail | write #1: OK count=112 bytes=0 @1483.142";
+    "mail | write #1: OK count=112 bytes=0 @1486.661";
+    "mail | write #1: OK count=112 bytes=0 @1490.179";
+    "mail | write #1: OK count=112 bytes=0 @1493.698";
+    "mail | write #1: OK count=112 bytes=0 @1497.217";
+    "mail | write #1: OK count=112 bytes=0 @1500.735";
+    "mail | write #1: OK count=112 bytes=0 @1504.254";
+    "mail | write #1: OK count=112 bytes=0 @1507.773";
+    "mail | write #1: OK count=112 bytes=0 @1511.291";
+    "mail | write #1: OK count=112 bytes=0 @1514.810";
+    "mail | write #1: OK count=112 bytes=0 @1518.329";
+    "mail | write #1: OK count=112 bytes=0 @1521.847";
+    "mail | write #1: OK count=112 bytes=0 @1525.366";
+    "mail | write #1: OK count=112 bytes=0 @1528.885";
+    "mail | write #1: OK count=112 bytes=0 @1532.403";
+    "mail | write #1: OK count=112 bytes=0 @1535.922";
+    "mail | write #1: OK count=112 bytes=0 @1539.441";
+    "mail | write #1: OK count=112 bytes=0 @1542.959";
+    "mail | read #1 block 0: no permission bytes=0 @1545.519";
+    "mail | open \"cheriton@su-score\" read: OK instance=2 size=2771 block=2048 bytes=0 @1549.025";
+    "mail | open \"\" dir: OK instance=3 size=47 block=2048 bytes=0 @1551.825";
+    "mail | read #1 block 0: no permission bytes=0 @1554.385";
+    "mail | read #1 block -1: no permission bytes=0 @1556.945";
+    "mail | write #1: OK count=13 bytes=0 @1560.199";
+    "mail | read #1 block 0: no permission bytes=0 @1562.759";
+    "mail | query #1: OK mailbox \"cheriton@su-score\" size=23 owner=\"system\" created=1464.269 modified=0.000 writable=true instance=- attrs=[] bytes=47 @1566.105";
+    "mail | read #2 block 0: OK data=2048:fa360678 bytes=2048 @1574.786";
+    "mail | read #2 block 1: OK data=723:7b7cbe95 bytes=723 @1579.934";
+    "mail | read #2 block 2: end of file bytes=0 @1582.494";
+    "mail | read #2 block -1: invalid instance bytes=0 @1585.054";
+    "mail | write #2: no permission bytes=0 @1588.309";
+    "mail | read #2 block 0: OK data=2048:fa360678 bytes=2048 @1596.990";
+    "mail | query #2: OK mailbox \"cheriton@su-score\" size=2771 owner=\"system\" created=0.000 modified=0.000 writable=true instance=2 attrs=[] bytes=47 @1600.335";
+    "mail | read #3 block 0: OK data=47:2a2d1704 bytes=47 @1603.681";
+    "mail | read #3 block 1: end of file bytes=0 @1606.241";
+    "mail | read #3 block -1: invalid instance bytes=0 @1608.801";
+    "mail | write #3: no permission bytes=0 @1612.055";
+    "mail | read #3 block 0: OK data=47:2a2d1704 bytes=47 @1615.401";
+    "mail | query #3: OK directory \"[mail]\" size=47 owner=\"system\" created=0.000 modified=0.000 writable=true instance=3 attrs=[] bytes=36 @1618.717";
+    "mail | release #1: OK bytes=0 @1621.277";
+    "mail | release #1: invalid instance bytes=0 @1623.837";
+    "mail | read #1 block 0: invalid instance bytes=0 @1626.397";
+    "mail | query #1: invalid instance bytes=0 @1628.957";
+    "mail | write #1: invalid instance bytes=0 @1632.211";
+    "mail | release #2: OK bytes=0 @1634.771";
+    "mail | release #2: invalid instance bytes=0 @1637.331";
+    "mail | read #2 block 0: invalid instance bytes=0 @1639.891";
+    "mail | query #2: invalid instance bytes=0 @1642.451";
+    "mail | write #2: invalid instance bytes=0 @1645.706";
+    "mail | release #3: OK bytes=0 @1648.266";
+    "mail | release #3: invalid instance bytes=0 @1650.826";
+    "mail | read #3 block 0: invalid instance bytes=0 @1653.386";
+    "mail | query #3: invalid instance bytes=0 @1655.946";
+    "mail | write #3: invalid instance bytes=0 @1659.201";
+    "mail | query #999: invalid instance bytes=0 @1661.761";
+    "mail | release #999: invalid instance bytes=0 @1664.321";
     "mail | ids opened: 1 2 3";
-    "internet | open \"score:23\" write: OK instance=2 size=0 block=512 xb=0 @1606.714";
-    "internet | write #2: OK count=73 xb=0 @1609.274";
-    "internet | write #2: OK count=73 xb=0 @1611.834";
-    "internet | write #2: OK count=73 xb=0 @1614.394";
-    "internet | write #2: OK count=73 xb=0 @1616.954";
-    "internet | write #2: OK count=73 xb=0 @1619.514";
-    "internet | write #2: OK count=73 xb=0 @1622.074";
-    "internet | write #2: OK count=73 xb=0 @1624.634";
-    "internet | write #2: OK count=73 xb=0 @1627.194";
-    "internet | write #2: OK count=73 xb=0 @1629.754";
-    "internet | open \"score:23\" read: OK instance=3 size=657 block=512 xb=0 @1833.355";
-    "internet | open \"sumex:25\" write: OK instance=5 size=0 block=512 xb=0 @1836.957";
-    "internet | open \"\" dir: OK instance=6 size=113 block=512 xb=0 @1839.757";
-    "internet | read #2 block 0: OK data=512:02d29b00 xb=512 @1844.342";
-    "internet | read #2 block 1: OK data=145:fe618f37 xb=145 @1847.949";
-    "internet | read #2 block 2: end of file xb=0 @1850.509";
-    "internet | read #2 block -1: invalid instance xb=0 @1853.069";
-    "internet | write #2: OK count=13 xb=0 @1855.629";
-    "internet | read #2 block 0: OK data=512:02d29b00 xb=512 @1860.214";
-    "internet | query #2: OK tcp-connection \"score:23\" size=670 owner=\"system\" created=1605.434 modified=0.000 writable=true instance=1 attrs=[state=established] xb=0 @1862.774";
-    "internet | read #3 block 0: OK data=512:02d29b00 xb=512 @1867.359";
-    "internet | read #3 block 1: OK data=145:fe618f37 xb=145 @1870.966";
-    "internet | read #3 block 2: end of file xb=0 @1873.526";
-    "internet | read #3 block -1: invalid instance xb=0 @1876.086";
-    "internet | write #3: OK count=13 xb=0 @1878.646";
-    "internet | read #3 block 0: OK data=512:02d29b00 xb=512 @1883.231";
-    "internet | query #3: OK tcp-connection \"score:23\" size=683 owner=\"system\" created=1605.434 modified=0.000 writable=true instance=1 attrs=[state=established] xb=0 @1885.791";
-    "internet | read #6 block 0: OK data=113:1291944d xb=113 @1889.313";
-    "internet | read #6 block 1: end of file xb=0 @1891.873";
-    "internet | read #6 block -1: invalid instance xb=0 @1894.433";
-    "internet | write #6: no permission xb=0 @1896.993";
-    "internet | read #6 block 0: OK data=113:1291944d xb=113 @1900.514";
-    "internet | query #6: OK directory \"[internet]\" size=113 owner=\"system\" created=0.000 modified=0.000 writable=true instance=6 attrs=[] xb=0 @1903.074";
-    "internet | remove sumex:25: OK xb=0 @1906.675";
-    "internet | read #5 block 0: end of file xb=0 @1909.235";
-    "internet | read #5 block -1: invalid instance xb=0 @1911.795";
-    "internet | write #5: no permission xb=0 @1914.355";
-    "internet | read #5 block 0: end of file xb=0 @1916.915";
-    "internet | query #5: OK tcp-connection \"sumex:25\" size=0 owner=\"system\" created=1835.677 modified=0.000 writable=true instance=4 attrs=[state=closed] xb=0 @1919.475";
-    "internet | release #2: OK xb=0 @1922.035";
-    "internet | release #2: invalid instance xb=0 @1924.595";
-    "internet | read #2 block 0: invalid instance xb=0 @1927.155";
-    "internet | query #2: invalid instance xb=0 @1929.715";
-    "internet | write #2: invalid instance xb=0 @1932.275";
-    "internet | release #3: OK xb=0 @1934.835";
-    "internet | release #3: invalid instance xb=0 @1937.395";
-    "internet | read #3 block 0: invalid instance xb=0 @1939.955";
-    "internet | query #3: invalid instance xb=0 @1942.515";
-    "internet | write #3: invalid instance xb=0 @1945.075";
-    "internet | release #5: OK xb=0 @1947.635";
-    "internet | release #5: invalid instance xb=0 @1950.195";
-    "internet | read #5 block 0: invalid instance xb=0 @1952.755";
-    "internet | query #5: invalid instance xb=0 @1955.315";
-    "internet | write #5: invalid instance xb=0 @1957.875";
-    "internet | release #6: OK xb=0 @1960.435";
-    "internet | release #6: invalid instance xb=0 @1962.995";
-    "internet | read #6 block 0: invalid instance xb=0 @1965.555";
-    "internet | query #6: invalid instance xb=0 @1968.115";
-    "internet | write #6: invalid instance xb=0 @1970.675";
-    "internet | query #999: invalid instance xb=0 @1973.235";
-    "internet | release #999: invalid instance xb=0 @1975.795";
+    "internet | open \"score:23\" write: OK instance=2 size=0 block=512 bytes=0 @1667.922";
+    "internet | write #2: OK count=73 bytes=0 @1671.337";
+    "internet | write #2: OK count=73 bytes=0 @1674.751";
+    "internet | write #2: OK count=73 bytes=0 @1678.166";
+    "internet | write #2: OK count=73 bytes=0 @1681.581";
+    "internet | write #2: OK count=73 bytes=0 @1684.995";
+    "internet | write #2: OK count=73 bytes=0 @1688.410";
+    "internet | write #2: OK count=73 bytes=0 @1691.825";
+    "internet | write #2: OK count=73 bytes=0 @1695.239";
+    "internet | write #2: OK count=73 bytes=0 @1698.654";
+    "internet | open \"score:23\" read: OK instance=3 size=657 block=512 bytes=0 @1902.255";
+    "internet | open \"sumex:25\" write: OK instance=5 size=0 block=512 bytes=0 @1905.857";
+    "internet | open \"\" dir: OK instance=6 size=113 block=512 bytes=0 @1908.657";
+    "internet | read #2 block 0: OK data=512:02d29b00 bytes=512 @1913.242";
+    "internet | read #2 block 1: OK data=145:fe618f37 bytes=145 @1916.849";
+    "internet | read #2 block 2: end of file bytes=0 @1919.409";
+    "internet | read #2 block -1: invalid instance bytes=0 @1921.969";
+    "internet | write #2: OK count=13 bytes=0 @1925.223";
+    "internet | read #2 block 0: OK data=512:02d29b00 bytes=512 @1929.809";
+    "internet | query #2: OK tcp-connection \"score:23\" size=670 owner=\"system\" created=1666.642 modified=0.000 writable=true instance=1 attrs=[state=established] bytes=58 @1933.183";
+    "internet | read #3 block 0: OK data=512:02d29b00 bytes=512 @1937.769";
+    "internet | read #3 block 1: OK data=145:fe618f37 bytes=145 @1941.375";
+    "internet | read #3 block 2: end of file bytes=0 @1943.935";
+    "internet | read #3 block -1: invalid instance bytes=0 @1946.495";
+    "internet | write #3: OK count=13 bytes=0 @1949.750";
+    "internet | read #3 block 0: OK data=512:02d29b00 bytes=512 @1954.335";
+    "internet | query #3: OK tcp-connection \"score:23\" size=683 owner=\"system\" created=1666.642 modified=0.000 writable=true instance=1 attrs=[state=established] bytes=58 @1957.710";
+    "internet | read #6 block 0: OK data=113:ebe6e7ac bytes=113 @1961.231";
+    "internet | read #6 block 1: end of file bytes=0 @1963.791";
+    "internet | read #6 block -1: invalid instance bytes=0 @1966.351";
+    "internet | write #6: no permission bytes=0 @1969.606";
+    "internet | read #6 block 0: OK data=113:ebe6e7ac bytes=113 @1973.127";
+    "internet | query #6: OK directory \"[internet]\" size=113 owner=\"system\" created=0.000 modified=0.000 writable=true instance=6 attrs=[] bytes=40 @1976.454";
+    "internet | remove sumex:25: OK bytes=0 @1980.055";
+    "internet | read #5 block 0: end of file bytes=0 @1982.615";
+    "internet | read #5 block -1: invalid instance bytes=0 @1985.175";
+    "internet | write #5: no permission bytes=0 @1988.430";
+    "internet | read #5 block 0: end of file bytes=0 @1990.990";
+    "internet | query #5: OK tcp-connection \"sumex:25\" size=0 owner=\"system\" created=1904.577 modified=0.000 writable=true instance=4 attrs=[state=closed] bytes=53 @1994.351";
+    "internet | release #2: OK bytes=0 @1996.911";
+    "internet | release #2: invalid instance bytes=0 @1999.471";
+    "internet | read #2 block 0: invalid instance bytes=0 @2002.031";
+    "internet | query #2: invalid instance bytes=0 @2004.591";
+    "internet | write #2: invalid instance bytes=0 @2007.846";
+    "internet | release #3: OK bytes=0 @2010.406";
+    "internet | release #3: invalid instance bytes=0 @2012.966";
+    "internet | read #3 block 0: invalid instance bytes=0 @2015.526";
+    "internet | query #3: invalid instance bytes=0 @2018.086";
+    "internet | write #3: invalid instance bytes=0 @2021.341";
+    "internet | release #5: OK bytes=0 @2023.901";
+    "internet | release #5: invalid instance bytes=0 @2026.461";
+    "internet | read #5 block 0: invalid instance bytes=0 @2029.021";
+    "internet | query #5: invalid instance bytes=0 @2031.581";
+    "internet | write #5: invalid instance bytes=0 @2034.835";
+    "internet | release #6: OK bytes=0 @2037.395";
+    "internet | release #6: invalid instance bytes=0 @2039.955";
+    "internet | read #6 block 0: invalid instance bytes=0 @2042.515";
+    "internet | query #6: invalid instance bytes=0 @2045.075";
+    "internet | write #6: invalid instance bytes=0 @2048.330";
+    "internet | query #999: invalid instance bytes=0 @2050.890";
+    "internet | release #999: invalid instance bytes=0 @2053.450";
     "internet | ids opened: 2 3 5 6";
   ]
 

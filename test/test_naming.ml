@@ -274,7 +274,7 @@ let test_instance_server_lifecycle () =
     match reply.Vmsg.payload with
     | Vmsg.P_data b ->
         Alcotest.(check int)
-          "wire bytes" (Bytes.length b) reply.Vmsg.extra_bytes;
+          "wire bytes" (Bytes.length b) (Vmsg.payload_bytes reply);
         Bytes.length b
     | _ -> Alcotest.fail "no data"
   in
@@ -341,10 +341,88 @@ let test_vmsg_sizes () =
   let req = Csname.make_req "abcdef" in
   let m = Vmsg.request ~name:req Vmsg.Op.open_instance in
   Alcotest.(check int) "name counts as payload" 6 (Vmsg.payload_bytes m);
-  let m = Vmsg.request ~name:req ~extra_bytes:100 Vmsg.Op.write_instance in
-  Alcotest.(check int) "extra bytes add" 106 (Vmsg.payload_bytes m);
+  let m =
+    Vmsg.request ~name:req
+      ~payload:
+        (Vmsg.P_write { instance = 1; block = 0; data = Bytes.create 100 })
+      Vmsg.Op.write_instance
+  in
+  Alcotest.(check int) "payload bytes add" 106 (Vmsg.payload_bytes m);
   let r = Vmsg.ok () in
-  Alcotest.(check int) "bare reply" 0 (Vmsg.payload_bytes r)
+  Alcotest.(check int) "bare reply" 0 (Vmsg.payload_bytes r);
+  Alcotest.(check int) "a bare reply's proper: its code" 2
+    (Vmsg.proper_bytes r);
+  (* The fullest request: a replicated AddContextName of a static
+     target, stamped by the coordinator, with the client's deadline. *)
+  let spec = Context.spec ~server:(Pid.make ~logical_host:1 ~local_pid:1) in
+  let fullest =
+    Vmsg.with_deadline
+      (Vmsg.with_wseq
+         (Vmsg.request ~name:req
+            ~payload:(Vmsg.P_context_spec (spec ~context:0))
+            Vmsg.Op.add_context_name)
+         { Vmsg.origin = 1; seq = 1 })
+      1.0
+  in
+  Alcotest.(check int) "the fullest request fits" 30
+    (Vmsg.proper_bytes fullest);
+  (* The fullest reply: an Open's instance under a binding stamp. *)
+  let opened =
+    Vmsg.with_binding
+      (Vmsg.ok
+         ~payload:
+           (Vmsg.P_instance { instance = 1; file_size = 0; block_size = 512 })
+         ())
+      { Vmsg.upto = 3; spec = spec ~context:0 }
+  in
+  Alcotest.(check int) "the fullest reply fits" 20 (Vmsg.proper_bytes opened)
+
+(* Every payload pays its bytes: the name segment plus what the payload
+   appends, a description record's being its encoded length. *)
+let prop_payload_bytes =
+  let open QCheck.Gen in
+  let text = string_size ~gen:printable (int_range 0 40) in
+  let pid = Pid.make ~logical_host:2 ~local_pid:7 in
+  let payload =
+    oneof
+      [
+        map
+          (fun d ->
+            (Vmsg.P_descriptor d, Bytes.length (Descriptor.to_bytes d)))
+          (QCheck.gen arbitrary_descriptor);
+        map (fun s -> (Vmsg.P_name s, String.length s)) text;
+        map
+          (fun s -> (Vmsg.P_data (Bytes.of_string s), String.length s))
+          text;
+        map
+          (fun s ->
+            ( Vmsg.P_write
+                { instance = 1; block = 0; data = Bytes.of_string s },
+              String.length s ))
+          text;
+        map2
+          (fun program argument ->
+            ( Vmsg.P_run { program; argument },
+              String.length program + String.length argument ))
+          text text;
+        map
+          (fun what ->
+            ( Vmsg.P_exception_report { culprit = pid; what },
+              String.length what ))
+          text;
+      ]
+  in
+  QCheck.Test.make ~name:"every payload pays its bytes" ~count:500
+    (QCheck.make (pair (opt text) payload))
+    (fun (name, (payload, encoded)) ->
+      let segment = match name with Some n -> String.length n | None -> 0 in
+      let request =
+        Vmsg.request ?name:(Option.map Csname.make_req name) ~payload
+          Vmsg.Op.query_name
+      in
+      Vmsg.payload_bytes request = segment + encoded
+      && Vmsg.payload_bytes (Vmsg.ok ~payload ()) = encoded
+      && Vmsg.segment_bytes request = Vmsg.payload_bytes request)
 
 let test_vmsg_reply_codes () =
   Alcotest.(check bool) "ok reply" true (Vmsg.succeeded (Vmsg.ok ()));
@@ -369,12 +447,11 @@ let test_with_name_preserves_rest () =
   let req = Csname.make_req "x/y" in
   let m =
     Vmsg.request ~name:req ~payload:(Vmsg.P_open { mode = Vmsg.Read })
-      ~extra_bytes:7 Vmsg.Op.open_instance
+      Vmsg.Op.open_instance
   in
   let req' = { req with Csname.index = 2; context = 42 } in
   let m' = Vmsg.with_name m req' in
   Alcotest.(check int) "code kept" m.Vmsg.code m'.Vmsg.code;
-  Alcotest.(check int) "extra kept" 7 m'.Vmsg.extra_bytes;
   Alcotest.(check bool) "payload kept untouched" true (m'.Vmsg.payload == m.Vmsg.payload);
   match m'.Vmsg.name with
   | Some r ->
@@ -494,6 +571,7 @@ let suite =
     ( "naming.vmsg",
       [
         Alcotest.test_case "wire sizes" `Quick test_vmsg_sizes;
+        qcheck prop_payload_bytes;
         Alcotest.test_case "reply codes" `Quick test_vmsg_reply_codes;
         Alcotest.test_case "csname op range" `Quick test_vmsg_csname_range;
         Alcotest.test_case "with_name preserves rest" `Quick

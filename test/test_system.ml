@@ -276,6 +276,34 @@ let test_remove_pointer_cached () =
       ok_exn "remove" (Runtime.remove env "[fs0]shared");
       pointer_gone env)
 
+(* A bare "[scratch]" names the prefix server's binding itself: an
+   operation on it acts on the binding, in the prefix server's own
+   context, as on the unprefixed name "scratch", and never on the fs1
+   directory the binding leads to. With the name cache on, a listing of
+   "[scratch]" caches the binding first. *)
+let test_remove_bare_prefix ?(cache = false) () =
+  ignore
+    (run_client (fun _t _self env ->
+         ok_exn "mkdir" (Runtime.create env ~directory:true "[fs1]scratch");
+         let target = ok_exn "resolve" (Runtime.resolve env "[fs1]scratch") in
+         ok_exn "bind" (Runtime.add_prefix env "scratch" (`Static target));
+         if cache then begin
+           Runtime.enable_name_cache env true;
+           ignore (ok_exn "list" (Runtime.list_directory env "[scratch]"));
+           Alcotest.(check bool) "the binding is cached" true
+             (Name_cache.mem (Runtime.name_cache env) "[scratch]")
+         end;
+         expect_denied "remove" Reply.Not_a_context
+           (Runtime.remove env "[scratch]");
+         let d = ok_exn "directory kept" (Runtime.query env "[fs1]scratch") in
+         Alcotest.(check bool) "still a directory" true
+           (d.Descriptor.obj_type = Descriptor.Directory);
+         let b = ok_exn "query" (Runtime.query env "[scratch]") in
+         Alcotest.(check (pair string string))
+           "the binding's record" ("prefix", "scratch")
+           (Descriptor.obj_type_to_string b.Descriptor.obj_type,
+            b.Descriptor.name)))
+
 let test_delete_pointer () =
   with_pointer (fun t self env ->
       let msg =
@@ -1010,6 +1038,10 @@ let suite =
         Alcotest.test_case "remove a pointer" `Quick test_remove_pointer;
         Alcotest.test_case "remove a cached pointer" `Quick
           test_remove_pointer_cached;
+        Alcotest.test_case "remove a bare prefix" `Quick
+          (test_remove_bare_prefix ~cache:false);
+        Alcotest.test_case "remove a cached bare prefix" `Quick
+          (test_remove_bare_prefix ~cache:true);
         Alcotest.test_case "delete a pointer" `Quick test_delete_pointer;
         Alcotest.test_case "add a pointer twice" `Quick test_add_pointer_twice;
         Alcotest.test_case "rename a pointer" `Quick test_rename_pointer;
