@@ -104,10 +104,15 @@ let advance_past r component =
   then { r with index = skip_separators r.name (start + len) }
   else invalid_arg "Csname.advance_past: component does not match name"
 
+(* The message proper holds a name's length in 16 bits
+   ([Vmsg.proper_bytes]). *)
+let max_length = 0xffff
+
 (* Valid names may contain any byte except NUL; a '[' is only legal as
    the very first character of the uninterpreted part (prefix syntax). *)
 let validate r =
-  if String.contains r.name '\000' then Error Reply.Illegal_name
+  if String.length r.name > max_length then Error Reply.Illegal_name
+  else if String.contains r.name '\000' then Error Reply.Illegal_name
   else if r.index < 0 || r.index > String.length r.name then
     Error Reply.Illegal_name
   else Ok ()

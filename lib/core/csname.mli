@@ -71,8 +71,12 @@ val parse_prefix : req -> (string * int, Reply.code) result
     the index. *)
 val advance_past : req -> string -> req
 
-(** Names may contain any byte except NUL; the index must lie within the
-    name. *)
+(** The longest name a request can carry, in bytes: the message proper
+    holds a name's length in 16 bits. *)
+val max_length : int
+
+(** Names may contain any byte except NUL and hold at most {!max_length}
+    bytes; the index must lie within the name. *)
 val validate : req -> (unit, Reply.code) result
 
 (** Wire size of the name as an appended segment. *)

@@ -89,18 +89,25 @@ let apply_modification ~current ~requested =
 
    Context directories are logically files of description records read
    through the I/O protocol, so descriptions need a byte representation.
-   Format: u16 total length, u8 tag, then length-prefixed fields. *)
+   Format: u16 total length, u8 tag, then length-prefixed fields. A
+   string or a record too long for its length word is refused, never
+   written with a wrong one. *)
 
 let put_u16 b v =
   Buffer.add_char b (Char.chr (v land 0xff));
   Buffer.add_char b (Char.chr ((v lsr 8) land 0xff))
+
+let put_length b n =
+  if n > 0xffff then
+    invalid_arg "Descriptor.to_bytes: longer than 65,535 bytes";
+  put_u16 b n
 
 let put_u32 b v =
   put_u16 b (v land 0xffff);
   put_u16 b ((v lsr 16) land 0xffff)
 
 let put_string b s =
-  put_u16 b (String.length s);
+  put_length b (String.length s);
   Buffer.add_string b s
 
 let put_float b f = put_u32 b (int_of_float (f *. 1000.0))
@@ -124,7 +131,7 @@ let to_bytes t =
       put_string body v)
     t.attrs;
   let out = Buffer.create (Buffer.length body + 2) in
-  put_u16 out (Buffer.length body + 2);
+  put_length out (Buffer.length body + 2);
   Buffer.add_buffer out body;
   Buffer.to_bytes out
 

@@ -56,7 +56,9 @@ val apply_modification : current:t -> requested:t -> t
 (** Raised by the decoders on corrupt input. *)
 exception Malformed of string
 
-(** Marshal one record (length-prefixed binary). *)
+(** Marshal one record (length-prefixed binary). Raises
+    [Invalid_argument] if a string or the whole record is longer than
+    its 16-bit length word can say. *)
 val to_bytes : t -> bytes
 
 (** [Bytes.length (to_bytes t)], computed without encoding. *)

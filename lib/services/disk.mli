@@ -24,8 +24,9 @@ val enqueue_transfer : t -> float
 val wait_until : t -> float -> unit
 
 (** Current contents of a page, without touching the arm (the page must
-    already be in memory — used under the buffer cache). Missing pages
-    read as zeroes. *)
+    already be in memory — used under the buffer cache): a fresh
+    {!page_bytes}-byte copy of what was last written to it, zero-padded.
+    Pages never written read as zeroes. *)
 val peek : t -> int -> bytes
 
 (** Blocking read of one page. *)
@@ -35,9 +36,11 @@ val read_page : t -> int -> bytes
     will be in memory. *)
 val read_page_async : t -> int -> float
 
-(** Blocking write of one page. *)
+(** Blocking write of one page. The page keeps only [data], at most
+    {!page_bytes} long; the rest reads back as zeroes. *)
 val write_page : t -> int -> bytes -> unit
 
 (** Write-behind: the data is durable immediately, the arm time is
-    accounted for, but the caller does not wait. *)
+    accounted for, but the caller does not wait. A write of no bytes
+    stores nothing and allocates nothing. *)
 val write_page_behind : t -> int -> bytes -> unit

@@ -20,12 +20,18 @@ type entry =
   | Dir_entry of int
   | Remote_link of Context.spec
 
+(* What an inode holds depends on its kind: a file its block map, a
+   directory its entries and the one disk page they are written behind
+   to, from its first update on. *)
+type contents =
+  | Blocks of (int, int) Hashtbl.t  (* block index -> disk page *)
+  | Entries of { table : (string, entry) Hashtbl.t; mutable page : int option }
+
 type inode = {
   ino : int;
   kind : [ `File | `Dir ];
   mutable size : int;  (* bytes (files) *)
-  blocks : (int, int) Hashtbl.t;  (* block index -> disk page *)
-  dir_entries : (string, entry) Hashtbl.t;  (* directories only *)
+  contents : contents;
   mutable owner : string;
   mutable writable : bool;
   mutable created : float;
@@ -58,8 +64,10 @@ let mkino t ~kind ~owner ~parent ~name =
       ino;
       kind;
       size = 0;
-      blocks = Hashtbl.create 4;
-      dir_entries = Hashtbl.create 8;
+      contents =
+        (match kind with
+        | `File -> Blocks (Hashtbl.create 4)
+        | `Dir -> Entries { table = Hashtbl.create 8; page = None });
       owner;
       writable = true;
       created = now t;
@@ -131,13 +139,12 @@ let free_page_count t =
    write-behind (does not block the request path). *)
 let charge_dir_update t (dir : inode) =
   dir.modified <- now t;
-  match Hashtbl.find_opt dir.blocks 0 with
-  | Some page -> Disk.write_page_behind t.disk page Bytes.empty
-  | None -> (
-      match alloc_page t with
-      | Some page ->
-          Hashtbl.replace dir.blocks 0 page;
-          Disk.write_page_behind t.disk page Bytes.empty
+  match dir.contents with
+  | Blocks _ -> ()
+  | Entries d -> (
+      if d.page = None then d.page <- alloc_page t;
+      match d.page with
+      | Some page -> Disk.write_page_behind t.disk page Bytes.empty
       | None ->
           (* A full medium cannot persist the directory update; the
              in-core state stays authoritative in this model. *)
@@ -145,29 +152,31 @@ let charge_dir_update t (dir : inode) =
 
 let lookup t ~dir name =
   match Hashtbl.find t.inodes dir with
-  | node when node.kind = `Dir -> Hashtbl.find_opt node.dir_entries name
+  | { contents = Entries d; _ } -> Hashtbl.find_opt d.table name
   | _ | (exception Not_found) -> None
 
 let entries t ~dir =
   match find t dir with
-  | Some node when node.kind = `Dir ->
-      Hashtbl.fold (fun name e acc -> (name, e) :: acc) node.dir_entries []
+  | Some { contents = Entries d; _ } ->
+      Hashtbl.fold (fun name e acc -> (name, e) :: acc) d.table []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   | Some _ | None -> []
 
+(* A name travels in a CSname, whose length field is 16 bits. *)
 let valid_name name =
   name <> "" && name <> "." && name <> ".."
+  && String.length name <= Vnaming.Csname.max_length
   && (not (String.contains name '/'))
   && (not (String.contains name '['))
   && not (String.contains name '\000')
 
 let add_entry t ~dir name entry =
   match find t dir with
-  | Some node when node.kind = `Dir ->
+  | Some ({ contents = Entries d; _ } as node) ->
       if not (valid_name name) then Error Reply.Illegal_name
-      else if Hashtbl.mem node.dir_entries name then Error Reply.Duplicate_name
+      else if Hashtbl.mem d.table name then Error Reply.Duplicate_name
       else begin
-        Hashtbl.replace node.dir_entries name entry;
+        Hashtbl.replace d.table name entry;
         charge_dir_update t node;
         Ok ()
       end
@@ -175,12 +184,12 @@ let add_entry t ~dir name entry =
 
 let create_file t ~dir ~owner name =
   match find t dir with
-  | Some node when node.kind = `Dir ->
+  | Some ({ contents = Entries d; _ } as node) ->
       if not (valid_name name) then Error Reply.Illegal_name
-      else if Hashtbl.mem node.dir_entries name then Error Reply.Duplicate_name
+      else if Hashtbl.mem d.table name then Error Reply.Duplicate_name
       else begin
         let file = mkino t ~kind:`File ~owner ~parent:dir ~name in
-        Hashtbl.replace node.dir_entries name (File_entry file.ino);
+        Hashtbl.replace d.table name (File_entry file.ino);
         charge_dir_update t node;
         Ok file.ino
       end
@@ -188,12 +197,12 @@ let create_file t ~dir ~owner name =
 
 let mkdir t ~dir ~owner name =
   match find t dir with
-  | Some node when node.kind = `Dir ->
+  | Some ({ contents = Entries d; _ } as node) ->
       if not (valid_name name) then Error Reply.Illegal_name
-      else if Hashtbl.mem node.dir_entries name then Error Reply.Duplicate_name
+      else if Hashtbl.mem d.table name then Error Reply.Duplicate_name
       else begin
         let child = mkino t ~kind:`Dir ~owner ~parent:dir ~name in
-        Hashtbl.replace node.dir_entries name (Dir_entry child.ino);
+        Hashtbl.replace d.table name (Dir_entry child.ino);
         charge_dir_update t node;
         Ok child.ino
       end
@@ -202,58 +211,63 @@ let mkdir t ~dir ~owner name =
 (* Add a pointer to a context on another server. *)
 let add_remote_link t ~dir name spec = add_entry t ~dir name (Remote_link spec)
 
-let free_file_pages t (node : inode) =
-  Hashtbl.iter
-    (fun block page ->
-      Hashtbl.remove t.cache (node.ino, block);
-      t.free_pages <- page :: t.free_pages)
-    node.blocks;
-  Hashtbl.reset node.blocks
+(* Return an inode's pages to the free list: a file's blocks, which
+   leave the buffer cache too, or a directory's page. *)
+let free_pages_of t (node : inode) =
+  match node.contents with
+  | Blocks blocks ->
+      Hashtbl.iter
+        (fun block page ->
+          Hashtbl.remove t.cache (node.ino, block);
+          t.free_pages <- page :: t.free_pages)
+        blocks;
+      Hashtbl.reset blocks
+  | Entries d ->
+      Option.iter (fun page -> t.free_pages <- page :: t.free_pages) d.page;
+      d.page <- None
 
 (* Remove a name and, for files/empty directories, the object itself:
    one atomic single-server operation — the consistency property of
    §2.2. *)
 let unlink t ~dir name =
   match find t dir with
-  | Some node when node.kind = `Dir -> (
-      match Hashtbl.find_opt node.dir_entries name with
+  | Some ({ contents = Entries d; _ } as node) -> (
+      match Hashtbl.find_opt d.table name with
       | None -> Error Reply.Not_found
-      | Some (Remote_link _) ->
-          Hashtbl.remove node.dir_entries name;
-          charge_dir_update t node;
-          Ok ()
-      | Some (File_entry ino) ->
-          (match find t ino with
-          | Some file ->
-              free_file_pages t file;
-              Hashtbl.remove t.inodes ino
-          | None -> ());
-          Hashtbl.remove node.dir_entries name;
-          charge_dir_update t node;
-          Ok ()
-      | Some (Dir_entry ino) -> (
-          match find t ino with
-          | Some child when Hashtbl.length child.dir_entries > 0 ->
+      | Some entry -> (
+          let obj =
+            match entry with
+            | File_entry ino | Dir_entry ino -> find t ino
+            | Remote_link _ -> None
+          in
+          match obj with
+          | Some { contents = Entries child; _ }
+            when Hashtbl.length child.table > 0 ->
               Error Reply.No_permission
           | Some _ | None ->
-              Hashtbl.remove t.inodes ino;
-              Hashtbl.remove node.dir_entries name;
+              (match obj with
+              | Some obj ->
+                  free_pages_of t obj;
+                  Hashtbl.remove t.inodes obj.ino
+              | None -> ());
+              Hashtbl.remove d.table name;
               charge_dir_update t node;
               Ok ()))
   | Some _ | None -> Error Reply.Bad_context
 
 let rename t ~dir name ~new_dir new_name =
   match (find t dir, find t new_dir) with
-  | Some src, Some dst when src.kind = `Dir && dst.kind = `Dir -> (
-      match Hashtbl.find_opt src.dir_entries name with
+  | ( Some ({ contents = Entries from; _ } as src),
+      Some ({ contents = Entries into; _ } as dst) ) -> (
+      match Hashtbl.find_opt from.table name with
       | None -> Error Reply.Not_found
       | Some entry ->
           if not (valid_name new_name) then Error Reply.Illegal_name
-          else if Hashtbl.mem dst.dir_entries new_name then
+          else if Hashtbl.mem into.table new_name then
             Error Reply.Duplicate_name
           else begin
-            Hashtbl.remove src.dir_entries name;
-            Hashtbl.replace dst.dir_entries new_name entry;
+            Hashtbl.remove from.table name;
+            Hashtbl.replace into.table new_name entry;
             (match entry with
             | File_entry ino | Dir_entry ino -> (
                 match find t ino with
@@ -298,14 +312,14 @@ let path_of_ino t ino =
 
 (* --- file data --- *)
 
-let page_of_block t (node : inode) block ~allocate =
-  match Hashtbl.find_opt node.blocks block with
+let page_of_block t blocks block ~allocate =
+  match Hashtbl.find_opt blocks block with
   | Some page -> Some page
   | None ->
       if allocate then
         match alloc_page t with
         | Some page ->
-            Hashtbl.replace node.blocks block page;
+            Hashtbl.replace blocks block page;
             Some page
         | None -> None
       else None
@@ -319,15 +333,15 @@ let file_blocks t (node : inode) =
 let read_block t ~ino ~block =
   match find t ino with
   | None -> Error Reply.Not_found
-  | Some node when node.kind <> `File -> Error Reply.No_permission
-  | Some node ->
+  | Some { contents = Entries _; _ } -> Error Reply.No_permission
+  | Some ({ contents = Blocks blocks; _ } as node) ->
       let off = block * block_size t in
       if block < 0 then Error Reply.Invalid_instance
       else if off >= node.size then Error Reply.End_of_file
       else begin
         let len = min (block_size t) (node.size - off) in
         let page =
-          match page_of_block t node block ~allocate:false with
+          match page_of_block t blocks block ~allocate:false with
           | Some p -> p
           | None -> -1
         in
@@ -349,10 +363,10 @@ let read_block t ~ino ~block =
 (* Queue an asynchronous read of a block into the cache (read-ahead). *)
 let prefetch_block t ~ino ~block =
   match find t ino with
-  | Some node when node.kind = `File ->
+  | Some ({ contents = Blocks blocks; _ } as node) ->
       let off = block * block_size t in
       if off < node.size && not (Hashtbl.mem t.cache (ino, block)) then begin
-        match page_of_block t node block ~allocate:false with
+        match page_of_block t blocks block ~allocate:false with
         | Some page ->
             let ready_at = Disk.read_page_async t.disk page in
             ignore page;
@@ -366,13 +380,13 @@ let prefetch_block t ~ino ~block =
 let write_block ?(behind = false) t ~ino ~block data =
   match find t ino with
   | None -> Error Reply.Not_found
-  | Some node when node.kind <> `File -> Error Reply.No_permission
+  | Some { contents = Entries _; _ } -> Error Reply.No_permission
   | Some node when not node.writable -> Error Reply.No_permission
-  | Some node ->
+  | Some ({ contents = Blocks blocks; _ } as node) ->
       if block < 0 || Bytes.length data > block_size t then
         Error Reply.Invalid_instance
       else begin
-        match page_of_block t node block ~allocate:true with
+        match page_of_block t blocks block ~allocate:true with
         | None -> Error Reply.No_space
         | Some page ->
             if behind then Disk.write_page_behind t.disk page data
@@ -391,20 +405,20 @@ let set_size t ~ino size =
   else
     match find t ino with
     | None -> Error Reply.Not_found
-    | Some node when node.kind <> `File -> Error Reply.No_permission
+    | Some { contents = Entries _; _ } -> Error Reply.No_permission
     | Some node when not node.writable -> Error Reply.No_permission
-    | Some node ->
+    | Some ({ contents = Blocks blocks; _ } as node) ->
         let bs = block_size t in
         let keep_blocks = if size = 0 then 0 else ((size - 1) / bs) + 1 in
         let doomed =
           Hashtbl.fold
             (fun block page acc ->
               if block >= keep_blocks then (block, page) :: acc else acc)
-            node.blocks []
+            blocks []
         in
         List.iter
           (fun (block, page) ->
-            Hashtbl.remove node.blocks block;
+            Hashtbl.remove blocks block;
             Hashtbl.remove t.cache (ino, block);
             t.free_pages <- page :: t.free_pages)
           doomed;
@@ -415,9 +429,9 @@ let set_size t ~ino size =
 let truncate t ~ino =
   match find t ino with
   | None -> Error Reply.Not_found
-  | Some node when node.kind <> `File -> Error Reply.No_permission
+  | Some { contents = Entries _; _ } -> Error Reply.No_permission
   | Some node ->
-      free_file_pages t node;
+      free_pages_of t node;
       node.size <- 0;
       node.modified <- now t;
       Ok ()
@@ -479,8 +493,9 @@ let describe_entry t ~name entry =
           D.make
             ~obj_type:(if node.kind = `Dir then D.Directory else D.File)
             ~size:
-              (if node.kind = `Dir then Hashtbl.length node.dir_entries
-               else node.size)
+              (match node.contents with
+              | Entries d -> Hashtbl.length d.table
+              | Blocks _ -> node.size)
             ~owner:node.owner ~created:node.created ~modified:node.modified
             ~writable:node.writable name)
 
@@ -498,6 +513,10 @@ let modify_entry t entry (requested : Vnaming.Descriptor.t) =
   | File_entry ino | Dir_entry ino -> (
       match find t ino with
       | None -> Error Reply.Not_found
+      | Some _
+        when String.length requested.Vnaming.Descriptor.owner
+             > Vnaming.Csname.max_length ->
+          Error Reply.Illegal_name
       | Some node ->
           node.writable <- requested.Vnaming.Descriptor.writable;
           node.owner <- requested.Vnaming.Descriptor.owner;

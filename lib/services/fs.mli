@@ -18,12 +18,15 @@ type entry =
   | Dir_entry of int
   | Remote_link of Context.spec
 
+(** What an inode holds depends on its kind: a file its block map, a
+    directory its entries and its disk page. *)
+type contents
+
 type inode = {
   ino : int;
   kind : [ `File | `Dir ];
-  mutable size : int;
-  blocks : (int, int) Hashtbl.t;  (** block index -> disk page *)
-  dir_entries : (string, entry) Hashtbl.t;  (** directories only *)
+  mutable size : int;  (** bytes (files) *)
+  contents : contents;
   mutable owner : string;
   mutable writable : bool;
   mutable created : float;
@@ -59,7 +62,11 @@ val lookup : t -> dir:int -> string -> entry option
 (** Entries sorted by name. *)
 val entries : t -> dir:int -> (string * entry) list
 
+(** A name a directory can bind: not empty, ["."] or [".."], without
+    ['/'], ['\['] or NUL, and at most {!Vnaming.Csname.max_length}
+    bytes. *)
 val valid_name : string -> bool
+
 val create_file : t -> dir:int -> owner:string -> string -> (int, Reply.code) result
 val mkdir : t -> dir:int -> owner:string -> string -> (int, Reply.code) result
 
@@ -68,7 +75,8 @@ val add_remote_link :
   t -> dir:int -> string -> Context.spec -> (unit, Reply.code) result
 
 (** Remove a name and, for files and empty directories, the object
-    itself: one atomic single-server operation (§2.2). *)
+    itself and its disk pages: one atomic single-server operation
+    (§2.2). *)
 val unlink : t -> dir:int -> string -> (unit, Reply.code) result
 
 val rename :
@@ -116,6 +124,7 @@ val read_file : t -> ino:int -> (bytes, Reply.code) result
 val describe_entry : t -> name:string -> entry -> Vnaming.Descriptor.t
 val describe_ino : t -> int -> Vnaming.Descriptor.t option
 
-(** Apply a §5.5 modification record: writable bit and owner. *)
+(** Apply a §5.5 modification record: writable bit and owner. An owner
+    longer than {!Vnaming.Csname.max_length} bytes is an illegal name. *)
 val modify_entry :
   t -> entry -> Vnaming.Descriptor.t -> (unit, Reply.code) result

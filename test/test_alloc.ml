@@ -45,7 +45,14 @@
    — a count, a request, a hop's finish, a replica fan-out — allocates
    nothing at all. When these layers formatted their recorder labels
    through a printf-style call, the fan-out alone cost about 19 words
-   with the recorder off. *)
+   with the recorder off.
+
+   In the storage layer, a directory's write-behind update allocates
+   nothing (ceiling 0), and one file's create then unlink in a directory
+   that has its page 65 words (ceiling 91). They cost 68 and 226 words
+   on OCaml 5.1 while every disk write kept a fresh zeroed 512-byte page
+   and boxed the arm's new time, and every file's inode carried an empty
+   directory table beside its block map. *)
 
 module K = Vkernel.Kernel
 module E = Vnet.Ethernet
@@ -511,6 +518,43 @@ let test_upper_report () =
        (Vobs.Hub.metrics Scenario.(t.obs))
        ~host:"ws0" ~server:"alloc" ~op:"replicate-write")
 
+(* --- the storage layer --- *)
+
+module Disk = Vservices.Disk
+
+(* Each directory update writes its page behind with no bytes. *)
+let test_dir_update () =
+  let disk = Disk.create (Engine.create ()) in
+  Disk.write_page_behind disk 0 Bytes.empty;
+  let n = 10_000 in
+  gate "a directory's write-behind update" ~ceiling:0.0
+    (words_per ~units:n (fun () ->
+         for _ = 1 to n do
+           Disk.write_page_behind disk 0 Bytes.empty
+         done));
+  Alcotest.(check int) "every write counted" (n + 1) (Disk.write_count disk)
+
+(* A file's create then unlink in a directory that has its page: the
+   inode, its block map and its entry, and the two updates. *)
+let test_create_unlink () =
+  let eng = Engine.create () in
+  let fs = Fs.create (Disk.create eng) eng in
+  let cycle () =
+    match Fs.create_file fs ~dir:Fs.root_ino ~owner:"alloc" "f" with
+    | Ok _ -> (
+        match Fs.unlink fs ~dir:Fs.root_ino "f" with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "unlink")
+    | Error _ -> Alcotest.fail "create"
+  in
+  cycle ();
+  let n = 10_000 in
+  gate "a file's create then unlink" ~ceiling:91.0
+    (words_per ~units:n (fun () ->
+         for _ = 1 to n do
+           cycle ()
+         done))
+
 let suite =
   [
     ( "alloc",
@@ -530,5 +574,7 @@ let suite =
         Alcotest.test_case "Query naming share" `Quick test_query_naming_share;
         Alcotest.test_case "message sizing" `Quick test_sizing;
         Alcotest.test_case "upper-layer report" `Quick test_upper_report;
+        Alcotest.test_case "directory update" `Quick test_dir_update;
+        Alcotest.test_case "file create and unlink" `Quick test_create_unlink;
       ] );
   ]

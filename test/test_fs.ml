@@ -45,6 +45,27 @@ let test_disk_persistence () =
         (Bytes.sub_string back 0 5));
   Vsim.Engine.run eng
 
+(* A page reads back whole: what a write did not cover reads as zeroes,
+   a write-behind of no bytes included. *)
+let test_disk_round_trip () =
+  let eng = Vsim.Engine.create () in
+  let disk = Disk.create eng in
+  let zeroes n = String.make n '\000' in
+  Vsim.Proc.spawn eng (fun () ->
+      Disk.write_page disk 3 (Bytes.of_string "short");
+      Alcotest.(check string) "5 bytes, zero-padded"
+        ("short" ^ zeroes (Disk.page_bytes - 5))
+        (Bytes.to_string (Disk.read_page disk 3));
+      let full = String.init Disk.page_bytes (fun i -> Char.chr (i mod 251)) in
+      Disk.write_page disk 4 (Bytes.of_string full);
+      Alcotest.(check string) "full page" full
+        (Bytes.to_string (Disk.read_page disk 4));
+      Disk.write_page_behind disk 4 Bytes.empty;
+      Alcotest.(check string) "no bytes written behind"
+        (zeroes Disk.page_bytes)
+        (Bytes.to_string (Disk.read_page disk 4)));
+  Vsim.Engine.run eng
+
 let test_disk_serializes () =
   (* Two concurrent readers share the arm: second finishes at 30ms. *)
   let eng = Vsim.Engine.create () in
@@ -82,8 +103,11 @@ let test_illegal_names () =
         (fun name ->
           match Fs.create_file fs ~dir:Fs.root_ino ~owner:"t" name with
           | Error Reply.Illegal_name -> ()
-          | _ -> Alcotest.failf "name %S must be illegal" name)
-        [ ""; "a/b"; "a[b"; "."; ".." ])
+          | _ ->
+              Alcotest.failf "name %S (%d bytes) must be illegal"
+                (String.sub name 0 (min 16 (String.length name)))
+                (String.length name))
+        [ ""; "a/b"; "a[b"; "."; ".."; String.make 70_000 'x' ])
 
 let test_hierarchy_and_paths () =
   with_fs (fun _ fs ->
@@ -253,6 +277,26 @@ let test_free_page_count () =
         (Fs.free_page_count fs >= before - 1));
   Vsim.Engine.run eng
 
+(* Removing a directory returns its page: cycles of mkdir, create,
+   unlink of the file and of the directory leave the free count where
+   the first left it. *)
+let test_rmdir_frees_page () =
+  let eng = Vsim.Engine.create () in
+  let disk = Disk.create ~capacity_pages:10 eng in
+  let fs = Fs.create disk eng in
+  let free = ref [] in
+  Vsim.Proc.spawn eng (fun () ->
+      for _ = 1 to 4 do
+        let d = ok_exn "mkdir" (Fs.mkdir fs ~dir:Fs.root_ino ~owner:"t" "d") in
+        ignore (ok_exn "create" (Fs.create_file fs ~dir:d ~owner:"t" "x"));
+        ok_exn "unlink file" (Fs.unlink fs ~dir:d "x");
+        ok_exn "unlink dir" (Fs.unlink fs ~dir:Fs.root_ino "d");
+        free := Fs.free_page_count fs :: !free
+      done);
+  Vsim.Engine.run eng;
+  Alcotest.(check (list int)) "free pages after each cycle" [ 9; 9; 9; 9 ]
+    !free
+
 (* --- model-based random operations --- *)
 
 (* Compare the fs against a simple association-list model under a random
@@ -318,6 +362,7 @@ let suite =
         Alcotest.test_case "timing" `Quick test_disk_timing;
         Alcotest.test_case "persistence" `Quick test_disk_persistence;
         Alcotest.test_case "serializes" `Quick test_disk_serializes;
+        Alcotest.test_case "round trip" `Quick test_disk_round_trip;
       ] );
     ( "fs.structure",
       [
@@ -342,6 +387,7 @@ let suite =
         Alcotest.test_case "prefetch" `Quick test_uncached_read_costs_disk;
         Alcotest.test_case "capacity/No_space" `Quick test_disk_capacity_no_space;
         Alcotest.test_case "free page accounting" `Quick test_free_page_count;
+        Alcotest.test_case "rmdir frees its page" `Quick test_rmdir_frees_page;
         qcheck prop_fs_matches_model;
       ] );
   ]

@@ -158,6 +158,20 @@ let test_descriptor_malformed () =
   | _ -> Alcotest.fail "garbage must not decode"
   | exception Descriptor.Malformed _ -> ()
 
+(* Every length in a record is a 16-bit word: a string or a record
+   longer than it can say is refused, not written with a wrong word. *)
+let test_descriptor_too_long () =
+  let refused what d =
+    match Descriptor.to_bytes d with
+    | _ -> Alcotest.failf "%s: encoded" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "a 70,000-byte name"
+    (Descriptor.make ~obj_type:Descriptor.File (String.make 70_000 'x'));
+  refused "two 40,000-byte strings"
+    (Descriptor.make ~obj_type:Descriptor.File
+       ~owner:(String.make 40_000 'o') (String.make 40_000 'x'))
+
 let test_modification_limits () =
   let current = Descriptor.make ~obj_type:Descriptor.File ~size:10 ~owner:"a" "f" in
   let requested =
@@ -546,6 +560,7 @@ let suite =
         qcheck prop_descriptor_roundtrip;
         qcheck prop_directory_roundtrip;
         Alcotest.test_case "malformed" `Quick test_descriptor_malformed;
+        Alcotest.test_case "too long" `Quick test_descriptor_too_long;
         Alcotest.test_case "modification limits" `Quick test_modification_limits;
       ] );
     ( "naming.walk",

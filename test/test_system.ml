@@ -106,6 +106,24 @@ let test_query_and_modify () =
          let d' = ok_exn "re-query" (Runtime.query env "[home]f.txt") in
          Alcotest.(check bool) "now read-only" false d'.Descriptor.writable))
 
+(* The message proper holds a name's length in 16 bits: a longer name,
+   or a longer owner in a modification record, is an illegal name. *)
+let test_long_strings_refused () =
+  let long = String.make 70_000 'x' in
+  ignore
+    (run_client (fun _t _self env ->
+         (match Runtime.create env ("[home]" ^ long) with
+         | Error (Vio.Verr.Denied Reply.Illegal_name) -> ()
+         | Ok () -> Alcotest.fail "a 70,000-byte name was created"
+         | Error e -> Alcotest.failf "create: %a" Vio.Verr.pp e);
+         ok_exn "create" (Runtime.create env "[home]owned");
+         let d = ok_exn "query" (Runtime.query env "[home]owned") in
+         let requested = { d with Descriptor.owner = long } in
+         match Runtime.modify env "[home]owned" requested with
+         | Error (Vio.Verr.Denied Reply.Illegal_name) -> ()
+         | Ok () -> Alcotest.fail "a 70,000-byte owner was set"
+         | Error e -> Alcotest.failf "modify: %a" Vio.Verr.pp e))
+
 let test_remove_is_atomic_with_name () =
   ignore
     (run_client (fun _t _self env ->
@@ -1006,6 +1024,8 @@ let suite =
     ( "system.objects",
       [
         Alcotest.test_case "query and modify" `Quick test_query_and_modify;
+        Alcotest.test_case "long names refused" `Quick
+          test_long_strings_refused;
         Alcotest.test_case "remove atomicity" `Quick test_remove_is_atomic_with_name;
         Alcotest.test_case "rename" `Quick test_rename;
         Alcotest.test_case "list directory" `Quick test_list_directory;
