@@ -251,6 +251,8 @@ let flat_reply flat ~server (msg : Vmsg.t) ctx remaining =
                   ~owner:flat.owner flat.directory))
           ()
       else reply Reply.Bad_operation
+  | [ name ] when not (Descriptor.fits ~owner:flat.owner ~attrs:[] name) ->
+      reply Reply.Illegal_name
   | [ name ] -> (
       match flat.find name with
       | Error code -> reply code

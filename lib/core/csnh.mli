@@ -99,6 +99,8 @@ val serve : Vmsg.t Kernel.self -> ?stats:server_stats -> handlers -> unit
       any other request gets [Bad_operation];
     - QueryName on one name returns the record the listing holds for
       it, so the listing agrees with per-name queries (§5.6);
+    - a name whose record, with the context's owner, would not fit
+      ({!Descriptor.fits}) gets [Illegal_name] for every operation;
     - a name of two or more components gets [Not_found].
 
     A server supplies its objects, how one name is found and described,

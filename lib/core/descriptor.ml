@@ -70,8 +70,11 @@ type t = {
   attrs : (string * string) list;  (** type-specific attributes *)
 }
 
-let make ?(size = 0) ?(owner = "system") ?(created = 0.0) ?(modified = 0.0)
-    ?(writable = true) ?instance ?(attrs = []) ~obj_type name =
+let default_owner = "system"
+
+let make ?(size = 0) ?(owner = default_owner) ?(created = 0.0)
+    ?(modified = 0.0) ?(writable = true) ?instance ?(attrs = []) ~obj_type
+    name =
   { obj_type; name; size; owner; created; modified; writable; instance; attrs }
 
 (* Which fields a [modify] request may change; servers ignore the rest
@@ -97,8 +100,11 @@ let put_u16 b v =
   Buffer.add_char b (Char.chr (v land 0xff));
   Buffer.add_char b (Char.chr ((v lsr 8) land 0xff))
 
+(* The most bytes a length word can say, a whole record's included. *)
+let max_bytes = 0xffff
+
 let put_length b n =
-  if n > 0xffff then
+  if n > max_bytes then
     invalid_arg "Descriptor.to_bytes: longer than 65,535 bytes";
   put_u16 b n
 
@@ -139,11 +145,15 @@ let to_bytes t =
    tag, the two strings with their lengths, four 32-bit words (size,
    times), the writable byte, the instance and attribute-count words,
    and each attribute's two strings. *)
-let encoded_length t =
+let length_of ~owner ~attrs name =
   List.fold_left
     (fun n (k, v) -> n + 4 + String.length k + String.length v)
-    (24 + String.length t.name + String.length t.owner)
-    t.attrs
+    (24 + String.length name + String.length owner)
+    attrs
+
+let encoded_length t = length_of ~owner:t.owner ~attrs:t.attrs t.name
+
+let fits ~owner ~attrs name = length_of ~owner ~attrs name <= max_bytes
 
 exception Malformed of string
 

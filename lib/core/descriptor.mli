@@ -36,6 +36,9 @@ type t = {
   attrs : (string * string) list;  (** type-specific attributes *)
 }
 
+(** The owner [make] gives a record when it is not told one. *)
+val default_owner : string
+
 val make :
   ?size:int ->
   ?owner:string ->
@@ -63,6 +66,14 @@ val to_bytes : t -> bytes
 
 (** [Bytes.length (to_bytes t)], computed without encoding. *)
 val encoded_length : t -> int
+
+(** [fits ~owner ~attrs name]: whether a record of [name], [owner] and
+    [attrs] can be written, that is, 24 bytes plus the name, the owner
+    and each attribute's two strings and 4 bytes come to at most
+    65,535, the limit of the record's 16-bit length word. It allocates
+    nothing. Every server holds a name or an owner to it where it
+    enters. *)
+val fits : owner:string -> attrs:(string * string) list -> string -> bool
 
 (** [of_bytes data offset] decodes one record and returns the offset of
     the next. Raises {!Malformed}. *)

@@ -160,19 +160,28 @@ type 'm process = {
   proc_name : string;
   proc_host : 'm host;
   queue : 'm delivery Queue.t;
-  (* The receive slot: a receive that found no message waits here
-     until a delivery or an abort takes it. *)
-  mutable receiver : 'm delivery Proc.waiting option;
-  (* The key of the record any other blocking call waits in: the txn
-     of a transaction or GetPid wait, or the negated id of a move. An
-     int, so setting it writes no pointer. Left stale when the call
-     returns; a txn or move id is never reused, so a stale key finds
-     nothing. 0 before the first such call. *)
-  mutable blocked_on : int;
+  wait : 'm wait;
+  (* What Receive and Send block on, built once with the process over
+     [wait] (see [block_here]). A delivery and a reply are both a
+     message and a pid, so one blocker serves both. *)
+  blocker : ('m * Pid.t) Proc.blocker;
   mutable proc_alive : bool;
   (* Overload protection, off ([None]) by default: with no hook
      installed the request path costs exactly one extra word test. *)
   mutable admission : 'm admission option;
+}
+
+(* Where a process's blocked call waits. *)
+and 'm wait = {
+  (* The receive slot: a receive that found no message waits here
+     until a delivery or an abort takes it. *)
+  mutable receiver : 'm delivery Proc.waiting option;
+  (* The key of the record any other blocking call waits in: the txn
+     of a transaction or GetPid wait, or the negated id of a move; 0
+     while it waits in Receive, and before its first such call. An int,
+     so setting it writes no pointer. Left stale when the call returns;
+     a txn or move id is never reused, so a stale key finds nothing. *)
+  mutable blocked_on : int;
 }
 
 and 'm admission = {
@@ -186,7 +195,7 @@ and 'm admission = {
 }
 
 and 'm pending = {
-  p_sender : ('m * Pid.t) Proc.waiting;  (* resumed with (reply, replier) *)
+  mutable p_sender : 'm sender;
   p_buffer : bytes option;
   (* The transaction's one timer ([arm_recovery], or GroupSend's
      deadline), so completion cancels it in O(1) instead of leaving a
@@ -195,6 +204,15 @@ and 'm pending = {
   mutable p_timer : Engine.timer;
   mutable p_probes : int;  (* probes fired so far, across re-arms *)
 }
+
+(* A transaction's sender, which a Send registers before it blocks:
+   still setting its transaction up, blocked on its continuation
+   (resumed with (reply, replier)), or answered before it blocked, by
+   an admission hook that shed its local request. *)
+and 'm sender =
+  | Sending
+  | Blocked of ('m * Pid.t) Proc.waiting
+  | Answered of ('m * Pid.t)
 
 and move_op = {
   mv_mover : bytes Proc.waiting;
@@ -589,20 +607,23 @@ let retire_pending host ~txn pending =
 
 (* Resume transaction [txn]'s blocked sender with [(reply, replier)].
    Cancelling the timer leaves a satisfied SRR no residue in the event
-   queue. *)
+   queue. A sender that has not blocked yet keeps the reply, and its
+   blocker wakes it (see [block_here]). *)
 let resume_pending host ~txn reply =
   match Hashtbl.find host.pendings txn with
   | exception Not_found -> ()
-  | pending ->
+  | { p_sender = Blocked k; _ } as pending ->
       retire_pending host ~txn pending;
-      Proc.wake host.domain.engine pending.p_sender reply
+      Proc.wake host.domain.engine k reply
+  | pending -> pending.p_sender <- Answered reply
 
+(* Nothing fails a transaction before its sender blocks. *)
 let fail_pending host ~txn e =
   match Hashtbl.find host.pendings txn with
-  | exception Not_found -> ()
-  | pending ->
+  | { p_sender = Blocked k; _ } as pending ->
       retire_pending host ~txn pending;
-      Proc.wake_exn host.domain.engine pending.p_sender e
+      Proc.wake_exn host.domain.engine k e
+  | _ | (exception Not_found) -> ()
 
 let finish_move host ~mv result =
   match Hashtbl.find host.moves mv with
@@ -629,12 +650,13 @@ let settle_getpid host ~txn result =
 (* Wake [proc]'s blocked kernel call, if it has one, with [e]. *)
 let abort_blocked proc e =
   let host = proc.proc_host in
-  (match proc.receiver with
+  let wait = proc.wait in
+  (match wait.receiver with
   | Some k ->
-      proc.receiver <- None;
+      wait.receiver <- None;
       Proc.wake_exn host.domain.engine k e
   | None -> ());
-  let key = proc.blocked_on in
+  let key = wait.blocked_on in
   if key > 0 then begin
     fail_pending host ~txn:key e;
     settle_getpid host ~txn:key (Error e)
@@ -697,18 +719,35 @@ let destroy_process_record proc =
     retire_served proc
   end
 
+(* The register of a process's blocker. A Receive's continuation waits
+   in the receive slot ([blocked_on] is 0). A Send's waits in the
+   pending record the Send registered under [blocked_on], unless a shed
+   answered the Send first; then it wakes at once, in the one event any
+   reply takes. *)
+let block_here host wait k =
+  match wait.blocked_on with
+  | 0 -> wait.receiver <- Some k
+  | txn -> (
+      let pending = Hashtbl.find host.pendings txn in
+      match pending.p_sender with
+      | Answered reply ->
+          retire_pending host ~txn pending;
+          Proc.wake host.domain.engine k reply
+      | Sending | Blocked _ -> pending.p_sender <- Blocked k)
+
 let spawn host ?(name = "process") body =
   if not host.host_up then raise (Host_is_down host.host_name);
   let lp = alloc_local_pid host in
   let pid = Pid.make ~logical_host:host.logical_host ~local_pid:lp in
+  let wait = { receiver = None; blocked_on = 0 } in
   let proc =
     {
       pid;
       proc_name = name;
       proc_host = host;
       queue = Queue.create ();
-      receiver = None;
-      blocked_on = 0;
+      wait;
+      blocker = Proc.blocker (fun k -> block_here host wait k);
       proc_alive = true;
       admission = None;
     }
@@ -746,9 +785,9 @@ let deliver ~served ~sender proc lane msg =
     (serving_key ~sender ~receiver:proc.pid)
     served;
   if proc.proc_alive then
-    match proc.receiver with
+    match proc.wait.receiver with
     | Some k ->
-        proc.receiver <- None;
+        proc.wait.receiver <- None;
         Proc.wake proc.proc_host.domain.engine k (msg, sender)
     | None -> Queue.add (msg, sender) lane
 
@@ -918,31 +957,40 @@ let block_ipc register =
   | v -> Ok v
   | exception Ipc_error e -> Error e
 
-(* Register [proc]'s transaction [txn], blocked on [k], from inside
-   the register function of its [Proc.block]. [buffer] is what the
-   sender exposes to MoveTo/MoveFrom meanwhile. Whatever wakes the
-   sender retires the record. *)
-let await_reply proc ~txn buffer k =
-  proc.blocked_on <- txn;
+(* Block a Send on its reply, once its transaction is set up. *)
+let await_reply proc =
+  match Proc.await proc.blocker with
+  | v -> Ok v
+  | exception Ipc_error e -> Error e
+
+(* Register [proc]'s transaction [txn] under the key it keeps, its
+   sender in state [sender]. [buffer] is what the sender exposes to
+   MoveTo/MoveFrom meanwhile. Whatever wakes the sender retires the
+   record. *)
+let register_pending proc ~txn buffer sender =
+  proc.wait.blocked_on <- txn;
   let pending =
-    { p_sender = k; p_buffer = buffer; p_timer = Engine.no_timer; p_probes = 0 }
+    {
+      p_sender = sender;
+      p_buffer = buffer;
+      p_timer = Engine.no_timer;
+      p_probes = 0;
+    }
   in
   Hashtbl.replace proc.proc_host.pendings txn pending;
   pending
 
 (* The remote leg of Send: put the request on the wire towards
-   [dst_addr] and block with its timer armed. *)
+   [dst_addr], arm its timer, and block. *)
 let send_remote proc ?buffer ~dst_addr ~target msg =
   charge proc Calibration.small_packet_send_cpu;
   let host = proc.proc_host in
   let txn = fresh_txn host.domain in
-  block_ipc (fun k ->
-      let pending = await_reply proc ~txn buffer k in
-      let frame =
-        request_frame host ~dst_addr ~txn ~sender:proc.pid ~target msg
-      in
-      Ethernet.transmit host.domain.net frame;
-      arm_recovery host ~txn pending ~dst_addr ~retransmit:true frame)
+  let pending = register_pending proc ~txn buffer Sending in
+  let frame = request_frame host ~dst_addr ~txn ~sender:proc.pid ~target msg in
+  Ethernet.transmit host.domain.net frame;
+  arm_recovery host ~txn pending ~dst_addr ~retransmit:true frame;
+  await_reply proc
 
 (* [send proc target msg] implements the Send primitive: blocks the
    calling fiber until the target (or whoever the message is forwarded
@@ -958,11 +1006,12 @@ let send proc ?buffer target msg =
   | target_proc when target_proc.proc_host == host ->
       charge proc Calibration.local_ipc_leg_cpu;
       if not target_proc.proc_alive then Error Nonexistent_process
-      else
+      else begin
         let txn = fresh_txn d in
-        block_ipc (fun k ->
-            ignore (await_reply proc ~txn buffer k : 'm pending);
-            dispatch_local_request host ~txn ~sender:proc.pid ~target_proc msg)
+        ignore (register_pending proc ~txn buffer Sending : 'm pending);
+        dispatch_local_request host ~txn ~sender:proc.pid ~target_proc msg;
+        await_reply proc
+      end
   | target_proc ->
       send_remote proc ?buffer ~dst_addr:target_proc.proc_host.addr ~target msg
   | exception Not_found -> (
@@ -987,7 +1036,9 @@ let receive proc =
     else
       match proc.admission with
       | Some ad when not (Queue.is_empty ad.ad_bulk) -> Queue.take ad.ad_bulk
-      | Some _ | None -> Proc.block (fun k -> proc.receiver <- Some k)
+      | Some _ | None ->
+          proc.wait.blocked_on <- 0;
+          Proc.await proc.blocker
   in
   report proc.proc_host Receive (Pid.to_int proc.pid) (Pid.to_int sender) 0;
   delivery
@@ -1157,7 +1208,7 @@ let exposed_buffer host ~txn ~len =
 let await_move proc ~mv ~len start =
   let host = proc.proc_host in
   block_ipc (fun k ->
-      proc.blocked_on <- -mv;
+      proc.wait.blocked_on <- -mv;
       let op =
         { mv_mover = k; mv_buf = Buffer.create len; mv_timer = Engine.no_timer }
       in
@@ -1489,7 +1540,7 @@ let get_pid proc ~service scope =
           charge proc Calibration.small_packet_send_cpu;
           let txn = fresh_txn d in
           Proc.block (fun k ->
-              proc.blocked_on <- txn;
+              proc.wait.blocked_on <- txn;
               transmit host ~dst:Ethernet.Broadcast
                 ~payload_bytes:control_payload_bytes
                 (Getpid_query { txn; requester_addr = host.addr; service });
@@ -1556,7 +1607,7 @@ let send_group proc ~group msg =
   charge proc Calibration.small_packet_send_cpu;
   let txn = fresh_txn d in
   block_ipc (fun k ->
-      let pending = await_reply proc ~txn None k in
+      let pending = register_pending proc ~txn None (Blocked k) in
       multicast_request host ~group ~sender:proc.pid ~txn msg;
       pending.p_timer <-
         Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine (fun () ->

@@ -129,10 +129,18 @@ let describe_account t (a : account) =
       [ ("home", Option.value ~default:"?" (Fs.path_of_ino t.fs a.acct_home)) ]
     a.acct_name
 
+(* Whether the account record of [name] fits ([Descriptor.fits]): its
+   owner is the name, and its home attribute the path of its home
+   directory. *)
+let account_fits t name =
+  let users = Option.value ~default:"?" (Fs.path_of_ino t.fs t.users_ino) in
+  Descriptor.fits ~owner:name ~attrs:[ ("home", users ^ "/" ^ name) ] name
+
 (* Creating an account also creates its home directory: one atomic
    single-server operation covering both object types. *)
 let create_account t ~now name =
-  if Hashtbl.mem t.accounts name then Error Reply.Duplicate_name
+  if not (account_fits t name) then Error Reply.Illegal_name
+  else if Hashtbl.mem t.accounts name then Error Reply.Duplicate_name
   else
     match Fs.mkdir t.fs ~dir:t.users_ino ~owner:name name with
     | Error code -> Error code

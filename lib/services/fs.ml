@@ -13,6 +13,7 @@
    the file server turns into request forwarding. *)
 
 module Context = Vnaming.Context
+module Descriptor = Vnaming.Descriptor
 module Reply = Vnaming.Reply
 
 type entry =
@@ -20,18 +21,20 @@ type entry =
   | Dir_entry of int
   | Remote_link of Context.spec
 
-(* What an inode holds depends on its kind: a file its block map, a
+(* What an inode holds depends on its kind: a file nothing until its
+   first block write, then its block map (block index -> disk page); a
    directory its entries and the one disk page they are written behind
    to, from its first update on. *)
 type contents =
-  | Blocks of (int, int) Hashtbl.t  (* block index -> disk page *)
+  | No_blocks
+  | Blocks of (int, int) Hashtbl.t
   | Entries of { table : (string, entry) Hashtbl.t; mutable page : int option }
 
 type inode = {
   ino : int;
   kind : [ `File | `Dir ];
   mutable size : int;  (* bytes (files) *)
-  contents : contents;
+  mutable contents : contents;
   mutable owner : string;
   mutable writable : bool;
   mutable created : float;
@@ -66,7 +69,7 @@ let mkino t ~kind ~owner ~parent ~name =
       size = 0;
       contents =
         (match kind with
-        | `File -> Blocks (Hashtbl.create 4)
+        | `File -> No_blocks
         | `Dir -> Entries { table = Hashtbl.create 8; page = None });
       owner;
       writable = true;
@@ -140,7 +143,7 @@ let free_page_count t =
 let charge_dir_update t (dir : inode) =
   dir.modified <- now t;
   match dir.contents with
-  | Blocks _ -> ()
+  | No_blocks | Blocks _ -> ()
   | Entries d -> (
       if d.page = None then d.page <- alloc_page t;
       match d.page with
@@ -162,18 +165,35 @@ let entries t ~dir =
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   | Some _ | None -> []
 
-(* A name travels in a CSname, whose length field is 16 bits. *)
 let valid_name name =
   name <> "" && name <> "." && name <> ".."
-  && String.length name <= Vnaming.Csname.max_length
   && (not (String.contains name '/'))
   && (not (String.contains name '['))
   && not (String.contains name '\000')
 
+(* The attribute a pointer's description record carries. *)
+let link_attrs spec = [ ("target", Fmt.str "%a" Context.pp_spec spec) ]
+
+(* Whether [entry] fits the description record [describe_entry] makes
+   of it under [name]. *)
+let entry_fits t name entry =
+  match entry with
+  | Remote_link spec ->
+      Descriptor.fits ~owner:Descriptor.default_owner ~attrs:(link_attrs spec)
+        name
+  | File_entry ino | Dir_entry ino ->
+      let owner =
+        match find t ino with
+        | Some node -> node.owner
+        | None -> Descriptor.default_owner
+      in
+      Descriptor.fits ~owner ~attrs:[] name
+
 let add_entry t ~dir name entry =
   match find t dir with
   | Some ({ contents = Entries d; _ } as node) ->
-      if not (valid_name name) then Error Reply.Illegal_name
+      if not (valid_name name && entry_fits t name entry) then
+        Error Reply.Illegal_name
       else if Hashtbl.mem d.table name then Error Reply.Duplicate_name
       else begin
         Hashtbl.replace d.table name entry;
@@ -185,7 +205,8 @@ let add_entry t ~dir name entry =
 let create_file t ~dir ~owner name =
   match find t dir with
   | Some ({ contents = Entries d; _ } as node) ->
-      if not (valid_name name) then Error Reply.Illegal_name
+      if not (valid_name name && Descriptor.fits ~owner ~attrs:[] name) then
+        Error Reply.Illegal_name
       else if Hashtbl.mem d.table name then Error Reply.Duplicate_name
       else begin
         let file = mkino t ~kind:`File ~owner ~parent:dir ~name in
@@ -198,7 +219,8 @@ let create_file t ~dir ~owner name =
 let mkdir t ~dir ~owner name =
   match find t dir with
   | Some ({ contents = Entries d; _ } as node) ->
-      if not (valid_name name) then Error Reply.Illegal_name
+      if not (valid_name name && Descriptor.fits ~owner ~attrs:[] name) then
+        Error Reply.Illegal_name
       else if Hashtbl.mem d.table name then Error Reply.Duplicate_name
       else begin
         let child = mkino t ~kind:`Dir ~owner ~parent:dir ~name in
@@ -215,6 +237,7 @@ let add_remote_link t ~dir name spec = add_entry t ~dir name (Remote_link spec)
    leave the buffer cache too, or a directory's page. *)
 let free_pages_of t (node : inode) =
   match node.contents with
+  | No_blocks -> ()
   | Blocks blocks ->
       Hashtbl.iter
         (fun block page ->
@@ -262,7 +285,8 @@ let rename t ~dir name ~new_dir new_name =
       match Hashtbl.find_opt from.table name with
       | None -> Error Reply.Not_found
       | Some entry ->
-          if not (valid_name new_name) then Error Reply.Illegal_name
+          if not (valid_name new_name && entry_fits t new_name entry) then
+            Error Reply.Illegal_name
           else if Hashtbl.mem into.table new_name then
             Error Reply.Duplicate_name
           else begin
@@ -312,17 +336,28 @@ let path_of_ino t ino =
 
 (* --- file data --- *)
 
-let page_of_block t blocks block ~allocate =
-  match Hashtbl.find_opt blocks block with
-  | Some page -> Some page
-  | None ->
-      if allocate then
-        match alloc_page t with
-        | Some page ->
-            Hashtbl.replace blocks block page;
-            Some page
-        | None -> None
-      else None
+let page_of_block (node : inode) block =
+  match node.contents with
+  | Blocks blocks -> Hashtbl.find_opt blocks block
+  | No_blocks | Entries _ -> None
+
+(* The page of a file's [block], allocated if it has none; its block
+   map is made at its first block write. *)
+let alloc_block t (node : inode) block =
+  match page_of_block node block with
+  | Some _ as page -> page
+  | None -> (
+      match alloc_page t with
+      | None -> None
+      | Some page as allocated ->
+          (match node.contents with
+          | Blocks blocks -> Hashtbl.replace blocks block page
+          | No_blocks ->
+              let blocks = Hashtbl.create 4 in
+              Hashtbl.replace blocks block page;
+              node.contents <- Blocks blocks
+          | Entries _ -> invalid_arg "Fs.alloc_block: a directory");
+          allocated)
 
 let block_size _ = Disk.page_bytes
 
@@ -334,14 +369,14 @@ let read_block t ~ino ~block =
   match find t ino with
   | None -> Error Reply.Not_found
   | Some { contents = Entries _; _ } -> Error Reply.No_permission
-  | Some ({ contents = Blocks blocks; _ } as node) ->
+  | Some node ->
       let off = block * block_size t in
       if block < 0 then Error Reply.Invalid_instance
       else if off >= node.size then Error Reply.End_of_file
       else begin
         let len = min (block_size t) (node.size - off) in
         let page =
-          match page_of_block t blocks block ~allocate:false with
+          match page_of_block node block with
           | Some p -> p
           | None -> -1
         in
@@ -363,10 +398,10 @@ let read_block t ~ino ~block =
 (* Queue an asynchronous read of a block into the cache (read-ahead). *)
 let prefetch_block t ~ino ~block =
   match find t ino with
-  | Some ({ contents = Blocks blocks; _ } as node) ->
+  | Some ({ contents = Blocks _; _ } as node) ->
       let off = block * block_size t in
       if off < node.size && not (Hashtbl.mem t.cache (ino, block)) then begin
-        match page_of_block t blocks block ~allocate:false with
+        match page_of_block node block with
         | Some page ->
             let ready_at = Disk.read_page_async t.disk page in
             ignore page;
@@ -382,11 +417,11 @@ let write_block ?(behind = false) t ~ino ~block data =
   | None -> Error Reply.Not_found
   | Some { contents = Entries _; _ } -> Error Reply.No_permission
   | Some node when not node.writable -> Error Reply.No_permission
-  | Some ({ contents = Blocks blocks; _ } as node) ->
+  | Some node ->
       if block < 0 || Bytes.length data > block_size t then
         Error Reply.Invalid_instance
       else begin
-        match page_of_block t blocks block ~allocate:true with
+        match alloc_block t node block with
         | None -> Error Reply.No_space
         | Some page ->
             if behind then Disk.write_page_behind t.disk page data
@@ -407,21 +442,24 @@ let set_size t ~ino size =
     | None -> Error Reply.Not_found
     | Some { contents = Entries _; _ } -> Error Reply.No_permission
     | Some node when not node.writable -> Error Reply.No_permission
-    | Some ({ contents = Blocks blocks; _ } as node) ->
+    | Some node ->
         let bs = block_size t in
         let keep_blocks = if size = 0 then 0 else ((size - 1) / bs) + 1 in
-        let doomed =
-          Hashtbl.fold
-            (fun block page acc ->
-              if block >= keep_blocks then (block, page) :: acc else acc)
-            blocks []
-        in
-        List.iter
-          (fun (block, page) ->
-            Hashtbl.remove blocks block;
-            Hashtbl.remove t.cache (ino, block);
-            t.free_pages <- page :: t.free_pages)
-          doomed;
+        (match node.contents with
+        | Blocks blocks ->
+            let doomed =
+              Hashtbl.fold
+                (fun block page acc ->
+                  if block >= keep_blocks then (block, page) :: acc else acc)
+                blocks []
+            in
+            List.iter
+              (fun (block, page) ->
+                Hashtbl.remove blocks block;
+                Hashtbl.remove t.cache (ino, block);
+                t.free_pages <- page :: t.free_pages)
+              doomed
+        | No_blocks | Entries _ -> ());
         node.size <- size;
         node.modified <- now t;
         Ok ()
@@ -480,12 +518,10 @@ let read_file t ~ino =
 (* --- descriptions --- *)
 
 let describe_entry t ~name entry =
-  let module D = Vnaming.Descriptor in
+  let module D = Descriptor in
   match entry with
   | Remote_link spec ->
-      D.make ~obj_type:D.Context_pointer
-        ~attrs:[ ("target", Fmt.str "%a" Context.pp_spec spec) ]
-        name
+      D.make ~obj_type:D.Context_pointer ~attrs:(link_attrs spec) name
   | File_entry ino | Dir_entry ino -> (
       match find t ino with
       | None -> D.make ~obj_type:D.File name
@@ -495,7 +531,7 @@ let describe_entry t ~name entry =
             ~size:
               (match node.contents with
               | Entries d -> Hashtbl.length d.table
-              | Blocks _ -> node.size)
+              | No_blocks | Blocks _ -> node.size)
             ~owner:node.owner ~created:node.created ~modified:node.modified
             ~writable:node.writable name)
 
@@ -507,19 +543,20 @@ let describe_ino t ino =
         if node.kind = `Dir then Dir_entry ino else File_entry ino))
 
 (* Apply a modification record (§5.5): writable bit and owner. *)
-let modify_entry t entry (requested : Vnaming.Descriptor.t) =
+let modify_entry t entry (requested : Descriptor.t) =
   match entry with
   | Remote_link _ -> Error Reply.No_permission
   | File_entry ino | Dir_entry ino -> (
       match find t ino with
       | None -> Error Reply.Not_found
-      | Some _
-        when String.length requested.Vnaming.Descriptor.owner
-             > Vnaming.Csname.max_length ->
+      | Some node
+        when not
+               (Descriptor.fits ~owner:requested.Descriptor.owner ~attrs:[]
+                  node.name_in_parent) ->
           Error Reply.Illegal_name
       | Some node ->
-          node.writable <- requested.Vnaming.Descriptor.writable;
-          node.owner <- requested.Vnaming.Descriptor.owner;
+          node.writable <- requested.Descriptor.writable;
+          node.owner <- requested.Descriptor.owner;
           node.modified <- now t;
           charge_dir_update t (get t node.parent);
           Ok ())

@@ -18,15 +18,16 @@ type entry =
   | Dir_entry of int
   | Remote_link of Context.spec
 
-(** What an inode holds depends on its kind: a file its block map, a
-    directory its entries and its disk page. *)
+(** What an inode holds depends on its kind: a file its block map, made
+    at its first block write, a directory its entries and its disk
+    page. *)
 type contents
 
 type inode = {
   ino : int;
   kind : [ `File | `Dir ];
   mutable size : int;  (** bytes (files) *)
-  contents : contents;
+  mutable contents : contents;
   mutable owner : string;
   mutable writable : bool;
   mutable created : float;
@@ -62,9 +63,10 @@ val lookup : t -> dir:int -> string -> entry option
 (** Entries sorted by name. *)
 val entries : t -> dir:int -> (string * entry) list
 
-(** A name a directory can bind: not empty, ["."] or [".."], without
-    ['/'], ['\['] or NUL, and at most {!Vnaming.Csname.max_length}
-    bytes. *)
+(** A name a directory can bind: not empty, ["."] or [".."], and
+    without ['/'], ['\['] or NUL. Create, mkdir, rename and a pointer
+    also refuse a name whose entry's description record would not fit
+    ({!Vnaming.Descriptor.fits}), with [Illegal_name]. *)
 val valid_name : string -> bool
 
 val create_file : t -> dir:int -> owner:string -> string -> (int, Reply.code) result
@@ -125,6 +127,7 @@ val describe_entry : t -> name:string -> entry -> Vnaming.Descriptor.t
 val describe_ino : t -> int -> Vnaming.Descriptor.t option
 
 (** Apply a §5.5 modification record: writable bit and owner. An owner
-    longer than {!Vnaming.Csname.max_length} bytes is an illegal name. *)
+    whose entry's description record would not fit
+    ({!Vnaming.Descriptor.fits}) is an illegal name. *)
 val modify_entry :
   t -> entry -> Vnaming.Descriptor.t -> (unit, Reply.code) result

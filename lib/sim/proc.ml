@@ -1,19 +1,24 @@
 (* Cooperative simulated processes built on OCaml effects.
 
    Each process is a fiber whose blocking operations perform an effect.
-   [block] performs [Block], whose handler returns the caller's register
-   function itself: the runtime calls it with the fiber's continuation,
-   which the caller keeps wherever its wake will look. [delay] performs
-   [Delay], which the handler wakes on its own. A wake resumes the
-   continuation through the event queue (rather than directly), which
-   keeps simulated time consistent and event ordering deterministic,
-   and bounds stack depth. *)
+   A blocking call performs [Block], which carries its register
+   function already in the option the handler returns, so the handler
+   hands it over as it is: the runtime calls it with the fiber's
+   continuation, which the caller keeps wherever its wake will look.
+   [delay] performs [Delay], which the handler wakes on its own. A wake
+   resumes the continuation through the event queue (rather than
+   directly), which keeps simulated time consistent and event ordering
+   deterministic, and bounds stack depth. *)
 
 type 'a waiting = ('a, unit) Effect.Deep.continuation
 
 type _ Effect.t +=
-  | Block : ('a waiting -> unit) -> 'a Effect.t
+  | Block : ('a waiting -> unit) option -> 'a Effect.t
   | Delay : unit Effect.t
+
+(* A [Block] built once, for a call that blocks the same way each
+   time: performing it allocates nothing. *)
+type 'a blocker = 'a Effect.t
 
 (* What [delay] asks of its fiber's handler: the wake time and the id
    of the engine it was read from. The handler reads both before
@@ -60,7 +65,7 @@ let spawn ?(name = "proc") engine body =
     match eff with
     | Block register ->
         blocking := self;
-        Some register
+        register
     | Delay when !due_engine = id -> delayed
     | Delay ->
         Some
@@ -77,7 +82,9 @@ let spawn ?(name = "proc") engine body =
           effc = handler;
         })
 
-let block register = Effect.perform (Block register)
+let blocker register = Block (Some register)
+let await blocker = Effect.perform blocker
+let block register = await (blocker register)
 
 (* One event at the current instant, as [Engine.schedule] would push
    it. The clock's own box is the time, so none is made. *)

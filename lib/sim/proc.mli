@@ -20,8 +20,21 @@ type 'a waiting
 (** [block register] blocks the current fiber and calls [register]
     with its continuation at once, outside the fiber. The caller keeps
     the continuation where its wake will find it, and must see that it
-    is woken exactly once, by [wake] or [wake_exn]. *)
+    is woken exactly once, by [wake] or [wake_exn]. Each call builds
+    the effect it performs. *)
 val block : ('a waiting -> unit) -> 'a
+
+(** A [block] built once and performed many times: a call that blocks
+    the same way each time (it finds what it needs through state its
+    [register] captured) allocates nothing to block. *)
+type 'a blocker
+
+(** [blocker register] builds the blocker of [register]. *)
+val blocker : ('a waiting -> unit) -> 'a blocker
+
+(** [await b] is [block register] for the [register] [b] was built
+    from, without building anything. *)
+val await : 'a blocker -> 'a
 
 (** [wake engine k v] resumes [k] with [v] in one event at the current
     instant, behind every event already queued for it. Waking one

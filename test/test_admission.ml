@@ -93,6 +93,40 @@ let test_queue_bound () =
   Alcotest.(check int) "queue depth never exceeds the cap" 2 !max_depth_seen;
   Alcotest.(check int) "queue drains" 0 (K.queue_depth rig.domain server)
 
+(* A local Send whose hook sheds it is answered before its sender
+   blocks. It still returns the hook's reply at its own instant, the
+   end of its local IPC leg, in the one wake event every reply takes:
+   behind the events already queued for that instant, here one the hook
+   itself queued. An answer that skipped the event queue would return
+   first. *)
+let test_shed_before_block () =
+  let rig = make_rig () in
+  let h = K.boot_host rig.domain ~name:"ws" 1 in
+  let server = K.spawn h ~name:"idle" (fun self -> ignore (K.receive self)) in
+  let log = ref [] in
+  let note what =
+    log := Fmt.str "%s at %.3f" what (Vsim.Engine.now rig.eng) :: !log
+  in
+  K.set_admission rig.domain server (fun ~now:_ ~depth:_ _msg ->
+      Vsim.Engine.schedule rig.eng (fun () -> note "queued by the hook");
+      K.Shed "busy");
+  ignore
+    (K.spawn h ~name:"client" (fun self ->
+         match K.send self server "r" with
+         | Ok (reply, replier) ->
+             Alcotest.(check bool) "the server is the replier" true
+               (Pid.equal replier server);
+             note reply
+         | Error e -> Alcotest.failf "send failed: %a" K.pp_error e));
+  Vsim.Engine.run rig.eng;
+  let at = Fmt.str "%.3f" C.local_ipc_leg_cpu in
+  Alcotest.(check (list string))
+    "the reply wakes its sender behind the queued event"
+    [ "queued by the hook at " ^ at; "busy at " ^ at ]
+    (List.rev !log);
+  Alcotest.(check (pair int int)) "shed once" (0, 1)
+    (K.admission_counters rig.domain server)
+
 (* --- kernel mechanism: priority lanes --- *)
 
 (* While the server works on an occupier, two bulk requests arrive
@@ -439,6 +473,8 @@ let suite =
     ( "admission",
       [
         Alcotest.test_case "kernel queue bound enforced" `Quick test_queue_bound;
+        Alcotest.test_case "shed before the sender blocks" `Quick
+          test_shed_before_block;
         Alcotest.test_case "interactive lane overtakes bulk" `Quick
           test_priority_lane_order;
         QCheck_alcotest.to_alcotest prop_conservation;

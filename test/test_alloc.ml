@@ -10,14 +10,18 @@
    frame 335, remote echo 1,425 words on OCaml 5.1), and about 40%
    above the counts there today (4, 10, 25.5; the shared wire's frame
    9.5), as headroom for the other supported compiler; the echoes' sit
-   about 35% above theirs (193 remote, 80 local), below their counts
-   before a blocked call kept its continuation in its own record (270
-   and 148). That took a handler closure, a once-only cell, a resumer
-   closure, the kernel's token-checking closure and its type-erased box
-   out of every blocked call, and the [Ok] and the second tuple out of
-   every reply and delivery. The timer storm's ceiling is half its
-   count before the queue kept its nodes in flat arrays (14.1; 6.3
-   today). Scheduling an event now allocates its action, its boxed time
+   about 35% above theirs (171 remote, 59 local), below their counts
+   before Send and Receive blocked through a blocker built once per
+   process (193 and 80). Each of the two blocked calls of an echo built
+   a register closure, a [Block] effect and the handler's [Some] around
+   the closure; a Send now sets its transaction up before it blocks,
+   and its blocker stores the continuation in the young pending record
+   (2 words). Before that, a blocked call also built a handler closure,
+   a once-only cell, a resumer closure, the kernel's token-checking
+   closure and its type-erased box (270 and 148), and each reply and
+   delivery an [Ok] and a second tuple. The timer storm's ceiling is
+   half its count before the queue kept its nodes in flat arrays (14.1;
+   6.3 today). Scheduling an event now allocates its action, its boxed time
    and, when it advances the clock, the clock's new box; a push used to
    add a 5-word node and a 3-word cons for each slot it landed in, and a
    hop boxed its link's two clocks and its serialization time. Before
@@ -28,7 +32,11 @@
    for all of its hops, where each hop took two closures (109.5 words).
    The remote echo, two delays and two frames, fell with them from 514;
    it was 532 when it armed a retransmission timer and a probe timer,
-   before one timer served both.
+   before one timer served both. The IPC and CPU charges around the
+   naming share of an uncached prefixed Query, made with preallocated
+   messages, are gated the same way (251 words, ceiling about 35%
+   above; 281 before the blocker, 391 before a blocked call kept its
+   own continuation).
 
    On the naming path: one component of a [Csnh.walk], a
    [Name_cache.find] deep hit and miss, a keyed [Metrics.incr] on an
@@ -49,10 +57,12 @@
 
    In the storage layer, a directory's write-behind update allocates
    nothing (ceiling 0), and one file's create then unlink in a directory
-   that has its page 65 words (ceiling 91). They cost 68 and 226 words
+   that has its page 31 words (ceiling 43). They cost 68 and 226 words
    on OCaml 5.1 while every disk write kept a fresh zeroed 512-byte page
    and boxed the arm's new time, and every file's inode carried an empty
-   directory table beside its block map. *)
+   directory table beside its block map; the create and unlink cost 65
+   while every file's block map was made with its inode, written or
+   not. *)
 
 module K = Vkernel.Kernel
 module E = Vnet.Ethernet
@@ -234,10 +244,10 @@ let echo_words ?(attach = ignore) ?(local = false) () =
   Engine.run eng;
   !words
 
-let test_remote_echo () = gate "one remote echo" ~ceiling:260.0 (echo_words ())
+let test_remote_echo () = gate "one remote echo" ~ceiling:231.0 (echo_words ())
 
 let test_local_echo () =
-  gate "one local echo" ~ceiling:110.0 (echo_words ~local:true ())
+  gate "one local echo" ~ceiling:80.0 (echo_words ~local:true ())
 
 (* With the stream listening — the pump armed, as on E15's soak lane,
    recorder and timeline off — every kernel and wire site emits its
@@ -467,8 +477,7 @@ let test_query_naming_share () =
                  once ()
                done)));
   Scenario.run t;
-  Fmt.pr "IPC and charges of one uncached prefixed Query: %.1f minor words@."
-    !control;
+  gate "IPC and charges of one uncached prefixed Query" ~ceiling:339.0 !control;
   gate "naming share of one uncached prefixed Query" ~ceiling:260.0
     (!query -. !control)
 
@@ -549,7 +558,7 @@ let test_create_unlink () =
   in
   cycle ();
   let n = 10_000 in
-  gate "a file's create then unlink" ~ceiling:91.0
+  gate "a file's create then unlink" ~ceiling:43.0
     (words_per ~units:n (fun () ->
          for _ = 1 to n do
            cycle ()

@@ -109,6 +109,36 @@ let test_illegal_names () =
                 (String.length name))
         [ ""; "a/b"; "a[b"; "."; ".."; String.make 70_000 'x' ])
 
+(* An entry's description record is 24 bytes, its name and its owner
+   (and a pointer's target attribute): each operation that names an
+   entry refuses a name or owner that takes it past 65,535 bytes. *)
+let test_record_bound () =
+  with_fs (fun _ fs ->
+      let dir = Fs.root_ino and name n = String.make n 'x' in
+      let illegal what = function
+        | Error Reply.Illegal_name -> ()
+        | Ok _ -> Alcotest.failf "%s: accepted" what
+        | Error code -> Alcotest.failf "%s: %s" what (Reply.to_string code)
+      in
+      ignore
+        (ok_exn "at the bound"
+           (Fs.create_file fs ~dir ~owner:"t" (name 65_510)));
+      illegal "create" (Fs.create_file fs ~dir ~owner:"t" (name 65_511));
+      illegal "mkdir" (Fs.mkdir fs ~dir ~owner:"tt" (name 65_510));
+      ignore (ok_exn "short" (Fs.create_file fs ~dir ~owner:"tt" "s"));
+      illegal "rename" (Fs.rename fs ~dir "s" ~new_dir:dir (name 65_510));
+      let spec =
+        Context.spec ~server:(Pid.make ~logical_host:5 ~local_pid:6) ~context:7
+      in
+      illegal "pointer" (Fs.add_remote_link fs ~dir (name 65_505) spec);
+      let s = Option.get (Fs.lookup fs ~dir "s") in
+      let owner n =
+        Vnaming.Descriptor.make ~obj_type:Vnaming.Descriptor.File
+          ~owner:(String.make n 'o') "s"
+      in
+      illegal "owner" (Fs.modify_entry fs s (owner 65_511));
+      ok_exn "owner at the bound" (Fs.modify_entry fs s (owner 65_510)))
+
 let test_hierarchy_and_paths () =
   with_fs (fun _ fs ->
       let d1 = ok_exn "mkdir" (Fs.mkdir fs ~dir:Fs.root_ino ~owner:"t" "usr") in
@@ -369,6 +399,7 @@ let suite =
         Alcotest.test_case "create/lookup" `Quick test_create_lookup;
         Alcotest.test_case "duplicate create" `Quick test_duplicate_create;
         Alcotest.test_case "illegal names" `Quick test_illegal_names;
+        Alcotest.test_case "record bound" `Quick test_record_bound;
         Alcotest.test_case "hierarchy and paths" `Quick test_hierarchy_and_paths;
         Alcotest.test_case "resolve path" `Quick test_resolve_path;
         Alcotest.test_case "unlink atomicity" `Quick

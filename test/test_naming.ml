@@ -172,6 +172,29 @@ let test_descriptor_too_long () =
     (Descriptor.make ~obj_type:Descriptor.File
        ~owner:(String.make 40_000 'o') (String.make 40_000 'x'))
 
+(* [fits] says what [to_bytes] can write: a record of 24 bytes, the
+   name, the owner and each attribute's two strings and 4 bytes, up to
+   65,535 bytes and not one more. *)
+let test_descriptor_fits () =
+  let system = Descriptor.default_owner in
+  List.iter
+    (fun (what, owner, attrs, n, expected) ->
+      let name = String.make n 'x' in
+      let d = Descriptor.make ~owner ~attrs ~obj_type:Descriptor.File name in
+      Alcotest.(check bool) what expected (Descriptor.fits ~owner ~attrs name);
+      match Descriptor.to_bytes d with
+      | b ->
+          Alcotest.(check bool) (what ^ ": written") true expected;
+          Alcotest.(check int) (what ^ ": length") 65_535 (Bytes.length b)
+      | exception Invalid_argument _ ->
+          Alcotest.(check bool) (what ^ ": refused") false expected)
+    [
+      ("the default owner, at the bound", system, [], 65_505, true);
+      ("the default owner, one over", system, [], 65_506, false);
+      ("an attribute, at the bound", "o", [ ("k", "v") ], 65_504, true);
+      ("an attribute, one over", "o", [ ("k", "v") ], 65_505, false);
+    ]
+
 let test_modification_limits () =
   let current = Descriptor.make ~obj_type:Descriptor.File ~size:10 ~owner:"a" "f" in
   let requested =
@@ -561,6 +584,7 @@ let suite =
         qcheck prop_directory_roundtrip;
         Alcotest.test_case "malformed" `Quick test_descriptor_malformed;
         Alcotest.test_case "too long" `Quick test_descriptor_too_long;
+        Alcotest.test_case "fits" `Quick test_descriptor_fits;
         Alcotest.test_case "modification limits" `Quick test_modification_limits;
       ] );
     ( "naming.walk",

@@ -517,6 +517,62 @@ let test_proc_double_wake () =
   Alcotest.check_raises "the second wake fails the run"
     Effect.Continuation_already_resumed (fun () -> Vsim.Engine.run eng)
 
+(* One blocker, built once, serves every await of its fiber: each wake
+   resumes the await it answers, with its own value or exception, at
+   its own instant. *)
+let test_proc_blocker_reuse () =
+  let eng = Vsim.Engine.create () in
+  let parked = ref None and log = ref [] in
+  let blocker = Vsim.Proc.blocker (fun k -> parked := Some k) in
+  Vsim.Proc.spawn eng (fun () ->
+      for _ = 1 to 5 do
+        let v =
+          match Vsim.Proc.await blocker with
+          | v -> v
+          | exception Failure _ -> -1
+        in
+        log := Fmt.str "%d at %.1f" v (Vsim.Engine.now eng) :: !log
+      done);
+  for i = 1 to 5 do
+    Vsim.Engine.schedule_at eng (float_of_int i) (fun () ->
+        match !parked with
+        | Some k ->
+            parked := None;
+            if i = 3 then Vsim.Proc.wake_exn eng k (Failure "three")
+            else Vsim.Proc.wake eng k (10 * i)
+        | None -> Alcotest.failf "no await parked at %d ms" i)
+  done;
+  Vsim.Engine.run eng;
+  Alcotest.(check (list string)) "each wake resumes its own await"
+    [ "10 at 1.0"; "20 at 2.0"; "-1 at 3.0"; "40 at 4.0"; "50 at 5.0" ]
+    (List.rev !log);
+  Alcotest.(check bool) "nothing left parked" true (!parked = None)
+
+(* A continuation from an earlier await of a blocker is spent: waking it
+   again fails the run, though the fiber awaits the same blocker
+   anew. *)
+let test_proc_blocker_stale_wake () =
+  let eng = Vsim.Engine.create () in
+  let first = ref None and parked = ref None in
+  let blocker =
+    Vsim.Proc.blocker (fun k ->
+        if !first = None then first := Some k;
+        parked := Some k)
+  in
+  Vsim.Proc.spawn eng (fun () ->
+      ignore (Vsim.Proc.await blocker : int);
+      ignore (Vsim.Proc.await blocker : int));
+  Vsim.Engine.schedule_at eng 1.0 (fun () ->
+      Vsim.Proc.wake eng (Option.get !parked) 1);
+  Vsim.Engine.schedule_at eng 2.0 (fun () ->
+      Vsim.Proc.wake eng (Option.get !first) 2);
+  Alcotest.check_raises "the second wake of the first await fails the run"
+    Effect.Continuation_already_resumed (fun () -> Vsim.Engine.run eng);
+  Alcotest.(check bool) "the second await parked anew" true
+    (match (!parked, !first) with
+    | Some second, Some first -> second != first
+    | _ -> false)
+
 let test_ivar_rendezvous () =
   let eng = Vsim.Engine.create () in
   let iv = Vsim.Proc.Ivar.create () in
@@ -721,6 +777,10 @@ let suite =
         Alcotest.test_case "block and wake" `Quick test_proc_block_wake;
         Alcotest.test_case "double wake fails the run" `Quick
           test_proc_double_wake;
+        Alcotest.test_case "one blocker, many awaits" `Quick
+          test_proc_blocker_reuse;
+        Alcotest.test_case "a blocker's spent continuation" `Quick
+          test_proc_blocker_stale_wake;
         Alcotest.test_case "ivar rendezvous" `Quick test_ivar_rendezvous;
         Alcotest.test_case "ivar prefilled" `Quick test_ivar_prefilled;
         Alcotest.test_case "ivar error" `Quick test_ivar_error;

@@ -124,6 +124,45 @@ let test_long_strings_refused () =
          | Ok () -> Alcotest.fail "a 70,000-byte owner was set"
          | Error e -> Alcotest.failf "modify: %a" Vio.Verr.pp e))
 
+(* A name under the CSname bound whose description record would not
+   fit its 16-bit length word is refused at Create, so its directory
+   still lists: a record of 24 bytes, the name and the owner ("system")
+   comes to 65,550 bytes here. *)
+let test_long_record_refused () =
+  let long = String.make 65_520 'x' in
+  ignore
+    (run_client (fun _t _self env ->
+         (match Runtime.create env ("[home]" ^ long) with
+         | Error (Vio.Verr.Denied Reply.Illegal_name) -> ()
+         | Ok () -> Alcotest.fail "a 65,520-byte name was created"
+         | Error e -> Alcotest.failf "create: %a" Vio.Verr.pp e);
+         ignore (ok_exn "list" (Runtime.list_directory env "[home]"))))
+
+(* An owner that would take its entry's record past 65,535 bytes is
+   refused at ModifyName, and the directory still lists. *)
+let test_long_owner_refused () =
+  ignore
+    (run_client (fun _t _self env ->
+         ok_exn "create" (Runtime.create env "[home]owned");
+         let d = ok_exn "query" (Runtime.query env "[home]owned") in
+         (* 24 + 5 + 65,507 = 65,536 bytes. *)
+         let requested = { d with Descriptor.owner = String.make 65_507 'o' } in
+         (match Runtime.modify env "[home]owned" requested with
+         | Error (Vio.Verr.Denied Reply.Illegal_name) -> ()
+         | Ok () -> Alcotest.fail "an owner past the record's bound was set"
+         | Error e -> Alcotest.failf "modify: %a" Vio.Verr.pp e);
+         let fits = { d with Descriptor.owner = String.make 65_506 'o' } in
+         ok_exn "modify to the bound" (Runtime.modify env "[home]owned" fits);
+         let records = ok_exn "list" (Runtime.list_directory env "[home]") in
+         Alcotest.(check (list int)) "the owner at the bound is listed"
+           [ 65_506 ]
+           (List.filter_map
+              (fun r ->
+                if r.Descriptor.name = "owned" then
+                  Some (String.length r.Descriptor.owner)
+                else None)
+              records)))
+
 let test_remove_is_atomic_with_name () =
   ignore
     (run_client (fun _t _self env ->
@@ -1026,6 +1065,9 @@ let suite =
         Alcotest.test_case "query and modify" `Quick test_query_and_modify;
         Alcotest.test_case "long names refused" `Quick
           test_long_strings_refused;
+        Alcotest.test_case "long record refused" `Quick
+          test_long_record_refused;
+        Alcotest.test_case "long owner refused" `Quick test_long_owner_refused;
         Alcotest.test_case "remove atomicity" `Quick test_remove_is_atomic_with_name;
         Alcotest.test_case "rename" `Quick test_rename;
         Alcotest.test_case "list directory" `Quick test_list_directory;
