@@ -229,6 +229,9 @@ type 'o flat = {
   handle_name : Vmsg.t -> string -> 'o option -> Vmsg.t;
 }
 
+let listable (d : Descriptor.t) =
+  Descriptor.fits ~owner:d.owner ~attrs:d.attrs d.name
+
 let flat_reply flat ~server (msg : Vmsg.t) ctx remaining =
   let open Vmsg in
   match remaining with

@@ -122,6 +122,11 @@ type 'o flat = {
           found *)
 }
 
+(** [listable d]: {!Descriptor.fits} on record [d]'s name, owner and
+    attributes. A flat server refuses a name with [Illegal_name] where
+    it would make or change an object whose record is not listable. *)
+val listable : Descriptor.t -> bool
+
 (** [flat_reply flat ~server msg ctx remaining] answers a CSname request
     whose interpretation ended in flat context [ctx] on [server], with
     [remaining] the uninterpreted components. *)

@@ -102,6 +102,13 @@ let describe_binding t ~now name target =
     ~attrs:[ ("target", target_string) ]
     name
 
+(* A client's new binding must be listable. The installation's own, set
+   up under constant names, skip formatting their targets. *)
+let add_client_binding t name target =
+  if Csnh.listable (describe_binding t ~now:0.0 (strip_brackets name) target)
+  then add_binding t name target
+  else Error Reply.Illegal_name
+
 (* --- request handling --- *)
 
 (* Answer the request here, closing this hop's span with the reply's
@@ -113,83 +120,58 @@ let reply_error self r ~sender ~span code =
   reply_with self r ~sender ~span (Vmsg.reply code)
 
 (* Write-all fan-out for a logical binding whose service is bound to a
-   replica group (read-one/write-all). The prefix server acts as the
+   replica group (read-one/write-all). The prefix server is the
    coordinator: it stamps the rewritten request with its own (origin,
-   seq), appends it PENDING to the group's ordered write log — before
-   the first send, so a concurrent catch-up sees every write whose
-   fan-out has begun — then sends it to every live member in turn, with
-   one bounded same-seq retransmission per member (the member's
-   {!Seq_guard} deduplicates). A member answering Retry to a stamped
-   write is reporting a sequence gap (it missed an earlier write and
-   refuses to apply out of order): its reply never answers the client.
+   seq), appends it to the group's write log, then sends it to every
+   reachable member in turn, with one same-seq retransmission each (the
+   member's {!Seq_guard} deduplicates). A member answering Retry to a
+   stamped write reports a sequence gap (it missed an earlier write and
+   refuses to apply out of order); the client gets the first other
+   member reply, or No_server.
 
-   The entry's fate follows the fan-out's: once any member answered —
-   or any send failed ambiguously (a timeout can lose the reply frame
-   of a request the member DID apply) — the entry is committed, so
-   replay eventually delivers it to every member and the replicas
-   converge; a write the client saw fail may then still land, which is
-   exactly the at-most-once contract. Only a fan-out that failed
-   definitively everywhere (no member process existed to apply it) is
-   aborted: the entry is removed and the sequence number reused, so the
-   origin's committed seq stream stays gap-free for the in-order guard.
-   Serializing all writes for the service through this one process is
-   what gives replicas an identical application order. [req] is the
-   request already rewritten for the members: index past the binding,
-   context the bound one. *)
+   With no reachable member nothing is logged and no seq is taken. A
+   logged entry stays, and replay delivers it to every member, so the
+   replicas converge even when the client saw the write fail: the
+   at-most-once contract. Serializing all writes for the service
+   through this one process gives replicas one application order.
+   [req] is the request already rewritten for the members: index past
+   the binding, context the bound one. *)
 let replicate_write t self r ~sender ~span ~service (msg : Vmsg.t) req =
   let d = Kernel.domain_of_self self in
   let origin = Pid.to_int (pid t) in
-  let seq = t.next_wseq in
-  t.next_wseq <- seq + 1;
   let trace = req.Csname.trace.Vobs.Span.trace in
   let req = Events.child r ~trace ~span req in
+  let seq = t.next_wseq in
   let msg' = Vmsg.with_wseq (Vmsg.with_name msg req) { Vmsg.origin; seq } in
-  Kernel.log_group_write d ~service ~origin ~seq msg';
+  (* The member snapshot and the append share this event step, with no
+     kernel call or delay between them; keep it so. A catch-up enrolls
+     its member in one event step too, so each write is either logged
+     before that step and replayed, or sent to the enrolled member. *)
   let requester = Kernel.host_addr (Kernel.host_of_self self) in
   let members = Kernel.service_group_members d ~requester ~service in
+  if members <> [] then begin
+    t.next_wseq <- seq + 1;
+    Kernel.log_group_write d ~service ~origin ~seq msg'
+  end;
   Events.fan_out r ~trace ~code:msg.Vmsg.code ~origin ~seq
     ~members:(List.length members);
-  let send_once member = Kernel.send self member msg' in
-  let is_gap r = Vmsg.reply_code r = Some Reply.Retry in
-  let outcome member =
-    match send_once member with
-    | Ok (m, _) when is_gap m ->
+  (* A member's reply, [None] for a gap rejection or a lost member. *)
+  let rec reply_of ~retried member =
+    match Kernel.send self member msg' with
+    | Ok (m, _) when Vmsg.reply_code m = Some Reply.Retry ->
         Events.count r "replicate-out-of-sync";
-        `Rejected
-    | Ok (m, _) -> `Answered m
-    | Error e1 -> (
+        None
+    | Ok (m, _) -> Some m
+    | Error _ when not retried ->
         Events.count r "replicate-retry";
-        match send_once member with
-        | Ok (m, _) when is_gap m ->
-            Events.count r "replicate-out-of-sync";
-            `Rejected
-        | Ok (m, _) -> `Answered m
-        | Error e2 ->
-            Events.count r "replicate-member-lost";
-            (* Nonexistent_process is authoritative (a kernel nack: no
-               live process, nothing applied); anything else may have
-               delivered the request and lost the reply. *)
-            if
-              e1 = Kernel.Nonexistent_process && e2 = Kernel.Nonexistent_process
-            then `Lost_definite
-            else `Lost_ambiguous)
+        reply_of ~retried:true member
+    | Error _ ->
+        Events.count r "replicate-member-lost";
+        None
   in
-  let outcomes = List.map outcome members in
-  let answer =
-    List.find_map (function `Answered m -> Some m | _ -> None) outcomes
-  in
-  match answer with
-  | Some m ->
-      Kernel.commit_group_write d ~service ~origin ~seq;
-      reply_with self r ~sender ~span m
-  | None ->
-      if List.exists (function `Lost_ambiguous -> true | _ -> false) outcomes
-      then Kernel.commit_group_write d ~service ~origin ~seq
-      else begin
-        Kernel.abort_group_write d ~service ~origin ~seq;
-        if t.next_wseq = seq + 1 then t.next_wseq <- seq
-      end;
-      reply_with self r ~sender ~span (Vmsg.reply Reply.No_server)
+  match List.filter_map (reply_of ~retried:false) members with
+  | m :: _ -> reply_with self r ~sender ~span m
+  | [] -> reply_with self r ~sender ~span (Vmsg.reply Reply.No_server)
 
 (* Is this CSname request a write against a logical binding whose
    service is currently replica-bound? *)
@@ -282,10 +264,10 @@ let context t self ~now =
         let code = msg.Vmsg.code in
         match (found, msg.Vmsg.payload) with
         | _, Vmsg.P_context_spec spec when code = Vmsg.Op.add_context_name ->
-            Vmsg.answer (add_binding t name (Static spec))
+            Vmsg.answer (add_client_binding t name (Static spec))
         | _, Vmsg.P_logical_spec { service; context }
           when code = Vmsg.Op.add_context_name ->
-            Vmsg.answer (add_binding t name (Logical { service; context }))
+            Vmsg.answer (add_client_binding t name (Logical { service; context }))
         | _ when code = Vmsg.Op.add_context_name ->
             Vmsg.reply Reply.Bad_operation
         | _ when code = Vmsg.Op.delete_context_name ->

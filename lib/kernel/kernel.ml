@@ -254,47 +254,15 @@ and 'm host = {
 (* A logical service implemented by a whole process group (§7): GetPid
    for the service returns one member, chosen by the balancer; naming
    writes are fanned out write-all by the coordinating prefix server and
-   logged here so a member that missed some (it was down, or partitioned
-   away) can catch up by replay. The kernel never inspects the logged
-   messages, only stores them — the same separation it keeps everywhere
-   else.
-
-   An entry is PENDING from the moment the coordinator starts its
-   fan-out and becomes COMMITTED once some member may have applied it
-   (a member answered, or a send failed ambiguously — the request may
-   have been delivered with the reply frame lost). A fan-out that fails
-   definitively everywhere is ABORTED: the entry is removed before any
-   replay can see it. Catch-up readers see committed entries only, and
-   [group_write_pending] lets them wait out in-flight fan-outs before
-   declaring themselves caught up.
-
-   Append, commit and abort cost O(1) amortised plus the length of
-   [sg_stragglers]: entries sit oldest first in a queue, pending ones
-   are also indexed by (origin, seq) so commit and abort find them
-   directly, and an aborted entry is only marked — it leaves the queue
-   when trimming reaches it. A pending entry that ages past the cap
-   moves to [sg_stragglers]; a coordinator serializes its fan-outs, so
-   at most one entry per coordinator is pending and that list stays
-   short (usually empty). *)
-and sg_state = Pending | Committed | Aborted
-
-and 'm sg_entry = {
-  le_origin : int;
-  le_seq : int;
-  le_msg : 'm;
-  mutable le_state : sg_state;
-}
-
+   appended here so a member that missed some (it was down, or
+   partitioned away) can catch up by replay. The log only appends. The
+   kernel never inspects the logged messages, only stores them — the
+   same separation it keeps everywhere else. *)
 and 'm service_group = {
   sg_group : int;  (* the process group implementing the service *)
   mutable sg_cursor : int;  (* round-robin position, seeded at registration *)
-  sg_log : 'm sg_entry Queue.t;  (* oldest first; aborted entries linger *)
-  mutable sg_stragglers : 'm sg_entry list;  (* newest first *)
-  mutable sg_live : int;  (* entries not aborted, stragglers included *)
-  sg_pending : (int * int, 'm sg_entry) Hashtbl.t;  (* by (origin, seq) *)
-  (* origin -> highest seq trimmed out of the capped log; a member whose
-     durable applied mark is below this cannot catch up by replay. *)
-  sg_trim_hw : (int, int) Hashtbl.t;
+  sg_log : (int * int * 'm) Queue.t;  (* (origin, seq, msg), oldest first *)
+  sg_trim_hw : (int, int) Hashtbl.t;  (* origin -> highest seq trimmed *)
 }
 
 and 'm domain = {
@@ -1326,9 +1294,6 @@ let register_service_group d ~service ~group =
       sg_group = group;
       sg_cursor = cursor;
       sg_log = Queue.create ();
-      sg_stragglers = [];
-      sg_live = 0;
-      sg_pending = Hashtbl.create 16;
       sg_trim_hw = Hashtbl.create 4;
     }
 
@@ -1377,123 +1342,26 @@ let service_group_members d ~requester ~service =
   | Some sg ->
       List.map fst (reachable_group_members d ~requester ~group:sg.sg_group)
 
-(* Ordered write-all log for a replicated service: appended pending at
-   fan-out start, committed or aborted when the fan-out resolves, read
-   back (committed entries, oldest first) by a member catching up. The
-   log is capped at [sg_log_cap] live entries, pending ones included.
-   Each append past the cap trims the oldest entries beyond the newest
-   [sg_log_cap]: committed ones leave the log, with the per-origin trim
-   high-water mark kept so a catch-up can detect that replay alone can
-   no longer cover it; pending ones stay as stragglers (still counted
-   against the cap) until a later trim finds them committed. *)
+(* Past the cap an append drops the oldest entry. Each origin's seqs
+   rise in log order, so the dropped seq is that origin's new trim
+   mark: a catch-up can tell when replay alone no longer covers a
+   member. *)
 let sg_log_cap = 1024
-
-let sg_drop sg e =
-  let prev =
-    match Hashtbl.find_opt sg.sg_trim_hw e.le_origin with
-    | Some s -> s
-    | None -> 0
-  in
-  Hashtbl.replace sg.sg_trim_hw e.le_origin (max prev e.le_seq);
-  sg.sg_live <- sg.sg_live - 1
-
-(* Examine the [sg_live - sg_log_cap] oldest live entries: stragglers
-   first (they are older than everything queued), then the queue's
-   head. *)
-let sg_trim sg =
-  let excess = sg.sg_live - sg_log_cap in
-  if excess > 0 then begin
-    let n = List.length sg.sg_stragglers in
-    (* [i] counts from the oldest straggler. *)
-    let rec keep i = function
-      | [] -> []
-      | e :: older ->
-          let older = keep (i - 1) older in
-          if i < excess && e.le_state = Committed then begin
-            sg_drop sg e;
-            older
-          end
-          else e :: older
-    in
-    sg.sg_stragglers <- keep (n - 1) sg.sg_stragglers;
-    let rec take k =
-      if k > 0 then begin
-        let e = Queue.take sg.sg_log in
-        match e.le_state with
-        | Aborted -> take k
-        | Committed ->
-            sg_drop sg e;
-            take (k - 1)
-        | Pending ->
-            sg.sg_stragglers <- e :: sg.sg_stragglers;
-            take (k - 1)
-      end
-    in
-    take (excess - n)
-  end
 
 let log_group_write d ~service ~origin ~seq msg =
   match Hashtbl.find_opt d.service_groups service with
   | None -> ()
   | Some sg ->
-      let e =
-        {
-          le_origin = origin;
-          le_seq = seq;
-          le_msg = msg;
-          le_state = Pending;
-        }
-      in
-      Queue.add e sg.sg_log;
-      Hashtbl.add sg.sg_pending (origin, seq) e;
-      sg.sg_live <- sg.sg_live + 1;
-      sg_trim sg
-
-(* Resolve every pending entry logged under (origin, seq) — [Hashtbl.add]
-   stacks duplicates, so take them one at a time. *)
-let sg_resolve sg ~origin ~seq f =
-  let key = (origin, seq) in
-  let rec go () =
-    match Hashtbl.find_opt sg.sg_pending key with
-    | None -> ()
-    | Some e ->
-        Hashtbl.remove sg.sg_pending key;
-        f e;
-        go ()
-  in
-  go ()
-
-let commit_group_write d ~service ~origin ~seq =
-  match Hashtbl.find_opt d.service_groups service with
-  | None -> ()
-  | Some sg ->
-      sg_resolve sg ~origin ~seq (fun e -> e.le_state <- Committed)
-
-let abort_group_write d ~service ~origin ~seq =
-  match Hashtbl.find_opt d.service_groups service with
-  | None -> ()
-  | Some sg ->
-      sg_resolve sg ~origin ~seq (fun e ->
-          e.le_state <- Aborted;
-          sg.sg_live <- sg.sg_live - 1;
-          sg.sg_stragglers <- List.filter (fun s -> s != e) sg.sg_stragglers)
+      Queue.add (origin, seq, msg) sg.sg_log;
+      if Queue.length sg.sg_log > sg_log_cap then begin
+        let origin, seq, _ = Queue.take sg.sg_log in
+        Hashtbl.replace sg.sg_trim_hw origin seq
+      end
 
 let group_write_log d ~service =
   match Hashtbl.find_opt d.service_groups service with
   | None -> []
-  | Some sg ->
-      let add acc e =
-        if e.le_state = Committed then (e.le_origin, e.le_seq, e.le_msg) :: acc
-        else acc
-      in
-      (* Oldest first: the stragglers, then the queue. *)
-      Queue.fold add (List.fold_left add [] (List.rev sg.sg_stragglers)) sg.sg_log
-      |> List.rev
-
-let group_write_pending d ~service =
-  match Hashtbl.find_opt d.service_groups service with
-  | None -> false
-  | Some sg -> Hashtbl.length sg.sg_pending > 0
+  | Some sg -> List.rev (Queue.fold (fun acc e -> e :: acc) [] sg.sg_log)
 
 let group_write_trimmed d ~service =
   match Hashtbl.find_opt d.service_groups service with

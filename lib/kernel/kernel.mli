@@ -287,41 +287,17 @@ val service_group : 'm domain -> service:int -> int option
 val service_group_members :
   'm domain -> requester:Vnet.Ethernet.addr -> service:int -> Pid.t list
 
-(** Append a PENDING write to the service's ordered write-all log,
-    keyed by the coordinator's (origin, seq), before the fan-out's
-    first send — so a concurrent catch-up can see (and wait out) the
-    in-flight write. Resolve it with {!commit_group_write} once some
-    member may have applied it, or {!abort_group_write} when the
-    fan-out failed definitively everywhere. The log is capped at 1024
-    live entries, pending ones included: an append past the cap trims
-    the committed entries older than the newest 1024, retaining their
-    per-origin high-water mark ({!group_write_trimmed}), while pending
-    entries that old stay as stragglers — still counted against the
-    cap — until a later append finds them committed. Append, commit
-    and abort are O(1) amortised plus the straggler count. No-ops when
-    the service has no group. *)
+(** Append a write to the service's ordered write-all log, keyed by the
+    coordinator's (origin, seq); each origin's seqs must rise from one
+    append to the next. The log only appends. It is capped at 1024
+    entries: an append past the cap drops the oldest entry and keeps
+    its seq as that origin's trim mark ({!group_write_trimmed}). O(1).
+    A no-op when the service has no group. *)
 val log_group_write :
   'm domain -> service:int -> origin:int -> seq:int -> 'm -> unit
 
-(** Mark a pending entry committed: some member answered the write, or
-    a send failed ambiguously (the member may have applied it with the
-    reply frame lost), so replay must eventually deliver it to every
-    member. *)
-val commit_group_write :
-  'm domain -> service:int -> origin:int -> seq:int -> unit
-
-(** Remove a pending entry whose fan-out failed definitively on every
-    member: no replica saw it, so nothing may ever replay it (the
-    coordinator is then free to reuse the sequence number). *)
-val abort_group_write :
-  'm domain -> service:int -> origin:int -> seq:int -> unit
-
-(** The committed entries, oldest first. *)
+(** Every logged entry, oldest first. *)
 val group_write_log : 'm domain -> service:int -> (int * int * 'm) list
-
-(** Is any logged write still pending (fan-out in flight)? A catch-up
-    must not declare itself complete while this holds. *)
-val group_write_pending : 'm domain -> service:int -> bool
 
 (** Per-origin highest sequence number trimmed out of the capped log,
     sorted by origin. A member whose durable applied mark for an origin

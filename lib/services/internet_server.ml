@@ -69,7 +69,7 @@ let describe c =
 
 let open_connection t ~now name =
   if Hashtbl.mem t.conns name then Error Reply.Duplicate_name
-  else begin
+  else
     let c =
       {
         conn_name = name;
@@ -80,12 +80,16 @@ let open_connection t ~now name =
         conn_instance = Instance_server.reserve t.sessions;
       }
     in
-    Hashtbl.replace t.conns name c;
-    (* The handshake completes after one WAN round trip. *)
-    Vsim.Engine.schedule ~delay:wan_rtt_ms t.engine (fun () ->
-        if c.state = Syn_sent then c.state <- Established);
-    Ok c
-  end
+    (* Judged once established, the state with the longest record. *)
+    if not (Csnh.listable (describe { c with state = Established })) then
+      Error Reply.Illegal_name
+    else begin
+      Hashtbl.replace t.conns name c;
+      (* The handshake completes after one WAN round trip. *)
+      Vsim.Engine.schedule ~delay:wan_rtt_ms t.engine (fun () ->
+          if c.state = Syn_sent then c.state <- Established);
+      Ok c
+    end
 
 (* Opening a name for writing connects to it; a read session drains
    what the far end echoed. Removing a connection closes it. *)

@@ -91,8 +91,12 @@ let handle_name t (msg : Vmsg.t) name found =
             completed = None;
           }
         in
-        Hashtbl.replace t.jobs name job;
-        Instance_server.add t.sessions job ~file_size:0
+        (* No later state's record is longer than a spooling job's. *)
+        if not (Csnh.listable (describe job)) then reply Reply.Illegal_name
+        else begin
+          Hashtbl.replace t.jobs name job;
+          Instance_server.add t.sessions job ~file_size:0
+        end
     | P_open _, _ -> reply Reply.No_permission
     | _ -> reply Reply.Bad_operation
   else if msg.code = Op.remove_object then

@@ -86,21 +86,22 @@ let protect t ps =
    rejoin should be abandoned, not papered over. *)
 let replay_attempts = 5
 
-(* Replay the committed group write log to member process [p] from a
-   process on its own host (local sends are immune to partitions), then
-   run [on_caught_up] — atomically with the check that there is nothing
+(* Replay the group write log to member process [p] from a process on
+   its own host (local sends are immune to partitions), then run
+   [on_caught_up] — atomically with the check that there is nothing
    left to replay.
 
    The loop matters: writes keep fanning out while the replay runs, so
    one pass over a snapshot of the log is not enough. Each round
-   re-reads the log and replays the tail this process has not sent yet
+   re-reads the log and replays what this process has not sent yet
    (the member's {!Seq_guard} deduplicates, so overlap with the live
-   fan-out is harmless); committed entries are append-only, making the
-   replayed count a valid cursor. The final round finds no new entries
-   AND no write still pending (a fan-out in flight has logged its entry
-   pending before its first send), and [on_caught_up] runs in that same
-   event step — no send or delay intervenes — so no write can slip
-   between the check and it. A replay send that still fails after
+   fan-out is harmless). Each origin's seqs rise in log order, so the
+   highest seq replayed per origin is a cursor, also once the cap
+   trims the log's head. The round that finds no new entry runs
+   [on_caught_up] in that same event step. A coordinator takes its
+   members and logs its write in one event step too, so each write is
+   either logged before that round and replayed, or fanned out to the
+   enrolled member. A replay send that still fails after
    {!replay_attempts} aborts the catch-up without running
    [on_caught_up]: the member has a known gap and must not rejoin. *)
 let catch_up t host p ~label ~on_caught_up =
@@ -110,10 +111,16 @@ let catch_up t host p ~label ~on_caught_up =
     (Kernel.spawn host ~name:label (fun self ->
          (* Outcomes count under (the member's host, "replica"). *)
          let r = Events.of_self self ~server:"replica" in
-         let replay (_origin, _seq, msg) =
+         let replayed = Hashtbl.create 4 in
+         let fresh (origin, seq, _) =
+           seq > Option.value (Hashtbl.find_opt replayed origin) ~default:0
+         in
+         let replay (origin, seq, msg) =
            let rec go attempt =
              match Kernel.send self p msg with
-             | Ok (_ : Vmsg.t * Pid.t) -> true
+             | Ok (_ : Vmsg.t * Pid.t) ->
+                 Hashtbl.replace replayed origin seq;
+                 true
              | Error _ when attempt < replay_attempts ->
                  Events.count r "replay-retry";
                  Vsim.Proc.delay engine 1.0;
@@ -122,21 +129,14 @@ let catch_up t host p ~label ~on_caught_up =
            in
            go 1
          in
-         let rec drain replayed =
-           let log = Kernel.group_write_log d ~service:t.service in
-           let n = List.length log in
-           if n = replayed then
-             if Kernel.group_write_pending d ~service:t.service then begin
-               Vsim.Proc.delay engine 1.0;
-               drain replayed
-             end
-             else on_caught_up ()
-           else
-             let tail = List.filteri (fun i _ -> i >= replayed) log in
-             if List.for_all replay tail then drain n
-             else Events.count r "catchup-abort"
+         let rec drain () =
+           match List.filter fresh (Kernel.group_write_log d ~service:t.service) with
+           | [] -> on_caught_up ()
+           | tail ->
+               if List.for_all replay tail then drain ()
+               else Events.count r "catchup-abort"
          in
-         drain 0))
+         drain ()))
 
 (* Revive the member on [addr] after a crash: boot a fresh server over
    the surviving disk, replay the group's write log to it — the member's
@@ -170,8 +170,8 @@ let revive t addr =
           "catchup-uncovered";
       Some fresh
 
-(* Replay the committed write log to every live member: the convergence
-   pass run when a partition heals. A member that was partitioned from
+(* Replay the write log to every live member: the convergence pass run
+   when a partition heals. A member that was partitioned from
    the coordinator missed its fan-outs silently — and its in-order
    {!Seq_guard} has been refusing every later write since — so replay
    is what brings it back in step; members that missed nothing answer

@@ -91,9 +91,12 @@ let create_window t ~now name =
         win_instance = Instance_server.reserve t.sessions;
       }
     in
-    raise_window t win;
-    Hashtbl.replace t.windows name win;
-    Ok win
+    if not (Csnh.listable (describe win)) then Error Reply.Illegal_name
+    else begin
+      raise_window t win;
+      Hashtbl.replace t.windows name win;
+      Ok win
+    end
   end
 
 (* --- the screen --- *)
@@ -177,9 +180,14 @@ let handle_name t (msg : Vmsg.t) name found =
     | Some w, P_descriptor requested ->
         (* Window management via the uniform modify operation: the
            geometry attributes move and resize. *)
-        w.geo <- geometry_of_attrs ~current:w.geo requested.Descriptor.attrs;
-        raise_window t w;
-        ok ()
+        let geo = geometry_of_attrs ~current:w.geo requested.Descriptor.attrs in
+        if not (Csnh.listable (describe { w with geo })) then
+          reply Reply.Illegal_name
+        else begin
+          w.geo <- geo;
+          raise_window t w;
+          ok ()
+        end
     | None, _ -> reply Reply.Not_found
     | Some _, _ -> reply Reply.Bad_operation
   else if msg.code = Op.remove_object then

@@ -632,8 +632,7 @@ let drive_replicas () =
   let service = Replica.service rset in
   for seq = 1 to 1_100 do
     K.log_group_write domain ~service ~origin:999 ~seq
-      (Vnaming.Vmsg.request Vnaming.Vmsg.Op.query_name);
-    K.commit_group_write domain ~service ~origin:999 ~seq
+      (Vnaming.Vmsg.request Vnaming.Vmsg.Op.query_name)
   done;
   ignore (Replica.revive rset fs0);
   Scenario.run t;

@@ -28,229 +28,63 @@ let log_domain () =
 
 (* --- the write log against its model --- *)
 
-type op = Log of int * int | Commit of int * int | Abort of int * int
-
-let pp_op ppf = function
-  | Log (o, s) -> Fmt.pf ppf "log (%d, %d)" o s
-  | Commit (o, s) -> Fmt.pf ppf "commit (%d, %d)" o s
-  | Abort (o, s) -> Fmt.pf ppf "abort (%d, %d)" o s
-
-(* A coordinator-shaped random script: each origin logs consecutive
-   seqs, and most fan-outs resolve soon after they start. A few (the
-   11th append always, then about [hold_permille] per thousand) are held
-   pending for 1100-1700 further appends, so they age past the cap as
-   stragglers before they commit or abort. An abort of an origin's
-   newest seq hands the seq back, and half the time it is relogged at
-   once. A few commits and aborts hit keys at random, pending or not,
-   and a few appends duplicate a pending key. *)
-let script ~seed ~origins ~hold_permille =
+(* A coordinator-shaped random script: appends from [origins] origins,
+   each logging consecutive seqs, enough of them to cross the cap. *)
+let script ~seed ~origins =
   let rng = Random.State.make [| seed |] in
   let next = Array.make origins 1 in
-  let soon = ref [] and held = ref [] in
-  let ops = ref [] and appends = ref 0 in
-  let target = 3000 + Random.State.int rng 1000 in
-  let emit op = ops := op :: !ops in
-  let append o seq =
-    emit (Log (o, seq));
-    if !appends = 10 || Random.State.int rng 1000 < hold_permille then
-      held := (o, seq, !appends + 1100 + Random.State.int rng 600) :: !held
-    else soon := (o, seq) :: !soon;
-    incr appends
-  in
-  let fresh () =
+  let appends = Model.cap + 500 + Random.State.int rng 2000 in
+  let ops = ref [] in
+  for _ = 1 to appends do
     let o = Random.State.int rng origins in
-    let seq = next.(o) in
-    next.(o) <- seq + 1;
-    append o seq
-  in
-  let resolve ~abort_pct (o, seq) =
-    if Random.State.int rng 100 >= abort_pct then emit (Commit (o, seq))
-    else begin
-      emit (Abort (o, seq));
-      if next.(o) = seq + 1 then begin
-        next.(o) <- seq;
-        if Random.State.bool rng then begin
-          next.(o) <- seq + 1;
-          append o seq
-        end
-      end
-    end
-  in
-  let resolve_soon () =
-    let i = Random.State.int rng (List.length !soon) in
-    let key = List.nth !soon i in
-    soon := List.filteri (fun j _ -> j <> i) !soon;
-    resolve ~abort_pct:15 key
-  in
-  let resolve_held ~all =
-    let due, later =
-      List.partition (fun (_, _, due) -> all || due <= !appends) !held
-    in
-    held := later;
-    List.iter (fun (o, seq, _) -> resolve ~abort_pct:20 (o, seq)) due
-  in
-  while !appends < target do
-    resolve_held ~all:false;
-    let r = Random.State.int rng 100 in
-    if r < 45 then fresh ()
-    else if r < 85 && !soon <> [] then resolve_soon ()
-    else if r < 94 then begin
-      let o = Random.State.int rng origins in
-      let seq = 1 + Random.State.int rng next.(o) in
-      emit
-        (if Random.State.bool rng then Commit (o, seq) else Abort (o, seq))
-    end
-    else if r < 95 && !soon <> [] then begin
-      let o, seq = List.hd !soon in
-      emit (Log (o, seq));
-      incr appends
-    end
-    else fresh ()
+    ops := (o, next.(o)) :: !ops;
+    next.(o) <- next.(o) + 1
   done;
-  while !soon <> [] do
-    resolve_soon ()
-  done;
-  resolve_held ~all:true;
   List.rev !ops
 
 let log_matches_model =
   QCheck.Test.make ~name:"write log equals the list model after every step"
     ~count:6
-    QCheck.(
-      triple (int_bound 1_000_000) (int_range 2 4) (int_range 0 8))
-    (fun (seed, origins, hold_permille) ->
+    QCheck.(pair (int_bound 1_000_000) (int_range 2 4))
+    (fun (seed, origins) ->
       let d, service = log_domain () in
       let m = Model.create () in
-      let stragglers = ref false in
       List.iteri
-        (fun step op ->
-          (match op with
-          | Log (origin, seq) ->
-              K.log_group_write d ~service ~origin ~seq step;
-              Model.log m ~origin ~seq step
-          | Commit (origin, seq) ->
-              K.commit_group_write d ~service ~origin ~seq;
-              Model.commit m ~origin ~seq
-          | Abort (origin, seq) ->
-              K.abort_group_write d ~service ~origin ~seq;
-              Model.abort m ~origin ~seq);
-          if m.Model.len > Model.cap then stragglers := true;
+        (fun step (origin, seq) ->
+          K.log_group_write d ~service ~origin ~seq step;
+          Model.log m ~origin ~seq step;
           let fail what =
-            QCheck.Test.fail_reportf "step %d (%a): %s differs" step pp_op op
-              what
+            QCheck.Test.fail_reportf "step %d (log (%d, %d)): %s differs" step
+              origin seq what
           in
-          if K.group_write_log d ~service <> Model.committed m then
+          if K.group_write_log d ~service <> Model.entries m then
             fail "group_write_log";
-          if K.group_write_pending d ~service <> Model.pending m then
-            fail "group_write_pending";
           if K.group_write_trimmed d ~service <> Model.trimmed m then
             fail "group_write_trimmed")
-        (script ~seed ~origins ~hold_permille);
-      (* The script must reach the cases the model exists for. *)
+        (script ~seed ~origins);
+      (* The script must reach the case the model exists for. *)
       if Model.trimmed m = [] then
         QCheck.Test.fail_report "the cap was never crossed";
-      if not !stragglers then
-        QCheck.Test.fail_report "no pending entry aged past the cap";
       true)
-
-(* A hand-written straggler sequence: an entry held pending while the
-   cap fills stays (counted against the cap), is trimmed only by the
-   first append after it commits, and an aborted straggler leaves the
-   log and frees its slot. *)
-let test_straggler_lifecycle () =
-  let d, service = log_domain () in
-  let m = Model.create () in
-  let both f g =
-    f ();
-    g ()
-  in
-  let log o seq =
-    both
-      (fun () -> K.log_group_write d ~service ~origin:o ~seq seq)
-      (fun () -> Model.log m ~origin:o ~seq seq)
-  and commit o seq =
-    both
-      (fun () -> K.commit_group_write d ~service ~origin:o ~seq)
-      (fun () -> Model.commit m ~origin:o ~seq)
-  and abort o seq =
-    both
-      (fun () -> K.abort_group_write d ~service ~origin:o ~seq)
-      (fun () -> Model.abort m ~origin:o ~seq)
-  in
-  let same what =
-    Alcotest.(check (list (triple int int int)))
-      (what ^ ": log") (Model.committed m)
-      (K.group_write_log d ~service);
-    Alcotest.(check bool)
-      (what ^ ": pending") (Model.pending m)
-      (K.group_write_pending d ~service);
-    Alcotest.(check (list (pair int int)))
-      (what ^ ": trimmed") (Model.trimmed m)
-      (K.group_write_trimmed d ~service)
-  in
-  log 1 1;
-  log 2 1;
-  for seq = 2 to Model.cap + 10 do
-    log 1 seq;
-    commit 1 seq
-  done;
-  same "two stragglers held";
-  Alcotest.(check int) "stragglers count against the cap" (Model.cap + 2)
-    m.Model.len;
-  commit 1 1;
-  same "straggler committed, not yet trimmed";
-  Alcotest.(check int) "committed straggler still replayable" (Model.cap + 1)
-    (List.length (K.group_write_log d ~service));
-  abort 2 1;
-  same "straggler aborted";
-  log 2 1;
-  same "relog trims the committed straggler";
-  commit 2 1;
-  log 1 (Model.cap + 11);
-  same "append past the cap";
-  Alcotest.(check (list (pair int int)))
-    "trim marks" [ (1, 12) ] (K.group_write_trimmed d ~service);
-  (* Aborts inside the newest-[cap] window shrink it, so an append may
-     examine only the oldest of two stragglers: a committed straggler
-     just inside the window must survive that trim. *)
-  log 3 1;
-  log 3 2;
-  for seq = Model.cap + 12 to (2 * Model.cap) + 20 do
-    log 1 seq;
-    commit 1 seq
-  done;
-  for seq = 1 to 3 do
-    log 4 seq
-  done;
-  for seq = 1 to 3 do
-    abort 4 seq
-  done;
-  commit 3 2;
-  same "newer straggler committed";
-  log 1 ((2 * Model.cap) + 21);
-  commit 1 ((2 * Model.cap) + 21);
-  log 1 ((2 * Model.cap) + 22);
-  same "only the oldest straggler examined";
-  Alcotest.(check bool) "committed straggler kept inside the window" true
-    (List.mem (3, 2) (List.map (fun (o, s, _) -> (o, s)) (Model.committed m)))
 
 (* --- allocation gates --- *)
 
-(* Appending and committing costs a bounded number of words per entry,
-   with or without a full log. The list log copied all 1024 entries on
-   every append past the cap (about 9k words). *)
+(* Appending costs a bounded number of words per entry, with or without
+   a full log: 9.0 on OCaml 5.1 (the 3-tuple, the queue cell and the
+   service lookup's option). The ceiling sits about 40% above it. The
+   list log copied all 1024 entries on every append past the cap (about
+   9k words). *)
 let test_log_allocation () =
   let d, service = log_domain () in
   let n = 4096 in
   let before = Gc.minor_words () in
   for seq = 1 to n do
-    K.log_group_write d ~service ~origin:1 ~seq 0;
-    K.commit_group_write d ~service ~origin:1 ~seq
+    K.log_group_write d ~service ~origin:1 ~seq 0
   done;
   let per_entry = (Gc.minor_words () -. before) /. float_of_int n in
   Alcotest.(check bool)
-    (Fmt.str "%.1f minor words per entry <= 64" per_entry)
-    true (per_entry <= 64.0);
+    (Fmt.str "%.1f minor words per entry <= 13" per_entry)
+    true (per_entry <= 13.0);
   Alcotest.(check int) "log holds the cap" Model.cap
     (List.length (K.group_write_log d ~service))
 
@@ -536,8 +370,6 @@ let suite =
     ( "replica-cost",
       [
         qcheck log_matches_model;
-        Alcotest.test_case "write log stragglers match the model" `Quick
-          test_straggler_lifecycle;
         Alcotest.test_case "write log allocates O(1) words per entry" `Quick
           test_log_allocation;
         Alcotest.test_case "member lookup allocation independent of hosts"

@@ -181,39 +181,30 @@ let test_seq_guard_ordering () =
   | _ -> Alcotest.fail "in-window reply must stay cached");
   Alcotest.(check int) "high-water mark" 40 (Seq_guard.applied_seq g ~origin:1)
 
-(* --- the write-log lifecycle: pending, committed, aborted, capped --- *)
+(* --- the write log: capped, with per-origin trim marks --- *)
 
-let test_log_lifecycle () =
+let test_log_capped () =
   let t, rset = build_replicated ~seed:16 ~factor:2 () in
   let d = Scenario.(t.domain) in
   let service = Replica.service rset in
   let msg = Vmsg.ok () in
-  K.log_group_write d ~service ~origin:7 ~seq:1 msg;
-  Alcotest.(check bool) "pending after append" true
-    (K.group_write_pending d ~service);
-  Alcotest.(check int) "pending entry hidden from replay" 0
-    (List.length (K.group_write_log d ~service));
-  K.commit_group_write d ~service ~origin:7 ~seq:1;
-  Alcotest.(check bool) "committed entry not pending" false
-    (K.group_write_pending d ~service);
-  Alcotest.(check int) "committed entry visible" 1
-    (List.length (K.group_write_log d ~service));
-  K.log_group_write d ~service ~origin:7 ~seq:2 msg;
-  K.abort_group_write d ~service ~origin:7 ~seq:2;
-  Alcotest.(check bool) "aborted entry not pending" false
-    (K.group_write_pending d ~service);
-  Alcotest.(check int) "aborted entry removed" 1
-    (List.length (K.group_write_log d ~service));
-  (* Overflow the cap: the oldest committed entries trim out, leaving
-     their per-origin high-water mark behind. *)
-  for seq = 2 to 1030 do
-    K.log_group_write d ~service ~origin:7 ~seq msg;
-    K.commit_group_write d ~service ~origin:7 ~seq
+  for seq = 1 to 1030 do
+    K.log_group_write d ~service ~origin:7 ~seq msg
   done;
+  K.log_group_write d ~service ~origin:8 ~seq:1 msg;
+  (* The oldest entries trim out, leaving their per-origin high-water
+     mark behind. *)
   Alcotest.(check int) "log capped" 1024
     (List.length (K.group_write_log d ~service));
   Alcotest.(check (list (pair int int)))
-    "trim high-water mark" [ (7, 6) ]
+    "oldest first" [ (7, 8); (8, 1) ]
+    (List.map
+       (fun (o, s, _) -> (o, s))
+       (List.filteri
+          (fun i _ -> i = 0 || i = 1023)
+          (K.group_write_log d ~service)));
+  Alcotest.(check (list (pair int int)))
+    "trim high-water mark" [ (7, 7) ]
     (K.group_write_trimmed d ~service)
 
 (* --- revive: writes racing the catch-up still reach the member --- *)
@@ -337,9 +328,9 @@ let test_crossed_partition_sync () =
     (List.map (Fmt.str "%a" Invariant.pp_violation)
        (Invariant.replica_divergence t ~members ~names))
 
-(* --- a definitively failed write is aborted, not resurrected --- *)
+(* --- no reachable member: nothing logged, no seq taken --- *)
 
-let test_no_resurrection () =
+let test_no_member_nothing_logged () =
   let t, rset = build_replicated ~seed:17 ~factor:1 () in
   let d = Scenario.(t.domain) in
   let service = Replica.service rset in
@@ -355,10 +346,9 @@ let test_no_resurrection () =
     (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env ->
          Runtime.set_resilience env ~policy:tight ~seed:31 ();
          ok_exn "mkdir" (Runtime.create env ~directory:true "[rstore]top");
-         (* Kill the only member's process (host stays up): the fan-out
-            finds no live member, fails definitively, and must remove
-            its log entry — the client was told the write did not
-            happen, so no later replay may apply it. *)
+         (* Kill the only member's process (host stays up): the
+            coordinator finds no member to send to, so it answers
+            No_server without logging the write. *)
          ignore
            (K.destroy_process d
               (File_server.pid (snd (List.hd (Replica.members rset)))));
@@ -368,11 +358,8 @@ let test_no_resurrection () =
   Scenario.run t;
   Alcotest.(check int) "failed write not in the log" 1
     (List.length (K.group_write_log d ~service));
-  Alcotest.(check bool) "nothing left pending" false
-    (K.group_write_pending d ~service);
-  (* Revive over the surviving disk; the next write reuses the aborted
-     sequence number, keeping the committed stream gap-free for the
-     in-order guard. *)
+  (* Revive over the surviving disk; the next write takes the seq the
+     failed one did not, so the member's in-order guard sees no gap. *)
   (match Replica.revive rset (Scenario.fs_addr 0) with
   | Some (_ : File_server.t) -> ()
   | None -> Alcotest.fail "revive returned no member");
@@ -381,8 +368,141 @@ let test_no_resurrection () =
          ok_exn "create" (Runtime.create env "[rstore]top/real")));
   Scenario.run t;
   Alcotest.(check (list int))
-    "gap-free committed seq stream" [ 1; 2 ]
+    "gap-free seq stream" [ 1; 2 ]
     (List.map (fun (_, seq, _) -> seq) (K.group_write_log d ~service))
+
+(* --- a coordinator lost in mid fan-out: the catch-up still ends --- *)
+
+let host_at t addr =
+  match K.host_of_addr Scenario.(t.domain) addr with
+  | Some h -> h
+  | None -> Alcotest.failf "no host at %d" addr
+
+(* The names in a member's directory [dir], read from its own file
+   system. *)
+let listing fs dir =
+  let fs = File_server.fs fs in
+  match Fs.lookup fs ~dir:Fs.root_ino dir with
+  | Some (Fs.Dir_entry ino) -> List.map fst (Fs.entries fs ~dir:ino)
+  | Some _ | None -> Alcotest.failf "%s is not a directory" dir
+
+(* ws0's host crashes while its prefix server is fanning a Create out
+   to three members. A later revive of fs2 must still end in fs2's
+   rejoin, with nothing left queued: the write's log entry is replayed
+   like any other. *)
+let test_coordinator_crash_catchup () =
+  let t, rset = build_replicated ~workstations:2 ~seed:5 ~factor:3 () in
+  let domain = Scenario.(t.domain) and engine = Scenario.(t.engine) in
+  ignore
+    (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env ->
+         ok_exn "mkdir" (Runtime.create env ~directory:true "[rstore]top")));
+  Scenario.run t;
+  ignore
+    (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env ->
+         ignore (Runtime.create env "[rstore]top/x")));
+  Vsim.Engine.schedule ~delay:8.0 engine (fun () ->
+      K.crash_host (host_at t (Scenario.ws_addr 0)));
+  Scenario.run t;
+  let fs2 = Scenario.fs_addr 2 in
+  K.crash_host (host_at t fs2);
+  K.restart_host (host_at t fs2);
+  let fresh =
+    match Replica.revive rset fs2 with
+    | Some fs -> File_server.pid fs
+    | None -> Alcotest.fail "revive returned no member"
+  in
+  Scenario.run ~until:10_000.0 t;
+  let visible =
+    K.service_group_members domain ~requester:(Scenario.ws_addr 1)
+      ~service:(Replica.service rset)
+  in
+  Alcotest.(check int) "every member visible" 3 (List.length visible);
+  Alcotest.(check bool) "fs2 rejoined" true (List.exists (Pid.equal fresh) visible);
+  Alcotest.(check int) "nothing left queued" 0 (Vsim.Engine.pending engine);
+  Replica.sync rset;
+  Scenario.run ~until:20_000.0 t;
+  List.iter
+    (fun (_, fs) ->
+      Alcotest.(check (list string)) "members agree on top/x" [ "x" ]
+        (listing fs "top"))
+    (Replica.members rset)
+
+(* --- a write every member refused stays logged and lands later --- *)
+
+(* [top/a] is sent under total loss, so no member applies it. [top/b]
+   follows, and both members, a write behind, refuse it as a gap. Both
+   stay logged with their own seqs, so the sync lands them in order and
+   [top/c] takes the next seq. *)
+let test_refused_write_lands () =
+  let t, rset = build_replicated ~seed:20 ~factor:2 () in
+  let net = Scenario.(t.net) in
+  let create name =
+    let result = ref (Ok ()) in
+    ignore
+      (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env ->
+           result := Runtime.create env ("[rstore]" ^ name)));
+    Scenario.run t;
+    !result
+  in
+  let no_server name = function
+    | Error (Verr.Denied Reply.No_server) -> ()
+    | Ok () -> Alcotest.failf "%s: answered Ok" name
+    | Error e -> Alcotest.failf "%s: %a, not No_server" name Verr.pp e
+  in
+  ignore
+    (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env ->
+         ok_exn "mkdir" (Runtime.create env ~directory:true "[rstore]top")));
+  Scenario.run t;
+  Vnet.Ethernet.set_loss_probability net 1.0;
+  no_server "top/a" (create "top/a");
+  Vnet.Ethernet.set_loss_probability net 0.0;
+  no_server "top/b" (create "top/b");
+  Replica.sync rset;
+  Scenario.run t;
+  ok_exn "top/c" (create "top/c");
+  List.iter
+    (fun (_, fs) ->
+      Alcotest.(check (list string)) "member lists a, b and c"
+        [ "a"; "b"; "c" ] (listing fs "top"))
+    (Replica.members rset);
+  Alcotest.(check (list string))
+    "members agree" []
+    (List.map (Fmt.str "%a" Invariant.pp_violation)
+       (Invariant.replica_divergence t
+          ~members:(List.map snd (Replica.members rset))
+          ~names:[ "top"; "top/a"; "top/b"; "top/c" ]))
+
+(* --- a catch-up over a full log --- *)
+
+(* The log is at its cap when fs1 revives, so each write that lands
+   during the replay trims one entry and the log's length stays put.
+   The catch-up must still replay that write before fs1 rejoins. *)
+let test_catchup_over_full_log () =
+  let t, rset = build_replicated ~seed:21 ~factor:2 () in
+  let fs1 = Scenario.fs_addr 1 in
+  let writer body =
+    ignore (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env -> body env))
+  in
+  writer (fun env ->
+      ok_exn "mkdir" (Runtime.create env ~directory:true "[rstore]top");
+      for _ = 1 to 550 do
+        ok_exn "create" (Runtime.create env "[rstore]top/f");
+        ok_exn "remove" (Runtime.remove env "[rstore]top/f")
+      done);
+  Scenario.run t;
+  Alcotest.(check bool) "the log was trimmed" true
+    (K.group_write_trimmed Scenario.(t.domain) ~service:(Replica.service rset)
+     <> []);
+  K.crash_host (host_at t fs1);
+  K.restart_host (host_at t fs1);
+  ignore (Replica.revive rset fs1);
+  writer (fun env -> ok_exn "create" (Runtime.create env "[rstore]top/late"));
+  Scenario.run t;
+  List.iter
+    (fun (_, fs) ->
+      Alcotest.(check (list string)) "members list the late write" [ "late" ]
+        (listing fs "top"))
+    (Replica.members rset)
 
 (* --- the divergence invariant can actually fire --- *)
 
@@ -413,16 +533,22 @@ let suite =
           test_write_all_converges;
         Alcotest.test_case "seq guard: in-order, gaps refused, cache bounded"
           `Quick test_seq_guard_ordering;
-        Alcotest.test_case "write log: pending/commit/abort, capped" `Quick
-          test_log_lifecycle;
+        Alcotest.test_case "write log: capped, trim marks kept" `Quick
+          test_log_capped;
         Alcotest.test_case "writes racing a revive catch-up converge" `Quick
           test_revive_catchup_converges;
         Alcotest.test_case "partitioned member refuses gaps; heal sync"
           `Quick test_partition_heal_sync;
         Alcotest.test_case "crossed partitions reconverge on sync" `Quick
           test_crossed_partition_sync;
-        Alcotest.test_case "definite fan-out failure aborts, no resurrection"
-          `Quick test_no_resurrection;
+        Alcotest.test_case "no member reachable: nothing logged, no seq"
+          `Quick test_no_member_nothing_logged;
+        Alcotest.test_case "coordinator crash mid fan-out: revive rejoins"
+          `Quick test_coordinator_crash_catchup;
+        Alcotest.test_case "a write every member refused lands on sync"
+          `Quick test_refused_write_lands;
+        Alcotest.test_case "a catch-up over a full log misses nothing" `Quick
+          test_catchup_over_full_log;
         Alcotest.test_case "failover to survivor, tagged exactly once" `Quick
           test_failover_span;
         Alcotest.test_case "divergence invariant fires on skew" `Quick

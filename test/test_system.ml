@@ -163,6 +163,53 @@ let test_long_owner_refused () =
                 else None)
               records)))
 
+(* A flat context judges a name by the record it would list for it,
+   attributes included: a printer job's state, a window's geometry, a
+   connection's state and a binding's target. Each name refused here
+   fits a record with no attributes (24 bytes, the name and the owner
+   come to at most 65,535), so only its attributes take it past the
+   bound. A connection is judged by its longest state, "established",
+   three bytes longer than the "syn-sent" it opens in; a window's
+   record also grows when a move lengthens its geometry. Each listing
+   still reads. *)
+let test_flat_record_refused () =
+  ignore
+    (run_client (fun t _self env ->
+         let refused what = function
+           | Error (Vio.Verr.Denied Reply.Illegal_name) -> ()
+           | Ok () -> Alcotest.failf "%s was accepted" what
+           | Error e -> Alcotest.failf "%s: %a" what Vio.Verr.pp e
+         in
+         let name ?(slack = 0) owner =
+           String.make (65_535 - 24 - String.length owner - slack) 'x'
+         in
+         refused "a job"
+           (Runtime.write_file env ("[printer]" ^ name "system")
+              (Bytes.of_string "page"));
+         refused "a window" (Runtime.create env ("[windows]" ^ name "system"));
+         (* 24 + 65,487 + 6 + 9 + 8 = 65,534 bytes while the connection
+            opens; 65,537 once it is established. *)
+         refused "a connection"
+           (Runtime.write_file env
+              ("[internet]" ^ name ~slack:21 "system" ^ ":80")
+              (Bytes.of_string "GET"));
+         let ps = Scenario.((t.workstations).(0).ws_prefix) in
+         refused "a binding"
+           (Runtime.add_prefix env
+              (name (Prefix_server.owner ps))
+              (`Static
+                 (Context.spec ~server:(Prefix_server.pid ps)
+                    ~context:Context.Well_known.default)));
+         let window = "[windows]" ^ name ~slack:40 "system" in
+         ok_exn "a window with room" (Runtime.create env window);
+         let d = ok_exn "query the window" (Runtime.query env window) in
+         let far = { d with Descriptor.attrs = [ ("x", string_of_int max_int) ] } in
+         refused "a move past the bound" (Runtime.modify env window far);
+         List.iter
+           (fun dir ->
+             ignore (ok_exn ("list " ^ dir) (Runtime.list_directory env dir)))
+           [ "[printer]"; "[windows]"; "[internet]" ]))
+
 let test_remove_is_atomic_with_name () =
   ignore
     (run_client (fun _t _self env ->
@@ -1067,6 +1114,8 @@ let suite =
           test_long_strings_refused;
         Alcotest.test_case "long record refused" `Quick
           test_long_record_refused;
+        Alcotest.test_case "flat record refused" `Quick
+          test_flat_record_refused;
         Alcotest.test_case "long owner refused" `Quick test_long_owner_refused;
         Alcotest.test_case "remove atomicity" `Quick test_remove_is_atomic_with_name;
         Alcotest.test_case "rename" `Quick test_rename;
