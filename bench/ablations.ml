@@ -106,14 +106,13 @@ let a2 () =
            let dir_name =
              "[fs0]" ^ String.concat "/" (List.init k (fun _ -> "hop"))
            in
-           let spec = ok "A2 resolve" (Runtime.resolve env dir_name) in
+           Runtime.set_current_context env
+             (ok "A2 resolve" (Runtime.resolve env dir_name));
            let f1 = frames () in
            let t1 = Vsim.Engine.now eng in
            let i =
              ok "A2 direct open"
-               (Vio.Client.open_at self ~server:spec.Context.server
-                  ~req:(Csname.make_req ~context:spec.Context.context "target.dat")
-                  ~mode:Vmsg.Read ())
+               (Runtime.open_ env ~mode:Vmsg.Read "target.dat")
            in
            let direct_ms = Vsim.Engine.now eng -. t1 in
            let direct_frames = frames () - f1 in

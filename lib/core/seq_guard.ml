@@ -2,10 +2,12 @@
 
    A replicated write arrives stamped with the coordinator's (origin,
    seq) — see {!Vmsg.wseq}. Each member keeps, per origin, the highest
-   sequence number it has applied plus the replies to recently applied
-   writes, so a coordinator retry (same seq resent after a lost frame)
-   or a catch-up replay after restart is answered from the cache rather
-   than applied twice.
+   sequence number it has applied and the reply to that write: a
+   coordinator sends one write at a time and logs the next only after
+   every member has answered, so a retry (same seq resent after a lost
+   frame) can only ask for that reply. An older seq comes from a
+   catch-up replay, which ignores replies, and is acknowledged with a
+   plain Ok.
 
    Admission is strictly in-order per origin: the only admissible fresh
    write is applied+1. A larger seq means this member missed a write
@@ -17,36 +19,33 @@
    delivers the missing sequence numbers in order.
 
    The applied high-water marks model durable state — like the file
-   system itself, they survive a server restart. The reply cache is
-   memory, bounded to a sliding window of [reply_window] entries per
-   origin, and is dropped entirely on restart ({!drop_replies}): a
-   replayed write whose seq is already covered is then acknowledged
-   with a plain Ok, which is all a catching-up coordinator needs. *)
+   system itself, they survive a server restart. The replies are
+   memory, dropped on restart ({!drop_replies}). *)
 
-type t = {
-  applied : (int, int) Hashtbl.t;  (* origin -> highest applied seq *)
-  replies : (int * int, Vmsg.t) Hashtbl.t;  (* (origin, seq) -> reply *)
-}
+type applied = { mutable seq : int; mutable reply : Vmsg.t option }
 
-(* Replies retained per origin. A coordinator retransmits only the
-   in-flight seq, so any window covers it; the slack absorbs replays
-   arriving while newer writes land. *)
-let reply_window = 32
+(* origin -> its highest applied seq and that write's reply *)
+type t = (int, applied) Hashtbl.t
 
-let create () = { applied = Hashtbl.create 8; replies = Hashtbl.create 32 }
+let create () : t = Hashtbl.create 8
 
 let applied_seq t ~origin =
-  match Hashtbl.find_opt t.applied origin with Some s -> s | None -> 0
+  match Hashtbl.find t origin with a -> a.seq | exception Not_found -> 0
 
 let admit t ~origin ~seq =
   let applied = applied_seq t ~origin in
-  if seq <= applied then `Replay (Hashtbl.find_opt t.replies (origin, seq))
-  else if seq = applied + 1 then `Fresh
-  else `Gap
+  if seq = applied + 1 then `Fresh
+  else if seq > applied then `Gap
+  else
+    match Hashtbl.find_opt t origin with
+    | Some a when a.seq = seq -> `Replay a.reply
+    | Some _ | None -> `Replay None
 
 let record t ~origin ~seq reply =
-  if seq > applied_seq t ~origin then Hashtbl.replace t.applied origin seq;
-  Hashtbl.replace t.replies (origin, seq) reply;
-  Hashtbl.remove t.replies (origin, seq - reply_window)
+  match Hashtbl.find t origin with
+  | a ->
+      a.seq <- seq;
+      a.reply <- Some reply
+  | exception Not_found -> Hashtbl.add t origin { seq; reply = Some reply }
 
-let drop_replies t = Hashtbl.reset t.replies
+let drop_replies t = Hashtbl.iter (fun _ a -> a.reply <- None) t

@@ -405,26 +405,14 @@ let run_routed env cache name ~upto ~t0 ~first attempt =
           with_stale_retry env cache name ~upto attempt r ~retried:false
             ~first_err:None)
 
-(* A named operation starts its root span before it routes the name, so
-   a resolver's walk hangs under it, and returns its first route.
-   [finish_op] reports the operation done — the root reads "[cached]"
-   when the first route made no query — and restores [outer], the
-   enclosing operation's root (a rebind runs an operation inside
-   another's retry loop). *)
-let start_op env ~op cache name ~upto =
-  env.root <-
-    Events.op_start env.events ~op ~context:env.current.Context.context;
-  route env cache name ~upto
-
-let finish_op env ~op ~t0 ~first ~outer result =
-  Events.op_done env.events ~op ~root:env.root ~started:t0
-    ~cached:(match first with Send { via = Cached _; _ } -> true | _ -> false)
-    (outcome_of_result result);
-  env.root <- outer;
-  result
-
-(* Send a CSname request along the route; on a failure that suggests a
-   stale cached binding, invalidate, fall back and retry. *)
+(* The one routine every named operation goes through, Open included.
+   It charges the client stub once, however many attempts follow, then
+   opens the operation's root span before it routes the name, so a
+   resolver's walk hangs under it. It sends the request along the route,
+   with the stale-cache and resilience retries, and reports the
+   operation done: the root reads "[cached]" when the first route made
+   no query. Last it restores [outer], the enclosing operation's root
+   (a rebind runs an operation inside another's retry loop). *)
 let transact_name env ~code ?payload name =
   charge_stub env;
   let op = Vmsg.Op.to_string code in
@@ -435,7 +423,9 @@ let transact_name env ~code ?payload name =
     if Vmsg.Op.acts_on_name code then Csname.last_component name
     else String.length name
   in
-  let first = start_op env ~op cache name ~upto in
+  env.root <-
+    Events.op_start env.events ~op ~context:env.current.Context.context;
+  let first = route env cache name ~upto in
   let attempt target req =
     let msg = Vmsg.request ~name:(attach env req) ?payload code in
     (* A resilience-enabled client stamps its absolute operation
@@ -455,7 +445,11 @@ let transact_name env ~code ?payload name =
     | Error _ as e -> e
   in
   let result = run_routed env cache name ~upto ~t0 ~first attempt in
-  finish_op env ~op ~t0 ~first ~outer result
+  Events.op_done env.events ~op ~root:env.root ~started:t0
+    ~cached:(match first with Send { via = Cached _; _ } -> true | _ -> false)
+    (outcome_of_result result);
+  env.root <- outer;
+  result
 
 (* --- naming operations --- *)
 
@@ -537,25 +531,14 @@ let current_context_name env =
 (* --- file-like access (the V I/O protocol over the naming layer) --- *)
 
 let open_ env ~mode name =
-  (* The stub charge happens inside [Vio.Client.open_at]. *)
-  let op = Vmsg.Op.to_string Vmsg.Op.open_instance in
-  let t0 = Vsim.Engine.now (engine env) in
-  let outer = env.root in
-  let cache = cache_for env name in
-  let upto = String.length name in
-  let first = start_op env ~op cache name ~upto in
-  let attempt target req =
-    let req = attach env req in
-    let deadline =
-      match env.resilience with
-      | Some p -> Some (t0 +. p.Vio.Resilience.deadline_ms)
-      | None -> None
-    in
-    Vio.Client.open_at env.self ~learn:(learn_from_reply env name) ?deadline
-      ~server:target ~req ~mode ()
-  in
-  let result = run_routed env cache name ~upto ~t0 ~first attempt in
-  finish_op env ~op ~t0 ~first ~outer result
+  match
+    transact_name env ~code:Vmsg.Op.open_instance
+      ~payload:(Vmsg.P_open { mode }) name
+  with
+  | Error e -> Error e
+  | Ok ({ Vmsg.payload = Vmsg.P_instance info; _ }, server) ->
+      Ok { Vio.Client.server; info }
+  | Ok _ -> Error (Vio.Verr.Protocol "Open reply carried no instance")
 
 let with_instance env ~mode name f =
   match open_ env ~mode name with

@@ -28,10 +28,10 @@ val set_current_context : env -> Context.spec -> unit
 
 (** {1 The client resilience policy}
 
-    With a policy set, every named operation ({!transact_name}-routed
-    calls and {!open_}) re-issues retryable failures ([Ipc Timeout],
-    stale pids, [Denied Retry] — see {!Vio.Resilience.retryable}) after
-    a jittered exponential backoff, within a per-operation deadline.
+    With a policy set, every named operation ({!open_} included)
+    re-issues retryable failures ([Ipc Timeout], stale pids,
+    [Denied Retry] — see {!Vio.Resilience.retryable}) after a jittered
+    exponential backoff, within a per-operation deadline.
     Re-issuing routes afresh, so a crashed server's restarted successor
     is found by GetPid re-resolution through the prefix server's
     logical bindings; a current context bound with {!change_context} is
@@ -40,6 +40,9 @@ val set_current_context : env -> Context.spec -> unit
     span, tagged ["fault"]/["retry:n"]. When the policy gives up, the
     caller sees
     {!Vio.Verr.Unavailable} (bounded) rather than an indefinite hang.
+    The client stub's CPU ({!Vnet.Calibration.client_stub_cpu}) is
+    charged once per operation, before its root span opens, however
+    many attempts it takes.
 
     Off by default; with it off, behaviour and PRNG draws are exactly
     the seed's, so fault-free runs stay bit-identical. [seed] drives
@@ -76,6 +79,10 @@ val current_context_name : env -> (string, Vio.Verr.t) result
 
 (** {1 File-like access (the I/O protocol over the naming layer)} *)
 
+(** Create an instance of [name] in [mode] (CreateInstance): one more
+    named operation, routed, cached, retried and traced as every other
+    one is. The instance's server is the process that answered, which
+    after forwarding may not be the one the request was first sent to. *)
 val open_ :
   env -> mode:Vmsg.open_mode -> string -> (Vio.Client.remote_instance, Vio.Verr.t) result
 

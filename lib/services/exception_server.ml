@@ -26,8 +26,8 @@ let describe r =
     ~attrs:[ ("exception", r.what) ]
     (Pid.to_string r.culprit)
 
-let record t ~now ~culprit what =
-  t.reports <- { culprit; what; at = now } :: t.reports;
+let record t r =
+  t.reports <- r :: t.reports;
   t.kept <- t.kept + 1;
   if t.kept > keep_max then begin
     t.reports <- List.filteri (fun i _ -> i < keep_max) t.reports;
@@ -67,8 +67,14 @@ let start host =
         if msg.code = Vmsg.Op.report_exception then
           match msg.payload with
           | Vmsg.P_exception_report { culprit; what } ->
-              record t ~now:(Vsim.Engine.now engine) ~culprit what;
-              Some (Vmsg.ok ())
+              (* A report whose record could not be listed is refused,
+                 as every flat server refuses such a name. *)
+              let r = { culprit; what; at = Vsim.Engine.now engine } in
+              if Csnh.listable (describe r) then begin
+                record t r;
+                Some (Vmsg.ok ())
+              end
+              else Some (Vmsg.reply Reply.Illegal_name)
           | _ -> Some (Vmsg.reply Reply.Bad_operation)
         else None
   in

@@ -18,5 +18,7 @@ val pid : t -> Pid.t
 val reports : t -> report list
 
 (** Client stub: report an exception to this workstation's server.
-    Silently a no-op when none is registered. *)
+    Silently a no-op when none is registered. The server refuses a
+    report whose record could not be listed ([Illegal_name]); the stub
+    ignores the reply. *)
 val report : Vnaming.Vmsg.t Kernel.self -> culprit:Pid.t -> string -> unit

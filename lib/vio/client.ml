@@ -19,11 +19,6 @@ let instance_id ri = ri.info.Vmsg.instance
 let size ri = ri.info.Vmsg.file_size
 let block_size ri = ri.info.Vmsg.block_size
 
-let charge_stub self =
-  Vsim.Proc.delay
-    (Kernel.engine_of_domain (Kernel.domain_of_self self))
-    Vnet.Calibration.client_stub_cpu
-
 (* Send a request and run the common reply checks. *)
 let transact self ~server msg =
   match Kernel.send self server msg with
@@ -33,96 +28,58 @@ let transact self ~server msg =
       | Ok m -> Ok (m, replier)
       | Error e -> Error e)
 
-(* [open_at self ~server ~req ~mode] sends CreateInstance directly to a
-   server (no prefix routing), returning the instance and the
-   implementing server. [?learn] receives the resolution binding the
-   replying server stamped into a successful reply, so the naming layer
-   can feed its cache without this module knowing about caching.
-   [?deadline] stamps the client's absolute operation deadline for
-   admission control at a loaded server. *)
-let open_at self ?learn ?deadline ~server ~req ~mode () =
-  charge_stub self;
-  let msg =
-    Vmsg.request ~name:req ~payload:(Vmsg.P_open { mode }) Vmsg.Op.open_instance
-  in
-  let msg =
-    match deadline with Some d -> Vmsg.with_deadline msg d | None -> msg
-  in
-  match transact self ~server msg with
-  | Error e -> Error e
-  | Ok (reply, replier) -> (
-      match reply.Vmsg.payload with
-      | Vmsg.P_instance info ->
-          (match (learn, reply.Vmsg.binding) with
-          | Some f, Some b -> f b
-          | _ -> ());
-          Ok { server = replier; info }
-      | _ -> Error (Verr.Protocol "Open reply carried no instance"))
+(* The one call of the instance stubs below: the stub's CPU for building
+   the request, then the request to the instance's server, its reply
+   checked as [transact] checks it. *)
+let call self ri code payload =
+  Vsim.Proc.delay
+    (Kernel.engine_of_domain (Kernel.domain_of_self self))
+    Vnet.Calibration.client_stub_cpu;
+  match Kernel.send self ri.server (Vmsg.request ~payload code) with
+  | Error e -> Error (Verr.Ipc e)
+  | Ok (reply, _) -> Verr.of_reply reply
 
 let read_block self ri ~block =
-  charge_stub self;
-  let msg =
-    Vmsg.request
-      ~payload:(Vmsg.P_read { instance = instance_id ri; block })
-      Vmsg.Op.read_instance
-  in
-  match transact self ~server:ri.server msg with
+  match
+    call self ri Vmsg.Op.read_instance
+      (Vmsg.P_read { instance = instance_id ri; block })
+  with
+  | Ok { Vmsg.payload = Vmsg.P_data data; _ } -> Ok data
+  | Ok _ -> Error (Verr.Protocol "Read reply carried no data")
   | Error e -> Error e
-  | Ok (reply, _) -> (
-      match reply.Vmsg.payload with
-      | Vmsg.P_data data -> Ok data
-      | _ -> Error (Verr.Protocol "Read reply carried no data"))
 
 let write_block self ri ~block data =
-  charge_stub self;
-  let msg =
-    Vmsg.request
-      ~payload:(Vmsg.P_write { instance = instance_id ri; block; data })
-      Vmsg.Op.write_instance
-  in
-  match transact self ~server:ri.server msg with
+  match
+    call self ri Vmsg.Op.write_instance
+      (Vmsg.P_write { instance = instance_id ri; block; data })
+  with
+  | Ok { Vmsg.payload = Vmsg.P_count n; _ } -> Ok n
+  | Ok _ -> Error (Verr.Protocol "Write reply carried no count")
   | Error e -> Error e
-  | Ok (reply, _) -> (
-      match reply.Vmsg.payload with
-      | Vmsg.P_count n -> Ok n
-      | _ -> Error (Verr.Protocol "Write reply carried no count"))
 
 let query self ri =
-  charge_stub self;
-  let msg =
-    Vmsg.request
-      ~payload:(Vmsg.P_instance_arg (instance_id ri))
-      Vmsg.Op.query_instance
-  in
-  match transact self ~server:ri.server msg with
+  match
+    call self ri Vmsg.Op.query_instance (Vmsg.P_instance_arg (instance_id ri))
+  with
+  | Ok { Vmsg.payload = Vmsg.P_descriptor d; _ } -> Ok d
+  | Ok _ -> Error (Verr.Protocol "QueryInstance reply carried no descriptor")
   | Error e -> Error e
-  | Ok (reply, _) -> (
-      match reply.Vmsg.payload with
-      | Vmsg.P_descriptor d -> Ok d
-      | _ -> Error (Verr.Protocol "QueryInstance reply carried no descriptor"))
 
 (* Change the instance's (file's) size. *)
 let set_size self ri size =
-  charge_stub self;
-  let msg =
-    Vmsg.request
-      ~payload:(Vmsg.P_set_size { instance = instance_id ri; size })
-      Vmsg.Op.set_instance_size
-  in
-  match transact self ~server:ri.server msg with
+  match
+    call self ri Vmsg.Op.set_instance_size
+      (Vmsg.P_set_size { instance = instance_id ri; size })
+  with
+  | Ok _ -> Ok ()
   | Error e -> Error e
-  | Ok (_, _) -> Ok ()
 
 let release self ri =
-  charge_stub self;
-  let msg =
-    Vmsg.request
-      ~payload:(Vmsg.P_instance_arg (instance_id ri))
-      Vmsg.Op.release_instance
-  in
-  match transact self ~server:ri.server msg with
+  match
+    call self ri Vmsg.Op.release_instance (Vmsg.P_instance_arg (instance_id ri))
+  with
+  | Ok _ -> Ok ()
   | Error e -> Error e
-  | Ok (_, _) -> Ok ()
 
 (* Read the whole instance sequentially. *)
 let read_all self ri =

@@ -20,27 +20,18 @@ val block_size : remote_instance -> int
 (** Send [msg] to [server] and check the reply with {!Verr.of_reply}:
     the successful reply and the pid that answered, or the failure it
     encodes (a shed as [Verr.Busy]). Every client stub checks its
-    replies this way. *)
+    replies this way. It charges no CPU: the run-time charges the
+    client stub once per named operation, however many attempts it
+    sends through here. *)
 val transact :
   Vnaming.Vmsg.t Kernel.self ->
   server:Pid.t ->
   Vnaming.Vmsg.t ->
   (Vnaming.Vmsg.t * Pid.t, Verr.t) result
 
-(** Send CreateInstance directly to [server] (no prefix routing).
-    [?learn] receives the resolution binding a successful reply was
-    stamped with, letting the naming layer feed its cache. [?deadline]
-    stamps the client's absolute operation deadline (sim ms) for
-    admission control at a loaded server. *)
-val open_at :
-  Vnaming.Vmsg.t Kernel.self ->
-  ?learn:(Vnaming.Vmsg.binding -> unit) ->
-  ?deadline:float ->
-  server:Pid.t ->
-  req:Vnaming.Csname.req ->
-  mode:Vnaming.Vmsg.open_mode ->
-  unit ->
-  (remote_instance, Verr.t) result
+(** The instance stubs below each charge the client stub's CPU
+    ({!Vnet.Calibration.client_stub_cpu}) once, send their request to
+    the instance's server and check the reply as {!transact} does. *)
 
 val read_block :
   Vnaming.Vmsg.t Kernel.self -> remote_instance -> block:int -> (bytes, Verr.t) result

@@ -438,6 +438,49 @@ let test_name_server_busy () =
       | Ok _ -> Alcotest.fail "zero-capacity name server must shed"
       | Error e -> Alcotest.failf "expected Verr.Busy, got %a" Verr.pp e)
 
+(* Open is one more named operation: it charges the client stub once,
+   before its root span opens, however many attempts follow. Against a
+   file server that sheds everything, a Query and an Open of one name,
+   each from the same retry schedule, give up after the same five
+   attempts in the same 68.714 ms (an Open that paid the stub on every
+   attempt took 69.514), and their first hops wait alike. *)
+let test_retried_open_pays_stub_once () =
+  let t = Scenario.build ~workstations:1 ~file_servers:1 ~tracing:true () in
+  File_server.enable_admission (Scenario.file_server t 0) t.Scenario.domain
+    ~config:(shed_everything ()) ();
+  let name = "[storage]tmp/p.txt" in
+  let now () = Vsim.Engine.now t.Scenario.engine in
+  let times = ref [] in
+  ignore
+    (Scenario.spawn_client t ~ws:0 (fun _self env ->
+         let give_up what op =
+           Runtime.set_resilience env ~seed:7 ();
+           let t0 = now () in
+           (match op () with
+           | Error (Verr.Unavailable { attempts; _ }) ->
+               Alcotest.(check int) (what ^ " attempts") 5 attempts
+           | Ok () -> Alcotest.failf "%s: shedding never stops" what
+           | Error e -> Alcotest.failf "%s: %a" what Verr.pp e);
+           times := (what, now () -. t0) :: !times
+         in
+         give_up "query" (fun () ->
+             Result.map ignore (Runtime.query env name));
+         give_up "open" (fun () ->
+             Result.map ignore (Runtime.open_ env ~mode:Vmsg.Read name))));
+  Scenario.run t;
+  let gave_up what = List.assoc what !times in
+  Alcotest.(check (float 5e-4)) "query gave up" 68.714 (gave_up "query");
+  Alcotest.(check (float 5e-4)) "open gave up" 68.714 (gave_up "open");
+  let spans = Vobs.Hub.all_spans t.Scenario.obs in
+  let first_hop_wait op =
+    let root = List.find (fun (s : Vobs.Span.t) -> s.op = op) spans in
+    let under (s : Vobs.Span.t) = s.parent_id = root.span_id in
+    (List.find under spans).queue_wait
+  in
+  Alcotest.(check (float 1e-9)) "an Open's first hop waits as a Query's"
+    (first_hop_wait "client:QueryName")
+    (first_hop_wait "client:Open")
+
 (* The program manager answers RunProgram with Busy when the storage
    server it loads from sheds the program's QueryName. *)
 let test_run_program_busy () =
@@ -493,5 +536,7 @@ let suite =
           test_name_server_busy;
         Alcotest.test_case "RunProgram answers Busy" `Quick
           test_run_program_busy;
+        Alcotest.test_case "a retried Open pays the stub once" `Quick
+          test_retried_open_pays_stub_once;
       ] );
   ]

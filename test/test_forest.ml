@@ -168,11 +168,10 @@ let run_one seed =
            (fun (server, components) ->
              let name = String.concat "/" components in
              let expected = model_resolve model ~server components in
-             let actual =
-               Vio.Client.open_at self
-                 ~server:(File_server.pid (Scenario.file_server t server))
-                 ~req:(Csname.make_req name) ~mode:Vmsg.Read ()
-             in
+             Runtime.set_current_context env
+               (File_server.spec (Scenario.file_server t server)
+                  ~context:Context.Well_known.default);
+             let actual = Runtime.open_ env ~mode:Vmsg.Read name in
              let verdict_matches =
                match (expected, actual) with
                | `File (owner, path), Ok instance ->

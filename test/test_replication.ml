@@ -148,7 +148,7 @@ let test_failover_span () =
   Alcotest.(check int) "no second failover" 0
     (List.length (tagged "failover:2"))
 
-(* --- the sequence guard: in-order admission, bounded reply cache --- *)
+(* --- the sequence guard: in-order admission, one reply per origin --- *)
 
 let test_seq_guard_ordering () =
   let g = Seq_guard.create () in
@@ -164,22 +164,31 @@ let test_seq_guard_ordering () =
   (match Seq_guard.admit g ~origin:1 ~seq:2 with
   | `Fresh -> ()
   | _ -> Alcotest.fail "seq 2 must be fresh");
-  Seq_guard.record g ~origin:1 ~seq:2 (Vmsg.ok ());
-  (match Seq_guard.admit g ~origin:1 ~seq:1 with
-  | `Replay (Some _) -> ()
-  | _ -> Alcotest.fail "seq 1 must replay its cached reply");
-  (* Reply cache is a sliding window: old replies age out (answered
-     with a plain Ok), the dedupe high-water mark never does. *)
-  for seq = 3 to 40 do
-    Seq_guard.record g ~origin:1 ~seq (Vmsg.ok ())
-  done;
+  let last = Vmsg.reply Reply.Not_found in
+  Seq_guard.record g ~origin:1 ~seq:2 last;
+  (* A retry of the last applied write gets its reply back; an older
+     write (a catch-up replay) is a replay answered with a plain Ok. *)
+  (match Seq_guard.admit g ~origin:1 ~seq:2 with
+  | `Replay (Some r) when r == last -> ()
+  | _ -> Alcotest.fail "seq 2 must replay its kept reply");
   (match Seq_guard.admit g ~origin:1 ~seq:1 with
   | `Replay None -> ()
-  | _ -> Alcotest.fail "evicted reply must still be a replay");
-  (match Seq_guard.admit g ~origin:1 ~seq:9 with
-  | `Replay (Some _) -> ()
-  | _ -> Alcotest.fail "in-window reply must stay cached");
-  Alcotest.(check int) "high-water mark" 40 (Seq_guard.applied_seq g ~origin:1)
+  | _ -> Alcotest.fail "seq 1 must replay with no reply kept");
+  (* Each origin has its own sequence. *)
+  (match Seq_guard.admit g ~origin:2 ~seq:1 with
+  | `Fresh -> ()
+  | _ -> Alcotest.fail "another origin starts at seq 1");
+  Alcotest.(check int) "other origin's mark" 0
+    (Seq_guard.applied_seq g ~origin:2);
+  (* A restart drops the reply, never the high-water mark. *)
+  Seq_guard.drop_replies g;
+  (match Seq_guard.admit g ~origin:1 ~seq:2 with
+  | `Replay None -> ()
+  | _ -> Alcotest.fail "a dropped reply must still be a replay");
+  (match Seq_guard.admit g ~origin:1 ~seq:3 with
+  | `Fresh -> ()
+  | _ -> Alcotest.fail "seq 3 must be fresh after the restart");
+  Alcotest.(check int) "high-water mark" 2 (Seq_guard.applied_seq g ~origin:1)
 
 (* --- the write log: capped, with per-origin trim marks --- *)
 
@@ -531,7 +540,7 @@ let suite =
           test_balancing_deterministic;
         Alcotest.test_case "write-all converges; duplicates suppressed" `Quick
           test_write_all_converges;
-        Alcotest.test_case "seq guard: in-order, gaps refused, cache bounded"
+        Alcotest.test_case "seq guard: in-order, gaps refused, one reply per origin"
           `Quick test_seq_guard_ordering;
         Alcotest.test_case "write log: capped, trim marks kept" `Quick
           test_log_capped;

@@ -170,11 +170,12 @@ let test_long_owner_refused () =
    come to at most 65,535), so only its attributes take it past the
    bound. A connection is judged by its longest state, "established",
    three bytes longer than the "syn-sent" it opens in; a window's
-   record also grows when a move lengthens its geometry. Each listing
-   still reads. *)
+   record also grows when a move lengthens its geometry. The exception
+   server judges a report the same way, by the record its text would
+   make. Each listing still reads. *)
 let test_flat_record_refused () =
   ignore
-    (run_client (fun t _self env ->
+    (run_client (fun t self env ->
          let refused what = function
            | Error (Vio.Verr.Denied Reply.Illegal_name) -> ()
            | Ok () -> Alcotest.failf "%s was accepted" what
@@ -208,7 +209,28 @@ let test_flat_record_refused () =
          List.iter
            (fun dir ->
              ignore (ok_exn ("list " ^ dir) (Runtime.list_directory env dir)))
-           [ "[printer]"; "[windows]"; "[internet]" ]))
+           [ "[printer]"; "[windows]"; "[internet]" ];
+         (* The exception server's stub ignores replies, so the report
+            goes by a plain Send; its text is the record's "exception"
+            attribute. *)
+         let exceptions =
+           Vservices.Exception_server.pid
+             Scenario.((t.workstations).(0).ws_exceptions)
+         in
+         let culprit = K.self_pid self and what = String.make 65_520 'x' in
+         let report =
+           Vmsg.request
+             ~payload:(Vmsg.P_exception_report { culprit; what })
+             Vmsg.Op.report_exception
+         in
+         (match K.send self exceptions report with
+         | Ok (reply, _) ->
+             refused "a report" (Result.map ignore (Vio.Verr.of_reply reply))
+         | Error e -> Alcotest.failf "a report: %a" K.pp_error e);
+         Runtime.set_current_context env
+           (Context.spec ~server:exceptions
+              ~context:Context.Well_known.default);
+         ignore (ok_exn "list the exceptions" (Runtime.list_directory env ""))))
 
 let test_remove_is_atomic_with_name () =
   ignore
@@ -514,23 +536,20 @@ let test_add_delete_prefix () =
          | Error (Vio.Verr.Denied Reply.Duplicate_name) -> ()
          | _ -> Alcotest.fail "duplicate prefix must be rejected"))
 
-(* Listing the prefix server's own context directory: route the open to
-   the prefix server by an empty prefixed name... the standard way is a
-   dedicated binding; instead we list via the server's own context using
-   a direct open. *)
+(* Listing the prefix server's own context directory: with that context
+   current, the empty name opens it. *)
 let test_prefix_server_directory () =
   let t = Scenario.build () in
   let completed = ref false in
   ignore
     (Scenario.spawn_client t ~ws:0 (fun self env ->
-         ignore env;
          let ws = Scenario.workstation t 0 in
-         let prefix_pid = Prefix_server.pid ws.Scenario.ws_prefix in
+         Runtime.set_current_context env
+           (Context.spec ~server:(Prefix_server.pid ws.Scenario.ws_prefix)
+              ~context:Context.Well_known.default);
          let instance =
            ok_exn "open prefix dir"
-             (Vio.Client.open_at self ~server:prefix_pid
-                ~req:(Csname.make_req "")
-                ~mode:Vmsg.Directory_listing ())
+             (Runtime.open_ env ~mode:Vmsg.Directory_listing "")
          in
          let records = ok_exn "read dir" (Vio.Client.read_directory self instance) in
          ok_exn "release" (Vio.Client.release self instance);
@@ -961,12 +980,11 @@ let prop_prefix_server_matches_model =
              (* Final directory agrees with model + standard bindings;
                 read the prefix server's own context directory. *)
              let ws = Scenario.workstation t 0 in
+             Runtime.set_current_context env
+               (Context.spec ~server:(Prefix_server.pid ws.Scenario.ws_prefix)
+                  ~context:Context.Well_known.default);
              let listed =
-               match
-                 Vio.Client.open_at self
-                   ~server:(Prefix_server.pid ws.Scenario.ws_prefix)
-                   ~req:(Csname.make_req "") ~mode:Vmsg.Directory_listing ()
-               with
+               match Runtime.open_ env ~mode:Vmsg.Directory_listing "" with
                | Error _ -> [ "<open failed>" ]
                | Ok instance -> (
                    let records = Vio.Client.read_directory self instance in
