@@ -30,9 +30,6 @@ val preload : t -> string -> binding -> unit
 val register :
   Vmsg.t Kernel.self -> ns:Pid.t -> name:string -> binding -> (unit, Vio.Verr.t) result
 
-val unregister :
-  Vmsg.t Kernel.self -> ns:Pid.t -> name:string -> (unit, Vio.Verr.t) result
-
 val lookup :
   Vmsg.t Kernel.self -> ns:Pid.t -> name:string -> (binding, Vio.Verr.t) result
 

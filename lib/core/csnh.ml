@@ -16,6 +16,8 @@ module Calibration = Vnet.Calibration
 type lookup_result =
   | Descend of Context.id  (** a context on this same server *)
   | Cross of Context.spec  (** a pointer to a context on another server *)
+  | Delegate of Context.spec
+      (** crossed like [Cross]: a delegation to a child domain *)
   | Stop  (** not a context here: a leaf object, or absent *)
 
 type outcome =
@@ -48,10 +50,10 @@ let rec walk_from ~lookup ~on_name (req : Csname.req) ctx i =
     let component = String.sub name start (stop - start) in
     match lookup ctx component with
     | Descend ctx' when follow -> walk_from ~lookup ~on_name req ctx' next
-    | Cross spec when follow ->
+    | (Cross spec | Delegate spec) when follow ->
         let context = spec.Context.context in
         Forward (spec, { req with Csname.index = next; context })
-    | Descend _ | Cross _ | Stop ->
+    | Descend _ | Cross _ | Delegate _ | Stop ->
         Local (ctx, component :: Csname.components_from name stop)
 
 let walk_name ~on_name ~valid_context ~lookup req =
@@ -124,34 +126,60 @@ let reply_closing self r ~sender ~span ~index_to reply =
     Events.finish r ~counted:false ~span ~index_to (reply_outcome reply);
   ignore (Kernel.reply self ~to_:sender reply)
 
-(* Handle one request according to the protocol; replies or forwards as
-   appropriate. Exposed so servers with custom receive loops (e.g. the
-   program manager) can reuse it. Applied to its first three arguments
-   once per server, it builds the lookup [walk] runs just once: that
-   lookup counts and charges [component_lookup_cpu] for every component
-   before the server's own lookup sees it. A request then builds no
-   closures. An operation on a name itself ({!Vmsg.Op.acts_on_name})
-   is answered by the context that binds the name's last component.
+(* A resolve step's answer: a referral into a child domain or a terminal
+   binding, stamped with the binding record (how far interpretation
+   reached, which server and context continue it); its span closes as
+   that outcome, counted. *)
+let answer_step self r ~sender ~span ~referral ~upto spec =
+  Events.finish r ~counted:true ~span ~index_to:upto
+    (if referral then "referral" else "terminal");
+  let payload =
+    if referral then Vmsg.P_referral else Vmsg.P_context_spec spec
+  in
+  ignore
+    (Kernel.reply self ~to_:sender
+       (Vmsg.with_binding (Vmsg.ok ~payload ()) { Vmsg.upto; spec }))
+
+(* Handle one request according to the protocol: reply, forward it
+   along, or answer a resolve step where it would forward (csnh.mli,
+   [serve]). Applied to its first three arguments once per server, it
+   builds the lookup [walk] runs just once: that lookup counts and
+   charges [component_lookup_cpu] for every component before the
+   server's own lookup sees it, and notes whether it returned
+   [Delegate]. A request then builds no closures. An operation on a name
+   itself ({!Vmsg.Op.acts_on_name}) is answered by the context that
+   binds the name's last component.
 
    Observability (when a hub is attached to the domain): every request
-   is counted by op code under this server, and a traced CSname request
-   gets one span per hop, its parent link following the Forward chain
-   ({!Events}). All of it is bookkeeping off the simulation clock, so
-   timings are identical with tracing on or off. *)
+   is counted by op code under this server (a resolve step as
+   ResolveStep), and a traced CSname request gets one span per hop, its
+   parent link following the Forward chain ({!Events}). All of it is
+   bookkeeping off the simulation clock, so timings are identical with
+   tracing on or off. *)
 let handle_request self handlers stats =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   let r = Events.of_process self in
+  let delegated = ref false in
   let lookup ctx component =
     Events.count r "lookup";
     charge engine Calibration.component_lookup_cpu;
-    handlers.lookup ctx component
+    let result = handlers.lookup ctx component in
+    delegated := (match result with Delegate _ -> true | _ -> false);
+    result
   in
   fun ~sender (msg : Vmsg.t) ->
-    Vsim.Stats.Counter.incr stats.requests;
+    (match stats with
+    | Some s -> Vsim.Stats.Counter.incr s.requests
+    | None -> ());
     match msg.Vmsg.name with
     | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code -> (
         let t0 = Vsim.Engine.now engine in
-        let op = Vmsg.Op.to_string msg.Vmsg.code in
+        let step =
+          match msg.Vmsg.payload with Vmsg.P_resolve_step -> true | _ -> false
+        in
+        let op =
+          if step then "ResolveStep" else Vmsg.Op.to_string msg.Vmsg.code
+        in
         let span = Events.request r ~counted:op ~op req in
         charge engine Calibration.csname_common_cpu;
         match
@@ -162,8 +190,13 @@ let handle_request self handlers stats =
         | Fail code ->
             reply_closing self r ~sender ~span ~index_to:req.Csname.index
               (Vmsg.reply code)
+        | Forward (spec, req') when step ->
+            answer_step self r ~sender ~span ~referral:!delegated
+              ~upto:req'.Csname.index spec
         | Forward (spec, req') ->
-            Vsim.Stats.Counter.incr stats.forwards;
+            (match stats with
+            | Some s -> Vsim.Stats.Counter.incr s.forwards
+            | None -> ());
             (* The forwarded request hangs under this hop's span, so the
                next server's span links back here. On an error the
                kernel already failed the sender's transaction if it
@@ -171,10 +204,21 @@ let handle_request self handlers stats =
             ignore
               (Kernel.forward self ~from_:sender ~to_:spec.Context.server
                  (Vmsg.with_name msg (Events.forward r ~span req')))
+        | Local (ctx, []) when step ->
+            answer_step self r ~sender ~span ~referral:false
+              ~upto:(String.length req.Csname.name)
+              (Context.spec ~server:(Kernel.self_pid self) ~context:ctx)
+        | Local (_, _ :: _) when step ->
+            reply_closing self r ~sender ~span ~index_to:req.Csname.index
+              (Vmsg.reply Reply.Not_found)
         | Local (ctx, remaining) ->
             let reply = handlers.handle_csname ~sender msg req ctx remaining in
-            Vsim.Stats.Series.add stats.specific_ms
-              (Vsim.Engine.now engine -. t0 -. Calibration.csname_common_cpu);
+            (match stats with
+            | Some s ->
+                let elapsed = Vsim.Engine.now engine -. t0 in
+                Vsim.Stats.Series.add s.specific_ms
+                  (elapsed -. Calibration.csname_common_cpu)
+            | None -> ());
             let index_to = consumed_index req remaining in
             (* Stamp the resolved binding into successful replies so
                caching clients learn (name-prefix -> server, context)
@@ -201,8 +245,8 @@ let handle_request self handlers stats =
         in
         ignore (Kernel.reply self ~to_:sender reply)
 
-(* Run a CSNH server forever. *)
-let serve self ?(stats = make_stats "csnh") handlers =
+(* Run a CSNH server forever, recording [stats] if given. *)
+let serve self ?stats handlers =
   let handle = handle_request self handlers stats in
   let rec loop () =
     let msg, sender = Kernel.receive self in

@@ -15,6 +15,8 @@ module Pid = Vkernel.Pid
 type lookup_result =
   | Descend of Context.id  (** a context on this same server *)
   | Cross of Context.spec  (** a pointer to a context on another server *)
+  | Delegate of Context.spec
+      (** crossed as [Cross]: a delegation to a child domain server *)
   | Stop  (** not a context here: a leaf object, or absent *)
 
 type outcome =
@@ -61,17 +63,6 @@ type server_stats = {
 
 val make_stats : string -> server_stats
 
-(** Handle one request: reply, or forward it along. Its walk ends an
-    operation on a name itself ({!Vmsg.Op.acts_on_name}) at the last
-    component, whatever it names, so the context binding the name
-    answers it. Exposed for servers with custom receive loops (the
-    program manager, the domain server).
-    Apply it to its first three arguments once per server: that builds
-    the per-server lookup wrapper, and each request then builds no
-    closures. *)
-val handle_request :
-  Vmsg.t Kernel.self -> handlers -> server_stats -> sender:Pid.t -> Vmsg.t -> unit
-
 (** [reply_closing self r ~sender ~span ~index_to reply] replies to
     [sender], first closing this hop's [span] (0: none opened) with the
     reply's code and [index_to] ({!Events.finish}). For servers that
@@ -85,7 +76,16 @@ val reply_closing :
   Vmsg.t ->
   unit
 
-(** Run a CSNH server forever. *)
+(** Run a CSNH server forever: answer each request, or forward it along
+    per §5.4. An operation on a name itself ({!Vmsg.Op.acts_on_name})
+    ends its walk at the last component, whatever it names, so the
+    context binding the name answers it. A resolve step (a MapContext
+    carrying {!Vmsg.P_resolve_step}) is walked and charged alike but
+    answered where it would be forwarded: a {!Vmsg.P_referral} on
+    crossing a [Delegate], else a terminal [P_context_spec], either
+    stamped with the binding record; components left that name no
+    context here answer [Not_found]. [stats], if given, records every
+    request; a server given none records nothing. *)
 val serve : Vmsg.t Kernel.self -> ?stats:server_stats -> handlers -> unit
 
 (** {1 Flat contexts}

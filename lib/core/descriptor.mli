@@ -20,8 +20,6 @@ type obj_type =
   | Device
   | User_account
 
-val obj_type_to_int : obj_type -> int
-val obj_type_of_int : int -> obj_type option
 val obj_type_to_string : obj_type -> string
 
 type t = {

@@ -389,6 +389,7 @@ let start host ~owner =
               handle_unprefixed t self r ~context ~sender msg req
           | Some _ | None ->
               Vsim.Stats.Counter.incr t.stats.Csnh.requests;
+              Events.count r (Vmsg.Op.to_string msg.Vmsg.code);
               let reply_msg =
                 match handle_other t self msg with
                 | Some m -> m

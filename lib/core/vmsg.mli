@@ -105,8 +105,12 @@ type payload =
   | P_exception_report of { culprit : Pid.t; what : string }
   | P_low_id of { low_id : int; mode : open_mode }  (** OpenByLowId *)
   | P_ns_binding of ns_binding  (** NsRegister request, NsLookup reply *)
-  | P_resolve_step  (** MapContext marker: a domain server answers *)
-  | P_referral  (** a domain server's delegation, on the binding stamp *)
+  | P_resolve_step
+      (** MapContext marker: the server answers where it would forward
+          ({!Csnh.serve}) *)
+  | P_referral
+      (** a resolve step's answer on crossing a delegation; the child
+          domain rides the binding stamp *)
 
 type t = {
   code : int;  (** request code, or reply code for replies *)

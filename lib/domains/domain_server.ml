@@ -13,11 +13,14 @@
    The iterative mode is what a caching {!Resolver} speaks: a
    MapContext request carrying the [Vmsg.P_resolve_step] marker asks the
    server to interpret as far as it can and then *answer* instead of
-   forwarding. Crossing into a child domain yields a [Vmsg.P_referral] reply
-   whose delegation record rides the standard {!Vmsg.binding} stamp —
-   (how far interpretation reached, which (server, context) continues
-   it) — the same zero-wire-byte path caching clients already learn
-   bindings from. Crossing into a leaf binding, or ending on this
+   forwarding. The generic loop ({!Csnh.serve}) answers it; this server
+   only tells it which crossings are delegations: its lookup returns
+   [Csnh.Delegate] for a child domain and [Csnh.Cross] for a leaf
+   binding. Crossing into a child domain yields a [Vmsg.P_referral]
+   reply whose delegation record rides the standard {!Vmsg.binding}
+   stamp — (how far interpretation reached, which (server, context)
+   continues it) — the same zero-wire-byte path caching clients already
+   learn bindings from. Crossing into a leaf binding, or ending on this
    server, yields a terminal [P_context_spec] reply, also stamped. The
    resolver follows referrals root-to-leaf itself, caching each one
    with a TTL.
@@ -31,7 +34,6 @@
 
 module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
-module Calibration = Vnet.Calibration
 open Vnaming
 
 type entry =
@@ -117,7 +119,8 @@ let lookup t ctx component =
   | Some tbl -> (
       match Hashtbl.find_opt tbl component with
       | Some (Subcontext id) -> Csnh.Descend id
-      | Some (Child spec) | Some (Bound spec) -> Csnh.Cross spec
+      | Some (Child spec) -> Csnh.Delegate spec
+      | Some (Bound spec) -> Csnh.Cross spec
       | None -> Csnh.Stop)
 
 let describe_entry t component = function
@@ -172,76 +175,6 @@ let context t tbl =
     handle_name;
   }
 
-(* --- the iterative step ---
-
-   Interpret as far as this server can, then answer: a referral (the
-   walk crossed into a child domain), a terminal binding (it crossed
-   the domain/object boundary, or ended on a context here), or the
-   failure code. Costs are charged exactly like the generic loop's, so
-   an iterative walk of the tree prices each level identically to a
-   recursive hop. *)
-let handle_step t self r ~sender (req : Csname.req) =
-  let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-  let charge ms = if ms > 0.0 then Vsim.Proc.delay engine ms in
-  let span =
-    Events.request r ~counted:"ResolveStep" ~op:"ResolveStep" req
-  in
-  charge Calibration.csname_common_cpu;
-  (* Record which entry kind caused a Cross, to tell a referral from a
-     terminal leaf binding. *)
-  let crossed_child = ref false in
-  let lookup ctx component =
-    Events.count r "lookup";
-    charge Calibration.component_lookup_cpu;
-    let res = lookup t ctx component in
-    (match (res, table t ctx) with
-    | Csnh.Cross _, Some tbl -> (
-        match Hashtbl.find_opt tbl component with
-        | Some (Child _) -> crossed_child := true
-        | Some _ | None -> crossed_child := false)
-    | _ -> ());
-    res
-  in
-  (* Answer with [m], closing this step's span with [outcome], counted
-     when the step succeeded. *)
-  let answer ~counted ~index_to outcome m =
-    Events.finish r ~counted ~span ~index_to outcome;
-    ignore (Kernel.reply self ~to_:sender m)
-  in
-  let failed code =
-    answer ~counted:false ~index_to:(-1) (Reply.to_string code)
-      (Vmsg.reply code)
-  in
-  match Csnh.walk ~valid_context:(valid_context t) ~lookup req with
-  | Csnh.Fail code -> failed code
-  | Csnh.Forward (spec, req') ->
-      let upto = req'.Csname.index in
-      if !crossed_child then
-        answer ~counted:true ~index_to:upto "referral"
-          (Vmsg.with_binding
-             (Vmsg.ok ~payload:Vmsg.P_referral ())
-             { Vmsg.upto; spec })
-      else
-        answer ~counted:true ~index_to:upto "terminal"
-          (Vmsg.with_binding
-             (Vmsg.ok ~payload:(Vmsg.P_context_spec spec) ())
-             { Vmsg.upto; spec })
-  | Csnh.Local (ctx, []) ->
-      let s = Context.spec ~server:(Kernel.self_pid self) ~context:ctx in
-      let upto = String.length req.Csname.name in
-      answer ~counted:true ~index_to:upto "terminal"
-        (Vmsg.with_binding
-           (Vmsg.ok ~payload:(Vmsg.P_context_spec s) ())
-           { Vmsg.upto; spec = s })
-  | Csnh.Local (_, _ :: _) ->
-      (* Components remain but none of them names a domain entry. *)
-      failed Reply.Not_found
-
-let is_resolve_step (msg : Vmsg.t) =
-  (not msg.Vmsg.is_reply)
-  && msg.Vmsg.code = Vmsg.Op.map_context
-  && (match msg.Vmsg.payload with Vmsg.P_resolve_step -> true | _ -> false)
-
 (* --- the serving process --- *)
 
 let spawn_server host t =
@@ -249,28 +182,12 @@ let spawn_server host t =
     Kernel.spawn host ~name:t.ds_name (fun self ->
         (* The walk ends only in a context with a table: the starting
            one is valid, and a sub-context entry made its own. *)
-        let handlers =
-          Csnh.flat_contexts_handlers ~valid_context:(valid_context t)
-            ~lookup:(lookup t)
-            ~context:(fun ctx -> context t (Hashtbl.find t.contexts ctx))
-            ~other:(fun msg -> Instance_server.handle_io t.instances () msg)
-            ~server:(Kernel.self_pid self)
-        in
-        let handle =
-          Csnh.handle_request self handlers (Csnh.make_stats t.ds_name)
-        in
-        let r = Events.of_process self in
-        let rec loop () =
-          let msg, sender = Kernel.receive self in
-          (if is_resolve_step msg then
-             match msg.Vmsg.name with
-             | Some req -> handle_step t self r ~sender req
-             | None ->
-                 ignore (Kernel.reply self ~to_:sender (Vmsg.reply Reply.Illegal_name))
-           else handle ~sender msg);
-          loop ()
-        in
-        loop ())
+        Csnh.serve self
+          (Csnh.flat_contexts_handlers ~valid_context:(valid_context t)
+             ~lookup:(lookup t)
+             ~context:(fun ctx -> context t (Hashtbl.find t.contexts ctx))
+             ~other:(fun msg -> Instance_server.handle_io t.instances () msg)
+             ~server:(Kernel.self_pid self)))
   in
   t.pid <- Some server_pid;
   match t.admission_cfg with

@@ -3,15 +3,17 @@
 
     A CSNH server whose objects are naming entries — local sub-contexts,
     delegations to child domain servers, and leaf bindings into object
-    servers. Ordinary CSname requests walk and forward per §5.4, so the
-    tree is transparent to resolver-less clients; a MapContext request
-    carrying the {!Vnaming.Vmsg.P_resolve_step} marker is answered
-    instead of forwarded — a {!Vnaming.Vmsg.P_referral} (delegation
-    record on the standard
-    {!Vnaming.Vmsg.binding} stamp) when the walk crossed into a child
-    domain, a terminal [P_context_spec] when it crossed the
-    domain/object boundary or ended here. The caching {!Resolver}
-    follows referrals root-to-leaf itself.
+    servers, served by the generic loop ({!Vnaming.Csnh.serve}).
+    Ordinary CSname requests walk and forward per §5.4, so the tree is
+    transparent to resolver-less clients; a MapContext request carrying
+    the {!Vnaming.Vmsg.P_resolve_step} marker is answered instead of
+    forwarded — a {!Vnaming.Vmsg.P_referral} (delegation record on the
+    standard {!Vnaming.Vmsg.binding} stamp) when the walk crossed into a
+    child domain, a terminal [P_context_spec] when it crossed the
+    domain/object boundary or ended here. The server's lookup tells the
+    two crossings apart: [Csnh.Delegate] for a child domain,
+    [Csnh.Cross] for a leaf binding. The caching {!Resolver} follows
+    referrals root-to-leaf itself.
 
     Each context answers on itself as every flat context does
     ({!Vnaming.Csnh.flat_reply}): Open in any mode opens its directory,

@@ -50,6 +50,24 @@ let skip inj (e : Plan.event) reason =
   record inj ~op:""
     (Fmt.str "skip (%s): %a" reason Plan.pp_action e.Plan.action)
 
+(* Link actions only make sense on a switched fabric; a plan carrying
+   them against a shared medium, or naming two nodes no link joins,
+   records skips instead of raising. Past those guards, [state] may
+   refuse the action with its own reason; otherwise [act] applies it. *)
+let link_action inj e (a, b) ~op ~state act =
+  let net = Scenario.(inj.scenario.net) in
+  let topo = Ethernet.topology net in
+  match topo with
+  | Vnet.Topology.Shared_medium -> skip inj e "shared medium"
+  | Vnet.Topology.Switched _ when not (Vnet.Topology.is_link topo (a, b)) ->
+      skip inj e "not a link"
+  | Vnet.Topology.Switched _ -> (
+      match state net with
+      | Some reason -> skip inj e reason
+      | None ->
+          act net;
+          applied inj op e)
+
 let apply inj (e : Plan.event) =
   let s = inj.scenario in
   let host addr = Kernel.host_of_addr Scenario.(s.domain) addr in
@@ -88,45 +106,20 @@ let apply inj (e : Plan.event) =
   | Plan.Slow (addr, ms) ->
       Ethernet.set_extra_latency Scenario.(s.net) addr ms;
       applied inj "slow" e
-  (* Link actions only make sense on a switched fabric; a plan carrying
-     them against a shared medium records skips instead of raising. *)
-  | Plan.Link_cut (a, b) -> (
-      let net = Scenario.(s.net) in
-      let topo = Ethernet.topology net in
-      match topo with
-      | Vnet.Topology.Shared_medium -> skip inj e "shared medium"
-      | Vnet.Topology.Switched _ when not (Vnet.Topology.is_link topo (a, b))
-        ->
-          skip inj e "not a link"
-      | Vnet.Topology.Switched _ when not (Ethernet.link_up net a b) ->
-          skip inj e "already cut"
-      | Vnet.Topology.Switched _ ->
-          Ethernet.set_link_up net a b false;
-          applied inj "link-cut" e)
-  | Plan.Link_heal (a, b) -> (
-      let net = Scenario.(s.net) in
-      let topo = Ethernet.topology net in
-      match topo with
-      | Vnet.Topology.Shared_medium -> skip inj e "shared medium"
-      | Vnet.Topology.Switched _ when not (Vnet.Topology.is_link topo (a, b))
-        ->
-          skip inj e "not a link"
-      | Vnet.Topology.Switched _ when Ethernet.link_up net a b ->
-          skip inj e "already up"
-      | Vnet.Topology.Switched _ ->
-          Ethernet.set_link_up net a b true;
-          applied inj "link-heal" e)
-  | Plan.Link_slow ((a, b), ms) -> (
-      let net = Scenario.(s.net) in
-      let topo = Ethernet.topology net in
-      match topo with
-      | Vnet.Topology.Shared_medium -> skip inj e "shared medium"
-      | Vnet.Topology.Switched _ when not (Vnet.Topology.is_link topo (a, b))
-        ->
-          skip inj e "not a link"
-      | Vnet.Topology.Switched _ ->
-          Ethernet.set_link_extra_latency net a b ms;
-          applied inj "link-slow" e)
+  | Plan.Link_cut (a, b) ->
+      link_action inj e (a, b) ~op:"link-cut"
+        ~state:(fun net ->
+          if Ethernet.link_up net a b then None else Some "already cut")
+        (fun net -> Ethernet.set_link_up net a b false)
+  | Plan.Link_heal (a, b) ->
+      link_action inj e (a, b) ~op:"link-heal"
+        ~state:(fun net ->
+          if Ethernet.link_up net a b then Some "already up" else None)
+        (fun net -> Ethernet.set_link_up net a b true)
+  | Plan.Link_slow ((a, b), ms) ->
+      link_action inj e (a, b) ~op:"link-slow"
+        ~state:(fun _ -> None)
+        (fun net -> Ethernet.set_link_extra_latency net a b ms)
 
 let install ?(on_restart = fun (_ : Ethernet.addr) -> ())
     ?(on_heal = fun (_ : Ethernet.addr) (_ : Ethernet.addr) -> ()) scenario plan

@@ -111,8 +111,6 @@ val enable_telemetry : 'm domain -> interval_ms:float -> unit
 (** Disarm the pump and ungroup the hub's metrics store. *)
 val disable_telemetry : 'm domain -> unit
 
-val telemetry_enabled : 'm domain -> bool
-
 (** Kill a host: processes die, tables clear, the wire stops delivering.
     Pids minted there become permanently invalid. *)
 val crash_host : 'm host -> unit
@@ -137,7 +135,6 @@ val self_host_name : 'm self -> string
 val host_of_self : 'm self -> 'm host
 val domain_of_self : 'm self -> 'm domain
 val alive : 'm domain -> Pid.t -> bool
-val find_process : 'm domain -> Pid.t -> 'm self option
 
 (** Kill one process. Its blocked kernel call, if it has one, ends now:
     the fiber unwinds with [Vsim.Proc.Killed] in one event at this

@@ -16,8 +16,6 @@ type addr = int
 
 type dest = Unicast of addr | Broadcast | Multicast of int
 
-val pp_dest : Format.formatter -> dest -> unit
-
 type 'a frame = { src : addr; dst : dest; payload : 'a; payload_bytes : int }
 
 type counters = {

@@ -23,10 +23,9 @@ type node = Host of int | Edge of int | Spine
 val switched : fan_in:int -> t
 
 val equal_node : node -> node -> bool
-val pp_node : Format.formatter -> node -> unit
 val node_to_string : node -> string
 
-(** Parse what [pp_node] prints ("host3", "edge0", "spine"). *)
+(** Parse what {!node_to_string} prints ("host3", "edge0", "spine"). *)
 val node_of_string : string -> node option
 
 val pp : Format.formatter -> t -> unit
@@ -40,9 +39,6 @@ val edge_of : fan_in:int -> int -> int
     the shared medium just [host; host]. *)
 val path : t -> src:int -> dst:int -> node list
 
-(** Directed links crossed by a node path, in traversal order. *)
-val links_of_path : node list -> (node * node) list
-
 val links : t -> src:int -> dst:int -> (node * node) list
 
 (** Number of directed links between two hosts (1 on the shared
@@ -51,9 +47,6 @@ val hop_count : t -> src:int -> dst:int -> int
 
 val pp_link : Format.formatter -> node * node -> unit
 val link_label : node * node -> string
-
-(** Parse what {!link_label} prints ("host3->edge0"). *)
-val link_of_label : string -> (node * node) option
 
 (** [rollup_scope t label] is the rollup group for a telemetry leaf
     scope named after this topology's nodes or links: "hostN" and any

@@ -32,8 +32,6 @@ val attribute :
   unit ->
   impact list
 
-val fault_to_json : fault -> Json.t
-val impact_to_json : impact -> Json.t
 val to_json : impact list -> Json.t
 
 (** Render the impact table, one fault per row. *)

@@ -10,8 +10,6 @@
 
 type cat = Kernel | Net | Fault | Replica | Balancer | Client | Slo | Admission
 
-val cat_to_string : cat -> string
-
 type event = {
   seq : int;  (** monotonic, survives trimming: gaps reveal drops *)
   at : float;  (** simulated ms *)
@@ -56,7 +54,6 @@ val set_on_drop : t -> (int -> unit) -> unit
 val set_on_toggle : t -> (bool -> unit) -> unit
 
 val clear : t -> unit
-val event_to_json : event -> Json.t
 
 (** [{dropped; events}] — a dump that lost its beginning says so. *)
 val to_json : t -> Json.t

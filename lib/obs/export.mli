@@ -11,8 +11,6 @@
     render as roots. *)
 val pp_timeline : Format.formatter -> Span.t list -> unit
 
-val trace_to_json : Span.t list -> Json.t
-
 (** The flight-recorder dump: event log, spans, the leaf metrics, SLO
     summary (when attached) and drop counters, with [reason] stating why
     the dump was cut (default ["manual"]). While the store is grouped,

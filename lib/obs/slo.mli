@@ -15,9 +15,6 @@ type target = {
   latency_quantile : float;  (** e.g. 0.95: at least 95% of ops fast *)
 }
 
-(** 99% availability, 95% of ops under 250 simulated ms. *)
-val default_target : target
-
 type t
 
 (** [create ()] makes an engine with 5 s buckets, a 6-bucket long
@@ -67,5 +64,4 @@ val breach_to_json : breach -> Json.t
     gates on. *)
 val summary_to_json : summary -> Json.t
 
-val pp_breach : Format.formatter -> breach -> unit
 val pp_summary : Format.formatter -> summary -> unit

@@ -86,14 +86,6 @@ val current_context_name : env -> (string, Vio.Verr.t) result
 val open_ :
   env -> mode:Vmsg.open_mode -> string -> (Vio.Client.remote_instance, Vio.Verr.t) result
 
-(** Open, run, release (release errors surface if the body succeeded). *)
-val with_instance :
-  env ->
-  mode:Vmsg.open_mode ->
-  string ->
-  (Vio.Client.remote_instance -> ('a, Vio.Verr.t) result) ->
-  ('a, Vio.Verr.t) result
-
 val read_file : env -> string -> (bytes, Vio.Verr.t) result
 val write_file : env -> string -> bytes -> (unit, Vio.Verr.t) result
 val append_file : env -> string -> bytes -> (unit, Vio.Verr.t) result

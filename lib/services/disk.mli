@@ -16,10 +16,6 @@ val write_count : t -> int
     benchmarks after out-of-band population. *)
 val reset_arm : t -> unit
 
-(** Claim the arm for one page transfer; returns its completion time.
-    Building block for asynchronous transfers (read-ahead). *)
-val enqueue_transfer : t -> float
-
 (** Block the calling fiber until [time] (no-op if past). *)
 val wait_until : t -> float -> unit
 

@@ -6,7 +6,9 @@
     directory; every other directory has an ordinary context id derived
     from its inode. Cross-server links in directories become request
     forwarding; file access runs over the I/O protocol with optional
-    read-ahead. *)
+    read-ahead. The server's second object type is user accounts, in
+    their own well-known context ({!Vnaming.Context.Well_known.accounts},
+    §5.2); creating an account also creates its home directory. *)
 
 module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
@@ -77,11 +79,3 @@ val spec : t -> context:Context.id -> Context.spec
 (** The low-level identifier (inode number) of a path — what a §2.1
     centralized name server hands out. *)
 val low_id_of_path : t -> string -> int option
-
-(** {1 The accounts context (§5.2)}
-
-    The server's second object type: user accounts, in their own
-    well-known context ({!Vnaming.Context.Well_known.accounts}).
-    Creating an account also creates its home directory. *)
-
-val account_names : t -> string list

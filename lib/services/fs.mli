@@ -63,12 +63,10 @@ val lookup : t -> dir:int -> string -> entry option
 (** Entries sorted by name. *)
 val entries : t -> dir:int -> (string * entry) list
 
-(** A name a directory can bind: not empty, ["."] or [".."], and
-    without ['/'], ['\['] or NUL. Create, mkdir, rename and a pointer
-    also refuse a name whose entry's description record would not fit
-    ({!Vnaming.Descriptor.fits}), with [Illegal_name]. *)
-val valid_name : string -> bool
-
+(** Create, mkdir, rename and a pointer refuse with [Illegal_name] a
+    name a directory cannot bind (empty, ["."], [".."], or holding
+    ['/'], ['\['] or NUL) and one whose entry's description record would
+    not fit ({!Vnaming.Descriptor.fits}). *)
 val create_file : t -> dir:int -> owner:string -> string -> (int, Reply.code) result
 val mkdir : t -> dir:int -> owner:string -> string -> (int, Reply.code) result
 

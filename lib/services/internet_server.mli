@@ -9,9 +9,6 @@
 
 module Kernel = Vkernel.Kernel
 
-(** Simulated WAN round-trip (ms) for handshake and echo. *)
-val wan_rtt_ms : float
-
 type conn_state = Syn_sent | Established | Closed
 
 val state_to_string : conn_state -> string
@@ -20,5 +17,4 @@ type t
 
 val start : Vnaming.Vmsg.t Kernel.host -> t
 val pid : t -> Vkernel.Pid.t
-val valid_conn_name : string -> bool
 val connection_state : t -> string -> conn_state option

@@ -161,7 +161,7 @@ let start host =
            component-wise, so it does not use the generic walk (nor
            charge its per-component lookup). The whole remainder is one
            mailbox name. Requests are counted and traced as
-           {!Csnh.handle_request} does. *)
+           {!Csnh.serve} does. *)
         let server = Kernel.self_pid self in
         let r = Events.of_process self in
         let rec loop () =

@@ -17,9 +17,6 @@ type t
 val start : Vnaming.Vmsg.t Kernel.host -> t
 val pid : t -> Vkernel.Pid.t
 
-(** Does the name follow the external user\@host convention? *)
-val valid_mailbox_name : string -> bool
-
 (** Mailbox names, sorted. *)
 val mailboxes : t -> string list
 

@@ -146,32 +146,22 @@ let start host =
   in
   let server_pid =
     Kernel.spawn host ~name:"program-manager" (fun self ->
-        let handle =
-          Csnh.handle_request self
-            (Csnh.flat_handlers context
-               ~other:(fun msg -> Instance_server.handle_io t.instances () msg)
-               ~server:(Kernel.self_pid self))
-            (Csnh.make_stats "pm")
+        let run (msg : Vmsg.t) =
+          match msg.Vmsg.payload with
+          | Vmsg.P_run { program; argument } -> (
+              match run_program t self ~program ~argument with
+              | Ok status -> Vmsg.ok ~payload:(Vmsg.P_exit_status status) ()
+              | Error (Vio.Verr.Denied code) -> Vmsg.reply code
+              | Error (Vio.Verr.Busy _) -> Vmsg.reply Reply.Busy
+              | Error _ -> Vmsg.reply Reply.Server_error)
+          | _ -> Vmsg.reply Reply.Bad_operation
         in
-        let rec loop () =
-          let msg, sender = Kernel.receive self in
-          if msg.Vmsg.code = Vmsg.Op.run_program then begin
-            let reply =
-              match msg.Vmsg.payload with
-              | Vmsg.P_run { program; argument } -> (
-                  match run_program t self ~program ~argument with
-                  | Ok status -> Vmsg.ok ~payload:(Vmsg.P_exit_status status) ()
-                  | Error (Vio.Verr.Denied code) -> Vmsg.reply code
-                  | Error (Vio.Verr.Busy _) -> Vmsg.reply Reply.Busy
-                  | Error _ -> Vmsg.reply Reply.Server_error)
-              | _ -> Vmsg.reply Reply.Bad_operation
-            in
-            ignore (Kernel.reply self ~to_:sender reply)
-          end
-          else handle ~sender msg;
-          loop ()
-        in
-        loop ())
+        Csnh.serve self
+          (Csnh.flat_handlers context
+             ~other:(fun msg ->
+               if msg.Vmsg.code = Vmsg.Op.run_program then Some (run msg)
+               else Instance_server.handle_io t.instances () msg)
+             ~server:(Kernel.self_pid self)))
   in
   t.pid <- Some server_pid;
   Kernel.set_pid host ~service:Service.Id.program_manager server_pid Service.Local;

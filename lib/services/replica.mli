@@ -53,19 +53,19 @@ val find_member : t -> Ethernet.addr -> File_server.t option
 val target : t -> Prefix_server.target
 
 (** Revive the member on [addr] after a crash: restart it over the
-    surviving disk, replay the committed group write log to it (its
-    {!Seq_guard} skips already-applied writes and applies the rest in
-    order), looping until nothing remains to replay and no fan-out is
-    still in flight, and only then — atomically with that check —
-    rejoin it to the group: the balancer never sees a member that has
-    not caught up, and no write can land between the last replay and
-    the rejoin. The rejoin is abandoned if the capped log has trimmed
-    writes this member never applied, or if a replay send fails
-    persistently. Returns the fresh server, or [None] if [addr] holds
-    no member. *)
+    surviving disk, replay the group write log to it (its {!Seq_guard}
+    skips already-applied writes and applies the rest in order),
+    re-reading the log each round for entries logged since, and rejoin
+    it to the group in the same event step as the round that finds no
+    new entry: the balancer never sees a member that has not caught up,
+    and each write is either logged before that round and replayed, or
+    fanned out to the rejoined member. The rejoin is abandoned if the
+    capped log has trimmed writes this member never applied, or if a
+    replay send fails persistently. Returns the fresh server, or [None]
+    if [addr] holds no member. *)
 val revive : t -> Ethernet.addr -> File_server.t option
 
-(** Replay the committed write log to every live member — the
+(** Replay the group write log to every live member — the
     convergence pass to run when a partition heals. A member that was
     partitioned from a coordinator missed that coordinator's fan-outs
     (and has been refusing all later writes as out-of-order since);

@@ -13,8 +13,5 @@ val start : Vnaming.Vmsg.t Kernel.host -> t
 
 val pid : t -> Vkernel.Pid.t
 
-(** Names of live terminals, sorted. *)
-val terminal_names : t -> string list
-
 (** Accumulated lines of a terminal, oldest first. *)
 val lines : t -> string -> string list

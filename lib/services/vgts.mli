@@ -18,9 +18,6 @@ val start : Vnaming.Vmsg.t Kernel.host -> t
 
 val pid : t -> Vkernel.Pid.t
 
-(** Window names, sorted. *)
-val window_names : t -> string list
-
 val geometry : t -> string -> geometry option
 
 (** Content lines of a window, oldest first. *)

@@ -24,10 +24,6 @@ let default =
     deadline_ms = 10_000.0;
   }
 
-let pp_policy ppf p =
-  Fmt.pf ppf "retries %d, backoff %.0f..%.0fms, deadline %.0fms" p.max_retries
-    p.base_backoff_ms p.max_backoff_ms p.deadline_ms
-
 (* A transient failure the paper's model expects recovery from: the
    transaction timed out (crash, partition, loss burst), the pid went
    stale (server restarted — re-resolution may find a successor), the

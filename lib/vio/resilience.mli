@@ -14,8 +14,6 @@ type policy = {
 (** 4 retries, 25ms..2s backoff, 10s deadline. *)
 val default : policy
 
-val pp_policy : Format.formatter -> policy -> unit
-
 (** Transient failures worth re-issuing: [Ipc Timeout],
     [Ipc Nonexistent_process] (stale pid — re-resolution may find a
     successor), [Ipc No_reply], [Denied Retry], [Denied No_server]

@@ -27,7 +27,7 @@ let walk ~valid_context ~lookup req =
               match lookup ctx component with
               | Csnh.Descend ctx' ->
                   loop ctx' (Csname.advance_past req component) rest
-              | Csnh.Cross spec ->
+              | Csnh.Cross spec | Csnh.Delegate spec ->
                   let req = Csname.advance_past req component in
                   Csnh.Forward
                     (spec, { req with Csname.context = spec.Context.context })

@@ -173,6 +173,40 @@ let test_mail_server_spans () =
   Alcotest.(check int) "Opens counted" 2 (count "Open");
   Alcotest.(check int) "releases counted" 2 (count "ReleaseInstance")
 
+(* The program manager and the prefix server count every request they
+   answer by its op name, as the mail server does above: RunProgram, and
+   the InverseMapContext a pwd sends, which carries no CSname. *)
+let test_other_requests_counted () =
+  let t = Scenario.build ~workstations:1 ~file_servers:1 ~tracing:true () in
+  (match
+     Vservices.Program_manager.install_image (Scenario.file_server t 0)
+       ~name:"hello" ~image:(Bytes.make 64 'h')
+   with
+  | Ok () -> ()
+  | Error code -> Alcotest.failf "install: %s" (Reply.to_string code));
+  let pm =
+    Vservices.Program_manager.pid (Scenario.workstation t 0).Scenario.ws_programs
+  in
+  ignore
+    (Scenario.spawn_client t ~ws:0 (fun self env ->
+         ignore (ok_exn "pwd" (Runtime.current_context_name env));
+         let run =
+           Vmsg.request
+             ~payload:(Vmsg.P_run { program = "hello"; argument = "" })
+             Vmsg.Op.run_program
+         in
+         ignore (ok_exn "run" (Vio.Client.transact self ~server:pm run))));
+  Scenario.run t;
+  let count ~server op =
+    Vobs.Metrics.counter_value
+      (Vobs.Hub.metrics t.Scenario.obs)
+      ~host:"ws0" ~server ~op
+  in
+  Alcotest.(check int) "RunProgram counted" 1
+    (count ~server:"program-manager" "RunProgram");
+  Alcotest.(check int) "InverseMapContext counted" 1
+    (count ~server:"ws0-prefix-server" "InverseMapContext")
+
 (* The timeline renderer shows one line per span, children indented. *)
 let test_timeline_render () =
   let t = Scenario.build ~workstations:1 ~file_servers:2 ~tracing:true () in
@@ -588,5 +622,7 @@ let suite =
         Alcotest.test_case "tracing off is deterministic" `Quick
           test_tracing_off_determinism;
         Alcotest.test_case "mail server spans" `Quick test_mail_server_spans;
+        Alcotest.test_case "other requests counted" `Quick
+          test_other_requests_counted;
       ] );
   ]
