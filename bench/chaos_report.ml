@@ -1,9 +1,9 @@
 (* Shared chaos-observability reporting for E9, E10 and E13: arm the
    flight recorder (and optionally the SLO engine) on a scenario before
-   it runs, sum counters and find unavailability windows in its
-   results, and join the injector's applied-fault windows against the
-   operation timeline into the attribution table E9 and E10 print and
-   record.
+   it runs, record each client operation's timeline entry and latency,
+   sum counters and find unavailability windows in its results, and
+   join the injector's applied-fault windows against the operation
+   timeline into the attribution table E9 and E10 print and record.
 
    Everything here is bookkeeping over data the run already produced —
    arming the recorder or attaching the SLO engine never changes a
@@ -12,7 +12,6 @@
 
 module Scenario = Vworkload.Scenario
 module Injector = Vfault.Injector
-module Invariant = Vfault.Invariant
 module Json = Vobs.Json
 
 (* Turn the flight recorder on (and attach an SLO engine when a target
@@ -25,6 +24,16 @@ let arm ?slo t =
   | None -> ()
   | Some target ->
       Vobs.Hub.set_slo obs (Some (Vobs.Slo.create ~target ()))
+
+(* Run one client operation [f], adding (start, end, ok) to the
+   timeline [ops] and its latency to [latency]: what E10 and E13 record
+   of every operation. *)
+let timed eng ~ops ~latency f =
+  let t0 = Vsim.Engine.now eng in
+  let ok = Result.is_ok (f ()) in
+  let t1 = Vsim.Engine.now eng in
+  ops := (t0, t1, ok) :: !ops;
+  Vsim.Stats.Series.add latency (t1 -. t0)
 
 (* Sum one counter over every host (each workstation's runtime exports
    under its own host key). *)

@@ -27,8 +27,6 @@ module File_server = Vservices.File_server
 module Replica = Vservices.Replica
 module Fs = Vservices.Fs
 module Kernel = Vkernel.Kernel
-module Prefix_server = Vnaming.Prefix_server
-module Ethernet = Vnet.Ethernet
 module Plan = Vfault.Plan
 module Injector = Vfault.Injector
 module Invariant = Vfault.Invariant
@@ -98,23 +96,7 @@ let run_factor factor =
      fault windows. *)
   Chaos_report.arm t;
   let domain = Scenario.(t.domain) in
-  let members =
-    List.init factor (fun i ->
-        match Kernel.host_of_addr domain (Scenario.fs_addr i) with
-        | Some host -> (host, Scenario.(t.file_servers).(i))
-        | None -> assert false)
-  in
-  let rset = Replica.install domain ~members () in
-  Array.iter
-    (fun ws ->
-      match
-        Prefix_server.add_binding
-          Scenario.(ws.ws_prefix)
-          "rstore" (Replica.target rset)
-      with
-      | Ok () -> ()
-      | Error code -> failwith (Fmt.str "E10 binding: %a" Vnaming.Reply.pp code))
-    Scenario.(t.workstations);
+  let rset = Scenario.install_replicas t ~factor in
   (* Identical initial state on every member: the shared directory gets
      the same inode everywhere, so context ids line up across members. *)
   List.iter
@@ -124,37 +106,16 @@ let run_factor factor =
       with
       | Ok (_ : int) -> ()
       | Error code -> failwith (Fmt.str "E10 setup: %a" Vnaming.Reply.pp code))
-    members;
-  let revive addr =
-    let fresh =
-      match Replica.revive rset addr with
-      | Some fresh -> Some fresh
-      | None -> (
-          (* A crashed non-member file server: E9-style revival. *)
-          match Kernel.host_of_addr domain addr with
-          | Some host ->
-              let found = ref None in
-              Array.iteri
-                (fun i old ->
-                  if Scenario.fs_addr i = addr && !found = None then
-                    found := Some (File_server.restart_from old host))
-                Scenario.(t.file_servers);
-              !found
-          | None -> None)
-    in
-    match fresh with
-    | Some fs ->
-        Array.iteri
-          (fun i (_ : File_server.t) ->
-            if Scenario.fs_addr i = addr then Scenario.(t.file_servers).(i) <- fs)
-          Scenario.(t.file_servers)
-    | None -> ()
-  in
+    (Replica.members rset);
   (* Heal-time convergence: a member partitioned from a coordinating
      workstation missed that coordinator's write fan-outs; replaying
      the group log on heal brings it back in step. *)
   let heal _ _ = Replica.sync rset in
-  let inj = Injector.install ~on_restart:revive ~on_heal:heal t (fault_plan ()) in
+  let inj =
+    Injector.install
+      ~on_restart:(Scenario.restart_file_server ~replicas:rset t)
+      ~on_heal:heal t (fault_plan ())
+  in
   let ops = ref [] in
   let latency = Series.create "e10-latency" in
   for ws = 0 to users - 1 do
@@ -164,13 +125,7 @@ let run_factor factor =
          (fun _self env ->
            Runtime.set_resilience env ~policy ~seed:(40 + ws) ();
            let eng = Runtime.engine env in
-           let timed f =
-             let t0 = Vsim.Engine.now eng in
-             let ok = Result.is_ok (f ()) in
-             let t1 = Vsim.Engine.now eng in
-             ops := (t0, t1, ok) :: !ops;
-             Series.add latency (t1 -. t0)
-           in
+           let timed = Chaos_report.timed eng ~ops ~latency in
            (* Pin the replicated context once: relative reads then go
               straight to one member and must fail over by rebind when
               it crashes (the failover:n path). *)

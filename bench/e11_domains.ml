@@ -51,11 +51,6 @@ let seed = 1100
 let prefix = "dom"
 let file_name = "paper.dat"
 
-(* Domain-server hosts live at their own addresses, clear of the
-   scenario's plan (workstations 1+, file servers 100+, utility hosts
-   200+). *)
-let dom_addr i = 50 + i
-
 let fail_fs what = function
   | Ok v -> v
   | Error code -> failwith (Fmt.str "E11 %s: %a" what Reply.pp code)
@@ -67,26 +62,6 @@ let install_file fs_server =
   in
   fail_fs "write" (Fs.write_file fs ~ino (Bytes.of_string "measured"))
 
-(* Boot a chain of [depth] domain servers on their own hosts: dom0 (the
-   root) delegates "d1" to dom1, dom1 delegates "d2" to dom2, ...; the
-   last binds "leaf" into [leaf_target] (the object server's root
-   context). *)
-let build_chain t ~depth ~leaf_target =
-  let servers =
-    Array.init depth (fun i ->
-        let name = Fmt.str "dom%d" i in
-        let host = Kernel.boot_host Scenario.(t.domain) ~name (dom_addr i) in
-        Domain_server.start host ~name ())
-  in
-  for i = 0 to depth - 2 do
-    fail_fs "delegate"
-      (Domain_server.delegate servers.(i)
-         (Fmt.str "d%d" (i + 1))
-         (Domain_server.spec servers.(i + 1) ()))
-  done;
-  fail_fs "bind" (Domain_server.bind servers.(depth - 1) "leaf" leaf_target);
-  servers
-
 (* The name that walks the whole chain and lands on the file. *)
 let chain_name ~depth =
   "[" ^ prefix ^ "]"
@@ -94,16 +69,7 @@ let chain_name ~depth =
       (List.init (depth - 1) (fun i -> Fmt.str "d%d" (i + 1))
       @ [ "leaf"; file_name ])
 
-let open_mean env name ~repeats =
-  let eng = Runtime.engine env in
-  let total = ref 0.0 in
-  for _ = 1 to repeats do
-    let t0 = Vsim.Engine.now eng in
-    let i = Rig.ok "E11 open" (Runtime.open_ env ~mode:Vmsg.Read name) in
-    total := !total +. (Vsim.Engine.now eng -. t0);
-    Rig.ok "E11 release" (Vio.Client.release (Runtime.self env) i)
-  done;
-  !total /. float_of_int repeats
+let open_mean env name ~repeats = (Rig.open_ms env name ~repeats).Rig.raw
 
 (* --- Part 1: resolution latency vs tree depth --- *)
 
@@ -122,10 +88,7 @@ let run_depth depth =
   in
   let fs0 = Scenario.file_server t 0 in
   install_file fs0;
-  let leaf_target =
-    File_server.spec fs0 ~context:Context.Well_known.default
-  in
-  let chain = build_chain t ~depth ~leaf_target in
+  let chain = Scenario.domain_chain t ~depth in
   let root_spec = Domain_server.spec chain.(0) () in
   let name = chain_name ~depth in
   let row = ref None in
@@ -202,7 +165,7 @@ let run_popularity () =
   install_file fs0;
   let target = File_server.spec fs0 ~context:Context.Well_known.default in
   let host =
-    Kernel.boot_host Scenario.(t.domain) ~name:"dom0" (dom_addr 0)
+    Kernel.boot_host Scenario.(t.domain) ~name:"dom0" (Scenario.dom_addr 0)
   in
   let root = Domain_server.start host ~name:"dom0" () in
   (* 64 sibling bindings under the root: each name gets its own
@@ -303,24 +266,21 @@ let run_crash () =
   in
   let fs0 = Scenario.file_server t 0 in
   install_file fs0;
-  let leaf_target =
-    File_server.spec fs0 ~context:Context.Well_known.default
-  in
-  let chain = build_chain t ~depth:3 ~leaf_target in
+  let chain = Scenario.domain_chain t ~depth:3 in
   let root_spec = Domain_server.spec chain.(0) () in
   let name = chain_name ~depth:3 in
   (* The fault plan: the mid-tree domain server (the hot domain every
      walk crosses) crashes and comes back. *)
   let plan =
     Plan.of_events ~seed
-      (Plan.crash_restart ~addr:(dom_addr 1) ~at:crash_at ~downtime_ms)
+      (Plan.crash_restart ~addr:(Scenario.dom_addr 1) ~at:crash_at ~downtime_ms)
   in
   (* The revive hook: reboot the domain server over its surviving
      delegation tables (configuration is durable like a disk), then
      re-stitch the parent's delegation record to the new incarnation —
      the tree analogue of logical-binding re-resolution. *)
   let revive addr =
-    if addr = dom_addr 1 then
+    if addr = Scenario.dom_addr 1 then
       match Kernel.host_of_addr Scenario.(t.domain) addr with
       | Some host ->
           chain.(1) <- Domain_server.restart_from chain.(1) host;

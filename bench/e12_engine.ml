@@ -28,16 +28,14 @@
    stream at 200x the rate), for 1M simulated clients issuing 100k
    transactions. Clients address servers by pid directly: a broadcast
    on this wire costs O(hosts) deliveries, so name resolution is
-   assumed cached (E8 measures the cache itself). The wire is switched
+   assumed cached (E8 measures the cache itself). The wire is one shared
    1 Gb Ethernet — on the paper's 3 Mbit medium 200k frames would
    serialize into pure wire-queueing, measuring the medium rather than
    the engine. *)
 
 module K = Vkernel.Kernel
-module E = Vnet.Ethernet
 module C = Vnet.Calibration
 module En = Vsim.Engine
-module G = Vworkload.Generator
 module Tables = Vworkload.Tables
 
 (* --- Phase A: timer storm --- *)
@@ -97,33 +95,10 @@ let timer_storm queue =
 
 (* --- Phase B: 10k-host cohort soak --- *)
 
-let soak_servers = 5000
-let soak_client_hosts = 5000
+let soak_hosts = 10_000 (* half echo servers, half client hosts *)
 let soak_cohort_size = 200 (* virtual clients per client host *)
 let soak_ops = 100_000
-
-(* The full scale-telemetry stack (grouped metrics, time series, sampled
-   tracing, kernel pump), attached when [Rig.telemetry_on]. E15 gates
-   the claim that it changes no simulated number; this exercises it at
-   soak scale. *)
-let attach_telemetry domain =
-  let hub = Vobs.Hub.create ~tracing:true () in
-  Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1207;
-  Vobs.Hub.set_timeseries hub (Some (Vobs.Timeseries.create ()));
-  K.set_obs domain hub;
-  K.enable_telemetry domain ~interval_ms:250.0;
-  hub
-
-let dump_telemetry file hub =
-  Out_channel.with_open_bin file (fun oc ->
-      output_string oc (Vobs.Json.to_string (Vobs.Export.telemetry_to_json hub));
-      output_char oc '\n');
-  Fmt.pr "telemetry dump written to %s@." file
-
-(* Per-virtual-client mean think time; the cohort issues at
-   [soak_cohort_size] times this rate. 10 s per client -> one op every
-   50 ms per host -> ~100k ops/s offered across 5,000 hosts. *)
-let soak_mean_gap_ms = 10_000.0
+let soak_clients = (soak_hosts - (soak_hosts / 2)) * soak_cohort_size
 
 type soak_result = {
   resolved : int;
@@ -136,52 +111,30 @@ type soak_result = {
   minor_words : float;  (* allocated over the run *)
 }
 
+(* On the gigabit wire the shared medium stays under ~15% utilized, so
+   the soak saturates on kernel CPU charges, not wire queueing. With
+   [Rig.telemetry_on] the scale-telemetry stack rides along: E15 gates
+   the claim that it changes no simulated number; this exercises it at
+   soak scale. *)
 let soak () =
-  let eng = En.create () in
-  (* Gigabit wire: keeps the shared medium under ~15% utilized so the
-     soak saturates on kernel CPU charges, not wire queueing. *)
-  let net = E.create ~config:Rig.gigabit eng in
-  let domain = K.create_domain ~hosts_hint:16384 ~cost:Rig.raw_cost eng net in
-  let hub =
-    if Rig.telemetry_on then Some (attach_telemetry domain) else None
+  let s =
+    Rig.soak ~hosts:soak_hosts ~hosts_hint:16384 ~ops:soak_ops
+      ~cohort_size:soak_cohort_size ~seed:1207
+      ?telemetry:(if Rig.telemetry_on then Some (1207, 250.0) else None)
+      ()
   in
-  let prng = Vsim.Prng.create ~seed:1207 in
-  let servers =
-    Array.init soak_servers (fun i ->
-        Rig.echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
-  in
-  let resolved = ref 0 and failed = ref 0 in
-  let ops_per_host = soak_ops / soak_client_hosts in
-  for i = 0 to soak_client_hosts - 1 do
-    let host =
-      K.boot_host domain ~name:(Fmt.str "cli%d" i) (soak_servers + i + 1)
-    in
-    let cohort =
-      G.cohort ~size:soak_cohort_size ~mean_gap_ms:soak_mean_gap_ms
-        (Vsim.Prng.split prng)
-    in
-    let server = servers.(i mod soak_servers) in
-    ignore
-      (K.spawn host ~name:"cohort" (fun self ->
-           for _ = 1 to ops_per_host do
-             Vsim.Proc.delay eng (G.cohort_next_gap cohort);
-             match K.send self server "ping" with
-             | Ok _ -> incr resolved
-             | Error _ -> incr failed
-           done))
-  done;
+  let eng = s.Rig.soak_eng in
   let wall0 = Unix.gettimeofday () in
   let words0 = Gc.minor_words () in
   En.run eng;
   let minor_words = Gc.minor_words () -. words0 in
   let wall_s = Unix.gettimeofday () -. wall0 in
-  (match hub with
-  | Some hub -> dump_telemetry "telemetry-e12.json" hub
-  | None -> ());
+  Option.iter (Rig.dump_telemetry "telemetry-e12.json") s.Rig.hub;
   {
-    resolved = !resolved;
-    failed = !failed;
-    live_hosts = List.length (List.filter K.host_is_up (K.hosts domain));
+    resolved = s.Rig.resolved;
+    failed = s.Rig.failed;
+    live_hosts =
+      List.length (List.filter K.host_is_up (K.hosts s.Rig.soak_domain));
     sim_ms = En.now eng;
     events = En.last_run_events eng;
     cancelled = En.cancelled_timers eng;
@@ -239,9 +192,7 @@ let run () =
 
   Tables.print_section
     (Fmt.str "Phase B: %d hosts, %dk virtual clients, %dk transactions"
-       (soak_servers + soak_client_hosts)
-       (soak_client_hosts * soak_cohort_size / 1000)
-       (soak_ops / 1000));
+       soak_hosts (soak_clients / 1000) (soak_ops / 1000));
   let s = soak () in
   if s.failed > 0 then
     failwith (Fmt.str "E12 soak: %d transactions failed" s.failed);
@@ -250,7 +201,7 @@ let run () =
     ~header:[ "quantity"; "value" ]
     [
       [ "hosts live at end"; Tables.count s.live_hosts ];
-      [ "virtual clients"; Tables.count (soak_client_hosts * soak_cohort_size) ];
+      [ "virtual clients"; Tables.count soak_clients ];
       [ "transactions resolved"; Tables.count s.resolved ];
       [ "engine events"; Tables.count s.events ];
       [ "timers cancelled"; Tables.count s.cancelled ];

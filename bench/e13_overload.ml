@@ -36,7 +36,6 @@ module Admission = Vservices.Admission
 module Fs = Vservices.Fs
 module Disk = Vservices.Disk
 module Kernel = Vkernel.Kernel
-module Pid = Vkernel.Pid
 module Prefix_server = Vnaming.Prefix_server
 module Csname = Vnaming.Csname
 module Vmsg = Vnaming.Vmsg
@@ -170,23 +169,7 @@ let run_arm ~label ~admission () =
   let t = Scenario.build ~workstations:users ~file_servers:members_count ~seed () in
   Chaos_report.arm ~slo:slo_target t;
   let domain = Scenario.(t.domain) in
-  let members =
-    List.init members_count (fun i ->
-        match Kernel.host_of_addr domain (Scenario.fs_addr i) with
-        | Some host -> (host, Scenario.(t.file_servers).(i))
-        | None -> assert false)
-  in
-  let rset = Replica.install domain ~members () in
-  Array.iter
-    (fun ws ->
-      match
-        Prefix_server.add_binding
-          Scenario.(ws.ws_prefix)
-          "rstore" (Replica.target rset)
-      with
-      | Ok () -> ()
-      | Error code -> failwith (Fmt.str "E13 binding: %a" Reply.pp code))
-    Scenario.(t.workstations);
+  let rset = Scenario.install_replicas t ~factor:members_count in
   (* Identical blobs on every member, populated out of band; the disk
      arm is reset afterwards so setup writes cost the run nothing. *)
   List.iter
@@ -207,7 +190,7 @@ let run_arm ~label ~admission () =
             | Error code -> failwith (Fmt.str "E13 setup: %a" Reply.pp code))
       done;
       Disk.reset_arm disk)
-    members;
+    (Replica.members rset);
   let protected_pids =
     Replica.member_pids rset
     @ Array.to_list
@@ -226,21 +209,22 @@ let run_arm ~label ~admission () =
   end;
   let counts = fresh_counts () in
   spawn_storm t counts;
-  (* Peak queue depth at the members, sampled off to the side. *)
+  (* Peak queue depth at the members, sampled off to the side on fs0's
+     host. *)
   let max_queue = ref 0 in
-  (match members with
-  | (host, _) :: _ ->
-      ignore
-        (Kernel.spawn host ~name:"queue-sampler" (fun _self ->
-             let eng = Scenario.(t.engine) in
-             while Vsim.Engine.now eng < horizon_ms -. 1.0 do
-               List.iter
-                 (fun pid ->
-                   max_queue := max !max_queue (Admission.queue_depth domain pid))
-                 (Replica.member_pids rset);
-               Vsim.Proc.delay eng 100.0
-             done))
-  | [] -> ());
+  ignore
+    (Kernel.spawn
+       (Option.get (Kernel.host_of_addr domain (Scenario.fs_addr 0)))
+       ~name:"queue-sampler"
+       (fun _self ->
+         let eng = Scenario.(t.engine) in
+         while Vsim.Engine.now eng < horizon_ms -. 1.0 do
+           List.iter
+             (fun pid ->
+               max_queue := max !max_queue (Admission.queue_depth domain pid))
+             (Replica.member_pids rset);
+           Vsim.Proc.delay eng 100.0
+         done));
   let ops = ref [] in
   let latency = Series.create "e13-latency" in
   for client = 0 to (2 * users) - 1 do
@@ -255,13 +239,7 @@ let run_arm ~label ~admission () =
               service under load, not the cache. *)
            Runtime.enable_name_cache env false;
            let eng = Runtime.engine env in
-           let timed f =
-             let t0 = Vsim.Engine.now eng in
-             let ok = Result.is_ok (f ()) in
-             let t1 = Vsim.Engine.now eng in
-             ops := (t0, t1, ok) :: !ops;
-             Series.add latency (t1 -. t0)
-           in
+           let timed = Chaos_report.timed eng ~ops ~latency in
            if phase = 1 then Vsim.Proc.delay eng 250.0;
            let rec loop i =
              if Vsim.Engine.now eng < horizon_ms then begin

@@ -33,7 +33,6 @@ module E = Vnet.Ethernet
 module T = Vnet.Topology
 module C = Vnet.Calibration
 module En = Vsim.Engine
-module G = Vworkload.Generator
 module Tables = Vworkload.Tables
 
 let env_int name default =
@@ -118,7 +117,6 @@ let drain topology hosts =
 
 let soak_fan_in = 64
 let soak_cohort_size = 100 (* virtual clients per client host *)
-let soak_mean_gap_ms = 10_000.0
 
 type soak_result = {
   resolved : int;
@@ -128,68 +126,25 @@ type soak_result = {
   soak_events : int;
 }
 
+(* E12's gigabit links, but switched: each host uplink, edge and spine
+   port serializes independently. With [Rig.telemetry_on], the fan-in-64
+   fabric is what puts per-edge rollup rows in the telemetry
+   artifact. *)
 let soak () =
-  let servers_n = soak_hosts / 2 in
-  let clients_n = soak_hosts - servers_n in
-  let eng = En.create () in
-  (* E12's gigabit links, but explicitly switched: each host uplink,
-     edge and spine port serializes independently. *)
-  let net =
-    E.create ~config:Rig.gigabit ~topology:(T.switched ~fan_in:soak_fan_in) eng
+  let s =
+    Rig.soak ~fan_in:soak_fan_in ~hosts:soak_hosts ~hosts_hint:(2 * soak_hosts)
+      ~ops:soak_ops ~cohort_size:soak_cohort_size ~seed:1406
+      ?telemetry:(if Rig.telemetry_on then Some (1406, 250.0) else None)
+      ()
   in
-  let domain = K.create_domain ~hosts_hint:(2 * soak_hosts) ~cost:Rig.raw_cost eng net in
-  (* With [Rig.telemetry_on], the switched fan-in-64 fabric is what puts
-     per-edge rollup rows in the telemetry artifact. *)
-  let hub =
-    if not Rig.telemetry_on then None
-    else begin
-      let hub = Vobs.Hub.create ~tracing:true () in
-      Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1406;
-      Vobs.Hub.set_timeseries hub (Some (Vobs.Timeseries.create ()));
-      K.set_obs domain hub;
-      K.enable_telemetry domain ~interval_ms:250.0;
-      Some hub
-    end
-  in
-  let prng = Vsim.Prng.create ~seed:1406 in
-  let servers =
-    Array.init servers_n (fun i ->
-        Rig.echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
-  in
-  let resolved = ref 0 and failed = ref 0 in
-  let ops_per_host = max 1 (soak_ops / clients_n) in
-  for i = 0 to clients_n - 1 do
-    let host =
-      K.boot_host domain ~name:(Fmt.str "cli%d" i) (servers_n + i + 1)
-    in
-    let cohort =
-      G.cohort ~size:soak_cohort_size ~mean_gap_ms:soak_mean_gap_ms
-        (Vsim.Prng.split prng)
-    in
-    (* Cross-edge server so transactions exercise the spine. *)
-    let server = servers.((i + soak_fan_in) mod servers_n) in
-    ignore
-      (K.spawn host ~name:"cohort" (fun self ->
-           for _ = 1 to ops_per_host do
-             Vsim.Proc.delay eng (G.cohort_next_gap cohort);
-             match K.send self server "ping" with
-             | Ok _ -> incr resolved
-             | Error _ -> incr failed
-           done))
-  done;
+  let eng = s.Rig.soak_eng in
   En.run eng;
-  (match hub with
-  | Some hub ->
-      Out_channel.with_open_bin "telemetry-e14.json" (fun oc ->
-          output_string oc
-            (Vobs.Json.to_string (Vobs.Export.telemetry_to_json hub));
-          output_char oc '\n');
-      Fmt.pr "telemetry dump written to telemetry-e14.json@."
-  | None -> ());
+  Option.iter (Rig.dump_telemetry "telemetry-e14.json") s.Rig.hub;
   {
-    resolved = !resolved;
-    failed = !failed;
-    live_hosts = List.length (List.filter K.host_is_up (K.hosts domain));
+    resolved = s.Rig.resolved;
+    failed = s.Rig.failed;
+    live_hosts =
+      List.length (List.filter K.host_is_up (K.hosts s.Rig.soak_domain));
     soak_sim_ms = En.now eng;
     soak_events = En.last_run_events eng;
   }

@@ -35,12 +35,7 @@
    An ungrouped store at this scale would hold ~400k keys; the grouped
    one holds ~4% of that with the detail that matters intact. *)
 
-module K = Vkernel.Kernel
-module E = Vnet.Ethernet
-module T = Vnet.Topology
-module C = Vnet.Calibration
 module En = Vsim.Engine
-module G = Vworkload.Generator
 module Tables = Vworkload.Tables
 
 (* --- Phase A: the telemetry tax on the cohort soak --- *)
@@ -54,7 +49,6 @@ let soak_hosts = 4_000
    quantity. *)
 let soak_ops = 200_000
 let soak_cohort_size = 100
-let soak_mean_gap_ms = 10_000.0
 
 (* Each instrumented arm runs in adjacent (bare, arm) pairs and the
    gate reads the more favorable of two robust estimators over the
@@ -91,80 +85,18 @@ let mode_name = function
   | Traced -> "traced"
 
 let soak ~mode () =
-  let servers_n = soak_hosts / 2 in
-  let clients_n = soak_hosts - servers_n in
-  let eng = En.create () in
-  let net =
-    E.create ~config:Rig.gigabit ~topology:(T.switched ~fan_in:soak_fan_in) eng
+  let s =
+    Rig.soak ~fan_in:soak_fan_in ~hosts:soak_hosts ~hosts_hint:(2 * soak_hosts)
+      ~ops:soak_ops ~cohort_size:soak_cohort_size ~seed:1505
+      ?telemetry:(if mode = Bare then None else Some (1515, 100.0))
+      ~traced:(mode = Traced) ()
   in
-  let domain =
-    K.create_domain ~hosts_hint:(2 * soak_hosts) ~cost:Rig.raw_cost eng net
-  in
-  let hub =
-    if mode = Bare then None
-    else begin
-      let hub = Vobs.Hub.create ~tracing:true () in
-      Vobs.Hub.set_head_sampling hub ~every:64 ~seed:1515;
-      Vobs.Hub.set_timeseries hub (Some (Vobs.Timeseries.create ()));
-      K.set_obs domain hub;
-      K.enable_telemetry domain ~interval_ms:100.0;
-      Some hub
-    end
-  in
-  let prng = Vsim.Prng.create ~seed:1505 in
-  let servers =
-    Array.init servers_n (fun i ->
-        Rig.echo_server (K.boot_host domain ~name:(Fmt.str "srv%d" i) (i + 1)))
-  in
-  let resolved = ref 0 and failed = ref 0 in
-  let ops_per_host = max 1 (soak_ops / clients_n) in
-  for i = 0 to clients_n - 1 do
-    let host =
-      K.boot_host domain ~name:(Fmt.str "cli%d" i) (servers_n + i + 1)
-    in
-    let host_name = Fmt.str "cli%d" i in
-    let cohort =
-      G.cohort ~size:soak_cohort_size ~mean_gap_ms:soak_mean_gap_ms
-        (Vsim.Prng.split prng)
-    in
-    let server = servers.((i + soak_fan_in) mod servers_n) in
-    (* The traced arm observes per-op latency keyed, as the hub's
-       finished-operation consumer does. *)
-    let latency =
-      match (hub, mode) with Some h, Traced -> Some h | _ -> None
-    in
-    ignore
-      (K.spawn host ~name:"cohort" (fun self ->
-           for _ = 1 to ops_per_host do
-             Vsim.Proc.delay eng (G.cohort_next_gap cohort);
-             match latency with
-             | None -> (
-                 match K.send self server "ping" with
-                 | Ok _ -> incr resolved
-                 | Error _ -> incr failed)
-             | Some h ->
-                 (* A root trace per op: head sampling decides its
-                    fate with a private PRNG — zero workload draws —
-                    and the kept trace ids become exemplar
-                    candidates. *)
-                 let t0 = En.now eng in
-                 let ctx = Vobs.Hub.start_trace h ~now:t0 in
-                 (match K.send self server "ping" with
-                 | Ok _ -> incr resolved
-                 | Error _ -> incr failed);
-                 let trace =
-                   if ctx.Vobs.Span.trace > 0 then Some ctx.Vobs.Span.trace
-                   else None
-                 in
-                 Vobs.Metrics.observe ?trace (Vobs.Hub.metrics h)
-                   ~host:host_name ~server:"echo" ~op:"rpc"
-                   (En.now eng -. t0)
-           done))
-  done;
+  let eng = s.Rig.soak_eng in
   En.run eng;
+  let hub = s.Rig.hub in
   {
-    resolved = !resolved;
-    failed = !failed;
+    resolved = s.Rig.resolved;
+    failed = s.Rig.failed;
     sim_ms = En.now eng;
     events = En.last_run_events eng;
     cpu_s = En.last_run_cpu_s eng;

@@ -16,8 +16,6 @@ let srr_ms ~config ~remote ~payload =
   let server = Rig.echo_server h2 in
   Rig.measure rig.eng (fun () ->
       (* One warm-up, then the measured transaction. *)
-      let self_holder = ref None in
-      ignore self_holder;
       let result = ref nan in
       let done_ = Vsim.Proc.Ivar.create () in
       ignore

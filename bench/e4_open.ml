@@ -17,12 +17,10 @@
    creation) is measured by the server itself and subtracted, matching
    the paper's methodology. *)
 
-module K = Vkernel.Kernel
 module Scenario = Vworkload.Scenario
 module Runtime = Vruntime.Runtime
 module File_server = Vservices.File_server
 module Fs = Vservices.Fs
-module Csnh = Vnaming.Csnh
 module Tables = Vworkload.Tables
 open Vnaming
 
@@ -38,32 +36,6 @@ let install_file fs_server =
       | Error _ -> failwith "E4 write")
   | Error _ -> failwith "E4 create"
 
-type measurement = { raw : float; specific : float }
-
-(* Measure one Open [repeats] times; returns mean raw latency and the
-   server's own mean per-request specific time over those requests. *)
-let open_ms t env name ~server ~repeats =
-  let eng = Runtime.engine env in
-  ignore t;
-  let stats = File_server.stats server in
-  let series = stats.Csnh.specific_ms in
-  let n0 = Vsim.Stats.Series.count series in
-  let s0 = Vsim.Stats.Series.sum series in
-  let total = ref 0.0 in
-  for _ = 1 to repeats do
-    let t0 = Vsim.Engine.now eng in
-    let instance = Rig.ok "E4 open" (Runtime.open_ env ~mode:Vmsg.Read name) in
-    total := !total +. (Vsim.Engine.now eng -. t0);
-    Rig.ok "E4 release" (Vio.Client.release (Runtime.self env) instance)
-  done;
-  let n1 = Vsim.Stats.Series.count series in
-  let s1 = Vsim.Stats.Series.sum series in
-  {
-    raw = !total /. float_of_int repeats;
-    specific =
-      (if n1 > n0 then (s1 -. s0) /. float_of_int (n1 - n0) else 0.0);
-  }
-
 let measure_all ~config =
   let t =
     Scenario.build ~config ~workstations:1 ~file_servers:1
@@ -78,7 +50,7 @@ let measure_all ~config =
     (Scenario.spawn_client t ~ws:0 ~name:"opener" (fun _self env ->
          let measure key ~current ~name ~server =
            Runtime.set_current_context env current;
-           Hashtbl.replace results key (open_ms t env name ~server ~repeats:8)
+           Hashtbl.replace results key (Rig.open_ms ~server env name ~repeats:8)
          in
          let local_root =
            File_server.spec local_fs ~context:Context.Well_known.default
@@ -100,7 +72,7 @@ let run () =
   Tables.note_meta ~seed:42 ();
   let results = measure_all ~config:Vnet.Calibration.ethernet_3mbit in
   let get key = Hashtbl.find results key in
-  let headline key = (get key).raw -. (get key).specific in
+  let headline key = (get key).Rig.raw -. (get key).Rig.specific in
   Tables.print_comparison
     [
       {
@@ -149,7 +121,7 @@ let run () =
      local, so its cost is independent of where the Open is served@.";
   Fmt.pr "@.(raw latencies before subtracting server-specific time: ";
   List.iter
-    (fun key -> Fmt.pr "%s=%.2f " key (get key).raw)
+    (fun key -> Fmt.pr "%s=%.2f " key (get key).Rig.raw)
     [ "cc-local"; "cc-remote"; "px-local"; "px-remote" ];
   Fmt.pr ")@.";
   (* Model predictions at 10 Mbit: only the wire term shrinks, so the
@@ -157,7 +129,7 @@ let run () =
   let results10 = measure_all ~config:Vnet.Calibration.ethernet_10mbit in
   let h10 key =
     let m = Hashtbl.find results10 key in
-    m.raw -. m.specific
+    m.Rig.raw -. m.Rig.specific
   in
   Fmt.pr "@.predicted at 10 Mbit Ethernet (no paper figures):@.";
   Tables.print_table

@@ -28,7 +28,6 @@ module Generator = Vworkload.Generator
 module Runtime = Vruntime.Runtime
 module File_server = Vservices.File_server
 module Fs = Vservices.Fs
-module Csnh = Vnaming.Csnh
 module Tables = Vworkload.Tables
 open Vnaming
 
@@ -85,24 +84,11 @@ let uninstall_deep fs_server =
   in
   pop deep_dirs
 
-(* E4's measurement: mean raw Open latency minus the server's own mean
-   per-request specific time (directory lookup + instance creation). *)
+(* E4's measurement: mean raw Open latency less the server's own mean
+   per-request specific time. *)
 let open_ms env name ~server ~repeats =
-  let eng = Runtime.engine env in
-  let series = (File_server.stats server).Csnh.specific_ms in
-  let n0 = Vsim.Stats.Series.count series in
-  let s0 = Vsim.Stats.Series.sum series in
-  let total = ref 0.0 in
-  for _ = 1 to repeats do
-    let t0 = Vsim.Engine.now eng in
-    let instance = Rig.ok "E8 open" (Runtime.open_ env ~mode:Vmsg.Read name) in
-    total := !total +. (Vsim.Engine.now eng -. t0);
-    Rig.ok "E8 release" (Vio.Client.release (Runtime.self env) instance)
-  done;
-  let n1 = Vsim.Stats.Series.count series in
-  let s1 = Vsim.Stats.Series.sum series in
-  let specific = if n1 > n0 then (s1 -. s0) /. float_of_int (n1 - n0) else 0.0 in
-  (!total /. float_of_int repeats) -. specific
+  let m = Rig.open_ms ~server env name ~repeats in
+  m.Rig.raw -. m.Rig.specific
 
 (* --- Parts 1 and 2: the E4 rig with a deep path added --- *)
 

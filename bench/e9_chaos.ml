@@ -29,7 +29,6 @@ module Tables = Vworkload.Tables
 module Runtime = Vruntime.Runtime
 module File_server = Vservices.File_server
 module Fs = Vservices.Fs
-module Kernel = Vkernel.Kernel
 module Ethernet = Vnet.Ethernet
 module Plan = Vfault.Plan
 module Injector = Vfault.Injector
@@ -87,20 +86,6 @@ let spawn_marker t tokens =
            end
          in
          loop 0))
-
-(* Everything a crashed file-server host needs to come back as a
-   successor: reboot the server over the surviving disk state
-   ([restart_from] re-registers the storage service, so GetPid — and
-   with it every logical binding — finds the new incarnation). *)
-let revive_file_server t addr =
-  Array.iteri
-    (fun i old ->
-      if Scenario.fs_addr i = addr then
-        match Kernel.host_of_addr Scenario.(t.domain) addr with
-        | Some host ->
-            Scenario.(t.file_servers).(i) <- File_server.restart_from old host
-        | None -> ())
-    Scenario.(t.file_servers)
 
 (* Time from each applied restart to the completion of the first
    operation that started after it. *)
@@ -172,7 +157,9 @@ let run_soak () =
         spawn_marker t tokens;
         inj :=
           Some
-            (Injector.install ~on_restart:(revive_file_server t) t plan))
+            (Injector.install
+               ~on_restart:(Scenario.restart_file_server t)
+               t plan))
       ~on_op:(fun ~t0 ~t1 outcome ->
         ops := (t0, t1, Result.is_ok outcome) :: !ops)
       ()

@@ -402,16 +402,6 @@ let cmd_fault sh args =
       ~slowable:(fs_addrs @ [ Scenario.printer_addr ])
       ()
   in
-  let revive addr =
-    Array.iteri
-      (fun i fs ->
-        if Scenario.fs_addr i = addr then
-          match K.host_of_addr t.Scenario.domain addr with
-          | Some host ->
-              t.Scenario.file_servers.(i) <- File_server.restart_from fs host
-          | None -> ())
-      t.Scenario.file_servers
-  in
   let parse_seed s = int_of_string_opt s in
   let parse_duration = function
     | [] -> Some 30_000.0
@@ -436,7 +426,11 @@ let cmd_fault sh args =
                  (fun e -> { e with Vfault.Plan.at = now +. e.Vfault.Plan.at })
                  plan.Vfault.Plan.events)
           in
-          sh.injector <- Some (Vfault.Injector.install ~on_restart:revive t shifted);
+          sh.injector <-
+            Some
+              (Vfault.Injector.install
+                 ~on_restart:(Scenario.restart_file_server t)
+                 t shifted);
           pr "installed fault plan (seed %d): %d events over %.0f ms" seed
             (List.length shifted.Vfault.Plan.events)
             duration_ms;
@@ -478,21 +472,16 @@ let cmd_replicas sh args =
       | None, None -> Error (Vio.Verr.Protocol "usage: replicas on [N]")
       | None, Some n when n < 1 || n > fs_count ->
           Error (Vio.Verr.Protocol (Fmt.str "N must be 1..%d" fs_count))
+      | None, Some _
+        when Array.exists
+               (fun ws ->
+                 List.mem_assoc "rstore"
+                   (Prefix_server.bindings ws.Scenario.ws_prefix))
+               t.Scenario.workstations ->
+          Error
+            (Vio.Verr.Protocol "[rstore] is already bound (unbind it first)")
       | None, Some n ->
-          let members =
-            List.init n (fun i ->
-                match K.host_of_addr t.Scenario.domain (Scenario.fs_addr i) with
-                | Some host -> (host, t.Scenario.file_servers.(i))
-                | None -> assert false)
-          in
-          let r = Replica.install t.Scenario.domain ~members () in
-          Array.iter
-            (fun ws ->
-              ignore
-                (Prefix_server.add_binding ws.Scenario.ws_prefix "rstore"
-                   (Replica.target r)))
-            t.Scenario.workstations;
-          sh.replicas <- Some r;
+          sh.replicas <- Some (Scenario.install_replicas t ~factor:n);
           pr "replica set installed: %d member(s), [rstore] bound on every \
               workstation" n;
           Ok ())
@@ -533,14 +522,9 @@ let cmd_replicas sh args =
    touches resolves iteratively, referral by referral. The same
    machinery E11 benchmarks, made interactive. *)
 let domains_prefix = "dom"
-let domains_addr i = 50 + i
 
 let cmd_domains sh args =
   let t = sh.scenario in
-  let fail_ds what = function
-    | Ok v -> v
-    | Error code -> failwith (Fmt.str "%s: %s" what (Reply.to_string code))
-  in
   let with_tree f =
     match sh.domains with
     | Some st -> f st
@@ -553,26 +537,7 @@ let cmd_domains sh args =
       | Some _, _ ->
           Error (Vio.Verr.Protocol "a domain tree is already installed (domains off first)")
       | None, Some depth when depth >= 1 ->
-          let chain =
-            Array.init depth (fun i ->
-                let name = Fmt.str "dom%d" i in
-                let host =
-                  match K.host_of_addr t.Scenario.domain (domains_addr i) with
-                  | Some host -> host
-                  | None -> K.boot_host t.Scenario.domain ~name (domains_addr i)
-                in
-                Domain_server.start host ~name ())
-          in
-          for i = 0 to depth - 2 do
-            fail_ds "delegate"
-              (Domain_server.delegate chain.(i)
-                 (Fmt.str "d%d" (i + 1))
-                 (Domain_server.spec chain.(i + 1) ()))
-          done;
-          fail_ds "bind"
-            (Domain_server.bind chain.(depth - 1) "leaf"
-               (File_server.spec (Scenario.file_server t 0)
-                  ~context:Context.Well_known.default));
+          let chain = Scenario.domain_chain t ~depth in
           let d_ttl_ms = Resolver.default_ttl_ms
           and d_neg_ttl_ms = Resolver.default_neg_ttl_ms
           and d_stale_window_ms = 10_000.0 in

@@ -157,10 +157,6 @@ let replica_divergence (t : Scenario.t) ~members ~names =
       Scenario.run t);
   List.rev !violations
 
-(* [convergence t ~names] spawns a probe on every workstation resolving
-   each name and runs the simulation until the probes finish: each must
-   resolve to a live server process. Call it after the fault plan has
-   fully healed (a generated plan always has, by its horizon). *)
 (* [tree_convergence t ~root ~prefix ~names] is the domain-tree
    analogue of [convergence]: after every fault has healed, a COLD
    resolver (empty cache, stale-serving disabled) on every workstation
@@ -240,6 +236,10 @@ let tree_convergence (t : Scenario.t) ~root ~prefix ~names =
     names;
   List.rev !violations
 
+(* [convergence t ~names] spawns a probe on every workstation resolving
+   each name and runs the simulation until the probes finish: each must
+   resolve to a live server process. Call it after the fault plan has
+   fully healed (a generated plan always has, by its horizon). *)
 let convergence (t : Scenario.t) ~names =
   let violations = ref [] in
   let fail ws name reason =

@@ -1465,7 +1465,9 @@ let multicast_request host ~group ~sender ~txn msg =
     (Group_request { txn; sender; group; msg })
 
 (* [send_group proc ~group msg] multicasts to every member of the group
-   and blocks for the first reply, V's group-send semantics. *)
+   and blocks for the first reply, V's group-send semantics. It blocks
+   as Send does, on its process's blocker: the multicast's local legs
+   are scheduled, not run, so nothing answers before it blocks. *)
 let send_group proc ~group msg =
   check_alive proc;
   let host = proc.proc_host in
@@ -1474,12 +1476,12 @@ let send_group proc ~group msg =
   report host Group_send (Pid.to_int proc.pid) group 0;
   charge proc Calibration.small_packet_send_cpu;
   let txn = fresh_txn d in
-  block_ipc (fun k ->
-      let pending = register_pending proc ~txn None (Blocked k) in
-      multicast_request host ~group ~sender:proc.pid ~txn msg;
-      pending.p_timer <-
-        Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine (fun () ->
-            fail_pending host ~txn (Ipc_error No_reply)))
+  let pending = register_pending proc ~txn None Sending in
+  multicast_request host ~group ~sender:proc.pid ~txn msg;
+  pending.p_timer <-
+    Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine (fun () ->
+        fail_pending host ~txn (Ipc_error No_reply));
+  await_reply proc
 
 (* [forward_group proc ~from_ ~group msg] forwards the transaction of
    blocked sender [from_] to every member of a process group; whichever

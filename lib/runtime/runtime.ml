@@ -157,11 +157,7 @@ let outcome_of_result = function
    logical bindings. When the policy gives up, the caller sees a
    bounded [Unavailable] instead of an indefinite hang. *)
 
-(* Forward reference, assigned below [resolve]: re-resolve the pinned
-   current context on a transport-level retry. *)
-let rebind_current = ref (fun (_ : env) -> ())
-
-let with_resilience env policy ~t0 run =
+let with_resilience env policy ~t0 ~rebind run =
   let rec loop attempt =
     match run () with
     | Ok _ as ok ->
@@ -182,7 +178,7 @@ let with_resilience env policy ~t0 run =
             Vsim.Proc.delay (engine env) wait;
             (* A transport failure may mean the current context's
                server died: re-resolve it before routing again. *)
-            if Vio.Resilience.rebind_worthy e then !rebind_current env;
+            if Vio.Resilience.rebind_worthy e then rebind env;
             loop (attempt + 1)
         | Vio.Resilience.Give_up ->
             let err = Vio.Resilience.give_up ~attempts:attempt e in
@@ -384,7 +380,7 @@ let rec with_stale_retry env cache name ~upto attempt r ~retried ~first_err =
    The first resilience attempt reuses the route already taken (whose
    cache metrics are counted); later ones route afresh so re-resolution
    can land on a successor server. *)
-let run_routed env cache name ~upto ~t0 ~first attempt =
+let run_routed env cache name ~upto ~t0 ~first ~rebind attempt =
   match env.resilience with
   | None ->
       with_stale_retry env cache name ~upto attempt first ~retried:false
@@ -393,7 +389,7 @@ let run_routed env cache name ~upto ~t0 ~first attempt =
       let first_route = ref (Some first) in
       let last_target = ref None in
       let failovers = ref 0 in
-      with_resilience env policy ~t0 (fun () ->
+      with_resilience env policy ~t0 ~rebind (fun () ->
           let r =
             match !first_route with
             | Some r ->
@@ -413,7 +409,7 @@ let run_routed env cache name ~upto ~t0 ~first attempt =
    operation done: the root reads "[cached]" when the first route made
    no query. Last it restores [outer], the enclosing operation's root
    (a rebind runs an operation inside another's retry loop). *)
-let transact_name env ~code ?payload name =
+let rec transact_name env ~code ?payload name =
   charge_stub env;
   let op = Vmsg.Op.to_string code in
   let t0 = Vsim.Engine.now (engine env) in
@@ -444,25 +440,50 @@ let transact_name env ~code ?payload name =
         ok
     | Error _ as e -> e
   in
-  let result = run_routed env cache name ~upto ~t0 ~first attempt in
+  let result =
+    run_routed env cache name ~upto ~t0 ~first ~rebind:rebind_current attempt
+  in
   Events.op_done env.events ~op ~root:env.root ~started:t0
     ~cached:(match first with Send { via = Cached _; _ } -> true | _ -> false)
     (outcome_of_result result);
   env.root <- outer;
   result
 
-(* --- naming operations --- *)
-
 (* Map a name that denotes a context to its (server-pid, context-id).
    With the cache enabled, the binding is learned from the stamp the
    answering server put into the reply. *)
-let resolve env name =
+and resolve env name =
   match transact_name env ~code:Vmsg.Op.map_context name with
   | Error e -> Error e
   | Ok (reply, _) -> (
       match reply.Vmsg.payload with
       | Vmsg.P_context_spec spec -> Ok spec
       | _ -> Error (Vio.Verr.Protocol "MapContext reply carried no context"))
+
+(* On a transport-level retry, re-resolve the current context by the
+   name it was last bound from: if its server crashed, the prefix
+   server's logical bindings (refreshed via GetPid) point at the live
+   successor, so relative names recover without a manual rebind. The
+   probe is one-shot — the policy is disabled for its duration so it
+   cannot recurse into the retry loop. *)
+and rebind_current env =
+  match env.current_name with
+  | None -> ()
+  | Some name ->
+      if not env.rebinding then begin
+        env.rebinding <- true;
+        let saved = env.resilience in
+        env.resilience <- None;
+        (match resolve env name with
+        | Ok spec when spec <> env.current ->
+            env.current <- spec;
+            Events.count env.events "rebind"
+        | Ok _ | Error _ -> ());
+        env.resilience <- saved;
+        env.rebinding <- false
+      end
+
+(* --- naming operations --- *)
 
 (* The analogue of Unix chdir (§6). *)
 let change_context env name =
@@ -472,31 +493,6 @@ let change_context env name =
       env.current <- spec;
       env.current_name <- Some name;
       Ok spec
-
-(* On a transport-level retry, re-resolve the current context by the
-   name it was last bound from: if its server crashed, the prefix
-   server's logical bindings (refreshed via GetPid) point at the live
-   successor, so relative names recover without a manual rebind. The
-   probe is one-shot — the policy is disabled for its duration so it
-   cannot recurse into the retry loop. *)
-let () =
-  rebind_current :=
-    fun env ->
-      match env.current_name with
-      | None -> ()
-      | Some name ->
-          if not env.rebinding then begin
-            env.rebinding <- true;
-            let saved = env.resilience in
-            env.resilience <- None;
-            (match resolve env name with
-            | Ok spec when spec <> env.current ->
-                env.current <- spec;
-                Events.count env.events "rebind"
-            | Ok _ | Error _ -> ());
-            env.resilience <- saved;
-            env.rebinding <- false
-          end
 
 (* Determine a printable CSname for the current context (§6 inverse
    mapping): ask the prefix server first, then the implementing server

@@ -164,8 +164,6 @@ module Mailbox = struct
 
   let length t = Queue.length t.items
 
-  let waiters t = Queue.length t.waiters
-
   (* Fail every blocked receiver; used when a host crashes. *)
   let abort_waiters t exn =
     let rec loop () =

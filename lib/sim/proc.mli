@@ -83,9 +83,6 @@ module Mailbox : sig
   (** Items currently queued. *)
   val length : 'a t -> int
 
-  (** Fibers currently blocked in [receive]. *)
-  val waiters : 'a t -> int
-
   (** Resume every blocked receiver with [exn]. *)
   val abort_waiters : 'a t -> exn -> unit
 end

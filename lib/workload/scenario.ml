@@ -8,6 +8,7 @@ module Pid = Vkernel.Pid
 module Service = Vkernel.Service
 module Calibration = Vnet.Calibration
 module Ethernet = Vnet.Ethernet
+module Domain_server = Vdomains.Domain_server
 open Vnaming
 open Vservices
 
@@ -45,6 +46,9 @@ let fs_addr i = 100 + i
 let printer_addr = 200
 let mail_addr = 201
 let internet_addr = 202
+
+(* Domain servers from 50, clear of both. *)
+let dom_addr i = 50 + i
 
 let standard_prefixes t ws =
   let logical service context = `Logical (service, context) in
@@ -187,6 +191,64 @@ let build ?(config = Calibration.ethernet_3mbit) ?(cost = Vmsg.cost_model)
 
 let workstation t i = t.workstations.(i)
 let file_server t i = t.file_servers.(i)
+
+(* The installation shapes built on top of [build]. *)
+
+let install_replicas t ~factor =
+  let members =
+    List.init factor (fun i ->
+        match Kernel.host_of_addr t.domain (fs_addr i) with
+        | Some host -> (host, t.file_servers.(i))
+        | None -> assert false)
+  in
+  let rset = Replica.install t.domain ~members () in
+  let target = Replica.target rset in
+  Array.iter
+    (fun ws ->
+      match Prefix_server.add_binding ws.ws_prefix "rstore" target with
+      | Ok () -> ()
+      | Error code -> invalid_arg (Fmt.str "rstore prefix: %a" Reply.pp code))
+    t.workstations;
+  rset
+
+let domain_chain t ~depth =
+  let ok what = function
+    | Ok () -> ()
+    | Error code -> invalid_arg (Fmt.str "domain %s: %a" what Reply.pp code)
+  in
+  let servers =
+    Array.init depth (fun i ->
+        let name = Fmt.str "dom%d" i in
+        let host =
+          match Kernel.host_of_addr t.domain (dom_addr i) with
+          | Some host -> host
+          | None -> Kernel.boot_host t.domain ~name (dom_addr i)
+        in
+        Domain_server.start host ~name ())
+  in
+  for i = 0 to depth - 2 do
+    ok "delegate"
+      (Domain_server.delegate servers.(i)
+         (Fmt.str "d%d" (i + 1))
+         (Domain_server.spec servers.(i + 1) ()))
+  done;
+  ok "bind"
+    (Domain_server.bind servers.(depth - 1) "leaf"
+       (File_server.spec t.file_servers.(0)
+          ~context:Context.Well_known.default));
+  servers
+
+let restart_file_server ?replicas t addr =
+  let revived = Option.bind replicas (fun rset -> Replica.revive rset addr) in
+  Array.iteri
+    (fun i old ->
+      if fs_addr i = addr then
+        match (revived, Kernel.host_of_addr t.domain addr) with
+        | Some fresh, _ -> t.file_servers.(i) <- fresh
+        | None, Some host ->
+            t.file_servers.(i) <- File_server.restart_from old host
+        | None, None -> ())
+    t.file_servers
 
 (* The default current context a fresh program is handed: the first
    file server's root. *)

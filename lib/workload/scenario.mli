@@ -9,6 +9,7 @@
 module Kernel = Vkernel.Kernel
 module Pid = Vkernel.Pid
 module Ethernet = Vnet.Ethernet
+module Domain_server = Vdomains.Domain_server
 open Vnaming
 open Vservices
 
@@ -50,6 +51,9 @@ val fs_addr : int -> Ethernet.addr
 val printer_addr : Ethernet.addr
 val mail_addr : Ethernet.addr
 
+(** The address of domain server [i] in {!domain_chain}. *)
+val dom_addr : int -> Ethernet.addr
+
 (** Build the installation; nothing runs until the engine does.
     [local_file_server_on] additionally runs a Local-scope file server
     process on that workstation, bound to the "[localfs]" prefix.
@@ -72,6 +76,29 @@ val build :
 
 val workstation : t -> int -> workstation
 val file_server : t -> int -> File_server.t
+
+(** {1 Installation shapes}
+
+    Each raises [Invalid_argument] if its configuration is refused. *)
+
+(** Join fs0 … fs([factor]−1) into a replica set
+    ({!Vservices.Replica.install}) and bind "[rstore]" to it on every
+    workstation. *)
+val install_replicas : t -> factor:int -> Replica.t
+
+(** Boot a chain of [depth] domain servers, each on the host at
+    [dom_addr i], booted unless one is there already: dom0, the root,
+    delegates "d1" to dom1, dom1 delegates "d2" to dom2, …, and the
+    last binds "leaf" into fs0's root context. Returns the servers, root
+    first. *)
+val domain_chain : t -> depth:int -> Domain_server.t array
+
+(** Revive the crashed file server at [addr] and store the successor in
+    [t.file_servers]: a member of [replicas] through
+    {!Vservices.Replica.revive}, any other through
+    {!Vservices.File_server.restart_from} over its surviving disk.
+    Nothing happens if [addr] holds no file server or no host. *)
+val restart_file_server : ?replicas:Replica.t -> t -> Ethernet.addr -> unit
 
 (** Run [body] as a client process on workstation [ws] with a standard
     run-time environment. *)

@@ -38,28 +38,6 @@ let spec n =
     ~server:(Pid.make ~logical_host:1 ~local_pid:n)
     ~context:Context.Well_known.default
 
-(* Domain-server hosts live clear of the scenario's address plan
-   (workstations 1+, file servers 100+, utility hosts 200+). *)
-let dom_addr i = 50 + i
-
-(* dom0 (the root) delegates "d1" to dom1, ..., the last binds "leaf"
-   into [leaf_target] — the e11 chain, sized for tests. *)
-let build_chain t ~depth ~leaf_target =
-  let servers =
-    Array.init depth (fun i ->
-        let name = Fmt.str "dom%d" i in
-        let host = K.boot_host Scenario.(t.domain) ~name (dom_addr i) in
-        Domain_server.start host ~name ())
-  in
-  for i = 0 to depth - 2 do
-    fail_ds "delegate"
-      (Domain_server.delegate servers.(i)
-         (Fmt.str "d%d" (i + 1))
-         (Domain_server.spec servers.(i + 1) ()))
-  done;
-  fail_ds "bind" (Domain_server.bind servers.(depth - 1) "leaf" leaf_target);
-  servers
-
 let fs_root t =
   File_server.spec (Scenario.file_server t 0) ~context:Context.Well_known.default
 
@@ -167,8 +145,7 @@ let test_iterative_walk_and_cache () =
          ok_exn "write"
            (Runtime.write_file env "[fs0]tmp/dom.txt"
               (Bytes.of_string "via the tree"));
-         let leaf = fs_root t in
-         let chain = build_chain t ~depth:3 ~leaf_target:leaf in
+         let chain = Scenario.domain_chain t ~depth:3 in
          let r =
            Resolver.create ~prefix:"dom"
              ~root:(Domain_server.spec chain.(0) ())
@@ -182,7 +159,7 @@ let test_iterative_walk_and_cache () =
          Alcotest.(check int) "one query per level" 3 o.Resolver.queries;
          Alcotest.(check bool) "not stale" false o.Resolver.served_stale;
          Alcotest.(check bool) "lands on the object server" true
-           (o.Resolver.spec = leaf);
+           (o.Resolver.spec = fs_root t);
          Alcotest.(check string) "rest interpreted by the file server"
            "tmp/dom.txt"
            (String.sub name o.Resolver.index
@@ -216,7 +193,7 @@ let test_traced_walk_under_root () =
        (fun t _self env ->
          ok_exn "write"
            (Runtime.write_file env "[fs0]tmp/fed.txt" (Bytes.of_string "hello"));
-         let chain = build_chain t ~depth:3 ~leaf_target:(fs_root t) in
+         let chain = Scenario.domain_chain t ~depth:3 in
          Runtime.set_resolver env
            (Resolver.create ~prefix:"dom"
               ~root:(Domain_server.spec chain.(0) ())
@@ -276,7 +253,7 @@ let test_traced_walk_under_root () =
 let test_negative_caching_collapses_misses () =
   ignore
     (run_client (fun t self env ->
-         let chain = build_chain t ~depth:2 ~leaf_target:(fs_root t) in
+         let chain = Scenario.domain_chain t ~depth:2 in
          let r =
            Resolver.create ~prefix:"dom"
              ~root:(Domain_server.spec chain.(0) ())
@@ -318,7 +295,7 @@ let test_negative_caching_collapses_misses () =
 let test_negative_ends_operation () =
   ignore
     (run_client (fun t _self env ->
-         let chain = build_chain t ~depth:2 ~leaf_target:(fs_root t) in
+         let chain = Scenario.domain_chain t ~depth:2 in
          Runtime.set_resolver env
            (Resolver.create ~prefix:"dom"
               ~root:(Domain_server.spec chain.(0) ())
@@ -350,7 +327,8 @@ let test_negative_ends_operation () =
          Alcotest.(check int) "a repeat miss sends nothing" txns0
            (K.ipc_transaction_count Scenario.(t.domain));
          K.crash_host
-           (Option.get (K.host_of_addr t.Scenario.domain (dom_addr 1)));
+           (Option.get
+              (K.host_of_addr t.Scenario.domain (Scenario.dom_addr 1)));
          ignore (read_error "unreachable tree" "[dom]d1/other/f.txt");
          Alcotest.(check int) "an unreachable tree falls back" (p0 + 1)
            (prefix_requests ())))
@@ -370,7 +348,7 @@ let test_one_cache_per_name () =
          let read name = ok name (Runtime.read_file env name) in
          ok "mkdir" (Runtime.create env ~directory:true "[fs0]one");
          write "[fs0]one/f.txt";
-         let chain = build_chain t ~depth:2 ~leaf_target:(fs_root t) in
+         let chain = Scenario.domain_chain t ~depth:2 in
          let r =
            Resolver.create ~prefix:"dom"
              ~root:(Domain_server.spec chain.(0) ())
@@ -416,12 +394,51 @@ let test_one_cache_per_name () =
          Alcotest.(check int) "not in the name cache" stale0
            (names ()).Name_cache.stale))
 
+(* vsh's "domains on", "domains off", "domains on": a second chain on
+   one installation starts fresh servers on the hosts the first booted
+   at [Scenario.dom_addr], and resolves through them as the first did. *)
+let test_chain_installed_twice () =
+  ignore
+    (run_client (fun t self _env ->
+         let domain = t.Scenario.domain in
+         let first = Scenario.domain_chain t ~depth:3 in
+         let hosts = List.length (K.hosts domain) in
+         let second = Scenario.domain_chain t ~depth:3 in
+         Alcotest.(check int) "no host booted" hosts
+           (List.length (K.hosts domain));
+         Array.iteri
+           (fun i ds ->
+             let host =
+               Option.get (K.host_of_addr domain (Scenario.dom_addr i))
+             in
+             let on_host ds =
+               Pid.logical_host (Domain_server.pid ds) = K.host_logical host
+             in
+             Alcotest.(check bool)
+               (Fmt.str "dom%d on the host at dom_addr %d" i i)
+               true
+               (on_host ds && on_host first.(i));
+             Alcotest.(check bool)
+               (Fmt.str "dom%d is a new server" i)
+               false
+               (Pid.equal (Domain_server.pid ds) (Domain_server.pid first.(i))))
+           second;
+         let r =
+           Resolver.create ~prefix:"dom"
+             ~root:(Domain_server.spec second.(0) ())
+             ()
+         in
+         let o = ok_exn "resolve" (Resolver.resolve r self "[dom]d1/d2/leaf") in
+         Alcotest.(check int) "one query per level" 3 o.Resolver.queries;
+         Alcotest.(check bool) "lands on fs0" true
+           (o.Resolver.spec = fs_root t)))
+
 (* --- the stale-serving window --- *)
 
 let test_stale_serving_window () =
   ignore
     (run_client (fun t self env ->
-         let chain = build_chain t ~depth:1 ~leaf_target:(fs_root t) in
+         let chain = Scenario.domain_chain t ~depth:1 in
          let root = Domain_server.spec chain.(0) () in
          let stale =
            Resolver.create ~ttl_ms:200.0 ~stale_window_ms:10_000.0 ~prefix:"dom"
@@ -436,7 +453,8 @@ let test_stale_serving_window () =
          (* Let both cached bindings expire, then take the tree down. *)
          Vsim.Proc.delay (Runtime.engine env) 500.0;
          K.crash_host
-           (Option.get (K.host_of_addr t.Scenario.domain (dom_addr 0)));
+           (Option.get
+              (K.host_of_addr t.Scenario.domain (Scenario.dom_addr 0)));
          (* The refresh fails; inside the window the expired binding is
             served anyway, tagged. *)
          let o = ok_exn "stale serve" (Resolver.resolve stale self name) in
@@ -516,7 +534,7 @@ let test_domain_entries_bound_here () =
            File_server.spec (Scenario.file_server t 0)
              ~context:Context.Well_known.default
          in
-         let servers = build_chain t ~depth:2 ~leaf_target:fs_root in
+         let servers = Scenario.domain_chain t ~depth:2 in
          let root = servers.(0) in
          let request ?payload code name =
            match
@@ -555,6 +573,8 @@ let suite =
         Alcotest.test_case "creation validation" `Quick test_creation_validation;
         Alcotest.test_case "iterative walk and cache" `Quick
           test_iterative_walk_and_cache;
+        Alcotest.test_case "chain installed twice" `Quick
+          test_chain_installed_twice;
         Alcotest.test_case "traced walk under the root" `Quick
           test_traced_walk_under_root;
         Alcotest.test_case "negative caching collapses misses" `Quick

@@ -488,8 +488,6 @@ let drive_naming () =
       Runtime.enable_name_cache env false);
   upper_lines "naming" t
 
-let dom_addr i = 50 + i
-
 (* The domain tree through the resolver: a cold walk, a warm answer,
    negative answers, a resumed walk, a stale answer while the root is
    down, a step limit and a delegation cycle. *)
@@ -498,23 +496,7 @@ let drive_domains () =
   as_client t (fun self env ->
       ok "write"
         (Runtime.write_file env "[fs0]tmp/fed.txt" (Bytes.of_string "hi"));
-      let chain =
-        Array.init 3 (fun i ->
-            let name = Fmt.str "dom%d" i in
-            Domain_server.start
-              (K.boot_host Scenario.(t.domain) ~name (dom_addr i))
-              ~name ())
-      in
-      for i = 0 to 1 do
-        ignore
-          (Domain_server.delegate chain.(i)
-             (Fmt.str "d%d" (i + 1))
-             (Domain_server.spec chain.(i + 1) ()))
-      done;
-      ignore
-        (Domain_server.bind chain.(2) "leaf"
-           (File_server.spec (Scenario.file_server t 0)
-              ~context:Ctx.Well_known.default));
+      let chain = Scenario.domain_chain t ~depth:3 in
       let root = Domain_server.spec chain.(0) () in
       Runtime.set_resolver env
         (Resolver.create ~prefix:"dom" ~ttl_ms:1_000.0
@@ -528,7 +510,7 @@ let drive_domains () =
       read "[dom]d1/nope";
       ignore (Runtime.query env "[dom]d1/d2");
       Vsim.Proc.delay (Runtime.engine env) 2_000.0;
-      K.crash_host (host_at t (dom_addr 0));
+      K.crash_host (host_at t (Scenario.dom_addr 0));
       read name;
       ignore
         (Resolver.resolve
@@ -596,15 +578,7 @@ let drive_replicas () =
   let t = installation ~topology:(Vnet.Topology.switched ~fan_in:4)
       ~file_servers:3 () in
   let domain = Scenario.(t.domain) in
-  let members =
-    List.init 2 (fun i ->
-        (host_at t (Scenario.fs_addr i), Scenario.(t.file_servers).(i)))
-  in
-  let rset = Replica.install domain ~members () in
-  ignore
-    (Vnaming.Prefix_server.add_binding
-       (Scenario.workstation t 0).Scenario.ws_prefix "rstore"
-       (Replica.target rset));
+  let rset = Scenario.install_replicas t ~factor:2 in
   let ws0 = Scenario.ws_addr 0 and fs1 = Scenario.fs_addr 1 in
   as_client t (fun _self env ->
       ok "mkdir" (Runtime.create env ~directory:true "[rstore]top");

@@ -25,25 +25,7 @@ let ok_exn what = function
 let build_replicated ?(workstations = 1) ?(file_servers = 3) ?seed ?tracing
     ~factor () =
   let t = Scenario.build ~workstations ~file_servers ?seed ?tracing () in
-  let domain = Scenario.(t.domain) in
-  let members =
-    List.init factor (fun i ->
-        match K.host_of_addr domain (Scenario.fs_addr i) with
-        | Some host -> (host, Scenario.(t.file_servers).(i))
-        | None -> assert false)
-  in
-  let rset = Replica.install domain ~members () in
-  Array.iter
-    (fun ws ->
-      match
-        Prefix_server.add_binding
-          Scenario.(ws.ws_prefix)
-          "rstore" (Replica.target rset)
-      with
-      | Ok () -> ()
-      | Error code -> Alcotest.failf "binding rstore: %a" Reply.pp code)
-    Scenario.(t.workstations);
-  (t, rset)
+  (t, Scenario.install_replicas t ~factor)
 
 (* --- read-one balancing: deterministic and actually balanced --- *)
 
