@@ -217,29 +217,32 @@ let cmd_crash sh = function
       | _ -> Error (Vio.Verr.Protocol "usage: crash FS-INDEX"))
   | _ -> Error (Vio.Verr.Protocol "usage: crash FS-INDEX")
 
+(* A replica-set member comes back through [Replica.revive] (catch up
+   on the group write log, then re-enroll), or the set would keep
+   balancing reads onto the dead pid; any other file server restarts
+   over its surviving disk. Either way the successor takes the dead
+   incarnation's place in the scenario. *)
+let restart_file_server sh addr =
+  Scenario.restart_file_server ?replicas:sh.replicas sh.scenario addr
+
 let cmd_restart sh = function
   | [ which ] -> (
       match int_of_string_opt which with
       | Some i when i < Array.length sh.scenario.Scenario.file_servers ->
           let addr = Scenario.fs_addr i in
-          let host =
-            Option.get (K.host_of_addr sh.scenario.Scenario.domain addr)
+          K.restart_host
+            (Option.get (K.host_of_addr sh.scenario.Scenario.domain addr));
+          restart_file_server sh addr;
+          let fs = sh.scenario.Scenario.file_servers.(i) in
+          let member =
+            match sh.replicas with
+            | Some r -> Option.is_some (Vservices.Replica.find_member r addr)
+            | None -> false
           in
-          K.restart_host host;
-          (* A replica-set member must come back through [Replica.revive]
-             — catch up on the group write log, then re-enroll — or the
-             set would keep balancing reads onto the dead pid. *)
-          (match
-             Option.bind sh.replicas (fun r -> Vservices.Replica.revive r addr)
-           with
-          | Some fresh ->
-              sh.scenario.Scenario.file_servers.(i) <- fresh;
-              pr "restarted host; replica member catching up before rejoining"
-          | None ->
-              ignore
-                (File_server.start host ~name:(Fmt.str "fs%d'" i)
-                   ~owner:"system" ());
-              pr "restarted host and started a fresh file server process");
+          pr "restarted host; %s (pid %d) %s" (File_server.name fs)
+            (Vkernel.Pid.to_int (File_server.pid fs))
+            (if member then "is catching up before rejoining the replica set"
+             else "serves its surviving disk");
           Ok ()
       | _ -> Error (Vio.Verr.Protocol "usage: restart FS-INDEX"))
   | _ -> Error (Vio.Verr.Protocol "usage: restart FS-INDEX")
@@ -428,8 +431,7 @@ let cmd_fault sh args =
           in
           sh.injector <-
             Some
-              (Vfault.Injector.install
-                 ~on_restart:(Scenario.restart_file_server t)
+              (Vfault.Injector.install ~on_restart:(restart_file_server sh)
                  t shifted);
           pr "installed fault plan (seed %d): %d events over %.0f ms" seed
             (List.length shifted.Vfault.Plan.events)
@@ -519,7 +521,8 @@ let cmd_replicas sh args =
    servers under "[dom]" — each delegating one named sub-context to the
    next, the last binding "leaf" into fs0's root — and wire a caching
    resolver into the run-time, so every "[dom]..." name the shell
-   touches resolves iteratively, referral by referral. The same
+   touches resolves iteratively, referral by referral; "domains off"
+   unwires the resolver and destroys the chain's servers. The same
    machinery E11 benchmarks, made interactive. *)
 let domains_prefix = "dom"
 
@@ -556,10 +559,13 @@ let cmd_domains sh args =
           Ok ()
       | None, _ -> Error (Vio.Verr.Protocol "usage: domains on [DEPTH>=1]"))
   | [ "off" ] ->
-      with_tree (fun _ ->
+      with_tree (fun st ->
           Runtime.clear_resolver sh.env;
+          Scenario.remove_domain_chain t st.chain;
           sh.domains <- None;
-          pr "resolver unwired; [%s] names no longer resolve" domains_prefix;
+          pr "resolver unwired, %d domain server(s) destroyed; [%s] names no \
+              longer resolve"
+            (Array.length st.chain) domains_prefix;
           Ok ())
   | [ "tree" ] ->
       with_tree (fun st ->
@@ -1036,7 +1042,7 @@ let commands :
     ("tell", "TERMINAL TEXT... — write a terminal line", cmd_tell);
     ("time", "— ask the time service", cmd_time);
     ("crash", "FS-INDEX — crash a file server host", cmd_crash);
-    ("restart", "FS-INDEX — restart host + fresh server", cmd_restart);
+    ("restart", "FS-INDEX — restart host + server over its disk", cmd_restart);
     ("netstat", "— wire and transaction counters", cmd_netstat);
     ("net", "[topo|stats] — fabric topology and per-segment counters", cmd_net);
     ("engine", "[stats] — event-queue scheduler statistics", cmd_engine);

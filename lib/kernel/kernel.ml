@@ -765,15 +765,16 @@ let transmit host ~dst ~payload_bytes packet =
 
 (* Run [k] once the receive-side CPU for a message-bearing packet
    arriving off the wire is spent. The arrival time is the sum
-   [Engine.schedule ~delay] would form, without its option and the
-   delay's box. *)
+   [Engine.schedule ~delay] would form, without its option, and goes
+   to the engine through its time cell. *)
 let after_remote_recv d msg k =
   let cost =
     Calibration.small_packet_recv_cpu
     +. if d.cost.segment_bytes msg > 0 then Calibration.segment_copy_remote_cpu
        else 0.0
   in
-  Engine.schedule_at d.engine (Engine.now d.engine +. cost) k
+  Engine.due.at <- Engine.now d.engine +. cost;
+  Engine.schedule_due d.engine k
 
 (* The record of remote [sender] at [host], made on its first
    request. *)
@@ -910,12 +911,12 @@ let arm_recovery host ~txn pending ~dst_addr ~retransmit frame =
         Ethernet.transmit host.domain.net frame;
         due.(0) <- now +. Calibration.retransmit_interval_ms
       end;
-      pending.p_timer <-
-        Engine.timer_at host.domain.engine (Float.min due.(0) due.(1)) fire
+      Engine.due.at <- Float.min due.(0) due.(1);
+      pending.p_timer <- Engine.timer_due host.domain.engine fire
     end
   in
-  pending.p_timer <-
-    Engine.timer_at host.domain.engine (Float.min due.(0) due.(1)) fire
+  Engine.due.at <- Float.min due.(0) due.(1);
+  pending.p_timer <- Engine.timer_due host.domain.engine fire
 
 (* --- the IPC primitives --- *)
 

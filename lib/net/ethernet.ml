@@ -759,15 +759,17 @@ let transmit_shared t frame =
   let start = Float.max now t.wire.free_at in
   let duration = transmission_ms t.config ~payload_bytes:frame.payload_bytes in
   t.wire.free_at <- start +. duration;
-  let arrival = start +. duration +. t.config.propagation_ms in
-  Vsim.Engine.schedule_at t.engine arrival (fun () ->
-      if not (frame_lost t frame) then
-        match frame.dst with
-        | Unicast a -> if a <> frame.src then deliver_at_arrival t frame a
-        | Broadcast | Multicast _ ->
-            List.iter
-              (fun addr -> deliver_at_arrival t frame addr)
-              (intended_destinations t frame))
+  let arrive () =
+    if not (frame_lost t frame) then
+      match frame.dst with
+      | Unicast a -> if a <> frame.src then deliver_at_arrival t frame a
+      | Broadcast | Multicast _ ->
+          List.iter
+            (fun addr -> deliver_at_arrival t frame addr)
+            (intended_destinations t frame)
+  in
+  Vsim.Engine.due.at <- start +. duration +. t.config.propagation_ms;
+  Vsim.Engine.schedule_due t.engine arrive
 
 (* One store-and-forward hop of the switched fabric over link [l]:
    admission-check the port's bounded queue, serialize behind its
@@ -802,8 +804,9 @@ let hop t frame l ~from_switch arrive =
     lt.free_at <- start +. duration;
     lt.busy_ms <- lt.busy_ms +. duration;
     l.l_frames <- l.l_frames + 1;
-    let arrival = start +. duration +. t.config.propagation_ms +. lt.extra_ms in
-    Vsim.Engine.schedule_at t.engine arrival arrive
+    Vsim.Engine.due.at <-
+      start +. duration +. t.config.propagation_ms +. lt.extra_ms;
+    Vsim.Engine.schedule_due t.engine arrive
   end
 
 (* The frame no longer occupies [l]'s port. *)

@@ -17,12 +17,26 @@ type timer = Wheel.node
 
 let no_timer = Wheel.none
 
+(* The one time cell: every push takes its time from here, so no time
+   is boxed on its way to the wheel's float array. A push reads it
+   before anything else, so one cell serves every engine. *)
+type cell = Wheel.cell = { mutable at : float }
+
+let due = { at = 0.0 }
+
+type fiber = (unit, unit) Effect.Deep.continuation
+
 type t = {
   id : int;
   mutable now : float;
   mutable executed : int;
   mutable running : bool;
   wheel : (unit -> unit) Wheel.t;
+  (* The continuations of delays, each at its node's wheel entry, and
+     the one action every such node holds: it resumes the continuation
+     at the entry the wheel just took. *)
+  mutable parked : fiber array;
+  resume : unit -> unit;
   (* Last-run throughput, for `vsh engine stats` and the bench harness:
      events executed by the most recent [run] and the CPU seconds it
      took. *)
@@ -49,17 +63,23 @@ let created = ref 0
 
 let create () =
   incr created;
-  {
-    id = !created;
-    now = 0.0;
-    executed = 0;
-    running = false;
-    wheel = Wheel.create ~blank;
-    run_start_events = 0;
-    run_start_cpu = 0.0;
-    last_run_events = 0;
-    last_run_cpu_s = 0.0;
-  }
+  let rec t =
+    {
+      id = !created;
+      now = 0.0;
+      executed = 0;
+      running = false;
+      wheel = Wheel.create ~blank;
+      parked = [||];
+      resume =
+        (fun () -> Effect.Deep.continue t.parked.(Wheel.taken t.wheel) ());
+      run_start_events = 0;
+      run_start_cpu = 0.0;
+      last_run_events = 0;
+      last_run_cpu_s = 0.0;
+    }
+  in
+  t
 
 let id t = t.id
 let now t = t.now
@@ -67,31 +87,57 @@ let pending t = Wheel.length t.wheel
 let executed t = t.executed
 let cancelled_timers t = Wheel.cancelled t.wheel
 
-(* The one push path. NaN compares false with every time and infinity
-   has no tick, so either would run out of order and move the clock
-   backwards. *)
-let push t time ~turns action =
+(* The one push path, at the time in [due]. NaN compares false with
+   every time and infinity has no tick, so either would run out of
+   order and move the clock backwards. *)
+let push t ~turns action =
+  let time = due.at in
   if not (Float.is_finite time) then invalid_arg "Engine: non-finite time";
   if time < t.now then raise (Time_went_backwards { now = t.now; requested = time });
-  Wheel.push t.wheel ~time ~turns action
+  Wheel.push t.wheel due ~turns action
 
-let timer_at t time action = push t time ~turns:1 action
+let timer_due t action = push t ~turns:1 action
+let schedule_due t action = ignore (push t ~turns:1 action : timer)
+
+let timer_at t time action =
+  due.at <- time;
+  timer_due t action
 
 let timer ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
-  timer_at t (t.now +. delay) action
+  due.at <- t.now +. delay;
+  timer_due t action
 
 let cancel t handle = ignore (Wheel.cancel t.wheel handle : bool)
 
-let schedule_at t time action = ignore (timer_at t time action : timer)
+let schedule_at t time action =
+  due.at <- time;
+  schedule_due t action
 
 let schedule ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t (t.now +. delay) action
+  due.at <- t.now +. delay;
+  schedule_due t action
 
 (* Two turns on one node: the first only re-queues it, under the seq a
    zero-delay push from an action would draw, and runs the blank. *)
-let defer_at t time action = ignore (push t time ~turns:2 action : timer)
+let defer_at t time action =
+  due.at <- time;
+  ignore (push t ~turns:2 action : timer)
+
+(* The same node, holding [resume]; the continuation waits at the
+   node's entry. An array too short for the entry doubles past it,
+   filled with [k], since no other continuation is at hand. A resumed
+   continuation stays until its entry parks another: by then the
+   runtime has cut it from its fiber, so it keeps nothing alive. *)
+let park t k =
+  let i = Wheel.entry (push t ~turns:2 t.resume) in
+  if i >= Array.length t.parked then begin
+    let bigger = Array.make (max 64 (2 * i)) k in
+    Array.blit t.parked 0 bigger 0 (Array.length t.parked);
+    t.parked <- bigger
+  end;
+  t.parked.(i) <- k
 
 (* The wheel keeps times unboxed, so the clock is boxed afresh only
    when it moves: events at the current instant allocate nothing

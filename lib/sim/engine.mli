@@ -7,8 +7,9 @@
     The queue behind the engine is a hierarchical timer wheel
     ({!Wheel}): O(1) scheduling and cancellation, in the (time, seq)
     order a binary heap over the same keys gives. The queue allocates
-    nothing per event once its arrays have grown, and the clock is
-    boxed afresh only when an event advances it. *)
+    nothing per event once its arrays have grown, every push takes its
+    time from the flat cell {!due}, so no time is boxed on its way in,
+    and the clock is boxed afresh only when an event advances it. *)
 
 type t
 
@@ -45,7 +46,8 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
     re-queues itself at the same instant under the next sequence
     number, and only the second turn runs [f]. Both turns count as
     executed events, and [pending] counts the node until [f] runs. It
-    is how a fiber's {!Proc.delay} wakes, and cannot be cancelled. *)
+    cannot be cancelled. A fiber's {!Proc.delay} wakes on the same
+    node through {!park}, which keeps no closure. *)
 val defer_at : t -> float -> (unit -> unit) -> unit
 
 (** {1 Cancellable timers}
@@ -71,6 +73,40 @@ val no_timer : timer
 val timer : ?delay:float -> t -> (unit -> unit) -> timer
 val timer_at : t -> float -> (unit -> unit) -> timer
 val cancel : t -> timer -> unit
+
+(** {1 The time cell}
+
+    The build inlines no call across modules, so a float passed to one
+    is boxed. Every push therefore reads its time from one flat cell,
+    and the wheel copies it from there into its unboxed time array:
+    [schedule_at], [timer_at], [defer_at] and the [?delay] forms write
+    it from their arguments, and a hot caller writes [due.at] itself
+    and then calls [schedule_due], [timer_due] or [park]. Writing the
+    cell must be the last step before that push: nothing that could
+    push may run between the two. One cell serves every engine. *)
+
+type cell = Wheel.cell = { mutable at : float }
+
+val due : cell
+
+(** [schedule_due t f] runs [f] at the time in [due]: [schedule_at]
+    with its time already written. *)
+val schedule_due : t -> (unit -> unit) -> unit
+
+(** [timer_at] with its time already written into [due]. *)
+val timer_due : t -> (unit -> unit) -> timer
+
+(** A fiber's continuation, resumed with [()]. *)
+type fiber = (unit, unit) Effect.Deep.continuation
+
+(** [park t k] is [defer_at t due.at (fun () -> Effect.Deep.continue k
+    ())] without the closure: it pushes the same two-turn node, and [k]
+    waits in an array of the engine's indexed by the node's wheel
+    entry until the node's last turn resumes it. It is how a fiber's
+    {!Proc.delay} wakes. *)
+val park : t -> fiber -> unit
+
+(** {1 Running} *)
 
 (** Execute the single earliest event. Returns [false] if the queue was
     empty. *)

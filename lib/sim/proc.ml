@@ -5,10 +5,11 @@
    function already in the option the handler returns, so the handler
    hands it over as it is: the runtime calls it with the fiber's
    continuation, which the caller keeps wherever its wake will look.
-   [delay] performs [Delay], which the handler wakes on its own. A wake
-   resumes the continuation through the event queue (rather than
-   directly), which keeps simulated time consistent and event ordering
-   deterministic, and bounds stack depth. *)
+   [delay] performs [Delay], whose handler parks the continuation on
+   the engine's queue ({!Engine.park}). A wake resumes the continuation
+   through the event queue (rather than directly), which keeps
+   simulated time consistent and event ordering deterministic, and
+   bounds stack depth. *)
 
 type 'a waiting = ('a, unit) Effect.Deep.continuation
 
@@ -20,16 +21,13 @@ type _ Effect.t +=
    time: performing it allocates nothing. *)
 type 'a blocker = 'a Effect.t
 
-(* What [delay] asks of its fiber's handler: the wake time and the id
-   of the engine it was read from. The handler reads both before
-   anything else runs, so one cell serves every fiber. Passing them
-   here rather than in the effect value saves the effect's block:
-   [Delay] is a constant, a lone float field is stored flat, and the
-   engine goes by its id, so no store writes a pointer or keeps an
-   engine alive. *)
-type due = { mutable at : float }
-
-let due = { at = 0.0 }
+(* What [delay] asks of its fiber's handler: the id of the engine it
+   read its wake time from, which it wrote into the engine's time cell
+   ({!Engine.due}). The handler reads both before anything else runs,
+   so one cell serves every fiber. Passing them there rather than in
+   the effect value saves the effect's block: [Delay] is a constant,
+   the cell stores its float flat, and the engine goes by its id, so
+   no store writes a pointer or keeps an engine alive. *)
 let due_engine = ref (-1)
 
 (* The engine of the fiber whose [Block] is being handled, set by its
@@ -49,17 +47,13 @@ let on_uncaught ~name = function
       raise e
 
 let spawn ?(name = "proc") engine body =
-  (* A delay nothing else can resume needs no resumer: one deferred
-     event wakes the fiber, in the two turns (timer, then zero-delay
-     resume) a [wake] at the wake time would take. Built once per
-     fiber, as is [self]. *)
+  (* A delay nothing else can resume needs no resumer: its continuation
+     waits on one queue node, which wakes the fiber in the two turns
+     (timer, then zero-delay resume) a [wake] at the wake time would
+     take. Built once per fiber, as is [self]. *)
   let id = Engine.id engine in
   let self = Some engine in
-  let delayed =
-    Some
-      (fun k ->
-        Engine.defer_at engine due.at (fun () -> Effect.Deep.continue k ()))
-  in
+  let delayed = Some (Engine.park engine) in
   let handler (type a) (eff : a Effect.t) :
       ((a, unit) Effect.Deep.continuation -> unit) option =
     match eff with
@@ -99,8 +93,8 @@ let wake_exn engine k e =
 let delay engine duration =
   if not (Float.is_finite duration && duration >= 0.0) then
     invalid_arg "Proc.delay: negative or non-finite duration";
-  due.at <- Engine.now engine +. duration;
   due_engine := Engine.id engine;
+  Engine.due.at <- Engine.now engine +. duration;
   Effect.perform Delay
 
 let yield engine = delay engine 0.0

@@ -46,10 +46,11 @@ val wake : Engine.t -> 'a waiting -> 'a -> unit
 val wake_exn : Engine.t -> 'a waiting -> exn -> unit
 
 (** Block the current fiber for [duration] simulated ms. It wakes in
-    two turns of one event ({!Engine.defer_at}), as a [block] whose
-    [wake] came at the wake time would. Raises [Invalid_argument] for a
-    negative or non-finite [duration], or an engine other than the one
-    the fiber was spawned on. *)
+    two turns of one event, as a [block] whose [wake] came at the wake
+    time would: its continuation waits on the engine's queue node
+    ({!Engine.park}), and no closure is built around it. Raises
+    [Invalid_argument] for a negative or non-finite [duration], or an
+    engine other than the one the fiber was spawned on. *)
 val delay : Engine.t -> float -> unit
 
 (** Let other events at the current instant run first. *)

@@ -28,8 +28,11 @@
    link. A bucket list, the overflow list and the free list all thread
    through [next], and the ready heap holds entry indices, so placing,
    cascading and re-seating a node move ints and allocate nothing;
-   scheduling an event stores its value once. The arrays double when
-   the free list runs dry and never shrink.
+   scheduling an event copies its time from a flat cell, so no caller
+   boxes it, and stores its value once. The arrays double when the free
+   list runs dry and never shrink. An entry's index is the same from a
+   node's push to its last turn, so a caller can keep data of its own
+   for the node in an array indexed by it ([entry], [taken]).
 
    Cancellation is O(1): a node is marked dead and its value swapped
    for the wheel's blank (so what the value captured is garbage now,
@@ -73,6 +76,10 @@ let gen_mask = (1 lsl 30) - 1
    before it indexes anything. *)
 let none = -1
 
+(* A flat float: a record whose only field is a float stores it
+   unboxed, so writing the field allocates nothing. *)
+type cell = { mutable at : float }
+
 type 'a t = {
   blank : 'a;  (* what a dead or free entry holds *)
   (* The slab, one array per field. [turns] counts how many more times
@@ -85,6 +92,7 @@ type 'a t = {
   mutable gen : int array;
   mutable next : int array;
   mutable free : int;  (* head of the free list *)
+  mutable taken : int;  (* the entry of the last node [take] used up *)
   mutable next_seq : int;
   mutable cur : int;  (* cursor tick: slots at or before it are drained *)
   slots : int array;  (* list heads, 5 levels x 32 slots, flattened *)
@@ -108,6 +116,7 @@ let create ~blank =
     gen = [||];
     next = [||];
     free = nil;
+    taken = nil;
     next_seq = 0;
     cur = 0;
     slots = Array.make 160 nil;
@@ -239,12 +248,13 @@ let rec replace t i =
     replace t rest
   end
 
-let push t ~time ~turns v =
+(* The time goes from the cell into the float array without a box. *)
+let push t cell ~turns v =
   if turns < 1 then invalid_arg "Wheel.push: turns must be positive";
   if t.free = nil then grow t;
   let i = t.free in
   t.free <- t.next.(i);
-  t.time.(i) <- time;
+  t.time.(i) <- cell.at;
   t.seq.(i) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
   t.turns.(i) <- turns;
@@ -253,6 +263,9 @@ let push t ~time ~turns v =
   t.live_count <- t.live_count + 1;
   t.total_count <- t.total_count + 1;
   (t.gen.(i) lsl index_bits) lor i
+
+let entry node = node land index_mask
+let taken t = t.taken
 
 let cancel t node =
   let i = node land index_mask in
@@ -407,6 +420,7 @@ let take t =
   end
   else begin
     let v = t.value.(i) in
+    t.taken <- i;
     ready_remove_top t;
     t.live_count <- t.live_count - 1;
     t.total_count <- t.total_count - 1;

@@ -10,8 +10,9 @@
 
     Nodes live in flat arrays, one per field, with the times unboxed;
     the buckets, the overflow list and the ready heap hold indices into
-    them. Pushing a node stores its value and allocates nothing else
-    once the arrays have grown to the queue's peak.
+    them. A push copies its time from a flat {!cell}, so the time is
+    never boxed on its way in, stores its value and allocates nothing
+    else once the arrays have grown to the queue's peak.
 
     Cancelled nodes are dropped lazily (when the cursor would otherwise
     move them), so a timer armed 500 ms out and cancelled 2 ms later
@@ -31,6 +32,10 @@ type node [@@immediate]
 (** A handle that names no node: [cancel] of it returns [false]. *)
 val none : node
 
+(** A float stored flat: writing [at] allocates nothing, where a float
+    passed to a function in another module is boxed. *)
+type cell = { mutable at : float }
+
 (** An empty wheel whose buckets are 0.25 ms wide. [blank] is what a
     cancelled or fired node's entry holds in place of its value, and
     what [take] returns for a turn that is not a node's last. Ordering
@@ -44,14 +49,24 @@ val length : 'a t -> int
 (** Total nodes cancelled over the wheel's lifetime. *)
 val cancelled : 'a t -> int
 
-(** [push t ~time ~turns v] schedules [v] under the wheel's next
-    sequence number and returns its handle; ties in [time] execute in
-    sequence order, so in push order. [turns] is how many times [take]
-    reaches the node: 1 for an ordinary event; with 2, the first
-    [take] puts it back at its own time under the next sequence number
-    and returns the blank, and the second returns [v]. Raises
+(** [push t cell ~turns v] schedules [v] at [cell.at] under the
+    wheel's next sequence number and returns its handle; ties in time
+    execute in sequence order, so in push order. [turns] is how many
+    times [take] reaches the node: 1 for an ordinary event; with 2, the
+    first [take] puts it back at its own time under the next sequence
+    number and returns the blank, and the second returns [v]. Raises
     [Invalid_argument] unless [turns] is positive. *)
-val push : 'a t -> time:float -> turns:int -> 'a -> node
+val push : 'a t -> cell -> turns:int -> 'a -> node
+
+(** The slab entry a handle names, a small non-negative int. A node
+    keeps its entry from its push to its last turn, so a caller can
+    keep data of its own for the node in an array indexed by it. *)
+val entry : node -> int
+
+(** The entry of the node whose last turn [take] returned most
+    recently. Read while that node's value runs, it names where the
+    caller keeps the node's own data. *)
+val taken : 'a t -> int
 
 (** O(1) cancel: [true] if the node was live (it will never be
     returned by [take]); [false] if it already fired, was already

@@ -238,6 +238,12 @@ let domain_chain t ~depth =
           ~context:Context.Well_known.default));
   servers
 
+let remove_domain_chain t servers =
+  Array.iter
+    (fun ds ->
+      ignore (Kernel.destroy_process t.domain (Domain_server.pid ds) : bool))
+    servers
+
 let restart_file_server ?replicas t addr =
   let revived = Option.bind replicas (fun rset -> Replica.revive rset addr) in
   Array.iteri

@@ -93,6 +93,11 @@ val install_replicas : t -> factor:int -> Replica.t
     first. *)
 val domain_chain : t -> depth:int -> Domain_server.t array
 
+(** Destroy the processes of a chain {!domain_chain} returned, leaving
+    their hosts up: nothing it delegated answers any more, and a later
+    [domain_chain] starts a fresh chain on the same hosts. *)
+val remove_domain_chain : t -> Domain_server.t array -> unit
+
 (** Revive the crashed file server at [addr] and store the successor in
     [t.file_servers]: a member of [replicas] through
     {!Vservices.Replica.revive}, any other through

@@ -8,24 +8,31 @@
    dispatch, fabric, fiber suspension, transaction bookkeeping and
    event queue were made allocation-lean (engine event 43, delay 115,
    frame 335, remote echo 1,425 words on OCaml 5.1), and about 40%
-   above the counts there today (4, 10, 25.5; the shared wire's frame
-   9.5), as headroom for the other supported compiler; the echoes' sit
-   about 35% above theirs (171 remote, 59 local), below their counts
-   before Send and Receive blocked through a blocker built once per
-   process (193 and 80). Each of the two blocked calls of an echo built
+   above the counts there today (4, 4, 4.3, 17.5; the shared wire's
+   frame 7.5), as headroom for the other supported compiler; the
+   echoes' sit about 35% above theirs (137 remote, 47 local). Every
+   push takes its time from the engine's flat time cell, and a delay's
+   continuation waits on its queue node, so a delay allocates only the
+   runtime's continuation and the clock's new box. Before that, a push
+   passed its time boxed (2 words) and a delay built a closure over its
+   continuation (4 words): the counts were 10 (the delay), 6.3 (the
+   timer storm), 25.5 and 171 (the shared wire's 9.5, the local echo's
+   59). The echoes were 193 and 80 before Send and Receive blocked
+   through a blocker built once per process. Each of the two blocked
+   calls of an echo built
    a register closure, a [Block] effect and the handler's [Some] around
    the closure; a Send now sets its transaction up before it blocks,
    and its blocker stores the continuation in the young pending record
    (2 words). Before that, a blocked call also built a handler closure,
    a once-only cell, a resumer closure, the kernel's token-checking
    closure and its type-erased box (270 and 148), and each reply and
-   delivery an [Ok] and a second tuple. The timer storm's ceiling is
-   half its count before the queue kept its nodes in flat arrays (14.1;
-   6.3 today). Scheduling an event now allocates its action, its boxed time
-   and, when it advances the clock, the clock's new box; a push used to
-   add a 5-word node and a 3-word cons for each slot it landed in, and a
-   hop boxed its link's two clocks and its serialization time. Before
-   that, the counts were 10, 16, 72.5 and 394 (the shared wire's 19.3).
+   delivery an [Ok] and a second tuple. The timer storm's event was
+   14.1 before the queue kept its nodes in flat arrays. Scheduling an
+   event now allocates its action and, when it advances the clock, the
+   clock's new box; a push used to add a 5-word node and a 3-word cons
+   for each slot it landed in, and a hop boxed its link's two clocks and
+   its serialization time. Before that, the counts were 10, 16, 72.5 and
+   394 (the shared wire's 19.3).
    A delay wakes through one queue node that takes both of its turns,
    where it took a timer closure, a resume closure and two nodes (39
    words), and a unicast frame is one in-flight record with one action
@@ -34,9 +41,10 @@
    it was 532 when it armed a retransmission timer and a probe timer,
    before one timer served both. The IPC and CPU charges around the
    naming share of an uncached prefixed Query, made with preallocated
-   messages, are gated the same way (251 words, ceiling about 35%
-   above; 281 before the blocker, 391 before a blocked call kept its
-   own continuation).
+   messages, are gated the same way (169 words, ceiling about 35%
+   above; 251 before the time cell and the parked delay, 281 before
+   the blocker, 391 before a blocked call kept its own
+   continuation).
 
    On the naming path: one component of a [Csnh.walk], a
    [Name_cache.find] deep hit and miss, a keyed [Metrics.incr] on an
@@ -117,7 +125,7 @@ let test_proc_delay () =
               Vsim.Proc.delay eng 1.0
             done));
   Engine.run eng;
-  gate "one Proc.delay" ~ceiling:14.0 !words
+  gate "one Proc.delay" ~ceiling:6.0 !words
 
 (* The E12 timer storm, shaped as the benchmark's probe runs it: each
    transaction arms a retransmission and a timeout timer and cancels
@@ -148,7 +156,7 @@ let test_timer_storm () =
   let events () = Engine.executed eng + Engine.cancelled_timers eng in
   let before = events () in
   let words = words_per ~units:1 storm in
-  gate "one timer-storm event" ~ceiling:7.0
+  gate "one timer-storm event" ~ceiling:6.0
     (words /. float_of_int (events () - before))
 
 (* Rounds of 64 frames, host i to host 64 + i: on the switched fabric,
@@ -186,11 +194,11 @@ let frame_words ?topology () =
   words
 
 let test_cross_edge_frame () =
-  gate "one cross-edge frame at fan-in 64" ~ceiling:36.0
+  gate "one cross-edge frame at fan-in 64" ~ceiling:25.0
     (frame_words ~topology:(T.switched ~fan_in:64) ())
 
 let test_shared_wire_frame () =
-  gate "one shared-wire frame" ~ceiling:13.0 (frame_words ())
+  gate "one shared-wire frame" ~ceiling:11.0 (frame_words ())
 
 (* Words per echo transaction: sequential echoes across edge switches
    on the gigabit fabric the benchmark's IPC workload uses, or, with
@@ -244,10 +252,10 @@ let echo_words ?(attach = ignore) ?(local = false) () =
   Engine.run eng;
   !words
 
-let test_remote_echo () = gate "one remote echo" ~ceiling:231.0 (echo_words ())
+let test_remote_echo () = gate "one remote echo" ~ceiling:185.0 (echo_words ())
 
 let test_local_echo () =
-  gate "one local echo" ~ceiling:80.0 (echo_words ~local:true ())
+  gate "one local echo" ~ceiling:64.0 (echo_words ~local:true ())
 
 (* With the stream listening — the pump armed, as on E15's soak lane,
    recorder and timeline off — every kernel and wire site emits its
@@ -477,7 +485,7 @@ let test_query_naming_share () =
                  once ()
                done)));
   Scenario.run t;
-  gate "IPC and charges of one uncached prefixed Query" ~ceiling:339.0 !control;
+  gate "IPC and charges of one uncached prefixed Query" ~ceiling:228.0 !control;
   gate "naming share of one uncached prefixed Query" ~ceiling:260.0
     (!query -. !control)
 

@@ -433,6 +433,37 @@ let test_chain_installed_twice () =
          Alcotest.(check bool) "lands on fs0" true
            (o.Resolver.spec = fs_root t)))
 
+(* vsh's "domains on", "domains off", "domains on" with the teardown
+   between: the first chain's servers are gone, a resolver still rooted
+   at it fails, and the second chain serves alone. *)
+let test_chain_removed () =
+  ignore
+    (run_client (fun t self _env ->
+         let domain = t.Scenario.domain in
+         let alive ds = K.alive domain (Domain_server.pid ds) in
+         let first = Scenario.domain_chain t ~depth:3 in
+         Scenario.remove_domain_chain t first;
+         Array.iteri
+           (fun i ds ->
+             Alcotest.(check bool) (Fmt.str "first dom%d is dead" i) false
+               (alive ds))
+           first;
+         let resolve chain =
+           Resolver.resolve
+             (Resolver.create ~prefix:"dom"
+                ~root:(Domain_server.spec chain.(0) ())
+                ())
+             self "[dom]d1/d2/leaf"
+         in
+         Alcotest.(check bool) "the first root answers nothing" true
+           (Result.is_error (resolve first));
+         let second = Scenario.domain_chain t ~depth:3 in
+         Alcotest.(check bool) "the second chain is up" true
+           (Array.for_all alive second);
+         let o = ok_exn "resolve" (resolve second) in
+         Alcotest.(check bool) "lands on fs0" true
+           (o.Resolver.spec = fs_root t)))
+
 (* --- the stale-serving window --- *)
 
 let test_stale_serving_window () =
@@ -575,6 +606,8 @@ let suite =
           test_iterative_walk_and_cache;
         Alcotest.test_case "chain installed twice" `Quick
           test_chain_installed_twice;
+        Alcotest.test_case "chain removed, then installed again" `Quick
+          test_chain_removed;
         Alcotest.test_case "traced walk under the root" `Quick
           test_traced_walk_under_root;
         Alcotest.test_case "negative caching collapses misses" `Quick

@@ -433,6 +433,88 @@ let test_proc_delay () =
   Vsim.Engine.run eng;
   check_float "delays accumulate" 7.0 !finished_at
 
+(* One randomized script of actors that each take steps with a pause
+   between: a step logs itself, may cancel an armed timer (possibly one
+   that already fired), may arm a timer, may start another actor, and
+   then draws its pause, which may be zero, sub-tick, a tie on an
+   integer instant or in the overflow range. Every draw comes from one
+   PRNG stream in the order events run, so two queues log the same
+   script iff they run events in the same (time, seq) order. [drive]
+   is how an actor pauses: a fiber's [Proc.delay] on the engine, whose
+   continuation waits on the queue, or a chain of [defer_at] closures
+   on the reference queue. More actors than 64 pause at once, so the
+   engine's store of waiting continuations grows past its first
+   size. *)
+let pause_script (type e) (module Q : Heap_engine.S with type t = e)
+    ~(drive : e -> (unit -> float option) -> unit) ~seed =
+  let eng = Q.create () in
+  let prng = Vsim.Prng.create ~seed in
+  let log = ref [] and timers = ref [] in
+  let actors = ref 0 and budget = ref 1500 and fired = ref 0 in
+  let pause () =
+    match Vsim.Prng.int prng 5 with
+    | 0 -> 0.0
+    | 1 -> Vsim.Prng.float prng *. 0.2
+    | 2 -> float_of_int (Vsim.Prng.int prng 20)
+    | 3 -> Vsim.Prng.float prng *. 500.0
+    | _ -> 6.0e6 +. (Vsim.Prng.float prng *. 8.0e6)
+  in
+  let rec start () =
+    incr actors;
+    let id = !actors and steps = ref 0 in
+    drive eng (fun () ->
+        incr steps;
+        decr budget;
+        log := (id, !steps) :: !log;
+        (match !timers with
+        | ts when ts <> [] && Vsim.Prng.int prng 3 = 0 ->
+            Q.cancel eng (List.nth ts (Vsim.Prng.int prng (List.length ts)))
+        | _ -> ());
+        if Vsim.Prng.bool prng then begin
+          let tag = !fired in
+          incr fired;
+          let timer =
+            Q.timer ~delay:(pause ()) eng (fun () -> log := (0, tag) :: !log)
+          in
+          timers := List.filteri (fun i _ -> i < 40) (timer :: !timers)
+        end;
+        if !actors < 150 && Vsim.Prng.int prng 3 = 0 then start ();
+        if !budget > 0 && Vsim.Prng.int prng 12 > 0 then Some (pause ())
+        else None)
+  in
+  for _ = 1 to 80 do
+    start ()
+  done;
+  Q.run eng;
+  (List.rev !log, Q.executed eng, Q.cancelled_timers eng)
+
+let fiber_pauses eng step =
+  Vsim.Proc.spawn eng (fun () ->
+      let rec go () =
+        match step () with
+        | Some ms ->
+            Vsim.Proc.delay eng ms;
+            go ()
+        | None -> ()
+      in
+      go ())
+
+let deferred_pauses eng step =
+  Heap_engine.schedule eng (fun () ->
+      let rec go () =
+        match step () with
+        | Some ms -> Heap_engine.defer_at eng (Heap_engine.now eng +. ms) go
+        | None -> ()
+      in
+      go ())
+
+let prop_delays_match_deferred =
+  QCheck.Test.make
+    ~name:"parked delays run as the reference queue's deferred closures"
+    ~count:40 QCheck.small_int (fun seed ->
+      pause_script (module Vsim.Engine) ~drive:fiber_pauses ~seed
+      = pause_script (module Heap_engine) ~drive:deferred_pauses ~seed)
+
 (* A delay refuses a negative or non-finite duration and an engine
    other than its fiber's, raising in the fiber; the fiber goes on. *)
 let test_proc_delay_rejects () =
@@ -773,6 +855,7 @@ let suite =
       [
         Alcotest.test_case "delay" `Quick test_proc_delay;
         Alcotest.test_case "delay refusals" `Quick test_proc_delay_rejects;
+        qcheck prop_delays_match_deferred;
         Alcotest.test_case "interleaving" `Quick test_proc_interleaving;
         Alcotest.test_case "block and wake" `Quick test_proc_block_wake;
         Alcotest.test_case "double wake fails the run" `Quick
