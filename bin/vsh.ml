@@ -1172,7 +1172,7 @@ let demo_script =
     "fault inject 7 5000";
   ]
 
-let run_shell script =
+let run_shell ~scripted script =
   let t = Scenario.build ~workstations:2 ~file_servers:2 ~tracing:true () in
   (* The interactive shell flies with the recorder on and an SLO engine
      attached, so `events`, `slo` and `record dump` have data; both are
@@ -1196,10 +1196,9 @@ let run_shell script =
          List.iter (execute sh) script;
          if sh.failed > 0 then begin
            pr "vsh: %d command(s) failed" sh.failed;
-           (* Failures are part of some demos (reads after a crash); the
-              exit code only reflects unexpected breakage when a script
-              was supplied. *)
-           exit_code := 0
+           (* The built-in demo's reads after its crash fail on purpose,
+              so only a supplied script's failures fail the run. *)
+           if scripted then exit_code := 1
          end));
   Scenario.run t;
   pr "vsh: done at %.2f simulated ms" (Vsim.Engine.now t.Scenario.engine);
@@ -1214,7 +1213,7 @@ let main script_file list_commands =
   end
   else
     match script_file with
-    | None -> run_shell demo_script
+    | None -> run_shell ~scripted:false demo_script
     | Some path ->
         let ic = open_in path in
         let lines = ref [] in
@@ -1223,7 +1222,7 @@ let main script_file list_commands =
              lines := input_line ic :: !lines
            done
          with End_of_file -> close_in ic);
-        run_shell (List.rev !lines)
+        run_shell ~scripted:true (List.rev !lines)
 
 let () =
   let open Cmdliner in

@@ -173,7 +173,7 @@ let handle_request self handlers stats =
     | None -> ());
     match msg.Vmsg.name with
     | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code -> (
-        let t0 = Vsim.Engine.now engine in
+        let t0 = (Vsim.Engine.clock engine).at in
         let step =
           match msg.Vmsg.payload with Vmsg.P_resolve_step -> true | _ -> false
         in
@@ -215,7 +215,7 @@ let handle_request self handlers stats =
             let reply = handlers.handle_csname ~sender msg req ctx remaining in
             (match stats with
             | Some s ->
-                let elapsed = Vsim.Engine.now engine -. t0 in
+                let elapsed = (Vsim.Engine.clock engine).at -. t0 in
                 Vsim.Stats.Series.add s.specific_ms
                   (elapsed -. Calibration.csname_common_cpu)
             | None -> ());

@@ -164,7 +164,8 @@ let emit_to r kind consumers =
   match Kernel.obs r.domain with
   | Some hub ->
       r.ev.kind <- kind;
-      Stream.emit (Hub.stream hub) layer ~consumers ~at:(now r) r.ev
+      Stream.emit (Hub.stream hub) layer ~consumers
+        ~clock:(Vsim.Engine.clock r.engine) r.ev
   | None -> ()
 
 let emit r kind = emit_to r kind (consumers kind)

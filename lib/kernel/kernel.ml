@@ -384,7 +384,7 @@ let emit host kind a b c trace =
       e.c <- c;
       e.trace <- trace;
       Vobs.Stream.emit (Vobs.Hub.stream hub) layer ~consumers:(consumers kind)
-        ~at:(Engine.now host.domain.engine)
+        ~clock:(Engine.clock host.domain.engine)
         e
 
 (* Report one event at [host]: counted always, emitted only while the
@@ -773,7 +773,7 @@ let after_remote_recv d msg k =
     +. if d.cost.segment_bytes msg > 0 then Calibration.segment_copy_remote_cpu
        else 0.0
   in
-  Engine.due.at <- Engine.now d.engine +. cost;
+  Engine.due.at <- (Engine.clock d.engine).at +. cost;
   Engine.schedule_due d.engine k
 
 (* The record of remote [sender] at [host], made on its first
@@ -879,7 +879,7 @@ let target_host_reachable host dst_addr =
      still served. *)
 let arm_recovery host ~txn pending ~dst_addr ~retransmit frame =
   Engine.cancel host.domain.engine pending.p_timer;
-  let now = Engine.now host.domain.engine in
+  let now = (Engine.clock host.domain.engine).at in
   (* [| next resend; next probe |]: a float array stores both unboxed. *)
   let due =
     [|
@@ -889,7 +889,7 @@ let arm_recovery host ~txn pending ~dst_addr ~retransmit frame =
     |]
   in
   let rec fire () =
-    let now = Engine.now host.domain.engine in
+    let now = (Engine.clock host.domain.engine).at in
     let probe = due.(1) = now in
     if probe then pending.p_probes <- pending.p_probes + 1;
     if

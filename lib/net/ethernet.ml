@@ -309,7 +309,7 @@ let emit t kind ~site ~a ~b ~link ~x =
       if e.link != link then e.link <- link;
       if e.x <> x then e.x <- x;
       Vobs.Stream.emit (Vobs.Hub.stream hub) layer ~consumers:(consumers kind)
-        ~at:(Vsim.Engine.now t.engine) e
+        ~clock:(Vsim.Engine.clock t.engine) e
   | Some _ | None -> ()
 
 (* A frame event: counted on [counts], emitted while the hub listens. *)
@@ -720,18 +720,21 @@ let deliver_at_arrival t frame addr =
          && (match t.partitions with
             | [] -> true
             | _ -> not (partitioned t frame.src addr)) ->
-      if port.extra_latency_ms > 0.0 then
+      if port.extra_latency_ms > 0.0 then begin
         (* Slow-host injection: the NIC holds the frame. The host may
            crash while it sits there, so re-check liveness at the
            deferred delivery time. *)
-        Vsim.Engine.schedule_at t.engine
-          (Vsim.Engine.now t.engine +. port.extra_latency_ms)
-          (fun () ->
-            if port.up then deliver t port frame
-            else begin
-              t.counters.frames_dropped <- t.counters.frames_dropped + 1;
-              count port.counts Drop_held
-            end)
+        let held () =
+          if port.up then deliver t port frame
+          else begin
+            t.counters.frames_dropped <- t.counters.frames_dropped + 1;
+            count port.counts Drop_held
+          end
+        in
+        Vsim.Engine.due.at <-
+          (Vsim.Engine.clock t.engine).at +. port.extra_latency_ms;
+        Vsim.Engine.schedule_due t.engine held
+      end
       else deliver t port frame
   | _ | (exception Not_found) ->
       t.counters.frames_dropped <- t.counters.frames_dropped + 1;
@@ -755,7 +758,7 @@ let frame_lost t frame =
    serialization cursor, transmission then propagation, one loss draw
    per frame at arrival time. *)
 let transmit_shared t frame =
-  let now = Vsim.Engine.now t.engine in
+  let now = (Vsim.Engine.clock t.engine).at in
   let start = Float.max now t.wire.free_at in
   let duration = transmission_ms t.config ~payload_bytes:frame.payload_bytes in
   t.wire.free_at <- start +. duration;
@@ -794,7 +797,7 @@ let hop t frame l ~from_switch arrive =
   else begin
     l.l_queued <- l.l_queued + 1;
     if l.l_queued > l.l_queue_peak then l.l_queue_peak <- l.l_queued;
-    let now = Vsim.Engine.now t.engine in
+    let now = (Vsim.Engine.clock t.engine).at in
     let at = if from_switch then now +. Calibration.switch_forward_ms else now in
     let lt = l.l_timing in
     let start = Float.max at lt.free_at in

@@ -12,9 +12,9 @@
    metrics are independently switchable. With tracing off,
    [start_trace] hands out [Span.no_ctx] and the stream's span consumer
    does not listen, so instrumented code pays one test per hop. Nothing
-   here ever touches the simulation clock: events carry their time,
-   which keeps simulated timings bit-identical whether observability is
-   on or off.
+   here ever advances the simulation clock: events come with their
+   emitter's clock cell, which keeps simulated timings bit-identical
+   whether observability is on or off.
 
    Span eviction is tail-based: when the store overflows, spans
    belonging to interesting traces — one that errored, retried, failed
@@ -146,11 +146,11 @@ let record t span =
   t.span_count <- t.span_count + 1;
   if t.span_count > t.span_limit then trim t
 
-let close t id ~at ~index ~outcome =
+let close t id ~(clock : Vsim.Engine.cell) ~index ~outcome =
   match Hashtbl.find_opt t.open_spans id with
   | Some s ->
       Hashtbl.remove t.open_spans id;
-      s.Span.finished <- at;
+      s.Span.finished <- clock.at;
       s.Span.outcome <- outcome;
       if index >= 0 then s.Span.index_to <- index
   | None -> ()
@@ -161,11 +161,13 @@ let close t id ~at ~index ~outcome =
    id; a Done closes the operation's root and feeds its latency — the
    whole operation, retries included — to the (host, server, op)
    histogram, with the root's trace as an exemplar candidate, and to
-   the SLO engine when one is attached. *)
-let consume t ~at (e : Span.event) =
+   the SLO engine when one is attached. The event's time is read from
+   its emitter's clock only where it is kept. *)
+let consume t ~(clock : Vsim.Engine.cell) (e : Span.event) =
   match e.verb with
   | Open ->
       if t.tracing && Span.is_traced e.ctx then begin
+        let at = clock.at in
         let id = t.next_span in
         t.next_span <- id + 1;
         let span =
@@ -192,7 +194,7 @@ let consume t ~at (e : Span.event) =
         e.id <- id
       end
       else e.id <- 0
-  | Close -> close t e.id ~at ~index:e.index ~outcome:e.note
+  | Close -> close t e.id ~clock ~index:e.index ~outcome:e.note
   | Tag -> (
       match Hashtbl.find_opt t.open_spans e.id with
       | Some s -> s.Span.tags <- e.note :: s.Span.tags
@@ -203,13 +205,14 @@ let consume t ~at (e : Span.event) =
         Option.iter
           (fun s -> s.Span.op <- e.label)
           (Hashtbl.find_opt t.open_spans root.Span.parent);
-      close t root.Span.parent ~at ~index:(-1) ~outcome:e.note;
-      let latency_ms = at -. e.started in
+      close t root.Span.parent ~clock ~index:(-1) ~outcome:e.note;
+      let latency_ms = clock.at -. e.started in
       let trace = if Span.is_traced root then Some root.Span.trace else None in
       Metrics.observe ?trace t.metrics ~host:e.host ~server:e.server ~op:e.op
         latency_ms;
       match t.slo with
-      | Some slo -> Slo.observe slo ~now:at ~ok:(e.note = "OK") ~latency_ms
+      | Some slo ->
+          Slo.observe slo ~now:clock.at ~ok:(e.note = "OK") ~latency_ms
       | None -> ())
 
 let create ?(tracing = false) ?(span_limit = 10_000) () =

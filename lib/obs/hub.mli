@@ -7,9 +7,10 @@
     the stream: they build spans from span events ({!Span.event}) and
     take each finished client operation from its [Done] event.
 
-    Nothing here reads or advances the simulation clock — callers pass
-    [~now] — so simulated timings are bit-identical with observability
-    on or off. *)
+    Nothing here advances the simulation clock — callers pass [~now],
+    and the stream hands its consumers the emitter's clock cell, read
+    only where a time is kept — so simulated timings are bit-identical
+    with observability on or off. *)
 
 type t
 

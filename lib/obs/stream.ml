@@ -9,8 +9,10 @@
    recorder's category and host label, the trace id, the layer's one
    printer, and for the layers above the kernel the span event an event
    carries — and names the consumers of each kind, a fixed property of
-   the kind. An event is the layer's own reused, mutable record, so
-   emitting allocates nothing until a consumer stores or prints it.
+   the kind. An event is the layer's own reused, mutable record, and its
+   time is the emitter's flat clock, read only by a consumer that keeps
+   or compares it, so emitting allocates nothing until a consumer
+   stores or prints the event.
    Which consumers listen is one mask, kept up to date as each one
    toggles, so the guard every site pays is one test.
 
@@ -44,7 +46,7 @@ type t = {
   mutable pump_interval : float;  (* 0 = disarmed *)
   mutable pump_next : float;
   mutable pump_sample : now:float -> unit;
-  mutable on_span : at:float -> Span.event -> unit;
+  mutable on_span : clock:Vsim.Engine.cell -> Span.event -> unit;
   (* The producers' counts by (host, server), then by registry op. *)
   counts : (string * string, (string, int ref) Hashtbl.t) Hashtbl.t;
 }
@@ -61,7 +63,7 @@ let create events =
       pump_interval = 0.0;
       pump_next = 0.0;
       pump_sample = (fun ~now:_ -> ());
-      on_span = (fun ~at:_ _ -> ());
+      on_span = (fun ~clock:_ _ -> ());
       counts = Hashtbl.create 16;
     }
   in
@@ -70,26 +72,27 @@ let create events =
 
 let listening t c = t.active land c <> 0
 
-let emit t (layer : _ layer) ~consumers ~at e =
+let emit t (layer : _ layer) ~consumers ~(clock : Vsim.Engine.cell) e =
   let c = consumers land t.active in
   if c land timeline <> 0 then
     t.lines <-
       {
-        at;
+        at = clock.at;
         column = layer.column;
         text = Fmt.str "%a" (layer.pp ~timeline:true) e;
       }
       :: t.lines;
   if c land recorder <> 0 then
-    Eventlog.record t.events ~at ~cat:(layer.cat e) ~host:(layer.host e)
-      ~trace:(layer.trace e)
+    Eventlog.record t.events ~at:clock.at ~cat:(layer.cat e)
+      ~host:(layer.host e) ~trace:(layer.trace e)
       (Fmt.str "%a" (layer.pp ~timeline:false) e);
-  if c land pump <> 0 && at >= t.pump_next then begin
+  if c land pump <> 0 && clock.at >= t.pump_next then begin
+    let at = clock.at in
     t.pump_next <- at +. t.pump_interval;
     t.pump_sample ~now:at
   end;
   if c land (spans lor ops) <> 0 then
-    match layer.span with Some span -> t.on_span ~at (span e) | None -> ()
+    match layer.span with Some span -> t.on_span ~clock (span e) | None -> ()
 
 let set_timeline t on = set_bit t timeline on
 let lines t = List.rev t.lines

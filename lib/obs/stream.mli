@@ -5,7 +5,9 @@
     they need from it. Counting by kind needs no event — see
     {!scrape_counts} and {!counts}.
 
-    Nothing here reads the simulation clock: emitters pass [~at]. *)
+    Nothing here advances the simulation clock: emitters pass their
+    engine's clock cell ([~clock]), which a consumer reads only where it
+    keeps or compares the time. *)
 
 (** {1 Producing layers} *)
 
@@ -48,15 +50,19 @@ val create : Eventlog.t -> t
     event only when it holds for the consumers of its kind. *)
 val listening : t -> int -> bool
 
-(** [emit t layer ~consumers ~at e] hands event [e], stamped [at], to
-    each of [consumers] that listens. Allocates only in a consumer that
-    stores or prints the event. *)
-val emit : t -> 'e layer -> consumers:int -> at:float -> 'e -> unit
+(** [emit t layer ~consumers ~clock e] hands event [e], stamped
+    [clock.at], to each of [consumers] that listens. [clock] is the
+    emitter's engine clock ({!Vsim.Engine.clock}), read flat, so the
+    time is boxed only in a consumer that keeps it. Allocates only in a
+    consumer that stores or prints the event. *)
+val emit :
+  t -> 'e layer -> consumers:int -> clock:Vsim.Engine.cell -> 'e -> unit
 
 (** [consume_spans t ~tracing f] makes [f] the consumer of span events:
-    {!ops} listens from now on, {!spans} while [tracing]. *)
+    {!ops} listens from now on, {!spans} while [tracing]. [f] gets the
+    emitter's clock cell, as {!emit} does. *)
 val consume_spans :
-  t -> tracing:bool -> (at:float -> Span.event -> unit) -> unit
+  t -> tracing:bool -> (clock:Vsim.Engine.cell -> Span.event -> unit) -> unit
 
 (** {1 The timeline} *)
 

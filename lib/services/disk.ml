@@ -39,12 +39,12 @@ let capacity_pages t = t.capacity_pages
 
 (* Forget queued setup traffic: the arm is idle from now on. Benchmarks
    call this after populating the disk outside measured time. *)
-let reset_arm t = t.arm.busy_until <- Vsim.Engine.now t.engine
+let reset_arm t = t.arm.busy_until <- (Vsim.Engine.clock t.engine).at
 let write_count t = Vsim.Stats.Counter.value t.writes
 
 (* Claim the arm for one page transfer. *)
 let claim_arm t =
-  let now = Vsim.Engine.now t.engine in
+  let now = (Vsim.Engine.clock t.engine).at in
   let start = if now > t.arm.busy_until then now else t.arm.busy_until in
   t.arm.busy_until <- start +. Calibration.disk_page_ms
 
@@ -55,7 +55,7 @@ let enqueue_transfer t =
 
 (* Wait until [time] (no-op if past). *)
 let wait_until t time =
-  let now = Vsim.Engine.now t.engine in
+  let now = (Vsim.Engine.clock t.engine).at in
   if time > now then Vsim.Proc.delay t.engine (time -. now)
 
 let peek t page =

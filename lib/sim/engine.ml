@@ -28,6 +28,10 @@ type fiber = (unit, unit) Effect.Deep.continuation
 
 type t = {
   id : int;
+  (* The clock, flat: an advance writes it without a box. [now] is a
+     boxed copy for [now]'s callers, refreshed only when a caller finds
+     the clock has moved, so it boxes at most once per instant. *)
+  clock : cell;
   mutable now : float;
   mutable executed : int;
   mutable running : bool;
@@ -66,6 +70,7 @@ let create () =
   let rec t =
     {
       id = !created;
+      clock = { at = 0.0 };
       now = 0.0;
       executed = 0;
       running = false;
@@ -82,7 +87,13 @@ let create () =
   t
 
 let id t = t.id
-let now t = t.now
+let clock t = t.clock
+
+let now t =
+  let at = t.clock.at in
+  if at <> t.now then t.now <- at;
+  t.now
+
 let pending t = Wheel.length t.wheel
 let executed t = t.executed
 let cancelled_timers t = Wheel.cancelled t.wheel
@@ -93,7 +104,8 @@ let cancelled_timers t = Wheel.cancelled t.wheel
 let push t ~turns action =
   let time = due.at in
   if not (Float.is_finite time) then invalid_arg "Engine: non-finite time";
-  if time < t.now then raise (Time_went_backwards { now = t.now; requested = time });
+  if time < t.clock.at then
+    raise (Time_went_backwards { now = t.clock.at; requested = time });
   Wheel.push t.wheel due ~turns action
 
 let timer_due t action = push t ~turns:1 action
@@ -105,7 +117,7 @@ let timer_at t time action =
 
 let timer ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.timer: negative delay";
-  due.at <- t.now +. delay;
+  due.at <- t.clock.at +. delay;
   timer_due t action
 
 let cancel t handle = ignore (Wheel.cancel t.wheel handle : bool)
@@ -116,7 +128,7 @@ let schedule_at t time action =
 
 let schedule ?(delay = 0.0) t action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  due.at <- t.now +. delay;
+  due.at <- t.clock.at +. delay;
   schedule_due t action
 
 (* Two turns on one node: the first only re-queues it, under the seq a
@@ -139,18 +151,17 @@ let park t k =
   end;
   t.parked.(i) <- k
 
-(* The wheel keeps times unboxed, so the clock is boxed afresh only
-   when it moves: events at the current instant allocate nothing
-   here. *)
+(* The wheel raises the flat clock to the event's time: no event
+   allocates here, whether it moves the clock or not. *)
 let execute t =
-  if not (Wheel.due_by t.wheel t.now) then t.now <- Wheel.next_time t.wheel;
+  Wheel.advance t.wheel t.clock;
   t.executed <- t.executed + 1;
   incr global_executed_events;
   (Wheel.take t.wheel) ()
 
 (* The wheel skips dead nodes (cancelled timers) and answers without
-   allocating, so the dispatch loop below costs no words per event
-   beyond the clock. *)
+   allocating, so the dispatch loop below costs no words per
+   event. *)
 let step t =
   Wheel.settle t.wheel
   && begin
@@ -188,8 +199,8 @@ let run ?until ?max_events t =
   (* If we stopped on a time horizon, advance the clock to it so that a
      subsequent [run ~until:later] resumes from the horizon. *)
   match until with
-  | Some limit when t.now < limit && pending t > 0 -> ()
-  | Some limit when t.now < limit -> t.now <- limit
+  | Some limit when t.clock.at < limit && pending t > 0 -> ()
+  | Some limit when t.clock.at < limit -> t.clock.at <- limit
   | _ -> ()
 
 let last_run_events t = t.last_run_events

@@ -9,7 +9,8 @@
     order a binary heap over the same keys gives. The queue allocates
     nothing per event once its arrays have grown, every push takes its
     time from the flat cell {!due}, so no time is boxed on its way in,
-    and the clock is boxed afresh only when an event advances it. *)
+    and the clock is a flat cell too ({!clock}), so no event boxes it
+    on its way out. *)
 
 type t
 
@@ -23,7 +24,9 @@ val create : unit -> t
 (** A number no other engine in the process has. *)
 val id : t -> int
 
-(** Current simulated time (ms). *)
+(** Current simulated time (ms). It boxes the clock at most once per
+    instant, on the first call after the clock moved; a hot reader
+    reads [(clock t).at] instead, which boxes nothing. *)
 val now : t -> float
 
 (** Number of live (scheduled, not cancelled) events waiting. *)
@@ -74,7 +77,7 @@ val timer : ?delay:float -> t -> (unit -> unit) -> timer
 val timer_at : t -> float -> (unit -> unit) -> timer
 val cancel : t -> timer -> unit
 
-(** {1 The time cell}
+(** {1 The time cell and the clock}
 
     The build inlines no call across modules, so a float passed to one
     is boxed. Every push therefore reads its time from one flat cell,
@@ -83,11 +86,18 @@ val cancel : t -> timer -> unit
     it from their arguments, and a hot caller writes [due.at] itself
     and then calls [schedule_due], [timer_due] or [park]. Writing the
     cell must be the last step before that push: nothing that could
-    push may run between the two. One cell serves every engine. *)
+    push may run between the two. One cell serves every engine.
+
+    The engine's clock is a cell of the same kind, one per engine. *)
 
 type cell = Wheel.cell = { mutable at : float }
 
 val due : cell
+
+(** [clock t] is the engine's clock: [(clock t).at] is [now t], read
+    without a box. Read-only by contract: only the engine writes it, as
+    an event falls due or a [run ~until] reaches its horizon. *)
+val clock : t -> cell
 
 (** [schedule_due t f] runs [f] at the time in [due]: [schedule_at]
     with its time already written. *)

@@ -2,26 +2,41 @@
    randomness in a scenario draws from a stream derived from the
    scenario seed, so runs are exactly reproducible and independent
    subsystems (e.g. per-host identifier generators) do not perturb each
-   other's sequences. *)
+   other's sequences.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives in 8 bytes, read and written through the
+   unboxed primitives, and the mixing inlines into each draw, since an
+   [int64] kept in a record field or returned from a call is boxed:
+   [bits], [int] and [bool] allocate nothing, and [float] and
+   [exponential] only their boxed result. *)
+
+type t = bytes
+
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  set64 t 0 state;
+  t
 
-let mix z =
+let create ~seed = of_state (Int64.of_int seed)
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let state = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 state;
+  mix state
 
 (* Derive an independent stream; the child's sequence does not overlap
    the parent's for any practical draw count. *)
-let split t = { state = mix (next_int64 t) }
+let split t = of_state (mix (next_int64 t))
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
@@ -30,7 +45,7 @@ let int t bound =
   bits t mod bound
 
 (* Uniform float in [0, 1). *)
-let float t =
+let[@inline] float t =
   let x = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float x /. 9007199254740992.0 (* 2^53 *)
 

@@ -2,7 +2,11 @@
 
     All randomness in a scenario derives from one seed, keeping runs
     exactly reproducible. [split] yields an independent stream so
-    subsystems cannot perturb each other's draws. *)
+    subsystems cannot perturb each other's draws.
+
+    A stream keeps its 64-bit state flat, so [bits], [int] and [bool]
+    allocate nothing, and [float] and [exponential] only their boxed
+    result. *)
 
 type t
 

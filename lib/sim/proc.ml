@@ -80,21 +80,19 @@ let blocker register = Block (Some register)
 let await blocker = Effect.perform blocker
 let block register = await (blocker register)
 
-(* One event at the current instant, as [Engine.schedule] would push
-   it. The clock's own box is the time, so none is made. *)
-let wake engine k v =
-  Engine.schedule_at engine (Engine.now engine) (fun () ->
-      Effect.Deep.continue k v)
+(* One event at the current instant: [Engine.schedule] reads the flat
+   clock, and [now +. 0.0] is [now] for the engine's non-negative
+   times, so no time is boxed. *)
+let wake engine k v = Engine.schedule engine (fun () -> Effect.Deep.continue k v)
 
 let wake_exn engine k e =
-  Engine.schedule_at engine (Engine.now engine) (fun () ->
-      Effect.Deep.discontinue k e)
+  Engine.schedule engine (fun () -> Effect.Deep.discontinue k e)
 
 let delay engine duration =
   if not (Float.is_finite duration && duration >= 0.0) then
     invalid_arg "Proc.delay: negative or non-finite duration";
   due_engine := Engine.id engine;
-  Engine.due.at <- Engine.now engine +. duration;
+  Engine.due.at <- (Engine.clock engine).at +. duration;
   Effect.perform Delay
 
 let yield engine = delay engine 0.0

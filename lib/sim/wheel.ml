@@ -29,10 +29,12 @@
    through [next], and the ready heap holds entry indices, so placing,
    cascading and re-seating a node move ints and allocate nothing;
    scheduling an event copies its time from a flat cell, so no caller
-   boxes it, and stores its value once. The arrays double when the free
-   list runs dry and never shrink. An entry's index is the same from a
-   node's push to its last turn, so a caller can keep data of its own
-   for the node in an array indexed by it ([entry], [taken]).
+   boxes it, and stores its value once; the clock rises to the next
+   node's time through a flat cell too ([advance]). The arrays double
+   when the free list runs dry and never shrink. An entry's index is
+   the same from a node's push to its last turn, so a caller can keep
+   data of its own for the node in an array indexed by it ([entry],
+   [taken]).
 
    Cancellation is O(1): a node is marked dead and its value swapped
    for the wheel's blank (so what the value captured is garbage now,
@@ -399,9 +401,12 @@ let rec settle t =
     settle t
   end
 
-let next_time t =
-  if settle t then t.time.(t.ready.(0))
-  else invalid_arg "Wheel.next_time: empty wheel"
+(* The earliest live node's time goes from the float array into the
+   flat clock without a box. *)
+let advance t clock =
+  if not (settle t) then invalid_arg "Wheel.advance: empty wheel";
+  let time = t.time.(t.ready.(0)) in
+  if time > clock.at then clock.at <- time
 
 let due_by t limit = settle t && t.time.(t.ready.(0)) <= limit
 

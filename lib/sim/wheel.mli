@@ -12,7 +12,9 @@
     the buckets, the overflow list and the ready heap hold indices into
     them. A push copies its time from a flat {!cell}, so the time is
     never boxed on its way in, stores its value and allocates nothing
-    else once the arrays have grown to the queue's peak.
+    else once the arrays have grown to the queue's peak; [advance]
+    raises a flat clock to the next node's time, so none is boxed on
+    its way out either.
 
     Cancelled nodes are dropped lazily (when the cursor would otherwise
     move them), so a timer armed 500 ms out and cancelled 2 ms later
@@ -81,9 +83,10 @@ val cancel : 'a t -> node -> bool
     [take]. *)
 val settle : 'a t -> bool
 
-(** The earliest live node's time, boxed afresh on every call. Raises
-    [Invalid_argument] when none is left. *)
-val next_time : 'a t -> float
+(** [advance t clock] raises [clock.at] to the earliest live node's
+    time when that is later, and leaves it otherwise; no time is
+    boxed. Raises [Invalid_argument] when no live node is left. *)
+val advance : 'a t -> cell -> unit
 
 (** Is a live node due at or before [limit]? [false] when none is
     left. *)

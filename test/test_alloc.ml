@@ -8,18 +8,24 @@
    dispatch, fabric, fiber suspension, transaction bookkeeping and
    event queue were made allocation-lean (engine event 43, delay 115,
    frame 335, remote echo 1,425 words on OCaml 5.1), and about 40%
-   above the counts there today (4, 4, 4.3, 17.5; the shared wire's
-   frame 7.5), as headroom for the other supported compiler; the
-   echoes' sit about 35% above theirs (137 remote, 47 local). Every
-   push takes its time from the engine's flat time cell, and a delay's
-   continuation waits on its queue node, so a delay allocates only the
-   runtime's continuation and the clock's new box. Before that, a push
-   passed its time boxed (2 words) and a delay built a closure over its
-   continuation (4 words): the counts were 10 (the delay), 6.3 (the
-   timer storm), 25.5 and 171 (the shared wire's 9.5, the local echo's
-   59). The echoes were 193 and 80 before Send and Receive blocked
-   through a blocker built once per process. Each of the two blocked
-   calls of an echo built
+   above the counts there today (4, 2, 4.1, 11.4; the shared wire's
+   frame 5.4), as headroom for the other supported compiler; the
+   echoes' sit about 35% above theirs (113 remote, 43 local). The
+   engine's clock is a flat cell that an event raises without a box,
+   and the hot readers read it flat, so a delay allocates only the
+   runtime's continuation. The engine event's 4 words are the test's
+   own: the time it passes [schedule_at] boxed, and the clock its
+   [Engine.now] boxes once per instant. Before the flat clock, every
+   event that moved the clock boxed it anew (2 words): the counts were
+   4 (the delay), 4.3 (the timer storm), 17.5 and 137 (the shared
+   wire's 7.5, the local echo's 47). Before every push took its time
+   from the engine's flat time cell and a delay's continuation waited
+   on its queue node, a push passed its time boxed (2 words) and a
+   delay built a closure over its continuation (4 words): the counts
+   were 10 (the delay), 6.3 (the timer storm), 25.5 and 171 (the
+   shared wire's 9.5, the local echo's 59). The echoes were 193 and 80
+   before Send and Receive blocked through a blocker built once per
+   process. Each of the two blocked calls of an echo built
    a register closure, a [Block] effect and the handler's [Some] around
    the closure; a Send now sets its transaction up before it blocks,
    and its blocker stores the continuation in the young pending record
@@ -28,11 +34,10 @@
    closure and its type-erased box (270 and 148), and each reply and
    delivery an [Ok] and a second tuple. The timer storm's event was
    14.1 before the queue kept its nodes in flat arrays. Scheduling an
-   event now allocates its action and, when it advances the clock, the
-   clock's new box; a push used to add a 5-word node and a 3-word cons
-   for each slot it landed in, and a hop boxed its link's two clocks and
-   its serialization time. Before that, the counts were 10, 16, 72.5 and
-   394 (the shared wire's 19.3).
+   event now allocates its action; a push used to add a 5-word node
+   and a 3-word cons for each slot it landed in, and a hop boxed its
+   link's two clocks and its serialization time. Before that, the
+   counts were 10, 16, 72.5 and 394 (the shared wire's 19.3).
    A delay wakes through one queue node that takes both of its turns,
    where it took a timer closure, a resume closure and two nodes (39
    words), and a unicast frame is one in-flight record with one action
@@ -41,10 +46,15 @@
    it was 532 when it armed a retransmission timer and a probe timer,
    before one timer served both. The IPC and CPU charges around the
    naming share of an uncached prefixed Query, made with preallocated
-   messages, are gated the same way (169 words, ceiling about 35%
-   above; 251 before the time cell and the parked delay, 281 before
-   the blocker, 391 before a blocked call kept its own
-   continuation).
+   messages, are gated the same way (137 words, ceiling about 35%
+   above; 169 before the flat clock, 251 before the time cell and the
+   parked delay, 281 before the blocker, 391 before a blocked call kept
+   its own continuation).
+
+   A PRNG draw of [bits], [int] or [bool] allocates nothing (ceiling
+   0), and a [float] only its boxed result (ceiling 2): the stream's
+   state is 8 flat bytes. They cost 6 and 8 words while the state was
+   a boxed [int64], stored anew and returned boxed by every draw.
 
    On the naming path: one component of a [Csnh.walk], a
    [Name_cache.find] deep hit and miss, a keyed [Metrics.incr] on an
@@ -52,8 +62,10 @@
    Query. Before names were scanned in place, cuts scanned without a
    list and keyed recordings looked up through a reused probe, these
    cost 22.9, 116, 140, 6 and 456 words on OCaml 5.1; today 2.75, 14,
-   21, 0 and 159.8 (the Query's share was 165.8 while a message record
-   had one more field, which every copy of it paid). The ceilings leave
+   21, 0 and 161.8. The Query's share was 159.8 while the run-time's
+   operation start shared the clock's box, which [Engine.now] now makes
+   only when asked, and 165.8 while a message record had one more
+   field, which every copy of it paid. The ceilings leave
    the same headroom. Sizing a message, a QueryName reply with its
    description record, allocates nothing (ceiling 0).
 
@@ -125,7 +137,7 @@ let test_proc_delay () =
               Vsim.Proc.delay eng 1.0
             done));
   Engine.run eng;
-  gate "one Proc.delay" ~ceiling:6.0 !words
+  gate "one Proc.delay" ~ceiling:3.0 !words
 
 (* The E12 timer storm, shaped as the benchmark's probe runs it: each
    transaction arms a retransmission and a timeout timer and cancels
@@ -194,11 +206,11 @@ let frame_words ?topology () =
   words
 
 let test_cross_edge_frame () =
-  gate "one cross-edge frame at fan-in 64" ~ceiling:25.0
+  gate "one cross-edge frame at fan-in 64" ~ceiling:16.0
     (frame_words ~topology:(T.switched ~fan_in:64) ())
 
 let test_shared_wire_frame () =
-  gate "one shared-wire frame" ~ceiling:11.0 (frame_words ())
+  gate "one shared-wire frame" ~ceiling:8.0 (frame_words ())
 
 (* Words per echo transaction: sequential echoes across edge switches
    on the gigabit fabric the benchmark's IPC workload uses, or, with
@@ -252,10 +264,10 @@ let echo_words ?(attach = ignore) ?(local = false) () =
   Engine.run eng;
   !words
 
-let test_remote_echo () = gate "one remote echo" ~ceiling:185.0 (echo_words ())
+let test_remote_echo () = gate "one remote echo" ~ceiling:153.0 (echo_words ())
 
 let test_local_echo () =
-  gate "one local echo" ~ceiling:64.0 (echo_words ~local:true ())
+  gate "one local echo" ~ceiling:58.0 (echo_words ~local:true ())
 
 (* With the stream listening — the pump armed, as on E15's soak lane,
    recorder and timeline off — every kernel and wire site emits its
@@ -271,6 +283,26 @@ let test_listening_stream () =
       ()
   in
   Alcotest.(check (float 0.0)) "words per echo, pump armed" bare listening
+
+(* Draws from one stream: [bits], [int 1000] and [bool] in turn, each
+   returning an immediate; then [float], whose result is boxed. *)
+let test_prng_draw () =
+  let p = Vsim.Prng.create ~seed:1 in
+  let n = 10_000 and sum = ref 0 and out_of_range = ref 0 in
+  gate "a PRNG draw (bits, int, bool)" ~ceiling:0.0
+    (words_per ~units:(3 * n) (fun () ->
+         for _ = 1 to n do
+           sum :=
+             !sum + Vsim.Prng.bits p + Vsim.Prng.int p 1000
+             + Bool.to_int (Vsim.Prng.bool p)
+         done));
+  gate "a PRNG float" ~ceiling:2.0
+    (words_per ~units:n (fun () ->
+         for _ = 1 to n do
+           let x = Vsim.Prng.float p in
+           if x < 0.0 || x >= 1.0 then incr out_of_range
+         done));
+  Alcotest.(check int) "every float in [0, 1)" 0 !out_of_range
 
 (* --- the naming layer --- *)
 
@@ -485,7 +517,7 @@ let test_query_naming_share () =
                  once ()
                done)));
   Scenario.run t;
-  gate "IPC and charges of one uncached prefixed Query" ~ceiling:228.0 !control;
+  gate "IPC and charges of one uncached prefixed Query" ~ceiling:185.0 !control;
   gate "naming share of one uncached prefixed Query" ~ceiling:260.0
     (!query -. !control)
 
@@ -584,6 +616,7 @@ let suite =
         Alcotest.test_case "remote echo" `Quick test_remote_echo;
         Alcotest.test_case "local echo" `Quick test_local_echo;
         Alcotest.test_case "listening stream" `Quick test_listening_stream;
+        Alcotest.test_case "PRNG draw" `Quick test_prng_draw;
         Alcotest.test_case "Csnh.walk" `Quick test_walk;
         Alcotest.test_case "Name_cache.find" `Quick test_cache_find;
         Alcotest.test_case "Metrics.incr" `Quick test_metrics_incr;

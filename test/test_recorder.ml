@@ -230,8 +230,8 @@ let span_layer =
   }
 
 let emit_span hub ~at (e : Span.event) =
-  Vobs.Stream.emit (Hub.stream hub) span_layer ~consumers:Vobs.Stream.spans ~at
-    e
+  Vobs.Stream.emit (Hub.stream hub) span_layer ~consumers:Vobs.Stream.spans
+    ~clock:{ Vsim.Engine.at } e
 
 (* One finished one-span trace, its hop's op [op]: the span's id, or
    the still-open span's when [outcome] is [None]. *)

@@ -732,6 +732,41 @@ let test_prng_split_independent () =
   let dc = List.init 50 (fun _ -> Vsim.Prng.bits child) in
   Alcotest.(check bool) "streams differ" true (da <> dc)
 
+(* The published SplitMix64 outputs for seed 1234567 (Steele, Lea &
+   Flood, OOPSLA 2014), shifted right by 2 as [bits] returns them; and
+   the first draw of each kind, then a split child's first [bits], for
+   the benchmark's two seeds. Any change to the state's storage must
+   leave every stream as it is. *)
+let test_prng_golden () =
+  let p = Vsim.Prng.create ~seed:1234567 in
+  Alcotest.(check (list int))
+    "SplitMix64 of 1234567"
+    [ 1614456929277591329; 800792052799701993; 2454372983049592605 ]
+    (List.init 3 (fun _ -> Vsim.Prng.bits p));
+  let draws seed =
+    let p = Vsim.Prng.create ~seed in
+    let f = Vsim.Prng.float p in
+    let i = Vsim.Prng.int p 1000 in
+    let b = Vsim.Prng.bool p in
+    let e = Vsim.Prng.exponential p ~mean:1.0 in
+    (f, i, b, e, Vsim.Prng.bits (Vsim.Prng.split p))
+  in
+  List.iter
+    (fun (seed, (f, i, b, e, child)) ->
+      let f', i', b', e', child' = draws seed in
+      let what = Fmt.str "seed %d: %s" seed in
+      Alcotest.(check (float 0.0)) (what "float") f f';
+      Alcotest.(check int) (what "int 1000") i i';
+      Alcotest.(check bool) (what "bool") b b';
+      Alcotest.(check (float 0.0)) (what "exponential") e e';
+      Alcotest.(check int) (what "split child's bits") child child')
+    [
+      (1, (0x1.22145bd91204bp-1, 129, false, 0x1.2cde4482c75d4p-1,
+           3564794228919577641));
+      (7919, (0x1.0db5ae128cc5p-2, 258, true, 0x1.ddc40041dd13dp+0,
+              4431410394201599109));
+    ]
+
 let prop_prng_int_in_bounds =
   QCheck.Test.make ~name:"Prng.int stays in bounds" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -874,6 +909,7 @@ let suite =
       [
         Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
         Alcotest.test_case "split independent" `Quick test_prng_split_independent;
+        Alcotest.test_case "golden streams" `Quick test_prng_golden;
         qcheck prop_prng_int_in_bounds;
         qcheck prop_prng_float_in_bounds;
       ] );
