@@ -173,22 +173,35 @@ let replicate_write t self r ~sender ~span ~service (msg : Vmsg.t) req =
   | m :: _ -> reply_with self r ~sender ~span m
   | [] -> reply_with self r ~sender ~span (Vmsg.reply Reply.No_server)
 
-(* Is this CSname request a write against a logical binding whose
-   service is currently replica-bound? *)
-let replicated_write_target self (msg : Vmsg.t) = function
+(* An Open that creates or fills a file. *)
+let opens_for_writing (msg : Vmsg.t) =
+  msg.Vmsg.code = Vmsg.Op.open_instance
+  &&
+  match msg.Vmsg.payload with
+  | Vmsg.P_open { mode = Vmsg.Write | Vmsg.Append } -> true
+  | _ -> false
+
+(* What a request through a logical binding whose service is currently
+   replica-bound does: a CSname write is fanned out write-all, and an
+   Open for writing is refused, since it would create or fill the file
+   on the one member GetPid picks. Any other request is forwarded. *)
+type replica_route = Forward | Write_all of int * Context.id | Refuse
+
+let replica_route self (msg : Vmsg.t) = function
   | Logical { service; context }
-    when Vmsg.Op.is_csname_write msg.Vmsg.code
-         && Kernel.service_group (Kernel.domain_of_self self) ~service <> None
-    ->
-      Some (service, context)
-  | Logical _ | Static _ | Replicated _ -> None
+    when Kernel.service_group (Kernel.domain_of_self self) ~service <> None ->
+      if Vmsg.Op.is_csname_write msg.Vmsg.code then Write_all (service, context)
+      else if opens_for_writing msg then Refuse
+      else Forward
+  | Logical _ | Static _ | Replicated _ -> Forward
 
 (* Send a request on through the binding it named, interpretation
    continuing at [index], just past the binding, in the bound context. A
    context implemented by a whole group gets the request multicast (the
    first member to answer serves it); a write against a replica-bound
-   service is fanned out write-all; anything else is resolved (GetPid
-   for a logical binding) and forwarded. *)
+   service is fanned out write-all, and an Open for writing refused;
+   anything else is resolved (GetPid for a logical binding) and
+   forwarded. *)
 let dispatch t self r ~sender ~span (msg : Vmsg.t) target (req : Csname.req)
     ~index =
   match target with
@@ -199,12 +212,13 @@ let dispatch t self r ~sender ~span (msg : Vmsg.t) target (req : Csname.req)
            (Vmsg.with_name msg
               (Events.forward r ~span { req with Csname.index; context })))
   | Static _ | Logical _ -> (
-      match replicated_write_target self msg target with
-      | Some (service, context) ->
+      match replica_route self msg target with
+      | Write_all (service, context) ->
           Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
           replicate_write t self r ~sender ~span ~service msg
             { req with Csname.index; context }
-      | None -> (
+      | Refuse -> reply_error self r ~sender ~span Reply.Bad_operation
+      | Forward -> (
           match resolve self target with
           | Error code -> reply_error self r ~sender ~span code
           | Ok spec -> (

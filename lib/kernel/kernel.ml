@@ -11,7 +11,15 @@
    The kernel is parametric in the message type ['m]: it never inspects
    messages, only charges wire/CPU costs through a caller-supplied
    {!cost_model} — the same separation the real kernel has from the
-   message standards built above it (§3.2). *)
+   message standards built above it (§3.2).
+
+   A transaction allocates its messages, its frames and the runtime's
+   continuations, and little else: a host's transaction tables are
+   flat ({!Int_table}); a transaction that leaves its host keeps its
+   recovery timer in state its sender's process built once, as V kept
+   a blocked sender's state in its process descriptor; and the wake of
+   a blocked Send or Receive, like a request or reply frame's arrival,
+   is an engine post whose payload waits at its queue entry. *)
 
 module Calibration = Vnet.Calibration
 module Ethernet = Vnet.Ethernet
@@ -165,6 +173,9 @@ type 'm process = {
      [wait] (see [block_here]). A delivery and a reply are both a
      message and a pid, so one blocker serves both. *)
   blocker : ('m * Pid.t) Proc.blocker;
+  (* The recovery timer of the one transaction the process waits on
+     once it has left this host (see [arm_recovery]). *)
+  recovery : 'm recovery;
   mutable proc_alive : bool;
   (* Overload protection, off ([None]) by default: with no hook
      installed the request path costs exactly one extra word test. *)
@@ -203,6 +214,28 @@ and 'm pending = {
      SRR arms it and never needs it). [Engine.no_timer] until armed. *)
   mutable p_timer : Engine.timer;
   mutable p_probes : int;  (* probes fired so far, across re-arms *)
+  (* The request frame the recovery timer resends: kept here, in the
+     transaction's own young record, not in its sender's long-lived
+     one. [no_frame] until armed. *)
+  mutable p_frame : 'm packet Ethernet.frame;
+}
+
+(* A process's recovery timer, built once with the process: the
+   transaction's id, destination and retransmit flag are immediates
+   and its two due times flat floats, so arming stores no pointer, and
+   [rc_fire], its action, is built once too. *)
+and 'm recovery = {
+  rc_host : 'm host;
+  mutable rc_txn : int;
+  mutable rc_dst : Ethernet.addr;
+  mutable rc_retransmit : bool;
+  rc_due : due_times;
+  rc_fire : unit -> unit;
+}
+
+and due_times = {
+  mutable resend : float;  (* infinity without retransmission *)
+  mutable probe : float;
 }
 
 (* A transaction's sender, which a Send registers before it blocks:
@@ -232,12 +265,16 @@ and 'm host = {
   host_name : string;
   mutable logical_host : int;
   mutable host_up : bool;
+  (* Where request and reply frames to this host go: one value, so no
+     frame builds its own. *)
+  dest : Ethernet.dest;
   processes : (int, 'm process) Hashtbl.t; (* by local pid *)
   services : (int, (Pid.t * Service.scope) list) Hashtbl.t;
-  serving : (int, int) Hashtbl.t;
+  (* The transaction tables, flat: an insert allocates no bucket. *)
+  serving : int Int_table.t;
       (* serving_key sender receiver -> txn being served by receiver,
          as [lnot txn] for a group delivery (see [retire_served]) *)
-  pendings : (int, 'm pending) Hashtbl.t; (* txn -> blocked local sender *)
+  pendings : 'm pending Int_table.t; (* txn -> blocked local sender *)
   moves : (int, move_op) Hashtbl.t;
   getpid_waits : (int, getpid_wait) Hashtbl.t;
   (* At-most-once delivery of retransmitted requests: one record per
@@ -284,6 +321,12 @@ and 'm domain = {
   all_hosts : (Ethernet.addr, 'm host) Hashtbl.t;
   service_groups : (int, 'm service_group) Hashtbl.t;  (* by service id *)
   domain_prng : Vsim.Prng.t;
+  (* The wake of a blocked Send or Receive, and a request or reply
+     frame's arrival once its receive CPU is spent: each event is a
+     post whose payload waits at its queue entry (see [wake] and
+     [handle_packet]). *)
+  wakes : ('m delivery Proc.waiting, 'm delivery) Engine.poster;
+  arrivals : ('m host, 'm packet Ethernet.frame) Engine.poster;
   mutable domain_obs : Vobs.Hub.t option;
   (* Extract the obs trace id riding inside a message, for stamping
      flight-recorder events. The kernel is parametric in ['m] and never
@@ -570,24 +613,30 @@ let charge proc ms =
    or crashed. All are safe from event context. *)
 
 let retire_pending host ~txn pending =
-  Hashtbl.remove host.pendings txn;
+  Int_table.remove host.pendings txn;
   Engine.cancel host.domain.engine pending.p_timer
+
+(* Resume a blocked Send or Receive's [k] with [delivery] in one event
+   at the current instant: [Proc.wake], posted without its closure. *)
+let wake d k delivery =
+  Engine.due.at <- (Engine.clock d.engine).at;
+  Engine.post d.wakes k delivery
 
 (* Resume transaction [txn]'s blocked sender with [(reply, replier)].
    Cancelling the timer leaves a satisfied SRR no residue in the event
    queue. A sender that has not blocked yet keeps the reply, and its
    blocker wakes it (see [block_here]). *)
 let resume_pending host ~txn reply =
-  match Hashtbl.find host.pendings txn with
+  match Int_table.find host.pendings txn with
   | exception Not_found -> ()
   | { p_sender = Blocked k; _ } as pending ->
       retire_pending host ~txn pending;
-      Proc.wake host.domain.engine k reply
+      wake host.domain k reply
   | pending -> pending.p_sender <- Answered reply
 
 (* Nothing fails a transaction before its sender blocks. *)
 let fail_pending host ~txn e =
-  match Hashtbl.find host.pendings txn with
+  match Int_table.find host.pendings txn with
   | { p_sender = Blocked k; _ } as pending ->
       retire_pending host ~txn pending;
       Proc.wake_exn host.domain.engine k e
@@ -631,6 +680,105 @@ let abort_blocked proc e =
   end
   else if key < 0 then finish_move host ~mv:(-key) (Error e)
 
+(* --- a transaction's recovery timer --- *)
+
+let max_timeout_probes = 60
+
+let target_host_reachable host dst_addr =
+  let d = host.domain in
+  match Hashtbl.find d.all_hosts dst_addr with
+  | h -> h.host_up && Ethernet.reachable d.net host.addr dst_addr
+  | exception Not_found -> false
+
+(* What a pending record holds before its frame is armed: a frame for
+   no transaction, never sent. *)
+let no_frame =
+  {
+    Ethernet.src = -1;
+    dst = Ethernet.Broadcast;
+    payload = Nack { txn = 0; reason = Timeout };
+    payload_bytes = 0;
+  }
+
+(* A pending record whose timer is not armed. *)
+let unarmed_pending buffer sender =
+  {
+    p_sender = sender;
+    p_buffer = buffer;
+    p_timer = Engine.no_timer;
+    p_probes = 0;
+    p_frame = no_frame;
+  }
+
+(* Push the recovery timer at the earlier of its two due times. *)
+let push_recovery rc pending =
+  let due = rc.rc_due in
+  Engine.due.at <- (if due.resend < due.probe then due.resend else due.probe);
+  pending.p_timer <- Engine.timer_due rc.rc_host.domain.engine rc.rc_fire
+
+(* Arm the one timer of transaction [txn], which has left this host for
+   [dst_addr] in [frame], in the recovery state of the process that
+   waits on it. Any timer it had is cancelled, so a re-forward replaces
+   the chain; the probe count stays with the transaction. The timer is
+   due at the earlier of two instants, each computed from the firing
+   that set it, and when both fall due the probe runs first:
+   - the next resend of [frame], every 40 ms, for a remote Send
+     ([retransmit]); the receiving kernel suppresses duplicates;
+   - the next probe, every 500 ms. It fails the transaction with
+     Timeout once [dst_addr] is unreachable or the probe budget is
+     spent, and otherwise renews the timeout, so a server legitimately
+     busy with the transaction (a long MoveTo) does not abort its
+     sender. A locally submitted transaction that a server forwarded
+     off this host has no retransmission — local delivery loses no
+     frames, but the forward made the reply leg lossy — so its probes
+     resend [frame]; the target host's record of the sender replays a
+     lost reply, however late, or drops the copy while the request is
+     still served. *)
+let arm_recovery rc ~txn pending ~dst_addr ~retransmit frame =
+  Engine.cancel rc.rc_host.domain.engine pending.p_timer;
+  let now = (Engine.clock rc.rc_host.domain.engine).at in
+  rc.rc_txn <- txn;
+  rc.rc_dst <- dst_addr;
+  rc.rc_retransmit <- retransmit;
+  rc.rc_due.resend <-
+    (if retransmit then now +. Calibration.retransmit_interval_ms
+     else infinity);
+  rc.rc_due.probe <- now +. Calibration.ipc_timeout_ms;
+  pending.p_frame <- frame;
+  push_recovery rc pending
+
+(* A firing of [rc]'s timer. Whatever retires the transaction cancels
+   the timer, so the pending record is there. *)
+let recovery_fired rc =
+  let host = rc.rc_host and txn = rc.rc_txn and due = rc.rc_due in
+  match Int_table.find host.pendings txn with
+  | exception Not_found -> ()
+  | pending ->
+      let now = (Engine.clock host.domain.engine).at in
+      let probe = due.probe = now in
+      if probe then pending.p_probes <- pending.p_probes + 1;
+      if
+        probe
+        && not
+             (target_host_reachable host rc.rc_dst
+             && pending.p_probes < max_timeout_probes)
+      then fail_pending host ~txn (Ipc_error Timeout)
+      else begin
+        if probe then begin
+          due.probe <- now +. Calibration.ipc_timeout_ms;
+          if not rc.rc_retransmit then begin
+            report host Forward_recovery_probe txn pending.p_probes 0;
+            Ethernet.transmit host.domain.net pending.p_frame
+          end
+        end;
+        if due.resend = now then begin
+          report host Retransmit_probe txn 0 0;
+          Ethernet.transmit host.domain.net pending.p_frame;
+          due.resend <- now +. Calibration.retransmit_interval_ms
+        end;
+        push_recovery rc pending
+      end
+
 (* --- process lifecycle --- *)
 
 exception Host_is_down of string
@@ -652,7 +800,7 @@ let serving_key ~sender ~receiver =
 (* The transaction the key's receiver serves for its sender. Raises
    [Not_found] if there is none. *)
 let served host key =
-  let v = Hashtbl.find host.serving key in
+  let v = Int_table.find host.serving key in
   if v < 0 then lnot v else v
 
 (* The process's [serving] entries go with it, and each transaction it
@@ -665,12 +813,12 @@ let retire_served proc =
   let host = proc.proc_host in
   let lp = Pid.local_pid proc.pid in
   let mine =
-    Hashtbl.fold
+    Int_table.fold
       (fun key v acc ->
         if key land Pid.max_local_pid = lp then (key, v) :: acc else acc)
       host.serving []
   in
-  List.iter (fun (key, _) -> Hashtbl.remove host.serving key) mine;
+  List.iter (fun (key, _) -> Int_table.remove host.serving key) mine;
   List.filter_map (fun (_, v) -> if v >= 0 then Some v else None) mine
   |> List.sort Int.compare
   |> List.iter (fun txn ->
@@ -696,11 +844,11 @@ let block_here host wait k =
   match wait.blocked_on with
   | 0 -> wait.receiver <- Some k
   | txn -> (
-      let pending = Hashtbl.find host.pendings txn in
+      let pending = Int_table.find host.pendings txn in
       match pending.p_sender with
       | Answered reply ->
           retire_pending host ~txn pending;
-          Proc.wake host.domain.engine k reply
+          wake host.domain k reply
       | Sending | Blocked _ -> pending.p_sender <- Blocked k)
 
 let spawn host ?(name = "process") body =
@@ -708,6 +856,16 @@ let spawn host ?(name = "process") body =
   let lp = alloc_local_pid host in
   let pid = Pid.make ~logical_host:host.logical_host ~local_pid:lp in
   let wait = { receiver = None; blocked_on = 0 } in
+  let rec recovery =
+    {
+      rc_host = host;
+      rc_txn = 0;
+      rc_dst = 0;
+      rc_retransmit = false;
+      rc_due = { resend = infinity; probe = infinity };
+      rc_fire = (fun () -> recovery_fired recovery);
+    }
+  in
   let proc =
     {
       pid;
@@ -716,6 +874,7 @@ let spawn host ?(name = "process") body =
       queue = Queue.create ();
       wait;
       blocker = Proc.blocker (fun k -> block_here host wait k);
+      recovery;
       proc_alive = true;
       admission = None;
     }
@@ -749,32 +908,31 @@ let destroy_process d pid =
    own queue, or an admission hook's bulk lane, which is dequeued only
    once the queue is empty. *)
 let deliver ~served ~sender proc lane msg =
-  Hashtbl.replace proc.proc_host.serving
+  Int_table.replace proc.proc_host.serving
     (serving_key ~sender ~receiver:proc.pid)
     served;
   if proc.proc_alive then
     match proc.wait.receiver with
     | Some k ->
         proc.wait.receiver <- None;
-        Proc.wake proc.proc_host.domain.engine k (msg, sender)
+        wake proc.proc_host.domain k (msg, sender)
     | None -> Queue.add (msg, sender) lane
 
 let transmit host ~dst ~payload_bytes packet =
   Ethernet.transmit host.domain.net
     { Ethernet.src = host.addr; dst; payload = packet; payload_bytes }
 
-(* Run [k] once the receive-side CPU for a message-bearing packet
-   arriving off the wire is spent. The arrival time is the sum
-   [Engine.schedule ~delay] would form, without its option, and goes
-   to the engine through its time cell. *)
-let after_remote_recv d msg k =
+(* Write into the engine's time cell the instant at which the
+   receive-side CPU for a message-bearing packet arriving off the wire
+   is spent: the sum [Engine.schedule ~delay] would form, without its
+   option. *)
+let recv_cpu_spent d msg =
   let cost =
     Calibration.small_packet_recv_cpu
     +. if d.cost.segment_bytes msg > 0 then Calibration.segment_copy_remote_cpu
        else 0.0
   in
-  Engine.due.at <- (Engine.clock d.engine).at +. cost;
-  Engine.schedule_due d.engine k
+  Engine.due.at <- (Engine.clock d.engine).at +. cost
 
 (* The record of remote [sender] at [host], made on its first
    request. *)
@@ -788,14 +946,14 @@ let alien host sender =
       al
 
 (* Put [replier]'s answer to [sender]'s transaction [txn] on the wire
-   towards [dst]. The frame is kept for replay when [sender]'s record
-   here holds [txn]; a reply with no record answers a group request,
-   which is never retransmitted. *)
+   towards [dst], the host [sender] runs on. The frame is kept for
+   replay when [sender]'s record here holds [txn]; a reply with no
+   record answers a group request, which is never retransmitted. *)
 let reply_remote host ~txn ~sender ~replier ~dst msg =
   let frame =
     {
       Ethernet.src = host.addr;
-      dst = Ethernet.Unicast dst;
+      dst = dst.dest;
       payload = Reply_pkt { txn; replier; msg };
       payload_bytes = message_payload_bytes host.domain msg;
     }
@@ -817,8 +975,7 @@ let shed_reply host ~txn ~sender ~replier msg =
   | Some sender_proc when sender_proc.proc_host == host ->
       resume_pending host ~txn (msg, replier)
   | Some sender_proc ->
-      reply_remote host ~txn ~sender ~replier ~dst:sender_proc.proc_host.addr
-        msg
+      reply_remote host ~txn ~sender ~replier ~dst:sender_proc.proc_host msg
   | None -> () (* sender died while blocked; nothing to resume *)
 
 let dispatch_local_request host ~txn ~sender ~target_proc msg =
@@ -842,81 +999,15 @@ let dispatch_local_request host ~txn ~sender ~target_proc msg =
             depth msg;
           shed_reply host ~txn ~sender ~replier:target_proc.pid reply_msg)
 
-(* The request frame of transaction [txn] towards [dst_addr]: one frame
+(* The request frame of transaction [txn] towards host [dst]: one frame
    serves the first transmission and every resend. *)
-let request_frame host ~dst_addr ~txn ~sender ~target msg =
+let request_frame host ~dst ~txn ~sender ~target msg =
   {
     Ethernet.src = host.addr;
-    dst = Ethernet.Unicast dst_addr;
+    dst = dst.dest;
     payload = Request { txn; sender; target; msg };
     payload_bytes = message_payload_bytes host.domain msg;
   }
-
-let max_timeout_probes = 60
-
-let target_host_reachable host dst_addr =
-  let d = host.domain in
-  match Hashtbl.find d.all_hosts dst_addr with
-  | h -> h.host_up && Ethernet.reachable d.net host.addr dst_addr
-  | exception Not_found -> false
-
-(* Arm the one timer of a transaction that has left this host for
-   [dst_addr]. Any timer it had is cancelled, so a re-forward replaces
-   the chain; the probe count stays with the transaction. The timer is
-   due at the earlier of two instants, each computed from the firing
-   that set it, and when both fall due the probe runs first:
-   - the next resend of [frame], every 40 ms, for a remote Send
-     ([retransmit]); the receiving kernel suppresses duplicates;
-   - the next probe, every 500 ms. It fails the transaction with
-     Timeout once [dst_addr] is unreachable or the probe budget is
-     spent, and otherwise renews the timeout, so a server legitimately
-     busy with the transaction (a long MoveTo) does not abort its
-     sender. A locally submitted transaction that a server forwarded
-     off this host has no retransmission — local delivery loses no
-     frames, but the forward made the reply leg lossy — so its probes
-     resend [frame]; the target host's record of the sender replays a
-     lost reply, however late, or drops the copy while the request is
-     still served. *)
-let arm_recovery host ~txn pending ~dst_addr ~retransmit frame =
-  Engine.cancel host.domain.engine pending.p_timer;
-  let now = (Engine.clock host.domain.engine).at in
-  (* [| next resend; next probe |]: a float array stores both unboxed. *)
-  let due =
-    [|
-      (if retransmit then now +. Calibration.retransmit_interval_ms
-       else infinity);
-      now +. Calibration.ipc_timeout_ms;
-    |]
-  in
-  let rec fire () =
-    let now = (Engine.clock host.domain.engine).at in
-    let probe = due.(1) = now in
-    if probe then pending.p_probes <- pending.p_probes + 1;
-    if
-      probe
-      && not
-           (target_host_reachable host dst_addr
-           && pending.p_probes < max_timeout_probes)
-    then fail_pending host ~txn (Ipc_error Timeout)
-    else begin
-      if probe then begin
-        due.(1) <- now +. Calibration.ipc_timeout_ms;
-        if not retransmit then begin
-          report host Forward_recovery_probe txn pending.p_probes 0;
-          Ethernet.transmit host.domain.net frame
-        end
-      end;
-      if due.(0) = now then begin
-        report host Retransmit_probe txn 0 0;
-        Ethernet.transmit host.domain.net frame;
-        due.(0) <- now +. Calibration.retransmit_interval_ms
-      end;
-      Engine.due.at <- Float.min due.(0) due.(1);
-      pending.p_timer <- Engine.timer_due host.domain.engine fire
-    end
-  in
-  Engine.due.at <- Float.min due.(0) due.(1);
-  pending.p_timer <- Engine.timer_due host.domain.engine fire
 
 (* --- the IPC primitives --- *)
 
@@ -938,27 +1029,21 @@ let await_reply proc =
    record. *)
 let register_pending proc ~txn buffer sender =
   proc.wait.blocked_on <- txn;
-  let pending =
-    {
-      p_sender = sender;
-      p_buffer = buffer;
-      p_timer = Engine.no_timer;
-      p_probes = 0;
-    }
-  in
-  Hashtbl.replace proc.proc_host.pendings txn pending;
+  let pending = unarmed_pending buffer sender in
+  Int_table.replace proc.proc_host.pendings txn pending;
   pending
 
-(* The remote leg of Send: put the request on the wire towards
-   [dst_addr], arm its timer, and block. *)
-let send_remote proc ?buffer ~dst_addr ~target msg =
+(* The remote leg of Send: put the request on the wire towards host
+   [dst], arm its timer, and block. *)
+let send_remote proc ?buffer ~dst ~target msg =
   charge proc Calibration.small_packet_send_cpu;
   let host = proc.proc_host in
   let txn = fresh_txn host.domain in
   let pending = register_pending proc ~txn buffer Sending in
-  let frame = request_frame host ~dst_addr ~txn ~sender:proc.pid ~target msg in
+  let frame = request_frame host ~dst ~txn ~sender:proc.pid ~target msg in
   Ethernet.transmit host.domain.net frame;
-  arm_recovery host ~txn pending ~dst_addr ~retransmit:true frame;
+  arm_recovery proc.recovery ~txn pending ~dst_addr:dst.addr ~retransmit:true
+    frame;
   await_reply proc
 
 (* [send proc target msg] implements the Send primitive: blocks the
@@ -982,7 +1067,7 @@ let send proc ?buffer target msg =
         await_reply proc
       end
   | target_proc ->
-      send_remote proc ?buffer ~dst_addr:target_proc.proc_host.addr ~target msg
+      send_remote proc ?buffer ~dst:target_proc.proc_host ~target msg
   | exception Not_found -> (
       (* No live process under this pid. If its logical host was retired
          by a crash, the kernel cannot know that authoritatively (no
@@ -992,7 +1077,8 @@ let send proc ?buffer target msg =
          or of a never-issued logical host — is refused directly. *)
       match Hashtbl.find d.retired_logical_hosts (Pid.logical_host target) with
       | dst_addr when dst_addr <> host.addr ->
-          send_remote proc ?buffer ~dst_addr ~target msg
+          send_remote proc ?buffer ~dst:(Hashtbl.find d.all_hosts dst_addr)
+            ~target msg
       | _ | (exception Not_found) -> Error Nonexistent_process)
 
 (* [receive proc] blocks until a message arrives; returns it with the
@@ -1022,7 +1108,7 @@ let reply proc ~to_ msg =
   match served host key with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
-      Hashtbl.remove host.serving key;
+      Int_table.remove host.serving key;
       report host Reply (Pid.to_int proc.pid) (Pid.to_int to_) 0;
       match live_process d to_ with
       | exception Not_found ->
@@ -1034,7 +1120,7 @@ let reply proc ~to_ msg =
       | sender_proc ->
           charge proc Calibration.small_packet_send_cpu;
           reply_remote host ~txn ~sender:to_ ~replier:proc.pid
-            ~dst:sender_proc.proc_host.addr msg;
+            ~dst:sender_proc.proc_host msg;
           Ok ())
 
 (* [forward proc ~from_ ~to_ msg] passes the transaction on: [to_] sees
@@ -1049,7 +1135,7 @@ let forward proc ~from_ ~to_ msg =
   match served host key with
   | exception Not_found -> Error Not_awaiting_reply
   | txn -> (
-      Hashtbl.remove host.serving key;
+      Int_table.remove host.serving key;
       report_msg host Forward (Pid.to_int proc.pid) (Pid.to_int from_)
         (Pid.to_int to_) msg;
       match live_process d to_ with
@@ -1067,9 +1153,9 @@ let forward proc ~from_ ~to_ msg =
           Ok ()
       | target_proc ->
           charge proc Calibration.small_packet_send_cpu;
-          let dst_addr = target_proc.proc_host.addr in
+          let dst = target_proc.proc_host in
           let frame =
-            request_frame host ~dst_addr ~txn ~sender:from_ ~target:to_ msg
+            request_frame host ~dst ~txn ~sender:from_ ~target:to_ msg
           in
           Ethernet.transmit d.net frame;
           (* A sender on this very host submitted the transaction via
@@ -1078,9 +1164,13 @@ let forward proc ~from_ ~to_ msg =
              chain, replacing any chain an earlier forward gave it.
              Remote-origin senders already retransmit and time out from
              their own host. *)
-          (match Hashtbl.find host.pendings txn with
-          | pending ->
-              arm_recovery host ~txn pending ~dst_addr ~retransmit:false frame
+          (match
+             ( Int_table.find host.pendings txn,
+               Hashtbl.find host.processes (Pid.local_pid from_) )
+           with
+          | pending, sender ->
+              arm_recovery sender.recovery ~txn pending ~dst_addr:dst.addr
+                ~retransmit:false frame
           | exception Not_found -> ());
           Ok ())
 
@@ -1166,7 +1256,7 @@ let stream_chunks src_host ~dst_addr data mk_packet =
 (* The buffer a sender on this host exposed for transaction [txn], if
    it holds [len] bytes. *)
 let exposed_buffer host ~txn ~len =
-  match Hashtbl.find host.pendings txn with
+  match Int_table.find host.pendings txn with
   | exception Not_found -> Error Not_awaiting_reply
   | { p_buffer = Some buf; _ } when len <= Bytes.length buf -> Ok buf
   | _ -> Error Bad_buffer
@@ -1496,14 +1586,14 @@ let forward_group proc ~from_ ~group msg =
   match served host key with
   | exception Not_found -> Error Not_awaiting_reply
   | txn ->
-      Hashtbl.remove host.serving key;
+      Int_table.remove host.serving key;
       report host Forward_group (Pid.to_int proc.pid) (Pid.to_int from_) group;
       charge proc Calibration.small_packet_send_cpu;
       multicast_request host ~group ~sender:from_ ~txn msg;
       (* A sender on this host came by the local path, which arms no
          timer: its one timer gets the deadline a remote sender's probes
          reach, so a reply cancels it. *)
-      (match Hashtbl.find host.pendings txn with
+      (match Int_table.find host.pendings txn with
       | pending ->
           let engine = host.domain.engine in
           Engine.cancel engine pending.p_timer;
@@ -1557,23 +1647,24 @@ let request_arrived host (frame : 'm packet Ethernet.frame) =
                 (Nack { txn; reason })))
   | _ -> ()
 
-(* A reply frame at [host], once its receive CPU is spent. *)
-let reply_arrived host (frame : 'm packet Ethernet.frame) =
+(* A request or reply frame at [host], once its receive CPU is spent:
+   the run of the domain's [arrivals] poster. *)
+let message_arrived host (frame : 'm packet Ethernet.frame) =
   match frame.Ethernet.payload with
+  | Request _ -> request_arrived host frame
   | Reply_pkt { txn; replier; msg } when host.host_up ->
       resume_pending host ~txn (msg, replier)
   | _ -> ()
 
-(* The two message-bearing arrivals a transaction always takes capture
-   the host and the frame, and read the packet's fields when they
-   run. *)
+(* The two message-bearing arrivals a transaction always takes are
+   posts: the host and the frame wait at the arrival's queue entry, and
+   the packet's fields are read when it runs. *)
 let handle_packet host (frame : 'm packet Ethernet.frame) =
   let d = host.domain in
   match frame.Ethernet.payload with
-  | Request { msg; _ } ->
-      after_remote_recv d msg (fun () -> request_arrived host frame)
-  | Reply_pkt { msg; _ } ->
-      after_remote_recv d msg (fun () -> reply_arrived host frame)
+  | Request { msg; _ } | Reply_pkt { msg; _ } ->
+      recv_cpu_spent d msg;
+      Engine.post d.arrivals host frame
   | Nack { txn; reason } ->
       Engine.schedule ~delay:Calibration.small_packet_recv_cpu d.engine (fun () ->
           if host.host_up then fail_pending host ~txn (Ipc_error reason))
@@ -1618,8 +1709,8 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
                   finish_move host ~mv (Ok (Buffer.to_bytes op.mv_buf)))
           end)
   | Move_to_data { txn; mv; mover_addr; seq; last; data } -> (
-      match Hashtbl.find_opt host.pendings txn with
-      | Some { p_buffer = Some buf; _ }
+      match Int_table.find host.pendings txn with
+      | { p_buffer = Some buf; _ }
         when (seq * Calibration.bulk_packet_bytes) + Bytes.length data
              <= Bytes.length buf ->
           Bytes.blit data 0 buf (seq * Calibration.bulk_packet_bytes)
@@ -1631,7 +1722,7 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
                   transmit host ~dst:(Ethernet.Unicast mover_addr)
                     ~payload_bytes:control_payload_bytes
                     (Move_ack { mv; outcome = Ok () }))
-      | Some _ | None ->
+      | _ | (exception Not_found) ->
           if last then
             transmit host ~dst:(Ethernet.Unicast mover_addr)
               ~payload_bytes:control_payload_bytes
@@ -1643,16 +1734,18 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
             | Ok () -> Ok Bytes.empty
             | Error e -> Error (Ipc_error e)))
   | Group_request { txn; sender; group; msg } ->
-      after_remote_recv d msg (fun () ->
-          if host.host_up then begin
-            List.iter
-              (fun member_pid ->
-                match Hashtbl.find_opt host.processes (Pid.local_pid member_pid) with
-                | Some member when member.proc_alive ->
-                    deliver ~served:(lnot txn) ~sender member member.queue msg
-                | Some _ | None -> ())
-              (local_group_members host ~group)
-          end)
+      let arrived () =
+        if host.host_up then
+          List.iter
+            (fun member_pid ->
+              match Hashtbl.find_opt host.processes (Pid.local_pid member_pid) with
+              | Some member when member.proc_alive ->
+                  deliver ~served:(lnot txn) ~sender member member.queue msg
+              | Some _ | None -> ())
+            (local_group_members host ~group)
+      in
+      recv_cpu_spent d msg;
+      Engine.schedule_due d.engine arrived
 
 (* --- domain and host lifecycle --- *)
 
@@ -1677,6 +1770,8 @@ let create_domain ?(seed = 42) ?(hosts_hint = 16) ~cost engine net =
       all_hosts = Hashtbl.create hosts_hint;
       service_groups = Hashtbl.create 8;
       domain_prng = Vsim.Prng.create ~seed;
+      wakes = Proc.waker engine;
+      arrivals = Engine.poster engine message_arrived;
       domain_obs = None;
       trace_of = (fun _ -> 0);
       ipc_transactions = Vsim.Stats.Counter.create "ipc-transactions";
@@ -1704,10 +1799,11 @@ let boot_host d ~name addr =
       host_name = name;
       logical_host = fresh_logical_host d;
       host_up = true;
+      dest = Ethernet.Unicast addr;
       processes = Hashtbl.create 16;
       services = Hashtbl.create 8;
-      serving = Hashtbl.create 16;
-      pendings = Hashtbl.create 16;
+      serving = Int_table.create ~blank:0;
+      pendings = Int_table.create ~blank:(unarmed_pending None Sending);
       moves = Hashtbl.create 8;
       getpid_waits = Hashtbl.create 8;
       aliens = Hashtbl.create 16;
@@ -1752,8 +1848,8 @@ let crash_host host =
       procs;
     Hashtbl.reset host.processes;
     Hashtbl.reset host.services;
-    Hashtbl.reset host.serving;
-    Hashtbl.reset host.pendings;
+    Int_table.reset host.serving;
+    Int_table.reset host.pendings;
     Hashtbl.reset host.moves;
     Hashtbl.reset host.getpid_waits;
     Hashtbl.reset host.aliens;

@@ -36,11 +36,9 @@ type t = {
   mutable executed : int;
   mutable running : bool;
   wheel : (unit -> unit) Wheel.t;
-  (* The continuations of delays, each at its node's wheel entry, and
-     the one action every such node holds: it resumes the continuation
-     at the entry the wheel just took. *)
-  mutable parked : fiber array;
-  resume : unit -> unit;
+  (* The poster of delays: each continuation waits at its node's wheel
+     entry (see [park]). *)
+  delays : (fiber, unit) poster;
   (* Last-run throughput, for `vsh engine stats` and the bench harness:
      events executed by the most recent [run] and the CPU seconds it
      took. *)
@@ -48,6 +46,19 @@ type t = {
   mutable run_start_cpu : float;
   mutable last_run_events : int;
   mutable last_run_cpu_s : float;
+}
+
+(* A post's payload waits in two arrays at its node's entry. The
+   arrays are always longer than every entry posted into them, and
+   their last slot, which no entry reaches before they grow past it,
+   holds the blank a run writes over the payload it takes: the payload
+   that last grew them, a value that stays alive anyway. *)
+and ('a, 'b) poster = {
+  engine : t;
+  run : 'a -> 'b -> unit;
+  mutable firsts : 'a array;
+  mutable seconds : 'b array;
+  mutable action : unit -> unit;
 }
 
 (* Events executed across every engine in the process — lets the bench
@@ -63,6 +74,16 @@ exception Time_went_backwards of { now : float; requested : float }
    closure and whatever it captures are garbage at cancel time. *)
 let blank () = ()
 
+(* The one action of every node a poster pushes: it takes the payload
+   at the entry the wheel just took, blanks both slots, then runs. *)
+let take_post p () =
+  let i = Wheel.taken p.engine.wheel in
+  let blank = Array.length p.firsts - 1 in
+  let a = p.firsts.(i) and b = p.seconds.(i) in
+  p.firsts.(i) <- p.firsts.(blank);
+  p.seconds.(i) <- p.seconds.(blank);
+  p.run a b
+
 let created = ref 0
 
 let create () =
@@ -75,15 +96,21 @@ let create () =
       executed = 0;
       running = false;
       wheel = Wheel.create ~blank;
-      parked = [||];
-      resume =
-        (fun () -> Effect.Deep.continue t.parked.(Wheel.taken t.wheel) ());
+      delays =
+        {
+          engine = t;
+          run = Effect.Deep.continue;
+          firsts = [||];
+          seconds = [||];
+          action = blank;
+        };
       run_start_events = 0;
       run_start_cpu = 0.0;
       last_run_events = 0;
       last_run_cpu_s = 0.0;
     }
   in
+  t.delays.action <- take_post t.delays;
   t
 
 let id t = t.id
@@ -137,19 +164,33 @@ let defer_at t time action =
   due.at <- time;
   ignore (push t ~turns:2 action : timer)
 
-(* The same node, holding [resume]; the continuation waits at the
-   node's entry. An array too short for the entry doubles past it,
-   filled with [k], since no other continuation is at hand. A resumed
-   continuation stays until its entry parks another: by then the
-   runtime has cut it from its fiber, so it keeps nothing alive. *)
-let park t k =
-  let i = Wheel.entry (push t ~turns:2 t.resume) in
-  if i >= Array.length t.parked then begin
-    let bigger = Array.make (max 64 (2 * i)) k in
-    Array.blit t.parked 0 bigger 0 (Array.length t.parked);
-    t.parked <- bigger
+(* [a] at least [n] long, its new slots filled with [fill]. *)
+let extend a n fill =
+  let bigger = Array.make n fill in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+let poster engine run =
+  let p = { engine; run; firsts = [||]; seconds = [||]; action = blank } in
+  p.action <- take_post p;
+  p
+
+let push_post p ~turns a b =
+  let i = Wheel.entry (push p.engine ~turns p.action) in
+  if i >= Array.length p.firsts - 1 then begin
+    let n = max 64 (2 * (i + 1)) in
+    p.firsts <- extend p.firsts n a;
+    p.seconds <- extend p.seconds n b
   end;
-  t.parked.(i) <- k
+  p.firsts.(i) <- a;
+  p.seconds.(i) <- b
+
+let post p a b = push_post p ~turns:1 a b
+
+(* The two-turn node [defer_at] pushes, holding the delays' poster's
+   action: the continuation waits at the node's entry until its last
+   turn resumes it. *)
+let park t k = push_post t.delays ~turns:2 k ()
 
 (* The wheel raises the flat clock to the event's time: no event
    allocates here, whether it moves the clock or not. *)

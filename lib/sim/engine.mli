@@ -10,7 +10,9 @@
     nothing per event once its arrays have grown, every push takes its
     time from the flat cell {!due}, so no time is boxed on its way in,
     and the clock is a flat cell too ({!clock}), so no event boxes it
-    on its way out. *)
+    on its way out. An event that only resumes a fiber ({!park}) or
+    runs a fixed action on a payload ({!post}) builds no closure
+    either: its payload waits at its node's wheel entry. *)
 
 type t
 
@@ -84,9 +86,10 @@ val cancel : t -> timer -> unit
     and the wheel copies it from there into its unboxed time array:
     [schedule_at], [timer_at], [defer_at] and the [?delay] forms write
     it from their arguments, and a hot caller writes [due.at] itself
-    and then calls [schedule_due], [timer_due] or [park]. Writing the
-    cell must be the last step before that push: nothing that could
-    push may run between the two. One cell serves every engine.
+    and then calls [schedule_due], [timer_due], [park] or [post].
+    Writing the cell must be the last step before that push: nothing
+    that could push may run between the two. One cell serves every
+    engine.
 
     The engine's clock is a cell of the same kind, one per engine. *)
 
@@ -106,14 +109,33 @@ val schedule_due : t -> (unit -> unit) -> unit
 (** [timer_at] with its time already written into [due]. *)
 val timer_due : t -> (unit -> unit) -> timer
 
+(** {1 Posts: a payload parked at its node}
+
+    A poster is an action over two values, built once; each of its
+    posts is an event that runs it on a payload of its own, without a
+    closure. *)
+
+type ('a, 'b) poster
+
+(** [poster t run] is the poster of [run] on [t]. *)
+val poster : t -> ('a -> 'b -> unit) -> ('a, 'b) poster
+
+(** [post p a b] is [schedule_due t (fun () -> run a b)] on the
+    poster's engine [t], without the closure: it pushes the same
+    one-turn node at the time in {!due}, and [a] and [b] wait in arrays
+    of the poster's indexed by the node's wheel entry. The node's turn
+    blanks both slots before it runs [run a b], so no payload outlives
+    its event. *)
+val post : ('a, 'b) poster -> 'a -> 'b -> unit
+
 (** A fiber's continuation, resumed with [()]. *)
 type fiber = (unit, unit) Effect.Deep.continuation
 
 (** [park t k] is [defer_at t due.at (fun () -> Effect.Deep.continue k
-    ())] without the closure: it pushes the same two-turn node, and [k]
-    waits in an array of the engine's indexed by the node's wheel
-    entry until the node's last turn resumes it. It is how a fiber's
-    {!Proc.delay} wakes. *)
+    ())] without the closure: it pushes the same two-turn node as a
+    post of the engine's own poster of continuations, so [k] waits at
+    the node's wheel entry until the node's last turn resumes it and
+    blanks its slot. It is how a fiber's {!Proc.delay} wakes. *)
 val park : t -> fiber -> unit
 
 (** {1 Running} *)

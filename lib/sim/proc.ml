@@ -88,6 +88,8 @@ let wake engine k v = Engine.schedule engine (fun () -> Effect.Deep.continue k v
 let wake_exn engine k e =
   Engine.schedule engine (fun () -> Effect.Deep.discontinue k e)
 
+let waker engine = Engine.poster engine Effect.Deep.continue
+
 let delay engine duration =
   if not (Float.is_finite duration && duration >= 0.0) then
     invalid_arg "Proc.delay: negative or non-finite duration";

@@ -45,6 +45,12 @@ val wake : Engine.t -> 'a waiting -> 'a -> unit
 (** [wake] that raises [e] in the fiber instead. *)
 val wake_exn : Engine.t -> 'a waiting -> exn -> unit
 
+(** A poster that resumes each continuation posted to it with the value
+    posted beside it: [Engine.post (waker engine) k v], with the current
+    instant written into {!Engine.due}, is [wake engine k v] without its
+    closure. Built once per continuation type that wakes often. *)
+val waker : Engine.t -> ('a waiting, 'a) Engine.poster
+
 (** Block the current fiber for [duration] simulated ms. It wakes in
     two turns of one event, as a [block] whose [wake] came at the wake
     time would: its continuation waits on the engine's queue node

@@ -10,7 +10,14 @@
    frame 335, remote echo 1,425 words on OCaml 5.1), and about 40%
    above the counts there today (4, 2, 4.1, 11.4; the shared wire's
    frame 5.4), as headroom for the other supported compiler; the
-   echoes' sit about 35% above theirs (113 remote, 43 local). The
+   echoes' sit about 35% above theirs (69 remote, 26 local). A
+   transaction keeps its host's tables in flat arrays, its recovery
+   timer in state its sender's process built once, its wakes and frame
+   arrivals at their queue entries, and its frames share their
+   destination: before that, the echoes were 113 and 43, paying
+   hashtable buckets, a due-time array and a closure per remote Send,
+   a closure per wake and per arrival, and a fresh destination per
+   frame. The
    engine's clock is a flat cell that an event raises without a box,
    and the hot readers read it flat, so a delay allocates only the
    runtime's continuation. The engine event's 4 words are the test's
@@ -46,10 +53,11 @@
    it was 532 when it armed a retransmission timer and a probe timer,
    before one timer served both. The IPC and CPU charges around the
    naming share of an uncached prefixed Query, made with preallocated
-   messages, are gated the same way (137 words, ceiling about 35%
-   above; 169 before the flat clock, 251 before the time cell and the
-   parked delay, 281 before the blocker, 391 before a blocked call kept
-   its own continuation).
+   messages, are gated the same way (84 words, ceiling about 35%
+   above; 137 before the flat transaction tables, the recovery timer
+   and the posted wakes and arrivals, 169 before the flat clock, 251
+   before the time cell and the parked delay, 281 before the blocker,
+   391 before a blocked call kept its own continuation).
 
    A PRNG draw of [bits], [int] or [bool] allocates nothing (ceiling
    0), and a [float] only its boxed result (ceiling 2): the stream's
@@ -264,10 +272,10 @@ let echo_words ?(attach = ignore) ?(local = false) () =
   Engine.run eng;
   !words
 
-let test_remote_echo () = gate "one remote echo" ~ceiling:153.0 (echo_words ())
+let test_remote_echo () = gate "one remote echo" ~ceiling:93.0 (echo_words ())
 
 let test_local_echo () =
-  gate "one local echo" ~ceiling:58.0 (echo_words ~local:true ())
+  gate "one local echo" ~ceiling:35.0 (echo_words ~local:true ())
 
 (* With the stream listening — the pump armed, as on E15's soak lane,
    recorder and timeline off — every kernel and wire site emits its
@@ -517,7 +525,7 @@ let test_query_naming_share () =
                  once ()
                done)));
   Scenario.run t;
-  gate "IPC and charges of one uncached prefixed Query" ~ceiling:185.0 !control;
+  gate "IPC and charges of one uncached prefixed Query" ~ceiling:113.0 !control;
   gate "naming share of one uncached prefixed Query" ~ceiling:260.0
     (!query -. !control)
 

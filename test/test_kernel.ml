@@ -1289,6 +1289,117 @@ let test_determinism () =
   let a = run_once () and b = run_once () in
   Alcotest.(check bool) "identical runs" true (a = b)
 
+(* --- the flat transaction table, against Stdlib's Hashtbl --- *)
+
+module It = Vkernel.Int_table
+
+(* For each size the table passes through up to 64 slots, four keys
+   whose probes start at its last slot and four at its first, so runs
+   wrap past the array's end and removals shift entries back across
+   it; then eight keys anywhere. *)
+let colliding_keys =
+  let candidates = List.init 20_000 Fun.id in
+  let at ~slots home =
+    List.filteri
+      (fun i _ -> i < 4)
+      (List.filter (fun k -> It.home_slot ~slots k = home) candidates)
+  in
+  List.concat_map
+    (fun slots -> at ~slots (slots - 1) @ at ~slots 0)
+    [ 8; 16; 32; 64 ]
+  @ List.init 8 (fun i -> 1_000_003 * (i + 1))
+  |> List.sort_uniq Int.compare
+
+type table_op = Replace of int * int | Remove of int | Find of int
+
+let pp_table_op ppf = function
+  | Replace (k, v) -> Fmt.pf ppf "replace %d %d" k v
+  | Remove k -> Fmt.pf ppf "remove %d" k
+  | Find k -> Fmt.pf ppf "find %d" k
+
+(* Each op, then every pool key's binding, the length and the fold's
+   bindings (sorted: its order is unspecified) must agree with
+   Hashtbl's. *)
+let prop_int_table_model =
+  let key = QCheck.Gen.oneofl colliding_keys in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun k v -> Replace (k, v)) key small_nat);
+          (3, map (fun k -> Remove k) key);
+          (1, map (fun k -> Find k) key);
+        ])
+  in
+  QCheck.Test.make ~name:"Int_table agrees with Hashtbl" ~count:300
+    (QCheck.make
+       ~print:(Fmt.to_to_string (Fmt.Dump.list pp_table_op))
+       QCheck.Gen.(list_size (int_range 1 300) op))
+    (fun ops ->
+      let t = It.create ~blank:(-1) and model = Hashtbl.create 8 in
+      let bindings fold tbl =
+        List.sort compare (fold (fun k v acc -> (k, v) :: acc) tbl [])
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+              It.replace t k v;
+              Hashtbl.replace model k v
+          | Remove k ->
+              It.remove t k;
+              Hashtbl.remove model k
+          | Find _ -> ());
+          It.length t = Hashtbl.length model
+          && List.for_all
+               (fun k ->
+                 (match It.find t k with
+                 | v -> Some v
+                 | exception Not_found -> None)
+                 = Hashtbl.find_opt model k)
+               colliding_keys
+          && bindings It.fold t = bindings Hashtbl.fold model)
+        ops)
+
+(* The cases the model must reach, pinned: at 8 slots, three keys whose
+   probes start at the last slot fill it and wrap to slots 0 and 1;
+   removing the first shifts both back across the end. Then growth
+   past 8 slots keeps every binding, and [reset] drops them all. *)
+let test_int_table_wrap_and_grow () =
+  let t = It.create ~blank:"" in
+  let wrapping =
+    List.filteri
+      (fun i _ -> i < 3)
+      (List.filter
+         (fun k -> It.home_slot ~slots:8 k = 7)
+         (List.init 20_000 Fun.id))
+  in
+  List.iter (fun k -> It.replace t k (string_of_int k)) wrapping;
+  let slot_order = It.fold (fun k _ acc -> k :: acc) t [] |> List.rev in
+  (* Slots 0 and 1 come before slot 7 in the fold. *)
+  Alcotest.(check (list int))
+    "runs wrap" (List.tl wrapping @ [ List.hd wrapping ]) slot_order;
+  It.remove t (List.hd wrapping);
+  List.iter
+    (fun k ->
+      Alcotest.(check string) "shifted back" (string_of_int k) (It.find t k))
+    (List.tl wrapping);
+  Alcotest.check_raises "removed" Not_found (fun () ->
+      ignore (It.find t (List.hd wrapping)));
+  for k = 100 to 140 do
+    It.replace t k (string_of_int k)
+  done;
+  Alcotest.(check int) "grown" 43 (It.length t);
+  for k = 100 to 140 do
+    Alcotest.(check string) "kept" (string_of_int k) (It.find t k)
+  done;
+  It.reset t;
+  Alcotest.(check int) "reset" 0 (It.length t);
+  Alcotest.check_raises "gone" Not_found (fun () -> ignore (It.find t 100));
+  Alcotest.check_raises "negative key"
+    (Invalid_argument "Int_table.replace: negative key") (fun () ->
+      It.replace t (-3) "")
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -1298,6 +1409,12 @@ let suite =
         Alcotest.test_case "fields" `Quick test_pid_fields;
         Alcotest.test_case "invalid" `Quick test_pid_invalid;
         qcheck prop_pid_roundtrip;
+      ] );
+    ( "kernel.int_table",
+      [
+        Alcotest.test_case "wrap, shift back, grow" `Quick
+          test_int_table_wrap_and_grow;
+        qcheck prop_int_table_model;
       ] );
     ( "kernel.ipc",
       [

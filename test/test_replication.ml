@@ -514,6 +514,42 @@ let test_divergence_detected () =
       Alcotest.(check string)
         "right invariant" "replica-divergence" v.Invariant.invariant
 
+(* --- an Open for writing through the binding is refused --- *)
+
+(* Writing or appending to a file through the replica-bound binding
+   would create or fill it on the one member GetPid picks, so the
+   coordinator refuses the Open: the client sees Bad_operation and no
+   member holds the file. *)
+let test_write_open_refused () =
+  let t, rset = build_replicated ~seed:22 ~factor:2 () in
+  let results = ref [] in
+  ignore
+    (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env ->
+         let data = Bytes.of_string "one member only" in
+         results :=
+           [
+             ("write", Runtime.write_file env "[rstore]x" data);
+             ("append", Runtime.append_file env "[rstore]y" data);
+           ]));
+  Scenario.run t;
+  List.iter
+    (fun (what, result) ->
+      match result with
+      | Error (Verr.Denied Reply.Bad_operation) -> ()
+      | Ok () -> Alcotest.failf "%s through [rstore] succeeded" what
+      | Error e ->
+          Alcotest.failf "%s: expected bad operation, got %a" what Verr.pp e)
+    !results;
+  List.iter
+    (fun (addr, fs) ->
+      List.iter
+        (fun name ->
+          match Fs.lookup (File_server.fs fs) ~dir:Fs.root_ino name with
+          | None -> ()
+          | Some _ -> Alcotest.failf "member at %d holds %s" addr name)
+        [ "x"; "y" ])
+    (Replica.members rset)
+
 let suite =
   [
     ( "replication",
@@ -544,5 +580,7 @@ let suite =
           test_failover_span;
         Alcotest.test_case "divergence invariant fires on skew" `Quick
           test_divergence_detected;
+        Alcotest.test_case "an Open for writing through the binding is refused"
+          `Quick test_write_open_refused;
       ] );
   ]

@@ -352,6 +352,41 @@ let test_timer_cancel_frees_action () =
     (Vsim.Engine.executed eng);
   ignore (Sys.opaque_identity timers)
 
+(* A post runs where the closure it stands for would: at the time in
+   [Engine.due], in push order among closures at that instant. Its turn
+   blanks its slots, so each payload is garbage once its event ran
+   though the poster lives on; only the payload that last grew the
+   poster's arrays stays, as their blank. *)
+let test_engine_post () =
+  let module E = Vsim.Engine in
+  let eng = E.create () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let p = E.poster eng (fun tag (_ : bytes) -> note tag ()) in
+  let post at tag payload =
+    E.due.at <- at;
+    E.post p tag payload
+  in
+  post 0.0 "grows" (Bytes.create 1);
+  E.schedule ~delay:1.0 eng (note "a");
+  let collected = ref 0 in
+  for i = 1 to 3 do
+    let block = Bytes.make 4096 'x' in
+    Gc.finalise (fun _ -> incr collected) block;
+    post 1.0 (string_of_int i) block
+  done;
+  E.schedule ~delay:1.0 eng (note "b");
+  post 0.5 "earlier" (Bytes.create 1);
+  E.run eng;
+  Alcotest.(check (list string))
+    "by time, then push order"
+    [ "grows"; "earlier"; "a"; "1"; "2"; "3"; "b" ]
+    (List.rev !log);
+  Gc.full_major ();
+  Alcotest.(check int) "every posted block collected" 3 !collected;
+  Alcotest.(check int) "with the engine still live" 7 (E.executed eng);
+  ignore (Sys.opaque_identity p)
+
 (* A handle outlives its timer. Once the timer has fired, or been
    cancelled and dropped, its queue entry serves later timers, and the
    old handle must not reach them. The kernel cancels a transaction's
@@ -862,6 +897,7 @@ let suite =
         Alcotest.test_case "rejects non-finite times" `Quick
           test_engine_rejects_non_finite;
         Alcotest.test_case "max events" `Quick test_engine_max_events;
+        Alcotest.test_case "posts" `Quick test_engine_post;
       ] );
     ( "sim.wheel",
       [
